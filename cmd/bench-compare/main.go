@@ -1,6 +1,8 @@
 // Command bench-compare checks a fresh roulette-bench JSON report against a
-// committed baseline (BENCH_stream.json, BENCH_scaling.json, or a combined
-// BENCH.json) within a multiplicative tolerance. It is the CI tripwire that
+// baseline — one of the three committed ones (BENCH_stream.json,
+// BENCH_scaling.json, BENCH_stress.json) or any earlier report, bare or
+// combined; no strings or warmstart baseline is committed — within a
+// multiplicative tolerance. It is the CI tripwire that
 // makes kernel regressions fail loudly: absolute numbers vary wildly across
 // runner hardware, so the tolerance is generous by default and the check
 // only catches order-of-magnitude cliffs.
@@ -34,9 +36,9 @@ type report struct {
 	Strings   *bench.StringsReport   `json:"strings"`
 	Warmstart *bench.WarmstartReport `json:"warmstart"`
 
-	// BENCH_stream.json, BENCH_scaling.json, BENCH_stress.json and
-	// BENCH_strings.json are bare reports, not full BENCH.json files;
-	// detect that by their own headline fields. A bare stress report also
+	// BENCH_stream.json, BENCH_scaling.json and BENCH_stress.json (the
+	// committed baselines) and the output of -fig strings are bare reports,
+	// not full BENCH.json files; detect that by their own headline fields. A bare stress report also
 	// has "qps", so the tenant table is checked first.
 	QPS     float64                 `json:"qps"`
 	Rows    []bench.ScalingRow      `json:"rows"`

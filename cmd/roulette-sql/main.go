@@ -403,7 +403,9 @@ func runServe(e *roulette.Engine, sc serveConfig) error {
 		return err
 	}
 	if stats {
-		fmt.Println("final STeM state:")
+		// Queries that retired after Close are not swept (the session is
+		// about to be dropped), so their entries still show here.
+		fmt.Println("STeM state at shutdown:")
 		for _, s := range st.StemStats() {
 			fmt.Printf("  %-16s entries=%-8d probes=%-10d matches=%-10d est_bytes=%d\n",
 				s.Table, s.Entries, s.Probes, s.Matches, s.EstBytes)

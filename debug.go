@@ -121,11 +121,11 @@ func (s *Stream) DebugHandler() http.Handler {
 				Tenants:      tenants,
 			}
 		}
-		if s.store != nil {
+		if s.warm != nil {
 			doc.Policy = &PolicyDebug{
-				Warm:    s.learned.Warm(),
-				Epsilon: s.learned.Epsilon(),
-				Store:   s.store.Stats(),
+				Warm:    s.warm.learned.Warm(),
+				Epsilon: s.warm.learned.Epsilon(),
+				Store:   s.warm.store.Stats(),
 			}
 		}
 		w.Header().Set("Content-Type", "application/json")

@@ -441,3 +441,92 @@ func TestForcedAdmissionFiresWhenTriggerIdle(t *testing.T) {
 		}
 	}
 }
+
+// TestParkedBatchWorkersExitOnCancel covers what the one worker loop made
+// new for batches: a worker that finds no runnable scan waits on the condvar
+// for its peers' episodes instead of returning. Eight workers share a
+// relation of two vectors and the hook holds both episodes open, so six
+// workers have nothing to pick. A cancelled run must return as soon as the
+// held episodes are let go — also when they then fault, which is what makes
+// the results partial — and leave no worker behind.
+func TestParkedBatchWorkersExitOnCancel(t *testing.T) {
+	for _, faulty := range []bool{false, true} {
+		name := "clean"
+		if faulty {
+			name = "faulted"
+		}
+		t.Run(name, func(t *testing.T) {
+			db := starDB(rand.New(rand.NewSource(5)), 64, 32)
+			b, err := query.Compile([]*query.Query{singleRel("d1"), singleRel("d1")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			started := make(chan struct{}, 2) // one send per vector of d1
+			release := make(chan struct{})
+			opt := exec.DefaultOptions()
+			opt.VectorSize = 16
+			if faulty {
+				opt.Hooks = faults.New(faults.Config{Seed: 1, PanicEvery: 1}).Hooks()
+			}
+			inject := opt.Hooks.EpisodeStart
+			opt.Hooks.EpisodeStart = func(inst query.InstID, slot stem.Slot) {
+				started <- struct{}{}
+				<-release
+				if inject != nil {
+					inject(inst, slot)
+				}
+			}
+			s, err := NewSession(b, db, Config{Exec: opt, Workers: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			type outcome struct {
+				res *Results
+				err error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				res, err := s.RunContext(ctx)
+				done <- outcome{res, err}
+			}()
+			<-started
+			<-started
+			// Every vector is out; give the six idle workers time to reach
+			// the condvar (whether they have is not observable, and the
+			// assertions hold either way).
+			time.Sleep(20 * time.Millisecond)
+			cancel()
+			close(release)
+			var out outcome
+			select {
+			case out = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("cancelled batch did not return: workers still parked")
+			}
+			if out.err != nil {
+				t.Fatalf("cancellation must not be an error: %v", out.err)
+			}
+			if out.res.Partial != faulty {
+				t.Errorf("Partial = %v, want %v", out.res.Partial, faulty)
+			}
+			if faulty && len(out.res.Faults) == 0 {
+				t.Error("injected panics left no fault record")
+			}
+			for qid, st := range out.res.Status {
+				if !st.Completed && st.Err == nil {
+					t.Errorf("aborted query %d has no error", qid)
+				}
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if g := runtime.NumGoroutine(); g > before {
+				t.Errorf("goroutines after run = %d, before = %d", g, before)
+			}
+		})
+	}
+}

@@ -1,7 +1,9 @@
-// Package engine is RouLette's driver: it schedules compiled batches,
-// ingests vectors through circular scans in a pruning-aware order, maps
-// episodes onto a worker pool sharing STeMs, supports runtime query
-// admission, and reports per-query results and execution statistics (§3).
+// Package engine is RouLette's driver: it ingests vectors through circular
+// scans in a pruning-aware order, maps episodes onto a worker pool sharing
+// STeMs, admits and retires queries at runtime, and reports per-query results
+// and execution statistics (§3). There is one execution path: a compiled
+// batch is a session whose queries are admitted at construction and which is
+// born closed to further submissions; a stream is the same session born open.
 package engine
 
 import (
@@ -47,8 +49,8 @@ type Config struct {
 
 	Model *cost.Model
 
-	// AdmitAt staggers admission; when empty, every query is admitted at
-	// session start (batch mode).
+	// AdmitAt staggers admission of the compiled batch's queries; queries it
+	// does not name are admitted at session start.
 	AdmitAt []AdmitEvent
 
 	// TrackConvergence records per-episode measured and estimated costs
@@ -70,34 +72,30 @@ type Config struct {
 	// are marked failed, and the rest of the session is cancelled.
 	EpisodeWatchdog time.Duration
 
-	// Streaming switches the session from run-to-completion to a long-lived
-	// lifecycle: workers block for new work instead of exiting when every
-	// admitted query drains, queries arrive at any time via SubmitLive, each
-	// query retires individually (OnRetire) the moment it completes, and a
-	// between-episodes garbage collector reclaims retired queries' STeM
-	// entries, policy state and query IDs. RunContext then returns only
-	// after CloseSubmit (or context cancellation).
+	// Streaming says whether the session is born open or born closed, and
+	// nothing else. A streaming session accepts SubmitLive until CloseSubmit:
+	// its idle workers wait for submissions, a between-episodes collector
+	// reclaims retired queries' STeM entries, policy state and query IDs while
+	// it is open, and RunContext returns aggregates only (per-query outcomes
+	// went through OnRetire). A non-streaming session is closed from the
+	// start: it runs its compiled batch to completion, never collects — so
+	// sources and STeMs stay readable after the run — and RunContext returns
+	// per-query counts and status.
 	Streaming bool
 
-	// OnRetire, in streaming mode, delivers each query's terminal status.
-	// It is called outside the session mutex, exactly once per admitted
-	// query, as soon as the query's episodes drain — not at session end.
-	// The query's source still holds its routed rows at that point.
+	// OnRetire delivers each query's terminal status. It is called outside
+	// the session mutex, exactly once per admitted query, as soon as the
+	// query's episodes drain — not at session end. The query's source still
+	// holds its routed rows at that point. Nil is allowed.
 	OnRetire func(qid int, st QueryStatus)
 
-	// OnReclaim, in streaming mode, reports query IDs whose state has been
-	// fully garbage-collected and returned to the free pool (capacity for
-	// new SubmitLive calls). Called outside the session mutex.
-	OnReclaim func(qids []int)
-
-	// DeadlineUrgency, in streaming mode, is how far ahead of a query's
-	// deadline the scheduler starts boosting its episodes into the urgent
-	// lane; 0 means 1ms.
+	// DeadlineUrgency is how far ahead of a query's deadline the scheduler
+	// starts boosting its episodes into the urgent lane; 0 means 1ms.
 	DeadlineUrgency time.Duration
 
-	// StarveEpisodes, in streaming mode, is how many episodes a tenant with
-	// live queries may go unserved before the starvation watchdog boosts it
-	// above every priority lane; 0 means 512.
+	// StarveEpisodes is how many episodes a tenant with live queries may go
+	// unserved before the starvation watchdog boosts it above every priority
+	// lane; 0 means 512.
 	StarveEpisodes int
 
 	// Recorder, when non-nil, is the session's flight recorder: workers
@@ -112,21 +110,21 @@ type Config struct {
 	// degraded-mode warnings). Nil discards.
 	Logger *slog.Logger
 
-	// StallWatchdog, in streaming mode, is the period of the self-diagnosis
-	// watchdog: every period it snapshots the session, runs the stall
+	// StallWatchdog is the period of the self-diagnosis watchdog: every period it snapshots the session, runs the stall
 	// heuristics (stuck fences, long-running episodes, unbounded epoch lag,
 	// watermark lag, starved tenants) and logs one structured report per
 	// finding through Logger. 0 disables the watchdog.
 	StallWatchdog time.Duration
 
-	// PolicySweep, in streaming mode, runs at the start of a GC finish
-	// pass, before retired queries are unwired from the batch and pruned
-	// from the policy — the last moment the learned state about the swept
-	// queries is still addressable by live positional IDs. The policy-
-	// persistence layer snapshots the Q-table here. Called under the
-	// session mutex (between episodes, never on the hot path): keep it
-	// proportional to the policy's table size and do not call back into
-	// the session.
+	// PolicySweep runs at the start of a GC finish pass, before retired
+	// queries are unwired from the batch and pruned from the policy — the
+	// last moment the learned state about the swept queries is still
+	// addressable by live positional IDs — and once more when the worker pool
+	// exits, for the queries that retired after the session closed (all of
+	// them, on a session born closed). The policy-persistence layer snapshots
+	// the Q-table here. Called under the session mutex (between episodes,
+	// never on the hot path): keep it proportional to the policy's table size
+	// and do not call back into the session.
 	PolicySweep func(b *query.Batch, ctx *exec.Context, live bitset.Set)
 }
 
@@ -267,8 +265,9 @@ func newScanState(scan *storage.CircularScan, qcap int) *scanState {
 	}
 }
 
-// Session executes one compiled batch. Sessions are single-use: Run (or
-// RunContext) may be called at most once.
+// Session executes one compiled batch, extended by live submissions while
+// it is open. Sessions are single-use: Run (or RunContext) may be called at
+// most once.
 type Session struct {
 	b   *query.Batch
 	cfg Config
@@ -290,16 +289,16 @@ type Session struct {
 	episode  int64
 	conv     []ConvergencePoint
 
-	// Streaming lifecycle (cfg.Streaming). cond (on mu) wakes idle workers
-	// on submission, episode completion, close and cancellation.
+	// Lifecycle. cond (on mu) wakes idle workers on submission, episode
+	// completion, close and cancellation.
 	cond        *sync.Cond
-	closed      bool       // CloseSubmit called
+	closed      bool       // no more submissions: born so, or CloseSubmit called
 	inFlight    int        // episodes handed out, not yet finished
 	outstanding []int32    // per query: in-flight episodes carrying its bit
 	retired     bitset.Set // retired queries awaiting a GC pass
 	gc          gcState
 	gcLastEp    int64      // episode count at the last busy-path GC quantum
-	cbsQueued   []func()   // retirement/reclaim callbacks awaiting execution
+	cbsQueued   []func()   // retirement callbacks awaiting execution
 	cbsActive   int        // callbacks taken but not finished executing
 	cbPending   bitset.Set // queries whose OnRetire callback has not finished
 
@@ -316,17 +315,18 @@ type Session struct {
 	instFlight []int32     // per instance: in-flight episodes inserting into it
 	instOps    [][]fenceOp // per instance: ops waiting for the fence
 
-	// Admission-latency accounting (streaming): submit time per query and
-	// the set still awaiting their first scheduled episode.
+	// Admission-latency accounting of live submissions: submit time per
+	// query and the set still awaiting their first scheduled episode.
 	qSubmitNs  []int64
 	qFirstWait bitset.Set
 
-	// Tenant-aware streaming scheduler (cfg.Streaming only; see sched.go).
+	// Tenant-aware scheduler (see sched.go).
 	tenantIDs    map[string]int
 	tenants      []tenantState
 	qTenant      []int32 // per query: tenant slot
 	qPriority    []int32 // per query: scheduling lane
 	qDeadline    []int64 // per query: absolute deadline (unixnano; 0 = none)
+	laneLive     int     // live queries in a non-default priority lane
 	deadlineLive int     // live queries carrying a deadline
 	nextDeadline int64   // earliest live deadline (unixnano; 0 = none)
 	shedCount    int64   // queries shed mid-flight by deadline expiry
@@ -366,7 +366,7 @@ type workerEpisode struct {
 	open     bool
 }
 
-// gcState is the streaming garbage collector's cursor. GC runs in budgeted
+// gcState is the garbage collector's cursor. GC runs in budgeted
 // quanta between episodes, concurrently with in-flight episodes (sweeps
 // are CAS-based; see gcQuantumLocked): each quantum sweeps a few STeM
 // chunks, clearing the retired snapshot's bits and compacting STeMs that
@@ -419,10 +419,11 @@ func NewSession(b *query.Batch, db *storage.Database, cfg Config) (*Session, err
 		pol = qlearn.New(qlearn.DefaultConfig())
 	}
 	// Per-query state is sized to the batch's query-ID capacity (== b.N for
-	// one-shot batches) so streaming admissions never resize anything.
+	// one-shot batches) so live submissions never resize anything.
 	qcap := b.QCap()
 	s := &Session{
 		b: b, cfg: cfg, ctx: ctx, pol: pol,
+		closed:      !cfg.Streaming,
 		admitted:    bitset.New(qcap),
 		failed:      bitset.New(qcap),
 		failErr:     make([]error, qcap),
@@ -446,11 +447,9 @@ func NewSession(b *query.Batch, db *storage.Database, cfg Config) (*Session, err
 	if s.logger == nil {
 		s.logger = slog.New(discardHandler{})
 	}
-	if cfg.Streaming {
-		s.initSchedLocked(qcap)
-		s.qSubmitNs = make([]int64, qcap)
-		s.qFirstWait = bitset.New(qcap)
-	}
+	s.initSchedLocked(qcap)
+	s.qSubmitNs = make([]int64, qcap)
+	s.qFirstWait = bitset.New(qcap)
 	if cfg.Exec.CollectStats {
 		s.qEpisodes = make([]int64, qcap)
 		s.qElapsed = make([]time.Duration, qcap)
@@ -468,7 +467,8 @@ func NewSession(b *query.Batch, db *storage.Database, cfg Config) (*Session, err
 		s.scans[i].rank = ranks[i]
 	}
 
-	// Batch mode: admit everything not covered by an AdmitEvent now.
+	// The compiled queries run under the default submission metadata;
+	// everything not covered by an AdmitEvent is admitted now.
 	deferred := bitset.New(b.N)
 	for _, ev := range s.pending {
 		for _, qid := range ev.QIDs {
@@ -476,6 +476,7 @@ func NewSession(b *query.Batch, db *storage.Database, cfg Config) (*Session, err
 		}
 	}
 	for qid := 0; qid < b.N; qid++ {
+		s.registerMetaLocked(qid, SubmitMeta{})
 		if !deferred.Contains(qid) {
 			s.admitLocked(qid)
 		}
@@ -491,7 +492,7 @@ func (s *Session) Policy() policy.Policy { return s.pol }
 
 // WithCompiled runs fn under the session mutex with the compiled batch,
 // the execution context, and the currently admitted query set. It is the
-// streaming-safe way to inspect (or warm-start) the policy against the
+// safe way to inspect (or warm-start) the policy against the
 // live positional ID spaces: between episodes the batch and context are
 // stable, and fn observes them without racing admissions or GC. fn must
 // not block or call back into the session.
@@ -516,63 +517,12 @@ func (s *Session) admitLocked(qid int) {
 			st.doneQ.Add(qid)
 		}
 	}
-}
-
-// Admit activates queries at runtime (online scheduling).
-func (s *Session) Admit(qids ...int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, qid := range qids {
-		s.admitLocked(qid)
-	}
-}
-
-// nextEpisode picks the next vector to process: among incomplete scans of
-// the lowest rank, round-robin. It returns ok=false when every admitted
-// query's scans are complete and no admissions are pending, or when the
-// run's context has been cancelled (cooperative cancellation point).
-// id is the calling worker, so the handed-out episode can be stamped as
-// the worker's open episode for introspection.
-func (s *Session) nextEpisode(id int) (exec.EpisodeInput, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	if s.runCtx != nil && s.runCtx.Err() != nil {
-		return exec.EpisodeInput{}, false
-	}
-
-	s.fireAdmissionsLocked()
-
-	best := s.bestScanLocked()
-	if best == -1 {
-		if len(s.pending) > 0 {
-			// Admissions outstanding but their trigger instance is idle:
-			// fire them unconditionally to avoid deadlock.
-			for _, ev := range s.pending {
-				for _, qid := range ev.QIDs {
-					s.admitLocked(qid)
-				}
-			}
-			s.pending = nil
-			in, ok := s.nextEpisodeLockedRetry()
-			if ok {
-				s.noteEpisodeLocked(id, in)
-			}
-			return in, ok
-		}
-		return exec.EpisodeInput{}, false
-	}
-	in := s.takeRoundRobinLocked(best)
-	s.noteEpisodeLocked(id, in)
-	return in, true
+	s.maybeRetireLocked(qid) // zero-row relations: the query is born drained
 }
 
 // noteEpisodeLocked stamps worker id's open episode for the debug
 // snapshot and stall diagnosis. Array writes only; no allocation.
 func (s *Session) noteEpisodeLocked(id int, in exec.EpisodeInput) {
-	if s.workerEp == nil || id >= len(s.workerEp) {
-		return
-	}
 	var w0 uint64
 	if len(in.Active) > 0 {
 		w0 = in.Active[0]
@@ -587,58 +537,13 @@ func (s *Session) noteEpisodeLocked(id int, in exec.EpisodeInput) {
 	}
 }
 
-// bestScanLocked returns the lowest-rank instance with an incomplete scan,
-// or -1 when every scan is drained.
-func (s *Session) bestScanLocked() int {
-	best := -1
-	for i, st := range s.scans {
-		if st.done() || s.instFence[i] {
-			continue
-		}
-		if best == -1 || st.rank < s.scans[best].rank {
-			best = i
-		}
-	}
-	return best
-}
-
-// takeRoundRobinLocked pulls a vector round-robin among the incomplete
-// scans sharing best's rank.
-func (s *Session) takeRoundRobinLocked(best int) exec.EpisodeInput {
-	rank := s.scans[best].rank
-	n := len(s.scans)
-	for off := 0; off < n; off++ {
-		i := (s.rrCursor + off) % n
-		st := s.scans[i]
-		if !st.done() && !s.instFence[i] && st.rank == rank {
-			s.rrCursor = i + 1
-			return s.takeVectorLocked(query.InstID(i))
-		}
-	}
-	return s.takeVectorLocked(query.InstID(best))
-}
-
-// nextEpisodeLockedRetry re-runs the selection after forced admissions.
-func (s *Session) nextEpisodeLockedRetry() (exec.EpisodeInput, bool) {
-	best := -1
-	for i, st := range s.scans {
-		if st.done() {
-			continue
-		}
-		if best == -1 || st.rank < s.scans[best].rank {
-			best = i
-		}
-	}
-	if best == -1 {
-		return exec.EpisodeInput{}, false
-	}
-	return s.takeVectorLocked(query.InstID(best)), true
-}
-
-func (s *Session) fireAdmissionsLocked() {
+// fireAdmissionsLocked admits the queries of every AdmitEvent whose trigger
+// instance has delivered enough vectors — or, under force, of every event
+// still pending (the guard against a trigger instance that went idle first).
+func (s *Session) fireAdmissionsLocked(force bool) {
 	kept := s.pending[:0]
 	for _, ev := range s.pending {
-		if s.scans[ev.Inst].delivered >= ev.AfterVectors {
+		if force || s.scans[ev.Inst].delivered >= ev.AfterVectors {
 			for _, qid := range ev.QIDs {
 				s.admitLocked(qid)
 			}
@@ -669,7 +574,7 @@ func (s *Session) takeVectorLocked(inst query.InstID) exec.EpisodeInput {
 	st.active.ForEach(func(qid int) {
 		s.outstanding[qid]++
 		s.chargeServiceLocked(qid, n)
-		if s.qFirstWait != nil && s.qFirstWait.Contains(qid) {
+		if s.qFirstWait.Contains(qid) {
 			// First episode carrying a live-admitted query's bit: record the
 			// submit-to-first-episode latency (admission responsiveness).
 			s.qFirstWait.Remove(qid)
@@ -745,16 +650,14 @@ func (s *Session) RunContext(ctx context.Context) (*Results, error) {
 	s.mu.Lock()
 	s.runCtx, s.cancel = ctx, cancel
 	s.mu.Unlock()
-	if s.cfg.Streaming {
-		// Streaming workers block on the condvar when idle; wake them when
-		// the run's context is cancelled so they observe it and exit.
-		go func() {
-			<-ctx.Done()
-			s.mu.Lock()
-			s.cond.Broadcast()
-			s.mu.Unlock()
-		}()
-	}
+	// Workers wait on the condvar when no scan is runnable; wake them when
+	// the run's context is cancelled so they observe it and exit.
+	stop := context.AfterFunc(ctx, func() {
+		s.mu.Lock()
+		s.cond.Broadcast()
+		s.mu.Unlock()
+	})
+	defer stop()
 
 	workers := s.cfg.Workers
 	if workers <= 0 {
@@ -766,7 +669,7 @@ func (s *Session) RunContext(ctx context.Context) (*Results, error) {
 	s.dom = epoch.NewDomain(workers)
 	s.workerEp = make([]workerEpisode, workers)
 	s.mu.Unlock()
-	if s.cfg.Streaming && s.cfg.StallWatchdog > 0 {
+	if s.cfg.StallWatchdog > 0 {
 		go s.watchdog(ctx, s.cfg.StallWatchdog)
 	}
 
@@ -782,6 +685,11 @@ func (s *Session) RunContext(ctx context.Context) (*Results, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if cb := s.cfg.PolicySweep; cb != nil && !s.retired.Empty() {
+		// Queries that retired after the session closed were never swept;
+		// this is their export.
+		cb(s.b, s.ctx, s.admitted)
+	}
 	if s.cfg.Streaming {
 		// Per-query outcomes were already published through OnRetire as each
 		// query retired; the session-level result carries only aggregates.
@@ -852,19 +760,13 @@ func (s *Session) queryDrainedLocked(qid int) bool {
 // could still observe it.
 func (s *Session) runWorker(id int) {
 	// Worker construction reads batch shape (query capacity, instance
-	// count); in streaming mode a SubmitLive may be extending the batch
-	// concurrently with pool startup, so size the worker under the mutex.
+	// count); a SubmitLive may be extending the batch concurrently with pool
+	// startup, so size the worker under the mutex.
 	s.mu.Lock()
 	w := exec.NewWorker(s.ctx, s.pol)
 	s.mu.Unlock()
 	for {
-		var in exec.EpisodeInput
-		var ok bool
-		if s.cfg.Streaming {
-			in, ok = s.nextEpisodeStreaming(id)
-		} else {
-			in, ok = s.nextEpisode(id)
-		}
+		in, ok := s.nextEpisode(id)
 		if !ok {
 			return
 		}
@@ -942,21 +844,16 @@ func (s *Session) runWorker(id int) {
 		}
 		s.inFlight--
 		s.instFlight[in.Inst]--
-		if s.workerEp != nil && id < len(s.workerEp) {
-			s.workerEp[id].open = false
-		}
+		s.workerEp[id].open = false
 		if s.instFlight[in.Inst] == 0 && s.instFence[in.Inst] {
 			s.runFenceOpsLocked(int(in.Inst))
 		}
-		var cbs []func()
 		in.Active.ForEach(func(qid int) {
 			s.outstanding[qid]--
 			s.maybeRetireLocked(qid)
 		})
-		if s.cfg.Streaming {
-			cbs = s.takeCallbacksLocked()
-			s.cond.Broadcast()
-		}
+		cbs := s.takeCallbacksLocked()
+		s.cond.Broadcast()
 		s.mu.Unlock()
 		ready := s.dom.Unpin(id)
 		s.runCallbacks(cbs)
@@ -1000,12 +897,9 @@ func (s *Session) runFenceOpsLocked(inst int) {
 func (s *Session) activateLocked(act *pendingActivation) {
 	s.recCtl(obs.KAdmit, int64(act.qid), 0, 0, 0)
 	s.registerMetaLocked(act.qid, act.meta)
+	s.qSubmitNs[act.qid] = act.submitNs
+	s.qFirstWait.Add(act.qid)
 	s.admitLocked(act.qid)
-	if s.qFirstWait != nil {
-		s.qSubmitNs[act.qid] = act.submitNs
-		s.qFirstWait.Add(act.qid)
-	}
-	s.maybeRetireLocked(act.qid) // zero-row relations: the query is born drained
 	s.cond.Broadcast()
 }
 

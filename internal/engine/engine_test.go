@@ -436,38 +436,6 @@ func TestStatsOffLeavesResultsBare(t *testing.T) {
 	}
 }
 
-func TestDirectAdmitAPI(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	db := starDB(rng, 200, 20)
-	qs := starQueries(rng, 4)
-	b, err := query.Compile(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := exec.DefaultOptions()
-	opt.VectorSize = 32
-	factInst, _ := b.InstOfAlias(0, "fact")
-	// Defer queries 2 and 3 behind an admission event that never fires on
-	// its own; admit them through the public API before running.
-	s, err := NewSession(b, db, Config{Exec: opt, AdmitAt: []AdmitEvent{
-		{AfterVectors: 1 << 40, Inst: factInst, QIDs: []int{2, 3}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Admit(2, 3)
-	s.Admit(2) // idempotent
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qid, q := range qs {
-		if want := oracleCount(db, q); res.Counts[qid] != want {
-			t.Errorf("query %d: %d, oracle %d", qid, res.Counts[qid], want)
-		}
-	}
-}
-
 func TestRankScansEqualSizesProgress(t *testing.T) {
 	// All relations equal-sized: the heuristic's tie-breaks must still
 	// produce a total ranking (no infinite loop, every rank assigned).

@@ -10,20 +10,21 @@ import (
 	"github.com/roulette-db/roulette/internal/query"
 )
 
-// This file is the tenant-aware half of the streaming scheduler: weighted-
-// fair episode selection across tenants, priority lanes with deadline
-// urgency, mid-flight shedding of queries whose deadline expired, and the
-// per-tenant starvation watchdog. Everything here runs under the session
-// mutex in the gaps between episodes — the episode hot path is untouched
-// and the accounting is array reads/writes with no allocation.
+// This file is the session's one scan selector: weighted-fair episode
+// selection across tenants, priority lanes with deadline urgency, mid-flight
+// shedding of queries whose deadline expired, and the per-tenant starvation
+// watchdog. Everything here runs under the session mutex in the gaps between
+// episodes — the episode hot path is untouched and the accounting is array
+// reads/writes with no allocation.
 //
 // Scheduling model: each query carries a tenant slot, a priority lane and
-// an optional absolute deadline (SubmitMeta). Episodes charge every active
-// query's tenant cost/weight virtual time; scan selection picks, among
-// incomplete scans, the one with the best (lane desc, rank asc, tenant
-// virtual time asc) key. With a single tenant and no priorities every key
-// ties and the scheduler degenerates to the original rank + round-robin
-// order, so batch-identical behaviour is preserved for the common case.
+// an optional absolute deadline (SubmitMeta; a compiled batch's queries carry
+// the zero value). Episodes charge every active query's tenant cost/weight
+// virtual time; scan selection picks, among incomplete scans, the one with
+// the best (lane desc, tenant virtual time asc, rank asc) key, rotating among
+// equals. With a single tenant and no priorities lane and virtual time tie,
+// which leaves the paper's order (§5.2): lowest rank first, round-robin
+// within a rank.
 
 // SubmitMeta carries the admission metadata of one live submission.
 // The zero value is a default-tenant, no-deadline, priority-0 submission.
@@ -70,7 +71,7 @@ const (
 	defaultStarveEpisodes  = 512
 )
 
-// initSchedLocked sizes the tenant scheduler for a streaming session.
+// initSchedLocked sizes the tenant scheduler.
 func (s *Session) initSchedLocked(qcap int) {
 	s.tenantIDs = map[string]int{"": 0}
 	s.tenants = []tenantState{{name: "", weight: 1}}
@@ -118,6 +119,9 @@ func (s *Session) registerMetaLocked(qid int, m SubmitMeta) {
 	ts.live++
 	s.qTenant[qid] = int32(tid)
 	s.qPriority[qid] = int32(m.Priority)
+	if m.Priority != 0 {
+		s.laneLive++
+	}
 	if !m.Deadline.IsZero() {
 		ns := m.Deadline.UnixNano()
 		s.qDeadline[qid] = ns
@@ -150,9 +154,6 @@ func (s *Session) minActiveVtimeLocked() float64 {
 // (called from takeVectorLocked for every active query; n is the vector
 // size). Array indexing only — no allocation, no map access.
 func (s *Session) chargeServiceLocked(qid, n int) {
-	if s.qTenant == nil {
-		return
-	}
 	ts := &s.tenants[s.qTenant[qid]]
 	ts.vtime += float64(n) / ts.weight
 	ts.lastService = s.episode
@@ -161,9 +162,6 @@ func (s *Session) chargeServiceLocked(qid, n int) {
 
 // releaseMetaLocked drops a query's scheduling metadata at retirement.
 func (s *Session) releaseMetaLocked(qid int) {
-	if s.qTenant == nil {
-		return
-	}
 	ts := &s.tenants[s.qTenant[qid]]
 	if ts.live > 0 {
 		ts.live--
@@ -174,14 +172,17 @@ func (s *Session) releaseMetaLocked(qid int) {
 			s.deadlineLive--
 		}
 	}
-	s.qPriority[qid] = 0
+	if s.qPriority[qid] != 0 {
+		s.qPriority[qid] = 0
+		s.laneLive--
+	}
 	s.qUrgent.Remove(qid)
 }
 
-// pickScanLocked is the streaming scan selector: it sheds expired-deadline
-// queries, runs the starvation watchdog, and returns the incomplete scan
-// with the best (lane desc, rank asc, tenant vtime asc) key, breaking ties
-// round-robin. Returns -1 when every scan is drained.
+// pickScanLocked is the scan selector: it sheds expired-deadline queries,
+// runs the starvation watchdog, and returns the incomplete scan with the
+// best (lane desc, tenant vtime asc, rank asc) key, breaking ties
+// round-robin. Returns -1 when no scan is runnable.
 func (s *Session) pickScanLocked() int {
 	var nowNs int64
 	if s.deadlineLive > 0 {
@@ -194,6 +195,11 @@ func (s *Session) pickScanLocked() int {
 		s.starvationSweepLocked()
 	}
 
+	// One tenant, no user lane, no deadline: every scan's lane and virtual
+	// time tie (a starvation boost would lift them all alike), so the walk
+	// over each scan's active queries is skipped and rank alone decides.
+	uniform := len(s.tenants) == 1 && s.laneLive == 0 && s.deadlineLive == 0
+
 	best, n := -1, len(s.scans)
 	var bestLane int64
 	var bestV float64
@@ -203,8 +209,7 @@ func (s *Session) pickScanLocked() int {
 		urgentBefore = nowNs + int64(s.cfg.DeadlineUrgency)
 	}
 	for off := 0; off < n; off++ {
-		// Starting at the round-robin cursor makes "all keys equal" (single
-		// tenant, no lanes) degenerate to the original rotation.
+		// Starting at the round-robin cursor makes equal keys rotate.
 		i := (s.rrCursor + off) % n
 		st := s.scans[i]
 		if st.done() || s.instFence[i] {
@@ -212,12 +217,16 @@ func (s *Session) pickScanLocked() int {
 			// in-flight episodes; starting another would extend the fence.
 			continue
 		}
-		lane, minV := s.scanKeyLocked(st, urgentBefore)
+		var lane int64
+		var minV float64
+		if !uniform {
+			lane, minV = s.scanKeyLocked(st, urgentBefore)
+		}
 		// Key order: lane (priority + boosts), tenant virtual time, scan
 		// rank. With one tenant every vtime ties, so rank (dimension tables
-		// first, pruning order §5.2) decides exactly as in batch mode; with
-		// several, fair-share dominates rank so a tenant cannot be crowded
-		// out by the shape of another tenant's join graphs.
+		// first, pruning order §5.2) decides; with several, fair-share
+		// dominates rank so a tenant cannot be crowded out by the shape of
+		// another tenant's join graphs.
 		if best == -1 || lane > bestLane ||
 			(lane == bestLane && (minV < bestV ||
 				(minV == bestV && st.rank < bestRank))) {
@@ -312,9 +321,6 @@ func (s *Session) shedExpiredLocked(nowNs int64) {
 // guard: sustained high-priority load cannot freeze a low-priority tenant
 // out forever).
 func (s *Session) starvationSweepLocked() {
-	if s.tenants == nil {
-		return
-	}
 	thresh := int64(s.cfg.StarveEpisodes)
 	for i := range s.tenants {
 		ts := &s.tenants[i]
@@ -335,14 +341,10 @@ type TenantSched struct {
 	Starved     bool
 }
 
-// SchedSnapshot returns the per-tenant scheduler state of a streaming
-// session (nil for batch sessions).
+// SchedSnapshot returns the per-tenant scheduler state.
 func (s *Session) SchedSnapshot() []TenantSched {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.tenants == nil {
-		return nil
-	}
 	out := make([]TenantSched, len(s.tenants))
 	for i := range s.tenants {
 		ts := &s.tenants[i]

@@ -128,18 +128,7 @@ func (s *Session) buildStatsLocked(res *Results) *BatchStats {
 		}
 	}
 
-	bs.Stems = make([]StemStats, len(s.b.Insts))
-	for i := range bs.Stems {
-		is := &s.ctx.InstStats[i]
-		bs.Stems[i] = StemStats{
-			Table:    s.b.Insts[i].Table,
-			Entries:  int64(s.ctx.Stems[i].Len()),
-			Inserts:  is.Inserts.Load(),
-			Probes:   is.Probes.Load(),
-			Matches:  is.Matches.Load(),
-			EstBytes: s.ctx.Stems[i].EstBytes(),
-		}
-	}
+	bs.Stems = s.stemStatsLocked()
 
 	if ts, ok := s.pol.(tableSizer); ok {
 		bs.Policy.QStates = ts.TableSize()

@@ -11,11 +11,12 @@ import (
 	"github.com/roulette-db/roulette/internal/storage"
 )
 
-// This file is the streaming half of the session lifecycle (Config.
-// Streaming): live admission of queries into a running worker pool,
+// This file is the session lifecycle around the episode: the worker's
+// episode-pick loop, live admission of queries into a running worker pool,
 // per-query retirement the moment a query's episodes drain, and the
-// concurrent garbage collector that sweeps retired queries out of STeM
-// entries, grouped filters, the Q-table and the query-ID space.
+// concurrent garbage collector that — while the session is open — sweeps
+// retired queries out of STeM entries, grouped filters, the Q-table and the
+// query-ID space.
 //
 // Synchronization model (epoch-based; DESIGN.md §12): there is no
 // stop-the-world gate. Mutations happen under the session mutex and become
@@ -155,10 +156,11 @@ func (s *Session) CancelQuery(qid int, cause error) {
 	s.runCallbacks(cbs)
 }
 
-// CloseSubmit declares the stream input finished: once every admitted
-// query retires and GC drains, the worker pool exits and RunContext
-// returns. Further SubmitLive calls still work until the pool exits; the
-// caller decides when to stop submitting.
+// CloseSubmit declares the session's input finished: once every admitted
+// query retires, the worker pool exits and RunContext returns. A closed
+// session starts no new collection pass (nothing will reuse what a pass
+// frees), so stop submitting first: SubmitLive still works until the pool
+// exits, but its query IDs are no longer recycled.
 func (s *Session) CloseSubmit() {
 	s.mu.Lock()
 	s.closed = true
@@ -179,9 +181,6 @@ func (s *Session) FreeQuerySlots() int {
 // (partial result). Retirement publishes the query's status via OnRetire
 // — immediately, not at session end — and queues the query for GC.
 func (s *Session) maybeRetireLocked(qid int) {
-	if !s.cfg.Streaming {
-		return
-	}
 	if !s.admitted.Contains(qid) || s.retired.Contains(qid) ||
 		(s.gc.running && s.gc.active.Contains(qid)) {
 		return
@@ -247,22 +246,27 @@ func (s *Session) runCallbacks(cbs []func()) {
 }
 
 // gcPendingLocked reports whether the garbage collector has work: a pass
-// in progress or retired queries awaiting one.
+// in progress or, while the session can still admit, retired queries
+// awaiting one. A closed session only finishes the pass it is in: what a
+// new pass would free, nothing is left to reuse, and a session born closed
+// keeps every source and STeM entry readable after the run.
 func (s *Session) gcPendingLocked() bool {
 	// Queries whose retirement callback is still pending are not yet
 	// eligible (the callback reads their source); they stay in retired
 	// until the callback completes and broadcasts.
-	return s.gc.running || !s.retired.IsSubset(s.cbPending)
+	return s.gc.running || (!s.closed && !s.retired.IsSubset(s.cbPending))
 }
 
-// nextEpisodeStreaming is the scheduling loop of a streaming worker: run
-// pending retirement callbacks and grace-period-expired reclamation, hand
-// out a vector when a scan has work (running a paced GC quantum first when
-// reclamation is pending — GC is concurrent, not stop-the-world), make GC
-// progress ungated when idle, and block waiting for submissions otherwise.
-// Returns ok=false when the run is cancelled or the stream is closed and
-// fully drained.
-func (s *Session) nextEpisodeStreaming(id int) (exec.EpisodeInput, bool) {
+// nextEpisode is a worker's scheduling loop: run pending retirement
+// callbacks and grace-period-expired reclamation, hand out a vector when a
+// scan has work (running a paced GC quantum first when reclamation is
+// pending — GC is concurrent, not stop-the-world), make GC progress ungated
+// when idle, and wait for submissions or peers' episodes otherwise. id is
+// the calling worker, so the handed-out episode can be stamped as its open
+// episode for introspection. Returns ok=false when the run is cancelled
+// (the cooperative cancellation point) or the session is closed and fully
+// drained.
+func (s *Session) nextEpisode(id int) (exec.EpisodeInput, bool) {
 	s.mu.Lock()
 	for {
 		if len(s.cbsQueued) > 0 {
@@ -282,11 +286,11 @@ func (s *Session) nextEpisodeStreaming(id int) (exec.EpisodeInput, bool) {
 			s.mu.Lock()
 			continue
 		}
-		if s.runCtx != nil && s.runCtx.Err() != nil {
+		if s.runCtx.Err() != nil {
 			s.mu.Unlock()
 			return exec.EpisodeInput{}, false
 		}
-		s.fireAdmissionsLocked()
+		s.fireAdmissionsLocked(false)
 		if best := s.pickScanLocked(); best >= 0 {
 			if s.gcPendingLocked() && s.episode-s.gcLastEp >= gcEvery {
 				// Busy path: interleave one budgeted GC quantum every
@@ -319,8 +323,13 @@ func (s *Session) nextEpisodeStreaming(id int) (exec.EpisodeInput, bool) {
 			s.gcQuantumLocked()
 			continue
 		}
-		if s.closed && s.inFlight == 0 && s.cbsActive == 0 &&
-			!s.gc.running && s.retired.Empty() && !s.dom.HasDeferred() {
+		if len(s.pending) > 0 {
+			// No scan is runnable, so no trigger instance will deliver another
+			// vector: admit what is still waiting instead of deadlocking.
+			s.fireAdmissionsLocked(true)
+			continue
+		}
+		if s.closed && s.inFlight == 0 && s.cbsActive == 0 && !s.dom.HasDeferred() {
 			s.cond.Broadcast() // wake peers so they observe the exit state
 			s.mu.Unlock()
 			return exec.EpisodeInput{}, false
@@ -457,9 +466,6 @@ func (s *Session) gcFinishLocked() {
 				s.b.ReleaseQID(qid)
 			}
 			s.recCtl(obs.KEpochRelease, int64(len(freed)), 0, 0, 0)
-			if cb := s.cfg.OnReclaim; cb != nil {
-				s.cbsQueued = append(s.cbsQueued, func() { cb(freed) })
-			}
 			s.cond.Broadcast()
 			s.mu.Unlock()
 		}
@@ -482,11 +488,16 @@ func (s *Session) gcFinishLocked() {
 }
 
 // StemSnapshot returns the current per-instance STeM statistics (entries,
-// traffic counters, estimated resident bytes). Streaming observability:
-// unlike BatchStats it can be read while the session runs.
+// traffic counters, estimated resident bytes). Unlike BatchStats it can be
+// read while the session runs.
 func (s *Session) StemSnapshot() []StemStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.stemStatsLocked()
+}
+
+// stemStatsLocked is StemSnapshot for callers already holding the mutex.
+func (s *Session) stemStatsLocked() []StemStats {
 	out := make([]StemStats, len(s.b.Insts))
 	for i := range out {
 		is := &s.ctx.InstStats[i]

@@ -143,7 +143,8 @@ type Context struct {
 	Stats Stats
 
 	// InstStats holds per-instance STeM traffic counters, folded at episode
-	// boundaries when Options.CollectStats is on.
+	// boundaries when Options.CollectStats is on. Indexed by instance ID; only
+	// the first len(B.Insts) entries are in use.
 	InstStats []InstStat
 }
 
@@ -346,9 +347,9 @@ func NewContext(b *query.Batch, db *storage.Database, opt Options, model *cost.M
 		}
 		return m
 	}
-	// Capacity MaxInstances so streaming extensions append in place (the
-	// entries hold atomics; a reallocation would copy them).
-	c.InstStats = make([]InstStat, len(b.Insts), query.MaxInstances)
+	// Full length up front: workers index it outside the session mutex while
+	// ApplyExtend adds instances under it, so the slice header never changes.
+	c.InstStats = make([]InstStat, query.MaxInstances)
 	c.PublishView()
 	return c, nil
 }
@@ -478,7 +479,6 @@ func (c *Context) ApplyExtend(d query.ExtendDelta) ([]StemOp, error) {
 		c.keySeen = append(c.keySeen, make(map[string]bool))
 		c.bitsUsed = append(c.bitsUsed, 0)
 		c.Stems = append(c.Stems, nil) // created below, once key columns are known
-		c.InstStats = append(c.InstStats, InstStat{})
 	}
 
 	newInst := make(map[query.InstID]bool, len(d.NewInsts))

@@ -46,7 +46,7 @@ func Consume(db *storage.Database, b *query.Batch, qid int, src *exec.Source) (*
 	}
 
 	colOf := func(alias, col string) ([]int64, int, error) {
-		inst, ok := b.InstOfAlias(qid, alias)
+		inst, table, ok := b.RelOfAlias(qid, alias)
 		if !ok {
 			return nil, 0, fmt.Errorf("host: query %d: unknown alias %q", qid, alias)
 		}
@@ -60,8 +60,7 @@ func Consume(db *storage.Database, b *query.Batch, qid int, src *exec.Source) (*
 		if pos < 0 {
 			return nil, 0, fmt.Errorf("host: query %d: source does not carry alias %q (adaptive projection mismatch)", qid, alias)
 		}
-		t := db.MustTable(b.Insts[inst].Table)
-		return t.Col(col), pos, nil
+		return db.MustTable(table).Col(col), pos, nil
 	}
 
 	var aggCol []int64

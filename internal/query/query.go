@@ -239,6 +239,10 @@ type Residual struct {
 // Batch is a compiled set of queries sharing instances, edges and grouped
 // filters. It is the unit RouLette schedules and adapts over.
 type Batch struct {
+	// Queries is indexed by query ID and as long as the query-ID capacity
+	// from the start (slots never used are nil): a retirement callback reads
+	// its query's entry outside the session mutex while Extend fills another,
+	// so Extend must never change the slice header. queryInst likewise.
 	Queries []*Query
 	N       int // number of query-ID slots in use (high-water mark)
 
@@ -278,10 +282,12 @@ func (b *Batch) QCap() int {
 // newBatch creates an empty batch with the given query-ID capacity.
 func newBatch(cap int) *Batch {
 	return &Batch{
-		Cap:     cap,
-		instIdx: make(map[instKey]InstID),
-		edgeIdx: make(map[edgeKey]int),
-		selIdx:  make(map[selKey]int),
+		Cap:       cap,
+		Queries:   make([]*Query, cap),
+		queryInst: make([][]InstID, cap),
+		instIdx:   make(map[instKey]InstID),
+		edgeIdx:   make(map[edgeKey]int),
+		selIdx:    make(map[selKey]int),
 	}
 }
 
@@ -543,13 +549,10 @@ func (b *Batch) applyQuery(qi int, q *Query, p *queryPlan) {
 		b.Insts[inst].Queries = nq
 	}
 
+	b.Queries[qi] = q
+	b.queryInst[qi] = p.insts
 	if qi == b.N {
-		b.Queries = append(b.Queries, q)
-		b.queryInst = append(b.queryInst, p.insts)
 		b.N++
-	} else {
-		b.Queries[qi] = q
-		b.queryInst[qi] = p.insts
 	}
 	b.delta = delta
 }
@@ -691,12 +694,21 @@ func (b *Batch) QueryInsts(qid int) []InstID { return b.queryInst[qid] }
 
 // InstOfAlias resolves a query's alias to its batch instance.
 func (b *Batch) InstOfAlias(qid int, alias string) (InstID, bool) {
+	inst, _, ok := b.RelOfAlias(qid, alias)
+	return inst, ok
+}
+
+// RelOfAlias resolves a query's alias to its batch instance and that
+// instance's table. It reads the query's own entries only, never Insts, so
+// a retirement callback may call it outside the session mutex while Extend
+// appends instances.
+func (b *Batch) RelOfAlias(qid int, alias string) (InstID, string, bool) {
 	q := b.Queries[qid]
 	i := q.aliasIdx(alias)
 	if i < 0 {
-		return 0, false
+		return 0, "", false
 	}
-	return b.queryInst[qid][i], true
+	return b.queryInst[qid][i], q.Rels[i].Table, true
 }
 
 // QueryLineage returns the lineage bitmask covering all of query qid's

@@ -380,6 +380,67 @@ func (o *Options) execOptions() exec.Options {
 	return opt
 }
 
+// sessionConfig maps Options onto the engine's session configuration — the
+// executor switches, limits, logger, trace ring, calibrated cost model,
+// planning policy over b, and the PolicyStore export hook — for batches and
+// streams alike. The returned link is nil unless a PolicyStore is attached
+// to a learned policy.
+func (e *Engine) sessionConfig(b *query.Batch, o *Options) (engine.Config, *warmLink, error) {
+	if o == nil {
+		o = &Options{}
+	}
+	cfg := engine.Config{
+		Exec:             o.execOptions(),
+		Workers:          o.Workers,
+		TrackConvergence: o.TrackConvergence,
+		SessionDeadline:  o.Deadline,
+		EpisodeWatchdog:  o.EpisodeWatchdog,
+		Logger:           o.Logger,
+	}
+	if o.TraceEpisodes > 0 {
+		cfg.Trace = metrics.NewRing(o.TraceEpisodes)
+	}
+	if o.CalibrateCostModel {
+		e.calOnce.Do(func() {
+			seed := o.Seed
+			if seed == 0 {
+				seed = 1
+			}
+			e.calibrated = exec.CalibrateModel(seed)
+		})
+		cfg.Model = e.calibrated
+	}
+	pol, err := e.buildPolicy(b, cfg.Exec, o)
+	if err != nil {
+		return cfg, nil, err
+	}
+	cfg.Policy = pol
+	link := newWarmLink(o.PolicyStore, pol)
+	if link != nil {
+		// The engine calls this at the last moment retiring queries' learned
+		// state is still addressable by live IDs: on every collection pass
+		// of an open session and once when the worker pool exits. Under the
+		// session mutex, between episodes — never on the episode step.
+		cfg.PolicySweep = func(b *query.Batch, ctx *exec.Context, live bitset.Set) {
+			link.export(b, ctx, live)
+		}
+	}
+	return cfg, link, nil
+}
+
+// compileCopy returns a copy of the query for compilation (the batch or stream
+// assigns its own IDs), or the reason the query cannot run under o.
+func (q *Query) compileCopy(o *Options) (*query.Query, error) {
+	if q.err != nil {
+		return nil, fmt.Errorf("roulette: query %q: %w", q.q.Tag, q.err)
+	}
+	if o != nil && o.DiscardRows && (q.q.Agg.Kind.NeedsColumn() || q.q.Agg.GroupByAlias != "") {
+		return nil, fmt.Errorf("roulette: query %q: DiscardRows keeps only counts, but the query's aggregate needs result rows", q.q.Tag)
+	}
+	cp := q.q
+	return &cp, nil
+}
+
 // ExecuteBatch compiles and runs a batch of queries to completion, sharing
 // work across them, and returns per-query results.
 func (e *Engine) ExecuteBatch(qs []*Query, o *Options) (*BatchResult, error) {
@@ -397,54 +458,22 @@ func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []*Query, o *Option
 	}
 	inner := make([]*query.Query, len(qs))
 	for i, q := range qs {
-		if q.err != nil {
-			return nil, fmt.Errorf("roulette: query %q: %w", q.q.Tag, q.err)
+		var err error
+		if inner[i], err = q.compileCopy(o); err != nil {
+			return nil, err
 		}
-		if o != nil && o.DiscardRows && (q.q.Agg.Kind.NeedsColumn() || q.q.Agg.GroupByAlias != "") {
-			return nil, fmt.Errorf("roulette: query %q: DiscardRows keeps only counts, but the query's aggregate needs result rows", q.q.Tag)
-		}
-		cp := q.q // copy: Compile assigns batch-local IDs
-		inner[i] = &cp
 	}
 	b, err := query.Compile(inner)
 	if err != nil {
 		return nil, err
 	}
-
-	opt := o.execOptions()
-	cfg := engine.Config{Exec: opt}
-	var ring *metrics.Ring
-	if o != nil {
-		cfg.Workers = o.Workers
-		cfg.TrackConvergence = o.TrackConvergence
-		cfg.SessionDeadline = o.Deadline
-		cfg.EpisodeWatchdog = o.EpisodeWatchdog
-		cfg.Logger = o.Logger
-		if o.TraceEpisodes > 0 {
-			ring = metrics.NewRing(o.TraceEpisodes)
-			cfg.Trace = ring
-		}
-		if o.CalibrateCostModel {
-			e.calOnce.Do(func() {
-				seed := o.Seed
-				if seed == 0 {
-					seed = 1
-				}
-				e.calibrated = exec.CalibrateModel(seed)
-			})
-			cfg.Model = e.calibrated
-		}
-	}
-
-	pol, err := e.buildPolicy(b, opt, o)
+	cfg, link, err := e.sessionConfig(b, o)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Policy = pol
-
 	if o != nil && len(o.Admissions) > 0 {
 		// Trigger on the batch's largest relation instance.
-		trigger, vectorsPerPass := e.largestInstance(b, opt.VectorSize)
+		trigger, vectorsPerPass := e.largestInstance(b, cfg.Exec.VectorSize)
 		for _, a := range o.Admissions {
 			cfg.AdmitAt = append(cfg.AdmitAt, engine.AdmitEvent{
 				AfterVectors: int64(a.AfterFraction * float64(vectorsPerPass)),
@@ -458,32 +487,32 @@ func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []*Query, o *Option
 	if err != nil {
 		return nil, err
 	}
-
-	// Warm start / snapshot-back: only for the learned policy, and only
-	// off the run itself. A cold lookup leaves the policy untouched, so a
-	// run over an empty store matches a store-less run exactly.
-	var store *PolicyStore
-	var learned *qlearn.Learned
-	if o != nil && o.PolicyStore != nil {
-		if lp, ok := pol.(*qlearn.Learned); ok {
-			store, learned = o.PolicyStore, lp
-		}
-	}
-	allLive := bitset.NewFull(b.N)
-	if store != nil {
-		if n := importPolicy(store, learned, b, s.Context(), allLive); n > 0 {
-			metrics.Default().WarmStartedQueries.Add(int64(b.N))
-		}
-	}
-
+	link.importOnAdmit(b, s.Context(), bitset.NewFull(b.N), b.N)
 	res, err := s.RunContext(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if store != nil {
-		exportPolicy(store, learned, b, s.Context(), allLive)
+	return e.buildResult(b, s, res, cfg.Trace)
+}
+
+// queryResult turns a retired query's source into its public result: the
+// count, the host-side aggregate with string group keys decoded, and — when
+// the engine did not complete the query — the aborted status, under which
+// count and groups are lower bounds. The error is host.Consume's.
+func (e *Engine) queryResult(b *query.Batch, qid int, src *exec.Source, st engine.QueryStatus) (QueryResult, error) {
+	qr := QueryResult{Tag: b.Queries[qid].Tag, Count: src.Count()}
+	if !st.Completed {
+		qr.Aborted, qr.Err = true, st.Err
 	}
-	return e.buildResult(b, s, res, ring)
+	hostRes, err := host.Consume(e.db, b, qid, src)
+	if err != nil {
+		return qr, err
+	}
+	for _, g := range hostRes.Groups {
+		qr.Groups = append(qr.Groups, Group{Key: g.Key, Value: g.Value})
+	}
+	e.decodeGroups(b, qid, &qr)
+	return qr, nil
 }
 
 // decodeGroups fills Group.Label for string-typed GROUP BY keys and, when
@@ -494,11 +523,11 @@ func (e *Engine) decodeGroups(b *query.Batch, qid int, qr *QueryResult) {
 	if q.Agg.GroupByAlias == "" || len(qr.Groups) == 0 {
 		return
 	}
-	inst, ok := b.InstOfAlias(qid, q.Agg.GroupByAlias)
+	_, table, ok := b.RelOfAlias(qid, q.Agg.GroupByAlias)
 	if !ok {
 		return
 	}
-	rel := e.schema.Relation(b.Insts[inst].Table)
+	rel := e.schema.Relation(table)
 	if rel == nil {
 		return
 	}
@@ -594,29 +623,19 @@ func (e *Engine) buildResult(b *query.Batch, s *engine.Session, res *engine.Resu
 		Elapsed:    res.Elapsed,
 		Episodes:   res.Episodes,
 		JoinTuples: res.JoinTuples,
+		Partial:    res.Partial,
+		Queries:    make([]QueryResult, b.N),
 	}
 	for _, c := range res.Convergence {
 		out.Convergence = append(out.Convergence, ConvergencePoint{
 			Episode: c.Episode, Measured: c.Measured, Estimated: c.Estimated,
 		})
 	}
-	hostRes, err := host.ConsumeAll(e.db, b, s.Context())
-	if err != nil {
-		return nil, err
-	}
-	out.Partial = res.Partial
-	out.Queries = make([]QueryResult, b.N)
 	for qid := range out.Queries {
-		qr := QueryResult{Tag: b.Queries[qid].Tag, Count: res.Counts[qid]}
-		if qid < len(res.Status) && !res.Status[qid].Completed {
-			qr.Aborted = true
-			qr.Err = res.Status[qid].Err
+		var err error
+		if out.Queries[qid], err = e.queryResult(b, qid, s.Context().Sources[qid], res.Status[qid]); err != nil {
+			return nil, err
 		}
-		for _, g := range hostRes[qid].Groups {
-			qr.Groups = append(qr.Groups, Group{Key: g.Key, Value: g.Value})
-		}
-		e.decodeGroups(b, qid, &qr)
-		out.Queries[qid] = qr
 	}
 
 	if res.Stats != nil {

@@ -1,8 +1,12 @@
 package roulette
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // fixture builds a small engine: fact(fk, v) ⋈ dim(k, g).
@@ -214,5 +218,39 @@ func TestDiscardRowsRejectsRowConsumers(t *testing.T) {
 	c := NewQuery("c").From("fact").From("dim").Join("fact", "fk", "dim", "k").CountStar()
 	if _, err := e.ExecuteBatch([]*Query{c}, &Options{DiscardRows: true}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExecuteBatchCancelManyWorkers cancels a batch that runs on more
+// workers than it has scans: idle workers wait on the scheduler's condvar
+// rather than exiting, so the call must still return partial results
+// promptly and leave no goroutine behind.
+func TestExecuteBatchCancelManyWorkers(t *testing.T) {
+	e := streamFixture(t, 400000)
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	res, err := e.ExecuteBatchContext(ctx, streamWorkload(), &Options{Workers: 8, VectorSize: 64})
+	if err != nil {
+		t.Fatalf("cancellation must not be an error: %v", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("cancelled batch took %v to return", d)
+	}
+	if !res.Partial {
+		t.Fatal("a 2ms budget finished 6250 episodes per relation pass")
+	}
+	for _, q := range res.Queries {
+		if q.Aborted && !errors.Is(q.Err, context.DeadlineExceeded) {
+			t.Errorf("query %s: err = %v, want context.DeadlineExceeded", q.Tag, q.Err)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		t.Errorf("goroutines after run = %d, before = %d", g, before)
 	}
 }

@@ -12,11 +12,8 @@ import (
 	"github.com/roulette-db/roulette/internal/cost"
 	"github.com/roulette-db/roulette/internal/engine"
 	"github.com/roulette-db/roulette/internal/exec"
-	"github.com/roulette-db/roulette/internal/host"
 	"github.com/roulette-db/roulette/internal/metrics"
 	"github.com/roulette-db/roulette/internal/obs"
-	"github.com/roulette-db/roulette/internal/policy"
-	"github.com/roulette-db/roulette/internal/qlearn"
 	"github.com/roulette-db/roulette/internal/query"
 )
 
@@ -62,7 +59,7 @@ type AdmissionOptions struct {
 	// relation cardinalities — of admitted, not-yet-retired queries.
 	// Submissions that would exceed it fail fast with ErrOverloaded
 	// (reason "budget", with a retry-after hint from the observed drain
-	// rate) before the engine's quiesce gate is touched. 0 means no budget.
+	// rate) before the engine is touched. 0 means no budget.
 	MaxInFlightCost float64
 
 	// DefaultRate and DefaultBurst are the token-bucket parameters (cost
@@ -203,8 +200,7 @@ type Stream struct {
 	opt     StreamOptions
 	adm     *admission.Controller // nil when opt.Admission is nil
 	model   *cost.Model           // admission cost estimates
-	store   *PolicyStore          // nil without Options.PolicyStore
-	learned *qlearn.Learned       // the stream's policy when PolicyLearned
+	warm    *warmLink             // nil without Options.PolicyStore on a learned policy
 	trace   *metrics.Ring         // episode + control-plane event trace (TraceEpisodes)
 	results chan QueryResult
 	resOnce sync.Once
@@ -230,59 +226,31 @@ func (e *Engine) OpenStream(ctx context.Context, o *StreamOptions) (*Stream, err
 		return nil, fmt.Errorf("roulette: Admissions are a batch-mode option; streams admit on Submit")
 	}
 
-	var seed int64 = 1
-	if opt.Seed != 0 {
-		seed = opt.Seed
+	if opt.Policy != PolicyLearned && opt.Policy != PolicyRandom {
+		return nil, fmt.Errorf("roulette: policy %d cannot plan queries it has not seen; streams support PolicyLearned and PolicyRandom", opt.Policy)
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = 1
+	opt.TrackConvergence = false // a per-episode series has no end on a stream
+
+	b := query.NewStreamBatch(opt.MaxQueries)
+	cfg, link, err := e.sessionConfig(b, &opt.Options)
+	if err != nil {
+		return nil, err
 	}
-	cfg := engine.Config{
-		Exec:            opt.execOptions(),
-		Workers:         opt.Workers,
-		SessionDeadline: opt.Deadline,
-		EpisodeWatchdog: opt.EpisodeWatchdog,
-		Streaming:       true,
-		// The flight recorder is always on: one event ring per worker plus
-		// a control-plane ring, recording is lock-free and allocation-free,
-		// and the rings are only merged when someone asks for a trace.
-		Recorder:      obs.NewRecorder(workers+1, streamRecorderRing),
-		Logger:        opt.Logger,
-		StallWatchdog: opt.StallWatchdog,
-	}
+	cfg.Streaming = true
+	// The flight recorder is always on: one event ring per worker plus a
+	// control-plane ring, recording is lock-free and allocation-free, and
+	// the rings are only merged when someone asks for a trace.
+	cfg.Recorder = obs.NewRecorder(max(opt.Workers, 1)+1, streamRecorderRing)
+	cfg.StallWatchdog = opt.StallWatchdog
 	if a := opt.Admission; a != nil {
 		cfg.DeadlineUrgency = a.DeadlineUrgency
 		cfg.StarveEpisodes = a.StarveEpisodes
 	}
-	var learned *qlearn.Learned
-	switch opt.Policy {
-	case PolicyLearned:
-		qcfg := qlearn.DefaultConfig()
-		qcfg.Seed = seed
-		learned = qlearn.New(qcfg)
-		cfg.Policy = learned
-	case PolicyRandom:
-		cfg.Policy = policy.NewRandom(seed)
-	default:
-		return nil, fmt.Errorf("roulette: policy %d cannot plan queries it has not seen; streams support PolicyLearned and PolicyRandom", opt.Policy)
-	}
-	if opt.CalibrateCostModel {
-		e.calOnce.Do(func() {
-			e.calibrated = exec.CalibrateModel(seed)
-		})
-		cfg.Model = e.calibrated
-	}
-
-	if opt.TraceEpisodes > 0 {
-		cfg.Trace = metrics.NewRing(opt.TraceEpisodes)
-	}
-
-	b := query.NewStreamBatch(opt.MaxQueries)
 	s := &Stream{
 		e:       e,
 		b:       b,
 		opt:     opt,
+		warm:    link,
 		trace:   cfg.Trace,
 		tickets: make(map[int]*Ticket),
 		pending: make(map[int]QueryResult),
@@ -303,16 +271,6 @@ func (e *Engine) OpenStream(ctx context.Context, o *StreamOptions) (*Stream, err
 	}
 	s.resCond = sync.NewCond(&s.mu)
 	cfg.OnRetire = s.onRetire
-	if opt.PolicyStore != nil && learned != nil {
-		s.store, s.learned = opt.PolicyStore, learned
-		// Snapshot-on-retirement: the GC finish pass invokes this at the
-		// last moment the swept queries' learned state is still addressable
-		// by live IDs. Runs under the session mutex, between episodes —
-		// never on the zero-alloc episode step.
-		cfg.PolicySweep = func(b *query.Batch, ctx *exec.Context, live bitset.Set) {
-			exportPolicy(s.store, s.learned, b, ctx, live)
-		}
-	}
 	sess, err := engine.NewSession(b, e.db, cfg)
 	if err != nil {
 		return nil, err
@@ -365,11 +323,9 @@ func (e *Engine) OpenStream(ctx context.Context, o *StreamOptions) (*Stream, err
 // already exceeds its deadline. Both checks run before the engine's worker
 // pool is disturbed, so a saturated stream rejects cheaply.
 func (s *Stream) Submit(q *Query) (*Ticket, error) {
-	if q.err != nil {
-		return nil, fmt.Errorf("roulette: query %q: %w", q.q.Tag, q.err)
-	}
-	if s.opt.DiscardRows && (q.q.Agg.Kind.NeedsColumn() || q.q.Agg.GroupByAlias != "") {
-		return nil, fmt.Errorf("roulette: query %q: DiscardRows keeps only counts, but the query's aggregate needs result rows", q.q.Tag)
+	cp, err := q.compileCopy(&s.opt.Options)
+	if err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -384,7 +340,7 @@ func (s *Stream) Submit(q *Query) (*Ticket, error) {
 		tenant = admission.TenantOf(q.q.Tag)
 	}
 	if s.adm != nil || q.deadline > 0 {
-		estCost = s.estimateCost(&q.q)
+		estCost = s.estimateCost(cp)
 	}
 	var deadline time.Time
 	if q.deadline > 0 {
@@ -431,23 +387,17 @@ func (s *Stream) Submit(q *Query) (*Ticket, error) {
 	if s.adm != nil {
 		meta.Weight = s.adm.Weight(tenant)
 	}
-	cp := q.q // copy: the stream assigns its own query ID
 	start := time.Now()
-	qid, err := s.sess.SubmitLiveMeta(&cp, meta)
+	qid, err := s.sess.SubmitLiveMeta(cp, meta)
 	if err != nil {
 		if s.adm != nil {
 			s.adm.Release(tenant, estCost)
 		}
 		return nil, err
 	}
-	if s.store != nil {
-		// Warm start: if the store has a snapshot for the now-live template
-		// set, fold it into the policy before the new query burns episodes
-		// exploring. A miss changes nothing.
+	if s.warm != nil {
 		s.sess.WithCompiled(func(b *query.Batch, ctx *exec.Context, admitted bitset.Set) {
-			if n := importPolicy(s.store, s.learned, b, ctx, admitted); n > 0 {
-				metrics.Default().WarmStartedQueries.Add(1)
-			}
+			s.warm.importOnAdmit(b, ctx, admitted, 1)
 		})
 	}
 	t := &Ticket{
@@ -523,24 +473,17 @@ func (s *Stream) finish(t *Ticket, qr QueryResult) {
 
 // onRetire is the engine's retirement callback: it consumes the query's
 // source into a QueryResult and resolves the ticket. It runs outside the
-// session mutex but never concurrently with a batch mutation (the
-// engine's quiesce gate waits for callbacks).
+// session mutex; the collector leaves the query's source alone until it
+// returns.
 func (s *Stream) onRetire(qid int, st engine.QueryStatus) {
 	src := s.sess.Context().Sources[qid]
-	qr := QueryResult{Count: src.Count()}
+	// An aborted query's count so far is a lower bound; its rows stay unread.
+	qr := QueryResult{Count: src.Count(), Aborted: true, Err: st.Err}
 	if st.Completed {
-		hostRes, err := host.Consume(s.e.db, s.b, qid, src)
-		if err != nil {
+		var err error
+		if qr, err = s.e.queryResult(s.b, qid, src, st); err != nil {
 			qr.Aborted, qr.Err = true, err
-		} else {
-			for _, g := range hostRes.Groups {
-				qr.Groups = append(qr.Groups, Group{Key: g.Key, Value: g.Value})
-			}
-			s.e.decodeGroups(s.b, qid, &qr)
 		}
-	} else {
-		// Partial machinery: the count so far is a lower bound, not exact.
-		qr.Aborted, qr.Err = true, st.Err
 	}
 
 	s.mu.Lock()
@@ -649,12 +592,12 @@ func (s *Stream) AdmissionStats() (inFlightCost float64, admitted, rejected int6
 // saving a policy file mid-stream). Zero when the stream has no store,
 // no learned policy, or no live queries.
 func (s *Stream) SnapshotPolicy() int {
-	if s.store == nil {
+	if s.warm == nil {
 		return 0
 	}
 	n := 0
 	s.sess.WithCompiled(func(b *query.Batch, ctx *exec.Context, admitted bitset.Set) {
-		n = exportPolicy(s.store, s.learned, b, ctx, admitted)
+		n = s.warm.export(b, ctx, admitted)
 	})
 	return n
 }
@@ -662,17 +605,18 @@ func (s *Stream) SnapshotPolicy() int {
 // PolicyStoreStats snapshots the attached store's counters (zero value
 // when the stream has none).
 func (s *Stream) PolicyStoreStats() PolicyStoreStats {
-	if s.store == nil {
+	if s.warm == nil {
 		return PolicyStoreStats{}
 	}
-	return s.store.Stats()
+	return s.warm.store.Stats()
 }
 
 // Close stops accepting submissions, waits for every in-flight query to
-// retire and for the garbage collector to drain, and shuts the worker
-// pool down. With a PolicyStore attached, the store is persisted (a
-// no-op for purely in-memory stores) after the final retirement sweeps
-// have exported their snapshots. It returns the session's terminal
+// retire, and shuts the worker pool down. Queries that retire after Close
+// are not swept — their STeM entries go with the session — so StemStats
+// then shows what was resident at shutdown. With a PolicyStore attached,
+// the engine exports the policy once more as the pool exits and the store
+// is then persisted (a no-op for purely in-memory stores). It returns the session's terminal
 // error, if any. Close is idempotent.
 func (s *Stream) Close() error {
 	s.mu.Lock()
@@ -683,8 +627,8 @@ func (s *Stream) Close() error {
 	s.mu.Unlock()
 	s.sess.CloseSubmit()
 	<-s.runDone
-	if s.store != nil {
-		if err := s.store.Save(); err != nil && s.opt.Logger != nil {
+	if s.warm != nil {
+		if err := s.warm.store.Save(); err != nil && s.opt.Logger != nil {
 			s.opt.Logger.Warn("policy store save failed", "err", err)
 		}
 	}

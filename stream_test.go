@@ -452,3 +452,73 @@ func TestStreamSubmitErrors(t *testing.T) {
 		t.Error("Close not idempotent:", err)
 	}
 }
+
+// TestStreamStatsOnInstanceAdds submits queries that each bring a new
+// relation instance into a stats-on stream whose workers are mid-episode.
+// Under -race it guards the per-instance counters (exec.Context.InstStats)
+// and the batch's per-query entries, which workers and retirement callbacks
+// read outside the session mutex while a submission extends them under it.
+func TestStreamStatsOnInstanceAdds(t *testing.T) {
+	e := streamFixture(t, 20000)
+	busy := func(tag string) *Query {
+		return NewQuery(tag).From("fact").From("dim").Join("fact", "fk", "dim", "k").
+			Sum("fact", "v").GroupBy("dim", "g").OrderByKey()
+	}
+	selfJoin := func(tag, table, col string, n int) *Query {
+		q := NewQuery(tag)
+		for i := 0; i < n; i++ {
+			q.FromAs(table, tag+string(rune('a'+i)))
+		}
+		for i := 1; i < n; i++ {
+			q.Join(tag+"a", col, tag+string(rune('a'+i)), col)
+		}
+		return q
+	}
+	// Each of these is the first query to need one more occurrence of its
+	// table, so each submission appends instances to the running session.
+	adders := []*Query{
+		NewQuery("grp0").From("fact").From("grp").Join("fact", "gk", "grp", "gk2").Eq("grp", "h", 1),
+		selfJoin("dim2", "dim", "k", 2),
+		selfJoin("grp2", "grp", "gk2", 2),
+		selfJoin("dim3", "dim", "k", 3),
+		selfJoin("grp3", "grp", "gk2", 3),
+		selfJoin("dim4", "dim", "k", 4),
+	}
+	var all []*Query
+	for i, q := range adders {
+		all = append(all, busy("busy"+string(rune('0'+i))), q)
+	}
+	want := oracleCounts(t, e, all)
+
+	st, err := e.OpenStream(context.Background(), &StreamOptions{
+		Options: Options{Workers: 2, VectorSize: 64, Seed: 11, CollectStats: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tickets []*Ticket
+	for _, q := range all {
+		tk, err := st.Submit(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+	}
+	for _, tk := range tickets {
+		qr, err := tk.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstOracle(t, qr, want)
+	}
+	var probes int64
+	for _, s := range st.StemStats() {
+		probes += s.Probes
+	}
+	if probes == 0 {
+		t.Error("stats-on stream folded no probe counters")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

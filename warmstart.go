@@ -3,6 +3,8 @@ package roulette
 import (
 	"github.com/roulette-db/roulette/internal/bitset"
 	"github.com/roulette-db/roulette/internal/exec"
+	"github.com/roulette-db/roulette/internal/metrics"
+	"github.com/roulette-db/roulette/internal/policy"
 	"github.com/roulette-db/roulette/internal/policystore"
 	"github.com/roulette-db/roulette/internal/qlearn"
 	"github.com/roulette-db/roulette/internal/query"
@@ -33,14 +35,40 @@ func NewPolicyStore(opts PolicyStoreOptions) (*PolicyStore, error) {
 	return policystore.Open(opts)
 }
 
-// importPolicy and exportPolicy bridge the engine-facing call sites in
-// roulette.go and stream.go to the canonical-space remapping implemented
-// in internal/policystore (see policystore.BuildSpace for the protocol).
-
-func importPolicy(store *PolicyStore, pol *qlearn.Learned, b *query.Batch, ctx *exec.Context, live bitset.Set) int {
-	return store.Import(pol, b, ctx, live)
+// warmLink ties a session's learned policy to the PolicyStore it warm-starts
+// from and exports into. A nil link (no store, or a policy that does not
+// learn) does nothing, so a store-less run and a run over an empty store
+// take the same steps.
+type warmLink struct {
+	store   *PolicyStore
+	learned *qlearn.Learned
 }
 
-func exportPolicy(store *PolicyStore, pol *qlearn.Learned, b *query.Batch, ctx *exec.Context, live bitset.Set) int {
-	return store.Export(pol, b, ctx, live)
+func newWarmLink(store *PolicyStore, pol policy.Policy) *warmLink {
+	learned, ok := pol.(*qlearn.Learned)
+	if store == nil || !ok {
+		return nil
+	}
+	return &warmLink{store: store, learned: learned}
+}
+
+// importOnAdmit folds the store's snapshot for the template set of the live
+// queries into the policy, before the n queries just admitted burn episodes
+// exploring. A miss changes nothing. live is the whole batch for a
+// one-shot run (deferred Admissions included) and the session's admitted set
+// for a stream; the caller holds off episodes (an unstarted session, or
+// Session.WithCompiled).
+func (l *warmLink) importOnAdmit(b *query.Batch, ctx *exec.Context, live bitset.Set, n int) {
+	if l == nil {
+		return
+	}
+	if l.store.Import(l.learned, b, ctx, live) > 0 {
+		metrics.Default().WarmStartedQueries.Add(int64(n))
+	}
+}
+
+// export snapshots what the policy has learned about the live queries into
+// the store, returning the number of Q-states captured.
+func (l *warmLink) export(b *query.Batch, ctx *exec.Context, live bitset.Set) int {
+	return l.store.Export(l.learned, b, ctx, live)
 }

@@ -86,6 +86,37 @@ func TestPolicyStoreWarmStartBatch(t *testing.T) {
 	}
 }
 
+// TestPolicyStoreWarmStartDeferredAdmissions: a batch looks its whole
+// template set up in the store, deferred queries included, so Options.Admissions
+// does not change which snapshots a run imports: a cold-then-warm pair of
+// runs makes the same lookups with a deferred query as without one.
+func TestPolicyStoreWarmStartDeferredAdmissions(t *testing.T) {
+	lookups := func(adm []Admission) (cold, warm PolicyStoreStats) {
+		e := fixture(t)
+		store, _ := NewPolicyStore(PolicyStoreOptions{})
+		opts := &Options{Seed: 7, VectorSize: 64, PolicyStore: store, Admissions: adm}
+		if _, err := e.ExecuteBatch(warmBatch(10), opts); err != nil {
+			t.Fatal(err)
+		}
+		cold = store.Stats()
+		if _, err := e.ExecuteBatch(warmBatch(30), opts); err != nil {
+			t.Fatal(err)
+		}
+		return cold, store.Stats()
+	}
+	wantCold, wantWarm := lookups(nil)
+	gotCold, gotWarm := lookups([]Admission{{AfterFraction: 0.5, Queries: []int{1}}})
+	if gotCold.Hits != wantCold.Hits || gotCold.Misses != wantCold.Misses {
+		t.Errorf("cold run with a deferred query: %+v, without: %+v", gotCold, wantCold)
+	}
+	if gotWarm.Hits != wantWarm.Hits || gotWarm.Misses != wantWarm.Misses {
+		t.Errorf("warm run with a deferred query: %+v, without: %+v", gotWarm, wantWarm)
+	}
+	if gotWarm.Hits == gotCold.Hits || gotWarm.Misses != gotCold.Misses {
+		t.Errorf("warm run did not hit the whole-set snapshot: cold %+v, warm %+v", gotCold, gotWarm)
+	}
+}
+
 // TestPolicyStoreDistinguishesShapes: a different join shape must not hit
 // the snapshot cached for another template set.
 func TestPolicyStoreDistinguishesShapes(t *testing.T) {

@@ -219,8 +219,6 @@ func main() {
 		if base.Perf.EpisodeStepZeroAlloc && !cur.Perf.EpisodeStepZeroAlloc {
 			c.report("perf.episode_step_zero_alloc", 1, 0, false)
 		}
-		c.higher("perf.stem_insert_vec_speedup", base.Perf.StemInsertSpeedup, cur.Perf.StemInsertSpeedup)
-		c.higher("perf.stem_probe_vec_speedup", base.Perf.StemProbeSpeedup, cur.Perf.StemProbeSpeedup)
 		c.higher("perf.qtable_speedup", base.Perf.QTableSpeedup, cur.Perf.QTableSpeedup)
 		c.lower("perf.stem_insert_vec.ns_per_op", base.Perf.StemInsertVec.NsPerOp, cur.Perf.StemInsertVec.NsPerOp)
 		c.lower("perf.stem_probe_vec.ns_per_op", base.Perf.StemProbeVec.NsPerOp, cur.Perf.StemProbeVec.NsPerOp)

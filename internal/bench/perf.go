@@ -31,21 +31,14 @@ func toResult(name string, r testing.BenchmarkResult) BenchResult {
 }
 
 // PerfReport is the perf section of BENCH.json: the steady-state episode
-// step, STeM primitives (scalar vs vector kernels), and the Q-table against
-// its retained string-keyed map baseline. Acceptance bars: QTableSpeedup,
-// StemInsertSpeedup and StemProbeSpeedup all >= 2.
+// step, the STeM kernels, and the Q-table against its retained string-keyed
+// map baseline. Acceptance bar: QTableSpeedup >= 2.
 type PerfReport struct {
 	EpisodeStep          []BenchResult `json:"episode_step"`
 	EpisodeStepZeroAlloc bool          `json:"episode_step_zero_alloc"`
-	StemInsert           BenchResult   `json:"stem_insert"`
 	StemInsertVec        BenchResult   `json:"stem_insert_vec"`
-	StemInsertSpeedup    float64       `json:"stem_insert_vec_speedup"`
-	StemProbe            BenchResult   `json:"stem_probe"`
 	StemProbeVec         BenchResult   `json:"stem_probe_vec"`
-	StemProbeSpeedup     float64       `json:"stem_probe_vec_speedup"`
-	StemSemiJoin         BenchResult   `json:"stem_semijoin"`
 	StemSemiJoinVec      BenchResult   `json:"stem_semijoin_vec"`
-	StemSemiJoinSpeedup  float64       `json:"stem_semijoin_vec_speedup"`
 	QTable               BenchResult   `json:"qtable_open_addressing"`
 	QTableRef            BenchResult   `json:"qtable_map_reference"`
 	QTableSpeedup        float64       `json:"qtable_speedup"`
@@ -118,11 +111,10 @@ func (c *Config) Perf() (*PerfReport, error) {
 		}
 	}
 
-	// STeM build path, scalar vs vector: one op inserts a 256-tuple batch
-	// over 32 distinct keys (fact-table FK shape, where batch chain
-	// pre-linking collapses the most bucket CASes). The STeM is replaced
-	// every few thousand batches — inside the timer, both modes alike — to
-	// bound memory and keep chain lengths comparable.
+	// STeM build path: one op inserts a 256-tuple batch over 32 distinct
+	// keys (fact-table FK shape, where batch chain pre-linking collapses the
+	// most bucket CASes). The STeM is replaced every few thousand batches —
+	// inside the timer — to bound memory and keep chain lengths comparable.
 	const (
 		insBatch      = 256
 		insDomain     = 32
@@ -139,22 +131,6 @@ func (c *Config) Perf() (*PerfReport, error) {
 	freshInsertStem := func() *stem.STeM {
 		return stem.New(stem.NewVersions(), []string{"k"}, 64, insResetEvery*insBatch)
 	}
-	rep.StemInsert = toResult("stem_insert/scalar-batch256", testing.Benchmark(func(b *testing.B) {
-		s := freshInsertStem()
-		keyBuf := make([]int64, 1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%insResetEvery == insResetEvery-1 {
-				s = freshInsertStem()
-			}
-			slot := stem.Slot(i & 1023)
-			for j := range insVids {
-				keyBuf[0] = insKeys[j]
-				s.Insert(insVids[j], keyBuf, bitset.Set(insQsets[j:j+1]), slot)
-			}
-		}
-	}))
 	rep.StemInsertVec = toResult("stem_insert/vec-batch256", testing.Benchmark(func(b *testing.B) {
 		s := freshInsertStem()
 		var sc stem.InsertScratch
@@ -167,27 +143,25 @@ func (c *Config) Perf() (*PerfReport, error) {
 			s.InsertVec(insVids, [][]int64{insKeys}, insQsets, 1, stem.Slot(i&1023), &sc)
 		}
 	}))
-	if rep.StemInsertVec.NsPerOp > 0 {
-		rep.StemInsertSpeedup = rep.StemInsert.NsPerOp / rep.StemInsertVec.NsPerOp
-	}
 
-	// STeM probe path, scalar vs vector: one op probes a 1024-key batch
-	// against a unique-key (dimension-table) STeM whose entries span one
-	// version slot per 64-tuple episode — the steady state of a long-lived
-	// streaming session, where the scalar path resolves a slot per entry
-	// and the vector path rides the publication watermark.
+	// STeM probe path: one op probes a 1024-key batch against a unique-key
+	// (dimension-table) STeM whose entries span one version slot per
+	// 64-tuple episode — the steady state of a long-lived streaming session,
+	// where the probe rides the publication watermark.
 	const probeEntries = 1 << 16
 	pv := stem.NewVersions()
 	ps := stem.New(pv, []string{"k"}, 64, probeEntries)
 	{
-		q := bitset.NewFull(64)
-		key := make([]int64, 1)
-		for i := 0; i < probeEntries; i++ {
-			key[0] = int64(i)
-			ps.Insert(int32(i), key, q, stem.Slot(i>>6))
+		vids := make([]int32, probeEntries)
+		keys := make([]int64, probeEntries)
+		qsets := make([]uint64, probeEntries)
+		for i := range vids {
+			vids[i], keys[i], qsets[i] = int32(i), int64(i), ^uint64(0)
 		}
-		for sl := stem.Slot(0); sl < probeEntries>>6; sl++ {
-			pv.Publish(sl)
+		var sc stem.InsertScratch
+		for i := 0; i < probeEntries; i += 64 {
+			ps.InsertVec(vids[i:i+64], [][]int64{keys[i : i+64]}, qsets[i:i+64], 1, stem.Slot(i>>6), &sc)
+			pv.Publish(stem.Slot(i >> 6))
 		}
 	}
 	probeWM := pv.Watermark()
@@ -196,16 +170,6 @@ func (c *Config) Perf() (*PerfReport, error) {
 	for i := range probeKeys {
 		probeKeys[i] = int64((i * 40503) & (probeEntries - 1)) // Fibonacci stride: spread over the domain
 	}
-	rep.StemProbe = toResult("stem_probe/scalar-batch1024", testing.Benchmark(func(b *testing.B) {
-		var dst []stem.Match
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, k := range probeKeys {
-				dst = ps.Probe(dst[:0], "k", k, probeTS)
-			}
-		}
-	}))
 	rep.StemProbeVec = toResult("stem_probe/vec-batch1024", testing.Benchmark(func(b *testing.B) {
 		var dst []stem.VecMatch
 		var qbuf []uint64
@@ -215,24 +179,8 @@ func (c *Config) Perf() (*PerfReport, error) {
 			dst, qbuf = ps.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, probeTS, probeWM)
 		}
 	}))
-	if rep.StemProbeVec.NsPerOp > 0 {
-		rep.StemProbeSpeedup = rep.StemProbe.NsPerOp / rep.StemProbeVec.NsPerOp
-	}
 
-	// Symmetric-join pruning, scalar vs vector, on the same fixture.
-	rep.StemSemiJoin = toResult("stem_semijoin/scalar-batch1024", testing.Benchmark(func(b *testing.B) {
-		out := bitset.New(64)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, k := range probeKeys {
-				for w := range out {
-					out[w] = 0
-				}
-				ps.SemiJoinQueries(out, "k", k)
-			}
-		}
-	}))
+	// Symmetric-join pruning on the same fixture.
 	rep.StemSemiJoinVec = toResult("stem_semijoin/vec-batch1024", testing.Benchmark(func(b *testing.B) {
 		outs := make([]uint64, len(probeKeys))
 		b.ReportAllocs()
@@ -244,9 +192,6 @@ func (c *Config) Perf() (*PerfReport, error) {
 			ps.SemiJoinVec(outs, 1, "k", probeKeys)
 		}
 	}))
-	if rep.StemSemiJoinVec.NsPerOp > 0 {
-		rep.StemSemiJoinSpeedup = rep.StemSemiJoin.NsPerOp / rep.StemSemiJoinVec.NsPerOp
-	}
 
 	states := qtableWorkload()
 	rep.QTable = toResult("qtable_open_addressing", testing.Benchmark(func(b *testing.B) {
@@ -285,14 +230,10 @@ func (c *Config) Perf() (*PerfReport, error) {
 	c.printf("perf: steady-state hot-path microbenchmarks\n")
 	c.printf("%-32s %12s %10s %10s\n", "benchmark", "ns/op", "B/op", "allocs/op")
 	all := append(append([]BenchResult{}, rep.EpisodeStep...),
-		rep.StemInsert, rep.StemInsertVec, rep.StemProbe, rep.StemProbeVec,
-		rep.StemSemiJoin, rep.StemSemiJoinVec, rep.QTable, rep.QTableRef)
+		rep.StemInsertVec, rep.StemProbeVec, rep.StemSemiJoinVec, rep.QTable, rep.QTableRef)
 	for _, r := range all {
 		c.printf("%-32s %12.1f %10d %10d\n", r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
 	}
-	c.printf("stem insert vector speedup:  %.2fx (acceptance: >= 2x)\n", rep.StemInsertSpeedup)
-	c.printf("stem probe vector speedup:   %.2fx (acceptance: >= 2x)\n", rep.StemProbeSpeedup)
-	c.printf("stem semijoin vector speedup: %.2fx\n", rep.StemSemiJoinSpeedup)
 	c.printf("qtable speedup over map reference: %.2fx (acceptance: >= 2x)\n", rep.QTableSpeedup)
 	if !rep.EpisodeStepZeroAlloc {
 		c.printf("WARNING: episode step is no longer allocation-free\n")

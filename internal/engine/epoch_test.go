@@ -442,12 +442,16 @@ func TestGCSweepRestartsAfterMidPassCompaction(t *testing.T) {
 	setA.Add(qa)
 	setB.Add(qb)
 	countA, countB := 0, 0
+	var sc stem.InsertScratch
+	insert1 := func(vid int32, qset bitset.Set) { // the instance has no join-key columns
+		st.InsertVec([]int32{vid}, nil, qset, len(qset), 0, &sc)
+	}
 	for i := 0; st.NumChunks() < gcChunkBudget+2; i++ {
 		if i%2 == 0 {
-			st.Insert(int32(i), nil, setA, 0)
+			insert1(int32(i), setA)
 			countA++
 		} else {
-			st.Insert(int32(i), nil, setB, 0)
+			insert1(int32(i), setB)
 			countB++
 		}
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
 	"time"
 
@@ -29,6 +30,19 @@ func CalibrateModel(seed int64) *cost.Model {
 // sizes spans two orders of magnitude of vector sizes.
 var calibrationSizes = []int{256, 512, 1024, 2048, 4096}
 
+// minNanos returns the fastest of reps runs of fn, in nanoseconds: host
+// interference (a preemption, a GC cycle) only ever adds time, and one
+// descheduled run in a mean swings the least-squares fit.
+func minNanos(reps int, fn func()) float64 {
+	best := math.Inf(1)
+	for r := 0; r < reps; r++ {
+		start := time.Now()
+		fn()
+		best = math.Min(best, float64(time.Since(start).Nanoseconds()))
+	}
+	return best
+}
+
 // calibrateSelection times grouped-filter application at varying
 // selectivities.
 func calibrateSelection(rng *rand.Rand) []cost.Sample {
@@ -50,15 +64,12 @@ func calibrateSelection(rng *rand.Rand) []cost.Sample {
 				vids[i] = int32(rng.Intn(len(col)))
 			}
 			qsets := make([]uint64, n)
-			reps := 32768 / n
-			start := time.Now()
-			for r := 0; r < reps; r++ {
+			elapsed := minNanos(32768/n, func() {
 				for i := range qsets {
 					qsets[i] = (1 << nQueries) - 1
 				}
 				f.Apply(true, vids, qsets, 1)
-			}
-			elapsed := float64(time.Since(start).Nanoseconds()) / float64(reps)
+			})
 			out := 0
 			for _, w := range qsets {
 				if w != 0 {
@@ -71,43 +82,40 @@ func calibrateSelection(rng *rand.Rand) []cost.Sample {
 	return samples
 }
 
-// calibrateJoin times STeM probes with varying match fan-outs.
+// calibrateJoin times the probe kernel episodes run (stem.ProbeVec over a
+// whole key vector, build side under the watermark, dst/qbuf warm in every
+// run but the first) at varying match fan-outs.
 func calibrateJoin(rng *rand.Rand) []cost.Sample {
-	versions := stem.NewVersions()
+	const keys = 1024
+	vids := make([]int32, keys)
+	buildKeys := make([]int64, keys)
+	qsets := make([]uint64, keys)
+	for i := range vids {
+		vids[i], buildKeys[i], qsets[i] = int32(i), int64(i), 1<<16-1
+	}
 	var samples []cost.Sample
+	var sc stem.InsertScratch
+	var dst []stem.VecMatch
+	var qbuf []uint64
 	for _, fanout := range []int{1, 2, 4} {
-		const keys = 1024
+		versions := stem.NewVersions()
 		s := stem.New(versions, []string{"k"}, 16, keys*fanout)
-		qs := bitset.NewFull(16)
-		for k := 0; k < keys; k++ {
-			for d := 0; d < fanout; d++ {
-				s.Insert(int32(k*fanout+d), []int64{int64(k)}, qs, 0)
-			}
+		for d := 0; d < fanout; d++ {
+			s.InsertVec(vids, [][]int64{buildKeys}, qsets, 1, 0, &sc)
 		}
 		versions.Publish(0)
+		// Watermark before timestamp, as in RunEpisode.
+		wm := versions.Watermark()
 		ts := versions.Now()
-
 		for _, n := range calibrationSizes {
 			probeKeys := make([]int64, n)
 			for i := range probeKeys {
 				probeKeys[i] = int64(rng.Intn(keys))
 			}
-			var dst []stem.Match
-			reps := 16384 / n
-			if reps == 0 {
-				reps = 1
-			}
-			out := 0
-			start := time.Now()
-			for r := 0; r < reps; r++ {
-				out = 0
-				for _, k := range probeKeys {
-					dst = s.Probe(dst[:0], "k", k, ts)
-					out += len(dst)
-				}
-			}
-			elapsed := float64(time.Since(start).Nanoseconds()) / float64(reps)
-			samples = append(samples, cost.Sample{NIn: float64(n), NOut: float64(out), Nanos: elapsed})
+			elapsed := minNanos(16384/n, func() {
+				dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm)
+			})
+			samples = append(samples, cost.Sample{NIn: float64(n), NOut: float64(len(dst)), Nanos: elapsed})
 		}
 	}
 	return samples
@@ -128,16 +136,13 @@ func calibrateRouting(rng *rand.Rand) []cost.Sample {
 			}
 			vids := make([]int32, n)
 			qsets := make([]uint64, n)
-			reps := 32768 / n
 			out := 0
-			start := time.Now()
-			for r := 0; r < reps; r++ {
+			elapsed := minNanos(32768/n, func() {
 				copy(vids, baseVids)
 				copy(qsets, baseQ)
 				v, _ := compact(vids, qsets, 1)
 				out = len(v)
-			}
-			elapsed := float64(time.Since(start).Nanoseconds()) / float64(reps)
+			})
 			samples = append(samples, cost.Sample{NIn: float64(n), NOut: float64(out), Nanos: elapsed})
 		}
 	}

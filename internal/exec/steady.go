@@ -165,21 +165,21 @@ func NewStepBench(cfg StepBenchConfig) (*StepBench, error) {
 	}
 
 	// Populate the probed side: every dimension row, stamped with the full
-	// query set, under one published slot.
+	// query set, one InsertVec per table under one published slot.
 	active := bitset.NewFull(b.N)
 	const seedSlot = stem.Slot(0)
 	for inst := range b.Insts {
 		if query.InstID(inst) == factInst {
 			continue
 		}
-		keys := make([]int64, len(ctx.stemKeyCols[inst]))
-		tbl := ctx.Tables[inst]
-		for vid := 0; vid < tbl.NumRows(); vid++ {
-			for k, col := range ctx.stemKeySlices[inst] {
-				keys[k] = col[vid]
-			}
-			ctx.Stems[inst].Insert(int32(vid), keys, active, seedSlot)
+		n := ctx.Tables[inst].NumRows()
+		rowIDs := make([]int32, n)
+		qsets := make([]uint64, 0, n*len(active))
+		for vid := range rowIDs {
+			rowIDs[vid] = int32(vid)
+			qsets = append(qsets, active...)
 		}
+		ctx.Stems[inst].InsertVec(rowIDs, ctx.stemKeySlices[inst], qsets, len(active), seedSlot, &w.insScratch)
 	}
 	ctx.Versions.Publish(seedSlot)
 

@@ -210,7 +210,8 @@ func (t *Table) Export(rm *Remap) []SnapEntry {
 
 // ImportEntry folds one remapped entry into the table by visit-weighted
 // average with whatever the slot already holds (a fresh slot has zero
-// visits, so the imported value lands verbatim).
+// visits, so the imported value lands unchanged up to the rounding of
+// v·n/n).
 func (t *Table) ImportEntry(se SnapEntry) {
 	q := bitset.Set(se.Q)
 	e := t.Slot(policy.Phase(se.Phase), query.InstID(se.Inst), se.Lineage, q, int(se.Op))

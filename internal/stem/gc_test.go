@@ -13,7 +13,7 @@ func gcFixture(t *testing.T, n int) (*Versions, *STeM) {
 	v := NewVersions()
 	s := New(v, []string{"k"}, 2, n)
 	for i := 0; i < n; i++ {
-		s.Insert(int32(i), []int64{int64(i)}, bitset.FromIDs(2, i%2), 0)
+		insert1(s, int32(i), []int64{int64(i)}, bitset.FromIDs(2, i%2), 0)
 	}
 	v.Publish(0)
 	return v, s
@@ -65,7 +65,7 @@ func TestCompactLiveDropsDeadAndShrinks(t *testing.T) {
 	// buckets, and none of the dropped ones.
 	ts := v.Now()
 	for k := int64(0); k < 100; k++ {
-		got := s.Probe(nil, "k", k, ts)
+		got := probe1(s, "k", k, ts)
 		if k%2 == 1 {
 			if len(got) != 1 || got[0].VID != int32(k) {
 				t.Fatalf("Probe(%d) = %v after compaction, want vid %d", k, got, k)
@@ -110,13 +110,13 @@ func TestEnsureBucketsRegrowsChains(t *testing.T) {
 	s.EnsureBuckets(4096)
 	ts := v.Now()
 	for k := int64(1); k < 100; k += 2 {
-		if got := s.Probe(nil, "k", k, ts); len(got) != 1 {
+		if got := probe1(s, "k", k, ts); len(got) != 1 {
 			t.Fatalf("Probe(%d) = %v after regrow, want 1 match", k, got)
 		}
 	}
 	// Smaller hints never shrink (regrowing is one-way).
 	s.EnsureBuckets(1)
-	if got := s.Probe(nil, "k", 1, ts); len(got) != 1 {
+	if got := probe1(s, "k", 1, ts); len(got) != 1 {
 		t.Errorf("Probe(1) broken after no-op EnsureBuckets")
 	}
 }
@@ -131,20 +131,20 @@ func TestAddIndexDerivesExistingEntries(t *testing.T) {
 		t.Fatal("AddIndex did not register the column")
 	}
 	ts := v.Now()
-	if got := s.Probe(nil, "k2", 3, ts); len(got) != 2 {
+	if got := probe1(s, "k2", 3, ts); len(got) != 2 {
 		t.Fatalf("Probe(k2=3) = %d matches, want 2 (vids 6,7)", len(got))
 	}
 	// Idempotent: re-adding the column changes nothing.
 	s.AddIndex("k2", func(vid int32) int64 { return -1 })
-	if got := s.Probe(nil, "k2", 3, ts); len(got) != 2 {
+	if got := probe1(s, "k2", 3, ts); len(got) != 2 {
 		t.Errorf("repeated AddIndex broke the index")
 	}
 	// New inserts supply both keys and land in both indexes (a fresh slot:
 	// slots are published at most once, after all their inserts).
-	s.Insert(200, []int64{200, 100}, bitset.FromIDs(2, 1), 1)
+	insert1(s, 200, []int64{200, 100}, bitset.FromIDs(2, 1), 1)
 	v.Publish(1)
 	ts = v.Now()
-	if got := s.Probe(nil, "k2", 100, ts); len(got) != 1 || got[0].VID != 200 {
+	if got := probe1(s, "k2", 100, ts); len(got) != 1 || got[0].VID != 200 {
 		t.Errorf("Probe(k2=100) = %v, want the new entry", got)
 	}
 }

@@ -365,8 +365,6 @@ type STeM struct {
 	count atomic.Int64
 	_     [56]byte // keep the hot insert counter off neighboring lines
 
-	final atomic.Bool // set once the relation is fully ingested for all scheduled queries
-
 	compactGen atomic.Uint64 // CompactLive rebuilds so far; entry positions are stable within one generation
 }
 
@@ -427,13 +425,6 @@ func (s *STeM) HasIndex(col string) bool {
 // Len returns the number of inserted entries.
 func (s *STeM) Len() int { return int(s.count.Load()) }
 
-// MarkFinal records that the relation is fully ingested; pruning semi-joins
-// may then use this STeM (§5.2 "Symmetric Join Pruning").
-func (s *STeM) MarkFinal() { s.final.Store(true) }
-
-// Final reports whether the relation is fully ingested.
-func (s *STeM) Final() bool { return s.final.Load() }
-
 func hash64(x int64) uint64 {
 	// Fibonacci multiplicative hashing with an avalanche step.
 	h := uint64(x) * 0x9E3779B97F4A7C15
@@ -477,124 +468,6 @@ func newChunk(nkeys, qw int) *chunk {
 		c.next[i] = make([]int32, chunkSize)
 	}
 	return c
-}
-
-// Insert adds one tuple with the given join-key values (one per indexed
-// column, in KeyCols order), stamping it with version slot slot. The tuple
-// becomes visible to probes once the slot is published.
-func (s *STeM) Insert(vid int32, keys []int64, qset bitset.Set, slot Slot) {
-	st := s.state.Load()
-	idx := s.count.Add(1) - 1
-	c := s.chunkFor(st, idx)
-	off := int(idx) & chunkMask
-	c.vids[off] = vid
-	c.slots[off] = slot
-	qoff := off * s.qw
-	for i := 0; i < s.qw; i++ {
-		var w uint64
-		if i < len(qset) {
-			w = qset[i]
-		}
-		atomic.StoreUint64(&c.qsets[qoff+i], w)
-	}
-	ref := int32(idx) + 1
-	for i := range st.keyCols {
-		k := keys[i]
-		c.keys[i][off] = k
-		b := &st.buckets[i][hash64(k)>>st.shift[i]]
-		for {
-			head := b.Load()
-			c.next[i][off] = head
-			if b.CompareAndSwap(head, ref) {
-				break
-			}
-		}
-	}
-}
-
-// Match is one probe result: the matched entry's vID and query set.
-type Match struct {
-	VID  int32
-	QSet bitset.Set // caller-owned copy of the entry's query set
-}
-
-// Probe finds entries whose key column col equals key and whose published
-// timestamp is strictly older than probeTS, appending them to dst. The
-// returned query sets are copies (this scalar path serves tests and
-// calibration; the engine probes with ProbeVec, which stages query-set
-// words into a caller-owned slab instead of allocating).
-//
-// probeTS must have been drawn from the STeM's Versions table (Publish or
-// Now) before the probe began. Entries whose slot is still unpublished are
-// rejected without waiting: the reject seals the slot at probeTS
-// (Versions.visibleAt), which forces the slot's eventual publication onto
-// a timestamp newer than probeTS — so the rejection is correct even
-// against a publish that drew its timestamp before probeTS but had not
-// stored it yet (the draw-to-store window).
-func (s *STeM) Probe(dst []Match, col string, key int64, probeTS int64) []Match {
-	if key == NullKey {
-		// SQL NULL never equals anything, itself included: a NULL probe key
-		// matches no entry, and build-side NULL entries are unreachable
-		// because probes for their key never run.
-		return dst
-	}
-	st := s.state.Load()
-	ki, ok := st.colIdx[col]
-	if !ok {
-		return dst
-	}
-	// The chunk snapshot must be taken after the bucket head is loaded:
-	// every entry reachable from the head had its chunk appended before the
-	// head was CASed, and a state's chunk list only grows, so a snapshot
-	// ordered after the head load covers the whole chain. The opposite order
-	// races with a concurrent insert extending the slab.
-	ref := st.buckets[ki][hash64(key)>>st.shift[ki]].Load()
-	chunks := *st.chunks.Load()
-	for ref != 0 {
-		idx := int(ref) - 1
-		c := chunks[idx>>chunkBits]
-		off := idx & chunkMask
-		if c.keys[ki][off] == key && s.versions.visibleAt(c.slots[off], probeTS) {
-			qoff := off * s.qw
-			qs := make(bitset.Set, s.qw)
-			for i := 0; i < s.qw; i++ {
-				qs[i] = atomic.LoadUint64(&c.qsets[qoff+i])
-			}
-			dst = append(dst, Match{VID: c.vids[off], QSet: qs})
-		}
-		ref = c.next[ki][off]
-	}
-	return dst
-}
-
-// SemiJoinQueries unions, into out, the query sets of all published entries
-// matching key on col. It is the primitive behind symmetric join pruning:
-// a probing tuple keeps only the query bits that some matching entry also
-// carries. out must have capacity for the STeM's query-set width.
-func (s *STeM) SemiJoinQueries(out bitset.Set, col string, key int64) {
-	if key == NullKey {
-		return // NULL join keys never match, see Probe
-	}
-	st := s.state.Load()
-	ki, ok := st.colIdx[col]
-	if !ok {
-		return
-	}
-	// Head before chunk snapshot, same ordering argument as Probe.
-	ref := st.buckets[ki][hash64(key)>>st.shift[ki]].Load()
-	chunks := *st.chunks.Load()
-	for ref != 0 {
-		idx := int(ref) - 1
-		c := chunks[idx>>chunkBits]
-		off := idx & chunkMask
-		if c.keys[ki][off] == key && s.versions.tryGet(c.slots[off]) != 0 {
-			qoff := off * s.qw
-			for i := 0; i < s.qw && i < len(out); i++ {
-				out[i] |= atomic.LoadUint64(&c.qsets[qoff+i])
-			}
-		}
-		ref = c.next[ki][off]
-	}
 }
 
 // EstBytes estimates the STeM's resident memory: allocated entry chunks

@@ -8,18 +8,42 @@ import (
 	"github.com/roulette-db/roulette/internal/bitset"
 )
 
+// insert1 adds one tuple (one key per indexed column) as a one-element
+// InsertVec batch.
+func insert1(s *STeM, vid int32, keys []int64, qset bitset.Set, slot Slot) {
+	cols := make([][]int64, len(keys))
+	for i := range keys {
+		cols[i] = keys[i : i+1]
+	}
+	var sc InsertScratch
+	s.InsertVec([]int32{vid}, cols, qset, len(qset), slot, &sc)
+}
+
+// probe1 probes one key as a one-element ProbeVec batch, every entry paying
+// the per-slot visibility check (wm 0).
+func probe1(s *STeM, col string, key int64, probeTS int64) []VecMatch {
+	return probeVec(s, col, []int64{key}, probeTS, 0)
+}
+
+// semiJoin1 returns the SemiJoinVec union for one key.
+func semiJoin1(s *STeM, col string, key int64) bitset.Set {
+	out := make(bitset.Set, s.qw)
+	s.SemiJoinVec(out, s.qw, col, []int64{key})
+	return out
+}
+
 func TestInsertProbeBasic(t *testing.T) {
 	v := NewVersions()
 	s := New(v, []string{"k"}, 4, 16)
 
 	q01 := bitset.FromIDs(4, 0, 1)
-	s.Insert(10, []int64{5}, q01, 0)
-	s.Insert(11, []int64{5}, bitset.FromIDs(4, 2), 0)
-	s.Insert(12, []int64{7}, q01, 0)
+	insert1(s, 10, []int64{5}, q01, 0)
+	insert1(s, 11, []int64{5}, bitset.FromIDs(4, 2), 0)
+	insert1(s, 12, []int64{7}, q01, 0)
 	v.Publish(0)
 
 	ts := v.Now()
-	got := s.Probe(nil, "k", 5, ts)
+	got := probe1(s, "k", 5, ts)
 	if len(got) != 2 {
 		t.Fatalf("Probe(5) = %d matches, want 2", len(got))
 	}
@@ -27,7 +51,7 @@ func TestInsertProbeBasic(t *testing.T) {
 	if !vids[10] || !vids[11] {
 		t.Errorf("Probe vids = %v", vids)
 	}
-	if got := s.Probe(nil, "k", 99, ts); len(got) != 0 {
+	if got := probe1(s, "k", 99, ts); len(got) != 0 {
 		t.Errorf("Probe(99) = %d matches, want 0", len(got))
 	}
 	if s.Len() != 3 {
@@ -39,29 +63,26 @@ func TestProbeTimestampAtomicity(t *testing.T) {
 	v := NewVersions()
 	s := New(v, []string{"k"}, 2, 16)
 
-	s.Insert(1, []int64{5}, bitset.NewFull(2), 0)
+	insert1(s, 1, []int64{5}, bitset.NewFull(2), 0)
 	ts0 := v.Publish(0)
 
 	// A probe with a timestamp equal to or older than the publish time must
 	// not see the entry ("only matches with older timestamps").
-	if got := s.Probe(nil, "k", 5, ts0); len(got) != 0 {
+	if got := probe1(s, "k", 5, ts0); len(got) != 0 {
 		t.Errorf("probe at publish ts saw %d entries", len(got))
 	}
-	if got := s.Probe(nil, "k", 5, v.Now()); len(got) != 1 {
+	if got := probe1(s, "k", 5, v.Now()); len(got) != 1 {
 		t.Errorf("probe with newer ts saw %d entries, want 1", len(got))
 	}
 
-	// An unpublished vector must stay invisible (SemiJoinQueries path, which
-	// never spins).
-	s.Insert(2, []int64{6}, bitset.NewFull(2), 1)
-	out := bitset.New(2)
-	s.SemiJoinQueries(out, "k", 6)
-	if !out.Empty() {
+	// An unpublished vector must stay invisible to the semi-join, which
+	// skips unpublished slots without sealing them.
+	insert1(s, 2, []int64{6}, bitset.NewFull(2), 1)
+	if !semiJoin1(s, "k", 6).Empty() {
 		t.Error("semi-join saw unpublished entry")
 	}
 	v.Publish(1)
-	s.SemiJoinQueries(out, "k", 6)
-	if out.Count() != 2 {
+	if semiJoin1(s, "k", 6).Count() != 2 {
 		t.Error("semi-join missed published entry")
 	}
 }
@@ -69,18 +90,18 @@ func TestProbeTimestampAtomicity(t *testing.T) {
 func TestMultipleIndices(t *testing.T) {
 	v := NewVersions()
 	s := New(v, []string{"a", "b"}, 2, 16)
-	s.Insert(1, []int64{10, 20}, bitset.NewFull(2), 0)
-	s.Insert(2, []int64{10, 21}, bitset.NewFull(2), 0)
+	insert1(s, 1, []int64{10, 20}, bitset.NewFull(2), 0)
+	insert1(s, 2, []int64{10, 21}, bitset.NewFull(2), 0)
 	v.Publish(0)
 	ts := v.Now()
 
-	if got := s.Probe(nil, "a", 10, ts); len(got) != 2 {
+	if got := probe1(s, "a", 10, ts); len(got) != 2 {
 		t.Errorf("Probe(a=10) = %d, want 2", len(got))
 	}
-	if got := s.Probe(nil, "b", 21, ts); len(got) != 1 || got[0].VID != 2 {
+	if got := probe1(s, "b", 21, ts); len(got) != 1 || got[0].VID != 2 {
 		t.Errorf("Probe(b=21) = %v", got)
 	}
-	if s.Probe(nil, "zzz", 1, ts) != nil {
+	if probe1(s, "zzz", 1, ts) != nil {
 		t.Error("probe on unindexed column should return nil dst")
 	}
 	if !s.HasIndex("a") || s.HasIndex("zzz") {
@@ -88,29 +109,16 @@ func TestMultipleIndices(t *testing.T) {
 	}
 }
 
-func TestSemiJoinQueriesUnions(t *testing.T) {
+func TestSemiJoinVecUnions(t *testing.T) {
 	v := NewVersions()
 	s := New(v, []string{"k"}, 8, 16)
-	s.Insert(1, []int64{3}, bitset.FromIDs(8, 0), 0)
-	s.Insert(2, []int64{3}, bitset.FromIDs(8, 5), 0)
-	s.Insert(3, []int64{4}, bitset.FromIDs(8, 7), 0)
+	insert1(s, 1, []int64{3}, bitset.FromIDs(8, 0), 0)
+	insert1(s, 2, []int64{3}, bitset.FromIDs(8, 5), 0)
+	insert1(s, 3, []int64{4}, bitset.FromIDs(8, 7), 0)
 	v.Publish(0)
 
-	out := bitset.New(8)
-	s.SemiJoinQueries(out, "k", 3)
-	if got := out.IDs(); len(got) != 2 || got[0] != 0 || got[1] != 5 {
-		t.Errorf("SemiJoinQueries = %v, want [0 5]", got)
-	}
-}
-
-func TestFinalFlag(t *testing.T) {
-	s := New(NewVersions(), []string{"k"}, 1, 4)
-	if s.Final() {
-		t.Error("new STeM marked final")
-	}
-	s.MarkFinal()
-	if !s.Final() {
-		t.Error("MarkFinal did not stick")
+	if got := semiJoin1(s, "k", 3).IDs(); len(got) != 2 || got[0] != 0 || got[1] != 5 {
+		t.Errorf("SemiJoinVec = %v, want [0 5]", got)
 	}
 }
 
@@ -119,13 +127,13 @@ func TestChunkGrowth(t *testing.T) {
 	s := New(v, []string{"k"}, 2, 16)
 	n := chunkSize*2 + 57 // force three chunks
 	for i := 0; i < n; i++ {
-		s.Insert(int32(i), []int64{int64(i % 97)}, bitset.NewFull(2), 0)
+		insert1(s, int32(i), []int64{int64(i % 97)}, bitset.NewFull(2), 0)
 	}
 	v.Publish(0)
 	ts := v.Now()
 	total := 0
 	for k := int64(0); k < 97; k++ {
-		total += len(s.Probe(nil, "k", k, ts))
+		total += len(probe1(s, "k", k, ts))
 	}
 	if total != n {
 		t.Errorf("probed %d entries across all keys, want %d", total, n)
@@ -157,7 +165,7 @@ func TestConcurrentInsertProbePairsOnce(t *testing.T) {
 				slot := slotBase + Slot(i/64)
 				for j := 0; j < 64; j++ {
 					vid := int32(i + j)
-					mine.Insert(vid, []int64{int64(rng.Intn(keys))}, qs, slot)
+					insert1(mine, vid, []int64{int64(rng.Intn(keys))}, qs, slot)
 				}
 				ts := v.Publish(slot)
 				// Probe the other side for each of my just-inserted keys.
@@ -166,7 +174,7 @@ func TestConcurrentInsertProbePairsOnce(t *testing.T) {
 				for j := 0; j < 64; j++ {
 					vid := int32(i + j)
 					key := mine.keyOf(vid)
-					for _, m := range other.Probe(nil, "k", key, ts) {
+					for _, m := range probe1(other, "k", key, ts) {
 						p := pair{vid, m.VID}
 						if flip {
 							p = pair{m.VID, vid}
@@ -215,9 +223,9 @@ func TestProbeSealBindsRejection(t *testing.T) {
 	v := NewVersions()
 	s := New(v, []string{"k"}, 2, 16)
 
-	s.Insert(1, []int64{7}, bitset.NewFull(2), 0)
+	insert1(s, 1, []int64{7}, bitset.NewFull(2), 0)
 	probeTS := v.Now()
-	if got := s.Probe(nil, "k", 7, probeTS); len(got) != 0 {
+	if got := probe1(s, "k", 7, probeTS); len(got) != 0 {
 		t.Fatalf("probe saw unpublished entry: %v", got)
 	}
 	if v.Watermark() != 0 {
@@ -233,7 +241,7 @@ func TestProbeSealBindsRejection(t *testing.T) {
 	if v.Watermark() != 1 {
 		t.Fatalf("watermark = %d after publish, want 1", v.Watermark())
 	}
-	if got := s.Probe(nil, "k", 7, v.Now()); len(got) != 1 {
+	if got := probe1(s, "k", 7, v.Now()); len(got) != 1 {
 		t.Fatalf("published entry invisible to newer probe")
 	}
 }
@@ -311,13 +319,12 @@ func TestProbeDuringChunkGrowth(t *testing.T) {
 			slot := Slot(i / 64)
 			for j := 0; j < 64 && i+j < total; j++ {
 				vid := int32(i + j)
-				s.Insert(vid, []int64{int64(vid) % hotKeys}, qs, slot)
+				insert1(s, vid, []int64{int64(vid) % hotKeys}, qs, slot)
 			}
 			v.Publish(slot)
 		}
 	}()
 
-	var scratch []Match
 	var vecDst []VecMatch
 	var vecQbuf []uint64
 	keys := make([]int64, hotKeys)
@@ -333,17 +340,16 @@ func TestProbeDuringChunkGrowth(t *testing.T) {
 		wm := v.Watermark()
 		ts := v.Now()
 		for k := int64(0); k < hotKeys; k++ {
-			scratch = s.Probe(scratch[:0], "k", k, ts)
-			for _, m := range scratch {
+			for _, m := range probe1(s, "k", k, ts) {
 				if int64(m.VID)%hotKeys != k {
-					t.Fatalf("scalar probe key %d matched vid %d", k, m.VID)
+					t.Fatalf("one-key probe of key %d matched vid %d", k, m.VID)
 				}
 			}
 		}
 		vecDst, vecQbuf = s.ProbeVec(vecDst[:0], vecQbuf[:0], "k", keys, ts, wm)
 		for _, m := range vecDst {
 			if int64(m.VID)%hotKeys != keys[m.In] {
-				t.Fatalf("vector probe key %d matched vid %d", keys[m.In], m.VID)
+				t.Fatalf("batched probe key %d matched vid %d", keys[m.In], m.VID)
 			}
 		}
 	}
@@ -367,34 +373,6 @@ func (s *STeM) keyOf(vid int32) int64 {
 	return -1
 }
 
-func BenchmarkInsert(b *testing.B) {
-	v := NewVersions()
-	s := New(v, []string{"k"}, 64, b.N+1)
-	q := bitset.NewFull(64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Insert(int32(i), []int64{int64(i & 1023)}, q, Slot(i>>10))
-	}
-}
-
-func BenchmarkProbe(b *testing.B) {
-	v := NewVersions()
-	s := New(v, []string{"k"}, 64, 1<<16)
-	q := bitset.NewFull(64)
-	for i := 0; i < 1<<16; i++ {
-		s.Insert(int32(i), []int64{int64(i & 4095)}, q, 0)
-	}
-	v.Publish(0)
-	ts := v.Now()
-	var dst []Match
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = s.Probe(dst[:0], "k", int64(i&4095), ts)
-	}
-}
-
 // TestEstBytes checks the memory estimate grows with inserted chunks and
 // starts at the bucket-array floor.
 func TestEstBytes(t *testing.T) {
@@ -406,7 +384,7 @@ func TestEstBytes(t *testing.T) {
 	}
 	q := bitset.NewFull(16)
 	for i := 0; i < chunkSize+1; i++ { // force a second chunk
-		s.Insert(int32(i), []int64{int64(i)}, q, 0)
+		insert1(s, int32(i), []int64{int64(i)}, q, 0)
 	}
 	grown := s.EstBytes()
 	if grown <= base {

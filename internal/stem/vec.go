@@ -6,34 +6,30 @@ import (
 	"github.com/roulette-db/roulette/internal/bitset"
 )
 
-// This file holds the vector kernels: whole-episode-vector variants of
-// Insert, Probe and SemiJoinQueries. The scalar paths pay one atomic
-// counter bump plus one CAS per key per tuple on insert, and a per-entry
-// version lookup on probe; the kernels amortize both across the vector
-// (§5.2 "Scalable versioning"):
+// This file holds the STeM kernels. Each takes a whole episode vector, so
+// synchronization is paid per vector rather than per tuple (§5.2 "Scalable
+// versioning"):
 //
 //   - InsertVec reserves the whole vector's index range with a single
 //     count.Add(n), bulk-writes the entry columns chunk segment by chunk
 //     segment, pre-links the intra-batch hash chains in caller-owned
-//     scratch, and splices each *distinct* bucket with one CAS — up to
-//     len(vec)×keys CASes collapse into ~distinct-buckets CASes.
-//   - ProbeVec resolves the key column once (the scalar path pays a map
-//     lookup per call), batch-hashes the key block and preloads bucket
-//     heads before walking chains, and consults the publication watermark:
-//     entries whose slot is under the watermark skip the per-entry
-//     timestamp load entirely.
-//   - SemiJoinVec is the batched symmetric-join-pruning primitive with the
-//     same watermark short-circuit.
+//     scratch, and splices each *distinct* bucket with one CAS — the batch
+//     costs ~distinct-buckets CASes, not len(vec)×keys.
+//   - ProbeVec resolves the key column once, batch-hashes the key block and
+//     preloads bucket heads before walking chains, and consults the
+//     publication watermark: entries whose slot is under the watermark skip
+//     the per-entry timestamp load entirely.
+//   - SemiJoinVec is the symmetric-join-pruning primitive with the same
+//     watermark short-circuit.
 //
-// Memory-ordering argument (same as the scalar Insert): every entry write
-// — vIDs, slots, keys, query sets, intra-batch next links — happens before
-// the bucket CAS that makes the batch reachable, and probes load the bucket
-// head with acquire semantics, so a reachable entry is always fully
-// written. Entries stay invisible to result probes until their slot is
-// published regardless: a probe that finds the slot unpublished rejects it
-// after sealing it (Versions.visibleAt), which pins the slot's eventual
-// timestamp above the probe's, so the rejection cannot race with an
-// in-flight publish.
+// Memory-ordering argument: every entry write — vIDs, slots, keys, query
+// sets, intra-batch next links — happens before the bucket CAS that makes
+// the batch reachable, and probes load the bucket head with acquire
+// semantics, so a reachable entry is always fully written. Entries stay
+// invisible to result probes until their slot is published regardless: a
+// probe that finds the slot unpublished rejects it after sealing it
+// (Versions.visibleAt), which pins the slot's eventual timestamp above the
+// probe's, so the rejection cannot race with an in-flight publish.
 //
 // Query-set words are stored and loaded with sync/atomic throughout: the
 // concurrent GC sweeper clears retired bits in place while these kernels
@@ -127,9 +123,9 @@ func (sc *InsertScratch) lookupOrAdd(b int32) int {
 // visible to probes once the slot is published. sc must not be shared
 // between concurrent callers; pass a fresh or worker-owned scratch.
 //
-// Result-equivalent to calling Insert per tuple, except that entries of
-// the same batch hitting the same bucket are chained in batch order rather
-// than last-in-first-out; probes see the same match *sets* either way.
+// Entries of one batch that hit the same bucket are chained in batch order,
+// batches in last-in-first-out order; probes promise match *sets*, not an
+// order.
 func (s *STeM) InsertVec(vids []int32, keyCols [][]int64, qsets []uint64, qw int, slot Slot, sc *InsertScratch) {
 	n := len(vids)
 	if n == 0 {
@@ -223,8 +219,19 @@ const probeBlock = 128
 // newly appended tail of dst carries valid QSet views — pass matched
 // prefixes of the same (dst, qbuf) pair or start from [:0].
 //
-// Visibility follows Probe's contract — published timestamp strictly older
-// than probeTS — with one amortization: wm must be a watermark value read
+// An entry matches when its key equals the probe key and its slot's
+// published timestamp is strictly older than probeTS. probeTS must have
+// been drawn from the STeM's Versions table (Publish, PublishClocked or
+// Now) before the probe began. Entries whose slot is still unpublished are
+// rejected without waiting: the reject seals the slot at probeTS
+// (Versions.visibleAt), which forces the slot's eventual publication onto a
+// timestamp newer than probeTS — so the rejection is correct even against a
+// publish that drew its timestamp before probeTS but had not stored it yet
+// (the draw-to-store window). A NullKey probe key matches nothing: SQL NULL
+// never equals anything, itself included, and build-side NULL entries are
+// unreachable because no probe for their key ever walks a chain.
+//
+// wm amortizes the visibility check: it must be a watermark value read
 // *before* probeTS was drawn (Versions.Watermark, or the pair returned by
 // PublishClocked), which guarantees every slot under wm carries a timestamp
 // older than probeTS, so those entries (the stable majority in a long-lived
@@ -261,11 +268,12 @@ func (s *STeM) ProbeVec(dst []VecMatch, qbuf []uint64, col string, keys []int64,
 			}
 			heads[j] = buckets[hash64(keys[i0+j])>>shift].Load()
 		}
-		// Chunk snapshot after the block's head loads (scalar Probe has the
-		// ordering argument): chunks reachable from these heads were all
-		// appended before the heads were CASed, so this snapshot covers
-		// every chain the block walks even with concurrent inserts growing
-		// the slab.
+		// The chunk snapshot must be taken after the block's head loads:
+		// every entry reachable from a head had its chunk appended before
+		// that head was CASed, and a state's chunk list only grows, so a
+		// snapshot ordered after the head loads covers every chain the
+		// block walks. The opposite order races with a concurrent insert
+		// extending the slab.
 		chunks := *st.chunks.Load()
 		// Stage the head entries' fields in a branch-light pass: the loads
 		// are independent across keys, so their cache misses overlap instead
@@ -331,9 +339,12 @@ func (s *STeM) ProbeVec(dst []VecMatch, qbuf []uint64, col string, keys []int64,
 }
 
 // SemiJoinVec ORs, for each input key i, the query sets of all published
-// entries matching keys[i] on col into outs[i*qw : (i+1)*qw] (the batched
-// SemiJoinQueries). Publication needs no timestamp ordering here, so the
-// watermark is read internally: entries under it skip the version lookup.
+// entries matching keys[i] on col into outs[i*qw : (i+1)*qw]. It is the
+// primitive behind symmetric join pruning: a probing tuple keeps only the
+// query bits that some matching entry also carries. Publication needs no
+// timestamp ordering here (and unpublished slots are skipped, not sealed),
+// so the watermark is read internally: entries under it skip the version
+// lookup. NullKey keys match nothing, as in ProbeVec.
 func (s *STeM) SemiJoinVec(outs []uint64, qw int, col string, keys []int64) {
 	st := s.state.Load()
 	ki, ok := st.colIdx[col]

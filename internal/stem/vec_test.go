@@ -13,20 +13,70 @@ import (
 	"github.com/roulette-db/roulette/internal/bitset"
 )
 
-// canonScalar renders per-key scalar Probe results as a sorted multiset of
-// "in|vid|qset" strings, the common currency for equivalence checks. Batch
-// chains order same-bucket entries differently than scalar LIFO chains, so
-// only the match *sets* are comparable.
-func canonScalar(s *STeM, col string, keys []int64, ts int64) []string {
+// oracleEntry and oracle are the brute-force model the kernels are checked
+// against: every inserted entry listed under its key, once per key column,
+// plus the timestamp each slot was published at (absent = unpublished).
+type oracleEntry struct {
+	vid  int32
+	slot Slot
+	qset []uint64
+}
+
+type oracle struct {
+	byKey []map[int64][]oracleEntry
+	pubTS map[Slot]int64
+}
+
+func newOracle(nCols int) *oracle {
+	o := &oracle{byKey: make([]map[int64][]oracleEntry, nCols), pubTS: map[Slot]int64{}}
+	for c := range o.byKey {
+		o.byKey[c] = map[int64][]oracleEntry{}
+	}
+	return o
+}
+
+// insert mirrors InsertVec's arguments (qw must be the STeM's width).
+func (o *oracle) insert(vids []int32, keyCols [][]int64, qsets []uint64, qw int, slot Slot) {
+	for i, vid := range vids {
+		e := oracleEntry{vid, slot, qsets[i*qw : (i+1)*qw]}
+		for c, m := range o.byKey {
+			m[keyCols[c][i]] = append(m[keyCols[c][i]], e)
+		}
+	}
+}
+
+// probe is ProbeVec's contract, canonicalized like canonVec: entries with an
+// equal, non-NULL key whose slot was published strictly before probeTS.
+func (o *oracle) probe(ki int, keys []int64, probeTS int64) []string {
 	var out []string
-	var dst []Match
 	for in, k := range keys {
-		dst = s.Probe(dst[:0], col, k, ts)
-		for _, m := range dst {
-			out = append(out, fmt.Sprintf("%d|%d|%v", in, m.VID, []uint64(m.QSet)))
+		if k == NullKey {
+			continue
+		}
+		for _, e := range o.byKey[ki][k] {
+			if ts, ok := o.pubTS[e.slot]; ok && ts < probeTS {
+				out = append(out, fmt.Sprintf("%d|%d|%v", in, e.vid, e.qset))
+			}
 		}
 	}
 	sort.Strings(out)
+	return out
+}
+
+// semiJoin is SemiJoinVec's contract for one key: the union of the query
+// sets of its published entries.
+func (o *oracle) semiJoin(ki int, key int64, qw int) []uint64 {
+	out := make([]uint64, qw)
+	if key == NullKey {
+		return out
+	}
+	for _, e := range o.byKey[ki][key] {
+		if _, ok := o.pubTS[e.slot]; ok {
+			for w := range out {
+				out[w] |= e.qset[w]
+			}
+		}
+	}
 	return out
 }
 
@@ -42,6 +92,8 @@ func probeVecCount(s *STeM, col string, keys []int64, ts int64, wm Slot) int {
 	return len(probeVec(s, col, keys, ts, wm))
 }
 
+// canonVec renders matches as a sorted multiset of "in|vid|qset" strings:
+// chain order is unspecified, so only the match *sets* are comparable.
 func canonVec(ms []VecMatch) []string {
 	var out []string
 	for _, m := range ms {
@@ -51,37 +103,50 @@ func canonVec(ms []VecMatch) []string {
 	return out
 }
 
-// TestQuickVecScalarEquivalence is the randomized equivalence property: a
-// STeM built with per-tuple Insert and one built with InsertVec (random
-// batch sizes, random key skew, random query-set width) must agree on every
-// probe, whether probed scalar or vectorized, with or without the watermark
-// short-circuit, and on every semi-join.
-func TestQuickVecScalarEquivalence(t *testing.T) {
+// TestQuickVecMatchesOracle is the randomized equivalence property: a STeM
+// built with InsertVec (random batch sizes, random key skew, random query-set
+// width, NULL keys on the build side, the last batch sometimes left
+// unpublished) must agree with the brute-force oracle on every probe — with
+// and without the watermark short-circuit, at the final timestamp and at one
+// drawn mid-build, NULL and missing probe keys included — and on every
+// semi-join.
+func TestQuickVecMatchesOracle(t *testing.T) {
 	f := func(seed int64, skewRaw, qcapRaw uint8, nRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw)%1500 + 1
 		domain := int64(1) << (uint(skewRaw) % 8) // 1..128 distinct keys
 		qcap := int(qcapRaw)%100 + 1              // crosses the 64-query word boundary
 
-		vA := NewVersions()
-		vB := NewVersions()
-		sA := New(vA, []string{"a", "b"}, qcap, n) // scalar-built
-		sB := New(vB, []string{"a", "b"}, qcap, n) // vector-built
-		qw := sA.qw
+		v := NewVersions()
+		cols := []string{"a", "b"}
+		s := New(v, cols, qcap, n)
+		o := newOracle(len(cols))
+		qw := s.qw
 
+		key := func() int64 {
+			if rng.Intn(16) == 0 {
+				return NullKey
+			}
+			return rng.Int63n(domain)
+		}
 		vids := make([]int32, n)
 		ka := make([]int64, n)
 		kb := make([]int64, n)
 		qsets := make([]uint64, n*qw)
 		for i := range vids {
 			vids[i] = int32(i)
-			ka[i] = rng.Int63n(domain)
-			kb[i] = rng.Int63n(domain)
+			ka[i], kb[i] = key(), key()
 			qsets[i*qw+rng.Intn(qw)] = 1 << uint(rng.Intn(64))
 		}
 
-		// Random batch split; one slot per batch, published in order so both
-		// sides end fully published.
+		// Random batch split, one slot per batch, published in order. One
+		// (watermark, timestamp) pair is drawn mid-build and probed after the
+		// build: it must see exactly the slots published before it.
+		type snap struct {
+			wm Slot
+			ts int64
+		}
+		var snaps []snap
 		var sc InsertScratch
 		slot := Slot(0)
 		for i0 := 0; i0 < n; {
@@ -89,50 +154,40 @@ func TestQuickVecScalarEquivalence(t *testing.T) {
 			if i0+bn > n {
 				bn = n - i0
 			}
-			for j := i0; j < i0+bn; j++ {
-				sA.Insert(vids[j], []int64{ka[j], kb[j]}, bitset.Set(qsets[j*qw:(j+1)*qw]), slot)
+			batchKeys := [][]int64{ka[i0 : i0+bn], kb[i0 : i0+bn]}
+			s.InsertVec(vids[i0:i0+bn], batchKeys, qsets[i0*qw:(i0+bn)*qw], qw, slot, &sc)
+			o.insert(vids[i0:i0+bn], batchKeys, qsets[i0*qw:(i0+bn)*qw], qw, slot)
+			if i0+bn < n || rng.Intn(2) == 0 {
+				o.pubTS[slot] = v.Publish(slot)
 			}
-			vA.Publish(slot)
-			sB.InsertVec(vids[i0:i0+bn], [][]int64{ka[i0 : i0+bn], kb[i0 : i0+bn]}, qsets[i0*qw:(i0+bn)*qw], qw, slot, &sc)
-			vB.Publish(slot)
+			if len(snaps) == 0 && rng.Intn(4) == 0 {
+				snaps = append(snaps, snap{v.Watermark(), v.Now()})
+			}
 			slot++
 			i0 += bn
 		}
+		snaps = append(snaps, snap{v.Watermark(), v.Now()})
 
-		probeKeys := make([]int64, 0, domain+1)
+		probeKeys := []int64{NullKey}
 		for k := int64(0); k <= domain; k++ { // domain itself = guaranteed miss
 			probeKeys = append(probeKeys, k)
 		}
-		for _, col := range []string{"a", "b"} {
-			wmA, wmB := vA.Watermark(), vB.Watermark()
-			tsA, tsB := vA.Now(), vB.Now()
-			want := canonScalar(sA, col, probeKeys, tsA)
-			if got := canonScalar(sB, col, probeKeys, tsB); !reflect.DeepEqual(got, want) {
-				t.Logf("col %s: scalar probe of vector-built STeM diverged", col)
-				return false
-			}
-			if got := canonVec(probeVec(sB, col, probeKeys, tsB, wmB)); !reflect.DeepEqual(got, want) {
-				t.Logf("col %s: ProbeVec diverged (wm=%d)", col, wmB)
-				return false
-			}
-			if got := canonVec(probeVec(sB, col, probeKeys, tsB, 0)); !reflect.DeepEqual(got, want) {
-				t.Logf("col %s: ProbeVec diverged with watermark disabled", col)
-				return false
-			}
-			if got := canonVec(probeVec(sA, col, probeKeys, tsA, wmA)); !reflect.DeepEqual(got, want) {
-				t.Logf("col %s: ProbeVec of scalar-built STeM diverged", col)
-				return false
-			}
-
-			outs := make([]uint64, len(probeKeys)*qw)
-			sB.SemiJoinVec(outs, qw, col, probeKeys)
-			ref := bitset.Set(make([]uint64, qw))
-			for i, k := range probeKeys {
-				for w := range ref {
-					ref[w] = 0
+		for ci, col := range cols {
+			for _, sn := range snaps {
+				want := o.probe(ci, probeKeys, sn.ts)
+				if got := canonVec(probeVec(s, col, probeKeys, sn.ts, sn.wm)); !reflect.DeepEqual(got, want) {
+					t.Logf("col %s: ProbeVec diverged (ts=%d wm=%d): %d vs %d matches", col, sn.ts, sn.wm, len(got), len(want))
+					return false
 				}
-				sA.SemiJoinQueries(ref, col, k)
-				if !reflect.DeepEqual([]uint64(ref), outs[i*qw:(i+1)*qw]) {
+				if got := canonVec(probeVec(s, col, probeKeys, sn.ts, 0)); !reflect.DeepEqual(got, want) {
+					t.Logf("col %s: ProbeVec diverged with watermark disabled (ts=%d)", col, sn.ts)
+					return false
+				}
+			}
+			outs := make([]uint64, len(probeKeys)*qw)
+			s.SemiJoinVec(outs, qw, col, probeKeys)
+			for i, k := range probeKeys {
+				if !reflect.DeepEqual(o.semiJoin(ci, k, qw), outs[i*qw:(i+1)*qw]) {
 					t.Logf("col %s key %d: SemiJoinVec diverged", col, k)
 					return false
 				}
@@ -164,10 +219,10 @@ func TestInsertVecWidthsAndChunks(t *testing.T) {
 	s.InsertVec([]int32{2}, [][]int64{{8}}, []uint64{1 << 4, 1 << 5, ^uint64(0)}, 3, 0, &sc)
 	v.Publish(0)
 	ts := v.Now()
-	if got := s.Probe(nil, "k", 7, ts); len(got) != 1 || !reflect.DeepEqual([]uint64(got[0].QSet), []uint64{1 << 3, 0}) {
+	if got := probe1(s, "k", 7, ts); len(got) != 1 || !reflect.DeepEqual([]uint64(got[0].QSet), []uint64{1 << 3, 0}) {
 		t.Fatalf("narrow-slab entry = %v", got)
 	}
-	if got := s.Probe(nil, "k", 8, ts); len(got) != 1 || !reflect.DeepEqual([]uint64(got[0].QSet), []uint64{1 << 4, 1 << 5}) {
+	if got := probe1(s, "k", 8, ts); len(got) != 1 || !reflect.DeepEqual([]uint64(got[0].QSet), []uint64{1 << 4, 1 << 5}) {
 		t.Fatalf("wide-slab entry = %v", got)
 	}
 
@@ -186,7 +241,7 @@ func TestInsertVecWidthsAndChunks(t *testing.T) {
 	ts = v.Now()
 	total := 0
 	for k := int64(0); k < 97; k++ {
-		total += len(s.Probe(nil, "k", k, ts))
+		total += len(probe1(s, "k", k, ts))
 	}
 	if total != n+2 { // +2: the width-test entries on keys 7 and 8
 		t.Fatalf("probed %d entries after multi-chunk InsertVec, want %d", total, n+2)
@@ -196,18 +251,22 @@ func TestInsertVecWidthsAndChunks(t *testing.T) {
 	}
 }
 
-// TestProbeVecScalarAgreeUnderConcurrentPublication interleaves a publisher
-// continuously inserting and publishing batches with a prober comparing
-// Probe and ProbeVec under the same (watermark, timestamp) snapshot. Both
-// paths must return the identical match set: visibility is a deterministic
-// function of the probe timestamp, and the watermark (read before the
-// timestamp) may never admit more. Run under -race this also checks the
-// kernels' lock-free memory discipline.
-func TestProbeVecScalarAgreeUnderConcurrentPublication(t *testing.T) {
+// TestProbeVecMatchesOracleUnderConcurrentPublication interleaves a
+// publisher continuously inserting and publishing batches with a prober
+// probing twice under one (watermark, timestamp) snapshot, with and without
+// the watermark short-circuit. Visibility is a deterministic function of the
+// probe timestamp, and the watermark (read before the timestamp) may never
+// admit more, so both probes must return the identical match set — and, once
+// the publisher is done and every slot's timestamp is known, that set must
+// equal the oracle restricted to slots published before the probe's
+// timestamp. Run under -race this also checks the kernels' lock-free memory
+// discipline.
+func TestProbeVecMatchesOracleUnderConcurrentPublication(t *testing.T) {
 	const domain = 32
 	const maxEntries = 1 << 14
 	v := NewVersions()
 	s := New(v, []string{"k"}, 8, maxEntries)
+	o := newOracle(1) // written by the publisher only, read after it exits
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -226,22 +285,17 @@ func TestProbeVecScalarAgreeUnderConcurrentPublication(t *testing.T) {
 			}
 			n := 1 + rng.Intn(64)
 			vids := make([]int32, n)
-			keys := make([]int64, n)
+			keys := [][]int64{make([]int64, n)}
 			qsets := make([]uint64, n)
 			for j := range vids {
 				vids[j] = vid
 				vid++
-				keys[j] = rng.Int63n(domain)
+				keys[0][j] = rng.Int63n(domain)
 				qsets[j] = 1 << uint(rng.Intn(8))
 			}
-			if slot%2 == 0 {
-				s.InsertVec(vids, [][]int64{keys}, qsets, 1, slot, &sc)
-			} else {
-				for j := range vids {
-					s.Insert(vids[j], keys[j:j+1], bitset.Set(qsets[j:j+1]), slot)
-				}
-			}
-			v.Publish(slot)
+			s.InsertVec(vids, keys, qsets, 1, slot, &sc)
+			o.insert(vids, keys, qsets, 1, slot)
+			o.pubTS[slot] = v.Publish(slot)
 			slot++
 		}
 	}()
@@ -250,20 +304,30 @@ func TestProbeVecScalarAgreeUnderConcurrentPublication(t *testing.T) {
 	for i := range probeKeys {
 		probeKeys[i] = int64(i)
 	}
+	type probed struct {
+		ts  int64
+		got []string
+	}
+	var seen []probed
 	for iter := 0; iter < 150; iter++ {
 		wm := v.Watermark()
 		ts := v.Now()
-		want := canonScalar(s, "k", probeKeys, ts)
 		got := canonVec(probeVec(s, "k", probeKeys, ts, wm))
-		if !reflect.DeepEqual(got, want) {
+		if slow := canonVec(probeVec(s, "k", probeKeys, ts, 0)); !reflect.DeepEqual(got, slow) {
 			close(stop)
 			wg.Wait()
-			t.Fatalf("iter %d: ProbeVec diverged from scalar under concurrent publication (wm=%d, %d vs %d matches)",
-				iter, wm, len(got), len(want))
+			t.Fatalf("iter %d: watermark changed the match set under concurrent publication (wm=%d, %d vs %d matches)",
+				iter, wm, len(got), len(slow))
 		}
+		seen = append(seen, probed{ts, got})
 	}
 	close(stop)
 	wg.Wait()
+	for iter, p := range seen {
+		if want := o.probe(0, probeKeys, p.ts); !reflect.DeepEqual(p.got, want) {
+			t.Fatalf("iter %d: ProbeVec at ts %d saw %d matches, oracle %d", iter, p.ts, len(p.got), len(want))
+		}
+	}
 }
 
 // TestWatermarkMonotonicUnderConcurrentPublish hammers Publish from several
@@ -329,7 +393,7 @@ func TestProbeVecDuringGC(t *testing.T) {
 	// that parity would correlate with the key), so retiring query 0 kills
 	// exactly half of every key's entries.
 	for i := 0; i < n; i++ {
-		s.Insert(int32(i), []int64{int64(i % domain)}, bitset.FromIDs(2, (i/domain)%2), 0)
+		insert1(s, int32(i), []int64{int64(i % domain)}, bitset.FromIDs(2, (i/domain)%2), 0)
 	}
 	v.Publish(0)
 	wmBefore := v.Watermark()
@@ -424,87 +488,124 @@ func TestProbeVecDuringGC(t *testing.T) {
 	}
 }
 
-// insertBenchBatch is one precomputed insert vector for the contention
-// benchmarks: 256 tuples over 32 distinct keys (fact-table FK style), the
-// shape where batch chain pre-linking collapses the most CASes.
+// TestProbeVecSemiJoinVecZeroAlloc pins the kernels' allocation contract at
+// the package boundary, below the episode-step guards in internal/exec: with
+// warm caller-owned buffers ProbeVec and SemiJoinVec do not allocate, and
+// neither does an InsertVec that stays inside an allocated chunk with a warm
+// InsertScratch.
+func TestProbeVecSemiJoinVecZeroAlloc(t *testing.T) {
+	const entries, fanout, batch, runs = 1024, 4, 8, 50
+	v := NewVersions()
+	s := New(v, []string{"k"}, 80, chunkSize) // two query-set words
+	qw := s.qw
+	vids := make([]int32, entries)
+	keys := [][]int64{make([]int64, entries)}
+	qsets := make([]uint64, entries*qw)
+	for i := range vids {
+		vids[i] = int32(i)
+		keys[0][i] = int64(i / fanout)
+		qsets[i*qw+i%qw] = 1 << uint(i%64)
+	}
+	var sc InsertScratch
+	s.InsertVec(vids, keys, qsets, qw, 0, &sc)
+	v.Publish(0)
+	if entries+(runs+1)*batch > chunkSize {
+		t.Fatal("insert case would grow the slab; the assertion would be vacuous")
+	}
+
+	probeKeys := make([]int64, 300) // hits, misses past entries/fanout, NULLs
+	for i := range probeKeys {
+		probeKeys[i] = int64(i)
+		if i%50 == 7 {
+			probeKeys[i] = NullKey
+		}
+	}
+	wm, ts := v.Watermark(), v.Now()
+	dst, qbuf := s.ProbeVec(nil, nil, "k", probeKeys, ts, wm)
+	if len(dst) == 0 {
+		t.Fatal("fixture probes match nothing; the assertion would be vacuous")
+	}
+	outs := make([]uint64, len(probeKeys)*qw)
+	insKeys := [][]int64{keys[0][:batch]}
+
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"ProbeVec/watermark", func() { dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm) }},
+		{"ProbeVec/per-slot", func() { dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, 0) }},
+		{"SemiJoinVec", func() { s.SemiJoinVec(outs, qw, "k", probeKeys) }},
+		{"InsertVec/in-chunk", func() { s.InsertVec(vids[:batch], insKeys, qsets[:batch*qw], qw, 1, &sc) }},
+	} {
+		if allocs := testing.AllocsPerRun(runs, tc.fn); allocs != 0 {
+			t.Errorf("%s allocates %.1f allocs/op with warm buffers, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// insBatch × insDomain shape the insert benchmark's vector: 256 tuples over
+// 32 distinct keys (fact-table FK style), the shape where batch chain
+// pre-linking collapses the most CASes.
 const (
 	insBatch  = 256
 	insDomain = 32
 )
 
-func insertBenchInput() (vids []int32, keys []int64, qsets []uint64) {
-	vids = make([]int32, insBatch)
-	keys = make([]int64, insBatch)
-	qsets = make([]uint64, insBatch)
+// BenchmarkSTeMInsertParallel measures InsertVec under concurrent
+// inserters: each op inserts one 256-tuple batch into a shared STeM. The
+// STeM is swapped for a fresh one every few thousand batches (inside the
+// timer) to bound memory and keep chain lengths comparable across the run.
+func BenchmarkSTeMInsertParallel(b *testing.B) {
+	vids := make([]int32, insBatch)
+	keys := [][]int64{make([]int64, insBatch)}
+	qsets := make([]uint64, insBatch)
 	for i := range vids {
 		vids[i] = int32(i)
-		keys[i] = int64(i % insDomain)
+		keys[0][i] = int64(i % insDomain)
 		qsets[i] = ^uint64(0)
 	}
-	return
-}
-
-// BenchmarkSTeMInsertParallel compares the scalar and vector build paths
-// under concurrent inserters: each op inserts one 256-tuple batch into a
-// shared STeM. The STeM is swapped for a fresh one every few thousand
-// batches (inside the timer, both modes alike) to bound memory and keep
-// chain lengths comparable across the run.
-func BenchmarkSTeMInsertParallel(b *testing.B) {
-	vids, keys, qsets := insertBenchInput()
 	const resetEvery = 4096
 	fresh := func() *STeM {
 		return New(NewVersions(), []string{"k"}, 64, resetEvery*insBatch)
 	}
-	for _, mode := range []string{"scalar", "vec"} {
-		b.Run(mode, func(b *testing.B) {
-			var cur atomic.Pointer[STeM]
-			cur.Store(fresh())
-			var batches atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				var sc InsertScratch
-				keyBuf := make([]int64, 1)
-				for pb.Next() {
-					n := batches.Add(1)
-					if n%resetEvery == 0 {
-						cur.Store(fresh())
-					}
-					s := cur.Load()
-					slot := Slot(n & 1023)
-					if mode == "vec" {
-						s.InsertVec(vids, [][]int64{keys}, qsets, 1, slot, &sc)
-					} else {
-						for j := range vids {
-							keyBuf[0] = keys[j]
-							s.Insert(vids[j], keyBuf, bitset.Set(qsets[j:j+1]), slot)
-						}
-					}
-				}
-			})
-		})
-	}
+	var cur atomic.Pointer[STeM]
+	cur.Store(fresh())
+	var batches atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		var sc InsertScratch
+		for pb.Next() {
+			n := batches.Add(1)
+			if n%resetEvery == 0 {
+				cur.Store(fresh())
+			}
+			cur.Load().InsertVec(vids, keys, qsets, 1, Slot(n&1023), &sc)
+		}
+	})
 }
 
-// BenchmarkSTeMProbeParallel compares the scalar and vector probe paths on a
-// fully published STeM: each op probes a 1024-key batch against a unique-key
-// (dimension-table) STeM — the engine's dominant probe shape, where the
-// per-key costs (column lookup, serialized bucket-head misses, per-entry
-// version checks) dominate over chain walking. The watermark covers every
-// entry, so the vector path exercises the no-version-check fast path the
-// steady state runs in.
+// BenchmarkSTeMProbeParallel measures ProbeVec on a fully published STeM:
+// each op probes a 1024-key batch against a unique-key (dimension-table)
+// STeM — the engine's dominant probe shape, where the per-key costs (bucket-
+// head misses, per-entry version checks) dominate over chain walking. The
+// entries span one slot per 64-tuple episode and the watermark covers them
+// all, so the probe runs the no-version-check fast path of a long-lived
+// session's steady state.
 func BenchmarkSTeMProbeParallel(b *testing.B) {
 	const entries = 1 << 16
 	v := NewVersions()
 	s := New(v, []string{"k"}, 64, entries)
-	q := bitset.NewFull(64)
-	// 64-tuple episodes, one slot each: the scalar path resolves a version
-	// slot per entry, like a probe in a long-lived streaming session.
-	for i := 0; i < entries; i++ {
-		s.Insert(int32(i), []int64{int64(i)}, q, Slot(i>>6))
+	vids := make([]int32, entries)
+	keys := make([]int64, entries)
+	qsets := make([]uint64, entries)
+	for i := range vids {
+		vids[i], keys[i], qsets[i] = int32(i), int64(i), ^uint64(0)
 	}
-	for sl := Slot(0); sl < entries>>6; sl++ {
-		v.Publish(sl)
+	var sc InsertScratch
+	for i := 0; i < entries; i += 64 {
+		s.InsertVec(vids[i:i+64], [][]int64{keys[i : i+64]}, qsets[i:i+64], 1, Slot(i>>6), &sc)
+		v.Publish(Slot(i >> 6))
 	}
 	wm := v.Watermark()
 	ts := v.Now()
@@ -513,24 +614,13 @@ func BenchmarkSTeMProbeParallel(b *testing.B) {
 	for i := range probeKeys {
 		probeKeys[i] = rng.Int63n(entries)
 	}
-	for _, mode := range []string{"scalar", "vec"} {
-		b.Run(mode, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				var dst []Match
-				var vdst []VecMatch
-				var vqbuf []uint64
-				for pb.Next() {
-					if mode == "vec" {
-						vdst, vqbuf = s.ProbeVec(vdst[:0], vqbuf[:0], "k", probeKeys, ts, wm)
-					} else {
-						for _, k := range probeKeys {
-							dst = s.Probe(dst[:0], "k", k, ts)
-						}
-					}
-				}
-			})
-		})
-	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		var dst []VecMatch
+		var qbuf []uint64
+		for pb.Next() {
+			dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm)
+		}
+	})
 }

@@ -155,15 +155,16 @@ func TestPolicyStoreStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var tickets []*Ticket
+		// One query at a time: "a" has retired before "b" arrives, so "a"
+		// learns — and is exported — under its own singleton template whether
+		// or not the collector has swept it by then, and the next stream's
+		// first Submit imports that template. Submitting both at once lets
+		// the sweep race decide whether any exported set is ever looked up.
 		for _, q := range warmBatch(lo) {
 			tk, err := st.Submit(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tickets = append(tickets, tk)
-		}
-		for _, tk := range tickets {
 			if qr, err := tk.Wait(context.Background()); err != nil || qr.Aborted {
 				t.Fatalf("stream query failed: %v %v", err, qr.Err)
 			}

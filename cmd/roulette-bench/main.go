@@ -7,13 +7,13 @@
 //	roulette-bench -fig 11a            # throughput vs batch size
 //	roulette-bench -fig all -quick     # every figure, reduced sweeps
 //	roulette-bench -fig 13 -scale 0.5  # policy quality at a larger scale
-//	roulette-bench -fig perf           # hot-path microbenchmarks
-//	roulette-bench -fig all -json BENCH.json
+//
+// The engine's own speed is measured by BENCHMARK.json + benchmark/, not here.
 package main
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -22,6 +22,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"syscall"
 	"time"
 
@@ -29,59 +30,93 @@ import (
 	"github.com/roulette-db/roulette/internal/bench"
 )
 
-// figTiming is one figure's wall-clock entry in BENCH.json.
-type figTiming struct {
-	Fig     string  `json:"fig"`
-	Seconds float64 `json:"seconds"`
+type figure struct {
+	name string
+	run  func(*bench.Config) error
 }
 
-// benchFile is the BENCH.json schema (documented in EXPERIMENTS.md).
-type benchFile struct {
-	Timestamp string                 `json:"timestamp"`
-	GoVersion string                 `json:"go_version"`
-	GOOS      string                 `json:"goos"`
-	GOARCH    string                 `json:"goarch"`
-	NumCPU    int                    `json:"num_cpu"`
-	Scale     float64                `json:"scale"`
-	Seed      int64                  `json:"seed"`
-	Quick     bool                   `json:"quick"`
-	Figures   []figTiming            `json:"figures"`
-	Perf      *bench.PerfReport      `json:"perf,omitempty"`
-	Stream    *bench.StreamReport    `json:"stream,omitempty"`
-	Scaling   *bench.ScalingReport   `json:"scaling,omitempty"`
-	Stress    *bench.StressReport    `json:"stress,omitempty"`
-	Strings   *bench.StringsReport   `json:"strings,omitempty"`
-	Warmstart *bench.WarmstartReport `json:"warmstart,omitempty"`
+// fig wraps a harness method as a figure; the CLI prints as it runs and
+// has no use for the returned rows.
+func fig[T any](name string, f func(*bench.Config) (T, error)) figure {
+	return figure{name, func(c *bench.Config) error { _, err := f(c); return err }}
 }
 
-func main() {
-	fig := flag.String("fig", "all", "figure to reproduce: 11a 11b 11c 11d 12 13 14 16 17 18 19 20 swo corrstress batching perf stream scaling stress strings warmstart all")
-	scale := flag.Float64("scale", 0.25, "TPC-DS scale factor (facts scale linearly)")
-	seed := flag.Int64("seed", 1, "workload and data seed")
-	quick := flag.Bool("quick", false, "reduced sweeps for a fast pass")
-	jsonOut := flag.String("json", "", "write machine-readable results (timings + perf) to this file")
-	stats := flag.Bool("stats", false, "collect execution stats for RouLette-family runs (skews timings; not for EXPERIMENTS.md numbers)")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus text + JSON) on this address while the sweep runs")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile at sweep end to this file")
-	blockProfile := flag.String("blockprofile", "", "write a goroutine blocking profile at sweep end to this file (enables block profiling for the whole run)")
-	mutexProfile := flag.String("mutexprofile", "", "write a mutex contention profile at sweep end to this file (enables mutex profiling for the whole run)")
-	tracePath := flag.String("trace", "", "write the streaming benchmark's flight-recorder timeline to this file as Chrome trace_event JSON (fig stream; load in Perfetto)")
-	flag.Parse()
+// figures is the one ordered list of experiments: -fig accepts exactly
+// these names, the help text prints them and "all" runs them in this order.
+var figures = []figure{
+	fig("11a", (*bench.Config).Fig11a),
+	fig("11b", (*bench.Config).Fig11b),
+	fig("11c", (*bench.Config).Fig11c),
+	fig("11d", (*bench.Config).Fig11d),
+	fig("12", (*bench.Config).Fig12),
+	fig("13", (*bench.Config).Fig13),
+	fig("14", (*bench.Config).Fig14),
+	fig("16", (*bench.Config).Fig16),
+	fig("17", (*bench.Config).Fig17),
+	fig("18", (*bench.Config).Fig18),
+	fig("19", (*bench.Config).Fig19),
+	fig("20", (*bench.Config).Fig20),
+	fig("swo", (*bench.Config).SWO),
+	fig("corrstress", (*bench.Config).CorrStress),
+	fig("batching", (*bench.Config).Batching),
+}
+
+// figureNames lists the valid -fig values in order, "all" last.
+func figureNames() string {
+	names := make([]string, 0, len(figures)+1)
+	for _, f := range figures {
+		names = append(names, f.name)
+	}
+	return strings.Join(append(names, "all"), " ")
+}
+
+func main() { os.Exit(realMain(os.Args[1:])) }
+
+// realMain is main with an exit code in place of os.Exit, so the deferred
+// profile writers run on every path: a failed or interrupted profiled sweep
+// still leaves complete profiles.
+func realMain(args []string) int {
+	fs := flag.NewFlagSet("roulette-bench", flag.ContinueOnError)
+	figName := fs.String("fig", "all", "figure to reproduce: "+figureNames())
+	scale := fs.Float64("scale", 0.25, "TPC-DS scale factor (facts scale linearly)")
+	seed := fs.Int64("seed", 1, "workload and data seed")
+	quick := fs.Bool("quick", false, "reduced sweeps for a fast pass")
+	stats := fs.Bool("stats", false, "collect execution stats for RouLette-family runs (skews timings; not for EXPERIMENTS.md numbers)")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics (Prometheus text + JSON) on this address while the sweep runs")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile at sweep end to this file")
+	blockProfile := fs.String("blockprofile", "", "write a goroutine blocking profile at sweep end to this file (enables block profiling for the whole run)")
+	mutexProfile := fs.String("mutexprofile", "", "write a mutex contention profile at sweep end to this file (enables mutex profiling for the whole run)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // Parse has printed the error and the usage
+	}
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	cfg := bench.Config{Scale: *scale, Seed: *seed, Quick: *quick, Out: os.Stdout,
-		CollectStats: *stats, TracePath: *tracePath, Logger: logger}
+	var selected []figure
+	for _, f := range figures {
+		if *figName == "all" || *figName == f.name {
+			selected = append(selected, f)
+		}
+	}
+	if len(selected) == 0 {
+		logger.Error("unknown figure", "fig", *figName, "valid", figureNames())
+		return 2
+	}
+	cfg := bench.Config{Scale: *scale, Seed: *seed, Quick: *quick, Out: os.Stdout, CollectStats: *stats}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			logger.Error("create cpu profile", "path", *cpuProfile, "err", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			logger.Error("start cpu profile", "err", err)
-			os.Exit(1)
+			f.Close()
+			return 1
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -142,118 +177,22 @@ func main() {
 		fmt.Printf("serving metrics on http://%s/metrics\n", *metricsAddr)
 	}
 
-	out := benchFile{
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Scale:     *scale,
-		Seed:      *seed,
-		Quick:     *quick,
-	}
-
-	figures := map[string]func() error{
-		"11a":        func() error { _, err := cfg.Fig11a(); return err },
-		"11b":        func() error { _, err := cfg.Fig11b(); return err },
-		"11c":        func() error { _, err := cfg.Fig11c(); return err },
-		"11d":        func() error { _, err := cfg.Fig11d(); return err },
-		"12":         func() error { _, err := cfg.Fig12(); return err },
-		"13":         func() error { _, err := cfg.Fig13(); return err },
-		"14":         func() error { _, err := cfg.Fig14(); return err },
-		"16":         func() error { _, err := cfg.Fig16(); return err },
-		"17":         func() error { _, err := cfg.Fig17(); return err },
-		"18":         func() error { _, err := cfg.Fig18(); return err },
-		"19":         func() error { _, err := cfg.Fig19(); return err },
-		"20":         func() error { _, err := cfg.Fig20(); return err },
-		"swo":        func() error { _, err := cfg.SWO(); return err },
-		"corrstress": func() error { _, err := cfg.CorrStress(); return err },
-		"batching":   func() error { _, err := cfg.Batching(); return err },
-		"perf": func() error {
-			rep, err := cfg.Perf()
-			out.Perf = rep
-			return err
-		},
-		"stream": func() error {
-			rep, err := cfg.Stream()
-			out.Stream = rep
-			return err
-		},
-		"scaling": func() error {
-			rep, err := cfg.Scaling()
-			out.Scaling = rep
-			return err
-		},
-		"stress": func() error {
-			rep, err := cfg.Stress()
-			out.Stress = rep
-			return err
-		},
-		"strings": func() error {
-			rep, err := cfg.Strings()
-			out.Strings = rep
-			if err == nil && !rep.MatchesBaseline {
-				return fmt.Errorf("string workload results diverge from the baseline engine")
-			}
-			return err
-		},
-		"warmstart": func() error {
-			rep, err := cfg.Warmstart()
-			out.Warmstart = rep
-			return err
-		},
-	}
-	order := []string{"11a", "11b", "11c", "11d", "12", "13", "14", "16", "17", "18", "19", "20", "swo", "corrstress", "batching", "perf", "stream", "scaling", "stress", "strings", "warmstart"}
-
-	run := func(name string) {
-		f, ok := figures[name]
-		if !ok {
-			logger.Error("unknown figure", "fig", name, "valid", fmt.Sprint(order, " all"))
-			os.Exit(2)
-		}
-		start := time.Now()
-		if err := f(); err != nil {
-			logger.Error("figure failed", "fig", name, "err", err)
-			os.Exit(1)
-		}
-		secs := time.Since(start).Seconds()
-		out.Figures = append(out.Figures, figTiming{Fig: name, Seconds: secs})
-		fmt.Printf("(fig %s done in %.1fs)\n\n", name, secs)
-	}
-
-	writeJSON := func() {
-		if *jsonOut == "" {
-			return
-		}
-		data, err := json.MarshalIndent(&out, "", "  ")
-		if err != nil {
-			logger.Error("marshal results", "path", *jsonOut, "err", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			logger.Error("write results", "path", *jsonOut, "err", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonOut)
-	}
-
 	// Ctrl-C stops the sweep at the next figure boundary (individual figures
 	// run to completion so partial tables are never printed).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *fig == "all" {
-		for _, name := range order {
-			if ctx.Err() != nil {
-				logger.Warn("interrupted; remaining figures skipped")
-				os.Exit(1)
-			}
-			run(name)
+	for _, f := range selected {
+		if ctx.Err() != nil {
+			logger.Warn("interrupted; remaining figures skipped")
+			return 1
 		}
-		writeJSON()
-		return
+		start := time.Now()
+		if err := f.run(&cfg); err != nil {
+			logger.Error("figure failed", "fig", f.name, "err", err)
+			return 1
+		}
+		fmt.Printf("(fig %s done in %.1fs)\n\n", f.name, time.Since(start).Seconds())
 	}
-	run(*fig)
-	writeJSON()
+	return 0
 }

@@ -10,10 +10,8 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"log/slog"
 	"math/rand"
 	"time"
 
@@ -40,40 +38,6 @@ type Config struct {
 	// bookkeeping to every episode, so leave it off when timing figures for
 	// EXPERIMENTS.md.
 	CollectStats bool
-
-	// TracePath, when non-empty, attaches the flight recorder to the
-	// streaming benchmark and writes its merged timeline there as Chrome
-	// trace_event JSON (load in Perfetto or chrome://tracing). Recording is
-	// lock-free and allocation-free, so timings stay representative.
-	TracePath string
-
-	// Logger receives benchmark diagnostics (skipped figures, degraded
-	// sweeps). Nil discards them.
-	Logger *slog.Logger
-}
-
-// logger returns the configured diagnostics logger, never nil.
-func (c *Config) logger() *slog.Logger {
-	if c.Logger != nil {
-		return c.Logger
-	}
-	return slog.New(discardHandler{})
-}
-
-// discardHandler drops every record (slog.DiscardHandler needs go 1.24).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }
-
-// DefaultConfig returns a laptop-scale configuration.
-func DefaultConfig(out io.Writer) Config {
-	if out == nil {
-		out = io.Discard
-	}
-	return Config{Scale: 0.25, Seed: 1, Quick: false, Out: out}
 }
 
 func (c *Config) printf(format string, args ...any) {

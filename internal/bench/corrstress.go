@@ -32,7 +32,7 @@ type CorrStressResult struct {
 // (lineage, query-set) state and learns each group's contracting-first
 // order after the C/D divergence.
 func buildStressDB(seed int64) (*storage.Database, []*query.Query) {
-	return buildStressData(seed), stressQueries(nil)
+	return buildStressData(seed), stressQueries()
 }
 
 // buildStressData constructs the correlation-stress substrate alone.
@@ -120,12 +120,9 @@ func buildStressData(seed int64) *storage.Database {
 }
 
 // stressQueries builds the 16-query correlation-stress workload: two
-// recurring templates (group A joins dim_c, group B dim_d) whose filter
-// constants slide along the g ranges of their groups. With a nil rng the
-// offsets are the fixed grid CorrStress reports on; with an rng they are
-// drawn uniformly inside each group's band — same templates, fresh
-// constants, the recurring-workload model of the warm-start figure.
-func stressQueries(rng *rand.Rand) []*query.Query {
+// templates (group A joins dim_c, group B dim_d) whose filter constants
+// slide along the g ranges of their groups on a fixed grid.
+func stressQueries() []*query.Query {
 	var qs []*query.Query
 	for i := 0; i < 16; i++ {
 		groupA := i%2 == 0
@@ -136,9 +133,6 @@ func stressQueries(rng *rand.Rand) []*query.Query {
 			{LeftAlias: "fact", LeftCol: "fk_b", RightAlias: "dim_b", RightCol: "k"},
 		}
 		off := int64(30 * (i / 2))
-		if rng != nil {
-			off = int64(rng.Intn(220)) // stay inside the group's 500-wide band
-		}
 		if groupA {
 			q.Rels = append(q.Rels, query.RelRef{Table: "dim_c"})
 			q.Joins = append(q.Joins, query.Join{LeftAlias: "fact", LeftCol: "fk_c", RightAlias: "dim_c", RightCol: "k"})

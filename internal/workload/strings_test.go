@@ -3,8 +3,11 @@ package workload
 import (
 	"testing"
 
+	"github.com/roulette-db/roulette/internal/engine"
+	"github.com/roulette-db/roulette/internal/exec"
 	"github.com/roulette-db/roulette/internal/monet"
 	"github.com/roulette-db/roulette/internal/qat"
+	"github.com/roulette-db/roulette/internal/qlearn"
 	"github.com/roulette-db/roulette/internal/query"
 	"github.com/roulette-db/roulette/internal/value"
 )
@@ -84,13 +87,13 @@ func TestStringsDBDeterministic(t *testing.T) {
 func TestStringsQueriesCompileAndAgree(t *testing.T) {
 	db := StringsDB(0.05, 11)
 	qs := NewStringsGen(11).Generate(12)
-	if _, err := query.Compile(qs); err != nil {
+	b, err := query.Compile(qs)
+	if err != nil {
 		t.Fatalf("string batch does not compile: %v", err)
 	}
-	// Two independent tuple-at-a-time engines must agree on every query:
-	// a cheap cross-check of string-predicate and NULL semantics over the
-	// generated shapes (the shared engine is checked against the same
-	// baseline in the bench figure and in the root package's typed tests).
+	// Two independent tuple-at-a-time engines and the shared engine must
+	// agree on every query: string-predicate, cross-relation string-join
+	// and NULL semantics over the generated shapes.
 	mc, _, err := monet.New(db).RunSerial(qs)
 	if err != nil {
 		t.Fatalf("monet baseline: %v", err)
@@ -99,9 +102,24 @@ func TestStringsQueriesCompileAndAgree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("qat baseline: %v", err)
 	}
+	opt := exec.DefaultOptions()
+	opt.CollectRows = false
+	qcfg := qlearn.DefaultConfig()
+	qcfg.Seed = 11
+	s, err := engine.NewSession(b, db, engine.Config{Exec: opt, Policy: qlearn.New(qcfg)})
+	if err != nil {
+		t.Fatalf("shared engine: %v", err)
+	}
+	r, err := s.Run()
+	if err != nil {
+		t.Fatalf("shared engine: %v", err)
+	}
+	if len(r.Counts) != len(qs) {
+		t.Fatalf("shared engine returned %d counts for %d queries", len(r.Counts), len(qs))
+	}
 	for i := range qs {
-		if mc[i] != qc[i] {
-			t.Errorf("%s: monet=%d qat=%d", qs[i].Tag, mc[i], qc[i])
+		if mc[i] != qc[i] || r.Counts[i] != mc[i] {
+			t.Errorf("%s: monet=%d qat=%d engine=%d", qs[i].Tag, mc[i], qc[i], r.Counts[i])
 		}
 	}
 	// The IS NULL needle shape must select something at this scale, or the

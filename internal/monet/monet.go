@@ -13,7 +13,6 @@ import (
 	"github.com/roulette-db/roulette/internal/qat"
 	"github.com/roulette-db/roulette/internal/query"
 	"github.com/roulette-db/roulette/internal/storage"
-	"github.com/roulette-db/roulette/internal/value"
 )
 
 // Engine is an operator-at-a-time executor. Planning is shared with the
@@ -41,28 +40,21 @@ func execute(p *qat.Plan) int64 {
 	n := len(p.Order)
 
 	// Operator 1..k: full-column selections producing materialized row-ID
-	// columns per relation.
+	// columns per relation, one whole filter column at a time.
 	selected := make([][]int32, n)
 	for i := range p.Order {
-		selected[i] = selectAll(&p.Order[i])
+		st := &p.Order[i]
+		selected[i] = st.Select(0, st.Table.NumRows(), nil)
 	}
 	if n == 1 {
 		return int64(len(selected[0]))
 	}
 
 	// Hash builds, one whole relation at a time.
-	hts := make([]map[int64][]int32, n)
+	hts := make([]*qat.HashTable, n)
 	for i := 1; i < n; i++ {
 		st := &p.Order[i]
-		keyCol := st.Table.Col(st.JoinCol)
-		ht := make(map[int64][]int32, len(selected[i]))
-		for _, r := range selected[i] {
-			if keyCol[r] == value.NullCode {
-				continue // NULL join keys never match
-			}
-			ht[keyCol[r]] = append(ht[keyCol[r]], r)
-		}
-		hts[i] = ht
+		hts[i] = qat.NewHashTable(st.Table.Col(st.JoinCol), selected[i])
 	}
 
 	// Joins: materialize the whole intermediate result at every step.
@@ -74,79 +66,19 @@ func execute(p *qat.Plan) int64 {
 		ht := hts[step]
 		next := make([][]int32, step+1)
 		for i := range cur[0] {
-			key := keyCol[probeFrom[i]]
-			for _, m := range ht[key] {
+			for _, m := range ht.Lookup(keyCol[probeFrom[i]]) {
 				for c := 0; c < step; c++ {
 					next[c] = append(next[c], cur[c][i])
 				}
 				next[step] = append(next[step], m)
 			}
 		}
-		cur = applyResiduals(p, step, next)
+		cur = p.ApplyResiduals(step, next)
 		if len(cur[0]) == 0 {
 			return 0
 		}
 	}
 	return int64(len(cur[0]))
-}
-
-// applyResiduals filters the step's materialized output with cycle-closing
-// join predicates (whole-column, operator-at-a-time style).
-func applyResiduals(p *qat.Plan, step int, rows [][]int32) [][]int32 {
-	checks := p.Order[step].Residuals
-	if len(checks) == 0 || len(rows[0]) == 0 {
-		return rows
-	}
-	out := 0
-	for i := range rows[0] {
-		keep := true
-		for _, rc := range checks {
-			a := p.Order[rc.RelA].Table.Col(rc.ColA)[rows[rc.RelA][i]]
-			b := p.Order[rc.RelB].Table.Col(rc.ColB)[rows[rc.RelB][i]]
-			if a != b || a == value.NullCode {
-				keep = false // NULL = NULL is not a match
-				break
-			}
-		}
-		if keep {
-			for c := range rows {
-				rows[c][out] = rows[c][i]
-			}
-			out++
-		}
-	}
-	for c := range rows {
-		rows[c] = rows[c][:out]
-	}
-	return rows
-}
-
-// selectAll materializes the filtered row IDs of one relation.
-func selectAll(st *qat.Step) []int32 {
-	rows := st.Table.NumRows()
-	out := make([]int32, 0, rows)
-	if len(st.Filters) == 0 {
-		for r := 0; r < rows; r++ {
-			out = append(out, int32(r))
-		}
-		return out
-	}
-	// Column-at-a-time: evaluate each filter over the whole candidate list.
-	for r := 0; r < rows; r++ {
-		out = append(out, int32(r))
-	}
-	for _, f := range st.Filters {
-		col := st.Table.Col(f.Col)
-		dict := st.Table.Rel.Column(f.Col).Dict
-		kept := out[:0]
-		for _, r := range out {
-			if f.Match(col[r], dict) {
-				kept = append(kept, r)
-			}
-		}
-		out = kept
-	}
-	return out
 }
 
 // RunSerial executes queries one after the other.

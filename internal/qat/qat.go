@@ -1,11 +1,21 @@
 // Package qat implements DBMS-V, the vectorized query-at-a-time baseline of
 // the paper's evaluation (§6.1): classic optimize-then-execute processing
 // with selection pushdown, sampling-based cardinality estimation, greedy
-// join ordering, and left-deep vectorized hash-join pipelines.
+// join ordering, and left-deep hash-join pipelines.
+//
+// Vectorized means: a plan's filters, join keys and residual predicates are
+// bound to their column slices once, by Optimize; filters run one column at
+// a time over 1024-row vectors into a selection vector (filter.go), on the
+// driver and on every build side; each build side is one flat hash table
+// (hashtable.go, shared with internal/monet); a probe step emits its
+// matches as (input position, build row) pairs and gathers the carried
+// row-ID columns one column at a time; and the pipeline's buffers are
+// allocated per plan and reused by every vector.
 package qat
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,15 +23,6 @@ import (
 	"github.com/roulette-db/roulette/internal/storage"
 	"github.com/roulette-db/roulette/internal/value"
 )
-
-// dictOf returns the column's dictionary (nil for int64 columns), for
-// typed filter evaluation via query.Filter.Match.
-func dictOf(t *storage.Table, col string) *value.Dict {
-	if c := t.Rel.Column(col); c != nil {
-		return c.Dict
-	}
-	return nil
-}
 
 // Engine is a query-at-a-time vectorized executor over a database.
 type Engine struct {
@@ -47,6 +48,12 @@ type Step struct {
 	// Residuals are cycle-closing join predicates whose second endpoint is
 	// placed by this step; they filter the step's output.
 	Residuals []ResCheck
+
+	// What Optimize bound the names above to.
+	bound     []boundFilter   // Filters
+	keyCol    []int64         // Table.JoinCol
+	probeCol  []int64         // Order[ProbeRel].Table.ProbeCol
+	residuals []boundResidual // Residuals
 }
 
 // ResCheck compares two placed relations' columns for equality.
@@ -55,6 +62,12 @@ type ResCheck struct {
 	ColA string
 	RelB int
 	ColB string
+}
+
+// boundResidual is a ResCheck with its two columns resolved.
+type boundResidual struct {
+	relA, relB int
+	colA, colB []int64
 }
 
 // Plan is an optimized left-deep execution plan for one SPJ query.
@@ -96,21 +109,28 @@ func (e *Engine) Optimize(q *query.Query) (*Plan, error) {
 		filters[i] = append(filters[i], f)
 	}
 
+	bound := make([][]boundFilter, n)
 	est := make([]float64, n)
 	for i := range est {
-		est[i] = float64(tables[i].NumRows()) * e.estimateSelectivity(tables[i], filters[i])
+		var err error
+		if bound[i], err = bindFilters(tables[i], filters[i]); err != nil {
+			return nil, err
+		}
+		est[i] = float64(tables[i].NumRows()) * e.estimateSelectivity(tables[i].NumRows(), bound[i])
 	}
 
 	// Adjacency from join predicates; joins not used to attach a relation
-	// (cycle closers) become residual checks.
+	// (cycle closers) become residual checks. Side 0 of a join is its left
+	// endpoint, side 1 its right.
 	type adj struct {
-		other              int
-		localCol, otherCol string
-		join               int
+		other int
+		join  int
+		side  int // the local endpoint's side of the join
 	}
 	adjacency := make([][]adj, n)
 	used := make([]bool, len(q.Joins))
 	joinIdx := make([][2]int, len(q.Joins))
+	joinCols := make([][2][]int64, len(q.Joins))
 	for ji, j := range q.Joins {
 		li, lok := aliasIdx[j.LeftAlias]
 		ri, rok := aliasIdx[j.RightAlias]
@@ -118,8 +138,15 @@ func (e *Engine) Optimize(q *query.Query) (*Plan, error) {
 			return nil, fmt.Errorf("qat: join references unknown alias")
 		}
 		joinIdx[ji] = [2]int{li, ri}
-		adjacency[li] = append(adjacency[li], adj{ri, j.LeftCol, j.RightCol, ji})
-		adjacency[ri] = append(adjacency[ri], adj{li, j.RightCol, j.LeftCol, ji})
+		for side, name := range [2]string{j.LeftCol, j.RightCol} {
+			col, err := column(tables[joinIdx[ji][side]], name)
+			if err != nil {
+				return nil, err
+			}
+			joinCols[ji][side] = col
+		}
+		adjacency[li] = append(adjacency[li], adj{ri, ji, 0})
+		adjacency[ri] = append(adjacency[ri], adj{li, ji, 1})
 	}
 
 	// Driver: the largest estimated relation (stream the fact, build dims).
@@ -137,18 +164,18 @@ func (e *Engine) Optimize(q *query.Query) (*Plan, error) {
 	orderIdx = append(orderIdx, driver)
 	plan.Order = append(plan.Order, Step{
 		Alias: aliases[driver], Table: tables[driver], Filters: filters[driver], EstRows: est[driver],
+		bound: bound[driver],
 	})
 	for len(orderIdx) < n {
-		bestRel, bestFrom, bestJoin := -1, -1, -1
-		var bestCols [2]string
+		bestRel, bestFrom := -1, -1
+		var best adj
 		for pos, ri := range orderIdx {
 			for _, a := range adjacency[ri] {
 				if placed[a.other] {
 					continue
 				}
 				if bestRel == -1 || est[a.other] < est[bestRel] {
-					bestRel, bestFrom, bestJoin = a.other, pos, a.join
-					bestCols = [2]string{a.localCol, a.otherCol}
+					bestRel, bestFrom, best = a.other, pos, a
 				}
 			}
 		}
@@ -156,12 +183,15 @@ func (e *Engine) Optimize(q *query.Query) (*Plan, error) {
 			return nil, fmt.Errorf("qat: disconnected join graph in query %q", q.Tag)
 		}
 		placed[bestRel] = true
-		used[bestJoin] = true
+		used[best.join] = true
 		orderIdx = append(orderIdx, bestRel)
+		j, cols := q.Joins[best.join], joinCols[best.join]
+		names := [2]string{j.LeftCol, j.RightCol}
 		plan.Order = append(plan.Order, Step{
 			Alias: aliases[bestRel], Table: tables[bestRel], Filters: filters[bestRel],
 			EstRows: est[bestRel],
-			JoinCol: bestCols[1], ProbeRel: bestFrom, ProbeCol: bestCols[0],
+			JoinCol: names[1-best.side], ProbeRel: bestFrom, ProbeCol: names[best.side],
+			bound: bound[bestRel], keyCol: cols[1-best.side], probeCol: cols[best.side],
 		})
 	}
 	// Attach cycle-closing joins as residual checks at the step where both
@@ -180,134 +210,92 @@ func (e *Engine) Optimize(q *query.Query) (*Plan, error) {
 		if pb > pa {
 			step = pb
 		}
-		plan.Order[step].Residuals = append(plan.Order[step].Residuals, ResCheck{
-			RelA: pos[li], ColA: j.LeftCol, RelB: pos[ri], ColB: j.RightCol,
+		st := &plan.Order[step]
+		st.Residuals = append(st.Residuals, ResCheck{
+			RelA: pa, ColA: j.LeftCol, RelB: pb, ColB: j.RightCol,
+		})
+		st.residuals = append(st.residuals, boundResidual{
+			relA: pa, colA: joinCols[ji][0], relB: pb, colB: joinCols[ji][1],
 		})
 	}
 	return plan, nil
 }
 
-// estimateSelectivity samples the table to estimate the conjunctive filter
-// selectivity.
-func (e *Engine) estimateSelectivity(t *storage.Table, fs []query.Filter) float64 {
-	if len(fs) == 0 || t.NumRows() == 0 {
+// estimateSelectivity estimates the conjunctive selectivity of a relation's
+// bound filters on an evenly spaced sample of its rows.
+func (e *Engine) estimateSelectivity(rows int, fs []boundFilter) float64 {
+	if len(fs) == 0 || rows == 0 {
 		return 1
 	}
 	sample := e.SampleSize
 	if sample <= 0 {
 		sample = 1000
 	}
-	step := t.NumRows() / sample
+	step := rows / sample
 	if step == 0 {
 		step = 1
 	}
-	seen, pass := 0, 0
-	for r := 0; r < t.NumRows(); r += step {
-		seen++
-		ok := true
-		for _, f := range fs {
-			if !f.Match(t.Col(f.Col)[r], dictOf(t, f.Col)) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			pass++
-		}
+	sel := make([]int32, 0, (rows+step-1)/step)
+	for r := 0; r < rows; r += step {
+		sel = append(sel, int32(r))
 	}
-	if seen == 0 {
-		return 1
+	seen := len(sel)
+	for i := range fs {
+		sel = fs[i].refine(sel)
 	}
 	// Clamp away from zero so join ordering stays sane on tiny samples.
-	sel := float64(pass) / float64(seen)
-	if sel < 1e-4 {
-		sel = 1e-4
-	}
-	return sel
-}
-
-// hashTable is a build-side hash join table: key -> row IDs.
-type hashTable map[int64][]int32
-
-// buildHash filters and hashes one build-side relation.
-func buildHash(rp *Step) hashTable {
-	ht := make(hashTable, rp.Table.NumRows())
-	keyCol := rp.Table.Col(rp.JoinCol)
-	n := rp.Table.NumRows()
-	for r := 0; r < n; r++ {
-		if !passes(rp, r) {
-			continue
-		}
-		k := keyCol[r]
-		if k == value.NullCode {
-			continue // NULL join keys never match
-		}
-		ht[k] = append(ht[k], int32(r))
-	}
-	return ht
-}
-
-func passes(rp *Step, r int) bool {
-	for _, f := range rp.Filters {
-		if !f.Match(rp.Table.Col(f.Col)[r], dictOf(rp.Table, f.Col)) {
-			return false
-		}
-	}
-	return true
+	return max(float64(len(sel))/float64(seen), 1e-4)
 }
 
 // Execute runs the plan to completion and returns the SPJ result count. The
-// pipeline streams the driver in vectors through the probe steps.
+// pipeline streams the driver in vectors through the probe steps; every
+// buffer is allocated here, once, and reused by all vectors.
 func (e *Engine) Execute(p *Plan) int64 {
-	n := len(p.Order)
-	hts := make([]hashTable, n)
-	for i := 1; i < n; i++ {
-		hts[i] = buildHash(&p.Order[i])
-	}
-
 	vec := e.VectorSize
 	if vec <= 0 {
 		vec = 1024
 	}
-	driver := &p.Order[0]
-	rows := driver.Table.NumRows()
+	n := len(p.Order)
 
-	probeCols := make([][]int64, n)
+	// Build sides: filter vector by vector into one selection, then hash.
+	hts := make([]*HashTable, n)
+	var sel []int32
 	for i := 1; i < n; i++ {
-		probeCols[i] = p.Order[p.Order[i].ProbeRel].Table.Col(p.Order[i].ProbeCol)
+		st := &p.Order[i]
+		rows := st.Table.NumRows()
+		sel = sel[:0]
+		for from := 0; from < rows; from += vec {
+			sel = st.Select(from, min(from+vec, rows), sel)
+		}
+		hts[i] = NewHashTable(st.keyCol, sel)
 	}
 
+	// Two sets of row-ID columns, one column per placed relation: step s
+	// reads set (s-1)&1 and writes set s&1. Columns start a vector long and
+	// keep whatever a fan-out grew them to.
+	var cols [2][][]int32
+	for i := range cols {
+		cols[i] = make([][]int32, n)
+		for c := range cols[i] {
+			cols[i][c] = make([]int32, 0, vec)
+		}
+	}
+	src := make([]int32, 0, vec) // input position of each probe match
+
+	driver := &p.Order[0]
+	rows := driver.Table.NumRows()
 	var count int64
-	driverVids := make([]int32, 0, vec)
-	for base := 0; base < rows; base += vec {
-		end := base + vec
-		if end > rows {
-			end = rows
-		}
-		driverVids = driverVids[:0]
-		for r := base; r < end; r++ {
-			if passes(driver, r) {
-				driverVids = append(driverVids, int32(r))
+	for from := 0; from < rows; from += vec {
+		cols[0][0] = driver.Select(from, min(from+vec, rows), cols[0][0][:0])
+		cur := cols[0][:1]
+		for s := 1; s < n && len(cur[0]) > 0; s++ {
+			st := &p.Order[s]
+			next := cols[s&1][:s+1]
+			src, next[s] = probe(hts[s], st.probeCol, cur[st.ProbeRel], src[:0], next[s][:0])
+			for c := 0; c < s; c++ {
+				next[c] = gather(next[c], cur[c], src)
 			}
-		}
-		// cur holds partial matches: one vID column per placed relation.
-		cur := [][]int32{driverVids}
-		for step := 1; step < n && len(cur[0]) > 0; step++ {
-			rp := &p.Order[step]
-			next := make([][]int32, step+1)
-			probeFrom := cur[rp.ProbeRel]
-			keyCol := probeCols[step]
-			ht := hts[step]
-			for i := range cur[0] {
-				key := keyCol[probeFrom[i]]
-				for _, m := range ht[key] {
-					for c := 0; c < step; c++ {
-						next[c] = append(next[c], cur[c][i])
-					}
-					next[step] = append(next[step], m)
-				}
-			}
-			cur = applyResiduals(p, step, next)
+			cur = p.ApplyResiduals(s, next)
 		}
 		if len(cur) == n {
 			count += int64(len(cur[0]))
@@ -316,33 +304,47 @@ func (e *Engine) Execute(p *Plan) int64 {
 	return count
 }
 
-// applyResiduals filters a step's output rows with the step's cycle-closing
-// predicates.
-func applyResiduals(p *Plan, step int, rows [][]int32) [][]int32 {
-	checks := p.Order[step].Residuals
-	if len(checks) == 0 || len(rows[0]) == 0 {
-		return rows
-	}
-	out := 0
-	for i := range rows[0] {
-		keep := true
-		for _, rc := range checks {
-			a := p.Order[rc.RelA].Table.Col(rc.ColA)[rows[rc.RelA][i]]
-			b := p.Order[rc.RelB].Table.Col(rc.ColB)[rows[rc.RelB][i]]
-			if a != b || a == value.NullCode {
-				keep = false // NULL = NULL is not a match
-				break
-			}
-		}
-		if keep {
-			for c := range rows {
-				rows[c][out] = rows[c][i]
-			}
-			out++
+// probe looks up keyCol[from[i]] for every input position i and appends one
+// (i, build row) pair per match to src and out.
+func probe(ht *HashTable, keyCol []int64, from, src, out []int32) ([]int32, []int32) {
+	for i, r := range from {
+		for _, m := range ht.Lookup(keyCol[r]) {
+			src = append(src, int32(i))
+			out = append(out, m)
 		}
 	}
-	for c := range rows {
-		rows[c] = rows[c][:out]
+	return src, out
+}
+
+// gather returns col[src[0]], col[src[1]], ... in dst's storage, grown if it
+// is too short.
+func gather(dst, col, src []int32) []int32 {
+	dst = slices.Grow(dst[:0], len(src))[:len(src)]
+	for j, i := range src {
+		dst[j] = col[i]
+	}
+	return dst
+}
+
+// ApplyResiduals filters the output of plan step step, one row-ID column
+// per placed relation, with the step's cycle-closing predicates: rows is
+// compacted in place and returned.
+func (p *Plan) ApplyResiduals(step int, rows [][]int32) [][]int32 {
+	for _, rc := range p.Order[step].residuals {
+		a, b := rows[rc.relA], rows[rc.relB]
+		out := 0
+		for i := range a {
+			// NULL = NULL is not a match.
+			if v := rc.colA[a[i]]; v == rc.colB[b[i]] && v != value.NullCode {
+				for _, col := range rows {
+					col[out] = col[i]
+				}
+				out++
+			}
+		}
+		for c := range rows {
+			rows[c] = rows[c][:out]
+		}
 	}
 	return rows
 }

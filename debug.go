@@ -2,7 +2,6 @@ package roulette
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
@@ -44,9 +43,6 @@ func (s *Stream) Diagnose() []DebugFinding {
 // in Perfetto (ui.perfetto.dev) or chrome://tracing.
 func (s *Stream) WriteTrace(w io.Writer) error {
 	rec := s.sess.Recorder()
-	if rec == nil {
-		return fmt.Errorf("roulette: stream has no flight recorder")
-	}
 	return obs.WriteTrace(w, rec.Snapshot(), rec.Rings())
 }
 
@@ -55,9 +51,6 @@ func (s *Stream) WriteTrace(w io.Writer) error {
 // Chrome trace_event JSON.
 func (s *Stream) CaptureTrace(dur time.Duration, w io.Writer) error {
 	rec := s.sess.Recorder()
-	if rec == nil {
-		return fmt.Errorf("roulette: stream has no flight recorder")
-	}
 	start := time.Now().UnixNano()
 	select {
 	case <-time.After(dur):
@@ -69,7 +62,7 @@ func (s *Stream) CaptureTrace(dur time.Duration, w io.Writer) error {
 // AdmissionDebug is the admission-control section of the debug snapshot.
 type AdmissionDebug struct {
 	InFlightCost float64            `json:"in_flight_cost"`
-	DrainRate    float64            `json:"drain_rate"` // cost units/sec, EWMA
+	DrainRate    float64            `json:"drain_rate"` // cost units/sec, moving average
 	Admitted     int64              `json:"admitted"`
 	Rejected     int64              `json:"rejected"`
 	Tenants      []StreamTenantStat `json:"tenants,omitempty"`
@@ -156,30 +149,4 @@ func (s *Stream) DebugHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// recordSubmitEvent stamps an admission-layer rejection or shed onto the
-// flight recorder's control ring and, when episode tracing is on, into the
-// episode trace ring. The query never received an engine id, hence qid -1.
-func (s *Stream) recordSubmitEvent(k obs.Kind, tenant string) {
-	if rec := s.sess.Recorder(); rec.Enabled() {
-		rec.Record(rec.Rings()-1, k, -1, 0, tenantHash(tenant), 0)
-	}
-	if s.trace != nil {
-		name := "reject"
-		if k == obs.KShed {
-			name = "shed"
-		}
-		s.trace.AddEvent(name, tenant, -1)
-	}
-}
-
-// tenantHash is FNV-1a of the tenant name, matching the engine's event
-// stamping (tenant names must stay out of the fixed-width event rings).
-func tenantHash(name string) int64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * 1099511628211
-	}
-	return int64(h)
 }

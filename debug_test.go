@@ -40,7 +40,7 @@ func TestStreamDebugSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The budget is absurdly small, so a second submission must reject —
-	// and the rejection must land in both the recorder and the trace ring.
+	// and the rejection must land on the flight recorder.
 	if _, err := st.Submit(qs[1]); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("second submit: err = %v, want ErrOverloaded", err)
 	}
@@ -95,15 +95,23 @@ func TestStreamDebugSurface(t *testing.T) {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
 	names := map[string]bool{}
+	rejected := false
 	for _, ev := range tf.TraceEvents {
-		if n, ok := ev["name"].(string); ok {
-			names[n] = true
+		n, _ := ev["name"].(string)
+		names[n] = true
+		if args, _ := ev["args"].(map[string]interface{}); n == "reject" && args["qid"] == -1.0 {
+			// The submission never received a query id.
+			rejected = true
 		}
 	}
-	for _, want := range []string{"episode", "submit", "reject"} {
+	// TraceEpisodes puts each episode's chosen operators on the same spine.
+	for _, want := range []string{"episode", "submit", "reject", "action", "episode_work"} {
 		if !names[want] {
 			t.Errorf("trace has no %q events; saw %v", want, names)
 		}
+	}
+	if !rejected {
+		t.Error("trace has no reject event with qid -1")
 	}
 
 	// A bounded capture window also works and is valid JSON.
@@ -125,17 +133,6 @@ func TestStreamDebugSurface(t *testing.T) {
 	res.Body.Close()
 	if res.StatusCode != 200 {
 		t.Errorf("pprof: HTTP %d", res.StatusCode)
-	}
-
-	// The rejection is also a typed record in the episode trace ring.
-	found := false
-	for _, rec := range st.trace.Events() {
-		if rec.Event == "reject" && rec.Qid == -1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("no reject event in the episode trace ring")
 	}
 
 	if err := st.Close(); err != nil {

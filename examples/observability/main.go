@@ -41,7 +41,8 @@ func main() {
 	}
 
 	// Stats and tracing are opt-in: CollectStats attaches a Stats breakdown
-	// to the result, TraceEpisodes keeps the last N episode records.
+	// to the result, TraceEpisodes makes the engine's flight recorder keep
+	// each episode's chosen operators for about the last N episodes.
 	res, err := e.ExecuteBatch(queries, &roulette.Options{
 		DiscardRows:   true,
 		CollectStats:  true,
@@ -64,8 +65,9 @@ func main() {
 			ss.Table, ss.Entries, ss.Probes, ss.HitRate())
 	}
 
-	// The trace ring holds the most recent episodes; WriteTraceJSONL emits
-	// them one JSON object per line for offline analysis.
+	// Trace decodes the flight recorder's events back into one record per
+	// episode, oldest first; WriteTraceJSONL emits them one JSON object per
+	// line for offline analysis.
 	fmt.Printf("\n--- last %d episodes (first 3 shown) ---\n", len(res.Trace()))
 	for i, tr := range res.Trace() {
 		if i == 3 {

@@ -202,9 +202,9 @@ type Controller struct {
 	seq       uint64  // submission sequence (fault-injection key)
 	tenants   map[string]*tenantStats
 
-	// drainEWMA tracks the rate at which cost is released (cost units per
+	// drainRate tracks the rate at which cost is released (cost units per
 	// second), feeding budget-rejection retry-after hints.
-	drainEWMA  float64
+	drainRate  float64
 	lastDrain  time.Time
 	totalAdmit int64
 	totalRej   int64
@@ -327,16 +327,16 @@ func (c *Controller) Release(tenant string, cost float64) {
 	if ts.CostInUse < 0 || ts.InFlight == 0 {
 		ts.CostInUse = 0
 	}
-	// Fold the release into the drain-rate estimate (EWMA over release
-	// inter-arrival cost/seconds).
+	// Fold the release into the drain-rate estimate (a moving average over
+	// release inter-arrival cost/seconds).
 	if !c.lastDrain.IsZero() {
 		if dt := now.Sub(c.lastDrain).Seconds(); dt > 0 && cost > 0 {
 			const alpha = 0.3
 			rate := cost / dt
-			if c.drainEWMA == 0 {
-				c.drainEWMA = rate
+			if c.drainRate == 0 {
+				c.drainRate = rate
 			} else {
-				c.drainEWMA = alpha*rate + (1-alpha)*c.drainEWMA
+				c.drainRate = alpha*rate + (1-alpha)*c.drainRate
 			}
 		}
 	}
@@ -363,8 +363,8 @@ func (c *Controller) RecordShed(tenant string) {
 
 // budgetRetryLocked estimates how long until `needed` cost units drain.
 func (c *Controller) budgetRetryLocked(needed float64) time.Duration {
-	if c.drainEWMA > 0 {
-		return clampRetry(time.Duration(needed / c.drainEWMA * float64(time.Second)))
+	if c.drainRate > 0 {
+		return clampRetry(time.Duration(needed / c.drainRate * float64(time.Second)))
 	}
 	return 10 * time.Millisecond
 }
@@ -414,12 +414,12 @@ func (c *Controller) InFlightCost() float64 {
 	return c.inUse
 }
 
-// DrainRate returns the EWMA of cost units released per second — the rate
+// DrainRate returns the moving average of cost units released per second — the rate
 // the controller uses to compute RetryAfter hints. 0 until the first
 // release. Exposed on the live debug snapshot so an operator can judge
 // how fast the in-flight budget is turning over.
 func (c *Controller) DrainRate() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.drainEWMA
+	return c.drainRate
 }

@@ -12,7 +12,6 @@ import (
 	"github.com/roulette-db/roulette/internal/catalog"
 	"github.com/roulette-db/roulette/internal/exec"
 	"github.com/roulette-db/roulette/internal/faults"
-	"github.com/roulette-db/roulette/internal/metrics"
 	"github.com/roulette-db/roulette/internal/query"
 	"github.com/roulette-db/roulette/internal/stem"
 	"github.com/roulette-db/roulette/internal/storage"
@@ -55,12 +54,10 @@ func TestChaosInjectedPanicsIsolateToEpisodes(t *testing.T) {
 		opt := exec.DefaultOptions()
 		opt.VectorSize = 32
 		opt.Hooks = inj.Hooks()
-		s, err := NewSession(b, db, Config{Exec: opt, Workers: workers})
+		s, err := NewSession(b, db, Config{Exec: opt, Workers: workers, TraceEpisodes: 1 << 12})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ring := metrics.NewRing(1 << 12)
-		s.cfg.Trace = ring
 		res, err := s.Run()
 		if err != nil {
 			t.Fatalf("workers=%d: a faulted session must not error: %v", workers, err)
@@ -92,8 +89,17 @@ func TestChaosInjectedPanicsIsolateToEpisodes(t *testing.T) {
 		if completed == len(qs) {
 			t.Errorf("workers=%d: every query completed despite %d panics", workers, inj.Panics())
 		}
-		if ring.Faults() != int64(len(res.Faults)) {
-			t.Errorf("workers=%d: trace ring counted %d faults, session %d", workers, ring.Faults(), len(res.Faults))
+		traced := 0
+		for _, rec := range s.Trace() {
+			if rec.FaultKind != 0 {
+				traced++
+				if rec.Fault != "panic" {
+					t.Errorf("workers=%d: episode %d traced fault %q, want panic", workers, rec.Episode, rec.Fault)
+				}
+			}
+		}
+		if traced != len(res.Faults) {
+			t.Errorf("workers=%d: trace holds %d faulted episodes, session recorded %d", workers, traced, len(res.Faults))
 		}
 		t.Logf("workers=%d: %d/%d queries survived %d injected panics", workers, completed, len(qs), inj.Panics())
 	}

@@ -6,7 +6,9 @@ import (
 	"log/slog"
 	"time"
 
+	"github.com/roulette-db/roulette/internal/exec"
 	"github.com/roulette-db/roulette/internal/obs"
+	"github.com/roulette-db/roulette/internal/query"
 )
 
 // This file is the session's live introspection surface: the flight-
@@ -27,17 +29,76 @@ func (discardHandler) WithGroup(string) slog.Handler             { return discar
 // DiscardLogger returns a logger that drops everything.
 func DiscardLogger() *slog.Logger { return slog.New(discardHandler{}) }
 
-// Recorder exposes the session's flight recorder (nil when the session
-// was built without one).
+// streamRingEvents is the floor on a streaming session's per-ring capacity:
+// events per worker (and for the control plane) kept before the oldest are
+// overwritten. 4096 events × 64 bytes = 256 KiB per ring.
+const streamRingEvents = 4096
+
+// workers is the size of the session's worker pool.
+func (c *Config) workers() int { return max(c.Workers, 1) }
+
+// newRecorder builds the session's flight recorder: always on a stream, on
+// a batch only under episode tracing, otherwise nil (every event site is
+// nil-safe). One ring per worker plus the control plane's, sized for
+// TraceEpisodes episodes that each record their start, totals and end plus
+// one action per selection operator and join edge of the batch as compiled
+// now. That is an estimate, not a bound (DESIGN.md §9, "What N sizes"): when
+// episodes record more, the rings hold fewer whole episodes than asked for
+// and the decoder returns only those.
+func newRecorder(cfg *Config, b *query.Batch, ctx *exec.Context) *obs.Recorder {
+	perRing := 0
+	if cfg.Streaming {
+		perRing = streamRingEvents
+	}
+	if n := cfg.TraceEpisodes; n > 0 {
+		perRing = max(perRing, n*(3+ctx.NumSelOps()+len(b.Edges)))
+	}
+	if perRing == 0 {
+		return nil
+	}
+	rec := obs.NewRecorder(cfg.workers()+1, perRing)
+	rec.SetVClock(ctx.Versions.Frontier)
+	return rec
+}
+
+// Recorder exposes the session's flight recorder (nil on an untraced
+// batch).
 func (s *Session) Recorder() *obs.Recorder { return s.rec }
 
-// recCtl records one control-plane event into the recorder's control
-// ring. Nil-safe and allocation-free; call sites pay one branch when no
-// recorder is attached.
+// recCtl records one control-plane event into the recorder's last ring.
+// Allocation-free and safe without the session mutex; call sites pay one
+// branch when no recorder is attached.
 func (s *Session) recCtl(k obs.Kind, a, b, c, d int64) {
 	if s.rec != nil {
-		s.rec.Record(s.ctlRing, k, a, b, c, d)
+		s.rec.Record(s.rec.Rings()-1, k, a, b, c, d)
 	}
+}
+
+// RecordRefused stamps a submission the caller turned away before it
+// reached SubmitLive — an admission rejection (obs.KReject) or a hopeless
+// deadline shed (obs.KShed). The query never received an id, hence -1.
+func (s *Session) RecordRefused(k obs.Kind, tenant string) {
+	s.recCtl(k, -1, 0, tenantHash(tenant), 0)
+}
+
+// Trace decodes the flight recorder back into the last
+// Config.TraceEpisodes episodes, oldest first, naming each record's relation
+// and fault class; nil when episode tracing is off.
+func (s *Session) Trace() []obs.EpisodeTrace {
+	if s.cfg.TraceEpisodes <= 0 {
+		return nil
+	}
+	eps := s.rec.Episodes(s.cfg.TraceEpisodes)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range eps {
+		ep := &eps[i]
+		ep.Table = s.b.Insts[ep.Inst].Table
+		if ep.FaultKind != 0 {
+			ep.Fault = FaultKind(ep.FaultKind - 1).String()
+		}
+	}
+	return eps
 }
 
 // tenantHash is a stable FNV-1a hash of a tenant name, used to tag

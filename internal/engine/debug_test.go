@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/roulette-db/roulette/internal/exec"
-	"github.com/roulette-db/roulette/internal/metrics"
 	"github.com/roulette-db/roulette/internal/obs"
 	"github.com/roulette-db/roulette/internal/query"
 	"github.com/roulette-db/roulette/internal/stem"
@@ -84,12 +83,10 @@ func TestStuckFenceDiagnosisAndTrace(t *testing.T) {
 		Joins: []query.Join{{LeftAlias: "fact", LeftCol: "fk2", RightAlias: "d2", RightCol: "k"}},
 	}
 	logs := &capHandler{}
-	rec := obs.NewRecorder(2, 4096) // 1 worker + control ring
 	var rr *retireRecorder
 	b := query.NewStreamBatch(8)
 	s, err := NewSession(b, db, Config{
 		Exec: opt, Workers: 1, Streaming: true,
-		Recorder:      rec,
 		Logger:        slog.New(logs),
 		StallWatchdog: 5 * time.Millisecond,
 		OnRetire:      func(qid int, st QueryStatus) { rr.onRetire(qid, st) },
@@ -168,6 +165,7 @@ func TestStuckFenceDiagnosisAndTrace(t *testing.T) {
 	}
 
 	// The recorder must hold the incident's causal record...
+	rec := s.Recorder()
 	evs := rec.Snapshot()
 	seen := map[obs.Kind]bool{}
 	for _, e := range evs {
@@ -222,11 +220,10 @@ func TestTimelineInvariants(t *testing.T) {
 	db := starDB(rng, 1024, 64)
 	opt := exec.DefaultOptions()
 	opt.VectorSize = 64
-	rec := obs.NewRecorder(3, 1<<14) // big enough that nothing is evicted
 	var rr *retireRecorder
 	b := query.NewStreamBatch(16)
 	s, err := NewSession(b, db, Config{
-		Exec: opt, Workers: 2, Streaming: true, Recorder: rec,
+		Exec: opt, Workers: 2, Streaming: true,
 		OnRetire: func(qid int, st QueryStatus) { rr.onRetire(qid, st) },
 	})
 	if err != nil {
@@ -246,7 +243,7 @@ func TestTimelineInvariants(t *testing.T) {
 	join()
 	rr.check(t, db, qs)
 
-	evs := rec.Snapshot()
+	evs := s.Recorder().Snapshot()
 	if len(evs) == 0 {
 		t.Fatal("empty timeline")
 	}
@@ -304,14 +301,13 @@ func TestTimelineInvariants(t *testing.T) {
 	}
 }
 
-// TestRingEventsOnShedAndPromotion asserts the metrics.Ring episode trace
-// interleaves control-plane events: a deadline-urgency lane promotion and
-// a mid-flight shed each add a typed record naming tenant and query.
+// TestRingEventsOnShedAndPromotion asserts the control plane's events land
+// on the flight recorder: a deadline-urgency lane promotion and a mid-flight
+// shed each record one typed event naming the query and its tenant.
 func TestRingEventsOnShedAndPromotion(t *testing.T) {
-	ring := metrics.NewRing(64)
 	// A wide urgency window keeps the promotion deterministic: the deadline
 	// is comfortably in the future (no shed race) yet inside the window.
-	s, _ := schedSession(t, 8, Config{Trace: ring, DeadlineUrgency: time.Minute})
+	s, _ := schedSession(t, 8, Config{DeadlineUrgency: time.Minute})
 
 	urgent, err := s.SubmitLiveMeta(singleRel("d1"), SubmitMeta{
 		Tenant: "fast", Deadline: time.Now().Add(30 * time.Second),
@@ -321,6 +317,7 @@ func TestRingEventsOnShedAndPromotion(t *testing.T) {
 	}
 	s.mu.Lock()
 	drive(s, 64) // selection inside the urgency window records the promotion
+	drive(s, 64) // ...once: the lane boost recurs, the event does not
 	s.mu.Unlock()
 
 	dead, err := s.SubmitLiveMeta(singleRel("d2"), SubmitMeta{
@@ -333,29 +330,24 @@ func TestRingEventsOnShedAndPromotion(t *testing.T) {
 	s.pickScanLocked() // expired deadline: shed
 	s.mu.Unlock()
 
-	events := ring.Events()
-	var promote, shed *metrics.EpisodeRecord
-	for i := range events {
-		switch events[i].Event {
-		case "lane_promote":
-			promote = &events[i]
-		case "shed":
-			shed = &events[i]
+	var promotes, sheds []obs.Event
+	rec := s.Recorder()
+	for _, e := range rec.Snapshot() {
+		if int(e.Ring) != rec.Rings()-1 {
+			t.Errorf("%v event on ring %d: nothing ran an episode, so only the control ring may hold events", e.Kind, e.Ring)
+		}
+		switch e.Kind {
+		case obs.KLanePromote:
+			promotes = append(promotes, e)
+		case obs.KShed:
+			sheds = append(sheds, e)
 		}
 	}
-	if promote == nil {
-		t.Fatal("no lane_promote record in the episode trace")
+	if len(promotes) != 1 || promotes[0].A != int64(urgent) || promotes[0].C != tenantHash("fast") {
+		t.Errorf("lane_promote events = %+v, want one for qid %d of tenant fast", promotes, urgent)
 	}
-	if promote.Qid != urgent || promote.Tenant != "fast" {
-		t.Errorf("lane_promote = qid %d tenant %q, want qid %d tenant fast",
-			promote.Qid, promote.Tenant, urgent)
-	}
-	if shed == nil {
-		t.Fatal("no shed record in the episode trace")
-	}
-	if shed.Qid != dead || shed.Tenant != "late" {
-		t.Errorf("shed = qid %d tenant %q, want qid %d tenant late",
-			shed.Qid, shed.Tenant, dead)
+	if len(sheds) != 1 || sheds[0].A != int64(dead) || sheds[0].B != 1 || sheds[0].C != tenantHash("late") {
+		t.Errorf("shed events = %+v, want one mid-flight shed for qid %d of tenant late", sheds, dead)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -57,10 +58,12 @@ type Config struct {
 	// (the Fig. 16 learning curves). Costly on large runs.
 	TrackConvergence bool
 
-	// Trace, when non-nil, receives one record per episode (observability;
-	// see internal/metrics). Public callers reach it through
-	// roulette.Options.TraceEpisodes.
-	Trace *metrics.Ring
+	// TraceEpisodes, when positive, makes every worker record its episodes'
+	// execution logs and totals on the flight recorder (obs.KAction,
+	// obs.KEpisodeWork) and sizes the recorder's rings to keep about that
+	// many episodes; Session.Trace decodes them back. Public callers reach
+	// it through roulette.Options.TraceEpisodes.
+	TraceEpisodes int
 
 	// SessionDeadline bounds the whole run; 0 means no deadline. A run
 	// exceeding it is cancelled cooperatively and returns partial results.
@@ -97,14 +100,6 @@ type Config struct {
 	// unserved before the starvation watchdog boosts it above every priority
 	// lane; 0 means 512.
 	StarveEpisodes int
-
-	// Recorder, when non-nil, is the session's flight recorder: workers
-	// record episode start/end events into their own ring (index = worker
-	// id) and the control plane (submission, fences, epochs, GC,
-	// retirement) records into the recorder's last ring. Size it with
-	// Workers+1 rings. Recording is lock- and allocation-free; a nil
-	// recorder costs one branch per event site.
-	Recorder *obs.Recorder
 
 	// Logger receives structured diagnostics (stall watchdog reports,
 	// degraded-mode warnings). Nil discards.
@@ -339,14 +334,14 @@ type Session struct {
 	lastSig      []uint64        // per instance: previous episode's plan signature
 	planSwitches int64
 
-	// Flight recorder & introspection (see debug.go). rec is nil-safe;
-	// ctlRing is the control-plane ring index (rec's last ring). workerEp
+	// Flight recorder & introspection (see debug.go). rec is the session's
+	// own recorder (newRecorder), nil on an untraced batch, with one ring per
+	// worker (index = worker id) and the control plane's ring last. workerEp
 	// tracks each worker's currently open episode and instFenceSince when
 	// each instance's fence was raised — both feed DebugSnapshot and the
 	// stall watchdog. qUrgent marks queries already promoted into the
 	// urgency lane so the promotion is recorded once.
 	rec            *obs.Recorder
-	ctlRing        int
 	logger         *slog.Logger
 	workerEp       []workerEpisode
 	instFenceSince []int64
@@ -438,11 +433,7 @@ func NewSession(b *query.Batch, db *storage.Database, cfg Config) (*Session, err
 	s.instFlight = make([]int32, query.MaxInstances)
 	s.instOps = make([][]fenceOp, query.MaxInstances)
 	s.instFenceSince = make([]int64, query.MaxInstances)
-	s.rec = cfg.Recorder
-	if s.rec != nil {
-		s.ctlRing = s.rec.Rings() - 1
-		s.rec.SetVClock(ctx.Versions.Frontier)
-	}
+	s.rec = newRecorder(&s.cfg, b, ctx)
 	s.logger = cfg.Logger
 	if s.logger == nil {
 		s.logger = slog.New(discardHandler{})
@@ -659,10 +650,7 @@ func (s *Session) RunContext(ctx context.Context) (*Results, error) {
 	})
 	defer stop()
 
-	workers := s.cfg.Workers
-	if workers <= 0 {
-		workers = 1
-	}
+	workers := s.cfg.workers()
 	start := time.Now()
 	s.mu.Lock()
 	s.startAt = start
@@ -783,7 +771,7 @@ func (s *Session) runWorker(id int) {
 				estPerTuple = ce.EstimatedBestCost(policy.JoinPhase, 0, 1<<in.Inst, in.Active, cands)
 			}
 		}
-		if s.rec.Enabled() {
+		if s.rec != nil {
 			var w0 uint64
 			if len(in.Active) > 0 {
 				w0 = in.Active[0]
@@ -793,36 +781,25 @@ func (s *Session) runWorker(id int) {
 		}
 		epStart := time.Now()
 		rep, err := s.runEpisode(w, in)
-		s.rec.Record(id, obs.KEpisodeEnd,
-			int64(in.Inst), int64(in.Slot), time.Since(epStart).Nanoseconds(), int64(rep.PlanSig))
-		if s.cfg.Trace != nil {
-			rec := metrics.EpisodeRecord{
-				Episode:       int64(in.Slot),
-				Inst:          int(in.Inst),
-				Input:         len(in.VIDs),
-				JoinInput:     rep.JoinInput,
-				Cost:          rep.MeasuredCost,
-				Duration:      time.Since(epStart),
-				ActiveQueries: in.Active.Count(),
+		dur := time.Since(epStart).Nanoseconds()
+		if s.cfg.TraceEpisodes > 0 {
+			// The worker's execution log — what the policy just learned from —
+			// is the episode's action record; a faulted episode keeps the
+			// entries it logged before the fault.
+			entries := w.Log()
+			for i := range entries {
+				e := &entries[i]
+				s.rec.Record(id, obs.KAction, int64(e.Phase), int64(e.Op), int64(e.NIn), int64(e.NOut))
 			}
-			// The report's action slices alias worker buffers; the record
-			// owns its copies.
-			if len(rep.SelActions) > 0 {
-				rec.SelActions = append([]int32(nil), rep.SelActions...)
+			var fault int64
+			var ee *EpisodeError
+			if errors.As(err, &ee) {
+				fault = int64(ee.Kind) + 1
 			}
-			if len(rep.JoinActions) > 0 {
-				rec.JoinActions = append([]int32(nil), rep.JoinActions...)
-			}
-			if err != nil {
-				var ee *EpisodeError
-				if errors.As(err, &ee) {
-					rec.Fault = ee.Kind.String()
-				} else {
-					rec.Fault = "error"
-				}
-			}
-			s.cfg.Trace.Add(rec)
+			s.rec.Record(id, obs.KEpisodeWork, int64(len(in.VIDs)), int64(rep.JoinInput),
+				int64(math.Float64bits(rep.MeasuredCost)), fault)
 		}
+		s.rec.Record(id, obs.KEpisodeEnd, int64(in.Inst), int64(in.Slot), dur, int64(rep.PlanSig))
 		s.mu.Lock()
 		if s.lastSig != nil && rep.PlanSig != 0 {
 			if prev := s.lastSig[in.Inst]; prev != 0 && prev != rep.PlanSig {
@@ -870,7 +847,7 @@ func (s *Session) runFenceOpsLocked(inst int) {
 	ops := s.instOps[inst]
 	s.instOps[inst] = nil
 	s.instFence[inst] = false
-	if s.rec.Enabled() {
+	if s.rec != nil {
 		var age int64
 		if since := s.instFenceSince[inst]; since != 0 {
 			age = time.Now().UnixNano() - since

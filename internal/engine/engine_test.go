@@ -6,7 +6,6 @@ import (
 
 	"github.com/roulette-db/roulette/internal/catalog"
 	"github.com/roulette-db/roulette/internal/exec"
-	"github.com/roulette-db/roulette/internal/metrics"
 	"github.com/roulette-db/roulette/internal/policy"
 	"github.com/roulette-db/roulette/internal/qlearn"
 	"github.com/roulette-db/roulette/internal/query"
@@ -293,8 +292,7 @@ func TestEpisodeTracing(t *testing.T) {
 	opt := exec.DefaultOptions()
 	opt.VectorSize = 32
 	opt.CollectRows = false
-	ring := metrics.NewRing(64)
-	s, err := NewSession(b, db, Config{Exec: opt, Trace: ring})
+	s, err := NewSession(b, db, Config{Exec: opt, TraceEpisodes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,25 +300,65 @@ func TestEpisodeTracing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ring.Len() == 0 {
+	trace := s.Trace()
+	if len(trace) == 0 {
 		t.Fatal("no episodes traced")
 	}
 	want := int(res.Episodes)
 	if want > 64 {
 		want = 64
 	}
-	if ring.Len() != want {
-		t.Errorf("traced %d, want %d", ring.Len(), want)
+	if len(trace) != want {
+		t.Errorf("traced %d, want %d", len(trace), want)
 	}
-	for _, rec := range ring.Snapshot() {
-		if rec.Input <= 0 || rec.Duration <= 0 {
+	for i, rec := range trace {
+		if rec.Input <= 0 || rec.Duration <= 0 || rec.Table == "" || rec.Fault != "" {
 			t.Errorf("malformed record %+v", rec)
+		}
+		if last := res.Episodes - int64(len(trace)) + int64(i); rec.Episode != last {
+			t.Errorf("record %d is episode %d, want %d (the last %d, oldest first)", i, rec.Episode, last, len(trace))
 		}
 	}
 }
 
-// TestBatchStatsCollection runs a batch with CollectStats + TraceActions on
-// and checks every stats family comes back populated and consistent.
+// TestTraceAnyWorkerCount is the regression test for the recorder the
+// engine used to be handed: sized by the caller, a session with more workers
+// than rings indexed out of range. The session now builds its own, so any
+// Workers value traces.
+func TestTraceAnyWorkerCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	db := starDB(rng, 400, 20)
+	b, err := query.Compile(starQueries(rng, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := exec.DefaultOptions()
+	opt.VectorSize = 16
+	s, err := NewSession(b, db, Config{Exec: opt, Workers: 4, TraceEpisodes: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Recorder().Rings(); got != 5 {
+		t.Errorf("recorder has %d rings, want one per worker and the control plane's", got)
+	}
+	trace := s.Trace()
+	if res.Episodes < 8 || len(trace) == 0 || len(trace) > 8 {
+		t.Fatalf("traced %d of %d episodes, want up to the last 8", len(trace), res.Episodes)
+	}
+	for i := 1; i < len(trace); i++ {
+		if trace[i].Episode <= trace[i-1].Episode {
+			t.Errorf("trace not in episode order: %d after %d", trace[i].Episode, trace[i-1].Episode)
+		}
+	}
+}
+
+// TestBatchStatsCollection runs a batch with CollectStats and episode
+// tracing on and checks every stats family comes back populated and
+// consistent.
 func TestBatchStatsCollection(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	db := starDB(rng, 300, 30)
@@ -332,9 +370,7 @@ func TestBatchStatsCollection(t *testing.T) {
 	opt := exec.DefaultOptions()
 	opt.VectorSize = 64
 	opt.CollectStats = true
-	opt.TraceActions = true
-	ring := metrics.NewRing(128)
-	s, err := NewSession(b, db, Config{Exec: opt, Trace: ring, Workers: 2})
+	s, err := NewSession(b, db, Config{Exec: opt, TraceEpisodes: 128, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,18 +445,27 @@ func TestBatchStatsCollection(t *testing.T) {
 		t.Errorf("sharing factor = %v", f)
 	}
 
-	// Trace records carry the active query count and action sequences.
-	var traced bool
-	for _, rec := range ring.Snapshot() {
+	// Trace records carry the active query count and the action sequences:
+	// one action per operator application the stats counted, since both are
+	// read off the same execution log.
+	trace := s.Trace()
+	if int64(len(trace)) != res.Episodes {
+		t.Fatalf("trace holds %d of %d episodes", len(trace), res.Episodes)
+	}
+	var nSel, nJoin int64
+	for _, rec := range trace {
 		if rec.ActiveQueries <= 0 {
 			t.Errorf("record %d: ActiveQueries = %d", rec.Episode, rec.ActiveQueries)
 		}
-		if rec.JoinInput > 0 && len(rec.JoinActions) > 0 {
-			traced = true
+		if rec.JoinInput > 0 && len(rec.JoinActions) == 0 {
+			t.Errorf("record %d: %d tuples entered the join phase, no join actions", rec.Episode, rec.JoinInput)
 		}
+		nSel += int64(len(rec.SelActions))
+		nJoin += int64(len(rec.JoinActions))
 	}
-	if !traced {
-		t.Error("no trace record carried join actions")
+	if nSel != bs.Filters.Invocations || nJoin != bs.Probes.Invocations {
+		t.Errorf("traced %d selection and %d join actions, stats counted %d filter and %d probe invocations",
+			nSel, nJoin, bs.Filters.Invocations, bs.Probes.Invocations)
 	}
 }
 

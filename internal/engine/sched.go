@@ -257,10 +257,7 @@ func (s *Session) scanKeyLocked(st *scanState, urgentBefore int64) (lane int64, 
 				// record the promotion once (the lane boost itself recurs
 				// every selection until the query drains or is shed).
 				s.qUrgent.Add(qid)
-				s.recCtl(obs.KLanePromote, int64(qid), d, 0, 0)
-				if s.cfg.Trace != nil {
-					s.cfg.Trace.AddEvent("lane_promote", ts.name, qid)
-				}
+				s.recCtl(obs.KLanePromote, int64(qid), d, tenantHash(ts.name), 0)
 			}
 		}
 		if first || l > lane {
@@ -306,10 +303,7 @@ func (s *Session) shedExpiredLocked(nowNs int64) {
 		}
 		s.shedCount++
 		metrics.Default().DeadlineSheds.Add(1)
-		s.recCtl(obs.KShed, int64(qid), 1, 0, 0)
-		if s.cfg.Trace != nil {
-			s.cfg.Trace.AddEvent("shed", ts.name, qid)
-		}
+		s.recCtl(obs.KShed, int64(qid), 1, tenantHash(ts.name), 0)
 		s.maybeRetireLocked(qid)
 	}
 	s.nextDeadline = next

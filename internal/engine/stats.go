@@ -1,56 +1,82 @@
 package engine
 
 import (
+	"fmt"
+	"strings"
 	"time"
 
 	"github.com/roulette-db/roulette/internal/metrics"
 )
 
-// OpClassStats describes one operator class's aggregate work. Tuples is the
-// class's natural output unit: survivors for filters, entries for builds,
-// join outputs for probes, and routed rows for routers.
+// OpClassStats aggregates one operator class's work across the batch.
+// Tuples is the class's natural output unit: survivors for filters, inserted
+// entries for builds, join outputs for probes, routed rows for routers.
 type OpClassStats struct {
-	Invocations int64 // operator applications (one operator × one vector)
-	Tuples      int64
-	Nanos       int64 // cumulative wall time attributed to the class
+	Invocations int64 `json:"invocations"` // operator applications (one operator × one vector)
+	Tuples      int64 `json:"tuples"`
+	Nanos       int64 `json:"nanos"` // cumulative wall time attributed to the class
 }
 
-// QueryStats describes one query's share of the batch.
+// QueryStats is one query's share of the batch execution.
 type QueryStats struct {
-	Episodes  int64 // episodes whose active set included the query
-	Tuples    int64 // SPJ result tuples routed to the query's source
-	Elapsed   time.Duration
-	Completed bool
+	Tag string `json:"tag"`
+	// Episodes is the number of episodes whose active set included the
+	// query (its share of shared scan work).
+	Episodes int64 `json:"episodes"`
+	// Tuples is the query's SPJ result cardinality.
+	Tuples int64 `json:"tuples"`
+	// Elapsed is batch start → the query's last input vector scheduled.
+	Elapsed   time.Duration `json:"elapsed_ns"`
+	Completed bool          `json:"completed"`
 }
 
-// StemStats describes one instance's STeM traffic.
+// StemStats describes one relation instance's STeM (shared join state): in
+// a finished batch's BatchStats, or live from Session.StemSnapshot, where
+// Entries and EstBytes shrink as GC reclaims and the traffic counters are
+// cumulative.
 type StemStats struct {
-	Table    string
-	Entries  int64 // entries resident at the end of the run
-	Inserts  int64
-	Probes   int64 // hash-lookup probe calls against this STeM
-	Matches  int64 // match tuples emitted by those probes
-	EstBytes int64
+	Table    string `json:"table"`
+	Entries  int64  `json:"entries"` // entries resident now
+	Inserts  int64  `json:"inserts"`
+	Probes   int64  `json:"probes"`  // hash-lookup probe calls against this STeM
+	Matches  int64  `json:"matches"` // match tuples emitted by those probes
+	EstBytes int64  `json:"est_bytes"`
 }
 
-// PolicyStats describes the learned policy's behaviour over the run.
-// Explores/Exploits are zero for policies without decision counters.
+// HitRate returns the average match tuples emitted per probe lookup against
+// this STeM (0 with no probes; above 1 means key fan-out).
+func (s StemStats) HitRate() float64 {
+	if s.Probes == 0 {
+		return 0
+	}
+	return float64(s.Matches) / float64(s.Probes)
+}
+
+// PolicyStats summarizes the planning policy's behaviour over the batch.
+// Explores and Exploits stay zero for policies without decision counters
+// (the learned policy implements them).
 type PolicyStats struct {
-	QStates      int   // explored (state, action) entries
-	Explores     int64 // ε-random decisions
-	Exploits     int64 // greedy decisions
-	PlanSwitches int64 // per-instance episode plan-signature changes
+	// QStates is the number of explored Q-table (state, action) entries.
+	QStates int `json:"qtable_states"`
+	// Explores counts ε-random decisions, Exploits greedy ones.
+	Explores int64 `json:"explore_actions"`
+	Exploits int64 `json:"exploit_actions"`
+	// PlanSwitches counts episodes whose chosen operator sequence differed
+	// from the previous episode on the same relation — how often the policy
+	// changed its mind mid-run.
+	PlanSwitches int64 `json:"plan_switches"`
 }
 
-// SharingStats quantifies multi-query work sharing: Factor() is the share
-// of operator invocations that served more than one query.
+// SharingStats quantifies cross-query work sharing. An invocation is one
+// operator applied to one vector; it is shared when it served more than one
+// query at once.
 type SharingStats struct {
-	SharedOps     int64
-	TotalOps      int64
-	QueriesServed int64 // sum of queries served across invocations
+	SharedOps     int64 `json:"shared_op_invocations"`
+	TotalOps      int64 `json:"op_invocations"`
+	QueriesServed int64 `json:"queries_served"` // sum of queries served across invocations
 }
 
-// Factor returns SharedOps/TotalOps (0 with no invocations).
+// Factor returns the shared fraction of operator invocations in [0, 1].
 func (s SharingStats) Factor() float64 {
 	if s.TotalOps == 0 {
 		return 0
@@ -58,20 +84,57 @@ func (s SharingStats) Factor() float64 {
 	return float64(s.SharedOps) / float64(s.TotalOps)
 }
 
-// BatchStats is the engine-level execution breakdown for one finished run,
-// collected only under Config.Exec.CollectStats.
+// FanOut returns the mean number of queries served per invocation.
+func (s SharingStats) FanOut() float64 {
+	if s.TotalOps == 0 {
+		return 0
+	}
+	return float64(s.QueriesServed) / float64(s.TotalOps)
+}
+
+// BatchStats is the execution breakdown for one finished run, collected
+// only under Config.Exec.CollectStats.
 type BatchStats struct {
-	Queries []QueryStats
+	Queries []QueryStats `json:"queries"`
 
-	Filters   OpClassStats // grouped filters + prune filters (selection phase)
-	Builds    OpClassStats // STeM inserts
-	Probes    OpClassStats // STeM probe nodes
-	RouteSels OpClassStats // routing selections (time counted under Probes.Nanos)
-	Routers   OpClassStats
+	Filters OpClassStats `json:"filters"` // grouped + prune filters (selection phase)
+	Builds  OpClassStats `json:"builds"`  // STeM inserts
+	Probes  OpClassStats `json:"probes"`  // STeM probe operators
+	// RouteSels counts routing selections; their time is attributed to
+	// Probes.Nanos, matching the cost model's join-phase accounting.
+	RouteSels OpClassStats `json:"route_sels"`
+	Routers   OpClassStats `json:"routers"`
 
-	Stems   []StemStats
-	Policy  PolicyStats
-	Sharing SharingStats
+	Stems   []StemStats  `json:"stems"`
+	Policy  PolicyStats  `json:"policy"`
+	Sharing SharingStats `json:"sharing"`
+}
+
+// Summary renders a compact multi-line overview.
+func (s *BatchStats) Summary() string {
+	var b strings.Builder
+	completed := 0
+	for _, q := range s.Queries {
+		if q.Completed {
+			completed++
+		}
+	}
+	fmt.Fprintf(&b, "queries: %d/%d completed\n", completed, len(s.Queries))
+	fmt.Fprintf(&b, "ops: filter=%d build=%d probe=%d routesel=%d route=%d\n",
+		s.Filters.Invocations, s.Builds.Invocations, s.Probes.Invocations,
+		s.RouteSels.Invocations, s.Routers.Invocations)
+	fmt.Fprintf(&b, "tuples: filtered=%d inserted=%d joined=%d routed=%d\n",
+		s.Filters.Tuples, s.Builds.Tuples, s.Probes.Tuples, s.Routers.Tuples)
+	var stemBytes int64
+	for _, st := range s.Stems {
+		stemBytes += st.EstBytes
+	}
+	fmt.Fprintf(&b, "stems: %d instances, ~%.1f MiB\n", len(s.Stems), float64(stemBytes)/(1<<20))
+	fmt.Fprintf(&b, "policy: %d Q-states, %d explore / %d exploit, %d plan switches\n",
+		s.Policy.QStates, s.Policy.Explores, s.Policy.Exploits, s.Policy.PlanSwitches)
+	fmt.Fprintf(&b, "sharing: factor %.2f, fan-out %.1f queries/op\n",
+		s.Sharing.Factor(), s.Sharing.FanOut())
+	return b.String()
 }
 
 // tableSizer and actionCounter are the optional interfaces learned policies
@@ -121,6 +184,7 @@ func (s *Session) buildStatsLocked(res *Results) *BatchStats {
 	bs.Queries = make([]QueryStats, s.b.N)
 	for qid := range bs.Queries {
 		bs.Queries[qid] = QueryStats{
+			Tag:       s.b.Queries[qid].Tag,
 			Episodes:  s.qEpisodes[qid],
 			Tuples:    res.Counts[qid],
 			Elapsed:   s.qElapsed[qid],

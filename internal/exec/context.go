@@ -34,10 +34,6 @@ type Options struct {
 	// the stats-on path stays allocation-free.
 	CollectStats bool
 
-	// TraceActions records each episode's chosen action sequence (selection
-	// ops, probed edges) in the EpisodeReport, for episode tracing.
-	TraceActions bool
-
 	// Hooks observes or perturbs episode execution (fault injection,
 	// chaos tests). The zero value is a no-op. Deliberately NOT reachable
 	// from the public roulette.Options — it exists for the engine's own

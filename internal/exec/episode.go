@@ -102,16 +102,11 @@ type Worker struct {
 	// at the episode boundary (foldStats). The hot loops therefore never
 	// touch a shared cache line, with or without CollectStats.
 	collect bool       // Context.Opt.CollectStats
-	trace   bool       // Context.Opt.TraceActions
 	ep      epCounters // folded and reset by foldStats
 	planSig uint64     // FNV-style signature of the episode's chosen ops
 
 	// Per-instance STeM traffic (collect only), parallel to C.InstStats.
 	instIns, instProbes, instMatches []int64
-
-	// Action-trace buffers (trace only), reused across episodes; an
-	// EpisodeReport's action slices alias them until the next episode.
-	selActs, joinActs []int32
 
 	// Episode arena: worker-owned buffers reset (not reallocated) per
 	// episode. Workers never share scratch, so reuse needs no new
@@ -166,7 +161,6 @@ func NewWorker(ctx *Context, pol policy.Policy) *Worker {
 	w := &Worker{
 		C: ctx, Pol: pol, qw: qw,
 		collect:  ctx.Opt.CollectStats,
-		trace:    ctx.Opt.TraceActions,
 		tq:       make(bitset.Set, qw),
 		zeroQ:    make([]uint64, qw),
 		fullMask: bitset.NewFull(qcap),
@@ -295,11 +289,6 @@ type EpisodeReport struct {
 	// ViewGen is the generation of the immutable context view the episode
 	// executed against — which batch extension the worker observed.
 	ViewGen uint64
-	// SelActions and JoinActions are the chosen selection-op IDs and probed
-	// edge IDs in execution order (TraceActions only). They alias worker
-	// buffers valid until the worker's next episode; consumers copy.
-	SelActions  []int32
-	JoinActions []int32
 }
 
 // ingestVector copies the episode's vIDs into the worker arena and stamps
@@ -350,9 +339,6 @@ func (w *Worker) runSelSteps(in EpisodeInput, steps []plan.SelStep, vids []int32
 				w.ep.sharedOps++
 			}
 		}
-		if w.trace {
-			w.selActs = append(w.selActs, int32(st.Op.ID))
-		}
 		w.log = append(w.log, policy.LogEntry{
 			Phase: policy.SelPhase, Inst: in.Inst,
 			Lineage: st.Applied, Q: in.Active, Op: st.Op.ID,
@@ -395,10 +381,6 @@ func (w *Worker) RunEpisode(in EpisodeInput) (EpisodeReport, error) {
 		w.instIns = w.instIns[:n]
 		w.instProbes = w.instProbes[:n]
 		w.instMatches = w.instMatches[:n]
-	}
-	if w.trace {
-		w.selActs = w.selActs[:0]
-		w.joinActs = w.joinActs[:0]
 	}
 	defer w.foldStats() // runs during panic unwind too: faulted episodes fold
 	w.ep.episodes++
@@ -453,12 +435,14 @@ func (w *Worker) RunEpisode(in EpisodeInput) (EpisodeReport, error) {
 
 	rep := EpisodeReport{JoinInput: joinInput, PlanSig: w.planSig, ViewGen: w.cv.gen}
 	rep.MeasuredCost, rep.MeasuredJoinCost = w.measuredCost()
-	if w.trace {
-		rep.SelActions, rep.JoinActions = w.selActs, w.joinActs
-	}
 	w.Pol.Observe(w.log)
 	return rep, nil
 }
+
+// Log returns the execution log of the worker's last episode, in execution
+// order — for a faulted episode, the entries logged before the fault. It
+// aliases a worker buffer that the next episode overwrites.
+func (w *Worker) Log() []policy.LogEntry { return w.log }
 
 // measuredCost totals the episode's log through the cost model: join-phase
 // probes (plus routing selections on divergence) and selection operators.
@@ -828,9 +812,6 @@ func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, i
 		}
 		w.instProbes[nd.Target] += lookups
 		w.instMatches[nd.Target] += int64(out.n)
-	}
-	if w.trace {
-		w.joinActs = append(w.joinActs, int32(nd.EdgeID))
 	}
 
 	var divQ bitset.Set

@@ -24,8 +24,6 @@ type StepBenchConfig struct {
 	// CollectStats enables the per-operator-class and sharing counters, to
 	// verify the stats-on step stays allocation-free.
 	CollectStats bool
-	// TraceActions records chosen action sequences per step.
-	TraceActions bool
 }
 
 // StepBench drives the steady-state episode step in isolation: a prebuilt
@@ -152,7 +150,6 @@ func NewStepBench(cfg StepBenchConfig) (*StepBench, error) {
 	opt.CollectRows = false // sources count rows; unbounded row buffers would dominate
 	opt.VectorSize = cfg.VectorSize
 	opt.CollectStats = cfg.CollectStats
-	opt.TraceActions = cfg.TraceActions
 	ctx, err := NewContext(b, db, opt, nil)
 	if err != nil {
 		return nil, err
@@ -208,10 +205,6 @@ func (s *StepBench) Step() EpisodeReport {
 	w.cv = w.C.loadView() // one atomic load, as in RunEpisode
 	w.log = w.log[:0]
 	w.planSig = 0
-	if w.trace {
-		w.selActs = w.selActs[:0]
-		w.joinActs = w.joinActs[:0]
-	}
 	vids, qsets := w.ingestVector(s.in)
 	vids, qsets = w.runSelSteps(s.in, s.selSteps, vids, qsets)
 	joinInput := len(vids)
@@ -224,9 +217,6 @@ func (s *StepBench) Step() EpisodeReport {
 	}
 	rep := EpisodeReport{JoinInput: joinInput, PlanSig: w.planSig}
 	rep.MeasuredCost, rep.MeasuredJoinCost = w.measuredCost()
-	if w.trace {
-		rep.SelActions, rep.JoinActions = w.selActs, w.joinActs
-	}
 	w.Pol.Observe(w.log)
 	w.foldStats()
 	return rep

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"testing"
 
 	"github.com/roulette-db/roulette/internal/obs"
@@ -8,11 +9,11 @@ import (
 )
 
 // TestEpisodeStepRecorderZeroAlloc extends the zero-allocation contract to
-// the flight recorder: an episode step bracketed by the start/end events a
-// streaming worker records (exactly what engine.runWorker emits per
-// episode) must still perform zero heap allocations. This is the PR's
-// "always-on" claim — attaching the recorder cannot cost the hot path an
-// allocation.
+// the flight recorder: an episode step bracketed by the events a worker
+// records under episode tracing (what engine.runWorker emits per episode:
+// start, one action per execution-log entry, the work totals, end) must
+// still perform zero heap allocations — neither the always-on recorder of a
+// stream nor a traced episode costs the hot path an allocation.
 func TestEpisodeStepRecorderZeroAlloc(t *testing.T) {
 	cfg := StepBenchConfig{NQueries: 16, Policy: qlearn.New(qlearn.DefaultConfig())}
 	sb := stepBenchWarm(t, cfg)
@@ -25,6 +26,11 @@ func TestEpisodeStepRecorderZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, func() {
 		rec.Record(0, obs.KEpisodeStart, 0, 1, 0xffff, 16)
 		rep := sb.Step()
+		for i := range sb.W.log {
+			e := &sb.W.log[i]
+			rec.Record(0, obs.KAction, int64(e.Phase), int64(e.Op), int64(e.NIn), int64(e.NOut))
+		}
+		rec.Record(0, obs.KEpisodeWork, 1024, int64(rep.JoinInput), int64(math.Float64bits(rep.MeasuredCost)), 0)
 		rec.Record(0, obs.KEpisodeEnd, 0, 1, int64(rep.JoinInput), int64(rep.PlanSig))
 	})
 	if raceEnabled {
@@ -33,7 +39,8 @@ func TestEpisodeStepRecorderZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("episode step with recorder allocates %.1f allocs/op, want 0", allocs)
 	}
-	if len(rec.Snapshot()) == 0 {
-		t.Fatal("recorder captured nothing; the assertion would be vacuous")
+	eps := rec.Episodes(1)
+	if len(eps) != 1 || len(eps[0].SelActions) == 0 || len(eps[0].JoinActions) == 0 {
+		t.Fatalf("recorder did not capture a whole episode with its actions (%+v); the assertion would be vacuous", eps)
 	}
 }

@@ -1,7 +1,6 @@
-// Package metrics provides the lightweight observability primitives the
-// engine and harness use: exponentially weighted moving averages, log-scale
-// histograms for cardinalities and latencies, and a fixed-capacity episode
-// trace ring for post-mortem inspection of adaptive behaviour.
+// Package metrics holds the process-wide metrics registry (registry.go,
+// exported in Prometheus text format by prom.go) and, here, the log-scale
+// histogram its latency and cardinality families are built on.
 package metrics
 
 import (
@@ -9,45 +8,7 @@ import (
 	"math/bits"
 	"strings"
 	"sync"
-	"time"
 )
-
-// EWMA is an exponentially weighted moving average. The zero value is
-// unusable; use NewEWMA. Safe for concurrent use.
-type EWMA struct {
-	mu    sync.Mutex
-	alpha float64
-	v     float64
-	n     int64
-}
-
-// NewEWMA creates an average with smoothing factor alpha in (0, 1]; higher
-// alpha weighs recent samples more.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.2
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add folds one sample in.
-func (e *EWMA) Add(x float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.n == 0 {
-		e.v = x
-	} else {
-		e.v = e.alpha*x + (1-e.alpha)*e.v
-	}
-	e.n++
-}
-
-// Value returns the current average and the sample count.
-func (e *EWMA) Value() (float64, int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.v, e.n
-}
 
 // Histogram counts non-negative int64 samples in power-of-two buckets:
 // bucket i holds values in [2^(i-1), 2^i), bucket 0 holds zero. Safe for
@@ -139,135 +100,4 @@ func (h *Histogram) String() string {
 		fmt.Fprintf(&b, "%12d+ %-40s %d\n", lo, strings.Repeat("#", bar), c)
 	}
 	return b.String()
-}
-
-// EpisodeRecord is one traced episode.
-type EpisodeRecord struct {
-	Episode   int64
-	Inst      int
-	Input     int
-	JoinInput int
-	Cost      float64
-	Duration  time.Duration
-
-	// ActiveQueries is the number of queries in the episode's active set.
-	ActiveQueries int
-	// SelActions lists the chosen selection-operator IDs in application
-	// order; JoinActions the probed edge IDs in execution order. Both are
-	// recorded only when the executor runs with action tracing on, and the
-	// record owns the slices (they never alias executor buffers).
-	SelActions  []int32
-	JoinActions []int32
-
-	// Fault is empty for a completed episode, else the fault class that
-	// aborted it ("panic", "insert", "stall").
-	Fault string
-
-	// Event is empty for an episode record; otherwise the record is a
-	// control-plane event interleaved into the trace ("reject", "shed",
-	// "lane_promote") with Tenant and Qid identifying the subject (Qid -1
-	// when the query never received an id).
-	Event  string
-	Tenant string
-	Qid    int
-}
-
-// Ring is a fixed-capacity trace of the most recent episodes. Safe for
-// concurrent use. Besides the windowed trace it keeps lifetime abort/fault
-// counters, which survive eviction.
-type Ring struct {
-	mu     sync.Mutex
-	buf    []EpisodeRecord
-	next   int
-	full   bool
-	faults map[string]int64
-	nfault int64
-}
-
-// NewRing creates a ring holding the last n episodes.
-func NewRing(n int) *Ring {
-	if n <= 0 {
-		n = 1024
-	}
-	return &Ring{buf: make([]EpisodeRecord, n)}
-}
-
-// Add appends one record, evicting the oldest when full.
-func (r *Ring) Add(rec EpisodeRecord) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if rec.Fault != "" {
-		if r.faults == nil {
-			r.faults = make(map[string]int64)
-		}
-		r.faults[rec.Fault]++
-		r.nfault++
-	}
-	r.buf[r.next] = rec
-	r.next = (r.next + 1) % len(r.buf)
-	if r.next == 0 {
-		r.full = true
-	}
-}
-
-// AddEvent appends a control-plane event record (admission rejection,
-// deadline shed, urgency-lane promotion) to the trace, interleaved with
-// episode records in arrival order.
-func (r *Ring) AddEvent(event, tenant string, qid int) {
-	r.Add(EpisodeRecord{Event: event, Tenant: tenant, Qid: qid})
-}
-
-// Events returns the control-plane event records currently in the window,
-// oldest-first.
-func (r *Ring) Events() []EpisodeRecord {
-	all := r.Snapshot()
-	out := all[:0]
-	for _, rec := range all {
-		if rec.Event != "" {
-			out = append(out, rec)
-		}
-	}
-	return out
-}
-
-// Faults returns the lifetime count of aborted episodes recorded, across
-// the whole trace (not just the current window).
-func (r *Ring) Faults() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.nfault
-}
-
-// FaultsByKind returns the lifetime per-class abort counters (a copy).
-func (r *Ring) FaultsByKind() map[string]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.faults))
-	for k, v := range r.faults {
-		out[k] = v
-	}
-	return out
-}
-
-// Snapshot returns the traced episodes oldest-first.
-func (r *Ring) Snapshot() []EpisodeRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return append([]EpisodeRecord(nil), r.buf[:r.next]...)
-	}
-	out := make([]EpisodeRecord, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// Len returns the number of records currently held.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
 }

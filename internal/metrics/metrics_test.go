@@ -4,27 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
-
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if v, n := e.Value(); v != 0 || n != 0 {
-		t.Error("fresh EWMA not zero")
-	}
-	e.Add(10)
-	if v, _ := e.Value(); v != 10 {
-		t.Errorf("first sample = %v", v)
-	}
-	e.Add(20)
-	if v, n := e.Value(); v != 15 || n != 2 {
-		t.Errorf("after two samples: %v, %d", v, n)
-	}
-	// Bad alpha falls back to a sane default.
-	if NewEWMA(-1) == nil {
-		t.Error("nil EWMA")
-	}
-}
 
 func TestHistogram(t *testing.T) {
 	var h Histogram
@@ -67,32 +47,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	wg.Wait()
 	if h.Count() != 8000 {
 		t.Errorf("count = %d", h.Count())
-	}
-}
-
-func TestRing(t *testing.T) {
-	r := NewRing(3)
-	if r.Len() != 0 {
-		t.Error("fresh ring not empty")
-	}
-	for i := int64(1); i <= 5; i++ {
-		r.Add(EpisodeRecord{Episode: i, Duration: time.Duration(i)})
-	}
-	if r.Len() != 3 {
-		t.Errorf("len = %d", r.Len())
-	}
-	snap := r.Snapshot()
-	if len(snap) != 3 || snap[0].Episode != 3 || snap[2].Episode != 5 {
-		t.Errorf("snapshot = %+v", snap)
-	}
-	// Partial fill path.
-	r2 := NewRing(10)
-	r2.Add(EpisodeRecord{Episode: 42})
-	if s := r2.Snapshot(); len(s) != 1 || s[0].Episode != 42 {
-		t.Errorf("partial snapshot = %+v", s)
-	}
-	if NewRing(0).Len() != 0 {
-		t.Error("zero-capacity ring should default")
 	}
 }
 
@@ -142,119 +96,32 @@ func TestHistogramQuantileEdges(t *testing.T) {
 // goroutines; run under -race this is the package's data-race check.
 func TestConcurrentPrimitives(t *testing.T) {
 	var h Histogram
-	e := NewEWMA(0.3)
-	r := NewRing(64)
 	var reg Registry
 
 	const goroutines, iters = 8, 500
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				h.Add(int64(i))
 				_ = h.Quantile(0.5)
 				_ = h.Mean()
-				e.Add(float64(i))
-				e.Value()
-				rec := EpisodeRecord{Episode: int64(g*iters + i), Inst: g}
-				if i%17 == 0 {
-					rec.Fault = "panic"
-				}
-				r.Add(rec)
-				r.Len()
-				if i%50 == 0 {
-					r.Snapshot()
-					r.FaultsByKind()
-				}
 				reg.Episodes.Add(1)
 				if i%100 == 0 {
 					reg.AddFault("stall", 1)
 					reg.Snapshot()
 				}
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 
 	if h.Count() != goroutines*iters {
 		t.Errorf("histogram count = %d", h.Count())
 	}
-	if _, n := e.Value(); n != goroutines*iters {
-		t.Errorf("ewma samples = %d", n)
-	}
-	if r.Len() != 64 {
-		t.Errorf("ring len = %d", r.Len())
-	}
-	wantFaults := int64(goroutines * ((iters + 16) / 17))
-	if got := r.Faults(); got != wantFaults {
-		t.Errorf("ring faults = %d, want %d", got, wantFaults)
-	}
 	if got := reg.Episodes.Load(); got != goroutines*iters {
 		t.Errorf("registry episodes = %d", got)
-	}
-}
-
-func TestRingFaultCounters(t *testing.T) {
-	r := NewRing(4)
-	if r.Faults() != 0 {
-		t.Error("fresh ring has faults")
-	}
-	r.Add(EpisodeRecord{Episode: 1})
-	r.Add(EpisodeRecord{Episode: 2, Fault: "panic"})
-	r.Add(EpisodeRecord{Episode: 3, Fault: "panic"})
-	r.Add(EpisodeRecord{Episode: 4, Fault: "insert"})
-	// Fault totals survive ring eviction: push the faulted records out.
-	for i := int64(5); i <= 10; i++ {
-		r.Add(EpisodeRecord{Episode: i})
-	}
-	if got := r.Faults(); got != 3 {
-		t.Errorf("Faults() = %d, want 3", got)
-	}
-	by := r.FaultsByKind()
-	if by["panic"] != 2 || by["insert"] != 1 {
-		t.Errorf("FaultsByKind() = %v", by)
-	}
-	// The returned map is a copy.
-	by["panic"] = 99
-	if r.FaultsByKind()["panic"] != 2 {
-		t.Error("FaultsByKind exposed internal map")
-	}
-}
-
-func TestRingEventRecords(t *testing.T) {
-	r := NewRing(8)
-	r.Add(EpisodeRecord{Episode: 1})
-	r.AddEvent("lane_promote", "fast", 3)
-	r.Add(EpisodeRecord{Episode: 2})
-	r.AddEvent("shed", "late", 5)
-	r.AddEvent("reject", "bulk", -1)
-
-	evs := r.Events()
-	if len(evs) != 3 {
-		t.Fatalf("Events() returned %d records, want 3", len(evs))
-	}
-	want := []EpisodeRecord{
-		{Event: "lane_promote", Tenant: "fast", Qid: 3},
-		{Event: "shed", Tenant: "late", Qid: 5},
-		{Event: "reject", Tenant: "bulk", Qid: -1},
-	}
-	for i, w := range want {
-		if evs[i].Event != w.Event || evs[i].Tenant != w.Tenant || evs[i].Qid != w.Qid {
-			t.Errorf("event %d = %+v, want %+v", i, evs[i], w)
-		}
-	}
-	// Event records interleave with episodes in the shared window and are
-	// evicted together with them.
-	for i := int64(3); i <= 10; i++ {
-		r.Add(EpisodeRecord{Episode: i})
-	}
-	if got := len(r.Events()); got != 0 {
-		t.Errorf("after eviction Events() = %d records, want 0", got)
-	}
-	// Events never count as faults.
-	if r.Faults() != 0 {
-		t.Errorf("event records counted as faults: %d", r.Faults())
 	}
 }

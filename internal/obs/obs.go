@@ -1,7 +1,10 @@
 // Package obs implements the engine's flight recorder: fixed-size,
 // lock-free per-worker rings of typed events (episode lifecycle, admission,
-// fences, epochs, GC, retirement) that are cheap enough to leave on in
-// production and can be merged on demand into a single causal timeline.
+// fences, epochs, GC, retirement and, under episode tracing, each episode's
+// execution log) that are cheap enough to leave on in production. It is the
+// engine's only event transport: the rings are merged on demand into a single
+// causal timeline (Snapshot, exported by WriteTrace) or decoded back into
+// per-episode records (Episodes).
 //
 // Design: each ring is a power-of-two array of fully atomic slots claimed
 // by a single fetch-add on the ring's position counter. A writer
@@ -16,8 +19,8 @@
 //
 // Events are stamped with both wall-clock nanoseconds (for Chrome
 // trace_event export) and the engine's sharded version clock frontier (for
-// causal ordering against STeM publication), and carry four opaque int64
-// arguments whose meaning depends on the event kind (see Kind docs).
+// causal ordering against STeM publication), and carry four int64 arguments
+// whose meaning depends on the event kind (see kindArgs).
 package obs
 
 import (
@@ -26,61 +29,64 @@ import (
 	"time"
 )
 
-// Kind identifies the type of a recorded event. The A..D argument slots
-// are interpreted per kind as documented on each constant.
+// Kind identifies the type of a recorded event. What a kind's four
+// argument slots hold is named in kindArgs, the one table the exporter, the
+// decoder and DESIGN.md's event table are written from.
 type Kind uint8
 
 const (
 	KNone Kind = iota
 
 	// KEpisodeStart: a worker began an episode.
-	// A=instance, B=slot, C=first active-bitset word, D=active query count.
 	KEpisodeStart
-	// KEpisodeEnd: a worker finished an episode.
-	// A=instance, B=slot, C=duration ns, D=plan signature.
+	// KEpisodeEnd: a worker finished an episode (faulted or not).
 	KEpisodeEnd
 	// KSubmit: a query entered the engine via SubmitLive.
-	// A=query id, B=number of fence-queued grow ops, C=tenant hash.
 	KSubmit
 	// KAdmit: a pending query activated (its scans became schedulable).
-	// A=query id.
 	KAdmit
-	// KReject: admission control rejected a submission. A=query id (-1 if
-	// rejected before an id was assigned), B=tenant hash.
+	// KReject: admission control rejected a submission. The query id is -1:
+	// a rejected submission never receives one.
 	KReject
-	// KShed: a query was shed (hopeless or expired deadline).
-	// A=query id (-1 at submit time), B=1 if shed mid-flight.
+	// KShed: a query was shed — at submit time (hopeless deadline, query id
+	// -1) or mid-flight (expired deadline).
 	KShed
 	// KLanePromote: the scheduler promoted a query's scans into the
-	// deadline-urgency lane. A=query id, B=ns to deadline.
+	// deadline-urgency lane.
 	KLanePromote
 	// KFenceQueue: a structural op was queued behind an instance fence.
-	// A=instance, B=query id.
 	KFenceQueue
 	// KFenceDrain: an instance fence drained and ran its queued ops.
-	// A=instance, B=number of ops run, C=fence age ns.
 	KFenceDrain
-	// KEpochAdvance: the epoch domain advanced. A=new generation.
+	// KEpochAdvance: the epoch domain advanced.
 	KEpochAdvance
-	// KEpochDefer: a reclamation was deferred pending a grace period.
-	// A=generation at defer.
+	// KEpochDefer: reclamations were deferred pending a grace period.
 	KEpochDefer
 	// KEpochRelease: deferred reclamations ran after their grace period.
-	// A=number of functions released.
 	KEpochRelease
 	// KGCQuantum: a budgeted concurrent GC quantum ran.
-	// A=instance, B=chunks swept.
 	KGCQuantum
 	// KGCSweepRestart: a GC sweep restarted from chunk 0 because a fenced
-	// compaction repositioned entries mid-pass. A=instance, B=compact gen.
+	// compaction repositioned entries mid-pass.
 	KGCSweepRestart
-	// KGCCompact: a live-compaction was issued. A=instance, B=0 if run
-	// inline, 1 if queued behind a fence.
+	// KGCCompact: a live-compaction was issued, inline or behind a fence.
 	KGCCompact
-	// KRetire: a query retired. A=query id, B=1 if completed, 0 if failed.
+	// KRetire: a query retired, completed or failed.
 	KRetire
-	// KCallback: retirement callbacks were handed off. A=count.
+	// KCallback: retirement callbacks were handed off.
 	KCallback
+	// KAction: one entry of the episode's execution log — the operator the
+	// policy chose and what it did. phase is policy.Phase (0 selection, 1
+	// join); op is a selection-operator ID or a join-edge ID accordingly.
+	// Recorded between the episode's start and end, in execution order,
+	// only under episode tracing.
+	KAction
+	// KEpisodeWork: the episode's totals — tuples ingested, tuples entering
+	// the join phase, the cost-model total (math.Float64bits) and the fault
+	// class that aborted it (0 none, else 1 + the engine's FaultKind).
+	// Recorded once per episode after its actions, only under episode
+	// tracing.
+	KEpisodeWork
 )
 
 var kindNames = [...]string{
@@ -102,6 +108,33 @@ var kindNames = [...]string{
 	KGCCompact:      "gc_compact",
 	KRetire:         "retire",
 	KCallback:       "callback",
+	KAction:         "action",
+	KEpisodeWork:    "episode_work",
+}
+
+// kindArgs names each kind's A..D argument slots; "" marks a slot the kind
+// does not use. tenant is the FNV-1a hash of the tenant name (names stay out
+// of the fixed-width slots); *_ns are nanoseconds.
+var kindArgs = [...][4]string{
+	KEpisodeStart:   {"inst", "slot", "active_w0", "active"},
+	KEpisodeEnd:     {"inst", "slot", "dur_ns", "plan_sig"},
+	KSubmit:         {"qid", "fence_ops", "tenant"},
+	KAdmit:          {"qid"},
+	KReject:         {"qid", "", "tenant"},
+	KShed:           {"qid", "midflight", "tenant"},
+	KLanePromote:    {"qid", "deadline_unix_ns", "tenant"},
+	KFenceQueue:     {"inst", "qid"},
+	KFenceDrain:     {"inst", "ops", "age_ns"},
+	KEpochAdvance:   {"gen"},
+	KEpochDefer:     {"gen", "fns"},
+	KEpochRelease:   {"fns"},
+	KGCQuantum:      {"inst", "chunks"},
+	KGCSweepRestart: {"inst", "compact_gen"},
+	KGCCompact:      {"inst", "fenced"},
+	KRetire:         {"qid", "completed"},
+	KCallback:       {"n"},
+	KAction:         {"phase", "op", "n_in", "n_out"},
+	KEpisodeWork:    {"input", "join_input", "cost_bits", "fault"},
 }
 
 func (k Kind) String() string {
@@ -148,18 +181,16 @@ type ring struct {
 }
 
 // Recorder holds one ring per worker plus, by convention, one extra
-// control ring (index Workers()) for engine-side events recorded under
-// the session lock. The zero Recorder and a nil *Recorder are both safe
-// no-ops for Record.
+// control ring (the last) for control-plane events. A nil *Recorder is a
+// safe no-op for Record.
 type Recorder struct {
-	enabled atomic.Bool
-	vclock  atomic.Pointer[func() int64]
-	nowFn   func() int64 // test seam; wall clock by default
-	rings   []ring
+	vclock atomic.Pointer[func() int64]
+	nowFn  func() int64 // test seam; wall clock by default
+	rings  []ring
 }
 
 // NewRecorder creates a recorder with rings rings of perRing slots each
-// (rounded up to a power of two, minimum 8). The recorder starts enabled.
+// (rounded up to a power of two, minimum 8).
 func NewRecorder(rings, perRing int) *Recorder {
 	if rings < 1 {
 		rings = 1
@@ -173,7 +204,6 @@ func NewRecorder(rings, perRing int) *Recorder {
 		r.rings[i].mask = uint64(n - 1)
 		r.rings[i].slots = make([]slot, n)
 	}
-	r.enabled.Store(true)
 	return r
 }
 
@@ -194,13 +224,6 @@ func (r *Recorder) SetVClock(fn func() int64) {
 // Record.
 func (r *Recorder) SetNow(fn func() int64) { r.nowFn = fn }
 
-// SetEnabled turns recording on or off. When off, Record is a single
-// atomic load and a branch.
-func (r *Recorder) SetEnabled(on bool) { r.enabled.Store(on) }
-
-// Enabled reports whether recording is on. Nil-safe.
-func (r *Recorder) Enabled() bool { return r != nil && r.enabled.Load() }
-
 // Rings returns the number of rings. Nil-safe.
 func (r *Recorder) Rings() int {
 	if r == nil {
@@ -213,7 +236,7 @@ func (r *Recorder) Rings() int {
 // allocation-free; concurrent writers to the same ring are safe (a torn
 // overwrite is detected and dropped at read time via the seq protocol).
 func (r *Recorder) Record(ri int, k Kind, a, b, c, d int64) {
-	if r == nil || !r.enabled.Load() {
+	if r == nil {
 		return
 	}
 	rg := &r.rings[ri]

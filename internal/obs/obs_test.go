@@ -3,9 +3,12 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // fakeClock returns a deterministic, strictly increasing nanosecond stamp.
@@ -101,17 +104,11 @@ func TestSince(t *testing.T) {
 	}
 }
 
-func TestNilAndDisabledRecorder(t *testing.T) {
+func TestNilRecorder(t *testing.T) {
 	var nilR *Recorder
 	nilR.Record(0, KSubmit, 0, 0, 0, 0) // must not panic
-	if nilR.Enabled() || nilR.Rings() != 0 || nilR.Snapshot() != nil {
+	if nilR.Rings() != 0 || nilR.Snapshot() != nil || nilR.Episodes(8) != nil {
 		t.Fatal("nil recorder should be inert")
-	}
-	r := NewRecorder(1, 8)
-	r.SetEnabled(false)
-	r.Record(0, KSubmit, 1, 0, 0, 0)
-	if got := len(r.Snapshot()); got != 0 {
-		t.Fatalf("disabled recorder captured %d events", got)
 	}
 }
 
@@ -183,8 +180,10 @@ func TestTraceGolden(t *testing.T) {
 	r.SetNow(fakeClock())
 	r.SetVClock(func() int64 { return 7 })
 	r.Record(0, KEpisodeStart, 3, 12, 0, 2)
+	r.Record(0, KAction, 1, 4, 128, 96)
 	r.Record(0, KEpisodeEnd, 3, 12, 1000, 99)
-	r.Record(1, KSubmit, 5, 1, 0, 0)
+	r.Record(1, KSubmit, 5, 1, 77, 0)
+	r.Record(1, KReject, -1, 0, 77, 0)
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, r.Snapshot(), r.Rings()); err != nil {
 		t.Fatal(err)
@@ -192,9 +191,11 @@ func TestTraceGolden(t *testing.T) {
 	want := `{"displayTimeUnit":"ms","traceEvents":[` +
 		`{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"worker 0"}},` +
 		`{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":1,"args":{"name":"control"}},` +
-		`{"name":"episode_start","ph":"i","ts":1,"pid":1,"tid":0,"s":"t","args":{"a":3,"b":12,"c":0,"d":2,"vclock":7}},` +
-		`{"name":"episode","ph":"X","ts":1,"dur":1,"pid":1,"tid":0,"args":{"inst":3,"plan_sig":99,"slot":12,"vclock":7}},` +
-		`{"name":"submit","ph":"i","ts":3,"pid":1,"tid":1,"s":"t","args":{"a":5,"b":1,"c":0,"d":0,"vclock":7}}` +
+		`{"name":"episode_start","ph":"i","ts":1,"pid":1,"tid":0,"s":"t","args":{"active":2,"active_w0":0,"inst":3,"slot":12,"vclock":7}},` +
+		`{"name":"action","ph":"i","ts":2,"pid":1,"tid":0,"s":"t","args":{"n_in":128,"n_out":96,"op":4,"phase":1,"vclock":7}},` +
+		`{"name":"episode","ph":"X","ts":2,"dur":1,"pid":1,"tid":0,"args":{"dur_ns":1000,"inst":3,"plan_sig":99,"slot":12,"vclock":7}},` +
+		`{"name":"submit","ph":"i","ts":4,"pid":1,"tid":1,"s":"t","args":{"fence_ops":1,"qid":5,"tenant":77,"vclock":7}},` +
+		`{"name":"reject","ph":"i","ts":5,"pid":1,"tid":1,"s":"t","args":{"qid":-1,"tenant":77,"vclock":7}}` +
 		`]}` + "\n"
 	if got := buf.String(); got != want {
 		t.Fatalf("golden mismatch:\ngot:  %s\nwant: %s", got, want)
@@ -205,7 +206,7 @@ func TestTraceValidTraceEventJSON(t *testing.T) {
 	r := NewRecorder(3, 32)
 	r.SetNow(fakeClock())
 	for i := 0; i < 20; i++ {
-		r.Record(i%3, Kind(1+i%10), int64(i), 0, 500, 0)
+		r.Record(i%3, Kind(1+i%len(kindNames)), int64(i), 0, 500, 0)
 	}
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, r.Snapshot(), r.Rings()); err != nil {
@@ -232,5 +233,110 @@ func TestTraceValidTraceEventJSON(t *testing.T) {
 				t.Fatalf("complete event %d missing dur", i)
 			}
 		}
+	}
+}
+
+// TestKindTablesCoverEveryKind keeps the name and argument tables in step
+// with the Kind constants: a kind added without a row would export as
+// "unknown" with no arguments.
+func TestKindTablesCoverEveryKind(t *testing.T) {
+	if len(kindNames) != len(kindArgs) || len(kindNames) != int(KEpisodeWork)+1 {
+		t.Fatalf("kindNames has %d rows, kindArgs %d, last kind is %d", len(kindNames), len(kindArgs), KEpisodeWork)
+	}
+	for k := KEpisodeStart; k <= KEpisodeWork; k++ {
+		if kindNames[k] == "" || kindArgs[k][0] == "" {
+			t.Errorf("kind %d: name %q, first argument %q", k, kindNames[k], kindArgs[k][0])
+		}
+	}
+}
+
+// recordEpisode writes one traced episode into ring ri the way the engine
+// does: start, one action per log entry, the work totals, end.
+func recordEpisode(r *Recorder, ri int, inst, slot int64, sel, join []int64, fault int64) {
+	r.Record(ri, KEpisodeStart, inst, slot, 0b111, 3)
+	for _, op := range sel {
+		r.Record(ri, KAction, 0, op, 100, 50)
+	}
+	for _, op := range join {
+		r.Record(ri, KAction, 1, op, 50, 70)
+	}
+	r.Record(ri, KEpisodeWork, 100, 50, int64(math.Float64bits(12.5)), fault)
+	r.Record(ri, KEpisodeEnd, inst, slot, 2000+slot, 99)
+}
+
+func TestEpisodesDecodeInterleavedRings(t *testing.T) {
+	r := NewRecorder(3, 64) // two workers and a control ring
+	r.SetNow(fakeClock())
+	// Worker 1 finishes slot 1 before worker 0 finishes slot 0, with
+	// control-plane traffic in between: the decoder keeps rings apart and
+	// orders the result by episode number.
+	r.Record(0, KEpisodeStart, 2, 0, 0b1, 1)
+	r.Record(2, KSubmit, 4, 0, 0, 0)
+	recordEpisode(r, 1, 5, 1, []int64{7}, []int64{3, 4}, 0)
+	r.Record(0, KAction, 1, 9, 10, 20)
+	r.Record(2, KRetire, 4, 1, 0, 0)
+	r.Record(0, KEpisodeWork, 10, 10, int64(math.Float64bits(1.5)), 2)
+	r.Record(0, KEpisodeEnd, 2, 0, 500, 11)
+	recordEpisode(r, 1, 5, 2, nil, nil, 0)
+
+	got := r.Episodes(10)
+	want := []EpisodeTrace{
+		{Episode: 0, Inst: 2, ActiveQueries: 1, Input: 10, JoinInput: 10, Cost: 1.5,
+			Duration: 500, JoinActions: []int32{9}, FaultKind: 2},
+		{Episode: 1, Inst: 5, ActiveQueries: 3, Input: 100, JoinInput: 50, Cost: 12.5,
+			Duration: 2001, SelActions: []int32{7}, JoinActions: []int32{3, 4}},
+		{Episode: 2, Inst: 5, ActiveQueries: 3, Input: 100, JoinInput: 50, Cost: 12.5,
+			Duration: 2002},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded\n %+v\nwant\n %+v", got, want)
+	}
+}
+
+func TestEpisodesWrappedRingYieldsOnlyCompleteEpisodes(t *testing.T) {
+	r := NewRecorder(1, 16)
+	r.SetNow(fakeClock())
+	// Five events per episode into 16 slots: after 7 episodes the ring holds
+	// the tail of slot 3 (its start overwritten) and slots 4..6 whole.
+	for slot := int64(0); slot < 7; slot++ {
+		recordEpisode(r, 0, 1, slot, []int64{slot}, []int64{slot}, 0)
+	}
+	got := r.Episodes(100)
+	if len(got) != 3 {
+		t.Fatalf("decoded %d episodes, want the 3 the ring holds whole: %+v", len(got), got)
+	}
+	for i, ep := range got {
+		slot := int64(4 + i)
+		if ep.Episode != slot || ep.Input != 100 || ep.Duration != time.Duration(2000+slot) ||
+			!reflect.DeepEqual(ep.SelActions, []int32{int32(slot)}) ||
+			!reflect.DeepEqual(ep.JoinActions, []int32{int32(slot)}) {
+			t.Errorf("episode %d decoded as %+v", slot, ep)
+		}
+	}
+	// An episode still open when the rings are read is not returned either.
+	r.Record(0, KEpisodeStart, 1, 7, 0, 1)
+	r.Record(0, KAction, 1, 1, 1, 1)
+	if got := r.Episodes(100); len(got) != 2 || got[1].Episode != 6 {
+		t.Fatalf("open episode surfaced or complete ones lost: %+v", got)
+	}
+}
+
+func TestEpisodesLastN(t *testing.T) {
+	r := NewRecorder(2, 256)
+	r.SetNow(fakeClock())
+	for slot := int64(0); slot < 20; slot++ {
+		recordEpisode(r, int(slot%2), 0, slot, nil, []int64{1}, 0)
+	}
+	got := r.Episodes(6)
+	if len(got) != 6 {
+		t.Fatalf("decoded %d episodes, want the last 6", len(got))
+	}
+	for i, ep := range got {
+		if want := int64(14 + i); ep.Episode != want {
+			t.Errorf("record %d is episode %d, want %d (oldest first)", i, ep.Episode, want)
+		}
+	}
+	if r.Episodes(0) != nil {
+		t.Error("Episodes(0) returned records")
 	}
 }

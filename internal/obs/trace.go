@@ -37,9 +37,9 @@ func RingName(ri, rings int) string {
 // ToTraceEvents converts a merged timeline into Chrome trace_event
 // records. Episode-end events become complete ("X") spans reconstructed
 // from their duration argument; every other kind becomes a thread-scoped
-// instant ("i"). One metadata record per ring names its track. rings is
-// the recorder's ring count (for track naming); pass 0 to derive it from
-// the events.
+// instant ("i"). Arguments carry the names kindArgs gives them. One metadata
+// record per ring names its track. rings is the recorder's ring count (for
+// track naming); pass 0 to derive it from the events.
 func ToTraceEvents(evs []Event, rings int) []traceEvent {
 	if rings == 0 {
 		for _, e := range evs {
@@ -58,24 +58,24 @@ func ToTraceEvents(evs []Event, rings int) []traceEvent {
 	for _, e := range evs {
 		te := traceEvent{
 			Name: e.Kind.String(),
+			Ph:   "i",
+			S:    "t",
+			TS:   float64(e.TS) / 1e3,
 			Pid:  1,
 			Tid:  int(e.Ring),
+			Args: map[string]any{"vclock": e.VC},
 		}
-		switch e.Kind {
-		case KEpisodeEnd:
+		if e.Kind == KEpisodeEnd {
 			// Reconstruct the span: TS is the end stamp, C the duration.
-			te.Ph = "X"
+			te.Ph, te.S = "X", ""
 			te.TS = float64(e.TS-e.C) / 1e3
 			te.Dur = float64(e.C) / 1e3
-			te.Args = map[string]any{
-				"inst": e.A, "slot": e.B, "plan_sig": e.D, "vclock": e.VC,
-			}
-		default:
-			te.Ph = "i"
-			te.S = "t"
-			te.TS = float64(e.TS) / 1e3
-			te.Args = map[string]any{
-				"a": e.A, "b": e.B, "c": e.C, "d": e.D, "vclock": e.VC,
+		}
+		if int(e.Kind) < len(kindArgs) {
+			for i, v := range [4]int64{e.A, e.B, e.C, e.D} {
+				if name := kindArgs[e.Kind][i]; name != "" {
+					te.Args[name] = v
+				}
 			}
 		}
 		out = append(out, te)

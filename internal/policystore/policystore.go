@@ -1,7 +1,7 @@
 // Package policystore caches learned Q-table snapshots keyed by workload
 // template signature, so a recurring batch of queries warm-starts from
 // what earlier runs learned instead of re-exploring from scratch
-// (DESIGN.md §14). The cache is an in-memory LRU with optional on-disk
+// (DESIGN.md §13). The cache is an in-memory LRU with optional on-disk
 // persistence: Save writes an atomic, checksummed file that Open reloads,
 // and a corrupted or truncated file degrades to an empty cache rather
 // than poisoning the policy.

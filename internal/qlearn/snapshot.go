@@ -12,7 +12,7 @@ import (
 )
 
 // This file is the cross-batch persistence layer of the Q-table
-// (DESIGN.md §14): a run's learned state is exported into a Snapshot keyed
+// (DESIGN.md §13): a run's learned state is exported into a Snapshot keyed
 // by *template-relative* identities (canonical query indices, instances,
 // edge and selection-operator IDs chosen by the caller's Remap), encoded
 // as a versioned checksummed binary blob, and re-imported into a later

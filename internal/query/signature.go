@@ -6,7 +6,7 @@ import "sort"
 // recurring queries — same relations, same join edges, same filter columns
 // and kinds, regardless of alias names, clause order, positional query IDs
 // or submission order — hash to the same 64-bit value. They are the keys of
-// the cross-batch policy cache (DESIGN.md §14): a learned Q-table snapshot
+// the cross-batch policy cache (DESIGN.md §13): a learned Q-table snapshot
 // taken for one run of a template warm-starts every later run.
 //
 // Two tiers:

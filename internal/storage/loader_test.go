@@ -35,25 +35,6 @@ func TestDictBasics(t *testing.T) {
 	}
 }
 
-func TestDictSortedRemap(t *testing.T) {
-	d := NewDict()
-	zebra := d.Code("zebra")
-	apple := d.Code("apple")
-	mango := d.Code("mango")
-	remap := d.SortedRemap()
-	// After remap: apple=0, mango=1, zebra=2.
-	if remap[zebra] != 2 || remap[apple] != 0 || remap[mango] != 1 {
-		t.Errorf("remap = %v", remap)
-	}
-	if c, _ := d.Lookup("apple"); c != 0 {
-		t.Errorf("apple code after remap = %d", c)
-	}
-	vals := d.Values()
-	if vals[0] != "apple" || vals[2] != "zebra" {
-		t.Errorf("values = %v", vals)
-	}
-}
-
 func TestLoadCSV(t *testing.T) {
 	rel := catalog.NewRelation("people", "id", "name", "age")
 	dict := NewDict()

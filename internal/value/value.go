@@ -138,37 +138,3 @@ func (d *Dict) Merge(other *Dict) []int64 {
 	}
 	return remap
 }
-
-// SortedRemap re-assigns codes in lexicographic string order and returns the
-// old-code -> new-code table, so callers can rewrite already-encoded
-// columns. After it returns, code order equals string order, making range
-// predicates over the dictionary meaningful.
-func (d *Dict) SortedRemap() []int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	old := d.values
-	sorted := make([]string, len(old))
-	copy(sorted, old)
-	insertionSort(sorted)
-	remap := make([]int64, len(old))
-	newCodes := make(map[string]int64, len(sorted))
-	for i, s := range sorted {
-		newCodes[s] = int64(i)
-	}
-	for oldCode, s := range old {
-		remap[oldCode] = newCodes[s]
-	}
-	d.values = sorted
-	d.codes = newCodes
-	return remap
-}
-
-// insertionSort avoids importing sort for a cold path and keeps the package
-// dependency-free. Dictionaries are re-sorted once at load time.
-func insertionSort(a []string) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}

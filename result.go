@@ -85,7 +85,8 @@ func (r *BatchResult) Throughput() float64 {
 	return float64(n) / r.Elapsed.Seconds()
 }
 
-// Trace returns the batch's episode trace, oldest first: the last
-// Options.TraceEpisodes episodes (nil when tracing was off). The returned
-// slice is owned by the result; callers must not mutate it.
+// Trace returns the batch's episode trace, oldest first: up to the last
+// Options.TraceEpisodes episodes, as many of them as the flight recorder
+// still held whole at the end of the run (nil when tracing was off). The
+// returned slice is owned by the result; callers must not mutate it.
 func (r *BatchResult) Trace() []EpisodeTrace { return r.trace }

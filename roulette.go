@@ -40,7 +40,6 @@ import (
 	"github.com/roulette-db/roulette/internal/engine"
 	"github.com/roulette-db/roulette/internal/exec"
 	"github.com/roulette-db/roulette/internal/host"
-	"github.com/roulette-db/roulette/internal/metrics"
 	"github.com/roulette-db/roulette/internal/policy"
 	"github.com/roulette-db/roulette/internal/qlearn"
 	"github.com/roulette-db/roulette/internal/query"
@@ -339,11 +338,14 @@ type Options struct {
 	// untouched.
 	CollectStats bool
 
-	// TraceEpisodes retains the last N episodes as records carrying the
-	// chosen action sequence, active query count, cost, and duration
-	// (BatchResult.Trace, WriteTraceJSONL). 0 disables tracing. On streams
-	// the same ring additionally interleaves admission rejections, deadline
-	// sheds, and urgency-lane promotions as control-plane event records.
+	// TraceEpisodes makes every episode record its execution log on the
+	// engine's flight recorder — one event per operator the policy chose,
+	// with its input and output sizes — and keeps about the last N episodes
+	// there. A batch decodes them into records carrying the chosen action
+	// sequence, active query count, cost and duration (BatchResult.Trace,
+	// WriteTraceJSONL); a stream, whose recorder is always on, shows them as
+	// "action" events between each episode's start and end in
+	// Stream.WriteTrace and /debug/roulette/trace. 0 disables tracing.
 	TraceEpisodes int
 
 	// Logger receives the engine's structured diagnostics — most notably
@@ -376,12 +378,11 @@ func (o *Options) execOptions() exec.Options {
 	opt.AdaptiveProjections = !o.DisableAdaptiveProjections
 	opt.CollectRows = !o.DiscardRows
 	opt.CollectStats = o.CollectStats
-	opt.TraceActions = o.TraceEpisodes > 0
 	return opt
 }
 
 // sessionConfig maps Options onto the engine's session configuration — the
-// executor switches, limits, logger, trace ring, calibrated cost model,
+// executor switches, limits, logger, episode tracing, calibrated cost model,
 // planning policy over b, and the PolicyStore export hook — for batches and
 // streams alike. The returned link is nil unless a PolicyStore is attached
 // to a learned policy.
@@ -395,10 +396,8 @@ func (e *Engine) sessionConfig(b *query.Batch, o *Options) (engine.Config, *warm
 		TrackConvergence: o.TrackConvergence,
 		SessionDeadline:  o.Deadline,
 		EpisodeWatchdog:  o.EpisodeWatchdog,
+		TraceEpisodes:    o.TraceEpisodes,
 		Logger:           o.Logger,
-	}
-	if o.TraceEpisodes > 0 {
-		cfg.Trace = metrics.NewRing(o.TraceEpisodes)
 	}
 	if o.CalibrateCostModel {
 		e.calOnce.Do(func() {
@@ -492,7 +491,7 @@ func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []*Query, o *Option
 	if err != nil {
 		return nil, err
 	}
-	return e.buildResult(b, s, res, cfg.Trace)
+	return e.buildResult(b, s, res)
 }
 
 // queryResult turns a retired query's source into its public result: the
@@ -618,13 +617,15 @@ func (e *Engine) largestInstance(b *query.Batch, vectorSize int) (query.InstID, 
 }
 
 // buildResult drains host-side consumers into the public result shape.
-func (e *Engine) buildResult(b *query.Batch, s *engine.Session, res *engine.Results, ring *metrics.Ring) (*BatchResult, error) {
+func (e *Engine) buildResult(b *query.Batch, s *engine.Session, res *engine.Results) (*BatchResult, error) {
 	out := &BatchResult{
 		Elapsed:    res.Elapsed,
 		Episodes:   res.Episodes,
 		JoinTuples: res.JoinTuples,
 		Partial:    res.Partial,
 		Queries:    make([]QueryResult, b.N),
+		Stats:      res.Stats,
+		trace:      s.Trace(),
 	}
 	for _, c := range res.Convergence {
 		out.Convergence = append(out.Convergence, ConvergencePoint{
@@ -635,33 +636,6 @@ func (e *Engine) buildResult(b *query.Batch, s *engine.Session, res *engine.Resu
 		var err error
 		if out.Queries[qid], err = e.queryResult(b, qid, s.Context().Sources[qid], res.Status[qid]); err != nil {
 			return nil, err
-		}
-	}
-
-	if res.Stats != nil {
-		tags := make([]string, b.N)
-		for qid := range tags {
-			tags[qid] = b.Queries[qid].Tag
-		}
-		out.Stats = newStats(res.Stats, tags)
-	}
-	if ring != nil {
-		for _, rec := range ring.Snapshot() {
-			tr := EpisodeTrace{
-				Episode:       rec.Episode,
-				ActiveQueries: rec.ActiveQueries,
-				Input:         rec.Input,
-				JoinInput:     rec.JoinInput,
-				Cost:          rec.Cost,
-				Duration:      rec.Duration,
-				SelActions:    rec.SelActions,
-				JoinActions:   rec.JoinActions,
-				Fault:         rec.Fault,
-			}
-			if rec.Inst >= 0 && rec.Inst < len(b.Insts) {
-				tr.Table = b.Insts[rec.Inst].Table
-			}
-			out.trace = append(out.trace, tr)
 		}
 	}
 	return out, nil

@@ -58,7 +58,7 @@ func TestPinnedSchedule(t *testing.T) {
 			}
 			res, err := e.ExecuteBatch(qs, &Options{
 				Policy: c.policy, Workers: 1, VectorSize: 128, Seed: 3,
-				Admissions: c.adm, TraceEpisodes: 1 << 16,
+				Admissions: c.adm, TraceEpisodes: 256,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -85,11 +85,6 @@ type AdmissionOptions struct {
 	hooks admission.Hooks
 }
 
-// streamRecorderRing is the per-ring capacity of a stream's flight
-// recorder: events per worker (and for the control plane) kept before the
-// oldest are overwritten. 4096 events × 64 bytes = 256 KiB per ring.
-const streamRecorderRing = 4096
-
 // ErrStreamFull is returned by Submit when every query slot is occupied by
 // a live or not-yet-reclaimed query.
 var ErrStreamFull = errors.New("roulette: stream at capacity (live queries not yet reclaimed)")
@@ -167,16 +162,6 @@ func (t *Ticket) Cancel(cause error) {
 	t.s.sess.CancelQuery(t.qid, cause)
 }
 
-// StreamStemStat is a live snapshot of one relation instance's STeM.
-type StreamStemStat struct {
-	Table    string
-	Entries  int64 // entries currently resident (live after GC sweeps)
-	Inserts  int64 // cumulative build-side insertions
-	Probes   int64 // cumulative probe lookups
-	Matches  int64 // cumulative probe matches
-	EstBytes int64 // estimated resident bytes (shrinks as GC reclaims)
-}
-
 // Stream is a long-lived execution session: queries are submitted at any
 // time, share scans, STeMs and learned planning state with whatever else
 // is running, and each retires individually with its own result. A Stream
@@ -201,7 +186,6 @@ type Stream struct {
 	adm     *admission.Controller // nil when opt.Admission is nil
 	model   *cost.Model           // admission cost estimates
 	warm    *warmLink             // nil without Options.PolicyStore on a learned policy
-	trace   *metrics.Ring         // episode + control-plane event trace (TraceEpisodes)
 	results chan QueryResult
 	resOnce sync.Once
 	runDone chan struct{}
@@ -237,10 +221,6 @@ func (e *Engine) OpenStream(ctx context.Context, o *StreamOptions) (*Stream, err
 		return nil, err
 	}
 	cfg.Streaming = true
-	// The flight recorder is always on: one event ring per worker plus a
-	// control-plane ring, recording is lock-free and allocation-free, and
-	// the rings are only merged when someone asks for a trace.
-	cfg.Recorder = obs.NewRecorder(max(opt.Workers, 1)+1, streamRecorderRing)
 	cfg.StallWatchdog = opt.StallWatchdog
 	if a := opt.Admission; a != nil {
 		cfg.DeadlineUrgency = a.DeadlineUrgency
@@ -251,7 +231,6 @@ func (e *Engine) OpenStream(ctx context.Context, o *StreamOptions) (*Stream, err
 		b:       b,
 		opt:     opt,
 		warm:    link,
-		trace:   cfg.Trace,
 		tickets: make(map[int]*Ticket),
 		pending: make(map[int]QueryResult),
 		runDone: make(chan struct{}),
@@ -354,7 +333,7 @@ func (s *Stream) Submit(q *Query) (*Ticket, error) {
 			if s.adm != nil {
 				s.adm.RecordShed(tenant)
 			}
-			s.recordSubmitEvent(obs.KShed, tenant)
+			s.sess.RecordRefused(obs.KShed, tenant)
 			return nil, &ShedError{Tenant: tenant, AtSubmit: true, Deadline: deadline, Estimate: est}
 		}
 	}
@@ -363,7 +342,7 @@ func (s *Stream) Submit(q *Query) (*Ticket, error) {
 			reg := metrics.Default()
 			reg.SubmitOverloads.Add(1)
 			reg.Tenant(tenant).Rejected.Add(1)
-			s.recordSubmitEvent(obs.KReject, tenant)
+			s.sess.RecordRefused(obs.KReject, tenant)
 			return nil, err
 		}
 		reg := metrics.Default()
@@ -538,21 +517,7 @@ func (s *Stream) Results() <-chan QueryResult {
 // resident entries and bytes (which shrink as retired queries are swept)
 // and cumulative insert/probe traffic (late-submitted queries reusing a
 // pre-built STeM show up as probes without matching inserts).
-func (s *Stream) StemStats() []StreamStemStat {
-	snap := s.sess.StemSnapshot()
-	out := make([]StreamStemStat, len(snap))
-	for i, st := range snap {
-		out[i] = StreamStemStat{
-			Table:    st.Table,
-			Entries:  st.Entries,
-			Inserts:  st.Inserts,
-			Probes:   st.Probes,
-			Matches:  st.Matches,
-			EstBytes: st.EstBytes,
-		}
-	}
-	return out
-}
+func (s *Stream) StemStats() []StreamStemStat { return s.sess.StemSnapshot() }
 
 // StreamTenantStat is one tenant's admission counters at a point in time.
 type StreamTenantStat struct {

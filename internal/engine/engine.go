@@ -244,6 +244,7 @@ type scanState struct {
 	active    bitset.Set // queries currently scanning
 	remaining []int      // per query: tuples still to deliver (admitted only)
 	doneQ     bitset.Set // queries that completed this scan
+	flight    []int32    // per query: in-flight episodes of this scan carrying its bit
 	delivered int64      // vectors delivered
 	inserted  int64      // episodes that completed STeM insertion
 }
@@ -257,6 +258,7 @@ func newScanState(scan *storage.CircularScan, qcap int) *scanState {
 		active:    bitset.New(qcap),
 		remaining: make([]int, qcap),
 		doneQ:     bitset.New(qcap),
+		flight:    make([]int32, qcap),
 	}
 }
 
@@ -290,6 +292,7 @@ type Session struct {
 	closed      bool       // no more submissions: born so, or CloseSubmit called
 	inFlight    int        // episodes handed out, not yet finished
 	outstanding []int32    // per query: in-flight episodes carrying its bit
+	scansLeft   []int32    // per query: its instances whose scan has not completed for it (not in doneQ)
 	retired     bitset.Set // retired queries awaiting a GC pass
 	gc          gcState
 	gcLastEp    int64      // episode count at the last busy-path GC quantum
@@ -423,6 +426,7 @@ func NewSession(b *query.Batch, db *storage.Database, cfg Config) (*Session, err
 		failed:      bitset.New(qcap),
 		failErr:     make([]error, qcap),
 		outstanding: make([]int32, qcap),
+		scansLeft:   make([]int32, qcap),
 		retired:     bitset.New(qcap),
 		pending:     append([]AdmitEvent(nil), cfg.AdmitAt...),
 	}
@@ -499,13 +503,16 @@ func (s *Session) admitLocked(qid int) {
 		return
 	}
 	s.admitted.Add(qid)
-	for _, inst := range s.b.QueryInsts(qid) {
+	insts := s.b.QueryInsts(qid)
+	s.scansLeft[qid] = int32(len(insts))
+	for _, inst := range insts {
 		st := s.scans[inst]
 		st.active.Add(qid)
 		st.remaining[qid] = st.scan.Rows()
 		if st.scan.Rows() == 0 {
 			st.active.Remove(qid)
 			st.doneQ.Add(qid)
+			s.scansLeft[qid]--
 		}
 	}
 	s.maybeRetireLocked(qid) // zero-row relations: the query is born drained
@@ -546,7 +553,8 @@ func (s *Session) fireAdmissionsLocked(force bool) {
 }
 
 // takeVectorLocked pulls one vector from inst's circular scan, annotates it
-// with the active query set, and updates completion accounting.
+// with the active query set and the set no later probe can reach (Final),
+// and updates completion accounting.
 func (s *Session) takeVectorLocked(inst query.InstID) exec.EpisodeInput {
 	st := s.scans[inst]
 	start, n := st.scan.Next()
@@ -562,8 +570,20 @@ func (s *Session) takeVectorLocked(inst query.InstID) exec.EpisodeInput {
 	// Completion: every active query sees each vector exactly once per
 	// revolution (admission is vector-aligned).
 	var finished []int
+	var final bitset.Set
 	st.active.ForEach(func(qid int) {
+		// Build rule (DESIGN.md §10): qid is final here when inst is the last
+		// of its scans still running (an active query has not completed inst)
+		// and every in-flight episode carrying it is on inst, which never
+		// probes its own STeM — so no probe for qid can reach these entries.
+		if s.scansLeft[qid] == 1 && s.outstanding[qid] == st.flight[qid] {
+			if final == nil {
+				final = bitset.New(s.b.QCap())
+			}
+			final.Add(qid)
+		}
 		s.outstanding[qid]++
+		st.flight[qid]++
 		s.chargeServiceLocked(qid, n)
 		if s.qFirstWait.Contains(qid) {
 			// First episode carrying a live-admitted query's bit: record the
@@ -582,6 +602,7 @@ func (s *Session) takeVectorLocked(inst query.InstID) exec.EpisodeInput {
 	for _, qid := range finished {
 		st.active.Remove(qid)
 		st.doneQ.Add(qid)
+		s.scansLeft[qid]--
 		// Per-query elapsed: stamped when the query's last vector is handed
 		// out (the in-flight episode's tail is not included; observability
 		// precision, not an exactness contract).
@@ -596,6 +617,7 @@ func (s *Session) takeVectorLocked(inst query.InstID) exec.EpisodeInput {
 		Inst:   inst,
 		VIDs:   vids,
 		Active: active,
+		Final:  final,
 		Slot:   slot,
 		SelOps: s.ctx.SelOpsFor(inst, s.prunableLocked),
 	}
@@ -729,18 +751,11 @@ func (s *Session) RunContext(ctx context.Context) (*Results, error) {
 	return res, nil
 }
 
-// queryDrainedLocked reports whether every scan of qid's instances has
-// delivered all of the query's vectors. Workers only exit after finishing
-// their in-flight episode, so once the pool has drained this implies the
-// query's result is complete.
-func (s *Session) queryDrainedLocked(qid int) bool {
-	for _, inst := range s.b.QueryInsts(qid) {
-		if !s.scans[inst].doneQ.Contains(qid) {
-			return false
-		}
-	}
-	return true
-}
+// queryDrainedLocked reports whether every scan of admitted query qid's
+// instances has delivered all of the query's vectors. Workers only exit
+// after finishing their in-flight episode, so once the pool has drained
+// this implies the query's result is complete.
+func (s *Session) queryDrainedLocked(qid int) bool { return s.scansLeft[qid] == 0 }
 
 // runWorker is one worker's episode loop. id is the worker's slot in the
 // session's epoch domain: each episode pins the current generation while it
@@ -825,8 +840,10 @@ func (s *Session) runWorker(id int) {
 		if s.instFlight[in.Inst] == 0 && s.instFence[in.Inst] {
 			s.runFenceOpsLocked(int(in.Inst))
 		}
+		st := s.scans[in.Inst]
 		in.Active.ForEach(func(qid int) {
 			s.outstanding[qid]--
+			st.flight[qid]--
 			s.maybeRetireLocked(qid)
 		})
 		cbs := s.takeCallbacksLocked()

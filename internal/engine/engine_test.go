@@ -411,13 +411,25 @@ func TestBatchStatsCollection(t *testing.T) {
 	if len(bs.Stems) != len(b.Insts) {
 		t.Fatalf("stem stats: %d entries, want %d", len(bs.Stems), len(b.Insts))
 	}
+	// Build rule (DESIGN.md §10): the dimensions are scanned while the fact
+	// table is still pending, so they hold entries; the fact table is
+	// scanned last, so its vectors build only while a peer's dimension
+	// episode is still in flight. A batch never collects, so every STeM
+	// holds exactly what it was sent.
 	var inserts, probes, estBytes int64
 	for _, ss := range bs.Stems {
 		if ss.Table == "" {
 			t.Error("stem stats entry without table name")
 		}
-		if ss.Entries == 0 {
-			t.Errorf("stem %s: no entries after full ingestion", ss.Table)
+		if ss.Entries != ss.Inserts {
+			t.Errorf("stem %s: %d entries, %d inserts", ss.Table, ss.Entries, ss.Inserts)
+		}
+		if ss.Table == "fact" {
+			if ss.Entries >= 300 {
+				t.Errorf("fact STeM holds %d entries for 300 rows: the build rule never fired", ss.Entries)
+			}
+		} else if ss.Entries == 0 {
+			t.Errorf("dimension STeM %s: no entries after full ingestion", ss.Table)
 		}
 		inserts += ss.Inserts
 		probes += ss.Probes

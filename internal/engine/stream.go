@@ -343,8 +343,10 @@ func (s *Session) nextEpisode(id int) (exec.EpisodeInput, bool) {
 // that tolerate racing inserts and probes (a retired query's bit can never
 // reappear — retirement requires zero outstanding episodes, so no insert
 // still carries it). Each quantum sweeps up to gcChunkBudget STeM chunks;
-// finishing an instance whose entries became at least half dead compacts
-// it — inline when the instance has no in-flight inserts, else queued
+// finishing an instance whose entries became at least half dead — or that
+// holds none but keeps the buckets a submission regrew for a rescan the
+// build rule then left unbuilt (stem.NeedsShrink) — compacts it — inline
+// when the instance has no in-flight inserts, else queued
 // behind its fence (compaction swaps the copy-on-write state, so it must
 // not race an insert on the same instance). A queued compaction can fire
 // at fence drain while a later pass is mid-sweep of the same instance;
@@ -389,7 +391,7 @@ func (s *Session) gcQuantumLocked() {
 			s.recCtl(obs.KGCSweepRestart, int64(g.inst), int64(gen), 0, 0)
 		}
 		if g.chunk >= st.NumChunks() {
-			if g.stemDead > 0 && 2*g.stemDead >= st.Len() {
+			if g.stemDead > 0 && 2*g.stemDead >= st.Len() || st.NeedsShrink() {
 				if inst := g.inst; s.instFlight[inst] > 0 {
 					if !s.instFence[inst] {
 						s.instFenceSince[inst] = time.Now().UnixNano()
@@ -445,9 +447,11 @@ func (s *Session) gcFinishLocked() {
 		s.failed.Remove(qid)
 		s.failErr[qid] = nil
 		s.outstanding[qid] = 0
+		s.scansLeft[qid] = 0
 		for _, sc := range s.scans {
 			sc.doneQ.Remove(qid)
 			sc.active.Remove(qid)
+			sc.flight[qid] = 0
 		}
 		if s.qEpisodes != nil {
 			s.qEpisodes[qid], s.qElapsed[qid] = 0, 0

@@ -14,12 +14,19 @@ import (
 )
 
 // EpisodeInput is the work item for one episode: one ingested vector, the
-// query set actively scanning its relation, the version slot assigned to
-// the episode, and the currently available selection operators.
+// query set actively scanning its relation, the subset of it whose tuples
+// need no STeM entry, the version slot assigned to the episode, and the
+// currently available selection operators.
 type EpisodeInput struct {
 	Inst   query.InstID
 	VIDs   []int32
 	Active bitset.Set
+	// Final holds the active queries for which no later probe can reach
+	// this vector's entries: every other relation of the query has finished
+	// its scan and every in-flight episode carrying it is on Inst. The
+	// build leaves their bits out; selection and join still run on Active.
+	// Nil builds for every active query.
+	Final  bitset.Set
 	Slot   stem.Slot
 	SelOps []plan.SelOpInfo
 }
@@ -134,6 +141,8 @@ type Worker struct {
 	// buffers before execChildren recurses into a child probe.
 	insKeys    [][]int64          // STeM-insert key columns, built from vIDs
 	insScratch stem.InsertScratch // InsertVec bucket pre-linking scratch
+	insVids    []int32            // build: tuples left after masking out Final
+	insQsets   []uint64           // build: their masked query sets, stride qw
 	probeKeys  []int64            // kernel input keys (probe + prune)
 	probeIn    []int32            // kernel input position -> tuple index
 	probeTqs   []uint64           // masked tuple query sets, stride qw
@@ -394,7 +403,7 @@ func (w *Worker) RunEpisode(in EpisodeInput) (EpisodeReport, error) {
 	w.ep.filterNs += time.Since(t0).Nanoseconds()
 	w.ep.selOut += int64(len(vids))
 
-	// ---- STeM insert (make the join symmetric) ---------------------------
+	// ---- STeM build (the insert side of the symmetric join) --------------
 	if h := c.Opt.Hooks.StemInsert; h != nil {
 		if err := h(in.Inst, in.Slot); err != nil {
 			c.Versions.Publish(in.Slot)
@@ -402,28 +411,17 @@ func (w *Worker) RunEpisode(in EpisodeInput) (EpisodeReport, error) {
 		}
 	}
 	t0 = time.Now()
-	nk := len(w.cv.stemKeyCols[in.Inst])
-	for len(w.insKeys) < nk {
-		w.insKeys = append(w.insKeys, nil)
-	}
-	ik := w.insKeys[:nk]
-	for k, colData := range w.cv.stemKeySlices[in.Inst] {
-		col := ik[k][:0]
-		for _, vid := range vids {
-			col = append(col, colData[vid])
-		}
-		ik[k] = col
-	}
-	w.cv.stems[in.Inst].InsertVec(vids, ik, qsets, w.qw, in.Slot, &w.insScratch)
+	built := w.build(in, vids, qsets)
+	// The slot is published whether or not anything was built.
 	// PublishClocked reads the watermark before drawing the publish
 	// timestamp from the worker's block clock: every slot under wm then has
 	// a timestamp strictly older than ts, letting the probe kernels skip
 	// per-entry version lookups (stem.ProbeVec).
 	wm, ts := c.Versions.PublishClocked(in.Slot, &w.clk)
 	w.ep.buildNs += time.Since(t0).Nanoseconds()
-	w.ep.inserted += int64(len(vids))
+	w.ep.inserted += int64(built)
 	if w.collect {
-		w.instIns[in.Inst] += int64(len(vids))
+		w.instIns[in.Inst] += int64(built)
 	}
 
 	joinInput := len(vids)
@@ -437,6 +435,56 @@ func (w *Worker) RunEpisode(in EpisodeInput) (EpisodeReport, error) {
 	rep.MeasuredCost, rep.MeasuredJoinCost = w.measuredCost()
 	w.Pol.Observe(w.log)
 	return rep, nil
+}
+
+// build inserts the episode's surviving tuples into in.Inst's STeM, so that
+// tuples of the queries' other relations scanned later can probe them (the
+// symmetric join, §3), and returns how many entries it inserted. Only what
+// can still be probed is built: each tuple enters with its query set minus
+// in.Final, tuples left empty are skipped, and a vector whose every active
+// query is final inserts nothing. An entry without a query's bit never
+// contributes to that query, since probes AND the tuple's set with the
+// entry's, so results are unchanged.
+func (w *Worker) build(in EpisodeInput, vids []int32, qsets []uint64) int {
+	if len(in.Final) > 0 {
+		if in.Active.IsSubset(in.Final) {
+			return 0
+		}
+		vids, qsets = w.maskFinal(in.Final, vids, qsets)
+	}
+	if len(vids) == 0 {
+		return 0
+	}
+	nk := len(w.cv.stemKeyCols[in.Inst])
+	for len(w.insKeys) < nk {
+		w.insKeys = append(w.insKeys, nil)
+	}
+	ik := w.insKeys[:nk]
+	for k, colData := range w.cv.stemKeySlices[in.Inst] {
+		col := ik[k][:0]
+		for _, vid := range vids {
+			col = append(col, colData[vid])
+		}
+		ik[k] = col
+	}
+	w.cv.stems[in.Inst].InsertVec(vids, ik, qsets, w.qw, in.Slot, &w.insScratch)
+	return len(vids)
+}
+
+// maskFinal copies the tuples into the worker's build buffers with final's
+// bits cleared, dropping the tuples left empty. The join phase keeps
+// reading the unmasked originals.
+func (w *Worker) maskFinal(final bitset.Set, vids []int32, qsets []uint64) ([]int32, []uint64) {
+	bv := append(w.insVids[:0], vids...)
+	bq := append(w.insQsets[:0], qsets...)
+	nw := min(w.qw, len(final))
+	for base := 0; base < len(bq); base += w.qw {
+		for wd := 0; wd < nw; wd++ {
+			bq[base+wd] &^= final[wd]
+		}
+	}
+	w.insVids, w.insQsets = compact(bv, bq, w.qw)
+	return w.insVids, w.insQsets
 }
 
 // Log returns the execution log of the worker's last episode, in execution

@@ -24,6 +24,13 @@ type StepBenchConfig struct {
 	// CollectStats enables the per-operator-class and sharing counters, to
 	// verify the stats-on step stays allocation-free.
 	CollectStats bool
+
+	// Final, when non-nil, marks these queries final on the fact instance
+	// (EpisodeInput.Final): each Step then also runs the masked STeM build
+	// into the fact STeM, under the already-published seed slot. The fact
+	// STeM grows by up to VectorSize entries per Step, so a zero-alloc
+	// guard keeps VectorSize × steps inside its first chunk.
+	Final bitset.Set
 }
 
 // StepBench drives the steady-state episode step in isolation: a prebuilt
@@ -32,7 +39,8 @@ type StepBenchConfig struct {
 // every Step replays the hot data path — ingest, grouped filters, compact,
 // probes, routing selections, routers, cost measurement, policy update —
 // without the cold-path work RunEpisode performs per episode (plan
-// construction, STeM insertion, version publishing).
+// construction, STeM insertion, version publishing). With
+// StepBenchConfig.Final set, Step also runs the masked STeM build.
 //
 // That cold path is excluded deliberately: plan construction allocates the
 // per-episode operator tree by design, and STeM insertion grows shared
@@ -188,6 +196,8 @@ func NewStepBench(cfg StepBenchConfig) (*StepBench, error) {
 		Inst:   factInst,
 		VIDs:   vids,
 		Active: active,
+		Final:  cfg.Final,
+		Slot:   seedSlot,
 		SelOps: ctx.SelOpsFor(factInst, nil),
 	}
 
@@ -206,7 +216,12 @@ func (s *StepBench) Step() EpisodeReport {
 	w.log = w.log[:0]
 	w.planSig = 0
 	vids, qsets := w.ingestVector(s.in)
+	w.ep.selIn += int64(len(vids))
 	vids, qsets = w.runSelSteps(s.in, s.selSteps, vids, qsets)
+	w.ep.selOut += int64(len(vids))
+	if s.in.Final != nil {
+		w.ep.inserted += int64(w.build(s.in, vids, qsets))
+	}
 	joinInput := len(vids)
 	if joinInput > 0 {
 		// Watermark before timestamp, same ordering as RunEpisode: slots

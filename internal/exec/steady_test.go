@@ -3,6 +3,7 @@ package exec
 import (
 	"testing"
 
+	"github.com/roulette-db/roulette/internal/bitset"
 	"github.com/roulette-db/roulette/internal/qlearn"
 )
 
@@ -27,13 +28,28 @@ func stepBenchWarm(tb testing.TB, cfg StepBenchConfig) *StepBench {
 // policy's Q-table update — performs zero heap allocations. The strict
 // assertion is relaxed under -race (instrumentation changes escape
 // analysis) but the loop still runs there for race coverage.
+//
+// The partial-final variants add the masked STeM build: the even queries
+// are final (EpisodeInput.Final), so tuples carrying only even queries are
+// skipped and the rest enter the fact STeM without the even bits. Their
+// 32-tuple vectors keep every insert of the run inside the fact STeM's
+// first chunk, the state a long episode stream amortizes to.
 func TestEpisodeStepZeroAlloc(t *testing.T) {
+	evens := func(n int) bitset.Set {
+		s := bitset.New(n)
+		for q := 0; q < n; q += 2 {
+			s.Add(q)
+		}
+		return s
+	}
 	for _, tc := range []struct {
 		name string
 		cfg  StepBenchConfig
 	}{
 		{"16q-1word", StepBenchConfig{NQueries: 16}},
 		{"80q-2words", StepBenchConfig{NQueries: 80}},
+		{"16q-partial-final", StepBenchConfig{NQueries: 16, VectorSize: 32, Final: evens(16)}},
+		{"80q-partial-final", StepBenchConfig{NQueries: 80, VectorSize: 32, Final: evens(80)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Policy = qlearn.New(qlearn.DefaultConfig())
@@ -42,6 +58,9 @@ func TestEpisodeStepZeroAlloc(t *testing.T) {
 				t.Fatal("fixture produces empty episodes; the assertion would be vacuous")
 			}
 			allocs := testing.AllocsPerRun(50, func() { sb.Step() })
+			if tc.cfg.Final != nil {
+				checkMaskedBuild(t, sb)
+			}
 			if raceEnabled {
 				t.Skipf("race build: measured %.1f allocs/op, strict assertion skipped", allocs)
 			}
@@ -49,6 +68,23 @@ func TestEpisodeStepZeroAlloc(t *testing.T) {
 				t.Errorf("steady-state episode step allocates %.1f allocs/op, want 0", allocs)
 			}
 		})
+	}
+}
+
+// checkMaskedBuild makes the partial-final guard non-vacuous: the masked
+// build inserted some selected tuples and skipped others, and no entry
+// carries a final query's bit.
+func checkMaskedBuild(t *testing.T, sb *StepBench) {
+	t.Helper()
+	st := &sb.Ctx.Stats
+	if ins, sel := st.Inserted.Load(), st.SelOut.Load(); ins == 0 || ins >= sel {
+		t.Errorf("masked build inserted %d of %d selected tuples, want some but not all", ins, sel)
+	}
+	fs := sb.Ctx.Stems[sb.in.Inst]
+	for i := 0; i < fs.Len(); i++ {
+		if _, qs := fs.Entry(i); bitset.Intersects(qs, sb.in.Final) || qs.Empty() {
+			t.Fatalf("fact entry %d has query set %v; final set %v", i, qs, sb.in.Final)
+		}
 	}
 }
 

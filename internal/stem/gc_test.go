@@ -46,6 +46,28 @@ func TestSweepChunkCountsDead(t *testing.T) {
 	}
 }
 
+// TestNeedsShrinkEntryFreeGrownBuckets: a STeM whose buckets were grown for
+// a rescan that built nothing needs a shrink, and CompactLive restores the
+// empty STeM's footprint; a fresh or populated STeM does not.
+func TestNeedsShrinkEntryFreeGrownBuckets(t *testing.T) {
+	s := New(NewVersions(), []string{"k"}, 2, 0)
+	empty := s.EstBytes()
+	if s.NeedsShrink() {
+		t.Fatal("fresh STeM reports NeedsShrink")
+	}
+	s.EnsureBuckets(10000)
+	if !s.NeedsShrink() {
+		t.Fatal("entry-free STeM with grown buckets does not report NeedsShrink")
+	}
+	if s.CompactLive(); s.NeedsShrink() || s.EstBytes() != empty {
+		t.Fatalf("after CompactLive: NeedsShrink=%v, EstBytes %d, want %d", s.NeedsShrink(), s.EstBytes(), empty)
+	}
+	_, full := gcFixture(t, 100)
+	if full.NeedsShrink() {
+		t.Error("populated STeM reports NeedsShrink")
+	}
+}
+
 func TestCompactLiveDropsDeadAndShrinks(t *testing.T) {
 	v, s := gcFixture(t, 100)
 	before := s.EstBytes()

@@ -635,6 +635,14 @@ func (s *STeM) NeedsGrow(capacityHint int) bool {
 	return bucketsFor(capacityHint) > len(st.buckets[0])
 }
 
+// NeedsShrink reports whether the STeM holds no entries but bucket arrays
+// grown past an empty STeM's — EnsureBuckets ran ahead of a rescan that
+// then built nothing. CompactLive frees them.
+func (s *STeM) NeedsShrink() bool {
+	st := s.state.Load()
+	return s.Len() == 0 && len(st.keyCols) > 0 && len(st.buckets[0]) > bucketsFor(0)
+}
+
 // EnsureBuckets grows every index's bucket array to fit about capacityHint
 // entries, rebuilding the hash chains. It never shrinks. The engine calls
 // it when admitting a live query whose rescan will re-ingest a relation

@@ -52,10 +52,16 @@ func TestStatsAndTraceRoundTrip(t *testing.T) {
 	if len(st.Stems) == 0 {
 		t.Fatal("no stem stats")
 	}
+	// One worker scans dim before fact (scan ranking), so by the time fact
+	// is scanned no later probe can reach its tuples: the build rule
+	// (DESIGN.md §10) leaves the fact STeM empty and builds all 25 dim rows.
 	var probed bool
 	for _, ss := range st.Stems {
-		if ss.Table == "" || ss.Entries == 0 || ss.EstBytes == 0 {
+		if ss.Table == "" || ss.EstBytes == 0 || ss.Entries != ss.Inserts {
 			t.Errorf("stem stats %+v", ss)
+		}
+		if want := map[string]int64{"fact": 0, "dim": 25}[ss.Table]; ss.Entries != want {
+			t.Errorf("stem %s: %d entries, want %d", ss.Table, ss.Entries, want)
 		}
 		if ss.Probes > 0 && ss.HitRate() > 0 {
 			probed = true

@@ -384,10 +384,10 @@ func clampRetry(d time.Duration) time.Duration {
 // TenantSnapshot is one tenant's counters at a point in time.
 type TenantSnapshot struct {
 	Tenant    string
-	Admitted  int64
-	Rejected  int64
-	Shed      int64
-	InFlight  int64
+	Admitted  int64 // submissions admitted
+	Rejected  int64 // submissions rejected with ErrOverloaded
+	Shed      int64 // queries shed with ErrDeadlineShed
+	InFlight  int64 // admitted, not yet retired
 	CostInUse float64
 	Weight    float64
 }

@@ -117,10 +117,6 @@ func (c *Config) runSystem(sys System, db *storage.Database, qs []*query.Query, 
 		opt := exec.DefaultOptions()
 		opt.CollectRows = false
 		opt.CollectStats = c.CollectStats
-		ctx, err := exec.NewContext(b, db, opt, nil)
-		if err != nil {
-			return res, err
-		}
 		var pol policy.Policy
 		switch sys {
 		case SysRouLette:
@@ -128,15 +124,15 @@ func (c *Config) runSystem(sys System, db *storage.Database, qs []*query.Query, 
 			cfg.Seed = c.Seed
 			pol = qlearn.New(cfg)
 		case SysRouLetteGreedy:
-			pol = policy.NewGreedy(b, ctx.NumSelOps())
+			pol = policy.NewGreedy()
 		case SysStitchShare:
 			orders, err := sharing.StitchShareOrders(b, db)
 			if err != nil {
 				return res, err
 			}
-			pol = policy.NewStatic(orders, ctx.NumSelOps())
+			pol = policy.NewStatic(orders)
 		case SysMatchShare:
-			pol = policy.NewStatic(sharing.MatchShareOrders(b, db, nil), ctx.NumSelOps())
+			pol = policy.NewStatic(sharing.MatchShareOrders(b, db, nil))
 		}
 		s, err := engine.NewSession(b, db, engine.Config{Exec: opt, Workers: workers, Policy: pol})
 		if err != nil {

@@ -122,20 +122,18 @@ const fig13Vec = 128
 
 // stitchSimFactory adapts solo-learned order extraction into a policy
 // factory for the shared executor.
-func stitchSimFactory(soloLearned func(*query.Batch) map[policy.OrderKey][]int) func(*query.Batch, *exec.Context) policy.Policy {
-	return func(b *query.Batch, ctx *exec.Context) policy.Policy {
-		return policy.NewStatic(soloLearned(b), ctx.NumSelOps())
+func stitchSimFactory(soloLearned func(*query.Batch) map[policy.OrderKey][]int) func(*query.Batch) policy.Policy {
+	return func(b *query.Batch) policy.Policy {
+		return policy.NewStatic(soloLearned(b))
 	}
 }
 
 // mkGreedy builds the greedy policy for a compiled batch.
-func mkGreedy(b *query.Batch, ctx *exec.Context) policy.Policy {
-	return policy.NewGreedy(b, ctx.NumSelOps())
-}
+func mkGreedy(*query.Batch) policy.Policy { return policy.NewGreedy() }
 
 // joinTuples runs the batch under a policy factory (nil = learned) and
 // returns intermediate join tuples.
-func joinTuples(db *storage.Database, qs []*query.Query, mk func(*query.Batch, *exec.Context) policy.Policy, workers int, seed int64) (int64, error) {
+func joinTuples(db *storage.Database, qs []*query.Query, mk func(*query.Batch) policy.Policy, workers int, seed int64) (int64, error) {
 	return joinTuplesVec(db, qs, mk, workers, seed, 0)
 }
 
@@ -143,7 +141,7 @@ func joinTuples(db *storage.Database, qs []*query.Query, mk func(*query.Batch, *
 // policy-quality experiments use small vectors so the miniature substrates
 // still yield enough episodes for Q-learning to converge (the paper's
 // full-size tables give thousands of episodes per circular-scan pass).
-func joinTuplesVec(db *storage.Database, qs []*query.Query, mk func(*query.Batch, *exec.Context) policy.Policy, workers int, seed int64, vecSize int) (int64, error) {
+func joinTuplesVec(db *storage.Database, qs []*query.Query, mk func(*query.Batch) policy.Policy, workers int, seed int64, vecSize int) (int64, error) {
 	b, err := query.Compile(qs)
 	if err != nil {
 		return 0, err
@@ -155,11 +153,7 @@ func joinTuplesVec(db *storage.Database, qs []*query.Query, mk func(*query.Batch
 	}
 	cfg := engine.Config{Exec: opt, Workers: workers}
 	if mk != nil {
-		ctx, err := exec.NewContext(b, db, opt, nil)
-		if err != nil {
-			return 0, err
-		}
-		cfg.Policy = mk(b, ctx)
+		cfg.Policy = mk(b)
 	} else {
 		qc := qlearn.DefaultConfig()
 		qc.Seed = seed
@@ -212,11 +206,12 @@ func runQaaTAndExtractOrders(db *storage.Database, qs []*query.Query, seed int64
 		// Extract the converged plan per source instance.
 		plans[i].orders = make(map[string][]string)
 		q01 := bitset.NewFull(1)
+		g := sb.Snapshot()
 		for _, src := range sb.QueryInsts(0) {
 			lineage := uint64(1) << src
 			var sigs []string
 			for {
-				cands := sb.Candidates(nil, lineage, q01)
+				cands := g.Candidates(nil, lineage, q01)
 				if len(cands) == 0 {
 					break
 				}

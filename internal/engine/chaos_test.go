@@ -12,6 +12,7 @@ import (
 	"github.com/roulette-db/roulette/internal/catalog"
 	"github.com/roulette-db/roulette/internal/exec"
 	"github.com/roulette-db/roulette/internal/faults"
+	"github.com/roulette-db/roulette/internal/metrics"
 	"github.com/roulette-db/roulette/internal/query"
 	"github.com/roulette-db/roulette/internal/stem"
 	"github.com/roulette-db/roulette/internal/storage"
@@ -168,6 +169,53 @@ func TestChaosMixedFaultsUnderRace(t *testing.T) {
 	completed := checkSurvivors(t, res, db, qs)
 	t.Logf("%d/%d queries survived %d panics + %d insert failures",
 		completed, len(qs), inj.Panics(), inj.InsertFails())
+}
+
+// TestFaultsFoldIntoRegistryOnce pins the registry's fault accounting: a
+// faulted batch moves roulette_episode_faults_total by exactly its number
+// of faults, and the by-kind counters sum to the same number.
+func TestFaultsFoldIntoRegistryOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	db := starDB(rng, 600, 40)
+	qs := starQueries(rng, 12)
+	b, err := query.Compile(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faults.New(faults.Config{Seed: 17, PanicEvery: 5, InsertFailEvery: 3})
+	opt := exec.DefaultOptions()
+	opt.VectorSize = 16
+	opt.Hooks = inj.Hooks()
+	s, err := NewSession(b, db, Config{Exec: opt, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sumKinds := func(m map[string]int64) (n int64) {
+		for _, v := range m {
+			n += v
+		}
+		return n
+	}
+	before := metrics.Default().Snapshot()
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := metrics.Default().Snapshot()
+	kinds := map[FaultKind]int{}
+	for _, f := range res.Faults {
+		kinds[f.Kind]++
+	}
+	if kinds[FaultPanic] == 0 || kinds[FaultInsert] == 0 {
+		t.Fatalf("faults by kind = %v, want both panics and insert failures", kinds)
+	}
+	want := int64(len(res.Faults))
+	if got := after.EpisodeFaults - before.EpisodeFaults; got != want {
+		t.Errorf("episode_faults moved by %d for a batch with %d faults", got, want)
+	}
+	if got := sumKinds(after.Faults) - sumKinds(before.Faults); got != want {
+		t.Errorf("faults by kind moved by %d for a batch with %d faults", got, want)
+	}
 }
 
 // islandsDB builds two disjoint join islands — factA⋈dimA and factB⋈dimB —

@@ -48,12 +48,10 @@ func TestCyclicQueriesMatchOracle(t *testing.T) {
 	db := triangleDB(rng)
 	qs := cyclicQueries(rng, 8)
 
-	for name, mk := range map[string]func(*query.Batch, *exec.Context) policy.Policy{
-		"learned": func(*query.Batch, *exec.Context) policy.Policy { return qlearn.New(qlearn.DefaultConfig()) },
-		"greedy": func(b *query.Batch, ctx *exec.Context) policy.Policy {
-			return policy.NewGreedy(b, ctx.NumSelOps())
-		},
-		"random": func(*query.Batch, *exec.Context) policy.Policy { return policy.NewRandom(5) },
+	for name, mk := range map[string]func() policy.Policy{
+		"learned": func() policy.Policy { return qlearn.New(qlearn.DefaultConfig()) },
+		"greedy":  func() policy.Policy { return policy.NewGreedy() },
+		"random":  func() policy.Policy { return policy.NewRandom(5) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			b, err := query.Compile(qs)
@@ -66,11 +64,7 @@ func TestCyclicQueriesMatchOracle(t *testing.T) {
 			opt := exec.DefaultOptions()
 			opt.VectorSize = 64
 			opt.CollectRows = false
-			ctx, err := exec.NewContext(b, db, opt, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := NewSession(b, db, Config{Exec: opt, Policy: mk(b, ctx)})
+			s, err := NewSession(b, db, Config{Exec: opt, Policy: mk()})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -26,9 +26,6 @@ func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
 func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
 
-// DiscardLogger returns a logger that drops everything.
-func DiscardLogger() *slog.Logger { return slog.New(discardHandler{}) }
-
 // streamRingEvents is the floor on a streaming session's per-ring capacity:
 // events per worker (and for the control plane) kept before the oldest are
 // overwritten. 4096 events × 64 bytes = 256 KiB per ring.

@@ -451,16 +451,7 @@ func NewSession(b *query.Batch, db *storage.Database, cfg Config) (*Session, err
 		s.lastSig = make([]uint64, query.MaxInstances)
 	}
 
-	ranks := RankScans(b, ctx)
-	s.scans = make([]*scanState, len(b.Insts))
-	for i := range b.Insts {
-		scan, err := storage.NewCircularScan(ctx.Tables[i].NumRows(), ctx.Opt.VectorSize)
-		if err != nil {
-			return nil, err
-		}
-		s.scans[i] = newScanState(scan, qcap)
-		s.scans[i].rank = ranks[i]
-	}
+	s.addScansLocked()
 
 	// The compiled queries run under the default submission metadata;
 	// everything not covered by an AdmitEvent is admitted now.
@@ -477,6 +468,24 @@ func NewSession(b *query.Batch, db *storage.Database, cfg Config) (*Session, err
 		}
 	}
 	return s, nil
+}
+
+// addScansLocked gives every instance the context gained since the last
+// call its circular scan, then re-ranks all scans: new edges can change
+// existing instances' pruning order.
+func (s *Session) addScansLocked() {
+	for i := len(s.scans); i < len(s.ctx.Tables); i++ {
+		// NewContext made VectorSize positive, so this cannot fail.
+		scan, err := storage.NewCircularScan(s.ctx.Tables[i].NumRows(), s.ctx.Opt.VectorSize)
+		if err != nil {
+			panic(err)
+		}
+		s.scans = append(s.scans, newScanState(scan, s.b.QCap()))
+	}
+	ranks := RankScans(s.b, s.ctx)
+	for i, st := range s.scans {
+		st.rank = ranks[i]
+	}
 }
 
 // Context exposes the session's execution context (sources, stats).
@@ -1024,13 +1033,4 @@ func RankScans(b *query.Batch, ctx *exec.Context) []int {
 		}
 	}
 	return ranks
-}
-
-// NewPlanOnlySession is a convenience for experiments that measure plan
-// quality (intermediate tuples) rather than wall-clock throughput: rows are
-// not collected and convergence is not tracked.
-func NewPlanOnlySession(b *query.Batch, db *storage.Database, pol policy.Policy, workers int) (*Session, error) {
-	opt := exec.DefaultOptions()
-	opt.CollectRows = false
-	return NewSession(b, db, Config{Exec: opt, Workers: workers, Policy: pol})
 }

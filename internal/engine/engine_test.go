@@ -104,13 +104,9 @@ func TestEngineMatchesOracleAllPolicies(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	db := starDB(rng, 200, 30)
 	qs := starQueries(rng, 8)
-	b, err := query.Compile(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pols := map[string]func() policy.Policy{
 		"learned": func() policy.Policy { return qlearn.New(qlearn.DefaultConfig()) },
-		"greedy":  func() policy.Policy { return policy.NewGreedy(b, 64) },
+		"greedy":  func() policy.Policy { return policy.NewGreedy() },
 		"random":  func() policy.Policy { return policy.NewRandom(3) },
 	}
 	for name, mk := range pols {
@@ -412,10 +408,11 @@ func TestBatchStatsCollection(t *testing.T) {
 		t.Fatalf("stem stats: %d entries, want %d", len(bs.Stems), len(b.Insts))
 	}
 	// Build rule (DESIGN.md §10): the dimensions are scanned while the fact
-	// table is still pending, so they hold entries; the fact table is
-	// scanned last, so its vectors build only while a peer's dimension
-	// episode is still in flight. A batch never collects, so every STeM
-	// holds exactly what it was sent.
+	// table is still pending, so they hold entries. How much of the fact
+	// table is built depends on which dimension episodes are still in flight
+	// under two workers, so it is not asserted here;
+	// TestBuildRuleFiresAndStaysExact pins it on one worker. A batch never collects, so every STeM holds exactly
+	// what it was sent.
 	var inserts, probes, estBytes int64
 	for _, ss := range bs.Stems {
 		if ss.Table == "" {
@@ -424,11 +421,7 @@ func TestBatchStatsCollection(t *testing.T) {
 		if ss.Entries != ss.Inserts {
 			t.Errorf("stem %s: %d entries, %d inserts", ss.Table, ss.Entries, ss.Inserts)
 		}
-		if ss.Table == "fact" {
-			if ss.Entries >= 300 {
-				t.Errorf("fact STeM holds %d entries for 300 rows: the build rule never fired", ss.Entries)
-			}
-		} else if ss.Entries == 0 {
+		if ss.Table != "fact" && ss.Entries == 0 {
 			t.Errorf("dimension STeM %s: no entries after full ingestion", ss.Table)
 		}
 		inserts += ss.Inserts

@@ -18,7 +18,7 @@ import (
 
 // runRouLette executes qs on db under the given policy factory, returning
 // per-query counts.
-func runRouLette(t *testing.T, db *storage.Database, qs []*query.Query, mkPolicy func(*query.Batch, *exec.Context) policy.Policy) []int64 {
+func runRouLette(t *testing.T, db *storage.Database, qs []*query.Query, mkPolicy func(*query.Batch) policy.Policy) []int64 {
 	t.Helper()
 	b, err := query.Compile(qs)
 	if err != nil {
@@ -28,11 +28,7 @@ func runRouLette(t *testing.T, db *storage.Database, qs []*query.Query, mkPolicy
 	opt.CollectRows = false
 	cfg := Config{Exec: opt}
 	if mkPolicy != nil {
-		ctx, err := exec.NewContext(b, db, opt, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Policy = mkPolicy(b, ctx)
+		cfg.Policy = mkPolicy(b)
 	}
 	s, err := NewSession(b, db, cfg)
 	if err != nil {
@@ -78,18 +74,18 @@ func TestAllEnginesAgreeOnTPCDS(t *testing.T) {
 	}
 
 	check("learned", runRouLette(t, db, qs, nil))
-	check("greedy", runRouLette(t, db, qs, func(b *query.Batch, ctx *exec.Context) policy.Policy {
-		return policy.NewGreedy(b, ctx.NumSelOps())
+	check("greedy", runRouLette(t, db, qs, func(*query.Batch) policy.Policy {
+		return policy.NewGreedy()
 	}))
-	check("stitch&share", runRouLette(t, db, qs, func(b *query.Batch, ctx *exec.Context) policy.Policy {
+	check("stitch&share", runRouLette(t, db, qs, func(b *query.Batch) policy.Policy {
 		orders, err := sharing.StitchShareOrders(b, db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return policy.NewStatic(orders, ctx.NumSelOps())
+		return policy.NewStatic(orders)
 	}))
-	check("match&share", runRouLette(t, db, qs, func(b *query.Batch, ctx *exec.Context) policy.Policy {
-		return policy.NewStatic(sharing.MatchShareOrders(b, db, nil), ctx.NumSelOps())
+	check("match&share", runRouLette(t, db, qs, func(b *query.Batch) policy.Policy {
+		return policy.NewStatic(sharing.MatchShareOrders(b, db, nil))
 	}))
 }
 

@@ -325,27 +325,3 @@ func (s *Session) starvationSweepLocked() {
 		}
 	}
 }
-
-// TenantSched is one tenant's scheduler snapshot (observability).
-type TenantSched struct {
-	Tenant      string
-	Weight      float64
-	VirtualTime float64
-	Live        int
-	Starved     bool
-}
-
-// SchedSnapshot returns the per-tenant scheduler state.
-func (s *Session) SchedSnapshot() []TenantSched {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]TenantSched, len(s.tenants))
-	for i := range s.tenants {
-		ts := &s.tenants[i]
-		out[i] = TenantSched{
-			Tenant: ts.name, Weight: ts.weight, VirtualTime: ts.vtime,
-			Live: ts.live, Starved: ts.starved,
-		}
-	}
-	return out
-}

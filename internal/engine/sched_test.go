@@ -271,12 +271,10 @@ func TestSchedVtimeFloorOnRejoin(t *testing.T) {
 	}
 	// And when a rejoins while b is active, a is floored to b's vtime.
 	s.chargeServiceLocked(qb, 4096)
-	qa2, err2 := s.b.Extend(singleRel("d1"))
-	_ = qa2
+	qa2, _, err2 := s.b.Extend(singleRel("d1"))
 	if err2 != nil {
 		t.Fatal(err2)
 	}
-	s.b.TakeDelta()
 	s.registerMetaLocked(qa2, SubmitMeta{Tenant: "a"})
 	floored := s.tenants[s.tenantIDs["a"]].vtime
 	want := s.tenants[s.tenantIDs["b"]].vtime

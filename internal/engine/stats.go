@@ -230,8 +230,7 @@ func (s *Session) foldRegistryLocked(res *Results, bs *BatchStats) {
 			reg.QueriesAborted.Add(1)
 		}
 	}
-	reg.EpisodeFaults.Add(int64(len(res.Faults)))
-	for i := range res.Faults {
+	for i := range res.Faults { // AddFault also counts EpisodeFaults
 		reg.AddFault(res.Faults[i].Kind.String(), 1)
 	}
 	// Watermark liveness check: every allocated slot must have been

@@ -8,7 +8,6 @@ import (
 	"github.com/roulette-db/roulette/internal/metrics"
 	"github.com/roulette-db/roulette/internal/obs"
 	"github.com/roulette-db/roulette/internal/query"
-	"github.com/roulette-db/roulette/internal/storage"
 )
 
 // This file is the session lifecycle around the episode: the worker's
@@ -57,12 +56,11 @@ type retirePruner interface{ PruneRetired(retired bitset.Set) int }
 // rejections should stay cheaper than it.
 func (s *Session) SubmitLiveMeta(q *query.Query, m SubmitMeta) (int, error) {
 	s.mu.Lock()
-	qid, err := s.b.Extend(q)
+	qid, d, err := s.b.Extend(q)
 	if err != nil {
 		s.mu.Unlock()
 		return 0, err
 	}
-	d := s.b.TakeDelta()
 	ops, err := s.ctx.ApplyExtend(d)
 	if err != nil {
 		// The context is untouched (ApplyExtend validates before mutating);
@@ -72,21 +70,7 @@ func (s *Session) SubmitLiveMeta(q *query.Query, m SubmitMeta) (int, error) {
 		s.mu.Unlock()
 		return 0, err
 	}
-	for _, ii := range d.NewInsts {
-		// VectorSize was validated when the session's options were built, so
-		// scan construction cannot fail here.
-		scan, err := storage.NewCircularScan(s.ctx.Tables[ii].NumRows(), s.ctx.Opt.VectorSize)
-		if err != nil {
-			panic(err)
-		}
-		s.scans = append(s.scans, newScanState(scan, s.b.QCap()))
-	}
-	// Ranks depend on the join graph; recompute for all scans (new edges can
-	// change existing instances' pruning order).
-	ranks := RankScans(s.b, s.ctx)
-	for i, st := range s.scans {
-		st.rank = ranks[i]
-	}
+	s.addScansLocked()
 	// The rescan re-ingests relations whose STeMs may have been compacted
 	// to a fraction of the relation size; regrow their buckets up front so
 	// insert chains stay short. Growth swaps the STeM's copy-on-write state,

@@ -95,16 +95,15 @@ type Context struct {
 	// filter must not collide with an existing prune op's ID).
 	selOps []selOpRef
 
-	// selBits[inst] maps every potential selection op on inst to its stable
-	// bit; filterBit/pruneBit give per-op positions.
+	// Each grouped filter's stable bit within its instance's applied-op
+	// mask and its stable selection-op ID (a prune op carries both itself).
 	filterBits []int // per SelCol ID
 	filterOpID []int // per SelCol ID: its stable selection-op ID
-	pruneBits  []int // per prune index
 
 	// bitsUsed[inst] counts assigned per-instance selection-op bits (each
 	// instance's applied-operator mask is one 64-bit word); keySeen[inst]
-	// dedupes STeM key columns. Persisted so ApplyExtend can continue the
-	// assignment where NewContext left off.
+	// dedupes STeM key columns. Persisted so each ApplyExtend continues the
+	// assignment where the previous one left off.
 	bitsUsed []int
 	keySeen  []map[string]bool
 
@@ -131,10 +130,8 @@ type Context struct {
 	// admission or retirement under its session mutex (publish-then-advance:
 	// the view is stored before the change becomes schedulable, so any
 	// episode carrying a new query's bit runs against a view that includes
-	// it). gen counts publishes — it is the batch generation workers observe
-	// at episode boundaries.
+	// it).
 	view atomic.Pointer[view]
-	gen  uint64
 
 	Stats Stats
 
@@ -172,8 +169,6 @@ type view struct {
 
 	stemKeyCols   [][]string
 	stemKeySlices [][][]int64
-
-	gen uint64
 }
 
 // PublishView snapshots the context's hot-path state into a fresh view and
@@ -182,7 +177,6 @@ type view struct {
 // and RebuildFilters publish automatically; the engine republishes
 // explicitly after batch-level changes that bypass those (none today).
 func (c *Context) PublishView() {
-	c.gen++
 	v := &view{
 		g:             c.B.Snapshot(),
 		stems:         append([]*stem.STeM(nil), c.Stems...),
@@ -196,7 +190,6 @@ func (c *Context) PublishView() {
 		resBCol:       append([][]int64(nil), c.resBCol...),
 		stemKeyCols:   append([][]string(nil), c.stemKeyCols...),
 		stemKeySlices: append([][][]int64(nil), c.stemKeySlices...),
-		gen:           c.gen,
 	}
 	c.view.Store(v)
 }
@@ -208,10 +201,6 @@ func (c *Context) loadView() *view { return c.view.Load() }
 // read lock-free.
 func (c *Context) Graph() *query.Graph { return &c.view.Load().g }
 
-// ViewGen returns the current view's generation number (the batch
-// generation workers observe at episode boundaries).
-func (c *Context) ViewGen() uint64 { return c.view.Load().gen }
-
 // StemOp is a deferred STeM structural operation returned by ApplyExtend:
 // it must run only while no episode is inserting into Inst (the engine's
 // per-instance insert fence), because it swaps the STeM's copy-on-write
@@ -221,7 +210,11 @@ type StemOp struct {
 	Apply func()
 }
 
-// NewContext compiles the execution context for a batch over db.
+// NewContext compiles the execution context for a batch over db. It
+// allocates the empty context and applies the whole batch as one extension
+// (query.Batch.WholeDelta), so a compiled batch takes exactly the path a live
+// submission takes through ApplyExtend: grouped filters get op IDs 0..S-1 in
+// SelCol order, then each edge its two prune ops.
 func NewContext(b *query.Batch, db *storage.Database, opt Options, model *cost.Model) (*Context, error) {
 	if model == nil {
 		model = cost.Default()
@@ -230,112 +223,10 @@ func NewContext(b *query.Batch, db *storage.Database, opt Options, model *cost.M
 		opt.VectorSize = 1024
 	}
 	c := &Context{B: b, DB: db, Model: model, Opt: opt, Versions: stem.NewVersions()}
-
-	c.Tables = make([]*storage.Table, len(b.Insts))
-	for i, in := range b.Insts {
-		t := db.Table(in.Table)
-		if t == nil {
-			return nil, fmt.Errorf("exec: no table %q", in.Table)
-		}
-		c.Tables[i] = t
-	}
-
-	// Resolve edge key columns and per-instance STeM key columns.
-	c.edgeACol = make([][]int64, len(b.Edges))
-	c.edgeBCol = make([][]int64, len(b.Edges))
-	c.stemKeyCols = make([][]string, len(b.Insts))
-	c.keySeen = make([]map[string]bool, len(b.Insts))
-	for i := range c.keySeen {
-		c.keySeen[i] = make(map[string]bool)
-	}
-	addKey := func(inst query.InstID, col string) {
-		if !c.keySeen[inst][col] {
-			c.keySeen[inst][col] = true
-			c.stemKeyCols[inst] = append(c.stemKeyCols[inst], col)
-		}
-	}
-	for i := range b.Edges {
-		e := &b.Edges[i]
-		ta, tb := c.Tables[e.A], c.Tables[e.B]
-		if !ta.Rel.HasColumn(e.ACol) || !tb.Rel.HasColumn(e.BCol) {
-			return nil, fmt.Errorf("exec: join column missing on edge %d (%s.%s = %s.%s)",
-				e.ID, b.Insts[e.A].Table, e.ACol, b.Insts[e.B].Table, e.BCol)
-		}
-		if err := checkJoinTypes(ta, e.ACol, tb, e.BCol); err != nil {
-			return nil, err
-		}
-		c.edgeACol[i] = ta.Col(e.ACol)
-		c.edgeBCol[i] = tb.Col(e.BCol)
-		addKey(e.A, e.ACol)
-		addKey(e.B, e.BCol)
-	}
-
-	for _, r := range b.Residuals {
-		ta, tb := c.Tables[r.A], c.Tables[r.B]
-		if !ta.Rel.HasColumn(r.ACol) || !tb.Rel.HasColumn(r.BCol) {
-			return nil, fmt.Errorf("exec: residual join column missing (%s.%s = %s.%s)",
-				b.Insts[r.A].Table, r.ACol, b.Insts[r.B].Table, r.BCol)
-		}
-		if err := checkJoinTypes(ta, r.ACol, tb, r.BCol); err != nil {
-			return nil, err
-		}
-		c.resACol = append(c.resACol, ta.Col(r.ACol))
-		c.resBCol = append(c.resBCol, tb.Col(r.BCol))
-	}
-
-	c.Stems = make([]*stem.STeM, len(b.Insts))
-	c.stemKeySlices = make([][][]int64, len(b.Insts))
-	for i := range b.Insts {
-		c.Stems[i] = stem.New(c.Versions, c.stemKeyCols[i], b.QCap(), c.Tables[i].NumRows())
-		for _, col := range c.stemKeyCols[i] {
-			c.stemKeySlices[i] = append(c.stemKeySlices[i], c.Tables[i].Col(col))
-		}
-	}
-
-	// Grouped filters, one per SelCol, plus per-instance bit assignment.
-	c.bitsUsed = make([]int, len(b.Insts))
-	c.Filters = make([]*GroupedFilter, len(b.SelCols))
-	c.filterBits = make([]int, len(b.SelCols))
-	c.filterOpID = make([]int, len(b.SelCols))
-	for i := range b.SelCols {
-		sc := &b.SelCols[i]
-		if !c.Tables[sc.Inst].Rel.HasColumn(sc.Col) {
-			return nil, fmt.Errorf("exec: filter column %s missing on %s", sc.Col, b.Insts[sc.Inst].Table)
-		}
-		if err := checkSelColTypes(c.Tables[sc.Inst], sc); err != nil {
-			return nil, err
-		}
-		c.Filters[i] = NewGroupedFilter(b.QCap(), sc, c.Tables[sc.Inst].Col(sc.Col), colDict(c.Tables[sc.Inst], sc.Col))
-		c.filterBits[i] = c.bitsUsed[sc.Inst]
-		c.bitsUsed[sc.Inst]++
-		c.filterOpID[i] = len(c.selOps)
-		c.selOps = append(c.selOps, selOpRef{prune: false, idx: int32(i)})
-	}
-
-	// Prune operators: one per (instance, incident edge), targeting the
-	// opposite endpoint's STeM.
-	if opt.Pruning {
-		for i := range b.Edges {
-			c.addPruneOps(&b.Edges[i])
-		}
-	}
-	for inst, n := range c.bitsUsed {
-		if n > 64 {
-			return nil, fmt.Errorf("exec: instance %s has %d selection ops (max 64)", b.Insts[inst].Table, n)
-		}
-	}
-
-	// Per-query sources with their required vID columns. The slice spans the
-	// full query-ID capacity so its header never changes while a streaming
-	// batch admits queries (slots past b.N stay nil until Extend fills them).
+	// Sources span the full query-ID capacity so the slice header never
+	// changes while a streaming batch admits queries (slots stay nil until
+	// ApplyExtend fills them).
 	c.Sources = make([]*Source, b.QCap())
-	for qid := 0; qid < b.N; qid++ {
-		insts, err := requiredInsts(b, qid)
-		if err != nil {
-			return nil, err
-		}
-		c.Sources[qid] = NewSource(insts, opt.CollectRows)
-	}
 	c.ReqInsts = func(qid int) uint64 {
 		var m uint64
 		for _, in := range c.Sources[qid].Insts {
@@ -346,7 +237,10 @@ func NewContext(b *query.Batch, db *storage.Database, opt Options, model *cost.M
 	// Full length up front: workers index it outside the session mutex while
 	// ApplyExtend adds instances under it, so the slice header never changes.
 	c.InstStats = make([]InstStat, query.MaxInstances)
-	c.PublishView()
+	// Every instance is new, so no STeM needs a deferred index: no StemOps.
+	if _, err := c.ApplyExtend(b.WholeDelta()); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
@@ -366,7 +260,6 @@ func (c *Context) addPruneOps(e *query.Edge) {
 			ID: id, Bit: c.bitsUsed[side.inst], Inst: side.inst, EdgeID: e.ID,
 			Other: side.other, LocalCol: side.localCol, OtherCol: side.otherCol,
 		})
-		c.pruneBits = append(c.pruneBits, c.bitsUsed[side.inst])
 		c.bitsUsed[side.inst]++
 	}
 }
@@ -376,7 +269,8 @@ func (c *Context) addPruneOps(e *query.Edge) {
 // STeMs, new edges resolve their columns and may add STeM indexes to
 // already-built STeMs, new grouped filters and prune ops receive stable op
 // IDs past the existing ID space, predicate changes rebuild the affected
-// grouped filters, and the new query gets its source.
+// grouped filters, and the new queries get their sources. It is also the
+// only compiler: NewContext applies a whole batch through it.
 //
 // Callers hold the engine's session mutex; running episodes are NOT paused.
 // The hot path reads only the published view, which ApplyExtend republishes
@@ -443,27 +337,31 @@ func (c *Context) ApplyExtend(d query.ExtendDelta) ([]StemOp, error) {
 	}
 	// Per-instance selection-op budget: each new grouped filter takes one
 	// bit on its instance, each new edge two prune bits (one per endpoint).
-	added := map[query.InstID]int{}
+	// Checked in instance order, so the same batch always reports the same
+	// instance.
+	used := make([]int, len(b.Insts))
+	copy(used, c.bitsUsed)
 	for _, si := range d.NewSelCols {
-		added[b.SelCols[si].Inst]++
+		used[b.SelCols[si].Inst]++
 	}
 	if c.Opt.Pruning {
 		for _, ei := range d.NewEdges {
-			added[b.Edges[ei].A]++
-			added[b.Edges[ei].B]++
+			used[b.Edges[ei].A]++
+			used[b.Edges[ei].B]++
 		}
 	}
-	for inst, n := range added {
-		used := 0
-		if int(inst) < len(c.bitsUsed) {
-			used = c.bitsUsed[inst]
-		}
-		if used+n > 64 {
-			return nil, fmt.Errorf("exec: instance %s has %d selection ops (max 64)", b.Insts[inst].Table, used+n)
+	for inst, n := range used {
+		if n > 64 {
+			return nil, fmt.Errorf("exec: instance %s has %d selection ops (max 64)", b.Insts[inst].Table, n)
 		}
 	}
-	if _, err := requiredInsts(b, d.QID); err != nil {
-		return nil, err
+	srcInsts := make([][]query.InstID, len(d.QIDs))
+	for i, qid := range d.QIDs {
+		insts, err := requiredInsts(b, qid)
+		if err != nil {
+			return nil, err
+		}
+		srcInsts[i] = insts
 	}
 
 	// ---- Apply. -----------------------------------------------------------
@@ -520,15 +418,14 @@ func (c *Context) ApplyExtend(d query.ExtendDelta) ([]StemOp, error) {
 
 	for _, si := range d.NewSelCols {
 		sc := &b.SelCols[si]
-		c.Filters = append(c.Filters, NewGroupedFilter(b.QCap(), sc, c.Tables[sc.Inst].Col(sc.Col), colDict(c.Tables[sc.Inst], sc.Col)))
+		c.Filters = append(c.Filters, c.newFilter(si))
 		c.filterBits = append(c.filterBits, c.bitsUsed[sc.Inst])
 		c.bitsUsed[sc.Inst]++
 		c.filterOpID = append(c.filterOpID, len(c.selOps))
 		c.selOps = append(c.selOps, selOpRef{prune: false, idx: int32(si)})
 	}
 	for _, si := range d.TouchedSels {
-		sc := &b.SelCols[si]
-		c.Filters[si] = NewGroupedFilter(b.QCap(), sc, c.Tables[sc.Inst].Col(sc.Col), colDict(c.Tables[sc.Inst], sc.Col))
+		c.Filters[si] = c.newFilter(si)
 	}
 	if c.Opt.Pruning {
 		for _, ei := range d.NewEdges {
@@ -536,11 +433,9 @@ func (c *Context) ApplyExtend(d query.ExtendDelta) ([]StemOp, error) {
 		}
 	}
 
-	insts, err := requiredInsts(b, d.QID)
-	if err != nil {
-		return nil, err
+	for i, qid := range d.QIDs {
+		c.Sources[qid] = NewSource(srcInsts[i], c.Opt.CollectRows)
 	}
-	c.Sources[d.QID] = NewSource(insts, c.Opt.CollectRows)
 	c.PublishView()
 	return ops, nil
 }
@@ -552,19 +447,21 @@ func (c *Context) ApplyExtend(d query.ExtendDelta) ([]StemOp, error) {
 // engine's session mutex.
 func (c *Context) RebuildFilters(selIDs []int) {
 	for _, si := range selIDs {
-		sc := &c.B.SelCols[si]
-		c.Filters[si] = NewGroupedFilter(c.B.QCap(), sc, c.Tables[sc.Inst].Col(sc.Col), colDict(c.Tables[sc.Inst], sc.Col))
+		c.Filters[si] = c.newFilter(si)
 	}
 	c.PublishView()
 }
 
-// colDict returns the catalog dictionary backing a table column, nil for
-// plain int64 columns.
-func colDict(t *storage.Table, col string) *value.Dict {
-	if cc := t.Rel.Column(col); cc != nil {
-		return cc.Dict
+// newFilter builds grouped filter si over its column, with the catalog
+// dictionary backing the column (nil for plain int64 columns).
+func (c *Context) newFilter(si int) *GroupedFilter {
+	sc := &c.B.SelCols[si]
+	t := c.Tables[sc.Inst]
+	var dict *value.Dict
+	if cc := t.Rel.Column(sc.Col); cc != nil {
+		dict = cc.Dict
 	}
-	return nil
+	return NewGroupedFilter(c.B.QCap(), sc, t.Col(sc.Col), dict)
 }
 
 // checkSelColTypes verifies every predicate of a grouped filter against the

@@ -295,9 +295,6 @@ type EpisodeReport struct {
 	// flight recorder can stamp episode events with it even when stats
 	// collection is off.
 	PlanSig uint64
-	// ViewGen is the generation of the immutable context view the episode
-	// executed against — which batch extension the worker observed.
-	ViewGen uint64
 }
 
 // ingestVector copies the episode's vIDs into the worker arena and stamps
@@ -431,7 +428,7 @@ func (w *Worker) RunEpisode(in EpisodeInput) (EpisodeReport, error) {
 		w.execChildren(root, w.rootVec(in.Inst, vids, qsets, joinInput), ts, wm)
 	}
 
-	rep := EpisodeReport{JoinInput: joinInput, PlanSig: w.planSig, ViewGen: w.cv.gen}
+	rep := EpisodeReport{JoinInput: joinInput, PlanSig: w.planSig}
 	rep.MeasuredCost, rep.MeasuredJoinCost = w.measuredCost()
 	w.Pol.Observe(w.log)
 	return rep, nil

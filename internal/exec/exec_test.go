@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -204,6 +205,105 @@ func TestNewContextValidation(t *testing.T) {
 	}
 	if _, err := NewContext(b3, db, DefaultOptions(), nil); err == nil {
 		t.Error("missing filter column accepted")
+	}
+}
+
+// TestCompiledOpLayout pins the selection-op layout NewContext gives a
+// compiled batch, which Q-table keys and persisted policies depend on:
+// grouped filters take IDs 0..S-1 in SelCol order, then every edge its two
+// prune ops (A's side first); bits count up per instance in that same
+// order, and each STeM indexes its join columns in edge order.
+func TestCompiledOpLayout(t *testing.T) {
+	fact := catalog.NewRelation("fact", "a", "b", "v", "w")
+	d1 := catalog.NewRelation("d1", "a", "x")
+	d2 := catalog.NewRelation("d2", "b", "y")
+	db := storage.NewDatabase(catalog.NewSchema(fact, d1, d2))
+	for _, r := range []*catalog.Relation{fact, d1, d2} {
+		db.Put(storage.NewTable(r, 8))
+	}
+	q0 := &query.Query{
+		Rels:    []query.RelRef{{Table: "fact"}, {Table: "d1"}},
+		Joins:   []query.Join{{LeftAlias: "fact", LeftCol: "a", RightAlias: "d1", RightCol: "a"}},
+		Filters: []query.Filter{{Alias: "fact", Col: "v", Lo: 0, Hi: 1}, {Alias: "d1", Col: "x", Lo: 0, Hi: 1}},
+	}
+	q1 := &query.Query{
+		Rels: []query.RelRef{{Table: "fact"}, {Table: "d1"}, {Table: "d2"}},
+		Joins: []query.Join{
+			{LeftAlias: "fact", LeftCol: "a", RightAlias: "d1", RightCol: "a"},
+			{LeftAlias: "d2", LeftCol: "b", RightAlias: "fact", RightCol: "b"},
+		},
+		Filters: []query.Filter{
+			{Alias: "fact", Col: "w", Lo: 0, Hi: 1},
+			{Alias: "d2", Col: "y", Lo: 0, Hi: 1},
+			{Alias: "fact", Col: "v", Lo: 2, Hi: 3},
+		},
+	}
+	b, err := query.Compile([]*query.Query{q0, q1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := NewContext(b, db, DefaultOptions(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Instances: fact 0, d1 1, d2 2. Edges: fact.a=d1.a 0, fact.b=d2.b 1.
+	want := []SelOpDesc{
+		{ID: 0, Inst: 0, Bit: 0, SelCol: 0, EdgeID: -1, Col: "v"},
+		{ID: 1, Inst: 1, Bit: 0, SelCol: 1, EdgeID: -1, Col: "x"},
+		{ID: 2, Inst: 0, Bit: 1, SelCol: 2, EdgeID: -1, Col: "w"},
+		{ID: 3, Inst: 2, Bit: 0, SelCol: 3, EdgeID: -1, Col: "y"},
+		{ID: 4, Inst: 0, Bit: 2, Prune: true, SelCol: -1, EdgeID: 0, Col: "a"},
+		{ID: 5, Inst: 1, Bit: 1, Prune: true, SelCol: -1, EdgeID: 0, Col: "a"},
+		{ID: 6, Inst: 0, Bit: 3, Prune: true, SelCol: -1, EdgeID: 1, Col: "b"},
+		{ID: 7, Inst: 2, Bit: 1, Prune: true, SelCol: -1, EdgeID: 1, Col: "b"},
+	}
+	got := ctx.SelOpDescs()
+	if len(got) != len(want) || ctx.NumSelOps() != len(want) {
+		t.Fatalf("%d selection ops (NumSelOps %d), want %d: %+v", len(got), ctx.NumSelOps(), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("op %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	wantKeys := [][]string{{"a", "b"}, {"a"}, {"b"}}
+	for inst, cols := range wantKeys {
+		if fmt.Sprint(ctx.stemKeyCols[inst]) != fmt.Sprint(cols) {
+			t.Errorf("instance %d STeM key columns = %v, want %v", inst, ctx.stemKeyCols[inst], cols)
+		}
+	}
+}
+
+// TestOverBudgetErrorIsStable checks the 64-op budget error names the same
+// instance every time when two instances exceed it.
+func TestOverBudgetErrorIsStable(t *testing.T) {
+	cols := make([]string, 65)
+	for i := range cols {
+		cols[i] = fmt.Sprintf("c%d", i)
+	}
+	r, s := catalog.NewRelation("r", cols...), catalog.NewRelation("s", cols...)
+	db := storage.NewDatabase(catalog.NewSchema(r, s))
+	db.Put(storage.NewTable(r, 4))
+	db.Put(storage.NewTable(s, 4))
+	q := &query.Query{
+		Rels:  []query.RelRef{{Table: "r"}, {Table: "s"}},
+		Joins: []query.Join{{LeftAlias: "r", LeftCol: "c0", RightAlias: "s", RightCol: "c0"}},
+	}
+	for _, c := range cols {
+		q.Filters = append(q.Filters,
+			query.Filter{Alias: "r", Col: c, Lo: 0, Hi: 1},
+			query.Filter{Alias: "s", Col: c, Lo: 0, Hi: 1})
+	}
+	const want = "exec: instance r has 66 selection ops (max 64)"
+	for run := 0; run < 20; run++ {
+		b, err := query.Compile([]*query.Query{q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewContext(b, db, DefaultOptions(), nil)
+		if err == nil || err.Error() != want {
+			t.Fatalf("run %d: error %v, want %q", run, err, want)
+		}
 	}
 }
 

@@ -14,18 +14,12 @@ import (
 // designed to overcome (§2.1, §6.2).
 type Greedy struct {
 	mu    sync.Mutex
-	joins *OpStats
-	sels  *OpStats
+	joins OpStats
+	sels  OpStats
 }
 
-// NewGreedy builds a greedy policy for a compiled batch. nSelOps must cover
-// every selection-phase operator ID (grouped filters plus prune filters).
-func NewGreedy(b *query.Batch, nSelOps int) *Greedy {
-	return &Greedy{
-		joins: NewOpStats(len(b.Edges)),
-		sels:  NewOpStats(nSelOps),
-	}
-}
+// NewGreedy builds a greedy policy with no observations yet.
+func NewGreedy() *Greedy { return &Greedy{} }
 
 // ChooseJoin picks the candidate edge with the lowest observed selectivity;
 // unobserved edges default to selectivity 1 so that observed low-selectivity

@@ -58,19 +58,19 @@ type Policy interface {
 }
 
 // OpStats tracks per-operator selectivity estimates from observed input and
-// output cardinalities. It is the statistic the greedy policy ranks by.
+// output cardinalities. It is the statistic the greedy policy ranks by. The
+// zero value is ready to use and grows to the highest operator ID recorded.
 type OpStats struct {
 	in  []float64
 	out []float64
 }
 
-// NewOpStats sizes the statistics for n operators.
-func NewOpStats(n int) *OpStats {
-	return &OpStats{in: make([]float64, n), out: make([]float64, n)}
-}
-
 // Record accumulates one observation for op.
 func (s *OpStats) Record(op, nIn, nOut int) {
+	for len(s.in) <= op {
+		s.in = append(s.in, 0)
+		s.out = append(s.out, 0)
+	}
 	s.in[op] += float64(nIn)
 	s.out[op] += float64(nOut)
 }
@@ -78,7 +78,7 @@ func (s *OpStats) Record(op, nIn, nOut int) {
 // Selectivity returns op's observed output/input ratio, or def when the
 // operator has not been observed yet.
 func (s *OpStats) Selectivity(op int, def float64) float64 {
-	if s.in[op] == 0 {
+	if op >= len(s.in) || s.in[op] == 0 {
 		return def
 	}
 	return s.out[op] / s.in[op]

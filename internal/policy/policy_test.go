@@ -30,7 +30,7 @@ func toyBatch(t *testing.T) *query.Batch {
 }
 
 func TestOpStats(t *testing.T) {
-	s := NewOpStats(3)
+	var s OpStats
 	if got := s.Selectivity(0, 0.5); got != 0.5 {
 		t.Errorf("default selectivity = %v", got)
 	}
@@ -39,11 +39,21 @@ func TestOpStats(t *testing.T) {
 	if got := s.Selectivity(0, 1); got != 0.3 {
 		t.Errorf("selectivity = %v, want 0.3", got)
 	}
+	// Recording a far op grows the table; ops in between stay unobserved.
+	s.Record(70, 10, 1)
+	if got := s.Selectivity(70, 1); got != 0.1 {
+		t.Errorf("grown op selectivity = %v, want 0.1", got)
+	}
+	if got := s.Selectivity(40, 0.5); got != 0.5 {
+		t.Errorf("unobserved op below the grown one = %v, want the default", got)
+	}
+	if got := s.Selectivity(71, 0.5); got != 0.5 {
+		t.Errorf("op past the table = %v, want the default", got)
+	}
 }
 
 func TestGreedyPrefersLowSelectivity(t *testing.T) {
-	b := toyBatch(t)
-	g := NewGreedy(b, 4)
+	g := NewGreedy()
 	q := bitset.NewFull(2)
 
 	// Unobserved: ties break to the first candidate.
@@ -88,7 +98,7 @@ func TestStaticFollowsOrders(t *testing.T) {
 		{QID: 0, Source: rInst}: {rt, rs},
 		{QID: 1, Source: rInst}: {rs},
 	}
-	s := NewStatic(orders, 4)
+	s := NewStatic(orders)
 
 	both := bitset.NewFull(2)
 	cands := []int{rs, rt}
@@ -114,7 +124,7 @@ func TestStaticFollowsOrders(t *testing.T) {
 }
 
 func TestStaticSelGreedy(t *testing.T) {
-	s := NewStatic(nil, 4)
+	s := NewStatic(nil)
 	q := bitset.NewFull(1)
 	s.Observe([]LogEntry{
 		{Phase: SelPhase, Op: 0, NIn: 10, NOut: 9},

@@ -30,13 +30,13 @@ type Static struct {
 	Orders map[OrderKey][]int // edge IDs in probe order
 
 	mu   sync.Mutex
-	sels *OpStats
+	sels OpStats
 }
 
 // NewStatic builds a static policy over the given per-(query, source) edge
 // orders.
-func NewStatic(orders map[OrderKey][]int, nSelOps int) *Static {
-	return &Static{Orders: orders, sels: NewOpStats(nSelOps)}
+func NewStatic(orders map[OrderKey][]int) *Static {
+	return &Static{Orders: orders}
 }
 
 // ChooseJoin follows the plan of the lowest-ID query present in q: its

@@ -90,7 +90,7 @@ func TestLearnsLongTermOptimalOrder(t *testing.T) {
 func TestGreedyPicksMyopicOrderOnSameMDP(t *testing.T) {
 	// Contrast: the greedy selectivity policy, fed the same observations,
 	// keeps picking edge 0 — the paper's motivating failure.
-	g := policyGreedyForToy()
+	g := policy.NewGreedy()
 	q := bitset.NewFull(1)
 	// Feed it both arms' stats.
 	g.Observe([]policy.LogEntry{
@@ -100,21 +100,6 @@ func TestGreedyPicksMyopicOrderOnSameMDP(t *testing.T) {
 	if d := g.ChooseJoin(0, lR, q, []int{0, 1}); d != 0 {
 		t.Fatalf("greedy picked %d, expected the myopic edge 0", d)
 	}
-}
-
-func policyGreedyForToy() *policy.Greedy {
-	q := &query.Query{
-		Rels: []query.RelRef{{Table: "R"}, {Table: "S"}, {Table: "T"}},
-		Joins: []query.Join{
-			{LeftAlias: "R", LeftCol: "a", RightAlias: "S", RightCol: "a"},
-			{LeftAlias: "R", LeftCol: "b", RightAlias: "T", RightCol: "b"},
-		},
-	}
-	b, err := query.Compile([]*query.Query{q})
-	if err != nil {
-		panic(err)
-	}
-	return policy.NewGreedy(b, 0)
 }
 
 func TestDivergenceUpdatePath(t *testing.T) {

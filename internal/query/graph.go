@@ -28,8 +28,8 @@ func (b *Batch) Snapshot() Graph {
 
 // Candidates appends to dst the candidate edges for virtual vector (L, Q):
 // edges with exactly one endpoint inside lineage L whose query set
-// intersects Q (Definition 5 of the paper). Identical to Batch.Candidates,
-// but safe to call lock-free on a snapshot.
+// intersects Q (Definition 5 of the paper). Safe to call lock-free on a
+// snapshot.
 func (g *Graph) Candidates(dst []int, lineage uint64, q bitset.Set) []int {
 	for i := range g.Edges {
 		e := &g.Edges[i]

@@ -256,14 +256,12 @@ type Batch struct {
 	SelCols   []SelCol
 	Residuals []Residual
 
-	edgesOf   [][]int // instance -> edge IDs touching it
 	selColsOf [][]int // instance -> SelCol IDs on it
 	instIdx   map[instKey]InstID
 	queryInst [][]InstID // query -> instance per RelRef position
 	edgeIdx   map[edgeKey]int
 	selIdx    map[selKey]int
-	freeIDs   []int       // released query IDs available for reuse (streaming)
-	delta     ExtendDelta // most recent Extend's delta, see TakeDelta
+	freeIDs   []int // released query IDs available for reuse (streaming)
 }
 
 type instKey struct {
@@ -307,7 +305,7 @@ func NewStreamBatch(cap int) *Batch {
 func Compile(qs []*Query) (*Batch, error) {
 	b := newBatch(len(qs))
 	for _, q := range qs {
-		if _, err := b.Extend(q); err != nil {
+		if _, _, err := b.Extend(q); err != nil {
 			return nil, err
 		}
 	}
@@ -321,24 +319,24 @@ func (b *Batch) Free() int { return b.Cap - b.N + len(b.freeIDs) }
 // edges and grouped filters where its join structure matches and
 // allocating fresh IDs otherwise. Validation is identical to Compile; a
 // failed Extend leaves the batch unchanged. The query is assigned a free
-// query ID (a released one when available) and that ID is returned.
-func (b *Batch) Extend(q *Query) (int, error) {
+// query ID (a released one when available); that ID is returned with the
+// extension's delta, which the executor applies to grow its own state.
+func (b *Batch) Extend(q *Query) (int, ExtendDelta, error) {
 	qi := b.N
 	if n := len(b.freeIDs); n > 0 {
 		qi = b.freeIDs[n-1]
 	}
 	p, err := b.planQuery(qi, q)
 	if err != nil {
-		return 0, err
+		return 0, ExtendDelta{}, err
 	}
 	if qi == b.N && b.N >= b.QCap() {
-		return 0, fmt.Errorf("query: batch full (%d query IDs in use, none released)", b.N)
+		return 0, ExtendDelta{}, fmt.Errorf("query: batch full (%d query IDs in use, none released)", b.N)
 	}
 	if n := len(b.freeIDs); n > 0 && qi == b.freeIDs[n-1] {
 		b.freeIDs = b.freeIDs[:n-1]
 	}
-	b.applyQuery(qi, q, p)
-	return qi, nil
+	return qi, b.applyQuery(qi, q, p), nil
 }
 
 // queryPlan is the validated, side-effect-free form of one query's
@@ -475,26 +473,26 @@ func (b *Batch) planQuery(qi int, q *Query) (*queryPlan, error) {
 }
 
 // ExtendDelta reports what an applied extension added or touched, so the
-// executor can grow its compiled state incrementally.
+// executor can grow its compiled state incrementally. Extend's delta covers
+// one query; WholeDelta's covers a batch built from nothing.
 type ExtendDelta struct {
-	QID         int
+	QIDs        []int    // queries the extension added
 	NewInsts    []InstID // instances created by this extension
 	NewEdges    []int    // edge IDs created by this extension
 	NewSelCols  []int    // grouped-filter IDs created by this extension
 	TouchedSels []int    // pre-existing grouped filters that gained predicates
 }
 
-// applyQuery mutates the batch according to a validated plan. It cannot
-// fail. The resulting delta is stored for TakeDelta.
-func (b *Batch) applyQuery(qi int, q *Query, p *queryPlan) {
-	delta := ExtendDelta{QID: qi}
+// applyQuery mutates the batch according to a validated plan and returns
+// what it added. It cannot fail.
+func (b *Batch) applyQuery(qi int, q *Query, p *queryPlan) ExtendDelta {
+	delta := ExtendDelta{QIDs: []int{qi}}
 	q.ID = qi
 
 	for _, key := range p.newInsts {
 		id := InstID(len(b.Insts))
 		b.instIdx[key] = id
 		b.Insts = append(b.Insts, Instance{ID: id, Table: key.table, Occ: key.occ, Queries: bitset.New(b.QCap())})
-		b.edgesOf = append(b.edgesOf, nil)
 		b.selColsOf = append(b.selColsOf, nil)
 		delta.NewInsts = append(delta.NewInsts, id)
 	}
@@ -506,10 +504,6 @@ func (b *Batch) applyQuery(qi int, q *Query, p *queryPlan) {
 			ei = len(b.Edges)
 			b.edgeIdx[k] = ei
 			b.Edges = append(b.Edges, Edge{ID: ei, A: j.a, ACol: j.aCol, B: j.b, BCol: j.bCol, Queries: bitset.New(b.QCap())})
-			b.edgesOf[j.a] = append(b.edgesOf[j.a], ei)
-			if j.b != j.a {
-				b.edgesOf[j.b] = append(b.edgesOf[j.b], ei)
-			}
 			delta.NewEdges = append(delta.NewEdges, ei)
 		}
 		// Copy-on-write: operator query sets reachable from a published
@@ -554,7 +548,7 @@ func (b *Batch) applyQuery(qi int, q *Query, p *queryPlan) {
 	if qi == b.N {
 		b.N++
 	}
-	b.delta = delta
+	return delta
 }
 
 func containsInt(s []int, v int) bool {
@@ -566,8 +560,27 @@ func containsInt(s []int, v int) bool {
 	return false
 }
 
-// TakeDelta returns the delta of the most recent successful Extend.
-func (b *Batch) TakeDelta() ExtendDelta { return b.delta }
+// WholeDelta is the delta that builds the batch's operators from nothing:
+// every instance, edge and grouped filter is new, in ID order, and every
+// query in use is added. The executor compiles a batch by applying it.
+func (b *Batch) WholeDelta() ExtendDelta {
+	var d ExtendDelta
+	for qid := 0; qid < b.N; qid++ {
+		if b.Queries[qid] != nil {
+			d.QIDs = append(d.QIDs, qid)
+		}
+	}
+	for i := range b.Insts {
+		d.NewInsts = append(d.NewInsts, InstID(i))
+	}
+	for i := range b.Edges {
+		d.NewEdges = append(d.NewEdges, i)
+	}
+	for i := range b.SelCols {
+		d.NewSelCols = append(d.NewSelCols, i)
+	}
+	return d
+}
 
 // RollbackExtend undoes the most recent Extend, given its delta: the
 // appended instances, edges and grouped filters are removed again (they
@@ -598,13 +611,6 @@ func (b *Batch) RollbackExtend(d ExtendDelta) {
 			delete(b.edgeIdx, edgeKey{e.A, e.ACol, e.B, e.BCol})
 		}
 		b.Edges = b.Edges[:first]
-		for i := range b.edgesOf {
-			l := b.edgesOf[i]
-			for len(l) > 0 && l[len(l)-1] >= first {
-				l = l[:len(l)-1]
-			}
-			b.edgesOf[i] = l
-		}
 	}
 	if len(d.NewInsts) > 0 {
 		first := int(d.NewInsts[0])
@@ -613,14 +619,14 @@ func (b *Batch) RollbackExtend(d ExtendDelta) {
 			delete(b.instIdx, instKey{in.Table, in.Occ})
 		}
 		b.Insts = b.Insts[:first]
-		b.edgesOf = b.edgesOf[:first]
 		b.selColsOf = b.selColsOf[:first]
 	}
 	// Scrub the query's bits, predicates and residuals from what survives.
-	r := bitset.New(b.QCap())
-	r.Add(d.QID)
+	r := bitset.FromIDs(b.QCap(), d.QIDs...)
 	b.RetireQueries(r)
-	b.ReleaseQID(d.QID)
+	for _, qid := range d.QIDs {
+		b.ReleaseQID(qid)
+	}
 }
 
 // RetireQueries clears the given queries from the batch's shared-operator
@@ -683,9 +689,6 @@ type selKey struct {
 	col  string
 }
 
-// EdgesOf returns the IDs of edges touching instance inst.
-func (b *Batch) EdgesOf(inst InstID) []int { return b.edgesOf[inst] }
-
 // SelColsOf returns the IDs of grouped filters on instance inst.
 func (b *Batch) SelColsOf(inst InstID) []int { return b.selColsOf[inst] }
 
@@ -711,16 +714,6 @@ func (b *Batch) RelOfAlias(qid int, alias string) (InstID, string, bool) {
 	return b.queryInst[qid][i], q.Rels[i].Table, true
 }
 
-// QueryLineage returns the lineage bitmask covering all of query qid's
-// instances.
-func (b *Batch) QueryLineage(qid int) uint64 {
-	var l uint64
-	for _, inst := range b.queryInst[qid] {
-		l |= 1 << inst
-	}
-	return l
-}
-
 // QueryEdges returns the IDs of the edges used by query qid.
 func (b *Batch) QueryEdges(qid int) []int {
 	var out []int
@@ -732,68 +725,9 @@ func (b *Batch) QueryEdges(qid int) []int {
 	return out
 }
 
-// Candidates appends to dst the candidate edges for virtual vector (L, Q):
-// edges with exactly one endpoint inside lineage L whose query set
-// intersects Q (Definition 5 of the paper). It returns the extended slice.
-func (b *Batch) Candidates(dst []int, lineage uint64, q bitset.Set) []int {
-	for i := range b.Edges {
-		e := &b.Edges[i]
-		aIn := lineage&(1<<e.A) != 0
-		bIn := lineage&(1<<e.B) != 0
-		if aIn == bIn {
-			continue
-		}
-		if bitset.Intersects(q, e.Queries) {
-			dst = append(dst, e.ID)
-		}
-	}
-	return dst
-}
-
-// FilterRange returns the effective [lo,hi] range of query qid's RANGE
-// predicates on (inst, col), combining multiple predicates by intersection,
-// and ok=false if the query has no range predicate there. Typed predicates
-// (strings, IS [NOT] NULL) are ignored: callers use it for range-selectivity
-// estimates only.
-func (b *Batch) FilterRange(qid int, inst InstID, col string) (lo, hi int64, ok bool) {
-	for _, si := range b.selColsOf[inst] {
-		sc := &b.SelCols[si]
-		if sc.Col != col {
-			continue
-		}
-		for _, p := range sc.Preds {
-			if p.QID != qid || p.Kind != KindRange {
-				continue
-			}
-			if !ok {
-				lo, hi, ok = p.Lo, p.Hi, true
-			} else {
-				if p.Lo > lo {
-					lo = p.Lo
-				}
-				if p.Hi < hi {
-					hi = p.Hi
-				}
-			}
-		}
-	}
-	return lo, hi, ok
-}
-
 // FindInstance resolves the batch instance for the occ-th use of table, as
 // assigned at compile time.
 func (b *Batch) FindInstance(table string, occ int) (InstID, bool) {
 	id, ok := b.instIdx[instKey{table, occ}]
 	return id, ok
-}
-
-// ResidualsOf returns query qid's cycle-closing predicates.
-func (b *Batch) ResidualsOf(qid int) []Residual {
-	var out []Residual
-	for _, r := range b.Residuals {
-		if r.QID == qid {
-			out = append(out, r)
-		}
-	}
-	return out
 }

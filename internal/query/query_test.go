@@ -64,65 +64,54 @@ func TestCompileSharesInstancesAndEdges(t *testing.T) {
 	if !sc.Queries.Contains(1) || sc.Queries.Contains(0) {
 		t.Errorf("selcol queries = %v", sc.Queries)
 	}
-	lo, hi, ok := b.FilterRange(1, sc.Inst, "x")
-	if !ok || lo != 0 || hi != 10 {
-		t.Errorf("FilterRange = %d,%d,%v", lo, hi, ok)
-	}
-	if _, _, ok := b.FilterRange(0, sc.Inst, "x"); ok {
-		t.Error("q0 should have no filter range")
+	if len(sc.Preds) != 1 || sc.Preds[0].QID != 1 || sc.Preds[0].Lo != 0 || sc.Preds[0].Hi != 10 {
+		t.Errorf("selcol preds = %+v, want q1's [0,10]", sc.Preds)
 	}
 }
 
 func TestCandidates(t *testing.T) {
 	b := twoQueryBatch(t)
+	g := b.Snapshot()
 	rInst, _ := b.InstOfAlias(0, "R")
 	both := bitset.NewFull(2)
 
 	// From {R} with both queries: candidates are R-S (shared) and R-T (q0).
-	cands := b.Candidates(nil, 1<<rInst, both)
+	cands := g.Candidates(nil, 1<<rInst, both)
 	if len(cands) != 2 {
 		t.Fatalf("cands from {R} = %v, want 2 edges", cands)
 	}
 	// From {R,S}: R-T (q0), S-U (both), S-V (q1).
 	sInst, _ := b.InstOfAlias(0, "S")
 	l := uint64(1<<rInst | 1<<sInst)
-	cands = b.Candidates(nil, l, both)
+	cands = g.Candidates(nil, l, both)
 	if len(cands) != 3 {
 		t.Fatalf("cands from {R,S} = %v, want 3 edges", cands)
 	}
 	// Only q0: S-V must disappear.
 	q0Only := bitset.FromIDs(2, 0)
-	cands = b.Candidates(cands[:0], l, q0Only)
+	cands = g.Candidates(cands[:0], l, q0Only)
 	if len(cands) != 2 {
 		t.Fatalf("cands from {R,S} for q0 = %v, want 2 edges", cands)
 	}
 	// Full lineage of q0 with q0 only: no candidates.
-	cands = b.Candidates(nil, b.QueryLineage(0), q0Only)
+	var full uint64
+	for _, inst := range b.QueryInsts(0) {
+		full |= 1 << inst
+	}
+	cands = g.Candidates(nil, full, q0Only)
 	if len(cands) != 0 {
 		t.Fatalf("cands at q0's full lineage = %v, want none", cands)
 	}
 }
 
-func TestQueryLineageAndEdges(t *testing.T) {
+func TestQueryEdges(t *testing.T) {
 	b := twoQueryBatch(t)
-	l0 := b.QueryLineage(0)
-	if c := popcount(l0); c != 4 {
-		t.Errorf("q0 lineage size = %d, want 4", c)
-	}
 	if got := len(b.QueryEdges(0)); got != 3 {
 		t.Errorf("q0 edges = %d, want 3", got)
 	}
 	if got := len(b.QueryEdges(1)); got != 3 {
 		t.Errorf("q1 edges = %d, want 3", got)
 	}
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }
 
 func TestCompileCyclicBecomesResidual(t *testing.T) {
@@ -147,12 +136,6 @@ func TestCompileCyclicBecomesResidual(t *testing.T) {
 	r := b.Residuals[0]
 	if r.QID != 0 || r.A == r.B {
 		t.Errorf("residual = %+v", r)
-	}
-	if got := b.ResidualsOf(0); len(got) != 1 {
-		t.Errorf("ResidualsOf = %v", got)
-	}
-	if got := b.ResidualsOf(1); len(got) != 0 {
-		t.Errorf("ResidualsOf(1) = %v", got)
 	}
 	// Self-comparison predicates are still rejected.
 	bad := &Query{
@@ -240,23 +223,5 @@ func TestInstanceSharingAcrossQueries(t *testing.T) {
 	}
 	if len(b.Edges) != 1 || b.Edges[0].Queries.Count() != 2 {
 		t.Errorf("edge sharing broken: %+v", b.Edges)
-	}
-}
-
-func TestFilterRangeIntersectsMultiplePreds(t *testing.T) {
-	q := &Query{
-		Rels: []RelRef{{Table: "R"}},
-		Filters: []Filter{
-			{Alias: "R", Col: "c", Lo: 0, Hi: 50},
-			{Alias: "R", Col: "c", Lo: 20, Hi: 90},
-		},
-	}
-	b, err := Compile([]*Query{q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi, ok := b.FilterRange(0, 0, "c")
-	if !ok || lo != 20 || hi != 50 {
-		t.Errorf("FilterRange = %d,%d,%v; want 20,50,true", lo, hi, ok)
 	}
 }

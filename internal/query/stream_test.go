@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/roulette-db/roulette/internal/bitset"
@@ -36,21 +37,20 @@ func figure1Queries() (*Query, *Query) {
 func TestExtendReusesSharedOperators(t *testing.T) {
 	q0, q1 := figure1Queries()
 	b := NewStreamBatch(8)
-	if _, err := b.Extend(q0); err != nil {
+	_, d0, err := b.Extend(q0)
+	if err != nil {
 		t.Fatalf("Extend q0: %v", err)
 	}
-	d0 := b.TakeDelta()
-	if len(d0.NewInsts) != 4 || len(d0.NewEdges) != 3 || len(d0.NewSelCols) != 1 {
+	if len(d0.QIDs) != 1 || d0.QIDs[0] != 0 || len(d0.NewInsts) != 4 || len(d0.NewEdges) != 3 || len(d0.NewSelCols) != 1 {
 		t.Fatalf("q0 delta = %+v; want 4 insts, 3 edges, 1 selcol", d0)
 	}
 
-	qid, err := b.Extend(q1)
+	qid, d1, err := b.Extend(q1)
 	if err != nil {
 		t.Fatalf("Extend q1: %v", err)
 	}
-	d1 := b.TakeDelta()
-	if qid != 1 {
-		t.Fatalf("q1 qid = %d, want 1", qid)
+	if qid != 1 || len(d1.QIDs) != 1 || d1.QIDs[0] != 1 {
+		t.Fatalf("q1 qid = %d, delta queries %v; want 1, [1]", qid, d1.QIDs)
 	}
 	// q1 shares R, S, U and the R-S / S-U edges; only V and S-V are new,
 	// and its R.x predicate joins q0's existing grouped filter.
@@ -78,17 +78,17 @@ func TestExtendReusesSharedOperators(t *testing.T) {
 func TestRollbackExtendRestoresBatch(t *testing.T) {
 	q0, q1 := figure1Queries()
 	b := NewStreamBatch(8)
-	if _, err := b.Extend(q0); err != nil {
+	if _, _, err := b.Extend(q0); err != nil {
 		t.Fatal(err)
 	}
-	b.TakeDelta()
 	insts, edges, sels, free := len(b.Insts), len(b.Edges), len(b.SelCols), b.Free()
 	preds := len(b.SelCols[0].Preds)
 
-	if _, err := b.Extend(q1); err != nil {
+	_, d1, err := b.Extend(q1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	b.RollbackExtend(b.TakeDelta())
+	b.RollbackExtend(d1)
 
 	if len(b.Insts) != insts || len(b.Edges) != edges || len(b.SelCols) != sels {
 		t.Fatalf("rollback left %d insts, %d edges, %d selcols; want %d, %d, %d",
@@ -108,14 +108,13 @@ func TestRollbackExtendRestoresBatch(t *testing.T) {
 
 	// The batch must still accept extensions after a rollback: IDs stay
 	// dense, so the same query admits cleanly and reuses the freed slot.
-	qid, err := b.Extend(q1)
+	qid, d, err := b.Extend(q1)
 	if err != nil {
 		t.Fatalf("Extend after rollback: %v", err)
 	}
 	if qid != 1 {
 		t.Errorf("qid after rollback = %d, want the freed 1", qid)
 	}
-	d := b.TakeDelta()
 	if len(d.NewInsts) != 1 || len(d.NewEdges) != 1 {
 		t.Errorf("re-extend delta = %+v; want V and S-V recreated", d)
 	}
@@ -125,10 +124,9 @@ func TestRetireQueriesClearsSharedState(t *testing.T) {
 	q0, q1 := figure1Queries()
 	b := NewStreamBatch(8)
 	for _, q := range []*Query{q0, q1} {
-		if _, err := b.Extend(q); err != nil {
+		if _, _, err := b.Extend(q); err != nil {
 			t.Fatal(err)
 		}
-		b.TakeDelta()
 	}
 
 	retired := bitset.New(b.QCap())
@@ -160,7 +158,7 @@ func TestRetireQueriesClearsSharedState(t *testing.T) {
 	if free := b.Free(); free != 7 {
 		t.Errorf("Free() = %d after release, want 7", free)
 	}
-	qid, err := b.Extend(q0)
+	qid, _, err := b.Extend(q0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,15 +173,41 @@ func TestStreamBatchCapacity(t *testing.T) {
 		return &Query{Tag: tag, Rels: []RelRef{{Table: "R"}}}
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := b.Extend(mk("q")); err != nil {
+		if _, _, err := b.Extend(mk("q")); err != nil {
 			t.Fatal(err)
 		}
-		b.TakeDelta()
 	}
-	if _, err := b.Extend(mk("overflow")); err == nil {
+	if _, _, err := b.Extend(mk("overflow")); err == nil {
 		t.Fatal("Extend beyond capacity succeeded, want error")
 	}
 	if b.QCap() != 2 {
 		t.Errorf("QCap = %d after failed Extend, want 2", b.QCap())
+	}
+}
+
+// TestWholeDeltaCoversCompiledBatch pins the delta the executor compiles a
+// batch from: every query, instance, edge and grouped filter, in ID order,
+// with nothing touched — the same delta the per-query Extends add up to.
+func TestWholeDeltaCoversCompiledBatch(t *testing.T) {
+	q0, q1 := figure1Queries()
+	b := NewStreamBatch(8)
+	var sum ExtendDelta
+	for _, q := range []*Query{q0, q1} {
+		_, d, err := b.Extend(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum.QIDs = append(sum.QIDs, d.QIDs...)
+		sum.NewInsts = append(sum.NewInsts, d.NewInsts...)
+		sum.NewEdges = append(sum.NewEdges, d.NewEdges...)
+		sum.NewSelCols = append(sum.NewSelCols, d.NewSelCols...)
+	}
+	w := b.WholeDelta()
+	if fmt.Sprint(w) != fmt.Sprint(sum) {
+		t.Errorf("WholeDelta = %+v, want the Extends' sum %+v", w, sum)
+	}
+	if len(w.QIDs) != 2 || len(w.NewInsts) != len(b.Insts) || len(w.NewEdges) != len(b.Edges) ||
+		len(w.NewSelCols) != len(b.SelCols) || len(w.TouchedSels) != 0 {
+		t.Errorf("WholeDelta = %+v; want every query and operator new, none touched", w)
 	}
 }

@@ -409,7 +409,7 @@ func (e *Engine) sessionConfig(b *query.Batch, o *Options) (engine.Config, *warm
 		})
 		cfg.Model = e.calibrated
 	}
-	pol, err := e.buildPolicy(b, cfg.Exec, o)
+	pol, err := e.buildPolicy(b, o)
 	if err != nil {
 		return cfg, nil, err
 	}
@@ -551,7 +551,7 @@ func (e *Engine) decodeGroups(b *query.Batch, qid int, qr *QueryResult) {
 }
 
 // buildPolicy instantiates the requested planning policy.
-func (e *Engine) buildPolicy(b *query.Batch, opt exec.Options, o *Options) (policy.Policy, error) {
+func (e *Engine) buildPolicy(b *query.Batch, o *Options) (policy.Policy, error) {
 	kind := PolicyLearned
 	var seed int64 = 1
 	if o != nil {
@@ -560,25 +560,13 @@ func (e *Engine) buildPolicy(b *query.Batch, opt exec.Options, o *Options) (poli
 			seed = o.Seed
 		}
 	}
-	// NumSelOps needs a context; build a throwaway one only when required.
-	numSelOps := func() (int, error) {
-		ctx, err := exec.NewContext(b, e.db, opt, nil)
-		if err != nil {
-			return 0, err
-		}
-		return ctx.NumSelOps(), nil
-	}
 	switch kind {
 	case PolicyLearned:
 		cfg := qlearn.DefaultConfig()
 		cfg.Seed = seed
 		return qlearn.New(cfg), nil
 	case PolicyGreedy:
-		n, err := numSelOps()
-		if err != nil {
-			return nil, err
-		}
-		return policy.NewGreedy(b, n), nil
+		return policy.NewGreedy(), nil
 	case PolicyRandom:
 		return policy.NewRandom(seed), nil
 	case PolicyStitchShare:
@@ -586,17 +574,9 @@ func (e *Engine) buildPolicy(b *query.Batch, opt exec.Options, o *Options) (poli
 		if err != nil {
 			return nil, err
 		}
-		n, err := numSelOps()
-		if err != nil {
-			return nil, err
-		}
-		return policy.NewStatic(orders, n), nil
+		return policy.NewStatic(orders), nil
 	case PolicyMatchShare:
-		n, err := numSelOps()
-		if err != nil {
-			return nil, err
-		}
-		return policy.NewStatic(sharing.MatchShareOrders(b, e.db, nil), n), nil
+		return policy.NewStatic(sharing.MatchShareOrders(b, e.db, nil)), nil
 	}
 	return nil, fmt.Errorf("roulette: unknown policy %d", kind)
 }

@@ -520,15 +520,7 @@ func (s *Stream) Results() <-chan QueryResult {
 func (s *Stream) StemStats() []StreamStemStat { return s.sess.StemSnapshot() }
 
 // StreamTenantStat is one tenant's admission counters at a point in time.
-type StreamTenantStat struct {
-	Tenant    string
-	Admitted  int64 // submissions admitted
-	Rejected  int64 // submissions rejected with ErrOverloaded
-	Shed      int64 // queries shed with ErrDeadlineShed
-	InFlight  int64 // admitted, not yet retired
-	CostInUse float64
-	Weight    float64
-}
+type StreamTenantStat = admission.TenantSnapshot
 
 // AdmissionStats snapshots the stream's admission controller: the summed
 // in-flight estimated cost, total admitted/rejected submissions, and the
@@ -538,16 +530,7 @@ func (s *Stream) AdmissionStats() (inFlightCost float64, admitted, rejected int6
 	if s.adm == nil {
 		return 0, 0, 0, nil
 	}
-	inUse, adm, rej, snap := s.adm.Snapshot()
-	tenants = make([]StreamTenantStat, len(snap))
-	for i, t := range snap {
-		tenants[i] = StreamTenantStat{
-			Tenant: t.Tenant, Admitted: t.Admitted, Rejected: t.Rejected,
-			Shed: t.Shed, InFlight: t.InFlight, CostInUse: t.CostInUse,
-			Weight: t.Weight,
-		}
-	}
-	return inUse, adm, rej, tenants
+	return s.adm.Snapshot()
 }
 
 // SnapshotPolicy exports the stream's current learned state about its

@@ -81,17 +81,14 @@ func TestCyclicQueriesMatchOracle(t *testing.T) {
 	}
 }
 
-func TestCyclicProjectionToggles(t *testing.T) {
+func TestCyclicResidualSurvivesProjections(t *testing.T) {
 	// The residual's early endpoint must survive adaptive projections.
 	rng := rand.New(rand.NewSource(67))
 	db := triangleDB(rng)
 	qs := cyclicQueries(rng, 4)
-	for _, adaptive := range []bool{true, false} {
-		opt := exec.DefaultOptions()
-		opt.VectorSize = 32
-		opt.AdaptiveProjections = adaptive
-		runAndCheck(t, db, qs, Config{Exec: opt})
-	}
+	opt := exec.DefaultOptions()
+	opt.VectorSize = 32
+	runAndCheck(t, db, qs, Config{Exec: opt})
 }
 
 func TestCyclicQatAndMonetAgree(t *testing.T) {

@@ -128,10 +128,9 @@ func TestEngineOptimizationTogglesPreserveResults(t *testing.T) {
 		"noPruning":        func(o *exec.Options) { o.Pruning = false },
 		"naiveFilters":     func(o *exec.Options) { o.GroupedFilters = false },
 		"naiveRouter":      func(o *exec.Options) { o.LocalityRouter = false },
-		"noProjections":    func(o *exec.Options) { o.AdaptiveProjections = false },
 		"allOptimizations": func(o *exec.Options) {},
 		"allOff": func(o *exec.Options) {
-			o.Pruning, o.GroupedFilters, o.LocalityRouter, o.AdaptiveProjections = false, false, false, false
+			o.Pruning, o.GroupedFilters, o.LocalityRouter = false, false, false
 		},
 	}
 	for name, mod := range variants {

@@ -114,7 +114,8 @@ func randomQueryOn(rng *rand.Rand, dims []string, subOf map[string]string) *quer
 // correctness property: on random schemas, data, and query batches —
 // including self-closing cycles, sub-dimensions and random filters —
 // RouLette's shared adaptive execution produces exactly the per-query
-// counts of the query-at-a-time engine.
+// counts of the query-at-a-time engine. The batch's query-ID capacity is
+// drawn too, so the same cases run on one-, two- and five-word query sets.
 func TestPropertyEngineMatchesBaselines(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -124,19 +125,20 @@ func TestPropertyEngineMatchesBaselines(t *testing.T) {
 		for i := range qs {
 			qs[i] = randomQueryOn(rng, dims, subOf)
 		}
-		b, err := query.Compile(qs)
-		if err != nil {
-			t.Logf("seed %d: compile: %v", seed, err)
-			return false
+		b := query.NewStreamBatch([]int{nQ, 65, 257}[rng.Intn(3)])
+		for _, q := range qs {
+			if _, _, err := b.Extend(q); err != nil {
+				t.Logf("seed %d: extend: %v", seed, err)
+				return false
+			}
 		}
 		opt := exec.DefaultOptions()
 		opt.VectorSize = 32 + rng.Intn(100)
 		opt.CollectRows = false
 		opt.Pruning = rng.Intn(2) == 0
-		opt.AdaptiveProjections = rng.Intn(2) == 0
 		s, err := NewSession(b, db, Config{Exec: opt, Workers: 1 + rng.Intn(3)})
 		if err != nil {
-			t.Logf("seed %d: session: %v", seed, err)
+			t.Logf("seed %d (capacity %d): session: %v", seed, b.QCap(), err)
 			return false
 		}
 		res, err := s.Run()
@@ -151,7 +153,7 @@ func TestPropertyEngineMatchesBaselines(t *testing.T) {
 		}
 		for i := range want {
 			if res.Counts[i] != want[i] {
-				t.Logf("seed %d: query %d: roulette %d, qat %d", seed, i, res.Counts[i], want[i])
+				t.Logf("seed %d (capacity %d): query %d: roulette %d, qat %d", seed, b.QCap(), i, res.Counts[i], want[i])
 				return false
 			}
 		}

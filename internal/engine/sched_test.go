@@ -108,14 +108,17 @@ func TestSchedPriorityLane(t *testing.T) {
 }
 
 func TestSchedDeadlineUrgencyBoost(t *testing.T) {
-	s, _ := schedSession(t, 8, Config{})
+	// The test asserts lane order, not timing: the deadline is far enough
+	// out never to expire (and shed the query) before the pick, and the
+	// urgency window wide enough to cover it.
+	s, _ := schedSession(t, 8, Config{DeadlineUrgency: 24 * time.Hour})
 	if _, err := s.SubmitLiveMeta(singleRel("d1"), SubmitMeta{Tenant: "hi", Priority: 9}); err != nil {
 		t.Fatal(err)
 	}
 	// Low priority, but its deadline is inside the urgency window: the
 	// urgent-lane boost must outrank any user priority.
 	urgent, err := s.SubmitLiveMeta(singleRel("d2"), SubmitMeta{
-		Tenant: "urgent", Deadline: time.Now().Add(500 * time.Microsecond),
+		Tenant: "urgent", Deadline: time.Now().Add(time.Hour),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,12 +21,11 @@ import (
 // Options toggles the executor's §5.2 optimizations; the ablation
 // experiments (Figs. 17–18) flip them individually.
 type Options struct {
-	VectorSize          int  // tuples per episode vector (paper: 1024)
-	GroupedFilters      bool // range-table predicate evaluation vs naive per-predicate loops
-	LocalityRouter      bool // two-pass batched multicast vs per-tuple appends
-	Pruning             bool // symmetric join pruning via semi-join filters
-	AdaptiveProjections bool // shed vID columns not needed downstream
-	CollectRows         bool // retain routed tuples in sources (off = count only)
+	VectorSize     int  // tuples per episode vector (paper: 1024)
+	GroupedFilters bool // range-table predicate evaluation vs naive per-predicate loops
+	LocalityRouter bool // two-pass batched multicast vs per-tuple appends
+	Pruning        bool // symmetric join pruning via semi-join filters
+	CollectRows    bool // retain routed tuples in sources (off = count only)
 
 	// CollectStats enables the per-operator-class and sharing counters.
 	// Workers accumulate them in plain arena fields and fold into the shared
@@ -45,12 +44,11 @@ type Options struct {
 // DefaultOptions enables every optimization with the paper's vector size.
 func DefaultOptions() Options {
 	return Options{
-		VectorSize:          1024,
-		GroupedFilters:      true,
-		LocalityRouter:      true,
-		Pruning:             true,
-		AdaptiveProjections: true,
-		CollectRows:         true,
+		VectorSize:     1024,
+		GroupedFilters: true,
+		LocalityRouter: true,
+		Pruning:        true,
+		CollectRows:    true,
 	}
 }
 

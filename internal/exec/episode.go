@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"github.com/roulette-db/roulette/internal/bitset"
@@ -124,8 +126,6 @@ type Worker struct {
 	selQsets  []uint64   // ingested query-set slab, n × qw words
 	root      jvec       // join-phase root vector (wraps selVids/selQsets)
 	pool      jvecPool   // intermediate join vectors
-	tq        bitset.Set // probe: masked tuple query set
-	zeroQ     []uint64   // qw zero words for extending qset slabs in place
 	fullMask  bitset.Set // all-queries mask (template for notMask)
 	notMask   bitset.Set // prune: bits outside the eligible set
 	unionBuf  bitset.Set // route: union of present query bits
@@ -160,18 +160,17 @@ type Worker struct {
 	clk stem.Clock
 }
 
-// NewWorker creates a worker bound to ctx using pol for planning. Buffers
-// are sized to the batch's query-ID capacity, so they never resize while a
-// streaming batch admits queries (qw == 1 for the default 64-query
-// capacity, keeping the single-word fast paths).
+// NewWorker creates a worker bound to ctx using pol for planning. Every
+// query set an episode touches is qw words wide, qw being the word count of
+// the batch's query-ID capacity, which never changes while a streaming batch
+// admits queries; RunEpisode rejects inputs of any other width. qw == 1 (the
+// default 64-query capacity) takes the operators' single-word fast paths.
 func NewWorker(ctx *Context, pol policy.Policy) *Worker {
 	qcap := ctx.B.QCap()
 	qw := bitset.WordsFor(qcap)
 	w := &Worker{
 		C: ctx, Pol: pol, qw: qw,
 		collect:  ctx.Opt.CollectStats,
-		tq:       make(bitset.Set, qw),
-		zeroQ:    make([]uint64, qw),
 		fullMask: bitset.NewFull(qcap),
 		notMask:  bitset.New(qcap),
 		unionBuf: make(bitset.Set, qw),
@@ -194,10 +193,9 @@ type epCounters struct {
 }
 
 // foldStats folds the worker's arena counters into the shared atomics and
-// resets the arena. Called exactly once per episode — deferred in
-// RunEpisode so faulted (panicking) episodes still publish their partial
-// counters, and explicitly at the end of StepBench.Step. It never
-// allocates.
+// resets the arena. Called exactly once per episode, deferred in the
+// episode body so faulted (panicking) episodes still publish their partial
+// counters. It never allocates.
 func (w *Worker) foldStats() {
 	s, e := &w.C.Stats, &w.ep
 	if e.episodes != 0 {
@@ -298,7 +296,8 @@ type EpisodeReport struct {
 }
 
 // ingestVector copies the episode's vIDs into the worker arena and stamps
-// every tuple with the active query set.
+// every tuple with the active query set: the first tuple's set is copied
+// from Active, then the stamped prefix doubles until it covers the vector.
 func (w *Worker) ingestVector(in EpisodeInput) ([]int32, []uint64) {
 	w.selVids = append(w.selVids[:0], in.VIDs...)
 	need := len(in.VIDs) * w.qw
@@ -306,15 +305,8 @@ func (w *Worker) ingestVector(in EpisodeInput) ([]int32, []uint64) {
 		w.selQsets = make([]uint64, need)
 	}
 	qsets := w.selQsets[:need]
-	for i := range in.VIDs {
-		base := i * w.qw
-		for wd := 0; wd < w.qw; wd++ {
-			var word uint64
-			if wd < len(in.Active) {
-				word = in.Active[wd]
-			}
-			qsets[base+wd] = word
-		}
+	for done := copy(qsets, in.Active); done < need; done *= 2 {
+		copy(qsets[done:], qsets[:done])
 	}
 	return w.selVids, qsets
 }
@@ -372,6 +364,29 @@ func (w *Worker) rootVec(inst query.InstID, vids []int32, qsets []uint64, n int)
 // insertion (injected or real insertion failure); the episode's version
 // slot is published regardless so concurrent probes never spin on it.
 func (w *Worker) RunEpisode(in EpisodeInput) (EpisodeReport, error) {
+	// Selection planning is the policy's ChooseSel; it is charged to the
+	// filter timer with the selection steps it plans.
+	t0 := time.Now()
+	steps := plan.BuildSel(w.Pol, in.Inst, in.Active, in.SelOps)
+	w.ep.filterNs += time.Since(t0).Nanoseconds()
+	return w.runEpisode(in, steps, nil)
+}
+
+// runEpisode is the episode body RunEpisode and StepBench.Step share. It
+// runs the planned selection steps, the STeM build and the slot's publish,
+// then the join plan: join when non-nil, otherwise built here, and only once
+// the selection has left tuples, so an empty episode draws no join
+// decisions from the policy.
+//
+// Every query set the body touches — Active, a non-nil Final, plan-node
+// masks, grouped-filter masks, STeM entry sets — is exactly w.qw words. The
+// rule is checked here, once per episode, so the operators below index
+// their words without length guards.
+func (w *Worker) runEpisode(in EpisodeInput, steps []plan.SelStep, join *plan.Node) (EpisodeReport, error) {
+	if len(in.Active) != w.qw || (in.Final != nil && len(in.Final) != w.qw) {
+		panic(fmt.Sprintf("exec: episode query sets of %d (active) and %d (final) words, want %d",
+			len(in.Active), len(in.Final), w.qw))
+	}
 	c := w.C
 	w.cv = c.loadView()
 	if h := c.Opt.Hooks.EpisodeStart; h != nil {
@@ -395,7 +410,6 @@ func (w *Worker) RunEpisode(in EpisodeInput) (EpisodeReport, error) {
 	t0 := time.Now()
 	vids, qsets := w.ingestVector(in)
 	w.ep.selIn += int64(len(vids))
-	steps := plan.BuildSel(w.Pol, in.Inst, in.Active, in.SelOps)
 	vids, qsets = w.runSelSteps(in, steps, vids, qsets)
 	w.ep.filterNs += time.Since(t0).Nanoseconds()
 	w.ep.selOut += int64(len(vids))
@@ -424,8 +438,10 @@ func (w *Worker) RunEpisode(in EpisodeInput) (EpisodeReport, error) {
 	joinInput := len(vids)
 	if joinInput > 0 {
 		// ---- Join phase ---------------------------------------------------
-		root := plan.BuildJoin(&w.cv.g, w.Pol, in.Inst, in.Active, c.ReqInsts)
-		w.execChildren(root, w.rootVec(in.Inst, vids, qsets, joinInput), ts, wm)
+		if join == nil {
+			join = plan.BuildJoin(&w.cv.g, w.Pol, in.Inst, in.Active, c.ReqInsts)
+		}
+		w.execChildren(join, w.rootVec(in.Inst, vids, qsets, joinInput), ts, wm)
 	}
 
 	rep := EpisodeReport{JoinInput: joinInput, PlanSig: w.planSig}
@@ -443,7 +459,7 @@ func (w *Worker) RunEpisode(in EpisodeInput) (EpisodeReport, error) {
 // contributes to that query, since probes AND the tuple's set with the
 // entry's, so results are unchanged.
 func (w *Worker) build(in EpisodeInput, vids []int32, qsets []uint64) int {
-	if len(in.Final) > 0 {
+	if in.Final != nil {
 		if in.Active.IsSubset(in.Final) {
 			return 0
 		}
@@ -474,10 +490,9 @@ func (w *Worker) build(in EpisodeInput, vids []int32, qsets []uint64) int {
 func (w *Worker) maskFinal(final bitset.Set, vids []int32, qsets []uint64) ([]int32, []uint64) {
 	bv := append(w.insVids[:0], vids...)
 	bq := append(w.insQsets[:0], qsets...)
-	nw := min(w.qw, len(final))
 	for base := 0; base < len(bq); base += w.qw {
-		for wd := 0; wd < nw; wd++ {
-			bq[base+wd] &^= final[wd]
+		for wd, f := range final {
+			bq[base+wd] &^= f
 		}
 	}
 	w.insVids, w.insQsets = compact(bv, bq, w.qw)
@@ -524,42 +539,31 @@ func (w *Worker) applyPrune(p *PruneOp, elig bitset.Set, vids []int32, qsets []u
 	notMask := w.notMask
 	notMask.AndNotWith(elig)
 
-	n := len(vids)
 	pk := w.probeKeys[:0]
 	for _, vid := range vids {
 		pk = append(pk, local[vid])
 	}
 	w.probeKeys = pk
-	need := n * w.qw
+	need := len(vids) * w.qw
 	if cap(w.pruneQs) < need {
 		w.pruneQs = make([]uint64, need)
 	}
 	outs := w.pruneQs[:need]
-	for i := range outs {
-		outs[i] = 0
-	}
+	clear(outs) // SemiJoinVec ORs into it
 	other.SemiJoinVec(outs, w.qw, p.OtherCol, pk)
-	for i := 0; i < n; i++ {
-		base := i * w.qw
-		for wd := 0; wd < w.qw; wd++ {
-			m := outs[base+wd]
-			if wd < len(notMask) {
-				m |= notMask[wd]
-			}
-			qsets[base+wd] &= m
+	for base := 0; base < need; base += w.qw {
+		for wd, nm := range notMask {
+			qsets[base+wd] &= outs[base+wd] | nm
 		}
 	}
 }
 
-// andCount returns the popcount of a ∧ b without materializing it.
+// andCount returns the popcount of a ∧ b without materializing it; b is at
+// least as wide as a.
 func andCount(a, b bitset.Set) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
 	c := 0
-	for i := 0; i < n; i++ {
-		c += bits.OnesCount64(a[i] & b[i])
+	for i, x := range a {
+		c += bits.OnesCount64(x & b[i])
 	}
 	return c
 }
@@ -578,19 +582,10 @@ func compact(vids []int32, qsets []uint64, qw int) ([]int32, []uint64) {
 		return vids[:out], qsets[:out]
 	}
 	for i := range vids {
-		base := i * qw
-		empty := true
-		for wd := 0; wd < qw; wd++ {
-			if qsets[base+wd] != 0 {
-				empty = false
-				break
-			}
-		}
-		if !empty {
-			if out != i {
-				vids[out] = vids[i]
-				copy(qsets[out*qw:out*qw+qw], qsets[base:base+qw])
-			}
+		q := bitset.Set(qsets[i*qw : (i+1)*qw])
+		if !q.Empty() {
+			vids[out] = vids[i]
+			copy(qsets[out*qw:], q)
 			out++
 		}
 	}
@@ -632,6 +627,14 @@ type appliedResidual struct {
 	targetData []int64
 }
 
+// holds reports whether the residual's equality holds between tuple i of v
+// and the matched vID. NULL endpoints (value.NullCode) never satisfy it: the
+// ov != NullCode check also rejects NULL = NULL, which == alone would accept.
+func (rr *appliedResidual) holds(v *jvec, i int, vid int32) bool {
+	ov := rr.otherData[v.vids[rr.otherIdx][i]]
+	return ov == rr.targetData[vid] && ov != value.NullCode
+}
+
 // emitTuple appends tuple i's kept vID columns (plus, for probes, the
 // matched vID) to out. Kept free of closure state so the probe and routing-
 // selection hot loops stay allocation-free.
@@ -649,7 +652,6 @@ func emitTuple(out *jvec, copyIdx []int, v *jvec, i, targetPos int, vid int32) {
 // index of its log entry (whose NDiv the caller may patch). The output
 // vector comes from the worker pool; the caller releases it.
 func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, int) {
-	c := w.C
 	cv := w.cv
 	t0 := time.Now()
 	e := &cv.g.Edges[nd.EdgeID]
@@ -687,15 +689,10 @@ func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, i
 	}
 	w.residuals = residuals
 
-	// Output columns: what the children need (adaptive projections), or the
-	// full lineage when the optimization is off.
+	// Output columns: only what the children need (adaptive projections).
 	var outKeep uint64
-	if c.Opt.AdaptiveProjections {
-		for _, ch := range nd.Children {
-			outKeep |= ch.Keep
-		}
-	} else {
-		outKeep = nd.MainLineage
+	for _, ch := range nd.Children {
+		outKeep |= ch.Keep
 	}
 	out := w.pool.get()
 	copyIdx := w.copyIdx[:0]
@@ -723,13 +720,10 @@ func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, i
 	pk := w.probeKeys[:0]
 	pin := w.probeIn[:0]
 	srcVids := v.vids[srcIdx]
-	if w.qw == 1 {
+	if qw := w.qw; qw == 1 {
 		// Fast path: batches of up to 64 queries use single-word query
 		// sets; the generic word loops dominate the probe otherwise.
-		var mask uint64
-		if len(qmask) > 0 {
-			mask = qmask[0]
-		}
+		mask := qmask[0]
 		ptq := w.probeTqs[:0]
 		for i := 0; i < v.n; i++ {
 			tqw := v.qsets[i] & mask
@@ -746,24 +740,14 @@ func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, i
 			m := &w.vmatches[mi]
 			j := int(m.In)
 			i := int(pin[j])
-			var mw uint64
-			if len(m.QSet) > 0 {
-				mw = m.QSet[0]
-			}
-			oqw := ptq[j] & mw
+			oqw := ptq[j] & m.QSet[0]
 			if oqw == 0 {
 				continue
 			}
-			for _, rr := range residuals {
-				bit := uint64(1) << uint(rr.qid)
-				if oqw&bit != 0 {
-					// NULL endpoints (value.NullCode) never satisfy the
-					// equality — the ov == NullCode check also rejects the
-					// NULL = NULL case, which != alone would let through.
-					ov := rr.otherData[v.vids[rr.otherIdx][i]]
-					if ov != rr.targetData[m.VID] || ov == value.NullCode {
-						oqw &^= bit
-					}
+			for ri := range residuals {
+				rr := &residuals[ri]
+				if bit := uint64(1) << rr.qid; oqw&bit != 0 && !rr.holds(v, i, m.VID) {
+					oqw &^= bit
 				}
 			}
 			if oqw == 0 {
@@ -775,25 +759,15 @@ func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, i
 	} else {
 		ptq := w.probeTqs[:0]
 		for i := 0; i < v.n; i++ {
-			base := i * w.qw
-			empty := true
-			tq := w.tq
-			for wd := 0; wd < w.qw; wd++ {
-				var m uint64
-				if wd < len(qmask) {
-					m = qmask[wd]
-				}
-				tq[wd] = v.qsets[base+wd] & m
-				if tq[wd] != 0 {
-					empty = false
-				}
-			}
-			if empty {
+			tq := v.qsets[i*qw : (i+1)*qw]
+			if !bitset.Intersects(tq, qmask) {
 				continue
 			}
 			pk = append(pk, srcData[srcVids[i]])
 			pin = append(pin, int32(i))
-			ptq = append(ptq, tq...)
+			for wd, mw := range qmask {
+				ptq = append(ptq, tq[wd]&mw)
+			}
 		}
 		w.probeKeys, w.probeIn, w.probeTqs = pk, pin, ptq
 		w.vmatches, w.matchQs = stemT.ProbeVec(w.vmatches[:0], w.matchQs[:0], targetCol, pk, ts, wm)
@@ -801,46 +775,30 @@ func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, i
 			m := &w.vmatches[mi]
 			j := int(m.In)
 			i := int(pin[j])
-			tq := ptq[j*w.qw : (j+1)*w.qw]
-			// Build the output query set in place at the slab's tail;
-			// roll back the extension if it comes out empty.
-			out.qsets = append(out.qsets, w.zeroQ...)
-			oq := out.qsets[len(out.qsets)-w.qw:]
-			outEmpty := true
-			for wd := 0; wd < w.qw; wd++ {
-				var mw uint64
-				if wd < len(m.QSet) {
-					mw = m.QSet[wd]
-				}
-				oq[wd] = tq[wd] & mw
-				if oq[wd] != 0 {
-					outEmpty = false
-				}
-			}
-			if !outEmpty && len(residuals) > 0 {
-				for _, rr := range residuals {
-					wd, bit := rr.qid/64, uint64(1)<<(rr.qid%64)
-					if oq[wd]&bit != 0 {
-						// NULL never satisfies the residual equality; the
-						// ov == NullCode check rejects NULL = NULL too.
-						ov := rr.otherData[v.vids[rr.otherIdx][i]]
-						if ov != rr.targetData[m.VID] || ov == value.NullCode {
-							oq[wd] &^= bit
-						}
-					}
-				}
-				outEmpty = true
-				for wd := 0; wd < w.qw; wd++ {
-					if oq[wd] != 0 {
-						outEmpty = false
-						break
-					}
-				}
-			}
-			if outEmpty {
-				out.qsets = out.qsets[:len(out.qsets)-w.qw]
+			tq := ptq[j*qw : (j+1)*qw]
+			if !bitset.Intersects(tq, m.QSet) {
 				continue
 			}
+			// The output set is formed in the slab's spare capacity and
+			// appended only if the residuals leave it non-empty.
+			n := len(out.qsets)
+			out.qsets = slices.Grow(out.qsets, qw)
+			oq := bitset.Set(out.qsets[n : n+qw])
+			for wd, mw := range m.QSet {
+				oq[wd] = tq[wd] & mw
+			}
+			if len(residuals) > 0 {
+				for ri := range residuals {
+					rr := &residuals[ri]
+					if oq.Contains(rr.qid) && !rr.holds(v, i, m.VID) {
+						oq.Remove(rr.qid)
+					}
+				}
+				if oq.Empty() {
+					continue
+				}
+			}
+			out.qsets = out.qsets[:n+qw]
 			emitTuple(out, copyIdx, v, i, targetPos, m.VID)
 		}
 	}
@@ -879,9 +837,6 @@ func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, i
 func (w *Worker) routeSel(nd *plan.Node, v *jvec) *jvec {
 	t0 := time.Now()
 	keep := nd.Keep
-	if !w.C.Opt.AdaptiveProjections {
-		keep = nd.Lineage
-	}
 	out := w.pool.get()
 	copyIdx := w.copyIdx[:0]
 	for i, inst := range v.insts {
@@ -893,38 +848,24 @@ func (w *Worker) routeSel(nd *plan.Node, v *jvec) *jvec {
 	}
 	w.copyIdx = copyIdx
 	qmask := nd.Q
-	if w.qw == 1 {
-		var mask uint64
-		if len(qmask) > 0 {
-			mask = qmask[0]
-		}
+	if qw := w.qw; qw == 1 {
+		mask := qmask[0]
 		for i := 0; i < v.n; i++ {
-			qw := v.qsets[i] & mask
-			if qw == 0 {
+			q := v.qsets[i] & mask
+			if q == 0 {
 				continue
 			}
-			out.qsets = append(out.qsets, qw)
+			out.qsets = append(out.qsets, q)
 			emitTuple(out, copyIdx, v, i, -1, 0)
 		}
 	} else {
 		for i := 0; i < v.n; i++ {
-			base := i * w.qw
-			out.qsets = append(out.qsets, w.zeroQ...)
-			q := out.qsets[len(out.qsets)-w.qw:]
-			empty := true
-			for wd := 0; wd < w.qw; wd++ {
-				var m uint64
-				if wd < len(qmask) {
-					m = qmask[wd]
-				}
-				q[wd] = v.qsets[base+wd] & m
-				if q[wd] != 0 {
-					empty = false
-				}
-			}
-			if empty {
-				out.qsets = out.qsets[:len(out.qsets)-w.qw]
+			q := v.qsets[i*qw : (i+1)*qw]
+			if !bitset.Intersects(q, qmask) {
 				continue
+			}
+			for wd, mw := range qmask {
+				out.qsets = append(out.qsets, q[wd]&mw)
 			}
 			emitTuple(out, copyIdx, v, i, -1, 0)
 		}
@@ -1027,9 +968,5 @@ func (w *Worker) sourceCols(src *Source, v *jvec) []int {
 
 // tupleHas reports whether tuple i's query set contains qid.
 func tupleHas(v *jvec, qw, i, qid int) bool {
-	wd := qid / 64
-	if wd >= qw {
-		return false
-	}
-	return v.qsets[i*qw+wd]&(1<<(qid%64)) != 0
+	return v.qsets[i*qw+qid/64]&(1<<(qid%64)) != 0
 }

@@ -85,7 +85,6 @@ func TestRunEpisodeEndToEnd(t *testing.T) {
 		{"defaults", func(*Options) {}},
 		{"naiveRouter", func(o *Options) { o.LocalityRouter = false }},
 		{"naiveFilters", func(o *Options) { o.GroupedFilters = false }},
-		{"noProjection", func(o *Options) { o.AdaptiveProjections = false }},
 	} {
 		t.Run(opts.name, func(t *testing.T) {
 			b := joinBatch(t, 2, true)

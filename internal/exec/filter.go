@@ -243,47 +243,30 @@ func (f *GroupedFilter) naiveMask(v int64, scratch bitset.Set) bitset.Set {
 
 // Apply filters the query-set words of a tuple vector in place: for each
 // tuple, its query set is intersected with the mask of its column value.
-// qsets is the flat n×qw word slab; vids addresses the column. It returns
-// the number of tuples left with a non-empty query set (tuples themselves
-// are compacted by the caller).
+// qsets is the flat n×qw word slab and every mask is qw words; vids
+// addresses the column. Tuples left empty are compacted by the caller.
 func (f *GroupedFilter) Apply(grouped bool, vids []int32, qsets []uint64, qw int) {
-	if grouped {
-		if qw == 1 {
-			// Fast path for single-word query sets.
-			for i, vid := range vids {
-				m := f.maskFor(f.col[vid])
-				var mw uint64
-				if len(m) > 0 {
-					mw = m[0]
-				}
-				qsets[i] &= mw
-			}
-			return
-		}
+	if grouped && qw == 1 {
+		// Fast path for single-word query sets.
 		for i, vid := range vids {
-			m := f.maskFor(f.col[vid])
-			base := i * qw
-			for w := 0; w < qw; w++ {
-				var mw uint64
-				if w < len(m) {
-					mw = m[w]
-				}
-				qsets[base+w] &= mw
-			}
+			qsets[i] &= f.maskFor(f.col[vid])[0]
 		}
 		return
 	}
-	scratch := bitset.New(f.n)
+	var naive bitset.Set // the naive path's mask scratch
+	if !grouped {
+		naive = bitset.New(f.n)
+	}
 	for i, vid := range vids {
-		m := f.naiveMask(f.col[vid], scratch)
-		scratch = m
-		base := i * qw
-		for w := 0; w < qw; w++ {
-			var mw uint64
-			if w < len(m) {
-				mw = m[w]
-			}
-			qsets[base+w] &= mw
+		var m bitset.Set
+		if grouped {
+			m = f.maskFor(f.col[vid])
+		} else {
+			m = f.naiveMask(f.col[vid], naive)
+		}
+		q := qsets[i*qw : (i+1)*qw]
+		for w, mw := range m {
+			q[w] &= mw
 		}
 	}
 }

@@ -27,25 +27,24 @@ type StepBenchConfig struct {
 
 	// Final, when non-nil, marks these queries final on the fact instance
 	// (EpisodeInput.Final): each Step then also runs the masked STeM build
-	// into the fact STeM, under the already-published seed slot. The fact
-	// STeM grows by up to VectorSize entries per Step, so a zero-alloc
-	// guard keeps VectorSize × steps inside its first chunk.
+	// into the fact STeM. The fact STeM grows by up to VectorSize entries
+	// per Step, so a zero-alloc guard keeps VectorSize × steps inside its
+	// first chunk. Nil marks every query final, so nothing is built.
 	Final bitset.Set
 }
 
 // StepBench drives the steady-state episode step in isolation: a prebuilt
 // star batch (fact ⋈ dim1, fact ⋈ dim2, per-query range filters on the
-// fact table) with the dimension STeMs fully populated and published, so
-// every Step replays the hot data path — ingest, grouped filters, compact,
-// probes, routing selections, routers, cost measurement, policy update —
-// without the cold-path work RunEpisode performs per episode (plan
-// construction, STeM insertion, version publishing). With
-// StepBenchConfig.Final set, Step also runs the masked STeM build.
+// fact table) with the dimension STeMs fully populated and published. Every
+// Step runs RunEpisode's own body on a fresh version slot — hook checks,
+// ingest, grouped filters, compact, STeM build, publish, probes, routing
+// selections, routers, cost measurement, policy update and the stats fold —
+// over selection and join plans built once by NewStepBench.
 //
-// That cold path is excluded deliberately: plan construction allocates the
-// per-episode operator tree by design, and STeM insertion grows shared
-// state. The zero-allocation contract (TestEpisodeStepZeroAlloc) covers
-// exactly what Step runs; DESIGN.md "Performance" spells out the boundary.
+// Plan construction is the one part of an episode left out: it allocates
+// the per-episode operator tree by design. The zero-allocation contract
+// (TestEpisodeStepZeroAlloc) covers everything else RunEpisode runs;
+// DESIGN.md "Performance" spells out the boundary.
 type StepBench struct {
 	Ctx *Context
 	W   *Worker
@@ -53,7 +52,6 @@ type StepBench struct {
 	in       EpisodeInput
 	selSteps []plan.SelStep
 	joinRoot *plan.Node
-	g        query.Graph // snapshot the prebuilt join plan was built over
 }
 
 // NewStepBench builds the harness fixture and warms nothing: callers run a
@@ -192,47 +190,34 @@ func NewStepBench(cfg StepBenchConfig) (*StepBench, error) {
 	for i := range vids {
 		vids[i] = int32(i % cfg.Rows)
 	}
+	final := cfg.Final
+	if final == nil {
+		final = active
+	}
 	in := EpisodeInput{
 		Inst:   factInst,
 		VIDs:   vids,
 		Active: active,
-		Final:  cfg.Final,
+		Final:  final,
 		Slot:   seedSlot,
 		SelOps: ctx.SelOpsFor(factInst, nil),
 	}
 
-	sb := &StepBench{Ctx: ctx, W: w, in: in, g: b.Snapshot()}
+	sb := &StepBench{Ctx: ctx, W: w, in: in}
 	sb.selSteps = plan.BuildSel(pol, factInst, active, in.SelOps)
-	sb.joinRoot = plan.BuildJoin(&sb.g, pol, factInst, active, ctx.ReqInsts)
+	sb.joinRoot = plan.BuildJoin(ctx.Graph(), pol, factInst, active, ctx.ReqInsts)
 	return sb, nil
 }
 
-// Step runs one steady-state episode step over the prebuilt plan and
-// returns the episode report. After a handful of warm-up calls it performs
-// zero heap allocations.
+// Step runs one episode through RunEpisode's body over the prebuilt plans
+// and returns its report. After a handful of warm-up calls it performs zero
+// heap allocations.
 func (s *StepBench) Step() EpisodeReport {
-	w := s.W
-	w.cv = w.C.loadView() // one atomic load, as in RunEpisode
-	w.log = w.log[:0]
-	w.planSig = 0
-	vids, qsets := w.ingestVector(s.in)
-	w.ep.selIn += int64(len(vids))
-	vids, qsets = w.runSelSteps(s.in, s.selSteps, vids, qsets)
-	w.ep.selOut += int64(len(vids))
-	if s.in.Final != nil {
-		w.ep.inserted += int64(w.build(s.in, vids, qsets))
-	}
-	joinInput := len(vids)
-	if joinInput > 0 {
-		// Watermark before timestamp, same ordering as RunEpisode: slots
-		// under wm are guaranteed older than ts.
-		wm := w.C.Versions.Watermark()
-		ts := w.C.Versions.Now()
-		w.execChildren(s.joinRoot, w.rootVec(s.in.Inst, vids, qsets, joinInput), ts, wm)
-	}
-	rep := EpisodeReport{JoinInput: joinInput, PlanSig: w.planSig}
-	rep.MeasuredCost, rep.MeasuredJoinCost = w.measuredCost()
-	w.Pol.Observe(w.log)
-	w.foldStats()
+	// A fresh slot per step, as the engine gives every episode: publishing a
+	// slot twice returns its old timestamp, under which the dimension
+	// entries of the seed slot would be invisible to the probes.
+	s.in.Slot++
+	// The fixture sets no hooks, and only a hook can fail an episode.
+	rep, _ := s.W.runEpisode(s.in, s.selSteps, s.joinRoot)
 	return rep
 }

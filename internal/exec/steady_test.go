@@ -141,8 +141,10 @@ func TestEpisodeStepStatsZeroAlloc(t *testing.T) {
 }
 
 // TestStepBenchMatchesRunEpisodeShape sanity-checks the harness against the
-// production path: a full RunEpisode over the same fixture input routes
-// tuples and reports a comparable join input.
+// production path: Step builds nothing (every query is final), while a full
+// RunEpisode over the same input with Final = nil, on a fresh slot, plans
+// its own selection and join, inserts into the fact STeM, and reports the
+// same join input.
 func TestStepBenchMatchesRunEpisodeShape(t *testing.T) {
 	sb, err := NewStepBench(StepBenchConfig{NQueries: 8, Rows: 512, VectorSize: 256})
 	if err != nil {
@@ -159,11 +161,13 @@ func TestStepBenchMatchesRunEpisodeShape(t *testing.T) {
 	if routedBefore == 0 {
 		t.Fatal("step routed no tuples")
 	}
+	if n := sb.Ctx.Stems[sb.in.Inst].Len(); n != 0 {
+		t.Fatalf("Step built %d fact entries, want 0 (every query final)", n)
+	}
 
-	// The production episode path over the same input must also flow: it
-	// additionally inserts into the fact STeM and publishes a fresh slot.
 	in := sb.in
-	in.Slot = 1
+	in.Final = nil
+	in.Slot++
 	rep2, err := sb.W.RunEpisode(in)
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,9 @@
 package policystore
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sync"
@@ -206,32 +208,7 @@ const (
 	fileVersion = 1
 )
 
-func putU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func putU64(b []byte, v uint64) []byte {
-	return append(b,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func getU64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func fnvSum(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	return h
-}
+var le = binary.LittleEndian
 
 // encode serializes the cache under its lock, in deterministic (sorted
 // signature) order so identical caches produce identical files.
@@ -248,15 +225,17 @@ func (c *Cache) encode() []byte {
 		}
 	}
 	buf := []byte(fileMagic)
-	buf = putU32(buf, fileVersion)
-	buf = putU32(buf, uint32(len(sigs)))
+	buf = le.AppendUint32(buf, fileVersion)
+	buf = le.AppendUint32(buf, uint32(len(sigs)))
 	for _, sig := range sigs {
 		blob := c.m[sig].snap.Encode()
-		buf = putU64(buf, sig)
-		buf = putU32(buf, uint32(len(blob)))
+		buf = le.AppendUint64(buf, sig)
+		buf = le.AppendUint32(buf, uint32(len(blob)))
 		buf = append(buf, blob...)
 	}
-	return putU64(buf, fnvSum(buf))
+	h := fnv.New64a()
+	h.Write(buf)
+	return le.AppendUint64(buf, h.Sum64())
 }
 
 // decode parses and validates a policy file.
@@ -264,25 +243,27 @@ func decode(data []byte) (map[uint64]*qlearn.Snapshot, error) {
 	if len(data) < 20 {
 		return nil, fmt.Errorf("policystore: file truncated (%d bytes)", len(data))
 	}
-	body, sum := data[:len(data)-8], getU64(data[len(data)-8:])
-	if fnvSum(body) != sum {
+	body := data[:len(data)-8]
+	h := fnv.New64a()
+	h.Write(body)
+	if h.Sum64() != le.Uint64(data[len(data)-8:]) {
 		return nil, fmt.Errorf("policystore: file checksum mismatch")
 	}
 	if string(body[:4]) != fileMagic {
 		return nil, fmt.Errorf("policystore: bad file magic %q", body[:4])
 	}
-	if v := getU32(body[4:]); v != fileVersion {
+	if v := le.Uint32(body[4:]); v != fileVersion {
 		return nil, fmt.Errorf("policystore: unsupported file version %d", v)
 	}
-	n := int(getU32(body[8:]))
+	n := int(le.Uint32(body[8:]))
 	off := 12
 	out := make(map[uint64]*qlearn.Snapshot, n)
 	for i := 0; i < n; i++ {
 		if off+12 > len(body) {
 			return nil, fmt.Errorf("policystore: entry %d header truncated", i)
 		}
-		sig := getU64(body[off:])
-		blen := int(getU32(body[off+8:]))
+		sig := le.Uint64(body[off:])
+		blen := int(le.Uint32(body[off+8:]))
 		off += 12
 		if off+blen > len(body) {
 			return nil, fmt.Errorf("policystore: entry %d blob truncated", i)

@@ -1,9 +1,11 @@
 package policystore
 
 import (
+	"encoding/hex"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -100,6 +102,41 @@ func TestCacheSaveLoadRoundTrip(t *testing.T) {
 	}
 	if re.Get(9) == nil {
 		t.Fatal("second template lost in round trip")
+	}
+}
+
+// cacheGoldenHex is the policy file of the cache TestCacheEncodingGolden
+// builds. Files written by earlier builds must keep loading, so a codec
+// change that alters these bytes is a format break.
+const cacheGoldenHex = "524c50430100000002000000030000000000000060000000" +
+	"524c515301000000080000000200000001000100000000000100000000000000000000000000" +
+	"14c005000000010000000000000001000100010000000100000000000000000000000000" +
+	"14c00500000001000000000000002d860d374204ce90" +
+	"88776655443322113c000000" +
+	"524c515301000000080000000100000001000100000000000100000000000000000000000000" +
+	"00c0020000000100000000000000" +
+	"85a1aac3c4d82468b0b5be7603b4ea7e"
+
+// TestCacheEncodingGolden pins the policy file's bytes, which the
+// round-trip tests cannot: a consistent format change passes those.
+func TestCacheEncodingGolden(t *testing.T) {
+	c, _ := Open(Options{})
+	c.Put(0x1122334455667788, snapFor(2, 1))
+	c.Put(3, snapFor(5, 2))
+	if got := hex.EncodeToString(c.encode()); got != cacheGoldenHex {
+		t.Fatalf("encoding changed:\n got %s\nwant %s", got, cacheGoldenHex)
+	}
+	data, err := hex.DecodeString(cacheGoldenHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != 2 || !reflect.DeepEqual(snaps[3], snapFor(5, 2)) ||
+		!reflect.DeepEqual(snaps[0x1122334455667788], snapFor(2, 1)) {
+		t.Fatalf("decoded %+v", snaps)
 	}
 }
 

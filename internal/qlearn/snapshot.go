@@ -1,7 +1,9 @@
 package qlearn
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/bits"
 	"sort"
@@ -430,33 +432,7 @@ const (
 	snapVersion = 1
 )
 
-func putU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func putU64(b []byte, v uint64) []byte {
-	return append(b,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func getU64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-// fnvSum is FNV-1a over a byte slice (the episode PlanSig idiom).
-func fnvSum(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	return h
-}
+var le = binary.LittleEndian
 
 // Encode serializes the snapshot.
 func (s *Snapshot) Encode() []byte {
@@ -466,21 +442,24 @@ func (s *Snapshot) Encode() []byte {
 	}
 	buf := make([]byte, 0, size+8)
 	buf = append(buf, snapMagic...)
-	buf = putU32(buf, snapVersion)
-	buf = putU32(buf, uint32(s.NQueries))
-	buf = putU32(buf, uint32(len(s.Entries)))
+	buf = le.AppendUint32(buf, snapVersion)
+	buf = le.AppendUint32(buf, uint32(s.NQueries))
+	buf = le.AppendUint32(buf, uint32(len(s.Entries)))
 	for i := range s.Entries {
 		e := &s.Entries[i]
-		buf = append(buf, e.Phase, e.Inst, byte(len(e.Q)), byte(len(e.Q)>>8))
-		buf = putU32(buf, uint32(e.Op))
-		buf = putU64(buf, e.Lineage)
-		buf = putU64(buf, math.Float64bits(e.Value))
-		buf = putU32(buf, e.Visits)
+		buf = append(buf, e.Phase, e.Inst)
+		buf = le.AppendUint16(buf, uint16(len(e.Q)))
+		buf = le.AppendUint32(buf, uint32(e.Op))
+		buf = le.AppendUint64(buf, e.Lineage)
+		buf = le.AppendUint64(buf, math.Float64bits(e.Value))
+		buf = le.AppendUint32(buf, e.Visits)
 		for _, w := range e.Q {
-			buf = putU64(buf, w)
+			buf = le.AppendUint64(buf, w)
 		}
 	}
-	return putU64(buf, fnvSum(buf))
+	h := fnv.New64a()
+	h.Write(buf)
+	return le.AppendUint64(buf, h.Sum64())
 }
 
 // DecodeSnapshot parses and validates an encoded snapshot.
@@ -488,18 +467,20 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if len(data) < 24 {
 		return nil, fmt.Errorf("qlearn: snapshot truncated (%d bytes)", len(data))
 	}
-	body, sum := data[:len(data)-8], getU64(data[len(data)-8:])
-	if fnvSum(body) != sum {
+	body := data[:len(data)-8]
+	h := fnv.New64a()
+	h.Write(body)
+	if h.Sum64() != le.Uint64(data[len(data)-8:]) {
 		return nil, fmt.Errorf("qlearn: snapshot checksum mismatch")
 	}
 	if string(body[:4]) != snapMagic {
 		return nil, fmt.Errorf("qlearn: bad snapshot magic %q", body[:4])
 	}
-	if v := getU32(body[4:]); v != snapVersion {
+	if v := le.Uint32(body[4:]); v != snapVersion {
 		return nil, fmt.Errorf("qlearn: unsupported snapshot version %d", v)
 	}
-	s := &Snapshot{NQueries: int(getU32(body[8:]))}
-	n := int(getU32(body[12:]))
+	s := &Snapshot{NQueries: int(le.Uint32(body[8:]))}
+	n := int(le.Uint32(body[12:]))
 	off := 16
 	s.Entries = make([]SnapEntry, 0, n)
 	for i := 0; i < n; i++ {
@@ -507,18 +488,18 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 			return nil, fmt.Errorf("qlearn: snapshot entry %d truncated", i)
 		}
 		e := SnapEntry{Phase: body[off], Inst: body[off+1]}
-		qlen := int(body[off+2]) | int(body[off+3])<<8
-		e.Op = int32(getU32(body[off+4:]))
-		e.Lineage = getU64(body[off+8:])
-		e.Value = math.Float64frombits(getU64(body[off+16:]))
-		e.Visits = getU32(body[off+24:])
+		qlen := int(le.Uint16(body[off+2:]))
+		e.Op = int32(le.Uint32(body[off+4:]))
+		e.Lineage = le.Uint64(body[off+8:])
+		e.Value = math.Float64frombits(le.Uint64(body[off+16:]))
+		e.Visits = le.Uint32(body[off+24:])
 		off += 28
 		if off+8*qlen > len(body) {
 			return nil, fmt.Errorf("qlearn: snapshot entry %d query set truncated", i)
 		}
 		e.Q = make([]uint64, qlen)
 		for w := 0; w < qlen; w++ {
-			e.Q[w] = getU64(body[off:])
+			e.Q[w] = le.Uint64(body[off:])
 			off += 8
 		}
 		s.Entries = append(s.Entries, e)

@@ -1,6 +1,7 @@
 package qlearn
 
 import (
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"reflect"
@@ -227,6 +228,42 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("NQueries = %d, want %d", got.NQueries, snap.NQueries)
 	}
 	exportsEqual(t, "codec round-trip", snap.Entries, got.Entries)
+}
+
+// snapGoldenHex is the encoding of goldenSnapshot. Policy files written by
+// earlier builds embed this format, so a codec change that alters it breaks
+// their warm start.
+const snapGoldenHex = "524c51530100000046000000020000000002020005000000efcdab8967452301" +
+	"000000000000f4bf0300000001000000000000803f00000000000000010901007011010006000000" +
+	"00000000000000000088a34098badcfeff00ff00ff00ff00537ccc4d5e7d8d6c"
+
+func goldenSnapshot() *Snapshot {
+	return &Snapshot{NQueries: 70, Entries: []SnapEntry{
+		{Phase: uint8(policy.SelPhase), Inst: 2, Op: 5, Lineage: 0x0123456789abcdef, Value: -1.25, Visits: 3,
+			Q: []uint64{0x8000000000000001, 0x3f}},
+		{Phase: uint8(policy.JoinPhase), Inst: 9, Op: 70000, Lineage: 0x6, Value: 2.5e3, Visits: 0xfedcba98,
+			Q: []uint64{0x00ff00ff00ff00ff}},
+	}}
+}
+
+// TestSnapshotEncodingGolden pins the snapshot's on-disk bytes, which the
+// round-trip tests cannot: a consistent format change passes those.
+func TestSnapshotEncodingGolden(t *testing.T) {
+	snap := goldenSnapshot()
+	if got := hex.EncodeToString(snap.Encode()); got != snapGoldenHex {
+		t.Fatalf("encoding changed:\n got %s\nwant %s", got, snapGoldenHex)
+	}
+	data, err := hex.DecodeString(snapGoldenHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, snap) {
+		t.Fatalf("decoded %+v, want %+v", got, snap)
+	}
 }
 
 // TestSnapshotDecodeRejectsCorruption: every class of damage — flipped

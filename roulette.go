@@ -297,13 +297,11 @@ type Options struct {
 	// Seed makes the learned/random policies deterministic.
 	Seed int64
 
-	// DisablePruning, DisableGroupedFilters, DisableLocalityRouter and
-	// DisableAdaptiveProjections switch off individual §5 optimizations
-	// (ablation studies).
-	DisablePruning             bool
-	DisableGroupedFilters      bool
-	DisableLocalityRouter      bool
-	DisableAdaptiveProjections bool
+	// DisablePruning, DisableGroupedFilters and DisableLocalityRouter switch
+	// off individual §5 optimizations (ablation studies).
+	DisablePruning        bool
+	DisableGroupedFilters bool
+	DisableLocalityRouter bool
 
 	// DiscardRows keeps only result counts (large throughput benchmarks).
 	DiscardRows bool
@@ -375,7 +373,6 @@ func (o *Options) execOptions() exec.Options {
 	opt.Pruning = !o.DisablePruning
 	opt.GroupedFilters = !o.DisableGroupedFilters
 	opt.LocalityRouter = !o.DisableLocalityRouter
-	opt.AdaptiveProjections = !o.DisableAdaptiveProjections
 	opt.CollectRows = !o.DiscardRows
 	opt.CollectStats = o.CollectStats
 	return opt

@@ -81,7 +81,7 @@ func realMain(args []string) int {
 	scale := fs.Float64("scale", 0.25, "TPC-DS scale factor (facts scale linearly)")
 	seed := fs.Int64("seed", 1, "workload and data seed")
 	quick := fs.Bool("quick", false, "reduced sweeps for a fast pass")
-	stats := fs.Bool("stats", false, "collect execution stats for RouLette-family runs (skews timings; not for EXPERIMENTS.md numbers)")
+	stats := fs.Bool("stats", false, "print an execution-stats line after each RouLette-family run")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics (Prometheus text + JSON) on this address while the sweep runs")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile at sweep end to this file")
@@ -105,7 +105,7 @@ func realMain(args []string) int {
 		logger.Error("unknown figure", "fig", *figName, "valid", figureNames())
 		return 2
 	}
-	cfg := bench.Config{Scale: *scale, Seed: *seed, Quick: *quick, Out: os.Stdout, CollectStats: *stats}
+	cfg := bench.Config{Scale: *scale, Seed: *seed, Quick: *quick, Out: os.Stdout, PrintStats: *stats}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -54,7 +54,7 @@ func main() {
 	var tables tableFlags
 	flag.Var(&tables, "t", "table to load: name=file.csv (repeatable; first row is the header)")
 	workers := flag.Int("workers", 1, "RouLette workers")
-	stats := flag.Bool("stats", false, "collect execution stats and print a summary after each batch")
+	stats := flag.Bool("stats", false, "print an execution-stats summary after each batch (with -serve: the STeM table at shutdown)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus text + JSON) on this address, e.g. :9090")
 	serve := flag.Bool("serve", false, "streaming mode: keep one live session open; each ';'-terminated statement executes on arrival and reports its own latency")
 	listen := flag.String("listen", "", "with -serve: also accept statements from TCP clients on this address, e.g. :5433")
@@ -135,10 +135,7 @@ func main() {
 		// prompt Ctrl-C keeps its default behaviour and kills the shell.
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		opts := &roulette.Options{
-			Workers:      *workers,
-			CollectStats: *stats,
-		}
+		opts := &roulette.Options{Workers: *workers}
 		if *policyPath != "" {
 			opts.PolicyStore = store
 		}
@@ -167,7 +164,7 @@ func main() {
 		} else {
 			fmt.Printf("(%d queries in %v, %d episodes)\n", len(res.Queries), res.Elapsed, res.Episodes)
 		}
-		if res.Stats != nil {
+		if *stats {
 			fmt.Print(res.Stats.Summary())
 		}
 	}
@@ -241,8 +238,7 @@ func runServe(e *roulette.Engine, sc serveConfig) error {
 	defer stop()
 	workers, stats, listen := sc.workers, sc.stats, sc.listen
 	st, err := e.OpenStream(ctx, &roulette.StreamOptions{
-		Options: roulette.Options{Workers: workers, CollectStats: stats, Logger: sc.logger,
-			PolicyStore: sc.store},
+		Options:       roulette.Options{Workers: workers, Logger: sc.logger, PolicyStore: sc.store},
 		StallWatchdog: sc.stallWatch,
 	})
 	if err != nil {

@@ -1,6 +1,6 @@
 // Observability: execution stats, episode tracing and metrics export. The
-// example runs a TPC-DS-style dashboard batch with Options.CollectStats and
-// Options.TraceEpisodes set, prints the per-batch breakdown (operator
+// example runs a TPC-DS-style dashboard batch with Options.TraceEpisodes
+// set, prints the per-batch breakdown every result carries (operator
 // classes, STeM state, policy behaviour, sharing factor), dumps the traced
 // episodes as JSON Lines, and scrapes the process-wide /metrics endpoint
 // once in both exposition formats.
@@ -40,12 +40,11 @@ func main() {
 		queries[i] = pub.CountStar()
 	}
 
-	// Stats and tracing are opt-in: CollectStats attaches a Stats breakdown
-	// to the result, TraceEpisodes makes the engine's flight recorder keep
-	// each episode's chosen operators for about the last N episodes.
+	// Every result carries a Stats breakdown; tracing is opt-in:
+	// TraceEpisodes makes the engine's flight recorder keep each episode's
+	// chosen operators for about the last N episodes.
 	res, err := e.ExecuteBatch(queries, &roulette.Options{
 		DiscardRows:   true,
-		CollectStats:  true,
 		TraceEpisodes: 64,
 	})
 	if err != nil {

@@ -51,7 +51,7 @@ func main() {
 
 	ctx := context.Background()
 	st, err := e.OpenStream(ctx, &roulette.StreamOptions{
-		Options:    roulette.Options{Workers: 2, CollectStats: true},
+		Options:    roulette.Options{Workers: 2},
 		MaxQueries: 16,
 	})
 	if err != nil {

@@ -33,11 +33,9 @@ type Config struct {
 	Quick bool // reduced sweeps (CI / testing.B)
 	Out   io.Writer
 
-	// CollectStats turns on the engine's execution-stats collection for the
-	// RouLette-family runs and prints a compact per-run breakdown. It adds
-	// bookkeeping to every episode, so leave it off when timing figures for
-	// EXPERIMENTS.md.
-	CollectStats bool
+	// PrintStats prints a compact execution breakdown after every
+	// RouLette-family run.
+	PrintStats bool
 }
 
 func (c *Config) printf(format string, args ...any) {
@@ -116,7 +114,6 @@ func (c *Config) runSystem(sys System, db *storage.Database, qs []*query.Query, 
 		}
 		opt := exec.DefaultOptions()
 		opt.CollectRows = false
-		opt.CollectStats = c.CollectStats
 		var pol policy.Policy
 		switch sys {
 		case SysRouLette:
@@ -144,25 +141,21 @@ func (c *Config) runSystem(sys System, db *storage.Database, qs []*query.Query, 
 		}
 		res.Elapsed = r.Elapsed
 		res.JoinTuples = r.JoinTuples
-		if c.CollectStats && r.Stats != nil {
+		if c.PrintStats {
 			c.printStats(sys, r.Stats)
 		}
 	}
 	return res, nil
 }
 
-// printStats emits one compact line per stats-collecting run.
+// printStats emits one compact line per run.
 func (c *Config) printStats(sys System, bs *engine.BatchStats) {
 	var stemBytes int64
 	for _, st := range bs.Stems {
 		stemBytes += st.EstBytes
 	}
-	var factor float64
-	if bs.Sharing.TotalOps > 0 {
-		factor = float64(bs.Sharing.SharedOps) / float64(bs.Sharing.TotalOps)
-	}
 	c.printf("    [stats %s] ops=%d sharing=%.2f qstates=%d switches=%d stems~%.1fMiB\n",
-		sys, bs.Sharing.TotalOps, factor, bs.Policy.QStates,
+		sys, bs.Sharing.TotalOps, bs.Sharing.Factor(), bs.Policy.QStates,
 		bs.Policy.PlanSwitches, float64(stemBytes)/(1<<20))
 }
 

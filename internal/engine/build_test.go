@@ -39,7 +39,6 @@ func TestBuildRuleFiresAndStaysExact(t *testing.T) {
 		qs := starQueries(rng, 8)
 		opt := exec.DefaultOptions()
 		opt.VectorSize = 32
-		opt.CollectStats = true
 		res := runAndCheck(t, db, qs, Config{Exec: opt, Workers: 1})
 		for _, ss := range res.Stats.Stems {
 			switch {
@@ -61,7 +60,6 @@ func TestBuildRuleFiresAndStaysExact(t *testing.T) {
 		qs := starQueries(rng, 8)
 		opt := exec.DefaultOptions()
 		opt.VectorSize = 32
-		opt.CollectStats = true
 		var rec *retireRecorder
 		s, err := NewSession(query.NewStreamBatch(16), db, Config{
 			Exec: opt, Workers: 1, Streaming: true,

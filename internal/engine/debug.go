@@ -187,18 +187,6 @@ type DebugSnapshot struct {
 	Tenants []TenantDebug `json:"tenants,omitempty"`
 }
 
-// queriesOfWord decodes a bitset word into query IDs offset..offset+63.
-func queriesOfWord(w uint64, offset int) []int {
-	var out []int
-	for b := 0; w != 0; b++ {
-		if w&1 != 0 {
-			out = append(out, offset+b)
-		}
-		w >>= 1
-	}
-	return out
-}
-
 // DebugSnapshot captures the session's control-plane state.
 func (s *Session) DebugSnapshot() DebugSnapshot {
 	s.mu.Lock()
@@ -251,7 +239,7 @@ func (s *Session) DebugSnapshot() DebugSnapshot {
 		snap.Workers = append(snap.Workers, WorkerDebug{
 			Worker: id, Inst: we.inst, Slot: we.slot,
 			AgeMs:         float64(now-we.startNs) / 1e6,
-			ActiveQueries: queriesOfWord(we.activeW0, 0),
+			ActiveQueries: we.active.IDs(),
 		})
 	}
 	for i := range s.tenants {
@@ -346,7 +334,7 @@ func (s *Session) Diagnose(cfg DiagnoseConfig) []Finding {
 			if f.Worker == -1 {
 				f.Worker, f.Slot = id, we.slot
 			}
-			f.Queries = append(f.Queries, queriesOfWord(we.activeW0, 0)...)
+			f.Queries = we.active.AppendIDs(f.Queries)
 		}
 		f.Detail = fmt.Sprintf(
 			"fence on instance %d (%s) up %.1fms with %d queued op(s); blocked by worker %d episode slot %d running queries %v",
@@ -364,7 +352,7 @@ func (s *Session) Diagnose(cfg DiagnoseConfig) []Finding {
 		if age < int64(cfg.EpisodeStall) {
 			continue
 		}
-		qs := queriesOfWord(we.activeW0, 0)
+		qs := we.active.IDs()
 		out = append(out, Finding{
 			Kind: "stalled_episode", Severity: "critical",
 			Inst: int(we.inst), Table: s.b.Insts[we.inst].Table,
@@ -391,7 +379,7 @@ func (s *Session) Diagnose(cfg DiagnoseConfig) []Finding {
 			if w >= 0 && w < len(s.workerEp) && s.workerEp[w].open {
 				we := &s.workerEp[w]
 				f.Inst, f.Slot = int(we.inst), we.slot
-				f.Queries = queriesOfWord(we.activeW0, 0)
+				f.Queries = we.active.IDs()
 			}
 			out = append(out, f)
 		}

@@ -210,6 +210,75 @@ func TestStuckFenceDiagnosisAndTrace(t *testing.T) {
 	}
 }
 
+// TestDiagnoseNamesQueriesBeyondFirstWord parks an episode whose active set
+// spans two bitset words and requires DebugSnapshot and Diagnose to name
+// every query in it, including those with IDs of 64 and above.
+func TestDiagnoseNamesQueriesBeyondFirstWord(t *testing.T) {
+	const n = 70
+	rng := rand.New(rand.NewSource(94))
+	db := starDB(rng, 256, 16)
+	qs := make([]*query.Query, n)
+	for i := range qs {
+		qs[i] = factD1(0, 0)
+	}
+	b, err := query.Compile(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocked := make(chan struct{})
+	release := make(chan struct{})
+	var hooked atomic.Bool
+	opt := exec.DefaultOptions()
+	opt.VectorSize = 32
+	// Park the batch's first episode: every query scans both relations, so
+	// its active set holds all n queries.
+	opt.Hooks = exec.Hooks{EpisodeStart: func(query.InstID, stem.Slot) {
+		if hooked.CompareAndSwap(false, true) {
+			close(blocked)
+			<-release
+		}
+	}}
+	s, err := NewSession(b, db, Config{Exec: opt, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Run()
+		done <- err
+	}()
+	<-blocked
+
+	names := func(where string, got []int) {
+		t.Helper()
+		if len(got) != n || got[0] != 0 || got[n-1] != n-1 {
+			t.Errorf("%s names queries %v, want 0..%d", where, got, n-1)
+		}
+	}
+	snap := s.DebugSnapshot()
+	if len(snap.Workers) != 1 {
+		t.Fatalf("snapshot shows %d open episodes, want 1", len(snap.Workers))
+	}
+	names("DebugSnapshot", snap.Workers[0].ActiveQueries)
+	time.Sleep(2 * time.Millisecond) // age the episode past the threshold
+	var stalled *Finding
+	findings := s.Diagnose(DiagnoseConfig{EpisodeStall: time.Millisecond})
+	for i := range findings {
+		if findings[i].Kind == "stalled_episode" {
+			stalled = &findings[i]
+		}
+	}
+	if stalled == nil {
+		t.Fatalf("no stalled_episode finding in %+v", findings)
+	}
+	names("Diagnose", stalled.Queries)
+
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTimelineInvariants checks the merged-timeline contract over a real
 // streaming run: globally ordered by wall time, per-ring sequence numbers
 // strictly increasing, per-ring version-clock stamps non-decreasing, and

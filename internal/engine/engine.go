@@ -224,17 +224,8 @@ type Results struct {
 	// Faults lists the quarantined episodes, in recording order.
 	Faults []EpisodeError
 
-	// Stats is the execution breakdown, non-nil only under
-	// Config.Exec.CollectStats.
+	// Stats is the execution breakdown; set on every batch, nil on a stream.
 	Stats *BatchStats
-}
-
-// Throughput returns completed queries per second.
-func (r *Results) Throughput() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(len(r.Counts)) / r.Elapsed.Seconds()
 }
 
 // scanState tracks one instance's circular scan and the queries using it.
@@ -330,7 +321,7 @@ type Session struct {
 	shedCount    int64   // queries shed mid-flight by deadline expiry
 	starveBoosts int64   // starvation-watchdog activations
 
-	// Stats accounting (Config.Exec.CollectStats only), under mu.
+	// Stats accounting, under mu.
 	startAt      time.Time
 	qEpisodes    []int64         // per query: episodes whose active set included it
 	qElapsed     []time.Duration // per query: start → last vector scheduled
@@ -353,15 +344,14 @@ type Session struct {
 
 // workerEpisode is one worker's in-flight episode, stamped under the
 // session mutex when the vector is handed out and cleared when the episode
-// completes. activeW0 is the first word of the active query set — enough
-// to name the blocking queries for the default query-ID capacity (64).
+// completes. active is the episode's own query set (takeVectorLocked hands
+// out a private clone nothing mutates), so it names every blocking query.
 type workerEpisode struct {
-	inst     int32
-	slot     int64
-	startNs  int64
-	activeW0 uint64
-	nactive  int32
-	open     bool
+	inst    int32
+	slot    int64
+	startNs int64
+	active  bitset.Set
+	open    bool
 }
 
 // gcState is the garbage collector's cursor. GC runs in budgeted
@@ -445,11 +435,9 @@ func NewSession(b *query.Batch, db *storage.Database, cfg Config) (*Session, err
 	s.initSchedLocked(qcap)
 	s.qSubmitNs = make([]int64, qcap)
 	s.qFirstWait = bitset.New(qcap)
-	if cfg.Exec.CollectStats {
-		s.qEpisodes = make([]int64, qcap)
-		s.qElapsed = make([]time.Duration, qcap)
-		s.lastSig = make([]uint64, query.MaxInstances)
-	}
+	s.qEpisodes = make([]int64, qcap)
+	s.qElapsed = make([]time.Duration, qcap)
+	s.lastSig = make([]uint64, query.MaxInstances)
 
 	s.addScansLocked()
 
@@ -530,17 +518,12 @@ func (s *Session) admitLocked(qid int) {
 // noteEpisodeLocked stamps worker id's open episode for the debug
 // snapshot and stall diagnosis. Array writes only; no allocation.
 func (s *Session) noteEpisodeLocked(id int, in exec.EpisodeInput) {
-	var w0 uint64
-	if len(in.Active) > 0 {
-		w0 = in.Active[0]
-	}
 	s.workerEp[id] = workerEpisode{
-		inst:     int32(in.Inst),
-		slot:     int64(in.Slot),
-		startNs:  time.Now().UnixNano(),
-		activeW0: w0,
-		nactive:  int32(in.Active.Count()),
-		open:     true,
+		inst:    int32(in.Inst),
+		slot:    int64(in.Slot),
+		startNs: time.Now().UnixNano(),
+		active:  in.Active,
+		open:    true,
 	}
 }
 
@@ -600,9 +583,7 @@ func (s *Session) takeVectorLocked(inst query.InstID) exec.EpisodeInput {
 			s.qFirstWait.Remove(qid)
 			metrics.Default().AdmitLatency.Add((time.Now().UnixNano() - s.qSubmitNs[qid]) / 1e3)
 		}
-		if s.qEpisodes != nil {
-			s.qEpisodes[qid]++
-		}
+		s.qEpisodes[qid]++
 		st.remaining[qid] -= n
 		if st.remaining[qid] <= 0 {
 			finished = append(finished, qid)
@@ -615,7 +596,7 @@ func (s *Session) takeVectorLocked(inst query.InstID) exec.EpisodeInput {
 		// Per-query elapsed: stamped when the query's last vector is handed
 		// out (the in-flight episode's tail is not included; observability
 		// precision, not an exactness contract).
-		if s.qElapsed != nil && s.queryDrainedLocked(qid) {
+		if s.queryDrainedLocked(qid) {
 			s.qElapsed[qid] = time.Since(s.startAt)
 		}
 	}
@@ -719,7 +700,7 @@ func (s *Session) RunContext(ctx context.Context) (*Results, error) {
 			Faults:     s.faults,
 			Partial:    ctx.Err() != nil,
 		}
-		s.foldRegistryLocked(res, nil)
+		s.foldRegistryLocked(res)
 		return res, nil
 	}
 	res := &Results{
@@ -750,10 +731,8 @@ func (s *Session) RunContext(ctx context.Context) (*Results, error) {
 			res.Partial = true
 		}
 	}
-	if s.cfg.Exec.CollectStats {
-		res.Stats = s.buildStatsLocked(res)
-	}
-	s.foldRegistryLocked(res, res.Stats)
+	res.Stats = s.buildStatsLocked(res)
+	s.foldRegistryLocked(res)
 	if cancelErr == nil && !s.admitted.Equal(bitset.NewFull(s.b.N)) {
 		return res, fmt.Errorf("engine: run finished with unadmitted queries")
 	}
@@ -825,7 +804,7 @@ func (s *Session) runWorker(id int) {
 		}
 		s.rec.Record(id, obs.KEpisodeEnd, int64(in.Inst), int64(in.Slot), dur, int64(rep.PlanSig))
 		s.mu.Lock()
-		if s.lastSig != nil && rep.PlanSig != 0 {
+		if rep.PlanSig != 0 {
 			if prev := s.lastSig[in.Inst]; prev != 0 && prev != rep.PlanSig {
 				s.planSwitches++
 			}

@@ -235,13 +235,13 @@ func TestConvergenceTracking(t *testing.T) {
 	}
 }
 
-func TestThroughputNonZero(t *testing.T) {
+func TestRunReportsElapsedAndEpisodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	db := starDB(rng, 100, 10)
 	qs := starQueries(rng, 3)
 	res := runAndCheck(t, db, qs, Config{Exec: exec.DefaultOptions()})
-	if res.Throughput() <= 0 {
-		t.Error("throughput should be positive")
+	if res.Elapsed <= 0 {
+		t.Error("elapsed should be positive")
 	}
 	if res.Episodes == 0 {
 		t.Error("no episodes ran")
@@ -351,9 +351,8 @@ func TestTraceAnyWorkerCount(t *testing.T) {
 	}
 }
 
-// TestBatchStatsCollection runs a batch with CollectStats and episode
-// tracing on and checks every stats family comes back populated and
-// consistent.
+// TestBatchStatsCollection runs a batch with episode tracing on and checks
+// every stats family comes back populated and consistent.
 func TestBatchStatsCollection(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	db := starDB(rng, 300, 30)
@@ -364,7 +363,6 @@ func TestBatchStatsCollection(t *testing.T) {
 	}
 	opt := exec.DefaultOptions()
 	opt.VectorSize = 64
-	opt.CollectStats = true
 	s, err := NewSession(b, db, Config{Exec: opt, TraceEpisodes: 128, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -374,9 +372,6 @@ func TestBatchStatsCollection(t *testing.T) {
 		t.Fatal(err)
 	}
 	bs := res.Stats
-	if bs == nil {
-		t.Fatal("CollectStats run returned nil Stats")
-	}
 
 	if len(bs.Queries) != b.N {
 		t.Fatalf("per-query stats: %d entries, want %d", len(bs.Queries), b.N)
@@ -473,15 +468,28 @@ func TestBatchStatsCollection(t *testing.T) {
 	}
 }
 
-// TestStatsOffLeavesResultsBare pins the opt-in contract: without
-// CollectStats, Results.Stats is nil.
-func TestStatsOffLeavesResultsBare(t *testing.T) {
+// TestBatchAlwaysCarriesStats pins the counting contract: the executor's
+// counters are always on, so a batch run with default options returns a
+// populated breakdown.
+func TestBatchAlwaysCarriesStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	db := starDB(rng, 150, 20)
 	qs := starQueries(rng, 4)
 	res := runAndCheck(t, db, qs, Config{Exec: exec.DefaultOptions()})
-	if res.Stats != nil {
-		t.Error("stats-off run returned non-nil Stats")
+	bs := res.Stats
+	if bs == nil {
+		t.Fatal("batch returned nil Stats")
+	}
+	if len(bs.Queries) != len(qs) || bs.Sharing.TotalOps == 0 || bs.Probes.Invocations == 0 {
+		t.Errorf("default-options stats not populated: %d queries, sharing %+v, probes %+v",
+			len(bs.Queries), bs.Sharing, bs.Probes)
+	}
+	var probes int64
+	for _, ss := range bs.Stems {
+		probes += ss.Probes
+	}
+	if probes == 0 {
+		t.Error("no per-STeM probe traffic counted")
 	}
 }
 

@@ -92,8 +92,7 @@ func (s SharingStats) FanOut() float64 {
 	return float64(s.QueriesServed) / float64(s.TotalOps)
 }
 
-// BatchStats is the execution breakdown for one finished run, collected
-// only under Config.Exec.CollectStats.
+// BatchStats is the execution breakdown of one finished batch.
 type BatchStats struct {
 	Queries []QueryStats `json:"queries"`
 
@@ -178,7 +177,7 @@ func (s *Session) buildStatsLocked(res *Results) *BatchStats {
 			TotalOps:      st.TotalOps(),
 			QueriesServed: st.OpQueries.Load(),
 		},
-		Policy: PolicyStats{PlanSwitches: s.planSwitches},
+		Policy: s.policyStatsLocked(),
 	}
 
 	bs.Queries = make([]QueryStats, s.b.N)
@@ -193,21 +192,27 @@ func (s *Session) buildStatsLocked(res *Results) *BatchStats {
 	}
 
 	bs.Stems = s.stemStatsLocked()
-
-	if ts, ok := s.pol.(tableSizer); ok {
-		bs.Policy.QStates = ts.TableSize()
-	}
-	if ac, ok := s.pol.(actionCounter); ok {
-		bs.Policy.Explores, bs.Policy.Exploits = ac.ActionCounts()
-	}
 	return bs
 }
 
-// foldRegistryLocked folds the finished run into the process-wide metrics
-// registry (one fold per batch — never on an episode path). Basic executor
-// counters fold unconditionally; stats-derived families only when they were
-// collected.
-func (s *Session) foldRegistryLocked(res *Results, bs *BatchStats) {
+// policyStatsLocked reads the policy's decision counters and the session's
+// plan-switch count.
+func (s *Session) policyStatsLocked() PolicyStats {
+	ps := PolicyStats{PlanSwitches: s.planSwitches}
+	if ts, ok := s.pol.(tableSizer); ok {
+		ps.QStates = ts.TableSize()
+	}
+	if ac, ok := s.pol.(actionCounter); ok {
+		ps.Explores, ps.Exploits = ac.ActionCounts()
+	}
+	return ps
+}
+
+// foldRegistryLocked folds the finished run — a batch or a whole stream —
+// into the process-wide metrics registry, once per run and never on an
+// episode path. It reads the same executor counters and policy state
+// BatchStats is built from, so the registry and a batch's Stats agree.
+func (s *Session) foldRegistryLocked(res *Results) {
 	reg := metrics.Default()
 	st := &s.ctx.Stats
 
@@ -242,18 +247,16 @@ func (s *Session) foldRegistryLocked(res *Results, bs *BatchStats) {
 		reg.EpochLag.Store(s.dom.Lag())
 	}
 
-	if bs == nil {
-		return
-	}
 	var probes int64
-	for i := range bs.Stems {
-		probes += bs.Stems[i].Probes
+	for i := range s.b.Insts {
+		probes += s.ctx.InstStats[i].Probes.Load()
 	}
 	reg.StemProbes.Add(probes)
-	reg.SharedOps.Add(bs.Sharing.SharedOps)
-	reg.TotalOps.Add(bs.Sharing.TotalOps)
-	reg.PlanSwitches.Add(bs.Policy.PlanSwitches)
-	reg.ExploreActions.Add(bs.Policy.Explores)
-	reg.ExploitActions.Add(bs.Policy.Exploits)
-	reg.QStates.Store(int64(bs.Policy.QStates))
+	reg.SharedOps.Add(st.SharedOps.Load())
+	reg.TotalOps.Add(st.TotalOps())
+	ps := s.policyStatsLocked()
+	reg.PlanSwitches.Add(ps.PlanSwitches)
+	reg.ExploreActions.Add(ps.Explores)
+	reg.ExploitActions.Add(ps.Exploits)
+	reg.QStates.Store(int64(ps.QStates))
 }

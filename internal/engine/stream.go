@@ -437,9 +437,7 @@ func (s *Session) gcFinishLocked() {
 			sc.active.Remove(qid)
 			sc.flight[qid] = 0
 		}
-		if s.qEpisodes != nil {
-			s.qEpisodes[qid], s.qElapsed[qid] = 0, 0
-		}
+		s.qEpisodes[qid], s.qElapsed[qid] = 0, 0
 		s.qTenant[qid] = 0
 	}
 	for i := range g.active {

@@ -27,10 +27,9 @@ type Options struct {
 	Pruning        bool // symmetric join pruning via semi-join filters
 	CollectRows    bool // retain routed tuples in sources (off = count only)
 
-	// CollectStats enables the per-operator-class and sharing counters.
-	// Workers accumulate them in plain arena fields and fold into the shared
-	// atomics once per episode, so the stats-off hot path is untouched and
-	// the stats-on path stays allocation-free.
+	// CollectStats is read by nothing: every counter is always on. It
+	// remains only because the benchmark module assigns it; delete the two
+	// together.
 	CollectStats bool
 
 	// Hooks observes or perturbs episode execution (fault injection,
@@ -134,8 +133,8 @@ type Context struct {
 	Stats Stats
 
 	// InstStats holds per-instance STeM traffic counters, folded at episode
-	// boundaries when Options.CollectStats is on. Indexed by instance ID; only
-	// the first len(B.Insts) entries are in use.
+	// boundaries. Indexed by instance ID; only the first len(B.Insts)
+	// entries are in use.
 	InstStats []InstStat
 }
 

@@ -109,12 +109,11 @@ type Worker struct {
 	// Stats arena: every counter accumulates in these plain fields during an
 	// episode and folds into the shared Context.Stats atomics exactly once,
 	// at the episode boundary (foldStats). The hot loops therefore never
-	// touch a shared cache line, with or without CollectStats.
-	collect bool       // Context.Opt.CollectStats
+	// touch a shared cache line.
 	ep      epCounters // folded and reset by foldStats
 	planSig uint64     // FNV-style signature of the episode's chosen ops
 
-	// Per-instance STeM traffic (collect only), parallel to C.InstStats.
+	// Per-instance STeM traffic, parallel to C.InstStats.
 	instIns, instProbes, instMatches []int64
 
 	// Episode arena: worker-owned buffers reset (not reallocated) per
@@ -168,19 +167,16 @@ type Worker struct {
 func NewWorker(ctx *Context, pol policy.Policy) *Worker {
 	qcap := ctx.B.QCap()
 	qw := bitset.WordsFor(qcap)
-	w := &Worker{
+	n := len(ctx.B.Insts)
+	return &Worker{
 		C: ctx, Pol: pol, qw: qw,
-		collect:  ctx.Opt.CollectStats,
-		fullMask: bitset.NewFull(qcap),
-		notMask:  bitset.New(qcap),
-		unionBuf: make(bitset.Set, qw),
+		fullMask:    bitset.NewFull(qcap),
+		notMask:     bitset.New(qcap),
+		unionBuf:    make(bitset.Set, qw),
+		instIns:     make([]int64, n, query.MaxInstances),
+		instProbes:  make([]int64, n, query.MaxInstances),
+		instMatches: make([]int64, n, query.MaxInstances),
 	}
-	if w.collect {
-		w.instIns = make([]int64, len(ctx.B.Insts), query.MaxInstances)
-		w.instProbes = make([]int64, len(ctx.B.Insts), query.MaxInstances)
-		w.instMatches = make([]int64, len(ctx.B.Insts), query.MaxInstances)
-	}
-	return w
 }
 
 // epCounters is the per-worker stats arena: plain fields mirroring the
@@ -228,42 +224,49 @@ func (w *Worker) foldStats() {
 	if e.routeNs != 0 {
 		s.RouteNs.Add(e.routeNs)
 	}
-	if w.collect {
-		if e.filterOps != 0 {
-			s.FilterOps.Add(e.filterOps)
+	if e.filterOps != 0 {
+		s.FilterOps.Add(e.filterOps)
+	}
+	if e.probeOps != 0 {
+		s.ProbeOps.Add(e.probeOps)
+	}
+	if e.routeSelOps != 0 {
+		s.RouteSelOps.Add(e.routeSelOps)
+	}
+	if e.routerOps != 0 {
+		s.RouterOps.Add(e.routerOps)
+	}
+	if e.sharedOps != 0 {
+		s.SharedOps.Add(e.sharedOps)
+	}
+	if e.opQueries != 0 {
+		s.OpQueries.Add(e.opQueries)
+	}
+	for i := range w.instIns {
+		st := &w.C.InstStats[i]
+		if w.instIns[i] != 0 {
+			st.Inserts.Add(w.instIns[i])
+			w.instIns[i] = 0
 		}
-		if e.probeOps != 0 {
-			s.ProbeOps.Add(e.probeOps)
+		if w.instProbes[i] != 0 {
+			st.Probes.Add(w.instProbes[i])
+			w.instProbes[i] = 0
 		}
-		if e.routeSelOps != 0 {
-			s.RouteSelOps.Add(e.routeSelOps)
-		}
-		if e.routerOps != 0 {
-			s.RouterOps.Add(e.routerOps)
-		}
-		if e.sharedOps != 0 {
-			s.SharedOps.Add(e.sharedOps)
-		}
-		if e.opQueries != 0 {
-			s.OpQueries.Add(e.opQueries)
-		}
-		for i := range w.instIns {
-			st := &w.C.InstStats[i]
-			if w.instIns[i] != 0 {
-				st.Inserts.Add(w.instIns[i])
-				w.instIns[i] = 0
-			}
-			if w.instProbes[i] != 0 {
-				st.Probes.Add(w.instProbes[i])
-				w.instProbes[i] = 0
-			}
-			if w.instMatches[i] != 0 {
-				st.Matches.Add(w.instMatches[i])
-				w.instMatches[i] = 0
-			}
+		if w.instMatches[i] != 0 {
+			st.Matches.Add(w.instMatches[i])
+			w.instMatches[i] = 0
 		}
 	}
 	*e = epCounters{}
+}
+
+// countServed adds one operator invocation's served queries to the arena;
+// the caller bumps the invocation's class counter.
+func (w *Worker) countServed(served int) {
+	w.ep.opQueries += int64(served)
+	if served > 1 {
+		w.ep.sharedOps++
+	}
 }
 
 // foldSig folds one chosen operator into the episode's plan signature
@@ -289,9 +292,8 @@ type EpisodeReport struct {
 	JoinInput int
 
 	// PlanSig identifies the episode's chosen operator sequence; see
-	// Worker.foldSig. Always computed (two multiplies per operator) so the
-	// flight recorder can stamp episode events with it even when stats
-	// collection is off.
+	// Worker.foldSig. The engine counts plan switches from it and the flight
+	// recorder stamps episode events with it.
 	PlanSig uint64
 }
 
@@ -329,14 +331,8 @@ func (w *Worker) runSelSteps(in EpisodeInput, steps []plan.SelStep, vids []int32
 		}
 		vids, qsets = compact(vids, qsets, w.qw)
 		w.foldSig(0, st.Op.ID, st.Applied)
-		if w.collect {
-			w.ep.filterOps++
-			served := andCount(st.Op.Queries, in.Active)
-			w.ep.opQueries += int64(served)
-			if served > 1 {
-				w.ep.sharedOps++
-			}
-		}
+		w.ep.filterOps++
+		w.countServed(andCount(st.Op.Queries, in.Active))
 		w.log = append(w.log, policy.LogEntry{
 			Phase: policy.SelPhase, Inst: in.Inst,
 			Lineage: st.Applied, Q: in.Active, Op: st.Op.ID,
@@ -394,7 +390,7 @@ func (w *Worker) runEpisode(in EpisodeInput, steps []plan.SelStep, join *plan.No
 	}
 	w.log = w.log[:0]
 	w.planSig = 0
-	if w.collect && len(w.instIns) < len(w.cv.g.Insts) {
+	if len(w.instIns) < len(w.cv.g.Insts) {
 		// A live-admitted query added instances since this worker was built;
 		// extend the per-instance arenas (capacity reserved at creation, so
 		// steady state never reallocates).
@@ -431,9 +427,7 @@ func (w *Worker) runEpisode(in EpisodeInput, steps []plan.SelStep, join *plan.No
 	wm, ts := c.Versions.PublishClocked(in.Slot, &w.clk)
 	w.ep.buildNs += time.Since(t0).Nanoseconds()
 	w.ep.inserted += int64(built)
-	if w.collect {
-		w.instIns[in.Inst] += int64(built)
-	}
+	w.instIns[in.Inst] += int64(built)
 
 	joinInput := len(vids)
 	if joinInput > 0 {
@@ -802,20 +796,13 @@ func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, i
 			emitTuple(out, copyIdx, v, i, targetPos, m.VID)
 		}
 	}
-	lookups := int64(len(pk)) // STeM probe keys; folded per instance when collecting
 	w.ep.joinOut += int64(out.n)
 	w.ep.probeNs += time.Since(t0).Nanoseconds()
 	w.foldSig(1, nd.EdgeID, nd.Lineage)
-	if w.collect {
-		w.ep.probeOps++
-		served := nd.Q.Count()
-		w.ep.opQueries += int64(served)
-		if served > 1 {
-			w.ep.sharedOps++
-		}
-		w.instProbes[nd.Target] += lookups
-		w.instMatches[nd.Target] += int64(out.n)
-	}
+	w.ep.probeOps++
+	w.countServed(nd.Q.Count())
+	w.instProbes[nd.Target] += int64(len(pk)) // STeM probe keys
+	w.instMatches[nd.Target] += int64(out.n)
 
 	var divQ bitset.Set
 	if nd.Div != nil {
@@ -873,14 +860,8 @@ func (w *Worker) routeSel(nd *plan.Node, v *jvec) *jvec {
 	// Routing-selection time lands in the probe bucket, matching the cost
 	// model (§6.3 charges routing selections to the join phase).
 	w.ep.probeNs += time.Since(t0).Nanoseconds()
-	if w.collect {
-		w.ep.routeSelOps++
-		served := nd.Q.Count()
-		w.ep.opQueries += int64(served)
-		if served > 1 {
-			w.ep.sharedOps++
-		}
-	}
+	w.ep.routeSelOps++
+	w.countServed(nd.Q.Count())
 	return out
 }
 
@@ -946,12 +927,9 @@ func (w *Worker) route(nd *plan.Node, v *jvec) {
 	w.ep.routeNs += time.Since(t0).Nanoseconds()
 	// A vector with no tuples for nd.Q's queries routes nothing; don't count
 	// a zero-query invocation (it would drag FanOut below 1).
-	if w.collect && len(qids) > 0 {
+	if len(qids) > 0 {
 		w.ep.routerOps++
-		w.ep.opQueries += int64(len(qids))
-		if len(qids) > 1 {
-			w.ep.sharedOps++
-		}
+		w.countServed(len(qids))
 	}
 }
 

@@ -83,10 +83,9 @@ type Stats struct {
 	ProbeNs  atomic.Int64 // join phase probes + routing selections
 	RouteNs  atomic.Int64 // routers
 
-	// Operator-invocation counters, collected only with
-	// Options.CollectStats: one invocation is one operator applied to one
-	// vector (a selection step, a probe node, a routing selection, or a
-	// router). SharedOps counts invocations serving more than one query and
+	// Operator-invocation counters: one invocation is one operator applied
+	// to one vector (a selection step, a probe node, a routing selection, or
+	// a router). SharedOps counts invocations serving more than one query and
 	// OpQueries sums the queries served, so SharedOps/TotalOps() is the
 	// batch's sharing factor and OpQueries/TotalOps() its mean fan-out.
 	FilterOps   atomic.Int64

@@ -21,10 +21,6 @@ type StepBenchConfig struct {
 	VectorSize int           // tuples per episode vector (default 1024)
 	Policy     policy.Policy // planning policy (default policy.NewRandom(1))
 
-	// CollectStats enables the per-operator-class and sharing counters, to
-	// verify the stats-on step stays allocation-free.
-	CollectStats bool
-
 	// Final, when non-nil, marks these queries final on the fact instance
 	// (EpisodeInput.Final): each Step then also runs the masked STeM build
 	// into the fact STeM. The fact STeM grows by up to VectorSize entries
@@ -155,7 +151,6 @@ func NewStepBench(cfg StepBenchConfig) (*StepBench, error) {
 	opt := DefaultOptions()
 	opt.CollectRows = false // sources count rows; unbounded row buffers would dominate
 	opt.VectorSize = cfg.VectorSize
-	opt.CollectStats = cfg.CollectStats
 	ctx, err := NewContext(b, db, opt, nil)
 	if err != nil {
 		return nil, err

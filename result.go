@@ -63,8 +63,7 @@ type BatchResult struct {
 
 	Convergence []ConvergencePoint
 
-	// Stats is the execution breakdown, non-nil only when
-	// Options.CollectStats was set.
+	// Stats is the execution breakdown; every batch carries it.
 	Stats *Stats
 
 	trace []EpisodeTrace

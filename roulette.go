@@ -328,14 +328,6 @@ type Options struct {
 	// a stall fault and cancels the rest of the batch; 0 disables it.
 	EpisodeWatchdog time.Duration
 
-	// CollectStats attaches an execution breakdown (BatchResult.Stats):
-	// per-query episodes and elapsed time, per-operator-class work, STeM
-	// traffic and memory, policy decision counters, and the sharing factor.
-	// Counters accumulate in per-worker arenas and fold at episode
-	// boundaries, so the overhead is a few percent and the stats-off path is
-	// untouched.
-	CollectStats bool
-
 	// TraceEpisodes makes every episode record its execution log on the
 	// engine's flight recorder — one event per operator the policy chose,
 	// with its input and output sizes — and keeps about the last N episodes
@@ -374,7 +366,6 @@ func (o *Options) execOptions() exec.Options {
 	opt.GroupedFilters = !o.DisableGroupedFilters
 	opt.LocalityRouter = !o.DisableLocalityRouter
 	opt.CollectRows = !o.DiscardRows
-	opt.CollectStats = o.CollectStats
 	return opt
 }
 

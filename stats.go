@@ -11,9 +11,10 @@ import (
 	"github.com/roulette-db/roulette/internal/obs"
 )
 
-// Stats is the execution breakdown attached to a BatchResult when
-// Options.CollectStats is set: per-query shares, per-operator-class work,
-// per-relation STeM traffic, policy behaviour and the sharing factor.
+// Stats is the execution breakdown every BatchResult carries: per-query
+// shares, per-operator-class work, per-relation STeM traffic, policy
+// behaviour and the sharing factor. The same counters feed
+// Stream.StemStats and the MetricsHandler registry.
 type Stats = engine.BatchStats
 
 // The parts of Stats, and StreamStemStat, one relation instance's STeM as

@@ -8,10 +8,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/roulette-db/roulette/internal/metrics"
 )
 
-// TestStatsAndTraceRoundTrip drives the full opt-in observability path
-// through the public API: CollectStats + TraceEpisodes on one batch.
+// TestStatsAndTraceRoundTrip drives the full observability path through
+// the public API: the always-on Stats plus TraceEpisodes on one batch.
 func TestStatsAndTraceRoundTrip(t *testing.T) {
 	e := fixture(t)
 	qs := []*Query{
@@ -20,7 +22,6 @@ func TestStatsAndTraceRoundTrip(t *testing.T) {
 			Between("fact", "v", 10, 60).CountStar(),
 	}
 	res, err := e.ExecuteBatch(qs, &Options{
-		CollectStats:  true,
 		TraceEpisodes: 32,
 		VectorSize:    64,
 	})
@@ -30,7 +31,7 @@ func TestStatsAndTraceRoundTrip(t *testing.T) {
 
 	st := res.Stats
 	if st == nil {
-		t.Fatal("CollectStats did not attach Stats")
+		t.Fatal("batch result carries no Stats")
 	}
 	if len(st.Queries) != 2 {
 		t.Fatalf("per-query stats: %d entries", len(st.Queries))
@@ -117,16 +118,67 @@ func TestStatsAndTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStatsOffByDefault pins the opt-in contract on the public surface.
-func TestStatsOffByDefault(t *testing.T) {
+// TestDefaultBatchCarriesStatsNotTrace pins the public contract: Stats is
+// always attached, tracing stays opt-in.
+func TestDefaultBatchCarriesStatsNotTrace(t *testing.T) {
 	e := fixture(t)
 	q := NewQuery("q").From("fact").From("dim").Join("fact", "fk", "dim", "k").CountStar()
 	res, err := e.ExecuteBatch([]*Query{q}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats != nil || res.Trace() != nil {
-		t.Error("default run attached stats or trace")
+	if res.Stats == nil || res.Stats.Sharing.TotalOps == 0 {
+		t.Errorf("default run carries no populated Stats: %+v", res.Stats)
+	}
+	if res.Trace() != nil {
+		t.Error("default run attached a trace")
+	}
+}
+
+// TestRegistryAgreesWithBatchStats pins that a batch's Stats and the
+// process-wide registry are two views of one set of counters: what one
+// batch adds to the registry equals the totals its Stats reports.
+func TestRegistryAgreesWithBatchStats(t *testing.T) {
+	e := fixture(t)
+	qs := []*Query{
+		NewQuery("a").From("fact").From("dim").Join("fact", "fk", "dim", "k").
+			Between("dim", "g", 0, 1).CountStar(),
+		NewQuery("b").From("fact").From("dim").Join("fact", "fk", "dim", "k").
+			Between("fact", "v", 10, 60).CountStar(),
+	}
+	before := metrics.Default().Snapshot()
+	res, err := e.ExecuteBatch(qs, &Options{VectorSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := metrics.Default().Snapshot()
+	st := res.Stats
+	var stemProbes, stemInserts int64
+	for _, s := range st.Stems {
+		stemProbes += s.Probes
+		stemInserts += s.Inserts
+	}
+	for _, c := range []struct {
+		name        string
+		reg, report int64
+	}{
+		{"batches", after.Batches - before.Batches, 1},
+		{"queries completed", after.QueriesComplete - before.QueriesComplete, int64(len(qs))},
+		{"op invocations", after.TotalOps - before.TotalOps, st.Sharing.TotalOps},
+		{"shared op invocations", after.SharedOps - before.SharedOps, st.Sharing.SharedOps},
+		{"stem probes", after.StemProbes - before.StemProbes, stemProbes},
+		{"stem inserts", after.StemInserts - before.StemInserts, st.Builds.Tuples},
+		{"per-stem inserts", after.StemInserts - before.StemInserts, stemInserts},
+		{"selection survivors", after.SelOut - before.SelOut, st.Filters.Tuples},
+		{"routed tuples", after.Routed - before.Routed, st.Routers.Tuples},
+		{"plan switches", after.PlanSwitches - before.PlanSwitches, st.Policy.PlanSwitches},
+	} {
+		if c.reg != c.report {
+			t.Errorf("%s: registry grew by %d, Stats reports %d", c.name, c.reg, c.report)
+		}
+	}
+	if st.Sharing.TotalOps == 0 || stemProbes == 0 {
+		t.Errorf("batch counted no work: %+v, %d stem probes", st.Sharing, stemProbes)
 	}
 }
 
@@ -152,11 +204,11 @@ func TestThroughputExcludesAborted(t *testing.T) {
 }
 
 // TestMetricsHandler checks both exposition formats of the process-wide
-// metrics endpoint after a stats-collecting run has folded into it.
+// metrics endpoint after a batch has folded into it.
 func TestMetricsHandler(t *testing.T) {
 	e := fixture(t)
 	q := NewQuery("q").From("fact").From("dim").Join("fact", "fk", "dim", "k").CountStar()
-	if _, err := e.ExecuteBatch([]*Query{q}, &Options{CollectStats: true}); err != nil {
+	if _, err := e.ExecuteBatch([]*Query{q}, nil); err != nil {
 		t.Fatal(err)
 	}
 

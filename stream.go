@@ -19,8 +19,10 @@ import (
 
 // StreamOptions tune a long-lived stream. The embedded Options carry the
 // executor and policy knobs; batch-only fields (Admissions, Deadline's
-// per-batch semantics aside, TrackConvergence output, CollectStats
-// breakdowns) do not apply to streams.
+// per-batch semantics aside, TrackConvergence output) do not apply to
+// streams. A stream's counters are always on: Stream.StemStats reports
+// live STeM traffic, and Close folds the stream's work into the metrics
+// registry.
 type StreamOptions struct {
 	Options
 

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"github.com/roulette-db/roulette/internal/metrics"
 )
 
 // streamFixture builds a three-table engine large enough that streams run
@@ -206,8 +208,7 @@ func TestStreamStemGC(t *testing.T) {
 	want := oracleCounts(t, e, streamWorkload())
 
 	st, err := e.OpenStream(context.Background(), &StreamOptions{
-		// Per-instance insert counters fold only under CollectStats.
-		Options: Options{Workers: 2, VectorSize: 256, Seed: 11, CollectStats: true},
+		Options: Options{Workers: 2, VectorSize: 256, Seed: 11},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -292,8 +293,7 @@ func TestStreamStemGC(t *testing.T) {
 func TestStreamLateProbeReuse(t *testing.T) {
 	e := streamFixture(t, 2000)
 	st, err := e.OpenStream(context.Background(), &StreamOptions{
-		// Probe/match counters fold from worker arenas only under CollectStats.
-		Options: Options{Workers: 1, VectorSize: 256, Seed: 11, CollectStats: true},
+		Options: Options{Workers: 1, VectorSize: 256, Seed: 11},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -329,6 +329,85 @@ func TestStreamLateProbeReuse(t *testing.T) {
 	}
 	if matches == 0 {
 		t.Error("late query probes found no matches on shared STeMs")
+	}
+}
+
+// TestStreamFoldsCountersIntoRegistry checks that a stream's work reaches
+// the process-wide registry through the same fold a batch uses: STeM
+// probes, operator invocations and plan switches all grow over one
+// stream's lifetime.
+func TestStreamFoldsCountersIntoRegistry(t *testing.T) {
+	e := streamFixture(t, 4000)
+	before := metrics.Default().Snapshot()
+	st, err := e.OpenStream(context.Background(), &StreamOptions{
+		Options: Options{Workers: 1, VectorSize: 64, Seed: 11},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range streamWorkload() {
+		tk, err := st.Submit(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after := metrics.Default().Snapshot()
+	if after.StemProbes <= before.StemProbes || after.TotalOps <= before.TotalOps ||
+		after.PlanSwitches <= before.PlanSwitches {
+		t.Errorf("stream did not fold its counters: stem probes %d -> %d, op invocations %d -> %d, plan switches %d -> %d",
+			before.StemProbes, after.StemProbes, before.TotalOps, after.TotalOps,
+			before.PlanSwitches, after.PlanSwitches)
+	}
+}
+
+// TestStreamStemStatsAgreeWithRegistry checks that Stream.StemStats and the
+// registry read the same per-STeM counters: after Close, the traffic the
+// stream's STeMs report equals what the stream added to the registry.
+func TestStreamStemStatsAgreeWithRegistry(t *testing.T) {
+	e := streamFixture(t, 2000)
+	before := metrics.Default().Snapshot()
+	st, err := e.OpenStream(context.Background(), &StreamOptions{
+		Options: Options{Workers: 2, VectorSize: 128, Seed: 5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tickets []*Ticket
+	for _, q := range streamWorkload() {
+		tk, err := st.Submit(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+	}
+	for _, tk := range tickets {
+		if _, err := tk.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after := metrics.Default().Snapshot()
+	var probes, inserts int64
+	for _, s := range st.StemStats() {
+		probes += s.Probes
+		inserts += s.Inserts
+	}
+	if probes == 0 || inserts == 0 {
+		t.Fatalf("stream STeMs report %d probes, %d inserts; want both non-zero", probes, inserts)
+	}
+	if d := after.StemProbes - before.StemProbes; d != probes {
+		t.Errorf("registry stem probes grew by %d, StemStats reports %d", d, probes)
+	}
+	if d := after.StemInserts - before.StemInserts; d != inserts {
+		t.Errorf("registry stem inserts grew by %d, StemStats reports %d", d, inserts)
 	}
 }
 
@@ -465,7 +544,7 @@ func TestStreamSubmitErrors(t *testing.T) {
 }
 
 // TestStreamStatsOnInstanceAdds submits queries that each bring a new
-// relation instance into a stats-on stream whose workers are mid-episode.
+// relation instance into a stream whose workers are mid-episode.
 // Under -race it guards the per-instance counters (exec.Context.InstStats)
 // and the batch's per-query entries, which workers and retirement callbacks
 // read outside the session mutex while a submission extends them under it.
@@ -502,7 +581,7 @@ func TestStreamStatsOnInstanceAdds(t *testing.T) {
 	want := oracleCounts(t, e, all)
 
 	st, err := e.OpenStream(context.Background(), &StreamOptions{
-		Options: Options{Workers: 2, VectorSize: 64, Seed: 11, CollectStats: true},
+		Options: Options{Workers: 2, VectorSize: 64, Seed: 11},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -527,7 +606,7 @@ func TestStreamStatsOnInstanceAdds(t *testing.T) {
 		probes += s.Probes
 	}
 	if probes == 0 {
-		t.Error("stats-on stream folded no probe counters")
+		t.Error("stream folded no probe counters")
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

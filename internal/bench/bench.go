@@ -12,7 +12,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"github.com/roulette-db/roulette/internal/engine"
@@ -129,7 +128,7 @@ func (c *Config) runSystem(sys System, db *storage.Database, qs []*query.Query, 
 			}
 			pol = policy.NewStatic(orders)
 		case SysMatchShare:
-			pol = policy.NewStatic(sharing.MatchShareOrders(b, db, nil))
+			pol = policy.NewStatic(sharing.MatchShareOrders(b, db))
 		}
 		s, err := engine.NewSession(b, db, engine.Config{Exec: opt, Workers: workers, Policy: pol})
 		if err != nil {
@@ -157,20 +156,6 @@ func (c *Config) printStats(sys System, bs *engine.BatchStats) {
 	c.printf("    [stats %s] ops=%d sharing=%.2f qstates=%d switches=%d stems~%.1fMiB\n",
 		sys, bs.Sharing.TotalOps, bs.Sharing.Factor(), bs.Policy.QStates,
 		bs.Policy.PlanSwitches, float64(stemBytes)/(1<<20))
-}
-
-// sampleWithoutReplacement copies k queries from the pool.
-func sampleWithoutReplacement(rng *rand.Rand, pool []*query.Query, k int) []*query.Query {
-	if k > len(pool) {
-		k = len(pool)
-	}
-	perm := rng.Perm(len(pool))[:k]
-	out := make([]*query.Query, k)
-	for i, p := range perm {
-		cp := *pool[p]
-		out[i] = &cp
-	}
-	return out
 }
 
 // itoa formats an int without strconv noise at call sites.

@@ -119,7 +119,6 @@ func TestFig16Quick(t *testing.T) {
 		if s.GreedyRatio <= 0 {
 			t.Errorf("C=%d R=%d: missing greedy ratio", s.Chains, s.Relations)
 		}
-		s.PrintSeries(func(string, ...any) {})
 	}
 }
 

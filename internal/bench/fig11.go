@@ -52,7 +52,7 @@ func (c *Config) Fig11a() ([]Point, error) {
 	c.printf("=== Fig 11a: throughput vs batch size ===\n")
 	var out []Point
 	for _, n := range sizes {
-		qs := sampleWithoutReplacement(rng, pool, n)
+		qs := workload.SampleBatch(rng, pool, n)
 		if err := c.fig11Sweep(itoa(n), db, qs, &out); err != nil {
 			return nil, err
 		}
@@ -77,7 +77,7 @@ func (c *Config) Fig11b() ([]Point, error) {
 		p.Selectivity = s
 		p.Seed = c.Seed + int64(s*1e6)
 		pool := workload.NewGenerator(p).Generate(batch * 2)
-		qs := sampleWithoutReplacement(rng, pool, batch)
+		qs := workload.SampleBatch(rng, pool, batch)
 		if err := c.fig11Sweep(ftoa(s*100)+"%", db, qs, &out); err != nil {
 			return nil, err
 		}
@@ -101,7 +101,7 @@ func (c *Config) Fig11c() ([]Point, error) {
 		p.Joins = j
 		p.Seed = c.Seed + int64(j)
 		pool := workload.NewGenerator(p).Generate(batch * 2)
-		qs := sampleWithoutReplacement(rng, pool, batch)
+		qs := workload.SampleBatch(rng, pool, batch)
 		if err := c.fig11Sweep(itoa(j)+" joins", db, qs, &out); err != nil {
 			return nil, err
 		}
@@ -128,7 +128,7 @@ func (c *Config) Fig11d() ([]Point, error) {
 		p.Kind = k
 		p.Seed = c.Seed + int64(k)
 		pool := workload.NewGenerator(p).Generate(batch * 2)
-		qs := sampleWithoutReplacement(rng, pool, batch)
+		qs := workload.SampleBatch(rng, pool, batch)
 		if err := c.fig11Sweep(k.String(), db, qs, &out); err != nil {
 			return nil, err
 		}

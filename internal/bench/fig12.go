@@ -13,6 +13,7 @@ import (
 	"github.com/roulette-db/roulette/internal/qlearn"
 	"github.com/roulette-db/roulette/internal/query"
 	"github.com/roulette-db/roulette/internal/storage"
+	"github.com/roulette-db/roulette/internal/workload"
 )
 
 // Fig12 runs five 64-query JOB batches across RouLette, Stitch&Share,
@@ -31,7 +32,7 @@ func (c *Config) Fig12() ([]Point, error) {
 	c.printf("=== Fig 12: JOB 64-query batches ===\n")
 	var out []Point
 	for bi := 1; bi <= batches; bi++ {
-		qs := sampleWithoutReplacement(rng, pool, size)
+		qs := workload.SampleBatch(rng, pool, size)
 		for _, sys := range []System{SysRouLette, SysStitchShare, SysDBMSV, SysMonet} {
 			r, err := c.runSystem(sys, db, qs, 0)
 			if err != nil {
@@ -76,7 +77,7 @@ func (c *Config) Fig13() ([]Fig13Row, error) {
 	for _, size := range sizes {
 		for rep := 0; rep < perSize; rep++ {
 			batchID++
-			qs := sampleWithoutReplacement(rng, pool, size)
+			qs := workload.SampleBatch(rng, pool, size)
 
 			learned, err := joinTuplesVec(db, qs, nil, 0, c.Seed, fig13Vec)
 			if err != nil {

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"github.com/roulette-db/roulette/internal/chains"
 	"github.com/roulette-db/roulette/internal/engine"
 	"github.com/roulette-db/roulette/internal/exec"
@@ -120,14 +118,3 @@ func (c *Config) fig16One(w *chains.Workload, qs []*query.Query, cc, rr int) (*F
 	}
 	return series, nil
 }
-
-// PrintSeries renders one convergence trace as an ASCII table.
-func (s *Fig16Series) PrintSeries(printf func(string, ...any)) {
-	printf("C=%d, R=%d\n", s.Chains, s.Relations)
-	printf("%10s %14s %14s\n", "episode", "measured", "estimated")
-	for i := range s.Episodes {
-		printf("%10d %14.3f %14.3f\n", s.Episodes[i], s.Measured[i], s.Estimated[i])
-	}
-}
-
-var _ = fmt.Sprintf

@@ -58,7 +58,7 @@ func (c *Config) Fig17() ([]AblationRow, error) {
 	if c.Quick {
 		size = 16
 	}
-	qs := sampleWithoutReplacement(rng, pool, size)
+	qs := workload.SampleBatch(rng, pool, size)
 
 	c.printf("=== Fig 17: JOB batch profile (pruning) ===\n")
 	var rows []AblationRow
@@ -98,7 +98,7 @@ func (c *Config) Fig18() ([]AblationRow, error) {
 	p.Seed = c.Seed
 	pool := workload.NewGenerator(p).Generate(size * 2)
 	rng := rand.New(rand.NewSource(c.Seed))
-	qs := sampleWithoutReplacement(rng, pool, size)
+	qs := workload.SampleBatch(rng, pool, size)
 
 	plain := exec.DefaultOptions()
 	plain.LocalityRouter = false

@@ -39,7 +39,7 @@ func (c *Config) Fig19() ([]Fig19Row, error) {
 	c.printf("=== Fig 19: worker scale-up (GOMAXPROCS=%d) ===\n", runtime.GOMAXPROCS(0))
 	var rows []Fig19Row
 	for bi := 1; bi <= batches; bi++ {
-		qs := sampleWithoutReplacement(rng, pool, size)
+		qs := workload.SampleBatch(rng, pool, size)
 		var base time.Duration
 		for _, wk := range workerCounts {
 			r, err := c.runSystem(SysRouLette, db, qs, wk)
@@ -86,7 +86,7 @@ func (c *Config) Fig20() ([]Fig20Row, error) {
 	e := qat.New(db)
 	for _, n := range clientCounts {
 		// One query per client.
-		qs := sampleWithoutReplacement(rng, pool, n)
+		qs := workload.SampleBatch(rng, pool, n)
 		_, el, err := e.RunConcurrent(qs, n)
 		if err != nil {
 			return nil, err

@@ -42,7 +42,7 @@ func (c *Config) SWO() ([]SWORow, error) {
 	c.printf("=== SWO anecdote: exhaustive shared-workload optimization ===\n")
 	var rows []SWORow
 	for _, n := range sizes {
-		qs := sampleWithoutReplacement(rng, pool, n)
+		qs := workload.SampleBatch(rng, pool, n)
 		b, err := query.Compile(qs)
 		if err != nil {
 			return nil, err

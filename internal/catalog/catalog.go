@@ -158,14 +158,3 @@ func (s *Schema) Relation(name string) *Relation {
 	}
 	return nil
 }
-
-// EdgesOf returns every FK edge that touches relation name.
-func (s *Schema) EdgesOf(name string) []FKEdge {
-	var out []FKEdge
-	for _, e := range s.Edges {
-		if e.Child == name || e.Parent == name {
-			out = append(out, e)
-		}
-	}
-	return out
-}

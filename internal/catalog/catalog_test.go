@@ -55,14 +55,8 @@ func TestSchemaFKs(t *testing.T) {
 	if err := s.AddFK("b", "fk", "a", "k"); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Edges) != 1 {
-		t.Fatalf("edges = %d", len(s.Edges))
-	}
-	if got := s.EdgesOf("a"); len(got) != 1 || got[0].Child != "b" {
-		t.Errorf("EdgesOf(a) = %+v", got)
-	}
-	if got := s.EdgesOf("zzz"); len(got) != 0 {
-		t.Errorf("EdgesOf(zzz) = %+v", got)
+	if want := (FKEdge{Child: "b", ChildCol: "fk", Parent: "a", ParentCol: "k"}); len(s.Edges) != 1 || s.Edges[0] != want {
+		t.Fatalf("edges = %+v, want [%+v]", s.Edges, want)
 	}
 
 	for _, bad := range []func() error{

@@ -70,7 +70,7 @@ func TestBuildRuleFiresAndStaysExact(t *testing.T) {
 		}
 		rec = newRetireRecorder(s)
 		for _, q := range qs {
-			qid, err := s.SubmitLive(q)
+			qid, err := s.SubmitLiveMeta(q, SubmitMeta{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,11 +140,11 @@ func TestBuildRuleFiresAndStaysExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec = newRetireRecorder(s)
-		if ida, err = s.SubmitLive(qa); err != nil {
+		if ida, err = s.SubmitLiveMeta(qa, SubmitMeta{}); err != nil {
 			t.Fatal(err)
 		}
 		rec.track(ida)
-		if idb, err = s.SubmitLive(qb); err != nil {
+		if idb, err = s.SubmitLiveMeta(qb, SubmitMeta{}); err != nil {
 			t.Fatal(err)
 		}
 		rec.track(idb)

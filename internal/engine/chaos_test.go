@@ -381,11 +381,13 @@ func TestSessionDeadlineCancelsRun(t *testing.T) {
 	opt.VectorSize = 16
 	opt.CollectRows = false
 	opt.Hooks = inj.Hooks()
-	s, err := NewSession(b, db, Config{Exec: opt, SessionDeadline: 20 * time.Millisecond})
+	s, err := NewSession(b, db, Config{Exec: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	res, err := s.RunContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

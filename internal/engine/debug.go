@@ -72,7 +72,7 @@ func (s *Session) recCtl(k obs.Kind, a, b, c, d int64) {
 }
 
 // RecordRefused stamps a submission the caller turned away before it
-// reached SubmitLive — an admission rejection (obs.KReject) or a hopeless
+// reached SubmitLiveMeta — an admission rejection (obs.KReject) or a hopeless
 // deadline shed (obs.KShed). The query never received an id, hence -1.
 func (s *Session) RecordRefused(k obs.Kind, tenant string) {
 	s.recCtl(k, -1, 0, tenantHash(tenant), 0)

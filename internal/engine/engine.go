@@ -65,10 +65,6 @@ type Config struct {
 	// it through roulette.Options.TraceEpisodes.
 	TraceEpisodes int
 
-	// SessionDeadline bounds the whole run; 0 means no deadline. A run
-	// exceeding it is cancelled cooperatively and returns partial results.
-	SessionDeadline time.Duration
-
 	// EpisodeWatchdog bounds a single episode; 0 disables the watchdog.
 	// Episodes are not preemptible, so an episode exceeding the bound keeps
 	// running to its end, but it is recorded as a stall fault, its queries
@@ -76,11 +72,11 @@ type Config struct {
 	EpisodeWatchdog time.Duration
 
 	// Streaming says whether the session is born open or born closed, and
-	// nothing else. A streaming session accepts SubmitLive until CloseSubmit:
-	// its idle workers wait for submissions, a between-episodes collector
-	// reclaims retired queries' STeM entries, policy state and query IDs while
-	// it is open, and RunContext returns aggregates only (per-query outcomes
-	// went through OnRetire). A non-streaming session is closed from the
+	// nothing else. A streaming session accepts SubmitLiveMeta until
+	// CloseSubmit: its idle workers wait for submissions, a between-episodes
+	// collector reclaims retired queries' STeM entries, policy state and query
+	// IDs while it is open, and RunContext returns aggregates only (per-query
+	// outcomes went through OnRetire). A non-streaming session is closed from the
 	// start: it runs its compiled batch to completion, never collects — so
 	// sources and STeMs stay readable after the run — and RunContext returns
 	// per-query counts and status.
@@ -643,11 +639,6 @@ func (s *Session) RunContext(ctx context.Context) (*Results, error) {
 	if !s.started.CompareAndSwap(false, true) {
 		return nil, errors.New("engine: session already run (sessions are single-use)")
 	}
-	if s.cfg.SessionDeadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.SessionDeadline)
-		defer cancel()
-	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	s.mu.Lock()
@@ -751,7 +742,7 @@ func (s *Session) queryDrainedLocked(qid int) bool { return s.scansLeft[qid] == 
 // could still observe it.
 func (s *Session) runWorker(id int) {
 	// Worker construction reads batch shape (query capacity, instance
-	// count); a SubmitLive may be extending the batch concurrently with pool
+	// count); a SubmitLiveMeta may be extending the batch concurrently with pool
 	// startup, so size the worker under the mutex.
 	s.mu.Lock()
 	w := exec.NewWorker(s.ctx, s.pol)

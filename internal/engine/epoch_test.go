@@ -142,7 +142,7 @@ func streamRun(t *testing.T, s *Session) func() *Results {
 
 // TestSubmitLiveNonBlockingDuringEpisode is the tentpole acceptance test:
 // admission must not wait on a global worker barrier. A hook parks the
-// first episode mid-flight; under the old quiesce gate SubmitLive would
+// first episode mid-flight; under the old quiesce gate SubmitLiveMeta would
 // block until every in-flight episode finished (i.e. forever here, since
 // the episode is released only after the submission returns), so the test
 // is a deadlock detector for any reintroduced stop-the-world admission.
@@ -197,7 +197,7 @@ func TestSubmitLiveNonBlockingDuringEpisode(t *testing.T) {
 			t.Fatalf("live submit failed: %v", e)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("SubmitLive blocked behind an in-flight episode (stop-the-world admission regressed)")
+		t.Fatal("SubmitLiveMeta blocked behind an in-flight episode (stop-the-world admission regressed)")
 	}
 	rec.track(qb)
 

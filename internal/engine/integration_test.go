@@ -85,7 +85,7 @@ func TestAllEnginesAgreeOnTPCDS(t *testing.T) {
 		return policy.NewStatic(orders)
 	}))
 	check("match&share", runRouLette(t, db, qs, func(b *query.Batch) policy.Policy {
-		return policy.NewStatic(sharing.MatchShareOrders(b, db, nil))
+		return policy.NewStatic(sharing.MatchShareOrders(b, db))
 	}))
 }
 

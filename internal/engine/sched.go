@@ -7,7 +7,6 @@ import (
 	"github.com/roulette-db/roulette/internal/bitset"
 	"github.com/roulette-db/roulette/internal/metrics"
 	"github.com/roulette-db/roulette/internal/obs"
-	"github.com/roulette-db/roulette/internal/query"
 )
 
 // This file is the session's one scan selector: weighted-fair episode
@@ -85,12 +84,6 @@ func (s *Session) initSchedLocked(qcap int) {
 	if s.cfg.StarveEpisodes <= 0 {
 		s.cfg.StarveEpisodes = defaultStarveEpisodes
 	}
-}
-
-// SubmitLive merges one query into the running session with default
-// admission metadata. See SubmitLiveMeta.
-func (s *Session) SubmitLive(q *query.Query) (int, error) {
-	return s.SubmitLiveMeta(q, SubmitMeta{})
 }
 
 // registerMetaLocked records a live submission's scheduling metadata.

@@ -143,7 +143,7 @@ func (s *Session) CancelQuery(qid int, cause error) {
 // CloseSubmit declares the session's input finished: once every admitted
 // query retires, the worker pool exits and RunContext returns. A closed
 // session starts no new collection pass (nothing will reuse what a pass
-// frees), so stop submitting first: SubmitLive still works until the pool
+// frees), so stop submitting first: SubmitLiveMeta still works until the pool
 // exits, but its query IDs are no longer recycled.
 func (s *Session) CloseSubmit() {
 	s.mu.Lock()
@@ -152,7 +152,7 @@ func (s *Session) CloseSubmit() {
 	s.mu.Unlock()
 }
 
-// FreeQuerySlots reports how many query IDs are available for SubmitLive
+// FreeQuerySlots reports how many query IDs are available for SubmitLiveMeta
 // (capacity minus live and not-yet-reclaimed queries).
 func (s *Session) FreeQuerySlots() int {
 	s.mu.Lock()

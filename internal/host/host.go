@@ -170,16 +170,3 @@ func (s *aggState) value() int64 {
 	}
 	return 0
 }
-
-// ConsumeAll drains every query's source.
-func ConsumeAll(db *storage.Database, b *query.Batch, ctx *exec.Context) ([]*Result, error) {
-	out := make([]*Result, b.N)
-	for qid := 0; qid < b.N; qid++ {
-		r, err := Consume(db, b, qid, ctx.Sources[qid])
-		if err != nil {
-			return nil, err
-		}
-		out[qid] = r
-	}
-	return out, nil
-}

@@ -45,9 +45,11 @@ func runHost(t *testing.T, db *storage.Database, qs []*query.Query) ([]*Result, 
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ConsumeAll(db, b, s.Context())
-	if err != nil {
-		t.Fatal(err)
+	res := make([]*Result, b.N)
+	for qid := range res {
+		if res[qid], err = Consume(db, b, qid, s.Context().Sources[qid]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return res, b
 }

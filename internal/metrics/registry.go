@@ -52,7 +52,7 @@ type Registry struct {
 	WarmStartedQueries atomic.Int64 // queries that began executing under an imported prior
 
 	// AdmitLatency is the submit-to-first-episode latency distribution in
-	// microseconds: the time from SubmitLive returning a query ID to the
+	// microseconds: the time from SubmitLiveMeta returning a query ID to the
 	// first episode vector carrying the query's bit being handed to a
 	// worker. With the stop-the-world gate gone this is the headline
 	// admission-responsiveness number.

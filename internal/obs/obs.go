@@ -41,7 +41,7 @@ const (
 	KEpisodeStart
 	// KEpisodeEnd: a worker finished an episode (faulted or not).
 	KEpisodeEnd
-	// KSubmit: a query entered the engine via SubmitLive.
+	// KSubmit: a query entered the engine via SubmitLiveMeta.
 	KSubmit
 	// KAdmit: a pending query activated (its scans became schedulable).
 	KAdmit

@@ -7,8 +7,11 @@ import (
 	"testing/quick"
 
 	"github.com/roulette-db/roulette/internal/catalog"
+	"github.com/roulette-db/roulette/internal/engine"
+	"github.com/roulette-db/roulette/internal/exec"
 	"github.com/roulette-db/roulette/internal/monet"
 	"github.com/roulette-db/roulette/internal/qat"
+	"github.com/roulette-db/roulette/internal/qlearn"
 	"github.com/roulette-db/roulette/internal/query"
 	"github.com/roulette-db/roulette/internal/storage"
 	"github.com/roulette-db/roulette/internal/value"
@@ -19,18 +22,20 @@ var colours = []string{"red", "green", "blue", "cyan", "black"}
 // typedDB builds fact(fk1?, fk2, v, s?) -> d1(k?, a, s), d2(k, a?): int64,
 // dictionary-string and nullable (?) columns. d1.k repeats (about
 // d1Rows/keys rows per key) and is sometimes NULL, as is fact.fk1; d2.k is
-// unique and does not cover every fact.fk2.
+// unique and does not cover every fact.fk2. fact.s and d1.s share one
+// dictionary, so they can be joined.
 func typedDB(seed int64, factRows, d1Rows, d2Rows, keys int) *storage.Database {
 	rng := rand.New(rand.NewSource(seed))
+	colourDict := value.NewDict()
 	fact := catalog.NewTypedRelation("fact",
 		catalog.Column{Name: "fk1", Nullable: true},
 		catalog.Column{Name: "fk2"},
 		catalog.Column{Name: "v"},
-		catalog.Column{Name: "s", Type: value.String, Nullable: true})
+		catalog.Column{Name: "s", Type: value.String, Nullable: true, Dict: colourDict})
 	d1 := catalog.NewTypedRelation("d1",
 		catalog.Column{Name: "k", Nullable: true},
 		catalog.Column{Name: "a"},
-		catalog.Column{Name: "s", Type: value.String})
+		catalog.Column{Name: "s", Type: value.String, Dict: colourDict})
 	d2 := catalog.NewTypedRelation("d2",
 		catalog.Column{Name: "k"},
 		catalog.Column{Name: "a", Nullable: true})
@@ -42,7 +47,7 @@ func typedDB(seed int64, factRows, d1Rows, d2Rows, keys int) *storage.Database {
 		}
 		return v
 	}
-	colour := func(d *value.Dict) int64 { return d.Code(colours[rng.Intn(len(colours))]) }
+	colour := func() int64 { return colourDict.Code(colours[rng.Intn(len(colours))]) }
 
 	cols := make([][]int64, 4)
 	for c := range cols {
@@ -52,7 +57,7 @@ func typedDB(seed int64, factRows, d1Rows, d2Rows, keys int) *storage.Database {
 		cols[0][r] = orNull(int64(rng.Intn(keys)), 15)
 		cols[1][r] = int64(rng.Intn(d2Rows + d2Rows/4 + 1))
 		cols[2][r] = int64(rng.Intn(100))
-		cols[3][r] = orNull(colour(fact.Column("s").Dict), 6)
+		cols[3][r] = orNull(colour(), 6)
 	}
 	db.Put(storage.MustFromColumns(fact, cols...))
 
@@ -60,7 +65,7 @@ func typedDB(seed int64, factRows, d1Rows, d2Rows, keys int) *storage.Database {
 	for r := 0; r < d1Rows; r++ {
 		cols[0][r] = orNull(int64(rng.Intn(keys)), 15)
 		cols[1][r] = int64(rng.Intn(6))
-		cols[2][r] = colour(d1.Column("s").Dict)
+		cols[2][r] = colour()
 	}
 	db.Put(storage.MustFromColumns(d1, cols...))
 
@@ -138,6 +143,9 @@ var (
 	joinD1  = query.Join{LeftAlias: "fact", LeftCol: "fk1", RightAlias: "d1", RightCol: "k"}
 	joinD2  = query.Join{LeftAlias: "d2", LeftCol: "k", RightAlias: "fact", RightCol: "fk2"}
 	closing = query.Join{LeftAlias: "d1", LeftCol: "a", RightAlias: "d2", RightCol: "a"}
+	// joinS joins two string columns over their shared dictionary; fact.s
+	// is sometimes NULL.
+	joinS = query.Join{LeftAlias: "fact", LeftCol: "s", RightAlias: "d1", RightCol: "s"}
 )
 
 // spj builds a query over fact and whatever relations the joins name.
@@ -166,8 +174,22 @@ func strs(alias, col string, lits ...string) query.Filter {
 	return query.Filter{Alias: alias, Col: col, Kind: query.KindStrings, Strs: lits}
 }
 
-// agree runs q on both baselines and the oracle.
+// agree runs q on both baselines, on RouLette and on the oracle.
 func agree(t *testing.T, db *storage.Database, q *query.Query) int64 {
+	t.Helper()
+	want := baselinesAgree(t, db, q)
+	got, err := runEngine(db, q)
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	if got != want {
+		t.Errorf("engine = %d, nested loops = %d (%+v)", got, want, q)
+	}
+	return want
+}
+
+// baselinesAgree runs q on both baselines and the oracle.
+func baselinesAgree(t *testing.T, db *storage.Database, q *query.Query) int64 {
 	t.Helper()
 	want := nestedLoop(db, q)
 	got, err := qat.New(db).Run(q)
@@ -184,6 +206,28 @@ func agree(t *testing.T, db *storage.Database, q *query.Query) int64 {
 		t.Errorf("monet = %d, nested loops = %d (%+v)", got, want, q)
 	}
 	return want
+}
+
+// runEngine counts q on RouLette as a one-query batch under a seeded
+// learned policy.
+func runEngine(db *storage.Database, q *query.Query) (int64, error) {
+	b, err := query.Compile([]*query.Query{q})
+	if err != nil {
+		return 0, err
+	}
+	opt := exec.DefaultOptions()
+	opt.CollectRows = false
+	cfg := qlearn.DefaultConfig()
+	cfg.Seed = 1
+	s, err := engine.NewSession(b, db, engine.Config{Exec: opt, Policy: qlearn.New(cfg)})
+	if err != nil {
+		return 0, err
+	}
+	r, err := s.Run()
+	if err != nil {
+		return 0, err
+	}
+	return r.Counts[0], nil
 }
 
 func TestBaselinesMatchNestedLoops(t *testing.T) {
@@ -215,10 +259,11 @@ func TestBaselinesMatchNestedLoops(t *testing.T) {
 		{"string equality", spj([]query.Join{joinD1}, strs("d1", "s", "green")), false},
 		{"string IN with an unknown literal", spj([]query.Join{joinD1}, strs("fact", "s", "red", "mauve", "blue")), false},
 		{"string IN, nothing known", spj([]query.Join{joinD1}, strs("fact", "s", "mauve", "teal")), true},
-		{"string filter on an int64 column", spj([]query.Join{joinD1}, strs("fact", "v", "red")), true},
 		{"empty build side", spj([]query.Join{joinD1, joinD2}, query.Filter{Alias: "d1", Col: "a", Lo: 100, Hi: 200}), true},
-		{"empty driver", spj([]query.Join{joinD1}, query.Filter{Alias: "fact", Col: "v", Lo: 5, Hi: 4}), true},
 		{"two joins", spj([]query.Join{joinD1, joinD2}, strs("d1", "s", "red", "cyan")), false},
+		{"string join, NULLs on one side", spj([]query.Join{joinS}), false},
+		{"string join and a string filter", spj([]query.Join{joinS, joinD2}, strs("d1", "s", "blue", "black")), false},
+		{"string join closing a key join", spj([]query.Join{joinD1, joinS}), false},
 		{"cycle closed by a residual, NULLs on one side", spj([]query.Join{joinD1, joinD2, closing}), false},
 		{"cycle with filters", spj([]query.Join{joinD1, joinD2, closing},
 			query.Filter{Alias: "fact", Col: "v", Lo: 0, Hi: 70}, query.Filter{Alias: "d2", Col: "a", Kind: query.KindIsNotNull}), false},
@@ -230,6 +275,21 @@ func TestBaselinesMatchNestedLoops(t *testing.T) {
 			t.Run(d.name+"/"+tc.name, func(t *testing.T) {
 				if n := agree(t, d.db, tc.q); (n == 0) != tc.empty {
 					t.Errorf("result has %d rows; the case is meant to be empty: %v", n, tc.empty)
+				}
+			})
+		}
+		// The engine refuses these when it compiles them; the baselines
+		// answer them empty.
+		for name, q := range map[string]*query.Query{
+			"string filter on an int64 column": spj([]query.Join{joinD1}, strs("fact", "v", "red")),
+			"empty driver":                     spj([]query.Join{joinD1}, query.Filter{Alias: "fact", Col: "v", Lo: 5, Hi: 4}),
+		} {
+			t.Run(d.name+"/"+name, func(t *testing.T) {
+				if _, err := runEngine(d.db, q); err == nil {
+					t.Error("the engine accepted the query")
+				}
+				if n := baselinesAgree(t, d.db, q); n != 0 {
+					t.Errorf("result has %d rows, want 0", n)
 				}
 			})
 		}
@@ -248,7 +308,8 @@ func TestBaselinesMatchNestedLoops(t *testing.T) {
 // randomSPJ draws a query over typedDB's schema: a join shape and up to
 // three filters of any kind.
 func randomSPJ(rng *rand.Rand) *query.Query {
-	shapes := [][]query.Join{{joinD1}, {joinD2}, {joinD1, joinD2}, {joinD2, joinD1, closing}, {closing, joinD1, joinD2}}
+	shapes := [][]query.Join{{joinD1}, {joinD2}, {joinD1, joinD2}, {joinD2, joinD1, closing}, {closing, joinD1, joinD2},
+		{joinS}, {joinS, joinD2}, {joinD1, joinS}}
 	q := spj(shapes[rng.Intn(len(shapes))])
 	menu := []func() query.Filter{
 		func() query.Filter {

@@ -414,13 +414,3 @@ func (e *Engine) RunConcurrent(qs []*query.Query, clients int) ([]int64, time.Du
 	}
 	return counts, time.Since(start), nil
 }
-
-// PlanOrder exposes the planned relation order (alias sequence) — used by
-// the Stitch&Share baseline to derive per-query shared-engine orders.
-func (p *Plan) PlanOrder() []string {
-	out := make([]string, len(p.Order))
-	for i := range p.Order {
-		out[i] = p.Order[i].Alias
-	}
-	return out
-}

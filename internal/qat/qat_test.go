@@ -141,8 +141,8 @@ func TestQatPlanDriverIsLargest(t *testing.T) {
 	if p.Order[0].Alias != "fact" {
 		t.Errorf("driver = %s, want fact", p.Order[0].Alias)
 	}
-	if len(p.PlanOrder()) != len(q.Rels) {
-		t.Errorf("plan order incomplete: %v", p.PlanOrder())
+	if len(p.Order) != len(q.Rels) {
+		t.Errorf("plan order incomplete: %+v", p.Order)
 	}
 }
 

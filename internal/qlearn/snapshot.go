@@ -335,14 +335,6 @@ func (l *Learned) Import(s *Snapshot, rm *Remap) int {
 	return n
 }
 
-// MarkWarm drops ε toward exploit-mode without importing anything (used
-// when warm state arrives through another path). Idempotent.
-func (l *Learned) MarkWarm() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.markWarmLocked()
-}
-
 func (l *Learned) markWarmLocked() {
 	if l.warm {
 		return

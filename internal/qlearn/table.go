@@ -42,10 +42,6 @@ type tableEntry struct {
 // Value returns the entry's Q-value.
 func (e *tableEntry) Value() float64 { return e.value }
 
-// SetValue stores v without counting a visit (external harness use;
-// Observe and snapshot imports write the fields directly).
-func (e *tableEntry) SetValue(v float64) { e.value = v }
-
 // Table is an open-addressing Q-table over (phase, inst, lineage, Q, op)
 // states. It is not safe for concurrent use; Learned serializes access
 // behind its mutex. The zero value is not usable; call NewTable.

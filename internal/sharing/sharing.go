@@ -107,16 +107,10 @@ func orderFrom(b *query.Batch, qid int, src query.InstID, score func(edgeID int,
 }
 
 // MatchShareOrders builds orders DataPath-style: queries are processed in
-// admission order; each picks, at every step, the edge already used by the
-// most previously-admitted queries at the same position in the global plan
+// query-ID order; each picks, at every step, the edge already used by the
+// most previously processed queries at the same position in the global plan
 // (maximum overlap), breaking ties toward the smallest target relation.
-func MatchShareOrders(b *query.Batch, db *storage.Database, admission []int) map[policy.OrderKey][]int {
-	if admission == nil {
-		admission = make([]int, b.N)
-		for i := range admission {
-			admission[i] = i
-		}
-	}
+func MatchShareOrders(b *query.Batch, db *storage.Database) map[policy.OrderKey][]int {
 	rows := func(inst query.InstID) float64 {
 		t := db.Table(b.Insts[inst].Table)
 		if t == nil {
@@ -133,7 +127,7 @@ func MatchShareOrders(b *query.Batch, db *storage.Database, admission []int) map
 	trie := make(map[trieKey]map[int]int)
 
 	orders := make(map[policy.OrderKey][]int)
-	for _, qid := range admission {
+	for qid := 0; qid < b.N; qid++ {
 		for _, src := range b.QueryInsts(qid) {
 			lineage := uint64(1) << src
 			qEdges := b.QueryEdges(qid)

@@ -103,7 +103,7 @@ func TestMatchShareFollowsEarlierQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orders := MatchShareOrders(b, db, nil)
+	orders := MatchShareOrders(b, db)
 	factInst, _ := b.InstOfAlias(0, "fact")
 	o0 := orders[policy.OrderKey{QID: 0, Source: factInst}]
 	o1 := orders[policy.OrderKey{QID: 1, Source: factInst}]

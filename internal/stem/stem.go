@@ -411,11 +411,6 @@ func New(versions *Versions, keyCols []string, nQueries, capacityHint int) *STeM
 	return s
 }
 
-// KeyCols returns the indexed join-key columns of the current state. The
-// engine serializes structural changes, so under its session mutex this is
-// stable.
-func (s *STeM) KeyCols() []string { return s.state.Load().keyCols }
-
 // HasIndex reports whether col is indexed.
 func (s *STeM) HasIndex(col string) bool {
 	_, ok := s.state.Load().colIdx[col]

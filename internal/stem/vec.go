@@ -115,7 +115,7 @@ func (sc *InsertScratch) lookupOrAdd(b int32) int {
 }
 
 // InsertVec adds len(vids) tuples in bulk, all stamped with version slot
-// slot. keyCols holds one key column per indexed column (KeyCols order),
+// slot. keyCols holds one key column per indexed column (index order),
 // each of length len(vids); qsets is the tuples' query-set slab with qw
 // words per tuple. keyCols may carry extra trailing columns beyond the
 // STeM's current index count (a worker acting on a newer context view than

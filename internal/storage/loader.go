@@ -1,8 +1,6 @@
 package storage
 
 import (
-	"bufio"
-	"encoding/binary"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -43,9 +41,9 @@ func NullField(f string) bool { return f == "" || f == `\N` }
 // LoadCSV reads rows into a new table with rel's schema. Each record must
 // have exactly one field per relation column, in schema order. Columns
 // typed String in the catalog are dictionary-encoded; on nullable columns
-// the empty string and `\N` load as NULL (value.NullCode, recorded in the
-// table's null bitmap). Nullable int64 columns reject the literal
-// math.MinInt64, which is reserved as the NULL sentinel.
+// the empty string and `\N` load as NULL (value.NullCode). Every int64
+// column rejects the literal math.MinInt64, which is reserved as the NULL
+// sentinel: the engine reads it as NULL whatever the column's nullability.
 func LoadCSV(rel *catalog.Relation, r io.Reader, opts CSVOptions) (*Table, error) {
 	cr := csv.NewReader(r)
 	if opts.Comma != 0 {
@@ -100,59 +98,13 @@ func LoadCSV(rel *catalog.Relation, r io.Reader, opts CSVOptions) (*Table, error
 				if err != nil {
 					return nil, fmt.Errorf("storage: csv row %d column %s: %q is not an integer (use a Dict for string columns)", row, rel.Columns[i].Name, f)
 				}
-				if v == value.NullCode && rel.Columns[i].Nullable {
-					return nil, fmt.Errorf("storage: csv row %d column %s: %d is reserved as the NULL sentinel on nullable columns", row, rel.Columns[i].Name, v)
+				if v == value.NullCode {
+					return nil, fmt.Errorf("storage: csv row %d column %s: %d is reserved as the NULL sentinel", row, rel.Columns[i].Name, v)
 				}
 			}
 			cols[i] = append(cols[i], v)
 		}
 		row++
-	}
-	return FromColumns(rel, cols...)
-}
-
-// Binary snapshot format: magic, column count, row count, then each column
-// as row-count little-endian int64 values. Column order follows the schema.
-const binaryMagic = uint32(0x52544C54) // "RTLT"
-
-// SaveBinary writes a compact binary snapshot of the table.
-func SaveBinary(t *Table, w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	hdr := []uint32{binaryMagic, uint32(len(t.Rel.Columns)), uint32(t.NumRows())}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	for i := range t.Rel.Columns {
-		if err := binary.Write(bw, binary.LittleEndian, t.ColAt(i)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// LoadBinary reads a snapshot saved by SaveBinary into rel's schema.
-func LoadBinary(rel *catalog.Relation, r io.Reader) (*Table, error) {
-	br := bufio.NewReader(r)
-	var magic, nCols, nRows uint32
-	for _, p := range []*uint32{&magic, &nCols, &nRows} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("storage: binary header: %w", err)
-		}
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("storage: bad magic %#x", magic)
-	}
-	if int(nCols) != len(rel.Columns) {
-		return nil, fmt.Errorf("storage: snapshot has %d columns, schema %s has %d", nCols, rel.Name, len(rel.Columns))
-	}
-	cols := make([][]int64, nCols)
-	for i := range cols {
-		cols[i] = make([]int64, nRows)
-		if err := binary.Read(br, binary.LittleEndian, cols[i]); err != nil {
-			return nil, fmt.Errorf("storage: binary column %d: %w", i, err)
-		}
 	}
 	return FromColumns(rel, cols...)
 }

@@ -11,22 +11,15 @@ package storage
 
 import (
 	"fmt"
-	"math/bits"
 
 	"github.com/roulette-db/roulette/internal/catalog"
-	"github.com/roulette-db/roulette/internal/value"
 )
 
 // Table is an in-memory columnar table.
 type Table struct {
 	Rel  *catalog.Relation
 	cols [][]int64
-	// nulls holds one bitmap per column (bit r set = row r is NULL); nil
-	// entries mean the column has no NULLs. Bitmaps are derived from
-	// value.NullCode cells of nullable columns at construction and are the
-	// authoritative record for result decoding.
-	nulls [][]uint64
-	rows  int
+	rows int
 }
 
 // NewTable allocates a table with the relation's schema and rows rows.
@@ -55,32 +48,7 @@ func FromColumns(rel *catalog.Relation, cols ...[]int64) (*Table, error) {
 			return nil, fmt.Errorf("storage: %s column %d has %d rows, want %d", rel.Name, i, len(c), rows)
 		}
 	}
-	t := &Table{Rel: rel, cols: cols, rows: rows}
-	for i := range rel.Columns {
-		if rel.Columns[i].Nullable {
-			t.buildNullBitmap(i)
-		}
-	}
-	return t, nil
-}
-
-// buildNullBitmap scans column i for NullCode cells and records them.
-func (t *Table) buildNullBitmap(i int) {
-	var bm []uint64
-	for r, v := range t.cols[i] {
-		if v == value.NullCode {
-			if bm == nil {
-				bm = make([]uint64, (t.rows+63)/64)
-			}
-			bm[r>>6] |= 1 << (uint(r) & 63)
-		}
-	}
-	if bm != nil {
-		if t.nulls == nil {
-			t.nulls = make([][]uint64, len(t.cols))
-		}
-		t.nulls[i] = bm
-	}
+	return &Table{Rel: rel, cols: cols, rows: rows}, nil
 }
 
 // MustFromColumns is FromColumns, panicking on error (for statically shaped
@@ -107,37 +75,6 @@ func (t *Table) Col(name string) []int64 {
 
 // ColAt returns the column at schema position i.
 func (t *Table) ColAt(i int) []int64 { return t.cols[i] }
-
-// IsNull reports whether row r of the named column is NULL. It consults the
-// null bitmap, so a plain int64 column that happens to store
-// math.MinInt64 is not reported NULL.
-func (t *Table) IsNull(name string, r int) bool {
-	i := t.Rel.ColIndex(name)
-	if i < 0 {
-		panic(fmt.Sprintf("storage: relation %s has no column %s", t.Rel.Name, name))
-	}
-	return t.IsNullAt(i, r)
-}
-
-// IsNullAt is IsNull by schema position.
-func (t *Table) IsNullAt(i, r int) bool {
-	if t.nulls == nil || t.nulls[i] == nil {
-		return false
-	}
-	return t.nulls[i][r>>6]&(1<<(uint(r)&63)) != 0
-}
-
-// NullCount returns the number of NULL cells in column i.
-func (t *Table) NullCount(i int) int {
-	if t.nulls == nil || t.nulls[i] == nil {
-		return 0
-	}
-	n := 0
-	for _, w := range t.nulls[i] {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
 
 // Database maps relation names to tables.
 type Database struct {

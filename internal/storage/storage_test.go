@@ -133,8 +133,8 @@ func TestCatalogSchema(t *testing.T) {
 	d := catalog.NewRelation("d1", "k", "v")
 	sch := catalog.NewSchema(r, d)
 	sch.AddFK("fact", "d1_k", "d1", "k")
-	if len(sch.EdgesOf("fact")) != 1 || len(sch.EdgesOf("d1")) != 1 {
-		t.Error("EdgesOf wrong")
+	if len(sch.Edges) != 1 || sch.Edges[0].Child != "fact" || sch.Edges[0].Parent != "d1" {
+		t.Errorf("Edges = %+v", sch.Edges)
 	}
 	if sch.Relation("fact").ColIndex("d1_k") != 1 {
 		t.Error("ColIndex wrong")

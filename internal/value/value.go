@@ -39,11 +39,10 @@ func (t ColType) String() string {
 }
 
 // NullCode is the in-band NULL sentinel stored in physical columns of
-// nullable attributes. It is chosen outside every dictionary's code space
-// (codes are dense and non-negative) and rejected at load time for nullable
-// int64 columns, so a NullCode cell always means SQL NULL. Filters and STeM
-// probes treat it as never-matching; null bitmaps on storage.Table stay the
-// authoritative record for decoding.
+// nullable attributes, and the only record of NULL. It is chosen outside
+// every dictionary's code space (codes are dense and non-negative) and
+// rejected at load time as data in every int64 column, so a NullCode cell
+// always means SQL NULL. Filters and STeM probes treat it as never-matching.
 const NullCode int64 = math.MinInt64
 
 // ErrTypeMismatch is wrapped by every error where a predicate's literal type

@@ -183,7 +183,8 @@ func (q *Query) WithPriority(p int) *Query {
 // admitted gets an urgency boost as the deadline nears, and is shed
 // mid-flight (retiring with a partial count and ErrDeadlineShed) if the
 // deadline passes first. 0 means no deadline. Batch execution ignores
-// per-query deadlines; use Options.Deadline for whole-batch bounds.
+// per-query deadlines; bound a whole batch with a context deadline on
+// ExecuteBatchContext.
 func (q *Query) WithDeadline(d time.Duration) *Query {
 	q.deadline = d
 	return q

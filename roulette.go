@@ -29,6 +29,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -50,8 +51,9 @@ import (
 
 // NullValue is the in-band physical encoding of SQL NULL in int64 column
 // data and group keys (math.MinInt64). The engine reserves it: NULL never
-// satisfies a filter and never matches a join key. Nullable int64 columns
-// therefore reject math.MinInt64 as regular data.
+// satisfies a filter and never matches a join key, whatever the column's
+// nullability. Every int64 column therefore rejects math.MinInt64 as
+// regular data.
 const NullValue int64 = value.NullCode
 
 // Column is a named column used to create tables. Exactly one of Data
@@ -59,7 +61,8 @@ const NullValue int64 = value.NullCode
 // dictionary-encoded to dense int64 codes at CreateTable, and the engine
 // executes over the codes (late materialization over columnar storage).
 // A non-nil Valid mask makes the column nullable: Valid[r] == false marks
-// row r as NULL.
+// row r as NULL. Data may not hold math.MinInt64 (NullValue) in a valid
+// row, nullable or not.
 type Column struct {
 	Name  string
 	Data  []int64
@@ -138,6 +141,9 @@ func (e *Engine) CreateTable(name string, cols ...Column) error {
 			return fmt.Errorf("roulette: table %q column %q has %d validity bits, want %d", name, c.Name, len(c.Valid), n)
 		}
 		nullable := c.Valid != nil
+		sentinel := func(r int) error {
+			return fmt.Errorf("roulette: table %q column %q row %d: math.MinInt64 is reserved as the NULL sentinel", name, c.Name, r)
+		}
 		switch {
 		case c.Strs != nil:
 			dict := storage.NewDict()
@@ -157,7 +163,7 @@ func (e *Engine) CreateTable(name string, cols ...Column) error {
 				if !c.Valid[r] {
 					phys[r] = value.NullCode
 				} else if v == value.NullCode {
-					return fmt.Errorf("roulette: table %q column %q row %d: math.MinInt64 is reserved as the NULL sentinel", name, c.Name, r)
+					return sentinel(r)
 				} else {
 					phys[r] = v
 				}
@@ -165,6 +171,9 @@ func (e *Engine) CreateTable(name string, cols ...Column) error {
 			schemaCols[i] = catalog.Column{Name: c.Name, Nullable: true}
 			data[i] = phys
 		default:
+			if r := slices.Index(c.Data, value.NullCode); r >= 0 {
+				return sentinel(r)
+			}
 			schemaCols[i] = catalog.Column{Name: c.Name}
 			data[i] = c.Data
 		}
@@ -297,12 +306,6 @@ type Options struct {
 	// Seed makes the learned/random policies deterministic.
 	Seed int64
 
-	// DisablePruning, DisableGroupedFilters and DisableLocalityRouter switch
-	// off individual §5 optimizations (ablation studies).
-	DisablePruning        bool
-	DisableGroupedFilters bool
-	DisableLocalityRouter bool
-
 	// DiscardRows keeps only result counts (large throughput benchmarks).
 	DiscardRows bool
 
@@ -317,12 +320,6 @@ type Options struct {
 	// replacing the paper's Xeon-tuned constants. Calibration runs once per
 	// Engine and takes a few tens of milliseconds.
 	CalibrateCostModel bool
-
-	// Deadline bounds the whole batch execution; 0 means no deadline. A
-	// batch exceeding it is cancelled cooperatively and returns partial
-	// results (BatchResult.Partial, per-query Aborted/Err). Composes with
-	// any deadline already on the ExecuteBatchContext context.
-	Deadline time.Duration
 
 	// EpisodeWatchdog flags any single episode running longer than this as
 	// a stall fault and cancels the rest of the batch; 0 disables it.
@@ -362,9 +359,6 @@ func (o *Options) execOptions() exec.Options {
 	if o.VectorSize > 0 {
 		opt.VectorSize = o.VectorSize
 	}
-	opt.Pruning = !o.DisablePruning
-	opt.GroupedFilters = !o.DisableGroupedFilters
-	opt.LocalityRouter = !o.DisableLocalityRouter
 	opt.CollectRows = !o.DiscardRows
 	return opt
 }
@@ -382,7 +376,6 @@ func (e *Engine) sessionConfig(b *query.Batch, o *Options) (engine.Config, *warm
 		Exec:             o.execOptions(),
 		Workers:          o.Workers,
 		TrackConvergence: o.TrackConvergence,
-		SessionDeadline:  o.Deadline,
 		EpisodeWatchdog:  o.EpisodeWatchdog,
 		TraceEpisodes:    o.TraceEpisodes,
 		Logger:           o.Logger,
@@ -564,7 +557,7 @@ func (e *Engine) buildPolicy(b *query.Batch, o *Options) (policy.Policy, error) 
 		}
 		return policy.NewStatic(orders), nil
 	case PolicyMatchShare:
-		return policy.NewStatic(sharing.MatchShareOrders(b, e.db, nil)), nil
+		return policy.NewStatic(sharing.MatchShareOrders(b, e.db)), nil
 	}
 	return nil, fmt.Errorf("roulette: unknown policy %d", kind)
 }

@@ -18,11 +18,10 @@ import (
 )
 
 // StreamOptions tune a long-lived stream. The embedded Options carry the
-// executor and policy knobs; batch-only fields (Admissions, Deadline's
-// per-batch semantics aside, TrackConvergence output) do not apply to
-// streams. A stream's counters are always on: Stream.StemStats reports
-// live STeM traffic, and Close folds the stream's work into the metrics
-// registry.
+// executor and policy knobs; batch-only fields (Admissions,
+// TrackConvergence output) do not apply to streams. A stream's counters are
+// always on: Stream.StemStats reports live STeM traffic, and Close folds the
+// stream's work into the metrics registry.
 type StreamOptions struct {
 	Options
 
@@ -141,7 +140,8 @@ func (t *Ticket) Done() <-chan struct{} { return t.done }
 // expires first, only this query is cancelled — the stream and its other
 // queries keep running — and Wait still returns the query's final
 // (partial, Aborted) result. The returned error is ctx's error in that
-// case, nil otherwise.
+// case, nil otherwise — also when the query completed before the
+// cancellation reached it.
 func (t *Ticket) Wait(ctx context.Context) (QueryResult, error) {
 	select {
 	case <-t.done:
@@ -149,6 +149,9 @@ func (t *Ticket) Wait(ctx context.Context) (QueryResult, error) {
 	case <-ctx.Done():
 		t.Cancel(ctx.Err())
 		<-t.done
+		if !t.res.Aborted {
+			return t.res, nil
+		}
 		return t.res, ctx.Err()
 	}
 }
@@ -158,6 +161,11 @@ func (t *Ticket) Wait(ctx context.Context) (QueryResult, error) {
 // its in-flight episodes drain; the rest of the stream is unaffected.
 // Cancelling an already-retired query is a no-op.
 func (t *Ticket) Cancel(cause error) {
+	select {
+	case <-t.done:
+		return // retired: its query ID may already serve a later Submit
+	default:
+	}
 	if cause == nil {
 		cause = ErrQueryCancelled
 	}
@@ -176,7 +184,7 @@ type Stream struct {
 	mu      sync.Mutex
 	tickets map[int]*Ticket
 	// pending holds results whose retirement callback ran before Submit
-	// registered the ticket (a query can retire inside SubmitLive itself,
+	// registered the ticket (a query can retire inside SubmitLiveMeta itself,
 	// e.g. over zero-row relations).
 	pending map[int]QueryResult
 	resQ    []QueryResult

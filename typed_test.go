@@ -3,6 +3,7 @@ package roulette
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -353,6 +354,19 @@ func TestCreateTableTypedValidation(t *testing.T) {
 	// NullValue under a false validity bit is fine (it is the NULL encoding).
 	if err := e.CreateTable("ok", NullableCol("c", []int64{NullValue}, []bool{false})); err != nil {
 		t.Errorf("NULL row rejected: %v", err)
+	}
+}
+
+// TestCreateTableRejectsNullSentinel: every engine reads NullValue as NULL
+// whatever the column's nullability, so a plain int64 column holding it
+// would silently lose the row from every filter and join.
+func TestCreateTableRejectsNullSentinel(t *testing.T) {
+	e := NewEngine()
+	if err := e.CreateTable("t", Col("x", math.MinInt64, 5)); err == nil {
+		t.Error("math.MinInt64 in a non-nullable int64 column should be rejected")
+	}
+	if e.Database().Table("t") != nil {
+		t.Error("rejected table was registered")
 	}
 }
 

@@ -126,9 +126,9 @@ func (c *Config) runSystem(sys System, db *storage.Database, qs []*query.Query, 
 			if err != nil {
 				return res, err
 			}
-			pol = policy.NewStatic(orders)
+			pol = policy.NewStatic(b, orders)
 		case SysMatchShare:
-			pol = policy.NewStatic(sharing.MatchShareOrders(b, db))
+			pol = policy.NewStatic(b, sharing.MatchShareOrders(b, db))
 		}
 		s, err := engine.NewSession(b, db, engine.Config{Exec: opt, Workers: workers, Policy: pol})
 		if err != nil {

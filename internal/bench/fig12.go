@@ -125,7 +125,7 @@ const fig13Vec = 128
 // factory for the shared executor.
 func stitchSimFactory(soloLearned func(*query.Batch) map[policy.OrderKey][]int) func(*query.Batch) policy.Policy {
 	return func(b *query.Batch) policy.Policy {
-		return policy.NewStatic(soloLearned(b))
+		return policy.NewStatic(b, soloLearned(b))
 	}
 }
 

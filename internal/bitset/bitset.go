@@ -231,6 +231,17 @@ func (s Set) trimmed() int {
 	return n
 }
 
+// Span returns the half-open word range [lo, hi) that holds every set bit of
+// s; an empty set spans [0, 0). Loops over a query set's words need only
+// visit its span.
+func (s Set) Span() (lo, hi int) {
+	hi = s.trimmed()
+	for lo < hi && s[lo] == 0 {
+		lo++
+	}
+	return lo, hi
+}
+
 // Hash returns a 64-bit hash of the set's contents. Two sets with the same
 // bits (regardless of trailing-zero-word padding) hash identically. It never
 // allocates.

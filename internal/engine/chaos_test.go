@@ -298,7 +298,7 @@ func TestChaosFaultBlastRadiusIsolation(t *testing.T) {
 	for _, f := range res.Faults {
 		table := b.Insts[f.Inst].Table
 		for _, qid := range f.Queries {
-			if !usesTable(qid, table) {
+			if !usesTable(b.Pos(qid), table) {
 				t.Errorf("fault on %s affected query %d, which never touches that table", table, qid)
 			}
 		}

@@ -32,7 +32,8 @@ import (
 
 // AdmitEvent schedules runtime query admission: the listed queries are
 // admitted once Inst has delivered AfterVectors vectors (dynamic workloads,
-// §6.2 "Dynamic Opportunities").
+// §6.2 "Dynamic Opportunities"). QIDs are caller positions — indexes into
+// the slice query.Compile numbered — which NewSession maps to query IDs.
 type AdmitEvent struct {
 	AfterVectors int64
 	Inst         query.InstID
@@ -162,7 +163,7 @@ type EpisodeError struct {
 	Kind    FaultKind
 	Inst    query.InstID
 	Slot    stem.Slot
-	Queries []int // query IDs active in the episode
+	Queries []int // query IDs active in the episode (query.Batch.Pos gives their caller positions)
 
 	// FirstVID/NumVIDs identify the quarantined input vector.
 	FirstVID int32
@@ -203,7 +204,8 @@ type QueryStatus struct {
 	Err error
 }
 
-// Results summarizes a finished session run.
+// Results summarizes a finished session run. Per-query slices are indexed
+// by caller position (query.Batch.Pos), not by query ID.
 type Results struct {
 	Counts      []int64 // per-query SPJ output tuples
 	Elapsed     time.Duration
@@ -414,7 +416,14 @@ func NewSession(b *query.Batch, db *storage.Database, cfg Config) (*Session, err
 		outstanding: make([]int32, qcap),
 		scansLeft:   make([]int32, qcap),
 		retired:     bitset.New(qcap),
-		pending:     append([]AdmitEvent(nil), cfg.AdmitAt...),
+	}
+	for _, ev := range cfg.AdmitAt {
+		qids := make([]int, len(ev.QIDs))
+		for i, p := range ev.QIDs {
+			qids[i] = b.QIDAt(p)
+		}
+		ev.QIDs = qids
+		s.pending = append(s.pending, ev)
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.gc.active = bitset.New(qcap)
@@ -705,20 +714,21 @@ func (s *Session) RunContext(ctx context.Context) (*Results, error) {
 	}
 	cancelErr := ctx.Err()
 	for qid := range res.Counts {
-		res.Counts[qid] = s.ctx.Sources[qid].Count()
+		p := s.b.Pos(qid)
+		res.Counts[p] = s.ctx.Sources[qid].Count()
 		switch {
 		case s.failed.Contains(qid):
-			res.Status[qid] = QueryStatus{Err: s.failErr[qid]}
+			res.Status[p] = QueryStatus{Err: s.failErr[qid]}
 		case s.admitted.Contains(qid) && s.queryDrainedLocked(qid):
-			res.Status[qid] = QueryStatus{Completed: true}
+			res.Status[p] = QueryStatus{Completed: true}
 		default:
 			err := cancelErr
 			if err == nil {
 				err = errors.New("engine: query did not complete")
 			}
-			res.Status[qid] = QueryStatus{Err: err}
+			res.Status[p] = QueryStatus{Err: err}
 		}
-		if !res.Status[qid].Completed {
+		if !res.Status[p].Completed {
 			res.Partial = true
 		}
 	}

@@ -82,10 +82,10 @@ func TestAllEnginesAgreeOnTPCDS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return policy.NewStatic(orders)
+		return policy.NewStatic(b, orders)
 	}))
 	check("match&share", runRouLette(t, db, qs, func(b *query.Batch) policy.Policy {
-		return policy.NewStatic(sharing.MatchShareOrders(b, db))
+		return policy.NewStatic(b, sharing.MatchShareOrders(b, db))
 	}))
 }
 

@@ -94,7 +94,7 @@ func (s SharingStats) FanOut() float64 {
 
 // BatchStats is the execution breakdown of one finished batch.
 type BatchStats struct {
-	Queries []QueryStats `json:"queries"`
+	Queries []QueryStats `json:"queries"` // by caller position, like Results
 
 	Filters OpClassStats `json:"filters"` // grouped + prune filters (selection phase)
 	Builds  OpClassStats `json:"builds"`  // STeM inserts
@@ -182,12 +182,13 @@ func (s *Session) buildStatsLocked(res *Results) *BatchStats {
 
 	bs.Queries = make([]QueryStats, s.b.N)
 	for qid := range bs.Queries {
-		bs.Queries[qid] = QueryStats{
+		p := s.b.Pos(qid)
+		bs.Queries[p] = QueryStats{
 			Tag:       s.b.Queries[qid].Tag,
 			Episodes:  s.qEpisodes[qid],
-			Tuples:    res.Counts[qid],
+			Tuples:    res.Counts[p],
 			Elapsed:   s.qElapsed[qid],
-			Completed: res.Status[qid].Completed,
+			Completed: res.Status[p].Completed,
 		}
 	}
 

@@ -34,12 +34,17 @@ type EpisodeInput struct {
 }
 
 // jvec is a join-phase intermediate vector in the Data-Query model: one vID
-// column per present lineage instance plus a per-tuple query-set slab.
+// column per present lineage instance plus a per-tuple query-set slab. The
+// slab holds only the query-set words [lo, lo+width) of each tuple — the
+// word range of the plan node that produced the vector. Every consumer's
+// query set is a subset of its producer's, so no consumer reads outside it.
 type jvec struct {
 	insts []query.InstID
 	vids  [][]int32
-	qsets []uint64 // n × qw words
+	qsets []uint64 // n × width words
 	n     int
+	lo    int // query-set word of each tuple's first slab word
+	width int // slab words per tuple
 }
 
 func (v *jvec) instIdx(inst query.InstID) int {
@@ -125,8 +130,6 @@ type Worker struct {
 	selQsets  []uint64   // ingested query-set slab, n × qw words
 	root      jvec       // join-phase root vector (wraps selVids/selQsets)
 	pool      jvecPool   // intermediate join vectors
-	fullMask  bitset.Set // all-queries mask (template for notMask)
-	notMask   bitset.Set // prune: bits outside the eligible set
 	unionBuf  bitset.Set // route: union of present query bits
 	qidBuf    []int      // route: decoded query IDs
 	colIdx    []int      // route: source column positions
@@ -144,10 +147,10 @@ type Worker struct {
 	insQsets   []uint64           // build: their masked query sets, stride qw
 	probeKeys  []int64            // kernel input keys (probe + prune)
 	probeIn    []int32            // kernel input position -> tuple index
-	probeTqs   []uint64           // masked tuple query sets, stride qw
+	probeTqs   []uint64           // masked tuple query sets, stride: the node's words
 	vmatches   []stem.VecMatch    // ProbeVec output buffer
 	matchQs    []uint64           // ProbeVec query-set slab (VecMatch.QSet views)
-	pruneQs    []uint64           // SemiJoinVec output slab, stride qw
+	pruneAcc   []uint64           // PruneVec's per-tuple union scratch, qw words
 
 	// cv is the context view this episode runs against: loaded once per
 	// episode (one atomic pointer load), so the hot loops below read an
@@ -162,17 +165,17 @@ type Worker struct {
 // NewWorker creates a worker bound to ctx using pol for planning. Every
 // query set an episode touches is qw words wide, qw being the word count of
 // the batch's query-ID capacity, which never changes while a streaming batch
-// admits queries; RunEpisode rejects inputs of any other width. qw == 1 (the
-// default 64-query capacity) takes the operators' single-word fast paths.
+// admits queries; RunEpisode rejects inputs of any other width. The join
+// phase's operators loop over their plan node's live words only, with a
+// single-word fast path for nodes whose queries share one word.
 func NewWorker(ctx *Context, pol policy.Policy) *Worker {
 	qcap := ctx.B.QCap()
 	qw := bitset.WordsFor(qcap)
 	n := len(ctx.B.Insts)
 	return &Worker{
 		C: ctx, Pol: pol, qw: qw,
-		fullMask:    bitset.NewFull(qcap),
-		notMask:     bitset.New(qcap),
 		unionBuf:    make(bitset.Set, qw),
+		pruneAcc:    make([]uint64, qw),
 		instIns:     make([]int64, n, query.MaxInstances),
 		instProbes:  make([]int64, n, query.MaxInstances),
 		instMatches: make([]int64, n, query.MaxInstances),
@@ -351,6 +354,7 @@ func (w *Worker) rootVec(inst query.InstID, vids []int32, qsets []uint64, n int)
 	v.vids = append(v.vids[:0], vids)
 	v.qsets = qsets
 	v.n = n
+	v.lo, v.width = 0, w.qw
 	return v
 }
 
@@ -522,34 +526,18 @@ func (w *Worker) measuredCost() (total, join float64) {
 
 // applyPrune intersects each tuple's query set with the union of matching
 // query sets in the opposite STeM, restricted to the eligible queries
-// (symmetric join pruning, §5.2). The whole vector goes through one
-// SemiJoinVec kernel call: keys are gathered into the worker's key batch,
-// matching query-set unions land in the pruneQs slab, and the mask is
-// applied tuple by tuple afterwards.
+// (symmetric join pruning, §5.2). Keys are gathered into the worker's key
+// batch and one PruneVec call masks the tuples in place, over only the words
+// the eligible set spans.
 func (w *Worker) applyPrune(p *PruneOp, elig bitset.Set, vids []int32, qsets []uint64) {
-	other := w.cv.stems[p.Other]
 	local := w.cv.tables[p.Inst].Col(p.LocalCol)
-	w.notMask = w.fullMask.CopyInto(w.notMask)
-	notMask := w.notMask
-	notMask.AndNotWith(elig)
-
 	pk := w.probeKeys[:0]
 	for _, vid := range vids {
 		pk = append(pk, local[vid])
 	}
 	w.probeKeys = pk
-	need := len(vids) * w.qw
-	if cap(w.pruneQs) < need {
-		w.pruneQs = make([]uint64, need)
-	}
-	outs := w.pruneQs[:need]
-	clear(outs) // SemiJoinVec ORs into it
-	other.SemiJoinVec(outs, w.qw, p.OtherCol, pk)
-	for base := 0; base < need; base += w.qw {
-		for wd, nm := range notMask {
-			qsets[base+wd] &= outs[base+wd] | nm
-		}
-	}
+	lo, hi := elig.Span()
+	w.cv.stems[p.Other].PruneVec(qsets, w.qw, elig, lo, hi, p.OtherCol, pk, w.pruneAcc)
 }
 
 // andCount returns the popcount of a ∧ b without materializing it; b is at
@@ -613,9 +601,10 @@ func (w *Worker) execChildren(n *plan.Node, v *jvec, ts int64, wm stem.Slot) {
 
 // appliedResidual is a cycle-closing residual predicate completed by the
 // current probe: it clears its query's bit from output tuples whose
-// endpoint values differ.
+// endpoint values differ. bit is the query's bit within the probe's word
+// range.
 type appliedResidual struct {
-	qid        int
+	bit        int
 	otherIdx   int
 	otherData  []int64
 	targetData []int64
@@ -678,7 +667,7 @@ func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, i
 			continue
 		}
 		if oi := v.instIdx(other); oi >= 0 {
-			residuals = append(residuals, appliedResidual{r.QID, oi, otherData, targetData})
+			residuals = append(residuals, appliedResidual{r.QID - 64*nd.Lo, oi, otherData, targetData})
 		}
 	}
 	w.residuals = residuals
@@ -709,18 +698,23 @@ func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, i
 	// into the worker's kernel batch, then one ProbeVec call replaces the
 	// per-tuple STeM probes (stem/vec.go). The merge loop reads matches in
 	// input order, so output tuples append in the same order as before.
-	qmask := nd.Q
+	lo, hi := nd.Lo, nd.Hi
+	nw := hi - lo
+	qmask := nd.Q[lo:hi]
+	off, stride := lo-v.lo, v.width // the node's words within v's slab
+	out.lo, out.width = lo, nw
 	stemT := cv.stems[nd.Target]
 	pk := w.probeKeys[:0]
 	pin := w.probeIn[:0]
 	srcVids := v.vids[srcIdx]
-	if qw := w.qw; qw == 1 {
-		// Fast path: batches of up to 64 queries use single-word query
-		// sets; the generic word loops dominate the probe otherwise.
+	if nw == 1 {
+		// Fast path: the node's queries share one word (every node of a
+		// batch of up to 64 queries, and narrow nodes of wider ones); the
+		// generic word loops dominate the probe otherwise.
 		mask := qmask[0]
 		ptq := w.probeTqs[:0]
 		for i := 0; i < v.n; i++ {
-			tqw := v.qsets[i] & mask
+			tqw := v.qsets[i*stride+off] & mask
 			if tqw == 0 {
 				continue
 			}
@@ -729,7 +723,7 @@ func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, i
 			ptq = append(ptq, tqw)
 		}
 		w.probeKeys, w.probeIn, w.probeTqs = pk, pin, ptq
-		w.vmatches, w.matchQs = stemT.ProbeVec(w.vmatches[:0], w.matchQs[:0], targetCol, pk, ts, wm)
+		w.vmatches, w.matchQs = stemT.ProbeVecRange(w.vmatches[:0], w.matchQs[:0], targetCol, pk, ts, wm, lo, hi)
 		for mi := range w.vmatches {
 			m := &w.vmatches[mi]
 			j := int(m.In)
@@ -740,7 +734,7 @@ func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, i
 			}
 			for ri := range residuals {
 				rr := &residuals[ri]
-				if bit := uint64(1) << rr.qid; oqw&bit != 0 && !rr.holds(v, i, m.VID) {
+				if bit := uint64(1) << rr.bit; oqw&bit != 0 && !rr.holds(v, i, m.VID) {
 					oqw &^= bit
 				}
 			}
@@ -753,7 +747,7 @@ func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, i
 	} else {
 		ptq := w.probeTqs[:0]
 		for i := 0; i < v.n; i++ {
-			tq := v.qsets[i*qw : (i+1)*qw]
+			tq := v.qsets[i*stride+off : i*stride+off+nw]
 			if !bitset.Intersects(tq, qmask) {
 				continue
 			}
@@ -764,35 +758,35 @@ func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, i
 			}
 		}
 		w.probeKeys, w.probeIn, w.probeTqs = pk, pin, ptq
-		w.vmatches, w.matchQs = stemT.ProbeVec(w.vmatches[:0], w.matchQs[:0], targetCol, pk, ts, wm)
+		w.vmatches, w.matchQs = stemT.ProbeVecRange(w.vmatches[:0], w.matchQs[:0], targetCol, pk, ts, wm, lo, hi)
 		for mi := range w.vmatches {
 			m := &w.vmatches[mi]
 			j := int(m.In)
 			i := int(pin[j])
-			tq := ptq[j*qw : (j+1)*qw]
+			tq := ptq[j*nw : (j+1)*nw]
 			if !bitset.Intersects(tq, m.QSet) {
 				continue
 			}
 			// The output set is formed in the slab's spare capacity and
 			// appended only if the residuals leave it non-empty.
 			n := len(out.qsets)
-			out.qsets = slices.Grow(out.qsets, qw)
-			oq := bitset.Set(out.qsets[n : n+qw])
+			out.qsets = slices.Grow(out.qsets, nw)
+			oq := bitset.Set(out.qsets[n : n+nw])
 			for wd, mw := range m.QSet {
 				oq[wd] = tq[wd] & mw
 			}
 			if len(residuals) > 0 {
 				for ri := range residuals {
 					rr := &residuals[ri]
-					if oq.Contains(rr.qid) && !rr.holds(v, i, m.VID) {
-						oq.Remove(rr.qid)
+					if oq.Contains(rr.bit) && !rr.holds(v, i, m.VID) {
+						oq.Remove(rr.bit)
 					}
 				}
 				if oq.Empty() {
 					continue
 				}
 			}
-			out.qsets = out.qsets[:n+qw]
+			out.qsets = out.qsets[:n+nw]
 			emitTuple(out, copyIdx, v, i, targetPos, m.VID)
 		}
 	}
@@ -834,11 +828,15 @@ func (w *Worker) routeSel(nd *plan.Node, v *jvec) *jvec {
 		}
 	}
 	w.copyIdx = copyIdx
-	qmask := nd.Q
-	if qw := w.qw; qw == 1 {
+	lo, hi := nd.Lo, nd.Hi
+	nw := hi - lo
+	qmask := nd.Q[lo:hi]
+	off, stride := lo-v.lo, v.width // the node's words within v's slab
+	out.lo, out.width = lo, nw
+	if nw == 1 {
 		mask := qmask[0]
 		for i := 0; i < v.n; i++ {
-			q := v.qsets[i] & mask
+			q := v.qsets[i*stride+off] & mask
 			if q == 0 {
 				continue
 			}
@@ -847,7 +845,7 @@ func (w *Worker) routeSel(nd *plan.Node, v *jvec) *jvec {
 		}
 	} else {
 		for i := 0; i < v.n; i++ {
-			q := v.qsets[i*qw : (i+1)*qw]
+			q := v.qsets[i*stride+off : i*stride+off+nw]
 			if !bitset.Intersects(q, qmask) {
 				continue
 			}
@@ -872,20 +870,24 @@ func (w *Worker) routeSel(nd *plan.Node, v *jvec) *jvec {
 func (w *Worker) route(nd *plan.Node, v *jvec) {
 	c := w.C
 	t0 := time.Now()
-	// Union the present query bits into worker scratch (router fast path:
-	// skip queries with no tuples at all), then decode nd.Q ∩ union.
-	u := w.unionBuf
-	for wd := range u {
-		u[wd] = 0
-	}
+	// Union the present query bits of nd.Q's words into worker scratch
+	// (router fast path: skip queries with no tuples at all), then decode
+	// nd.Q ∩ union.
+	lo, hi := nd.Lo, nd.Hi
+	u := w.unionBuf[:hi-lo]
+	clear(u)
+	off, stride := lo-v.lo, v.width // the node's words within v's slab
 	for i := 0; i < v.n; i++ {
-		base := i * w.qw
-		for wd := 0; wd < w.qw; wd++ {
-			u[wd] |= v.qsets[base+wd]
+		t := v.qsets[i*stride+off:]
+		for wd := range u {
+			u[wd] |= t[wd]
 		}
 	}
-	u.AndWith(nd.Q)
+	u.AndWith(nd.Q[lo:hi])
 	qids := u.AppendIDs(w.qidBuf[:0])
+	for k := range qids {
+		qids[k] += 64 * lo
+	}
 	w.qidBuf = qids
 	if c.Opt.LocalityRouter {
 		for _, qid := range qids {
@@ -894,7 +896,7 @@ func (w *Worker) route(nd *plan.Node, v *jvec) {
 			rows := 0
 			colIdx := w.sourceCols(src, v)
 			for i := 0; i < v.n; i++ {
-				if !tupleHas(v, w.qw, i, qid) {
+				if !tupleHas(v, i, qid) {
 					continue
 				}
 				for _, ci := range colIdx {
@@ -911,7 +913,7 @@ func (w *Worker) route(nd *plan.Node, v *jvec) {
 			src := c.Sources[qid]
 			colIdx := w.sourceCols(src, v)
 			for i := 0; i < v.n; i++ {
-				if !tupleHas(v, w.qw, i, qid) {
+				if !tupleHas(v, i, qid) {
 					continue
 				}
 				row := w.flat[:0]
@@ -944,7 +946,8 @@ func (w *Worker) sourceCols(src *Source, v *jvec) []int {
 	return idx
 }
 
-// tupleHas reports whether tuple i's query set contains qid.
-func tupleHas(v *jvec, qw, i, qid int) bool {
-	return v.qsets[i*qw+qid/64]&(1<<(qid%64)) != 0
+// tupleHas reports whether tuple i's query set contains qid, whose word lies
+// in v's slab.
+func tupleHas(v *jvec, i, qid int) bool {
+	return v.qsets[i*v.width+qid/64-v.lo]&(1<<(qid%64)) != 0
 }

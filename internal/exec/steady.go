@@ -21,7 +21,8 @@ type StepBenchConfig struct {
 	VectorSize int           // tuples per episode vector (default 1024)
 	Policy     policy.Policy // planning policy (default policy.NewRandom(1))
 
-	// Final, when non-nil, marks these queries final on the fact instance
+	// Final, when non-nil, marks the queries at these caller positions (the
+	// order NewStepBench draws them in) final on the fact instance
 	// (EpisodeInput.Final): each Step then also runs the masked STeM build
 	// into the fact STeM. The fact STeM grows by up to VectorSize entries
 	// per Step, so a zero-alloc guard keeps VectorSize × steps inside its
@@ -185,9 +186,10 @@ func NewStepBench(cfg StepBenchConfig) (*StepBench, error) {
 	for i := range vids {
 		vids[i] = int32(i % cfg.Rows)
 	}
-	final := cfg.Final
-	if final == nil {
-		final = active
+	final := active
+	if cfg.Final != nil {
+		final = bitset.New(b.N)
+		cfg.Final.ForEach(func(p int) { final.Add(b.QIDAt(p)) })
 	}
 	in := EpisodeInput{
 		Inst:   factInst,

@@ -42,6 +42,9 @@ type Node struct {
 	// Q is the query set this node's OUTPUT serves: Q∩Q_o for probes,
 	// Q−Q_o for routing selections, the routed set for routers.
 	Q bitset.Set
+	// Lo and Hi bound Q's words: every bit of Q lies in words [Lo, Hi), so
+	// the executor's query-set loops for this node visit only those words.
+	Lo, Hi int
 
 	// Decision context (Probe nodes): the MDP state the eddy chose this
 	// operator in, and the successor states' candidate sets, which the
@@ -122,8 +125,9 @@ func buildRec(g *query.Graph, pol policy.Policy, node *Node, source query.InstID
 // the lineage-side join-key column's instance, plus any endpoint of a
 // pending residual predicate (cycle-closing joins are evaluated at the
 // probe that completes both endpoints, so the earlier endpoint's vID must
-// survive until then).
+// survive until then). The same walk fills each node's [Lo, Hi) word range.
 func annotateKeep(g *query.Graph, n *Node, req RequiredInsts) uint64 {
+	n.Lo, n.Hi = n.Q.Span()
 	switch n.Kind {
 	case Router:
 		var keep uint64

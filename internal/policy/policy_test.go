@@ -94,26 +94,26 @@ func TestStaticFollowsOrders(t *testing.T) {
 			rt = e.ID
 		}
 	}
+	q0, q1 := b.QIDAt(0), b.QIDAt(1)
 	orders := map[OrderKey][]int{
-		{QID: 0, Source: rInst}: {rt, rs},
-		{QID: 1, Source: rInst}: {rs},
+		{QID: q0, Source: rInst}: {rt, rs},
+		{QID: q1, Source: rInst}: {rs},
 	}
-	s := NewStatic(orders)
+	s := NewStatic(b, orders)
 
 	both := bitset.NewFull(2)
 	cands := []int{rs, rt}
-	// Lowest query in set is q0: its order says R-T first.
+	// The earliest query in caller order is q0: its order says R-T first.
 	if got := cands[s.ChooseJoin(rInst, 1<<rInst, both, cands)]; got != rt {
 		t.Errorf("static chose edge %d, want %d (q0's first)", got, rt)
 	}
 	// Only q1 present: R-S.
-	q1 := bitset.FromIDs(2, 1)
-	if got := cands[s.ChooseJoin(rInst, 1<<rInst, q1, []int{rs})]; got != rs {
+	if got := cands[s.ChooseJoin(rInst, 1<<rInst, bitset.FromIDs(2, q1), []int{rs})]; got != rs {
 		t.Errorf("static for q1 chose %d", got)
 	}
 	// Order entries already in the lineage are skipped.
 	lineage := uint64(1<<rInst) | 1<<b.Edges[rt].B | 1<<b.Edges[rt].A
-	got := s.ChooseJoin(rInst, lineage, bitset.FromIDs(2, 0), []int{rs})
+	got := s.ChooseJoin(rInst, lineage, bitset.FromIDs(2, q0), []int{rs})
 	if got != 0 {
 		t.Errorf("static with exhausted prefix = %d", got)
 	}
@@ -124,7 +124,7 @@ func TestStaticFollowsOrders(t *testing.T) {
 }
 
 func TestStaticSelGreedy(t *testing.T) {
-	s := NewStatic(nil)
+	s := NewStatic(toyBatch(t), nil)
 	q := bitset.NewFull(1)
 	s.Observe([]LogEntry{
 		{Phase: SelPhase, Op: 0, NIn: 10, NOut: 9},

@@ -29,23 +29,29 @@ type OrderKey struct {
 type Static struct {
 	Orders map[OrderKey][]int // edge IDs in probe order
 
+	// pos is the batch's query ID -> caller position map (query.Batch.Pos):
+	// the leading query is the earliest in the caller's order, whatever the
+	// numbering.
+	pos func(qid int) int
+
 	mu   sync.Mutex
 	sels OpStats
 }
 
 // NewStatic builds a static policy over the given per-(query, source) edge
-// orders.
-func NewStatic(orders map[OrderKey][]int) *Static {
-	return &Static{Orders: orders}
+// orders of batch b's queries.
+func NewStatic(b *query.Batch, orders map[OrderKey][]int) *Static {
+	return &Static{Orders: orders, pos: b.Pos}
 }
 
-// ChooseJoin follows the plan of the lowest-ID query present in q: its
-// first ordered edge not yet in the lineage. Queries with identical
-// prefixes therefore share; others are diverged out by the eddy.
+// ChooseJoin follows the plan of the leading query present in q — the one
+// earliest in the caller's order: its first ordered edge not yet in the
+// lineage. Queries with identical prefixes therefore share; others are
+// diverged out by the eddy.
 func (s *Static) ChooseJoin(source query.InstID, lineage uint64, q bitset.Set, cands []int) int {
 	qid := -1
 	q.ForEach(func(id int) {
-		if qid == -1 {
+		if qid == -1 || s.pos(id) < s.pos(qid) {
 			qid = id
 		}
 	})

@@ -15,6 +15,7 @@ package query
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/roulette-db/roulette/internal/bitset"
 	"github.com/roulette-db/roulette/internal/value"
@@ -256,6 +257,12 @@ type Batch struct {
 	SelCols   []SelCol
 	Residuals []Residual
 
+	// pos and qidAt map between query IDs and the caller's positions (the
+	// index into the slice Compile was given); nil on stream batches, which
+	// number queries as they arrive.
+	pos   []int // query ID -> caller position
+	qidAt []int // caller position -> query ID
+
 	selColsOf [][]int // instance -> SelCol IDs on it
 	instIdx   map[instKey]InstID
 	queryInst [][]InstID // query -> instance per RelRef position
@@ -301,15 +308,56 @@ func NewStreamBatch(cap int) *Batch {
 // Compile validates queries and builds the batch's shared-operator form.
 // Every query's join graph must be connected; a spanning tree of it drives
 // the shared plan and any cycle-closing joins become residual predicates.
-// Query IDs are assigned 0..len(qs)-1.
+//
+// Query IDs 0..len(qs)-1 are assigned by shape: a stable sort on
+// TemplateSig, so the queries of one template take contiguous IDs and keep
+// the caller's order among themselves (a single-template batch keeps it
+// outright). An operator serves queries of few templates, so its query set
+// then spans few words of the bitset. Pos and QIDAt translate between IDs and
+// caller positions; errors name the caller position. Instances, edges and
+// grouped filters are still interned in caller order, so their IDs do not
+// depend on the numbering.
 func Compile(qs []*Query) (*Batch, error) {
 	b := newBatch(len(qs))
-	for _, q := range qs {
-		if _, _, err := b.Extend(q); err != nil {
+	sigs := make([]uint64, len(qs))
+	b.pos = make([]int, len(qs))
+	b.qidAt = make([]int, len(qs))
+	for i, q := range qs {
+		sigs[i] = TemplateSig(q)
+		b.pos[i] = i
+	}
+	sort.SliceStable(b.pos, func(x, y int) bool { return sigs[b.pos[x]] < sigs[b.pos[y]] })
+	for qid, p := range b.pos {
+		b.qidAt[p] = qid
+	}
+	for p, q := range qs {
+		qid := b.qidAt[p]
+		plan, err := b.planQuery(qid, q)
+		if err != nil {
 			return nil, err
 		}
+		b.applyQuery(qid, q, plan)
 	}
+	b.N = len(qs)
 	return b, nil
+}
+
+// Pos returns the caller position of query qid: its index in the slice
+// Compile numbered. On a stream batch it is qid itself.
+func (b *Batch) Pos(qid int) int {
+	if b.pos == nil {
+		return qid
+	}
+	return b.pos[qid]
+}
+
+// QIDAt returns the query ID Compile assigned to caller position p (the
+// inverse of Pos).
+func (b *Batch) QIDAt(p int) int {
+	if b.qidAt == nil {
+		return p
+	}
+	return b.qidAt[p]
 }
 
 // Free reports how many query-ID slots are available for Extend.
@@ -367,10 +415,11 @@ type planFilter struct {
 }
 
 // planQuery validates q as query qi and computes its batch delta without
-// mutating anything.
+// mutating anything. Errors name the query by its caller position.
 func (b *Batch) planQuery(qi int, q *Query) (*queryPlan, error) {
+	pos := b.Pos(qi)
 	if len(q.Rels) == 0 {
-		return nil, fmt.Errorf("query %d (%s): no relations", qi, q.Tag)
+		return nil, fmt.Errorf("query %d (%s): no relations", pos, q.Tag)
 	}
 	p := &queryPlan{insts: make([]InstID, len(q.Rels))}
 
@@ -386,7 +435,7 @@ func (b *Batch) planQuery(qi int, q *Query) (*queryPlan, error) {
 			alias = r.Table
 		}
 		if seen[alias] {
-			return nil, fmt.Errorf("query %d (%s): duplicate alias %q", qi, q.Tag, alias)
+			return nil, fmt.Errorf("query %d (%s): duplicate alias %q", pos, q.Tag, alias)
 		}
 		seen[alias] = true
 		k := occ[r.Table]
@@ -399,7 +448,7 @@ func (b *Batch) planQuery(qi int, q *Query) (*queryPlan, error) {
 		if !ok {
 			next := len(b.Insts) + len(p.newInsts)
 			if next >= MaxInstances {
-				return nil, fmt.Errorf("query %d (%s): batch exceeds %d relation instances", qi, q.Tag, MaxInstances)
+				return nil, fmt.Errorf("query %d (%s): batch exceeds %d relation instances", pos, q.Tag, MaxInstances)
 			}
 			id = InstID(next)
 			projected[key] = id
@@ -410,7 +459,7 @@ func (b *Batch) planQuery(qi int, q *Query) (*queryPlan, error) {
 
 	if len(q.Joins) < len(q.Rels)-1 {
 		return nil, fmt.Errorf("query %d (%s): join graph disconnected (%d rels need at least %d joins, have %d)",
-			qi, q.Tag, len(q.Rels), len(q.Rels)-1, len(q.Joins))
+			pos, q.Tag, len(q.Rels), len(q.Rels)-1, len(q.Joins))
 	}
 	// Union-find: joins that merge components become shared tree edges;
 	// cycle-closing joins become per-query residual predicates.
@@ -431,7 +480,7 @@ func (b *Batch) planQuery(qi int, q *Query) (*queryPlan, error) {
 		li := q.aliasIdx(j.LeftAlias)
 		ri := q.aliasIdx(j.RightAlias)
 		if li < 0 || ri < 0 {
-			return nil, fmt.Errorf("query %d (%s): join references unknown alias %q or %q", qi, q.Tag, j.LeftAlias, j.RightAlias)
+			return nil, fmt.Errorf("query %d (%s): join references unknown alias %q or %q", pos, q.Tag, j.LeftAlias, j.RightAlias)
 		}
 		ia, ca, ib, cb := p.insts[li], j.LeftCol, p.insts[ri], j.RightCol
 		if ia > ib || (ia == ib && ca > cb) {
@@ -440,7 +489,7 @@ func (b *Batch) planQuery(qi int, q *Query) (*queryPlan, error) {
 		a, b2 := find(li), find(ri)
 		if a == b2 {
 			if ia == ib {
-				return nil, fmt.Errorf("query %d (%s): join of %s.%s with itself", qi, q.Tag, j.LeftAlias, j.LeftCol)
+				return nil, fmt.Errorf("query %d (%s): join of %s.%s with itself", pos, q.Tag, j.LeftAlias, j.LeftCol)
 			}
 			p.residuals = append(p.residuals, Residual{QID: qi, A: ia, ACol: ca, B: ib, BCol: cb})
 			continue
@@ -450,21 +499,21 @@ func (b *Batch) planQuery(qi int, q *Query) (*queryPlan, error) {
 		p.treeJoins = append(p.treeJoins, planJoin{ia, ca, ib, cb})
 	}
 	if merges != len(q.Rels)-1 {
-		return nil, fmt.Errorf("query %d (%s): join graph disconnected", qi, q.Tag)
+		return nil, fmt.Errorf("query %d (%s): join graph disconnected", pos, q.Tag)
 	}
 	for _, f := range q.Filters {
 		fi := q.aliasIdx(f.Alias)
 		if fi < 0 {
-			return nil, fmt.Errorf("query %d (%s): filter references unknown alias %q", qi, q.Tag, f.Alias)
+			return nil, fmt.Errorf("query %d (%s): filter references unknown alias %q", pos, q.Tag, f.Alias)
 		}
 		switch f.Kind {
 		case KindRange:
 			if f.Lo > f.Hi {
-				return nil, fmt.Errorf("query %d (%s): filter on %s.%s has empty range [%d,%d]", qi, q.Tag, f.Alias, f.Col, f.Lo, f.Hi)
+				return nil, fmt.Errorf("query %d (%s): filter on %s.%s has empty range [%d,%d]", pos, q.Tag, f.Alias, f.Col, f.Lo, f.Hi)
 			}
 		case KindStrings:
 			if len(f.Strs) == 0 {
-				return nil, fmt.Errorf("query %d (%s): string filter on %s.%s has no literals", qi, q.Tag, f.Alias, f.Col)
+				return nil, fmt.Errorf("query %d (%s): string filter on %s.%s has no literals", pos, q.Tag, f.Alias, f.Col)
 			}
 		}
 		p.filters = append(p.filters, planFilter{p.insts[fi], f.Col, f.Kind, f.Lo, f.Hi, f.Strs})

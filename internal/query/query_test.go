@@ -61,10 +61,11 @@ func TestCompileSharesInstancesAndEdges(t *testing.T) {
 		t.Fatalf("selcols = %d, want 1", len(b.SelCols))
 	}
 	sc := b.SelCols[0]
-	if !sc.Queries.Contains(1) || sc.Queries.Contains(0) {
+	q0, q1 := b.QIDAt(0), b.QIDAt(1)
+	if !sc.Queries.Contains(q1) || sc.Queries.Contains(q0) {
 		t.Errorf("selcol queries = %v", sc.Queries)
 	}
-	if len(sc.Preds) != 1 || sc.Preds[0].QID != 1 || sc.Preds[0].Lo != 0 || sc.Preds[0].Hi != 10 {
+	if len(sc.Preds) != 1 || sc.Preds[0].QID != q1 || sc.Preds[0].Lo != 0 || sc.Preds[0].Hi != 10 {
 		t.Errorf("selcol preds = %+v, want q1's [0,10]", sc.Preds)
 	}
 }

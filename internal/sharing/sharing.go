@@ -107,9 +107,10 @@ func orderFrom(b *query.Batch, qid int, src query.InstID, score func(edgeID int,
 }
 
 // MatchShareOrders builds orders DataPath-style: queries are processed in
-// query-ID order; each picks, at every step, the edge already used by the
-// most previously processed queries at the same position in the global plan
-// (maximum overlap), breaking ties toward the smallest target relation.
+// the caller's order (query.Batch.QIDAt); each picks, at every step, the
+// edge already used by the most previously processed queries at the same
+// position in the global plan (maximum overlap), breaking ties toward the
+// smallest target relation.
 func MatchShareOrders(b *query.Batch, db *storage.Database) map[policy.OrderKey][]int {
 	rows := func(inst query.InstID) float64 {
 		t := db.Table(b.Insts[inst].Table)
@@ -127,7 +128,8 @@ func MatchShareOrders(b *query.Batch, db *storage.Database) map[policy.OrderKey]
 	trie := make(map[trieKey]map[int]int)
 
 	orders := make(map[policy.OrderKey][]int)
-	for qid := 0; qid < b.N; qid++ {
+	for p := 0; p < b.N; p++ {
+		qid := b.QIDAt(p)
 		for _, src := range b.QueryInsts(qid) {
 			lineage := uint64(1) << src
 			qEdges := b.QueryEdges(qid)

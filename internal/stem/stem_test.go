@@ -25,11 +25,13 @@ func probe1(s *STeM, col string, key int64, probeTS int64) []VecMatch {
 	return probeVec(s, col, []int64{key}, probeTS, 0)
 }
 
-// semiJoin1 returns the SemiJoinVec union for one key.
+// semiJoin1 returns the union of the published entries matching key, read
+// through PruneVec: a tuple carrying every query, each eligible, keeps
+// exactly that union.
 func semiJoin1(s *STeM, col string, key int64) bitset.Set {
-	out := make(bitset.Set, s.qw)
-	s.SemiJoinVec(out, s.qw, col, []int64{key})
-	return out
+	t := bitset.NewFull(64 * s.qw)
+	s.PruneVec(t, s.qw, bitset.NewFull(64*s.qw), 0, s.qw, col, []int64{key}, make([]uint64, s.qw))
+	return t
 }
 
 func TestInsertProbeBasic(t *testing.T) {
@@ -109,7 +111,7 @@ func TestMultipleIndices(t *testing.T) {
 	}
 }
 
-func TestSemiJoinVecUnions(t *testing.T) {
+func TestPruneVecUnions(t *testing.T) {
 	v := NewVersions()
 	s := New(v, []string{"k"}, 8, 16)
 	insert1(s, 1, []int64{3}, bitset.FromIDs(8, 0), 0)
@@ -118,7 +120,7 @@ func TestSemiJoinVecUnions(t *testing.T) {
 	v.Publish(0)
 
 	if got := semiJoin1(s, "k", 3).IDs(); len(got) != 2 || got[0] != 0 || got[1] != 5 {
-		t.Errorf("SemiJoinVec = %v, want [0 5]", got)
+		t.Errorf("PruneVec kept %v, want [0 5]", got)
 	}
 }
 

@@ -19,8 +19,9 @@ import (
 //     preloads bucket heads before walking chains, and consults the
 //     publication watermark: entries whose slot is under the watermark skip
 //     the per-entry timestamp load entirely.
-//   - SemiJoinVec is the symmetric-join-pruning primitive with the same
-//     watermark short-circuit.
+//   - PruneVec is the symmetric-join-pruning kernel: it stages head entries
+//     as ProbeVec does, short-circuits on the watermark, and masks the
+//     probing tuples' query sets in place over one word range.
 //
 // Memory-ordering argument: every entry write — vIDs, slots, keys, query
 // sets, intra-batch next links — happens before the bucket CAS that makes
@@ -238,6 +239,15 @@ const probeBlock = 128
 // session) skip the per-entry timestamp load entirely. Pass wm 0 to
 // disable the short-circuit.
 func (s *STeM) ProbeVec(dst []VecMatch, qbuf []uint64, col string, keys []int64, probeTS int64, wm Slot) ([]VecMatch, []uint64) {
+	return s.ProbeVecRange(dst, qbuf, col, keys, probeTS, wm, 0, s.qw)
+}
+
+// ProbeVecRange is ProbeVec staging only the query-set words [lo, hi) of
+// each match: every QSet view is hi-lo words long, word k holding the
+// entry's word lo+k. A probe whose query set lies inside [lo, hi) loses
+// nothing by ignoring the other words, so the executor passes its plan
+// node's word range.
+func (s *STeM) ProbeVecRange(dst []VecMatch, qbuf []uint64, col string, keys []int64, probeTS int64, wm Slot, lo, hi int) ([]VecMatch, []uint64) {
 	// The state is loaded once per call: a structural swap mid-call leaves
 	// this probe on the frozen old state, which is safe — any insert the
 	// probe is required to see (timestamp older than probeTS) happened
@@ -305,7 +315,7 @@ func (s *STeM) ProbeVec(dst []VecMatch, qbuf []uint64, col string, keys []int64,
 					idx := int(ref) - 1
 					c := chunks[idx>>chunkBits]
 					qoff := (idx & chunkMask) * s.qw
-					for w := 0; w < s.qw; w++ {
+					for w := lo; w < hi; w++ {
 						qbuf = append(qbuf, atomic.LoadUint64(&c.qsets[qoff+w]))
 					}
 					dst = append(dst, VecMatch{In: in, VID: eVID[j]})
@@ -319,7 +329,7 @@ func (s *STeM) ProbeVec(dst []VecMatch, qbuf []uint64, col string, keys []int64,
 					slot := c.slots[off]
 					if slot < wm || s.versions.visibleAt(slot, probeTS) {
 						qoff := off * s.qw
-						for w := 0; w < s.qw; w++ {
+						for w := lo; w < hi; w++ {
 							qbuf = append(qbuf, atomic.LoadUint64(&c.qsets[qoff+w]))
 						}
 						dst = append(dst, VecMatch{In: in, VID: c.vids[off]})
@@ -331,47 +341,152 @@ func (s *STeM) ProbeVec(dst []VecMatch, qbuf []uint64, col string, keys []int64,
 	}
 	// Fix up the QSet views only after all appends: qbuf's backing array is
 	// final now, so the views cannot be invalidated by growth.
+	nw := hi - lo
 	for k := dstBase; k < len(dst); k++ {
-		qo := qBase + (k-dstBase)*s.qw
-		dst[k].QSet = bitset.Set(qbuf[qo : qo+s.qw])
+		qo := qBase + (k-dstBase)*nw
+		dst[k].QSet = bitset.Set(qbuf[qo : qo+nw])
 	}
 	return dst, qbuf
 }
 
-// SemiJoinVec ORs, for each input key i, the query sets of all published
-// entries matching keys[i] on col into outs[i*qw : (i+1)*qw]. It is the
-// primitive behind symmetric join pruning: a probing tuple keeps only the
-// query bits that some matching entry also carries. Publication needs no
-// timestamp ordering here (and unpublished slots are skipped, not sealed),
-// so the watermark is read internally: entries under it skip the version
-// lookup. NullKey keys match nothing, as in ProbeVec.
-func (s *STeM) SemiJoinVec(outs []uint64, qw int, col string, keys []int64) {
+// PruneVec is the symmetric-join-pruning kernel (§5.2): a probing tuple
+// keeps an eligible query's bit only if some published entry matching its
+// key on col carries that bit too. For tuple i, with t its words in the slab
+// qsets (stride qw) and u the union of its matching entries' query sets, it
+// sets, in place and for each word w in [lo, hi),
+//
+//	t[w] &= u[w] | ^elig[w]
+//
+// Words outside [lo, hi) are neither read nor written; callers pass the
+// span of elig's bits (bitset.Set.Span). A tuple without an eligible bit in
+// the range is not probed, and a NULL key (NullKey) matches nothing, so a
+// NULL-keyed tuple loses all its eligible bits. acc is caller-owned scratch
+// of at least hi-lo words.
+//
+// Publication needs no timestamp ordering here, and unpublished slots are
+// skipped, not sealed: the caller prunes only against a STeM whose every
+// vector has been inserted and published. Entries under the watermark skip
+// the version lookup. A one-word range takes a scalar path (pruneWord).
+func (s *STeM) PruneVec(qsets []uint64, qw int, elig bitset.Set, lo, hi int, col string, keys []int64, acc []uint64) {
+	nw := hi - lo
 	st := s.state.Load()
 	ki, ok := st.colIdx[col]
 	if !ok {
 		return
 	}
+	if nw == 1 {
+		s.pruneWord(st, ki, qsets, qw, elig[lo], lo, keys)
+		return
+	}
+	elig, acc = elig[lo:hi], acc[:nw]
 	wm := s.versions.Watermark()
 	buckets := st.buckets[ki]
 	shift := st.shift[ki]
-	uw := qw
-	if s.qw < uw {
-		uw = s.qw
-	}
 	var heads [probeBlock]int32
+	var eKey [probeBlock]int64
+	var eNext [probeBlock]int32
+	var eSlot [probeBlock]Slot
+	var eQ [probeBlock]uint64
 	for i0 := 0; i0 < len(keys); i0 += probeBlock {
-		m := len(keys) - i0
-		if m > probeBlock {
-			m = probeBlock
-		}
+		m := min(len(keys)-i0, probeBlock)
+		// Load the bucket heads of the tuples that carry an eligible bit. A
+		// tuple with no chain to walk (NULL key, empty bucket) has no match:
+		// its eligible bits go now.
 		for j := 0; j < m; j++ {
-			if keys[i0+j] == NullKey {
-				heads[j] = 0 // NULL probe keys match nothing, see NullKey
+			t := qsets[(i0+j)*qw+lo:][:len(elig)]
+			var has uint64
+			for w, e := range elig {
+				has |= t[w] & e
+			}
+			heads[j] = 0
+			if has == 0 {
 				continue
 			}
-			heads[j] = buckets[hash64(keys[i0+j])>>shift].Load()
+			if k := keys[i0+j]; k != NullKey {
+				heads[j] = buckets[hash64(k)>>shift].Load()
+			}
+			if heads[j] == 0 {
+				for w, e := range elig {
+					t[w] &^= e
+				}
+			}
 		}
-		// Chunk snapshot after the head loads; see ProbeVec.
+		// Chunk snapshot after the head loads, and the head entries' fields
+		// staged in one branch-light pass, as in ProbeVec. Staging the first
+		// query-set word too overlaps the misses on the entries' sets.
+		chunks := *st.chunks.Load()
+		for j := 0; j < m; j++ {
+			if ref := heads[j]; ref != 0 {
+				idx := int(ref) - 1
+				c := chunks[idx>>chunkBits]
+				off := idx & chunkMask
+				eKey[j] = c.keys[ki][off]
+				eNext[j] = c.next[ki][off]
+				eSlot[j] = c.slots[off]
+				eQ[j] = atomic.LoadUint64(&c.qsets[off*s.qw+lo])
+			}
+		}
+		for j := 0; j < m; j++ {
+			ref := heads[j]
+			if ref == 0 {
+				continue
+			}
+			key := keys[i0+j]
+			t := qsets[(i0+j)*qw+lo:][:len(elig)]
+			// acc starts as the head entry's words (assigned, which spares a
+			// clear on the common path) and ORs in the rest of the chain.
+			if eKey[j] == key && (eSlot[j] < wm || s.versions.tryGet(eSlot[j]) != 0) {
+				idx := int(ref) - 1
+				qs := chunks[idx>>chunkBits].qsets[(idx&chunkMask)*s.qw+lo:][:len(acc)]
+				acc[0] = eQ[j]
+				for w := 1; w < len(acc); w++ {
+					acc[w] = atomic.LoadUint64(&qs[w])
+				}
+			} else {
+				clear(acc)
+			}
+			for ref = eNext[j]; ref != 0; {
+				idx := int(ref) - 1
+				c := chunks[idx>>chunkBits]
+				off := idx & chunkMask
+				if c.keys[ki][off] == key && (c.slots[off] < wm || s.versions.tryGet(c.slots[off]) != 0) {
+					qs := c.qsets[off*s.qw+lo:][:len(acc)]
+					for w := range acc {
+						acc[w] |= atomic.LoadUint64(&qs[w])
+					}
+				}
+				ref = c.next[ki][off]
+			}
+			for w, e := range elig {
+				t[w] &= acc[w] | ^e
+			}
+		}
+	}
+}
+
+// pruneWord is PruneVec over the single query-set word w, with the eligible
+// word elig: the union is a scalar, so nothing is staged or cleared. Batches
+// of up to 64 queries, and the narrow prunes of wider ones, run it.
+func (s *STeM) pruneWord(st *stemState, ki int, qsets []uint64, qw int, elig uint64, w int, keys []int64) {
+	wm := s.versions.Watermark()
+	buckets := st.buckets[ki]
+	shift := st.shift[ki]
+	var heads [probeBlock]int32
+	for i0 := 0; i0 < len(keys); i0 += probeBlock {
+		m := min(len(keys)-i0, probeBlock)
+		for j := 0; j < m; j++ {
+			heads[j] = 0
+			t := &qsets[(i0+j)*qw+w]
+			if *t&elig == 0 {
+				continue
+			}
+			if k := keys[i0+j]; k != NullKey {
+				heads[j] = buckets[hash64(k)>>shift].Load()
+			}
+			if heads[j] == 0 {
+				*t &^= elig
+			}
+		}
 		chunks := *st.chunks.Load()
 		for j := 0; j < m; j++ {
 			ref := heads[j]
@@ -379,20 +494,17 @@ func (s *STeM) SemiJoinVec(outs []uint64, qw int, col string, keys []int64) {
 				continue
 			}
 			key := keys[i0+j]
-			out := outs[(i0+j)*qw : (i0+j)*qw+uw]
+			var u uint64
 			for ref != 0 {
 				idx := int(ref) - 1
 				c := chunks[idx>>chunkBits]
 				off := idx & chunkMask
-				if c.keys[ki][off] == key &&
-					(c.slots[off] < wm || s.versions.tryGet(c.slots[off]) != 0) {
-					qoff := off * s.qw
-					for w := 0; w < uw; w++ {
-						out[w] |= atomic.LoadUint64(&c.qsets[qoff+w])
-					}
+				if c.keys[ki][off] == key && (c.slots[off] < wm || s.versions.tryGet(c.slots[off]) != 0) {
+					u |= atomic.LoadUint64(&c.qsets[off*s.qw+w])
 				}
 				ref = c.next[ki][off]
 			}
+			qsets[(i0+j)*qw+w] &= u | ^elig
 		}
 	}
 }

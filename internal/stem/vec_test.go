@@ -63,21 +63,59 @@ func (o *oracle) probe(ki int, keys []int64, probeTS int64) []string {
 	return out
 }
 
-// semiJoin is SemiJoinVec's contract for one key: the union of the query
-// sets of its published entries.
-func (o *oracle) semiJoin(ki int, key int64, qw int) []uint64 {
-	out := make([]uint64, qw)
-	if key == NullKey {
-		return out
-	}
-	for _, e := range o.byKey[ki][key] {
-		if _, ok := o.pubTS[e.slot]; ok {
-			for w := range out {
-				out[w] |= e.qset[w]
+// prune is PruneVec's contract for one tuple t probing key: over words
+// [lo, hi), t[w] & (u[w] | ^elig[w]), u the union of the query sets of the
+// key's published entries (empty for NULL); other words unchanged.
+func (o *oracle) prune(ki int, key int64, t, elig []uint64, lo, hi int) []uint64 {
+	u := make([]uint64, len(t))
+	if key != NullKey {
+		for _, e := range o.byKey[ki][key] {
+			if _, ok := o.pubTS[e.slot]; ok {
+				for w := range u {
+					u[w] |= e.qset[w]
+				}
 			}
 		}
 	}
+	out := append([]uint64(nil), t...)
+	for w := lo; w < hi; w++ {
+		out[w] &= u[w] | ^elig[w]
+	}
 	return out
+}
+
+// randomPrune draws a PruneVec input over qw-word query sets: a tuple slab
+// for keys with random bits, an eligible set with random bits, and a random
+// word range [lo, hi).
+func randomPrune(rng *rand.Rand, keys []int64, qw int) (tuples, elig []uint64, lo, hi int) {
+	tuples = make([]uint64, len(keys)*qw)
+	for i := range tuples {
+		tuples[i] = rng.Uint64() & rng.Uint64()
+	}
+	elig = make([]uint64, qw)
+	for w := range elig {
+		elig[w] = rng.Uint64()
+	}
+	lo = rng.Intn(qw + 1)
+	hi = lo + rng.Intn(qw-lo+1)
+	return tuples, elig, lo, hi
+}
+
+// checkPrune runs PruneVec over a fresh random input and compares every
+// tuple with the oracle.
+func checkPrune(t *testing.T, rng *rand.Rand, s *STeM, o *oracle, ki int, col string, keys []int64) bool {
+	qw := s.qw
+	tuples, elig, lo, hi := randomPrune(rng, keys, qw)
+	orig := append([]uint64(nil), tuples...)
+	s.PruneVec(tuples, qw, elig, lo, hi, col, keys, make([]uint64, qw))
+	for i, k := range keys {
+		want := o.prune(ki, k, orig[i*qw:(i+1)*qw], elig, lo, hi)
+		if got := tuples[i*qw : (i+1)*qw]; !reflect.DeepEqual(got, want) {
+			t.Logf("col %s key %d words [%d,%d): PruneVec = %x, want %x", col, k, lo, hi, got, want)
+			return false
+		}
+	}
+	return true
 }
 
 // probeVec is the test-side one-shot ProbeVec wrapper (fresh buffers each
@@ -109,7 +147,7 @@ func canonVec(ms []VecMatch) []string {
 // unpublished) must agree with the brute-force oracle on every probe — with
 // and without the watermark short-circuit, at the final timestamp and at one
 // drawn mid-build, NULL and missing probe keys included — and on every
-// semi-join.
+// prune over a random word range.
 func TestQuickVecMatchesOracle(t *testing.T) {
 	f := func(seed int64, skewRaw, qcapRaw uint8, nRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -184,13 +222,8 @@ func TestQuickVecMatchesOracle(t *testing.T) {
 					return false
 				}
 			}
-			outs := make([]uint64, len(probeKeys)*qw)
-			s.SemiJoinVec(outs, qw, col, probeKeys)
-			for i, k := range probeKeys {
-				if !reflect.DeepEqual(o.semiJoin(ci, k, qw), outs[i*qw:(i+1)*qw]) {
-					t.Logf("col %s key %d: SemiJoinVec diverged", col, k)
-					return false
-				}
+			if !checkPrune(t, rng, s, o, ci, col, probeKeys) {
+				return false
 			}
 		}
 		return true
@@ -488,12 +521,141 @@ func TestProbeVecDuringGC(t *testing.T) {
 	}
 }
 
-// TestProbeVecSemiJoinVecZeroAlloc pins the kernels' allocation contract at
+// buildRandom fills a fresh STeM of query capacity qcap with n entries over
+// a small key domain (multi-entry chains), NULL build keys, random query
+// sets in every word, and one batch in three left unpublished. It returns
+// the STeM, its oracle, and probe keys covering the domain, one miss and
+// NULL.
+func buildRandom(rng *rand.Rand, qcap, n int) (*STeM, *oracle, []int64) {
+	const domain = 24
+	v := NewVersions()
+	s := New(v, []string{"k"}, qcap, n)
+	o := newOracle(1)
+	qw := s.qw
+	var sc InsertScratch
+	for i0, slot := 0, Slot(0); i0 < n; slot++ {
+		bn := min(1+rng.Intn(64), n-i0)
+		vids := make([]int32, bn)
+		keys := make([]int64, bn)
+		qsets := make([]uint64, bn*qw)
+		for j := range vids {
+			vids[j] = int32(i0 + j)
+			keys[j] = rng.Int63n(domain)
+			if rng.Intn(10) == 0 {
+				keys[j] = NullKey
+			}
+			for w := 0; w < qw; w++ {
+				qsets[j*qw+w] = rng.Uint64() & rng.Uint64() & rng.Uint64()
+			}
+		}
+		s.InsertVec(vids, [][]int64{keys}, qsets, qw, slot, &sc)
+		o.insert(vids, [][]int64{keys}, qsets, qw, slot)
+		if rng.Intn(3) != 0 {
+			o.pubTS[slot] = v.Publish(slot)
+		}
+		i0 += bn
+	}
+	probeKeys := []int64{NullKey}
+	for k := int64(0); k <= domain; k++ {
+		probeKeys = append(probeKeys, k, k) // repeated keys: several tuples per chain
+	}
+	return s, o, probeKeys
+}
+
+// TestPruneVecMatchesOracle checks the prune kernel against the brute-force
+// model at query-set widths of 1, 2 and 5 words, each over random word
+// ranges — bits outside the range must come back untouched — with NULL
+// keys, unpublished slots and multi-entry chains. It also checks that
+// ProbeVecRange stages exactly words [lo, hi) of what ProbeVec returns.
+func TestPruneVecMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, qcap := range []int{64, 128, 320} {
+		s, o, keys := buildRandom(rng, qcap, 600)
+		for iter := 0; iter < 40; iter++ {
+			if !checkPrune(t, rng, s, o, 0, "k", keys) {
+				t.Fatalf("qcap %d iter %d: PruneVec diverged from the oracle", qcap, iter)
+			}
+		}
+		wm, ts := s.versions.Watermark(), s.versions.Now()
+		full, _ := s.ProbeVec(nil, nil, "k", keys, ts, wm)
+		lo := rng.Intn(s.qw)
+		hi := lo + 1 + rng.Intn(s.qw-lo)
+		part, _ := s.ProbeVecRange(nil, nil, "k", keys, ts, wm, lo, hi)
+		if len(part) != len(full) {
+			t.Fatalf("qcap %d: ProbeVecRange found %d matches, ProbeVec %d", qcap, len(part), len(full))
+		}
+		for i := range full {
+			if part[i].In != full[i].In || part[i].VID != full[i].VID ||
+				!reflect.DeepEqual([]uint64(part[i].QSet), []uint64(full[i].QSet[lo:hi])) {
+				t.Fatalf("qcap %d match %d: ProbeVecRange [%d,%d) = %+v, ProbeVec %+v", qcap, i, lo, hi, part[i], full[i])
+			}
+		}
+	}
+}
+
+// TestPruneVecDuringGC runs the prune kernel while the GC sweeper clears a
+// retired query set's bits from the same entries (SweepChunk is lock-free,
+// as in the engine). A retired bit may be seen before or after its sweep, so
+// each result must lie between the oracle over the swept entries and the
+// oracle over the original ones, and equal both on every other bit. Run
+// under -race this also checks the kernel's atomic loads of entry words.
+func TestPruneVecDuringGC(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	s, o, keys := buildRandom(rng, 320, 2*chunkSize)
+	qw := s.qw
+	retired := make(bitset.Set, qw)
+	for w := range retired {
+		retired[w] = rng.Uint64()
+	}
+	swept := newOracle(1)
+	swept.pubTS = o.pubTS
+	for k, es := range o.byKey[0] {
+		for _, e := range es {
+			q := append([]uint64(nil), e.qset...)
+			bitset.Set(q).AndNotWith(retired)
+			swept.byKey[0][k] = append(swept.byKey[0][k], oracleEntry{e.vid, e.slot, q})
+		}
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for ci := 0; ci < s.NumChunks(); ci++ {
+			s.SweepChunk(ci, retired)
+		}
+	}()
+	acc := make([]uint64, qw)
+	for iter := 0; ; iter++ {
+		tuples, elig, lo, hi := randomPrune(rng, keys, qw)
+		orig := append([]uint64(nil), tuples...)
+		s.PruneVec(tuples, qw, elig, lo, hi, "k", keys, acc)
+		for i, k := range keys {
+			got := tuples[i*qw : (i+1)*qw]
+			before := o.prune(0, k, orig[i*qw:(i+1)*qw], elig, lo, hi)
+			after := swept.prune(0, k, orig[i*qw:(i+1)*qw], elig, lo, hi)
+			for w := range got {
+				if got[w]&^before[w] != 0 || after[w]&^got[w] != 0 || (got[w]^before[w])&^retired[w] != 0 {
+					t.Fatalf("iter %d key %d word %d: PruneVec = %x, want between %x and %x", iter, k, w, got[w], after[w], before[w])
+				}
+			}
+		}
+		select {
+		case <-done:
+			if iter == 0 {
+				continue // make sure one full pass runs after the sweep
+			}
+			return
+		default:
+		}
+	}
+}
+
+// TestProbeVecPruneVecZeroAlloc pins the kernels' allocation contract at
 // the package boundary, below the episode-step guards in internal/exec: with
-// warm caller-owned buffers ProbeVec and SemiJoinVec do not allocate, and
-// neither does an InsertVec that stays inside an allocated chunk with a warm
-// InsertScratch.
-func TestProbeVecSemiJoinVecZeroAlloc(t *testing.T) {
+// warm caller-owned buffers ProbeVec, ProbeVecRange and PruneVec do not
+// allocate, and neither does an InsertVec that stays inside an allocated
+// chunk with a warm InsertScratch.
+func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 	const entries, fanout, batch, runs = 1024, 4, 8, 50
 	v := NewVersions()
 	s := New(v, []string{"k"}, 80, chunkSize) // two query-set words
@@ -525,7 +687,9 @@ func TestProbeVecSemiJoinVecZeroAlloc(t *testing.T) {
 	if len(dst) == 0 {
 		t.Fatal("fixture probes match nothing; the assertion would be vacuous")
 	}
-	outs := make([]uint64, len(probeKeys)*qw)
+	tuples := make([]uint64, len(probeKeys)*qw)
+	elig := bitset.NewFull(80)
+	acc := make([]uint64, qw)
 	insKeys := [][]int64{keys[0][:batch]}
 
 	for _, tc := range []struct {
@@ -534,7 +698,13 @@ func TestProbeVecSemiJoinVecZeroAlloc(t *testing.T) {
 	}{
 		{"ProbeVec/watermark", func() { dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm) }},
 		{"ProbeVec/per-slot", func() { dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, 0) }},
-		{"SemiJoinVec", func() { s.SemiJoinVec(outs, qw, "k", probeKeys) }},
+		{"ProbeVecRange", func() { dst, qbuf = s.ProbeVecRange(dst[:0], qbuf[:0], "k", probeKeys, ts, wm, 1, 2) }},
+		{"PruneVec", func() {
+			for i := range tuples {
+				tuples[i] = ^uint64(0)
+			}
+			s.PruneVec(tuples, qw, elig, 0, qw, "k", probeKeys, acc)
+		}},
 		{"InsertVec/in-chunk", func() { s.InsertVec(vids[:batch], insKeys, qsets[:batch*qw], qw, 1, &sc) }},
 	} {
 		if allocs := testing.AllocsPerRun(runs, tc.fn); allocs != 0 {
@@ -623,4 +793,47 @@ func BenchmarkSTeMProbeParallel(b *testing.B) {
 			dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm)
 		}
 	})
+}
+
+// BenchmarkPruneVec measures the prune kernel on its dominant shape: a
+// 1024-tuple vector probing a unique-key (dimension) STeM of a 2048-query
+// batch (32-word query sets) whose eligible queries span five words, as
+// after shape-clustered numbering.
+func BenchmarkPruneVec(b *testing.B) {
+	const entries, qcap = 1 << 16, 2048
+	v := NewVersions()
+	s := New(v, []string{"k"}, qcap, entries)
+	qw := s.qw
+	rng := rand.New(rand.NewSource(1))
+	vids := make([]int32, entries)
+	keys := make([]int64, entries)
+	qsets := make([]uint64, entries*qw)
+	for i := range vids {
+		vids[i], keys[i] = int32(i), int64(i)
+		for w := 0; w < qw; w++ {
+			qsets[i*qw+w] = rng.Uint64() & rng.Uint64()
+		}
+	}
+	var sc InsertScratch
+	s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, &sc)
+	v.Publish(0)
+	elig := make(bitset.Set, qw)
+	const lo, hi = 10, 15
+	for w := lo; w < hi; w++ {
+		elig[w] = ^uint64(0)
+	}
+	probeKeys := make([]int64, 1024)
+	for i := range probeKeys {
+		probeKeys[i] = rng.Int63n(entries)
+	}
+	tuples := make([]uint64, len(probeKeys)*qw)
+	acc := make([]uint64, qw)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range tuples {
+			tuples[j] = ^uint64(0)
+		}
+		s.PruneVec(tuples, qw, elig, lo, hi, "k", probeKeys, acc)
+	}
 }

@@ -555,9 +555,9 @@ func (e *Engine) buildPolicy(b *query.Batch, o *Options) (policy.Policy, error) 
 		if err != nil {
 			return nil, err
 		}
-		return policy.NewStatic(orders), nil
+		return policy.NewStatic(b, orders), nil
 	case PolicyMatchShare:
-		return policy.NewStatic(sharing.MatchShareOrders(b, e.db)), nil
+		return policy.NewStatic(b, sharing.MatchShareOrders(b, e.db)), nil
 	}
 	return nil, fmt.Errorf("roulette: unknown policy %d", kind)
 }
@@ -594,8 +594,9 @@ func (e *Engine) buildResult(b *query.Batch, s *engine.Session, res *engine.Resu
 		})
 	}
 	for qid := range out.Queries {
+		p := b.Pos(qid)
 		var err error
-		if out.Queries[qid], err = e.queryResult(b, qid, s.Context().Sources[qid], res.Status[qid]); err != nil {
+		if out.Queries[p], err = e.queryResult(b, qid, s.Context().Sources[qid], res.Status[p]); err != nil {
 			return nil, err
 		}
 	}

@@ -5,10 +5,15 @@
 package roulette
 
 import (
+	"context"
+	"fmt"
 	"io"
 	"testing"
 
 	"github.com/roulette-db/roulette/internal/bench"
+	"github.com/roulette-db/roulette/internal/query"
+	"github.com/roulette-db/roulette/internal/tpcds"
+	"github.com/roulette-db/roulette/internal/workload"
 )
 
 // benchCfg is a small configuration that keeps each iteration fast while
@@ -185,5 +190,46 @@ func BenchmarkExecuteBatch(b *testing.B) {
 		if _, err := e.ExecuteBatch(qs, &Options{DiscardRows: true}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkStreamLoneQuery times one query submitted into an idle stream and
+// waited for: Submit (compile and admit), the query's episodes on one
+// worker, retirement and result delivery — the per-query cost of a stream
+// whose queries mostly run alone. The shape is the benchmark harness's
+// stream_paced workload: the TPC-DS-shaped snowflake at scale 2 (store_sales
+// 40 000 rows), 4 joins, selectivity 0.1, SUM over the fact's u column. The
+// stream cycles through 64 generated queries, so the collector reclaims
+// each query's STeM entries between iterations as it would under that load.
+func BenchmarkStreamLoneQuery(b *testing.B) {
+	e := NewEngineOn(tpcds.Generate(2, 1))
+	gen := workload.NewGenerator(workload.Params{Joins: 4, Selectivity: 0.1, Kind: tpcds.SnowflakeStore, Seed: 1})
+	var qs []*Query
+	for i, q := range gen.Generate(64) {
+		q.Tag = fmt.Sprintf("q%02d", i)
+		q.Agg = query.Agg{Kind: query.AggSum, Alias: q.Rels[0].Table, Col: "u"} // Rels[0] is the channel fact
+		qs = append(qs, &Query{q: *q})
+	}
+	st, err := e.OpenStream(context.Background(), &StreamOptions{Options: Options{Seed: 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	lone := func(q *Query) {
+		tk, err := st.Submit(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if qr, err := tk.Wait(context.Background()); err != nil || qr.Aborted {
+			b.Fatalf("query %s: %v %v", q.Tag(), err, qr.Err)
+		}
+	}
+	for _, q := range qs { // create every instance and warm the policy
+		lone(q)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lone(qs[i%len(qs)])
 	}
 }

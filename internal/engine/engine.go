@@ -378,7 +378,7 @@ const gcChunkBudget = 8
 const gcEvery = 4
 
 // fenceOp is one structural STeM mutation queued behind an instance fence,
-// plus the admission it belongs to (nil for GC compactions).
+// plus the admission it belongs to (nil for growth and compaction).
 type fenceOp struct {
 	run func()
 	act *pendingActivation
@@ -551,7 +551,8 @@ func (s *Session) fireAdmissionsLocked(force bool) {
 
 // takeVectorLocked pulls one vector from inst's circular scan, annotates it
 // with the active query set and the set no later probe can reach (Final),
-// and updates completion accounting.
+// sizes inst's STeM for the entries the vector will build, and updates
+// completion accounting.
 func (s *Session) takeVectorLocked(inst query.InstID) exec.EpisodeInput {
 	st := s.scans[inst]
 	start, n := st.scan.Next()
@@ -562,7 +563,6 @@ func (s *Session) takeVectorLocked(inst query.InstID) exec.EpisodeInput {
 	active := st.active.Clone()
 	st.delivered++
 	s.inFlight++
-	s.instFlight[inst]++
 
 	// Completion: every active query sees each vector exactly once per
 	// revolution (admission is vector-aligned).
@@ -605,6 +605,10 @@ func (s *Session) takeVectorLocked(inst query.InstID) exec.EpisodeInput {
 			s.qElapsed[qid] = time.Since(s.startAt)
 		}
 	}
+	if final == nil || !active.IsSubset(final) {
+		s.growLocked(inst, n)
+	}
+	s.instFlight[inst]++
 
 	slot := stem.Slot(s.episode)
 	s.episode++
@@ -616,6 +620,39 @@ func (s *Session) takeVectorLocked(inst query.InstID) exec.EpisodeInput {
 		Slot:   slot,
 		SelOps: s.ctx.SelOpsFor(inst, s.prunableLocked),
 	}
+}
+
+// growLocked keeps inst's STeM within its load factor for an episode about
+// to build up to n entries into it (DESIGN.md §10): growth is decided here,
+// where entries arrive, not when a query is admitted, so a rescan the build
+// rule leaves unbuilt allocates no buckets. Growth swaps the STeM's
+// copy-on-write state, so it runs inline only when no episode on inst is in
+// flight (always, with one worker); otherwise it queues behind inst's fence,
+// and the vector being handed out inserts into the current state first.
+func (s *Session) growLocked(inst query.InstID, n int) {
+	stm := s.ctx.Stems[inst]
+	if !stm.NeedsGrow(stm.Len() + n) {
+		return
+	}
+	if s.instFlight[inst] == 0 {
+		stm.EnsureBuckets(stm.Len() + n)
+		return
+	}
+	s.fenceLocked(int(inst), fenceOp{run: func() {
+		stm.EnsureBuckets(stm.Len() + n)
+	}}, time.Now().UnixNano())
+	s.recCtl(obs.KFenceQueue, int64(inst), -1, 0, 0)
+}
+
+// fenceLocked queues op behind inst's fence, raising the fence (stamped
+// nowNs) if it is down: the scheduler hands out no more of inst's vectors,
+// and op runs once inst's in-flight episodes drain (runFenceOpsLocked).
+func (s *Session) fenceLocked(inst int, op fenceOp, nowNs int64) {
+	if !s.instFence[inst] {
+		s.instFence[inst] = true
+		s.instFenceSince[inst] = nowNs
+	}
+	s.instOps[inst] = append(s.instOps[inst], op)
 }
 
 // prunableLocked returns the queries eligible for pruning over edgeID

@@ -42,11 +42,13 @@ type retirePruner interface{ PruneRetired(retired bitset.Set) int }
 // (one atomic store) and the epoch domain advanced, and the query is
 // admitted on its instances' scans (rescanning each relation from the
 // current circular-scan position, so it reuses every STeM entry built so
-// far and re-ingests only what it has not seen). Structural STeM ops the
-// admission needs (indexing a new key column on an existing STeM, regrowing
-// compacted buckets) run inline when their instance has no episode in
-// flight, and otherwise queue behind that instance's fence; activation then
-// waits for the last such op, never for unrelated instances or episodes.
+// far and re-ingests only what it has not seen). The one structural STeM op
+// an admission can need — indexing a new key column on an existing STeM —
+// runs inline when its instance has no episode in flight, and otherwise
+// queues behind that instance's fence; activation then waits for the last
+// such op, never for unrelated instances or episodes. Admission sizes no
+// buckets: a STeM grows when a vector is about to be built into it
+// (takeVectorLocked), so a rescan the build rule leaves unbuilt costs none.
 // The meta carries the query's tenant, fairness weight, priority lane and
 // deadline for the tenant-aware scheduler (see sched.go). It returns the
 // assigned query ID.
@@ -71,18 +73,6 @@ func (s *Session) SubmitLiveMeta(q *query.Query, m SubmitMeta) (int, error) {
 		return 0, err
 	}
 	s.addScansLocked()
-	// The rescan re-ingests relations whose STeMs may have been compacted
-	// to a fraction of the relation size; regrow their buckets up front so
-	// insert chains stay short. Growth swaps the STeM's copy-on-write state,
-	// so it fences like AddIndex.
-	for _, inst := range s.b.QueryInsts(qid) {
-		if s.ctx.Stems[inst].NeedsGrow(s.ctx.Tables[inst].NumRows()) {
-			inst := inst
-			ops = append(ops, exec.StemOp{Inst: inst, Apply: func() {
-				s.ctx.Stems[inst].EnsureBuckets(s.ctx.Tables[inst].NumRows())
-			}})
-		}
-	}
 	// Publish-then-advance: ApplyExtend published the extended view; advance
 	// the epoch so workers pinning from here on are known to see it.
 	if s.dom != nil {
@@ -98,11 +88,7 @@ func (s *Session) SubmitLiveMeta(q *query.Query, m SubmitMeta) (int, error) {
 			continue
 		}
 		act.remaining++
-		if !s.instFence[inst] {
-			s.instFenceSince[inst] = act.submitNs
-		}
-		s.instFence[inst] = true
-		s.instOps[inst] = append(s.instOps[inst], fenceOp{run: op.Apply, act: act})
+		s.fenceLocked(inst, fenceOp{run: op.Apply, act: act}, act.submitNs)
 		s.recCtl(obs.KFenceQueue, int64(inst), int64(qid), 0, 0)
 	}
 	s.recCtl(obs.KSubmit, int64(qid), int64(act.remaining), tenantHash(m.Tenant), 0)
@@ -328,8 +314,9 @@ func (s *Session) nextEpisode(id int) (exec.EpisodeInput, bool) {
 // reappear — retirement requires zero outstanding episodes, so no insert
 // still carries it). Each quantum sweeps up to gcChunkBudget STeM chunks;
 // finishing an instance whose entries became at least half dead — or that
-// holds none but keeps the buckets a submission regrew for a rescan the
-// build rule then left unbuilt (stem.NeedsShrink) — compacts it — inline
+// holds none but keeps more than an empty STeM's buckets, such as the
+// row-count hint of an instance the build rule never built
+// (stem.NeedsShrink) — compacts it — inline
 // when the instance has no in-flight inserts, else queued
 // behind its fence (compaction swaps the copy-on-write state, so it must
 // not race an insert on the same instance). A queued compaction can fire
@@ -377,13 +364,9 @@ func (s *Session) gcQuantumLocked() {
 		if g.chunk >= st.NumChunks() {
 			if g.stemDead > 0 && 2*g.stemDead >= st.Len() || st.NeedsShrink() {
 				if inst := g.inst; s.instFlight[inst] > 0 {
-					if !s.instFence[inst] {
-						s.instFenceSince[inst] = time.Now().UnixNano()
-					}
-					s.instFence[inst] = true
-					s.instOps[inst] = append(s.instOps[inst], fenceOp{run: func() {
+					s.fenceLocked(inst, fenceOp{run: func() {
 						s.ctx.Stems[inst].CompactLive()
-					}})
+					}}, time.Now().UnixNano())
 					s.recCtl(obs.KGCCompact, int64(inst), 1, 0, 0)
 				} else {
 					st.CompactLive()

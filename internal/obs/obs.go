@@ -54,7 +54,8 @@ const (
 	// KLanePromote: the scheduler promoted a query's scans into the
 	// deadline-urgency lane.
 	KLanePromote
-	// KFenceQueue: a structural op was queued behind an instance fence.
+	// KFenceQueue: a structural op was queued behind an instance fence — by
+	// an admission (its query id) or by a STeM growth (query id -1).
 	KFenceQueue
 	// KFenceDrain: an instance fence drained and ran its queued ops.
 	KFenceDrain

@@ -127,16 +127,16 @@ func TestEnsureBucketsRegrowsChains(t *testing.T) {
 	s.SweepChunk(0, bitset.FromIDs(2, 0))
 	s.CompactLive() // buckets shrink to fit 50 live entries
 
-	// A late-admitted query is about to re-ingest the full relation; the
-	// engine regrows the buckets up front so chains stay short.
+	// Entries are about to arrive faster than the shrunk buckets fit; the
+	// engine grows the buckets before they are built so chains stay short.
 	s.EnsureBuckets(4096)
 	ts := v.Now()
 	for k := int64(1); k < 100; k += 2 {
 		if got := probe1(s, "k", k, ts); len(got) != 1 {
-			t.Fatalf("Probe(%d) = %v after regrow, want 1 match", k, got)
+			t.Fatalf("Probe(%d) = %v after growth, want 1 match", k, got)
 		}
 	}
-	// Smaller hints never shrink (regrowing is one-way).
+	// Smaller entry counts never shrink (growth is one-way).
 	s.EnsureBuckets(1)
 	if got := probe1(s, "k", 1, ts); len(got) != 1 {
 		t.Errorf("Probe(1) broken after no-op EnsureBuckets")

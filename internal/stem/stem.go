@@ -619,43 +619,47 @@ func entryEmpty(chunks []*chunk, idx, qw int) bool {
 	return true
 }
 
-// NeedsGrow reports whether EnsureBuckets(capacityHint) would rebuild the
-// bucket arrays. The engine uses it to decide whether an admission needs an
-// insert fence on this instance.
-func (s *STeM) NeedsGrow(capacityHint int) bool {
+// NeedsGrow reports whether the buckets are too few to hold the given
+// number of entries at the load factor bucketsFor sizes for (at most one
+// entry per two buckets), i.e. whether EnsureBuckets(entries) would rebuild
+// them. The engine asks it when it hands out a vector that will build into
+// this STeM, with entries = Len() plus the vector's size.
+func (s *STeM) NeedsGrow(entries int) bool {
 	st := s.state.Load()
 	if len(st.keyCols) == 0 {
 		return false
 	}
-	return bucketsFor(capacityHint) > len(st.buckets[0])
+	return bucketsFor(entries) > len(st.buckets[0])
 }
 
 // NeedsShrink reports whether the STeM holds no entries but bucket arrays
-// grown past an empty STeM's — EnsureBuckets ran ahead of a rescan that
-// then built nothing. CompactLive frees them.
+// larger than an empty STeM's — the row-count hint New sized them for, on
+// an instance whose scans the build rule left unbuilt, or growth whose
+// entries were all swept. CompactLive frees them.
 func (s *STeM) NeedsShrink() bool {
 	st := s.state.Load()
 	return s.Len() == 0 && len(st.keyCols) > 0 && len(st.buckets[0]) > bucketsFor(0)
 }
 
-// EnsureBuckets grows every index's bucket array to fit about capacityHint
-// entries, rebuilding the hash chains. It never shrinks. The engine calls
-// it when admitting a live query whose rescan will re-ingest a relation
-// into a previously compacted STeM, so insert chains stay short.
+// EnsureBuckets grows every index's bucket array to hold the given number
+// of entries at the load factor, rebuilding the hash chains. It never shrinks. The engine calls it when a
+// vector about to be built would push the STeM past its load factor; the
+// bucket count is a power of two, so each growth at least doubles it and the
+// rebuilds cost O(1) per entry amortised.
 //
 // Copy-on-write like CompactLive: the new state clones every chunk (the
 // chain links are rebuilt for the new bucket count, and chain links are
 // per-state), shares the old chunks' key and query-set slabs, and is
 // published with one atomic store. Probes never block; inserts must be
 // fenced by the caller.
-func (s *STeM) EnsureBuckets(capacityHint int) {
+func (s *STeM) EnsureBuckets(entries int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.state.Load()
 	if len(st.keyCols) == 0 {
 		return
 	}
-	nb := bucketsFor(capacityHint)
+	nb := bucketsFor(entries)
 	if nb <= len(st.buckets[0]) {
 		return
 	}

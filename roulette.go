@@ -348,6 +348,10 @@ type Options struct {
 	// the run and the export after it; on streams, at every Submit and
 	// every retirement sweep (plus Close). See NewPolicyStore.
 	PolicyStore *PolicyStore
+
+	// hooks are the executor's episode hooks (white-box tests park or
+	// perturb episodes through them).
+	hooks exec.Hooks
 }
 
 // execOptions converts Options to the internal executor options.
@@ -360,6 +364,7 @@ func (o *Options) execOptions() exec.Options {
 		opt.VectorSize = o.VectorSize
 	}
 	opt.CollectRows = !o.DiscardRows
+	opt.Hooks = o.hooks
 	return opt
 }
 

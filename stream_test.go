@@ -4,10 +4,15 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/roulette-db/roulette/internal/bitset"
+	"github.com/roulette-db/roulette/internal/exec"
 	"github.com/roulette-db/roulette/internal/metrics"
+	"github.com/roulette-db/roulette/internal/query"
+	"github.com/roulette-db/roulette/internal/stem"
 )
 
 // streamFixture builds a three-table engine large enough that streams run
@@ -195,14 +200,15 @@ func TestStreamRandomizedArrival(t *testing.T) {
 }
 
 // TestStreamStemGC checks the reclamation contract: while queries run the
-// STeMs hold the entries they built plus bucket arrays regrown for each
-// rescan; after every query retires and the collector drains, every entry
-// is gone, and at least 90% of the estimated STeM bytes with them — and a
-// query submitted after the collapse still computes exact results (no live
-// query loses tuples to GC). Under the build rule (DESIGN.md §10) the
-// dimensions always build and the fact table, scanned last, builds only
-// under in-flight overlap, so the test also requires that entries were
-// inserted at all: reclaiming only bucket arrays would not exercise it.
+// STeMs hold the entries they built, the bucket arrays grown for them and
+// the row-count buckets each instance was created with; after every query
+// retires and the collector drains, every entry is gone, and at least 90%
+// of the estimated STeM bytes with them — and a query submitted after the
+// collapse still computes exact results (no live query loses tuples to
+// GC). Under the build rule (DESIGN.md §10) the dimensions always build
+// and the fact table, scanned last, builds only under in-flight overlap,
+// so the test also requires that entries were inserted at all: reclaiming
+// only bucket arrays would not exercise it.
 func TestStreamStemGC(t *testing.T) {
 	e := streamFixture(t, 4000)
 	want := oracleCounts(t, e, streamWorkload())
@@ -284,6 +290,109 @@ func TestStreamStemGC(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestStreamSubmitAllocatesNoBuckets submits queries one at a time, as an
+// open-loop client whose queries mostly run alone does, over STeMs the
+// collector has returned to the empty floor. Admission must not size a
+// STeM: buckets grow when a vector is about to be built into them (DESIGN.md
+// §10), not for a rescan the build rule may leave unbuilt. A hook parks
+// each query's first episode before it touches a tuple, so the sample
+// after Submit sees admission and that one dispatch, whose 16-tuple vector
+// fits the floor's buckets; the summed EstBytes must not rise.
+func TestStreamSubmitAllocatesNoBuckets(t *testing.T) {
+	e := streamFixture(t, 2000)
+	want := oracleCounts(t, e, streamWorkload())
+
+	var armed atomic.Bool
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	opt := &StreamOptions{Options: Options{Workers: 1, VectorSize: 16, Seed: 11}}
+	opt.hooks.EpisodeStart = func(query.InstID, stem.Slot) {
+		if armed.CompareAndSwap(true, false) {
+			parked <- struct{}{}
+			select {
+			case <-release:
+			case <-time.After(30 * time.Second):
+			}
+		}
+	}
+	st, err := e.OpenStream(context.Background(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	total := func() (bytes int64) {
+		for _, s := range st.StemStats() {
+			bytes += s.EstBytes
+		}
+		return
+	}
+	// Every entry swept and the row-count buckets each instance was created
+	// with compacted away: the floor the admissions below start from.
+	floor := func() {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !atFloor(st) {
+			if time.Now().After(deadline) {
+				t.Fatalf("STeMs not back at the empty floor: %+v", st.StemStats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// One round creates every instance; its STeMs then return to the floor.
+	for _, q := range streamWorkload() {
+		tk, err := st.Submit(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qr, err := tk.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstOracle(t, qr, want)
+	}
+	floor()
+
+	for _, q := range streamWorkload() {
+		before := total()
+		armed.Store(true)
+		tk, err := st.Submit(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-parked:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("query %s: no episode started after Submit", q.Tag())
+		}
+		after := total()
+		release <- struct{}{}
+		if after > before {
+			t.Errorf("query %s: STeM EstBytes %d before Submit, %d after it with the first episode parked", q.Tag(), before, after)
+		}
+		qr, err := tk.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstOracle(t, qr, want)
+		floor()
+	}
+}
+
+// atFloor reports whether every STeM of st holds no entries and only an
+// empty STeM's bucket arrays.
+func atFloor(st *Stream) bool {
+	ok := true
+	st.sess.WithCompiled(func(_ *query.Batch, ctx *exec.Context, _ bitset.Set) {
+		for _, s := range ctx.Stems {
+			if s.Len() != 0 || s.NeedsShrink() {
+				ok = false
+			}
+		}
+	})
+	return ok
 }
 
 // TestStreamLateProbeReuse submits a query, lets it finish, then submits a

@@ -207,12 +207,10 @@ func (s *Session) DebugSnapshot() DebugSnapshot {
 			Sheds:          s.shedCount, StarveBoosts: s.starveBoosts,
 		},
 	}
-	if s.dom != nil {
-		w, g, ok := s.dom.OldestPinned()
-		snap.Epoch = EpochDebug{
-			Current: s.dom.Current(), Lag: s.dom.Lag(),
-			Pending: s.dom.Pending(), OldestWorker: w, OldestGen: g, AnyPinned: ok,
-		}
+	w, g, ok := s.dom.OldestPinned()
+	snap.Epoch = EpochDebug{
+		Current: s.dom.Current(), Lag: s.dom.Lag(),
+		Pending: s.dom.Pending(), OldestWorker: w, OldestGen: g, AnyPinned: ok,
 	}
 	snap.Insts = make([]InstDebug, len(s.scans))
 	for i, st := range s.scans {
@@ -366,7 +364,7 @@ func (s *Session) Diagnose(cfg DiagnoseConfig) []Finding {
 
 	// Epoch lag: deferred reclamations cannot release while the oldest
 	// pinned worker trails far behind the current generation.
-	if s.dom != nil && s.dom.Pending() > 0 {
+	if s.dom.Pending() > 0 {
 		if lag := s.dom.Lag(); lag >= cfg.EpochLagGens && cfg.EpochLagGens > 0 {
 			w, g, _ := s.dom.OldestPinned()
 			f := Finding{

@@ -267,8 +267,8 @@ type Session struct {
 	runCtx   context.Context
 	scans    []*scanState
 	admitted bitset.Set
-	failed   bitset.Set // queries caught in a faulted episode
-	failErr  []error    // per query: first fault that failed it
+	failed   bitset.Set // queries that failed: cancelled, shed or faulted (failLocked)
+	failErr  []error    // per query: the first cause that failed it
 	faults   []EpisodeError
 	pending  []AdmitEvent
 	rrCursor int
@@ -377,16 +377,19 @@ const gcChunkBudget = 8
 // pool stays saturated instead of waiting for an idle moment.
 const gcEvery = 4
 
-// fenceOp is one structural STeM mutation queued behind an instance fence,
-// plus the admission it belongs to (nil for growth and compaction).
+// fenceOp is one structural STeM mutation — AddIndex for an admission,
+// EnsureBuckets growth, CompactLive — handed to stemOpLocked, plus the
+// admission it belongs to (nil for growth and compaction). It runs inline
+// or, while its instance has episodes in flight, behind the instance fence.
 type fenceOp struct {
 	run func()
 	act *pendingActivation
 }
 
-// pendingActivation defers a submitted query's activation until every
-// structural op its admission queued has run. remaining counts queued ops;
-// the op that drops it to zero activates the query.
+// pendingActivation is a live submission whose admission queued structural
+// ops behind a fence: remaining counts them, and the op that drops it to
+// zero passes the query to activateLocked. An admission that queued none
+// activates inline and needs no pendingActivation.
 type pendingActivation struct {
 	qid       int
 	meta      SubmitMeta
@@ -426,6 +429,8 @@ func NewSession(b *query.Batch, db *storage.Database, cfg Config) (*Session, err
 		s.pending = append(s.pending, ev)
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.dom = epoch.NewDomain(cfg.workers())
+	s.workerEp = make([]workerEpisode, cfg.workers())
 	s.gc.active = bitset.New(qcap)
 	s.cbPending = bitset.New(qcap)
 	s.instFence = make([]bool, query.MaxInstances)
@@ -447,7 +452,7 @@ func NewSession(b *query.Batch, db *storage.Database, cfg Config) (*Session, err
 	s.addScansLocked()
 
 	// The compiled queries run under the default submission metadata;
-	// everything not covered by an AdmitEvent is admitted now.
+	// everything not covered by an AdmitEvent is activated now.
 	deferred := bitset.New(b.N)
 	for _, ev := range s.pending {
 		for _, qid := range ev.QIDs {
@@ -455,9 +460,8 @@ func NewSession(b *query.Batch, db *storage.Database, cfg Config) (*Session, err
 		}
 	}
 	for qid := 0; qid < b.N; qid++ {
-		s.registerMetaLocked(qid, SubmitMeta{})
 		if !deferred.Contains(qid) {
-			s.admitLocked(qid)
+			s.activateLocked(qid, SubmitMeta{}, 0)
 		}
 	}
 	return s, nil
@@ -499,10 +503,23 @@ func (s *Session) WithCompiled(fn func(b *query.Batch, ctx *exec.Context, admitt
 	fn(s.b, s.ctx, s.admitted)
 }
 
-// admitLocked activates query qid on all its instances' scans.
-func (s *Session) admitLocked(qid int) {
+// activateLocked is the one way a query starts scanning, whether it was
+// compiled into the batch (activated at construction or staged by an
+// AdmitEvent) or submitted live. It registers the query's scheduler
+// metadata, admits it on every one of its instances' scans and retires it
+// at once if all of them are empty. submitNs, non-zero for live
+// submissions only, starts the submit-to-first-episode latency timer. A
+// live query's context view was published before this runs, so no episode
+// can carry its bit without seeing it (publish-then-advance).
+func (s *Session) activateLocked(qid int, m SubmitMeta, submitNs int64) {
 	if s.admitted.Contains(qid) {
 		return
+	}
+	s.recCtl(obs.KAdmit, int64(qid), 0, 0, 0)
+	s.registerMetaLocked(qid, m)
+	if submitNs != 0 {
+		s.qSubmitNs[qid] = submitNs
+		s.qFirstWait.Add(qid)
 	}
 	s.admitted.Add(qid)
 	insts := s.b.QueryInsts(qid)
@@ -532,7 +549,7 @@ func (s *Session) noteEpisodeLocked(id int, in exec.EpisodeInput) {
 	}
 }
 
-// fireAdmissionsLocked admits the queries of every AdmitEvent whose trigger
+// fireAdmissionsLocked activates the queries of every AdmitEvent whose trigger
 // instance has delivered enough vectors — or, under force, of every event
 // still pending (the guard against a trigger instance that went idle first).
 func (s *Session) fireAdmissionsLocked(force bool) {
@@ -540,7 +557,7 @@ func (s *Session) fireAdmissionsLocked(force bool) {
 	for _, ev := range s.pending {
 		if force || s.scans[ev.Inst].delivered >= ev.AfterVectors {
 			for _, qid := range ev.QIDs {
-				s.admitLocked(qid)
+				s.activateLocked(qid, SubmitMeta{}, 0)
 			}
 		} else {
 			kept = append(kept, ev)
@@ -626,31 +643,44 @@ func (s *Session) takeVectorLocked(inst query.InstID) exec.EpisodeInput {
 // to build up to n entries into it (DESIGN.md §10): growth is decided here,
 // where entries arrive, not when a query is admitted, so a rescan the build
 // rule leaves unbuilt allocates no buckets. Growth swaps the STeM's
-// copy-on-write state, so it runs inline only when no episode on inst is in
-// flight (always, with one worker); otherwise it queues behind inst's fence,
-// and the vector being handed out inserts into the current state first.
+// copy-on-write state, so it is a structural op: with a peer episode on
+// inst in flight it waits behind the fence, and the vector being handed out
+// inserts into the current state first.
 func (s *Session) growLocked(inst query.InstID, n int) {
 	stm := s.ctx.Stems[inst]
 	if !stm.NeedsGrow(stm.Len() + n) {
 		return
 	}
-	if s.instFlight[inst] == 0 {
-		stm.EnsureBuckets(stm.Len() + n)
-		return
+	if s.stemOpLocked(int(inst), fenceOp{run: func() { stm.EnsureBuckets(stm.Len() + n) }}) {
+		s.recCtl(obs.KFenceQueue, int64(inst), -1, 0, 0)
 	}
-	s.fenceLocked(int(inst), fenceOp{run: func() {
-		stm.EnsureBuckets(stm.Len() + n)
-	}}, time.Now().UnixNano())
-	s.recCtl(obs.KFenceQueue, int64(inst), -1, 0, 0)
 }
 
-// fenceLocked queues op behind inst's fence, raising the fence (stamped
-// nowNs) if it is down: the scheduler hands out no more of inst's vectors,
-// and op runs once inst's in-flight episodes drain (runFenceOpsLocked).
-func (s *Session) fenceLocked(inst int, op fenceOp, nowNs int64) {
+// stemOpLocked is the one gate for structural STeM ops (DESIGN.md §12):
+// op.run swaps inst's copy-on-write state, so it must not overlap an
+// in-flight insert on inst. With no episode on inst in flight — always, with
+// one worker — it runs inline: the scheduler cannot start one while the
+// mutex is held. Otherwise it is queued through fenceLocked, counted
+// against op.act's admission if it has one, and stemOpLocked reports true.
+func (s *Session) stemOpLocked(inst int, op fenceOp) (queued bool) {
+	if s.instFlight[inst] == 0 {
+		op.run()
+		return false
+	}
+	if op.act != nil {
+		op.act.remaining++
+	}
+	s.fenceLocked(inst, op)
+	return true
+}
+
+// fenceLocked queues op behind inst's fence, raising the fence if it is
+// down: the scheduler hands out no more of inst's vectors, and op runs once
+// inst's in-flight episodes drain (runFenceOpsLocked).
+func (s *Session) fenceLocked(inst int, op fenceOp) {
 	if !s.instFence[inst] {
 		s.instFence[inst] = true
-		s.instFenceSince[inst] = nowNs
+		s.instFenceSince[inst] = time.Now().UnixNano()
 	}
 	s.instOps[inst] = append(s.instOps[inst], op)
 }
@@ -699,19 +729,16 @@ func (s *Session) RunContext(ctx context.Context) (*Results, error) {
 	})
 	defer stop()
 
-	workers := s.cfg.workers()
 	start := time.Now()
 	s.mu.Lock()
 	s.startAt = start
-	s.dom = epoch.NewDomain(workers)
-	s.workerEp = make([]workerEpisode, workers)
 	s.mu.Unlock()
 	if s.cfg.StallWatchdog > 0 {
 		go s.watchdog(ctx, s.cfg.StallWatchdog)
 	}
 
 	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
+	for wk := 0; wk < s.cfg.workers(); wk++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
@@ -900,26 +927,13 @@ func (s *Session) runFenceOpsLocked(inst int) {
 	s.instFenceSince[inst] = 0
 	for _, op := range ops {
 		op.run()
-		if op.act != nil {
-			op.act.remaining--
-			if op.act.remaining == 0 {
-				s.activateLocked(op.act)
+		if act := op.act; act != nil {
+			act.remaining--
+			if act.remaining == 0 {
+				s.activateLocked(act.qid, act.meta, act.submitNs)
 			}
 		}
 	}
-	s.cond.Broadcast()
-}
-
-// activateLocked makes a submitted query schedulable: scheduler metadata,
-// scan admission, admission-latency arming, and the born-drained check.
-// The context view including the query was published before any episode
-// can carry its bit (publish-then-advance).
-func (s *Session) activateLocked(act *pendingActivation) {
-	s.recCtl(obs.KAdmit, int64(act.qid), 0, 0, 0)
-	s.registerMetaLocked(act.qid, act.meta)
-	s.qSubmitNs[act.qid] = act.submitNs
-	s.qFirstWait.Add(act.qid)
-	s.admitLocked(act.qid)
 	s.cond.Broadcast()
 }
 
@@ -977,8 +991,9 @@ func (s *Session) newEpisodeError(in exec.EpisodeInput, kind FaultKind) *Episode
 }
 
 // recordFaultLocked quarantines a faulted episode: it is appended to the
-// fault log and every query in its active set is marked failed and dropped
-// from all scans, so the surviving queries drain without wasted work.
+// fault log and every query in its active set fails (failLocked), so the
+// surviving queries drain without wasted work. The episode still carries
+// those queries, so they retire when it completes.
 func (s *Session) recordFaultLocked(in exec.EpisodeInput, err error) {
 	var ee *EpisodeError
 	if !errors.As(err, &ee) {
@@ -986,15 +1001,32 @@ func (s *Session) recordFaultLocked(in exec.EpisodeInput, err error) {
 		ee.Err = err
 	}
 	s.faults = append(s.faults, *ee)
-	in.Active.ForEach(func(qid int) {
-		if !s.failed.Contains(qid) {
-			s.failed.Add(qid)
-			s.failErr[qid] = ee
-		}
-		for _, inst := range s.b.QueryInsts(qid) {
-			s.scans[inst].active.Remove(qid)
-		}
-	})
+	in.Active.ForEach(func(qid int) { s.failLocked(qid, ee) })
+}
+
+// terminalLocked reports whether qid can no longer fail: it is not admitted
+// (never, or no longer), has already failed, or has retired.
+func (s *Session) terminalLocked(qid int) bool {
+	return !s.admitted.Contains(qid) || s.failed.Contains(qid) ||
+		s.retired.Contains(qid) || (s.gc.running && s.gc.active.Contains(qid))
+}
+
+// failLocked is the one way a query fails — cancellation, a mid-flight
+// deadline shed, an episode fault. Unless qid is already terminal, it
+// records err as the query's cause and drops the query from every scan's
+// active set, so its remaining vectors are never handed out; the first
+// cause sticks. The query retires once the episodes carrying it drain
+// (maybeRetireLocked). It reports whether it failed the query.
+func (s *Session) failLocked(qid int, err error) bool {
+	if s.terminalLocked(qid) {
+		return false
+	}
+	s.failed.Add(qid)
+	s.failErr[qid] = err
+	for _, inst := range s.b.QueryInsts(qid) {
+		s.scans[inst].active.Remove(qid)
+	}
+	return true
 }
 
 // RankScans orders circular-scan initiation for pruning (§5.2): relations

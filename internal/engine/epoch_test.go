@@ -403,6 +403,148 @@ func TestChaosAdmissionMidEpisodeWithFaults(t *testing.T) {
 		completed, len(qs), inj.Panics(), inj.InsertFails())
 }
 
+// TestFirstFailureCauseWins pins failLocked's contract: a query fails once,
+// with its first cause, and retires once. One worker's first episode
+// carries two queries; a hook parks it, one query is cancelled while it is
+// parked, and the episode then faults at its STeM insert. The cancelled
+// query must retire once with the cancel cause, the other once with the
+// episode fault, and a CancelQuery on the faulted query — issued from its
+// retirement callback, before GC can recycle its ID — must change nothing.
+func TestFirstFailureCauseWins(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	db := starDB(rng, 512, 64)
+	errCancel, errLate := errors.New("cancelled while parked"), errors.New("late cancel")
+	blocked := make(chan struct{})
+	release := make(chan struct{})
+	var parked, faulted atomic.Bool
+	opt := exec.DefaultOptions()
+	opt.VectorSize = 32
+	opt.Hooks = exec.Hooks{
+		EpisodeStart: func(query.InstID, stem.Slot) {
+			if parked.CompareAndSwap(false, true) {
+				close(blocked)
+				<-release
+			}
+		},
+		StemInsert: func(query.InstID, stem.Slot) error {
+			if faulted.CompareAndSwap(false, true) { // the parked episode's insert
+				return errors.New("injected insert fault")
+			}
+			return nil
+		},
+	}
+	var (
+		s       *Session
+		mu      sync.Mutex
+		retires = map[int][]QueryStatus{}
+		lateErr = map[int]error{}
+	)
+	retired := make(chan struct{}, 4)
+	s, err := NewSession(query.NewStreamBatch(8), db, Config{
+		Exec: opt, Workers: 1, Streaming: true,
+		OnRetire: func(qid int, st QueryStatus) {
+			var ee *EpisodeError
+			if errors.As(st.Err, &ee) {
+				s.CancelQuery(qid, errLate) // retired, and its ID not yet reclaimed
+				s.mu.Lock()
+				cause := s.failErr[qid]
+				s.mu.Unlock()
+				mu.Lock()
+				lateErr[qid] = cause
+				mu.Unlock()
+			}
+			mu.Lock()
+			retires[qid] = append(retires[qid], st)
+			mu.Unlock()
+			retired <- struct{}{}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both queries are submitted before the run, so the first episode (on d1,
+	// the lower rank) carries both.
+	qa, err := s.SubmitLiveMeta(factD1(0, 0), SubmitMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qb, err := s.SubmitLiveMeta(factD1(0, 0), SubmitMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := streamRun(t, s)
+	<-blocked
+	s.CancelQuery(qa, errCancel)
+	s.CancelQuery(qa, errLate) // already failed: the first cause sticks
+	close(release)
+	for i := 0; i < 2; i++ {
+		select {
+		case <-retired:
+		case <-time.After(60 * time.Second):
+			t.Fatal("queries did not retire after the faulted episode")
+		}
+	}
+	s.CloseSubmit()
+	res := join()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if got := retires[qa]; len(got) != 1 || got[0].Completed || got[0].Err != errCancel {
+		t.Errorf("cancelled query %d retired %+v, want once with the cancel cause", qa, got)
+	}
+	var ee *EpisodeError
+	if got := retires[qb]; len(got) != 1 || got[0].Completed || !errors.As(got[0].Err, &ee) {
+		t.Errorf("faulted query %d retired %+v, want once with the episode fault", qb, got)
+	}
+	if cause, ok := lateErr[qb]; !ok || cause != retires[qb][0].Err {
+		t.Errorf("CancelQuery on the faulted query %d changed its cause to %v", qb, cause)
+	}
+	if len(res.Faults) != 1 {
+		t.Fatalf("faults = %d, want 1", len(res.Faults))
+	}
+	if q := res.Faults[0].Queries; len(q) != 2 {
+		t.Errorf("fault names queries %v, want both %d and %d", q, qa, qb)
+	}
+}
+
+// TestSubmitBeforeRunAdvancesEpoch covers a stream that takes submissions
+// before its run starts, as a caller that starts the run on another
+// goroutine may: the epoch domain lives as long as the session, so every
+// submit advances it (publish-then-advance holds from the first query on),
+// and the run then answers every query exactly.
+func TestSubmitBeforeRunAdvancesEpoch(t *testing.T) {
+	rng := rand.New(rand.NewSource(103))
+	db := starDB(rng, 1024, 64)
+	qs := starQueries(rng, 4)
+	opt := exec.DefaultOptions()
+	opt.VectorSize = 64
+	var rec *retireRecorder
+	s, err := NewSession(query.NewStreamBatch(8), db, Config{
+		Exec: opt, Workers: 2, Streaming: true,
+		OnRetire: func(qid int, st QueryStatus) { rec.onRetire(qid, st) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec = newRetireRecorder(s)
+	for i, q := range qs {
+		qid, err := s.SubmitLiveMeta(q, SubmitMeta{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.track(qid)
+		if got := s.DebugSnapshot().Epoch.Current; got != uint64(i+1) {
+			t.Fatalf("epoch after %d pre-run submits = %d, want %d", i+1, got, i+1)
+		}
+	}
+	join := streamRun(t, s)
+	s.CloseSubmit()
+	join()
+	if completed := rec.check(t, db, qs); completed != len(qs) {
+		t.Errorf("completed = %d, want %d", completed, len(qs))
+	}
+}
+
 // TestGCSweepRestartsAfterMidPassCompaction is the regression test for a
 // wrong-results bug: a CompactLive queued behind an instance fence by one
 // GC pass can fire (at fence drain, between quanta) while a LATER pass is

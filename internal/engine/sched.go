@@ -41,9 +41,6 @@ type SubmitMeta struct {
 	// near it get an urgency boost, and once it passes the query is shed
 	// with an admission.ShedError instead of consuming more work.
 	Deadline time.Time
-	// Cost is the query's estimated execution cost (informational; budget
-	// accounting lives in the admission controller, outside the engine).
-	Cost float64
 }
 
 // tenantState is one tenant's scheduler accounting.
@@ -86,7 +83,8 @@ func (s *Session) initSchedLocked(qcap int) {
 	}
 }
 
-// registerMetaLocked records a live submission's scheduling metadata.
+// registerMetaLocked records a query's scheduling metadata; activateLocked
+// calls it as the query starts scanning.
 func (s *Session) registerMetaLocked(qid int, m SubmitMeta) {
 	tid, ok := s.tenantIDs[m.Tenant]
 	if !ok {
@@ -265,7 +263,7 @@ func (s *Session) scanKeyLocked(st *scanState, urgentBefore int64) (lane int64, 
 }
 
 // shedExpiredLocked fails every live query whose deadline has passed with a
-// typed ShedError: its bits leave the scan active sets immediately, it
+// typed ShedError (failLocked): its bits leave the scan active sets, it
 // retires as soon as its in-flight episodes drain, and its partial count
 // stays available. The next-deadline cursor is recomputed over survivors.
 func (s *Session) shedExpiredLocked(nowNs int64) {
@@ -281,18 +279,9 @@ func (s *Session) shedExpiredLocked(nowNs int64) {
 			}
 			continue
 		}
-		if !s.admitted.Contains(qid) || s.failed.Contains(qid) || s.retired.Contains(qid) ||
-			(s.gc.running && s.gc.active.Contains(qid)) {
-			continue
-		}
 		ts := &s.tenants[s.qTenant[qid]]
-		s.failed.Add(qid)
-		s.failErr[qid] = &admission.ShedError{
-			Tenant:   ts.name,
-			Deadline: time.Unix(0, d),
-		}
-		for _, inst := range s.b.QueryInsts(qid) {
-			s.scans[inst].active.Remove(qid)
+		if !s.failLocked(qid, &admission.ShedError{Tenant: ts.name, Deadline: time.Unix(0, d)}) {
+			continue
 		}
 		s.shedCount++
 		metrics.Default().DeadlineSheds.Add(1)

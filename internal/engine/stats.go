@@ -244,9 +244,7 @@ func (s *Session) foldRegistryLocked(res *Results) {
 	// all its exit paths). A non-zero lag means a slot leaked, which
 	// silently disables the probe kernels' watermark fast path.
 	reg.WatermarkLag.Store(int64(s.episode) - int64(s.ctx.Versions.Watermark()))
-	if s.dom != nil {
-		reg.EpochLag.Store(s.dom.Lag())
-	}
+	reg.EpochLag.Store(s.dom.Lag())
 
 	var probes int64
 	for i := range s.b.Insts {

@@ -36,22 +36,22 @@ import (
 // state of retired queries (qlearn.Learned implements it).
 type retirePruner interface{ PruneRetired(retired bitset.Set) int }
 
-// SubmitLiveMeta merges one query into the running session without
-// blocking on a worker barrier: the batch and execution context are
-// extended under the session mutex alone, the extended view is published
-// (one atomic store) and the epoch domain advanced, and the query is
-// admitted on its instances' scans (rescanning each relation from the
+// SubmitLiveMeta merges one query into the session, before or during its
+// run, without blocking on a worker barrier: the batch and execution
+// context are extended under the session mutex alone, the extended view is
+// published (one atomic store) and the epoch domain advanced, and the query
+// is activated on its instances' scans (rescanning each relation from the
 // current circular-scan position, so it reuses every STeM entry built so
 // far and re-ingests only what it has not seen). The one structural STeM op
 // an admission can need — indexing a new key column on an existing STeM —
-// runs inline when its instance has no episode in flight, and otherwise
-// queues behind that instance's fence; activation then waits for the last
-// such op, never for unrelated instances or episodes. Admission sizes no
-// buckets: a STeM grows when a vector is about to be built into it
-// (takeVectorLocked), so a rescan the build rule leaves unbuilt costs none.
-// The meta carries the query's tenant, fairness weight, priority lane and
-// deadline for the tenant-aware scheduler (see sched.go). It returns the
-// assigned query ID.
+// goes through stemOpLocked: inline when its instance has no episode in
+// flight, otherwise behind that instance's fence, and then activation waits
+// for the last such op, never for unrelated instances or episodes.
+// Admission sizes no buckets: a STeM grows when a vector is about to be
+// built into it (takeVectorLocked), so a rescan the build rule leaves
+// unbuilt costs none. The meta carries the query's tenant, fairness weight,
+// priority lane and deadline for the tenant-aware scheduler (see sched.go).
+// It returns the assigned query ID.
 //
 // Admission control (budget, rate limits) still belongs in front of this
 // call: admission does O(batch) setup work under the mutex, so overload
@@ -75,25 +75,16 @@ func (s *Session) SubmitLiveMeta(q *query.Query, m SubmitMeta) (int, error) {
 	s.addScansLocked()
 	// Publish-then-advance: ApplyExtend published the extended view; advance
 	// the epoch so workers pinning from here on are known to see it.
-	if s.dom != nil {
-		s.recCtl(obs.KEpochAdvance, int64(s.dom.Advance()), 0, 0, 0)
-	}
+	s.recCtl(obs.KEpochAdvance, int64(s.dom.Advance()), 0, 0, 0)
 	act := &pendingActivation{qid: qid, meta: m, submitNs: time.Now().UnixNano()}
 	for _, op := range ops {
-		inst := int(op.Inst)
-		if s.instFlight[inst] == 0 {
-			// No in-flight insert on this instance; the scheduler cannot
-			// start one while we hold the mutex, so run the op inline.
-			op.Apply()
-			continue
+		if s.stemOpLocked(int(op.Inst), fenceOp{run: op.Apply, act: act}) {
+			s.recCtl(obs.KFenceQueue, int64(op.Inst), int64(qid), 0, 0)
 		}
-		act.remaining++
-		s.fenceLocked(inst, fenceOp{run: op.Apply, act: act}, act.submitNs)
-		s.recCtl(obs.KFenceQueue, int64(inst), int64(qid), 0, 0)
 	}
 	s.recCtl(obs.KSubmit, int64(qid), int64(act.remaining), tenantHash(m.Tenant), 0)
 	if act.remaining == 0 {
-		s.activateLocked(act)
+		s.activateLocked(qid, m, act.submitNs)
 	}
 	cbs := s.takeCallbacksLocked()
 	s.cond.Broadcast()
@@ -102,22 +93,16 @@ func (s *Session) SubmitLiveMeta(q *query.Query, m SubmitMeta) (int, error) {
 	return qid, nil
 }
 
-// CancelQuery marks one in-flight query failed with the given cause. Only
-// that query is affected: its bits leave the scan active sets, it retires
-// as soon as its in-flight episodes drain, and its count so far remains
-// available as a partial result. The rest of the stream is untouched.
+// CancelQuery fails one in-flight query with the given cause (failLocked).
+// Only that query is affected: its bits leave the scan active sets, it
+// retires as soon as its in-flight episodes drain, and its count so far
+// remains available as a partial result. The rest of the stream is
+// untouched. On a query that already failed or retired it is a no-op.
 func (s *Session) CancelQuery(qid int, cause error) {
 	s.mu.Lock()
-	if qid < 0 || qid >= s.b.QCap() ||
-		!s.admitted.Contains(qid) || s.failed.Contains(qid) ||
-		s.retired.Contains(qid) || (s.gc.running && s.gc.active.Contains(qid)) {
+	if qid < 0 || qid >= s.b.QCap() || !s.failLocked(qid, cause) {
 		s.mu.Unlock()
 		return
-	}
-	s.failed.Add(qid)
-	s.failErr[qid] = cause
-	for _, inst := range s.b.QueryInsts(qid) {
-		s.scans[inst].active.Remove(qid)
 	}
 	s.maybeRetireLocked(qid)
 	cbs := s.takeCallbacksLocked()
@@ -316,10 +301,9 @@ func (s *Session) nextEpisode(id int) (exec.EpisodeInput, bool) {
 // finishing an instance whose entries became at least half dead — or that
 // holds none but keeps more than an empty STeM's buckets, such as the
 // row-count hint of an instance the build rule never built
-// (stem.NeedsShrink) — compacts it — inline
-// when the instance has no in-flight inserts, else queued
-// behind its fence (compaction swaps the copy-on-write state, so it must
-// not race an insert on the same instance). A queued compaction can fire
+// (stem.NeedsShrink) — compacts it through stemOpLocked (compaction swaps
+// the copy-on-write state, so it must not race an insert on the same
+// instance). A queued compaction can fire
 // at fence drain while a later pass is mid-sweep of the same instance;
 // the cursor detects that through the STeM's compact generation and
 // restarts the instance's sweep, because compaction repositions entries.
@@ -363,15 +347,11 @@ func (s *Session) gcQuantumLocked() {
 		}
 		if g.chunk >= st.NumChunks() {
 			if g.stemDead > 0 && 2*g.stemDead >= st.Len() || st.NeedsShrink() {
-				if inst := g.inst; s.instFlight[inst] > 0 {
-					s.fenceLocked(inst, fenceOp{run: func() {
-						s.ctx.Stems[inst].CompactLive()
-					}}, time.Now().UnixNano())
-					s.recCtl(obs.KGCCompact, int64(inst), 1, 0, 0)
-				} else {
-					st.CompactLive()
-					s.recCtl(obs.KGCCompact, int64(g.inst), 0, 0, 0)
+				var fenced int64
+				if s.stemOpLocked(g.inst, fenceOp{run: func() { st.CompactLive() }}) {
+					fenced = 1
 				}
+				s.recCtl(obs.KGCCompact, int64(g.inst), fenced, 0, 0)
 				budget = 0 // a compaction consumes the quantum
 			}
 			g.inst++
@@ -391,9 +371,11 @@ func (s *Session) gcQuantumLocked() {
 // filters rebuilt, the shrunk view republished), the policy prunes
 // Q-states referencing them, and the session's per-query bookkeeping is
 // cleared. Stage two — releasing the sources and returning the query IDs
-// to the free pool for reuse — is deferred through the epoch domain until
-// every worker has passed the retiring generation, so no in-flight episode
-// can dereference a reclaimed source or meet a recycled query ID.
+// to the free pool for reuse — is deferred through the session's epoch
+// domain until every worker has passed the retiring generation, so no
+// in-flight episode can dereference a reclaimed source or meet a recycled
+// query ID. A worker runs the free from nextEpisode or after its episode
+// (Domain.Ready, Domain.Unpin), never under the session mutex.
 func (s *Session) gcFinishLocked() {
 	g := &s.gc
 	if cb := s.cfg.PolicySweep; cb != nil {
@@ -438,20 +420,14 @@ func (s *Session) gcFinishLocked() {
 			s.cond.Broadcast()
 			s.mu.Unlock()
 		}
-		if s.dom != nil {
-			s.recCtl(obs.KEpochDefer, int64(s.dom.Current()), int64(len(freed)), 0, 0)
-			// Defer records the current generation and advances the domain
-			// itself: the free releases once every worker pinned before this
-			// point — the set that could still hold the pre-retirement view —
-			// has drained, even under a saturated pool that is never fully
-			// unpinned. (RebuildFilters republished the shrunk view above, so
-			// the publish-before-defer contract holds.)
-			s.dom.Defer(reclaim)
-		} else {
-			// Pre-run GC (no worker pool yet): free immediately, but the
-			// deferred closure takes s.mu, so run it after we release it.
-			s.cbsQueued = append(s.cbsQueued, reclaim)
-		}
+		s.recCtl(obs.KEpochDefer, int64(s.dom.Current()), int64(len(freed)), 0, 0)
+		// Defer records the current generation and advances the domain
+		// itself: the free releases once every worker pinned before this
+		// point — the set that could still hold the pre-retirement view —
+		// has drained, even under a saturated pool that is never fully
+		// unpinned. (RebuildFilters republished the shrunk view above, so
+		// the publish-before-defer contract holds.)
+		s.dom.Defer(reclaim)
 	}
 	s.cond.Broadcast()
 }

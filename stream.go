@@ -371,7 +371,6 @@ func (s *Stream) Submit(q *Query) (*Ticket, error) {
 		Tenant:   tenant,
 		Priority: q.priority,
 		Deadline: deadline,
-		Cost:     estCost,
 	}
 	if s.adm != nil {
 		meta.Weight = s.adm.Weight(tenant)

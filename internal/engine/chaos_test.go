@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -437,6 +438,105 @@ func TestEpisodeWatchdogRecordsStall(t *testing.T) {
 	}
 	if !res.Partial {
 		t.Error("a stalled session should report partial results")
+	}
+}
+
+// TestEpisodeFaultsOnce pins one fault record per episode, whichever of
+// the watchdog's stall and the episode's own StemInsert failure reaches the
+// session mutex first. In "stall first" slot 0 sleeps past the watchdog
+// without the mutex, so the timer records the stall and the later insert
+// failure is not recorded again. In "fault first" slot 0's hooks hold the
+// mutex from EpisodeStart past the deadline, so the fired timer waits on
+// it; with one P the worker keeps running after StemInsert unlocks, and a
+// running goroutine takes a mutex ahead of a woken waiter (sync.Mutex's
+// normal mode), so the insert fault comes first. Either way the cause is
+// recorded once — in Results.Faults, in the trace and in the registry —
+// and every query the episode carried fails rather than retire as
+// completed over a half-inserted vector.
+func TestEpisodeFaultsOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		name string
+		hold bool // hold s.mu from slot 0's EpisodeStart to its StemInsert
+		want FaultKind
+	}{
+		{"stall first", false, FaultStall},
+		{"fault first", true, FaultInsert},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(83))
+			db := starDB(rng, 300, 30)
+			b, err := query.Compile(starQueries(rng, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var s *Session
+			opt := exec.DefaultOptions()
+			opt.VectorSize = 16
+			opt.CollectRows = false
+			opt.Hooks.EpisodeStart = func(_ query.InstID, slot stem.Slot) {
+				if slot != 0 {
+					return
+				}
+				if tc.hold {
+					s.mu.Lock()
+				}
+				time.Sleep(100 * time.Millisecond)
+			}
+			opt.Hooks.StemInsert = func(_ query.InstID, slot stem.Slot) error {
+				if slot != 0 {
+					return nil
+				}
+				if tc.hold {
+					runtime.Gosched() // a fresh time slice: no preemption before the worker's own lock
+					s.mu.Unlock()
+				}
+				return errors.New("injected insert failure")
+			}
+			s, err = NewSession(b, db, Config{Exec: opt, Workers: 1, EpisodeWatchdog: 20 * time.Millisecond, TraceEpisodes: 1 << 12})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := metrics.Default().Snapshot()
+			res, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := metrics.Default().Snapshot()
+			var slot0 []EpisodeError
+			for _, f := range res.Faults {
+				if f.Slot == 0 {
+					slot0 = append(slot0, f)
+				}
+			}
+			if len(slot0) != 1 || slot0[0].Kind != tc.want {
+				t.Fatalf("slot 0 faults = %v, want one %v", slot0, tc.want)
+			}
+			if got, want := after.EpisodeFaults-before.EpisodeFaults, int64(len(res.Faults)); got != want {
+				t.Errorf("episode_faults moved by %d for a session with %d faults", got, want)
+			}
+			if len(slot0[0].Queries) == 0 {
+				t.Fatal("slot 0's episode carried no queries")
+			}
+			for _, qid := range slot0[0].Queries {
+				if st := res.Status[b.Pos(qid)]; st.Completed || st.Err == nil {
+					t.Errorf("query %d of the faulted episode: completed=%v err=%v, want failed", qid, st.Completed, st.Err)
+				}
+			}
+			traced := false
+			for _, rec := range s.Trace() {
+				if rec.Episode == 0 {
+					traced = true
+					if rec.Fault != tc.want.String() {
+						t.Errorf("episode 0 traced fault %q, want %v", rec.Fault, tc.want)
+					}
+				}
+			}
+			if !traced {
+				t.Error("episode 0 missing from the trace")
+			}
+		})
 	}
 }
 

@@ -283,7 +283,8 @@ func TestDiagnoseNamesQueriesBeyondFirstWord(t *testing.T) {
 // streaming run: globally ordered by wall time, per-ring sequence numbers
 // strictly increasing, per-ring version-clock stamps non-decreasing, and
 // every worker ring an alternation of episode start/end pairs over the
-// same (instance, slot) with end at or after start.
+// same (instance, slot) with end at or after start. An end's version clock
+// is strictly past its start's: the episode's own publish lies between.
 func TestTimelineInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	db := starDB(rng, 1024, 64)
@@ -320,7 +321,7 @@ func TestTimelineInvariants(t *testing.T) {
 	lastVC := map[int32]int64{}
 	type open struct {
 		inst, slot int64
-		ts         int64
+		ts, vc     int64
 		live       bool
 	}
 	openEp := map[int32]*open{}
@@ -343,7 +344,7 @@ func TestTimelineInvariants(t *testing.T) {
 			if o := openEp[e.Ring]; o != nil && o.live {
 				t.Fatalf("event %d: ring %d started an episode inside an open one", i, e.Ring)
 			}
-			openEp[e.Ring] = &open{inst: e.A, slot: e.B, ts: e.TS, live: true}
+			openEp[e.Ring] = &open{inst: e.A, slot: e.B, ts: e.TS, vc: e.VC, live: true}
 		case obs.KEpisodeEnd:
 			o := openEp[e.Ring]
 			if o == nil || !o.live {
@@ -355,6 +356,9 @@ func TestTimelineInvariants(t *testing.T) {
 			}
 			if e.TS < o.ts {
 				t.Fatalf("event %d: episode end before start", i)
+			}
+			if e.VC <= o.vc {
+				t.Fatalf("event %d: episode end's version clock %d not past its start's %d", i, e.VC, o.vc)
 			}
 			o.live = false
 			episodes++

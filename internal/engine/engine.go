@@ -860,9 +860,8 @@ func (s *Session) runWorker(id int) {
 				s.rec.Record(id, obs.KAction, int64(e.Phase), int64(e.Op), int64(e.NIn), int64(e.NOut))
 			}
 			var fault int64
-			var ee *EpisodeError
-			if errors.As(err, &ee) {
-				fault = int64(ee.Kind) + 1
+			if err != nil {
+				fault = int64(err.Kind) + 1
 			}
 			s.rec.Record(id, obs.KEpisodeWork, int64(len(in.VIDs)), int64(rep.JoinInput),
 				int64(math.Float64bits(rep.MeasuredCost)), fault)
@@ -876,7 +875,9 @@ func (s *Session) runWorker(id int) {
 			s.lastSig[in.Inst] = rep.PlanSig
 		}
 		if err != nil {
-			s.recordFaultLocked(in, err)
+			if err.Kind != FaultStall { // the watchdog recorded its stall itself
+				s.recordFaultLocked(in, err)
+			}
 		} else {
 			s.scans[in.Inst].inserted++
 			if s.cfg.TrackConvergence {
@@ -943,16 +944,30 @@ func (s *Session) runFenceOpsLocked(inst int) {
 // stamped with it and must eventually become visible, and the publication
 // watermark only advances past published slots, so one abandoned slot would
 // disable the probe kernels' watermark fast path for the rest of the
-// session. A recovered panic is returned as an *EpisodeError.
-func (s *Session) runEpisode(w *exec.Worker, in exec.EpisodeInput) (rep exec.EpisodeReport, err error) {
+// session. An episode has one fault, its first, decided under s.mu: the
+// timer records a stall only while the episode is not done, and a stalled
+// episode returns the stall, which its worker does not record again.
+func (s *Session) runEpisode(w *exec.Worker, in exec.EpisodeInput) (rep exec.EpisodeReport, err *EpisodeError) {
 	if d := s.cfg.EpisodeWatchdog; d > 0 {
+		var done, stalled bool // guarded by s.mu
 		timer := time.AfterFunc(d, func() {
 			s.mu.Lock()
-			s.recordFaultLocked(in, s.newEpisodeError(in, FaultStall))
-			s.mu.Unlock()
-			s.cancel()
+			defer s.mu.Unlock()
+			if !done {
+				stalled = true
+				s.recordFaultLocked(in, s.newEpisodeError(in, FaultStall))
+				s.cancel()
+			}
 		})
-		defer timer.Stop()
+		defer func() {
+			timer.Stop()
+			s.mu.Lock()
+			done = true
+			if stalled {
+				err = s.newEpisodeError(in, FaultStall)
+			}
+			s.mu.Unlock()
+		}()
 	}
 	defer func() {
 		// Publish unconditionally: idempotent on the paths that already
@@ -961,16 +976,14 @@ func (s *Session) runEpisode(w *exec.Worker, in exec.EpisodeInput) (rep exec.Epi
 		// execution.
 		s.ctx.Versions.Publish(in.Slot)
 		if r := recover(); r != nil {
-			ee := s.newEpisodeError(in, FaultPanic)
-			ee.Panic, ee.Stack = r, string(debug.Stack())
-			err = ee
+			err = s.newEpisodeError(in, FaultPanic)
+			err.Panic, err.Stack = r, string(debug.Stack())
 		}
 	}()
 	rep, execErr := w.RunEpisode(in)
 	if execErr != nil {
-		ee := s.newEpisodeError(in, FaultInsert)
-		ee.Err = execErr
-		err = ee
+		err = s.newEpisodeError(in, FaultInsert)
+		err.Err = execErr
 	}
 	return rep, err
 }
@@ -994,12 +1007,7 @@ func (s *Session) newEpisodeError(in exec.EpisodeInput, kind FaultKind) *Episode
 // fault log and every query in its active set fails (failLocked), so the
 // surviving queries drain without wasted work. The episode still carries
 // those queries, so they retire when it completes.
-func (s *Session) recordFaultLocked(in exec.EpisodeInput, err error) {
-	var ee *EpisodeError
-	if !errors.As(err, &ee) {
-		ee = s.newEpisodeError(in, FaultInsert)
-		ee.Err = err
-	}
+func (s *Session) recordFaultLocked(in exec.EpisodeInput, ee *EpisodeError) {
 	s.faults = append(s.faults, *ee)
 	in.Active.ForEach(func(qid int) { s.failLocked(qid, ee) })
 }

@@ -155,11 +155,8 @@ type Worker struct {
 	// cv is the context view this episode runs against: loaded once per
 	// episode (one atomic pointer load), so the hot loops below read an
 	// immutable snapshot while the engine admits and retires queries
-	// concurrently. clk is the worker's private publication-timestamp block
-	// allocator (stem.Clock), eliminating the shared version-clock CAS from
-	// the per-episode publish path.
-	cv  *view
-	clk stem.Clock
+	// concurrently.
+	cv *view
 }
 
 // NewWorker creates a worker bound to ctx using pol for planning. Every
@@ -423,12 +420,11 @@ func (w *Worker) runEpisode(in EpisodeInput, steps []plan.SelStep, join *plan.No
 	}
 	t0 = time.Now()
 	built := w.build(in, vids, qsets)
-	// The slot is published whether or not anything was built.
-	// PublishClocked reads the watermark before drawing the publish
-	// timestamp from the worker's block clock: every slot under wm then has
-	// a timestamp strictly older than ts, letting the probe kernels skip
+	// The slot is published whether or not anything was built. Publish
+	// reads the watermark before drawing ts: every slot under wm then has a
+	// timestamp strictly older than ts, letting the probe kernels skip
 	// per-entry version lookups (stem.ProbeVec).
-	wm, ts := c.Versions.PublishClocked(in.Slot, &w.clk)
+	wm, ts := c.Versions.Publish(in.Slot)
 	w.ep.buildNs += time.Since(t0).Nanoseconds()
 	w.ep.inserted += int64(built)
 	w.instIns[in.Inst] += int64(built)

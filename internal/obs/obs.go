@@ -18,9 +18,9 @@
 // recorder enabled.
 //
 // Events are stamped with both wall-clock nanoseconds (for Chrome
-// trace_event export) and the engine's sharded version clock frontier (for
-// causal ordering against STeM publication), and carry four int64 arguments
-// whose meaning depends on the event kind (see kindArgs).
+// trace_event export) and the engine's version-clock frontier (for causal
+// ordering against STeM publication), and carry four int64 arguments whose
+// meaning depends on the event kind (see kindArgs).
 package obs
 
 import (
@@ -148,7 +148,7 @@ func (k Kind) String() string {
 // Event is one decoded flight-recorder entry.
 type Event struct {
 	TS   int64 // wall-clock nanoseconds
-	VC   int64 // sharded version-clock frontier at record time
+	VC   int64 // version-clock frontier at record time; ticks once per published episode
 	Seq  uint64
 	Ring int32
 	Kind Kind

@@ -42,26 +42,22 @@ const (
 // insert hot path untouched.
 const NullKey = value.NullCode
 
-// clockBlock is the number of timestamps a worker clock reserves from the
-// global counter per refill. One atomic on the shared counter then covers
-// clockBlock episodes instead of one.
-const clockBlock = 64
-
 // Versions is the session-wide version-slot table shared by all STeMs.
 // Each episode allocates one slot, stamps its inserted entries with the
 // slot index, and publishes the slot to a fresh global timestamp after the
-// insert completes (§5.2 "Scalable versioning").
+// insert completes (§5.2 "Scalable versioning"). One counter hands out
+// every timestamp, publications and probe timestamps (Now) alike.
 //
 // Slot protocol: slots are allocated densely (the engine uses the episode
 // counter), a slot's entries are all inserted before the slot is published,
 // and each slot is published at most once. The publication watermark — the
 // count of contiguously published slots from 0 — depends on that contract:
-// every slot below the watermark is published, and its timestamp is bounded
-// by maxPub at the moment the watermark passed it, so it is strictly older
-// than any timestamp drawn after the watermark was read (drawn timestamps
-// always exceed the maxPub they observed). Vector probes use this to skip
-// the per-entry timestamp load for the (large, stable) prefix of old
-// entries and pay it only in the small concurrent tail.
+// every slot below the watermark is published, and its timestamp was drawn
+// from the counter before the watermark moved past it, so it is strictly
+// older than any timestamp drawn after the watermark was read. Vector
+// probes use this to skip the per-entry timestamp load for the (large,
+// stable) prefix of old entries and pay it only in the small concurrent
+// tail.
 //
 // A slot's cell holds one of three states:
 //
@@ -79,25 +75,13 @@ const clockBlock = 64
 // rejection binding instead: the probe CASes the cell to -probeTS before
 // rejecting, and Publish's CAS loop redraws after losing to a seal, so a
 // sealed slot's eventual timestamp is provably newer than every rejecting
-// probe's. Neither side ever waits.
-//
-// Timestamp allocation is sharded: workers draw from per-worker blocks of
-// clockBlock timestamps (Clock) reserved with one global.Add each, so the
-// shared counter is touched once per clockBlock episodes instead of once
-// per episode. maxPub tracks the largest timestamp ever stored into a cell;
-// a block draw that cannot beat maxPub (or a seal) discards the rest of its
-// block and reserves a fresh one — a block's leftover timestamps are never
-// individually bumped past maxPub, because the bumped value could collide
-// with another worker's in-flight block and duplicate timestamps break the
-// strict ts < probeTS visibility order. The hot-path atomics (global,
-// watermark, maxPub) are padded apart so publishes, watermark reads and
-// max tracking do not false-share one cache line.
+// probe's. Neither side ever waits. The counter and the watermark are
+// padded apart so publishes and watermark reads do not false-share one
+// cache line.
 type Versions struct {
 	global    atomic.Int64 // global timestamp counter; 0 is reserved
 	_         [56]byte
 	watermark atomic.Int64 // slots [0, watermark) are all published
-	_         [56]byte
-	maxPub    atomic.Int64 // max timestamp ever stored in a cell
 	_         [56]byte
 
 	mu    sync.Mutex
@@ -119,8 +103,8 @@ func NewVersions() *Versions {
 // Slot indexes a version slot.
 type Slot int32
 
-// Alloc reserves version slot number n (slots are allocated densely by the
-// caller, typically the episode counter).
+// ensure returns the slab holding slot n's cell, appending slabs up to it
+// under the mutex when n lies past the last one.
 func (v *Versions) ensure(n Slot) *versionSlab {
 	si := int(n) >> chunkBits
 	slabs := *v.slabs.Load()
@@ -140,102 +124,36 @@ func (v *Versions) ensure(n Slot) *versionSlab {
 	return slabs[si]
 }
 
-// casMaxPub raises maxPub to at least ts.
-func (v *Versions) casMaxPub(ts int64) {
-	for {
-		m := v.maxPub.Load()
-		if m >= ts || v.maxPub.CompareAndSwap(m, ts) {
-			return
-		}
-	}
-}
-
-// Publish maps slot n to a fresh global timestamp and returns it. Entries
-// stamped with n become visible to probes with a newer timestamp. Publish
-// also advances the publication watermark past every contiguously published
-// slot, so long-running probes can skip the per-entry timestamp check for
-// entries under it.
+// Publish maps slot n to a fresh global timestamp ts and returns it with
+// wm, the publication watermark read before ts was drawn. Entries stamped
+// with n become visible to probes with a newer timestamp. The pair is the
+// one an episode probes with: every slot under wm drew its timestamp
+// before the watermark moved past it, hence before wm was read and ts was
+// drawn, so ProbeVec at (ts, wm) may skip those slots' timestamp loads.
+// Publish also advances the watermark past every contiguously published
+// slot.
 //
-// Publishing an already-published slot is an idempotent no-op returning the
-// existing timestamp, so defensive publishes on fault paths are safe. If
-// probes sealed the slot (rejected it while unpublished), the CAS loop
+// Publishing an already-published slot is a no-op returning the existing
+// timestamp with wm 0, so defensive publishes on fault paths are safe; wm 0
+// disables the caller's fast path, since that timestamp was drawn before
+// this call read the watermark, not after.
+// If probes sealed the slot (rejected it while unpublished), the CAS loop
 // redraws until its timestamp beats every seal: the timestamp is drawn
 // after the seal was loaded, and the seal's magnitude was drawn before the
 // seal was stored, so a successful CAS guarantees ts > every overwritten
 // seal. Each retry means a probe with a newer timestamp sealed in between,
 // so the loop is bounded by the number of concurrent probes.
-func (v *Versions) Publish(n Slot) int64 {
+func (v *Versions) Publish(n Slot) (wm Slot, ts int64) {
 	slab := v.ensure(n)
 	cell := &slab.ts[int(n)&chunkMask]
+	wm = Slot(v.watermark.Load())
 	for {
 		old := cell.Load()
 		if old > 0 {
-			return old
-		}
-		ts := v.global.Add(1)
-		if cell.CompareAndSwap(old, ts) {
-			v.casMaxPub(ts)
-			v.advanceWatermark()
-			return ts
-		}
-	}
-}
-
-// Clock is a per-worker timestamp allocator: a half-open range
-// [next, lim) of global timestamps reserved in one global.Add. The zero
-// value is an empty clock that refills on first use. A Clock must not be
-// shared between goroutines.
-type Clock struct {
-	next int64
-	lim  int64
-}
-
-// draw returns a timestamp strictly greater than min, refilling the block
-// from the global counter when the current block is exhausted or cannot
-// beat min. Leftover timestamps of an abandoned block are discarded, never
-// bumped: a locally bumped value could fall inside another worker's
-// reserved block and duplicate a timestamp, which breaks the strict
-// ts < probeTS visibility order (both sides of a matching pair would
-// reject each other). A fresh block always beats min because min was read
-// from state (maxPub or a seal) whose value was drawn from the counter
-// before our Add.
-func (c *Clock) draw(v *Versions, min int64) int64 {
-	if c.next <= min || c.next >= c.lim {
-		base := v.global.Add(clockBlock) - clockBlock + 1
-		c.next, c.lim = base, base+clockBlock
-	}
-	ts := c.next
-	c.next++
-	return ts
-}
-
-// PublishClocked publishes slot n using the worker-local clock c, returning
-// the publication watermark observed before the publish and the slot's
-// timestamp. It is the sharded-clock episode variant of
-// Watermark-then-Publish: the returned watermark is safe to pass to
-// ProbeVec with the returned timestamp, because the watermark was read
-// before the timestamp was drawn and every drawn timestamp strictly
-// exceeds the maxPub bound covering all slots under that watermark
-// (advanceWatermark folds a slot's timestamp into maxPub before moving the
-// watermark past it).
-func (v *Versions) PublishClocked(n Slot, c *Clock) (Slot, int64) {
-	slab := v.ensure(n)
-	cell := &slab.ts[int(n)&chunkMask]
-	wm := Slot(v.watermark.Load())
-	for {
-		old := cell.Load()
-		if old > 0 {
-			// Defensive double publish: the slot already has a timestamp we
-			// did not pair with wm, so disable the caller's fast path.
 			return 0, old
 		}
-		min := v.maxPub.Load()
-		if -old > min {
-			min = -old // sealed at -old: the timestamp must beat the seal
-		}
-		ts := c.draw(v, min)
+		ts = v.global.Add(1)
 		if cell.CompareAndSwap(old, ts) {
-			v.casMaxPub(ts)
 			v.advanceWatermark()
 			return wm, ts
 		}
@@ -245,27 +163,21 @@ func (v *Versions) PublishClocked(n Slot, c *Clock) (Slot, int64) {
 // advanceWatermark pushes the watermark forward while the slot at the
 // frontier is published. Concurrent publishers race on the CAS; a lost race
 // just re-reads the frontier, so the loop is bounded by the number of slots
-// published since the caller started. The frontier slot's timestamp is
-// folded into maxPub before the watermark moves past it, which is the
-// invariant the sharded clock's watermark fast path rests on: any timestamp
-// drawn after a watermark read exceeds the timestamps of all slots under it.
+// published since the caller started.
 func (v *Versions) advanceWatermark() {
 	for {
 		w := v.watermark.Load()
-		ts := v.tryGet(Slot(w))
-		if ts == 0 {
+		if v.tryGet(Slot(w)) == 0 {
 			return
 		}
-		v.casMaxPub(ts)
 		v.watermark.CompareAndSwap(w, w+1)
 	}
 }
 
 // Watermark returns the current publication watermark: every slot below it
-// is published, and — because drawn timestamps always exceed the maxPub
-// bound covering the slots under the watermark — holds a timestamp strictly
-// older than any probe timestamp drawn *after* this call. Callers pairing a
-// watermark with a probe timestamp must therefore read the watermark first.
+// is published with a timestamp strictly older than any timestamp drawn
+// *after* this call. Callers pairing a watermark with a probe timestamp
+// must therefore read the watermark first.
 func (v *Versions) Watermark() Slot { return Slot(v.watermark.Load()) }
 
 // Now returns a probe timestamp newer than every published slot.

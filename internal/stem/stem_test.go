@@ -66,7 +66,7 @@ func TestProbeTimestampAtomicity(t *testing.T) {
 	s := New(v, []string{"k"}, 2, 16)
 
 	insert1(s, 1, []int64{5}, bitset.NewFull(2), 0)
-	ts0 := v.Publish(0)
+	_, ts0 := v.Publish(0)
 
 	// A probe with a timestamp equal to or older than the publish time must
 	// not see the entry ("only matches with older timestamps").
@@ -169,7 +169,7 @@ func TestConcurrentInsertProbePairsOnce(t *testing.T) {
 					vid := int32(i + j)
 					insert1(mine, vid, []int64{int64(rng.Intn(keys))}, qs, slot)
 				}
-				ts := v.Publish(slot)
+				_, ts := v.Publish(slot)
 				// Probe the other side for each of my just-inserted keys.
 				rng2 := rand.New(rand.NewSource(seed))
 				_ = rng2
@@ -233,12 +233,15 @@ func TestProbeSealBindsRejection(t *testing.T) {
 	if v.Watermark() != 0 {
 		t.Fatalf("watermark advanced past sealed slot: %d", v.Watermark())
 	}
-	ts := v.Publish(0)
+	_, ts := v.Publish(0)
 	if ts <= probeTS {
 		t.Fatalf("publish after seal drew ts %d <= rejecting probeTS %d", ts, probeTS)
 	}
-	if again := v.Publish(0); again != ts {
-		t.Fatalf("re-publish not idempotent: %d then %d", ts, again)
+	// A re-publish returns the existing timestamp paired with watermark 0:
+	// ts was drawn before the current watermark was read, so any other
+	// watermark would let a probe at ts skip its own slot's check.
+	if wm, again := v.Publish(0); again != ts || wm != 0 {
+		t.Fatalf("re-publish = (wm %d, ts %d), want (0, %d)", wm, again, ts)
 	}
 	if v.Watermark() != 1 {
 		t.Fatalf("watermark = %d after publish, want 1", v.Watermark())

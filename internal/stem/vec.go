@@ -222,20 +222,20 @@ const probeBlock = 128
 //
 // An entry matches when its key equals the probe key and its slot's
 // published timestamp is strictly older than probeTS. probeTS must have
-// been drawn from the STeM's Versions table (Publish, PublishClocked or
-// Now) before the probe began. Entries whose slot is still unpublished are
-// rejected without waiting: the reject seals the slot at probeTS
-// (Versions.visibleAt), which forces the slot's eventual publication onto a
-// timestamp newer than probeTS — so the rejection is correct even against a
-// publish that drew its timestamp before probeTS but had not stored it yet
-// (the draw-to-store window). A NullKey probe key matches nothing: SQL NULL
-// never equals anything, itself included, and build-side NULL entries are
-// unreachable because no probe for their key ever walks a chain.
+// been drawn from the STeM's Versions table (Publish or Now) before the
+// probe began. Entries whose slot is still unpublished are rejected without
+// waiting: the reject seals the slot at probeTS (Versions.visibleAt), which
+// forces the slot's eventual publication onto a timestamp newer than
+// probeTS — so the rejection is correct even against a publish that drew
+// its timestamp before probeTS but had not stored it yet (the draw-to-store
+// window). A NullKey probe key matches nothing: SQL NULL never equals
+// anything, itself included, and build-side NULL entries are unreachable
+// because no probe for their key ever walks a chain.
 //
 // wm amortizes the visibility check: it must be a watermark value read
 // *before* probeTS was drawn (Versions.Watermark, or the pair returned by
-// PublishClocked), which guarantees every slot under wm carries a timestamp
-// older than probeTS, so those entries (the stable majority in a long-lived
+// Publish), which guarantees every slot under wm carries a timestamp older
+// than probeTS, so those entries (the stable majority in a long-lived
 // session) skip the per-entry timestamp load entirely. Pass wm 0 to
 // disable the short-circuit.
 func (s *STeM) ProbeVec(dst []VecMatch, qbuf []uint64, col string, keys []int64, probeTS int64, wm Slot) ([]VecMatch, []uint64) {
@@ -251,8 +251,9 @@ func (s *STeM) ProbeVecRange(dst []VecMatch, qbuf []uint64, col string, keys []i
 	// The state is loaded once per call: a structural swap mid-call leaves
 	// this probe on the frozen old state, which is safe — any insert the
 	// probe is required to see (timestamp older than probeTS) happened
-	// before this call's state load (the inserter drew its timestamp before
-	// our publish raised maxPub above it), so it is in the loaded state.
+	// before this call's state load (the inserter inserted, then drew its
+	// timestamp from the counter before probeTS was drawn), so it is in the
+	// loaded state.
 	st := s.state.Load()
 	ki, ok := st.colIdx[col]
 	if !ok {

@@ -196,7 +196,7 @@ func TestQuickVecMatchesOracle(t *testing.T) {
 			s.InsertVec(vids[i0:i0+bn], batchKeys, qsets[i0*qw:(i0+bn)*qw], qw, slot, &sc)
 			o.insert(vids[i0:i0+bn], batchKeys, qsets[i0*qw:(i0+bn)*qw], qw, slot)
 			if i0+bn < n || rng.Intn(2) == 0 {
-				o.pubTS[slot] = v.Publish(slot)
+				_, o.pubTS[slot] = v.Publish(slot)
 			}
 			if len(snaps) == 0 && rng.Intn(4) == 0 {
 				snaps = append(snaps, snap{v.Watermark(), v.Now()})
@@ -300,6 +300,11 @@ func TestProbeVecMatchesOracleUnderConcurrentPublication(t *testing.T) {
 	v := NewVersions()
 	s := New(v, []string{"k"}, 8, maxEntries)
 	o := newOracle(1) // written by the publisher only, read after it exits
+	type pair struct {
+		wm Slot
+		ts int64
+	}
+	var pairs []pair // the publisher's own Publish results, read after it exits
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -328,7 +333,9 @@ func TestProbeVecMatchesOracleUnderConcurrentPublication(t *testing.T) {
 			}
 			s.InsertVec(vids, keys, qsets, 1, slot, &sc)
 			o.insert(vids, keys, qsets, 1, slot)
-			o.pubTS[slot] = v.Publish(slot)
+			wm, ts := v.Publish(slot)
+			o.pubTS[slot] = ts
+			pairs = append(pairs, pair{wm, ts})
 			slot++
 		}
 	}()
@@ -361,12 +368,23 @@ func TestProbeVecMatchesOracleUnderConcurrentPublication(t *testing.T) {
 			t.Fatalf("iter %d: ProbeVec at ts %d saw %d matches, oracle %d", iter, p.ts, len(p.got), len(want))
 		}
 	}
+	// The pair Publish returns is what an episode probes with: its
+	// watermark short-circuit must admit nothing the oracle rejects, the
+	// publishing slot itself included.
+	for i := 0; i < len(pairs); i += 1 + len(pairs)/64 {
+		p := pairs[i]
+		got := canonVec(probeVec(s, "k", probeKeys, p.ts, p.wm))
+		if want := o.probe(0, probeKeys, p.ts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("publish %d: ProbeVec at its pair (wm=%d, ts=%d) saw %d matches, oracle %d", i, p.wm, p.ts, len(got), len(want))
+		}
+	}
 }
 
 // TestWatermarkMonotonicUnderConcurrentPublish hammers Publish from several
 // goroutines over densely allocated slots and checks the watermark never
 // regresses, never passes an unpublished slot, and converges to the full
-// slot count once every publisher is done.
+// slot count once every publisher is done. Each publisher also checks the
+// pair Publish returned: slots under its watermark hold older timestamps.
 func TestWatermarkMonotonicUnderConcurrentPublish(t *testing.T) {
 	const slots = 3000
 	v := NewVersions()
@@ -376,12 +394,23 @@ func TestWatermarkMonotonicUnderConcurrentPublish(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			reported := false
 			for {
 				n := next.Add(1) - 1
 				if n >= slots {
 					return
 				}
-				v.Publish(Slot(n))
+				wm, ts := v.Publish(Slot(n))
+				if wm == 0 || reported {
+					continue
+				}
+				for _, old := range []Slot{0, wm / 2, wm - 1} {
+					if got := v.tryGet(old); got == 0 || got >= ts {
+						t.Errorf("Publish(%d) = (wm %d, ts %d), but slot %d has ts %d", n, wm, ts, old, got)
+						reported = true
+						break
+					}
+				}
 			}
 		}()
 	}
@@ -551,7 +580,7 @@ func buildRandom(rng *rand.Rand, qcap, n int) (*STeM, *oracle, []int64) {
 		s.InsertVec(vids, [][]int64{keys}, qsets, qw, slot, &sc)
 		o.insert(vids, [][]int64{keys}, qsets, qw, slot)
 		if rng.Intn(3) != 0 {
-			o.pubTS[slot] = v.Publish(slot)
+			_, o.pubTS[slot] = v.Publish(slot)
 		}
 		i0 += bn
 	}

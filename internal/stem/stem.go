@@ -258,12 +258,21 @@ type chunk struct {
 // it stay correct for as long as they hold it. Within one state the chunk
 // list grows (appends only) and buckets accept new entries, which is why
 // inserts must be fenced across a state swap while probes need not be.
+//
+// committed counts the entries whose every field and chain link is
+// written: InsertVec adds its batch size after its splices, while the
+// STeM's count reserves the range before the writes. When the two are
+// equal no insert is in flight and entries [0, committed) may be read
+// without following a chain. unions caches one union table per index of a
+// one-word STeM (see unionTable); a state swap drops them with the state.
 type stemState struct {
-	keyCols []string
-	colIdx  map[string]int
-	buckets [][]atomic.Int32 // per index; value 0 = empty, else entryIdx+1
-	shift   []uint
-	chunks  atomic.Pointer[[]*chunk]
+	keyCols   []string
+	colIdx    map[string]int
+	buckets   [][]atomic.Int32 // per index; value 0 = empty, else entryIdx+1
+	shift     []uint
+	chunks    atomic.Pointer[[]*chunk]
+	committed atomic.Int64
+	unions    []atomic.Pointer[unionTable]
 }
 
 // STeM is the state module for one relation instance.
@@ -278,17 +287,21 @@ type STeM struct {
 	_     [56]byte // keep the hot insert counter off neighboring lines
 
 	compactGen atomic.Uint64 // CompactLive rebuilds so far; entry positions are stable within one generation
+	sweepGen   atomic.Uint64 // SweepChunk calls that cleared a bit; a union table is stale once it moves
 }
 
-// newState builds an empty state for the given key columns with nb buckets
-// per index and an initial chunk list.
-func newState(keyCols []string, nb int, chunks []*chunk) *stemState {
+// newState builds a state for the given key columns with nb (still empty)
+// buckets per index over a chunk list whose first committed entries are
+// written.
+func newState(keyCols []string, nb int, chunks []*chunk, committed int64) *stemState {
 	st := &stemState{
 		keyCols: keyCols,
 		colIdx:  make(map[string]int, len(keyCols)),
 		buckets: make([][]atomic.Int32, len(keyCols)),
 		shift:   make([]uint, len(keyCols)),
+		unions:  make([]atomic.Pointer[unionTable], len(keyCols)),
 	}
+	st.committed.Store(committed)
 	for i, c := range keyCols {
 		st.colIdx[c] = i
 		st.buckets[i] = make([]atomic.Int32, nb)
@@ -319,7 +332,7 @@ func New(versions *Versions, keyCols []string, nQueries, capacityHint int) *STeM
 	if s.qw == 0 {
 		s.qw = 1
 	}
-	s.state.Store(newState(keyCols, bucketsFor(capacityHint), []*chunk{}))
+	s.state.Store(newState(keyCols, bucketsFor(capacityHint), []*chunk{}, 0))
 	return s
 }
 
@@ -379,18 +392,24 @@ func newChunk(nkeys, qw int) *chunk {
 
 // EstBytes estimates the STeM's resident memory: allocated entry chunks
 // (vIDs, slots, key columns, hash chains, query-set slab) plus the bucket
-// arrays. Observability only; the estimate ignores Go object headers.
+// arrays and the cached union tables. Observability only; the estimate
+// ignores Go object headers.
 func (s *STeM) EstBytes() int64 {
 	st := s.state.Load()
 	nChunks := int64(len(*st.chunks.Load()))
 	perChunk := int64(chunkSize) * (4 + 4 + // vids, slots
 		int64(len(st.keyCols))*(8+4) + // keys, next chains
 		int64(s.qw)*8) // query-set slab
-	var buckets int64
+	var index int64
 	for _, b := range st.buckets {
-		buckets += int64(len(b)) * 4
+		index += int64(len(b)) * 4
 	}
-	return nChunks*perChunk + buckets
+	for i := range st.unions {
+		if t := st.unions[i].Load(); t != nil {
+			index += int64(len(t.slots)) * 16
+		}
+	}
+	return nChunks*perChunk + index
 }
 
 // NumChunks returns the number of allocated entry chunks.
@@ -410,7 +429,10 @@ func (s *STeM) NumChunks() int { return len(*s.state.Load().chunks.Load()) }
 // that could insert its bit is still running). Reserved-but-unwritten
 // entries (an in-flight InsertVec past count.Add but before its stores)
 // read as zero and are counted dead; that only skews the compaction
-// heuristic, never correctness.
+// heuristic, never correctness. A sweep that clears a bit bumps the sweep
+// generation once it is done, which turns every union table built before
+// (or during) it stale: a cached union would otherwise hand the swept bits
+// to the queries that recycle the retired IDs.
 func (s *STeM) SweepChunk(ci int, retired bitset.Set) (dead int) {
 	st := s.state.Load()
 	chunks := *st.chunks.Load()
@@ -423,6 +445,7 @@ func (s *STeM) SweepChunk(ci int, retired bitset.Set) (dead int) {
 	if hi > chunkSize {
 		hi = chunkSize
 	}
+	cleared := false
 	for off := 0; off < hi; off++ {
 		qoff := off * s.qw
 		empty := true
@@ -435,6 +458,7 @@ func (s *STeM) SweepChunk(ci int, retired bitset.Set) (dead int) {
 					// insert, whose value carries no retired bits.
 					atomic.CompareAndSwapUint64(&c.qsets[qoff+i], w, masked)
 					w = masked
+					cleared = true
 				}
 			}
 			if w != 0 {
@@ -444,6 +468,9 @@ func (s *STeM) SweepChunk(ci int, retired bitset.Set) (dead int) {
 		if empty {
 			dead++
 		}
+	}
+	if cleared {
+		s.sweepGen.Add(1)
 	}
 	return dead
 }
@@ -474,7 +501,7 @@ func (s *STeM) CompactLive() int {
 		}
 	}
 
-	ns := newState(st.keyCols, bucketsFor(live), make([]*chunk, 0, (live+chunkSize-1)>>chunkBits))
+	ns := newState(st.keyCols, bucketsFor(live), make([]*chunk, 0, (live+chunkSize-1)>>chunkBits), int64(live))
 	w := 0
 	for idx := 0; idx < n; idx++ {
 		if entryEmpty(old, idx, s.qw) {
@@ -576,7 +603,7 @@ func (s *STeM) EnsureBuckets(entries int) {
 		return
 	}
 	old := *st.chunks.Load()
-	ns := newState(st.keyCols, nb, cloneChunks(old, len(st.keyCols)))
+	ns := newState(st.keyCols, nb, cloneChunks(old, len(st.keyCols)), s.count.Load())
 	s.rebuildChains(ns)
 	s.state.Store(ns)
 }
@@ -654,9 +681,8 @@ func (s *STeM) AddIndex(col string, keyOf func(vid int32) int64) {
 	for _, nc := range chunks {
 		nc.keys = append(append([][]int64{}, nc.keys...), make([]int64, chunkSize))
 	}
-	ns := newState(keyCols, nb, chunks)
-
 	n := int(s.count.Load())
+	ns := newState(keyCols, nb, chunks, int64(n))
 	for idx := 0; idx < n; idx++ {
 		c := chunks[idx>>chunkBits]
 		off := idx & chunkMask

@@ -1,6 +1,7 @@
 package stem
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"github.com/roulette-db/roulette/internal/bitset"
@@ -21,7 +22,9 @@ import (
 //     the per-entry timestamp load entirely.
 //   - PruneVec is the symmetric-join-pruning kernel: it stages head entries
 //     as ProbeVec does, short-circuits on the watermark, and masks the
-//     probing tuples' query sets in place over one word range.
+//     probing tuples' query sets in place over one word range. On a
+//     one-word STeM it reads each key's union from a cached table instead
+//     (unionTable), one slot per tuple and no chain walk.
 //
 // Memory-ordering argument: every entry write — vIDs, slots, keys, query
 // sets, intra-batch next links — happens before the bucket CAS that makes
@@ -128,12 +131,25 @@ func (sc *InsertScratch) lookupOrAdd(b int32) int {
 // batches in last-in-first-out order; probes promise match *sets*, not an
 // order.
 func (s *STeM) InsertVec(vids []int32, keyCols [][]int64, qsets []uint64, qw int, slot Slot, sc *InsertScratch) {
-	n := len(vids)
-	if n == 0 {
+	if len(vids) == 0 {
 		return
 	}
+	st, base := s.reserve(len(vids))
+	s.fill(st, base, vids, keyCols, qsets, qw, slot, sc)
+}
+
+// reserve is InsertVec's first half: it claims n entry positions of the
+// current state, returned with the state and the first position.
+func (s *STeM) reserve(n int) (*stemState, int64) {
 	st := s.state.Load()
-	base := s.count.Add(int64(n)) - int64(n)
+	return st, s.count.Add(int64(n)) - int64(n)
+}
+
+// fill is InsertVec's second half: it writes the reserved entries
+// [base, base+len(vids)) of state st, splices them into the chains and
+// commits them.
+func (s *STeM) fill(st *stemState, base int64, vids []int32, keyCols [][]int64, qsets []uint64, qw int, slot Slot, sc *InsertScratch) {
+	n := len(vids)
 	// Materialize every chunk the batch touches, then bulk-write the entry
 	// columns one chunk segment at a time.
 	s.chunkFor(st, base+int64(n)-1)
@@ -169,6 +185,7 @@ func (s *STeM) InsertVec(vids []int32, keyCols [][]int64, qsets []uint64, qw int
 	for ki := range st.keyCols {
 		s.spliceBatch(st, ki, base, n, keyCols[ki], sc, chunks)
 	}
+	st.committed.Add(int64(n))
 }
 
 // spliceBatch links the batch's entries into index ki's hash chains: one
@@ -367,7 +384,9 @@ func (s *STeM) ProbeVecRange(dst []VecMatch, qbuf []uint64, col string, keys []i
 // Publication needs no timestamp ordering here, and unpublished slots are
 // skipped, not sealed: the caller prunes only against a STeM whose every
 // vector has been inserted and published. Entries under the watermark skip
-// the version lookup. A one-word range takes a scalar path (pruneWord).
+// the version lookup. A one-word STeM answers from its union table when
+// one is current or can be built (union); otherwise a one-word range takes
+// a scalar chain walk (pruneWord).
 func (s *STeM) PruneVec(qsets []uint64, qw int, elig bitset.Set, lo, hi int, col string, keys []int64, acc []uint64) {
 	nw := hi - lo
 	st := s.state.Load()
@@ -376,6 +395,15 @@ func (s *STeM) PruneVec(qsets []uint64, qw int, elig bitset.Set, lo, hi int, col
 		return
 	}
 	if nw == 1 {
+		if t := s.union(st, ki); t != nil {
+			e := elig[lo]
+			for i, k := range keys {
+				if p := &qsets[i*qw+lo]; *p&e != 0 {
+					*p &= t.get(k) | ^e
+				}
+			}
+			return
+		}
 		s.pruneWord(st, ki, qsets, qw, elig[lo], lo, keys)
 		return
 	}
@@ -508,4 +536,113 @@ func (s *STeM) pruneWord(st *stemState, ki int, qsets []uint64, qw int, elig uin
 			qsets[(i0+j)*qw+w] &= u | ^elig
 		}
 	}
+}
+
+// unionTable answers a one-word prune with one slot read per key: an
+// open-addressed map from each distinct key of one index to the OR of its
+// published entries' query-set words. Empty slots hold NullKey, so a NULL
+// probe key stops at the first empty slot and reads the empty union. The
+// hash is qat.HashTable's one multiply and the table is at most half full.
+//
+// A table is immutable once built and is valid for the state it is cached
+// on only while the state's committed count and the STeM's sweep generation
+// still equal its stamps: a commit adds entries the table lacks, and a
+// sweep clears bits the table still holds.
+type unionTable struct {
+	slots     []unionSlot
+	shift     uint
+	committed int64
+	sweepGen  uint64
+}
+
+type unionSlot struct {
+	key int64
+	u   uint64
+}
+
+func newUnionTable(n int) *unionTable {
+	t := &unionTable{slots: make([]unionSlot, n), shift: uint(64 - bits.TrailingZeros(uint(n)))}
+	for i := range t.slots {
+		t.slots[i].key = NullKey
+	}
+	return t
+}
+
+// slot returns key's slot: the one holding it, or the empty one where its
+// probe sequence ends.
+func (t *unionTable) slot(key int64) *unionSlot {
+	mask := uint64(len(t.slots) - 1)
+	for i := (uint64(key) * 0x9E3779B97F4A7C15) >> t.shift; ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.key == key || s.key == NullKey {
+			return s
+		}
+	}
+}
+
+// get returns the union of key's entries, 0 for an absent or NULL key.
+func (t *unionTable) get(key int64) uint64 { return t.slot(key).u }
+
+// union returns index ki's union table on state st of a one-word STeM,
+// building and caching it when the cached one is missing or stale, or nil
+// when the caller must walk the chains: on a wider STeM; while an insert is
+// in flight (count ahead of committed), since inserts commit out of order
+// and an entry under committed may still be unwritten; or when an entry
+// with bits is unpublished, since its publication would move no stamp. A
+// table whose stamps moved during the build still serves this call — it
+// holds every entry committed and published when the call began — but is
+// not cached.
+func (s *STeM) union(st *stemState, ki int) *unionTable {
+	if s.qw != 1 {
+		return nil
+	}
+	gen := s.sweepGen.Load()
+	c := st.committed.Load()
+	if t := st.unions[ki].Load(); t != nil && t.committed == c && t.sweepGen == gen {
+		return t
+	}
+	if s.count.Load() != c {
+		return nil
+	}
+	wm := s.versions.Watermark()
+	chunks := *st.chunks.Load()
+	t := newUnionTable(64)
+	n := 0
+	for idx := 0; idx < int(c); idx++ {
+		ch := chunks[idx>>chunkBits]
+		off := idx & chunkMask
+		k := ch.keys[ki][off]
+		u := atomic.LoadUint64(&ch.qsets[off])
+		if u == 0 || k == NullKey {
+			continue // contributes to no union, now or after publication
+		}
+		if slot := ch.slots[off]; slot >= wm && s.versions.tryGet(slot) == 0 {
+			return nil
+		}
+		e := t.slot(k)
+		if e.key == NullKey {
+			if 2*(n+1) > len(t.slots) {
+				t = t.grow()
+				e = t.slot(k)
+			}
+			e.key = k
+			n++
+		}
+		e.u |= u
+	}
+	t.committed, t.sweepGen = c, gen
+	if st.committed.Load() == c && s.sweepGen.Load() == gen {
+		st.unions[ki].Store(t)
+	}
+	return t
+}
+
+// grow returns a table of twice t's size holding t's slots.
+func (t *unionTable) grow() *unionTable {
+	nt := newUnionTable(2 * len(t.slots))
+	for _, e := range t.slots {
+		if e.key != NullKey {
+			*nt.slot(e.key) = e
+		}
+	}
+	return nt
 }

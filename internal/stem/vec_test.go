@@ -104,8 +104,16 @@ func randomPrune(rng *rand.Rand, keys []int64, qw int) (tuples, elig []uint64, l
 // checkPrune runs PruneVec over a fresh random input and compares every
 // tuple with the oracle.
 func checkPrune(t *testing.T, rng *rand.Rand, s *STeM, o *oracle, ki int, col string, keys []int64) bool {
+	tuples, elig, lo, hi := randomPrune(rng, keys, s.qw)
+	return checkPruneInput(t, s, o, ki, col, keys, tuples, elig, lo, hi)
+}
+
+// checkPruneInput runs PruneVec over the given input and compares every
+// tuple with the oracle. A one-word prune is also compared with the chain
+// walk (pruneWord) over the same input, so the union table and the walk it
+// replaces must agree.
+func checkPruneInput(t *testing.T, s *STeM, o *oracle, ki int, col string, keys []int64, tuples, elig []uint64, lo, hi int) bool {
 	qw := s.qw
-	tuples, elig, lo, hi := randomPrune(rng, keys, qw)
 	orig := append([]uint64(nil), tuples...)
 	s.PruneVec(tuples, qw, elig, lo, hi, col, keys, make([]uint64, qw))
 	for i, k := range keys {
@@ -115,7 +123,51 @@ func checkPrune(t *testing.T, rng *rand.Rand, s *STeM, o *oracle, ki int, col st
 			return false
 		}
 	}
+	if hi-lo == 1 {
+		walked := append([]uint64(nil), orig...)
+		s.pruneWord(s.state.Load(), ki, walked, qw, elig[lo], lo, keys)
+		if !reflect.DeepEqual(walked, tuples) {
+			t.Logf("col %s word %d: PruneVec = %x, chain walk %x", col, lo, tuples, walked)
+			return false
+		}
+	}
 	return true
+}
+
+// unionCurrent reports whether index ki of s holds a union table that a
+// prune would use as it stands.
+func unionCurrent(s *STeM, ki int) bool {
+	st := s.state.Load()
+	u := st.unions[ki].Load()
+	return u != nil && u.committed == st.committed.Load() && u.sweepGen == s.sweepGen.Load()
+}
+
+// sweepAll clears the retired bits from every entry of s and of the oracle.
+func sweepAll(s *STeM, o *oracle, retired bitset.Set) {
+	for ci := 0; ci < s.NumChunks(); ci++ {
+		s.SweepChunk(ci, retired)
+	}
+	for _, m := range o.byKey {
+		for _, es := range m {
+			for _, e := range es {
+				bitset.Set(e.qset).AndNotWith(retired)
+			}
+		}
+	}
+}
+
+// publishRest publishes every slot of the oracle's entries still
+// unpublished.
+func publishRest(v *Versions, o *oracle) {
+	for _, m := range o.byKey {
+		for _, es := range m {
+			for _, e := range es {
+				if _, ok := o.pubTS[e.slot]; !ok {
+					_, o.pubTS[e.slot] = v.Publish(e.slot)
+				}
+			}
+		}
+	}
 }
 
 // probeVec is the test-side one-shot ProbeVec wrapper (fresh buffers each
@@ -147,7 +199,8 @@ func canonVec(ms []VecMatch) []string {
 // unpublished) must agree with the brute-force oracle on every probe — with
 // and without the watermark short-circuit, at the final timestamp and at one
 // drawn mid-build, NULL and missing probe keys included — and on every
-// prune over a random word range.
+// prune over a random word range, again once every slot is published and
+// once more after a sweep.
 func TestQuickVecMatchesOracle(t *testing.T) {
 	f := func(seed int64, skewRaw, qcapRaw uint8, nRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -224,6 +277,27 @@ func TestQuickVecMatchesOracle(t *testing.T) {
 			}
 			if !checkPrune(t, rng, s, o, ci, col, probeKeys) {
 				return false
+			}
+		}
+		// With every slot published a one-word STeM's prunes answer from
+		// its union tables; a sweep must then take the swept bits out of
+		// the next prunes' answers.
+		publishRest(v, o)
+		retired := make(bitset.Set, qw)
+		for w := range retired {
+			retired[w] = rng.Uint64() & rng.Uint64()
+		}
+		for round := 0; round < 2; round++ {
+			if round == 1 {
+				sweepAll(s, o, retired)
+			}
+			for ci, col := range cols {
+				for iter := 0; iter < 4; iter++ {
+					if !checkPrune(t, rng, s, o, ci, col, probeKeys) {
+						t.Logf("round %d: prune diverged", round)
+						return false
+					}
+				}
 			}
 		}
 		return true
@@ -594,16 +668,24 @@ func buildRandom(rng *rand.Rand, qcap, n int) (*STeM, *oracle, []int64) {
 // TestPruneVecMatchesOracle checks the prune kernel against the brute-force
 // model at query-set widths of 1, 2 and 5 words, each over random word
 // ranges — bits outside the range must come back untouched — with NULL
-// keys, unpublished slots and multi-entry chains. It also checks that
-// ProbeVecRange stages exactly words [lo, hi) of what ProbeVec returns.
+// keys, unpublished slots and multi-entry chains, then again once every
+// slot is published (where a one-word STeM answers from its union table).
+// It also checks that ProbeVecRange stages exactly words [lo, hi) of what
+// ProbeVec returns.
 func TestPruneVecMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, qcap := range []int{64, 128, 320} {
 		s, o, keys := buildRandom(rng, qcap, 600)
-		for iter := 0; iter < 40; iter++ {
+		for iter := 0; iter < 80; iter++ {
+			if iter == 40 {
+				publishRest(s.versions, o)
+			}
 			if !checkPrune(t, rng, s, o, 0, "k", keys) {
 				t.Fatalf("qcap %d iter %d: PruneVec diverged from the oracle", qcap, iter)
 			}
+		}
+		if s.qw == 1 && !unionCurrent(s, 0) {
+			t.Fatalf("qcap %d: no current union table once every slot is published", qcap)
 		}
 		wm, ts := s.versions.Watermark(), s.versions.Now()
 		full, _ := s.ProbeVec(nil, nil, "k", keys, ts, wm)
@@ -622,6 +704,258 @@ func TestPruneVecMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestPruneVecUnionAcrossMaintenance drives a one-word STeM, whose
+// one-word prunes answer from the union table, through a random
+// interleaving of every operation that changes a prune's answer or drops
+// the table: InsertVec (its slot often left unpublished for a while),
+// Publish, SweepChunk, CompactLive, EnsureBuckets and AddIndex. After each
+// step a prune on every index, over NULL, hit and missing keys, must match
+// the oracle and the chain walk, and enough of them must have been
+// answered by a current table for the check to cover the union path.
+func TestPruneVecUnionAcrossMaintenance(t *testing.T) {
+	const domain, steps = 40, 400
+	rng := rand.New(rand.NewSource(17))
+	v := NewVersions()
+	s := New(v, []string{"a"}, 64, 0)
+	o := newOracle(1)
+	keyOfB := func(vid int32) int64 {
+		if vid%11 == 0 {
+			return NullKey
+		}
+		return int64(vid*7) % domain
+	}
+	probeKeys := []int64{NullKey}
+	for k := int64(0); k <= domain; k++ { // domain itself = guaranteed miss
+		probeKeys = append(probeKeys, k, k)
+	}
+	var sc InsertScratch
+	var pending []Slot
+	nextSlot, nextVID := Slot(0), int32(0)
+	hits := 0
+	for step := 0; step < steps; step++ {
+		switch op := rng.Intn(10); {
+		case op < 4:
+			n := 1 + rng.Intn(300)
+			vids := make([]int32, n)
+			keys := [][]int64{make([]int64, n), make([]int64, n)}
+			qsets := make([]uint64, n)
+			for j := range vids {
+				vids[j] = nextVID
+				nextVID++
+				keys[0][j] = rng.Int63n(domain)
+				if rng.Intn(12) == 0 {
+					keys[0][j] = NullKey
+				}
+				keys[1][j] = keyOfB(vids[j])
+				qsets[j] = 1 << uint(rng.Intn(64)) << uint(rng.Intn(2))
+			}
+			s.InsertVec(vids, keys, qsets, 1, nextSlot, &sc)
+			o.insert(vids, keys, qsets, 1, nextSlot)
+			pending = append(pending, nextSlot)
+			nextSlot++
+			if rng.Intn(2) == 0 {
+				_, o.pubTS[pending[0]] = v.Publish(pending[0])
+				pending = pending[1:]
+			}
+		case op < 6:
+			// Publish one pending slot, or all of them.
+			for len(pending) > 0 {
+				i := rng.Intn(len(pending))
+				_, o.pubTS[pending[i]] = v.Publish(pending[i])
+				pending = append(pending[:i], pending[i+1:]...)
+				if rng.Intn(2) == 0 {
+					break
+				}
+			}
+		case op < 8:
+			retired := bitset.Set{rng.Uint64() & rng.Uint64() & rng.Uint64()}
+			sweepAll(s, o, retired)
+		case op == 8:
+			if rng.Intn(2) == 0 {
+				s.CompactLive()
+			} else {
+				s.EnsureBuckets(s.Len() + rng.Intn(4*chunkSize))
+			}
+		default:
+			if len(o.byKey) == 1 {
+				s.AddIndex("b", keyOfB)
+				b := map[int64][]oracleEntry{}
+				for _, es := range o.byKey[0] {
+					for _, e := range es {
+						b[keyOfB(e.vid)] = append(b[keyOfB(e.vid)], e)
+					}
+				}
+				o.byKey = append(o.byKey, b)
+			}
+		}
+		for ki, col := range []string{"a", "b"}[:len(o.byKey)] {
+			tuples := make([]uint64, len(probeKeys))
+			for i := range tuples {
+				tuples[i] = rng.Uint64()
+			}
+			elig := []uint64{rng.Uint64() | rng.Uint64()}
+			if !checkPruneInput(t, s, o, ki, col, probeKeys, tuples, elig, 0, 1) {
+				t.Fatalf("step %d: one-word PruneVec on %s diverged", step, col)
+			}
+			if unionCurrent(s, ki) {
+				hits++
+			}
+		}
+	}
+	t.Logf("%d of the prunes answered from a current union table", hits)
+	if hits < steps/4 {
+		t.Fatalf("a current union table answered %d of the prunes; the check barely covers the union path", hits)
+	}
+}
+
+// TestUnionTableWaitsForCommit prunes while inserts have reserved their
+// entries but not yet written or committed them (InsertVec's two halves,
+// driven apart). Such a prune must neither read the unwritten entries nor
+// leave a table behind that a commit fails to invalidate: each insert's
+// bits must show in the first prune after it commits and publishes, also
+// when a later reservation commits before an earlier one. A table stamped
+// with the reserving count instead of the committed one fails here, and so
+// does a build that does not wait for count and committed to agree.
+func TestUnionTableWaitsForCommit(t *testing.T) {
+	v := NewVersions()
+	s := New(v, []string{"k"}, 64, 0)
+	var sc InsertScratch
+	keys := []int64{0, 1, 2, 3}
+	insert := func(bits uint64, slot Slot) func() {
+		st, base := s.reserve(len(keys))
+		return func() {
+			s.fill(st, base, []int32{0, 1, 2, 3}, [][]int64{keys}, []uint64{bits, bits, bits, bits}, 1, slot, &sc)
+			v.Publish(slot)
+		}
+	}
+	check := func(when string, want uint64) {
+		t.Helper()
+		tuples := []uint64{0xf, 0xf, 0xf, 0xf}
+		s.PruneVec(tuples, 1, bitset.Set{0xf}, 0, 1, "k", keys, nil)
+		if w := []uint64{want, want, want, want}; !reflect.DeepEqual(tuples, w) {
+			t.Fatalf("prune %s = %x, want %x", when, tuples, w)
+		}
+	}
+	insert(1, 0)()
+	check("after the first insert", 1)
+	if !unionCurrent(s, 0) {
+		t.Fatal("no table cached after the first insert; the check would not cover the union path")
+	}
+
+	commit := insert(2, 1)
+	check("during a reservation", 1)
+	commit()
+	check("after its commit", 3)
+
+	first, second := insert(4, 2), insert(8, 3)
+	second()
+	check("after the later reservation commits first", 0xb)
+	first()
+	check("after both commit", 0xf)
+	if !unionCurrent(s, 0) {
+		t.Fatal("no current table after the last commit; the check would not cover the union path")
+	}
+}
+
+// TestPruneVecUnionUnderConcurrentInserts prunes from two goroutines
+// against a one-word STeM while two others insert and publish into it, so
+// union tables are built, cached and dropped while inserts reserve, write
+// and commit around them. Every entry of key k carries the same bits f(k)
+// and a first published batch holds every key, so each prune must read
+// exactly f(k) for a key of the domain and nothing for NULL or a missing
+// key, whatever the interleaving. Run under -race this also checks that a
+// build reads only entries whose insert has committed.
+func TestPruneVecUnionUnderConcurrentInserts(t *testing.T) {
+	const domain, batches = 48, 150
+	f := func(k int64) uint64 { return 1<<uint(k%64) | 1<<uint(k*7%64) }
+	v := NewVersions()
+	s := New(v, []string{"k"}, 64, 0)
+	var slots atomic.Int32
+	insert := func(keys []int64, sc *InsertScratch) {
+		qsets := make([]uint64, len(keys))
+		for j, k := range keys {
+			if k != NullKey {
+				qsets[j] = f(k)
+			}
+		}
+		slot := Slot(slots.Add(1) - 1)
+		s.InsertVec(make([]int32, len(keys)), [][]int64{keys}, qsets, 1, slot, sc)
+		v.Publish(slot)
+	}
+	seed := make([]int64, domain)
+	for k := range seed {
+		seed[k] = int64(k)
+	}
+	var sc InsertScratch
+	insert(seed, &sc)
+
+	probeKeys := []int64{NullKey, domain}
+	for k := int64(0); k < domain; k++ {
+		probeKeys = append(probeKeys, k)
+	}
+	var inserters, pruners sync.WaitGroup
+	done := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		inserters.Add(1)
+		go func(g int) {
+			defer inserters.Done()
+			rng := rand.New(rand.NewSource(int64(10 + g)))
+			var sc InsertScratch
+			for i := 0; i < batches; i++ {
+				keys := make([]int64, 1+rng.Intn(domain))
+				for j := range keys {
+					keys[j] = rng.Int63n(domain)
+					if rng.Intn(10) == 0 {
+						keys[j] = NullKey
+					}
+				}
+				insert(keys, &sc)
+			}
+		}(g)
+	}
+	for g := 0; g < 2; g++ {
+		pruners.Add(1)
+		go func(g int) {
+			defer pruners.Done()
+			rng := rand.New(rand.NewSource(int64(20 + g)))
+			tuples := make([]uint64, len(probeKeys))
+			for iter := 0; ; iter++ {
+				finished := false
+				select {
+				case <-done:
+					finished = true
+				default:
+				}
+				e := rng.Uint64() | rng.Uint64()
+				for i := range tuples {
+					tuples[i] = rng.Uint64()
+				}
+				orig := append([]uint64(nil), tuples...)
+				s.PruneVec(tuples, 1, bitset.Set{e}, 0, 1, "k", probeKeys, nil)
+				for i, k := range probeKeys {
+					var u uint64
+					if k != NullKey && k < domain {
+						u = f(k)
+					}
+					if want := orig[i] & (u | ^e); tuples[i] != want {
+						t.Errorf("pruner %d iter %d key %d: PruneVec = %x, want %x", g, iter, k, tuples[i], want)
+						return
+					}
+				}
+				if finished {
+					return // one full pass after the last insert
+				}
+			}
+		}(g)
+	}
+	inserters.Wait()
+	close(done)
+	pruners.Wait()
+	if !t.Failed() && !unionCurrent(s, 0) {
+		t.Fatal("no current union table after the last prune; the check did not reach the union path")
+	}
+}
+
 // TestPruneVecDuringGC runs the prune kernel while the GC sweeper clears a
 // retired query set's bits from the same entries (SweepChunk is lock-free,
 // as in the engine). A retired bit may be seen before or after its sweep, so
@@ -630,8 +964,20 @@ func TestPruneVecMatchesOracle(t *testing.T) {
 // under -race this also checks the kernel's atomic loads of entry words.
 func TestPruneVecDuringGC(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	s, o, keys := buildRandom(rng, 320, 2*chunkSize)
+	for _, qcap := range []int{320, 64} {
+		pruneDuringGC(t, rng, qcap)
+	}
+}
+
+// pruneDuringGC is TestPruneVecDuringGC at one query capacity. A one-word
+// STeM has every slot published first, so its prunes take the union path
+// and rebuild the table as each swept chunk moves the sweep generation.
+func pruneDuringGC(t *testing.T, rng *rand.Rand, qcap int) {
+	s, o, keys := buildRandom(rng, qcap, 2*chunkSize)
 	qw := s.qw
+	if qw == 1 {
+		publishRest(s.versions, o)
+	}
 	retired := make(bitset.Set, qw)
 	for w := range retired {
 		retired[w] = rng.Uint64()
@@ -664,7 +1010,7 @@ func TestPruneVecDuringGC(t *testing.T) {
 			after := swept.prune(0, k, orig[i*qw:(i+1)*qw], elig, lo, hi)
 			for w := range got {
 				if got[w]&^before[w] != 0 || after[w]&^got[w] != 0 || (got[w]^before[w])&^retired[w] != 0 {
-					t.Fatalf("iter %d key %d word %d: PruneVec = %x, want between %x and %x", iter, k, w, got[w], after[w], before[w])
+					t.Fatalf("qcap %d iter %d key %d word %d: PruneVec = %x, want between %x and %x", qcap, iter, k, w, got[w], after[w], before[w])
 				}
 			}
 		}
@@ -682,8 +1028,9 @@ func TestPruneVecDuringGC(t *testing.T) {
 // TestProbeVecPruneVecZeroAlloc pins the kernels' allocation contract at
 // the package boundary, below the episode-step guards in internal/exec: with
 // warm caller-owned buffers ProbeVec, ProbeVecRange and PruneVec do not
-// allocate, and neither does an InsertVec that stays inside an allocated
-// chunk with a warm InsertScratch.
+// allocate, PruneVec on a one-word STeM included once its union table is
+// built, and neither does an InsertVec that stays inside an allocated chunk
+// with a warm InsertScratch.
 func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 	const entries, fanout, batch, runs = 1024, 4, 8, 50
 	v := NewVersions()
@@ -699,6 +1046,12 @@ func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 	}
 	var sc InsertScratch
 	s.InsertVec(vids, keys, qsets, qw, 0, &sc)
+	s1 := New(v, []string{"k"}, 64, chunkSize) // one word: the union path
+	q1 := make([]uint64, entries)
+	for i := range q1 {
+		q1[i] = 1 << uint(i%64)
+	}
+	s1.InsertVec(vids, keys, q1, 1, 0, &sc)
 	v.Publish(0)
 	if entries+(runs+1)*batch > chunkSize {
 		t.Fatal("insert case would grow the slab; the assertion would be vacuous")
@@ -719,6 +1072,8 @@ func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 	tuples := make([]uint64, len(probeKeys)*qw)
 	elig := bitset.NewFull(80)
 	acc := make([]uint64, qw)
+	tuples1 := make([]uint64, len(probeKeys))
+	elig1 := bitset.NewFull(64)
 	insKeys := [][]int64{keys[0][:batch]}
 
 	for _, tc := range []struct {
@@ -734,11 +1089,20 @@ func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 			}
 			s.PruneVec(tuples, qw, elig, 0, qw, "k", probeKeys, acc)
 		}},
+		{"PruneVec/union", func() {
+			for i := range tuples1 {
+				tuples1[i] = ^uint64(0)
+			}
+			s1.PruneVec(tuples1, 1, elig1, 0, 1, "k", probeKeys, nil)
+		}},
 		{"InsertVec/in-chunk", func() { s.InsertVec(vids[:batch], insKeys, qsets[:batch*qw], qw, 1, &sc) }},
 	} {
 		if allocs := testing.AllocsPerRun(runs, tc.fn); allocs != 0 {
 			t.Errorf("%s allocates %.1f allocs/op with warm buffers, want 0", tc.name, allocs)
 		}
+	}
+	if !unionCurrent(s1, 0) {
+		t.Error("the one-word STeM holds no current union table; PruneVec/union did not cover it")
 	}
 }
 
@@ -824,12 +1188,29 @@ func BenchmarkSTeMProbeParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkPruneVec measures the prune kernel on its dominant shape: a
-// 1024-tuple vector probing a unique-key (dimension) STeM of a 2048-query
-// batch (32-word query sets) whose eligible queries span five words, as
-// after shape-clustered numbering.
+// BenchmarkPruneVec measures the prune kernel on two shapes, each a
+// vector probing a published dimension STeM:
+//
+//   - 32words-span5: 1024 tuples against a 65 536-key STeM of a 2048-query
+//     batch (32-word query sets) whose eligible queries span five words, as
+//     after shape-clustered numbering;
+//   - 1word-dim1800: 1000 tuples against a one-word STeM holding 60 % of an
+//     1 800-key dimension, probed over the whole dimension, as a stream's
+//     lone queries prune; this is the union-table path.
 func BenchmarkPruneVec(b *testing.B) {
-	const entries, qcap = 1 << 16, 2048
+	b.Run("32words-span5", func(b *testing.B) {
+		const entries = 1 << 16
+		benchPrune(b, 2048, entries, entries, 1024, 10, 15)
+	})
+	b.Run("1word-dim1800", func(b *testing.B) {
+		benchPrune(b, 64, 1800, 1800*6/10, 1000, 0, 1)
+	})
+}
+
+// benchPrune times PruneVec of probes keys drawn from [0, domain) against
+// a STeM of a qcap-query batch holding entries distinct keys of that
+// domain, all under one published slot, with the words [lo, hi) eligible.
+func benchPrune(b *testing.B, qcap, domain, entries, probes, lo, hi int) {
 	v := NewVersions()
 	s := New(v, []string{"k"}, qcap, entries)
 	qw := s.qw
@@ -837,8 +1218,8 @@ func BenchmarkPruneVec(b *testing.B) {
 	vids := make([]int32, entries)
 	keys := make([]int64, entries)
 	qsets := make([]uint64, entries*qw)
-	for i := range vids {
-		vids[i], keys[i] = int32(i), int64(i)
+	for i, k := range rng.Perm(domain)[:entries] {
+		vids[i], keys[i] = int32(i), int64(k)
 		for w := 0; w < qw; w++ {
 			qsets[i*qw+w] = rng.Uint64() & rng.Uint64()
 		}
@@ -847,13 +1228,12 @@ func BenchmarkPruneVec(b *testing.B) {
 	s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, &sc)
 	v.Publish(0)
 	elig := make(bitset.Set, qw)
-	const lo, hi = 10, 15
 	for w := lo; w < hi; w++ {
 		elig[w] = ^uint64(0)
 	}
-	probeKeys := make([]int64, 1024)
+	probeKeys := make([]int64, probes)
 	for i := range probeKeys {
-		probeKeys[i] = rng.Int63n(entries)
+		probeKeys[i] = rng.Int63n(int64(domain))
 	}
 	tuples := make([]uint64, len(probeKeys)*qw)
 	acc := make([]uint64, qw)
@@ -865,4 +1245,5 @@ func BenchmarkPruneVec(b *testing.B) {
 		}
 		s.PruneVec(tuples, qw, elig, lo, hi, "k", probeKeys, acc)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes), "ns/key")
 }

@@ -38,8 +38,8 @@ const (
 // NULL compares unequal to everything, itself included, so every probe path
 // treats a NullKey probe as matching nothing; build-side NULL entries may
 // be inserted normally — they are unreachable because no probe for their
-// key ever walks a chain. Keeping the skip on the probe side leaves the
-// insert hot path untouched.
+// key ever walks a chain, and union tables leave them out. Keeping the skip
+// on the probe side leaves the insert hot path untouched.
 const NullKey = value.NullCode
 
 // Versions is the session-wide version-slot table shared by all STeMs.
@@ -264,7 +264,8 @@ type chunk struct {
 // STeM's count reserves the range before the writes. When the two are
 // equal no insert is in flight and entries [0, committed) may be read
 // without following a chain. unions caches one union table per index of a
-// one-word STeM (see unionTable); a state swap drops them with the state.
+// one-word STeM, with what its builds need (see unionCache); a state swap
+// drops them with the state.
 type stemState struct {
 	keyCols   []string
 	colIdx    map[string]int
@@ -272,7 +273,7 @@ type stemState struct {
 	shift     []uint
 	chunks    atomic.Pointer[[]*chunk]
 	committed atomic.Int64
-	unions    []atomic.Pointer[unionTable]
+	unions    []unionCache
 }
 
 // STeM is the state module for one relation instance.
@@ -288,6 +289,8 @@ type STeM struct {
 
 	compactGen atomic.Uint64 // CompactLive rebuilds so far; entry positions are stable within one generation
 	sweepGen   atomic.Uint64 // SweepChunk calls that cleared a bit; a union table is stale once it moves
+	unionScans atomic.Int64  // entries read by union-table builds, failed ones included (read by tests)
+	buildRent  int64         // keys a probe walks per entry a union-table build reads before it builds (union); tests set 0
 }
 
 // newState builds a state for the given key columns with nb (still empty)
@@ -299,7 +302,7 @@ func newState(keyCols []string, nb int, chunks []*chunk, committed int64) *stemS
 		colIdx:  make(map[string]int, len(keyCols)),
 		buckets: make([][]atomic.Int32, len(keyCols)),
 		shift:   make([]uint, len(keyCols)),
-		unions:  make([]atomic.Pointer[unionTable], len(keyCols)),
+		unions:  make([]unionCache, len(keyCols)),
 	}
 	st.committed.Store(committed)
 	for i, c := range keyCols {
@@ -326,8 +329,9 @@ func bucketsFor(hint int) int {
 // capacityHint entries and query sets over nQueries queries.
 func New(versions *Versions, keyCols []string, nQueries, capacityHint int) *STeM {
 	s := &STeM{
-		versions: versions,
-		qw:       bitset.WordsFor(nQueries),
+		versions:  versions,
+		qw:        bitset.WordsFor(nQueries),
+		buildRent: 2,
 	}
 	if s.qw == 0 {
 		s.qw = 1
@@ -392,8 +396,8 @@ func newChunk(nkeys, qw int) *chunk {
 
 // EstBytes estimates the STeM's resident memory: allocated entry chunks
 // (vIDs, slots, key columns, hash chains, query-set slab) plus the bucket
-// arrays and the cached union tables. Observability only; the estimate
-// ignores Go object headers.
+// arrays and the cached union tables (slots and side arrays).
+// Observability only; the estimate ignores Go object headers.
 func (s *STeM) EstBytes() int64 {
 	st := s.state.Load()
 	nChunks := int64(len(*st.chunks.Load()))
@@ -405,8 +409,8 @@ func (s *STeM) EstBytes() int64 {
 		index += int64(len(b)) * 4
 	}
 	for i := range st.unions {
-		if t := st.unions[i].Load(); t != nil {
-			index += int64(len(t.slots)) * 16
+		if t := st.unions[i].table.Load(); t != nil {
+			index += t.bytes()
 		}
 	}
 	return nChunks*perChunk + index

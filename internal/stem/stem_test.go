@@ -3,6 +3,7 @@ package stem
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/roulette-db/roulette/internal/bitset"
@@ -148,13 +149,20 @@ func TestChunkGrowth(t *testing.T) {
 
 // TestConcurrentInsertProbePairsOnce models two episodes symmetric-joining:
 // every (r, s) key match must be produced exactly once across the two sides.
+// The STeMs have one word; in half the trials they build a probe's union
+// table whenever they can, and the run must serve probes from a table
+// while the other side inserts.
 func TestConcurrentInsertProbePairsOnce(t *testing.T) {
 	const keys = 64
 	const perSide = 4096
+	var served atomic.Int64
 	for trial := 0; trial < 4; trial++ {
 		v := NewVersions()
 		r := New(v, []string{"k"}, 2, perSide)
 		s := New(v, []string{"k"}, 2, perSide)
+		if trial%2 == 1 {
+			r.buildRent, s.buildRent = 0, 0
+		}
 		qs := bitset.NewFull(2)
 
 		type pair struct{ a, b int32 }
@@ -176,7 +184,11 @@ func TestConcurrentInsertProbePairsOnce(t *testing.T) {
 				for j := 0; j < 64; j++ {
 					vid := int32(i + j)
 					key := mine.keyOf(vid)
-					for _, m := range probe1(other, "k", key, ts) {
+					ms := probe1(other, "k", key, ts)
+					if tableServes(other, 0, ts) {
+						served.Add(1)
+					}
+					for _, m := range ms {
 						p := pair{vid, m.VID}
 						if flip {
 							p = pair{m.VID, vid}
@@ -214,6 +226,10 @@ func TestConcurrentInsertProbePairsOnce(t *testing.T) {
 				t.Fatalf("trial %d: pair %v produced %d times", trial, p, c)
 			}
 		}
+	}
+	t.Logf("%d of %d probes were served from a union table", served.Load(), 4*2*perSide)
+	if served.Load() == 0 {
+		t.Fatal("no probe was served from a union table; the check did not reach the table path")
 	}
 }
 
@@ -398,5 +414,22 @@ func TestEstBytes(t *testing.T) {
 	perChunk := (grown - base) / 2
 	if perChunk < chunkSize*(4+4+8+4+8) {
 		t.Errorf("per-chunk estimate %d smaller than its columns", perChunk)
+	}
+
+	// A one-word STeM's union table adds its 24-byte slots and, for keys
+	// with several entries, a vID and a word per entry.
+	s1 := New(v, []string{"k"}, 64, 64)
+	insert1(s1, 1, []int64{7}, bitset.Set{1}, 1)
+	insert1(s1, 2, []int64{7}, bitset.Set{2}, 1)
+	insert1(s1, 3, []int64{8}, bitset.Set{4}, 1)
+	v.Publish(1)
+	before := s1.EstBytes()
+	semiJoin1(s1, "k", 7) // builds the table
+	tb := s1.state.Load().unions[0].table.Load()
+	if tb == nil || len(tb.vids) != 2 {
+		t.Fatalf("fixture: want a table with two side-array entries, got %+v", tb)
+	}
+	if got, want := s1.EstBytes()-before, int64(len(tb.slots))*24+2*(4+8); got != want {
+		t.Errorf("union table adds %d bytes to the estimate, want %d", got, want)
 	}
 }

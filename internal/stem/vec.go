@@ -19,12 +19,14 @@ import (
 //   - ProbeVec resolves the key column once, batch-hashes the key block and
 //     preloads bucket heads before walking chains, and consults the
 //     publication watermark: entries whose slot is under the watermark skip
-//     the per-entry timestamp load entirely.
+//     the per-entry timestamp load entirely. On a one-word STeM it reads
+//     each key's entries from a cached table instead (unionTable), one slot
+//     per key and no chain walk, when the table is current and older than
+//     the probe.
 //   - PruneVec is the symmetric-join-pruning kernel: it stages head entries
 //     as ProbeVec does, short-circuits on the watermark, and masks the
 //     probing tuples' query sets in place over one word range. On a
-//     one-word STeM it reads each key's union from a cached table instead
-//     (unionTable), one slot per tuple and no chain walk.
+//     one-word STeM it reads each key's union from the same table.
 //
 // Memory-ordering argument: every entry write — vIDs, slots, keys, query
 // sets, intra-batch next links — happens before the bucket CAS that makes
@@ -264,6 +266,17 @@ func (s *STeM) ProbeVec(dst []VecMatch, qbuf []uint64, col string, keys []int64,
 // entry's word lo+k. A probe whose query set lies inside [lo, hi) loses
 // nothing by ignoring the other words, so the executor passes its plan
 // node's word range.
+//
+// A one-word STeM serves the probe from its union table instead of the
+// chain walk when the table is current (union) and every entry in it was
+// published before probeTS (maxTS < probeTS): the table then returns
+// exactly the walk's matches, in an order of its own, and seals nothing.
+// An entry the probe must see was published before probeTS was drawn, so
+// it committed before this call loaded the committed count, and a current
+// table holds it. An entry the table lacks commits after that load, so its
+// slot's timestamp is drawn after probeTS and the probe must not see it;
+// the seal that settles the draw-to-store window for the walk is not
+// needed.
 func (s *STeM) ProbeVecRange(dst []VecMatch, qbuf []uint64, col string, keys []int64, probeTS int64, wm Slot, lo, hi int) ([]VecMatch, []uint64) {
 	// The state is loaded once per call: a structural swap mid-call leaves
 	// this probe on the frozen old state, which is safe — any insert the
@@ -277,6 +290,25 @@ func (s *STeM) ProbeVecRange(dst []VecMatch, qbuf []uint64, col string, keys []i
 		return dst, qbuf
 	}
 	dstBase, qBase := len(dst), len(qbuf)
+	if t := s.union(st, ki, len(keys)); t != nil && t.maxTS < probeTS {
+		dst, qbuf = t.probe(dst, qbuf, keys, lo, hi)
+	} else {
+		dst, qbuf = s.walkChains(st, ki, dst, qbuf, keys, probeTS, wm, lo, hi)
+	}
+	// Fix up the QSet views only after all appends: qbuf's backing array is
+	// final now, so the views cannot be invalidated by growth.
+	nw := hi - lo
+	for k := dstBase; k < len(dst); k++ {
+		qo := qBase + (k-dstBase)*nw
+		dst[k].QSet = bitset.Set(qbuf[qo : qo+nw])
+	}
+	return dst, qbuf
+}
+
+// walkChains is ProbeVecRange's chain walk over state st's index ki. It
+// appends the matches and their words and leaves the QSet views to the
+// caller.
+func (s *STeM) walkChains(st *stemState, ki int, dst []VecMatch, qbuf []uint64, keys []int64, probeTS int64, wm Slot, lo, hi int) ([]VecMatch, []uint64) {
 	buckets := st.buckets[ki]
 	shift := st.shift[ki]
 	var heads [probeBlock]int32
@@ -357,13 +389,6 @@ func (s *STeM) ProbeVecRange(dst []VecMatch, qbuf []uint64, col string, keys []i
 			}
 		}
 	}
-	// Fix up the QSet views only after all appends: qbuf's backing array is
-	// final now, so the views cannot be invalidated by growth.
-	nw := hi - lo
-	for k := dstBase; k < len(dst); k++ {
-		qo := qBase + (k-dstBase)*nw
-		dst[k].QSet = bitset.Set(qbuf[qo : qo+nw])
-	}
 	return dst, qbuf
 }
 
@@ -395,7 +420,7 @@ func (s *STeM) PruneVec(qsets []uint64, qw int, elig bitset.Set, lo, hi int, col
 		return
 	}
 	if nw == 1 {
-		if t := s.union(st, ki); t != nil {
+		if t := s.union(st, ki, 0); t != nil {
 			e := elig[lo]
 			for i, k := range keys {
 				if p := &qsets[i*qw+lo]; *p&e != 0 {
@@ -538,42 +563,63 @@ func (s *STeM) pruneWord(st *stemState, ki int, qsets []uint64, qw int, elig uin
 	}
 }
 
-// unionTable answers a one-word prune with one slot read per key: an
-// open-addressed map from each distinct key of one index to the OR of its
-// published entries' query-set words. Empty slots hold NullKey, so a NULL
-// probe key stops at the first empty slot and reads the empty union. The
+// unionTable is a one-word STeM's snapshot of one index, answering a prune
+// or a probe with one slot read per key instead of a chain walk: an
+// open-addressed map from each distinct non-NULL key to the OR of its
+// entries' query-set words and to the entries themselves. A key with one
+// entry keeps its vID in its slot; a key with more keeps its entries' vIDs
+// and words contiguous in vids and words, newest first. An empty slot is
+// the zero slot (no entries), so a NULL probe key, which no slot holds,
+// stops at the first one and reads the empty union and no entries. The
 // hash is qat.HashTable's one multiply and the table is at most half full.
 //
-// A table is immutable once built and is valid for the state it is cached
-// on only while the state's committed count and the STeM's sweep generation
-// still equal its stamps: a commit adds entries the table lacks, and a
-// sweep clears bits the table still holds.
+// A table holds every entry committed when it was built, zero-word entries
+// included (a probe returns them), each published: maxTS is the newest of
+// their publication timestamps. It is immutable once built and is valid for
+// the state it is cached on only while the state's committed count and the
+// STeM's sweep generation still equal its stamps: a commit adds entries the
+// table lacks, and a sweep clears bits the table still holds.
 type unionTable struct {
 	slots     []unionSlot
 	shift     uint
+	vids      []int32
+	words     []uint64
+	maxTS     int64
 	committed int64
 	sweepGen  uint64
 }
 
+// unionSlot is one key of a unionTable: u is the OR of its n entries'
+// words; vid is the sole entry's vID when n is 1, else where its entries
+// start in the table's vids and words.
 type unionSlot struct {
 	key int64
 	u   uint64
+	vid int32
+	n   int32
+}
+
+// unionCache is one index's union-table cache on a stemState. blocked is
+// 1 + the slot of the unpublished entry that stopped the last failed build
+// (0 if none): the entry stays in the state, so no build can succeed before
+// that slot is published, and calls do not rescan until it is. walked
+// counts the keys probes walked since the last build (see union).
+type unionCache struct {
+	table   atomic.Pointer[unionTable]
+	blocked atomic.Int32
+	walked  atomic.Int64
 }
 
 func newUnionTable(n int) *unionTable {
-	t := &unionTable{slots: make([]unionSlot, n), shift: uint(64 - bits.TrailingZeros(uint(n)))}
-	for i := range t.slots {
-		t.slots[i].key = NullKey
-	}
-	return t
+	return &unionTable{slots: make([]unionSlot, n), shift: uint(64 - bits.TrailingZeros(uint(n)))}
 }
 
-// slot returns key's slot: the one holding it, or the empty one where its
-// probe sequence ends.
+// slot returns key's slot: the one holding it, or the empty one (n == 0)
+// where its probe sequence ends.
 func (t *unionTable) slot(key int64) *unionSlot {
 	mask := uint64(len(t.slots) - 1)
 	for i := (uint64(key) * 0x9E3779B97F4A7C15) >> t.shift; ; i = (i + 1) & mask {
-		if s := &t.slots[i]; s.key == key || s.key == NullKey {
+		if s := &t.slots[i]; s.key == key || s.n == 0 {
 			return s
 		}
 	}
@@ -582,67 +628,183 @@ func (t *unionTable) slot(key int64) *unionSlot {
 // get returns the union of key's entries, 0 for an absent or NULL key.
 func (t *unionTable) get(key int64) uint64 { return t.slot(key).u }
 
+// probe is ProbeVecRange served from t, for a word range [lo, hi) inside
+// the STeM's one word: it appends every entry of each key, with its word
+// when the range holds it, and leaves the QSet views to the caller.
+func (t *unionTable) probe(dst []VecMatch, qbuf []uint64, keys []int64, lo, hi int) ([]VecMatch, []uint64) {
+	word := hi > lo
+	for i, k := range keys {
+		switch e := t.slot(k); {
+		case e.n == 1:
+			if word {
+				qbuf = append(qbuf, e.u)
+			}
+			dst = append(dst, VecMatch{In: int32(i), VID: e.vid})
+		case e.n > 1:
+			for j := e.vid; j < e.vid+e.n; j++ {
+				if word {
+					qbuf = append(qbuf, t.words[j])
+				}
+				dst = append(dst, VecMatch{In: int32(i), VID: t.vids[j]})
+			}
+		}
+	}
+	return dst, qbuf
+}
+
 // union returns index ki's union table on state st of a one-word STeM,
 // building and caching it when the cached one is missing or stale, or nil
 // when the caller must walk the chains: on a wider STeM; while an insert is
 // in flight (count ahead of committed), since inserts commit out of order
-// and an entry under committed may still be unwritten; or when an entry
-// with bits is unpublished, since its publication would move no stamp. A
-// table whose stamps moved during the build still serves this call — it
-// holds every entry committed and published when the call began — but is
-// not cached.
-func (s *STeM) union(st *stemState, ki int) *unionTable {
+// and an entry under committed may still be unwritten; or when a non-NULL
+// entry is unpublished, since its publication would move no stamp. A table
+// whose stamps moved during the build still serves this call — it holds
+// every entry committed and published when the call began — but is not
+// cached.
+//
+// walk is the number of keys the caller walks when no table serves it. A
+// prune passes 0 and builds at once: it runs against a STeM that no insert
+// changes any more. A probe's STeM may be growing under it, as both sides
+// of a symmetric join insert and probe, and a build per change would cost
+// O(entries) per call. So a probe builds only once the keys walked since
+// the last build reach buildRent times the entries a build reads: builds
+// then read at most 1/buildRent of the keys walked.
+func (s *STeM) union(st *stemState, ki, walk int) *unionTable {
 	if s.qw != 1 {
 		return nil
 	}
+	uc := &st.unions[ki]
 	gen := s.sweepGen.Load()
 	c := st.committed.Load()
-	if t := st.unions[ki].Load(); t != nil && t.committed == c && t.sweepGen == gen {
+	if t := uc.table.Load(); t != nil && t.committed == c && t.sweepGen == gen {
 		return t
+	}
+	if walk > 0 && uc.walked.Add(int64(walk)) < s.buildRent*c {
+		return nil
 	}
 	if s.count.Load() != c {
 		return nil
 	}
-	wm := s.versions.Watermark()
-	chunks := *st.chunks.Load()
-	t := newUnionTable(64)
-	n := 0
-	for idx := 0; idx < int(c); idx++ {
-		ch := chunks[idx>>chunkBits]
-		off := idx & chunkMask
-		k := ch.keys[ki][off]
-		u := atomic.LoadUint64(&ch.qsets[off])
-		if u == 0 || k == NullKey {
-			continue // contributes to no union, now or after publication
-		}
-		if slot := ch.slots[off]; slot >= wm && s.versions.tryGet(slot) == 0 {
-			return nil
-		}
-		e := t.slot(k)
-		if e.key == NullKey {
-			if 2*(n+1) > len(t.slots) {
-				t = t.grow()
-				e = t.slot(k)
-			}
-			e.key = k
-			n++
-		}
-		e.u |= u
+	if b := uc.blocked.Load(); b != 0 && s.versions.tryGet(Slot(b-1)) == 0 {
+		return nil
+	}
+	uc.walked.Store(0)
+	t := s.buildUnion(st, ki, int(c))
+	if t == nil {
+		return nil
 	}
 	t.committed, t.sweepGen = c, gen
 	if st.committed.Load() == c && s.sweepGen.Load() == gen {
-		st.unions[ki].Store(t)
+		uc.table.Store(t)
 	}
 	return t
+}
+
+// buildUnion builds index ki's union table over the first c entries of
+// state st, which must all be written, or returns nil and records the
+// blocking slot when one of them with a non-NULL key is unpublished.
+func (s *STeM) buildUnion(st *stemState, ki, c int) *unionTable {
+	chunks := *st.chunks.Load()
+	// Size the table from the index's occupied buckets: each key lands in
+	// one, so they are at most the keys and, at the load factor
+	// EnsureBuckets keeps, most of them, and a table for twice as many
+	// seldom grows. Sizing from the entries would overshoot by a fact
+	// table's fan-out.
+	occupied := 0
+	for i := range st.buckets[ki] {
+		if st.buckets[ki][i].Load() != 0 {
+			occupied++
+		}
+	}
+	size := 1
+	for size < 2*occupied {
+		size <<= 1
+	}
+	t := newUnionTable(size)
+	keys, multi := 0, 0
+	var maxTS int64
+	last := Slot(-1) // a batch's entries share a slot: look each up once
+	for idx := 0; idx < c; idx++ {
+		ch := chunks[idx>>chunkBits]
+		off := idx & chunkMask
+		k := ch.keys[ki][off]
+		if k == NullKey {
+			continue // unreachable by any probe, contributes to no union
+		}
+		if slot := ch.slots[off]; slot != last {
+			ts := s.versions.tryGet(slot)
+			if ts == 0 {
+				s.unionScans.Add(int64(idx + 1))
+				st.unions[ki].blocked.Store(int32(slot) + 1)
+				return nil
+			}
+			last, maxTS = slot, max(maxTS, ts)
+		}
+		e := t.slot(k)
+		if e.n == 0 {
+			if 2*(keys+1) > len(t.slots) {
+				t = t.grow()
+				e = t.slot(k)
+			}
+			e.key, e.vid = k, ch.vids[off]
+			keys++
+		} else if e.n == 1 {
+			multi += 2
+		} else {
+			multi++
+		}
+		e.n++
+		e.u |= atomic.LoadUint64(&ch.qsets[off])
+	}
+	s.unionScans.Add(int64(c))
+	t.maxTS = maxTS
+	if multi > 0 {
+		t.fillMulti(chunks, ki, c, multi)
+	}
+	return t
+}
+
+// fillMulti lays out the entries of every key with more than one entry,
+// multi of them in all, contiguously in t.vids and t.words: each key's run
+// is reserved by its end, filled backwards by an ascending scan (so newest
+// first, the order rebuilt chains walk) and left pointing at its start.
+func (t *unionTable) fillMulti(chunks []*chunk, ki, c, multi int) {
+	t.vids, t.words = make([]int32, multi), make([]uint64, multi)
+	end := int32(0)
+	for i := range t.slots {
+		if e := &t.slots[i]; e.n > 1 {
+			end += e.n
+			e.vid = end
+		}
+	}
+	for idx := 0; idx < c; idx++ {
+		ch := chunks[idx>>chunkBits]
+		off := idx & chunkMask
+		k := ch.keys[ki][off]
+		if k == NullKey {
+			continue
+		}
+		if e := t.slot(k); e.n > 1 {
+			e.vid--
+			t.vids[e.vid] = ch.vids[off]
+			t.words[e.vid] = atomic.LoadUint64(&ch.qsets[off])
+		}
+	}
 }
 
 // grow returns a table of twice t's size holding t's slots.
 func (t *unionTable) grow() *unionTable {
 	nt := newUnionTable(2 * len(t.slots))
 	for _, e := range t.slots {
-		if e.key != NullKey {
+		if e.n != 0 {
 			*nt.slot(e.key) = e
 		}
 	}
 	return nt
+}
+
+// bytes is the table's resident size for EstBytes: 24-byte slots and a
+// vID and a word per side-array entry.
+func (t *unionTable) bytes() int64 {
+	return int64(len(t.slots))*24 + int64(len(t.vids))*(4+8)
 }

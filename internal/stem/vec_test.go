@@ -138,8 +138,48 @@ func checkPruneInput(t *testing.T, s *STeM, o *oracle, ki int, col string, keys 
 // prune would use as it stands.
 func unionCurrent(s *STeM, ki int) bool {
 	st := s.state.Load()
-	u := st.unions[ki].Load()
+	u := st.unions[ki].table.Load()
 	return u != nil && u.committed == st.committed.Load() && u.sweepGen == s.sweepGen.Load()
+}
+
+// tableServes reports whether index ki of s holds a union table that a
+// probe at probeTS would use as it stands. Checked right after a probe
+// whose STeM no one else probes or prunes, it tells whether that probe
+// was served from the table: only the probe could have built it.
+func tableServes(s *STeM, ki int, probeTS int64) bool {
+	return unionCurrent(s, ki) && s.state.Load().unions[ki].table.Load().maxTS < probeTS
+}
+
+// walkVec is ProbeVec through the chain walk alone, whatever union table
+// the STeM holds.
+func walkVec(s *STeM, col string, keys []int64, ts int64, wm Slot) []VecMatch {
+	st := s.state.Load()
+	ms, qbuf := s.walkChains(st, st.colIdx[col], nil, nil, keys, ts, wm, 0, s.qw)
+	for k := range ms {
+		ms[k].QSet = bitset.Set(qbuf[k*s.qw : (k+1)*s.qw])
+	}
+	return ms
+}
+
+// checkProbe runs ProbeVec and compares its matches with the oracle's, with
+// the watermark short-circuit and without. A one-word probe is also
+// compared with the chain walk at the same timestamp, so a probe served from
+// the union table and the walk it replaces must agree.
+func checkProbe(t *testing.T, s *STeM, o *oracle, ki int, col string, keys []int64, ts int64, wm Slot) bool {
+	want := o.probe(ki, keys, ts)
+	for _, w := range []Slot{wm, 0} {
+		if got := canonVec(probeVec(s, col, keys, ts, w)); !reflect.DeepEqual(got, want) {
+			t.Logf("col %s: ProbeVec (ts=%d wm=%d) found %d matches, oracle %d", col, ts, w, len(got), len(want))
+			return false
+		}
+	}
+	if s.qw == 1 {
+		if got := canonVec(walkVec(s, col, keys, ts, 0)); !reflect.DeepEqual(got, want) {
+			t.Logf("col %s: chain walk (ts=%d) found %d matches, ProbeVec and the oracle %d", col, ts, len(got), len(want))
+			return false
+		}
+	}
+	return true
 }
 
 // sweepAll clears the retired bits from every entry of s and of the oracle.
@@ -195,12 +235,15 @@ func canonVec(ms []VecMatch) []string {
 
 // TestQuickVecMatchesOracle is the randomized equivalence property: a STeM
 // built with InsertVec (random batch sizes, random key skew, random query-set
-// width, NULL keys on the build side, the last batch sometimes left
-// unpublished) must agree with the brute-force oracle on every probe — with
-// and without the watermark short-circuit, at the final timestamp and at one
-// drawn mid-build, NULL and missing probe keys included — and on every
-// prune over a random word range, again once every slot is published and
-// once more after a sweep.
+// width, NULL keys and empty query sets on the build side, the last batch
+// sometimes left unpublished) must agree with the brute-force oracle on
+// every probe — with and without the watermark short-circuit, at the final
+// timestamp and at one drawn mid-build, NULL and missing probe keys
+// included — and on every prune over a random word range, again once every
+// slot is published and once more after a sweep. One-word probes and prunes
+// are also compared with the chain walk; half the STeMs build a probe's
+// union table at once rather than after walking for it, so the table serves
+// probes drawn mid-build too.
 func TestQuickVecMatchesOracle(t *testing.T) {
 	f := func(seed int64, skewRaw, qcapRaw uint8, nRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -211,6 +254,9 @@ func TestQuickVecMatchesOracle(t *testing.T) {
 		v := NewVersions()
 		cols := []string{"a", "b"}
 		s := New(v, cols, qcap, n)
+		if rng.Intn(2) == 0 {
+			s.buildRent = 0
+		}
 		o := newOracle(len(cols))
 		qw := s.qw
 
@@ -227,7 +273,9 @@ func TestQuickVecMatchesOracle(t *testing.T) {
 		for i := range vids {
 			vids[i] = int32(i)
 			ka[i], kb[i] = key(), key()
-			qsets[i*qw+rng.Intn(qw)] = 1 << uint(rng.Intn(64))
+			if rng.Intn(8) != 0 { // else an entry every query has left
+				qsets[i*qw+rng.Intn(qw)] = 1 << uint(rng.Intn(64))
+			}
 		}
 
 		// Random batch split, one slot per batch, published in order. One
@@ -265,13 +313,7 @@ func TestQuickVecMatchesOracle(t *testing.T) {
 		}
 		for ci, col := range cols {
 			for _, sn := range snaps {
-				want := o.probe(ci, probeKeys, sn.ts)
-				if got := canonVec(probeVec(s, col, probeKeys, sn.ts, sn.wm)); !reflect.DeepEqual(got, want) {
-					t.Logf("col %s: ProbeVec diverged (ts=%d wm=%d): %d vs %d matches", col, sn.ts, sn.wm, len(got), len(want))
-					return false
-				}
-				if got := canonVec(probeVec(s, col, probeKeys, sn.ts, 0)); !reflect.DeepEqual(got, want) {
-					t.Logf("col %s: ProbeVec diverged with watermark disabled (ts=%d)", col, sn.ts)
+				if !checkProbe(t, s, o, ci, col, probeKeys, sn.ts, sn.wm) {
 					return false
 				}
 			}
@@ -279,9 +321,10 @@ func TestQuickVecMatchesOracle(t *testing.T) {
 				return false
 			}
 		}
-		// With every slot published a one-word STeM's prunes answer from
-		// its union tables; a sweep must then take the swept bits out of
-		// the next prunes' answers.
+		// With every slot published a one-word STeM's prunes and probes
+		// answer from its union tables; a sweep must then take the swept
+		// bits out of the next answers. A probe at the last mid-build
+		// timestamp must still see only what was published before it.
 		publishRest(v, o)
 		retired := make(bitset.Set, qw)
 		for w := range retired {
@@ -295,6 +338,12 @@ func TestQuickVecMatchesOracle(t *testing.T) {
 				for iter := 0; iter < 4; iter++ {
 					if !checkPrune(t, rng, s, o, ci, col, probeKeys) {
 						t.Logf("round %d: prune diverged", round)
+						return false
+					}
+				}
+				for _, sn := range []snap{snaps[0], {v.Watermark(), v.Now()}} {
+					if !checkProbe(t, s, o, ci, col, probeKeys, sn.ts, sn.wm) {
+						t.Logf("round %d: probe diverged", round)
 						return false
 					}
 				}
@@ -360,19 +409,24 @@ func TestInsertVecWidthsAndChunks(t *testing.T) {
 
 // TestProbeVecMatchesOracleUnderConcurrentPublication interleaves a
 // publisher continuously inserting and publishing batches with a prober
-// probing twice under one (watermark, timestamp) snapshot, with and without
-// the watermark short-circuit. Visibility is a deterministic function of the
-// probe timestamp, and the watermark (read before the timestamp) may never
-// admit more, so both probes must return the identical match set — and, once
-// the publisher is done and every slot's timestamp is known, that set must
-// equal the oracle restricted to slots published before the probe's
-// timestamp. Run under -race this also checks the kernels' lock-free memory
-// discipline.
+// probing three times under one (watermark, timestamp) snapshot: with and
+// without the watermark short-circuit, and through the chain walk alone.
+// The STeM has one word and builds a probe's union table whenever it can,
+// so the first probe is served from the table whenever one is current.
+// Visibility is a deterministic function of the probe timestamp, and the
+// watermark (read before the timestamp) may never admit more, so the three
+// must return the identical match set — and, once the publisher is done and
+// every slot's timestamp is known, that set must equal the oracle
+// restricted to slots published before the probe's timestamp. The prober
+// runs for as long as the publisher does. Run under -race this also checks
+// the kernels' lock-free memory discipline.
 func TestProbeVecMatchesOracleUnderConcurrentPublication(t *testing.T) {
 	const domain = 32
-	const maxEntries = 1 << 14
+	const maxEntries = 1 << 12
+	const kept = 100 // probes kept for the oracle check
 	v := NewVersions()
 	s := New(v, []string{"k"}, 8, maxEntries)
+	s.buildRent = 0   // every probe that can builds a union table
 	o := newOracle(1) // written by the publisher only, read after it exits
 	type pair struct {
 		wm Slot
@@ -380,21 +434,13 @@ func TestProbeVecMatchesOracleUnderConcurrentPublication(t *testing.T) {
 	}
 	var pairs []pair // the publisher's own Publish results, read after it exits
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
+	done := make(chan struct{})
 	go func() {
-		defer wg.Done()
+		defer close(done)
 		rng := rand.New(rand.NewSource(42))
 		var sc InsertScratch
 		slot := Slot(0)
-		vid := int32(0)
-		for int(vid) < maxEntries {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		for vid := int32(0); int(vid) < maxEntries; slot++ {
 			n := 1 + rng.Intn(64)
 			vids := make([]int32, n)
 			keys := [][]int64{make([]int64, n)}
@@ -410,7 +456,6 @@ func TestProbeVecMatchesOracleUnderConcurrentPublication(t *testing.T) {
 			wm, ts := v.Publish(slot)
 			o.pubTS[slot] = ts
 			pairs = append(pairs, pair{wm, ts})
-			slot++
 		}
 	}()
 
@@ -423,23 +468,37 @@ func TestProbeVecMatchesOracleUnderConcurrentPublication(t *testing.T) {
 		got []string
 	}
 	var seen []probed
-	for iter := 0; iter < 150; iter++ {
+	iters, served := 0, 0
+	for finished := false; !finished; iters++ {
+		select {
+		case <-done:
+			finished = true // one more probe after the last publication
+		default:
+		}
 		wm := v.Watermark()
 		ts := v.Now()
 		got := canonVec(probeVec(s, "k", probeKeys, ts, wm))
-		if slow := canonVec(probeVec(s, "k", probeKeys, ts, 0)); !reflect.DeepEqual(got, slow) {
-			close(stop)
-			wg.Wait()
-			t.Fatalf("iter %d: watermark changed the match set under concurrent publication (wm=%d, %d vs %d matches)",
-				iter, wm, len(got), len(slow))
+		if tableServes(s, 0, ts) {
+			served++
 		}
-		seen = append(seen, probed{ts, got})
+		for _, other := range []struct {
+			name string
+			ms   []VecMatch
+		}{{"ProbeVec without the watermark", probeVec(s, "k", probeKeys, ts, 0)}, {"the chain walk", walkVec(s, "k", probeKeys, ts, 0)}} {
+			if slow := canonVec(other.ms); !reflect.DeepEqual(got, slow) {
+				<-done
+				t.Fatalf("iter %d: ProbeVec (wm=%d) and %s disagree under concurrent publication: %d vs %d matches",
+					iters, wm, other.name, len(got), len(slow))
+			}
+		}
+		if len(seen) < kept || finished {
+			seen = append(seen, probed{ts, got})
+		}
 	}
-	close(stop)
-	wg.Wait()
+	t.Logf("%d probes during publication, %d served from a union table", iters, served)
 	for iter, p := range seen {
 		if want := o.probe(0, probeKeys, p.ts); !reflect.DeepEqual(p.got, want) {
-			t.Fatalf("iter %d: ProbeVec at ts %d saw %d matches, oracle %d", iter, p.ts, len(p.got), len(want))
+			t.Fatalf("probe %d: ProbeVec at ts %d saw %d matches, oracle %d", iter, p.ts, len(p.got), len(want))
 		}
 	}
 	// The pair Publish returns is what an episode probes with: its
@@ -447,10 +506,14 @@ func TestProbeVecMatchesOracleUnderConcurrentPublication(t *testing.T) {
 	// publishing slot itself included.
 	for i := 0; i < len(pairs); i += 1 + len(pairs)/64 {
 		p := pairs[i]
-		got := canonVec(probeVec(s, "k", probeKeys, p.ts, p.wm))
-		if want := o.probe(0, probeKeys, p.ts); !reflect.DeepEqual(got, want) {
-			t.Fatalf("publish %d: ProbeVec at its pair (wm=%d, ts=%d) saw %d matches, oracle %d", i, p.wm, p.ts, len(got), len(want))
+		if !checkProbe(t, s, o, 0, "k", probeKeys, p.ts, p.wm) {
+			t.Fatalf("publish %d: ProbeVec at its pair (wm=%d, ts=%d) diverged", i, p.wm, p.ts)
 		}
+	}
+	// Once the publisher is done the table serves every probe.
+	wm, ts := v.Watermark(), v.Now()
+	if !checkProbe(t, s, o, 0, "k", probeKeys, ts, wm) || !tableServes(s, 0, ts) {
+		t.Fatal("a probe after the last publication diverged or was not served from the union table")
 	}
 }
 
@@ -704,38 +767,29 @@ func TestPruneVecMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestPruneVecUnionAcrossMaintenance drives a one-word STeM, whose
-// one-word prunes answer from the union table, through a random
-// interleaving of every operation that changes a prune's answer or drops
-// the table: InsertVec (its slot often left unpublished for a while),
-// Publish, SweepChunk, CompactLive, EnsureBuckets and AddIndex. After each
-// step a prune on every index, over NULL, hit and missing keys, must match
-// the oracle and the chain walk, and enough of them must have been
-// answered by a current table for the check to cover the union path.
-func TestPruneVecUnionAcrossMaintenance(t *testing.T) {
-	const domain, steps = 40, 400
-	rng := rand.New(rand.NewSource(17))
-	v := NewVersions()
-	s := New(v, []string{"a"}, 64, 0)
-	o := newOracle(1)
+// maintain drives s, a one-word STeM indexed on "a", and its oracle o
+// through steps random operations, each of which changes a prune's or a
+// probe's answer or drops the union table: InsertVec of up to maxBatch
+// entries (some with NULL keys, one in six with an empty query set, the
+// slot often left unpublished for a while), Publish, SweepChunk,
+// CompactLive, EnsureBuckets and AddIndex("b"). After each step it calls
+// check with the indexed columns.
+func maintain(rng *rand.Rand, s *STeM, o *oracle, steps, maxBatch int, check func(step int, cols []string)) {
+	const domain = 40
+	v := s.versions
 	keyOfB := func(vid int32) int64 {
 		if vid%11 == 0 {
 			return NullKey
 		}
 		return int64(vid*7) % domain
 	}
-	probeKeys := []int64{NullKey}
-	for k := int64(0); k <= domain; k++ { // domain itself = guaranteed miss
-		probeKeys = append(probeKeys, k, k)
-	}
 	var sc InsertScratch
 	var pending []Slot
 	nextSlot, nextVID := Slot(0), int32(0)
-	hits := 0
 	for step := 0; step < steps; step++ {
 		switch op := rng.Intn(10); {
 		case op < 4:
-			n := 1 + rng.Intn(300)
+			n := 1 + rng.Intn(maxBatch)
 			vids := make([]int32, n)
 			keys := [][]int64{make([]int64, n), make([]int64, n)}
 			qsets := make([]uint64, n)
@@ -747,7 +801,9 @@ func TestPruneVecUnionAcrossMaintenance(t *testing.T) {
 					keys[0][j] = NullKey
 				}
 				keys[1][j] = keyOfB(vids[j])
-				qsets[j] = 1 << uint(rng.Intn(64)) << uint(rng.Intn(2))
+				if rng.Intn(6) != 0 {
+					qsets[j] = 1 << uint(rng.Intn(64))
+				}
 			}
 			s.InsertVec(vids, keys, qsets, 1, nextSlot, &sc)
 			o.insert(vids, keys, qsets, 1, nextSlot)
@@ -768,11 +824,11 @@ func TestPruneVecUnionAcrossMaintenance(t *testing.T) {
 				}
 			}
 		case op < 8:
-			retired := bitset.Set{rng.Uint64() & rng.Uint64() & rng.Uint64()}
-			sweepAll(s, o, retired)
+			sweepAll(s, o, bitset.Set{rng.Uint64() & rng.Uint64() & rng.Uint64()})
 		case op == 8:
 			if rng.Intn(2) == 0 {
 				s.CompactLive()
+				dropEmpty(o)
 			} else {
 				s.EnsureBuckets(s.Len() + rng.Intn(4*chunkSize))
 			}
@@ -788,7 +844,52 @@ func TestPruneVecUnionAcrossMaintenance(t *testing.T) {
 				o.byKey = append(o.byKey, b)
 			}
 		}
-		for ki, col := range []string{"a", "b"}[:len(o.byKey)] {
+		check(step, []string{"a", "b"}[:len(o.byKey)])
+	}
+}
+
+// maintenanceKeys are the maintenance tests' probe keys: NULL, every key
+// of maintain's domain, some twice, and one missing key.
+func maintenanceKeys() []int64 {
+	keys := []int64{NullKey, 0, 0, 1}
+	for k := int64(0); k <= 40; k++ { // 40 = the domain's size, a guaranteed miss
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// dropEmpty removes from the oracle every entry whose query set is empty,
+// as CompactLive does from the STeM.
+func dropEmpty(o *oracle) {
+	for _, m := range o.byKey {
+		for k, es := range m {
+			live := es[:0]
+			for _, e := range es {
+				if !bitset.Set(e.qset).Empty() {
+					live = append(live, e)
+				}
+			}
+			m[k] = live
+		}
+	}
+}
+
+// TestPruneVecUnionAcrossMaintenance drives a one-word STeM, whose
+// one-word prunes answer from the union table, through maintain's random
+// interleaving of inserts, publishes, sweeps, compaction, growth and
+// AddIndex. After each step a prune on every index, over NULL, hit and
+// missing keys, must match the oracle and the chain walk, and enough of
+// them must have been answered by a current table for the check to cover
+// the union path.
+func TestPruneVecUnionAcrossMaintenance(t *testing.T) {
+	const steps = 400
+	rng := rand.New(rand.NewSource(17))
+	s := New(NewVersions(), []string{"a"}, 64, 0)
+	o := newOracle(1)
+	probeKeys := maintenanceKeys()
+	hits := 0
+	maintain(rng, s, o, steps, 300, func(step int, cols []string) {
+		for ki, col := range cols {
 			tuples := make([]uint64, len(probeKeys))
 			for i := range tuples {
 				tuples[i] = rng.Uint64()
@@ -801,10 +902,186 @@ func TestPruneVecUnionAcrossMaintenance(t *testing.T) {
 				hits++
 			}
 		}
-	}
+	})
 	t.Logf("%d of the prunes answered from a current union table", hits)
 	if hits < steps/4 {
 		t.Fatalf("a current union table answered %d of the prunes; the check barely covers the union path", hits)
+	}
+}
+
+// TestProbeVecTableAcrossMaintenance drives a one-word STeM through
+// maintain's random interleaving of inserts (NULL keys and empty query
+// sets included), publishes, sweeps, compaction, growth and AddIndex.
+// After each step a probe on every index, over NULL, hit and missing keys,
+// at a fresh timestamp and at the one drawn before the previous step, must
+// match the oracle and the chain walk, and a current table must have
+// served at least 100 of them. The STeM builds a probe's table whenever it
+// can.
+func TestProbeVecTableAcrossMaintenance(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	v := NewVersions()
+	s := New(v, []string{"a"}, 64, 0)
+	s.buildRent = 0
+	o := newOracle(1)
+	probeKeys := maintenanceKeys()
+	prevTS := v.Now()
+	served := 0
+	maintain(rng, s, o, 200, 24, func(step int, cols []string) {
+		ts := v.Now()
+		for ki, col := range cols {
+			if !checkProbe(t, s, o, ki, col, probeKeys, ts, v.Watermark()) {
+				t.Fatalf("step %d: one-word ProbeVec on %s diverged", step, col)
+			}
+			if tableServes(s, ki, ts) {
+				served++
+			}
+			if !checkProbe(t, s, o, ki, col, probeKeys, prevTS, 0) {
+				t.Fatalf("step %d: one-word ProbeVec on %s at the previous step's timestamp diverged", step, col)
+			}
+		}
+		prevTS = ts
+	})
+	t.Logf("%d of the probes were served from a current union table", served)
+	if served < 100 {
+		t.Fatalf("a current union table served %d probes; the check barely covers the table path", served)
+	}
+}
+
+// TestProbeVecTableRespectsProbeTS pins the table's visibility bound: a
+// table built after a publication newer than a probe's timestamp must not
+// serve that probe, which sees only the entries published before it, and a
+// probe after every publication is served from the table with every entry,
+// the one with an empty query set included (ProbeVec returns it, as the
+// chain walk does). Serving without the maxTS check, or building a table
+// without the empty entries, fails here.
+func TestProbeVecTableRespectsProbeTS(t *testing.T) {
+	v := NewVersions()
+	s := New(v, []string{"k"}, 64, 0)
+	var sc InsertScratch
+	// Key 5 gets an entry with bits and one every query has left (slot 0),
+	// then, after the old probe timestamp is drawn, one more (slot 1).
+	s.InsertVec([]int32{1, 2, 9}, [][]int64{{5, 5, 6}}, []uint64{0x1, 0, 0x4}, 1, 0, &sc)
+	v.Publish(0)
+	old := v.Now()
+	s.InsertVec([]int32{3}, [][]int64{{5}}, []uint64{0x2}, 1, 1, &sc)
+	v.Publish(1)
+	keys := []int64{5, 6, 7, NullKey}
+
+	// A prune builds the table now, with slot 1's entry in it.
+	s.PruneVec([]uint64{1, 1, 1, 1}, 1, bitset.Set{1}, 0, 1, "k", keys, nil)
+	if !unionCurrent(s, 0) || tableServes(s, 0, old) {
+		t.Fatal("fixture: want a current table that the old timestamp may not use")
+	}
+	type m struct {
+		in  int32
+		vid int32
+		q   uint64
+	}
+	collect := func(ts int64) []m {
+		var out []m
+		for _, x := range probeVec(s, "k", keys, ts, 0) {
+			out = append(out, m{x.In, x.VID, x.QSet[0]})
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].vid < out[j].vid })
+		return out
+	}
+	if got, want := collect(old), []m{{0, 1, 0x1}, {0, 2, 0}, {1, 9, 0x4}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("probe at the older timestamp = %v, want %v", got, want)
+	}
+	now := v.Now()
+	if got, want := collect(now), []m{{0, 1, 0x1}, {0, 2, 0}, {0, 3, 0x2}, {1, 9, 0x4}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("probe after every publication = %v, want %v", got, want)
+	}
+	if !tableServes(s, 0, now) {
+		t.Fatal("the probe after every publication was not served from the table")
+	}
+}
+
+// TestUnionBuildWaitsForBlockingSlot leaves one slot unpublished behind
+// many published entries and probes and prunes many times: a build that
+// meets the unpublished entry records its slot, and no call scans the
+// entries again until that slot is published, so the builds read O(entries)
+// in all, not O(calls × entries). The first probe after the publication
+// builds the table and is served from it.
+func TestUnionBuildWaitsForBlockingSlot(t *testing.T) {
+	const entries, calls = 2000, 200
+	v := NewVersions()
+	s := New(v, []string{"k"}, 64, entries)
+	var sc InsertScratch
+	vids := make([]int32, entries)
+	keys := make([]int64, entries)
+	qsets := make([]uint64, entries)
+	for i := range vids {
+		vids[i], keys[i], qsets[i] = int32(i), int64(i%500), 1<<uint(i%64)
+	}
+	s.InsertVec(vids[:entries-10], [][]int64{keys[:entries-10]}, qsets[:entries-10], 1, 0, &sc)
+	v.Publish(0)
+	s.InsertVec(vids[entries-10:], [][]int64{keys[entries-10:]}, qsets[entries-10:], 1, 1, &sc)
+	probeKeys := keys[:entries]
+	tuples := make([]uint64, len(probeKeys))
+	for i := 0; i < calls; i++ {
+		ts := v.Now()
+		probeVec(s, "k", probeKeys, ts, 0)
+		s.PruneVec(tuples, 1, bitset.Set{^uint64(0)}, 0, 1, "k", probeKeys, nil)
+	}
+	if got := s.unionScans.Load(); got > 2*entries {
+		t.Fatalf("%d calls with one slot unpublished scanned %d entries, want at most %d", 2*calls, got, 2*entries)
+	}
+	v.Publish(1)
+	ts := v.Now()
+	if got := len(probeVec(s, "k", probeKeys, ts, 0)); got != 4*entries {
+		t.Fatalf("probe after the publication found %d matches, want %d", got, 4*entries)
+	}
+	if !tableServes(s, 0, ts) {
+		t.Fatal("the probe after the blocking slot's publication was not served from the table")
+	}
+}
+
+// TestProbeBuildsArePaidByWalks runs a symmetric join on one worker: two
+// one-word STeMs each take a vector and then probe the other with it, so
+// every probe meets a STeM that changed since its last probe. A probe
+// builds a table only once the keys walked since the last build reach
+// buildRent times the entries a build reads, so the builds read at most
+// 1/buildRent of the keys probed rather than a STeM's size per call. Once
+// the STeMs stop changing, the probes that walked for it build the table
+// and the next ones are served from it.
+func TestProbeBuildsArePaidByWalks(t *testing.T) {
+	const vec, rounds = 256, 60
+	v := NewVersions()
+	r, s := New(v, []string{"k"}, 4, 0), New(v, []string{"k"}, 4, 0)
+	rng := rand.New(rand.NewSource(5))
+	var sc InsertScratch
+	vids := make([]int32, vec)
+	keys := make([]int64, vec)
+	qs := make([]uint64, vec)
+	slot, probed := Slot(0), 0
+	for i := 0; i < rounds; i++ {
+		for _, p := range [][2]*STeM{{r, s}, {s, r}} {
+			mine, other := p[0], p[1]
+			for j := range vids {
+				vids[j], keys[j], qs[j] = int32(i*vec+j), rng.Int63n(rounds*vec), 0xf
+			}
+			if mine.NeedsGrow(mine.Len() + vec) {
+				mine.EnsureBuckets(mine.Len() + vec)
+			}
+			mine.InsertVec(vids, [][]int64{keys}, qs, 1, slot, &sc)
+			wm, ts := v.Publish(slot)
+			slot++
+			probeVec(other, "k", keys, ts, wm)
+			probed += vec
+		}
+	}
+	scanned := r.unionScans.Load() + s.unionScans.Load()
+	t.Logf("%d keys probed, %d entries read by builds", probed, scanned)
+	if limit := int64(probed) / r.buildRent; scanned > limit {
+		t.Fatalf("builds read %d entries for %d probed keys, want at most %d", scanned, probed, limit)
+	}
+	calls := 0
+	for ts := v.Now(); !tableServes(r, 0, ts); ts = v.Now() {
+		if calls++; calls > int(r.buildRent)*r.Len()/vec+2 {
+			t.Fatalf("%d probes of an unchanging STeM walked without building a table", calls)
+		}
+		probeVec(r, "k", keys, ts, 0)
 	}
 }
 
@@ -1028,9 +1305,9 @@ func pruneDuringGC(t *testing.T, rng *rand.Rand, qcap int) {
 // TestProbeVecPruneVecZeroAlloc pins the kernels' allocation contract at
 // the package boundary, below the episode-step guards in internal/exec: with
 // warm caller-owned buffers ProbeVec, ProbeVecRange and PruneVec do not
-// allocate, PruneVec on a one-word STeM included once its union table is
-// built, and neither does an InsertVec that stays inside an allocated chunk
-// with a warm InsertScratch.
+// allocate, PruneVec and ProbeVec on a one-word STeM included once its
+// union table is built, and neither does an InsertVec that stays inside an
+// allocated chunk with a warm InsertScratch.
 func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 	const entries, fanout, batch, runs = 1024, 4, 8, 50
 	v := NewVersions()
@@ -1074,6 +1351,7 @@ func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 	acc := make([]uint64, qw)
 	tuples1 := make([]uint64, len(probeKeys))
 	elig1 := bitset.NewFull(64)
+	dst1, qbuf1 := s1.ProbeVec(nil, nil, "k", probeKeys, ts, wm)
 	insKeys := [][]int64{keys[0][:batch]}
 
 	for _, tc := range []struct {
@@ -1095,14 +1373,15 @@ func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 			}
 			s1.PruneVec(tuples1, 1, elig1, 0, 1, "k", probeKeys, nil)
 		}},
+		{"ProbeVec/table", func() { dst1, qbuf1 = s1.ProbeVec(dst1[:0], qbuf1[:0], "k", probeKeys, ts, wm) }},
 		{"InsertVec/in-chunk", func() { s.InsertVec(vids[:batch], insKeys, qsets[:batch*qw], qw, 1, &sc) }},
 	} {
 		if allocs := testing.AllocsPerRun(runs, tc.fn); allocs != 0 {
 			t.Errorf("%s allocates %.1f allocs/op with warm buffers, want 0", tc.name, allocs)
 		}
 	}
-	if !unionCurrent(s1, 0) {
-		t.Error("the one-word STeM holds no current union table; PruneVec/union did not cover it")
+	if !tableServes(s1, 0, ts) {
+		t.Error("the one-word STeM holds no union table serving ts; PruneVec/union and ProbeVec/table did not cover it")
 	}
 }
 
@@ -1244,6 +1523,61 @@ func benchPrune(b *testing.B, qcap, domain, entries, probes, lo, hi int) {
 			tuples[j] = ^uint64(0)
 		}
 		s.PruneVec(tuples, qw, elig, lo, hi, "k", probeKeys, acc)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes), "ns/key")
+}
+
+// BenchmarkProbeVec measures the probe kernel, serially, on two shapes,
+// each a vector probing a published dimension STeM:
+//
+//   - 1word-dim1800: 1000 keys against a one-word STeM holding 1 080 keys
+//     (60 %) of an 1 800-key dimension, as a stream's queries probe; the
+//     union table serves it once the first probes have walked enough keys;
+//   - 2words-32k: 1024 keys against a 32 768-key STeM of a 128-query batch
+//     (two-word query sets), which walks the chains.
+func BenchmarkProbeVec(b *testing.B) {
+	b.Run("1word-dim1800", func(b *testing.B) {
+		benchProbe(b, 64, 1800, 1800*6/10, 1000)
+	})
+	b.Run("2words-32k", func(b *testing.B) {
+		benchProbe(b, 128, 1<<15, 1<<15, 1024)
+	})
+}
+
+// benchProbe times ProbeVec of probes keys drawn from [0, domain) against
+// a STeM of a qcap-query batch holding entries distinct keys of that
+// domain, all under one published slot.
+func benchProbe(b *testing.B, qcap, domain, entries, probes int) {
+	v := NewVersions()
+	s := New(v, []string{"k"}, qcap, entries)
+	qw := s.qw
+	rng := rand.New(rand.NewSource(1))
+	vids := make([]int32, entries)
+	keys := make([]int64, entries)
+	qsets := make([]uint64, entries*qw)
+	for i, k := range rng.Perm(domain)[:entries] {
+		vids[i], keys[i] = int32(i), int64(k)
+		for w := 0; w < qw; w++ {
+			qsets[i*qw+w] = rng.Uint64() & rng.Uint64()
+		}
+	}
+	var sc InsertScratch
+	s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, &sc)
+	v.Publish(0)
+	wm, ts := v.Watermark(), v.Now()
+	probeKeys := make([]int64, probes)
+	for i := range probeKeys {
+		probeKeys[i] = rng.Int63n(int64(domain))
+	}
+	var dst []VecMatch
+	var qbuf []uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm)
+	}
+	if len(dst) == 0 {
+		b.Fatal("the probes matched nothing")
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes), "ns/key")
 }

@@ -82,9 +82,10 @@ func calibrateSelection(rng *rand.Rand) []cost.Sample {
 	return samples
 }
 
-// calibrateJoin times the probe kernel episodes run (stem.ProbeVec over a
-// whole key vector, build side under the watermark, dst/qbuf warm in every
-// run but the first) at varying match fan-outs.
+// calibrateJoin times the probe kernel episodes run (stem.ProbeVecRange over
+// a whole key vector and its tuples' query sets, build side under the
+// watermark, dst/qbuf warm in every run but the first) at varying match
+// fan-outs.
 func calibrateJoin(rng *rand.Rand) []cost.Sample {
 	const keys = 1024
 	vids := make([]int32, keys)
@@ -109,11 +110,12 @@ func calibrateJoin(rng *rand.Rand) []cost.Sample {
 		ts := versions.Now()
 		for _, n := range calibrationSizes {
 			probeKeys := make([]int64, n)
+			tq := make([]uint64, n)
 			for i := range probeKeys {
-				probeKeys[i] = int64(rng.Intn(keys))
+				probeKeys[i], tq[i] = int64(rng.Intn(keys)), 1<<16-1
 			}
 			elapsed := minNanos(16384/n, func() {
-				dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm)
+				dst, qbuf = s.ProbeVecRange(dst[:0], qbuf[:0], "k", probeKeys, tq, ts, wm, 0, 1)
 			})
 			samples = append(samples, cost.Sample{NIn: float64(n), NOut: float64(len(dst)), Nanos: elapsed})
 		}

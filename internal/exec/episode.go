@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"time"
 
 	"github.com/roulette-db/roulette/internal/bitset"
@@ -148,8 +147,7 @@ type Worker struct {
 	probeKeys  []int64            // kernel input keys (probe + prune)
 	probeIn    []int32            // kernel input position -> tuple index
 	probeTqs   []uint64           // masked tuple query sets, stride: the node's words
-	vmatches   []stem.VecMatch    // ProbeVec output buffer
-	matchQs    []uint64           // ProbeVec query-set slab (VecMatch.QSet views)
+	vmatches   []stem.VecMatch    // ProbeVecRange output buffer
 	pruneAcc   []uint64           // PruneVec's per-tuple union scratch, qw words
 
 	// cv is the context view this episode runs against: loaded once per
@@ -691,24 +689,24 @@ func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, i
 	}
 
 	// Gather phase: eligible tuples' join keys and masked query sets move
-	// into the worker's kernel batch, then one ProbeVec call replaces the
-	// per-tuple STeM probes (stem/vec.go). The merge loop reads matches in
-	// input order, so output tuples append in the same order as before.
+	// into the worker's kernel batch, then one ProbeVecRange call probes
+	// every key (stem/vec.go): it keeps only the matches whose entry shares
+	// a query with the tuple and writes their intersections straight into
+	// out's slab, in input order, so output tuples append in input order.
 	lo, hi := nd.Lo, nd.Hi
 	nw := hi - lo
 	qmask := nd.Q[lo:hi]
 	off, stride := lo-v.lo, v.width // the node's words within v's slab
 	out.lo, out.width = lo, nw
-	stemT := cv.stems[nd.Target]
 	pk := w.probeKeys[:0]
 	pin := w.probeIn[:0]
+	ptq := w.probeTqs[:0]
 	srcVids := v.vids[srcIdx]
 	if nw == 1 {
 		// Fast path: the node's queries share one word (every node of a
 		// batch of up to 64 queries, and narrow nodes of wider ones); the
-		// generic word loops dominate the probe otherwise.
+		// generic word loop dominates the gather otherwise.
 		mask := qmask[0]
-		ptq := w.probeTqs[:0]
 		for i := 0; i < v.n; i++ {
 			tqw := v.qsets[i*stride+off] & mask
 			if tqw == 0 {
@@ -718,30 +716,7 @@ func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, i
 			pin = append(pin, int32(i))
 			ptq = append(ptq, tqw)
 		}
-		w.probeKeys, w.probeIn, w.probeTqs = pk, pin, ptq
-		w.vmatches, w.matchQs = stemT.ProbeVecRange(w.vmatches[:0], w.matchQs[:0], targetCol, pk, ts, wm, lo, hi)
-		for mi := range w.vmatches {
-			m := &w.vmatches[mi]
-			j := int(m.In)
-			i := int(pin[j])
-			oqw := ptq[j] & m.QSet[0]
-			if oqw == 0 {
-				continue
-			}
-			for ri := range residuals {
-				rr := &residuals[ri]
-				if bit := uint64(1) << rr.bit; oqw&bit != 0 && !rr.holds(v, i, m.VID) {
-					oqw &^= bit
-				}
-			}
-			if oqw == 0 {
-				continue
-			}
-			out.qsets = append(out.qsets, oqw)
-			emitTuple(out, copyIdx, v, i, targetPos, m.VID)
-		}
 	} else {
-		ptq := w.probeTqs[:0]
 		for i := 0; i < v.n; i++ {
 			tq := v.qsets[i*stride+off : i*stride+off+nw]
 			if !bitset.Intersects(tq, qmask) {
@@ -753,38 +728,34 @@ func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, i
 				ptq = append(ptq, tq[wd]&mw)
 			}
 		}
-		w.probeKeys, w.probeIn, w.probeTqs = pk, pin, ptq
-		w.vmatches, w.matchQs = stemT.ProbeVecRange(w.vmatches[:0], w.matchQs[:0], targetCol, pk, ts, wm, lo, hi)
-		for mi := range w.vmatches {
-			m := &w.vmatches[mi]
-			j := int(m.In)
-			i := int(pin[j])
-			tq := ptq[j*nw : (j+1)*nw]
-			if !bitset.Intersects(tq, m.QSet) {
+	}
+	w.probeKeys, w.probeIn, w.probeTqs = pk, pin, ptq
+	w.vmatches, out.qsets = cv.stems[nd.Target].ProbeVecRange(w.vmatches[:0], out.qsets, targetCol, pk, ptq, ts, wm, lo, hi)
+	if len(residuals) == 0 {
+		for _, m := range w.vmatches {
+			emitTuple(out, copyIdx, v, int(pin[m.In]), targetPos, m.VID)
+		}
+	} else {
+		// A residual may empty a match's set: the kept sets move down over
+		// the dropped ones.
+		kept := 0
+		for mi, m := range w.vmatches {
+			i := int(pin[m.In])
+			oq := bitset.Set(out.qsets[mi*nw : (mi+1)*nw])
+			for ri := range residuals {
+				rr := &residuals[ri]
+				if oq.Contains(rr.bit) && !rr.holds(v, i, m.VID) {
+					oq.Remove(rr.bit)
+				}
+			}
+			if oq.Empty() {
 				continue
 			}
-			// The output set is formed in the slab's spare capacity and
-			// appended only if the residuals leave it non-empty.
-			n := len(out.qsets)
-			out.qsets = slices.Grow(out.qsets, nw)
-			oq := bitset.Set(out.qsets[n : n+nw])
-			for wd, mw := range m.QSet {
-				oq[wd] = tq[wd] & mw
-			}
-			if len(residuals) > 0 {
-				for ri := range residuals {
-					rr := &residuals[ri]
-					if oq.Contains(rr.bit) && !rr.holds(v, i, m.VID) {
-						oq.Remove(rr.bit)
-					}
-				}
-				if oq.Empty() {
-					continue
-				}
-			}
-			out.qsets = out.qsets[:n+nw]
+			copy(out.qsets[kept*nw:], oq)
+			kept++
 			emitTuple(out, copyIdx, v, i, targetPos, m.VID)
 		}
+		out.qsets = out.qsets[:kept*nw]
 	}
 	w.ep.joinOut += int64(out.n)
 	w.ep.probeNs += time.Since(t0).Nanoseconds()

@@ -263,9 +263,9 @@ type chunk struct {
 // written: InsertVec adds its batch size after its splices, while the
 // STeM's count reserves the range before the writes. When the two are
 // equal no insert is in flight and entries [0, committed) may be read
-// without following a chain. unions caches one union table per index of a
-// one-word STeM, with what its builds need (see unionCache); a state swap
-// drops them with the state.
+// without following a chain. unions caches one union table per index,
+// with what its builds need (see unionCache); a state swap drops them with
+// the state.
 type stemState struct {
 	keyCols   []string
 	colIdx    map[string]int
@@ -290,7 +290,7 @@ type STeM struct {
 	compactGen atomic.Uint64 // CompactLive rebuilds so far; entry positions are stable within one generation
 	sweepGen   atomic.Uint64 // SweepChunk calls that cleared a bit; a union table is stale once it moves
 	unionScans atomic.Int64  // entries read by union-table builds, failed ones included (read by tests)
-	buildRent  int64         // keys a probe walks per entry a union-table build reads before it builds (union); tests set 0
+	buildRent  int64         // query-set words a probe walks per word a union-table build reads before it builds (union); tests set 0
 }
 
 // newState builds a state for the given key columns with nb (still empty)
@@ -396,7 +396,8 @@ func newChunk(nkeys, qw int) *chunk {
 
 // EstBytes estimates the STeM's resident memory: allocated entry chunks
 // (vIDs, slots, key columns, hash chains, query-set slab) plus the bucket
-// arrays and the cached union tables (slots and side arrays).
+// arrays and the cached union tables (slots, a wide table's union words,
+// side arrays).
 // Observability only; the estimate ignores Go object headers.
 func (s *STeM) EstBytes() int64 {
 	st := s.state.Load()

@@ -22,7 +22,7 @@ func insert1(s *STeM, vid int32, keys []int64, qset bitset.Set, slot Slot) {
 
 // probe1 probes one key as a one-element ProbeVec batch, every entry paying
 // the per-slot visibility check (wm 0).
-func probe1(s *STeM, col string, key int64, probeTS int64) []VecMatch {
+func probe1(s *STeM, col string, key int64, probeTS int64) []match {
 	return probeVec(s, col, []int64{key}, probeTS, 0)
 }
 
@@ -416,7 +416,7 @@ func TestEstBytes(t *testing.T) {
 		t.Errorf("per-chunk estimate %d smaller than its columns", perChunk)
 	}
 
-	// A one-word STeM's union table adds its 24-byte slots and, for keys
+	// A one-word union table adds its 24-byte slots and, for keys
 	// with several entries, a vID and a word per entry.
 	s1 := New(v, []string{"k"}, 64, 64)
 	insert1(s1, 1, []int64{7}, bitset.Set{1}, 1)
@@ -431,5 +431,23 @@ func TestEstBytes(t *testing.T) {
 	}
 	if got, want := s1.EstBytes()-before, int64(len(tb.slots))*24+2*(4+8); got != want {
 		t.Errorf("union table adds %d bytes to the estimate, want %d", got, want)
+	}
+
+	// A two-word table adds, beside its slots, two union words for each of
+	// its two keys and for the empty slot, and a vID and two words per
+	// side-array entry.
+	s2 := New(v, []string{"k"}, 128, 64)
+	insert1(s2, 1, []int64{7}, bitset.Set{1, 0}, 2)
+	insert1(s2, 2, []int64{7}, bitset.Set{0, 2}, 2)
+	insert1(s2, 3, []int64{8}, bitset.Set{4, 4}, 2)
+	v.Publish(2)
+	before = s2.EstBytes()
+	semiJoin1(s2, "k", 7)
+	tb = s2.state.Load().unions[0].table.Load()
+	if tb == nil || len(tb.vids) != 2 {
+		t.Fatalf("fixture: want a two-word table with two side-array entries, got %+v", tb)
+	}
+	if got, want := s2.EstBytes()-before, int64(len(tb.slots))*24+3*2*8+2*(4+2*8); got != want {
+		t.Errorf("two-word union table adds %d bytes to the estimate, want %d", got, want)
 	}
 }

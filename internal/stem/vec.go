@@ -16,17 +16,19 @@ import (
 //     segment, pre-links the intra-batch hash chains in caller-owned
 //     scratch, and splices each *distinct* bucket with one CAS — the batch
 //     costs ~distinct-buckets CASes, not len(vec)×keys.
-//   - ProbeVec resolves the key column once, batch-hashes the key block and
-//     preloads bucket heads before walking chains, and consults the
-//     publication watermark: entries whose slot is under the watermark skip
-//     the per-entry timestamp load entirely. On a one-word STeM it reads
-//     each key's entries from a cached table instead (unionTable), one slot
-//     per key and no chain walk, when the table is current and older than
-//     the probe.
-//   - PruneVec is the symmetric-join-pruning kernel: it stages head entries
-//     as ProbeVec does, short-circuits on the watermark, and masks the
-//     probing tuples' query sets in place over one word range. On a
-//     one-word STeM it reads each key's union from the same table.
+//   - ProbeVecRange reads each key's entries from a cached table
+//     (unionTable), one slot per key and no chain walk, when the table is
+//     current and older than the probe; otherwise it resolves the key column
+//     once, batch-hashes the key block, preloads bucket heads and walks the
+//     chains, consulting the publication watermark: entries whose slot is
+//     under the watermark skip the per-entry timestamp load entirely. It
+//     takes the probing tuples' query sets and keeps only the entries that
+//     share a query with them, writing the intersections out. ProbeVec is
+//     its unmasked, full-width form.
+//   - PruneVec is the symmetric-join-pruning kernel: it masks the probing
+//     tuples' query sets in place over one word range, reading each key's
+//     union from the same table, or from a chain walk that stages head
+//     entries as the probe's does when no table can be built.
 //
 // Memory-ordering argument: every entry write — vIDs, slots, keys, query
 // sets, intra-batch next links — happens before the bucket CAS that makes
@@ -42,12 +44,12 @@ import (
 // run, and mixed plain/atomic access on the same words would both race and
 // tear under the race detector.
 
-// VecMatch is one ProbeVec result: input position In of the probed key
-// batch matched entry (VID, QSet).
+// VecMatch is one probe result: input position In of the probed key batch
+// matched the entry with vID VID. Its query-set words sit beside it in the
+// caller's word slab (ProbeVec, ProbeVecRange).
 type VecMatch struct {
-	In   int32
-	VID  int32
-	QSet bitset.Set // view into the caller's ProbeVec query-set buffer
+	In  int32
+	VID int32
 }
 
 // InsertScratch is the worker-local scratch for InsertVec's intra-batch
@@ -225,19 +227,17 @@ func (s *STeM) spliceBatch(st *stemState, ki int, base int64, n int, keys []int6
 	}
 }
 
-// probeBlock sizes ProbeVec's bucket-head preload: heads for a block of
-// keys are hashed and loaded before any chain is walked, so the loads'
+// probeBlock sizes the chain walks' bucket-head preload: heads for a block
+// of keys are hashed and loaded before any chain is walked, so the loads'
 // cache misses overlap instead of serializing with the walks.
 const probeBlock = 128
 
 // ProbeVec probes every key of keys on column col, appending each match to
-// dst tagged with the key's input position. Matched query sets are staged
-// into qbuf (s.qw atomically loaded words per match, appended in match
-// order); each appended VecMatch's QSet is a view into the returned qbuf.
-// Both dst and qbuf grow with append and are returned; callers reuse them
-// across episodes so the steady state does not allocate. Only the
-// newly appended tail of dst carries valid QSet views — pass matched
-// prefixes of the same (dst, qbuf) pair or start from [:0].
+// dst tagged with the key's input position, and the matched entry's s.qw
+// query-set words (atomically loaded) to qbuf in match order: the k-th
+// match this call appends has its words at qbuf[q0+k*s.qw:], q0 being
+// len(qbuf) on entry. Both grow with append and are returned; callers reuse
+// them across calls so the steady state does not allocate.
 //
 // An entry matches when its key equals the probe key and its slot's
 // published timestamp is strictly older than probeTS. probeTS must have
@@ -258,17 +258,21 @@ const probeBlock = 128
 // session) skip the per-entry timestamp load entirely. Pass wm 0 to
 // disable the short-circuit.
 func (s *STeM) ProbeVec(dst []VecMatch, qbuf []uint64, col string, keys []int64, probeTS int64, wm Slot) ([]VecMatch, []uint64) {
-	return s.ProbeVecRange(dst, qbuf, col, keys, probeTS, wm, 0, s.qw)
+	return s.ProbeVecRange(dst, qbuf, col, keys, nil, probeTS, wm, 0, s.qw)
 }
 
-// ProbeVecRange is ProbeVec staging only the query-set words [lo, hi) of
-// each match: every QSet view is hi-lo words long, word k holding the
-// entry's word lo+k. A probe whose query set lies inside [lo, hi) loses
-// nothing by ignoring the other words, so the executor passes its plan
-// node's word range.
+// ProbeVecRange is ProbeVec over the query-set words [lo, hi) only, with
+// lo < hi <= the STeM's width, fused with the intersection a join applies
+// to each match: tq holds the probing tuples' words over the same range,
+// hi-lo per key in key order, and an entry matches only if its words share
+// a bit with its key's; the hi-lo words appended to qout per match are that
+// intersection. A nil tq keeps every match with the entry's own words, as
+// ProbeVec does. The executor passes its plan node's word range and each
+// tuple's words masked to the node's queries, so qout is its output
+// vector's query-set slab.
 //
-// A one-word STeM serves the probe from its union table instead of the
-// chain walk when the table is current (union) and every entry in it was
+// The probe is served from the index's union table instead of the chain
+// walk when the table is current (union) and every entry in it was
 // published before probeTS (maxTS < probeTS): the table then returns
 // exactly the walk's matches, in an order of its own, and seals nothing.
 // An entry the probe must see was published before probeTS was drawn, so
@@ -276,8 +280,8 @@ func (s *STeM) ProbeVec(dst []VecMatch, qbuf []uint64, col string, keys []int64,
 // table holds it. An entry the table lacks commits after that load, so its
 // slot's timestamp is drawn after probeTS and the probe must not see it;
 // the seal that settles the draw-to-store window for the walk is not
-// needed.
-func (s *STeM) ProbeVecRange(dst []VecMatch, qbuf []uint64, col string, keys []int64, probeTS int64, wm Slot, lo, hi int) ([]VecMatch, []uint64) {
+// needed. A key whose union misses its tuple's words is dropped whole.
+func (s *STeM) ProbeVecRange(dst []VecMatch, qout []uint64, col string, keys []int64, tq []uint64, probeTS int64, wm Slot, lo, hi int) ([]VecMatch, []uint64) {
 	// The state is loaded once per call: a structural swap mid-call leaves
 	// this probe on the frozen old state, which is safe — any insert the
 	// probe is required to see (timestamp older than probeTS) happened
@@ -286,29 +290,36 @@ func (s *STeM) ProbeVecRange(dst []VecMatch, qbuf []uint64, col string, keys []i
 	// loaded state.
 	st := s.state.Load()
 	ki, ok := st.colIdx[col]
-	if !ok {
-		return dst, qbuf
+	if !ok || len(keys) == 0 { // union builds at once for a caller that walks nothing
+		return dst, qout
 	}
-	dstBase, qBase := len(dst), len(qbuf)
-	if t := s.union(st, ki, len(keys)); t != nil && t.maxTS < probeTS {
-		dst, qbuf = t.probe(dst, qbuf, keys, lo, hi)
-	} else {
-		dst, qbuf = s.walkChains(st, ki, dst, qbuf, keys, probeTS, wm, lo, hi)
+	if t := s.union(st, ki, len(keys)*(hi-lo)); t != nil && t.maxTS < probeTS {
+		return t.probe(dst, qout, keys, tq, lo, hi)
 	}
-	// Fix up the QSet views only after all appends: qbuf's backing array is
-	// final now, so the views cannot be invalidated by growth.
-	nw := hi - lo
-	for k := dstBase; k < len(dst); k++ {
-		qo := qBase + (k-dstBase)*nw
-		dst[k].QSet = bitset.Set(qbuf[qo : qo+nw])
-	}
-	return dst, qbuf
+	return s.walkChains(st, ki, dst, qout, keys, tq, probeTS, wm, lo, hi)
 }
 
-// walkChains is ProbeVecRange's chain walk over state st's index ki. It
-// appends the matches and their words and leaves the QSet views to the
-// caller.
-func (s *STeM) walkChains(st *stemState, ki int, dst []VecMatch, qbuf []uint64, keys []int64, probeTS int64, wm Slot, lo, hi int) ([]VecMatch, []uint64) {
+// keep finishes one match whose words were just appended to qout from
+// position n: masked by tw unless tw is nil, it appends the match (in, vid)
+// to dst, or drops the words again when the mask leaves none.
+func keep(dst []VecMatch, qout []uint64, n int, tw []uint64, in, vid int32) ([]VecMatch, []uint64) {
+	if tw != nil {
+		o := qout[n:]
+		var left uint64
+		for w, x := range tw {
+			o[w] &= x
+			left |= o[w]
+		}
+		if left == 0 {
+			return dst, qout[:n]
+		}
+	}
+	return append(dst, VecMatch{In: in, VID: vid}), qout
+}
+
+// walkChains is ProbeVecRange's chain walk over state st's index ki.
+func (s *STeM) walkChains(st *stemState, ki int, dst []VecMatch, qout []uint64, keys []int64, tq []uint64, probeTS int64, wm Slot, lo, hi int) ([]VecMatch, []uint64) {
+	nw := hi - lo
 	buckets := st.buckets[ki]
 	shift := st.shift[ki]
 	var heads [probeBlock]int32
@@ -317,10 +328,7 @@ func (s *STeM) walkChains(st *stemState, ki int, dst []VecMatch, qbuf []uint64, 
 	var eSlot [probeBlock]Slot
 	var eVID [probeBlock]int32
 	for i0 := 0; i0 < len(keys); i0 += probeBlock {
-		m := len(keys) - i0
-		if m > probeBlock {
-			m = probeBlock
-		}
+		m := min(len(keys)-i0, probeBlock)
 		for j := 0; j < m; j++ {
 			if keys[i0+j] == NullKey {
 				heads[j] = 0 // NULL probe keys match nothing, see NullKey
@@ -359,16 +367,20 @@ func (s *STeM) walkChains(st *stemState, ki int, dst []VecMatch, qbuf []uint64, 
 			}
 			key := keys[i0+j]
 			in := int32(i0 + j)
+			var tw []uint64
+			if tq != nil {
+				tw = tq[(i0+j)*nw:][:nw]
+			}
 			if eKey[j] == key {
 				slot := eSlot[j]
 				if slot < wm || s.versions.visibleAt(slot, probeTS) {
 					idx := int(ref) - 1
-					c := chunks[idx>>chunkBits]
-					qoff := (idx & chunkMask) * s.qw
+					qs := chunks[idx>>chunkBits].qsets[(idx&chunkMask)*s.qw:]
+					n := len(qout)
 					for w := lo; w < hi; w++ {
-						qbuf = append(qbuf, atomic.LoadUint64(&c.qsets[qoff+w]))
+						qout = append(qout, atomic.LoadUint64(&qs[w]))
 					}
-					dst = append(dst, VecMatch{In: in, VID: eVID[j]})
+					dst, qout = keep(dst, qout, n, tw, in, eVID[j])
 				}
 			}
 			for ref = eNext[j]; ref != 0; {
@@ -378,18 +390,19 @@ func (s *STeM) walkChains(st *stemState, ki int, dst []VecMatch, qbuf []uint64, 
 				if c.keys[ki][off] == key {
 					slot := c.slots[off]
 					if slot < wm || s.versions.visibleAt(slot, probeTS) {
-						qoff := off * s.qw
+						qs := c.qsets[off*s.qw:]
+						n := len(qout)
 						for w := lo; w < hi; w++ {
-							qbuf = append(qbuf, atomic.LoadUint64(&c.qsets[qoff+w]))
+							qout = append(qout, atomic.LoadUint64(&qs[w]))
 						}
-						dst = append(dst, VecMatch{In: in, VID: c.vids[off]})
+						dst, qout = keep(dst, qout, n, tw, in, c.vids[off])
 					}
 				}
 				ref = c.next[ki][off]
 			}
 		}
 	}
-	return dst, qbuf
+	return dst, qout
 }
 
 // PruneVec is the symmetric-join-pruning kernel (§5.2): a probing tuple
@@ -408,31 +421,49 @@ func (s *STeM) walkChains(st *stemState, ki int, dst []VecMatch, qbuf []uint64, 
 //
 // Publication needs no timestamp ordering here, and unpublished slots are
 // skipped, not sealed: the caller prunes only against a STeM whose every
-// vector has been inserted and published. Entries under the watermark skip
-// the version lookup. A one-word STeM answers from its union table when
-// one is current or can be built (union); otherwise a one-word range takes
-// a scalar chain walk (pruneWord).
+// vector has been inserted and published. The prune reads each key's union
+// from the index's union table, built at once when none is current (union);
+// only when no table can be built does it walk the chains (pruneWalk).
 func (s *STeM) PruneVec(qsets []uint64, qw int, elig bitset.Set, lo, hi int, col string, keys []int64, acc []uint64) {
-	nw := hi - lo
 	st := s.state.Load()
 	ki, ok := st.colIdx[col]
 	if !ok {
 		return
 	}
-	if nw == 1 {
-		if t := s.union(st, ki, 0); t != nil {
-			e := elig[lo]
-			for i, k := range keys {
-				if p := &qsets[i*qw+lo]; *p&e != 0 {
-					*p &= t.get(k) | ^e
-				}
+	t := s.union(st, ki, 0)
+	switch {
+	case t == nil:
+		s.pruneWalk(st, ki, qsets, qw, elig, lo, hi, keys, acc)
+	case hi-lo == 1:
+		e := elig[lo]
+		for i, k := range keys {
+			if p := &qsets[i*qw+lo]; *p&e != 0 {
+				*p &= t.word(t.slot(k), lo) | ^e
 			}
-			return
 		}
-		s.pruneWord(st, ki, qsets, qw, elig[lo], lo, keys)
-		return
+	default:
+		nw := hi - lo
+		elig = elig[lo:hi]
+		for i, k := range keys {
+			tw := qsets[i*qw+lo:][:nw]
+			var has uint64
+			for w, e := range elig {
+				has |= tw[w] & e
+			}
+			if has == 0 {
+				continue
+			}
+			u := t.us[int(t.slot(k).u)+lo:][:nw]
+			for w, e := range elig {
+				tw[w] &= u[w] | ^e
+			}
+		}
 	}
-	elig, acc = elig[lo:hi], acc[:nw]
+}
+
+// pruneWalk is PruneVec through the chains of state st's index ki.
+func (s *STeM) pruneWalk(st *stemState, ki int, qsets []uint64, qw int, elig bitset.Set, lo, hi int, keys []int64, acc []uint64) {
+	elig, acc = elig[lo:hi], acc[:hi-lo]
 	wm := s.versions.Watermark()
 	buckets := st.buckets[ki]
 	shift := st.shift[ki]
@@ -466,8 +497,8 @@ func (s *STeM) PruneVec(qsets []uint64, qw int, elig bitset.Set, lo, hi int, col
 			}
 		}
 		// Chunk snapshot after the head loads, and the head entries' fields
-		// staged in one branch-light pass, as in ProbeVec. Staging the first
-		// query-set word too overlaps the misses on the entries' sets.
+		// staged in one branch-light pass, as in walkChains. Staging the
+		// first query-set word too overlaps the misses on the entries' sets.
 		chunks := *st.chunks.Load()
 		for j := 0; j < m; j++ {
 			if ref := heads[j]; ref != 0 {
@@ -518,60 +549,18 @@ func (s *STeM) PruneVec(qsets []uint64, qw int, elig bitset.Set, lo, hi int, col
 	}
 }
 
-// pruneWord is PruneVec over the single query-set word w, with the eligible
-// word elig: the union is a scalar, so nothing is staged or cleared. Batches
-// of up to 64 queries, and the narrow prunes of wider ones, run it.
-func (s *STeM) pruneWord(st *stemState, ki int, qsets []uint64, qw int, elig uint64, w int, keys []int64) {
-	wm := s.versions.Watermark()
-	buckets := st.buckets[ki]
-	shift := st.shift[ki]
-	var heads [probeBlock]int32
-	for i0 := 0; i0 < len(keys); i0 += probeBlock {
-		m := min(len(keys)-i0, probeBlock)
-		for j := 0; j < m; j++ {
-			heads[j] = 0
-			t := &qsets[(i0+j)*qw+w]
-			if *t&elig == 0 {
-				continue
-			}
-			if k := keys[i0+j]; k != NullKey {
-				heads[j] = buckets[hash64(k)>>shift].Load()
-			}
-			if heads[j] == 0 {
-				*t &^= elig
-			}
-		}
-		chunks := *st.chunks.Load()
-		for j := 0; j < m; j++ {
-			ref := heads[j]
-			if ref == 0 {
-				continue
-			}
-			key := keys[i0+j]
-			var u uint64
-			for ref != 0 {
-				idx := int(ref) - 1
-				c := chunks[idx>>chunkBits]
-				off := idx & chunkMask
-				if c.keys[ki][off] == key && (c.slots[off] < wm || s.versions.tryGet(c.slots[off]) != 0) {
-					u |= atomic.LoadUint64(&c.qsets[off*s.qw+w])
-				}
-				ref = c.next[ki][off]
-			}
-			qsets[(i0+j)*qw+w] &= u | ^elig
-		}
-	}
-}
-
-// unionTable is a one-word STeM's snapshot of one index, answering a prune
-// or a probe with one slot read per key instead of a chain walk: an
+// unionTable is a STeM's snapshot of one index, answering a prune or a
+// probe with one slot read per key instead of a chain walk: an
 // open-addressed map from each distinct non-NULL key to the OR of its
-// entries' query-set words and to the entries themselves. A key with one
-// entry keeps its vID in its slot; a key with more keeps its entries' vIDs
-// and words contiguous in vids and words, newest first. An empty slot is
-// the zero slot (no entries), so a NULL probe key, which no slot holds,
-// stops at the first one and reads the empty union and no entries. The
-// hash is qat.HashTable's one multiply and the table is at most half full.
+// entries' query sets (its union) and to the entries themselves. A key with
+// one entry keeps its vID in its slot; a key with more keeps its entries'
+// vIDs and words (qw per entry) contiguous in vids and words, newest first.
+// On a one-word table the union word sits in the slot; on a wider one the
+// slot locates the key's qw union words in us, whose first qw words stay
+// zero for the empty slot. An empty slot (no entries) therefore reads the
+// empty union, and a NULL probe key, which no slot holds, stops at the
+// first one. The hash is qat.HashTable's one multiply and the table is at
+// most half full.
 //
 // A table holds every entry committed when it was built, zero-word entries
 // included (a probe returns them), each published: maxTS is the newest of
@@ -582,6 +571,8 @@ func (s *STeM) pruneWord(st *stemState, ki int, qsets []uint64, qw int, elig uin
 type unionTable struct {
 	slots     []unionSlot
 	shift     uint
+	qw        int
+	us        []uint64
 	vids      []int32
 	words     []uint64
 	maxTS     int64
@@ -589,9 +580,10 @@ type unionTable struct {
 	sweepGen  uint64
 }
 
-// unionSlot is one key of a unionTable: u is the OR of its n entries'
-// words; vid is the sole entry's vID when n is 1, else where its entries
-// start in the table's vids and words.
+// unionSlot is one key of a unionTable. u is the key's union word on a
+// one-word table, else the offset of its union words in the table's us;
+// vid is the sole entry's vID when n is 1, else where its n entries start
+// in the table's vids (and, times qw, in its words).
 type unionSlot struct {
 	key int64
 	u   uint64
@@ -610,8 +602,20 @@ type unionCache struct {
 	walked  atomic.Int64
 }
 
-func newUnionTable(n int) *unionTable {
-	return &unionTable{slots: make([]unionSlot, n), shift: uint(64 - bits.TrailingZeros(uint(n)))}
+// newUnionTable returns an empty table of n slots (a power of two) over qw
+// query-set words.
+func newUnionTable(n, qw int) *unionTable {
+	t := &unionTable{qw: qw}
+	t.resize(n)
+	if qw > 1 {
+		t.us = make([]uint64, qw, (n/2+1)*qw)
+	}
+	return t
+}
+
+// resize replaces t's slots with n empty ones.
+func (t *unionTable) resize(n int) {
+	t.slots, t.shift = make([]unionSlot, n), uint(64-bits.TrailingZeros(uint(n)))
 }
 
 // slot returns key's slot: the one holding it, or the empty one (n == 0)
@@ -625,61 +629,112 @@ func (t *unionTable) slot(key int64) *unionSlot {
 	}
 }
 
-// get returns the union of key's entries, 0 for an absent or NULL key.
-func (t *unionTable) get(key int64) uint64 { return t.slot(key).u }
+// word returns word w of slot e's union.
+func (t *unionTable) word(e *unionSlot, w int) uint64 {
+	if t.qw == 1 {
+		return e.u
+	}
+	return t.us[int(e.u)+w]
+}
 
-// probe is ProbeVecRange served from t, for a word range [lo, hi) inside
-// the STeM's one word: it appends every entry of each key, with its word
-// when the range holds it, and leaves the QSet views to the caller.
-func (t *unionTable) probe(dst []VecMatch, qbuf []uint64, keys []int64, lo, hi int) ([]VecMatch, []uint64) {
-	word := hi > lo
+// probe is ProbeVecRange served from t. A one-word range takes
+// probeWord, as a one-word prune takes its own loop in PruneVec: in the
+// kernel benchmarks the general loop below, reading the one-word union
+// through word, spent about 1.5 ns per key more on one-word tables.
+func (t *unionTable) probe(dst []VecMatch, qout []uint64, keys []int64, tq []uint64, lo, hi int) ([]VecMatch, []uint64) {
+	if hi-lo == 1 {
+		return t.probeWord(dst, qout, keys, tq, lo)
+	}
+	nw := hi - lo
 	for i, k := range keys {
-		switch e := t.slot(k); {
-		case e.n == 1:
-			if word {
-				qbuf = append(qbuf, e.u)
+		e := t.slot(k)
+		if e.n == 0 {
+			continue
+		}
+		u := t.us[int(e.u)+lo:][:nw]
+		var tw []uint64
+		if tq != nil {
+			if tw = tq[i*nw:][:nw]; !bitset.Intersects(u, tw) {
+				continue
+			}
+		}
+		if e.n == 1 { // a sole entry's words are its key's union
+			if tw == nil {
+				qout = append(qout, u...)
+			} else {
+				for w, x := range tw {
+					qout = append(qout, x&u[w])
+				}
 			}
 			dst = append(dst, VecMatch{In: int32(i), VID: e.vid})
-		case e.n > 1:
-			for j := e.vid; j < e.vid+e.n; j++ {
-				if word {
-					qbuf = append(qbuf, t.words[j])
-				}
+			continue
+		}
+		for j := int(e.vid); j < int(e.vid+e.n); j++ {
+			n := len(qout)
+			qout = append(qout, t.words[j*t.qw+lo:][:nw]...)
+			dst, qout = keep(dst, qout, n, tw, int32(i), t.vids[j])
+		}
+	}
+	return dst, qout
+}
+
+// probeWord is probe over the one word w, the range of every one-word
+// table.
+func (t *unionTable) probeWord(dst []VecMatch, qout []uint64, keys []int64, tq []uint64, w int) ([]VecMatch, []uint64) {
+	masked := tq != nil
+	for i, k := range keys {
+		e := t.slot(k)
+		if e.n == 0 {
+			continue
+		}
+		u, m := t.word(e, w), ^uint64(0)
+		if masked {
+			if m = tq[i]; m&u == 0 {
+				continue
+			}
+		}
+		if e.n == 1 {
+			dst = append(dst, VecMatch{In: int32(i), VID: e.vid})
+			qout = append(qout, m&u)
+			continue
+		}
+		for j := e.vid; j < e.vid+e.n; j++ {
+			if x := m & t.words[int(j)*t.qw+w]; x != 0 || !masked {
 				dst = append(dst, VecMatch{In: int32(i), VID: t.vids[j]})
+				qout = append(qout, x)
 			}
 		}
 	}
-	return dst, qbuf
+	return dst, qout
 }
 
-// union returns index ki's union table on state st of a one-word STeM,
-// building and caching it when the cached one is missing or stale, or nil
-// when the caller must walk the chains: on a wider STeM; while an insert is
-// in flight (count ahead of committed), since inserts commit out of order
-// and an entry under committed may still be unwritten; or when a non-NULL
-// entry is unpublished, since its publication would move no stamp. A table
-// whose stamps moved during the build still serves this call — it holds
-// every entry committed and published when the call began — but is not
-// cached.
+// union returns index ki's union table on state st, building and caching
+// it when the cached one is missing or stale, or nil when the caller must
+// walk the chains: while an insert is in flight (count ahead of committed),
+// since inserts commit out of order and an entry under committed may still
+// be unwritten; or when a non-NULL entry is unpublished, since its
+// publication would move no stamp. A table whose stamps moved during the
+// build still serves this call — it holds every entry committed and
+// published when the call began — but is not cached.
 //
-// walk is the number of keys the caller walks when no table serves it. A
-// prune passes 0 and builds at once: it runs against a STeM that no insert
-// changes any more. A probe's STeM may be growing under it, as both sides
-// of a symmetric join insert and probe, and a build per change would cost
-// O(entries) per call. So a probe builds only once the keys walked since
-// the last build reach buildRent times the entries a build reads: builds
-// then read at most 1/buildRent of the keys walked.
+// walk is what the caller walks when no table serves it, in query-set
+// words: its keys times the words of its range. A prune passes 0 and
+// builds at once: it runs against a STeM that no insert changes any more.
+// A probe's STeM may be growing under it, as both sides of a symmetric
+// join insert and probe, and a build per change would cost O(entries) per
+// call. So a probe builds only once the words walked since the last build
+// reach buildRent times the words a build reads, qw per entry: builds then
+// read at most 1/buildRent of the words walked. Counting words, not keys,
+// keeps a probe over a few words of a wide STeM from paying for builds
+// that read every word of every entry.
 func (s *STeM) union(st *stemState, ki, walk int) *unionTable {
-	if s.qw != 1 {
-		return nil
-	}
 	uc := &st.unions[ki]
 	gen := s.sweepGen.Load()
 	c := st.committed.Load()
 	if t := uc.table.Load(); t != nil && t.committed == c && t.sweepGen == gen {
 		return t
 	}
-	if walk > 0 && uc.walked.Add(int64(walk)) < s.buildRent*c {
+	if walk > 0 && uc.walked.Add(int64(walk)) < s.buildRent*c*int64(s.qw) {
 		return nil
 	}
 	if s.count.Load() != c {
@@ -709,18 +764,25 @@ func (s *STeM) buildUnion(st *stemState, ki, c int) *unionTable {
 	// one, so they are at most the keys and, at the load factor
 	// EnsureBuckets keeps, most of them, and a table for twice as many
 	// seldom grows. Sizing from the entries would overshoot by a fact
-	// table's fan-out.
+	// table's fan-out. Buckets sized for a relation's rows can outnumber
+	// the entries many times over, so at most as many buckets as entries
+	// (64 at least) are counted and the rest extrapolated: the hash spreads
+	// keys evenly, and an estimate that falls short only grows the table.
+	buckets := st.buckets[ki]
+	scan := min(len(buckets), max(c, 64))
 	occupied := 0
-	for i := range st.buckets[ki] {
-		if st.buckets[ki][i].Load() != 0 {
+	for i := range buckets[:scan] {
+		if buckets[i].Load() != 0 {
 			occupied++
 		}
 	}
+	occupied = occupied * len(buckets) / scan
 	size := 1
 	for size < 2*occupied {
 		size <<= 1
 	}
-	t := newUnionTable(size)
+	qw := s.qw
+	t := newUnionTable(size, qw)
 	keys, multi := 0, 0
 	var maxTS int64
 	last := Slot(-1) // a batch's entries share a slot: look each up once
@@ -743,10 +805,14 @@ func (s *STeM) buildUnion(st *stemState, ki, c int) *unionTable {
 		e := t.slot(k)
 		if e.n == 0 {
 			if 2*(keys+1) > len(t.slots) {
-				t = t.grow()
+				t.grow()
 				e = t.slot(k)
 			}
 			e.key, e.vid = k, ch.vids[off]
+			if qw > 1 {
+				e.u = uint64(len(t.us))
+				t.us = append(t.us, make([]uint64, qw)...)
+			}
 			keys++
 		} else if e.n == 1 {
 			multi += 2
@@ -754,7 +820,14 @@ func (s *STeM) buildUnion(st *stemState, ki, c int) *unionTable {
 			multi++
 		}
 		e.n++
-		e.u |= atomic.LoadUint64(&ch.qsets[off])
+		if qw == 1 {
+			e.u |= atomic.LoadUint64(&ch.qsets[off])
+		} else {
+			u, qs := t.us[int(e.u):][:qw], ch.qsets[off*qw:][:qw]
+			for w := range u {
+				u[w] |= atomic.LoadUint64(&qs[w])
+			}
+		}
 	}
 	s.unionScans.Add(int64(c))
 	t.maxTS = maxTS
@@ -769,7 +842,8 @@ func (s *STeM) buildUnion(st *stemState, ki, c int) *unionTable {
 // is reserved by its end, filled backwards by an ascending scan (so newest
 // first, the order rebuilt chains walk) and left pointing at its start.
 func (t *unionTable) fillMulti(chunks []*chunk, ki, c, multi int) {
-	t.vids, t.words = make([]int32, multi), make([]uint64, multi)
+	qw := t.qw
+	t.vids, t.words = make([]int32, multi), make([]uint64, multi*qw)
 	end := int32(0)
 	for i := range t.slots {
 		if e := &t.slots[i]; e.n > 1 {
@@ -787,24 +861,29 @@ func (t *unionTable) fillMulti(chunks []*chunk, ki, c, multi int) {
 		if e := t.slot(k); e.n > 1 {
 			e.vid--
 			t.vids[e.vid] = ch.vids[off]
-			t.words[e.vid] = atomic.LoadUint64(&ch.qsets[off])
+			ws, qs := t.words[int(e.vid)*qw:][:qw], ch.qsets[off*qw:][:qw]
+			for w := range ws {
+				ws[w] = atomic.LoadUint64(&qs[w])
+			}
 		}
 	}
 }
 
-// grow returns a table of twice t's size holding t's slots.
-func (t *unionTable) grow() *unionTable {
-	nt := newUnionTable(2 * len(t.slots))
-	for _, e := range t.slots {
+// grow doubles t's slots, rehashing every key's slot into them; the union
+// words and side arrays the slots point at stay where they are.
+func (t *unionTable) grow() {
+	old := t.slots
+	t.resize(2 * len(old))
+	for _, e := range old {
 		if e.n != 0 {
-			*nt.slot(e.key) = e
+			*t.slot(e.key) = e
 		}
 	}
-	return nt
 }
 
-// bytes is the table's resident size for EstBytes: 24-byte slots and a
-// vID and a word per side-array entry.
+// bytes is the table's resident size for EstBytes: 24-byte slots, the
+// union words of a wider table, and a vID and qw words per side-array
+// entry.
 func (t *unionTable) bytes() int64 {
-	return int64(len(t.slots))*24 + int64(len(t.vids))*(4+8)
+	return int64(len(t.slots))*24 + int64(len(t.us)+len(t.words))*8 + int64(len(t.vids))*4
 }

@@ -63,6 +63,39 @@ func (o *oracle) probe(ki int, keys []int64, probeTS int64) []string {
 	return out
 }
 
+// probeMasked is ProbeVecRange's contract, canonicalized like canonVec:
+// probe's matches over words [lo, hi), each intersected with its key's
+// tuple words in tq (hi-lo per key) and kept only when that leaves a bit;
+// with a nil tq, every match with its own words over [lo, hi).
+func (o *oracle) probeMasked(ki int, keys []int64, tq []uint64, probeTS int64, lo, hi int) []string {
+	nw := hi - lo
+	var out []string
+	for in, k := range keys {
+		if k == NullKey {
+			continue
+		}
+		for _, e := range o.byKey[ki][k] {
+			ts, ok := o.pubTS[e.slot]
+			if !ok || ts >= probeTS {
+				continue
+			}
+			q := append([]uint64(nil), e.qset[lo:hi]...)
+			var any uint64
+			for w := range q {
+				if tq != nil {
+					q[w] &= tq[in*nw+w]
+				}
+				any |= q[w]
+			}
+			if tq == nil || any != 0 {
+				out = append(out, fmt.Sprintf("%d|%d|%v", in, e.vid, q))
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // prune is PruneVec's contract for one tuple t probing key: over words
 // [lo, hi), t[w] & (u[w] | ^elig[w]), u the union of the query sets of the
 // key's published entries (empty for NULL); other words unchanged.
@@ -109,9 +142,8 @@ func checkPrune(t *testing.T, rng *rand.Rand, s *STeM, o *oracle, ki int, col st
 }
 
 // checkPruneInput runs PruneVec over the given input and compares every
-// tuple with the oracle. A one-word prune is also compared with the chain
-// walk (pruneWord) over the same input, so the union table and the walk it
-// replaces must agree.
+// tuple with the oracle and with the chain walk (pruneWalk) over the same
+// input, so the union table and the walk it replaces must agree.
 func checkPruneInput(t *testing.T, s *STeM, o *oracle, ki int, col string, keys []int64, tuples, elig []uint64, lo, hi int) bool {
 	qw := s.qw
 	orig := append([]uint64(nil), tuples...)
@@ -123,13 +155,11 @@ func checkPruneInput(t *testing.T, s *STeM, o *oracle, ki int, col string, keys 
 			return false
 		}
 	}
-	if hi-lo == 1 {
-		walked := append([]uint64(nil), orig...)
-		s.pruneWord(s.state.Load(), ki, walked, qw, elig[lo], lo, keys)
-		if !reflect.DeepEqual(walked, tuples) {
-			t.Logf("col %s word %d: PruneVec = %x, chain walk %x", col, lo, tuples, walked)
-			return false
-		}
+	walked := append([]uint64(nil), orig...)
+	s.pruneWalk(s.state.Load(), ki, walked, qw, elig, lo, hi, keys, make([]uint64, qw))
+	if !reflect.DeepEqual(walked, tuples) {
+		t.Logf("col %s words [%d,%d): PruneVec = %x, chain walk %x", col, lo, hi, tuples, walked)
+		return false
 	}
 	return true
 }
@@ -150,21 +180,35 @@ func tableServes(s *STeM, ki int, probeTS int64) bool {
 	return unionCurrent(s, ki) && s.state.Load().unions[ki].table.Load().maxTS < probeTS
 }
 
-// walkVec is ProbeVec through the chain walk alone, whatever union table
-// the STeM holds.
-func walkVec(s *STeM, col string, keys []int64, ts int64, wm Slot) []VecMatch {
-	st := s.state.Load()
-	ms, qbuf := s.walkChains(st, st.colIdx[col], nil, nil, keys, ts, wm, 0, s.qw)
-	for k := range ms {
-		ms[k].QSet = bitset.Set(qbuf[k*s.qw : (k+1)*s.qw])
+// match is a probe match with its query-set words, as the tests compare
+// them.
+type match struct {
+	In, VID int32
+	QSet    bitset.Set
+}
+
+// matches pairs the kernel's matches with their nw words each in qbuf.
+func matches(ms []VecMatch, qbuf []uint64, nw int) []match {
+	var out []match
+	for k, m := range ms {
+		out = append(out, match{m.In, m.VID, bitset.Set(qbuf[k*nw : (k+1)*nw])})
 	}
-	return ms
+	return out
+}
+
+// walkVec is ProbeVecRange through the chain walk alone, whatever union
+// table the STeM holds.
+func walkVec(s *STeM, col string, keys []int64, tq []uint64, ts int64, wm Slot, lo, hi int) []match {
+	st := s.state.Load()
+	ms, qbuf := s.walkChains(st, st.colIdx[col], nil, nil, keys, tq, ts, wm, lo, hi)
+	return matches(ms, qbuf, hi-lo)
 }
 
 // checkProbe runs ProbeVec and compares its matches with the oracle's, with
-// the watermark short-circuit and without. A one-word probe is also
-// compared with the chain walk at the same timestamp, so a probe served from
-// the union table and the walk it replaces must agree.
+// the watermark short-circuit and without, and with the chain walk at the
+// same timestamp, so a probe served from the union table and the walk it
+// replaces must agree. It then does the same for ProbeVecRange over a
+// random word range, without tuple words and with random ones.
 func checkProbe(t *testing.T, s *STeM, o *oracle, ki int, col string, keys []int64, ts int64, wm Slot) bool {
 	want := o.probe(ki, keys, ts)
 	for _, w := range []Slot{wm, 0} {
@@ -173,9 +217,27 @@ func checkProbe(t *testing.T, s *STeM, o *oracle, ki int, col string, keys []int
 			return false
 		}
 	}
-	if s.qw == 1 {
-		if got := canonVec(walkVec(s, col, keys, ts, 0)); !reflect.DeepEqual(got, want) {
-			t.Logf("col %s: chain walk (ts=%d) found %d matches, ProbeVec and the oracle %d", col, ts, len(got), len(want))
+	if got := canonVec(walkVec(s, col, keys, nil, ts, 0, 0, s.qw)); !reflect.DeepEqual(got, want) {
+		t.Logf("col %s: chain walk (ts=%d) found %d matches, ProbeVec and the oracle %d", col, ts, len(got), len(want))
+		return false
+	}
+	rng := rand.New(rand.NewSource(ts))
+	lo := rng.Intn(s.qw)
+	hi := lo + 1 + rng.Intn(s.qw-lo)
+	nw := hi - lo
+	tq := make([]uint64, len(keys)*nw)
+	for i := range tq {
+		tq[i] = rng.Uint64() & rng.Uint64()
+	}
+	for _, tq := range [][]uint64{nil, tq} {
+		want = o.probeMasked(ki, keys, tq, ts, lo, hi)
+		ms, qout := s.ProbeVecRange(nil, nil, col, keys, tq, ts, wm, lo, hi)
+		if got := canonVec(matches(ms, qout, nw)); !reflect.DeepEqual(got, want) {
+			t.Logf("col %s: ProbeVecRange (ts=%d words [%d,%d) masked %t) found %d matches, oracle %d", col, ts, lo, hi, tq != nil, len(got), len(want))
+			return false
+		}
+		if got := canonVec(walkVec(s, col, keys, tq, ts, 0, lo, hi)); !reflect.DeepEqual(got, want) {
+			t.Logf("col %s: chain walk (ts=%d words [%d,%d) masked %t) found %d matches, oracle %d", col, ts, lo, hi, tq != nil, len(got), len(want))
 			return false
 		}
 	}
@@ -212,9 +274,9 @@ func publishRest(v *Versions, o *oracle) {
 
 // probeVec is the test-side one-shot ProbeVec wrapper (fresh buffers each
 // call; production callers reuse worker arenas).
-func probeVec(s *STeM, col string, keys []int64, ts int64, wm Slot) []VecMatch {
-	ms, _ := s.ProbeVec(nil, nil, col, keys, ts, wm)
-	return ms
+func probeVec(s *STeM, col string, keys []int64, ts int64, wm Slot) []match {
+	ms, qbuf := s.ProbeVec(nil, nil, col, keys, ts, wm)
+	return matches(ms, qbuf, s.qw)
 }
 
 // probeVecCount returns the number of ProbeVec matches.
@@ -224,7 +286,7 @@ func probeVecCount(s *STeM, col string, keys []int64, ts int64, wm Slot) int {
 
 // canonVec renders matches as a sorted multiset of "in|vid|qset" strings:
 // chain order is unspecified, so only the match *sets* are comparable.
-func canonVec(ms []VecMatch) []string {
+func canonVec(ms []match) []string {
 	var out []string
 	for _, m := range ms {
 		out = append(out, fmt.Sprintf("%d|%d|%v", m.In, m.VID, []uint64(m.QSet)))
@@ -234,22 +296,24 @@ func canonVec(ms []VecMatch) []string {
 }
 
 // TestQuickVecMatchesOracle is the randomized equivalence property: a STeM
-// built with InsertVec (random batch sizes, random key skew, random query-set
-// width, NULL keys and empty query sets on the build side, the last batch
-// sometimes left unpublished) must agree with the brute-force oracle on
-// every probe — with and without the watermark short-circuit, at the final
-// timestamp and at one drawn mid-build, NULL and missing probe keys
-// included — and on every prune over a random word range, again once every
-// slot is published and once more after a sweep. One-word probes and prunes
-// are also compared with the chain walk; half the STeMs build a probe's
-// union table at once rather than after walking for it, so the table serves
-// probes drawn mid-build too.
+// built with InsertVec (random batch sizes, random key skew, query sets of
+// one, two or five words, NULL keys and empty query sets on the build side,
+// the last batch sometimes left unpublished) must agree with the
+// brute-force oracle on every probe — with and without the watermark
+// short-circuit, at the final timestamp and at one drawn mid-build, NULL
+// and missing probe keys included, and in ProbeVecRange's masked form — and
+// on every prune over a random word range, again once every slot is
+// published and once more after a sweep. Every probe and prune is also
+// compared with the chain walk; half the STeMs build a probe's union table
+// at once rather than after walking for it, so the table serves probes
+// drawn mid-build too.
 func TestQuickVecMatchesOracle(t *testing.T) {
 	f := func(seed int64, skewRaw, qcapRaw uint8, nRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw)%1500 + 1
 		domain := int64(1) << (uint(skewRaw) % 8) // 1..128 distinct keys
-		qcap := int(qcapRaw)%100 + 1              // crosses the 64-query word boundary
+		// One, two or five query-set words.
+		qcap := 64*[]int{0, 1, 4}[int(qcapRaw)%3] + int(qcapRaw)%64 + 1
 
 		v := NewVersions()
 		cols := []string{"a", "b"}
@@ -321,7 +385,7 @@ func TestQuickVecMatchesOracle(t *testing.T) {
 				return false
 			}
 		}
-		// With every slot published a one-word STeM's prunes and probes
+		// With every slot published the STeM's prunes and probes
 		// answer from its union tables; a sweep must then take the swept
 		// bits out of the next answers. A probe at the last mid-build
 		// timestamp must still see only what was published before it.
@@ -483,8 +547,8 @@ func TestProbeVecMatchesOracleUnderConcurrentPublication(t *testing.T) {
 		}
 		for _, other := range []struct {
 			name string
-			ms   []VecMatch
-		}{{"ProbeVec without the watermark", probeVec(s, "k", probeKeys, ts, 0)}, {"the chain walk", walkVec(s, "k", probeKeys, ts, 0)}} {
+			ms   []match
+		}{{"ProbeVec without the watermark", probeVec(s, "k", probeKeys, ts, 0)}, {"the chain walk", walkVec(s, "k", probeKeys, nil, ts, 0, 0, 1)}} {
 			if slow := canonVec(other.ms); !reflect.DeepEqual(got, slow) {
 				<-done
 				t.Fatalf("iter %d: ProbeVec (wm=%d) and %s disagree under concurrent publication: %d vs %d matches",
@@ -639,7 +703,7 @@ func TestProbeVecDuringGC(t *testing.T) {
 				ms := probeVec(s, "k", probeKeys, ts, wm)
 				counts := make(map[int32]int, domain)
 				bad := false
-				var badm VecMatch
+				var badm match
 				for _, m := range ms {
 					counts[m.In]++
 					// Key attribution and survivor query bits must hold at
@@ -732,9 +796,9 @@ func buildRandom(rng *rand.Rand, qcap, n int) (*STeM, *oracle, []int64) {
 // model at query-set widths of 1, 2 and 5 words, each over random word
 // ranges — bits outside the range must come back untouched — with NULL
 // keys, unpublished slots and multi-entry chains, then again once every
-// slot is published (where a one-word STeM answers from its union table).
-// It also checks that ProbeVecRange stages exactly words [lo, hi) of what
-// ProbeVec returns.
+// slot is published (where the prune answers from its union table). It
+// also checks the probe kernels on the same STeMs, ProbeVecRange's word
+// range and tuple mask included (checkProbe).
 func TestPruneVecMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, qcap := range []int{64, 128, 320} {
@@ -747,36 +811,26 @@ func TestPruneVecMatchesOracle(t *testing.T) {
 				t.Fatalf("qcap %d iter %d: PruneVec diverged from the oracle", qcap, iter)
 			}
 		}
-		if s.qw == 1 && !unionCurrent(s, 0) {
+		if !unionCurrent(s, 0) {
 			t.Fatalf("qcap %d: no current union table once every slot is published", qcap)
 		}
-		wm, ts := s.versions.Watermark(), s.versions.Now()
-		full, _ := s.ProbeVec(nil, nil, "k", keys, ts, wm)
-		lo := rng.Intn(s.qw)
-		hi := lo + 1 + rng.Intn(s.qw-lo)
-		part, _ := s.ProbeVecRange(nil, nil, "k", keys, ts, wm, lo, hi)
-		if len(part) != len(full) {
-			t.Fatalf("qcap %d: ProbeVecRange found %d matches, ProbeVec %d", qcap, len(part), len(full))
-		}
-		for i := range full {
-			if part[i].In != full[i].In || part[i].VID != full[i].VID ||
-				!reflect.DeepEqual([]uint64(part[i].QSet), []uint64(full[i].QSet[lo:hi])) {
-				t.Fatalf("qcap %d match %d: ProbeVecRange [%d,%d) = %+v, ProbeVec %+v", qcap, i, lo, hi, part[i], full[i])
-			}
+		if !checkProbe(t, s, o, 0, "k", keys, s.versions.Now(), s.versions.Watermark()) {
+			t.Fatalf("qcap %d: a probe diverged from the oracle", qcap)
 		}
 	}
 }
 
-// maintain drives s, a one-word STeM indexed on "a", and its oracle o
-// through steps random operations, each of which changes a prune's or a
-// probe's answer or drops the union table: InsertVec of up to maxBatch
-// entries (some with NULL keys, one in six with an empty query set, the
-// slot often left unpublished for a while), Publish, SweepChunk,
+// maintain drives s, a STeM indexed on "a", and its oracle o through steps
+// random operations, each of which changes a prune's or a probe's answer or
+// drops the union table: InsertVec of up to maxBatch entries (some with
+// NULL keys, one in six with an empty query set, the others with one bit in
+// a random word, the slot often left unpublished for a while), Publish,
+// SweepChunk,
 // CompactLive, EnsureBuckets and AddIndex("b"). After each step it calls
 // check with the indexed columns.
 func maintain(rng *rand.Rand, s *STeM, o *oracle, steps, maxBatch int, check func(step int, cols []string)) {
 	const domain = 40
-	v := s.versions
+	v, qw := s.versions, s.qw
 	keyOfB := func(vid int32) int64 {
 		if vid%11 == 0 {
 			return NullKey
@@ -792,7 +846,7 @@ func maintain(rng *rand.Rand, s *STeM, o *oracle, steps, maxBatch int, check fun
 			n := 1 + rng.Intn(maxBatch)
 			vids := make([]int32, n)
 			keys := [][]int64{make([]int64, n), make([]int64, n)}
-			qsets := make([]uint64, n)
+			qsets := make([]uint64, n*qw)
 			for j := range vids {
 				vids[j] = nextVID
 				nextVID++
@@ -802,11 +856,11 @@ func maintain(rng *rand.Rand, s *STeM, o *oracle, steps, maxBatch int, check fun
 				}
 				keys[1][j] = keyOfB(vids[j])
 				if rng.Intn(6) != 0 {
-					qsets[j] = 1 << uint(rng.Intn(64))
+					qsets[j*qw+rng.Intn(qw)] = 1 << uint(rng.Intn(64))
 				}
 			}
-			s.InsertVec(vids, keys, qsets, 1, nextSlot, &sc)
-			o.insert(vids, keys, qsets, 1, nextSlot)
+			s.InsertVec(vids, keys, qsets, qw, nextSlot, &sc)
+			o.insert(vids, keys, qsets, qw, nextSlot)
 			pending = append(pending, nextSlot)
 			nextSlot++
 			if rng.Intn(2) == 0 {
@@ -824,7 +878,11 @@ func maintain(rng *rand.Rand, s *STeM, o *oracle, steps, maxBatch int, check fun
 				}
 			}
 		case op < 8:
-			sweepAll(s, o, bitset.Set{rng.Uint64() & rng.Uint64() & rng.Uint64()})
+			retired := make(bitset.Set, qw)
+			for w := range retired {
+				retired[w] = rng.Uint64() & rng.Uint64() & rng.Uint64()
+			}
+			sweepAll(s, o, retired)
 		case op == 8:
 			if rng.Intn(2) == 0 {
 				s.CompactLive()
@@ -874,126 +932,145 @@ func dropEmpty(o *oracle) {
 	}
 }
 
-// TestPruneVecUnionAcrossMaintenance drives a one-word STeM, whose
-// one-word prunes answer from the union table, through maintain's random
-// interleaving of inserts, publishes, sweeps, compaction, growth and
+// maintenanceWidths are the query capacities the maintenance tests run
+// at: one, two and five query-set words.
+var maintenanceWidths = []int{64, 128, 320}
+
+// TestPruneVecUnionAcrossMaintenance drives a STeM of one, two and five
+// words, whose prunes answer from the union table, through maintain's
+// random interleaving of inserts, publishes, sweeps, compaction, growth and
 // AddIndex. After each step a prune on every index, over NULL, hit and
-// missing keys, must match the oracle and the chain walk, and enough of
-// them must have been answered by a current table for the check to cover
-// the union path.
+// missing keys and a random word range, must match the oracle and the
+// chain walk, and enough of them at each width must have been answered by
+// a current table for the check to cover the union path.
 func TestPruneVecUnionAcrossMaintenance(t *testing.T) {
 	const steps = 400
 	rng := rand.New(rand.NewSource(17))
-	s := New(NewVersions(), []string{"a"}, 64, 0)
-	o := newOracle(1)
-	probeKeys := maintenanceKeys()
-	hits := 0
-	maintain(rng, s, o, steps, 300, func(step int, cols []string) {
-		for ki, col := range cols {
-			tuples := make([]uint64, len(probeKeys))
-			for i := range tuples {
-				tuples[i] = rng.Uint64()
+	for _, qcap := range maintenanceWidths {
+		s := New(NewVersions(), []string{"a"}, qcap, 0)
+		qw := s.qw
+		o := newOracle(1)
+		probeKeys := maintenanceKeys()
+		hits := 0
+		maintain(rng, s, o, steps, 300, func(step int, cols []string) {
+			for ki, col := range cols {
+				tuples, elig, lo, _ := randomPrune(rng, probeKeys, qw)
+				lo = min(lo, qw-1)
+				hi := lo + 1 + rng.Intn(qw-lo)
+				if !checkPruneInput(t, s, o, ki, col, probeKeys, tuples, elig, lo, hi) {
+					t.Fatalf("%d words, step %d: PruneVec on %s diverged", qw, step, col)
+				}
+				if unionCurrent(s, ki) {
+					hits++
+				}
 			}
-			elig := []uint64{rng.Uint64() | rng.Uint64()}
-			if !checkPruneInput(t, s, o, ki, col, probeKeys, tuples, elig, 0, 1) {
-				t.Fatalf("step %d: one-word PruneVec on %s diverged", step, col)
-			}
-			if unionCurrent(s, ki) {
-				hits++
-			}
+		})
+		t.Logf("%d words: %d of the prunes answered from a current union table", qw, hits)
+		if hits < steps/4 {
+			t.Fatalf("%d words: a current union table answered %d of the prunes; the check barely covers the union path", qw, hits)
 		}
-	})
-	t.Logf("%d of the prunes answered from a current union table", hits)
-	if hits < steps/4 {
-		t.Fatalf("a current union table answered %d of the prunes; the check barely covers the union path", hits)
 	}
 }
 
-// TestProbeVecTableAcrossMaintenance drives a one-word STeM through
-// maintain's random interleaving of inserts (NULL keys and empty query
-// sets included), publishes, sweeps, compaction, growth and AddIndex.
-// After each step a probe on every index, over NULL, hit and missing keys,
-// at a fresh timestamp and at the one drawn before the previous step, must
-// match the oracle and the chain walk, and a current table must have
+// TestProbeVecTableAcrossMaintenance drives a STeM of one, two and five
+// words through maintain's random interleaving of inserts (NULL keys and
+// empty query sets included), publishes, sweeps, compaction, growth and
+// AddIndex. After each step a probe on every index, over NULL, hit and
+// missing keys, at a fresh timestamp and at the one drawn before the
+// previous step, must match the oracle and the chain walk, masked and
+// unmasked (checkProbe), and at each width a current table must have
 // served at least 100 of them. The STeM builds a probe's table whenever it
 // can.
 func TestProbeVecTableAcrossMaintenance(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	v := NewVersions()
-	s := New(v, []string{"a"}, 64, 0)
-	s.buildRent = 0
-	o := newOracle(1)
-	probeKeys := maintenanceKeys()
-	prevTS := v.Now()
-	served := 0
-	maintain(rng, s, o, 200, 24, func(step int, cols []string) {
-		ts := v.Now()
-		for ki, col := range cols {
-			if !checkProbe(t, s, o, ki, col, probeKeys, ts, v.Watermark()) {
-				t.Fatalf("step %d: one-word ProbeVec on %s diverged", step, col)
+	for _, qcap := range maintenanceWidths {
+		v := NewVersions()
+		s := New(v, []string{"a"}, qcap, 0)
+		s.buildRent = 0
+		o := newOracle(1)
+		probeKeys := maintenanceKeys()
+		prevTS := v.Now()
+		served := 0
+		maintain(rng, s, o, 300, 24, func(step int, cols []string) {
+			ts := v.Now()
+			for ki, col := range cols {
+				if !checkProbe(t, s, o, ki, col, probeKeys, ts, v.Watermark()) {
+					t.Fatalf("%d words, step %d: ProbeVec on %s diverged", s.qw, step, col)
+				}
+				if tableServes(s, ki, ts) {
+					served++
+				}
+				if !checkProbe(t, s, o, ki, col, probeKeys, prevTS, 0) {
+					t.Fatalf("%d words, step %d: ProbeVec on %s at the previous step's timestamp diverged", s.qw, step, col)
+				}
 			}
-			if tableServes(s, ki, ts) {
-				served++
-			}
-			if !checkProbe(t, s, o, ki, col, probeKeys, prevTS, 0) {
-				t.Fatalf("step %d: one-word ProbeVec on %s at the previous step's timestamp diverged", step, col)
-			}
+			prevTS = ts
+		})
+		t.Logf("%d words: %d of the probes were served from a current union table", s.qw, served)
+		if served < 100 {
+			t.Fatalf("%d words: a current union table served %d probes; the check barely covers the table path", s.qw, served)
 		}
-		prevTS = ts
-	})
-	t.Logf("%d of the probes were served from a current union table", served)
-	if served < 100 {
-		t.Fatalf("a current union table served %d probes; the check barely covers the table path", served)
 	}
 }
 
-// TestProbeVecTableRespectsProbeTS pins the table's visibility bound: a
-// table built after a publication newer than a probe's timestamp must not
-// serve that probe, which sees only the entries published before it, and a
-// probe after every publication is served from the table with every entry,
-// the one with an empty query set included (ProbeVec returns it, as the
-// chain walk does). Serving without the maxTS check, or building a table
-// without the empty entries, fails here.
+// TestProbeVecTableRespectsProbeTS pins the table's visibility bound at
+// one, two and five words: a table built after a publication newer than a
+// probe's timestamp must not serve that probe, which sees only the entries
+// published before it, and a probe after every publication is served from
+// the table with every entry, the one with an empty query set included
+// (ProbeVec returns it, as the chain walk does). Serving without the maxTS
+// check, or building a table without the empty entries, fails here.
 func TestProbeVecTableRespectsProbeTS(t *testing.T) {
-	v := NewVersions()
-	s := New(v, []string{"k"}, 64, 0)
-	var sc InsertScratch
-	// Key 5 gets an entry with bits and one every query has left (slot 0),
-	// then, after the old probe timestamp is drawn, one more (slot 1).
-	s.InsertVec([]int32{1, 2, 9}, [][]int64{{5, 5, 6}}, []uint64{0x1, 0, 0x4}, 1, 0, &sc)
-	v.Publish(0)
-	old := v.Now()
-	s.InsertVec([]int32{3}, [][]int64{{5}}, []uint64{0x2}, 1, 1, &sc)
-	v.Publish(1)
-	keys := []int64{5, 6, 7, NullKey}
-
-	// A prune builds the table now, with slot 1's entry in it.
-	s.PruneVec([]uint64{1, 1, 1, 1}, 1, bitset.Set{1}, 0, 1, "k", keys, nil)
-	if !unionCurrent(s, 0) || tableServes(s, 0, old) {
-		t.Fatal("fixture: want a current table that the old timestamp may not use")
-	}
-	type m struct {
-		in  int32
-		vid int32
-		q   uint64
-	}
-	collect := func(ts int64) []m {
-		var out []m
-		for _, x := range probeVec(s, "k", keys, ts, 0) {
-			out = append(out, m{x.In, x.VID, x.QSet[0]})
+	for _, qcap := range maintenanceWidths {
+		v := NewVersions()
+		s := New(v, []string{"k"}, qcap, 0)
+		qw := s.qw
+		var sc InsertScratch
+		// words puts each entry's bits in the last word.
+		words := func(xs ...uint64) []uint64 {
+			out := make([]uint64, len(xs)*qw)
+			for i, x := range xs {
+				out[i*qw+qw-1] = x
+			}
+			return out
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i].vid < out[j].vid })
-		return out
-	}
-	if got, want := collect(old), []m{{0, 1, 0x1}, {0, 2, 0}, {1, 9, 0x4}}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("probe at the older timestamp = %v, want %v", got, want)
-	}
-	now := v.Now()
-	if got, want := collect(now), []m{{0, 1, 0x1}, {0, 2, 0}, {0, 3, 0x2}, {1, 9, 0x4}}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("probe after every publication = %v, want %v", got, want)
-	}
-	if !tableServes(s, 0, now) {
-		t.Fatal("the probe after every publication was not served from the table")
+		// Key 5 gets an entry with bits and one every query has left (slot
+		// 0), then, after the old probe timestamp is drawn, one more (slot 1).
+		s.InsertVec([]int32{1, 2, 9}, [][]int64{{5, 5, 6}}, words(0x1, 0, 0x4), qw, 0, &sc)
+		v.Publish(0)
+		old := v.Now()
+		s.InsertVec([]int32{3}, [][]int64{{5}}, words(0x2), qw, 1, &sc)
+		v.Publish(1)
+		keys := []int64{5, 6, 7, NullKey}
+
+		// A prune builds the table now, with slot 1's entry in it.
+		s.PruneVec(words(1, 1, 1, 1), qw, bitset.Set(words(1)), 0, qw, "k", keys, make([]uint64, qw))
+		if !unionCurrent(s, 0) || tableServes(s, 0, old) {
+			t.Fatalf("%d words, fixture: want a current table that the old timestamp may not use", qw)
+		}
+		type m struct {
+			in  int32
+			vid int32
+			q   uint64
+		}
+		collect := func(ts int64) []m {
+			var out []m
+			for _, x := range probeVec(s, "k", keys, ts, 0) {
+				out = append(out, m{x.In, x.VID, x.QSet[qw-1]})
+			}
+			sort.Slice(out, func(i, j int) bool { return out[i].vid < out[j].vid })
+			return out
+		}
+		if got, want := collect(old), []m{{0, 1, 0x1}, {0, 2, 0}, {1, 9, 0x4}}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d words: probe at the older timestamp = %v, want %v", qw, got, want)
+		}
+		now := v.Now()
+		if got, want := collect(now), []m{{0, 1, 0x1}, {0, 2, 0}, {0, 3, 0x2}, {1, 9, 0x4}}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d words: probe after every publication = %v, want %v", qw, got, want)
+		}
+		if !tableServes(s, 0, now) {
+			t.Fatalf("%d words: the probe after every publication was not served from the table", qw)
+		}
 	}
 }
 
@@ -1022,7 +1099,7 @@ func TestUnionBuildWaitsForBlockingSlot(t *testing.T) {
 	for i := 0; i < calls; i++ {
 		ts := v.Now()
 		probeVec(s, "k", probeKeys, ts, 0)
-		s.PruneVec(tuples, 1, bitset.Set{^uint64(0)}, 0, 1, "k", probeKeys, nil)
+		s.PruneVec(tuples, 1, bitset.Set{^uint64(0)}, 0, 1, "k", probeKeys, make([]uint64, 1))
 	}
 	if got := s.unionScans.Load(); got > 2*entries {
 		t.Fatalf("%d calls with one slot unpublished scanned %d entries, want at most %d", 2*calls, got, 2*entries)
@@ -1038,99 +1115,186 @@ func TestUnionBuildWaitsForBlockingSlot(t *testing.T) {
 }
 
 // TestProbeBuildsArePaidByWalks runs a symmetric join on one worker: two
-// one-word STeMs each take a vector and then probe the other with it, so
-// every probe meets a STeM that changed since its last probe. A probe
-// builds a table only once the keys walked since the last build reach
-// buildRent times the entries a build reads, so the builds read at most
-// 1/buildRent of the keys probed rather than a STeM's size per call. Once
-// the STeMs stop changing, the probes that walked for it build the table
-// and the next ones are served from it.
+// STeMs each take a vector and then probe the other with it, each key
+// eight times over, so every probe meets a STeM that changed since its last
+// probe and the walks outpace the growth. A probe builds a table
+// only once the query-set words walked since the last build reach
+// buildRent times the words a build reads, so the builds read at most
+// 1/buildRent of the words probed rather than a STeM's size per call. That
+// holds for one-word STeMs probed over their word and for five-word STeMs
+// probed over one of theirs, where a build reads five words per entry for
+// the walk's one per key. Each vector is preceded by a probe with no keys,
+// as the executor makes below an empty vector: it walks nothing, so it must
+// build nothing either. Once the STeMs stop changing, the probes that
+// walked for it build the table and the next ones are served from it.
 func TestProbeBuildsArePaidByWalks(t *testing.T) {
-	const vec, rounds = 256, 60
-	v := NewVersions()
-	r, s := New(v, []string{"k"}, 4, 0), New(v, []string{"k"}, 4, 0)
-	rng := rand.New(rand.NewSource(5))
-	var sc InsertScratch
-	vids := make([]int32, vec)
-	keys := make([]int64, vec)
-	qs := make([]uint64, vec)
-	slot, probed := Slot(0), 0
-	for i := 0; i < rounds; i++ {
-		for _, p := range [][2]*STeM{{r, s}, {s, r}} {
-			mine, other := p[0], p[1]
-			for j := range vids {
-				vids[j], keys[j], qs[j] = int32(i*vec+j), rng.Int63n(rounds*vec), 0xf
-			}
-			if mine.NeedsGrow(mine.Len() + vec) {
-				mine.EnsureBuckets(mine.Len() + vec)
-			}
-			mine.InsertVec(vids, [][]int64{keys}, qs, 1, slot, &sc)
-			wm, ts := v.Publish(slot)
-			slot++
-			probeVec(other, "k", keys, ts, wm)
-			probed += vec
+	const vec, rounds, repeat = 256, 60, 8
+	for _, tc := range []struct{ qcap, lo, hi int }{{4, 0, 1}, {320, 2, 3}} {
+		v := NewVersions()
+		r, s := New(v, []string{"k"}, tc.qcap, 0), New(v, []string{"k"}, tc.qcap, 0)
+		qw, nw := r.qw, tc.hi-tc.lo
+		rng := rand.New(rand.NewSource(5))
+		var sc InsertScratch
+		vids := make([]int32, vec)
+		keys := make([]int64, vec)
+		qs := make([]uint64, vec*qw)
+		for j := range qs {
+			qs[j] = 0xf
 		}
-	}
-	scanned := r.unionScans.Load() + s.unionScans.Load()
-	t.Logf("%d keys probed, %d entries read by builds", probed, scanned)
-	if limit := int64(probed) / r.buildRent; scanned > limit {
-		t.Fatalf("builds read %d entries for %d probed keys, want at most %d", scanned, probed, limit)
-	}
-	calls := 0
-	for ts := v.Now(); !tableServes(r, 0, ts); ts = v.Now() {
-		if calls++; calls > int(r.buildRent)*r.Len()/vec+2 {
-			t.Fatalf("%d probes of an unchanging STeM walked without building a table", calls)
+		probeKeys := make([]int64, repeat*vec)
+		probe := func(s *STeM, ts int64, wm Slot) {
+			for j := range probeKeys {
+				probeKeys[j] = keys[j%vec]
+			}
+			s.ProbeVecRange(nil, nil, "k", probeKeys, nil, ts, wm, tc.lo, tc.hi)
 		}
-		probeVec(r, "k", keys, ts, 0)
+		slot, probed := Slot(0), 0
+		for i := 0; i < rounds; i++ {
+			for _, p := range [][2]*STeM{{r, s}, {s, r}} {
+				mine, other := p[0], p[1]
+				for j := range vids {
+					vids[j], keys[j] = int32(i*vec+j), rng.Int63n(rounds*vec)
+				}
+				if mine.NeedsGrow(mine.Len() + vec) {
+					mine.EnsureBuckets(mine.Len() + vec)
+				}
+				mine.InsertVec(vids, [][]int64{keys}, qs, qw, slot, &sc)
+				wm, ts := v.Publish(slot)
+				slot++
+				other.ProbeVecRange(nil, nil, "k", nil, nil, ts, wm, tc.lo, tc.hi)
+				probe(other, ts, wm)
+				probed += repeat * vec * nw
+			}
+		}
+		scanned := (r.unionScans.Load() + s.unionScans.Load()) * int64(qw)
+		t.Logf("%d words, range [%d,%d): %d words probed, %d words read by builds", qw, tc.lo, tc.hi, probed, scanned)
+		if limit := int64(probed) / r.buildRent; scanned > limit {
+			t.Fatalf("%d words: builds read %d words for %d probed, want at most %d", qw, scanned, probed, limit)
+		}
+		calls := 0
+		for ts := v.Now(); !tableServes(r, 0, ts); ts = v.Now() {
+			if calls++; calls > int(r.buildRent)*r.Len()*qw/(repeat*vec*nw)+2 {
+				t.Fatalf("%d words: %d probes of an unchanging STeM walked without building a table", qw, calls)
+			}
+			probe(r, ts, 0)
+		}
 	}
 }
 
 // TestUnionTableWaitsForCommit prunes while inserts have reserved their
 // entries but not yet written or committed them (InsertVec's two halves,
-// driven apart). Such a prune must neither read the unwritten entries nor
-// leave a table behind that a commit fails to invalidate: each insert's
-// bits must show in the first prune after it commits and publishes, also
-// when a later reservation commits before an earlier one. A table stamped
-// with the reserving count instead of the committed one fails here, and so
-// does a build that does not wait for count and committed to agree.
+// driven apart), at one, two and five words. Such a prune must neither
+// read the unwritten entries nor leave a table behind that a commit fails
+// to invalidate: each insert's bits must show in the first prune after it
+// commits and publishes, also when a later reservation commits before an
+// earlier one. A table stamped with the reserving count instead of the
+// committed one fails here, and so does a build that does not wait for
+// count and committed to agree.
 func TestUnionTableWaitsForCommit(t *testing.T) {
-	v := NewVersions()
-	s := New(v, []string{"k"}, 64, 0)
-	var sc InsertScratch
-	keys := []int64{0, 1, 2, 3}
-	insert := func(bits uint64, slot Slot) func() {
-		st, base := s.reserve(len(keys))
-		return func() {
-			s.fill(st, base, []int32{0, 1, 2, 3}, [][]int64{keys}, []uint64{bits, bits, bits, bits}, 1, slot, &sc)
-			v.Publish(slot)
+	for _, qcap := range maintenanceWidths {
+		v := NewVersions()
+		s := New(v, []string{"k"}, qcap, 0)
+		qw := s.qw
+		var sc InsertScratch
+		keys := []int64{0, 1, 2, 3}
+		// last is a slab of one set per key with x in its last word.
+		last := func(x uint64) []uint64 {
+			out := make([]uint64, len(keys)*qw)
+			for i := range keys {
+				out[i*qw+qw-1] = x
+			}
+			return out
+		}
+		insert := func(bits uint64, slot Slot) func() {
+			st, base := s.reserve(len(keys))
+			return func() {
+				s.fill(st, base, []int32{0, 1, 2, 3}, [][]int64{keys}, last(bits), qw, slot, &sc)
+				v.Publish(slot)
+			}
+		}
+		check := func(when string, want uint64) {
+			t.Helper()
+			tuples := last(0xf)
+			s.PruneVec(tuples, qw, bitset.Set(last(0xf)[:qw]), 0, qw, "k", keys, make([]uint64, qw))
+			if w := last(want); !reflect.DeepEqual(tuples, w) {
+				t.Fatalf("%d words: prune %s = %x, want %x", qw, when, tuples, w)
+			}
+		}
+		insert(1, 0)()
+		check("after the first insert", 1)
+		if !unionCurrent(s, 0) {
+			t.Fatalf("%d words: no table cached after the first insert; the check would not cover the union path", qw)
+		}
+
+		commit := insert(2, 1)
+		check("during a reservation", 1)
+		commit()
+		check("after its commit", 3)
+
+		first, second := insert(4, 2), insert(8, 3)
+		second()
+		check("after the later reservation commits first", 0xb)
+		first()
+		check("after both commit", 0xf)
+		if !unionCurrent(s, 0) {
+			t.Fatalf("%d words: no current table after the last commit; the check would not cover the union path", qw)
 		}
 	}
-	check := func(when string, want uint64) {
-		t.Helper()
-		tuples := []uint64{0xf, 0xf, 0xf, 0xf}
-		s.PruneVec(tuples, 1, bitset.Set{0xf}, 0, 1, "k", keys, nil)
-		if w := []uint64{want, want, want, want}; !reflect.DeepEqual(tuples, w) {
-			t.Fatalf("prune %s = %x, want %x", when, tuples, w)
+}
+
+// TestUnionTableGrowsPastEstimate builds union tables whose key count
+// outgrows the size the build estimates from occupied buckets: 300 keys in
+// a STeM left at its 64 initial buckets, every third key with a second
+// entry, at one, two and five words, each entry with bits in every word.
+// The grown table must keep every key's union words, sole vID and entry
+// run: prunes and probes served by it must match the oracle and the chain
+// walk.
+func TestUnionTableGrowsPastEstimate(t *testing.T) {
+	const keys = 300
+	for _, qcap := range maintenanceWidths {
+		v := NewVersions()
+		s := New(v, []string{"k"}, qcap, 0)
+		s.buildRent = 0
+		qw := s.qw
+		o := newOracle(1)
+		var vids []int32
+		var ks []int64
+		var qsets []uint64
+		for k := 0; k < keys; k++ {
+			for e := 0; e <= min(k%3, 1); e++ {
+				vids = append(vids, int32(len(vids)))
+				ks = append(ks, int64(k))
+				for w := 0; w < qw; w++ {
+					qsets = append(qsets, 1<<uint((k+w+7*e)%64)|1<<uint((5*k+w)%64))
+				}
+			}
 		}
-	}
-	insert(1, 0)()
-	check("after the first insert", 1)
-	if !unionCurrent(s, 0) {
-		t.Fatal("no table cached after the first insert; the check would not cover the union path")
-	}
+		var sc InsertScratch
+		s.InsertVec(vids, [][]int64{ks}, qsets, qw, 0, &sc)
+		o.insert(vids, [][]int64{ks}, qsets, qw, 0)
+		_, o.pubTS[0] = v.Publish(0)
+		if len(s.state.Load().buckets[0]) != 64 {
+			t.Fatalf("%d words, fixture: want the STeM at its 64 initial buckets", qw)
+		}
 
-	commit := insert(2, 1)
-	check("during a reservation", 1)
-	commit()
-	check("after its commit", 3)
-
-	first, second := insert(4, 2), insert(8, 3)
-	second()
-	check("after the later reservation commits first", 0xb)
-	first()
-	check("after both commit", 0xf)
-	if !unionCurrent(s, 0) {
-		t.Fatal("no current table after the last commit; the check would not cover the union path")
+		probeKeys := []int64{NullKey, keys}
+		for k := int64(0); k < keys; k++ {
+			probeKeys = append(probeKeys, k)
+		}
+		tuples := make([]uint64, len(probeKeys)*qw)
+		for i := range tuples {
+			tuples[i] = ^uint64(0)
+		}
+		if !checkPruneInput(t, s, o, 0, "k", probeKeys, tuples, bitset.NewFull(64*qw), 0, qw) {
+			t.Fatalf("%d words: a prune served by the grown table diverged", qw)
+		}
+		if tb := s.state.Load().unions[0].table.Load(); tb == nil || len(tb.slots) < 2*keys {
+			t.Fatalf("%d words: want a current table grown past the 128-slot estimate to hold %d keys", qw, keys)
+		}
+		ts := v.Now()
+		if !checkProbe(t, s, o, 0, "k", probeKeys, ts, v.Watermark()) || !tableServes(s, 0, ts) {
+			t.Fatalf("%d words: a probe diverged or was not served from the grown table", qw)
+		}
 	}
 }
 
@@ -1208,7 +1372,7 @@ func TestPruneVecUnionUnderConcurrentInserts(t *testing.T) {
 					tuples[i] = rng.Uint64()
 				}
 				orig := append([]uint64(nil), tuples...)
-				s.PruneVec(tuples, 1, bitset.Set{e}, 0, 1, "k", probeKeys, nil)
+				s.PruneVec(tuples, 1, bitset.Set{e}, 0, 1, "k", probeKeys, make([]uint64, 1))
 				for i, k := range probeKeys {
 					var u uint64
 					if k != NullKey && k < domain {
@@ -1241,18 +1405,23 @@ func TestPruneVecUnionUnderConcurrentInserts(t *testing.T) {
 // under -race this also checks the kernel's atomic loads of entry words.
 func TestPruneVecDuringGC(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, qcap := range []int{320, 64} {
-		pruneDuringGC(t, rng, qcap)
+	for _, tc := range []struct {
+		qcap    int
+		publish bool
+	}{{320, false}, {320, true}, {64, true}} {
+		pruneDuringGC(t, rng, tc.qcap, tc.publish)
 	}
 }
 
-// pruneDuringGC is TestPruneVecDuringGC at one query capacity. A one-word
-// STeM has every slot published first, so its prunes take the union path
-// and rebuild the table as each swept chunk moves the sweep generation.
-func pruneDuringGC(t *testing.T, rng *rand.Rand, qcap int) {
+// pruneDuringGC is TestPruneVecDuringGC at one query capacity. With
+// publish every slot is published first, so the prunes take the union
+// path and rebuild the table as each swept chunk moves the sweep
+// generation; without it the unpublished slots keep them on the chain
+// walk.
+func pruneDuringGC(t *testing.T, rng *rand.Rand, qcap int, publish bool) {
 	s, o, keys := buildRandom(rng, qcap, 2*chunkSize)
 	qw := s.qw
-	if qw == 1 {
+	if publish {
 		publishRest(s.versions, o)
 	}
 	retired := make(bitset.Set, qw)
@@ -1304,14 +1473,16 @@ func pruneDuringGC(t *testing.T, rng *rand.Rand, qcap int) {
 
 // TestProbeVecPruneVecZeroAlloc pins the kernels' allocation contract at
 // the package boundary, below the episode-step guards in internal/exec: with
-// warm caller-owned buffers ProbeVec, ProbeVecRange and PruneVec do not
-// allocate, PruneVec and ProbeVec on a one-word STeM included once its
-// union table is built, and neither does an InsertVec that stays inside an
-// allocated chunk with a warm InsertScratch.
+// warm caller-owned buffers ProbeVec, ProbeVecRange (with and without a
+// tuple mask) and PruneVec do not allocate, on one- and two-word STeMs
+// served by their union tables and on a two-word STeM whose unpublished
+// entry sends them down the chain walk, and neither does an InsertVec that
+// stays inside an allocated chunk with a warm InsertScratch.
 func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 	const entries, fanout, batch, runs = 1024, 4, 8, 50
 	v := NewVersions()
-	s := New(v, []string{"k"}, 80, chunkSize) // two query-set words
+	s := New(v, []string{"k"}, 80, chunkSize)  // two query-set words: the wide table
+	sw := New(v, []string{"k"}, 80, chunkSize) // two words, one entry unpublished: the walk
 	qw := s.qw
 	vids := make([]int32, entries)
 	keys := [][]int64{make([]int64, entries)}
@@ -1323,7 +1494,9 @@ func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 	}
 	var sc InsertScratch
 	s.InsertVec(vids, keys, qsets, qw, 0, &sc)
-	s1 := New(v, []string{"k"}, 64, chunkSize) // one word: the union path
+	sw.InsertVec(vids, keys, qsets, qw, 0, &sc)
+	sw.InsertVec(vids[:1], [][]int64{keys[0][:1]}, qsets[:qw], qw, 1, &sc)
+	s1 := New(v, []string{"k"}, 64, chunkSize) // one word: the one-word table
 	q1 := make([]uint64, entries)
 	for i := range q1 {
 		q1[i] = 1 << uint(i%64)
@@ -1335,11 +1508,13 @@ func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 	}
 
 	probeKeys := make([]int64, 300) // hits, misses past entries/fanout, NULLs
+	tq := make([]uint64, len(probeKeys)*qw)
 	for i := range probeKeys {
 		probeKeys[i] = int64(i)
 		if i%50 == 7 {
 			probeKeys[i] = NullKey
 		}
+		tq[i*qw+i%qw] = 0x5555555555555555
 	}
 	wm, ts := v.Watermark(), v.Now()
 	dst, qbuf := s.ProbeVec(nil, nil, "k", probeKeys, ts, wm)
@@ -1353,35 +1528,51 @@ func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 	elig1 := bitset.NewFull(64)
 	dst1, qbuf1 := s1.ProbeVec(nil, nil, "k", probeKeys, ts, wm)
 	insKeys := [][]int64{keys[0][:batch]}
-
-	for _, tc := range []struct {
-		name string
-		fn   func()
-	}{
-		{"ProbeVec/watermark", func() { dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm) }},
-		{"ProbeVec/per-slot", func() { dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, 0) }},
-		{"ProbeVecRange", func() { dst, qbuf = s.ProbeVecRange(dst[:0], qbuf[:0], "k", probeKeys, ts, wm, 1, 2) }},
-		{"PruneVec", func() {
+	prune := func(s *STeM, tuples []uint64, qw int, elig bitset.Set) func() {
+		return func() {
 			for i := range tuples {
 				tuples[i] = ^uint64(0)
 			}
 			s.PruneVec(tuples, qw, elig, 0, qw, "k", probeKeys, acc)
+		}
+	}
+
+	// The prunes run first: they build the tables the probes then read.
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"PruneVec/table", prune(s, tuples, qw, elig)},
+		{"PruneVec/walk", prune(sw, tuples, qw, elig)},
+		{"PruneVec/one-word-table", prune(s1, tuples1, 1, elig1)},
+		{"ProbeVec/table", func() { dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm) }},
+		{"ProbeVecRange/table", func() { dst, qbuf = s.ProbeVecRange(dst[:0], qbuf[:0], "k", probeKeys, nil, ts, wm, 1, 2) }},
+		{"ProbeVecRange/table-masked", func() { dst, qbuf = s.ProbeVecRange(dst[:0], qbuf[:0], "k", probeKeys, tq, ts, wm, 0, qw) }},
+		{"ProbeVec/walk-watermark", func() { dst, qbuf = sw.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm) }},
+		{"ProbeVec/walk-per-slot", func() { dst, qbuf = sw.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, 0) }},
+		{"ProbeVecRange/walk-masked", func() { dst, qbuf = sw.ProbeVecRange(dst[:0], qbuf[:0], "k", probeKeys, tq, ts, wm, 0, qw) }},
+		{"ProbeVec/one-word-table", func() { dst1, qbuf1 = s1.ProbeVec(dst1[:0], qbuf1[:0], "k", probeKeys, ts, wm) }},
+		{"ProbeVecRange/one-word-table-masked", func() {
+			dst1, qbuf1 = s1.ProbeVecRange(dst1[:0], qbuf1[:0], "k", probeKeys, tuples1, ts, wm, 0, 1)
 		}},
-		{"PruneVec/union", func() {
-			for i := range tuples1 {
-				tuples1[i] = ^uint64(0)
-			}
-			s1.PruneVec(tuples1, 1, elig1, 0, 1, "k", probeKeys, nil)
-		}},
-		{"ProbeVec/table", func() { dst1, qbuf1 = s1.ProbeVec(dst1[:0], qbuf1[:0], "k", probeKeys, ts, wm) }},
 		{"InsertVec/in-chunk", func() { s.InsertVec(vids[:batch], insKeys, qsets[:batch*qw], qw, 1, &sc) }},
 	} {
 		if allocs := testing.AllocsPerRun(runs, tc.fn); allocs != 0 {
 			t.Errorf("%s allocates %.1f allocs/op with warm buffers, want 0", tc.name, allocs)
 		}
+		switch tc.name {
+		case "ProbeVecRange/table-masked":
+			if len(dst) == 0 || !tableServes(s, 0, ts) {
+				t.Error("the masked table probe matched nothing or was not served by the table; the table cases are vacuous")
+			}
+		case "ProbeVecRange/walk-masked":
+			if len(dst) == 0 || unionCurrent(sw, 0) {
+				t.Error("the masked walk matched nothing or was served by a table; the walk cases are vacuous")
+			}
+		}
 	}
 	if !tableServes(s1, 0, ts) {
-		t.Error("the one-word STeM holds no union table serving ts; PruneVec/union and ProbeVec/table did not cover it")
+		t.Error("the one-word STeM holds no union table serving ts; its table cases did not cover it")
 	}
 }
 
@@ -1468,14 +1659,15 @@ func BenchmarkSTeMProbeParallel(b *testing.B) {
 }
 
 // BenchmarkPruneVec measures the prune kernel on two shapes, each a
-// vector probing a published dimension STeM:
+// vector probing a published dimension STeM, both answered from the union
+// table:
 //
 //   - 32words-span5: 1024 tuples against a 65 536-key STeM of a 2048-query
 //     batch (32-word query sets) whose eligible queries span five words, as
 //     after shape-clustered numbering;
 //   - 1word-dim1800: 1000 tuples against a one-word STeM holding 60 % of an
 //     1 800-key dimension, probed over the whole dimension, as a stream's
-//     lone queries prune; this is the union-table path.
+//     lone queries prune.
 func BenchmarkPruneVec(b *testing.B) {
 	b.Run("32words-span5", func(b *testing.B) {
 		const entries = 1 << 16
@@ -1527,27 +1719,36 @@ func benchPrune(b *testing.B, qcap, domain, entries, probes, lo, hi int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes), "ns/key")
 }
 
-// BenchmarkProbeVec measures the probe kernel, serially, on two shapes,
+// BenchmarkProbeVec measures the probe kernel, serially, on three shapes,
 // each a vector probing a published dimension STeM:
 //
 //   - 1word-dim1800: 1000 keys against a one-word STeM holding 1 080 keys
-//     (60 %) of an 1 800-key dimension, as a stream's queries probe; the
-//     union table serves it once the first probes have walked enough keys;
+//     (60 %) of an 1 800-key dimension, as a stream's queries probe;
 //   - 2words-32k: 1024 keys against a 32 768-key STeM of a 128-query batch
-//     (two-word query sets), which walks the chains.
+//     (two-word query sets);
+//   - 2words-32k-walk: the same with one more entry whose slot is never
+//     published, which keeps any union table from being built, so every
+//     probe walks the chains.
+//
+// The union table serves the first two once their first probes have walked
+// enough keys.
 func BenchmarkProbeVec(b *testing.B) {
 	b.Run("1word-dim1800", func(b *testing.B) {
-		benchProbe(b, 64, 1800, 1800*6/10, 1000)
+		benchProbe(b, 64, 1800, 1800*6/10, 1000, false)
 	})
 	b.Run("2words-32k", func(b *testing.B) {
-		benchProbe(b, 128, 1<<15, 1<<15, 1024)
+		benchProbe(b, 128, 1<<15, 1<<15, 1024, false)
+	})
+	b.Run("2words-32k-walk", func(b *testing.B) {
+		benchProbe(b, 128, 1<<15, 1<<15, 1024, true)
 	})
 }
 
 // benchProbe times ProbeVec of probes keys drawn from [0, domain) against
 // a STeM of a qcap-query batch holding entries distinct keys of that
-// domain, all under one published slot.
-func benchProbe(b *testing.B, qcap, domain, entries, probes int) {
+// domain, all under one published slot, and with walk one entry more under
+// a slot left unpublished.
+func benchProbe(b *testing.B, qcap, domain, entries, probes int, walk bool) {
 	v := NewVersions()
 	s := New(v, []string{"k"}, qcap, entries)
 	qw := s.qw
@@ -1564,6 +1765,9 @@ func benchProbe(b *testing.B, qcap, domain, entries, probes int) {
 	var sc InsertScratch
 	s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, &sc)
 	v.Publish(0)
+	if walk {
+		s.InsertVec(vids[:1], [][]int64{keys[:1]}, qsets[:qw], qw, 1, &sc)
+	}
 	wm, ts := v.Watermark(), v.Now()
 	probeKeys := make([]int64, probes)
 	for i := range probeKeys {
@@ -1578,6 +1782,9 @@ func benchProbe(b *testing.B, qcap, domain, entries, probes int) {
 	}
 	if len(dst) == 0 {
 		b.Fatal("the probes matched nothing")
+	}
+	if walk && unionCurrent(s, 0) {
+		b.Fatal("a union table was built; the row does not time the chain walk")
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes), "ns/key")
 }

@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/roulette-db/roulette/internal/faults"
 	"github.com/roulette-db/roulette/internal/metrics"
+	"github.com/roulette-db/roulette/internal/query"
+	"github.com/roulette-db/roulette/internal/stem"
 )
 
 // TestStreamSentinelRoundTrips pins the public error contract: every typed
@@ -67,7 +70,9 @@ func TestStreamSentinelRoundTrips(t *testing.T) {
 // TestStreamAdmissionBudget exercises the in-flight cost budget end to end:
 // a stream whose budget fits one query at a time must reject a concurrent
 // second submission with ErrOverloaded, admit it again after the first
-// retires, and drain its accounting to zero.
+// retires, and drain its accounting to zero. The first query's first
+// episode is parked until the second submission has been refused, so the
+// first query cannot retire before it.
 func TestStreamAdmissionBudget(t *testing.T) {
 	e := streamFixture(t, 4000)
 	q := streamWorkload()[0]
@@ -83,10 +88,23 @@ func TestStreamAdmissionBudget(t *testing.T) {
 		t.Fatalf("estimateCost = %v, want > 0", est)
 	}
 
-	st, err := e.OpenStream(context.Background(), &StreamOptions{
+	var armed atomic.Bool
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	opt := &StreamOptions{
 		Options:   Options{Workers: 2, VectorSize: 256, Seed: 11},
 		Admission: &AdmissionOptions{MaxInFlightCost: 1.5 * est},
-	})
+	}
+	opt.hooks.EpisodeStart = func(query.InstID, stem.Slot) {
+		if armed.CompareAndSwap(false, true) {
+			close(parked)
+			select {
+			case <-release:
+			case <-time.After(30 * time.Second):
+			}
+		}
+	}
+	st, err := e.OpenStream(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +112,14 @@ func TestStreamAdmissionBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Submit(streamWorkload()[1]); !errors.Is(err, ErrOverloaded) {
+	select {
+	case <-parked:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the first query's first episode never started")
+	}
+	_, err = st.Submit(streamWorkload()[1])
+	close(release)
+	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("second concurrent submit = %v, want ErrOverloaded", err)
 	}
 	if _, err := tk1.Wait(context.Background()); err != nil {

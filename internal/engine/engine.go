@@ -573,10 +573,6 @@ func (s *Session) fireAdmissionsLocked(force bool) {
 func (s *Session) takeVectorLocked(inst query.InstID) exec.EpisodeInput {
 	st := s.scans[inst]
 	start, n := st.scan.Next()
-	vids := make([]int32, n)
-	for i := range vids {
-		vids[i] = int32(start + i)
-	}
 	active := st.active.Clone()
 	st.delivered++
 	s.inFlight++
@@ -631,7 +627,8 @@ func (s *Session) takeVectorLocked(inst query.InstID) exec.EpisodeInput {
 	s.episode++
 	return exec.EpisodeInput{
 		Inst:   inst,
-		VIDs:   vids,
+		First:  int32(start),
+		N:      n,
 		Active: active,
 		Final:  final,
 		Slot:   slot,
@@ -863,7 +860,7 @@ func (s *Session) runWorker(id int) {
 			if err != nil {
 				fault = int64(err.Kind) + 1
 			}
-			s.rec.Record(id, obs.KEpisodeWork, int64(len(in.VIDs)), int64(rep.JoinInput),
+			s.rec.Record(id, obs.KEpisodeWork, int64(in.N), int64(rep.JoinInput),
 				int64(math.Float64bits(rep.MeasuredCost)), fault)
 		}
 		s.rec.Record(id, obs.KEpisodeEnd, int64(in.Inst), int64(in.Slot), dur, int64(rep.PlanSig))
@@ -995,10 +992,10 @@ func (s *Session) newEpisodeError(in exec.EpisodeInput, kind FaultKind) *Episode
 		Inst:    in.Inst,
 		Slot:    in.Slot,
 		Queries: in.Active.IDs(),
-		NumVIDs: len(in.VIDs),
+		NumVIDs: in.N,
 	}
-	if len(in.VIDs) > 0 {
-		ee.FirstVID = in.VIDs[0]
+	if in.N > 0 {
+		ee.FirstVID = in.First
 	}
 	return ee
 }

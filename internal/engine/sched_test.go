@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/roulette-db/roulette/internal/admission"
+	"github.com/roulette-db/roulette/internal/exec"
 	"github.com/roulette-db/roulette/internal/policy"
 	"github.com/roulette-db/roulette/internal/query"
 	"github.com/roulette-db/roulette/internal/storage"
@@ -242,6 +243,35 @@ func TestSchedStepNoAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("scheduler step allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestDispatchAllocations pins what handing out one episode's work
+// (takeVectorLocked, as a one-worker session dispatches it) allocates for
+// a lone count(*) query: the active set's copy and the final set, since
+// the query's only scan is its last. The vector itself travels as its scan
+// range (EpisodeInput.First, N), not a vID slice, which was one allocation
+// more per episode. The 16-row vectors keep the query from finishing its
+// 4096-row scan inside the runs.
+func TestDispatchAllocations(t *testing.T) {
+	opt := exec.DefaultOptions()
+	opt.VectorSize = 16
+	s, _ := schedSession(t, 8, Config{Exec: opt})
+	qid, err := s.SubmitLiveMeta(singleRel("fact"), SubmitMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := query.InstID(scanOf(s, qid))
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var in exec.EpisodeInput
+	allocs := testing.AllocsPerRun(50, func() { in = s.takeVectorLocked(inst) })
+	if in.N != 16 || in.Final == nil {
+		t.Fatalf("dispatch handed out %d rows, final set %v; want 16 rows with the query final", in.N, in.Final)
+	}
+	if allocs != 2 {
+		t.Errorf("dispatch allocates %.1f objects/op, want 2 (active and final sets)", allocs)
 	}
 }
 

@@ -59,23 +59,20 @@ func calibrateSelection(rng *rand.Rand) []cost.Sample {
 		}
 		f := NewGroupedFilter(nQueries, sc, col, nil)
 		for _, n := range calibrationSizes {
-			vids := make([]int32, n)
-			for i := range vids {
-				vids[i] = int32(rng.Intn(len(col)))
+			rows := make([]int32, n)
+			for i := range rows {
+				rows[i] = int32(rng.Intn(len(col)))
 			}
+			vids := make([]int32, n)
 			qsets := make([]uint64, n)
+			out := 0
 			elapsed := minNanos(32768/n, func() {
+				copy(vids, rows) // Apply compacts its input in place
 				for i := range qsets {
 					qsets[i] = (1 << nQueries) - 1
 				}
-				f.Apply(true, vids, qsets, 1)
+				out = f.Apply(true, vids, qsets, 1)
 			})
-			out := 0
-			for _, w := range qsets {
-				if w != 0 {
-					out++
-				}
-			}
 			samples = append(samples, cost.Sample{NIn: float64(n), NOut: float64(out), Nanos: elapsed})
 		}
 	}

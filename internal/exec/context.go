@@ -86,6 +86,10 @@ type Context struct {
 	Filters  []*GroupedFilter // per SelCol ID
 	PruneOps []PruneOp        // prune filters, any order
 
+	// colRanges caches each filtered column's observed range, scanned by
+	// the column's first grouped filter and reused by every rebuild.
+	colRanges map[colKey]colRange
+
 	// selOps is the stable selection-operator ID space: op ID i refers to
 	// either a grouped filter or a prune op. IDs are append-only, so they
 	// stay stable while a streaming batch grows (a later-created grouped
@@ -219,7 +223,7 @@ func NewContext(b *query.Batch, db *storage.Database, opt Options, model *cost.M
 	if opt.VectorSize <= 0 {
 		opt.VectorSize = 1024
 	}
-	c := &Context{B: b, DB: db, Model: model, Opt: opt, Versions: stem.NewVersions()}
+	c := &Context{B: b, DB: db, Model: model, Opt: opt, Versions: stem.NewVersions(), colRanges: map[colKey]colRange{}}
 	// Sources span the full query-ID capacity so the slice header never
 	// changes while a streaming batch admits queries (slots stay nil until
 	// ApplyExtend fills them).
@@ -449,8 +453,15 @@ func (c *Context) RebuildFilters(selIDs []int) {
 	c.PublishView()
 }
 
+// colKey names a table column for Context.colRanges.
+type colKey struct {
+	t   *storage.Table
+	col string
+}
+
 // newFilter builds grouped filter si over its column, with the catalog
-// dictionary backing the column (nil for plain int64 columns).
+// dictionary backing the column (nil for plain int64 columns) and the
+// column's cached range.
 func (c *Context) newFilter(si int) *GroupedFilter {
 	sc := &c.B.SelCols[si]
 	t := c.Tables[sc.Inst]
@@ -458,7 +469,14 @@ func (c *Context) newFilter(si int) *GroupedFilter {
 	if cc := t.Rel.Column(sc.Col); cc != nil {
 		dict = cc.Dict
 	}
-	return NewGroupedFilter(c.B.QCap(), sc, t.Col(sc.Col), dict)
+	col := t.Col(sc.Col)
+	k := colKey{t, sc.Col}
+	r, ok := c.colRanges[k]
+	if !ok {
+		r = rangeOf(col)
+		c.colRanges[k] = r
+	}
+	return newGroupedFilter(c.B.QCap(), sc, col, r, dict)
 }
 
 // checkSelColTypes verifies every predicate of a grouped filter against the

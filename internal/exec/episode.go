@@ -19,8 +19,11 @@ import (
 // need no STeM entry, the version slot assigned to the episode, and the
 // currently available selection operators.
 type EpisodeInput struct {
-	Inst   query.InstID
-	VIDs   []int32
+	Inst query.InstID
+	// First and N name the vector: the rows [First, First+N) of Inst's
+	// relation, one stretch of its circular scan.
+	First  int32
+	N      int
 	Active bitset.Set
 	// Final holds the active queries for which no later probe can reach
 	// this vector's entries: every other relation of the query has finished
@@ -136,15 +139,13 @@ type Worker struct {
 	copyIdx   []int      // probe/routeSel: input column positions to copy
 	residuals []appliedResidual
 
-	// Vector-kernel arena (see internal/stem/vec.go). probeKeys doubles as
-	// the prune phase's key batch — the selection and join phases of one
-	// episode never overlap on a worker, and probe() finishes with these
-	// buffers before execChildren recurses into a child probe.
+	// Vector-kernel arena (see internal/stem/vec.go). probe() finishes with
+	// these buffers before execChildren recurses into a child probe.
 	insKeys    [][]int64          // STeM-insert key columns, built from vIDs
 	insScratch stem.InsertScratch // InsertVec bucket pre-linking scratch
 	insVids    []int32            // build: tuples left after masking out Final
 	insQsets   []uint64           // build: their masked query sets, stride qw
-	probeKeys  []int64            // kernel input keys (probe + prune)
+	probeKeys  []int64            // probe kernel input keys
 	probeIn    []int32            // kernel input position -> tuple index
 	probeTqs   []uint64           // masked tuple query sets, stride: the node's words
 	vmatches   []stem.VecMatch    // ProbeVecRange output buffer
@@ -295,12 +296,18 @@ type EpisodeReport struct {
 	PlanSig uint64
 }
 
-// ingestVector copies the episode's vIDs into the worker arena and stamps
+// ingestVector writes the episode's vIDs into the worker arena and stamps
 // every tuple with the active query set: the first tuple's set is copied
 // from Active, then the stamped prefix doubles until it covers the vector.
 func (w *Worker) ingestVector(in EpisodeInput) ([]int32, []uint64) {
-	w.selVids = append(w.selVids[:0], in.VIDs...)
-	need := len(in.VIDs) * w.qw
+	if cap(w.selVids) < in.N {
+		w.selVids = make([]int32, in.N)
+	}
+	w.selVids = w.selVids[:in.N]
+	for i := range w.selVids {
+		w.selVids[i] = in.First + int32(i)
+	}
+	need := in.N * w.qw
 	if cap(w.selQsets) < need {
 		w.selQsets = make([]uint64, need)
 	}
@@ -312,7 +319,8 @@ func (w *Worker) ingestVector(in EpisodeInput) ([]int32, []uint64) {
 }
 
 // runSelSteps applies a planned selection-phase operator chain to the
-// ingested vector, compacting after every step and logging each decision.
+// ingested vector, logging each decision. Each operator compacts its own
+// survivors in place and returns their count.
 func (w *Worker) runSelSteps(in EpisodeInput, steps []plan.SelStep, vids []int32, qsets []uint64) ([]int32, []uint64) {
 	c := w.C
 	cv := w.cv
@@ -322,12 +330,13 @@ func (w *Worker) runSelSteps(in EpisodeInput, steps []plan.SelStep, vids []int32
 		if nIn == 0 {
 			break
 		}
+		var n int
 		if ref := cv.selOps[st.Op.ID]; !ref.prune {
-			cv.filters[ref.idx].Apply(c.Opt.GroupedFilters, vids, qsets, w.qw)
+			n = cv.filters[ref.idx].Apply(c.Opt.GroupedFilters, vids, qsets, w.qw)
 		} else {
-			w.applyPrune(&cv.pruneOps[ref.idx], st.Op.Queries, vids, qsets)
+			n = w.applyPrune(&cv.pruneOps[ref.idx], st.Op.Queries, vids, qsets)
 		}
-		vids, qsets = compact(vids, qsets, w.qw)
+		vids, qsets = vids[:n], qsets[:n*w.qw]
 		w.foldSig(0, st.Op.ID, st.Applied)
 		w.ep.filterOps++
 		w.countServed(andCount(st.Op.Queries, in.Active))
@@ -520,18 +529,13 @@ func (w *Worker) measuredCost() (total, join float64) {
 
 // applyPrune intersects each tuple's query set with the union of matching
 // query sets in the opposite STeM, restricted to the eligible queries
-// (symmetric join pruning, §5.2). Keys are gathered into the worker's key
-// batch and one PruneVec call masks the tuples in place, over only the words
-// the eligible set spans.
-func (w *Worker) applyPrune(p *PruneOp, elig bitset.Set, vids []int32, qsets []uint64) {
-	local := w.cv.tables[p.Inst].Col(p.LocalCol)
-	pk := w.probeKeys[:0]
-	for _, vid := range vids {
-		pk = append(pk, local[vid])
-	}
-	w.probeKeys = pk
+// (symmetric join pruning, §5.2): one PruneVec call reads each tuple's key
+// from the local join column, masks the tuples in place over only the words
+// the eligible set spans, compacts the survivors and returns their count.
+func (w *Worker) applyPrune(p *PruneOp, elig bitset.Set, vids []int32, qsets []uint64) int {
 	lo, hi := elig.Span()
-	w.cv.stems[p.Other].PruneVec(qsets, w.qw, elig, lo, hi, p.OtherCol, pk, w.pruneAcc)
+	local := w.cv.tables[p.Inst].Col(p.LocalCol)
+	return w.cv.stems[p.Other].PruneVec(vids, qsets, w.qw, elig, lo, hi, p.OtherCol, local, w.pruneAcc)
 }
 
 // andCount returns the popcount of a ∧ b without materializing it; b is at
@@ -544,7 +548,8 @@ func andCount(a, b bitset.Set) int {
 	return c
 }
 
-// compact drops tuples with empty query sets, in place.
+// compact drops tuples with empty query sets, in place (maskFinal's build
+// copy; the selection operators compact their own output).
 func compact(vids []int32, qsets []uint64, qw int) ([]int32, []uint64) {
 	out := 0
 	if qw == 1 {

@@ -61,14 +61,9 @@ func ingest(t *testing.T, ctx *Context, w *Worker, b *query.Batch) {
 	t.Helper()
 	active := bitset.NewFull(b.N)
 	for inst := range b.Insts {
-		rows := ctx.Tables[inst].NumRows()
-		vids := make([]int32, rows)
-		for i := range vids {
-			vids[i] = int32(i)
-		}
 		w.RunEpisode(EpisodeInput{
 			Inst:   query.InstID(inst),
-			VIDs:   vids,
+			N:      ctx.Tables[inst].NumRows(),
 			Active: active,
 			Slot:   stem.Slot(inst),
 			SelOps: ctx.SelOpsFor(query.InstID(inst), nil),
@@ -147,7 +142,7 @@ func TestEpisodeReportCosts(t *testing.T) {
 	w := NewWorker(ctx, policy.NewRandom(3))
 	active := bitset.NewFull(1)
 	rep, err := w.RunEpisode(EpisodeInput{
-		Inst: 0, VIDs: []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
+		Inst: 0, N: 12,
 		Active: active, Slot: 0, SelOps: ctx.SelOpsFor(0, nil),
 	})
 	if err != nil {
@@ -202,13 +197,13 @@ func TestPruneFilterDropsUnjoinable(t *testing.T) {
 	sInst, _ := b.InstOfAlias(0, "s")
 	rInst, _ := b.InstOfAlias(0, "r")
 	w.RunEpisode(EpisodeInput{
-		Inst: sInst, VIDs: []int32{0, 1, 2}, Active: active, Slot: 0,
+		Inst: sInst, N: 3, Active: active, Slot: 0,
 		SelOps: ctx.SelOpsFor(sInst, nil),
 	})
 	// r's episode with s prunable: tuples with k=3 pruned before insert.
 	elig := bitset.NewFull(1)
 	rep, err := w.RunEpisode(EpisodeInput{
-		Inst: rInst, VIDs: []int32{0, 1, 2, 3, 4, 5, 6, 7}, Active: active, Slot: 1,
+		Inst: rInst, N: 8, Active: active, Slot: 1,
 		SelOps: ctx.SelOpsFor(rInst, func(int, query.InstID) bitset.Set { return elig }),
 	})
 	if err != nil {

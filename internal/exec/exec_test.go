@@ -2,7 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +13,7 @@ import (
 	"github.com/roulette-db/roulette/internal/cost"
 	"github.com/roulette-db/roulette/internal/query"
 	"github.com/roulette-db/roulette/internal/storage"
+	"github.com/roulette-db/roulette/internal/value"
 )
 
 // filterFixture builds a grouped filter over a column of values 0..999 with
@@ -52,6 +55,60 @@ func TestGroupedFilterEquivalentToNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRebuiltFilterMatchesFreshBuild checks the column-range cache: a
+// stream context admits queries filtering r.v (a range, IS NOT NULL, IS
+// NULL, open-ended bounds; the column holds a NULL) and s.v, then retires
+// two and rebuilds the filters they touched. After each change every
+// grouped filter must equal one built from scratch over its column, and
+// each filtered column's range must have been scanned once.
+func TestRebuiltFilterMatchesFreshBuild(t *testing.T) {
+	db := twoTableDB()
+	db.Table("r").Col("v")[3] = value.NullCode
+	b := query.NewStreamBatch(8)
+	ctx, err := NewContext(b, db, DefaultOptions(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		for si := range b.SelCols {
+			sc := &b.SelCols[si]
+			fresh := NewGroupedFilter(b.QCap(), sc, ctx.Tables[sc.Inst].Col(sc.Col), nil)
+			if got := ctx.Filters[si]; !reflect.DeepEqual(got, fresh) {
+				t.Fatalf("%s: filter %d (%s) has bounds %v, masks %v, out %v, null %v; a fresh build %v, %v, %v, %v", when, si, sc.Col,
+					got.bounds, got.masks, got.outMask, got.nullMask, fresh.bounds, fresh.masks, fresh.outMask, fresh.nullMask)
+			}
+		}
+	}
+	for _, f := range []query.Filter{
+		{Alias: "r", Col: "v", Lo: 2, Hi: 7},
+		{Alias: "r", Col: "v", Kind: query.KindIsNotNull},
+		{Alias: "r", Col: "v", Lo: math.MinInt64, Hi: 4},
+		{Alias: "r", Col: "v", Kind: query.KindIsNull},
+		{Alias: "r", Col: "v", Lo: 6, Hi: math.MaxInt64},
+		{Alias: "s", Col: "v", Lo: 10, Hi: 20},
+	} {
+		q := &query.Query{
+			Rels:    []query.RelRef{{Table: "r"}, {Table: "s"}},
+			Joins:   []query.Join{{LeftAlias: "r", LeftCol: "k", RightAlias: "s", RightCol: "k"}},
+			Filters: []query.Filter{f},
+		}
+		_, d, err := b.Extend(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ctx.ApplyExtend(d); err != nil {
+			t.Fatal(err)
+		}
+		check("after a submit")
+	}
+	ctx.RebuildFilters(b.RetireQueries(bitset.FromIDs(b.QCap(), 0, 2)))
+	check("after a retirement")
+	if len(ctx.colRanges) != 2 {
+		t.Fatalf("%d column ranges cached, want one each for r.v and s.v", len(ctx.colRanges))
 	}
 }
 
@@ -100,13 +157,43 @@ func TestGroupedFilterApplyCompact(t *testing.T) {
 	gf := NewGroupedFilter(1, sc, col, nil)
 	vids := []int32{0, 1, 2}
 	qsets := []uint64{1, 1, 1}
-	gf.Apply(true, vids, qsets, 1)
-	vids, qsets = compact(vids, qsets, 1)
-	if len(vids) != 2 || vids[0] != 0 || vids[1] != 2 {
+	n := gf.Apply(true, vids, qsets, 1)
+	if vids = vids[:n]; len(vids) != 2 || vids[0] != 0 || vids[1] != 2 {
 		t.Errorf("surviving vids = %v, want [0 2]", vids)
 	}
-	if len(qsets) != 2 {
-		t.Errorf("qsets len = %d", len(qsets))
+	if !reflect.DeepEqual(qsets[:n], []uint64{1, 1}) {
+		t.Errorf("surviving qsets = %v, want [1 1]", qsets[:n])
+	}
+
+	// Every path and width compacts as masking then compact would: random
+	// filters over one, two and three words, grouped and naive.
+	rng := rand.New(rand.NewSource(3))
+	for _, nQ := range []int{40, 100, 150} {
+		sc, col := filterFixture(rng, nQ, 30)
+		gf := NewGroupedFilter(nQ, sc, col, nil)
+		qw := bitset.WordsFor(nQ)
+		vids := make([]int32, 300)
+		qsets := make([]uint64, len(vids)*qw)
+		for i := range vids {
+			vids[i] = int32(rng.Intn(len(col)))
+			for w := 0; w < qw; w++ {
+				qsets[i*qw+w] = rng.Uint64() & rng.Uint64()
+			}
+		}
+		for _, grouped := range []bool{true, false} {
+			wantV := append([]int32(nil), vids...)
+			wantQ := append([]uint64(nil), qsets...)
+			for i, vid := range wantV {
+				bitset.Set(wantQ[i*qw : (i+1)*qw]).AndWith(gf.maskFor(col[vid]))
+			}
+			wantV, wantQ = compact(wantV, wantQ, qw)
+			gotV := append([]int32(nil), vids...)
+			gotQ := append([]uint64(nil), qsets...)
+			n := gf.Apply(grouped, gotV, gotQ, qw)
+			if !reflect.DeepEqual(gotV[:n], wantV) || !reflect.DeepEqual(gotQ[:n*qw], wantQ) {
+				t.Fatalf("%d queries, grouped %t: Apply kept %d tuples, masking then compacting %d, or their words differ", nQ, grouped, n, len(wantV))
+			}
+		}
 	}
 }
 

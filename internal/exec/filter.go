@@ -85,35 +85,48 @@ func (g *predGroup) matches(v int64) bool {
 	return true
 }
 
+// colRange is a column's observed range over its non-NULL cells, [lo, hi];
+// an all-NULL (or empty) column has none (seen false) and keeps the empty
+// range [0, -1], which makes every range predicate empty.
+type colRange struct {
+	lo, hi int64
+	seen   bool
+}
+
+// rangeOf scans col for its colRange.
+func rangeOf(col []int64) colRange {
+	r := colRange{0, -1, false}
+	for _, v := range col {
+		if v == value.NullCode {
+			continue
+		}
+		if !r.seen {
+			r = colRange{v, v, true}
+			continue
+		}
+		r.lo, r.hi = min(r.lo, v), max(r.hi, v)
+	}
+	return r
+}
+
 // NewGroupedFilter precomputes the range table for one grouped filter.
 // Predicate bounds are clamped to the column's observed non-NULL value
 // range so that open-ended comparisons (MinInt64/MaxInt64 bounds) cannot
 // overflow the boundary arithmetic. dict resolves string predicates and may
 // be nil for plain int64 columns.
 func NewGroupedFilter(nQueries int, sc *query.SelCol, col []int64, dict *value.Dict) *GroupedFilter {
+	return newGroupedFilter(nQueries, sc, col, rangeOf(col), dict)
+}
+
+// newGroupedFilter is NewGroupedFilter over col's range r, computed once
+// per column by the caller (columns are immutable, and a stream rebuilds a
+// column's filter on every Submit and retirement that touches it).
+func newGroupedFilter(nQueries int, sc *query.SelCol, col []int64, r colRange, dict *value.Dict) *GroupedFilter {
 	f := &GroupedFilter{
 		Inst: sc.Inst, Col: sc.Col, col: col,
 		queries: sc.Queries, n: nQueries,
 	}
-	// Observed range over non-NULL cells; an all-NULL (or empty) column
-	// keeps the empty range [0,-1], which makes every range predicate empty.
-	colMin, colMax := int64(0), int64(-1)
-	seen := false
-	for _, v := range col {
-		if v == value.NullCode {
-			continue
-		}
-		if !seen {
-			colMin, colMax, seen = v, v, true
-			continue
-		}
-		if v < colMin {
-			colMin = v
-		}
-		if v > colMax {
-			colMax = v
-		}
-	}
+	colMin, colMax, seen := r.lo, r.hi, r.seen
 
 	// Normalize predicates into per-query groups of code-range unions.
 	for _, p := range sc.Preds {
@@ -244,14 +257,20 @@ func (f *GroupedFilter) naiveMask(v int64, scratch bitset.Set) bitset.Set {
 // Apply filters the query-set words of a tuple vector in place: for each
 // tuple, its query set is intersected with the mask of its column value.
 // qsets is the flat n×qw word slab and every mask is qw words; vids
-// addresses the column. Tuples left empty are compacted by the caller.
-func (f *GroupedFilter) Apply(grouped bool, vids []int32, qsets []uint64, qw int) {
+// addresses the column. In the same pass the tuples left with a bit move,
+// in order, to the front of vids and qsets; Apply returns how many there
+// are.
+func (f *GroupedFilter) Apply(grouped bool, vids []int32, qsets []uint64, qw int) int {
+	n := 0
 	if grouped && qw == 1 {
 		// Fast path for single-word query sets.
 		for i, vid := range vids {
-			qsets[i] &= f.maskFor(f.col[vid])[0]
+			if q := qsets[i] & f.maskFor(f.col[vid])[0]; q != 0 {
+				vids[n], qsets[n] = vid, q
+				n++
+			}
 		}
-		return
+		return n
 	}
 	var naive bitset.Set // the naive path's mask scratch
 	if !grouped {
@@ -265,8 +284,18 @@ func (f *GroupedFilter) Apply(grouped bool, vids []int32, qsets []uint64, qw int
 			m = f.naiveMask(f.col[vid], naive)
 		}
 		q := qsets[i*qw : (i+1)*qw]
+		var left uint64
 		for w, mw := range m {
 			q[w] &= mw
+			left |= q[w]
+		}
+		if left != 0 {
+			if n != i {
+				vids[n] = vid
+				copy(qsets[n*qw:], q)
+			}
+			n++
 		}
 	}
+	return n
 }

@@ -18,7 +18,7 @@ import (
 type StepBenchConfig struct {
 	NQueries   int           // queries in the batch (default 16)
 	Rows       int           // fact-table rows (default 4096)
-	VectorSize int           // tuples per episode vector (default 1024)
+	VectorSize int           // tuples per episode vector (default 1024, at most Rows)
 	Policy     policy.Policy // planning policy (default policy.NewRandom(1))
 
 	// Final, when non-nil, marks the queries at these caller positions (the
@@ -62,6 +62,9 @@ func NewStepBench(cfg StepBenchConfig) (*StepBench, error) {
 	}
 	if cfg.VectorSize <= 0 {
 		cfg.VectorSize = 1024
+	}
+	if cfg.VectorSize > cfg.Rows {
+		return nil, fmt.Errorf("exec: step bench vector of %d rows over a %d-row fact table", cfg.VectorSize, cfg.Rows)
 	}
 	pol := cfg.Policy
 	if pol == nil {
@@ -182,10 +185,6 @@ func NewStepBench(cfg StepBenchConfig) (*StepBench, error) {
 	}
 	ctx.Versions.Publish(seedSlot)
 
-	vids := make([]int32, cfg.VectorSize)
-	for i := range vids {
-		vids[i] = int32(i % cfg.Rows)
-	}
 	final := active
 	if cfg.Final != nil {
 		final = bitset.New(b.N)
@@ -193,7 +192,7 @@ func NewStepBench(cfg StepBenchConfig) (*StepBench, error) {
 	}
 	in := EpisodeInput{
 		Inst:   factInst,
-		VIDs:   vids,
+		N:      cfg.VectorSize,
 		Active: active,
 		Final:  final,
 		Slot:   seedSlot,

@@ -28,10 +28,12 @@ func probe1(s *STeM, col string, key int64, probeTS int64) []match {
 
 // semiJoin1 returns the union of the published entries matching key, read
 // through PruneVec: a tuple carrying every query, each eligible, keeps
-// exactly that union.
+// exactly that union, and is dropped when it is empty.
 func semiJoin1(s *STeM, col string, key int64) bitset.Set {
 	t := bitset.NewFull(64 * s.qw)
-	s.PruneVec(t, s.qw, bitset.NewFull(64*s.qw), 0, s.qw, col, []int64{key}, make([]uint64, s.qw))
+	if s.PruneVec([]int32{0}, t, s.qw, bitset.NewFull(64*s.qw), 0, s.qw, col, []int64{key}, make([]uint64, s.qw)) == 0 {
+		return bitset.New(64 * s.qw)
+	}
 	return t
 }
 

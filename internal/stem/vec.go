@@ -1,6 +1,7 @@
 package stem
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 
@@ -26,9 +27,10 @@ import (
 //     share a query with them, writing the intersections out. ProbeVec is
 //     its unmasked, full-width form.
 //   - PruneVec is the symmetric-join-pruning kernel: it masks the probing
-//     tuples' query sets in place over one word range, reading each key's
-//     union from the same table, or from a chain walk that stages head
-//     entries as the probe's does when no table can be built.
+//     tuples' query sets in place over one word range and compacts the
+//     survivors in the same pass, reading each key's union from the same
+//     table, or from a chain walk that stages head entries as the probe's
+//     does when no table can be built.
 //
 // Memory-ordering argument: every entry write — vIDs, slots, keys, query
 // sets, intra-batch next links — happens before the bucket CAS that makes
@@ -407,62 +409,93 @@ func (s *STeM) walkChains(st *stemState, ki int, dst []VecMatch, qout []uint64, 
 
 // PruneVec is the symmetric-join-pruning kernel (§5.2): a probing tuple
 // keeps an eligible query's bit only if some published entry matching its
-// key on col carries that bit too. For tuple i, with t its words in the slab
-// qsets (stride qw) and u the union of its matching entries' query sets, it
-// sets, in place and for each word w in [lo, hi),
+// key on col carries that bit too. The tuples are vids, with their words in
+// the slab qsets (stride qw); tuple i's key is keys[vids[i]], keys being the
+// probing relation's join column. With t its words and u the union of its
+// matching entries' query sets, it sets, for each word w in [lo, hi),
 //
 //	t[w] &= u[w] | ^elig[w]
 //
-// Words outside [lo, hi) are neither read nor written; callers pass the
-// span of elig's bits (bitset.Set.Span). A tuple without an eligible bit in
-// the range is not probed, and a NULL key (NullKey) matches nothing, so a
-// NULL-keyed tuple loses all its eligible bits. acc is caller-owned scratch
-// of at least hi-lo words.
+// and in the same pass compacts the tuples left with a bit in place: they
+// move, in order and with all qw of their words, to the front of vids and
+// qsets, and PruneVec returns how many there are. Tuples that came in empty
+// leave too. Words outside [lo, hi) are neither read from the STeM nor
+// masked; callers pass the span of elig's bits (bitset.Set.Span). A tuple
+// without an eligible bit in the range is not probed, and a NULL key
+// (NullKey) matches nothing, so a NULL-keyed tuple loses all its eligible
+// bits. acc is caller-owned scratch of at least hi-lo words.
 //
 // Publication needs no timestamp ordering here, and unpublished slots are
 // skipped, not sealed: the caller prunes only against a STeM whose every
 // vector has been inserted and published. The prune reads each key's union
 // from the index's union table, built at once when none is current (union);
-// only when no table can be built does it walk the chains (pruneWalk).
-func (s *STeM) PruneVec(qsets []uint64, qw int, elig bitset.Set, lo, hi int, col string, keys []int64, acc []uint64) {
+// only when no table can be built does it walk the chains (pruneWalk). A
+// column the STeM does not index yet prunes nothing.
+func (s *STeM) PruneVec(vids []int32, qsets []uint64, qw int, elig bitset.Set, lo, hi int, col string, keys []int64, acc []uint64) int {
 	st := s.state.Load()
 	ki, ok := st.colIdx[col]
 	if !ok {
-		return
+		return len(vids)
 	}
 	t := s.union(st, ki, 0)
 	switch {
 	case t == nil:
-		s.pruneWalk(st, ki, qsets, qw, elig, lo, hi, keys, acc)
-	case hi-lo == 1:
-		e := elig[lo]
-		for i, k := range keys {
-			if p := &qsets[i*qw+lo]; *p&e != 0 {
-				*p &= t.word(t.slot(k), lo) | ^e
+		return s.pruneWalk(st, ki, vids, qsets, qw, elig, lo, hi, keys, acc)
+	case qw == 1 && hi-lo == 1:
+		e, n := elig[0], 0
+		for i, vid := range vids {
+			q := qsets[i]
+			if q&e != 0 {
+				q &= t.word(t.slot(keys[vid]), 0) | ^e
+			}
+			if q != 0 {
+				vids[n], qsets[n] = vid, q
+				n++
 			}
 		}
-	default:
-		nw := hi - lo
-		elig = elig[lo:hi]
-		for i, k := range keys {
-			tw := qsets[i*qw+lo:][:nw]
-			var has uint64
-			for w, e := range elig {
-				has |= tw[w] & e
-			}
-			if has == 0 {
-				continue
-			}
-			u := t.us[int(t.slot(k).u)+lo:][:nw]
+		return n
+	}
+	nw, n := hi-lo, 0
+	elig = elig[lo:hi]
+	for i, vid := range vids {
+		tw := qsets[i*qw+lo:][:nw]
+		var has uint64
+		for w, e := range elig {
+			has |= tw[w] & e
+		}
+		if has != 0 {
+			u := t.us[int(t.slot(keys[vid]).u)+lo:][:nw]
 			for w, e := range elig {
 				tw[w] &= u[w] | ^e
 			}
 		}
+		n = survive(vids, qsets, qw, i, n)
 	}
+	return n
 }
 
-// pruneWalk is PruneVec through the chains of state st's index ki.
-func (s *STeM) pruneWalk(st *stemState, ki int, qsets []uint64, qw int, elig bitset.Set, lo, hi int, keys []int64, acc []uint64) {
+// survive is the compaction step of the selection kernels: it moves tuple
+// i, with its qw words, to position n <= i of vids and qsets when any of its
+// words is set, and returns the next free position.
+func survive(vids []int32, qsets []uint64, qw, i, n int) int {
+	tw := qsets[i*qw:][:qw]
+	for _, x := range tw {
+		if x != 0 {
+			if n != i {
+				vids[n] = vids[i]
+				copy(qsets[n*qw:][:qw], tw)
+			}
+			return n + 1
+		}
+	}
+	return n
+}
+
+// pruneWalk is PruneVec through the chains of state st's index ki. Tuples
+// move as the walk goes, but survive only writes at or below the tuple it
+// keeps, so every tuple's vID and words are still at its own position when
+// its turn comes.
+func (s *STeM) pruneWalk(st *stemState, ki int, vids []int32, qsets []uint64, qw int, elig bitset.Set, lo, hi int, keys []int64, acc []uint64) int {
 	elig, acc = elig[lo:hi], acc[:hi-lo]
 	wm := s.versions.Watermark()
 	buckets := st.buckets[ki]
@@ -472,8 +505,9 @@ func (s *STeM) pruneWalk(st *stemState, ki int, qsets []uint64, qw int, elig bit
 	var eNext [probeBlock]int32
 	var eSlot [probeBlock]Slot
 	var eQ [probeBlock]uint64
-	for i0 := 0; i0 < len(keys); i0 += probeBlock {
-		m := min(len(keys)-i0, probeBlock)
+	n := 0
+	for i0 := 0; i0 < len(vids); i0 += probeBlock {
+		m := min(len(vids)-i0, probeBlock)
 		// Load the bucket heads of the tuples that carry an eligible bit. A
 		// tuple with no chain to walk (NULL key, empty bucket) has no match:
 		// its eligible bits go now.
@@ -487,7 +521,7 @@ func (s *STeM) pruneWalk(st *stemState, ki int, qsets []uint64, qw int, elig bit
 			if has == 0 {
 				continue
 			}
-			if k := keys[i0+j]; k != NullKey {
+			if k := keys[vids[i0+j]]; k != NullKey {
 				heads[j] = buckets[hash64(k)>>shift].Load()
 			}
 			if heads[j] == 0 {
@@ -512,55 +546,59 @@ func (s *STeM) pruneWalk(st *stemState, ki int, qsets []uint64, qw int, elig bit
 			}
 		}
 		for j := 0; j < m; j++ {
-			ref := heads[j]
-			if ref == 0 {
-				continue
-			}
-			key := keys[i0+j]
-			t := qsets[(i0+j)*qw+lo:][:len(elig)]
-			// acc starts as the head entry's words (assigned, which spares a
-			// clear on the common path) and ORs in the rest of the chain.
-			if eKey[j] == key && (eSlot[j] < wm || s.versions.tryGet(eSlot[j]) != 0) {
-				idx := int(ref) - 1
-				qs := chunks[idx>>chunkBits].qsets[(idx&chunkMask)*s.qw+lo:][:len(acc)]
-				acc[0] = eQ[j]
-				for w := 1; w < len(acc); w++ {
-					acc[w] = atomic.LoadUint64(&qs[w])
-				}
-			} else {
-				clear(acc)
-			}
-			for ref = eNext[j]; ref != 0; {
-				idx := int(ref) - 1
-				c := chunks[idx>>chunkBits]
-				off := idx & chunkMask
-				if c.keys[ki][off] == key && (c.slots[off] < wm || s.versions.tryGet(c.slots[off]) != 0) {
-					qs := c.qsets[off*s.qw+lo:][:len(acc)]
-					for w := range acc {
-						acc[w] |= atomic.LoadUint64(&qs[w])
+			if ref := heads[j]; ref != 0 {
+				key := keys[vids[i0+j]]
+				t := qsets[(i0+j)*qw+lo:][:len(elig)]
+				// acc starts as the head entry's words (assigned, which spares
+				// a clear on the common path) and ORs in the rest of the chain.
+				if eKey[j] == key && (eSlot[j] < wm || s.versions.tryGet(eSlot[j]) != 0) {
+					idx := int(ref) - 1
+					qs := chunks[idx>>chunkBits].qsets[(idx&chunkMask)*s.qw+lo:][:len(acc)]
+					acc[0] = eQ[j]
+					for w := 1; w < len(acc); w++ {
+						acc[w] = atomic.LoadUint64(&qs[w])
 					}
+				} else {
+					clear(acc)
 				}
-				ref = c.next[ki][off]
+				for ref = eNext[j]; ref != 0; {
+					idx := int(ref) - 1
+					c := chunks[idx>>chunkBits]
+					off := idx & chunkMask
+					if c.keys[ki][off] == key && (c.slots[off] < wm || s.versions.tryGet(c.slots[off]) != 0) {
+						qs := c.qsets[off*s.qw+lo:][:len(acc)]
+						for w := range acc {
+							acc[w] |= atomic.LoadUint64(&qs[w])
+						}
+					}
+					ref = c.next[ki][off]
+				}
+				for w, e := range elig {
+					t[w] &= acc[w] | ^e
+				}
 			}
-			for w, e := range elig {
-				t[w] &= acc[w] | ^e
-			}
+			n = survive(vids, qsets, qw, i0+j, n)
 		}
 	}
+	return n
 }
 
 // unionTable is a STeM's snapshot of one index, answering a prune or a
-// probe with one slot read per key instead of a chain walk: an
-// open-addressed map from each distinct non-NULL key to the OR of its
-// entries' query sets (its union) and to the entries themselves. A key with
-// one entry keeps its vID in its slot; a key with more keeps its entries'
-// vIDs and words (qw per entry) contiguous in vids and words, newest first.
-// On a one-word table the union word sits in the slot; on a wider one the
-// slot locates the key's qw union words in us, whose first qw words stay
-// zero for the empty slot. An empty slot (no entries) therefore reads the
-// empty union, and a NULL probe key, which no slot holds, stops at the
-// first one. The hash is qat.HashTable's one multiply and the table is at
-// most half full.
+// probe with one slot read per key instead of a chain walk: a map from each
+// distinct non-NULL key to the OR of its entries' query sets (its union) and
+// to the entries themselves. A key with one entry keeps its vID in its slot;
+// a key with more keeps its entries' vIDs and words (qw per entry)
+// contiguous in vids and words, newest first. On a one-word table the union
+// word sits in the slot; on a wider one the slot locates the key's qw union
+// words in us, whose first qw words stay zero for the empty slot. An empty
+// slot (no entries) therefore reads the empty union.
+//
+// The table has one of two layouts, picked per build (buildUnion). A direct
+// table has one slot per key of its keys' range, slot key − base; a key
+// outside the range, NULL included, reads none, an empty slot of its own.
+// A hashed table is open-addressed, with qat.HashTable's one-multiply hash,
+// and at most half full; a NULL key, which no slot holds, stops at the first
+// empty slot.
 //
 // A table holds every entry committed when it was built, zero-word entries
 // included (a probe returns them), each published: maxTS is the newest of
@@ -570,7 +608,10 @@ func (s *STeM) pruneWalk(st *stemState, ki int, qsets []uint64, qw int, elig bit
 // table lacks, and a sweep clears bits the table still holds.
 type unionTable struct {
 	slots     []unionSlot
-	shift     uint
+	direct    bool
+	base      int64 // direct: the key of slots[0]
+	shift     uint  // hashed: 64 − log2(len(slots))
+	none      unionSlot
 	qw        int
 	us        []uint64
 	vids      []int32
@@ -602,25 +643,45 @@ type unionCache struct {
 	walked  atomic.Int64
 }
 
-// newUnionTable returns an empty table of n slots (a power of two) over qw
-// query-set words.
-func newUnionTable(n, qw int) *unionTable {
-	t := &unionTable{qw: qw}
+// directSpan bounds a direct table: a build takes the direct layout when
+// its keys' range is at most directSpan times the slots a hashed table of
+// the same keys would start with. Dense keys (a dimension's 0..n-1, of
+// which a selective query's STeM holds a fraction) then cost one bounds
+// check per lookup instead of a probe sequence, at a few times the slots.
+const directSpan = 8
+
+// newUnionTable returns an empty table of n slots over qw query-set words,
+// direct from base when direct, else hashed (n a power of two), with room
+// for the union words of keys keys.
+func newUnionTable(n int, direct bool, base int64, qw, keys int) *unionTable {
+	t := &unionTable{direct: direct, base: base, qw: qw}
 	t.resize(n)
 	if qw > 1 {
-		t.us = make([]uint64, qw, (n/2+1)*qw)
+		t.us = make([]uint64, qw, (keys+1)*qw)
 	}
 	return t
 }
 
 // resize replaces t's slots with n empty ones.
 func (t *unionTable) resize(n int) {
-	t.slots, t.shift = make([]unionSlot, n), uint(64-bits.TrailingZeros(uint(n)))
+	t.slots = make([]unionSlot, n)
+	if !t.direct {
+		t.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	}
 }
 
-// slot returns key's slot: the one holding it, or the empty one (n == 0)
-// where its probe sequence ends.
+// slot returns key's slot: the one holding it, or an empty one (n == 0):
+// on a direct table the key's own or, outside the range, none; on a hashed
+// one where its probe sequence ends. The direct index is exact in wrapping
+// arithmetic: key − base maps the range onto [0, len(slots)) and every
+// other key outside it.
 func (t *unionTable) slot(key int64) *unionSlot {
+	if t.direct {
+		if i := uint64(key - t.base); i < uint64(len(t.slots)) {
+			return &t.slots[i]
+		}
+		return &t.none
+	}
 	mask := uint64(len(t.slots) - 1)
 	for i := (uint64(key) * 0x9E3779B97F4A7C15) >> t.shift; ; i = (i + 1) & mask {
 		if s := &t.slots[i]; s.key == key || s.n == 0 {
@@ -757,11 +818,34 @@ func (s *STeM) union(st *stemState, ki, walk int) *unionTable {
 
 // buildUnion builds index ki's union table over the first c entries of
 // state st, which must all be written, or returns nil and records the
-// blocking slot when one of them with a non-NULL key is unpublished.
+// blocking slot when one of them with a non-NULL key is unpublished. A first
+// pass over the keys checks publication and reads the keys' range, which
+// picks the layout (directSpan); a second indexes the entries.
 func (s *STeM) buildUnion(st *stemState, ki, c int) *unionTable {
 	chunks := *st.chunks.Load()
-	// Size the table from the index's occupied buckets: each key lands in
-	// one, so they are at most the keys and, at the load factor
+	var maxTS int64
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	last := Slot(-1) // a batch's entries share a slot: look each up once
+	for idx := 0; idx < c; idx++ {
+		ch := chunks[idx>>chunkBits]
+		off := idx & chunkMask
+		k := ch.keys[ki][off]
+		if k == NullKey {
+			continue // unreachable by any probe, contributes to no union
+		}
+		if slot := ch.slots[off]; slot != last {
+			ts := s.versions.tryGet(slot)
+			if ts == 0 {
+				s.unionScans.Add(int64(idx + 1))
+				st.unions[ki].blocked.Store(int32(slot) + 1)
+				return nil
+			}
+			last, maxTS = slot, max(maxTS, ts)
+		}
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	// Size a hashed table from the index's occupied buckets: each key lands
+	// in one, so they are at most the keys and, at the load factor
 	// EnsureBuckets keeps, most of them, and a table for twice as many
 	// seldom grows. Sizing from the entries would overshoot by a fact
 	// table's fan-out. Buckets sized for a relation's rows can outnumber
@@ -781,30 +865,31 @@ func (s *STeM) buildUnion(st *stemState, ki, c int) *unionTable {
 	for size < 2*occupied {
 		size <<= 1
 	}
+	// The range is hi − lo + 1 keys. hi − lo is computed in uint64, where
+	// it is exact for any two int64s (lo <= hi), so keys spread across the
+	// int64 range cannot wrap it into a small one. No key at all leaves a
+	// direct table of no slots.
 	qw := s.qw
-	t := newUnionTable(size, qw)
+	var t *unionTable
+	switch span := uint64(hi) - uint64(lo); {
+	case lo > hi:
+		t = newUnionTable(0, true, 0, qw, 0)
+	case span < directSpan*uint64(size):
+		t = newUnionTable(int(span)+1, true, lo, qw, min(int(span)+1, occupied))
+	default:
+		t = newUnionTable(size, false, 0, qw, occupied)
+	}
 	keys, multi := 0, 0
-	var maxTS int64
-	last := Slot(-1) // a batch's entries share a slot: look each up once
 	for idx := 0; idx < c; idx++ {
 		ch := chunks[idx>>chunkBits]
 		off := idx & chunkMask
 		k := ch.keys[ki][off]
 		if k == NullKey {
-			continue // unreachable by any probe, contributes to no union
-		}
-		if slot := ch.slots[off]; slot != last {
-			ts := s.versions.tryGet(slot)
-			if ts == 0 {
-				s.unionScans.Add(int64(idx + 1))
-				st.unions[ki].blocked.Store(int32(slot) + 1)
-				return nil
-			}
-			last, maxTS = slot, max(maxTS, ts)
+			continue
 		}
 		e := t.slot(k)
 		if e.n == 0 {
-			if 2*(keys+1) > len(t.slots) {
+			if !t.direct && 2*(keys+1) > len(t.slots) {
 				t.grow()
 				e = t.slot(k)
 			}
@@ -869,8 +954,9 @@ func (t *unionTable) fillMulti(chunks []*chunk, ki, c, multi int) {
 	}
 }
 
-// grow doubles t's slots, rehashing every key's slot into them; the union
-// words and side arrays the slots point at stay where they are.
+// grow doubles a hashed table's slots, rehashing every key's slot into
+// them; the union words and side arrays the slots point at stay where they
+// are.
 func (t *unionTable) grow() {
 	old := t.slots
 	t.resize(2 * len(old))

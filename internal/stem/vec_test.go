@@ -2,8 +2,10 @@ package stem
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -147,7 +149,7 @@ func checkPrune(t *testing.T, rng *rand.Rand, s *STeM, o *oracle, ki int, col st
 func checkPruneInput(t *testing.T, s *STeM, o *oracle, ki int, col string, keys []int64, tuples, elig []uint64, lo, hi int) bool {
 	qw := s.qw
 	orig := append([]uint64(nil), tuples...)
-	s.PruneVec(tuples, qw, elig, lo, hi, col, keys, make([]uint64, qw))
+	pruneTuples(t, s, tuples, qw, elig, lo, hi, col, keys, make([]uint64, qw))
 	for i, k := range keys {
 		want := o.prune(ki, k, orig[i*qw:(i+1)*qw], elig, lo, hi)
 		if got := tuples[i*qw : (i+1)*qw]; !reflect.DeepEqual(got, want) {
@@ -156,12 +158,50 @@ func checkPruneInput(t *testing.T, s *STeM, o *oracle, ki int, col string, keys 
 		}
 	}
 	walked := append([]uint64(nil), orig...)
-	s.pruneWalk(s.state.Load(), ki, walked, qw, elig, lo, hi, keys, make([]uint64, qw))
+	st := s.state.Load()
+	expandPruned(t, walked, qw, keys, func(vids []int32, keyCol []int64) int {
+		return s.pruneWalk(st, ki, vids, walked, qw, elig, lo, hi, keyCol, make([]uint64, qw))
+	})
 	if !reflect.DeepEqual(walked, tuples) {
 		t.Logf("col %s words [%d,%d): PruneVec = %x, chain walk %x", col, lo, hi, tuples, walked)
 		return false
 	}
-	return true
+	return !t.Failed()
+}
+
+// pruneTuples runs PruneVec over tuples, tuple i keyed by keys[i], and
+// leaves tuples as the kernel would have left them without compacting
+// (expandPruned).
+func pruneTuples(t testing.TB, s *STeM, tuples []uint64, qw int, elig bitset.Set, lo, hi int, col string, keys []int64, acc []uint64) {
+	expandPruned(t, tuples, qw, keys, func(vids []int32, keyCol []int64) int {
+		return s.PruneVec(vids, tuples, qw, elig, lo, hi, col, keyCol, acc)
+	})
+}
+
+// expandPruned calls run, a prune kernel over the slab tuples, with tuple i
+// as vID 2i+1 of a key column holding keys[i] there and NULL at every even
+// row, so a kernel that reads a key by anything but its tuple's vID misses
+// it. It then checks the kernel's compaction, survivors in order and none
+// empty, and writes them back to their own positions, zeroing the dropped
+// tuples: tuples ends as the masked slab before compaction.
+func expandPruned(t testing.TB, tuples []uint64, qw int, keys []int64, run func(vids []int32, keyCol []int64) int) {
+	vids := make([]int32, len(keys))
+	keyCol := make([]int64, 2*len(keys))
+	for i, k := range keys {
+		vids[i] = int32(2*i + 1)
+		keyCol[2*i], keyCol[2*i+1] = NullKey, k
+	}
+	n := run(vids, keyCol)
+	out := make([]uint64, len(tuples))
+	for j, vid := range vids[:n] {
+		w := bitset.Set(tuples[j*qw : (j+1)*qw])
+		if j > 0 && vid <= vids[j-1] || vid%2 != 1 || w.Empty() {
+			t.Errorf("prune kept vID %d at %d of %d (after %d) with words %x: survivors must keep their order and a bit", vid, j, n, vids[max(j-1, 0)], []uint64(w))
+			return
+		}
+		copy(out[int(vid/2)*qw:], w)
+	}
+	copy(tuples, out)
 }
 
 // unionCurrent reports whether index ki of s holds a union table that a
@@ -825,11 +865,13 @@ func TestPruneVecMatchesOracle(t *testing.T) {
 // drops the union table: InsertVec of up to maxBatch entries (some with
 // NULL keys, one in six with an empty query set, the others with one bit in
 // a random word, the slot often left unpublished for a while), Publish,
-// SweepChunk,
-// CompactLive, EnsureBuckets and AddIndex("b"). After each step it calls
+// SweepChunk, CompactLive, EnsureBuckets and AddIndex("b"). Keys on "a" are
+// dense, drawn from 0..39, but one batch in six moves some of its keys far
+// apart (sparseKey), so the union table is built hashed until sweeps and
+// compaction drop them, and directly again after. After each step it calls
 // check with the indexed columns.
 func maintain(rng *rand.Rand, s *STeM, o *oracle, steps, maxBatch int, check func(step int, cols []string)) {
-	const domain = 40
+	const domain = maintainDomain
 	v, qw := s.versions, s.qw
 	keyOfB := func(vid int32) int64 {
 		if vid%11 == 0 {
@@ -844,6 +886,7 @@ func maintain(rng *rand.Rand, s *STeM, o *oracle, steps, maxBatch int, check fun
 		switch op := rng.Intn(10); {
 		case op < 4:
 			n := 1 + rng.Intn(maxBatch)
+			sparse := rng.Intn(6) == 0
 			vids := make([]int32, n)
 			keys := [][]int64{make([]int64, n), make([]int64, n)}
 			qsets := make([]uint64, n*qw)
@@ -851,6 +894,9 @@ func maintain(rng *rand.Rand, s *STeM, o *oracle, steps, maxBatch int, check fun
 				vids[j] = nextVID
 				nextVID++
 				keys[0][j] = rng.Int63n(domain)
+				if sparse && rng.Intn(4) == 0 {
+					keys[0][j] = sparseKey(keys[0][j])
+				}
 				if rng.Intn(12) == 0 {
 					keys[0][j] = NullKey
 				}
@@ -906,14 +952,37 @@ func maintain(rng *rand.Rand, s *STeM, o *oracle, steps, maxBatch int, check fun
 	}
 }
 
-// maintenanceKeys are the maintenance tests' probe keys: NULL, every key
-// of maintain's domain, some twice, and one missing key.
+// maintainDomain is the number of dense keys maintain draws on "a".
+const maintainDomain = 40
+
+// sparseKey is the key maintain moves dense key k to in a sparse batch:
+// (k+1)·2⁴⁰, so a table holding one spans more keys than a direct layout
+// takes.
+func sparseKey(k int64) int64 { return (k + 1) << 40 }
+
+// maintenanceKeys are the maintenance tests' probe keys: NULL, every dense
+// and sparse key of maintain's domain, some twice, and a missing key of
+// each kind.
 func maintenanceKeys() []int64 {
 	keys := []int64{NullKey, 0, 0, 1}
-	for k := int64(0); k <= 40; k++ { // 40 = the domain's size, a guaranteed miss
-		keys = append(keys, k)
+	for k := int64(0); k <= maintainDomain; k++ { // the domain's size is a guaranteed miss
+		keys = append(keys, k, sparseKey(k))
 	}
 	return keys
+}
+
+// layouts counts the current union tables of s's indexes by layout.
+type layouts struct{ direct, hashed int }
+
+func (l *layouts) count(s *STeM, ki int) {
+	if !unionCurrent(s, ki) {
+		return
+	}
+	if s.state.Load().unions[ki].table.Load().direct {
+		l.direct++
+	} else {
+		l.hashed++
+	}
 }
 
 // dropEmpty removes from the oracle every entry whose query set is empty,
@@ -951,7 +1020,7 @@ func TestPruneVecUnionAcrossMaintenance(t *testing.T) {
 		qw := s.qw
 		o := newOracle(1)
 		probeKeys := maintenanceKeys()
-		hits := 0
+		var l layouts
 		maintain(rng, s, o, steps, 300, func(step int, cols []string) {
 			for ki, col := range cols {
 				tuples, elig, lo, _ := randomPrune(rng, probeKeys, qw)
@@ -960,14 +1029,12 @@ func TestPruneVecUnionAcrossMaintenance(t *testing.T) {
 				if !checkPruneInput(t, s, o, ki, col, probeKeys, tuples, elig, lo, hi) {
 					t.Fatalf("%d words, step %d: PruneVec on %s diverged", qw, step, col)
 				}
-				if unionCurrent(s, ki) {
-					hits++
-				}
+				l.count(s, ki)
 			}
 		})
-		t.Logf("%d words: %d of the prunes answered from a current union table", qw, hits)
-		if hits < steps/4 {
-			t.Fatalf("%d words: a current union table answered %d of the prunes; the check barely covers the union path", qw, hits)
+		t.Logf("%d words: current union tables answered %d of the prunes directly, %d hashed", qw, l.direct, l.hashed)
+		if l.direct+l.hashed < steps/4 || min(l.direct, l.hashed) < steps/20 {
+			t.Fatalf("%d words: current union tables answered %d prunes directly and %d hashed; the check barely covers the union path or one of its layouts", qw, l.direct, l.hashed)
 		}
 	}
 }
@@ -991,6 +1058,7 @@ func TestProbeVecTableAcrossMaintenance(t *testing.T) {
 		probeKeys := maintenanceKeys()
 		prevTS := v.Now()
 		served := 0
+		var l layouts
 		maintain(rng, s, o, 300, 24, func(step int, cols []string) {
 			ts := v.Now()
 			for ki, col := range cols {
@@ -999,6 +1067,7 @@ func TestProbeVecTableAcrossMaintenance(t *testing.T) {
 				}
 				if tableServes(s, ki, ts) {
 					served++
+					l.count(s, ki)
 				}
 				if !checkProbe(t, s, o, ki, col, probeKeys, prevTS, 0) {
 					t.Fatalf("%d words, step %d: ProbeVec on %s at the previous step's timestamp diverged", s.qw, step, col)
@@ -1006,9 +1075,9 @@ func TestProbeVecTableAcrossMaintenance(t *testing.T) {
 			}
 			prevTS = ts
 		})
-		t.Logf("%d words: %d of the probes were served from a current union table", s.qw, served)
-		if served < 100 {
-			t.Fatalf("%d words: a current union table served %d probes; the check barely covers the table path", s.qw, served)
+		t.Logf("%d words: %d of the probes were served from a current union table, %d direct and %d hashed", s.qw, served, l.direct, l.hashed)
+		if served < 100 || min(l.direct, l.hashed) < 15 {
+			t.Fatalf("%d words: a current union table served %d probes, %d direct and %d hashed; the check barely covers the table path or one of its layouts", s.qw, served, l.direct, l.hashed)
 		}
 	}
 }
@@ -1044,7 +1113,7 @@ func TestProbeVecTableRespectsProbeTS(t *testing.T) {
 		keys := []int64{5, 6, 7, NullKey}
 
 		// A prune builds the table now, with slot 1's entry in it.
-		s.PruneVec(words(1, 1, 1, 1), qw, bitset.Set(words(1)), 0, qw, "k", keys, make([]uint64, qw))
+		pruneTuples(t, s, words(1, 1, 1, 1), qw, bitset.Set(words(1)), 0, qw, "k", keys, make([]uint64, qw))
 		if !unionCurrent(s, 0) || tableServes(s, 0, old) {
 			t.Fatalf("%d words, fixture: want a current table that the old timestamp may not use", qw)
 		}
@@ -1099,7 +1168,7 @@ func TestUnionBuildWaitsForBlockingSlot(t *testing.T) {
 	for i := 0; i < calls; i++ {
 		ts := v.Now()
 		probeVec(s, "k", probeKeys, ts, 0)
-		s.PruneVec(tuples, 1, bitset.Set{^uint64(0)}, 0, 1, "k", probeKeys, make([]uint64, 1))
+		pruneTuples(t, s, tuples, 1, bitset.Set{^uint64(0)}, 0, 1, "k", probeKeys, make([]uint64, 1))
 	}
 	if got := s.unionScans.Load(); got > 2*entries {
 		t.Fatalf("%d calls with one slot unpublished scanned %d entries, want at most %d", 2*calls, got, 2*entries)
@@ -1215,7 +1284,7 @@ func TestUnionTableWaitsForCommit(t *testing.T) {
 		check := func(when string, want uint64) {
 			t.Helper()
 			tuples := last(0xf)
-			s.PruneVec(tuples, qw, bitset.Set(last(0xf)[:qw]), 0, qw, "k", keys, make([]uint64, qw))
+			pruneTuples(t, s, tuples, qw, bitset.Set(last(0xf)[:qw]), 0, qw, "k", keys, make([]uint64, qw))
 			if w := last(want); !reflect.DeepEqual(tuples, w) {
 				t.Fatalf("%d words: prune %s = %x, want %x", qw, when, tuples, w)
 			}
@@ -1242,58 +1311,156 @@ func TestUnionTableWaitsForCommit(t *testing.T) {
 	}
 }
 
-// TestUnionTableGrowsPastEstimate builds union tables whose key count
-// outgrows the size the build estimates from occupied buckets: 300 keys in
-// a STeM left at its 64 initial buckets, every third key with a second
-// entry, at one, two and five words, each entry with bits in every word.
-// The grown table must keep every key's union words, sole vID and entry
-// run: prunes and probes served by it must match the oracle and the chain
-// walk.
+// unionFixture inserts one entry per element of keys (a key listed twice
+// gets two) into a fresh STeM of query capacity qcap left at its 64 initial
+// buckets, all under one published slot. Entry i has two bits in every word
+// unless zeroEvery > 0 and i%zeroEvery == zeroEvery-1, which leaves it
+// none. It returns the STeM and its oracle.
+func unionFixture(t *testing.T, qcap int, keys []int64, zeroEvery int) (*STeM, *oracle) {
+	v := NewVersions()
+	s := New(v, []string{"k"}, qcap, 0)
+	s.buildRent = 0
+	qw := s.qw
+	o := newOracle(1)
+	vids := make([]int32, len(keys))
+	qsets := make([]uint64, len(keys)*qw)
+	for i := range vids {
+		vids[i] = int32(i)
+		if zeroEvery > 0 && i%zeroEvery == zeroEvery-1 {
+			continue
+		}
+		for w := 0; w < qw; w++ {
+			qsets[i*qw+w] = 1<<uint((i+w)%64) | 1<<uint((5*i+w+3)%64)
+		}
+	}
+	var sc InsertScratch
+	s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, &sc)
+	o.insert(vids, [][]int64{keys}, qsets, qw, 0)
+	_, o.pubTS[0] = v.Publish(0)
+	if len(s.state.Load().buckets[0]) != 64 {
+		t.Fatalf("%d words, fixture: want the STeM at its 64 initial buckets", qw)
+	}
+	return s, o
+}
+
+// checkUnionServes prunes s on probeKeys, every tuple carrying every query,
+// and probes it at a fresh timestamp: both must match the oracle and the
+// chain walk (checkPruneInput, checkProbe), and the probe must be served
+// by the table the prune built, which it returns.
+func checkUnionServes(t *testing.T, s *STeM, o *oracle, probeKeys []int64) *unionTable {
+	t.Helper()
+	qw := s.qw
+	tuples := make([]uint64, len(probeKeys)*qw)
+	for i := range tuples {
+		tuples[i] = ^uint64(0)
+	}
+	if !checkPruneInput(t, s, o, 0, "k", probeKeys, tuples, bitset.NewFull(64*qw), 0, qw) {
+		t.Fatalf("%d words: a prune served by the table diverged", qw)
+	}
+	ts := s.versions.Now()
+	if !checkProbe(t, s, o, 0, "k", probeKeys, ts, s.versions.Watermark()) || !tableServes(s, 0, ts) {
+		t.Fatalf("%d words: a probe diverged or was not served from the table", qw)
+	}
+	return s.state.Load().unions[0].table.Load()
+}
+
+// growKeys is the key set of the estimate tests: 300 keys, each key(k) for
+// k in 0..299 and every third with a second entry, and the probe keys: NULL,
+// a miss past the last key, and every key.
+func growKeys(key func(k int) int64) (keys, probeKeys []int64) {
+	const n = 300
+	probeKeys = []int64{NullKey, key(n)}
+	for k := 0; k < n; k++ {
+		for e := 0; e <= min(k%3, 1); e++ {
+			keys = append(keys, key(k))
+		}
+		probeKeys = append(probeKeys, key(k))
+	}
+	return keys, probeKeys
+}
+
+// TestUnionTableGrowsPastEstimate builds hashed union tables whose key
+// count outgrows the size the build estimates from occupied buckets: 300
+// keys spread far apart, so the build cannot index them directly, in a STeM
+// left at its 64 initial buckets, every third key with a second entry, at
+// one, two and five words. The grown table must keep every key's union
+// words, sole vID and entry run: prunes and probes served by it must match
+// the oracle and the chain walk.
 func TestUnionTableGrowsPastEstimate(t *testing.T) {
-	const keys = 300
+	keys, probeKeys := growKeys(func(k int) int64 { return int64(k) << 40 })
 	for _, qcap := range maintenanceWidths {
-		v := NewVersions()
-		s := New(v, []string{"k"}, qcap, 0)
-		s.buildRent = 0
-		qw := s.qw
-		o := newOracle(1)
-		var vids []int32
-		var ks []int64
-		var qsets []uint64
-		for k := 0; k < keys; k++ {
-			for e := 0; e <= min(k%3, 1); e++ {
-				vids = append(vids, int32(len(vids)))
-				ks = append(ks, int64(k))
-				for w := 0; w < qw; w++ {
-					qsets = append(qsets, 1<<uint((k+w+7*e)%64)|1<<uint((5*k+w)%64))
-				}
+		s, o := unionFixture(t, qcap, keys, 0)
+		tb := checkUnionServes(t, s, o, probeKeys)
+		if tb.direct || len(tb.slots) < 600 {
+			t.Fatalf("%d words: want a hashed table grown past the 128-slot estimate to hold 300 keys, got direct %t with %d slots", s.qw, tb.direct, len(tb.slots))
+		}
+	}
+}
+
+// TestUnionTableDirectForDenseKeys is TestUnionTableGrowsPastEstimate's
+// twin on dense keys 0..299: their range is within directSpan times the
+// 128-slot estimate, so the build indexes them directly, one slot per key
+// of the range and no growth, and prunes and probes must again match the
+// oracle and the chain walk.
+func TestUnionTableDirectForDenseKeys(t *testing.T) {
+	keys, probeKeys := growKeys(func(k int) int64 { return int64(k) })
+	for _, qcap := range maintenanceWidths {
+		s, o := unionFixture(t, qcap, keys, 0)
+		tb := checkUnionServes(t, s, o, probeKeys)
+		if !tb.direct || tb.base != 0 || len(tb.slots) != 300 {
+			t.Fatalf("%d words: want a direct table of 300 slots from key 0, got direct %t, base %d, %d slots", s.qw, tb.direct, tb.base, len(tb.slots))
+		}
+	}
+}
+
+// TestUnionTableDirectEdgeCases checks the direct layout where its index
+// arithmetic can slip, at one, two and five words, against the oracle and
+// the chain walk: negative keys; ranges at either end of int64, probed with
+// NULL (MinInt64, one below the lowest possible range) and with keys that
+// wrap around the range's base; keys spread across all of int64, whose
+// range overflows max − min + 1 and must be hashed; and keys with several
+// entries and entries with no bits. Every case probes the keys, the keys
+// one below and one above the range, 0 and both ends of int64.
+func TestUnionTableDirectEdgeCases(t *testing.T) {
+	run := func(lo int64, n int) []int64 {
+		var keys []int64
+		for k := 0; k < n; k++ {
+			keys = append(keys, lo+int64(k))
+			if k%3 == 0 {
+				keys = append(keys, lo+int64(k), lo+int64(k))
 			}
 		}
-		var sc InsertScratch
-		s.InsertVec(vids, [][]int64{ks}, qsets, qw, 0, &sc)
-		o.insert(vids, [][]int64{ks}, qsets, qw, 0)
-		_, o.pubTS[0] = v.Publish(0)
-		if len(s.state.Load().buckets[0]) != 64 {
-			t.Fatalf("%d words, fixture: want the STeM at its 64 initial buckets", qw)
+		return keys
+	}
+	for _, tc := range []struct {
+		name   string
+		keys   []int64
+		direct bool
+		base   int64
+	}{
+		{"negative", run(-150, 150), true, -150},
+		{"straddling zero", run(-7, 20), true, -7},
+		{"at MaxInt64", run(math.MaxInt64-19, 20), true, math.MaxInt64 - 19},
+		{"at MinInt64", run(math.MinInt64+1, 20), true, math.MinInt64 + 1},
+		{"one key", []int64{42, 42}, true, 42},
+		{"across int64", []int64{math.MinInt64 + 1, -1, 0, 1, math.MaxInt64}, false, 0},
+		{"across half of int64", []int64{math.MinInt64 / 2, 0, 3, math.MaxInt64 / 2}, false, 0},
+	} {
+		probeKeys := []int64{NullKey, math.MinInt64 + 1, math.MaxInt64, 0, -1}
+		lo, hi := slices.Min(tc.keys), slices.Max(tc.keys)
+		probeKeys = append(probeKeys, tc.keys...)
+		if lo > math.MinInt64+1 {
+			probeKeys = append(probeKeys, lo-1)
 		}
-
-		probeKeys := []int64{NullKey, keys}
-		for k := int64(0); k < keys; k++ {
-			probeKeys = append(probeKeys, k)
+		if hi < math.MaxInt64 {
+			probeKeys = append(probeKeys, hi+1)
 		}
-		tuples := make([]uint64, len(probeKeys)*qw)
-		for i := range tuples {
-			tuples[i] = ^uint64(0)
-		}
-		if !checkPruneInput(t, s, o, 0, "k", probeKeys, tuples, bitset.NewFull(64*qw), 0, qw) {
-			t.Fatalf("%d words: a prune served by the grown table diverged", qw)
-		}
-		if tb := s.state.Load().unions[0].table.Load(); tb == nil || len(tb.slots) < 2*keys {
-			t.Fatalf("%d words: want a current table grown past the 128-slot estimate to hold %d keys", qw, keys)
-		}
-		ts := v.Now()
-		if !checkProbe(t, s, o, 0, "k", probeKeys, ts, v.Watermark()) || !tableServes(s, 0, ts) {
-			t.Fatalf("%d words: a probe diverged or was not served from the grown table", qw)
+		for _, qcap := range maintenanceWidths {
+			s, o := unionFixture(t, qcap, tc.keys, 4)
+			tb := checkUnionServes(t, s, o, probeKeys)
+			if tb.direct != tc.direct || tc.direct && (tb.base != lo || len(tb.slots) != int(hi-lo)+1) {
+				t.Fatalf("%s, %d words: table direct %t, base %d, %d slots; want direct %t from %d", tc.name, s.qw, tb.direct, tb.base, len(tb.slots), tc.direct, lo)
+			}
 		}
 	}
 }
@@ -1372,7 +1539,7 @@ func TestPruneVecUnionUnderConcurrentInserts(t *testing.T) {
 					tuples[i] = rng.Uint64()
 				}
 				orig := append([]uint64(nil), tuples...)
-				s.PruneVec(tuples, 1, bitset.Set{e}, 0, 1, "k", probeKeys, make([]uint64, 1))
+				pruneTuples(t, s, tuples, 1, bitset.Set{e}, 0, 1, "k", probeKeys, make([]uint64, 1))
 				for i, k := range probeKeys {
 					var u uint64
 					if k != NullKey && k < domain {
@@ -1449,7 +1616,7 @@ func pruneDuringGC(t *testing.T, rng *rand.Rand, qcap int, publish bool) {
 	for iter := 0; ; iter++ {
 		tuples, elig, lo, hi := randomPrune(rng, keys, qw)
 		orig := append([]uint64(nil), tuples...)
-		s.PruneVec(tuples, qw, elig, lo, hi, "k", keys, acc)
+		pruneTuples(t, s, tuples, qw, elig, lo, hi, "k", keys, acc)
 		for i, k := range keys {
 			got := tuples[i*qw : (i+1)*qw]
 			before := o.prune(0, k, orig[i*qw:(i+1)*qw], elig, lo, hi)
@@ -1528,12 +1695,16 @@ func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 	elig1 := bitset.NewFull(64)
 	dst1, qbuf1 := s1.ProbeVec(nil, nil, "k", probeKeys, ts, wm)
 	insKeys := [][]int64{keys[0][:batch]}
+	pvids := make([]int32, len(probeKeys))
 	prune := func(s *STeM, tuples []uint64, qw int, elig bitset.Set) func() {
 		return func() {
+			for i := range pvids {
+				pvids[i] = int32(i)
+			}
 			for i := range tuples {
 				tuples[i] = ^uint64(0)
 			}
-			s.PruneVec(tuples, qw, elig, 0, qw, "k", probeKeys, acc)
+			s.PruneVec(pvids, tuples, qw, elig, 0, qw, "k", probeKeys, acc)
 		}
 	}
 
@@ -1658,8 +1829,8 @@ func BenchmarkSTeMProbeParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkPruneVec measures the prune kernel on two shapes, each a
-// vector probing a published dimension STeM, both answered from the union
+// BenchmarkPruneVec measures the prune kernel on four shapes, each a
+// vector probing a published dimension STeM, all answered from the union
 // table:
 //
 //   - 32words-span5: 1024 tuples against a 65 536-key STeM of a 2048-query
@@ -1667,30 +1838,48 @@ func BenchmarkSTeMProbeParallel(b *testing.B) {
 //     after shape-clustered numbering;
 //   - 1word-dim1800: 1000 tuples against a one-word STeM holding 60 % of an
 //     1 800-key dimension, probed over the whole dimension, as a stream's
-//     lone queries prune.
+//     lone queries prune;
+//   - 1word-dim1800-fill10: the same STeM holding 10 % of the dimension, as
+//     behind a 10 %-selective filter, so nine keys in ten miss;
+//   - 1word-sparse1800: 1word-dim1800 with the keys spread 2³² apart.
+//
+// Dense keys build a direct table, the sparse ones a hashed one; a row
+// fails when its table has the other layout.
 func BenchmarkPruneVec(b *testing.B) {
 	b.Run("32words-span5", func(b *testing.B) {
 		const entries = 1 << 16
-		benchPrune(b, 2048, entries, entries, 1024, 10, 15)
+		benchPrune(b, benchDim{2048, entries, entries, 1}, 1024, 10, 15)
 	})
 	b.Run("1word-dim1800", func(b *testing.B) {
-		benchPrune(b, 64, 1800, 1800*6/10, 1000, 0, 1)
+		benchPrune(b, benchDim{64, 1800, 1800 * 6 / 10, 1}, 1000, 0, 1)
+	})
+	b.Run("1word-dim1800-fill10", func(b *testing.B) {
+		benchPrune(b, benchDim{64, 1800, 180, 1}, 1000, 0, 1)
+	})
+	b.Run("1word-sparse1800", func(b *testing.B) {
+		benchPrune(b, benchDim{64, 1800, 1800 * 6 / 10, 1 << 32}, 1000, 0, 1)
 	})
 }
 
-// benchPrune times PruneVec of probes keys drawn from [0, domain) against
-// a STeM of a qcap-query batch holding entries distinct keys of that
-// domain, all under one published slot, with the words [lo, hi) eligible.
-func benchPrune(b *testing.B, qcap, domain, entries, probes, lo, hi int) {
+// benchDim shapes a kernel benchmark's STeM: a qcap-query batch's entries
+// distinct keys of a domain-key dimension, key k stored as k·stride.
+type benchDim struct {
+	qcap, domain, entries int
+	stride                int64
+}
+
+// build returns the STeM under one published slot, each entry with random
+// bits in every word, and probes keys drawn from the whole domain.
+func (d benchDim) build(probes int) (*STeM, []int64) {
 	v := NewVersions()
-	s := New(v, []string{"k"}, qcap, entries)
+	s := New(v, []string{"k"}, d.qcap, d.entries)
 	qw := s.qw
 	rng := rand.New(rand.NewSource(1))
-	vids := make([]int32, entries)
-	keys := make([]int64, entries)
-	qsets := make([]uint64, entries*qw)
-	for i, k := range rng.Perm(domain)[:entries] {
-		vids[i], keys[i] = int32(i), int64(k)
+	vids := make([]int32, d.entries)
+	keys := make([]int64, d.entries)
+	qsets := make([]uint64, d.entries*qw)
+	for i, k := range rng.Perm(d.domain)[:d.entries] {
+		vids[i], keys[i] = int32(i), int64(k)*d.stride
 		for w := 0; w < qw; w++ {
 			qsets[i*qw+w] = rng.Uint64() & rng.Uint64()
 		}
@@ -1698,15 +1887,33 @@ func benchPrune(b *testing.B, qcap, domain, entries, probes, lo, hi int) {
 	var sc InsertScratch
 	s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, &sc)
 	v.Publish(0)
+	probeKeys := make([]int64, probes)
+	for i := range probeKeys {
+		probeKeys[i] = rng.Int63n(int64(d.domain)) * d.stride
+	}
+	return s, probeKeys
+}
+
+// checkLayout fails b unless s's table has the layout d's keys call for:
+// direct for dense keys, hashed for spread ones.
+func (d benchDim) checkLayout(b *testing.B, s *STeM) {
+	tb := s.state.Load().unions[0].table.Load()
+	if want := d.stride == 1; tb == nil || tb.direct != want {
+		b.Fatalf("want a current table, direct %t", want)
+	}
+}
+
+// benchPrune times PruneVec of probes keys against d's STeM, with the
+// words [lo, hi) eligible.
+func benchPrune(b *testing.B, d benchDim, probes, lo, hi int) {
+	s, probeKeys := d.build(probes)
+	qw := s.qw
 	elig := make(bitset.Set, qw)
 	for w := lo; w < hi; w++ {
 		elig[w] = ^uint64(0)
 	}
-	probeKeys := make([]int64, probes)
-	for i := range probeKeys {
-		probeKeys[i] = rng.Int63n(int64(domain))
-	}
 	tuples := make([]uint64, len(probeKeys)*qw)
+	pvids := make([]int32, len(probeKeys))
 	acc := make([]uint64, qw)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -1714,67 +1921,65 @@ func benchPrune(b *testing.B, qcap, domain, entries, probes, lo, hi int) {
 		for j := range tuples {
 			tuples[j] = ^uint64(0)
 		}
-		s.PruneVec(tuples, qw, elig, lo, hi, "k", probeKeys, acc)
+		for j := range pvids {
+			pvids[j] = int32(j)
+		}
+		s.PruneVec(pvids, tuples, qw, elig, lo, hi, "k", probeKeys, acc)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes), "ns/key")
+	d.checkLayout(b, s)
 }
 
-// BenchmarkProbeVec measures the probe kernel, serially, on three shapes,
+// BenchmarkProbeVec measures the probe kernel, serially, on five shapes,
 // each a vector probing a published dimension STeM:
 //
 //   - 1word-dim1800: 1000 keys against a one-word STeM holding 1 080 keys
 //     (60 %) of an 1 800-key dimension, as a stream's queries probe;
+//   - 1word-dim1800-fill10: the same STeM holding 10 % of the dimension,
+//     so nine keys in ten miss;
+//   - 1word-sparse1800: 1word-dim1800 with the keys spread 2³² apart;
 //   - 2words-32k: 1024 keys against a 32 768-key STeM of a 128-query batch
 //     (two-word query sets);
 //   - 2words-32k-walk: the same with one more entry whose slot is never
 //     published, which keeps any union table from being built, so every
 //     probe walks the chains.
 //
-// The union table serves the first two once their first probes have walked
-// enough keys.
+// The union table serves the others, built by untimed probes that walk
+// for it first: direct for dense keys, hashed for the sparse ones, and a
+// row fails when its table has the other layout.
 func BenchmarkProbeVec(b *testing.B) {
 	b.Run("1word-dim1800", func(b *testing.B) {
-		benchProbe(b, 64, 1800, 1800*6/10, 1000, false)
+		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1}, 1000, false)
+	})
+	b.Run("1word-dim1800-fill10", func(b *testing.B) {
+		benchProbe(b, benchDim{64, 1800, 180, 1}, 1000, false)
+	})
+	b.Run("1word-sparse1800", func(b *testing.B) {
+		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1 << 32}, 1000, false)
 	})
 	b.Run("2words-32k", func(b *testing.B) {
-		benchProbe(b, 128, 1<<15, 1<<15, 1024, false)
+		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1}, 1024, false)
 	})
 	b.Run("2words-32k-walk", func(b *testing.B) {
-		benchProbe(b, 128, 1<<15, 1<<15, 1024, true)
+		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1}, 1024, true)
 	})
 }
 
-// benchProbe times ProbeVec of probes keys drawn from [0, domain) against
-// a STeM of a qcap-query batch holding entries distinct keys of that
-// domain, all under one published slot, and with walk one entry more under
-// a slot left unpublished.
-func benchProbe(b *testing.B, qcap, domain, entries, probes int, walk bool) {
-	v := NewVersions()
-	s := New(v, []string{"k"}, qcap, entries)
-	qw := s.qw
-	rng := rand.New(rand.NewSource(1))
-	vids := make([]int32, entries)
-	keys := make([]int64, entries)
-	qsets := make([]uint64, entries*qw)
-	for i, k := range rng.Perm(domain)[:entries] {
-		vids[i], keys[i] = int32(i), int64(k)
-		for w := 0; w < qw; w++ {
-			qsets[i*qw+w] = rng.Uint64() & rng.Uint64()
-		}
-	}
-	var sc InsertScratch
-	s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, &sc)
-	v.Publish(0)
+// benchProbe times ProbeVec of probes keys against d's STeM, and with walk
+// against it with one entry more under a slot left unpublished.
+func benchProbe(b *testing.B, d benchDim, probes int, walk bool) {
+	s, probeKeys := d.build(probes)
 	if walk {
-		s.InsertVec(vids[:1], [][]int64{keys[:1]}, qsets[:qw], qw, 1, &sc)
+		var sc InsertScratch
+		s.InsertVec([]int32{0}, [][]int64{probeKeys[:1]}, make([]uint64, s.qw), s.qw, 1, &sc)
 	}
-	wm, ts := v.Watermark(), v.Now()
-	probeKeys := make([]int64, probes)
-	for i := range probeKeys {
-		probeKeys[i] = rng.Int63n(int64(domain))
-	}
+	wm, ts := s.versions.Watermark(), s.versions.Now()
 	var dst []VecMatch
 	var qbuf []uint64
+	// Untimed, the first probes walk until they pay for a table.
+	for i := 0; i < 256 && !walk && !tableServes(s, 0, ts); i++ {
+		dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -1783,8 +1988,12 @@ func benchProbe(b *testing.B, qcap, domain, entries, probes int, walk bool) {
 	if len(dst) == 0 {
 		b.Fatal("the probes matched nothing")
 	}
-	if walk && unionCurrent(s, 0) {
-		b.Fatal("a union table was built; the row does not time the chain walk")
-	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes), "ns/key")
+	if walk {
+		if unionCurrent(s, 0) {
+			b.Fatal("a union table was built; the row does not time the chain walk")
+		}
+		return
+	}
+	d.checkLayout(b, s)
 }

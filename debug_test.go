@@ -6,8 +6,12 @@ import (
 	"errors"
 	"io"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/roulette-db/roulette/internal/query"
+	"github.com/roulette-db/roulette/internal/stem"
 )
 
 // TestStreamDebugSurface drives the live introspection endpoints over a
@@ -28,10 +32,26 @@ func TestStreamDebugSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := e.OpenStream(context.Background(), &StreamOptions{
+	// The first query's first episode parks until the second submission is
+	// back, so the first query cannot retire and release its budget before
+	// that submission is judged.
+	var armed atomic.Bool
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	opt := &StreamOptions{
 		Options:   Options{Seed: 5, TraceEpisodes: 128},
 		Admission: &AdmissionOptions{MaxInFlightCost: 1.5 * est},
-	})
+	}
+	opt.hooks.EpisodeStart = func(query.InstID, stem.Slot) {
+		if armed.CompareAndSwap(false, true) {
+			close(parked)
+			select {
+			case <-release:
+			case <-time.After(30 * time.Second):
+			}
+		}
+	}
+	st, err := e.OpenStream(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,9 +59,16 @@ func TestStreamDebugSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	select {
+	case <-parked:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the first query's first episode never started")
+	}
+	_, err = st.Submit(qs[1])
+	close(release)
 	// The budget is absurdly small, so a second submission must reject —
 	// and the rejection must land on the flight recorder.
-	if _, err := st.Submit(qs[1]); !errors.Is(err, ErrOverloaded) {
+	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("second submit: err = %v, want ErrOverloaded", err)
 	}
 

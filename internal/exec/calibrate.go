@@ -79,18 +79,21 @@ func calibrateSelection(rng *rand.Rand) []cost.Sample {
 	return samples
 }
 
-// calibrateJoin times the probe kernel episodes run (stem.ProbeVecRange over
-// a whole key vector and its tuples' query sets, build side under the
-// watermark, dst/qbuf warm in every run but the first) at varying match
-// fan-outs.
+// calibrateJoin times the probe kernel episodes run at varying match
+// fan-outs: stem.ProbeVecRange reading its vector in place, as the probe
+// node passes it, each tuple's key through its vID and its word at offset 1
+// of a two-word slab (wider than the one-word range) under the node's mask,
+// the build side under the watermark, dst/qbuf warm in every run but the
+// first.
 func calibrateJoin(rng *rand.Rand) []cost.Sample {
-	const keys = 1024
+	const keys, all = 1024, 1<<16 - 1
 	vids := make([]int32, keys)
 	buildKeys := make([]int64, keys)
 	qsets := make([]uint64, keys)
 	for i := range vids {
-		vids[i], buildKeys[i], qsets[i] = int32(i), int64(i), 1<<16-1
+		vids[i], buildKeys[i], qsets[i] = int32(i), int64(i), all
 	}
+	mask := []uint64{all}
 	var samples []cost.Sample
 	var sc stem.InsertScratch
 	var dst []stem.VecMatch
@@ -106,13 +109,13 @@ func calibrateJoin(rng *rand.Rand) []cost.Sample {
 		wm := versions.Watermark()
 		ts := versions.Now()
 		for _, n := range calibrationSizes {
-			probeKeys := make([]int64, n)
-			tq := make([]uint64, n)
-			for i := range probeKeys {
-				probeKeys[i], tq[i] = int64(rng.Intn(keys)), 1<<16-1
+			p := stem.Probe{Keys: buildKeys, VIDs: make([]int32, n), Qsets: make([]uint64, 2*n), Stride: 2, Off: 1, Mask: mask}
+			for i := range p.VIDs {
+				p.VIDs[i] = int32(rng.Intn(keys))
+				p.Qsets[2*i], p.Qsets[2*i+1] = rng.Uint64(), all
 			}
 			elapsed := minNanos(16384/n, func() {
-				dst, qbuf = s.ProbeVecRange(dst[:0], qbuf[:0], "k", probeKeys, tq, ts, wm, 0, 1)
+				dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", p, ts, wm, 0, 1)
 			})
 			samples = append(samples, cost.Sample{NIn: float64(n), NOut: float64(len(dst)), Nanos: elapsed})
 		}

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"github.com/roulette-db/roulette/internal/bitset"
@@ -128,15 +129,16 @@ type Worker struct {
 	// synchronization; everything handed to shared structures (STeM
 	// entries, source rows) is copied by the receiver before the arena is
 	// reused. DESIGN.md "Performance" documents the ownership rules.
-	selVids   []int32    // ingested vID buffer (selection phase input)
-	selQsets  []uint64   // ingested query-set slab, n × qw words
-	root      jvec       // join-phase root vector (wraps selVids/selQsets)
-	pool      jvecPool   // intermediate join vectors
-	unionBuf  bitset.Set // route: union of present query bits
-	qidBuf    []int      // route: decoded query IDs
-	colIdx    []int      // route: source column positions
-	flat      []int32    // route: per-query row batch
-	copyIdx   []int      // probe/routeSel: input column positions to copy
+	selVids   []int32     // ingested vID buffer (selection phase input)
+	selQsets  []uint64    // ingested query-set slab, n × qw words
+	root      jvec        // join-phase root vector (wraps selVids/selQsets)
+	pool      jvecPool    // intermediate join vectors
+	unionBuf  bitset.Set  // route: union of present query bits
+	qidBuf    []int       // route (per tuple): decoded query IDs
+	routeQ    []routeSlot // route (batched): per-query rows and batch, by qid − 64·node.Lo
+	colIdx    []int       // route: source column positions
+	flat      []int32     // route: row batches
+	copyIdx   []int       // probe/routeSel: input column positions to copy
 	residuals []appliedResidual
 
 	// Vector-kernel arena (see internal/stem/vec.go). probe() finishes with
@@ -145,10 +147,7 @@ type Worker struct {
 	insScratch stem.InsertScratch // InsertVec bucket pre-linking scratch
 	insVids    []int32            // build: tuples left after masking out Final
 	insQsets   []uint64           // build: their masked query sets, stride qw
-	probeKeys  []int64            // probe kernel input keys
-	probeIn    []int32            // kernel input position -> tuple index
-	probeTqs   []uint64           // masked tuple query sets, stride: the node's words
-	vmatches   []stem.VecMatch    // ProbeVecRange output buffer
+	vmatches   []stem.VecMatch    // probe/routeSel: kept tuples (ProbeVecRange's matches)
 	pruneAcc   []uint64           // PruneVec's per-tuple union scratch, qw words
 
 	// cv is the context view this episode runs against: loaded once per
@@ -171,6 +170,7 @@ func NewWorker(ctx *Context, pol policy.Policy) *Worker {
 	return &Worker{
 		C: ctx, Pol: pol, qw: qw,
 		unionBuf:    make(bitset.Set, qw),
+		routeQ:      make([]routeSlot, 64*qw),
 		pruneAcc:    make([]uint64, qw),
 		instIns:     make([]int64, n, query.MaxInstances),
 		instProbes:  make([]int64, n, query.MaxInstances),
@@ -617,17 +617,27 @@ func (rr *appliedResidual) holds(v *jvec, i int, vid int32) bool {
 	return ov == rr.targetData[vid] && ov != value.NullCode
 }
 
-// emitTuple appends tuple i's kept vID columns (plus, for probes, the
-// matched vID) to out. Kept free of closure state so the probe and routing-
-// selection hot loops stay allocation-free.
-func emitTuple(out *jvec, copyIdx []int, v *jvec, i, targetPos int, vid int32) {
+// gather fills out's vID columns for the kept tuples ks, one column at a
+// time: column oi takes v's column copyIdx[oi] at each kept tuple In, and
+// the column at targetPos, if any, each match's VID. out's query-set slab is
+// already written.
+func gather(out *jvec, copyIdx []int, v *jvec, ks []stem.VecMatch, targetPos int) {
+	n := len(ks)
 	for oi, vi := range copyIdx {
-		out.vids[oi] = append(out.vids[oi], v.vids[vi][i])
+		col, src := slices.Grow(out.vids[oi][:0], n)[:n], v.vids[vi]
+		for k, m := range ks {
+			col[k] = src[m.In]
+		}
+		out.vids[oi] = col
 	}
 	if targetPos >= 0 {
-		out.vids[targetPos] = append(out.vids[targetPos], vid)
+		col := slices.Grow(out.vids[targetPos][:0], n)[:n]
+		for k, m := range ks {
+			col[k] = m.VID
+		}
+		out.vids[targetPos] = col
 	}
-	out.n++
+	out.n = n
 }
 
 // probe executes one STeM probe node, producing the expanded vector and the
@@ -693,81 +703,48 @@ func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, i
 		out.vids = append(out.vids, w.pool.col())
 	}
 
-	// Gather phase: eligible tuples' join keys and masked query sets move
-	// into the worker's kernel batch, then one ProbeVecRange call probes
-	// every key (stem/vec.go): it keeps only the matches whose entry shares
-	// a query with the tuple and writes their intersections straight into
-	// out's slab, in input order, so output tuples append in input order.
+	// One ProbeVecRange call reads v where it lies: each tuple's key through
+	// its source vID, its words at the node's offset in v's slab, masked to
+	// the node's queries (stem/vec.go). It keeps only the matches whose entry
+	// shares a query with the tuple and writes their intersections straight
+	// into out's slab, in input order; gather then fills the vID columns.
 	lo, hi := nd.Lo, nd.Hi
 	nw := hi - lo
-	qmask := nd.Q[lo:hi]
-	off, stride := lo-v.lo, v.width // the node's words within v's slab
 	out.lo, out.width = lo, nw
-	pk := w.probeKeys[:0]
-	pin := w.probeIn[:0]
-	ptq := w.probeTqs[:0]
-	srcVids := v.vids[srcIdx]
-	if nw == 1 {
-		// Fast path: the node's queries share one word (every node of a
-		// batch of up to 64 queries, and narrow nodes of wider ones); the
-		// generic word loop dominates the gather otherwise.
-		mask := qmask[0]
-		for i := 0; i < v.n; i++ {
-			tqw := v.qsets[i*stride+off] & mask
-			if tqw == 0 {
-				continue
-			}
-			pk = append(pk, srcData[srcVids[i]])
-			pin = append(pin, int32(i))
-			ptq = append(ptq, tqw)
-		}
-	} else {
-		for i := 0; i < v.n; i++ {
-			tq := v.qsets[i*stride+off : i*stride+off+nw]
-			if !bitset.Intersects(tq, qmask) {
-				continue
-			}
-			pk = append(pk, srcData[srcVids[i]])
-			pin = append(pin, int32(i))
-			for wd, mw := range qmask {
-				ptq = append(ptq, tq[wd]&mw)
-			}
-		}
+	in := stem.Probe{
+		Keys: srcData, VIDs: v.vids[srcIdx][:v.n],
+		Qsets: v.qsets, Stride: v.width, Off: lo - v.lo, Mask: nd.Q[lo:hi],
 	}
-	w.probeKeys, w.probeIn, w.probeTqs = pk, pin, ptq
-	w.vmatches, out.qsets = cv.stems[nd.Target].ProbeVecRange(w.vmatches[:0], out.qsets, targetCol, pk, ptq, ts, wm, lo, hi)
-	if len(residuals) == 0 {
-		for _, m := range w.vmatches {
-			emitTuple(out, copyIdx, v, int(pin[m.In]), targetPos, m.VID)
-		}
-	} else {
-		// A residual may empty a match's set: the kept sets move down over
-		// the dropped ones.
+	ms, qout, probed := cv.stems[nd.Target].ProbeVecRange(w.vmatches[:0], out.qsets, targetCol, in, ts, wm, lo, hi)
+	if len(residuals) > 0 {
+		// A residual may empty a match's set: the kept matches and their
+		// sets move down over the dropped ones.
 		kept := 0
-		for mi, m := range w.vmatches {
-			i := int(pin[m.In])
-			oq := bitset.Set(out.qsets[mi*nw : (mi+1)*nw])
+		for mi, m := range ms {
+			oq := bitset.Set(qout[mi*nw : (mi+1)*nw])
 			for ri := range residuals {
 				rr := &residuals[ri]
-				if oq.Contains(rr.bit) && !rr.holds(v, i, m.VID) {
+				if oq.Contains(rr.bit) && !rr.holds(v, int(m.In), m.VID) {
 					oq.Remove(rr.bit)
 				}
 			}
 			if oq.Empty() {
 				continue
 			}
-			copy(out.qsets[kept*nw:], oq)
+			copy(qout[kept*nw:], oq)
+			ms[kept] = m
 			kept++
-			emitTuple(out, copyIdx, v, i, targetPos, m.VID)
 		}
-		out.qsets = out.qsets[:kept*nw]
+		ms, qout = ms[:kept], qout[:kept*nw]
 	}
+	w.vmatches, out.qsets = ms, qout
+	gather(out, copyIdx, v, ms, targetPos)
 	w.ep.joinOut += int64(out.n)
 	w.ep.probeNs += time.Since(t0).Nanoseconds()
 	w.foldSig(1, nd.EdgeID, nd.Lineage)
 	w.ep.probeOps++
 	w.countServed(nd.Q.Count())
-	w.instProbes[nd.Target] += int64(len(pk)) // STeM probe keys
+	w.instProbes[nd.Target] += int64(probed) // STeM probe keys
 	w.instMatches[nd.Target] += int64(out.n)
 
 	var divQ bitset.Set
@@ -805,6 +782,8 @@ func (w *Worker) routeSel(nd *plan.Node, v *jvec) *jvec {
 	qmask := nd.Q[lo:hi]
 	off, stride := lo-v.lo, v.width // the node's words within v's slab
 	out.lo, out.width = lo, nw
+	// The kept tuples and their masked words first, then the vID columns.
+	ks := w.vmatches[:0]
 	if nw == 1 {
 		mask := qmask[0]
 		for i := 0; i < v.n; i++ {
@@ -813,7 +792,7 @@ func (w *Worker) routeSel(nd *plan.Node, v *jvec) *jvec {
 				continue
 			}
 			out.qsets = append(out.qsets, q)
-			emitTuple(out, copyIdx, v, i, -1, 0)
+			ks = append(ks, stem.VecMatch{In: int32(i)})
 		}
 	} else {
 		for i := 0; i < v.n; i++ {
@@ -824,9 +803,11 @@ func (w *Worker) routeSel(nd *plan.Node, v *jvec) *jvec {
 			for wd, mw := range qmask {
 				out.qsets = append(out.qsets, q[wd]&mw)
 			}
-			emitTuple(out, copyIdx, v, i, -1, 0)
+			ks = append(ks, stem.VecMatch{In: int32(i)})
 		}
 	}
+	w.vmatches = ks
+	gather(out, copyIdx, v, ks, -1)
 	// Routing-selection time lands in the probe bucket, matching the cost
 	// model (§6.3 charges routing selections to the join phase).
 	w.ep.probeNs += time.Since(t0).Nanoseconds()
@@ -836,15 +817,114 @@ func (w *Worker) routeSel(nd *plan.Node, v *jvec) *jvec {
 }
 
 // route multicasts v's tuples to the RouLette sources of the queries in
-// nd.Q. The locality-conscious router (§5.1) accumulates per-query rows in
-// worker-local buffers and appends them in one batch per query; the naive
-// router locks the source for every tuple.
+// nd.Q, by the locality-conscious router (§5.1, routeBatched) or, with
+// Options.LocalityRouter off, the naive one (routeEach).
 func (w *Worker) route(nd *plan.Node, v *jvec) {
-	c := w.C
 	t0 := time.Now()
+	var served int
+	if w.C.Opt.LocalityRouter {
+		served = w.routeBatched(nd, v)
+	} else {
+		served = w.routeEach(nd, v)
+	}
+	w.ep.routeNs += time.Since(t0).Nanoseconds()
+	// A vector with no tuples for nd.Q's queries routes nothing; don't count
+	// a zero-query invocation (it would drag FanOut below 1).
+	if served > 0 {
+		w.ep.routerOps++
+		w.countServed(served)
+	}
+}
+
+// routeSlot is one query's share of a batched route: its row count, and
+// for a collecting source where its rows start in the worker's flat
+// buffer (pos, advanced as rows land) and its column positions in colIdx.
+type routeSlot struct {
+	rows, pos, cols, ncols int
+}
+
+// routeBatched is the locality-conscious router: it walks each tuple's
+// words in the node's range once, ANDed with nd.Q, and visits their set
+// bits, counting each query's rows. A source that only counts takes its
+// count; the collecting ones get their rows from a second such pass, one
+// contiguous batch per source in tuple order, appended with one call each.
+// It returns the number of queries served.
+func (w *Worker) routeBatched(nd *plan.Node, v *jvec) int {
+	c := w.C
+	lo, hi := nd.Lo, nd.Hi
+	q := nd.Q[lo:hi]
+	u := w.unionBuf[:hi-lo]
+	clear(u)
+	rq := w.routeQ
+	off, stride := lo-v.lo, v.width // the node's words within v's slab
+	for i := 0; i < v.n; i++ {
+		t := v.qsets[i*stride+off:]
+		for wd, m := range q {
+			x := t[wd] & m
+			u[wd] |= x
+			for ; x != 0; x &= x - 1 {
+				rq[wd<<6|bits.TrailingZeros64(x)].rows++
+			}
+		}
+	}
+	// Count-only sources take their counts; u keeps the collecting ones.
+	served, size := 0, 0
+	idx := w.colIdx[:0]
+	for wd := range u {
+		for x := u[wd]; x != 0; x &= x - 1 {
+			b := bits.TrailingZeros64(x)
+			r := &rq[wd<<6|b]
+			src := c.Sources[64*(lo+wd)+b]
+			served++
+			w.ep.routed += int64(r.rows)
+			if !src.collect {
+				src.Append(nil, r.rows)
+				r.rows = 0
+				u[wd] &^= 1 << b
+				continue
+			}
+			r.pos, r.cols, r.ncols = size, len(idx), len(src.Insts)
+			for _, inst := range src.Insts {
+				idx = append(idx, v.instIdx(inst))
+			}
+			size += r.rows * r.ncols
+		}
+	}
+	w.colIdx = idx
+	if size == 0 {
+		return served
+	}
+	flat := slices.Grow(w.flat[:0], size)[:size]
+	w.flat = flat
+	for i := 0; i < v.n; i++ {
+		t := v.qsets[i*stride+off:]
+		for wd, m := range u {
+			for x := t[wd] & m; x != 0; x &= x - 1 {
+				r := &rq[wd<<6|bits.TrailingZeros64(x)]
+				for _, ci := range idx[r.cols : r.cols+r.ncols] {
+					flat[r.pos] = v.vids[ci][i]
+					r.pos++
+				}
+			}
+		}
+	}
+	for wd := range u {
+		for x := u[wd]; x != 0; x &= x - 1 {
+			b := bits.TrailingZeros64(x)
+			r := &rq[wd<<6|b]
+			c.Sources[64*(lo+wd)+b].Append(flat[r.pos-r.rows*r.ncols:r.pos], r.rows)
+			r.rows = 0
+		}
+	}
+	return served
+}
+
+// routeEach is the naive router: it appends every tuple to each of its
+// queries' sources on its own, taking the source's lock per tuple. It
+// returns the number of queries served.
+func (w *Worker) routeEach(nd *plan.Node, v *jvec) int {
 	// Union the present query bits of nd.Q's words into worker scratch
-	// (router fast path: skip queries with no tuples at all), then decode
-	// nd.Q ∩ union.
+	// (skip queries with no tuples at all), then decode nd.Q ∩ union.
 	lo, hi := nd.Lo, nd.Hi
 	u := w.unionBuf[:hi-lo]
 	clear(u)
@@ -861,50 +941,23 @@ func (w *Worker) route(nd *plan.Node, v *jvec) {
 		qids[k] += 64 * lo
 	}
 	w.qidBuf = qids
-	if c.Opt.LocalityRouter {
-		for _, qid := range qids {
-			src := c.Sources[qid]
-			flat := w.flat[:0]
-			rows := 0
-			colIdx := w.sourceCols(src, v)
-			for i := 0; i < v.n; i++ {
-				if !tupleHas(v, i, qid) {
-					continue
-				}
-				for _, ci := range colIdx {
-					flat = append(flat, v.vids[ci][i])
-				}
-				rows++
+	for _, qid := range qids {
+		src := w.C.Sources[qid]
+		colIdx := w.sourceCols(src, v)
+		for i := 0; i < v.n; i++ {
+			if !tupleHas(v, i, qid) {
+				continue
 			}
-			w.flat = flat
-			src.Append(flat, rows)
-			w.ep.routed += int64(rows)
-		}
-	} else {
-		for _, qid := range qids {
-			src := c.Sources[qid]
-			colIdx := w.sourceCols(src, v)
-			for i := 0; i < v.n; i++ {
-				if !tupleHas(v, i, qid) {
-					continue
-				}
-				row := w.flat[:0]
-				for _, ci := range colIdx {
-					row = append(row, v.vids[ci][i])
-				}
-				w.flat = row
-				src.Append(row, 1)
-				w.ep.routed++
+			row := w.flat[:0]
+			for _, ci := range colIdx {
+				row = append(row, v.vids[ci][i])
 			}
+			w.flat = row
+			src.Append(row, 1)
+			w.ep.routed++
 		}
 	}
-	w.ep.routeNs += time.Since(t0).Nanoseconds()
-	// A vector with no tuples for nd.Q's queries routes nothing; don't count
-	// a zero-query invocation (it would drag FanOut below 1).
-	if len(qids) > 0 {
-		w.ep.routerOps++
-		w.countServed(len(qids))
-	}
+	return len(qids)
 }
 
 // sourceCols maps a source's required instances to v's column indices,

@@ -1,10 +1,13 @@
 package exec
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/roulette-db/roulette/internal/bitset"
 	"github.com/roulette-db/roulette/internal/catalog"
+	"github.com/roulette-db/roulette/internal/plan"
 	"github.com/roulette-db/roulette/internal/policy"
 	"github.com/roulette-db/roulette/internal/query"
 	"github.com/roulette-db/roulette/internal/stem"
@@ -254,5 +257,102 @@ func TestCollectedRowsCarryRequiredColumns(t *testing.T) {
 	// Each s key appears 3 times in r: sum = 3*(0+10+20+30).
 	if sum != 180 {
 		t.Errorf("sum over routed rows = %d, want 180", sum)
+	}
+}
+
+// TestRouteMatchesPerQueryLoop checks both routers against the loop they
+// stand for: each query of the node, in qid order, takes the tuples that
+// carry its bit, in tuple order, projected to its source's instances. The
+// node's queries span one, two or five words, within a vector whose slab
+// starts at or before the node's first word and may reach past its last;
+// the sources all collect, all only count, or are mixed. Two vectors route
+// through the same worker, so per-query state a route leaves behind shows
+// in the second. Each source must end with the loop's count and, when it
+// collects, the loop's rows in the loop's order, and the worker's Routed
+// count and served queries must match the loop's.
+func TestRouteMatchesPerQueryLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	insts := []query.InstID{0, 1, 2}
+	for _, qw := range []int{1, 2, 5} {
+		for _, locality := range []bool{true, false} {
+			for _, mode := range []string{"collect", "count", "mixed"} {
+				qcap := 64 * qw
+				c := &Context{Opt: Options{LocalityRouter: locality}, Sources: make([]*Source, qcap)}
+				wantRows := make([][]int32, qcap)
+				wantCount := make([]int64, qcap)
+				for qid := range c.Sources {
+					var need []query.InstID
+					for _, in := range insts {
+						if rng.Intn(2) == 0 {
+							need = append(need, in)
+						}
+					}
+					collect := mode == "collect" || mode == "mixed" && rng.Intn(2) == 0
+					c.Sources[qid] = NewSource(need, collect)
+				}
+				w := &Worker{C: c, qw: qw, unionBuf: make(bitset.Set, qw), routeQ: make([]routeSlot, 64*qw)}
+				var routed, served int64
+				for round := 0; round < 2; round++ {
+					lo := rng.Intn(qw)
+					hi := lo + 1 + rng.Intn(qw-lo)
+					nd := &plan.Node{Kind: plan.Router, Q: make(bitset.Set, qw)}
+					for wd := lo; wd < hi; wd++ {
+						nd.Q[wd] = rng.Uint64() | 1
+					}
+					nd.Lo, nd.Hi = nd.Q.Span()
+					v := &jvec{insts: []query.InstID{2, 0, 1}, n: 300}
+					v.lo = rng.Intn(lo + 1)
+					v.width = hi - v.lo + rng.Intn(qw-hi+1)
+					v.qsets = make([]uint64, v.n*v.width)
+					for i := range v.qsets {
+						v.qsets[i] = rng.Uint64() & rng.Uint64() & rng.Uint64()
+					}
+					for i := 0; i < v.n; i += 7 { // tuples with no bit at all
+						clear(v.qsets[i*v.width : (i+1)*v.width])
+					}
+					for range v.insts {
+						col := make([]int32, v.n)
+						for i := range col {
+							col[i] = rng.Int31n(1000)
+						}
+						v.vids = append(v.vids, col)
+					}
+					for qid := 64 * lo; qid < 64*hi; qid++ {
+						if !nd.Q.Contains(qid) {
+							continue
+						}
+						src, rows := c.Sources[qid], int64(0)
+						for i := 0; i < v.n; i++ {
+							if !tupleHas(v, i, qid) {
+								continue
+							}
+							rows++
+							if src.collect {
+								for _, in := range src.Insts {
+									wantRows[qid] = append(wantRows[qid], v.vids[v.instIdx(in)][i])
+								}
+							}
+						}
+						wantCount[qid] += rows
+						routed += rows
+						if rows > 0 {
+							served++
+						}
+					}
+					w.route(nd, v)
+				}
+				for qid, src := range c.Sources {
+					got, _ := src.Rows()
+					if src.Count() != wantCount[qid] || !slices.Equal(got, wantRows[qid]) {
+						t.Fatalf("%d words, locality %t, %s: query %d got %d rows %v, want %d rows %v",
+							qw, locality, mode, qid, src.Count(), got, wantCount[qid], wantRows[qid])
+					}
+				}
+				if w.ep.routed != routed || w.ep.opQueries != served {
+					t.Fatalf("%d words, locality %t, %s: routed %d tuples to %d queries, want %d to %d",
+						qw, locality, mode, w.ep.routed, w.ep.opQueries, routed, served)
+				}
+			}
+		}
 	}
 }

@@ -17,15 +17,17 @@ import (
 //     segment, pre-links the intra-batch hash chains in caller-owned
 //     scratch, and splices each *distinct* bucket with one CAS — the batch
 //     costs ~distinct-buckets CASes, not len(vec)×keys.
-//   - ProbeVecRange reads each key's entries from a cached table
-//     (unionTable), one slot per key and no chain walk, when the table is
-//     current and older than the probe; otherwise it resolves the key column
-//     once, batch-hashes the key block, preloads bucket heads and walks the
-//     chains, consulting the publication watermark: entries whose slot is
-//     under the watermark skip the per-entry timestamp load entirely. It
-//     takes the probing tuples' query sets and keeps only the entries that
-//     share a query with them, writing the intersections out. ProbeVec is
-//     its unmasked, full-width form.
+//   - ProbeVecRange reads the probing vector where it lies (Probe): each
+//     tuple's key through its vID and its words from the caller's slab,
+//     masked to the probe's queries. It skips tuples left with no bit, reads
+//     each remaining key's entries from a cached table (unionTable), one
+//     slot per key and no chain walk, when the table is current and older
+//     than the probe; otherwise it batch-hashes a block of keys, preloads
+//     bucket heads and walks the chains, consulting the publication
+//     watermark: entries whose slot is under the watermark skip the
+//     per-entry timestamp load entirely. It keeps only the entries that share
+//     a query with their tuple, writing the intersections out. ProbeVec is
+//     its unmasked, full-width form over a plain key list.
 //   - PruneVec is the symmetric-join-pruning kernel: it masks the probing
 //     tuples' query sets in place over one word range and compacts the
 //     survivors in the same pass, reading each key's union from the same
@@ -46,12 +48,64 @@ import (
 // run, and mixed plain/atomic access on the same words would both race and
 // tear under the race detector.
 
-// VecMatch is one probe result: input position In of the probed key batch
-// matched the entry with vID VID. Its query-set words sit beside it in the
-// caller's word slab (ProbeVec, ProbeVecRange).
+// VecMatch is one probe result: tuple In of the probing vector (key In of
+// ProbeVec's key list) matched the entry with vID VID. Its query-set words
+// sit beside it in the caller's word slab (ProbeVec, ProbeVecRange).
 type VecMatch struct {
 	In  int32
 	VID int32
+}
+
+// Probe is a probing vector as ProbeVecRange reads it, in place. Tuple i,
+// for i < len(VIDs), has the key Keys[VIDs[i]], Keys being the probing
+// relation's join column, and its words for the probe's range [lo, hi) at
+// Qsets[i*Stride+Off:][:hi-lo], ANDed with Mask (hi-lo words): the tuples'
+// slab may be wider than the range. A nil Qsets probes every tuple
+// unmasked, each match keeping its entry's own words.
+type Probe struct {
+	Keys   []int64
+	VIDs   []int32
+	Qsets  []uint64
+	Stride int
+	Off    int
+	Mask   []uint64
+}
+
+// words returns tuple i's nw unmasked words.
+func (p *Probe) words(i, nw int) []uint64 {
+	return p.Qsets[i*p.Stride+p.Off:][:nw]
+}
+
+// probes returns how many of p's tuples probe over nw words: those with a
+// bit under the mask, or all of them unmasked.
+func (p *Probe) probes(nw int) int {
+	if p.Qsets == nil {
+		return len(p.VIDs)
+	}
+	n := 0
+	for i := range p.VIDs {
+		if bitset.Intersects(p.words(i, nw), p.Mask) {
+			n++
+		}
+	}
+	return n
+}
+
+// iota32 holds 0, 1, 2, …: ProbeVec's keys are their own vIDs. It only
+// grows, and a reader keeps whichever prefix it loaded.
+var iota32 atomic.Pointer[[]int32]
+
+// identity returns the vIDs 0..n-1.
+func identity(n int) []int32 {
+	if p := iota32.Load(); p != nil && len(*p) >= n {
+		return (*p)[:n]
+	}
+	ids := make([]int32, max(n, 1024))
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	iota32.Store(&ids)
+	return ids[:n]
 }
 
 // InsertScratch is the worker-local scratch for InsertVec's intra-batch
@@ -260,18 +314,20 @@ const probeBlock = 128
 // session) skip the per-entry timestamp load entirely. Pass wm 0 to
 // disable the short-circuit.
 func (s *STeM) ProbeVec(dst []VecMatch, qbuf []uint64, col string, keys []int64, probeTS int64, wm Slot) ([]VecMatch, []uint64) {
-	return s.ProbeVecRange(dst, qbuf, col, keys, nil, probeTS, wm, 0, s.qw)
+	dst, qbuf, _ = s.ProbeVecRange(dst, qbuf, col, Probe{Keys: keys, VIDs: identity(len(keys))}, probeTS, wm, 0, s.qw)
+	return dst, qbuf
 }
 
-// ProbeVecRange is ProbeVec over the query-set words [lo, hi) only, with
-// lo < hi <= the STeM's width, fused with the intersection a join applies
-// to each match: tq holds the probing tuples' words over the same range,
-// hi-lo per key in key order, and an entry matches only if its words share
-// a bit with its key's; the hi-lo words appended to qout per match are that
-// intersection. A nil tq keeps every match with the entry's own words, as
-// ProbeVec does. The executor passes its plan node's word range and each
-// tuple's words masked to the node's queries, so qout is its output
-// vector's query-set slab.
+// ProbeVecRange is ProbeVec over the tuples of p and the query-set words
+// [lo, hi) only, with lo < hi <= the STeM's width, fused with the
+// intersection a join applies to each match: a tuple with no bit under
+// p.Mask is not probed, an entry matches only if its words share a bit with
+// its tuple's masked words, and the hi-lo words appended to qout per match
+// are that intersection. An unmasked p (nil Qsets) keeps every match with
+// the entry's own words, as ProbeVec does. Matches come in tuple order, and
+// the call also returns how many tuples it probed. The executor passes its
+// plan node's word range, its input vector's slab and the node's queries as
+// the mask, so qout is its output vector's query-set slab.
 //
 // The probe is served from the index's union table instead of the chain
 // walk when the table is current (union) and every entry in it was
@@ -283,7 +339,7 @@ func (s *STeM) ProbeVec(dst []VecMatch, qbuf []uint64, col string, keys []int64,
 // slot's timestamp is drawn after probeTS and the probe must not see it;
 // the seal that settles the draw-to-store window for the walk is not
 // needed. A key whose union misses its tuple's words is dropped whole.
-func (s *STeM) ProbeVecRange(dst []VecMatch, qout []uint64, col string, keys []int64, tq []uint64, probeTS int64, wm Slot, lo, hi int) ([]VecMatch, []uint64) {
+func (s *STeM) ProbeVecRange(dst []VecMatch, qout []uint64, col string, p Probe, probeTS int64, wm Slot, lo, hi int) ([]VecMatch, []uint64, int) {
 	// The state is loaded once per call: a structural swap mid-call leaves
 	// this probe on the frozen old state, which is safe — any insert the
 	// probe is required to see (timestamp older than probeTS) happened
@@ -291,25 +347,38 @@ func (s *STeM) ProbeVecRange(dst []VecMatch, qout []uint64, col string, keys []i
 	// timestamp from the counter before probeTS was drawn), so it is in the
 	// loaded state.
 	st := s.state.Load()
+	nw := hi - lo
 	ki, ok := st.colIdx[col]
-	if !ok || len(keys) == 0 { // union builds at once for a caller that walks nothing
-		return dst, qout
+	if !ok {
+		return dst, qout, p.probes(nw)
 	}
-	if t := s.union(st, ki, len(keys)*(hi-lo)); t != nil && t.maxTS < probeTS {
-		return t.probe(dst, qout, keys, tq, lo, hi)
+	// A current table serves at once. Otherwise what this call walks, the
+	// probing tuples' words, pays towards a build (union); a caller that
+	// walks nothing must not build, as a walk of nothing pays nothing.
+	t, c, gen := s.cachedUnion(st, ki)
+	if t == nil {
+		n := p.probes(nw)
+		if n == 0 {
+			return dst, qout, 0
+		}
+		t = s.union(st, ki, c, gen, n*nw)
 	}
-	return s.walkChains(st, ki, dst, qout, keys, tq, probeTS, wm, lo, hi)
+	if t != nil && t.maxTS < probeTS {
+		return t.probe(dst, qout, &p, lo, hi)
+	}
+	return s.walkChains(st, ki, dst, qout, &p, probeTS, wm, lo, hi)
 }
 
-// keep finishes one match whose words were just appended to qout from
-// position n: masked by tw unless tw is nil, it appends the match (in, vid)
-// to dst, or drops the words again when the mask leaves none.
-func keep(dst []VecMatch, qout []uint64, n int, tw []uint64, in, vid int32) ([]VecMatch, []uint64) {
+// keep finishes one match of tuple in whose words were just appended to
+// qout from position n: unless tw is nil, it ANDs them with the tuple's
+// words tw and the mask, then appends the match (in, vid) to dst, or drops
+// the words again when nothing is left.
+func keep(dst []VecMatch, qout []uint64, n int, tw, mask []uint64, in, vid int32) ([]VecMatch, []uint64) {
 	if tw != nil {
 		o := qout[n:]
 		var left uint64
 		for w, x := range tw {
-			o[w] &= x
+			o[w] &= x & mask[w]
 			left |= o[w]
 		}
 		if left == 0 {
@@ -320,23 +389,31 @@ func keep(dst []VecMatch, qout []uint64, n int, tw []uint64, in, vid int32) ([]V
 }
 
 // walkChains is ProbeVecRange's chain walk over state st's index ki.
-func (s *STeM) walkChains(st *stemState, ki int, dst []VecMatch, qout []uint64, keys []int64, tq []uint64, probeTS int64, wm Slot, lo, hi int) ([]VecMatch, []uint64) {
+func (s *STeM) walkChains(st *stemState, ki int, dst []VecMatch, qout []uint64, p *Probe, probeTS int64, wm Slot, lo, hi int) ([]VecMatch, []uint64, int) {
 	nw := hi - lo
+	masked := p.Qsets != nil
 	buckets := st.buckets[ki]
 	shift := st.shift[ki]
 	var heads [probeBlock]int32
+	var pKey [probeBlock]int64
 	var eKey [probeBlock]int64
 	var eNext [probeBlock]int32
 	var eSlot [probeBlock]Slot
 	var eVID [probeBlock]int32
-	for i0 := 0; i0 < len(keys); i0 += probeBlock {
-		m := min(len(keys)-i0, probeBlock)
+	probed := 0
+	for i0 := 0; i0 < len(p.VIDs); i0 += probeBlock {
+		m := min(len(p.VIDs)-i0, probeBlock)
 		for j := 0; j < m; j++ {
-			if keys[i0+j] == NullKey {
-				heads[j] = 0 // NULL probe keys match nothing, see NullKey
+			heads[j] = 0
+			if masked && !bitset.Intersects(p.words(i0+j, nw), p.Mask) {
 				continue
 			}
-			heads[j] = buckets[hash64(keys[i0+j])>>shift].Load()
+			probed++
+			k := p.Keys[p.VIDs[i0+j]]
+			if k == NullKey {
+				continue // NULL probe keys match nothing, see NullKey
+			}
+			pKey[j], heads[j] = k, buckets[hash64(k)>>shift].Load()
 		}
 		// The chunk snapshot must be taken after the block's head loads:
 		// every entry reachable from a head had its chunk appended before
@@ -367,11 +444,11 @@ func (s *STeM) walkChains(st *stemState, ki int, dst []VecMatch, qout []uint64, 
 			if ref == 0 {
 				continue
 			}
-			key := keys[i0+j]
+			key := pKey[j]
 			in := int32(i0 + j)
 			var tw []uint64
-			if tq != nil {
-				tw = tq[(i0+j)*nw:][:nw]
+			if masked {
+				tw = p.words(i0+j, nw)
 			}
 			if eKey[j] == key {
 				slot := eSlot[j]
@@ -382,7 +459,7 @@ func (s *STeM) walkChains(st *stemState, ki int, dst []VecMatch, qout []uint64, 
 					for w := lo; w < hi; w++ {
 						qout = append(qout, atomic.LoadUint64(&qs[w]))
 					}
-					dst, qout = keep(dst, qout, n, tw, in, eVID[j])
+					dst, qout = keep(dst, qout, n, tw, p.Mask, in, eVID[j])
 				}
 			}
 			for ref = eNext[j]; ref != 0; {
@@ -397,14 +474,14 @@ func (s *STeM) walkChains(st *stemState, ki int, dst []VecMatch, qout []uint64, 
 						for w := lo; w < hi; w++ {
 							qout = append(qout, atomic.LoadUint64(&qs[w]))
 						}
-						dst, qout = keep(dst, qout, n, tw, in, c.vids[off])
+						dst, qout = keep(dst, qout, n, tw, p.Mask, in, c.vids[off])
 					}
 				}
 				ref = c.next[ki][off]
 			}
 		}
 	}
-	return dst, qout
+	return dst, qout, probed
 }
 
 // PruneVec is the symmetric-join-pruning kernel (§5.2): a probing tuple
@@ -437,7 +514,10 @@ func (s *STeM) PruneVec(vids []int32, qsets []uint64, qw int, elig bitset.Set, l
 	if !ok {
 		return len(vids)
 	}
-	t := s.union(st, ki, 0)
+	t, c, gen := s.cachedUnion(st, ki)
+	if t == nil {
+		t = s.union(st, ki, c, gen, 0)
+	}
 	switch {
 	case t == nil:
 		return s.pruneWalk(st, ki, vids, qsets, qw, elig, lo, hi, keys, acc)
@@ -702,29 +782,35 @@ func (t *unionTable) word(e *unionSlot, w int) uint64 {
 // probeWord, as a one-word prune takes its own loop in PruneVec: in the
 // kernel benchmarks the general loop below, reading the one-word union
 // through word, spent about 1.5 ns per key more on one-word tables.
-func (t *unionTable) probe(dst []VecMatch, qout []uint64, keys []int64, tq []uint64, lo, hi int) ([]VecMatch, []uint64) {
+func (t *unionTable) probe(dst []VecMatch, qout []uint64, p *Probe, lo, hi int) ([]VecMatch, []uint64, int) {
 	if hi-lo == 1 {
-		return t.probeWord(dst, qout, keys, tq, lo)
+		return t.probeWord(dst, qout, p, lo)
 	}
 	nw := hi - lo
-	for i, k := range keys {
-		e := t.slot(k)
+	masked, mask := p.Qsets != nil, p.Mask
+	probed := 0
+	for i, vid := range p.VIDs {
+		var tw []uint64
+		if masked {
+			if tw = p.words(i, nw); !bitset.Intersects(tw, mask) {
+				continue
+			}
+		}
+		probed++
+		e := t.slot(p.Keys[vid])
 		if e.n == 0 {
 			continue
 		}
 		u := t.us[int(e.u)+lo:][:nw]
-		var tw []uint64
-		if tq != nil {
-			if tw = tq[i*nw:][:nw]; !bitset.Intersects(u, tw) {
-				continue
-			}
+		if masked && !intersects3(tw, mask, u) {
+			continue
 		}
 		if e.n == 1 { // a sole entry's words are its key's union
-			if tw == nil {
+			if !masked {
 				qout = append(qout, u...)
 			} else {
 				for w, x := range tw {
-					qout = append(qout, x&u[w])
+					qout = append(qout, x&mask[w]&u[w])
 				}
 			}
 			dst = append(dst, VecMatch{In: int32(i), VID: e.vid})
@@ -733,26 +819,46 @@ func (t *unionTable) probe(dst []VecMatch, qout []uint64, keys []int64, tq []uin
 		for j := int(e.vid); j < int(e.vid+e.n); j++ {
 			n := len(qout)
 			qout = append(qout, t.words[j*t.qw+lo:][:nw]...)
-			dst, qout = keep(dst, qout, n, tw, int32(i), t.vids[j])
+			dst, qout = keep(dst, qout, n, tw, mask, int32(i), t.vids[j])
 		}
 	}
-	return dst, qout
+	return dst, qout, probed
+}
+
+// intersects3 reports whether a ∧ b ∧ c has a bit, the three of one length.
+func intersects3(a, b, c []uint64) bool {
+	for w, x := range a {
+		if x&b[w]&c[w] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // probeWord is probe over the one word w, the range of every one-word
 // table.
-func (t *unionTable) probeWord(dst []VecMatch, qout []uint64, keys []int64, tq []uint64, w int) ([]VecMatch, []uint64) {
-	masked := tq != nil
-	for i, k := range keys {
-		e := t.slot(k)
+func (t *unionTable) probeWord(dst []VecMatch, qout []uint64, p *Probe, w int) ([]VecMatch, []uint64, int) {
+	masked := p.Qsets != nil
+	var mask uint64
+	if masked {
+		mask = p.Mask[0]
+	}
+	probed := 0
+	for i, vid := range p.VIDs {
+		m := ^uint64(0)
+		if masked {
+			if m = p.Qsets[i*p.Stride+p.Off] & mask; m == 0 {
+				continue
+			}
+		}
+		probed++
+		e := t.slot(p.Keys[vid])
 		if e.n == 0 {
 			continue
 		}
-		u, m := t.word(e, w), ^uint64(0)
-		if masked {
-			if m = tq[i]; m&u == 0 {
-				continue
-			}
+		u := t.word(e, w)
+		if masked && m&u == 0 {
+			continue
 		}
 		if e.n == 1 {
 			dst = append(dst, VecMatch{In: int32(i), VID: e.vid})
@@ -766,11 +872,24 @@ func (t *unionTable) probeWord(dst []VecMatch, qout []uint64, keys []int64, tq [
 			}
 		}
 	}
-	return dst, qout
+	return dst, qout, probed
 }
 
-// union returns index ki's union table on state st, building and caching
-// it when the cached one is missing or stale, or nil when the caller must
+// cachedUnion returns index ki's cached union table on state st when it is
+// current, else nil, with the committed count and sweep generation it was
+// checked against.
+func (s *STeM) cachedUnion(st *stemState, ki int) (*unionTable, int64, uint64) {
+	gen := s.sweepGen.Load()
+	c := st.committed.Load()
+	if t := st.unions[ki].table.Load(); t != nil && t.committed == c && t.sweepGen == gen {
+		return t, c, gen
+	}
+	return nil, c, gen
+}
+
+// union returns index ki's union table on state st when the cached one
+// (cachedUnion) is missing or stale at committed count c and sweep
+// generation gen, building and caching it, or nil when the caller must
 // walk the chains: while an insert is in flight (count ahead of committed),
 // since inserts commit out of order and an entry under committed may still
 // be unwritten; or when a non-NULL entry is unpublished, since its
@@ -779,8 +898,8 @@ func (t *unionTable) probeWord(dst []VecMatch, qout []uint64, keys []int64, tq [
 // published when the call began — but is not cached.
 //
 // walk is what the caller walks when no table serves it, in query-set
-// words: its keys times the words of its range. A prune passes 0 and
-// builds at once: it runs against a STeM that no insert changes any more.
+// words: the keys it probes times the words of its range. A prune passes 0
+// and builds at once: it runs against a STeM that no insert changes any more.
 // A probe's STeM may be growing under it, as both sides of a symmetric
 // join insert and probe, and a build per change would cost O(entries) per
 // call. So a probe builds only once the words walked since the last build
@@ -788,13 +907,8 @@ func (t *unionTable) probeWord(dst []VecMatch, qout []uint64, keys []int64, tq [
 // read at most 1/buildRent of the words walked. Counting words, not keys,
 // keeps a probe over a few words of a wide STeM from paying for builds
 // that read every word of every entry.
-func (s *STeM) union(st *stemState, ki, walk int) *unionTable {
+func (s *STeM) union(st *stemState, ki int, c int64, gen uint64, walk int) *unionTable {
 	uc := &st.unions[ki]
-	gen := s.sweepGen.Load()
-	c := st.committed.Load()
-	if t := uc.table.Load(); t != nil && t.committed == c && t.sweepGen == gen {
-		return t
-	}
 	if walk > 0 && uc.walked.Add(int64(walk)) < s.buildRent*c*int64(s.qw) {
 		return nil
 	}

@@ -66,13 +66,30 @@ func (o *oracle) probe(ki int, keys []int64, probeTS int64) []string {
 }
 
 // probeMasked is ProbeVecRange's contract, canonicalized like canonVec:
-// probe's matches over words [lo, hi), each intersected with its key's
-// tuple words in tq (hi-lo per key) and kept only when that leaves a bit;
-// with a nil tq, every match with its own words over [lo, hi).
-func (o *oracle) probeMasked(ki int, keys []int64, tq []uint64, probeTS int64, lo, hi int) []string {
+// for each tuple of p, keyed through its vID, probe's matches over words
+// [lo, hi), each intersected with the tuple's words under p's mask and kept
+// only when that leaves a bit; unmasked (nil Qsets), every match with its
+// own words over [lo, hi). It also returns how many tuples probe: those
+// with a bit under the mask, NULL-keyed ones included.
+func (o *oracle) probeMasked(ki int, p Probe, probeTS int64, lo, hi int) ([]string, int) {
 	nw := hi - lo
 	var out []string
-	for in, k := range keys {
+	probed := 0
+	for in, vid := range p.VIDs {
+		var tq []uint64
+		if p.Qsets != nil {
+			tq = make([]uint64, nw)
+			var any uint64
+			for w := range tq {
+				tq[w] = p.Qsets[in*p.Stride+p.Off+w] & p.Mask[w]
+				any |= tq[w]
+			}
+			if any == 0 {
+				continue
+			}
+		}
+		probed++
+		k := p.Keys[vid]
 		if k == NullKey {
 			continue
 		}
@@ -85,7 +102,7 @@ func (o *oracle) probeMasked(ki int, keys []int64, tq []uint64, probeTS int64, l
 			var any uint64
 			for w := range q {
 				if tq != nil {
-					q[w] &= tq[in*nw+w]
+					q[w] &= tq[w]
 				}
 				any |= q[w]
 			}
@@ -95,7 +112,7 @@ func (o *oracle) probeMasked(ki int, keys []int64, tq []uint64, probeTS int64, l
 		}
 	}
 	sort.Strings(out)
-	return out
+	return out, probed
 }
 
 // prune is PruneVec's contract for one tuple t probing key: over words
@@ -236,19 +253,103 @@ func matches(ms []VecMatch, qbuf []uint64, nw int) []match {
 	return out
 }
 
+// keyProbe is the probing vector of a plain key list: tuple i keyed by
+// keys[i], with its nw words at tq[i*nw:] under a full mask, or unmasked
+// when tq is nil.
+func keyProbe(keys []int64, tq []uint64, nw int) Probe {
+	p := Probe{Keys: keys, VIDs: identity(len(keys))}
+	if tq != nil {
+		p.Qsets, p.Stride, p.Mask = tq, nw, make([]uint64, nw)
+		for w := range p.Mask {
+			p.Mask[w] = ^uint64(0)
+		}
+	}
+	return p
+}
+
+// slabProbe lays keys out as the executor's vectors are: tuple i is vID
+// 2i+1 of a key column holding keys[i] there and NULL at every even row,
+// so a kernel that reads a key by anything but its tuple's vID misses it,
+// and its nw words for the probe's range start off words into a stride-word
+// slot of a random slab. The mask is random too, and about a quarter of
+// the tuples have no bit under it.
+func slabProbe(rng *rand.Rand, keys []int64, nw, stride, off int) Probe {
+	p := Probe{
+		Keys:   make([]int64, 2*len(keys)),
+		VIDs:   make([]int32, len(keys)),
+		Qsets:  make([]uint64, len(keys)*stride),
+		Stride: stride, Off: off,
+		Mask: make([]uint64, nw),
+	}
+	for i, k := range keys {
+		p.VIDs[i] = int32(2*i + 1)
+		p.Keys[2*i], p.Keys[2*i+1] = NullKey, k
+	}
+	for w := range p.Mask {
+		p.Mask[w] = rng.Uint64() | rng.Uint64()
+	}
+	for i := range keys {
+		tw := p.Qsets[i*stride:][:stride]
+		for w := range tw {
+			tw[w] = rng.Uint64() & rng.Uint64()
+		}
+		if rng.Intn(4) == 0 { // no bit under the mask, outside it some
+			for w := range nw {
+				tw[off+w] &^= p.Mask[w]
+			}
+		}
+	}
+	return p
+}
+
 // walkVec is ProbeVecRange through the chain walk alone, whatever union
-// table the STeM holds.
+// table the STeM holds, over keyProbe(keys, tq, hi-lo).
 func walkVec(s *STeM, col string, keys []int64, tq []uint64, ts int64, wm Slot, lo, hi int) []match {
+	ms, _ := walkProbe(s, col, keyProbe(keys, tq, hi-lo), ts, wm, lo, hi)
+	return ms
+}
+
+// walkProbe is ProbeVecRange through the chain walk alone, with the number
+// of tuples it probed.
+func walkProbe(s *STeM, col string, p Probe, ts int64, wm Slot, lo, hi int) ([]match, int) {
 	st := s.state.Load()
-	ms, qbuf := s.walkChains(st, st.colIdx[col], nil, nil, keys, tq, ts, wm, lo, hi)
-	return matches(ms, qbuf, hi-lo)
+	ms, qbuf, n := s.walkChains(st, st.colIdx[col], nil, nil, &p, ts, wm, lo, hi)
+	return matches(ms, qbuf, hi-lo), n
+}
+
+// checkSlab runs ProbeVecRange over p and compares its matches and probed
+// count with the oracle's and with the chain walk's, and checks that the
+// matches come in tuple order.
+func checkSlab(t *testing.T, s *STeM, o *oracle, ki int, col string, p Probe, ts int64, wm Slot, lo, hi int) bool {
+	want, wantN := o.probeMasked(ki, p, ts, lo, hi)
+	ms, qout, n := s.ProbeVecRange(nil, nil, col, p, ts, wm, lo, hi)
+	walked, walkedN := walkProbe(s, col, p, ts, 0, lo, hi)
+	for _, r := range []struct {
+		name string
+		ms   []match
+		n    int
+	}{{"ProbeVecRange", matches(ms, qout, hi-lo), n}, {"the chain walk", walked, walkedN}} {
+		if got := canonVec(r.ms); !reflect.DeepEqual(got, want) || r.n != wantN {
+			t.Logf("col %s: %s (ts=%d words [%d,%d) masked %t stride %d off %d) found %d matches probing %d tuples, oracle %d probing %d",
+				col, r.name, ts, lo, hi, p.Qsets != nil, p.Stride, p.Off, len(got), r.n, len(want), wantN)
+			return false
+		}
+		for k := 1; k < len(r.ms); k++ {
+			if r.ms[k].In < r.ms[k-1].In {
+				t.Logf("col %s: %s returned tuple %d after tuple %d", col, r.name, r.ms[k].In, r.ms[k-1].In)
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // checkProbe runs ProbeVec and compares its matches with the oracle's, with
 // the watermark short-circuit and without, and with the chain walk at the
 // same timestamp, so a probe served from the union table and the walk it
 // replaces must agree. It then does the same for ProbeVecRange over a
-// random word range, without tuple words and with random ones.
+// random word range, unmasked and over a slab of random words, stride and
+// offset (checkSlab).
 func checkProbe(t *testing.T, s *STeM, o *oracle, ki int, col string, keys []int64, ts int64, wm Slot) bool {
 	want := o.probe(ki, keys, ts)
 	for _, w := range []Slot{wm, 0} {
@@ -265,19 +366,10 @@ func checkProbe(t *testing.T, s *STeM, o *oracle, ki int, col string, keys []int
 	lo := rng.Intn(s.qw)
 	hi := lo + 1 + rng.Intn(s.qw-lo)
 	nw := hi - lo
-	tq := make([]uint64, len(keys)*nw)
-	for i := range tq {
-		tq[i] = rng.Uint64() & rng.Uint64()
-	}
-	for _, tq := range [][]uint64{nil, tq} {
-		want = o.probeMasked(ki, keys, tq, ts, lo, hi)
-		ms, qout := s.ProbeVecRange(nil, nil, col, keys, tq, ts, wm, lo, hi)
-		if got := canonVec(matches(ms, qout, nw)); !reflect.DeepEqual(got, want) {
-			t.Logf("col %s: ProbeVecRange (ts=%d words [%d,%d) masked %t) found %d matches, oracle %d", col, ts, lo, hi, tq != nil, len(got), len(want))
-			return false
-		}
-		if got := canonVec(walkVec(s, col, keys, tq, ts, 0, lo, hi)); !reflect.DeepEqual(got, want) {
-			t.Logf("col %s: chain walk (ts=%d words [%d,%d) masked %t) found %d matches, oracle %d", col, ts, lo, hi, tq != nil, len(got), len(want))
+	stride := nw + rng.Intn(3)
+	slab := slabProbe(rng, keys, nw, stride, rng.Intn(stride-nw+1))
+	for _, p := range []Probe{keyProbe(keys, nil, nw), slab} {
+		if !checkSlab(t, s, o, ki, col, p, ts, wm, lo, hi) {
 			return false
 		}
 	}
@@ -1082,6 +1174,130 @@ func TestProbeVecTableAcrossMaintenance(t *testing.T) {
 	}
 }
 
+// TestProbeSlabMatchesOracle checks ProbeVecRange on probing vectors laid
+// out as the executor's are (slabProbe): keys read through vIDs, words read
+// from a slab whose stride is the range's or wider, at a zero offset and at
+// non-zero ones, masked, with tuples that have no bit under the mask. It
+// runs on a one-word STeM and on a five-word one over ranges of one, two
+// and five words, with NULL keys on both sides and keys of several
+// entries, once served from the union table and once, with an entry left
+// unpublished, through the chain walk; checkSlab compares both paths with
+// the oracle, the probed count and the tuple order included.
+func TestProbeSlabMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, tc := range []struct {
+		qcap   int
+		ranges [][2]int
+	}{{64, [][2]int{{0, 1}}}, {320, [][2]int{{0, 1}, {3, 4}, {1, 3}, {3, 5}, {0, 5}}}} {
+		for _, walk := range []bool{false, true} {
+			const entries, domain = 600, 200
+			v := NewVersions()
+			s := New(v, []string{"k"}, tc.qcap, entries)
+			s.buildRent = 0
+			o := newOracle(1)
+			qw := s.qw
+			vids := make([]int32, entries)
+			keys := make([]int64, entries)
+			qsets := make([]uint64, entries*qw)
+			for i := range vids {
+				vids[i], keys[i] = int32(i), rng.Int63n(domain)
+				if i%29 == 0 {
+					keys[i] = NullKey
+				}
+				if i%13 != 0 { // else an entry every query has left
+					for w := 0; w < qw; w++ {
+						qsets[i*qw+w] = rng.Uint64() & rng.Uint64()
+					}
+				}
+			}
+			var sc InsertScratch
+			s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, &sc)
+			o.insert(vids, [][]int64{keys}, qsets, qw, 0)
+			_, o.pubTS[0] = v.Publish(0)
+			if walk { // an unpublished entry keeps every table from being built
+				s.InsertVec(vids[:1], [][]int64{{1}}, qsets[qw:2*qw], qw, 1, &sc)
+				o.insert(vids[:1], [][]int64{{1}}, qsets[qw:2*qw], qw, 1)
+			}
+			probeKeys := []int64{NullKey}
+			for k := int64(0); k <= domain; k++ { // domain itself misses
+				probeKeys = append(probeKeys, k)
+			}
+			for _, r := range tc.ranges {
+				lo, hi := r[0], r[1]
+				nw := hi - lo
+				for _, so := range [][2]int{{nw, 0}, {nw + 1, 1}, {nw + 3, 2}, {qw + 2, 2}} {
+					stride, off := so[0], so[1]
+					wm, ts := v.Watermark(), v.Now()
+					p := slabProbe(rng, probeKeys, nw, stride, off)
+					if !checkSlab(t, s, o, 0, "k", p, ts, wm, lo, hi) {
+						t.Fatalf("%d words, walk %t: range [%d,%d) stride %d offset %d diverged", qw, walk, lo, hi, stride, off)
+					}
+					if served := tableServes(s, 0, ts); served == walk {
+						t.Fatalf("%d words, walk %t: a union table served the probe: %t", qw, walk, served)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestProbeRentCountsProbedTuples pins what a probe pays towards a union
+// table build: the tuples it probes, those with a bit under the mask, times
+// its range's words, not its vector's length; nothing when it probes no
+// tuple; and nothing once a current table serves it.
+func TestProbeRentCountsProbedTuples(t *testing.T) {
+	const entries = 512
+	v := NewVersions()
+	s := New(v, []string{"k"}, 320, entries)
+	qw := s.qw
+	vids := make([]int32, entries)
+	keys := make([]int64, entries)
+	qsets := make([]uint64, entries*qw)
+	for i := range vids {
+		vids[i], keys[i], qsets[i*qw] = int32(i), int64(i), 1
+	}
+	var sc InsertScratch
+	s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, &sc)
+	v.Publish(0)
+	wm, ts := v.Watermark(), v.Now()
+	walked := &s.state.Load().unions[0].walked
+	rng := rand.New(rand.NewSource(3))
+	lo, hi := 1, 3
+	p := slabProbe(rng, keys[:100], hi-lo, 4, 1)
+	want := int64(0)
+	for i := range p.VIDs {
+		if bitset.Intersects(p.words(i, hi-lo), p.Mask) {
+			want += int64(hi - lo)
+		}
+	}
+	if want == 0 || want == int64(len(p.VIDs)*(hi-lo)) {
+		t.Fatal("every or no tuple has a bit under the mask; the check is vacuous")
+	}
+	for _, tc := range []struct {
+		name string
+		p    Probe
+		add  int64
+	}{
+		{"masked slab", p, want},
+		{"unmasked keys", keyProbe(keys[:50], nil, 0), 50 * int64(hi-lo)},
+		{"no tuples", Probe{}, 0},
+		{"no tuple under the mask", Probe{Keys: p.Keys, VIDs: p.VIDs, Qsets: p.Qsets, Stride: p.Stride, Off: p.Off, Mask: make([]uint64, hi-lo)}, 0},
+	} {
+		before := walked.Load()
+		if _, _, n := s.ProbeVecRange(nil, nil, "k", tc.p, ts, wm, lo, hi); int64(n*(hi-lo)) != tc.add {
+			t.Errorf("%s: probed %d tuples over %d words, want %d words", tc.name, n, hi-lo, tc.add)
+		}
+		if got := walked.Load() - before; got != tc.add || unionCurrent(s, 0) {
+			t.Errorf("%s: paid %d words towards a build (table built: %t), want %d and none", tc.name, got, unionCurrent(s, 0), tc.add)
+		}
+	}
+	s.PruneVec(nil, nil, qw, bitset.NewFull(320), 0, qw, "k", keys, make([]uint64, qw)) // builds the table
+	before := walked.Load()
+	if _, _, n := s.ProbeVecRange(nil, nil, "k", p, ts, wm, lo, hi); !tableServes(s, 0, ts) || walked.Load() != before || int64(n*(hi-lo)) != want {
+		t.Errorf("served by a current table: probed %d tuples and paid %d words, want %d and none", n, walked.Load()-before, want/int64(hi-lo))
+	}
+}
+
 // TestProbeVecTableRespectsProbeTS pins the table's visibility bound at
 // one, two and five words: a table built after a publication newer than a
 // probe's timestamp must not serve that probe, which sees only the entries
@@ -1215,7 +1431,7 @@ func TestProbeBuildsArePaidByWalks(t *testing.T) {
 			for j := range probeKeys {
 				probeKeys[j] = keys[j%vec]
 			}
-			s.ProbeVecRange(nil, nil, "k", probeKeys, nil, ts, wm, tc.lo, tc.hi)
+			s.ProbeVecRange(nil, nil, "k", keyProbe(probeKeys, nil, 0), ts, wm, tc.lo, tc.hi)
 		}
 		slot, probed := Slot(0), 0
 		for i := 0; i < rounds; i++ {
@@ -1230,7 +1446,7 @@ func TestProbeBuildsArePaidByWalks(t *testing.T) {
 				mine.InsertVec(vids, [][]int64{keys}, qs, qw, slot, &sc)
 				wm, ts := v.Publish(slot)
 				slot++
-				other.ProbeVecRange(nil, nil, "k", nil, nil, ts, wm, tc.lo, tc.hi)
+				other.ProbeVecRange(nil, nil, "k", Probe{}, ts, wm, tc.lo, tc.hi)
 				probe(other, ts, wm)
 				probed += repeat * vec * nw
 			}
@@ -1684,6 +1900,7 @@ func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 		tq[i*qw+i%qw] = 0x5555555555555555
 	}
 	wm, ts := v.Watermark(), v.Now()
+	unmasked, masked := keyProbe(probeKeys, nil, 0), keyProbe(probeKeys, tq, qw)
 	dst, qbuf := s.ProbeVec(nil, nil, "k", probeKeys, ts, wm)
 	if len(dst) == 0 {
 		t.Fatal("fixture probes match nothing; the assertion would be vacuous")
@@ -1692,6 +1909,7 @@ func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 	elig := bitset.NewFull(80)
 	acc := make([]uint64, qw)
 	tuples1 := make([]uint64, len(probeKeys))
+	masked1 := keyProbe(probeKeys, tuples1, 1)
 	elig1 := bitset.NewFull(64)
 	dst1, qbuf1 := s1.ProbeVec(nil, nil, "k", probeKeys, ts, wm)
 	insKeys := [][]int64{keys[0][:batch]}
@@ -1717,14 +1935,14 @@ func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 		{"PruneVec/walk", prune(sw, tuples, qw, elig)},
 		{"PruneVec/one-word-table", prune(s1, tuples1, 1, elig1)},
 		{"ProbeVec/table", func() { dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm) }},
-		{"ProbeVecRange/table", func() { dst, qbuf = s.ProbeVecRange(dst[:0], qbuf[:0], "k", probeKeys, nil, ts, wm, 1, 2) }},
-		{"ProbeVecRange/table-masked", func() { dst, qbuf = s.ProbeVecRange(dst[:0], qbuf[:0], "k", probeKeys, tq, ts, wm, 0, qw) }},
+		{"ProbeVecRange/table", func() { dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", unmasked, ts, wm, 1, 2) }},
+		{"ProbeVecRange/table-masked", func() { dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", masked, ts, wm, 0, qw) }},
 		{"ProbeVec/walk-watermark", func() { dst, qbuf = sw.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm) }},
 		{"ProbeVec/walk-per-slot", func() { dst, qbuf = sw.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, 0) }},
-		{"ProbeVecRange/walk-masked", func() { dst, qbuf = sw.ProbeVecRange(dst[:0], qbuf[:0], "k", probeKeys, tq, ts, wm, 0, qw) }},
+		{"ProbeVecRange/walk-masked", func() { dst, qbuf, _ = sw.ProbeVecRange(dst[:0], qbuf[:0], "k", masked, ts, wm, 0, qw) }},
 		{"ProbeVec/one-word-table", func() { dst1, qbuf1 = s1.ProbeVec(dst1[:0], qbuf1[:0], "k", probeKeys, ts, wm) }},
 		{"ProbeVecRange/one-word-table-masked", func() {
-			dst1, qbuf1 = s1.ProbeVecRange(dst1[:0], qbuf1[:0], "k", probeKeys, tuples1, ts, wm, 0, 1)
+			dst1, qbuf1, _ = s1.ProbeVecRange(dst1[:0], qbuf1[:0], "k", masked1, ts, wm, 0, 1)
 		}},
 		{"InsertVec/in-chunk", func() { s.InsertVec(vids[:batch], insKeys, qsets[:batch*qw], qw, 1, &sc) }},
 	} {
@@ -1942,7 +2160,11 @@ func benchPrune(b *testing.B, d benchDim, probes, lo, hi int) {
 //     (two-word query sets);
 //   - 2words-32k-walk: the same with one more entry whose slot is never
 //     published, which keeps any union table from being built, so every
-//     probe walks the chains.
+//     probe walks the chains;
+//   - 2words-32k-slab: 2words-32k probed as a join node probes, through
+//     ProbeVecRange: each tuple's key read through a random vID of a
+//     327 680-row key column, its words from a three-word slab at offset
+//     1, under a mask of half the bits.
 //
 // The union table serves the others, built by untimed probes that walk
 // for it first: direct for dense keys, hashed for the sparse ones, and a
@@ -1962,6 +2184,37 @@ func BenchmarkProbeVec(b *testing.B) {
 	})
 	b.Run("2words-32k-walk", func(b *testing.B) {
 		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1}, 1024, true)
+	})
+	b.Run("2words-32k-slab", func(b *testing.B) {
+		d := benchDim{128, 1 << 15, 1 << 15, 1}
+		s, probeKeys := d.build(1024)
+		rng := rand.New(rand.NewSource(2))
+		p := Probe{Keys: make([]int64, 327680), VIDs: make([]int32, len(probeKeys)), Qsets: make([]uint64, 3*len(probeKeys)), Stride: 3, Off: 1, Mask: []uint64{0x5555555555555555, 0x5555555555555555}}
+		for i := range p.Keys {
+			p.Keys[i] = rng.Int63n(int64(d.domain))
+		}
+		for i := range p.VIDs {
+			p.VIDs[i] = rng.Int31n(int32(len(p.Keys)))
+		}
+		for i := range p.Qsets {
+			p.Qsets[i] = rng.Uint64()
+		}
+		wm, ts := s.versions.Watermark(), s.versions.Now()
+		var dst []VecMatch
+		var qbuf []uint64
+		for i := 0; i < 256 && !tableServes(s, 0, ts); i++ {
+			dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", p, ts, wm, 0, 2)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", p, ts, wm, 0, 2)
+		}
+		if len(dst) == 0 {
+			b.Fatal("the probes matched nothing")
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(p.VIDs)), "ns/key")
+		d.checkLayout(b, s)
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -213,12 +214,7 @@ func TestStreamStemGC(t *testing.T) {
 	e := streamFixture(t, 4000)
 	want := oracleCounts(t, e, streamWorkload())
 
-	st, err := e.OpenStream(context.Background(), &StreamOptions{
-		Options: Options{Workers: 2, VectorSize: 256, Seed: 11},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var st *Stream
 	total := func() (bytes, entries, inserts int64) {
 		for _, s := range st.StemStats() {
 			bytes += s.EstBytes
@@ -228,16 +224,28 @@ func TestStreamStemGC(t *testing.T) {
 		return
 	}
 
-	// Track the peak footprint by sampling synchronously between stream
-	// operations: right after a Submit returns, that query is live and its
-	// relations are (re)ingesting, so these samples see the working-set
-	// high-water mark. (A free-running poller goroutine is not guaranteed
-	// any CPU time on a single-core host and can miss the whole run.)
-	var peak int64
+	// Track the peak footprint at every episode start, where the STeMs hold
+	// what the live queries' earlier episodes built, and between stream
+	// operations. Samples taken only after Submit and Wait returned can all
+	// miss the working set: STeMs grow at dispatch, not at Submit, and a
+	// query can build, retire and be swept between two of them. (A
+	// free-running poller goroutine is not guaranteed any CPU time on a
+	// single-core host and can miss the whole run.)
+	var (
+		peakMu sync.Mutex
+		peak   int64
+	)
 	sample := func() {
-		if n, _, _ := total(); n > peak {
-			peak = n
-		}
+		n, _, _ := total()
+		peakMu.Lock()
+		peak = max(peak, n)
+		peakMu.Unlock()
+	}
+	opt := &StreamOptions{Options: Options{Workers: 2, VectorSize: 256, Seed: 11}}
+	opt.hooks.EpisodeStart = func(query.InstID, stem.Slot) { sample() }
+	st, err := e.OpenStream(context.Background(), opt)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	var tickets []*Ticket
@@ -255,7 +263,10 @@ func TestStreamStemGC(t *testing.T) {
 		}
 		sample()
 	}
-	if peak == 0 {
+	peakMu.Lock()
+	seen := peak
+	peakMu.Unlock()
+	if seen == 0 {
 		t.Fatal("never observed a non-empty STeM")
 	}
 
@@ -267,11 +278,11 @@ func TestStreamStemGC(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		n, entries, _ := total()
-		if 10*n <= peak && entries == 0 {
+		if 10*n <= seen && entries == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("STeMs not reclaimed: %d entries left, EstBytes peak %d, now %d (want <= 10%%)", entries, peak, n)
+			t.Fatalf("STeMs not reclaimed: %d entries left, EstBytes peak %d, now %d (want <= 10%%)", entries, seen, n)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -22,7 +22,7 @@ import (
 // experiments (Figs. 17–18) flip them individually.
 type Options struct {
 	VectorSize     int  // tuples per episode vector (paper: 1024)
-	GroupedFilters bool // range-table predicate evaluation vs naive per-predicate loops
+	GroupedFilters bool // mask-table predicate evaluation vs naive per-predicate loops
 	LocalityRouter bool // two-pass batched multicast vs per-tuple appends
 	Pruning        bool // symmetric join pruning via semi-join filters
 	CollectRows    bool // retain routed tuples in sources (off = count only)

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"github.com/roulette-db/roulette/internal/bitset"
 	"github.com/roulette-db/roulette/internal/catalog"
@@ -32,30 +31,6 @@ func filterFixture(rng *rand.Rand, nQueries, nPreds int) (*query.SelCol, []int64
 		sc.Queries.Add(qid)
 	}
 	return sc, col
-}
-
-func TestGroupedFilterEquivalentToNaive(t *testing.T) {
-	// Property: the range-table path and the per-predicate path compute the
-	// same masks for every value (the grouped-filter optimization must be
-	// semantics-preserving).
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nQ := 1 + rng.Intn(100)
-		sc, col := filterFixture(rng, nQ, 1+rng.Intn(20))
-		gf := NewGroupedFilter(nQ, sc, col, nil)
-		scratch := bitset.New(nQ)
-		for _, v := range []int64{-5, 0, 1, 500, 999, 1100, col[0], col[10]} {
-			a := gf.maskFor(v)
-			b := gf.naiveMask(v, scratch)
-			if !a.Equal(b) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
 }
 
 // TestRebuiltFilterMatchesFreshBuild checks the column-range cache: a

@@ -1,7 +1,9 @@
 package exec
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 
 	"github.com/roulette-db/roulette/internal/bitset"
 	"github.com/roulette-db/roulette/internal/query"
@@ -10,10 +12,13 @@ import (
 
 // GroupedFilter is a shared selection operator evaluating every query's
 // predicates on one (instance, column) at once (§5.1). The optimized path
-// precomputes a range lookup table — one query-set mask per value segment —
-// so evaluation is a binary search, logarithmic in the query count. Queries
-// without a predicate on the column are unaffected: each stored mask
-// already includes their bits.
+// precomputes one query-set mask per value segment, the stretch between two
+// consecutive predicate endpoints, so evaluating a tuple is one mask-row
+// lookup, whatever the number of queries. A column whose observed range is
+// small, or small next to its segment count, indexes its rows directly by
+// value; any other column (sparse int64 keys) finds a value's row by binary
+// search over the segment starts. Queries without a predicate on the column
+// are unaffected: each stored mask already includes their bits.
 //
 // Typed predicates are normalized at construction: string predicates
 // resolve their literals to dictionary codes (each becoming a degenerate
@@ -29,20 +34,40 @@ type GroupedFilter struct {
 	Col  string
 
 	col []int64 // the column data
+	qw  int     // words per mask
 
-	// Range table: value v falls in segment i when bounds[i] <= v <
-	// bounds[i+1]; the matching mask is masks[i]. Values outside every
-	// bound take outMask (no predicate satisfied); NullCode takes nullMask.
+	// Mask table: row r is masks[r*qw : (r+1)*qw], the mask of the values
+	// v with bounds[r-1] <= v < bounds[r] (bounds[-1] standing for
+	// math.MinInt64, the last row open above), so a value's row is the
+	// number of bounds at or below it. bounds[0] is math.MinInt64+1, so row
+	// 0 holds only NullCode: it is nullMask. Every other row starts from
+	// outMask, what a value no range predicate matches keeps.
 	bounds   []int64
-	masks    []bitset.Set
+	masks    []uint64
 	outMask  bitset.Set
 	nullMask bitset.Set
 
-	// Naive path inputs: per-query normalized predicate groups.
-	groups  []predGroup
-	queries bitset.Set
-	n       int
+	// Direct layout: value v in [lo, lo+len(rows)) takes row rows[v-lo].
+	// Any other value (NULL, one outside the column's range, every value
+	// when rows is nil) finds its row by binary search over bounds.
+	lo   int64
+	rows []int32
+
+	// Per-query normalized predicate groups: the build's input, kept for
+	// the naive path.
+	groups []predGroup
 }
+
+// directSpan and directMin bound the direct layout: a filter indexes its
+// rows by value when the column's range is under directSpan times its mask
+// rows, so filling the index costs at most a few times writing the masks (a
+// stream rebuilds a filter on every Submit and retirement touching its
+// column), or under directMin values, an index of 16 KiB. The STeM union
+// table chooses its direct layout by the same span rule.
+const (
+	directSpan = 8
+	directMin  = 1 << 12
+)
 
 // filterPred is one normalized predicate: either an IS NULL test or a union
 // of inclusive code ranges. An empty range set matches nothing.
@@ -109,11 +134,11 @@ func rangeOf(col []int64) colRange {
 	return r
 }
 
-// NewGroupedFilter precomputes the range table for one grouped filter.
+// NewGroupedFilter precomputes the mask table for one grouped filter.
 // Predicate bounds are clamped to the column's observed non-NULL value
-// range so that open-ended comparisons (MinInt64/MaxInt64 bounds) cannot
-// overflow the boundary arithmetic. dict resolves string predicates and may
-// be nil for plain int64 columns.
+// range, so open-ended comparisons (MinInt64/MaxInt64 bounds) add no
+// segment of their own. dict resolves string predicates and may be nil for
+// plain int64 columns.
 func NewGroupedFilter(nQueries int, sc *query.SelCol, col []int64, dict *value.Dict) *GroupedFilter {
 	return newGroupedFilter(nQueries, sc, col, rangeOf(col), dict)
 }
@@ -122,13 +147,12 @@ func NewGroupedFilter(nQueries int, sc *query.SelCol, col []int64, dict *value.D
 // per column by the caller (columns are immutable, and a stream rebuilds a
 // column's filter on every Submit and retirement that touches it).
 func newGroupedFilter(nQueries int, sc *query.SelCol, col []int64, r colRange, dict *value.Dict) *GroupedFilter {
-	f := &GroupedFilter{
-		Inst: sc.Inst, Col: sc.Col, col: col,
-		queries: sc.Queries, n: nQueries,
-	}
+	qw := bitset.WordsFor(nQueries)
+	f := &GroupedFilter{Inst: sc.Inst, Col: sc.Col, col: col, qw: qw}
 	colMin, colMax, seen := r.lo, r.hi, r.seen
 
 	// Normalize predicates into per-query groups of code-range unions.
+	hasGroup := bitset.New(nQueries)
 	for _, p := range sc.Preds {
 		fp := filterPred{}
 		switch p.Kind {
@@ -160,19 +184,52 @@ func newGroupedFilter(nQueries int, sc *query.SelCol, col []int64, r colRange, d
 				fp.ranges = [][2]int64{{lo, hi}}
 			}
 		}
-		gi := -1
-		for i := range f.groups {
-			if f.groups[i].qid == p.QID {
-				gi = i
-				break
-			}
-		}
-		if gi < 0 {
+		// A query's predicates arrive together, so its group is the last
+		// one or a new one; a search covers any other order.
+		gi := len(f.groups) - 1
+		switch {
+		case !hasGroup.Contains(p.QID):
+			hasGroup.Add(p.QID)
 			f.groups = append(f.groups, predGroup{qid: p.QID})
-			gi = len(f.groups) - 1
+			gi++
+		case f.groups[gi].qid != p.QID:
+			gi = slices.IndexFunc(f.groups, func(g predGroup) bool { return g.qid == p.QID })
 		}
 		f.groups[gi].preds = append(f.groups[gi].preds, fp)
 	}
+
+	// Every range [lo, hi] opens at lo and closes at hi+1; a range ending at
+	// math.MaxInt64 never closes (hi+1 would wrap to the smallest key). The
+	// endpoints, sorted, are the bounds after math.MinInt64+1.
+	type edge struct {
+		at   int64
+		pred int32 // index into the groups' predicates, in order
+		open bool
+	}
+	var edges []edge
+	var predGroupOf []int32
+	for gi := range f.groups {
+		for _, p := range f.groups[gi].preds {
+			k := int32(len(predGroupOf))
+			predGroupOf = append(predGroupOf, int32(gi))
+			for _, r := range p.ranges {
+				edges = append(edges, edge{r[0], k, true})
+				if r[1] < math.MaxInt64 {
+					edges = append(edges, edge{r[1] + 1, k, false})
+				}
+			}
+		}
+	}
+	slices.SortFunc(edges, func(a, b edge) int { return cmp.Compare(a.at, b.at) })
+	nb := 1
+	for i, e := range edges {
+		if e.at != math.MinInt64+1 && (i == 0 || e.at != edges[i-1].at) {
+			nb++
+		}
+	}
+	f.bounds = append(make([]int64, 0, nb), math.MinInt64+1)
+	f.masks = make([]uint64, (1+nb)*qw)
+	f.nullMask = f.masks[:qw:qw]
 
 	// outMask: bits of queries with no predicate here stay set.
 	f.outMask = bitset.NewFull(nQueries)
@@ -180,7 +237,7 @@ func newGroupedFilter(nQueries int, sc *query.SelCol, col []int64, r colRange, d
 
 	// nullMask: what a NULL cell keeps. Only queries whose every predicate
 	// here is IS NULL survive (plus the untouched outMask bits).
-	f.nullMask = f.outMask.Clone()
+	copy(f.nullMask, f.outMask)
 	for i := range f.groups {
 		g := &f.groups[i]
 		if g.matches(value.NullCode) {
@@ -188,57 +245,82 @@ func newGroupedFilter(nQueries int, sc *query.SelCol, col []int64, r colRange, d
 		}
 	}
 
-	// Boundary points: each normalized range [lo, hi] contributes lo and
-	// hi+1. Collected into a sorted, deduplicated slice (rather than a hash
-	// set) so construction stays allocation-light and the table is
-	// immediately in binary-search order.
-	for i := range f.groups {
-		for _, p := range f.groups[i].preds {
-			for _, r := range p.ranges {
-				f.bounds = append(f.bounds, r[0], r[1]+1)
-			}
+	// One sweep over the endpoints builds every segment's mask from the
+	// previous one. A predicate is satisfied while one of its ranges covers
+	// the segment (cover > 0, the union over an IN-list); a query's bit is
+	// set while all its predicates are (sat == len(preds), the
+	// conjunction), so it toggles only when sat crosses that count. An IS
+	// NULL or empty predicate is never satisfied here, which keeps its
+	// query's bit out of every segment.
+	cover := make([]int32, len(predGroupOf))
+	sat := make([]int32, len(f.groups))
+	m := bitset.Set(f.masks[qw : 2*qw])
+	copy(m, f.outMask)
+	for _, e := range edges {
+		if e.at != f.bounds[len(f.bounds)-1] {
+			f.bounds = append(f.bounds, e.at)
+			next := bitset.Set(f.masks[len(f.bounds)*qw : (len(f.bounds)+1)*qw])
+			copy(next, m)
+			m = next
 		}
-	}
-	sort.Slice(f.bounds, func(i, j int) bool { return f.bounds[i] < f.bounds[j] })
-	uniq := f.bounds[:0]
-	for i, v := range f.bounds {
-		if i == 0 || v != f.bounds[i-1] {
-			uniq = append(uniq, v)
-		}
-	}
-	f.bounds = uniq
-
-	if len(f.bounds) > 0 {
-		f.masks = make([]bitset.Set, len(f.bounds)-1)
-		for i := range f.masks {
-			m := f.outMask.Clone()
-			// Bounds include every range endpoint, so a segment is either
-			// fully inside or fully outside each range: probing the segment
-			// start stands for the whole segment.
-			lo := f.bounds[i]
-			for gi := range f.groups {
-				g := &f.groups[gi]
-				if g.matches(lo) {
+		gi := predGroupOf[e.pred]
+		g := &f.groups[gi]
+		need := int32(len(g.preds))
+		if e.open {
+			if cover[e.pred]++; cover[e.pred] == 1 {
+				if sat[gi]++; sat[gi] == need {
 					m.Add(g.qid)
 				}
 			}
-			f.masks[i] = m
+		} else if cover[e.pred]--; cover[e.pred] == 0 {
+			if sat[gi] == need {
+				m.Remove(g.qid)
+			}
+			sat[gi]--
+		}
+	}
+
+	// Direct layout over the column's range, when it is small next to the
+	// table: every cell then costs one index load and one row load.
+	if span := uint64(colMax) - uint64(colMin); seen && (span < directMin || span < directSpan*uint64(len(f.bounds)+1)) {
+		f.lo, f.rows = colMin, make([]int32, span+1)
+		j := f.searchRow(colMin)
+		for d := range f.rows {
+			for j < len(f.bounds) && f.bounds[j] <= colMin+int64(d) {
+				j++
+			}
+			f.rows[d] = int32(j)
 		}
 	}
 	return f
 }
 
-// maskFor returns the query-set mask for value v via the range table.
+// row returns the mask row of value v: one index load in the direct
+// layout, a binary search otherwise.
+func (f *GroupedFilter) row(v int64) int {
+	if d := uint64(v - f.lo); d < uint64(len(f.rows)) {
+		return int(f.rows[d])
+	}
+	return f.searchRow(v)
+}
+
+// searchRow counts the bounds at or below v by binary search.
+func (f *GroupedFilter) searchRow(v int64) int {
+	i, j := 0, len(f.bounds)
+	for i < j {
+		if h := int(uint(i+j) >> 1); f.bounds[h] <= v {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
+}
+
+// maskFor returns the query-set mask for value v.
 func (f *GroupedFilter) maskFor(v int64) bitset.Set {
-	if v == value.NullCode {
-		return f.nullMask
-	}
-	// Rightmost segment start <= v.
-	i := sort.Search(len(f.bounds), func(i int) bool { return f.bounds[i] > v }) - 1
-	if i < 0 || i >= len(f.masks) {
-		return f.outMask
-	}
-	return f.masks[i]
+	r := f.row(v) * f.qw
+	return f.masks[r : r+f.qw : r+f.qw]
 }
 
 // naiveMask computes the mask by scanning every predicate (the unoptimized
@@ -256,46 +338,62 @@ func (f *GroupedFilter) naiveMask(v int64, scratch bitset.Set) bitset.Set {
 
 // Apply filters the query-set words of a tuple vector in place: for each
 // tuple, its query set is intersected with the mask of its column value.
-// qsets is the flat n×qw word slab and every mask is qw words; vids
-// addresses the column. In the same pass the tuples left with a bit move,
-// in order, to the front of vids and qsets; Apply returns how many there
-// are.
+// qsets is the flat n×qw word slab and qw is the filter's mask width;
+// vids addresses the column. In the same pass the tuples left with a bit
+// move, in order, to the front of vids and qsets; Apply returns how many
+// there are.
 func (f *GroupedFilter) Apply(grouped bool, vids []int32, qsets []uint64, qw int) int {
+	if !grouped {
+		return f.applyNaive(vids, qsets, qw)
+	}
 	n := 0
-	if grouped && qw == 1 {
-		// Fast path for single-word query sets.
+	if qw == 1 {
+		// Fast path for single-word query sets: the row is the word.
 		for i, vid := range vids {
-			if q := qsets[i] & f.maskFor(f.col[vid])[0]; q != 0 {
-				vids[n], qsets[n] = vid, q
+			q := qsets[i] & f.masks[f.row(f.col[vid])]
+			vids[n], qsets[n] = vid, q
+			if q != 0 {
 				n++
 			}
 		}
 		return n
 	}
-	var naive bitset.Set // the naive path's mask scratch
-	if !grouped {
-		naive = bitset.New(f.n)
-	}
 	for i, vid := range vids {
-		var m bitset.Set
-		if grouped {
-			m = f.maskFor(f.col[vid])
-		} else {
-			m = f.naiveMask(f.col[vid], naive)
-		}
-		q := qsets[i*qw : (i+1)*qw]
-		var left uint64
-		for w, mw := range m {
-			q[w] &= mw
-			left |= q[w]
-		}
-		if left != 0 {
-			if n != i {
-				vids[n] = vid
-				copy(qsets[n*qw:], q)
-			}
+		r := f.row(f.col[vid]) * qw
+		if keepAnd(vids, qsets, qw, i, n, f.masks[r:r+qw]) {
 			n++
 		}
 	}
 	return n
+}
+
+// applyNaive is Apply evaluating every predicate per tuple (naiveMask).
+func (f *GroupedFilter) applyNaive(vids []int32, qsets []uint64, qw int) int {
+	n := 0
+	naive := make(bitset.Set, f.qw)
+	for i, vid := range vids {
+		if keepAnd(vids, qsets, qw, i, n, f.naiveMask(f.col[vid], naive)) {
+			n++
+		}
+	}
+	return n
+}
+
+// keepAnd writes tuple i with its query set intersected with m to position
+// n <= i, over a tuple already read, and reports whether a bit is left. The
+// caller advances n only then, so a dropped tuple's copy is overwritten by
+// the next survivor; writing every tuple where it lands spares masking in
+// place and then copying the survivors.
+func keepAnd(vids []int32, qsets []uint64, qw, i, n int, m []uint64) bool {
+	q := qsets[i*qw : (i+1)*qw]
+	dst := qsets[n*qw : (n+1)*qw]
+	q, dst = q[:len(m)], dst[:len(m)]
+	var left uint64
+	for w, mw := range m {
+		x := q[w] & mw
+		dst[w] = x
+		left |= x
+	}
+	vids[n] = vids[i]
+	return left != 0
 }

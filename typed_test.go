@@ -357,6 +357,65 @@ func TestCreateTableTypedValidation(t *testing.T) {
 	}
 }
 
+// TestFilterKeepsMaxInt64Rows: NullValue is math.MinInt64, so
+// math.MaxInt64 is ordinary data, and every filter whose range reaches it
+// must keep its row, in a batch and in a stream.
+func TestFilterKeepsMaxInt64Rows(t *testing.T) {
+	v := []int64{1, 7, math.MaxInt64, 3, 0}
+	valid := []bool{true, true, true, true, false}
+	e := NewEngine()
+	e.MustCreateTable("fact", NullableCol("v", v, valid))
+	cases := []struct {
+		q    *Query
+		keep func(x int64) bool
+	}{
+		{NewQuery("ge5").From("fact").Ge("fact", "v", 5), func(x int64) bool { return x >= 5 }},
+		{NewQuery("notnull").From("fact").IsNotNull("fact", "v"), func(int64) bool { return true }},
+		{NewQuery("max").From("fact").Between("fact", "v", math.MaxInt64, math.MaxInt64), func(x int64) bool { return x == math.MaxInt64 }},
+		{NewQuery("below").From("fact").Le("fact", "v", math.MaxInt64-1), func(x int64) bool { return x < math.MaxInt64 }},
+		{NewQuery("both").From("fact").Ge("fact", "v", 2).IsNotNull("fact", "v"), func(x int64) bool { return x >= 2 }},
+	}
+	var qs []*Query
+	want := map[string]int64{}
+	for _, c := range cases {
+		qs = append(qs, c.q)
+		for i, x := range v {
+			if valid[i] && c.keep(x) {
+				want[c.q.Tag()]++
+			}
+		}
+	}
+	res, err := e.ExecuteBatch(qs, &Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, qr := range res.Queries {
+		if qr.Count != want[qr.Tag] {
+			t.Errorf("batch query %s: count = %d, oracle = %d", qr.Tag, qr.Count, want[qr.Tag])
+		}
+	}
+	st, err := e.OpenStream(context.Background(), &StreamOptions{Options: Options{Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range qs {
+		tk, err := st.Submit(q)
+		if err != nil {
+			t.Fatalf("submit %s: %v", q.Tag(), err)
+		}
+		qr, err := tk.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if qr.Count != want[qr.Tag] {
+			t.Errorf("stream query %s: count = %d, oracle = %d", qr.Tag, qr.Count, want[qr.Tag])
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCreateTableRejectsNullSentinel: every engine reads NullValue as NULL
 // whatever the column's nullability, so a plain int64 column holding it
 // would silently lose the row from every filter and join.

@@ -2,11 +2,14 @@
 // example runs a TPC-DS-style dashboard batch with Options.TraceEpisodes
 // set, prints the per-batch breakdown every result carries (operator
 // classes, STeM state, policy behaviour, sharing factor), dumps the traced
-// episodes as JSON Lines, and scrapes the process-wide /metrics endpoint
-// once in both exposition formats.
+// episodes as JSON Lines to a temporary file that it reads back and
+// removes, and scrapes the process-wide /metrics endpoint once in both
+// exposition formats.
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"log"
 	"net/http/httptest"
@@ -83,7 +86,27 @@ func main() {
 		log.Fatal(err)
 	}
 	f.Close()
-	fmt.Printf("full trace written to %s\n", f.Name())
+	// Read the file back as an offline tool would, then remove it.
+	data, err := os.ReadFile(f.Name())
+	if rmErr := os.Remove(f.Name()); err == nil {
+		err = rmErr
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	episodes, joined := 0, 0
+	for dec := json.NewDecoder(bytes.NewReader(data)); dec.More(); episodes++ {
+		var ep struct {
+			JoinActions []int32 `json:"join_actions"`
+		}
+		if err := dec.Decode(&ep); err != nil {
+			log.Fatal(err)
+		}
+		if len(ep.JoinActions) > 0 {
+			joined++
+		}
+	}
+	fmt.Printf("trace file read back: %d episodes, %d with join_actions\n", episodes, joined)
 
 	// MetricsHandler serves process-wide counters accumulated across every
 	// batch; in a real service mount it on your HTTP server:

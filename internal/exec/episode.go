@@ -549,24 +549,19 @@ func andCount(a, b bitset.Set) int {
 }
 
 // compact drops tuples with empty query sets, in place (maskFinal's build
-// copy; the selection operators compact their own output).
+// copy; the selection operators compact their own output): every tuple is
+// written where the next survivor lands, and only survivors advance.
 func compact(vids []int32, qsets []uint64, qw int) ([]int32, []uint64) {
 	out := 0
-	if qw == 1 {
-		for i := range vids {
-			if qsets[i] != 0 {
-				vids[out] = vids[i]
-				qsets[out] = qsets[i]
-				out++
-			}
+	for i, vid := range vids {
+		q, dst := qsets[i*qw:][:qw], qsets[out*qw:][:qw]
+		var left uint64
+		for w, x := range q {
+			dst[w] = x
+			left |= x
 		}
-		return vids[:out], qsets[:out]
-	}
-	for i := range vids {
-		q := bitset.Set(qsets[i*qw : (i+1)*qw])
-		if !q.Empty() {
-			vids[out] = vids[i]
-			copy(qsets[out*qw:], q)
+		vids[out] = vid
+		if left != 0 {
 			out++
 		}
 	}
@@ -783,29 +778,10 @@ func (w *Worker) routeSel(nd *plan.Node, v *jvec) *jvec {
 	off, stride := lo-v.lo, v.width // the node's words within v's slab
 	out.lo, out.width = lo, nw
 	// The kept tuples and their masked words first, then the vID columns.
-	ks := w.vmatches[:0]
-	if nw == 1 {
-		mask := qmask[0]
-		for i := 0; i < v.n; i++ {
-			q := v.qsets[i*stride+off] & mask
-			if q == 0 {
-				continue
-			}
-			out.qsets = append(out.qsets, q)
-			ks = append(ks, stem.VecMatch{In: int32(i)})
-		}
-	} else {
-		for i := 0; i < v.n; i++ {
-			q := v.qsets[i*stride+off : i*stride+off+nw]
-			if !bitset.Intersects(q, qmask) {
-				continue
-			}
-			for wd, mw := range qmask {
-				out.qsets = append(out.qsets, q[wd]&mw)
-			}
-			ks = append(ks, stem.VecMatch{In: int32(i)})
-		}
-	}
+	ks := slices.Grow(w.vmatches[:0], v.n)[:v.n]
+	qs := slices.Grow(out.qsets[:0], v.n*nw)[:v.n*nw]
+	n := selectMasked(ks, qs, v.qsets, stride, off, qmask)
+	ks, out.qsets = ks[:n], qs[:n*nw]
 	w.vmatches = ks
 	gather(out, copyIdx, v, ks, -1)
 	// Routing-selection time lands in the probe bucket, matching the cost
@@ -814,6 +790,42 @@ func (w *Worker) routeSel(nd *plan.Node, v *jvec) *jvec {
 	w.ep.routeSelOps++
 	w.countServed(nd.Q.Count())
 	return out
+}
+
+// selectMasked is routeSel's kernel: for each tuple i < len(ks), it ANDs
+// the tuple's words src[i*stride+off:] with mask and writes them, with
+// VecMatch{In: i}, where the next survivor lands in qs and ks, len(mask)
+// words per tuple, and returns how many tuples kept a bit. Every tuple is
+// written and only survivors advance the count, so no branch depends on
+// the data.
+func selectMasked(ks []stem.VecMatch, qs, src []uint64, stride, off int, mask []uint64) int {
+	n := 0
+	if len(mask) == 1 {
+		m := mask[0]
+		for i := range ks {
+			q := src[i*stride+off] & m
+			qs[n], ks[n] = q, stem.VecMatch{In: int32(i)}
+			if q != 0 {
+				n++
+			}
+		}
+		return n
+	}
+	nw := len(mask)
+	for i := range ks {
+		from, to := i*stride+off, n*nw
+		var left uint64
+		for wd, m := range mask {
+			x := src[from+wd] & m
+			qs[to+wd] = x
+			left |= x
+		}
+		ks[n] = stem.VecMatch{In: int32(i)}
+		if left != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // route multicasts v's tuples to the RouLette sources of the queries in

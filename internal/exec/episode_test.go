@@ -356,3 +356,169 @@ func TestRouteMatchesPerQueryLoop(t *testing.T) {
 		}
 	}
 }
+
+// randomSelInput draws a routing selection over qw-word query sets and the
+// vector it reads: the node's queries span random words [lo, hi), the
+// vector's slab starts at or before lo and may reach past hi, and its
+// three instances' vID columns are random, of which the node keeps a random
+// subset. Tuple words are random, one tuple in seven empty, unless keep is
+// "none" (no tuple has a bit of the node's queries) or "all" (every tuple
+// has one).
+func randomSelInput(rng *rand.Rand, qw, n int, keep string) (*plan.Node, *jvec) {
+	lo := rng.Intn(qw)
+	hi := lo + 1 + rng.Intn(qw-lo)
+	nd := &plan.Node{Kind: plan.RouteSel, Q: make(bitset.Set, qw), Keep: uint64(rng.Intn(8))}
+	for wd := lo; wd < hi; wd++ {
+		nd.Q[wd] = rng.Uint64() | 1
+	}
+	nd.Lo, nd.Hi = nd.Q.Span()
+	v := &jvec{insts: []query.InstID{2, 0, 1}, n: n}
+	v.lo = rng.Intn(lo + 1)
+	v.width = hi - v.lo + rng.Intn(qw-hi+1)
+	v.qsets = make([]uint64, n*v.width)
+	for i := 0; i < n; i++ {
+		t := v.qsets[i*v.width : (i+1)*v.width]
+		for wd := range t {
+			t[wd] = rng.Uint64() & rng.Uint64() & rng.Uint64()
+			if q := v.lo + wd; keep == "none" && q >= lo && q < hi {
+				t[wd] &^= nd.Q[q]
+			}
+		}
+		switch {
+		case keep == "all":
+			t[lo-v.lo] |= 1
+		case keep == "random" && i%7 == 0:
+			clear(t)
+		}
+	}
+	for range v.insts {
+		col := make([]int32, n)
+		for i := range col {
+			col[i] = rng.Int31n(1000)
+		}
+		v.vids = append(v.vids, col)
+	}
+	return nd, v
+}
+
+// TestRouteSelMatchesPerTupleLoop checks routing selections against the
+// loop they stand for: each tuple, in order, keeps its words in the node's
+// range ANDed with the node's queries and, when a bit is left, is emitted
+// with them and with its vIDs in the instances the node keeps. The node's
+// queries span one, two or five words of a vector whose slab starts at
+// them or before (both must occur); tuples are kept at random, none or
+// all. Three selections run
+// on one worker, each output going back to its pool, so a reused vector's
+// leftovers show in the next.
+func TestRouteSelMatchesPerTupleLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var offsets [2]int // selections whose words start at and after the slab's first
+	for _, qw := range []int{1, 2, 5} {
+		for _, keep := range []string{"random", "none", "all"} {
+			w := &Worker{C: &Context{}, qw: qw}
+			for round := 0; round < 3; round++ {
+				nd, v := randomSelInput(rng, qw, 200+rng.Intn(100), keep)
+				lo, hi := nd.Lo, nd.Hi
+				offsets[min(lo-v.lo, 1)]++
+				var wantInsts []query.InstID
+				var wantCols [][]int32
+				for _, in := range v.insts {
+					if nd.Keep&(1<<in) != 0 {
+						wantInsts = append(wantInsts, in)
+						wantCols = append(wantCols, []int32{})
+					}
+				}
+				var wantQ []uint64
+				kept := 0
+				for i := 0; i < v.n; i++ {
+					q := make(bitset.Set, hi-lo)
+					for wd := range q {
+						q[wd] = v.qsets[i*v.width+lo-v.lo+wd] & nd.Q[lo+wd]
+					}
+					if q.Empty() {
+						continue
+					}
+					kept++
+					wantQ = append(wantQ, q...)
+					oi := 0
+					for vi, in := range v.insts {
+						if nd.Keep&(1<<in) != 0 {
+							wantCols[oi] = append(wantCols[oi], v.vids[vi][i])
+							oi++
+						}
+					}
+				}
+				switch {
+				case keep == "none" && kept != 0, keep == "all" && kept != v.n:
+					t.Fatalf("%d words, keep %s: the input keeps %d of %d tuples", qw, keep, kept, v.n)
+				}
+				out := w.routeSel(nd, v)
+				if out.n != kept || out.lo != lo || out.width != hi-lo || !slices.Equal(out.insts, wantInsts) || len(out.vids) != len(wantCols) {
+					t.Fatalf("%d words, keep %s, round %d: got n %d lo %d width %d insts %v, want n %d lo %d width %d insts %v",
+						qw, keep, round, out.n, out.lo, out.width, out.insts, kept, lo, hi-lo, wantInsts)
+				}
+				if !slices.Equal(out.qsets, wantQ) {
+					t.Fatalf("%d words, keep %s, round %d: query-set words %x, want %x", qw, keep, round, out.qsets, wantQ)
+				}
+				for oi, col := range wantCols {
+					if !slices.Equal(out.vids[oi], col) {
+						t.Fatalf("%d words, keep %s, round %d: instance %d vIDs %v, want %v", qw, keep, round, out.insts[oi], out.vids[oi], col)
+					}
+				}
+				w.pool.put(out)
+			}
+		}
+	}
+	if offsets[0] == 0 || offsets[1] == 0 {
+		t.Fatalf("%d selections read their words at the slab's start and %d after it; want both", offsets[0], offsets[1])
+	}
+}
+
+// BenchmarkRouteSel times routing selections of 1024 tuples with one query
+// bit each, drawn from a batch of 64 (1word) or 128 (2words) queries, to a
+// node holding every other query, so about half the tuples survive, in
+// random order; the node keeps two of the vector's three vID columns. Each
+// call takes the next of 64 vectors, so that no branch on which tuples
+// survive repeats within the predictor's reach.
+func BenchmarkRouteSel(b *testing.B) {
+	for qw, name := range []string{1: "1word-survive50", 2: "2words-survive50"} {
+		if name == "" {
+			continue
+		}
+		b.Run(name, func(b *testing.B) {
+			const n, sets = 1024, 64
+			rng := rand.New(rand.NewSource(1))
+			nd := &plan.Node{Kind: plan.RouteSel, Q: make(bitset.Set, qw), Keep: 1<<0 | 1<<2, Lo: 0, Hi: qw}
+			for wd := range nd.Q {
+				nd.Q[wd] = 0x5555555555555555
+			}
+			vs := make([]*jvec, sets)
+			for k := range vs {
+				v := &jvec{insts: []query.InstID{2, 0, 1}, n: n, width: qw, qsets: make([]uint64, n*qw)}
+				for i := 0; i < n; i++ {
+					q := rng.Intn(64 * qw)
+					v.qsets[i*qw+q/64] = 1 << (q % 64)
+				}
+				for range v.insts {
+					col := make([]int32, n)
+					for i := range col {
+						col[i] = rng.Int31n(1 << 20)
+					}
+					v.vids = append(v.vids, col)
+				}
+				vs[k] = v
+			}
+			w := &Worker{C: &Context{}, qw: qw}
+			kept := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out := w.routeSel(nd, vs[i%sets])
+				kept += out.n
+				w.pool.put(out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/tuple")
+			b.ReportMetric(float64(kept)/float64(b.N*n), "kept/tuple")
+		})
+	}
+}

@@ -497,10 +497,11 @@ func (s *STeM) walkChains(st *stemState, ki int, dst []VecMatch, qout []uint64, 
 // move, in order and with all qw of their words, to the front of vids and
 // qsets, and PruneVec returns how many there are. Tuples that came in empty
 // leave too. Words outside [lo, hi) are neither read from the STeM nor
-// masked; callers pass the span of elig's bits (bitset.Set.Span). A tuple
-// without an eligible bit in the range is not probed, and a NULL key
-// (NullKey) matches nothing, so a NULL-keyed tuple loses all its eligible
-// bits. acc is caller-owned scratch of at least hi-lo words.
+// masked; callers pass the span of elig's bits (bitset.Set.Span). Every
+// tuple reads its key's union (one without an eligible bit comes out
+// unchanged), and a NULL key (NullKey) matches nothing, so a NULL-keyed
+// tuple loses all its eligible bits. acc is caller-owned scratch of at
+// least hi-lo words.
 //
 // Publication needs no timestamp ordering here, and unpublished slots are
 // skipped, not sealed: the caller prunes only against a STeM whose every
@@ -519,17 +520,23 @@ func (s *STeM) PruneVec(vids []int32, qsets []uint64, qw int, elig bitset.Set, l
 		t = s.union(st, ki, c, gen, 0)
 	}
 	switch {
-	case t == nil:
+	case t == nil || lo == hi:
+		// No table, or no word to mask: the walk then only drops the empty
+		// tuples, which the loops below cannot do on a one-word table,
+		// whose u is the union word, not an offset into us.
 		return s.pruneWalk(st, ki, vids, qsets, qw, elig, lo, hi, keys, acc)
 	case qw == 1 && hi-lo == 1:
 		e, n := elig[0], 0
 		for i, vid := range vids {
-			q := qsets[i]
-			if q&e != 0 {
-				q &= t.word(t.slot(keys[vid]), 0) | ^e
+			var u uint64 // a key no slot holds has the empty union
+			if k := keys[vid]; !t.direct {
+				u = t.slot(k).u
+			} else if j := uint64(k - t.base); j < uint64(len(t.slots)) {
+				u = t.slots[j].u
 			}
+			q := qsets[i] & (u | ^e)
+			vids[n], qsets[n] = vid, q
 			if q != 0 {
-				vids[n], qsets[n] = vid, q
 				n++
 			}
 		}
@@ -538,25 +545,32 @@ func (s *STeM) PruneVec(vids []int32, qsets []uint64, qw int, elig bitset.Set, l
 	nw, n := hi-lo, 0
 	elig = elig[lo:hi]
 	for i, vid := range vids {
-		tw := qsets[i*qw+lo:][:nw]
+		row, dst := qsets[i*qw:][:qw], qsets[n*qw:][:qw]
+		u := t.us[int(t.slot(keys[vid]).u)+lo:][:nw]
 		var has uint64
 		for w, e := range elig {
-			has |= tw[w] & e
+			x := row[lo+w] & (u[w] | ^e)
+			dst[lo+w] = x
+			has |= x
 		}
-		if has != 0 {
-			u := t.us[int(t.slot(keys[vid]).u)+lo:][:nw]
-			for w, e := range elig {
-				tw[w] &= u[w] | ^e
-			}
+		// Only a tuple whose span emptied reads the words outside it, and
+		// only a tuple that moves copies them.
+		keep := has != 0 || !bitset.Set(row[:lo]).Empty() || !bitset.Set(row[hi:]).Empty()
+		if n != i {
+			vids[n] = vid
+			copy(dst[:lo], row[:lo])
+			copy(dst[hi:], row[hi:])
 		}
-		n = survive(vids, qsets, qw, i, n)
+		if keep {
+			n++
+		}
 	}
 	return n
 }
 
-// survive is the compaction step of the selection kernels: it moves tuple
-// i, with its qw words, to position n <= i of vids and qsets when any of its
-// words is set, and returns the next free position.
+// survive is pruneWalk's compaction step: it moves tuple i, with its qw
+// words, to position n <= i of vids and qsets when any of its words is
+// set, and returns the next free position.
 func survive(vids []int32, qsets []uint64, qw, i, n int) int {
 	tw := qsets[i*qw:][:qw]
 	for _, x := range tw {

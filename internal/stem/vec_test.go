@@ -136,21 +136,49 @@ func (o *oracle) prune(ki int, key int64, t, elig []uint64, lo, hi int) []uint64
 	return out
 }
 
-// randomPrune draws a PruneVec input over qw-word query sets: a tuple slab
-// for keys with random bits, an eligible set with random bits, and a random
-// word range [lo, hi).
+// randomPrune draws a PruneVec input over qw-word query sets: a random
+// word range [lo, hi), an eligible set with random bits, each word full one
+// time in three, so a tuple whose key matches nothing loses its whole span
+// there, and a tuple slab for keys with random bits, one tuple in four with
+// none outside the range, so that it can empty entirely.
 func randomPrune(rng *rand.Rand, keys []int64, qw int) (tuples, elig []uint64, lo, hi int) {
-	tuples = make([]uint64, len(keys)*qw)
-	for i := range tuples {
-		tuples[i] = rng.Uint64() & rng.Uint64()
-	}
+	lo = rng.Intn(qw + 1)
+	hi = lo + rng.Intn(qw-lo+1)
 	elig = make([]uint64, qw)
 	for w := range elig {
 		elig[w] = rng.Uint64()
+		if rng.Intn(3) == 0 {
+			elig[w] = ^uint64(0)
+		}
 	}
-	lo = rng.Intn(qw + 1)
-	hi = lo + rng.Intn(qw-lo+1)
+	tuples = make([]uint64, len(keys)*qw)
+	for i := range keys {
+		inner := rng.Intn(4) == 0
+		for w := 0; w < qw; w++ {
+			if !inner || lo <= w && w < hi {
+				tuples[i*qw+w] = rng.Uint64() & rng.Uint64()
+			}
+		}
+	}
 	return tuples, elig, lo, hi
+}
+
+// pruneCases counts, among the tuples of a PruneVec input, those the
+// oracle leaves with a set span emptied but a bit outside it (they must
+// survive) and those it empties entirely (they must drop).
+func pruneCases(o *oracle, ki int, keys []int64, tuples, elig []uint64, lo, hi, qw int) (spanOnly, emptied int) {
+	for i, k := range keys {
+		in := bitset.Set(tuples[i*qw : (i+1)*qw])
+		out := bitset.Set(o.prune(ki, k, in, elig, lo, hi))
+		switch {
+		case in.Empty():
+		case out.Empty():
+			emptied++
+		case lo < hi && !in[lo:hi].Empty() && out[lo:hi].Empty():
+			spanOnly++
+		}
+	}
+	return spanOnly, emptied
 }
 
 // checkPrune runs PruneVec over a fresh random input and compares every
@@ -928,24 +956,38 @@ func buildRandom(rng *rand.Rand, qcap, n int) (*STeM, *oracle, []int64) {
 // model at query-set widths of 1, 2 and 5 words, each over random word
 // ranges — bits outside the range must come back untouched — with NULL
 // keys, unpublished slots and multi-entry chains, then again once every
-// slot is published (where the prune answers from its union table). It
-// also checks the probe kernels on the same STeMs, ProbeVecRange's word
+// slot is published (where the prune answers from its union table, which
+// must then see tuples that drop and tuples whose span empties but whose
+// other words keep them). It also checks the probe kernels on the same STeMs, ProbeVecRange's word
 // range and tuple mask included (checkProbe).
 func TestPruneVecMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, qcap := range []int{64, 128, 320} {
 		s, o, keys := buildRandom(rng, qcap, 600)
+		qw := s.qw
+		var spanOnly, emptied int
 		for iter := 0; iter < 80; iter++ {
 			if iter == 40 {
 				publishRest(s.versions, o)
 			}
-			if !checkPrune(t, rng, s, o, 0, "k", keys) {
+			tuples, elig, lo, hi := randomPrune(rng, keys, qw)
+			if iter >= 40 {
+				a, b := pruneCases(o, 0, keys, tuples, elig, lo, hi, qw)
+				spanOnly, emptied = spanOnly+a, emptied+b
+			}
+			if !checkPruneInput(t, s, o, 0, "k", keys, tuples, elig, lo, hi) {
 				t.Fatalf("qcap %d iter %d: PruneVec diverged from the oracle", qcap, iter)
 			}
 		}
 		if !unionCurrent(s, 0) {
 			t.Fatalf("qcap %d: no current union table once every slot is published", qcap)
 		}
+		// The table's loops must meet both ends of their compaction: a tuple
+		// that only the words outside its span keep, and one that drops.
+		if emptied == 0 || qw > 1 && spanOnly == 0 {
+			t.Fatalf("qcap %d: the table-served prunes emptied %d tuples and %d spans of surviving tuples; want both above 0", qcap, emptied, spanOnly)
+		}
+		t.Logf("qcap %d: %d tuples emptied, %d kept only outside their span", qcap, emptied, spanOnly)
 		if !checkProbe(t, s, o, 0, "k", keys, s.versions.Now(), s.versions.Watermark()) {
 			t.Fatalf("qcap %d: a probe diverged from the oracle", qcap)
 		}
@@ -2047,47 +2089,81 @@ func BenchmarkSTeMProbeParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkPruneVec measures the prune kernel on four shapes, each a
+// BenchmarkPruneVec measures the prune kernel on six shapes, each a
 // vector probing a published dimension STeM, all answered from the union
 // table:
 //
 //   - 32words-span5: 1024 tuples against a 65 536-key STeM of a 2048-query
 //     batch (32-word query sets) whose eligible queries span five words, as
 //     after shape-clustered numbering;
+//   - 32words-bits20-span5: the same with every tuple and every entry
+//     carrying 20 random query bits, as after batch_scan's grouped filter:
+//     the span nearly always empties and the words outside it keep the
+//     tuple;
 //   - 1word-dim1800: 1000 tuples against a one-word STeM holding 60 % of an
 //     1 800-key dimension, probed over the whole dimension, as a stream's
 //     lone queries prune;
+//   - 1word-lone-dim1800: 1word-dim1800 with a lone query's one bit on
+//     every tuple and entry, so the 40 % of tuples whose key misses drop
+//     in random order, as in stream_paced's first prune step;
 //   - 1word-dim1800-fill10: the same STeM holding 10 % of the dimension, as
 //     behind a 10 %-selective filter, so nine keys in ten miss;
 //   - 1word-sparse1800: 1word-dim1800 with the keys spread 2³² apart.
 //
 // Dense keys build a direct table, the sparse ones a hashed one; a row
-// fails when its table has the other layout.
+// fails when its table has the other layout. Each iteration resets the
+// tuples outside the timed region and prunes the next of pruneSets key
+// vectors; kept/key is the share that survives.
 func BenchmarkPruneVec(b *testing.B) {
+	const entries = 1 << 16
 	b.Run("32words-span5", func(b *testing.B) {
-		const entries = 1 << 16
-		benchPrune(b, benchDim{2048, entries, entries, 1}, 1024, 10, 15)
+		benchPrune(b, benchDim{2048, entries, entries, 1, 0}, 1024, 10, 15)
+	})
+	b.Run("32words-bits20-span5", func(b *testing.B) {
+		benchPrune(b, benchDim{2048, entries, entries, 1, 20}, 1024, 10, 15)
 	})
 	b.Run("1word-dim1800", func(b *testing.B) {
-		benchPrune(b, benchDim{64, 1800, 1800 * 6 / 10, 1}, 1000, 0, 1)
+		benchPrune(b, benchDim{64, 1800, 1800 * 6 / 10, 1, 0}, 1000, 0, 1)
+	})
+	b.Run("1word-lone-dim1800", func(b *testing.B) {
+		benchPrune(b, benchDim{1, 1800, 1800 * 6 / 10, 1, 1}, 1000, 0, 1)
 	})
 	b.Run("1word-dim1800-fill10", func(b *testing.B) {
-		benchPrune(b, benchDim{64, 1800, 180, 1}, 1000, 0, 1)
+		benchPrune(b, benchDim{64, 1800, 180, 1, 0}, 1000, 0, 1)
 	})
 	b.Run("1word-sparse1800", func(b *testing.B) {
-		benchPrune(b, benchDim{64, 1800, 1800 * 6 / 10, 1 << 32}, 1000, 0, 1)
+		benchPrune(b, benchDim{64, 1800, 1800 * 6 / 10, 1 << 32, 0}, 1000, 0, 1)
 	})
 }
 
 // benchDim shapes a kernel benchmark's STeM: a qcap-query batch's entries
-// distinct keys of a domain-key dimension, key k stored as k·stride.
+// distinct keys of a domain-key dimension, key k stored as k·stride. With
+// bits > 0 each entry, and each tuple benchPrune prunes, carries that many
+// random query bits (drawn with repeats) instead of random words (entries)
+// or every bit (tuples).
 type benchDim struct {
 	qcap, domain, entries int
 	stride                int64
+	bits                  int
 }
 
-// build returns the STeM under one published slot, each entry with random
-// bits in every word, and probes keys drawn from the whole domain.
+// draw fills qs, one tuple's or entry's words, with d.bits random query
+// bits, or with dense when d.bits is 0.
+func (d benchDim) draw(rng *rand.Rand, qs []uint64, dense func() uint64) {
+	for w := range qs {
+		qs[w] = 0
+		if d.bits == 0 {
+			qs[w] = dense()
+		}
+	}
+	for range d.bits {
+		q := rng.Intn(d.qcap)
+		qs[q/64] |= 1 << (q % 64)
+	}
+}
+
+// build returns the STeM under one published slot and probes keys drawn
+// from the whole domain.
 func (d benchDim) build(probes int) (*STeM, []int64) {
 	v := NewVersions()
 	s := New(v, []string{"k"}, d.qcap, d.entries)
@@ -2098,9 +2174,7 @@ func (d benchDim) build(probes int) (*STeM, []int64) {
 	qsets := make([]uint64, d.entries*qw)
 	for i, k := range rng.Perm(d.domain)[:d.entries] {
 		vids[i], keys[i] = int32(i), int64(k)*d.stride
-		for w := 0; w < qw; w++ {
-			qsets[i*qw+w] = rng.Uint64() & rng.Uint64()
-		}
+		d.draw(rng, qsets[i*qw:(i+1)*qw], func() uint64 { return rng.Uint64() & rng.Uint64() })
 	}
 	var sc InsertScratch
 	s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, &sc)
@@ -2121,30 +2195,46 @@ func (d benchDim) checkLayout(b *testing.B, s *STeM) {
 	}
 }
 
-// benchPrune times PruneVec of probes keys against d's STeM, with the
-// words [lo, hi) eligible.
+// pruneSets is how many vectors of distinct keys a prune benchmark cycles
+// through, so that no branch on which tuples drop repeats within the
+// predictor's reach, as a scan's fresh vectors never repeat.
+const pruneSets = 64
+
+// benchPrune times PruneVec of vectors of probes keys against d's STeM,
+// with the words [lo, hi) eligible, once an untimed call has built the
+// union table. Each call takes the next of pruneSets key vectors; the
+// tuples are drawn once and copied back before each call, outside the
+// timed region.
 func benchPrune(b *testing.B, d benchDim, probes, lo, hi int) {
-	s, probeKeys := d.build(probes)
+	s, probeKeys := d.build(probes * pruneSets)
 	qw := s.qw
 	elig := make(bitset.Set, qw)
 	for w := lo; w < hi; w++ {
 		elig[w] = ^uint64(0)
 	}
-	tuples := make([]uint64, len(probeKeys)*qw)
-	pvids := make([]int32, len(probeKeys))
+	rng := rand.New(rand.NewSource(2))
+	init := make([]uint64, probes*qw)
+	for i := 0; i < probes; i++ {
+		d.draw(rng, init[i*qw:(i+1)*qw], func() uint64 { return ^uint64(0) })
+	}
+	tuples := make([]uint64, len(init))
+	pvids := make([]int32, probes)
 	acc := make([]uint64, qw)
+	s.PruneVec(pvids, tuples, qw, elig, lo, hi, "k", probeKeys, acc) // builds the table
+	kept := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range tuples {
-			tuples[j] = ^uint64(0)
-		}
+		b.StopTimer()
+		copy(tuples, init)
 		for j := range pvids {
-			pvids[j] = int32(j)
+			pvids[j] = int32(i%pruneSets*probes + j)
 		}
-		s.PruneVec(pvids, tuples, qw, elig, lo, hi, "k", probeKeys, acc)
+		b.StartTimer()
+		kept += s.PruneVec(pvids, tuples, qw, elig, lo, hi, "k", probeKeys, acc)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes), "ns/key")
+	b.ReportMetric(float64(kept)/float64(b.N*probes), "kept/key")
 	d.checkLayout(b, s)
 }
 
@@ -2171,22 +2261,22 @@ func benchPrune(b *testing.B, d benchDim, probes, lo, hi int) {
 // row fails when its table has the other layout.
 func BenchmarkProbeVec(b *testing.B) {
 	b.Run("1word-dim1800", func(b *testing.B) {
-		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1}, 1000, false)
+		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1, 0}, 1000, false)
 	})
 	b.Run("1word-dim1800-fill10", func(b *testing.B) {
-		benchProbe(b, benchDim{64, 1800, 180, 1}, 1000, false)
+		benchProbe(b, benchDim{64, 1800, 180, 1, 0}, 1000, false)
 	})
 	b.Run("1word-sparse1800", func(b *testing.B) {
-		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1 << 32}, 1000, false)
+		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1 << 32, 0}, 1000, false)
 	})
 	b.Run("2words-32k", func(b *testing.B) {
-		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1}, 1024, false)
+		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1, 0}, 1024, false)
 	})
 	b.Run("2words-32k-walk", func(b *testing.B) {
-		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1}, 1024, true)
+		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1, 0}, 1024, true)
 	})
 	b.Run("2words-32k-slab", func(b *testing.B) {
-		d := benchDim{128, 1 << 15, 1 << 15, 1}
+		d := benchDim{128, 1 << 15, 1 << 15, 1, 0}
 		s, probeKeys := d.build(1024)
 		rng := rand.New(rand.NewSource(2))
 		p := Probe{Keys: make([]int64, 327680), VIDs: make([]int32, len(probeKeys)), Qsets: make([]uint64, 3*len(probeKeys)), Stride: 3, Off: 1, Mask: []uint64{0x5555555555555555, 0x5555555555555555}}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/roulette-db/roulette/internal/bitset"
 	"github.com/roulette-db/roulette/internal/catalog"
 	"github.com/roulette-db/roulette/internal/exec"
 	"github.com/roulette-db/roulette/internal/query"
@@ -53,9 +52,8 @@ func TestBuildRuleFiresAndStaysExact(t *testing.T) {
 
 	// The same batch as a stream: the same rule through live admission, and
 	// after the last retirement the collector returns every STeM to the
-	// empty floor — including the fact STeM, which never builds and so
-	// keeps the row-count buckets its instance was created with until the
-	// collector frees them.
+	// empty floor: no entries, no chunks and no tables — including the fact
+	// STeM, which never builds.
 	t.Run("stream", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(83))
 		db := starDB(rng, 300, 30)
@@ -172,12 +170,12 @@ func TestBuildRuleFiresAndStaysExact(t *testing.T) {
 }
 
 // reclaimed reports whether every STeM is back to the empty floor: no
-// entries, and no bucket arrays grown for a rescan.
+// entries, and no chunk or table left to hold them.
 func reclaimed(s *Session) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, st := range s.ctx.Stems {
-		if st.Len() != 0 || st.NeedsShrink() {
+		if st.Len() != 0 || st.EstBytes() != 0 {
 			return false
 		}
 	}
@@ -245,126 +243,6 @@ func TestBuildRuleInFlightGuard(t *testing.T) {
 		if want := oracleCount(db, q); res.Counts[qid] != want {
 			t.Errorf("query %d: count = %d, oracle = %d", qid, res.Counts[qid], want)
 		}
-	}
-}
-
-// TestStemGrowthFencedBehindInFlightPeer pins where a STeM grows (DESIGN.md
-// §10): when a vector about to be built would push it past its load factor,
-// and behind the instance fence while another episode on the same instance
-// is in flight. A first query leaves d1's STeM compacted to the empty floor.
-// Two later queries rescan d1 on two workers while a hook parks the first d1
-// episode: its dispatch grew the floor buckets inline (nothing in flight),
-// and the other worker's d1 vectors then overfill them. That growth must
-// wait behind d1's fence — the STeM stays over its load factor while the
-// peer is parked, because swapping the state under an in-flight InsertVec
-// would strand its entries in the old state. Afterwards every d1 entry the
-// run inserted must be reachable through the grown buckets, and every
-// answer must equal the oracle.
-func TestStemGrowthFencedBehindInFlightPeer(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	const factRows, dimRows, vec = 2048, 1024, 64
-	db := starDB(rng, factRows, dimRows)
-
-	var armed atomic.Bool
-	var d1 atomic.Int32
-	parked := make(chan struct{})
-	release := make(chan struct{})
-	opt := exec.DefaultOptions()
-	opt.VectorSize = vec
-	opt.Hooks = exec.Hooks{EpisodeStart: func(inst query.InstID, _ stem.Slot) {
-		if armed.Load() && int32(inst) == d1.Load() && armed.CompareAndSwap(true, false) {
-			close(parked)
-			select {
-			case <-release:
-			case <-time.After(60 * time.Second):
-			}
-		}
-	}}
-	var rec *retireRecorder
-	s, err := NewSession(query.NewStreamBatch(8), db, Config{
-		Exec: opt, Workers: 2, Streaming: true,
-		OnRetire: func(qid int, st QueryStatus) { rec.onRetire(qid, st) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec = newRetireRecorder(s)
-	join := streamRun(t, s)
-	wait := func(what string, cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(60 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting until %s", what)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	submit := func(q *query.Query) int {
-		t.Helper()
-		qid, err := s.SubmitLiveMeta(q, SubmitMeta{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec.track(qid)
-		return qid
-	}
-
-	qs := []*query.Query{factD1(0, 0), factD1(0, 49), factD1(30, 99)}
-	warm := submit(qs[0])
-	var stm *stem.STeM
-	var inserts *atomic.Int64
-	s.WithCompiled(func(b *query.Batch, ctx *exec.Context, _ bitset.Set) {
-		inst, _ := b.InstOfAlias(warm, "d1")
-		d1.Store(int32(inst))
-		stm, inserts = ctx.Stems[inst], &ctx.InstStats[inst].Inserts
-	})
-	wait("the first query retires and every STeM is back at the empty floor", func() bool {
-		rec.mu.Lock()
-		done := rec.done[0]
-		rec.mu.Unlock()
-		return done && reclaimed(s)
-	})
-	insertsBefore := inserts.Load()
-
-	armed.Store(true)
-	submit(qs[1])
-	select {
-	case <-parked:
-	case <-time.After(60 * time.Second):
-		t.Fatal("no d1 episode started after the rescan was admitted")
-	}
-	submit(qs[2])
-	inst := d1.Load()
-	wait("a d1 growth is queued behind the fence and only the parked peer is in flight", func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.instFence[inst] && len(s.instOps[inst]) > 0 && s.instFlight[inst] == 1
-	})
-	if !stm.NeedsGrow(stm.Len()) {
-		t.Errorf("d1 STeM within its load factor (%d entries) while its growth waits behind the fence", stm.Len())
-	}
-	close(release)
-	s.CloseSubmit() // no new collection pass: d1's entries outlive the run
-	join()
-
-	if completed := rec.check(t, db, qs); completed != len(qs) {
-		t.Errorf("completed = %d, want %d", completed, len(qs))
-	}
-	if s.instFence[inst] || len(s.instOps[inst]) != 0 {
-		t.Errorf("d1 fence still up after the run (%d queued ops)", len(s.instOps[inst]))
-	}
-	n := stm.Len()
-	if got := inserts.Load() - insertsBefore; int64(n) != got || n == 0 {
-		t.Fatalf("d1 STeM holds %d entries, the rescans inserted %d", n, got)
-	}
-	keys := make([]int64, dimRows)
-	for i := range keys {
-		keys[i] = int64(i)
-	}
-	matches, _ := stm.ProbeVec(nil, nil, "k", keys, s.ctx.Versions.Now(), 0)
-	if len(matches) != n {
-		t.Errorf("probing every d1 key finds %d entries, the STeM holds %d: entries lost to a bucket rebuild", len(matches), n)
 	}
 }
 

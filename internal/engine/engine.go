@@ -292,8 +292,8 @@ type Session struct {
 	// Epoch-based coordination (replaces the stop-the-world quiesce gate):
 	// dom tracks which batch generation each worker's in-flight episode
 	// pinned, so retired-state frees wait out a grace period instead of a
-	// barrier. instFence/instFlight/instOps serialize the few structural
-	// STeM mutations (AddIndex, EnsureBuckets growth, compaction) against
+	// barrier. instFence/instFlight/instOps serialize the two structural
+	// STeM mutations (AddIndex, compaction) against
 	// in-flight inserts on one instance only: a fenced instance stops
 	// receiving new episodes, queued ops run when its last in-flight episode
 	// completes, and every other instance keeps executing throughout.
@@ -377,9 +377,9 @@ const gcChunkBudget = 8
 // pool stays saturated instead of waiting for an idle moment.
 const gcEvery = 4
 
-// fenceOp is one structural STeM mutation — AddIndex for an admission,
-// EnsureBuckets growth, CompactLive — handed to stemOpLocked, plus the
-// admission it belongs to (nil for growth and compaction). It runs inline
+// fenceOp is one structural STeM mutation — AddIndex for an admission or
+// CompactLive — handed to stemOpLocked, plus the admission it belongs to
+// (nil for compaction). It runs inline
 // or, while its instance has episodes in flight, behind the instance fence.
 type fenceOp struct {
 	run func()
@@ -568,8 +568,7 @@ func (s *Session) fireAdmissionsLocked(force bool) {
 
 // takeVectorLocked pulls one vector from inst's circular scan, annotates it
 // with the active query set and the set no later probe can reach (Final),
-// sizes inst's STeM for the entries the vector will build, and updates
-// completion accounting.
+// and updates completion accounting.
 func (s *Session) takeVectorLocked(inst query.InstID) exec.EpisodeInput {
 	st := s.scans[inst]
 	start, n := st.scan.Next()
@@ -618,9 +617,6 @@ func (s *Session) takeVectorLocked(inst query.InstID) exec.EpisodeInput {
 			s.qElapsed[qid] = time.Since(s.startAt)
 		}
 	}
-	if final == nil || !active.IsSubset(final) {
-		s.growLocked(inst, n)
-	}
 	s.instFlight[inst]++
 
 	slot := stem.Slot(s.episode)
@@ -633,23 +629,6 @@ func (s *Session) takeVectorLocked(inst query.InstID) exec.EpisodeInput {
 		Final:  final,
 		Slot:   slot,
 		SelOps: s.ctx.SelOpsFor(inst, s.prunableLocked),
-	}
-}
-
-// growLocked keeps inst's STeM within its load factor for an episode about
-// to build up to n entries into it (DESIGN.md §10): growth is decided here,
-// where entries arrive, not when a query is admitted, so a rescan the build
-// rule leaves unbuilt allocates no buckets. Growth swaps the STeM's
-// copy-on-write state, so it is a structural op: with a peer episode on
-// inst in flight it waits behind the fence, and the vector being handed out
-// inserts into the current state first.
-func (s *Session) growLocked(inst query.InstID, n int) {
-	stm := s.ctx.Stems[inst]
-	if !stm.NeedsGrow(stm.Len() + n) {
-		return
-	}
-	if s.stemOpLocked(int(inst), fenceOp{run: func() { stm.EnsureBuckets(stm.Len() + n) }}) {
-		s.recCtl(obs.KFenceQueue, int64(inst), -1, 0, 0)
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 // one atomic pointer store); episodes load the view once at their start,
 // so they always run against an immutable snapshot. The few structural
 // STeM mutations that cannot overlap in-flight INSERTS on the same
-// instance (AddIndex, bucket growth, compaction) queue behind a per-
+// instance (AddIndex, compaction) queue behind a per-
 // instance fence and run when that instance's in-flight count hits zero —
 // every other instance keeps executing. Frees of retired per-query state
 // (sources, query-ID slots) are deferred through the session's epoch
@@ -47,9 +47,8 @@ type retirePruner interface{ PruneRetired(retired bitset.Set) int }
 // goes through stemOpLocked: inline when its instance has no episode in
 // flight, otherwise behind that instance's fence, and then activation waits
 // for the last such op, never for unrelated instances or episodes.
-// Admission sizes no buckets: a STeM grows when a vector is about to be
-// built into it (takeVectorLocked), so a rescan the build rule leaves
-// unbuilt costs none. The meta carries the query's tenant, fairness weight,
+// Admission sizes nothing in the STeMs: their chunks and tables follow the
+// entries built into them. The meta carries the query's tenant, fairness weight,
 // priority lane and deadline for the tenant-aware scheduler (see sched.go).
 // It returns the assigned query ID.
 //
@@ -297,13 +296,12 @@ func (s *Session) nextEpisode(id int) (exec.EpisodeInput, bool) {
 // with in-flight episodes: SweepChunk clears retired bits with CAS loops
 // that tolerate racing inserts and probes (a retired query's bit can never
 // reappear — retirement requires zero outstanding episodes, so no insert
-// still carries it). Each quantum sweeps up to gcChunkBudget STeM chunks;
-// finishing an instance whose entries became at least half dead — or that
-// holds none but keeps more than an empty STeM's buckets, such as the
-// row-count hint of an instance the build rule never built
-// (stem.NeedsShrink) — compacts it through stemOpLocked (compaction swaps
-// the copy-on-write state, so it must not race an insert on the same
-// instance). A queued compaction can fire
+// still carries it). Each quantum sweeps up to gcChunkBudget STeM chunks.
+// Finishing an instance's chunks sweeps its union tables (stem.SweepIndex:
+// a table built before a chunk was swept still holds the bits) and, when its
+// entries became at least half dead, compacts it through stemOpLocked
+// (compaction swaps the copy-on-write state, so it must not race an insert
+// on the same instance). A queued compaction can fire
 // at fence drain while a later pass is mid-sweep of the same instance;
 // the cursor detects that through the STeM's compact generation and
 // restarts the instance's sweep, because compaction repositions entries.
@@ -346,7 +344,8 @@ func (s *Session) gcQuantumLocked() {
 			s.recCtl(obs.KGCSweepRestart, int64(g.inst), int64(gen), 0, 0)
 		}
 		if g.chunk >= st.NumChunks() {
-			if g.stemDead > 0 && 2*g.stemDead >= st.Len() || st.NeedsShrink() {
+			st.SweepIndex(g.active)
+			if g.stemDead > 0 && 2*g.stemDead >= st.Len() {
 				var fenced int64
 				if s.stemOpLocked(g.inst, fenceOp{run: func() { st.CompactLive() }}) {
 					fenced = 1

@@ -95,14 +95,13 @@ func calibrateJoin(rng *rand.Rand) []cost.Sample {
 	}
 	mask := []uint64{all}
 	var samples []cost.Sample
-	var sc stem.InsertScratch
 	var dst []stem.VecMatch
 	var qbuf []uint64
 	for _, fanout := range []int{1, 2, 4} {
 		versions := stem.NewVersions()
-		s := stem.New(versions, []string{"k"}, 16, keys*fanout)
+		s := stem.New(versions, []string{"k"}, 16, 0)
 		for d := 0; d < fanout; d++ {
-			s.InsertVec(vids, [][]int64{buildKeys}, qsets, 1, 0, &sc)
+			s.InsertVec(vids, [][]int64{buildKeys}, qsets, 1, 0, nil)
 		}
 		versions.Publish(0)
 		// Watermark before timestamp, as in RunEpisode.

@@ -414,7 +414,7 @@ func (c *Context) ApplyExtend(d query.ExtendDelta) ([]StemOp, error) {
 		c.resBCol = append(c.resBCol, c.Tables[r.B].Col(r.BCol))
 	}
 	for _, ii := range d.NewInsts {
-		c.Stems[ii] = stem.New(c.Versions, c.stemKeyCols[ii], b.QCap(), c.Tables[ii].NumRows())
+		c.Stems[ii] = stem.New(c.Versions, c.stemKeyCols[ii], b.QCap(), 0)
 	}
 
 	for _, si := range d.NewSelCols {

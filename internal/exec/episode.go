@@ -143,12 +143,11 @@ type Worker struct {
 
 	// Vector-kernel arena (see internal/stem/vec.go). probe() finishes with
 	// these buffers before execChildren recurses into a child probe.
-	insKeys    [][]int64          // STeM-insert key columns, built from vIDs
-	insScratch stem.InsertScratch // InsertVec bucket pre-linking scratch
-	insVids    []int32            // build: tuples left after masking out Final
-	insQsets   []uint64           // build: their masked query sets, stride qw
-	vmatches   []stem.VecMatch    // probe/routeSel: kept tuples (ProbeVecRange's matches)
-	pruneAcc   []uint64           // PruneVec's per-tuple union scratch, qw words
+	insKeys  [][]int64       // STeM-insert key columns, built from vIDs
+	insVids  []int32         // build: tuples left after masking out Final
+	insQsets []uint64        // build: their masked query sets, stride qw
+	vmatches []stem.VecMatch // probe/routeSel: kept tuples (ProbeVecRange's matches)
+	pruneAcc []uint64        // PruneVec's per-tuple union scratch, qw words
 
 	// cv is the context view this episode runs against: loaded once per
 	// episode (one atomic pointer load), so the hot loops below read an
@@ -481,7 +480,7 @@ func (w *Worker) build(in EpisodeInput, vids []int32, qsets []uint64) int {
 		}
 		ik[k] = col
 	}
-	w.cv.stems[in.Inst].InsertVec(vids, ik, qsets, w.qw, in.Slot, &w.insScratch)
+	w.cv.stems[in.Inst].InsertVec(vids, ik, qsets, w.qw, in.Slot, nil)
 	return len(vids)
 }
 

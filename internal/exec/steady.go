@@ -181,7 +181,7 @@ func NewStepBench(cfg StepBenchConfig) (*StepBench, error) {
 			rowIDs[vid] = int32(vid)
 			qsets = append(qsets, active...)
 		}
-		ctx.Stems[inst].InsertVec(rowIDs, ctx.stemKeySlices[inst], qsets, len(active), seedSlot, &w.insScratch)
+		ctx.Stems[inst].InsertVec(rowIDs, ctx.stemKeySlices[inst], qsets, len(active), seedSlot, nil)
 	}
 	ctx.Versions.Publish(seedSlot)
 

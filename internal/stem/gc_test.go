@@ -1,6 +1,7 @@
 package stem
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/roulette-db/roulette/internal/bitset"
@@ -11,7 +12,7 @@ import (
 func gcFixture(t *testing.T, n int) (*Versions, *STeM) {
 	t.Helper()
 	v := NewVersions()
-	s := New(v, []string{"k"}, 2, n)
+	s := New(v, []string{"k"}, 2, 0)
 	for i := 0; i < n; i++ {
 		insert1(s, int32(i), []int64{int64(i)}, bitset.FromIDs(2, i%2), 0)
 	}
@@ -46,28 +47,6 @@ func TestSweepChunkCountsDead(t *testing.T) {
 	}
 }
 
-// TestNeedsShrinkEntryFreeGrownBuckets: a STeM whose buckets were grown for
-// a rescan that built nothing needs a shrink, and CompactLive restores the
-// empty STeM's footprint; a fresh or populated STeM does not.
-func TestNeedsShrinkEntryFreeGrownBuckets(t *testing.T) {
-	s := New(NewVersions(), []string{"k"}, 2, 0)
-	empty := s.EstBytes()
-	if s.NeedsShrink() {
-		t.Fatal("fresh STeM reports NeedsShrink")
-	}
-	s.EnsureBuckets(10000)
-	if !s.NeedsShrink() {
-		t.Fatal("entry-free STeM with grown buckets does not report NeedsShrink")
-	}
-	if s.CompactLive(); s.NeedsShrink() || s.EstBytes() != empty {
-		t.Fatalf("after CompactLive: NeedsShrink=%v, EstBytes %d, want %d", s.NeedsShrink(), s.EstBytes(), empty)
-	}
-	_, full := gcFixture(t, 100)
-	if full.NeedsShrink() {
-		t.Error("populated STeM reports NeedsShrink")
-	}
-}
-
 func TestCompactLiveDropsDeadAndShrinks(t *testing.T) {
 	v, s := gcFixture(t, 100)
 	before := s.EstBytes()
@@ -84,7 +63,7 @@ func TestCompactLiveDropsDeadAndShrinks(t *testing.T) {
 	}
 
 	// Probing must still find every surviving entry through the rebuilt
-	// buckets, and none of the dropped ones.
+	// index, and none of the dropped ones.
 	ts := v.Now()
 	for k := int64(0); k < 100; k++ {
 		got := probe1(s, "k", k, ts)
@@ -122,27 +101,6 @@ func TestCompactLiveEmptiesToFloor(t *testing.T) {
 	}
 }
 
-func TestEnsureBucketsRegrowsChains(t *testing.T) {
-	v, s := gcFixture(t, 100)
-	s.SweepChunk(0, bitset.FromIDs(2, 0))
-	s.CompactLive() // buckets shrink to fit 50 live entries
-
-	// Entries are about to arrive faster than the shrunk buckets fit; the
-	// engine grows the buckets before they are built so chains stay short.
-	s.EnsureBuckets(4096)
-	ts := v.Now()
-	for k := int64(1); k < 100; k += 2 {
-		if got := probe1(s, "k", k, ts); len(got) != 1 {
-			t.Fatalf("Probe(%d) = %v after growth, want 1 match", k, got)
-		}
-	}
-	// Smaller entry counts never shrink (growth is one-way).
-	s.EnsureBuckets(1)
-	if got := probe1(s, "k", 1, ts); len(got) != 1 {
-		t.Errorf("Probe(1) broken after no-op EnsureBuckets")
-	}
-}
-
 func TestAddIndexDerivesExistingEntries(t *testing.T) {
 	v, s := gcFixture(t, 64)
 	// Index a second column whose key is derived from the vid (stand-in
@@ -168,5 +126,167 @@ func TestAddIndexDerivesExistingEntries(t *testing.T) {
 	ts = v.Now()
 	if got := probe1(s, "k2", 100, ts); len(got) != 1 || got[0].VID != 200 {
 		t.Errorf("Probe(k2=100) = %v, want the new entry", got)
+	}
+}
+
+// carries reports whether any union or entry word of tb holds query id.
+func carries(tb *unionTable, id int) bool {
+	w, bit := id/64, uint64(1)<<(id%64)
+	for i := range tb.slots {
+		if e := &tb.slots[i]; e.n != 0 && tb.unionWord(e, w)&bit != 0 {
+			return true
+		}
+	}
+	for i := w; i < len(tb.words); i += tb.qw {
+		if tb.words[i]&bit != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestSweepIndexCopiesOnlyTablesHoldingRetiredBits builds two tables at
+// one, two and five words: the older holds entries of a query r that then
+// retires, the newer none of r's entries, and each has a key of two
+// entries. SweepIndex must publish a swept copy of the older table and
+// leave the tables a probe may still be reading as they were: the old table
+// keeps r's bit, and the newer table is kept as it is. A probe on the new
+// list sees every entry with its live bit and without r's, and a second
+// sweep of r changes nothing.
+func TestSweepIndexCopiesOnlyTablesHoldingRetiredBits(t *testing.T) {
+	for _, qcap := range maintenanceWidths {
+		v := NewVersions()
+		s := New(v, []string{"k"}, qcap, 0)
+		r, live := qcap-1, 0
+		vid := int32(0)
+		// insert adds keys lo..lo+9 and a second entry on key lo under slot,
+		// publishes it and probes, which builds its delta.
+		insert := func(lo int64, slot Slot, q bitset.Set) {
+			for k := lo; k < lo+10; k++ {
+				insert1(s, vid, []int64{k}, q, slot)
+				vid++
+			}
+			insert1(s, vid, []int64{lo}, q, slot)
+			vid++
+			v.Publish(slot)
+			probe1(s, "k", lo, v.Now())
+		}
+		insert(0, 0, bitset.FromIDs(qcap, live, r))
+		insert(10, 1, bitset.FromIDs(qcap, live, r)) // merged with the first delta
+		insert(20, 2, bitset.FromIDs(qcap, live))
+		before := slices.Clone(tablesOf(s, 0))
+		if len(before) != 2 || before[0].deltas != 2 || before[1].deltas != 1 || !carries(before[0], r) || carries(before[1], r) {
+			t.Fatalf("%d words, fixture: want a two-delta table holding query %d and a one-delta table without it", s.qw, r)
+		}
+
+		retired := bitset.FromIDs(qcap, r)
+		for ci := 0; ci < s.NumChunks(); ci++ {
+			s.SweepChunk(ci, retired)
+		}
+		s.SweepIndex(retired)
+		after := tablesOf(s, 0)
+		if len(after) != 2 || after[0] == before[0] || after[1] != before[1] {
+			t.Fatalf("%d words: SweepIndex replaced the tables %v with %v, want only the first replaced", s.qw, before, after)
+		}
+		if !carries(before[0], r) {
+			t.Fatalf("%d words: SweepIndex cleared query %d from a table a probe may still read", s.qw, r)
+		}
+		if carries(after[0], r) || !carries(after[0], live) {
+			t.Fatalf("%d words: the swept table holds retired query %d or lost live query %d", s.qw, r, live)
+		}
+
+		var keys []int64
+		for k := int64(0); k < 30; k++ {
+			keys = append(keys, k)
+		}
+		got := probeVec(s, "k", keys, v.Now(), v.Watermark())
+		if len(got) != 33 {
+			t.Fatalf("%d words: probe after the sweep found %d matches, want 33", s.qw, len(got))
+		}
+		for _, m := range got {
+			if m.QSet.Contains(r) || !m.QSet.Contains(live) {
+				t.Fatalf("%d words: probe after the sweep matched vid %d with query set %v", s.qw, m.VID, m.QSet)
+			}
+		}
+		s.SweepIndex(retired)
+		if again := tablesOf(s, 0); again[0] != after[0] || again[1] != after[1] {
+			t.Fatalf("%d words: a second sweep of the same query copied a table", s.qw)
+		}
+	}
+}
+
+// TestCompactLiveIndexesLiveEntriesOnce compacts a STeM whose index holds
+// two tables after a query retires: the compacted state holds no table
+// (entry positions moved) and the first probe builds one table over
+// exactly the live entries, one delta. Probes find every live entry and
+// none of the dropped ones, and a later probe reads the same table.
+func TestCompactLiveIndexesLiveEntriesOnce(t *testing.T) {
+	v, s := gcFixture(t, 100)
+	probe1(s, "k", 0, v.Now())
+	insert1(s, 100, []int64{100}, bitset.FromIDs(2, 1), 1)
+	v.Publish(1)
+	probe1(s, "k", 0, v.Now())
+	insert1(s, 101, []int64{101}, bitset.FromIDs(2, 0), 2)
+	v.Publish(2)
+	probe1(s, "k", 0, v.Now())
+	if n := len(tablesOf(s, 0)); n != 2 {
+		t.Fatalf("fixture: %d tables, want 2", n)
+	}
+
+	retired := bitset.FromIDs(2, 0)
+	for ci := 0; ci < s.NumChunks(); ci++ {
+		s.SweepChunk(ci, retired)
+	}
+	s.SweepIndex(retired)
+	if live := s.CompactLive(); live != 51 {
+		t.Fatalf("CompactLive = %d live, want 51", live)
+	}
+	if indexed(s, 0) || len(tablesOf(s, 0)) != 0 {
+		t.Fatalf("compacted index: indexed %t with %d tables, want no table and its entries recorded", indexed(s, 0), len(tablesOf(s, 0)))
+	}
+	ts := v.Now()
+	for k := int64(0); k < 102; k++ {
+		got := probe1(s, "k", k, ts)
+		if want := k%2 == 1 && k < 100 || k == 100; want != (len(got) == 1) || len(got) > 1 {
+			t.Fatalf("Probe(%d) = %v after compaction, want a match %t", k, got, want)
+		}
+	}
+	tables := tablesOf(s, 0)
+	if len(tables) != 1 || tables[0].deltas != 1 || tables[0].keys != 51 || !slices.Equal(tables[0].spans, []span{{0, 51}}) {
+		t.Fatalf("compacted index: %d tables, first %+v, want one delta over the 51 live entries", len(tables), tables[0])
+	}
+	probe1(s, "k", 1, v.Now())
+	if again := tablesOf(s, 0); len(again) != 1 || again[0] != tables[0] {
+		t.Fatal("a probe after the first rebuilt the compacted index")
+	}
+}
+
+// TestAddIndexKeepsBuiltTables adds a column to a STeM whose existing
+// index holds a table and a range recorded since. The existing index keeps
+// both, sharing the table rather than rebuilding it, and the new index holds
+// no table until its first probe, which builds one over every entry.
+func TestAddIndexKeepsBuiltTables(t *testing.T) {
+	v, s := gcFixture(t, 64)
+	probe1(s, "k", 0, v.Now())
+	built := tablesOf(s, 0)
+	insert1(s, 64, []int64{64}, bitset.FromIDs(2, 1), 1)
+	v.Publish(1)
+
+	s.AddIndex("k2", func(vid int32) int64 { return int64(vid / 2) })
+	if got := tablesOf(s, 0); len(got) != 1 || got[0] != built[0] || indexed(s, 0) {
+		t.Fatalf("AddIndex left the existing index with %d tables (shared %t), indexed %t; want the built table shared and the later range recorded", len(got), len(got) > 0 && got[0] == built[0], indexed(s, 0))
+	}
+	if indexed(s, 1) || len(tablesOf(s, 1)) != 0 {
+		t.Fatal("the new index holds a table before its first probe")
+	}
+	ts := v.Now()
+	if got := probe1(s, "k", 64, ts); len(got) != 1 || got[0].VID != 64 || !indexed(s, 0) {
+		t.Fatalf("Probe(k=64) = %v, want the entry inserted before AddIndex", got)
+	}
+	if got := probe1(s, "k2", 32, ts); len(got) != 1 || got[0].VID != 64 {
+		t.Fatalf("Probe(k2=32) = %v, want vid 64", got)
+	}
+	if tables := tablesOf(s, 1); len(tables) != 1 || !slices.Equal(tables[0].spans, []span{{0, 65}}) {
+		t.Fatalf("the new index's first probe built %d tables, want one over all 65 entries", len(tables))
 	}
 }

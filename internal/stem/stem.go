@@ -3,24 +3,26 @@
 // is built on (Raman et al., ICDE 2003; Sioulas & Ailamaki §3, §5.1).
 //
 // A STeM stores unified entries (index-vector of join keys, vID, version
-// slot, query-set) in a chunked append-only slab and builds one lock-free
-// hash index per join-key column. Inserts and probes are wait-free on the
-// hot path; insert-probe atomicity across concurrent episodes uses the
-// paper's batch versioning: every inserted vector takes one STeM-local
-// version slot that is later published to a global timestamp with a single
-// atomic, and probes accept only entries whose published timestamp is
-// strictly older than the probing episode's.
+// slot, query-set) in a chunked append-only slab and indexes each join-key
+// column with a short list of immutable union tables (vec.go): an insert
+// writes its entries and records their range, and the first probe or prune
+// that finds recorded ranges builds a table over them. Insert-probe
+// atomicity across concurrent episodes uses the paper's batch versioning:
+// every inserted vector takes one STeM-local version slot that is later
+// published to a global timestamp with a single atomic, and probes accept
+// only entries whose published timestamp is strictly older than the
+// probing episode's.
 //
-// Structural maintenance (adding an index, growing buckets, compacting dead
-// entries away) is copy-on-write: the index structure lives in an immutable
+// Structural maintenance (adding an index, compacting dead entries away) is
+// copy-on-write: the chunk list and the indexes live in an immutable
 // stemState published through one atomic pointer, so probes never block on
 // maintenance. Only inserts need the engine to fence the instance while a
-// new state is built, because inserts mutate the current state's chunk tail
-// and bucket heads.
+// new state is built, because inserts write the current state's chunk tail
+// and record their ranges on its indexes.
 package stem
 
 import (
-	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -35,11 +37,10 @@ const (
 )
 
 // NullKey is the join key of a SQL NULL cell (value.NullCode in storage).
-// NULL compares unequal to everything, itself included, so every probe path
-// treats a NullKey probe as matching nothing; build-side NULL entries may
-// be inserted normally — they are unreachable because no probe for their
-// key ever walks a chain, and union tables leave them out. Keeping the skip
-// on the probe side leaves the insert hot path untouched.
+// NULL compares unequal to everything, itself included, so a NullKey probe
+// matches nothing; build-side NULL entries may be inserted normally — union
+// tables leave them out, so no probe or prune reaches them. Keeping the skip
+// on the read side leaves the insert hot path untouched.
 const NullKey = value.NullCode
 
 // Versions is the session-wide version-slot table shared by all STeMs.
@@ -246,34 +247,21 @@ type chunk struct {
 	vids  [chunkSize]int32
 	slots [chunkSize]Slot
 	keys  [][]int64 // one column per index
-	next  [][]int32 // one chain per index; 0 = end, else entryIdx+1
 	qsets []uint64  // chunkSize * qw words; atomic access only
 }
 
-// stemState is the immutable index structure of a STeM: the key columns,
-// their bucket arrays, and the entry chunk list. Structural maintenance
-// (AddIndex, EnsureBuckets, CompactLive) builds a fresh state and publishes
-// it with one atomic pointer store; the old state is frozen — its buckets
-// and per-entry chain links are never written again — so probes that loaded
-// it stay correct for as long as they hold it. Within one state the chunk
-// list grows (appends only) and buckets accept new entries, which is why
-// inserts must be fenced across a state swap while probes need not be.
-//
-// committed counts the entries whose every field and chain link is
-// written: InsertVec adds its batch size after its splices, while the
-// STeM's count reserves the range before the writes. When the two are
-// equal no insert is in flight and entries [0, committed) may be read
-// without following a chain. unions caches one union table per index,
-// with what its builds need (see unionCache); a state swap drops them with
-// the state.
+// stemState is the immutable structure of a STeM: the key columns, the
+// entry chunk list and one index per key column. Structural maintenance
+// (AddIndex, CompactLive) builds a fresh state and publishes it with one
+// atomic pointer store; probes that loaded the old state stay correct for as
+// long as they hold it. Within one state the chunk list grows (appends only)
+// and the indexes take new tables, which is why inserts must be fenced
+// across a state swap while probes need not be.
 type stemState struct {
-	keyCols   []string
-	colIdx    map[string]int
-	buckets   [][]atomic.Int32 // per index; value 0 = empty, else entryIdx+1
-	shift     []uint
-	chunks    atomic.Pointer[[]*chunk]
-	committed atomic.Int64
-	unions    []unionCache
+	keyCols []string
+	colIdx  map[string]int
+	chunks  atomic.Pointer[[]*chunk]
+	index   []*index
 }
 
 // STeM is the state module for one relation instance.
@@ -283,60 +271,44 @@ type STeM struct {
 
 	state atomic.Pointer[stemState]
 
-	mu    sync.Mutex
+	mu    sync.Mutex // chunk-list growth, recorded ranges, table builds, table sweeps, state swaps
 	count atomic.Int64
 	_     [56]byte // keep the hot insert counter off neighboring lines
 
 	compactGen atomic.Uint64 // CompactLive rebuilds so far; entry positions are stable within one generation
-	sweepGen   atomic.Uint64 // SweepChunk calls that cleared a bit; a union table is stale once it moves
-	unionScans atomic.Int64  // entries read by union-table builds, failed ones included (read by tests)
-	buildRent  int64         // query-set words a probe walks per word a union-table build reads before it builds (union); tests set 0
 }
 
-// newState builds a state for the given key columns with nb (still empty)
-// buckets per index over a chunk list whose first committed entries are
-// written.
-func newState(keyCols []string, nb int, chunks []*chunk, committed int64) *stemState {
+// newState builds a state for the given key columns over a chunk list, with
+// the given indexes (one per key column).
+func newState(keyCols []string, chunks []*chunk, index []*index) *stemState {
 	st := &stemState{
 		keyCols: keyCols,
 		colIdx:  make(map[string]int, len(keyCols)),
-		buckets: make([][]atomic.Int32, len(keyCols)),
-		shift:   make([]uint, len(keyCols)),
-		unions:  make([]unionCache, len(keyCols)),
+		index:   index,
 	}
-	st.committed.Store(committed)
 	for i, c := range keyCols {
 		st.colIdx[c] = i
-		st.buckets[i] = make([]atomic.Int32, nb)
-		st.shift[i] = uint(64 - bits.TrailingZeros(uint(nb)))
 	}
 	st.chunks.Store(&chunks)
 	return st
 }
 
-func bucketsFor(hint int) int {
-	nb := 1
-	for nb < hint*2 {
-		nb <<= 1
-	}
-	if nb < 64 {
-		nb = 64
-	}
-	return nb
-}
-
-// New creates a STeM indexing the given join-key columns, sized for about
-// capacityHint entries and query sets over nQueries queries.
+// New creates a STeM indexing the given join-key columns with query sets
+// over nQueries queries. Nothing is sized ahead of the entries, so
+// capacityHint is unused; it stays because benchmark/trace.go passes it.
 func New(versions *Versions, keyCols []string, nQueries, capacityHint int) *STeM {
 	s := &STeM{
-		versions:  versions,
-		qw:        bitset.WordsFor(nQueries),
-		buildRent: 2,
+		versions: versions,
+		qw:       bitset.WordsFor(nQueries),
 	}
 	if s.qw == 0 {
 		s.qw = 1
 	}
-	s.state.Store(newState(keyCols, bucketsFor(capacityHint), []*chunk{}, 0))
+	index := make([]*index, len(keyCols))
+	for i := range index {
+		index[i] = newIndex(0)
+	}
+	s.state.Store(newState(keyCols, []*chunk{}, index))
 	return s
 }
 
@@ -348,15 +320,6 @@ func (s *STeM) HasIndex(col string) bool {
 
 // Len returns the number of inserted entries.
 func (s *STeM) Len() int { return int(s.count.Load()) }
-
-func hash64(x int64) uint64 {
-	// Fibonacci multiplicative hashing with an avalanche step.
-	h := uint64(x) * 0x9E3779B97F4A7C15
-	h ^= h >> 29
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 32
-	return h
-}
 
 // chunkFor returns state st's chunk covering entry idx, growing st's chunk
 // list if needed. Growth appends only — existing chunk pointers never move
@@ -384,33 +347,26 @@ func (s *STeM) chunkFor(st *stemState, idx int64) *chunk {
 func newChunk(nkeys, qw int) *chunk {
 	c := &chunk{
 		keys:  make([][]int64, nkeys),
-		next:  make([][]int32, nkeys),
 		qsets: make([]uint64, chunkSize*qw),
 	}
 	for i := 0; i < nkeys; i++ {
 		c.keys[i] = make([]int64, chunkSize)
-		c.next[i] = make([]int32, chunkSize)
 	}
 	return c
 }
 
 // EstBytes estimates the STeM's resident memory: allocated entry chunks
-// (vIDs, slots, key columns, hash chains, query-set slab) plus the bucket
-// arrays and the cached union tables (slots, a wide table's union words,
-// side arrays).
-// Observability only; the estimate ignores Go object headers.
+// (vIDs, slots, key columns, query-set slab) plus every index's union
+// tables. Observability only; the estimate ignores Go object headers.
 func (s *STeM) EstBytes() int64 {
 	st := s.state.Load()
 	nChunks := int64(len(*st.chunks.Load()))
 	perChunk := int64(chunkSize) * (4 + 4 + // vids, slots
-		int64(len(st.keyCols))*(8+4) + // keys, next chains
+		int64(len(st.keyCols))*8 + // keys
 		int64(s.qw)*8) // query-set slab
 	var index int64
-	for _, b := range st.buckets {
-		index += int64(len(b)) * 4
-	}
-	for i := range st.unions {
-		if t := st.unions[i].table.Load(); t != nil {
+	for _, ix := range st.index {
+		for _, t := range *ix.tables.Load() {
 			index += t.bytes()
 		}
 	}
@@ -424,7 +380,9 @@ func (s *STeM) NumChunks() int { return len(*s.state.Load().chunks.Load()) }
 // and returns how many of the chunk's entries now have an empty query set
 // (cumulatively, not just newly emptied). It is the amortized unit of STeM
 // garbage collection: the engine sweeps one chunk at a time between
-// episodes, so no sweep ever runs on the execution hot path.
+// episodes, so no sweep ever runs on the execution hot path. The union
+// tables hold copies of the words; SweepIndex clears those once every chunk
+// is swept.
 //
 // SweepChunk runs concurrently with probes and inserts: every query-set
 // word is cleared with a load/CAS pair, and a lost CAS is simply skipped —
@@ -434,10 +392,7 @@ func (s *STeM) NumChunks() int { return len(*s.state.Load().chunks.Load()) }
 // that could insert its bit is still running). Reserved-but-unwritten
 // entries (an in-flight InsertVec past count.Add but before its stores)
 // read as zero and are counted dead; that only skews the compaction
-// heuristic, never correctness. A sweep that clears a bit bumps the sweep
-// generation once it is done, which turns every union table built before
-// (or during) it stale: a cached union would otherwise hand the swept bits
-// to the queries that recycle the retired IDs.
+// heuristic, never correctness.
 func (s *STeM) SweepChunk(ci int, retired bitset.Set) (dead int) {
 	st := s.state.Load()
 	chunks := *st.chunks.Load()
@@ -450,7 +405,6 @@ func (s *STeM) SweepChunk(ci int, retired bitset.Set) (dead int) {
 	if hi > chunkSize {
 		hi = chunkSize
 	}
-	cleared := false
 	for off := 0; off < hi; off++ {
 		qoff := off * s.qw
 		empty := true
@@ -463,7 +417,6 @@ func (s *STeM) SweepChunk(ci int, retired bitset.Set) (dead int) {
 					// insert, whose value carries no retired bits.
 					atomic.CompareAndSwapUint64(&c.qsets[qoff+i], w, masked)
 					w = masked
-					cleared = true
 				}
 			}
 			if w != 0 {
@@ -474,24 +427,42 @@ func (s *STeM) SweepChunk(ci int, retired bitset.Set) (dead int) {
 			dead++
 		}
 	}
-	if cleared {
-		s.sweepGen.Add(1)
-	}
 	return dead
 }
 
+// SweepIndex clears the retired queries' bits from every union table of
+// every index: each table holding one is replaced by a swept copy, so a
+// table stays immutable and its readers need no atomics. The engine calls
+// it once it has swept the STeM's chunks, in the same GC pass and so before
+// the retired IDs are reused: a table built before a chunk was swept may
+// still hold the bits, and one built after SweepIndex reads swept chunks
+// only. It holds the mutex that builds and merges hold, so it never
+// interleaves with one; a probe that loaded the old list finishes on it and
+// may see a bit before its sweep, as it may in the chunks.
+func (s *STeM) SweepIndex(retired bitset.Set) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, ix := range s.state.Load().index {
+		ts := slices.Clone(*ix.tables.Load())
+		for i, t := range ts {
+			ts[i] = t.swept(retired)
+		}
+		ix.tables.Store(&ts)
+	}
+}
+
 // CompactLive rebuilds the STeM keeping only entries whose query set is
-// non-empty, shrinking both the entry slab and the hash buckets to fit.
-// Live entries keep their version slots (already published, so they stay
-// visible to later probes). Returns the live entry count.
+// non-empty, shrinking the entry slab to fit. Live entries keep their
+// version slots (already published, so they stay visible to later probes).
+// Returns the live entry count. The new state's indexes hold no table yet:
+// the first probe or prune builds one over all of them.
 //
-// The rebuild is copy-on-write: a fresh state (new chunks, new buckets) is
-// built and published with one atomic store, so probes never block — a
-// probe holding the old state sees every live entry there (compaction only
-// drops entries whose query set is empty, which no probe output can use).
-// Inserts must be fenced by the caller (the engine's per-instance insert
-// fence): an insert landing in the old state after the live scan would be
-// lost.
+// The rebuild is copy-on-write: a fresh state is built and published with
+// one atomic store, so probes never block — a probe holding the old state
+// sees every live entry there (compaction only drops entries whose query
+// set is empty, which no probe output can use). Inserts must be fenced by
+// the caller (the engine's per-instance insert fence): an insert landing in
+// the old state after the live scan would be lost.
 func (s *STeM) CompactLive() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -506,7 +477,7 @@ func (s *STeM) CompactLive() int {
 		}
 	}
 
-	ns := newState(st.keyCols, bucketsFor(live), make([]*chunk, 0, (live+chunkSize-1)>>chunkBits), int64(live))
+	chunks := make([]*chunk, 0, (live+chunkSize-1)>>chunkBits)
 	w := 0
 	for idx := 0; idx < n; idx++ {
 		if entryEmpty(old, idx, s.qw) {
@@ -514,11 +485,8 @@ func (s *STeM) CompactLive() int {
 		}
 		oc := old[idx>>chunkBits]
 		ooff := idx & chunkMask
-		chunks := *ns.chunks.Load()
 		if w>>chunkBits >= len(chunks) {
-			next := append(chunks, newChunk(len(ns.keyCols), s.qw))
-			ns.chunks.Store(&next)
-			chunks = next
+			chunks = append(chunks, newChunk(len(st.keyCols), s.qw))
 		}
 		nc := chunks[w>>chunkBits]
 		noff := w & chunkMask
@@ -527,18 +495,17 @@ func (s *STeM) CompactLive() int {
 		for i := 0; i < s.qw; i++ {
 			atomic.StoreUint64(&nc.qsets[noff*s.qw+i], atomic.LoadUint64(&oc.qsets[ooff*s.qw+i]))
 		}
-		ref := int32(w) + 1
-		for i := range ns.keyCols {
-			k := oc.keys[i][ooff]
-			nc.keys[i][noff] = k
-			b := &ns.buckets[i][hash64(k)>>ns.shift[i]]
-			nc.next[i][noff] = b.Load()
-			b.Store(ref)
+		for i := range st.keyCols {
+			nc.keys[i][noff] = oc.keys[i][ooff]
 		}
 		w++
 	}
+	index := make([]*index, len(st.keyCols))
+	for i := range index {
+		index[i] = newIndex(int64(w))
+	}
 
-	s.state.Store(ns)
+	s.state.Store(newState(st.keyCols, chunks, index))
 	s.count.Store(int64(w))
 	s.compactGen.Add(1)
 	return w
@@ -546,10 +513,10 @@ func (s *STeM) CompactLive() int {
 
 // CompactGen returns the number of CompactLive rebuilds this STeM has
 // undergone. CompactLive is the only operation that moves entries to new
-// positions (AddIndex and EnsureBuckets share the entry slabs in place),
-// so a position-addressed scan — the engine's GC sweep cursor — is valid
-// only within one generation: compare across pauses and restart from
-// position zero when it moved.
+// positions (AddIndex shares the entry slabs in place), so a
+// position-addressed scan — the engine's GC sweep cursor — is valid only
+// within one generation: compare across pauses and restart from position
+// zero when it moved.
 func (s *STeM) CompactGen() uint64 { return s.compactGen.Load() }
 
 func entryEmpty(chunks []*chunk, idx, qw int) bool {
@@ -563,107 +530,18 @@ func entryEmpty(chunks []*chunk, idx, qw int) bool {
 	return true
 }
 
-// NeedsGrow reports whether the buckets are too few to hold the given
-// number of entries at the load factor bucketsFor sizes for (at most one
-// entry per two buckets), i.e. whether EnsureBuckets(entries) would rebuild
-// them. The engine asks it when it hands out a vector that will build into
-// this STeM, with entries = Len() plus the vector's size.
-func (s *STeM) NeedsGrow(entries int) bool {
-	st := s.state.Load()
-	if len(st.keyCols) == 0 {
-		return false
-	}
-	return bucketsFor(entries) > len(st.buckets[0])
-}
-
-// NeedsShrink reports whether the STeM holds no entries but bucket arrays
-// larger than an empty STeM's — the row-count hint New sized them for, on
-// an instance whose scans the build rule left unbuilt, or growth whose
-// entries were all swept. CompactLive frees them.
-func (s *STeM) NeedsShrink() bool {
-	st := s.state.Load()
-	return s.Len() == 0 && len(st.keyCols) > 0 && len(st.buckets[0]) > bucketsFor(0)
-}
-
-// EnsureBuckets grows every index's bucket array to hold the given number
-// of entries at the load factor, rebuilding the hash chains. It never shrinks. The engine calls it when a
-// vector about to be built would push the STeM past its load factor; the
-// bucket count is a power of two, so each growth at least doubles it and the
-// rebuilds cost O(1) per entry amortised.
-//
-// Copy-on-write like CompactLive: the new state clones every chunk (the
-// chain links are rebuilt for the new bucket count, and chain links are
-// per-state), shares the old chunks' key and query-set slabs, and is
-// published with one atomic store. Probes never block; inserts must be
-// fenced by the caller.
-func (s *STeM) EnsureBuckets(entries int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.state.Load()
-	if len(st.keyCols) == 0 {
-		return
-	}
-	nb := bucketsFor(entries)
-	if nb <= len(st.buckets[0]) {
-		return
-	}
-	old := *st.chunks.Load()
-	ns := newState(st.keyCols, nb, cloneChunks(old, len(st.keyCols)), s.count.Load())
-	s.rebuildChains(ns)
-	s.state.Store(ns)
-}
-
-// cloneChunks copies a chunk list for a new state: vID/slot/key/query-set
-// storage is shared with the old chunks (those never change for existing
-// entries, and query-set words are atomic), while the per-index chain links
-// are fresh, because each state rebuilds chains for its own bucket layout
-// and the old state's probes keep walking the old links.
-func cloneChunks(old []*chunk, nkeys int) []*chunk {
-	chunks := make([]*chunk, len(old))
-	for ci, oc := range old {
-		nc := &chunk{
-			vids:  oc.vids,
-			slots: oc.slots,
-			keys:  oc.keys,
-			next:  make([][]int32, nkeys),
-			qsets: oc.qsets,
-		}
-		for i := 0; i < nkeys; i++ {
-			nc.next[i] = make([]int32, chunkSize)
-		}
-		chunks[ci] = nc
-	}
-	return chunks
-}
-
-// rebuildChains re-pushes every entry into every index's (already sized
-// and zeroed) buckets of state ns. s.mu must be held.
-func (s *STeM) rebuildChains(ns *stemState) {
-	chunks := *ns.chunks.Load()
-	n := int(s.count.Load())
-	for idx := 0; idx < n; idx++ {
-		c := chunks[idx>>chunkBits]
-		off := idx & chunkMask
-		ref := int32(idx) + 1
-		for i := range ns.keyCols {
-			b := &ns.buckets[i][hash64(c.keys[i][off])>>ns.shift[i]]
-			c.next[i][off] = b.Load()
-			b.Store(ref)
-		}
-	}
-}
-
 // AddIndex adds a new indexed join-key column, deriving each existing
 // entry's key with keyOf(vid) (typically a base-table column lookup). It
 // is how a live-admitted query can join an already-built STeM on a column
 // no earlier query joined on. No-op if col is already indexed.
 //
-// Copy-on-write: the new state clones the chunks (sharing existing key
-// columns and query-set slabs, with fresh chain links plus the new key
-// column) and fresh buckets for every index, then publishes with one
-// atomic store. Probes on the old state never see the new column and never
-// block; inserts must be fenced by the caller because entries inserted
-// during the rebuild would miss the new column's backfill.
+// Copy-on-write: the new state clones the chunks (sharing the existing key
+// columns and query-set slabs, plus the new key column) and keeps the
+// existing indexes' tables and recorded ranges; the new index holds no table
+// until the first probe builds one over every entry. Probes on the old
+// state never see the new column and never block; inserts must be fenced by
+// the caller because entries inserted during the rebuild would miss the new
+// column's backfill.
 func (s *STeM) AddIndex(col string, keyOf func(vid int32) int64) {
 	if s.HasIndex(col) {
 		return
@@ -671,30 +549,26 @@ func (s *STeM) AddIndex(col string, keyOf func(vid int32) int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.state.Load()
-	ki := len(st.keyCols)
 	keyCols := append(append([]string{}, st.keyCols...), col)
 
-	nb := 64
-	if ki > 0 {
-		nb = len(st.buckets[0])
-	} else {
-		nb = bucketsFor(int(s.count.Load()))
-	}
-
 	old := *st.chunks.Load()
-	chunks := cloneChunks(old, ki+1)
-	for _, nc := range chunks {
-		nc.keys = append(append([][]int64{}, nc.keys...), make([]int64, chunkSize))
+	chunks := make([]*chunk, len(old))
+	for ci, oc := range old {
+		nc := *oc
+		nc.keys = append(append([][]int64{}, oc.keys...), make([]int64, chunkSize))
+		chunks[ci] = &nc
 	}
-	n := int(s.count.Load())
-	ns := newState(keyCols, nb, chunks, int64(n))
-	for idx := 0; idx < n; idx++ {
+	n := s.count.Load()
+	for idx := int64(0); idx < n; idx++ {
 		c := chunks[idx>>chunkBits]
 		off := idx & chunkMask
-		c.keys[ki][off] = keyOf(c.vids[off])
+		c.keys[len(st.keyCols)][off] = keyOf(c.vids[off])
 	}
-	s.rebuildChains(ns)
-	s.state.Store(ns)
+	index := make([]*index, 0, len(keyCols))
+	for _, ix := range st.index {
+		index = append(index, ix.clone())
+	}
+	s.state.Store(newState(keyCols, chunks, append(index, newIndex(n))))
 }
 
 // Entry returns the vID and a copy of the query set of entry idx

@@ -3,6 +3,7 @@ package stem
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -189,8 +190,7 @@ func checkPrune(t *testing.T, rng *rand.Rand, s *STeM, o *oracle, ki int, col st
 }
 
 // checkPruneInput runs PruneVec over the given input and compares every
-// tuple with the oracle and with the chain walk (pruneWalk) over the same
-// input, so the union table and the walk it replaces must agree.
+// tuple with the oracle.
 func checkPruneInput(t *testing.T, s *STeM, o *oracle, ki int, col string, keys []int64, tuples, elig []uint64, lo, hi int) bool {
 	qw := s.qw
 	orig := append([]uint64(nil), tuples...)
@@ -201,15 +201,6 @@ func checkPruneInput(t *testing.T, s *STeM, o *oracle, ki int, col string, keys 
 			t.Logf("col %s key %d words [%d,%d): PruneVec = %x, want %x", col, k, lo, hi, got, want)
 			return false
 		}
-	}
-	walked := append([]uint64(nil), orig...)
-	st := s.state.Load()
-	expandPruned(t, walked, qw, keys, func(vids []int32, keyCol []int64) int {
-		return s.pruneWalk(st, ki, vids, walked, qw, elig, lo, hi, keyCol, make([]uint64, qw))
-	})
-	if !reflect.DeepEqual(walked, tuples) {
-		t.Logf("col %s words [%d,%d): PruneVec = %x, chain walk %x", col, lo, hi, tuples, walked)
-		return false
 	}
 	return !t.Failed()
 }
@@ -249,20 +240,35 @@ func expandPruned(t testing.TB, tuples []uint64, qw int, keys []int64, run func(
 	copy(tuples, out)
 }
 
-// unionCurrent reports whether index ki of s holds a union table that a
-// prune would use as it stands.
-func unionCurrent(s *STeM, ki int) bool {
-	st := s.state.Load()
-	u := st.unions[ki].table.Load()
-	return u != nil && u.committed == st.committed.Load() && u.sweepGen == s.sweepGen.Load()
+// tablesOf returns index ki's table list.
+func tablesOf(s *STeM, ki int) []*unionTable {
+	return *s.state.Load().index[ki].tables.Load()
 }
 
-// tableServes reports whether index ki of s holds a union table that a
-// probe at probeTS would use as it stands. Checked right after a probe
-// whose STeM no one else probes or prunes, it tells whether that probe
-// was served from the table: only the probe could have built it.
-func tableServes(s *STeM, ki int, probeTS int64) bool {
-	return unionCurrent(s, ki) && s.state.Load().unions[ki].table.Load().maxTS < probeTS
+// indexed reports whether index ki's tables hold every recorded entry, so
+// that the next probe or prune reads them as they stand.
+func indexed(s *STeM, ki int) bool {
+	return !s.state.Load().index[ki].pending.Load()
+}
+
+// allSeen reports whether a probe at (probeTS, wm) reads every table of
+// index ki as it stands, without checking an entry's slot.
+func allSeen(s *STeM, ki int, probeTS int64, wm Slot) bool {
+	for _, t := range tablesOf(s, ki) {
+		if !t.seen(s.versions, probeTS, wm) {
+			return false
+		}
+	}
+	return true
+}
+
+// tableServes reports whether index ki of s is one table, holding every
+// recorded entry, that a probe at (probeTS, wm) reads as it stands, without
+// checking an entry's slot. Checked right after a probe, it tells whether
+// that probe took the one-table loops (unionTable.probe).
+func tableServes(s *STeM, ki int, probeTS int64, wm Slot) bool {
+	ts := tablesOf(s, ki)
+	return indexed(s, ki) && len(ts) == 1 && ts[0].seen(s.versions, probeTS, wm)
 }
 
 // match is a probe match with its query-set words, as the tests compare
@@ -330,54 +336,31 @@ func slabProbe(rng *rand.Rand, keys []int64, nw, stride, off int) Probe {
 	return p
 }
 
-// walkVec is ProbeVecRange through the chain walk alone, whatever union
-// table the STeM holds, over keyProbe(keys, tq, hi-lo).
-func walkVec(s *STeM, col string, keys []int64, tq []uint64, ts int64, wm Slot, lo, hi int) []match {
-	ms, _ := walkProbe(s, col, keyProbe(keys, tq, hi-lo), ts, wm, lo, hi)
-	return ms
-}
-
-// walkProbe is ProbeVecRange through the chain walk alone, with the number
-// of tuples it probed.
-func walkProbe(s *STeM, col string, p Probe, ts int64, wm Slot, lo, hi int) ([]match, int) {
-	st := s.state.Load()
-	ms, qbuf, n := s.walkChains(st, st.colIdx[col], nil, nil, &p, ts, wm, lo, hi)
-	return matches(ms, qbuf, hi-lo), n
-}
-
 // checkSlab runs ProbeVecRange over p and compares its matches and probed
-// count with the oracle's and with the chain walk's, and checks that the
-// matches come in tuple order.
+// count with the oracle's, and checks that the matches come in tuple order.
 func checkSlab(t *testing.T, s *STeM, o *oracle, ki int, col string, p Probe, ts int64, wm Slot, lo, hi int) bool {
 	want, wantN := o.probeMasked(ki, p, ts, lo, hi)
-	ms, qout, n := s.ProbeVecRange(nil, nil, col, p, ts, wm, lo, hi)
-	walked, walkedN := walkProbe(s, col, p, ts, 0, lo, hi)
-	for _, r := range []struct {
-		name string
-		ms   []match
-		n    int
-	}{{"ProbeVecRange", matches(ms, qout, hi-lo), n}, {"the chain walk", walked, walkedN}} {
-		if got := canonVec(r.ms); !reflect.DeepEqual(got, want) || r.n != wantN {
-			t.Logf("col %s: %s (ts=%d words [%d,%d) masked %t stride %d off %d) found %d matches probing %d tuples, oracle %d probing %d",
-				col, r.name, ts, lo, hi, p.Qsets != nil, p.Stride, p.Off, len(got), r.n, len(want), wantN)
+	out, qout, n := s.ProbeVecRange(nil, nil, col, p, ts, wm, lo, hi)
+	ms := matches(out, qout, hi-lo)
+	if got := canonVec(ms); !reflect.DeepEqual(got, want) || n != wantN {
+		t.Logf("col %s: ProbeVecRange (ts=%d wm=%d words [%d,%d) masked %t stride %d off %d) found %d matches probing %d tuples, oracle %d probing %d",
+			col, ts, wm, lo, hi, p.Qsets != nil, p.Stride, p.Off, len(got), n, len(want), wantN)
+		return false
+	}
+	for k := 1; k < len(ms); k++ {
+		if ms[k].In < ms[k-1].In {
+			t.Logf("col %s: ProbeVecRange returned tuple %d after tuple %d", col, ms[k].In, ms[k-1].In)
 			return false
-		}
-		for k := 1; k < len(r.ms); k++ {
-			if r.ms[k].In < r.ms[k-1].In {
-				t.Logf("col %s: %s returned tuple %d after tuple %d", col, r.name, r.ms[k].In, r.ms[k-1].In)
-				return false
-			}
 		}
 	}
 	return true
 }
 
 // checkProbe runs ProbeVec and compares its matches with the oracle's, with
-// the watermark short-circuit and without, and with the chain walk at the
-// same timestamp, so a probe served from the union table and the walk it
-// replaces must agree. It then does the same for ProbeVecRange over a
-// random word range, unmasked and over a slab of random words, stride and
-// offset (checkSlab).
+// the watermark short-circuit and without: without it, every table not
+// built after every publication before ts checks each entry's slot. It
+// then does the same for ProbeVecRange over a random word range, unmasked
+// and over a slab of random words, stride and offset (checkSlab).
 func checkProbe(t *testing.T, s *STeM, o *oracle, ki int, col string, keys []int64, ts int64, wm Slot) bool {
 	want := o.probe(ki, keys, ts)
 	for _, w := range []Slot{wm, 0} {
@@ -385,10 +368,6 @@ func checkProbe(t *testing.T, s *STeM, o *oracle, ki int, col string, keys []int
 			t.Logf("col %s: ProbeVec (ts=%d wm=%d) found %d matches, oracle %d", col, ts, w, len(got), len(want))
 			return false
 		}
-	}
-	if got := canonVec(walkVec(s, col, keys, nil, ts, 0, 0, s.qw)); !reflect.DeepEqual(got, want) {
-		t.Logf("col %s: chain walk (ts=%d) found %d matches, ProbeVec and the oracle %d", col, ts, len(got), len(want))
-		return false
 	}
 	rng := rand.New(rand.NewSource(ts))
 	lo := rng.Intn(s.qw)
@@ -404,11 +383,13 @@ func checkProbe(t *testing.T, s *STeM, o *oracle, ki int, col string, keys []int
 	return true
 }
 
-// sweepAll clears the retired bits from every entry of s and of the oracle.
+// sweepAll clears the retired bits from every entry of s, chunks first and
+// then tables, as the engine's GC pass does, and from the oracle.
 func sweepAll(s *STeM, o *oracle, retired bitset.Set) {
 	for ci := 0; ci < s.NumChunks(); ci++ {
 		s.SweepChunk(ci, retired)
 	}
+	s.SweepIndex(retired)
 	for _, m := range o.byKey {
 		for _, es := range m {
 			for _, e := range es {
@@ -445,7 +426,8 @@ func probeVecCount(s *STeM, col string, keys []int64, ts int64, wm Slot) int {
 }
 
 // canonVec renders matches as a sorted multiset of "in|vid|qset" strings:
-// chain order is unspecified, so only the match *sets* are comparable.
+// the order of a key's entries is unspecified, so only the match *sets* are
+// comparable.
 func canonVec(ms []match) []string {
 	var out []string
 	for _, m := range ms {
@@ -463,10 +445,8 @@ func canonVec(ms []match) []string {
 // short-circuit, at the final timestamp and at one drawn mid-build, NULL
 // and missing probe keys included, and in ProbeVecRange's masked form — and
 // on every prune over a random word range, again once every slot is
-// published and once more after a sweep. Every probe and prune is also
-// compared with the chain walk; half the STeMs build a probe's union table
-// at once rather than after walking for it, so the table serves probes
-// drawn mid-build too.
+// published and once more after a sweep. The first probe builds one table
+// over every batch, so the probes drawn mid-build read it entry by entry.
 func TestQuickVecMatchesOracle(t *testing.T) {
 	f := func(seed int64, skewRaw, qcapRaw uint8, nRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -478,9 +458,6 @@ func TestQuickVecMatchesOracle(t *testing.T) {
 		v := NewVersions()
 		cols := []string{"a", "b"}
 		s := New(v, cols, qcap, n)
-		if rng.Intn(2) == 0 {
-			s.buildRent = 0
-		}
 		o := newOracle(len(cols))
 		qw := s.qw
 
@@ -510,7 +487,6 @@ func TestQuickVecMatchesOracle(t *testing.T) {
 			ts int64
 		}
 		var snaps []snap
-		var sc InsertScratch
 		slot := Slot(0)
 		for i0 := 0; i0 < n; {
 			bn := 1 + rng.Intn(200)
@@ -518,7 +494,7 @@ func TestQuickVecMatchesOracle(t *testing.T) {
 				bn = n - i0
 			}
 			batchKeys := [][]int64{ka[i0 : i0+bn], kb[i0 : i0+bn]}
-			s.InsertVec(vids[i0:i0+bn], batchKeys, qsets[i0*qw:(i0+bn)*qw], qw, slot, &sc)
+			s.InsertVec(vids[i0:i0+bn], batchKeys, qsets[i0*qw:(i0+bn)*qw], qw, slot, nil)
 			o.insert(vids[i0:i0+bn], batchKeys, qsets[i0*qw:(i0+bn)*qw], qw, slot)
 			if i0+bn < n || rng.Intn(2) == 0 {
 				_, o.pubTS[slot] = v.Publish(slot)
@@ -546,7 +522,7 @@ func TestQuickVecMatchesOracle(t *testing.T) {
 			}
 		}
 		// With every slot published the STeM's prunes and probes
-		// answer from its union tables; a sweep must then take the swept
+		// read its tables as they stand; a sweep must then take the swept
 		// bits out of the next answers. A probe at the last mid-build
 		// timestamp must still see only what was published before it.
 		publishRest(v, o)
@@ -586,17 +562,16 @@ func TestQuickVecMatchesOracle(t *testing.T) {
 func TestInsertVecWidthsAndChunks(t *testing.T) {
 	v := NewVersions()
 	s := New(v, []string{"k"}, 100, 16) // qw = 2
-	var sc InsertScratch
 
-	s.InsertVec(nil, [][]int64{nil}, nil, 2, 0, &sc) // empty: no-op
+	s.InsertVec(nil, [][]int64{nil}, nil, 2, 0, nil) // empty: no-op
 	if s.Len() != 0 {
 		t.Fatalf("empty InsertVec changed Len to %d", s.Len())
 	}
 
 	// Narrow slab (qw 1 into width 2): the missing high word zero-fills.
-	s.InsertVec([]int32{1}, [][]int64{{7}}, []uint64{1 << 3}, 1, 0, &sc)
+	s.InsertVec([]int32{1}, [][]int64{{7}}, []uint64{1 << 3}, 1, 0, nil)
 	// Wide slab (qw 3 into width 2): the extra word is dropped.
-	s.InsertVec([]int32{2}, [][]int64{{8}}, []uint64{1 << 4, 1 << 5, ^uint64(0)}, 3, 0, &sc)
+	s.InsertVec([]int32{2}, [][]int64{{8}}, []uint64{1 << 4, 1 << 5, ^uint64(0)}, 3, 0, nil)
 	v.Publish(0)
 	ts := v.Now()
 	if got := probe1(s, "k", 7, ts); len(got) != 1 || !reflect.DeepEqual([]uint64(got[0].QSet), []uint64{1 << 3, 0}) {
@@ -616,7 +591,7 @@ func TestInsertVecWidthsAndChunks(t *testing.T) {
 		keys[i] = int64(i % 97)
 		qsets[i*2] = 1
 	}
-	s.InsertVec(vids, [][]int64{keys}, qsets, 2, 1, &sc)
+	s.InsertVec(vids, [][]int64{keys}, qsets, 2, 1, nil)
 	v.Publish(1)
 	ts = v.Now()
 	total := 0
@@ -633,12 +608,12 @@ func TestInsertVecWidthsAndChunks(t *testing.T) {
 
 // TestProbeVecMatchesOracleUnderConcurrentPublication interleaves a
 // publisher continuously inserting and publishing batches with a prober
-// probing three times under one (watermark, timestamp) snapshot: with and
-// without the watermark short-circuit, and through the chain walk alone.
-// The STeM has one word and builds a probe's union table whenever it can,
-// so the first probe is served from the table whenever one is current.
+// probing twice under one (watermark, timestamp) snapshot: with and
+// without the watermark short-circuit. The STeM has one word; each probe
+// builds a table over the batches recorded since the last one, some of them
+// still unpublished, and merges tables as their size tiers fill.
 // Visibility is a deterministic function of the probe timestamp, and the
-// watermark (read before the timestamp) may never admit more, so the three
+// watermark (read before the timestamp) may never admit more, so the two
 // must return the identical match set — and, once the publisher is done and
 // every slot's timestamp is known, that set must equal the oracle
 // restricted to slots published before the probe's timestamp. The prober
@@ -650,7 +625,6 @@ func TestProbeVecMatchesOracleUnderConcurrentPublication(t *testing.T) {
 	const kept = 100 // probes kept for the oracle check
 	v := NewVersions()
 	s := New(v, []string{"k"}, 8, maxEntries)
-	s.buildRent = 0   // every probe that can builds a union table
 	o := newOracle(1) // written by the publisher only, read after it exits
 	type pair struct {
 		wm Slot
@@ -662,7 +636,6 @@ func TestProbeVecMatchesOracleUnderConcurrentPublication(t *testing.T) {
 	go func() {
 		defer close(done)
 		rng := rand.New(rand.NewSource(42))
-		var sc InsertScratch
 		slot := Slot(0)
 		for vid := int32(0); int(vid) < maxEntries; slot++ {
 			n := 1 + rng.Intn(64)
@@ -675,7 +648,7 @@ func TestProbeVecMatchesOracleUnderConcurrentPublication(t *testing.T) {
 				keys[0][j] = rng.Int63n(domain)
 				qsets[j] = 1 << uint(rng.Intn(8))
 			}
-			s.InsertVec(vids, keys, qsets, 1, slot, &sc)
+			s.InsertVec(vids, keys, qsets, 1, slot, nil)
 			o.insert(vids, keys, qsets, 1, slot)
 			wm, ts := v.Publish(slot)
 			o.pubTS[slot] = ts
@@ -702,24 +675,19 @@ func TestProbeVecMatchesOracleUnderConcurrentPublication(t *testing.T) {
 		wm := v.Watermark()
 		ts := v.Now()
 		got := canonVec(probeVec(s, "k", probeKeys, ts, wm))
-		if tableServes(s, 0, ts) {
+		if tableServes(s, 0, ts, wm) {
 			served++
 		}
-		for _, other := range []struct {
-			name string
-			ms   []match
-		}{{"ProbeVec without the watermark", probeVec(s, "k", probeKeys, ts, 0)}, {"the chain walk", walkVec(s, "k", probeKeys, nil, ts, 0, 0, 1)}} {
-			if slow := canonVec(other.ms); !reflect.DeepEqual(got, slow) {
-				<-done
-				t.Fatalf("iter %d: ProbeVec (wm=%d) and %s disagree under concurrent publication: %d vs %d matches",
-					iters, wm, other.name, len(got), len(slow))
-			}
+		if slow := canonVec(probeVec(s, "k", probeKeys, ts, 0)); !reflect.DeepEqual(got, slow) {
+			<-done
+			t.Fatalf("iter %d: ProbeVec with (wm=%d) and without the watermark disagree under concurrent publication: %d vs %d matches",
+				iters, wm, len(got), len(slow))
 		}
 		if len(seen) < kept || finished {
 			seen = append(seen, probed{ts, got})
 		}
 	}
-	t.Logf("%d probes during publication, %d served from a union table", iters, served)
+	t.Logf("%d probes during publication, %d read one table as it stood", iters, served)
 	for iter, p := range seen {
 		if want := o.probe(0, probeKeys, p.ts); !reflect.DeepEqual(p.got, want) {
 			t.Fatalf("probe %d: ProbeVec at ts %d saw %d matches, oracle %d", iter, p.ts, len(p.got), len(want))
@@ -734,10 +702,11 @@ func TestProbeVecMatchesOracleUnderConcurrentPublication(t *testing.T) {
 			t.Fatalf("publish %d: ProbeVec at its pair (wm=%d, ts=%d) diverged", i, p.wm, p.ts)
 		}
 	}
-	// Once the publisher is done the table serves every probe.
+	// Once the publisher is done every slot is under the watermark, so a
+	// probe reads every table as it stands.
 	wm, ts := v.Watermark(), v.Now()
-	if !checkProbe(t, s, o, 0, "k", probeKeys, ts, wm) || !tableServes(s, 0, ts) {
-		t.Fatal("a probe after the last publication diverged or was not served from the union table")
+	if !checkProbe(t, s, o, 0, "k", probeKeys, ts, wm) || !allSeen(s, 0, ts, wm) {
+		t.Fatal("a probe after the last publication diverged or checked a table entry by entry")
 	}
 }
 
@@ -800,10 +769,11 @@ func TestWatermarkMonotonicUnderConcurrentPublish(t *testing.T) {
 	}
 }
 
-// TestProbeVecDuringGC races ProbeVec against the streaming GC operations
-// (SweepChunk, CompactLive, EnsureBuckets) under the engine's quiesce
-// discipline — GC holds the gate exclusively, probes hold it shared — and
-// checks every probe observes a consistent state: matches are a subset of
+// TestProbeVecDuringGC races ProbeVec against the streaming GC operations:
+// the sweeps of the chunks and then of the tables (SweepChunk, SweepIndex)
+// run concurrently with the probes, as in the engine, and CompactLive
+// holds a gate the probes hold shared. Every probe must observe a
+// consistent state: matches are a subset of
 // the original entries and a superset of the post-GC survivors, and the
 // watermark is unchanged by the rebuild (compacted entries keep their slots,
 // so the under-watermark fast path stays correct).
@@ -828,21 +798,17 @@ func TestProbeVecDuringGC(t *testing.T) {
 		probeKeys[i] = int64(i)
 	}
 
-	var gate sync.RWMutex // stand-in for the engine's quiesce gate
+	var gate sync.RWMutex // orders the compaction between probes
 	gcDone := make(chan struct{})
 	go func() {
 		defer close(gcDone)
 		retired := bitset.FromIDs(2, 0)
 		for ci := 0; ci < s.NumChunks(); ci++ {
-			gate.Lock()
 			s.SweepChunk(ci, retired)
-			gate.Unlock()
 		}
+		s.SweepIndex(retired)
 		gate.Lock()
 		s.CompactLive()
-		gate.Unlock()
-		gate.Lock()
-		s.EnsureBuckets(4 * n)
 		gate.Unlock()
 	}()
 
@@ -912,7 +878,7 @@ func TestProbeVecDuringGC(t *testing.T) {
 }
 
 // buildRandom fills a fresh STeM of query capacity qcap with n entries over
-// a small key domain (multi-entry chains), NULL build keys, random query
+// a small key domain (keys of many entries), NULL build keys, random query
 // sets in every word, and one batch in three left unpublished. It returns
 // the STeM, its oracle, and probe keys covering the domain, one miss and
 // NULL.
@@ -922,7 +888,6 @@ func buildRandom(rng *rand.Rand, qcap, n int) (*STeM, *oracle, []int64) {
 	s := New(v, []string{"k"}, qcap, n)
 	o := newOracle(1)
 	qw := s.qw
-	var sc InsertScratch
 	for i0, slot := 0, Slot(0); i0 < n; slot++ {
 		bn := min(1+rng.Intn(64), n-i0)
 		vids := make([]int32, bn)
@@ -938,7 +903,7 @@ func buildRandom(rng *rand.Rand, qcap, n int) (*STeM, *oracle, []int64) {
 				qsets[j*qw+w] = rng.Uint64() & rng.Uint64() & rng.Uint64()
 			}
 		}
-		s.InsertVec(vids, [][]int64{keys}, qsets, qw, slot, &sc)
+		s.InsertVec(vids, [][]int64{keys}, qsets, qw, slot, nil)
 		o.insert(vids, [][]int64{keys}, qsets, qw, slot)
 		if rng.Intn(3) != 0 {
 			_, o.pubTS[slot] = v.Publish(slot)
@@ -947,7 +912,7 @@ func buildRandom(rng *rand.Rand, qcap, n int) (*STeM, *oracle, []int64) {
 	}
 	probeKeys := []int64{NullKey}
 	for k := int64(0); k <= domain; k++ {
-		probeKeys = append(probeKeys, k, k) // repeated keys: several tuples per chain
+		probeKeys = append(probeKeys, k, k) // repeated keys: several tuples per key
 	}
 	return s, o, probeKeys
 }
@@ -955,11 +920,12 @@ func buildRandom(rng *rand.Rand, qcap, n int) (*STeM, *oracle, []int64) {
 // TestPruneVecMatchesOracle checks the prune kernel against the brute-force
 // model at query-set widths of 1, 2 and 5 words, each over random word
 // ranges — bits outside the range must come back untouched — with NULL
-// keys, unpublished slots and multi-entry chains, then again once every
-// slot is published (where the prune answers from its union table, which
-// must then see tuples that drop and tuples whose span empties but whose
-// other words keep them). It also checks the probe kernels on the same STeMs, ProbeVecRange's word
-// range and tuple mask included (checkProbe).
+// keys, unpublished slots and keys of many entries, then again once every
+// slot is published (where the prune reads its table's unions as they
+// stand, and must then see tuples that drop and tuples whose span empties
+// but whose other words keep them). It also checks the probe kernels on the
+// same STeMs, ProbeVecRange's word range and tuple mask included
+// (checkProbe).
 func TestPruneVecMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, qcap := range []int{64, 128, 320} {
@@ -979,8 +945,8 @@ func TestPruneVecMatchesOracle(t *testing.T) {
 				t.Fatalf("qcap %d iter %d: PruneVec diverged from the oracle", qcap, iter)
 			}
 		}
-		if !unionCurrent(s, 0) {
-			t.Fatalf("qcap %d: no current union table once every slot is published", qcap)
+		if ts := tablesOf(s, 0); len(ts) != 1 || !ts[0].seen(s.versions, math.MaxInt64, s.versions.Watermark()) {
+			t.Fatalf("qcap %d: the prunes do not read one published table once every slot is published", qcap)
 		}
 		// The table's loops must meet both ends of their compaction: a tuple
 		// that only the words outside its span keep, and one that drops.
@@ -996,14 +962,14 @@ func TestPruneVecMatchesOracle(t *testing.T) {
 
 // maintain drives s, a STeM indexed on "a", and its oracle o through steps
 // random operations, each of which changes a prune's or a probe's answer or
-// drops the union table: InsertVec of up to maxBatch entries (some with
-// NULL keys, one in six with an empty query set, the others with one bit in
-// a random word, the slot often left unpublished for a while), Publish,
-// SweepChunk, CompactLive, EnsureBuckets and AddIndex("b"). Keys on "a" are
-// dense, drawn from 0..39, but one batch in six moves some of its keys far
-// apart (sparseKey), so the union table is built hashed until sweeps and
-// compaction drop them, and directly again after. After each step it calls
-// check with the indexed columns.
+// the index's tables: InsertVec of up to maxBatch entries (some with NULL
+// keys, one in six with an empty query set, the others with one bit in a
+// random word, the slot often left unpublished for a while), Publish, a
+// sweep of the chunks and then the tables, CompactLive and AddIndex("b").
+// Keys on "a" are dense, drawn from 0..39, but one batch in six moves some
+// of its keys far apart (sparseKey), so a table holding one is built
+// hashed, and one without directly. After each step it calls check with
+// the indexed columns.
 func maintain(rng *rand.Rand, s *STeM, o *oracle, steps, maxBatch int, check func(step int, cols []string)) {
 	const domain = maintainDomain
 	v, qw := s.versions, s.qw
@@ -1013,7 +979,6 @@ func maintain(rng *rand.Rand, s *STeM, o *oracle, steps, maxBatch int, check fun
 		}
 		return int64(vid*7) % domain
 	}
-	var sc InsertScratch
 	var pending []Slot
 	nextSlot, nextVID := Slot(0), int32(0)
 	for step := 0; step < steps; step++ {
@@ -1039,7 +1004,7 @@ func maintain(rng *rand.Rand, s *STeM, o *oracle, steps, maxBatch int, check fun
 					qsets[j*qw+rng.Intn(qw)] = 1 << uint(rng.Intn(64))
 				}
 			}
-			s.InsertVec(vids, keys, qsets, qw, nextSlot, &sc)
+			s.InsertVec(vids, keys, qsets, qw, nextSlot, nil)
 			o.insert(vids, keys, qsets, qw, nextSlot)
 			pending = append(pending, nextSlot)
 			nextSlot++
@@ -1064,12 +1029,8 @@ func maintain(rng *rand.Rand, s *STeM, o *oracle, steps, maxBatch int, check fun
 			}
 			sweepAll(s, o, retired)
 		case op == 8:
-			if rng.Intn(2) == 0 {
-				s.CompactLive()
-				dropEmpty(o)
-			} else {
-				s.EnsureBuckets(s.Len() + rng.Intn(4*chunkSize))
-			}
+			s.CompactLive()
+			dropEmpty(o)
 		default:
 			if len(o.byKey) == 1 {
 				s.AddIndex("b", keyOfB)
@@ -1105,17 +1066,24 @@ func maintenanceKeys() []int64 {
 	return keys
 }
 
-// layouts counts the current union tables of s's indexes by layout.
+// layouts counts tables by layout.
 type layouts struct{ direct, hashed int }
 
-func (l *layouts) count(s *STeM, ki int) {
-	if !unionCurrent(s, ki) {
-		return
-	}
-	if s.state.Load().unions[ki].table.Load().direct {
+func (l *layouts) add(t *unionTable) {
+	if t.direct {
 		l.direct++
 	} else {
 		l.hashed++
+	}
+}
+
+// count counts index ki's tables that a probe at (probeTS, wm) reads as
+// they stand.
+func (l *layouts) count(s *STeM, ki int, probeTS int64, wm Slot) {
+	for _, t := range tablesOf(s, ki) {
+		if t.seen(s.versions, probeTS, wm) {
+			l.add(t)
+		}
 	}
 }
 
@@ -1140,12 +1108,12 @@ func dropEmpty(o *oracle) {
 var maintenanceWidths = []int{64, 128, 320}
 
 // TestPruneVecUnionAcrossMaintenance drives a STeM of one, two and five
-// words, whose prunes answer from the union table, through maintain's
-// random interleaving of inserts, publishes, sweeps, compaction, growth and
+// words, whose prunes merge its index into one table, through maintain's
+// random interleaving of inserts, publishes, sweeps, compaction and
 // AddIndex. After each step a prune on every index, over NULL, hit and
-// missing keys and a random word range, must match the oracle and the
-// chain walk, and enough of them at each width must have been answered by
-// a current table for the check to cover the union path.
+// missing keys and a random word range, must match the oracle, and enough
+// of them at each width must have read a table's unions as they stood,
+// direct and hashed, for the check to cover both layouts.
 func TestPruneVecUnionAcrossMaintenance(t *testing.T) {
 	const steps = 400
 	rng := rand.New(rand.NewSource(17))
@@ -1163,45 +1131,44 @@ func TestPruneVecUnionAcrossMaintenance(t *testing.T) {
 				if !checkPruneInput(t, s, o, ki, col, probeKeys, tuples, elig, lo, hi) {
 					t.Fatalf("%d words, step %d: PruneVec on %s diverged", qw, step, col)
 				}
-				l.count(s, ki)
+				if tb := tablesOf(s, ki)[0]; tb.seen(s.versions, math.MaxInt64, s.versions.Watermark()) {
+					l.add(tb)
+				}
 			}
 		})
-		t.Logf("%d words: current union tables answered %d of the prunes directly, %d hashed", qw, l.direct, l.hashed)
+		t.Logf("%d words: published tables answered %d of the prunes directly, %d hashed", qw, l.direct, l.hashed)
 		if l.direct+l.hashed < steps/4 || min(l.direct, l.hashed) < steps/20 {
-			t.Fatalf("%d words: current union tables answered %d prunes directly and %d hashed; the check barely covers the union path or one of its layouts", qw, l.direct, l.hashed)
+			t.Fatalf("%d words: published tables answered %d prunes directly and %d hashed; the check barely covers the unions or one of their layouts", qw, l.direct, l.hashed)
 		}
 	}
 }
 
 // TestProbeVecTableAcrossMaintenance drives a STeM of one, two and five
 // words through maintain's random interleaving of inserts (NULL keys and
-// empty query sets included), publishes, sweeps, compaction, growth and
-// AddIndex. After each step a probe on every index, over NULL, hit and
-// missing keys, at a fresh timestamp and at the one drawn before the
-// previous step, must match the oracle and the chain walk, masked and
-// unmasked (checkProbe), and at each width a current table must have
-// served at least 100 of them. The STeM builds a probe's table whenever it
-// can.
+// empty query sets included), publishes, sweeps, compaction and AddIndex.
+// After each step a probe on every index, over NULL, hit and missing keys,
+// at a fresh timestamp and at the one drawn before the previous step, must
+// match the oracle, masked and unmasked (checkProbe), and at each width at
+// least 100 of them must have read a table as it stood, direct and hashed.
 func TestProbeVecTableAcrossMaintenance(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, qcap := range maintenanceWidths {
 		v := NewVersions()
 		s := New(v, []string{"a"}, qcap, 0)
-		s.buildRent = 0
 		o := newOracle(1)
 		probeKeys := maintenanceKeys()
 		prevTS := v.Now()
 		served := 0
 		var l layouts
 		maintain(rng, s, o, 300, 24, func(step int, cols []string) {
-			ts := v.Now()
+			wm, ts := v.Watermark(), v.Now()
 			for ki, col := range cols {
-				if !checkProbe(t, s, o, ki, col, probeKeys, ts, v.Watermark()) {
+				if !checkProbe(t, s, o, ki, col, probeKeys, ts, wm) {
 					t.Fatalf("%d words, step %d: ProbeVec on %s diverged", s.qw, step, col)
 				}
-				if tableServes(s, ki, ts) {
+				before := l.direct + l.hashed
+				if l.count(s, ki, ts, wm); l.direct+l.hashed > before {
 					served++
-					l.count(s, ki)
 				}
 				if !checkProbe(t, s, o, ki, col, probeKeys, prevTS, 0) {
 					t.Fatalf("%d words, step %d: ProbeVec on %s at the previous step's timestamp diverged", s.qw, step, col)
@@ -1209,9 +1176,9 @@ func TestProbeVecTableAcrossMaintenance(t *testing.T) {
 			}
 			prevTS = ts
 		})
-		t.Logf("%d words: %d of the probes were served from a current union table, %d direct and %d hashed", s.qw, served, l.direct, l.hashed)
+		t.Logf("%d words: %d of the probes read a table as it stood, %d direct and %d hashed tables", s.qw, served, l.direct, l.hashed)
 		if served < 100 || min(l.direct, l.hashed) < 15 {
-			t.Fatalf("%d words: a current union table served %d probes, %d direct and %d hashed; the check barely covers the table path or one of its layouts", s.qw, served, l.direct, l.hashed)
+			t.Fatalf("%d words: %d probes read a table as it stood, %d direct and %d hashed tables; the check barely covers the unchecked reads or one of their layouts", s.qw, served, l.direct, l.hashed)
 		}
 	}
 }
@@ -1222,20 +1189,19 @@ func TestProbeVecTableAcrossMaintenance(t *testing.T) {
 // non-zero ones, masked, with tuples that have no bit under the mask. It
 // runs on a one-word STeM and on a five-word one over ranges of one, two
 // and five words, with NULL keys on both sides and keys of several
-// entries, once served from the union table and once, with an entry left
-// unpublished, through the chain walk; checkSlab compares both paths with
-// the oracle, the probed count and the tuple order included.
+// entries, once read from a table as it stands and once, with an entry left
+// unpublished, entry by entry; checkSlab compares both with the oracle, the
+// probed count and the tuple order included.
 func TestProbeSlabMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, tc := range []struct {
 		qcap   int
 		ranges [][2]int
 	}{{64, [][2]int{{0, 1}}}, {320, [][2]int{{0, 1}, {3, 4}, {1, 3}, {3, 5}, {0, 5}}}} {
-		for _, walk := range []bool{false, true} {
+		for _, unpublished := range []bool{false, true} {
 			const entries, domain = 600, 200
 			v := NewVersions()
 			s := New(v, []string{"k"}, tc.qcap, entries)
-			s.buildRent = 0
 			o := newOracle(1)
 			qw := s.qw
 			vids := make([]int32, entries)
@@ -1252,12 +1218,11 @@ func TestProbeSlabMatchesOracle(t *testing.T) {
 					}
 				}
 			}
-			var sc InsertScratch
-			s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, &sc)
+			s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, nil)
 			o.insert(vids, [][]int64{keys}, qsets, qw, 0)
 			_, o.pubTS[0] = v.Publish(0)
-			if walk { // an unpublished entry keeps every table from being built
-				s.InsertVec(vids[:1], [][]int64{{1}}, qsets[qw:2*qw], qw, 1, &sc)
+			if unpublished { // an unpublished entry has every probe check each entry
+				s.InsertVec(vids[:1], [][]int64{{1}}, qsets[qw:2*qw], qw, 1, nil)
 				o.insert(vids[:1], [][]int64{{1}}, qsets[qw:2*qw], qw, 1)
 			}
 			probeKeys := []int64{NullKey}
@@ -1272,10 +1237,10 @@ func TestProbeSlabMatchesOracle(t *testing.T) {
 					wm, ts := v.Watermark(), v.Now()
 					p := slabProbe(rng, probeKeys, nw, stride, off)
 					if !checkSlab(t, s, o, 0, "k", p, ts, wm, lo, hi) {
-						t.Fatalf("%d words, walk %t: range [%d,%d) stride %d offset %d diverged", qw, walk, lo, hi, stride, off)
+						t.Fatalf("%d words, unpublished %t: range [%d,%d) stride %d offset %d diverged", qw, unpublished, lo, hi, stride, off)
 					}
-					if served := tableServes(s, 0, ts); served == walk {
-						t.Fatalf("%d words, walk %t: a union table served the probe: %t", qw, walk, served)
+					if served := tableServes(s, 0, ts, wm); served == unpublished {
+						t.Fatalf("%d words, unpublished %t: the probe read one table as it stood: %t", qw, unpublished, served)
 					}
 				}
 			}
@@ -1283,76 +1248,19 @@ func TestProbeSlabMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestProbeRentCountsProbedTuples pins what a probe pays towards a union
-// table build: the tuples it probes, those with a bit under the mask, times
-// its range's words, not its vector's length; nothing when it probes no
-// tuple; and nothing once a current table serves it.
-func TestProbeRentCountsProbedTuples(t *testing.T) {
-	const entries = 512
-	v := NewVersions()
-	s := New(v, []string{"k"}, 320, entries)
-	qw := s.qw
-	vids := make([]int32, entries)
-	keys := make([]int64, entries)
-	qsets := make([]uint64, entries*qw)
-	for i := range vids {
-		vids[i], keys[i], qsets[i*qw] = int32(i), int64(i), 1
-	}
-	var sc InsertScratch
-	s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, &sc)
-	v.Publish(0)
-	wm, ts := v.Watermark(), v.Now()
-	walked := &s.state.Load().unions[0].walked
-	rng := rand.New(rand.NewSource(3))
-	lo, hi := 1, 3
-	p := slabProbe(rng, keys[:100], hi-lo, 4, 1)
-	want := int64(0)
-	for i := range p.VIDs {
-		if bitset.Intersects(p.words(i, hi-lo), p.Mask) {
-			want += int64(hi - lo)
-		}
-	}
-	if want == 0 || want == int64(len(p.VIDs)*(hi-lo)) {
-		t.Fatal("every or no tuple has a bit under the mask; the check is vacuous")
-	}
-	for _, tc := range []struct {
-		name string
-		p    Probe
-		add  int64
-	}{
-		{"masked slab", p, want},
-		{"unmasked keys", keyProbe(keys[:50], nil, 0), 50 * int64(hi-lo)},
-		{"no tuples", Probe{}, 0},
-		{"no tuple under the mask", Probe{Keys: p.Keys, VIDs: p.VIDs, Qsets: p.Qsets, Stride: p.Stride, Off: p.Off, Mask: make([]uint64, hi-lo)}, 0},
-	} {
-		before := walked.Load()
-		if _, _, n := s.ProbeVecRange(nil, nil, "k", tc.p, ts, wm, lo, hi); int64(n*(hi-lo)) != tc.add {
-			t.Errorf("%s: probed %d tuples over %d words, want %d words", tc.name, n, hi-lo, tc.add)
-		}
-		if got := walked.Load() - before; got != tc.add || unionCurrent(s, 0) {
-			t.Errorf("%s: paid %d words towards a build (table built: %t), want %d and none", tc.name, got, unionCurrent(s, 0), tc.add)
-		}
-	}
-	s.PruneVec(nil, nil, qw, bitset.NewFull(320), 0, qw, "k", keys, make([]uint64, qw)) // builds the table
-	before := walked.Load()
-	if _, _, n := s.ProbeVecRange(nil, nil, "k", p, ts, wm, lo, hi); !tableServes(s, 0, ts) || walked.Load() != before || int64(n*(hi-lo)) != want {
-		t.Errorf("served by a current table: probed %d tuples and paid %d words, want %d and none", n, walked.Load()-before, want/int64(hi-lo))
-	}
-}
-
 // TestProbeVecTableRespectsProbeTS pins the table's visibility bound at
 // one, two and five words: a table built after a publication newer than a
-// probe's timestamp must not serve that probe, which sees only the entries
-// published before it, and a probe after every publication is served from
-// the table with every entry, the one with an empty query set included
-// (ProbeVec returns it, as the chain walk does). Serving without the maxTS
-// check, or building a table without the empty entries, fails here.
+// probe's timestamp must be read entry by entry by that probe, which sees
+// only the entries published before it, and a probe after every
+// publication reads the table as it stands, with every entry, the one with
+// an empty query set included (ProbeVec returns it). Reading without the
+// maxTS check or without the per-entry slot check, or building a table
+// without the empty entries, fails here.
 func TestProbeVecTableRespectsProbeTS(t *testing.T) {
 	for _, qcap := range maintenanceWidths {
 		v := NewVersions()
 		s := New(v, []string{"k"}, qcap, 0)
 		qw := s.qw
-		var sc InsertScratch
 		// words puts each entry's bits in the last word.
 		words := func(xs ...uint64) []uint64 {
 			out := make([]uint64, len(xs)*qw)
@@ -1363,17 +1271,17 @@ func TestProbeVecTableRespectsProbeTS(t *testing.T) {
 		}
 		// Key 5 gets an entry with bits and one every query has left (slot
 		// 0), then, after the old probe timestamp is drawn, one more (slot 1).
-		s.InsertVec([]int32{1, 2, 9}, [][]int64{{5, 5, 6}}, words(0x1, 0, 0x4), qw, 0, &sc)
+		s.InsertVec([]int32{1, 2, 9}, [][]int64{{5, 5, 6}}, words(0x1, 0, 0x4), qw, 0, nil)
 		v.Publish(0)
 		old := v.Now()
-		s.InsertVec([]int32{3}, [][]int64{{5}}, words(0x2), qw, 1, &sc)
+		s.InsertVec([]int32{3}, [][]int64{{5}}, words(0x2), qw, 1, nil)
 		v.Publish(1)
 		keys := []int64{5, 6, 7, NullKey}
 
 		// A prune builds the table now, with slot 1's entry in it.
 		pruneTuples(t, s, words(1, 1, 1, 1), qw, bitset.Set(words(1)), 0, qw, "k", keys, make([]uint64, qw))
-		if !unionCurrent(s, 0) || tableServes(s, 0, old) {
-			t.Fatalf("%d words, fixture: want a current table that the old timestamp may not use", qw)
+		if len(tablesOf(s, 0)) != 1 || tableServes(s, 0, old, 0) {
+			t.Fatalf("%d words, fixture: want one table that the old timestamp reads entry by entry", qw)
 		}
 		type m struct {
 			in  int32
@@ -1395,134 +1303,204 @@ func TestProbeVecTableRespectsProbeTS(t *testing.T) {
 		if got, want := collect(now), []m{{0, 1, 0x1}, {0, 2, 0}, {0, 3, 0x2}, {1, 9, 0x4}}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d words: probe after every publication = %v, want %v", qw, got, want)
 		}
-		if !tableServes(s, 0, now) {
-			t.Fatalf("%d words: the probe after every publication was not served from the table", qw)
+		if !tableServes(s, 0, now, 0) {
+			t.Fatalf("%d words: the probe after every publication did not read the table as it stood", qw)
 		}
 	}
 }
 
-// TestUnionBuildWaitsForBlockingSlot leaves one slot unpublished behind
-// many published entries and probes and prunes many times: a build that
-// meets the unpublished entry records its slot, and no call scans the
-// entries again until that slot is published, so the builds read O(entries)
-// in all, not O(calls × entries). The first probe after the publication
-// builds the table and is served from it.
-func TestUnionBuildWaitsForBlockingSlot(t *testing.T) {
-	const entries, calls = 2000, 200
-	v := NewVersions()
-	s := New(v, []string{"k"}, 64, entries)
-	var sc InsertScratch
-	vids := make([]int32, entries)
-	keys := make([]int64, entries)
-	qsets := make([]uint64, entries)
-	for i := range vids {
-		vids[i], keys[i], qsets[i] = int32(i), int64(i%500), 1<<uint(i%64)
-	}
-	s.InsertVec(vids[:entries-10], [][]int64{keys[:entries-10]}, qsets[:entries-10], 1, 0, &sc)
-	v.Publish(0)
-	s.InsertVec(vids[entries-10:], [][]int64{keys[entries-10:]}, qsets[entries-10:], 1, 1, &sc)
-	probeKeys := keys[:entries]
-	tuples := make([]uint64, len(probeKeys))
-	for i := 0; i < calls; i++ {
-		ts := v.Now()
-		probeVec(s, "k", probeKeys, ts, 0)
-		pruneTuples(t, s, tuples, 1, bitset.Set{^uint64(0)}, 0, 1, "k", probeKeys, make([]uint64, 1))
-	}
-	if got := s.unionScans.Load(); got > 2*entries {
-		t.Fatalf("%d calls with one slot unpublished scanned %d entries, want at most %d", 2*calls, got, 2*entries)
-	}
-	v.Publish(1)
-	ts := v.Now()
-	if got := len(probeVec(s, "k", probeKeys, ts, 0)); got != 4*entries {
-		t.Fatalf("probe after the publication found %d matches, want %d", got, 4*entries)
-	}
-	if !tableServes(s, 0, ts) {
-		t.Fatal("the probe after the blocking slot's publication was not served from the table")
-	}
-}
-
-// TestProbeBuildsArePaidByWalks runs a symmetric join on one worker: two
-// STeMs each take a vector and then probe the other with it, each key
-// eight times over, so every probe meets a STeM that changed since its last
-// probe and the walks outpace the growth. A probe builds a table
-// only once the query-set words walked since the last build reach
-// buildRent times the words a build reads, so the builds read at most
-// 1/buildRent of the words probed rather than a STeM's size per call. That
-// holds for one-word STeMs probed over their word and for five-word STeMs
-// probed over one of theirs, where a build reads five words per entry for
-// the walk's one per key. Each vector is preceded by a probe with no keys,
-// as the executor makes below an empty vector: it walks nothing, so it must
-// build nothing either. Once the STeMs stop changing, the probes that
-// walked for it build the table and the next ones are served from it.
-func TestProbeBuildsArePaidByWalks(t *testing.T) {
-	const vec, rounds, repeat = 256, 60, 8
-	for _, tc := range []struct{ qcap, lo, hi int }{{4, 0, 1}, {320, 2, 3}} {
+// TestSymmetricJoinAcrossDeltas runs a growing symmetric join on one
+// worker at one, two and five words: two STeMs take turns inserting a
+// vector of 20 to 38 tuples (Fig. 13's vectors hold about 29), publishing
+// it and probing the other STeM with the vector's keys, so each probe
+// indexes what the other side inserted since as a new delta. One vector in
+// eight stays unpublished until its STeM's next turn, holding the watermark
+// back. Every probe must match the oracle (checkProbe) at the pair its
+// publish returned and at the timestamp drawn before the other side's
+// newest publish, whose entries the probed STeM's newest table holds, so
+// that probe must check them entry by entry. Each index must hold at most
+// ⌈log2 deltas⌉ + 1 tables. Reading every table as it stands, or never
+// merging tables, fails here.
+func TestSymmetricJoinAcrossDeltas(t *testing.T) {
+	const domain, rounds = 150, 100
+	for _, qcap := range maintenanceWidths {
 		v := NewVersions()
-		r, s := New(v, []string{"k"}, tc.qcap, 0), New(v, []string{"k"}, tc.qcap, 0)
-		qw, nw := r.qw, tc.hi-tc.lo
-		rng := rand.New(rand.NewSource(5))
-		var sc InsertScratch
-		vids := make([]int32, vec)
-		keys := make([]int64, vec)
-		qs := make([]uint64, vec*qw)
-		for j := range qs {
-			qs[j] = 0xf
-		}
-		probeKeys := make([]int64, repeat*vec)
-		probe := func(s *STeM, ts int64, wm Slot) {
-			for j := range probeKeys {
-				probeKeys[j] = keys[j%vec]
-			}
-			s.ProbeVecRange(nil, nil, "k", keyProbe(probeKeys, nil, 0), ts, wm, tc.lo, tc.hi)
-		}
-		slot, probed := Slot(0), 0
-		for i := 0; i < rounds; i++ {
-			for _, p := range [][2]*STeM{{r, s}, {s, r}} {
-				mine, other := p[0], p[1]
+		stems := [2]*STeM{New(v, []string{"k"}, qcap, 0), New(v, []string{"k"}, qcap, 0)}
+		oracles := [2]*oracle{newOracle(1), newOracle(1)}
+		qw := stems[0].qw
+		rng := rand.New(rand.NewSource(int64(qcap)))
+		held := [2]Slot{-1, -1} // each side's unpublished slot
+		slot, vid := Slot(0), int32(0)
+		prevTS := v.Now()
+		most, checked := 0, 0
+		for round := 0; round < rounds; round++ {
+			for side := range 2 {
+				mine, other, o := stems[side], stems[1-side], oracles[side]
+				if held[side] >= 0 {
+					_, o.pubTS[held[side]] = v.Publish(held[side])
+					held[side] = -1
+				}
+				n := 20 + rng.Intn(19)
+				vids := make([]int32, n)
+				keys := make([]int64, n)
+				qsets := make([]uint64, n*qw)
 				for j := range vids {
-					vids[j], keys[j] = int32(i*vec+j), rng.Int63n(rounds*vec)
+					vids[j], keys[j] = vid, rng.Int63n(domain)
+					vid++
+					if rng.Intn(16) == 0 {
+						keys[j] = NullKey
+					}
+					for w := 0; w < qw; w++ {
+						qsets[j*qw+w] = rng.Uint64() & rng.Uint64()
+					}
 				}
-				if mine.NeedsGrow(mine.Len() + vec) {
-					mine.EnsureBuckets(mine.Len() + vec)
+				mine.InsertVec(vids, [][]int64{keys}, qsets, qw, slot, nil)
+				o.insert(vids, [][]int64{keys}, qsets, qw, slot)
+				var wm Slot
+				var ts int64
+				if rng.Intn(8) == 0 {
+					held[side] = slot
+					wm = v.Watermark()
+					ts = v.Now()
+				} else {
+					wm, ts = v.Publish(slot)
+					o.pubTS[slot] = ts
 				}
-				mine.InsertVec(vids, [][]int64{keys}, qs, qw, slot, &sc)
-				wm, ts := v.Publish(slot)
 				slot++
-				other.ProbeVecRange(nil, nil, "k", Probe{}, ts, wm, tc.lo, tc.hi)
-				probe(other, ts, wm)
-				probed += repeat * vec * nw
+				probeKeys := append(keys, domain) // and a miss
+				if !checkProbe(t, other, oracles[1-side], 0, "k", probeKeys, ts, wm) {
+					t.Fatalf("%d words, round %d side %d: a probe at its publish's pair diverged", qw, round, side)
+				}
+				if !allSeen(other, 0, prevTS, 0) {
+					checked++
+				}
+				if !checkProbe(t, other, oracles[1-side], 0, "k", probeKeys, prevTS, 0) {
+					t.Fatalf("%d words, round %d side %d: a probe at the timestamp drawn before the last publish diverged", qw, round, side)
+				}
+				prevTS = ts
+				tables := tablesOf(other, 0)
+				deltas := 0
+				for _, tb := range tables {
+					deltas += tb.deltas
+				}
+				if bound := bits.Len(uint(deltas-1)) + 1; len(tables) > bound {
+					t.Fatalf("%d words, round %d side %d: %d tables hold %d deltas, want at most %d", qw, round, side, len(tables), deltas, bound)
+				}
+				most = max(most, len(tables))
 			}
 		}
-		scanned := (r.unionScans.Load() + s.unionScans.Load()) * int64(qw)
-		t.Logf("%d words, range [%d,%d): %d words probed, %d words read by builds", qw, tc.lo, tc.hi, probed, scanned)
-		if limit := int64(probed) / r.buildRent; scanned > limit {
-			t.Fatalf("%d words: builds read %d words for %d probed, want at most %d", qw, scanned, probed, limit)
+		t.Logf("%d words: at most %d tables per STeM; %d probes at the older timestamp checked entries", qw, most, checked)
+		if most < 4 || checked < rounds {
+			t.Fatalf("%d words: at most %d tables, %d probes checked entries; the check barely covers the table list", qw, most, checked)
 		}
-		calls := 0
-		for ts := v.Now(); !tableServes(r, 0, ts); ts = v.Now() {
-			if calls++; calls > int(r.buildRent)*r.Len()*qw/(repeat*vec*nw)+2 {
-				t.Fatalf("%d words: %d probes of an unchanging STeM walked without building a table", qw, calls)
+	}
+}
+
+// TestQueryIDReuseAfterSweep retires a query whose bit x sits in the last
+// word, at one, two and five words. Its entries are indexed first, two
+// deltas merged by prunes into one table, and then the chunks and the table
+// are swept of x. A prune eligible on x alone, reading that table as it
+// stands, must keep no tuple. Fresh entries carrying x, as a query
+// recycling the ID would insert, then go in under a new slot, one of them
+// on an old key, and a probe masked to x, which reads the swept table
+// beside a delta of the fresh entries, and a prune eligible on x, which
+// merges the two, must see only the fresh entries. Skipping the table sweep
+// fails here.
+func TestQueryIDReuseAfterSweep(t *testing.T) {
+	for _, qcap := range maintenanceWidths {
+		v := NewVersions()
+		s := New(v, []string{"k"}, qcap, 0)
+		o := newOracle(1)
+		qw := s.qw
+		x := 64*qw - 1
+		onlyX := bitset.FromIDs(qcap, x)
+		slot := Slot(0)
+		insert := func(keys []int64, vid0 int32, q bitset.Set) {
+			vids := make([]int32, len(keys))
+			qsets := make([]uint64, 0, len(keys)*qw)
+			for j := range vids {
+				vids[j] = vid0 + int32(j)
+				qsets = append(qsets, q...)
 			}
-			probe(r, ts, 0)
+			s.InsertVec(vids, [][]int64{keys}, qsets, qw, slot, nil)
+			o.insert(vids, [][]int64{keys}, qsets, qw, slot)
+			_, o.pubTS[slot] = v.Publish(slot)
+			slot++
+		}
+		var probeKeys []int64
+		for k := int64(0); k < 120; k++ {
+			probeKeys = append(probeKeys, k)
+		}
+		tq := make([]uint64, len(probeKeys)*qw)
+		for i := range probeKeys {
+			copy(tq[i*qw:], onlyX)
+		}
+		// prune prunes every probe key eligible on x alone against the
+		// oracle and returns how many tuples keep a bit.
+		prune := func(when string) int {
+			tuples := append([]uint64(nil), tq...)
+			if !checkPruneInput(t, s, o, 0, "k", probeKeys, tuples, onlyX, 0, qw) {
+				t.Fatalf("%d words: a prune eligible on the recycled query %s diverged", qw, when)
+			}
+			kept := 0
+			for i := range probeKeys {
+				if !bitset.Set(tuples[i*qw : (i+1)*qw]).Empty() {
+					kept++
+				}
+			}
+			return kept
+		}
+
+		old := bitset.FromIDs(qcap, 0, x)
+		insert(probeKeys[:30], 0, old)
+		prune("on the first delta")
+		insert(probeKeys[30:60], 100, old)
+		prune("on the second delta") // merges both deltas into one table
+		sweepAll(s, o, onlyX)
+		if n := len(tablesOf(s, 0)); n != 1 || !indexed(s, 0) {
+			t.Fatalf("%d words, fixture: %d tables, want the merged one holding every entry", qw, n)
+		}
+		if kept := prune("after the sweep"); kept != 0 {
+			t.Fatalf("%d words: a prune eligible on the swept query kept %d tuples, want none", qw, kept)
+		}
+
+		insert(append(probeKeys[100:110:110], 5), 1000, onlyX)
+		wm, ts := v.Watermark(), v.Now()
+		p := keyProbe(probeKeys, tq, qw)
+		p.Mask = onlyX
+		if !checkSlab(t, s, o, 0, "k", p, ts, wm, 0, qw) {
+			t.Fatalf("%d words: a probe masked to the recycled query diverged", qw)
+		}
+		if n := len(tablesOf(s, 0)); n != 2 {
+			t.Fatalf("%d words, fixture: the probe left %d tables, want the swept one and a delta", qw, n)
+		}
+		ms, _, _ := s.ProbeVecRange(nil, nil, "k", p, ts, wm, 0, qw)
+		if len(ms) != 11 {
+			t.Fatalf("%d words: a probe masked to the recycled query found %d matches, want the 11 fresh entries", qw, len(ms))
+		}
+		for _, m := range ms {
+			if m.VID < 1000 {
+				t.Fatalf("%d words: a probe masked to the recycled query matched old entry %d", qw, m.VID)
+			}
+		}
+		if kept := prune("after the fresh insert"); kept != 11 {
+			t.Fatalf("%d words: a prune eligible on the recycled query kept %d tuples, want the 11 fresh keys", qw, kept)
 		}
 	}
 }
 
 // TestUnionTableWaitsForCommit prunes while inserts have reserved their
-// entries but not yet written or committed them (InsertVec's two halves,
-// driven apart), at one, two and five words. Such a prune must neither
-// read the unwritten entries nor leave a table behind that a commit fails
-// to invalidate: each insert's bits must show in the first prune after it
-// commits and publishes, also when a later reservation commits before an
-// earlier one. A table stamped with the reserving count instead of the
-// committed one fails here, and so does a build that does not wait for
-// count and committed to agree.
+// entries but not yet written or recorded them (InsertVec's two halves,
+// driven apart), at one, two and five words. Such a prune must not read the
+// unwritten entries, and each insert's bits must show in the first prune
+// after it records its range and publishes, also when a later reservation
+// records before an earlier one. A build over the reserved count instead of
+// the recorded ranges fails here.
 func TestUnionTableWaitsForCommit(t *testing.T) {
 	for _, qcap := range maintenanceWidths {
 		v := NewVersions()
 		s := New(v, []string{"k"}, qcap, 0)
 		qw := s.qw
-		var sc InsertScratch
 		keys := []int64{0, 1, 2, 3}
 		// last is a slab of one set per key with x in its last word.
 		last := func(x uint64) []uint64 {
@@ -1535,7 +1513,7 @@ func TestUnionTableWaitsForCommit(t *testing.T) {
 		insert := func(bits uint64, slot Slot) func() {
 			st, base := s.reserve(len(keys))
 			return func() {
-				s.fill(st, base, []int32{0, 1, 2, 3}, [][]int64{keys}, last(bits), qw, slot, &sc)
+				s.fill(st, base, []int32{0, 1, 2, 3}, [][]int64{keys}, last(bits), qw, slot)
 				v.Publish(slot)
 			}
 		}
@@ -1549,8 +1527,8 @@ func TestUnionTableWaitsForCommit(t *testing.T) {
 		}
 		insert(1, 0)()
 		check("after the first insert", 1)
-		if !unionCurrent(s, 0) {
-			t.Fatalf("%d words: no table cached after the first insert; the check would not cover the union path", qw)
+		if !indexed(s, 0) {
+			t.Fatalf("%d words: the first insert is still unindexed after a prune", qw)
 		}
 
 		commit := insert(2, 1)
@@ -1563,21 +1541,150 @@ func TestUnionTableWaitsForCommit(t *testing.T) {
 		check("after the later reservation commits first", 0xb)
 		first()
 		check("after both commit", 0xf)
-		if !unionCurrent(s, 0) {
-			t.Fatalf("%d words: no current table after the last commit; the check would not cover the union path", qw)
+		if !indexed(s, 0) || len(tablesOf(s, 0)) != 1 {
+			t.Fatalf("%d words: the prune after the last commit left %d tables or an unindexed range", qw, len(tablesOf(s, 0)))
 		}
 	}
 }
 
+// TestUnpublishedSlotIndexedOnce leaves one slot unpublished behind many
+// published entries and probes and prunes many times, at one, two and five
+// words. The first prune indexes every entry, the unpublished ones
+// included, and no later call rebuilds: each reads that one table, checking
+// the unpublished entries' slots, and matches the oracle. Once the slot is
+// published, the next probe is served from the same table as it stands.
+func TestUnpublishedSlotIndexedOnce(t *testing.T) {
+	const entries, calls = 2000, 8
+	for _, qcap := range maintenanceWidths {
+		v := NewVersions()
+		s := New(v, []string{"k"}, qcap, 0)
+		o := newOracle(1)
+		qw := s.qw
+		rng := rand.New(rand.NewSource(int64(qcap)))
+		vids := make([]int32, entries)
+		keys := make([]int64, entries)
+		qsets := make([]uint64, entries*qw)
+		for i := range vids {
+			vids[i], keys[i] = int32(i), int64(i%500)
+			for w := 0; w < qw; w++ {
+				qsets[i*qw+w] = rng.Uint64() & rng.Uint64()
+			}
+		}
+		insert := func(lo, hi int, slot Slot) {
+			s.InsertVec(vids[lo:hi], [][]int64{keys[lo:hi]}, qsets[lo*qw:hi*qw], qw, slot, nil)
+			o.insert(vids[lo:hi], [][]int64{keys[lo:hi]}, qsets[lo*qw:hi*qw], qw, slot)
+		}
+		cut := entries - 10
+		insert(0, cut, 0)
+		_, o.pubTS[0] = v.Publish(0)
+		insert(cut, entries, 1)
+		probeKeys := append(keys[:500:500], 500, NullKey)
+
+		var tb *unionTable
+		for i := 0; i < calls; i++ {
+			if !checkPrune(t, rng, s, o, 0, "k", probeKeys) {
+				t.Fatalf("%d words, call %d: a prune with slot 1 unpublished diverged", qw, i)
+			}
+			wm, ts := v.Watermark(), v.Now()
+			if !checkProbe(t, s, o, 0, "k", probeKeys, ts, wm) {
+				t.Fatalf("%d words, call %d: a probe with slot 1 unpublished diverged", qw, i)
+			}
+			tables := tablesOf(s, 0)
+			if i == 0 {
+				tb = tables[0]
+			}
+			if len(tables) != 1 || tables[0] != tb || !indexed(s, 0) {
+				t.Fatalf("%d words, call %d: the index holds %d tables (first kept %t), want the first call's table alone", qw, i, len(tables), tables[0] == tb)
+			}
+			if tableServes(s, 0, ts, wm) {
+				t.Fatalf("%d words, call %d: a table holding an unpublished entry is read without checking its slot", qw, i)
+			}
+		}
+		_, o.pubTS[1] = v.Publish(1)
+		wm, ts := v.Watermark(), v.Now()
+		if !checkProbe(t, s, o, 0, "k", probeKeys, ts, wm) {
+			t.Fatalf("%d words: a probe after the publication diverged", qw)
+		}
+		if tables := tablesOf(s, 0); len(tables) != 1 || tables[0] != tb || !tableServes(s, 0, ts, wm) {
+			t.Fatalf("%d words: the probe after the publication was not served from the table built before it", qw)
+		}
+	}
+}
+
+// TestConcurrentProbesBuildEachDeltaOnce inserts a vector and then probes
+// it from four goroutines at once, round after round. The probes that find
+// the recorded range wait for the one that builds its delta and read the
+// list it published, so every round adds exactly one delta and no table is
+// built over no entries; the list stays within ⌈log2 deltas⌉ + 1 tables.
+// The final probe must match the oracle.
+func TestConcurrentProbesBuildEachDeltaOnce(t *testing.T) {
+	const rounds, vec, probers, domain = 40, 30, 4, 400
+	v := NewVersions()
+	s := New(v, []string{"k"}, 128, 0)
+	o := newOracle(1)
+	qw := s.qw
+	rng := rand.New(rand.NewSource(9))
+	for round := 0; round < rounds; round++ {
+		vids := make([]int32, vec)
+		keys := make([]int64, vec)
+		qsets := make([]uint64, vec*qw)
+		for j := range vids {
+			vids[j], keys[j] = int32(round*vec+j), rng.Int63n(domain)
+			for w := 0; w < qw; w++ {
+				qsets[j*qw+w] = rng.Uint64() & rng.Uint64()
+			}
+		}
+		slot := Slot(round)
+		s.InsertVec(vids, [][]int64{keys}, qsets, qw, slot, nil)
+		o.insert(vids, [][]int64{keys}, qsets, qw, slot)
+		wm, ts := v.Publish(slot)
+		o.pubTS[slot] = ts
+
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for range probers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				s.ProbeVec(nil, nil, "k", keys, ts, wm)
+			}()
+		}
+		close(start)
+		wg.Wait()
+
+		tables := tablesOf(s, 0)
+		deltas := 0
+		for _, tb := range tables {
+			if tb.deltas == 0 || tb.keys == 0 {
+				t.Fatalf("round %d: the index holds a table of %d deltas and %d keys", round, tb.deltas, tb.keys)
+			}
+			deltas += tb.deltas
+		}
+		if !indexed(s, 0) || deltas != round+1 {
+			t.Fatalf("round %d: indexed %t, %d deltas, want every range indexed in %d", round, indexed(s, 0), deltas, round+1)
+		}
+		if bound := bits.Len(uint(deltas-1)) + 1; len(tables) > bound {
+			t.Fatalf("round %d: %d tables hold %d deltas, want at most %d", round, len(tables), deltas, bound)
+		}
+	}
+	probeKeys := make([]int64, domain+1)
+	for k := range probeKeys {
+		probeKeys[k] = int64(k)
+	}
+	if !checkProbe(t, s, o, 0, "k", probeKeys, v.Now(), v.Watermark()) {
+		t.Fatal("a probe after the concurrent rounds diverged")
+	}
+}
+
 // unionFixture inserts one entry per element of keys (a key listed twice
-// gets two) into a fresh STeM of query capacity qcap left at its 64 initial
-// buckets, all under one published slot. Entry i has two bits in every word
+// gets two) into a fresh STeM of query capacity qcap, all under one
+// published slot. Entry i has two bits in every word
 // unless zeroEvery > 0 and i%zeroEvery == zeroEvery-1, which leaves it
 // none. It returns the STeM and its oracle.
 func unionFixture(t *testing.T, qcap int, keys []int64, zeroEvery int) (*STeM, *oracle) {
 	v := NewVersions()
 	s := New(v, []string{"k"}, qcap, 0)
-	s.buildRent = 0
 	qw := s.qw
 	o := newOracle(1)
 	vids := make([]int32, len(keys))
@@ -1591,20 +1698,16 @@ func unionFixture(t *testing.T, qcap int, keys []int64, zeroEvery int) (*STeM, *
 			qsets[i*qw+w] = 1<<uint((i+w)%64) | 1<<uint((5*i+w+3)%64)
 		}
 	}
-	var sc InsertScratch
-	s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, &sc)
+	s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, nil)
 	o.insert(vids, [][]int64{keys}, qsets, qw, 0)
 	_, o.pubTS[0] = v.Publish(0)
-	if len(s.state.Load().buckets[0]) != 64 {
-		t.Fatalf("%d words, fixture: want the STeM at its 64 initial buckets", qw)
-	}
 	return s, o
 }
 
 // checkUnionServes prunes s on probeKeys, every tuple carrying every query,
-// and probes it at a fresh timestamp: both must match the oracle and the
-// chain walk (checkPruneInput, checkProbe), and the probe must be served
-// by the table the prune built, which it returns.
+// and probes it at a fresh timestamp: both must match the oracle
+// (checkPruneInput, checkProbe), and the probe must read the one table the
+// prune built as it stands, which it returns.
 func checkUnionServes(t *testing.T, s *STeM, o *oracle, probeKeys []int64) *unionTable {
 	t.Helper()
 	qw := s.qw
@@ -1616,13 +1719,13 @@ func checkUnionServes(t *testing.T, s *STeM, o *oracle, probeKeys []int64) *unio
 		t.Fatalf("%d words: a prune served by the table diverged", qw)
 	}
 	ts := s.versions.Now()
-	if !checkProbe(t, s, o, 0, "k", probeKeys, ts, s.versions.Watermark()) || !tableServes(s, 0, ts) {
-		t.Fatalf("%d words: a probe diverged or was not served from the table", qw)
+	if !checkProbe(t, s, o, 0, "k", probeKeys, ts, 0) || !tableServes(s, 0, ts, 0) {
+		t.Fatalf("%d words: a probe diverged or did not read one table as it stood", qw)
 	}
-	return s.state.Load().unions[0].table.Load()
+	return tablesOf(s, 0)[0]
 }
 
-// growKeys is the key set of the estimate tests: 300 keys, each key(k) for
+// growKeys is the key set of the layout tests: 300 keys, each key(k) for
 // k in 0..299 and every third with a second entry, and the probe keys: NULL,
 // a miss past the last key, and every key.
 func growKeys(key func(k int) int64) (keys, probeKeys []int64) {
@@ -1637,29 +1740,33 @@ func growKeys(key func(k int) int64) (keys, probeKeys []int64) {
 	return keys, probeKeys
 }
 
-// TestUnionTableGrowsPastEstimate builds hashed union tables whose key
-// count outgrows the size the build estimates from occupied buckets: 300
-// keys spread far apart, so the build cannot index them directly, in a STeM
-// left at its 64 initial buckets, every third key with a second entry, at
-// one, two and five words. The grown table must keep every key's union
-// words, sole vID and entry run: prunes and probes served by it must match
-// the oracle and the chain walk.
-func TestUnionTableGrowsPastEstimate(t *testing.T) {
+// TestUnionTableHashedForSparseKeys builds hashed union tables over 300
+// keys spread far apart, so the build cannot lay them out directly, every
+// third key with four entries and the others with three, at one, two and
+// five words. The build indexes the 1000 entries into a table sized for as
+// many keys and then moves the 300 keys to the 1024 slots that hold them at
+// most half full: every key's union words, sole vID and slot and entry run
+// must survive the move, so prunes and probes served by the table must
+// match the oracle.
+func TestUnionTableHashedForSparseKeys(t *testing.T) {
 	keys, probeKeys := growKeys(func(k int) int64 { return int64(k) << 40 })
+	for k := 0; k < 300; k++ {
+		keys = append(keys, int64(k)<<40, int64(k)<<40)
+	}
 	for _, qcap := range maintenanceWidths {
 		s, o := unionFixture(t, qcap, keys, 0)
 		tb := checkUnionServes(t, s, o, probeKeys)
-		if tb.direct || len(tb.slots) < 600 {
-			t.Fatalf("%d words: want a hashed table grown past the 128-slot estimate to hold 300 keys, got direct %t with %d slots", s.qw, tb.direct, len(tb.slots))
+		if tb.direct || len(tb.slots) != hashedSlots(300) || tb.keys != 300 {
+			t.Fatalf("%d words: want a hashed table of %d slots holding 300 keys, got direct %t with %d slots and %d keys", s.qw, hashedSlots(300), tb.direct, len(tb.slots), tb.keys)
 		}
 	}
 }
 
-// TestUnionTableDirectForDenseKeys is TestUnionTableGrowsPastEstimate's
-// twin on dense keys 0..299: their range is within directSpan times the
-// 128-slot estimate, so the build indexes them directly, one slot per key
-// of the range and no growth, and prunes and probes must again match the
-// oracle and the chain walk.
+// TestUnionTableDirectForDenseKeys is TestUnionTableHashedForSparseKeys's
+// twin on dense keys 0..299, every third with a second entry: their range is within directSpan times the
+// 1024 slots a hashed table of 300 keys has, so the build lays them out
+// directly, one slot per key of the range, and prunes and probes must again
+// match the oracle.
 func TestUnionTableDirectForDenseKeys(t *testing.T) {
 	keys, probeKeys := growKeys(func(k int) int64 { return int64(k) })
 	for _, qcap := range maintenanceWidths {
@@ -1672,8 +1779,8 @@ func TestUnionTableDirectForDenseKeys(t *testing.T) {
 }
 
 // TestUnionTableDirectEdgeCases checks the direct layout where its index
-// arithmetic can slip, at one, two and five words, against the oracle and
-// the chain walk: negative keys; ranges at either end of int64, probed with
+// arithmetic can slip, at one, two and five words, against the oracle:
+// negative keys; ranges at either end of int64, probed with
 // NULL (MinInt64, one below the lowest possible range) and with keys that
 // wrap around the range's base; keys spread across all of int64, whose
 // range overflows max − min + 1 and must be hashed; and keys with several
@@ -1725,19 +1832,19 @@ func TestUnionTableDirectEdgeCases(t *testing.T) {
 
 // TestPruneVecUnionUnderConcurrentInserts prunes from two goroutines
 // against a one-word STeM while two others insert and publish into it, so
-// union tables are built, cached and dropped while inserts reserve, write
-// and commit around them. Every entry of key k carries the same bits f(k)
+// the prunes build and merge tables while inserts reserve, write and record
+// their ranges around them. Every entry of key k carries the same bits f(k)
 // and a first published batch holds every key, so each prune must read
 // exactly f(k) for a key of the domain and nothing for NULL or a missing
 // key, whatever the interleaving. Run under -race this also checks that a
-// build reads only entries whose insert has committed.
+// build reads only entries whose insert has recorded its range.
 func TestPruneVecUnionUnderConcurrentInserts(t *testing.T) {
 	const domain, batches = 48, 150
 	f := func(k int64) uint64 { return 1<<uint(k%64) | 1<<uint(k*7%64) }
 	v := NewVersions()
 	s := New(v, []string{"k"}, 64, 0)
 	var slots atomic.Int32
-	insert := func(keys []int64, sc *InsertScratch) {
+	insert := func(keys []int64) {
 		qsets := make([]uint64, len(keys))
 		for j, k := range keys {
 			if k != NullKey {
@@ -1745,15 +1852,14 @@ func TestPruneVecUnionUnderConcurrentInserts(t *testing.T) {
 			}
 		}
 		slot := Slot(slots.Add(1) - 1)
-		s.InsertVec(make([]int32, len(keys)), [][]int64{keys}, qsets, 1, slot, sc)
+		s.InsertVec(make([]int32, len(keys)), [][]int64{keys}, qsets, 1, slot, nil)
 		v.Publish(slot)
 	}
 	seed := make([]int64, domain)
 	for k := range seed {
 		seed[k] = int64(k)
 	}
-	var sc InsertScratch
-	insert(seed, &sc)
+	insert(seed)
 
 	probeKeys := []int64{NullKey, domain}
 	for k := int64(0); k < domain; k++ {
@@ -1766,7 +1872,6 @@ func TestPruneVecUnionUnderConcurrentInserts(t *testing.T) {
 		go func(g int) {
 			defer inserters.Done()
 			rng := rand.New(rand.NewSource(int64(10 + g)))
-			var sc InsertScratch
 			for i := 0; i < batches; i++ {
 				keys := make([]int64, 1+rng.Intn(domain))
 				for j := range keys {
@@ -1775,7 +1880,7 @@ func TestPruneVecUnionUnderConcurrentInserts(t *testing.T) {
 						keys[j] = NullKey
 					}
 				}
-				insert(keys, &sc)
+				insert(keys)
 			}
 		}(g)
 	}
@@ -1817,14 +1922,14 @@ func TestPruneVecUnionUnderConcurrentInserts(t *testing.T) {
 	inserters.Wait()
 	close(done)
 	pruners.Wait()
-	if !t.Failed() && !unionCurrent(s, 0) {
-		t.Fatal("no current union table after the last prune; the check did not reach the union path")
+	if !t.Failed() && (!indexed(s, 0) || len(tablesOf(s, 0)) != 1) {
+		t.Fatal("the last prune left an unindexed range or several tables")
 	}
 }
 
 // TestPruneVecDuringGC runs the prune kernel while the GC sweeper clears a
-// retired query set's bits from the same entries (SweepChunk is lock-free,
-// as in the engine). A retired bit may be seen before or after its sweep, so
+// retired query set's bits from the same entries, in the chunks (SweepChunk
+// is lock-free, as in the engine) and then in the table (SweepIndex). A retired bit may be seen before or after its sweep, so
 // each result must lie between the oracle over the swept entries and the
 // oracle over the original ones, and equal both on every other bit. Run
 // under -race this also checks the kernel's atomic loads of entry words.
@@ -1839,10 +1944,9 @@ func TestPruneVecDuringGC(t *testing.T) {
 }
 
 // pruneDuringGC is TestPruneVecDuringGC at one query capacity. With
-// publish every slot is published first, so the prunes take the union
-// path and rebuild the table as each swept chunk moves the sweep
-// generation; without it the unpublished slots keep them on the chain
-// walk.
+// publish every slot is published first, so the prunes read the table's
+// unions as they stand; without it the unpublished slots have them OR the
+// published entries' words.
 func pruneDuringGC(t *testing.T, rng *rand.Rand, qcap int, publish bool) {
 	s, o, keys := buildRandom(rng, qcap, 2*chunkSize)
 	qw := s.qw
@@ -1869,6 +1973,7 @@ func pruneDuringGC(t *testing.T, rng *rand.Rand, qcap int, publish bool) {
 		for ci := 0; ci < s.NumChunks(); ci++ {
 			s.SweepChunk(ci, retired)
 		}
+		s.SweepIndex(retired)
 	}()
 	acc := make([]uint64, qw)
 	for iter := 0; ; iter++ {
@@ -1900,14 +2005,14 @@ func pruneDuringGC(t *testing.T, rng *rand.Rand, qcap int, publish bool) {
 // the package boundary, below the episode-step guards in internal/exec: with
 // warm caller-owned buffers ProbeVec, ProbeVecRange (with and without a
 // tuple mask) and PruneVec do not allocate, on one- and two-word STeMs
-// served by their union tables and on a two-word STeM whose unpublished
-// entry sends them down the chain walk, and neither does an InsertVec that
-// stays inside an allocated chunk with a warm InsertScratch.
+// whose tables they read as they stand and on a two-word STeM whose
+// unpublished entry has them check each entry, and neither does an
+// InsertVec that stays inside an allocated chunk.
 func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 	const entries, fanout, batch, runs = 1024, 4, 8, 50
 	v := NewVersions()
 	s := New(v, []string{"k"}, 80, chunkSize)  // two query-set words: the wide table
-	sw := New(v, []string{"k"}, 80, chunkSize) // two words, one entry unpublished: the walk
+	sw := New(v, []string{"k"}, 80, chunkSize) // two words, one entry unpublished: checked entries
 	qw := s.qw
 	vids := make([]int32, entries)
 	keys := [][]int64{make([]int64, entries)}
@@ -1917,16 +2022,15 @@ func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 		keys[0][i] = int64(i / fanout)
 		qsets[i*qw+i%qw] = 1 << uint(i%64)
 	}
-	var sc InsertScratch
-	s.InsertVec(vids, keys, qsets, qw, 0, &sc)
-	sw.InsertVec(vids, keys, qsets, qw, 0, &sc)
-	sw.InsertVec(vids[:1], [][]int64{keys[0][:1]}, qsets[:qw], qw, 1, &sc)
+	s.InsertVec(vids, keys, qsets, qw, 0, nil)
+	sw.InsertVec(vids, keys, qsets, qw, 0, nil)
+	sw.InsertVec(vids[:1], [][]int64{keys[0][:1]}, qsets[:qw], qw, 1, nil)
 	s1 := New(v, []string{"k"}, 64, chunkSize) // one word: the one-word table
 	q1 := make([]uint64, entries)
 	for i := range q1 {
 		q1[i] = 1 << uint(i%64)
 	}
-	s1.InsertVec(vids, keys, q1, 1, 0, &sc)
+	s1.InsertVec(vids, keys, q1, 1, 0, nil)
 	v.Publish(0)
 	if entries+(runs+1)*batch > chunkSize {
 		t.Fatal("insert case would grow the slab; the assertion would be vacuous")
@@ -1974,51 +2078,50 @@ func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 		fn   func()
 	}{
 		{"PruneVec/table", prune(s, tuples, qw, elig)},
-		{"PruneVec/walk", prune(sw, tuples, qw, elig)},
+		{"PruneVec/unpublished", prune(sw, tuples, qw, elig)},
 		{"PruneVec/one-word-table", prune(s1, tuples1, 1, elig1)},
 		{"ProbeVec/table", func() { dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm) }},
 		{"ProbeVecRange/table", func() { dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", unmasked, ts, wm, 1, 2) }},
 		{"ProbeVecRange/table-masked", func() { dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", masked, ts, wm, 0, qw) }},
-		{"ProbeVec/walk-watermark", func() { dst, qbuf = sw.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm) }},
-		{"ProbeVec/walk-per-slot", func() { dst, qbuf = sw.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, 0) }},
-		{"ProbeVecRange/walk-masked", func() { dst, qbuf, _ = sw.ProbeVecRange(dst[:0], qbuf[:0], "k", masked, ts, wm, 0, qw) }},
+		{"ProbeVec/unpublished-watermark", func() { dst, qbuf = sw.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm) }},
+		{"ProbeVec/unpublished-per-slot", func() { dst, qbuf = sw.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, 0) }},
+		{"ProbeVecRange/unpublished-masked", func() { dst, qbuf, _ = sw.ProbeVecRange(dst[:0], qbuf[:0], "k", masked, ts, wm, 0, qw) }},
 		{"ProbeVec/one-word-table", func() { dst1, qbuf1 = s1.ProbeVec(dst1[:0], qbuf1[:0], "k", probeKeys, ts, wm) }},
 		{"ProbeVecRange/one-word-table-masked", func() {
 			dst1, qbuf1, _ = s1.ProbeVecRange(dst1[:0], qbuf1[:0], "k", masked1, ts, wm, 0, 1)
 		}},
-		{"InsertVec/in-chunk", func() { s.InsertVec(vids[:batch], insKeys, qsets[:batch*qw], qw, 1, &sc) }},
+		{"InsertVec/in-chunk", func() { s.InsertVec(vids[:batch], insKeys, qsets[:batch*qw], qw, 1, nil) }},
 	} {
 		if allocs := testing.AllocsPerRun(runs, tc.fn); allocs != 0 {
 			t.Errorf("%s allocates %.1f allocs/op with warm buffers, want 0", tc.name, allocs)
 		}
 		switch tc.name {
 		case "ProbeVecRange/table-masked":
-			if len(dst) == 0 || !tableServes(s, 0, ts) {
-				t.Error("the masked table probe matched nothing or was not served by the table; the table cases are vacuous")
+			if len(dst) == 0 || !tableServes(s, 0, ts, wm) {
+				t.Error("the masked table probe matched nothing or did not read the table as it stood; the table cases are vacuous")
 			}
-		case "ProbeVecRange/walk-masked":
-			if len(dst) == 0 || unionCurrent(sw, 0) {
-				t.Error("the masked walk matched nothing or was served by a table; the walk cases are vacuous")
+		case "ProbeVecRange/unpublished-masked":
+			if len(dst) == 0 || tableServes(sw, 0, ts, wm) {
+				t.Error("the masked probe of the unpublished entry's STeM matched nothing or read its table as it stood; the unpublished cases are vacuous")
 			}
 		}
 	}
-	if !tableServes(s1, 0, ts) {
-		t.Error("the one-word STeM holds no union table serving ts; its table cases did not cover it")
+	if !tableServes(s1, 0, ts, wm) {
+		t.Error("the one-word STeM's probes did not read one table as it stood; its table cases did not cover it")
 	}
 }
 
 // insBatch × insDomain shape the insert benchmark's vector: 256 tuples over
-// 32 distinct keys (fact-table FK style), the shape where batch chain
-// pre-linking collapses the most CASes.
+// 32 distinct keys (fact-table FK style).
 const (
 	insBatch  = 256
 	insDomain = 32
 )
 
 // BenchmarkSTeMInsertParallel measures InsertVec under concurrent
-// inserters: each op inserts one 256-tuple batch into a shared STeM. The
-// STeM is swapped for a fresh one every few thousand batches (inside the
-// timer) to bound memory and keep chain lengths comparable across the run.
+// inserters: each op inserts one 256-tuple batch into a shared STeM and
+// records its range. The STeM is swapped for a fresh one every few
+// thousand batches (inside the timer) to bound memory.
 func BenchmarkSTeMInsertParallel(b *testing.B) {
 	vids := make([]int32, insBatch)
 	keys := [][]int64{make([]int64, insBatch)}
@@ -2030,7 +2133,7 @@ func BenchmarkSTeMInsertParallel(b *testing.B) {
 	}
 	const resetEvery = 4096
 	fresh := func() *STeM {
-		return New(NewVersions(), []string{"k"}, 64, resetEvery*insBatch)
+		return New(NewVersions(), []string{"k"}, 64, 0)
 	}
 	var cur atomic.Pointer[STeM]
 	cur.Store(fresh())
@@ -2038,37 +2141,34 @@ func BenchmarkSTeMInsertParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		var sc InsertScratch
 		for pb.Next() {
 			n := batches.Add(1)
 			if n%resetEvery == 0 {
 				cur.Store(fresh())
 			}
-			cur.Load().InsertVec(vids, keys, qsets, 1, Slot(n&1023), &sc)
+			cur.Load().InsertVec(vids, keys, qsets, 1, Slot(n&1023), nil)
 		}
 	})
 }
 
 // BenchmarkSTeMProbeParallel measures ProbeVec on a fully published STeM:
 // each op probes a 1024-key batch against a unique-key (dimension-table)
-// STeM — the engine's dominant probe shape, where the per-key costs (bucket-
-// head misses, per-entry version checks) dominate over chain walking. The
-// entries span one slot per 64-tuple episode and the watermark covers them
-// all, so the probe runs the no-version-check fast path of a long-lived
-// session's steady state.
+// STeM — the engine's dominant probe shape, where the per-key slot lookup
+// dominates. The entries span one slot per 64-tuple episode and the
+// watermark covers them all, so the probe reads its one table without a
+// version check, as in a long-lived session's steady state.
 func BenchmarkSTeMProbeParallel(b *testing.B) {
 	const entries = 1 << 16
 	v := NewVersions()
-	s := New(v, []string{"k"}, 64, entries)
+	s := New(v, []string{"k"}, 64, 0)
 	vids := make([]int32, entries)
 	keys := make([]int64, entries)
 	qsets := make([]uint64, entries)
 	for i := range vids {
 		vids[i], keys[i], qsets[i] = int32(i), int64(i), ^uint64(0)
 	}
-	var sc InsertScratch
 	for i := 0; i < entries; i += 64 {
-		s.InsertVec(vids[i:i+64], [][]int64{keys[i : i+64]}, qsets[i:i+64], 1, Slot(i>>6), &sc)
+		s.InsertVec(vids[i:i+64], [][]int64{keys[i : i+64]}, qsets[i:i+64], 1, Slot(i>>6), nil)
 		v.Publish(Slot(i >> 6))
 	}
 	wm := v.Watermark()
@@ -2108,7 +2208,10 @@ func BenchmarkSTeMProbeParallel(b *testing.B) {
 //     in random order, as in stream_paced's first prune step;
 //   - 1word-dim1800-fill10: the same STeM holding 10 % of the dimension, as
 //     behind a 10 %-selective filter, so nine keys in ten miss;
-//   - 1word-sparse1800: 1word-dim1800 with the keys spread 2³² apart.
+//   - 1word-sparse1800: 1word-dim1800 with the keys spread 2³² apart;
+//   - 1word-dim1800-deltas63: 1word-dim1800 with the STeM built in 63
+//     vectors, each indexed by a probe before the next, which the first
+//     (untimed) prune merges into one table.
 //
 // Dense keys build a direct table, the sparse ones a hashed one; a row
 // fails when its table has the other layout. Each iteration resets the
@@ -2117,22 +2220,25 @@ func BenchmarkSTeMProbeParallel(b *testing.B) {
 func BenchmarkPruneVec(b *testing.B) {
 	const entries = 1 << 16
 	b.Run("32words-span5", func(b *testing.B) {
-		benchPrune(b, benchDim{2048, entries, entries, 1, 0}, 1024, 10, 15)
+		benchPrune(b, benchDim{2048, entries, entries, 1, 0}, 1, 1024, 10, 15)
 	})
 	b.Run("32words-bits20-span5", func(b *testing.B) {
-		benchPrune(b, benchDim{2048, entries, entries, 1, 20}, 1024, 10, 15)
+		benchPrune(b, benchDim{2048, entries, entries, 1, 20}, 1, 1024, 10, 15)
 	})
 	b.Run("1word-dim1800", func(b *testing.B) {
-		benchPrune(b, benchDim{64, 1800, 1800 * 6 / 10, 1, 0}, 1000, 0, 1)
+		benchPrune(b, benchDim{64, 1800, 1800 * 6 / 10, 1, 0}, 1, 1000, 0, 1)
 	})
 	b.Run("1word-lone-dim1800", func(b *testing.B) {
-		benchPrune(b, benchDim{1, 1800, 1800 * 6 / 10, 1, 1}, 1000, 0, 1)
+		benchPrune(b, benchDim{1, 1800, 1800 * 6 / 10, 1, 1}, 1, 1000, 0, 1)
 	})
 	b.Run("1word-dim1800-fill10", func(b *testing.B) {
-		benchPrune(b, benchDim{64, 1800, 180, 1, 0}, 1000, 0, 1)
+		benchPrune(b, benchDim{64, 1800, 180, 1, 0}, 1, 1000, 0, 1)
 	})
 	b.Run("1word-sparse1800", func(b *testing.B) {
-		benchPrune(b, benchDim{64, 1800, 1800 * 6 / 10, 1 << 32, 0}, 1000, 0, 1)
+		benchPrune(b, benchDim{64, 1800, 1800 * 6 / 10, 1 << 32, 0}, 1, 1000, 0, 1)
+	})
+	b.Run("1word-dim1800-deltas63", func(b *testing.B) {
+		benchPrune(b, benchDim{64, 1800, 1800 * 6 / 10, 1, 0}, 63, 1000, 0, 1)
 	})
 }
 
@@ -2162,11 +2268,12 @@ func (d benchDim) draw(rng *rand.Rand, qs []uint64, dense func() uint64) {
 	}
 }
 
-// build returns the STeM under one published slot and probes keys drawn
-// from the whole domain.
-func (d benchDim) build(probes int) (*STeM, []int64) {
+// build returns the STeM, its entries inserted in deltas vectors of about
+// equal size, each under its own published slot and indexed by a one-key
+// probe before the next, and probes keys drawn from the whole domain.
+func (d benchDim) build(deltas, probes int) (*STeM, []int64) {
 	v := NewVersions()
-	s := New(v, []string{"k"}, d.qcap, d.entries)
+	s := New(v, []string{"k"}, d.qcap, 0)
 	qw := s.qw
 	rng := rand.New(rand.NewSource(1))
 	vids := make([]int32, d.entries)
@@ -2176,9 +2283,12 @@ func (d benchDim) build(probes int) (*STeM, []int64) {
 		vids[i], keys[i] = int32(i), int64(k)*d.stride
 		d.draw(rng, qsets[i*qw:(i+1)*qw], func() uint64 { return rng.Uint64() & rng.Uint64() })
 	}
-	var sc InsertScratch
-	s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, &sc)
-	v.Publish(0)
+	for j := range deltas {
+		lo, hi := j*d.entries/deltas, (j+1)*d.entries/deltas
+		s.InsertVec(vids[lo:hi], [][]int64{keys[lo:hi]}, qsets[lo*qw:hi*qw], qw, Slot(j), nil)
+		wm, ts := v.Publish(Slot(j))
+		s.ProbeVec(nil, nil, "k", keys[:1], ts, wm)
+	}
 	probeKeys := make([]int64, probes)
 	for i := range probeKeys {
 		probeKeys[i] = rng.Int63n(int64(d.domain)) * d.stride
@@ -2186,13 +2296,15 @@ func (d benchDim) build(probes int) (*STeM, []int64) {
 	return s, probeKeys
 }
 
-// checkLayout fails b unless s's table has the layout d's keys call for:
-// direct for dense keys, hashed for spread ones.
+// checkLayout fails b unless s's first (largest) table has the layout d's
+// keys call for: direct for dense keys, hashed for spread ones. It reports
+// how many tables the STeM's index holds.
 func (d benchDim) checkLayout(b *testing.B, s *STeM) {
-	tb := s.state.Load().unions[0].table.Load()
-	if want := d.stride == 1; tb == nil || tb.direct != want {
-		b.Fatalf("want a current table, direct %t", want)
+	ts := tablesOf(s, 0)
+	if want := d.stride == 1; len(ts) == 0 || ts[0].direct != want {
+		b.Fatalf("want a first table, direct %t", want)
 	}
+	b.ReportMetric(float64(len(ts)), "tables")
 }
 
 // pruneSets is how many vectors of distinct keys a prune benchmark cycles
@@ -2201,12 +2313,12 @@ func (d benchDim) checkLayout(b *testing.B, s *STeM) {
 const pruneSets = 64
 
 // benchPrune times PruneVec of vectors of probes keys against d's STeM,
-// with the words [lo, hi) eligible, once an untimed call has built the
-// union table. Each call takes the next of pruneSets key vectors; the
-// tuples are drawn once and copied back before each call, outside the
-// timed region.
-func benchPrune(b *testing.B, d benchDim, probes, lo, hi int) {
-	s, probeKeys := d.build(probes * pruneSets)
+// built in deltas vectors, with the words [lo, hi) eligible, once an
+// untimed call has merged the index into one table. Each call takes the
+// next of pruneSets key vectors; the tuples are drawn once and copied back
+// before each call, outside the timed region.
+func benchPrune(b *testing.B, d benchDim, deltas, probes, lo, hi int) {
+	s, probeKeys := d.build(deltas, probes*pruneSets)
 	qw := s.qw
 	elig := make(bitset.Set, qw)
 	for w := lo; w < hi; w++ {
@@ -2220,7 +2332,7 @@ func benchPrune(b *testing.B, d benchDim, probes, lo, hi int) {
 	tuples := make([]uint64, len(init))
 	pvids := make([]int32, probes)
 	acc := make([]uint64, qw)
-	s.PruneVec(pvids, tuples, qw, elig, lo, hi, "k", probeKeys, acc) // builds the table
+	s.PruneVec(pvids, tuples, qw, elig, lo, hi, "k", probeKeys, acc) // merges the index
 	kept := 0
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -2238,7 +2350,7 @@ func benchPrune(b *testing.B, d benchDim, probes, lo, hi int) {
 	d.checkLayout(b, s)
 }
 
-// BenchmarkProbeVec measures the probe kernel, serially, on five shapes,
+// BenchmarkProbeVec measures the probe kernel, serially, on nine shapes,
 // each a vector probing a published dimension STeM:
 //
 //   - 1word-dim1800: 1000 keys against a one-word STeM holding 1 080 keys
@@ -2248,36 +2360,48 @@ func benchPrune(b *testing.B, d benchDim, probes, lo, hi int) {
 //   - 1word-sparse1800: 1word-dim1800 with the keys spread 2³² apart;
 //   - 2words-32k: 1024 keys against a 32 768-key STeM of a 128-query batch
 //     (two-word query sets);
-//   - 2words-32k-walk: the same with one more entry whose slot is never
-//     published, which keeps any union table from being built, so every
-//     probe walks the chains;
+//   - 2words-32k-unpublished: the same with one more entry whose slot is
+//     never published, so every probe checks each entry's slot;
 //   - 2words-32k-slab: 2words-32k probed as a join node probes, through
 //     ProbeVecRange: each tuple's key read through a random vID of a
 //     327 680-row key column, its words from a three-word slab at offset
-//     1, under a mask of half the bits.
+//     1, under a mask of half the bits;
+//   - 1word-dim1800-deltas7, -deltas63 and 2words-32k-deltas63: the STeM
+//     built in 7 or 63 vectors, each indexed by a probe before the next,
+//     which the size tiers leave in 3 or 6 tables, the most for their
+//     counts: each key is looked up in every table.
 //
-// The union table serves the others, built by untimed probes that walk
-// for it first: direct for dense keys, hashed for the sparse ones, and a
-// row fails when its table has the other layout.
+// An untimed probe builds the tables first: direct for dense keys, hashed
+// for the sparse ones, and a row fails when its first table has the other
+// layout. tables is the length of the list each probe reads.
 func BenchmarkProbeVec(b *testing.B) {
 	b.Run("1word-dim1800", func(b *testing.B) {
-		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1, 0}, 1000, false)
+		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1, 0}, 1, 1000, false)
 	})
 	b.Run("1word-dim1800-fill10", func(b *testing.B) {
-		benchProbe(b, benchDim{64, 1800, 180, 1, 0}, 1000, false)
+		benchProbe(b, benchDim{64, 1800, 180, 1, 0}, 1, 1000, false)
 	})
 	b.Run("1word-sparse1800", func(b *testing.B) {
-		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1 << 32, 0}, 1000, false)
+		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1 << 32, 0}, 1, 1000, false)
 	})
 	b.Run("2words-32k", func(b *testing.B) {
-		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1, 0}, 1024, false)
+		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1, 0}, 1, 1024, false)
 	})
-	b.Run("2words-32k-walk", func(b *testing.B) {
-		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1, 0}, 1024, true)
+	b.Run("2words-32k-unpublished", func(b *testing.B) {
+		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1, 0}, 1, 1024, true)
+	})
+	b.Run("1word-dim1800-deltas7", func(b *testing.B) {
+		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1, 0}, 7, 1000, false)
+	})
+	b.Run("1word-dim1800-deltas63", func(b *testing.B) {
+		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1, 0}, 63, 1000, false)
+	})
+	b.Run("2words-32k-deltas63", func(b *testing.B) {
+		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1, 0}, 63, 1024, false)
 	})
 	b.Run("2words-32k-slab", func(b *testing.B) {
 		d := benchDim{128, 1 << 15, 1 << 15, 1, 0}
-		s, probeKeys := d.build(1024)
+		s, probeKeys := d.build(1, 1024)
 		rng := rand.New(rand.NewSource(2))
 		p := Probe{Keys: make([]int64, 327680), VIDs: make([]int32, len(probeKeys)), Qsets: make([]uint64, 3*len(probeKeys)), Stride: 3, Off: 1, Mask: []uint64{0x5555555555555555, 0x5555555555555555}}
 		for i := range p.Keys {
@@ -2290,11 +2414,7 @@ func BenchmarkProbeVec(b *testing.B) {
 			p.Qsets[i] = rng.Uint64()
 		}
 		wm, ts := s.versions.Watermark(), s.versions.Now()
-		var dst []VecMatch
-		var qbuf []uint64
-		for i := 0; i < 256 && !tableServes(s, 0, ts); i++ {
-			dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", p, ts, wm, 0, 2)
-		}
+		dst, qbuf, _ := s.ProbeVecRange(nil, nil, "k", p, ts, wm, 0, 2)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -2308,21 +2428,16 @@ func BenchmarkProbeVec(b *testing.B) {
 	})
 }
 
-// benchProbe times ProbeVec of probes keys against d's STeM, and with walk
-// against it with one entry more under a slot left unpublished.
-func benchProbe(b *testing.B, d benchDim, probes int, walk bool) {
-	s, probeKeys := d.build(probes)
-	if walk {
-		var sc InsertScratch
-		s.InsertVec([]int32{0}, [][]int64{probeKeys[:1]}, make([]uint64, s.qw), s.qw, 1, &sc)
+// benchProbe times ProbeVec of probes keys against d's STeM, built in
+// deltas vectors, and with unpublished against it with one entry more under
+// a slot left unpublished.
+func benchProbe(b *testing.B, d benchDim, deltas, probes int, unpublished bool) {
+	s, probeKeys := d.build(deltas, probes)
+	if unpublished {
+		s.InsertVec([]int32{0}, [][]int64{probeKeys[:1]}, make([]uint64, s.qw), s.qw, Slot(deltas), nil)
 	}
 	wm, ts := s.versions.Watermark(), s.versions.Now()
-	var dst []VecMatch
-	var qbuf []uint64
-	// Untimed, the first probes walk until they pay for a table.
-	for i := 0; i < 256 && !walk && !tableServes(s, 0, ts); i++ {
-		dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm)
-	}
+	dst, qbuf := s.ProbeVec(nil, nil, "k", probeKeys, ts, wm) // builds any table still missing
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -2332,11 +2447,10 @@ func benchProbe(b *testing.B, d benchDim, probes int, walk bool) {
 		b.Fatal("the probes matched nothing")
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes), "ns/key")
-	if walk {
-		if unionCurrent(s, 0) {
-			b.Fatal("a union table was built; the row does not time the chain walk")
+	for _, t := range tablesOf(s, 0) {
+		if t.seen(s.versions, ts, wm) == unpublished {
+			b.Fatalf("a probe reads a table as it stands: %t; want %t", unpublished, !unpublished)
 		}
-		return
 	}
 	d.checkLayout(b, s)
 }

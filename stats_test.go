@@ -56,9 +56,10 @@ func TestStatsAndTraceRoundTrip(t *testing.T) {
 	// One worker scans dim before fact (scan ranking), so by the time fact
 	// is scanned no later probe can reach its tuples: the build rule
 	// (DESIGN.md §10) leaves the fact STeM empty and builds all 25 dim rows.
+	// A STeM holds memory exactly when it holds entries.
 	var probed bool
 	for _, ss := range st.Stems {
-		if ss.Table == "" || ss.EstBytes == 0 || ss.Entries != ss.Inserts {
+		if ss.Table == "" || (ss.EstBytes == 0) != (ss.Entries == 0) || ss.Entries != ss.Inserts {
 			t.Errorf("stem stats %+v", ss)
 		}
 		if want := map[string]int64{"fact": 0, "dim": 25}[ss.Table]; ss.Entries != want {

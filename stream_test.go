@@ -201,15 +201,14 @@ func TestStreamRandomizedArrival(t *testing.T) {
 }
 
 // TestStreamStemGC checks the reclamation contract: while queries run the
-// STeMs hold the entries they built, the bucket arrays grown for them and
-// the row-count buckets each instance was created with; after every query
-// retires and the collector drains, every entry is gone, and at least 90%
-// of the estimated STeM bytes with them — and a query submitted after the
-// collapse still computes exact results (no live query loses tuples to
-// GC). Under the build rule (DESIGN.md §10) the dimensions always build
-// and the fact table, scanned last, builds only under in-flight overlap,
-// so the test also requires that entries were inserted at all: reclaiming
-// only bucket arrays would not exercise it.
+// STeMs hold the entries they built and the union tables indexing them;
+// after every query retires and the collector drains, every entry is gone,
+// and at least 90% of the estimated STeM bytes with them — and a query
+// submitted after the collapse still computes exact results (no live query
+// loses tuples to GC). Under the build rule (DESIGN.md §10) the dimensions
+// always build and the fact table, scanned last, builds only under
+// in-flight overlap, so the test also requires that entries were inserted
+// at all: an empty run would reclaim nothing.
 func TestStreamStemGC(t *testing.T) {
 	e := streamFixture(t, 4000)
 	want := oracleCounts(t, e, streamWorkload())
@@ -306,11 +305,11 @@ func TestStreamStemGC(t *testing.T) {
 // TestStreamSubmitAllocatesNoBuckets submits queries one at a time, as an
 // open-loop client whose queries mostly run alone does, over STeMs the
 // collector has returned to the empty floor. Admission must not size a
-// STeM: buckets grow when a vector is about to be built into them (DESIGN.md
-// §10), not for a rescan the build rule may leave unbuilt. A hook parks
-// each query's first episode before it touches a tuple, so the sample
-// after Submit sees admission and that one dispatch, whose 16-tuple vector
-// fits the floor's buckets; the summed EstBytes must not rise.
+// STeM: its chunks and tables follow the entries built into it (DESIGN.md
+// §10), and a rescan the build rule leaves unbuilt allocates none. A hook
+// parks each query's first episode before it touches a tuple, so the
+// sample after Submit sees admission and that one dispatch; the summed
+// EstBytes must not rise.
 func TestStreamSubmitAllocatesNoBuckets(t *testing.T) {
 	e := streamFixture(t, 2000)
 	want := oracleCounts(t, e, streamWorkload())
@@ -339,8 +338,8 @@ func TestStreamSubmitAllocatesNoBuckets(t *testing.T) {
 		}
 		return
 	}
-	// Every entry swept and the row-count buckets each instance was created
-	// with compacted away: the floor the admissions below start from.
+	// Every entry swept and compacted away: the floor the admissions below
+	// start from.
 	floor := func() {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
@@ -392,13 +391,13 @@ func TestStreamSubmitAllocatesNoBuckets(t *testing.T) {
 	}
 }
 
-// atFloor reports whether every STeM of st holds no entries and only an
-// empty STeM's bucket arrays.
+// atFloor reports whether every STeM of st holds no entries and no chunk
+// or table.
 func atFloor(st *Stream) bool {
 	ok := true
 	st.sess.WithCompiled(func(_ *query.Batch, ctx *exec.Context, _ bitset.Set) {
 		for _, s := range ctx.Stems {
-			if s.Len() != 0 || s.NeedsShrink() {
+			if s.Len() != 0 || s.EstBytes() != 0 {
 				ok = false
 			}
 		}

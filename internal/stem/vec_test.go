@@ -336,12 +336,29 @@ func slabProbe(rng *rand.Rand, keys []int64, nw, stride, off int) Probe {
 	return p
 }
 
-// checkSlab runs ProbeVecRange over p and compares its matches and probed
-// count with the oracle's, and checks that the matches come in tuple order.
+// checkSlab runs ProbeVecRange over p and compares its matches, their
+// words and its probed count with the oracle's, and checks that the
+// matches come in tuple order. The kernel appends: it gets non-empty
+// buffers whose spare capacity holds junk, and the content they came with
+// must stay in place, the matches' words starting right after it.
 func checkSlab(t *testing.T, s *STeM, o *oracle, ki int, col string, p Probe, ts int64, wm Slot, lo, hi int) bool {
 	want, wantN := o.probeMasked(ki, p, ts, lo, hi)
-	out, qout, n := s.ProbeVecRange(nil, nil, col, p, ts, wm, lo, hi)
-	ms := matches(out, qout, hi-lo)
+	spare := int(ts % 5)
+	dst := make([]VecMatch, 3+spare)
+	qout := make([]uint64, 5+spare*(hi-lo))
+	for k := range dst {
+		dst[k] = VecMatch{In: -1 - int32(k), VID: 7 + int32(k)}
+	}
+	for k := range qout {
+		qout[k] = 0xdead0000 + uint64(k)
+	}
+	pre, qpre := slices.Clone(dst[:3]), slices.Clone(qout[:5])
+	out, qbuf, n := s.ProbeVecRange(dst[:3], qout[:5], col, p, ts, wm, lo, hi)
+	if !slices.Equal(out[:3], pre) || !slices.Equal(qbuf[:5], qpre) || len(qbuf)-5 != (len(out)-3)*(hi-lo) {
+		t.Logf("col %s: ProbeVecRange (words [%d,%d)) overwrote the matches or words it was passed, or returned %d words for %d matches", col, lo, hi, len(qbuf)-5, len(out)-3)
+		return false
+	}
+	ms := matches(out[3:], qbuf[5:], hi-lo)
 	if got := canonVec(ms); !reflect.DeepEqual(got, want) || n != wantN {
 		t.Logf("col %s: ProbeVecRange (ts=%d wm=%d words [%d,%d) masked %t stride %d off %d) found %d matches probing %d tuples, oracle %d probing %d",
 			col, ts, wm, lo, hi, p.Qsets != nil, p.Stride, p.Off, len(got), n, len(want), wantN)
@@ -1248,6 +1265,65 @@ func TestProbeSlabMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestProbeKernelMatchesOracle is the differential test of the table
+// loops (unionTable.probe: probeWord and probeWide) against the oracle,
+// through checkSlab: matches, words, probed count and the buffers' prior
+// content. It runs on STeMs of one, two and five words, each once with
+// dense keys (a direct table) and once with keys spread 2⁴⁰ apart (a
+// hashed one), over every word range, so the one-word ranges of wide
+// tables too. Of the keys 0..199, every fifth has no entry (an empty slot
+// inside a direct table's range), every fifth after it three, the rest
+// one, and every fourth entry has no words. The probe keys are all of
+// them, NULL, keys below and above the range and both ends of int64,
+// shuffled and repeated; they probe unmasked, where the entries without
+// words match, and masked over slabs of several strides and offsets, where
+// they do not and about a quarter of the tuples have no bit under the mask.
+func TestProbeKernelMatchesOracle(t *testing.T) {
+	const domain = 200
+	rng := rand.New(rand.NewSource(43))
+	for _, qcap := range maintenanceWidths {
+		for _, spread := range []bool{false, true} {
+			key := func(k int64) int64 { return k }
+			if spread {
+				key = func(k int64) int64 { return k << 40 }
+			}
+			var keys []int64
+			for k := int64(0); k < domain; k++ {
+				for range []int{0, 1, 3, 1, 1}[k%5] {
+					keys = append(keys, key(k))
+				}
+			}
+			s, o := unionFixture(t, qcap, keys, 4)
+			qw := s.qw
+			probeKeys := []int64{NullKey, key(-1), key(domain), math.MinInt64 + 1, math.MaxInt64}
+			for range 3 {
+				for k := int64(0); k < domain; k++ {
+					probeKeys = append(probeKeys, key(k))
+				}
+			}
+			rng.Shuffle(len(probeKeys), func(i, j int) { probeKeys[i], probeKeys[j] = probeKeys[j], probeKeys[i] })
+			wm, ts := s.versions.Watermark(), s.versions.Now()
+			for lo := 0; lo < qw; lo++ {
+				for hi := lo + 1; hi <= qw; hi++ {
+					nw := hi - lo
+					ps := []Probe{keyProbe(probeKeys, nil, nw)}
+					for _, so := range [][2]int{{nw, 0}, {nw + 2, 1}, {qw + 1, qw + 1 - nw}} {
+						ps = append(ps, slabProbe(rng, probeKeys, nw, so[0], so[1]))
+					}
+					for _, p := range ps {
+						if !checkSlab(t, s, o, 0, "k", p, ts, wm, lo, hi) {
+							t.Fatalf("%d words, spread %t: range [%d,%d) masked %t stride %d offset %d diverged", qw, spread, lo, hi, p.Qsets != nil, p.Stride, p.Off)
+						}
+					}
+				}
+			}
+			if tb := tablesOf(s, 0); !tableServes(s, 0, ts, wm) || tb[0].direct == spread {
+				t.Fatalf("%d words, spread %t: the probes did not read one table as it stood, or it was direct %t", qw, spread, tb[0].direct)
+			}
+		}
+	}
+}
+
 // TestProbeVecTableRespectsProbeTS pins the table's visibility bound at
 // one, two and five words: a table built after a publication newer than a
 // probe's timestamp must be read entry by entry by that probe, which sees
@@ -2004,10 +2080,12 @@ func pruneDuringGC(t *testing.T, rng *rand.Rand, qcap int, publish bool) {
 // TestProbeVecPruneVecZeroAlloc pins the kernels' allocation contract at
 // the package boundary, below the episode-step guards in internal/exec: with
 // warm caller-owned buffers ProbeVec, ProbeVecRange (with and without a
-// tuple mask) and PruneVec do not allocate, on one- and two-word STeMs
-// whose tables they read as they stand and on a two-word STeM whose
-// unpublished entry has them check each entry, and neither does an
-// InsertVec that stays inside an allocated chunk.
+// tuple mask, over key lists and over slabs laid out as a join node's, a
+// one-word range of the two-word table included) and PruneVec do not
+// allocate, on one- and two-word STeMs whose tables they read as they
+// stand and on a two-word STeM whose unpublished entry has them check each
+// entry, and neither does an InsertVec that stays inside an allocated
+// chunk.
 func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 	const entries, fanout, batch, runs = 1024, 4, 8, 50
 	v := NewVersions()
@@ -2047,6 +2125,8 @@ func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 	}
 	wm, ts := v.Watermark(), v.Now()
 	unmasked, masked := keyProbe(probeKeys, nil, 0), keyProbe(probeKeys, tq, qw)
+	rng := rand.New(rand.NewSource(1))
+	slab, wordSlab, slab1 := slabProbe(rng, probeKeys, qw, qw+1, 1), slabProbe(rng, probeKeys, 1, qw, 1), slabProbe(rng, probeKeys, 1, 1, 0)
 	dst, qbuf := s.ProbeVec(nil, nil, "k", probeKeys, ts, wm)
 	if len(dst) == 0 {
 		t.Fatal("fixture probes match nothing; the assertion would be vacuous")
@@ -2083,6 +2163,8 @@ func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 		{"ProbeVec/table", func() { dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm) }},
 		{"ProbeVecRange/table", func() { dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", unmasked, ts, wm, 1, 2) }},
 		{"ProbeVecRange/table-masked", func() { dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", masked, ts, wm, 0, qw) }},
+		{"ProbeVecRange/table-slab", func() { dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", slab, ts, wm, 0, qw) }},
+		{"ProbeVecRange/table-word-slab", func() { dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", wordSlab, ts, wm, 1, 2) }},
 		{"ProbeVec/unpublished-watermark", func() { dst, qbuf = sw.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm) }},
 		{"ProbeVec/unpublished-per-slot", func() { dst, qbuf = sw.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, 0) }},
 		{"ProbeVecRange/unpublished-masked", func() { dst, qbuf, _ = sw.ProbeVecRange(dst[:0], qbuf[:0], "k", masked, ts, wm, 0, qw) }},
@@ -2090,12 +2172,21 @@ func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 		{"ProbeVecRange/one-word-table-masked", func() {
 			dst1, qbuf1, _ = s1.ProbeVecRange(dst1[:0], qbuf1[:0], "k", masked1, ts, wm, 0, 1)
 		}},
+		{"ProbeVecRange/one-word-table-slab", func() { dst1, qbuf1, _ = s1.ProbeVecRange(dst1[:0], qbuf1[:0], "k", slab1, ts, wm, 0, 1) }},
 		{"InsertVec/in-chunk", func() { s.InsertVec(vids[:batch], insKeys, qsets[:batch*qw], qw, 1, nil) }},
 	} {
 		if allocs := testing.AllocsPerRun(runs, tc.fn); allocs != 0 {
 			t.Errorf("%s allocates %.1f allocs/op with warm buffers, want 0", tc.name, allocs)
 		}
 		switch tc.name {
+		case "ProbeVecRange/table-slab", "ProbeVecRange/table-word-slab":
+			if len(dst) == 0 {
+				t.Errorf("%s matched nothing; the case is vacuous", tc.name)
+			}
+		case "ProbeVecRange/one-word-table-slab":
+			if len(dst1) == 0 {
+				t.Errorf("%s matched nothing; the case is vacuous", tc.name)
+			}
 		case "ProbeVecRange/table-masked":
 			if len(dst) == 0 || !tableServes(s, 0, ts, wm) {
 				t.Error("the masked table probe matched nothing or did not read the table as it stood; the table cases are vacuous")
@@ -2243,7 +2334,8 @@ func BenchmarkPruneVec(b *testing.B) {
 }
 
 // benchDim shapes a kernel benchmark's STeM: a qcap-query batch's entries
-// distinct keys of a domain-key dimension, key k stored as k·stride. With
+// keys of a domain-key dimension, key k stored as k·stride, distinct up to
+// domain entries and cycling through the same keys past it. With
 // bits > 0 each entry, and each tuple benchPrune prunes, carries that many
 // random query bits (drawn with repeats) instead of random words (entries)
 // or every bit (tuples).
@@ -2279,8 +2371,9 @@ func (d benchDim) build(deltas, probes int) (*STeM, []int64) {
 	vids := make([]int32, d.entries)
 	keys := make([]int64, d.entries)
 	qsets := make([]uint64, d.entries*qw)
-	for i, k := range rng.Perm(d.domain)[:d.entries] {
-		vids[i], keys[i] = int32(i), int64(k)*d.stride
+	perm := rng.Perm(d.domain)
+	for i := range vids {
+		vids[i], keys[i] = int32(i), int64(perm[i%d.domain])*d.stride
 		d.draw(rng, qsets[i*qw:(i+1)*qw], func() uint64 { return rng.Uint64() & rng.Uint64() })
 	}
 	for j := range deltas {
@@ -2350,7 +2443,7 @@ func benchPrune(b *testing.B, d benchDim, deltas, probes, lo, hi int) {
 	d.checkLayout(b, s)
 }
 
-// BenchmarkProbeVec measures the probe kernel, serially, on nine shapes,
+// BenchmarkProbeVec measures the probe kernel, serially, on fifteen shapes,
 // each a vector probing a published dimension STeM:
 //
 //   - 1word-dim1800: 1000 keys against a one-word STeM holding 1 080 keys
@@ -2362,77 +2455,119 @@ func benchPrune(b *testing.B, d benchDim, deltas, probes, lo, hi int) {
 //     (two-word query sets);
 //   - 2words-32k-unpublished: the same with one more entry whose slot is
 //     never published, so every probe checks each entry's slot;
-//   - 2words-32k-slab: 2words-32k probed as a join node probes, through
-//     ProbeVecRange: each tuple's key read through a random vID of a
-//     327 680-row key column, its words from a three-word slab at offset
-//     1, under a mask of half the bits;
+//   - 1word-dim1800-fresh and 1word-sparse1800-fresh: 1word-dim1800 and
+//     1word-sparse1800 probing the next of 64 key vectors each call, as a
+//     scan's fresh vectors do, where the other rows probe one vector every
+//     call, whose outcomes a branch predictor can learn;
+//   - 1word-dim1800-fanout4: 1word-dim1800 against every key of the
+//     dimension with four entries, so each key reads its entries one by
+//     one, the shape of the STeM kernel benchmark/trace.go times;
 //   - 1word-dim1800-deltas7, -deltas63 and 2words-32k-deltas63: the STeM
 //     built in 7 or 63 vectors, each indexed by a probe before the next,
 //     which the size tiers leave in 3 or 6 tables, the most for their
-//     counts: each key is looked up in every table.
+//     counts: each key is looked up in every table;
+//   - the slab rows, probed as a join node probes, through ProbeVecRange
+//     (benchSlab): 2words-32k-slab is 2words-32k over both words from a
+//     three-word slab at offset 1; 1word-fk1800-slab, 2words-fk1800-slab-word
+//     and 2words-fk1800-slab probe a dimension STeM holding every one of
+//     1 800 keys, each entry with 8 query bits, as a fact table's foreign
+//     keys probe its primary keys: a one-word STeM over its word
+//     (stream_closed's shape), and a two-word one over its second word and
+//     over both (batch_join's).
 //
 // An untimed probe builds the tables first: direct for dense keys, hashed
 // for the sparse ones, and a row fails when its first table has the other
 // layout. tables is the length of the list each probe reads.
 func BenchmarkProbeVec(b *testing.B) {
 	b.Run("1word-dim1800", func(b *testing.B) {
-		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1, 0}, 1, 1000, false)
+		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1, 0}, 1, 1000, 1, false)
 	})
 	b.Run("1word-dim1800-fill10", func(b *testing.B) {
-		benchProbe(b, benchDim{64, 1800, 180, 1, 0}, 1, 1000, false)
+		benchProbe(b, benchDim{64, 1800, 180, 1, 0}, 1, 1000, 1, false)
 	})
 	b.Run("1word-sparse1800", func(b *testing.B) {
-		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1 << 32, 0}, 1, 1000, false)
+		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1 << 32, 0}, 1, 1000, 1, false)
 	})
 	b.Run("2words-32k", func(b *testing.B) {
-		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1, 0}, 1, 1024, false)
+		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1, 0}, 1, 1024, 1, false)
 	})
 	b.Run("2words-32k-unpublished", func(b *testing.B) {
-		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1, 0}, 1, 1024, true)
+		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1, 0}, 1, 1024, 1, true)
 	})
 	b.Run("1word-dim1800-deltas7", func(b *testing.B) {
-		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1, 0}, 7, 1000, false)
+		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1, 0}, 7, 1000, 1, false)
 	})
 	b.Run("1word-dim1800-deltas63", func(b *testing.B) {
-		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1, 0}, 63, 1000, false)
+		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1, 0}, 63, 1000, 1, false)
+	})
+	b.Run("1word-dim1800-fresh", func(b *testing.B) {
+		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1, 0}, 1, 1000, pruneSets, false)
+	})
+	b.Run("1word-sparse1800-fresh", func(b *testing.B) {
+		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1 << 32, 0}, 1, 1000, pruneSets, false)
+	})
+	b.Run("1word-dim1800-fanout4", func(b *testing.B) {
+		benchProbe(b, benchDim{64, 1800, 4 * 1800, 1, 0}, 1, 1000, 1, false)
 	})
 	b.Run("2words-32k-deltas63", func(b *testing.B) {
-		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1, 0}, 63, 1024, false)
+		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1, 0}, 63, 1024, 1, false)
 	})
 	b.Run("2words-32k-slab", func(b *testing.B) {
-		d := benchDim{128, 1 << 15, 1 << 15, 1, 0}
-		s, probeKeys := d.build(1, 1024)
-		rng := rand.New(rand.NewSource(2))
-		p := Probe{Keys: make([]int64, 327680), VIDs: make([]int32, len(probeKeys)), Qsets: make([]uint64, 3*len(probeKeys)), Stride: 3, Off: 1, Mask: []uint64{0x5555555555555555, 0x5555555555555555}}
-		for i := range p.Keys {
-			p.Keys[i] = rng.Int63n(int64(d.domain))
-		}
-		for i := range p.VIDs {
-			p.VIDs[i] = rng.Int31n(int32(len(p.Keys)))
-		}
-		for i := range p.Qsets {
-			p.Qsets[i] = rng.Uint64()
-		}
-		wm, ts := s.versions.Watermark(), s.versions.Now()
-		dst, qbuf, _ := s.ProbeVecRange(nil, nil, "k", p, ts, wm, 0, 2)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", p, ts, wm, 0, 2)
-		}
-		if len(dst) == 0 {
-			b.Fatal("the probes matched nothing")
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(p.VIDs)), "ns/key")
-		d.checkLayout(b, s)
+		benchSlab(b, benchDim{128, 1 << 15, 1 << 15, 1, 0}, 1024, 0, 2, 3, 1)
+	})
+	b.Run("1word-fk1800-slab", func(b *testing.B) {
+		benchSlab(b, benchDim{64, 1800, 1800, 1, 8}, 1000, 0, 1, 1, 0)
+	})
+	b.Run("2words-fk1800-slab-word", func(b *testing.B) {
+		benchSlab(b, benchDim{128, 1800, 1800, 1, 8}, 1000, 1, 2, 2, 1)
+	})
+	b.Run("2words-fk1800-slab", func(b *testing.B) {
+		benchSlab(b, benchDim{128, 1800, 1800, 1, 8}, 1000, 0, 2, 2, 0)
 	})
 }
 
-// benchProbe times ProbeVec of probes keys against d's STeM, built in
-// deltas vectors, and with unpublished against it with one entry more under
-// a slot left unpublished.
-func benchProbe(b *testing.B, d benchDim, deltas, probes int, unpublished bool) {
-	s, probeKeys := d.build(deltas, probes)
+// benchSlab times ProbeVecRange over the words [lo, hi) of d's STeM, built
+// in one vector, on vectors of probes tuples laid out by slabProbe: each
+// tuple's key read through its vID, its words from a stride-word slab at
+// offset off, under a random mask, about a quarter of the tuples with no
+// bit under it. Each call takes the next of pruneSets vectors, so that no
+// branch on which tuples match repeats within the predictor's reach.
+// matches/key and probed/key are the shares of tuples matched and probed.
+func benchSlab(b *testing.B, d benchDim, probes, lo, hi, stride, off int) {
+	s, probeKeys := d.build(1, probes*pruneSets)
+	all := slabProbe(rand.New(rand.NewSource(2)), probeKeys, hi-lo, stride, off)
+	ps := make([]Probe, pruneSets)
+	for j := range ps {
+		ps[j] = all
+		ps[j].VIDs = all.VIDs[j*probes:][:probes]
+		ps[j].Qsets = all.Qsets[j*probes*stride:][:probes*stride]
+	}
+	wm, ts := s.versions.Watermark(), s.versions.Now()
+	dst, qbuf, _ := s.ProbeVecRange(nil, nil, "k", all, ts, wm, lo, hi) // sizes the buffers
+	matched, probed := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var n int
+		dst, qbuf, n = s.ProbeVecRange(dst[:0], qbuf[:0], "k", ps[i%pruneSets], ts, wm, lo, hi)
+		matched += len(dst)
+		probed += n
+	}
+	if matched == 0 {
+		b.Fatal("the probes matched nothing")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes), "ns/key")
+	b.ReportMetric(float64(matched)/float64(b.N*probes), "matches/key")
+	b.ReportMetric(float64(probed)/float64(b.N*probes), "probed/key")
+	d.checkLayout(b, s)
+}
+
+// benchProbe times ProbeVec of vectors of probes keys against d's STeM,
+// built in deltas vectors, and with unpublished against it with one entry
+// more under a slot left unpublished. Each call takes the next of sets key
+// vectors: with one, every call probes the same keys.
+func benchProbe(b *testing.B, d benchDim, deltas, probes, sets int, unpublished bool) {
+	s, probeKeys := d.build(deltas, probes*sets)
 	if unpublished {
 		s.InsertVec([]int32{0}, [][]int64{probeKeys[:1]}, make([]uint64, s.qw), s.qw, Slot(deltas), nil)
 	}
@@ -2441,7 +2576,7 @@ func benchProbe(b *testing.B, d benchDim, deltas, probes int, unpublished bool) 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm)
+		dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys[i%sets*probes:][:probes], ts, wm)
 	}
 	if len(dst) == 0 {
 		b.Fatal("the probes matched nothing")

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/roulette-db/roulette/internal/bitset"
 	"github.com/roulette-db/roulette/internal/catalog"
 	"github.com/roulette-db/roulette/internal/exec"
 	"github.com/roulette-db/roulette/internal/query"
@@ -126,11 +127,11 @@ func TestBuildRuleFiresAndStaysExact(t *testing.T) {
 					// until this callback returns.
 					fs := s.Context().Stems[factInst]
 					factLen = fs.Len()
-					for i := 0; i < factLen; i++ {
-						if _, qset := fs.Entry(i); qset.Contains(ida) || !qset.Contains(idb) {
+					fs.Each(func(_ int32, qset bitset.Set) {
+						if qset.Contains(ida) || !qset.Contains(idb) {
 							bad++
 						}
-					}
+					})
 					checkedAtQa.Store(true)
 				}
 				rec.onRetire(qid, st)

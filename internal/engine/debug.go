@@ -14,7 +14,7 @@ import (
 // This file is the session's live introspection surface: the flight-
 // recorder plumbing shared by engine.go/stream.go/sched.go, a consistent
 // point-in-time DebugSnapshot of the concurrent control plane (scans,
-// fences, epochs, GC, tenants, workers), and the stall self-diagnosis
+// epochs, GC, tenants, workers), and the stall self-diagnosis
 // heuristics behind the watchdog goroutine.
 
 // discardHandler is a no-op slog handler (the stdlib gained
@@ -110,19 +110,15 @@ func tenantHash(name string) int64 {
 
 // InstDebug is one instance's control-plane state in a DebugSnapshot.
 type InstDebug struct {
-	Inst          int     `json:"inst"`
-	Table         string  `json:"table"`
-	Rank          int     `json:"rank"`
-	ActiveQueries []int   `json:"active_queries,omitempty"`
-	Delivered     int64   `json:"delivered"`
-	Inserted      int64   `json:"inserted"`
-	InFlight      int32   `json:"in_flight"`
-	Fenced        bool    `json:"fenced"`
-	FenceAgeMs    float64 `json:"fence_age_ms,omitempty"`
-	QueuedOps     int     `json:"queued_ops,omitempty"`
-	StemEntries   int     `json:"stem_entries"`
-	StemBytes     int64   `json:"stem_bytes"`
-	CompactGen    uint64  `json:"compact_gen"`
+	Inst          int    `json:"inst"`
+	Table         string `json:"table"`
+	Rank          int    `json:"rank"`
+	ActiveQueries []int  `json:"active_queries,omitempty"`
+	Delivered     int64  `json:"delivered"`
+	Inserted      int64  `json:"inserted"`
+	InFlight      int32  `json:"in_flight"`
+	StemEntries   int    `json:"stem_entries"`
+	StemBytes     int64  `json:"stem_bytes"`
 }
 
 // WorkerDebug is one worker's open episode in a DebugSnapshot.
@@ -158,7 +154,6 @@ type EpochDebug struct {
 type GCDebug struct {
 	Running        bool  `json:"running"`
 	Inst           int   `json:"inst"`
-	Chunk          int   `json:"chunk"`
 	RetiredPending int   `json:"retired_pending"`
 	Sheds          int64 `json:"sheds"`
 	StarveBoosts   int64 `json:"starve_boosts"`
@@ -202,7 +197,7 @@ func (s *Session) DebugSnapshot() DebugSnapshot {
 		SlotsAllocated: s.episode,
 		Watermark:      int64(s.ctx.Versions.Watermark()),
 		GC: GCDebug{
-			Running: s.gc.running, Inst: s.gc.inst, Chunk: s.gc.chunk,
+			Running: s.gc.running, Inst: s.gc.inst,
 			RetiredPending: s.retired.Count(),
 			Sheds:          s.shedCount, StarveBoosts: s.starveBoosts,
 		},
@@ -214,26 +209,20 @@ func (s *Session) DebugSnapshot() DebugSnapshot {
 	}
 	snap.Insts = make([]InstDebug, len(s.scans))
 	for i, st := range s.scans {
-		d := InstDebug{
+		snap.Insts[i] = InstDebug{
 			Inst: i, Table: s.b.Insts[i].Table, Rank: st.rank,
 			ActiveQueries: st.active.IDs(),
 			Delivered:     st.delivered, Inserted: st.inserted,
-			InFlight: s.instFlight[i], Fenced: s.instFence[i],
-			QueuedOps:   len(s.instOps[i]),
 			StemEntries: s.ctx.Stems[i].Len(),
 			StemBytes:   s.ctx.Stems[i].EstBytes(),
-			CompactGen:  s.ctx.Stems[i].CompactGen(),
 		}
-		if since := s.instFenceSince[i]; since != 0 {
-			d.FenceAgeMs = float64(now-since) / 1e6
-		}
-		snap.Insts[i] = d
 	}
 	for id := range s.workerEp {
 		we := &s.workerEp[id]
 		if !we.open {
 			continue
 		}
+		snap.Insts[we.inst].InFlight++
 		snap.Workers = append(snap.Workers, WorkerDebug{
 			Worker: id, Inst: we.inst, Slot: we.slot,
 			AgeMs:         float64(now-we.startNs) / 1e6,
@@ -253,9 +242,6 @@ func (s *Session) DebugSnapshot() DebugSnapshot {
 
 // DiagnoseConfig holds the stall-detection thresholds.
 type DiagnoseConfig struct {
-	// StuckFence flags an instance whose fence has been up longer than
-	// this (fences normally drain within one episode).
-	StuckFence time.Duration
 	// EpisodeStall flags a worker whose open episode is older than this.
 	EpisodeStall time.Duration
 	// EpochLagGens flags the epoch domain when deferred reclamations are
@@ -273,7 +259,6 @@ type DiagnoseConfig struct {
 // DefaultDiagnoseConfig returns the watchdog's default thresholds.
 func DefaultDiagnoseConfig() DiagnoseConfig {
 	return DiagnoseConfig{
-		StuckFence:        250 * time.Millisecond,
 		EpisodeStall:      time.Second,
 		EpochLagGens:      1024,
 		WatermarkLagSlots: 4096,
@@ -306,39 +291,6 @@ func (s *Session) Diagnose(cfg DiagnoseConfig) []Finding {
 	defer s.mu.Unlock()
 	now := time.Now().UnixNano()
 	var out []Finding
-
-	// Stuck fences: a fence drains when its instance's in-flight count
-	// hits zero, so a long-lived fence means some episode on that
-	// instance never finished. Name the workers (and their queries) whose
-	// open episodes run on the fenced instance — they are the blockers.
-	for i := range s.scans {
-		if !s.instFence[i] || s.instFenceSince[i] == 0 {
-			continue
-		}
-		age := now - s.instFenceSince[i]
-		if age < int64(cfg.StuckFence) {
-			continue
-		}
-		f := Finding{
-			Kind: "stuck_fence", Severity: "critical",
-			Inst: i, Table: s.b.Insts[i].Table, Worker: -1, Slot: -1,
-			AgeMs: float64(age) / 1e6,
-		}
-		for id := range s.workerEp {
-			we := &s.workerEp[id]
-			if !we.open || int(we.inst) != i {
-				continue
-			}
-			if f.Worker == -1 {
-				f.Worker, f.Slot = id, we.slot
-			}
-			f.Queries = we.active.AppendIDs(f.Queries)
-		}
-		f.Detail = fmt.Sprintf(
-			"fence on instance %d (%s) up %.1fms with %d queued op(s); blocked by worker %d episode slot %d running queries %v",
-			i, f.Table, f.AgeMs, len(s.instOps[i]), f.Worker, f.Slot, f.Queries)
-		out = append(out, f)
-	}
 
 	// Stalled episodes: a worker's open episode outliving the threshold.
 	for id := range s.workerEp {
@@ -425,9 +377,6 @@ func (s *Session) Diagnose(cfg DiagnoseConfig) []Finding {
 // to it so a slow tick cannot flag healthy state.
 func (s *Session) watchdog(ctx context.Context, period time.Duration) {
 	cfg := DefaultDiagnoseConfig()
-	if cfg.StuckFence < period {
-		cfg.StuckFence = period
-	}
 	if cfg.EpisodeStall < period {
 		cfg.EpisodeStall = period
 	}

@@ -6,15 +6,18 @@ import (
 	"encoding/json"
 	"log/slog"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/roulette-db/roulette/internal/bitset"
 	"github.com/roulette-db/roulette/internal/exec"
 	"github.com/roulette-db/roulette/internal/obs"
 	"github.com/roulette-db/roulette/internal/query"
 	"github.com/roulette-db/roulette/internal/stem"
+	"github.com/roulette-db/roulette/internal/storage"
 )
 
 // capHandler is a slog handler collecting the "kind" attr of every record.
@@ -51,41 +54,120 @@ func (h *capHandler) has(kind string) bool {
 	return false
 }
 
-// TestStuckFenceDiagnosisAndTrace is the PR's acceptance scenario: a fence
-// held up by a deliberately parked episode must be named — instance, table,
-// blocking worker and its queries — by Diagnose and by the watchdog's
-// logged report, and the flight-recorder capture of the whole incident
-// must render as valid Chrome trace_event JSON.
-func TestStuckFenceDiagnosisAndTrace(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	db := starDB(rng, 2048, 64)
-	blocked := make(chan struct{})
-	release := make(chan struct{})
+// parkedFact is the fixture of the parked-episode tests: a star database,
+// a hook parking the first episode on instance 0 (fact) until release is
+// closed, and two queries joining fact on different columns, so the
+// second's admission adds an index to fact's STeM while the first's
+// episode is parked there.
+func parkedFact(t *testing.T) (db *storage.Database, opt exec.Options, blocked, release chan struct{}, q1, q2 *query.Query) {
+	t.Helper()
+	db = starDB(rand.New(rand.NewSource(91)), 2048, 64)
+	blocked, release = make(chan struct{}), make(chan struct{})
 	var hooked atomic.Bool
-	opt := exec.DefaultOptions()
+	opt = exec.DefaultOptions()
 	opt.VectorSize = 32
-	// Fault injection: park the first episode on instance 0 (fact) so its
-	// in-flight count stays pinned at 1.
 	opt.Hooks = exec.Hooks{EpisodeStart: func(inst query.InstID, _ stem.Slot) {
 		if inst == 0 && hooked.CompareAndSwap(false, true) {
 			close(blocked)
 			<-release
 		}
 	}}
-	q1 := &query.Query{
+	q1 = &query.Query{
 		Rels:  []query.RelRef{{Table: "fact"}, {Table: "d1"}},
 		Joins: []query.Join{{LeftAlias: "fact", LeftCol: "fk1", RightAlias: "d1", RightCol: "k"}},
 	}
-	// q2 joins fact on a column q1 never used, so its admission must queue
-	// an AddIndex op behind instance 0's fence while q1's episode is parked.
-	q2 := &query.Query{
+	q2 = &query.Query{
 		Rels:  []query.RelRef{{Table: "fact"}, {Table: "d2"}},
 		Joins: []query.Join{{LeftAlias: "fact", LeftCol: "fk2", RightAlias: "d2", RightCol: "k"}},
 	}
+	return db, opt, blocked, release, q1, q2
+}
+
+// TestAddIndexAdmissionOverlapsParkedEpisode parks an episode on fact and
+// then submits a query whose join adds an index to fact's STeM. The
+// admission must not wait for the parked episode: the query is active at
+// once, and the second worker scans its dimension, an instance only that
+// query reads, while the episode is still parked. Both queries' results
+// must match the oracle once the episode is released.
+func TestAddIndexAdmissionOverlapsParkedEpisode(t *testing.T) {
+	db, opt, blocked, release, q1, q2 := parkedFact(t)
+	started := make(chan struct{}, 1)
+	park := opt.Hooks.EpisodeStart
+	var d2 atomic.Int32
+	d2.Store(-1)
+	opt.Hooks.EpisodeStart = func(inst query.InstID, slot stem.Slot) {
+		if int32(inst) == d2.Load() {
+			select {
+			case started <- struct{}{}:
+			default:
+			}
+		}
+		park(inst, slot)
+	}
+	var rr *retireRecorder
+	s, err := NewSession(query.NewStreamBatch(8), db, Config{
+		Exec: opt, Workers: 2, Streaming: true,
+		OnRetire: func(qid int, st QueryStatus) { rr.onRetire(qid, st) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr = newRetireRecorder(s)
+	join := streamRun(t, s)
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+
+	id1, err := s.SubmitLiveMeta(q1, SubmitMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr.track(id1)
+	<-blocked
+	if s.Context().Stems[0].HasIndex("fk2") {
+		t.Fatal("fixture: fact's STeM indexes fk2 before the second query")
+	}
+	s.WithCompiled(func(b *query.Batch, _ *exec.Context, _ bitset.Set) { d2.Store(int32(len(b.Insts))) })
+	id2, err := s.SubmitLiveMeta(q2, SubmitMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr.track(id2)
+	if !s.Context().Stems[0].HasIndex("fk2") {
+		t.Fatal("the admission returned without indexing fk2 on fact's STeM")
+	}
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the admitted query's dimension was not scanned while the fact episode was parked")
+	}
+	if snap := s.DebugSnapshot(); snap.Insts[0].InFlight == 0 {
+		t.Fatal("fact has no episode in flight; the parked one finished early")
+	}
+
+	close(release)
+	s.CloseSubmit()
+	join()
+	if completed := rr.check(t, db, []*query.Query{q1, q2}); completed != 2 {
+		t.Errorf("completed = %d, want 2", completed)
+	}
+}
+
+// TestStalledEpisodeDiagnosisAndTrace parks an episode on fact while a
+// second query's admission adds an index to fact's STeM. The parked
+// episode must be named — instance, table, worker and its queries — by
+// DebugSnapshot, by Diagnose and by the watchdog's logged report, and the
+// flight-recorder capture of the whole incident must render as valid
+// Chrome trace_event JSON.
+func TestStalledEpisodeDiagnosisAndTrace(t *testing.T) {
+	db, opt, blocked, release, q1, q2 := parkedFact(t)
 	logs := &capHandler{}
 	var rr *retireRecorder
-	b := query.NewStreamBatch(8)
-	s, err := NewSession(b, db, Config{
+	s, err := NewSession(query.NewStreamBatch(8), db, Config{
 		Exec: opt, Workers: 1, Streaming: true,
 		Logger:        slog.New(logs),
 		StallWatchdog: 5 * time.Millisecond,
@@ -102,8 +184,7 @@ func TestStuckFenceDiagnosisAndTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	rr.track(id1)
-	<-blocked // q1's fact episode is parked; instFlight[0] == 1
-
+	<-blocked // q1's fact episode is parked
 	id2, err := s.SubmitLiveMeta(q2, SubmitMeta{})
 	if err != nil {
 		t.Fatal(err)
@@ -111,48 +192,33 @@ func TestStuckFenceDiagnosisAndTrace(t *testing.T) {
 	rr.track(id2)
 
 	snap := s.DebugSnapshot()
-	if !snap.Insts[0].Fenced || snap.Insts[0].QueuedOps == 0 {
-		t.Fatalf("instance 0 not fenced with queued ops: %+v", snap.Insts[0])
+	if snap.InFlight != 1 || snap.Insts[0].InFlight != 1 {
+		t.Errorf("in-flight = %d, on fact %d; want 1 (the parked episode)", snap.InFlight, snap.Insts[0].InFlight)
 	}
-	if snap.InFlight != 1 {
-		t.Errorf("in-flight = %d, want 1 (the parked episode)", snap.InFlight)
-	}
-
-	time.Sleep(20 * time.Millisecond) // age the fence past the thresholds
-	findings := s.Diagnose(DiagnoseConfig{
-		StuckFence:   time.Millisecond,
-		EpisodeStall: time.Millisecond,
-	})
-	var fence *Finding
+	time.Sleep(20 * time.Millisecond) // age the episode past the threshold
+	var stall *Finding
+	findings := s.Diagnose(DiagnoseConfig{EpisodeStall: time.Millisecond})
 	for i := range findings {
-		if findings[i].Kind == "stuck_fence" {
-			fence = &findings[i]
+		if findings[i].Kind == "stalled_episode" {
+			stall = &findings[i]
 		}
 	}
-	if fence == nil {
-		t.Fatalf("no stuck_fence finding in %+v", findings)
+	if stall == nil {
+		t.Fatalf("no stalled_episode finding in %+v", findings)
 	}
-	if fence.Inst != 0 || fence.Table != "fact" {
-		t.Errorf("finding names inst %d (%s), want 0 (fact)", fence.Inst, fence.Table)
+	if stall.Inst != 0 || stall.Table != "fact" || stall.Worker != 0 {
+		t.Errorf("finding names inst %d (%s), worker %d; want 0 (fact), worker 0", stall.Inst, stall.Table, stall.Worker)
 	}
-	if fence.Worker != 0 {
-		t.Errorf("finding names worker %d, want 0", fence.Worker)
-	}
-	named := false
-	for _, q := range fence.Queries {
-		if q == id1 {
-			named = true
-		}
-	}
-	if !named {
-		t.Errorf("finding queries %v do not name the blocking query %d", fence.Queries, id1)
+	if !slices.Contains(stall.Queries, id1) {
+		t.Errorf("finding queries %v do not name the parked query %d", stall.Queries, id1)
 	}
 
-	// The watchdog goroutine must log the same diagnosis.
-	deadline := time.Now().Add(5 * time.Second)
-	for !logs.has("stuck_fence") {
+	// The watchdog goroutine must log the same diagnosis once the episode
+	// outlives its default threshold.
+	deadline := time.Now().Add(10 * time.Second)
+	for !logs.has("stalled_episode") {
 		if time.Now().After(deadline) {
-			t.Fatal("watchdog never logged the stuck_fence diagnosis")
+			t.Fatal("watchdog never logged the stalled_episode diagnosis")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -170,13 +236,9 @@ func TestStuckFenceDiagnosisAndTrace(t *testing.T) {
 	seen := map[obs.Kind]bool{}
 	for _, e := range evs {
 		seen[e.Kind] = true
-		if e.Kind == obs.KFenceQueue && e.A != 0 {
-			t.Errorf("fence_queue on instance %d, want 0", e.A)
-		}
 	}
 	for _, k := range []obs.Kind{
-		obs.KSubmit, obs.KAdmit, obs.KFenceQueue, obs.KFenceDrain,
-		obs.KEpochAdvance, obs.KEpisodeStart, obs.KEpisodeEnd, obs.KRetire,
+		obs.KSubmit, obs.KAdmit, obs.KEpochAdvance, obs.KEpisodeStart, obs.KEpisodeEnd, obs.KRetire,
 	} {
 		if !seen[k] {
 			t.Errorf("timeline missing %v event", k)

@@ -102,10 +102,11 @@ type Config struct {
 	// degraded-mode warnings). Nil discards.
 	Logger *slog.Logger
 
-	// StallWatchdog is the period of the self-diagnosis watchdog: every period it snapshots the session, runs the stall
-	// heuristics (stuck fences, long-running episodes, unbounded epoch lag,
-	// watermark lag, starved tenants) and logs one structured report per
-	// finding through Logger. 0 disables the watchdog.
+	// StallWatchdog is the period of the self-diagnosis watchdog: every
+	// period it snapshots the session, runs the stall heuristics
+	// (long-running episodes, unbounded epoch lag, watermark lag, starved
+	// tenants) and logs one structured report per finding through Logger.
+	// 0 disables the watchdog.
 	StallWatchdog time.Duration
 
 	// PolicySweep runs at the start of a GC finish pass, before retired
@@ -292,15 +293,8 @@ type Session struct {
 	// Epoch-based coordination (replaces the stop-the-world quiesce gate):
 	// dom tracks which batch generation each worker's in-flight episode
 	// pinned, so retired-state frees wait out a grace period instead of a
-	// barrier. instFence/instFlight/instOps serialize the two structural
-	// STeM mutations (AddIndex, compaction) against
-	// in-flight inserts on one instance only: a fenced instance stops
-	// receiving new episodes, queued ops run when its last in-flight episode
-	// completes, and every other instance keeps executing throughout.
-	dom        *epoch.Domain
-	instFence  []bool      // per instance: no new episodes until queued ops run
-	instFlight []int32     // per instance: in-flight episodes inserting into it
-	instOps    [][]fenceOp // per instance: ops waiting for the fence
+	// barrier.
+	dom *epoch.Domain
 
 	// Admission-latency accounting of live submissions: submit time per
 	// query and the set still awaiting their first scheduled episode.
@@ -329,15 +323,13 @@ type Session struct {
 	// Flight recorder & introspection (see debug.go). rec is the session's
 	// own recorder (newRecorder), nil on an untraced batch, with one ring per
 	// worker (index = worker id) and the control plane's ring last. workerEp
-	// tracks each worker's currently open episode and instFenceSince when
-	// each instance's fence was raised — both feed DebugSnapshot and the
-	// stall watchdog. qUrgent marks queries already promoted into the
+	// tracks each worker's currently open episode, which feeds DebugSnapshot
+	// and the stall watchdog. qUrgent marks queries already promoted into the
 	// urgency lane so the promotion is recorded once.
-	rec            *obs.Recorder
-	logger         *slog.Logger
-	workerEp       []workerEpisode
-	instFenceSince []int64
-	qUrgent        bitset.Set
+	rec      *obs.Recorder
+	logger   *slog.Logger
+	workerEp []workerEpisode
+	qUrgent  bitset.Set
 }
 
 // workerEpisode is one worker's in-flight episode, stamped under the
@@ -352,50 +344,24 @@ type workerEpisode struct {
 	open    bool
 }
 
-// gcState is the garbage collector's cursor. GC runs in budgeted
-// quanta between episodes, concurrently with in-flight episodes (sweeps
-// are CAS-based; see gcQuantumLocked): each quantum sweeps a few STeM
-// chunks, clearing the retired snapshot's bits and compacting STeMs that
-// became mostly dead; the final quantum retires the queries from the
-// batch's shared operators, prunes the policy, and recycles the query IDs.
+// gcState is the garbage collector's cursor. GC runs in quanta between
+// episodes, concurrently with in-flight episodes (see gcQuantumLocked):
+// each quantum sweeps one STeM, clearing the retired snapshot's bits and
+// compacting it when it became mostly dead; the final quantum retires the
+// queries from the batch's shared operators, prunes the policy, and
+// recycles the query IDs.
 type gcState struct {
 	running  bool
+	sweeping bool       // a worker is sweeping inst with the session mutex released
 	active   bitset.Set // snapshot of retired queries this pass is clearing
 	inst     int        // next instance to sweep
-	chunk    int        // next chunk within inst
-	stemDead int        // empty-qset entries seen in the current instance
-	stemGen  uint64     // inst's CompactGen when its sweep began; positions are valid only within it
 }
-
-// gcChunkBudget bounds the STeM chunks swept per GC quantum, keeping each
-// quantum short relative to an episode.
-const gcChunkBudget = 8
 
 // gcEvery paces concurrent GC on the busy path: a worker that finds both a
 // runnable scan and pending GC work runs one GC quantum every gcEvery
 // episodes before taking its vector, so reclamation progresses while the
 // pool stays saturated instead of waiting for an idle moment.
 const gcEvery = 4
-
-// fenceOp is one structural STeM mutation — AddIndex for an admission or
-// CompactLive — handed to stemOpLocked, plus the admission it belongs to
-// (nil for compaction). It runs inline
-// or, while its instance has episodes in flight, behind the instance fence.
-type fenceOp struct {
-	run func()
-	act *pendingActivation
-}
-
-// pendingActivation is a live submission whose admission queued structural
-// ops behind a fence: remaining counts them, and the op that drops it to
-// zero passes the query to activateLocked. An admission that queued none
-// activates inline and needs no pendingActivation.
-type pendingActivation struct {
-	qid       int
-	meta      SubmitMeta
-	submitNs  int64
-	remaining int
-}
 
 // NewSession compiles the execution context and scan plan for batch b.
 func NewSession(b *query.Batch, db *storage.Database, cfg Config) (*Session, error) {
@@ -433,10 +399,6 @@ func NewSession(b *query.Batch, db *storage.Database, cfg Config) (*Session, err
 	s.workerEp = make([]workerEpisode, cfg.workers())
 	s.gc.active = bitset.New(qcap)
 	s.cbPending = bitset.New(qcap)
-	s.instFence = make([]bool, query.MaxInstances)
-	s.instFlight = make([]int32, query.MaxInstances)
-	s.instOps = make([][]fenceOp, query.MaxInstances)
-	s.instFenceSince = make([]int64, query.MaxInstances)
 	s.rec = newRecorder(&s.cfg, b, ctx)
 	s.logger = cfg.Logger
 	if s.logger == nil {
@@ -617,7 +579,6 @@ func (s *Session) takeVectorLocked(inst query.InstID) exec.EpisodeInput {
 			s.qElapsed[qid] = time.Since(s.startAt)
 		}
 	}
-	s.instFlight[inst]++
 
 	slot := stem.Slot(s.episode)
 	s.episode++
@@ -630,35 +591,6 @@ func (s *Session) takeVectorLocked(inst query.InstID) exec.EpisodeInput {
 		Slot:   slot,
 		SelOps: s.ctx.SelOpsFor(inst, s.prunableLocked),
 	}
-}
-
-// stemOpLocked is the one gate for structural STeM ops (DESIGN.md §12):
-// op.run swaps inst's copy-on-write state, so it must not overlap an
-// in-flight insert on inst. With no episode on inst in flight — always, with
-// one worker — it runs inline: the scheduler cannot start one while the
-// mutex is held. Otherwise it is queued through fenceLocked, counted
-// against op.act's admission if it has one, and stemOpLocked reports true.
-func (s *Session) stemOpLocked(inst int, op fenceOp) (queued bool) {
-	if s.instFlight[inst] == 0 {
-		op.run()
-		return false
-	}
-	if op.act != nil {
-		op.act.remaining++
-	}
-	s.fenceLocked(inst, op)
-	return true
-}
-
-// fenceLocked queues op behind inst's fence, raising the fence if it is
-// down: the scheduler hands out no more of inst's vectors, and op runs once
-// inst's in-flight episodes drain (runFenceOpsLocked).
-func (s *Session) fenceLocked(inst int, op fenceOp) {
-	if !s.instFence[inst] {
-		s.instFence[inst] = true
-		s.instFenceSince[inst] = time.Now().UnixNano()
-	}
-	s.instOps[inst] = append(s.instOps[inst], op)
 }
 
 // prunableLocked returns the queries eligible for pruning over edgeID
@@ -865,11 +797,7 @@ func (s *Session) runWorker(id int) {
 			}
 		}
 		s.inFlight--
-		s.instFlight[in.Inst]--
 		s.workerEp[id].open = false
-		if s.instFlight[in.Inst] == 0 && s.instFence[in.Inst] {
-			s.runFenceOpsLocked(int(in.Inst))
-		}
 		st := s.scans[in.Inst]
 		in.Active.ForEach(func(qid int) {
 			s.outstanding[qid]--
@@ -885,33 +813,6 @@ func (s *Session) runWorker(id int) {
 			f()
 		}
 	}
-}
-
-// runFenceOpsLocked drains an instance's queued structural ops once its
-// last in-flight episode completes, lifts the fence, and fires any
-// admission whose final op just ran.
-func (s *Session) runFenceOpsLocked(inst int) {
-	ops := s.instOps[inst]
-	s.instOps[inst] = nil
-	s.instFence[inst] = false
-	if s.rec != nil {
-		var age int64
-		if since := s.instFenceSince[inst]; since != 0 {
-			age = time.Now().UnixNano() - since
-		}
-		s.recCtl(obs.KFenceDrain, int64(inst), int64(len(ops)), age, 0)
-	}
-	s.instFenceSince[inst] = 0
-	for _, op := range ops {
-		op.run()
-		if act := op.act; act != nil {
-			act.remaining--
-			if act.remaining == 0 {
-				s.activateLocked(act.qid, act.meta, act.submitNs)
-			}
-		}
-	}
-	s.cond.Broadcast()
 }
 
 // runEpisode executes one episode behind a panic barrier and the optional

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/roulette-db/roulette/internal/bitset"
 	"github.com/roulette-db/roulette/internal/exec"
 	"github.com/roulette-db/roulette/internal/faults"
 	"github.com/roulette-db/roulette/internal/metrics"
@@ -542,93 +541,5 @@ func TestSubmitBeforeRunAdvancesEpoch(t *testing.T) {
 	join()
 	if completed := rec.check(t, db, qs); completed != len(qs) {
 		t.Errorf("completed = %d, want %d", completed, len(qs))
-	}
-}
-
-// TestGCSweepRestartsAfterMidPassCompaction is the regression test for a
-// wrong-results bug: a CompactLive queued behind an instance fence by one
-// GC pass can fire (at fence drain, between quanta) while a LATER pass is
-// mid-sweep of the same instance. The sweep cursor addresses entries by
-// position and compaction repacks live entries to new positions, so
-// entries that move below the cursor would keep the pass's retired bits
-// forever — and once the query ID is recycled, those stale bits
-// misattribute matches to the new query. The sweep must detect the repack
-// (via the STeM's compact generation) and restart the instance.
-//
-// The test drives the GC cursor directly on an idle session: it populates
-// an instance with more chunks than one quantum's budget, retires one of
-// two queries, runs a single quantum (leaving the cursor mid-instance),
-// fires CompactLive exactly as a draining fence would, then finishes the
-// pass and asserts no entry still carries the retired query's bit.
-func TestGCSweepRestartsAfterMidPassCompaction(t *testing.T) {
-	s, _ := schedSession(t, 8, Config{})
-	qa, err := s.SubmitLiveMeta(singleRel("d1"), SubmitMeta{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qb, err := s.SubmitLiveMeta(singleRel("d1"), SubmitMeta{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scanOf(s, qa) != scanOf(s, qb) {
-		t.Fatal("expected both queries to intern the same instance")
-	}
-	st := s.Context().Stems[scanOf(s, qa)]
-
-	// Fill more chunks than gcChunkBudget so the first quantum stops
-	// mid-instance. Entries alternate between the retiring query (qa) and
-	// the surviving one (qb), so every chunk holds sweepable bits and the
-	// first quantum's sweep makes the instance half dead — the shape that
-	// queues the fenced compaction in production.
-	setA, setB := bitset.New(8), bitset.New(8)
-	setA.Add(qa)
-	setB.Add(qb)
-	countA, countB := 0, 0
-	var sc stem.InsertScratch
-	insert1 := func(vid int32, qset bitset.Set) { // the instance has no join-key columns
-		st.InsertVec([]int32{vid}, nil, qset, len(qset), 0, &sc)
-	}
-	for i := 0; st.NumChunks() < gcChunkBudget+2; i++ {
-		if i%2 == 0 {
-			insert1(int32(i), setA)
-			countA++
-		} else {
-			insert1(int32(i), setB)
-			countB++
-		}
-	}
-
-	s.CancelQuery(qa, errors.New("retire qa")) // outstanding == 0: retires immediately
-
-	s.mu.Lock()
-	s.gcQuantumLocked() // starts the pass and sweeps the first budget's worth of chunks
-	if !s.gc.running || s.gc.inst != 0 || s.gc.chunk == 0 || s.gc.chunk >= st.NumChunks() {
-		s.mu.Unlock()
-		t.Fatalf("premise broken: pass not parked mid-instance (running=%v inst=%d chunk=%d/%d)",
-			s.gc.running, s.gc.inst, s.gc.chunk, st.NumChunks())
-	}
-	// The fenced compaction fires between quanta, under the session mutex —
-	// exactly how runFenceOpsLocked runs it when the instance's last
-	// in-flight insert drains.
-	st.CompactLive()
-	for s.gc.running {
-		s.gcQuantumLocked()
-	}
-	cbs := s.takeCallbacksLocked()
-	s.mu.Unlock()
-	s.runCallbacks(cbs)
-
-	gotB := 0
-	for idx := 0; idx < st.Len(); idx++ {
-		_, qs := st.Entry(idx)
-		if qs.Contains(qa) {
-			t.Fatalf("entry %d still carries retired query %d's bit after the pass (sweep cursor skipped repacked entries)", idx, qa)
-		}
-		if qs.Contains(qb) {
-			gotB++
-		}
-	}
-	if gotB != countB {
-		t.Errorf("live query lost entries across the mid-pass compaction: %d, want %d", gotB, countB)
 	}
 }

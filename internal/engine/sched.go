@@ -203,9 +203,7 @@ func (s *Session) pickScanLocked() int {
 		// Starting at the round-robin cursor makes equal keys rotate.
 		i := (s.rrCursor + off) % n
 		st := s.scans[i]
-		if st.done() || s.instFence[i] {
-			// Fenced instances have structural STeM ops queued behind their
-			// in-flight episodes; starting another would extend the fence.
+		if st.done() {
 			continue
 		}
 		var lane int64

@@ -21,16 +21,14 @@ import (
 // stop-the-world gate. Mutations happen under the session mutex and become
 // visible to episodes through a published context view (exec.PublishView,
 // one atomic pointer store); episodes load the view once at their start,
-// so they always run against an immutable snapshot. The few structural
-// STeM mutations that cannot overlap in-flight INSERTS on the same
-// instance (AddIndex, compaction) queue behind a per-
-// instance fence and run when that instance's in-flight count hits zero —
-// every other instance keeps executing. Frees of retired per-query state
-// (sources, query-ID slots) are deferred through the session's epoch
-// domain: they run only after every worker has passed the retiring
-// generation, so no episode can dereference reclaimed state. STeM entry
-// sweeping needs none of this — it is CAS-based and runs concurrently
-// with inserts and probes.
+// so they always run against an immutable snapshot. STeM maintenance
+// (AddIndex, sweeps, compaction) runs inline under the session mutex,
+// concurrently with episodes inserting into and probing the same STeM:
+// inserts stage their entries lock-free and tables are replaced, never
+// changed (package stem). Frees of retired per-query state (sources,
+// query-ID slots) are deferred through the session's epoch domain: they run
+// only after every worker has passed the retiring generation, so no episode
+// can dereference reclaimed state.
 
 // retirePruner is the optional policy interface for reclaiming learned
 // state of retired queries (qlearn.Learned implements it).
@@ -44,10 +42,8 @@ type retirePruner interface{ PruneRetired(retired bitset.Set) int }
 // current circular-scan position, so it reuses every STeM entry built so
 // far and re-ingests only what it has not seen). The one structural STeM op
 // an admission can need — indexing a new key column on an existing STeM —
-// goes through stemOpLocked: inline when its instance has no episode in
-// flight, otherwise behind that instance's fence, and then activation waits
-// for the last such op, never for unrelated instances or episodes.
-// Admission sizes nothing in the STeMs: their chunks and tables follow the
+// runs inside ApplyExtend, before the view is published, without waiting
+// for the instance's in-flight episodes. Admission sizes nothing in the STeMs: their chunks and tables follow the
 // entries built into them. The meta carries the query's tenant, fairness weight,
 // priority lane and deadline for the tenant-aware scheduler (see sched.go).
 // It returns the assigned query ID.
@@ -62,8 +58,7 @@ func (s *Session) SubmitLiveMeta(q *query.Query, m SubmitMeta) (int, error) {
 		s.mu.Unlock()
 		return 0, err
 	}
-	ops, err := s.ctx.ApplyExtend(d)
-	if err != nil {
+	if err := s.ctx.ApplyExtend(d); err != nil {
 		// The context is untouched (ApplyExtend validates before mutating);
 		// take the query's additions back out of the batch so instance and
 		// operator IDs stay aligned with the executor's arrays.
@@ -75,16 +70,8 @@ func (s *Session) SubmitLiveMeta(q *query.Query, m SubmitMeta) (int, error) {
 	// Publish-then-advance: ApplyExtend published the extended view; advance
 	// the epoch so workers pinning from here on are known to see it.
 	s.recCtl(obs.KEpochAdvance, int64(s.dom.Advance()), 0, 0, 0)
-	act := &pendingActivation{qid: qid, meta: m, submitNs: time.Now().UnixNano()}
-	for _, op := range ops {
-		if s.stemOpLocked(int(op.Inst), fenceOp{run: op.Apply, act: act}) {
-			s.recCtl(obs.KFenceQueue, int64(op.Inst), int64(qid), 0, 0)
-		}
-	}
-	s.recCtl(obs.KSubmit, int64(qid), int64(act.remaining), tenantHash(m.Tenant), 0)
-	if act.remaining == 0 {
-		s.activateLocked(qid, m, act.submitNs)
-	}
+	s.recCtl(obs.KSubmit, int64(qid), 0, tenantHash(m.Tenant), 0)
+	s.activateLocked(qid, m, time.Now().UnixNano())
 	cbs := s.takeCallbacksLocked()
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -199,16 +186,17 @@ func (s *Session) runCallbacks(cbs []func()) {
 	s.mu.Unlock()
 }
 
-// gcPendingLocked reports whether the garbage collector has work: a pass
-// in progress or, while the session can still admit, retired queries
-// awaiting one. A closed session only finishes the pass it is in: what a
-// new pass would free, nothing is left to reuse, and a session born closed
+// gcPendingLocked reports whether the garbage collector has work a worker
+// can take up: a pass in progress whose STeM sweep no other worker is
+// running or, while the session can still admit, retired queries awaiting
+// a pass. A closed session only finishes the pass it is in: what a new
+// pass would free, nothing is left to reuse, and a session born closed
 // keeps every source and STeM entry readable after the run.
 func (s *Session) gcPendingLocked() bool {
 	// Queries whose retirement callback is still pending are not yet
 	// eligible (the callback reads their source); they stay in retired
 	// until the callback completes and broadcasts.
-	return s.gc.running || (!s.closed && !s.retired.IsSubset(s.cbPending))
+	return !s.gc.sweeping && (s.gc.running || (!s.closed && !s.retired.IsSubset(s.cbPending)))
 }
 
 // nextEpisode is a worker's scheduling loop: run pending retirement
@@ -256,8 +244,8 @@ func (s *Session) nextEpisode(id int) (exec.EpisodeInput, bool) {
 				}
 				metrics.Default().EpochLag.Store(s.dom.Lag())
 				s.gcQuantumLocked()
-				if s.instFence[best] || s.scans[best].done() {
-					continue // the quantum fenced or drained our pick
+				if s.scans[best].done() {
+					continue // drained while the quantum ran
 				}
 			}
 			in := s.takeVectorLocked(query.InstID(best))
@@ -292,20 +280,17 @@ func (s *Session) nextEpisode(id int) (exec.EpisodeInput, bool) {
 	}
 }
 
-// gcQuantumLocked makes one budgeted unit of GC progress, concurrently
-// with in-flight episodes: SweepChunk clears retired bits with CAS loops
-// that tolerate racing inserts and probes (a retired query's bit can never
-// reappear — retirement requires zero outstanding episodes, so no insert
-// still carries it). Each quantum sweeps up to gcChunkBudget STeM chunks.
-// Finishing an instance's chunks sweeps its union tables (stem.SweepIndex:
-// a table built before a chunk was swept still holds the bits) and, when its
-// entries became at least half dead, compacts it through stemOpLocked
-// (compaction swaps the copy-on-write state, so it must not race an insert
-// on the same instance). A queued compaction can fire
-// at fence drain while a later pass is mid-sweep of the same instance;
-// the cursor detects that through the STeM's compact generation and
-// restarts the instance's sweep, because compaction repositions entries.
-// Finishing the last instance runs the terminal reclamation step.
+// gcQuantumLocked makes one unit of GC progress, concurrently with
+// in-flight episodes: it sweeps one instance's STeM (stem.SweepIndex builds
+// the ranges recorded since its last build and replaces every table
+// holding a retired bit with a swept copy; a retired query's bit can never
+// reappear, since retirement requires zero outstanding episodes, so no
+// insert still carries it) and, when the STeM's entries became at least
+// half dead, compacts it (stem.CompactLive). Both run under the STeM's own
+// mutex beside that instance's inserts and probes, and the session mutex
+// is released meanwhile: gc.sweeping keeps other workers from starting a
+// quantum, and the end of the sweep wakes them. The quantum after the last
+// instance runs the terminal reclamation step.
 func (s *Session) gcQuantumLocked() {
 	g := &s.gc
 	if !g.running {
@@ -315,53 +300,27 @@ func (s *Session) gcQuantumLocked() {
 			return
 		}
 		s.retired.AndNotWith(g.active)
-		g.running, g.inst, g.chunk, g.stemDead = true, 0, 0, 0
+		g.running, g.inst = true, 0
 	}
-	startInst, swept := g.inst, 0
-	defer func() {
-		s.recCtl(obs.KGCQuantum, int64(startInst), int64(swept), 0, 0)
-	}()
-	budget := gcChunkBudget
-	for budget > 0 {
-		if g.inst >= len(s.ctx.Stems) {
-			s.gcFinishLocked()
-			return
-		}
-		st := s.ctx.Stems[g.inst]
-		if gen := st.CompactGen(); g.chunk == 0 {
-			g.stemGen = gen
-		} else if gen != g.stemGen {
-			// A fenced CompactLive (queued by an earlier pass, run at fence
-			// drain between quanta) repacked this instance mid-sweep. The
-			// sweep cursor addresses entries by position, and compaction
-			// moves live entries to new positions — some now below the
-			// cursor, where this pass would never revisit their retired
-			// bits, leaving stale bits to misattribute matches once the qid
-			// is recycled. Positions are only meaningful within one compact
-			// generation: restart the instance's sweep against the new
-			// layout.
-			g.chunk, g.stemDead, g.stemGen = 0, 0, gen
-			s.recCtl(obs.KGCSweepRestart, int64(g.inst), int64(gen), 0, 0)
-		}
-		if g.chunk >= st.NumChunks() {
-			st.SweepIndex(g.active)
-			if g.stemDead > 0 && 2*g.stemDead >= st.Len() {
-				var fenced int64
-				if s.stemOpLocked(g.inst, fenceOp{run: func() { st.CompactLive() }}) {
-					fenced = 1
-				}
-				s.recCtl(obs.KGCCompact, int64(g.inst), fenced, 0, 0)
-				budget = 0 // a compaction consumes the quantum
-			}
-			g.inst++
-			g.chunk, g.stemDead = 0, 0
-			continue
-		}
-		g.stemDead += st.SweepChunk(g.chunk, g.active)
-		g.chunk++
-		swept++
-		budget--
+	if g.inst >= len(s.ctx.Stems) {
+		s.gcFinishLocked()
+		return
 	}
+	st, live := s.ctx.Stems[g.inst], -1
+	g.sweeping = true
+	s.mu.Unlock()
+	dead := st.SweepIndex(g.active)
+	if dead > 0 && 2*dead >= st.Len() {
+		live = st.CompactLive()
+	}
+	s.mu.Lock()
+	g.sweeping = false
+	s.recCtl(obs.KGCQuantum, int64(g.inst), int64(dead), 0, 0)
+	if live >= 0 {
+		s.recCtl(obs.KGCCompact, int64(g.inst), int64(live), 0, 0)
+	}
+	g.inst++
+	s.cond.Broadcast()
 }
 
 // gcFinishLocked completes a GC pass in two stages. Stage one, under the

@@ -202,15 +202,6 @@ func (c *Context) loadView() *view { return c.view.Load() }
 // read lock-free.
 func (c *Context) Graph() *query.Graph { return &c.view.Load().g }
 
-// StemOp is a deferred STeM structural operation returned by ApplyExtend:
-// it must run only while no episode is inserting into Inst (the engine's
-// per-instance insert fence), because it swaps the STeM's copy-on-write
-// state. Probes need no fence.
-type StemOp struct {
-	Inst  query.InstID
-	Apply func()
-}
-
 // NewContext compiles the execution context for a batch over db. It
 // allocates the empty context and applies the whole batch as one extension
 // (query.Batch.WholeDelta), so a compiled batch takes exactly the path a live
@@ -238,8 +229,7 @@ func NewContext(b *query.Batch, db *storage.Database, opt Options, model *cost.M
 	// Full length up front: workers index it outside the session mutex while
 	// ApplyExtend adds instances under it, so the slice header never changes.
 	c.InstStats = make([]InstStat, query.MaxInstances)
-	// Every instance is new, so no STeM needs a deferred index: no StemOps.
-	if _, err := c.ApplyExtend(b.WholeDelta()); err != nil {
+	if err := c.ApplyExtend(b.WholeDelta()); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -276,21 +266,20 @@ func (c *Context) addPruneOps(e *query.Edge) {
 // Callers hold the engine's session mutex; running episodes are NOT paused.
 // The hot path reads only the published view, which ApplyExtend republishes
 // after mutating the master fields, so in-flight episodes keep their old
-// view and later episodes see the extension. STeM index additions on
-// already-built STeMs are not applied inline: they are returned as deferred
-// StemOps the engine runs once the instance's in-flight inserts drain (the
-// per-instance insert fence) — AddIndex backfills every entry present when
-// it runs, so entries inserted between this call and the op are covered.
+// view and later episodes see the extension. A new key column on an
+// already-built STeM is indexed inline (stem.AddIndex) before the view is
+// published: an episode still inserting on an older view writes fewer key
+// columns, and the new index derives the missing key from the entry's vID.
 // Validation failures (missing table/column, per-instance selection-op
 // budget) are returned before any mutation, leaving the context consistent
 // — the caller then retires the query's ID from the batch.
-func (c *Context) ApplyExtend(d query.ExtendDelta) ([]StemOp, error) {
+func (c *Context) ApplyExtend(d query.ExtendDelta) error {
 	b := c.B
 
 	// ---- Validate everything first, mutating nothing. --------------------
 	for _, ii := range d.NewInsts {
 		if c.DB.Table(b.Insts[ii].Table) == nil {
-			return nil, fmt.Errorf("exec: no table %q", b.Insts[ii].Table)
+			return fmt.Errorf("exec: no table %q", b.Insts[ii].Table)
 		}
 	}
 	tableOf := func(inst query.InstID) *storage.Table {
@@ -302,30 +291,30 @@ func (c *Context) ApplyExtend(d query.ExtendDelta) ([]StemOp, error) {
 	for _, ei := range d.NewEdges {
 		e := &b.Edges[ei]
 		if !tableOf(e.A).Rel.HasColumn(e.ACol) || !tableOf(e.B).Rel.HasColumn(e.BCol) {
-			return nil, fmt.Errorf("exec: join column missing on edge %d (%s.%s = %s.%s)",
+			return fmt.Errorf("exec: join column missing on edge %d (%s.%s = %s.%s)",
 				e.ID, b.Insts[e.A].Table, e.ACol, b.Insts[e.B].Table, e.BCol)
 		}
 		if err := checkJoinTypes(tableOf(e.A), e.ACol, tableOf(e.B), e.BCol); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for ri := len(c.resACol); ri < len(b.Residuals); ri++ {
 		r := &b.Residuals[ri]
 		if !tableOf(r.A).Rel.HasColumn(r.ACol) || !tableOf(r.B).Rel.HasColumn(r.BCol) {
-			return nil, fmt.Errorf("exec: residual join column missing (%s.%s = %s.%s)",
+			return fmt.Errorf("exec: residual join column missing (%s.%s = %s.%s)",
 				b.Insts[r.A].Table, r.ACol, b.Insts[r.B].Table, r.BCol)
 		}
 		if err := checkJoinTypes(tableOf(r.A), r.ACol, tableOf(r.B), r.BCol); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for _, si := range d.NewSelCols {
 		sc := &b.SelCols[si]
 		if !tableOf(sc.Inst).Rel.HasColumn(sc.Col) {
-			return nil, fmt.Errorf("exec: filter column %s missing on %s", sc.Col, b.Insts[sc.Inst].Table)
+			return fmt.Errorf("exec: filter column %s missing on %s", sc.Col, b.Insts[sc.Inst].Table)
 		}
 		if err := checkSelColTypes(tableOf(sc.Inst), sc); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	// A streamed-in query can add typed predicates to an existing grouped
@@ -333,7 +322,7 @@ func (c *Context) ApplyExtend(d query.ExtendDelta) ([]StemOp, error) {
 	for _, si := range d.TouchedSels {
 		sc := &b.SelCols[si]
 		if err := checkSelColTypes(tableOf(sc.Inst), sc); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	// Per-instance selection-op budget: each new grouped filter takes one
@@ -353,14 +342,14 @@ func (c *Context) ApplyExtend(d query.ExtendDelta) ([]StemOp, error) {
 	}
 	for inst, n := range used {
 		if n > 64 {
-			return nil, fmt.Errorf("exec: instance %s has %d selection ops (max 64)", b.Insts[inst].Table, n)
+			return fmt.Errorf("exec: instance %s has %d selection ops (max 64)", b.Insts[inst].Table, n)
 		}
 	}
 	srcInsts := make([][]query.InstID, len(d.QIDs))
 	for i, qid := range d.QIDs {
 		insts, err := requiredInsts(b, qid)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		srcInsts[i] = insts
 	}
@@ -380,7 +369,6 @@ func (c *Context) ApplyExtend(d query.ExtendDelta) ([]StemOp, error) {
 	for _, ii := range d.NewInsts {
 		newInst[ii] = true
 	}
-	var ops []StemOp
 	addKey := func(inst query.InstID, col string) {
 		if c.keySeen[inst][col] {
 			return
@@ -391,14 +379,8 @@ func (c *Context) ApplyExtend(d query.ExtendDelta) ([]StemOp, error) {
 		if !newInst[inst] {
 			// Existing STeM learns a new key column: index its entries from
 			// the base table (entries store vIDs, so the key is a lookup).
-			// Deferred behind the instance's insert fence — AddIndex swaps
-			// the STeM's copy-on-write state, and its backfill covers every
-			// entry inserted before it runs.
 			colData := c.Tables[inst].Col(col)
-			st := c.Stems[inst]
-			ops = append(ops, StemOp{Inst: inst, Apply: func() {
-				st.AddIndex(col, func(vid int32) int64 { return colData[vid] })
-			}})
+			c.Stems[inst].AddIndex(col, func(vid int32) int64 { return colData[vid] })
 		}
 	}
 	for _, ei := range d.NewEdges {
@@ -438,7 +420,7 @@ func (c *Context) ApplyExtend(d query.ExtendDelta) ([]StemOp, error) {
 		c.Sources[qid] = NewSource(srcInsts[i], c.Opt.CollectRows)
 	}
 	c.PublishView()
-	return ops, nil
+	return nil
 }
 
 // RebuildFilters re-creates the grouped filters whose predicate lists

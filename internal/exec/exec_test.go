@@ -75,7 +75,7 @@ func TestRebuiltFilterMatchesFreshBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ctx.ApplyExtend(d); err != nil {
+		if err := ctx.ApplyExtend(d); err != nil {
 			t.Fatal(err)
 		}
 		check("after a submit")

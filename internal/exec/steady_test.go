@@ -109,12 +109,11 @@ func checkMaskedBuild(t *testing.T, sb *StepBench) {
 	if ins, sel := st.Inserted.Load(), st.SelOut.Load(); ins == 0 || ins >= sel {
 		t.Errorf("masked build inserted %d of %d selected tuples, want some but not all", ins, sel)
 	}
-	fs := sb.Ctx.Stems[sb.in.Inst]
-	for i := 0; i < fs.Len(); i++ {
-		if _, qs := fs.Entry(i); bitset.Intersects(qs, sb.in.Final) || qs.Empty() {
-			t.Fatalf("fact entry %d has query set %v; final set %v", i, qs, sb.in.Final)
+	sb.Ctx.Stems[sb.in.Inst].Each(func(vid int32, qs bitset.Set) {
+		if bitset.Intersects(qs, sb.in.Final) || qs.Empty() {
+			t.Fatalf("fact entry of vID %d has query set %v; final set %v", vid, qs, sb.in.Final)
 		}
-	}
+	})
 }
 
 // TestStepBenchMatchesRunEpisodeShape sanity-checks the harness against the

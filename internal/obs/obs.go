@@ -1,6 +1,6 @@
 // Package obs implements the engine's flight recorder: fixed-size,
 // lock-free per-worker rings of typed events (episode lifecycle, admission,
-// fences, epochs, GC, retirement and, under episode tracing, each episode's
+// epochs, GC, retirement and, under episode tracing, each episode's
 // execution log) that are cheap enough to leave on in production. It is the
 // engine's only event transport: the rings are merged on demand into a single
 // causal timeline (Snapshot, exported by WriteTrace) or decoded back into
@@ -54,23 +54,15 @@ const (
 	// KLanePromote: the scheduler promoted a query's scans into the
 	// deadline-urgency lane.
 	KLanePromote
-	// KFenceQueue: a structural op was queued behind an instance fence — by
-	// an admission (its query id) or by a STeM growth (query id -1).
-	KFenceQueue
-	// KFenceDrain: an instance fence drained and ran its queued ops.
-	KFenceDrain
 	// KEpochAdvance: the epoch domain advanced.
 	KEpochAdvance
 	// KEpochDefer: reclamations were deferred pending a grace period.
 	KEpochDefer
 	// KEpochRelease: deferred reclamations ran after their grace period.
 	KEpochRelease
-	// KGCQuantum: a budgeted concurrent GC quantum ran.
+	// KGCQuantum: a concurrent GC quantum swept one instance's STeM.
 	KGCQuantum
-	// KGCSweepRestart: a GC sweep restarted from chunk 0 because a fenced
-	// compaction repositioned entries mid-pass.
-	KGCSweepRestart
-	// KGCCompact: a live-compaction was issued, inline or behind a fence.
+	// KGCCompact: the quantum compacted the STeM it swept.
 	KGCCompact
 	// KRetire: a query retired, completed or failed.
 	KRetire
@@ -91,51 +83,45 @@ const (
 )
 
 var kindNames = [...]string{
-	KNone:           "none",
-	KEpisodeStart:   "episode_start",
-	KEpisodeEnd:     "episode",
-	KSubmit:         "submit",
-	KAdmit:          "admit",
-	KReject:         "reject",
-	KShed:           "shed",
-	KLanePromote:    "lane_promote",
-	KFenceQueue:     "fence_queue",
-	KFenceDrain:     "fence_drain",
-	KEpochAdvance:   "epoch_advance",
-	KEpochDefer:     "epoch_defer",
-	KEpochRelease:   "epoch_release",
-	KGCQuantum:      "gc_quantum",
-	KGCSweepRestart: "gc_sweep_restart",
-	KGCCompact:      "gc_compact",
-	KRetire:         "retire",
-	KCallback:       "callback",
-	KAction:         "action",
-	KEpisodeWork:    "episode_work",
+	KNone:         "none",
+	KEpisodeStart: "episode_start",
+	KEpisodeEnd:   "episode",
+	KSubmit:       "submit",
+	KAdmit:        "admit",
+	KReject:       "reject",
+	KShed:         "shed",
+	KLanePromote:  "lane_promote",
+	KEpochAdvance: "epoch_advance",
+	KEpochDefer:   "epoch_defer",
+	KEpochRelease: "epoch_release",
+	KGCQuantum:    "gc_quantum",
+	KGCCompact:    "gc_compact",
+	KRetire:       "retire",
+	KCallback:     "callback",
+	KAction:       "action",
+	KEpisodeWork:  "episode_work",
 }
 
 // kindArgs names each kind's A..D argument slots; "" marks a slot the kind
 // does not use. tenant is the FNV-1a hash of the tenant name (names stay out
 // of the fixed-width slots); *_ns are nanoseconds.
 var kindArgs = [...][4]string{
-	KEpisodeStart:   {"inst", "slot", "active_w0", "active"},
-	KEpisodeEnd:     {"inst", "slot", "dur_ns", "plan_sig"},
-	KSubmit:         {"qid", "fence_ops", "tenant"},
-	KAdmit:          {"qid"},
-	KReject:         {"qid", "", "tenant"},
-	KShed:           {"qid", "midflight", "tenant"},
-	KLanePromote:    {"qid", "deadline_unix_ns", "tenant"},
-	KFenceQueue:     {"inst", "qid"},
-	KFenceDrain:     {"inst", "ops", "age_ns"},
-	KEpochAdvance:   {"gen"},
-	KEpochDefer:     {"gen", "fns"},
-	KEpochRelease:   {"fns"},
-	KGCQuantum:      {"inst", "chunks"},
-	KGCSweepRestart: {"inst", "compact_gen"},
-	KGCCompact:      {"inst", "fenced"},
-	KRetire:         {"qid", "completed"},
-	KCallback:       {"n"},
-	KAction:         {"phase", "op", "n_in", "n_out"},
-	KEpisodeWork:    {"input", "join_input", "cost_bits", "fault"},
+	KEpisodeStart: {"inst", "slot", "active_w0", "active"},
+	KEpisodeEnd:   {"inst", "slot", "dur_ns", "plan_sig"},
+	KSubmit:       {"qid", "", "tenant"},
+	KAdmit:        {"qid"},
+	KReject:       {"qid", "", "tenant"},
+	KShed:         {"qid", "midflight", "tenant"},
+	KLanePromote:  {"qid", "deadline_unix_ns", "tenant"},
+	KEpochAdvance: {"gen"},
+	KEpochDefer:   {"gen", "fns"},
+	KEpochRelease: {"fns"},
+	KGCQuantum:    {"inst", "dead"},
+	KGCCompact:    {"inst", "live"},
+	KRetire:       {"qid", "completed"},
+	KCallback:     {"n"},
+	KAction:       {"phase", "op", "n_in", "n_out"},
+	KEpisodeWork:  {"input", "join_input", "cost_bits", "fault"},
 }
 
 func (k Kind) String() string {

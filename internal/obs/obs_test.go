@@ -182,7 +182,7 @@ func TestTraceGolden(t *testing.T) {
 	r.Record(0, KEpisodeStart, 3, 12, 0, 2)
 	r.Record(0, KAction, 1, 4, 128, 96)
 	r.Record(0, KEpisodeEnd, 3, 12, 1000, 99)
-	r.Record(1, KSubmit, 5, 1, 77, 0)
+	r.Record(1, KSubmit, 5, 0, 77, 0)
 	r.Record(1, KReject, -1, 0, 77, 0)
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, r.Snapshot(), r.Rings()); err != nil {
@@ -194,7 +194,7 @@ func TestTraceGolden(t *testing.T) {
 		`{"name":"episode_start","ph":"i","ts":1,"pid":1,"tid":0,"s":"t","args":{"active":2,"active_w0":0,"inst":3,"slot":12,"vclock":7}},` +
 		`{"name":"action","ph":"i","ts":2,"pid":1,"tid":0,"s":"t","args":{"n_in":128,"n_out":96,"op":4,"phase":1,"vclock":7}},` +
 		`{"name":"episode","ph":"X","ts":2,"dur":1,"pid":1,"tid":0,"args":{"dur_ns":1000,"inst":3,"plan_sig":99,"slot":12,"vclock":7}},` +
-		`{"name":"submit","ph":"i","ts":4,"pid":1,"tid":1,"s":"t","args":{"fence_ops":1,"qid":5,"tenant":77,"vclock":7}},` +
+		`{"name":"submit","ph":"i","ts":4,"pid":1,"tid":1,"s":"t","args":{"qid":5,"tenant":77,"vclock":7}},` +
 		`{"name":"reject","ph":"i","ts":5,"pid":1,"tid":1,"s":"t","args":{"qid":-1,"tenant":77,"vclock":7}}` +
 		`]}` + "\n"
 	if got := buf.String(); got != want {

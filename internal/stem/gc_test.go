@@ -20,37 +20,54 @@ func gcFixture(t *testing.T, n int) (*Versions, *STeM) {
 	return v, s
 }
 
-func TestSweepChunkCountsDead(t *testing.T) {
+// stagedChunks returns how many staging chunks s holds.
+func stagedChunks(s *STeM) int {
+	n := 0
+	for _, c := range s.stage.Load().chunks {
+		if c != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// entrySets returns every entry's query set by vID (Each).
+func entrySets(s *STeM) map[int32]bitset.Set {
+	m := map[int32]bitset.Set{}
+	s.Each(func(vid int32, qs bitset.Set) { m[vid] = qs })
+	return m
+}
+
+func TestSweepIndexCountsDead(t *testing.T) {
 	_, s := gcFixture(t, 100)
 	retired := bitset.FromIDs(2, 0)
-	if dead := s.SweepChunk(0, retired); dead != 50 {
-		t.Fatalf("SweepChunk dead = %d, want 50", dead)
+	if dead := s.SweepIndex(retired); dead != 50 {
+		t.Fatalf("SweepIndex dead = %d, want 50", dead)
 	}
 	// A second sweep of the same retired set reports the same entries dead
 	// (cumulative count) and changes nothing else.
-	if dead := s.SweepChunk(0, retired); dead != 50 {
-		t.Errorf("repeated SweepChunk dead = %d, want 50", dead)
-	}
-	// Out-of-range chunks are a no-op.
-	if dead := s.SweepChunk(5, retired); dead != 0 {
-		t.Errorf("SweepChunk(5) = %d, want 0", dead)
+	if dead := s.SweepIndex(retired); dead != 50 {
+		t.Errorf("repeated SweepIndex dead = %d, want 50", dead)
 	}
 	// Survivors keep their bits: every odd entry still belongs to query 1.
-	for idx := 0; idx < 100; idx++ {
-		_, qs := s.Entry(idx)
-		if idx%2 == 1 && !qs.Contains(1) {
-			t.Fatalf("entry %d lost its live query bit", idx)
+	sets := entrySets(s)
+	if len(sets) != 100 {
+		t.Fatalf("Each visited %d entries, want 100", len(sets))
+	}
+	for vid, qs := range sets {
+		if vid%2 == 1 && !qs.Contains(1) {
+			t.Fatalf("entry %d lost its live query bit", vid)
 		}
 		if qs.Contains(0) {
-			t.Fatalf("entry %d still carries retired query 0", idx)
+			t.Fatalf("entry %d still carries retired query 0", vid)
 		}
 	}
 }
 
 func TestCompactLiveDropsDeadAndShrinks(t *testing.T) {
 	v, s := gcFixture(t, 100)
+	s.SweepIndex(bitset.FromIDs(2, 0))
 	before := s.EstBytes()
-	s.SweepChunk(0, bitset.FromIDs(2, 0))
 
 	if live := s.CompactLive(); live != 50 {
 		t.Fatalf("CompactLive = %d live, want 50", live)
@@ -62,8 +79,8 @@ func TestCompactLiveDropsDeadAndShrinks(t *testing.T) {
 		t.Errorf("EstBytes grew across compaction: %d -> %d", before, after)
 	}
 
-	// Probing must still find every surviving entry through the rebuilt
-	// index, and none of the dropped ones.
+	// Probing must still find every surviving entry through the merged
+	// table, and none of the dropped ones.
 	ts := v.Now()
 	for k := int64(0); k < 100; k++ {
 		got := probe1(s, "k", k, ts)
@@ -80,24 +97,32 @@ func TestCompactLiveDropsDeadAndShrinks(t *testing.T) {
 	}
 }
 
+// TestCompactLiveEmptiesToFloor retires every query of a STeM of two and a
+// half chunks: the sweep builds every entry, which drops every chunk, and
+// the compaction drops every entry, so the STeM holds nothing. An insert
+// after it stages into the last chunk's number again and is found.
 func TestCompactLiveEmptiesToFloor(t *testing.T) {
-	_, s := gcFixture(t, 2*chunkSize) // two full chunks
-	if s.NumChunks() != 2 {
-		t.Fatalf("NumChunks = %d, want 2", s.NumChunks())
+	v, s := gcFixture(t, 2*chunkSize+chunkSize/2)
+	if n := stagedChunks(s); n != 3 {
+		t.Fatalf("staged chunks = %d, want 3", n)
 	}
 	before := s.EstBytes()
-	retired := bitset.FromIDs(2, 0, 1)
-	for ci := 0; ci < s.NumChunks(); ci++ {
-		s.SweepChunk(ci, retired)
+	if dead := s.SweepIndex(bitset.FromIDs(2, 0, 1)); dead != s.Len() {
+		t.Fatalf("SweepIndex dead = %d, want all %d", dead, s.Len())
+	}
+	if n := stagedChunks(s); n != 0 {
+		t.Fatalf("staged chunks = %d once every entry is built, want 0", n)
 	}
 	if live := s.CompactLive(); live != 0 {
 		t.Fatalf("CompactLive = %d, want 0", live)
 	}
-	if s.NumChunks() != 0 || s.Len() != 0 {
-		t.Errorf("chunks=%d len=%d after full retirement, want 0,0", s.NumChunks(), s.Len())
+	if stagedChunks(s) != 0 || s.Len() != 0 || s.EstBytes() != 0 {
+		t.Errorf("chunks=%d len=%d bytes=%d after full retirement (was %d bytes), want 0,0,0", stagedChunks(s), s.Len(), s.EstBytes(), before)
 	}
-	if after := s.EstBytes(); after*10 > before {
-		t.Errorf("EstBytes = %d after full retirement (was %d), want >=90%% reclaimed", after, before)
+	insert1(s, 7, []int64{7}, bitset.FromIDs(2, 1), 1)
+	v.Publish(1)
+	if got := probe1(s, "k", 7, v.Now()); len(got) != 1 || got[0].VID != 7 || s.Len() != 1 {
+		t.Fatalf("Probe(7) after the floor = %v with Len %d, want the new entry", got, s.Len())
 	}
 }
 
@@ -180,9 +205,6 @@ func TestSweepIndexCopiesOnlyTablesHoldingRetiredBits(t *testing.T) {
 		}
 
 		retired := bitset.FromIDs(qcap, r)
-		for ci := 0; ci < s.NumChunks(); ci++ {
-			s.SweepChunk(ci, retired)
-		}
 		s.SweepIndex(retired)
 		after := tablesOf(s, 0)
 		if len(after) != 2 || after[0] == before[0] || after[1] != before[1] {
@@ -216,10 +238,10 @@ func TestSweepIndexCopiesOnlyTablesHoldingRetiredBits(t *testing.T) {
 }
 
 // TestCompactLiveIndexesLiveEntriesOnce compacts a STeM whose index holds
-// two tables after a query retires: the compacted state holds no table
-// (entry positions moved) and the first probe builds one table over
-// exactly the live entries, one delta. Probes find every live entry and
-// none of the dropped ones, and a later probe reads the same table.
+// two tables after a query retires: the compaction merges them into one
+// table over exactly the live entries, which probes read as it stands.
+// Probes find every live entry and none of the dropped ones, and no probe
+// rebuilds the table.
 func TestCompactLiveIndexesLiveEntriesOnce(t *testing.T) {
 	v, s := gcFixture(t, 100)
 	probe1(s, "k", 0, v.Now())
@@ -233,38 +255,34 @@ func TestCompactLiveIndexesLiveEntriesOnce(t *testing.T) {
 		t.Fatalf("fixture: %d tables, want 2", n)
 	}
 
-	retired := bitset.FromIDs(2, 0)
-	for ci := 0; ci < s.NumChunks(); ci++ {
-		s.SweepChunk(ci, retired)
-	}
-	s.SweepIndex(retired)
+	s.SweepIndex(bitset.FromIDs(2, 0))
 	if live := s.CompactLive(); live != 51 {
 		t.Fatalf("CompactLive = %d live, want 51", live)
 	}
-	if indexed(s, 0) || len(tablesOf(s, 0)) != 0 {
-		t.Fatalf("compacted index: indexed %t with %d tables, want no table and its entries recorded", indexed(s, 0), len(tablesOf(s, 0)))
+	tables := tablesOf(s, 0)
+	if !indexed(s, 0) || len(tables) != 1 || tables[0].keys != 51 || tables[0].entries != 51 {
+		t.Fatalf("compacted index: indexed %t with %d tables, want one table over the 51 live entries", indexed(s, 0), len(tables))
 	}
 	ts := v.Now()
+	if !tableServes(s, 0, ts, v.Watermark()) {
+		t.Fatal("a probe after the compaction does not read the merged table as it stands")
+	}
 	for k := int64(0); k < 102; k++ {
 		got := probe1(s, "k", k, ts)
 		if want := k%2 == 1 && k < 100 || k == 100; want != (len(got) == 1) || len(got) > 1 {
 			t.Fatalf("Probe(%d) = %v after compaction, want a match %t", k, got, want)
 		}
 	}
-	tables := tablesOf(s, 0)
-	if len(tables) != 1 || tables[0].deltas != 1 || tables[0].keys != 51 || !slices.Equal(tables[0].spans, []span{{0, 51}}) {
-		t.Fatalf("compacted index: %d tables, first %+v, want one delta over the 51 live entries", len(tables), tables[0])
-	}
-	probe1(s, "k", 1, v.Now())
 	if again := tablesOf(s, 0); len(again) != 1 || again[0] != tables[0] {
-		t.Fatal("a probe after the first rebuilt the compacted index")
+		t.Fatal("a probe after the compaction rebuilt the merged table")
 	}
 }
 
 // TestAddIndexKeepsBuiltTables adds a column to a STeM whose existing
 // index holds a table and a range recorded since. The existing index keeps
-// both, sharing the table rather than rebuilding it, and the new index holds
-// no table until its first probe, which builds one over every entry.
+// both, sharing the table rather than rebuilding it; the new index starts
+// from one table over the built entries, re-keyed, with the later range
+// pending, and its first probe merges both into one table over every entry.
 func TestAddIndexKeepsBuiltTables(t *testing.T) {
 	v, s := gcFixture(t, 64)
 	probe1(s, "k", 0, v.Now())
@@ -276,8 +294,8 @@ func TestAddIndexKeepsBuiltTables(t *testing.T) {
 	if got := tablesOf(s, 0); len(got) != 1 || got[0] != built[0] || indexed(s, 0) {
 		t.Fatalf("AddIndex left the existing index with %d tables (shared %t), indexed %t; want the built table shared and the later range recorded", len(got), len(got) > 0 && got[0] == built[0], indexed(s, 0))
 	}
-	if indexed(s, 1) || len(tablesOf(s, 1)) != 0 {
-		t.Fatal("the new index holds a table before its first probe")
+	if tables := tablesOf(s, 1); indexed(s, 1) || len(tables) != 1 || tables[0].entries != 64 || tables[0].keys != 32 {
+		t.Fatal("the new index does not start from one re-keyed table over the 64 built entries with the later range pending")
 	}
 	ts := v.Now()
 	if got := probe1(s, "k", 64, ts); len(got) != 1 || got[0].VID != 64 || !indexed(s, 0) {
@@ -286,7 +304,10 @@ func TestAddIndexKeepsBuiltTables(t *testing.T) {
 	if got := probe1(s, "k2", 32, ts); len(got) != 1 || got[0].VID != 64 {
 		t.Fatalf("Probe(k2=32) = %v, want vid 64", got)
 	}
-	if tables := tablesOf(s, 1); len(tables) != 1 || !slices.Equal(tables[0].spans, []span{{0, 65}}) {
-		t.Fatalf("the new index's first probe built %d tables, want one over all 65 entries", len(tables))
+	if got := probe1(s, "k2", 3, ts); len(got) != 2 {
+		t.Fatalf("Probe(k2=3) = %v, want vids 6 and 7", got)
+	}
+	if tables := tablesOf(s, 1); len(tables) != 1 || tables[0].entries != 65 {
+		t.Fatalf("the new index's first probe left %d tables, want one over all 65 entries", len(tables))
 	}
 }

@@ -3,22 +3,28 @@
 // is built on (Raman et al., ICDE 2003; Sioulas & Ailamaki §3, §5.1).
 //
 // A STeM stores unified entries (index-vector of join keys, vID, version
-// slot, query-set) in a chunked append-only slab and indexes each join-key
-// column with a short list of immutable union tables (vec.go): an insert
-// writes its entries and records their range, and the first probe or prune
-// that finds recorded ranges builds a table over them. Insert-probe
+// slot, query-set) and indexes each join-key column with a short list of
+// immutable union tables (vec.go). The tables hold the entries themselves:
+// every table keeps each entry's vID, version slot and query-set words, so a
+// merge, a sweep, a compaction or a new index reads its entries back from
+// tables. Inserts are staged: InsertVec writes its entries into fixed-size
+// chunks without a lock and records their range, and the first probe or
+// prune that finds recorded ranges builds a table over them. A chunk is
+// dropped once every index has built all of its recorded positions and no
+// insert is writing it. Insert-probe
 // atomicity across concurrent episodes uses the paper's batch versioning:
 // every inserted vector takes one STeM-local version slot that is later
 // published to a global timestamp with a single atomic, and probes accept
 // only entries whose published timestamp is strictly older than the
 // probing episode's.
 //
-// Structural maintenance (adding an index, compacting dead entries away) is
-// copy-on-write: the chunk list and the indexes live in an immutable
-// stemState published through one atomic pointer, so probes never block on
-// maintenance. Only inserts need the engine to fence the instance while a
-// new state is built, because inserts write the current state's chunk tail
-// and record their ranges on its indexes.
+// Maintenance (building, sweeping and compacting tables, adding an index)
+// runs under the STeM's mutex and publishes each index's new table list
+// with one atomic store, so probes never block on it, and it never touches
+// an insert's staged positions before the insert records them, so inserts
+// need no fence either: an insert that loaded the key columns before an
+// AddIndex records its range after it, and the new index derives the key
+// its inserter did not write.
 package stem
 
 import (
@@ -240,27 +246,58 @@ func (v *Versions) visibleAt(n Slot, probeTS int64) bool {
 	}
 }
 
-// chunk holds a fixed-size block of unified STeM entries in columnar form.
-// Query-set words are always accessed with sync/atomic: the GC sweeper
-// clears retired bits in them concurrently with probes and inserts.
+// chunk stages a fixed-size block of inserted entries in columnar form
+// until every index has built them into its tables. Each position is
+// written by the insert that reserved it, before the insert records it;
+// builds read it under the STeM's mutex after the record.
 type chunk struct {
 	vids  [chunkSize]int32
 	slots [chunkSize]Slot
-	keys  [][]int64 // one column per index
-	qsets []uint64  // chunkSize * qw words; atomic access only
+	keys  [][]int64 // one column per index the STeM had when the chunk was made
+	qsets []uint64  // chunkSize * qw words
+
+	// users counts the inserts writing the chunk that have not recorded
+	// their range yet, and is −1 once the chunk is dropped: an insert
+	// enters only a chunk that is not, and trim drops only a chunk that no
+	// insert has entered.
+	users atomic.Int32
 }
 
-// stemState is the immutable structure of a STeM: the key columns, the
-// entry chunk list and one index per key column. Structural maintenance
-// (AddIndex, CompactLive) builds a fresh state and publishes it with one
-// atomic pointer store; probes that loaded the old state stay correct for as
-// long as they hold it. Within one state the chunk list grows (appends only)
-// and the indexes take new tables, which is why inserts must be fenced
-// across a state swap while probes need not be.
+// enter registers an insert writing c, unless c was dropped.
+func (c *chunk) enter() bool {
+	for {
+		u := c.users.Load()
+		if u < 0 {
+			return false
+		}
+		if c.users.CompareAndSwap(u, u+1) {
+			return true
+		}
+	}
+}
+
+// staging is the chunks of a STeM: chunks[i] stages chunk number first+i,
+// entry positions [(first+i)·chunkSize, (first+i+1)·chunkSize), and is nil
+// when no chunk stages them. It never changes once published; the STeM's
+// mutex publishes a new one.
+type staging struct {
+	first  int64
+	chunks []*chunk
+}
+
+// rec is one finished insert: the staged positions [lo, hi), whose first
+// cols key columns its inserter wrote.
+type rec struct {
+	lo, hi int64
+	cols   int
+}
+
+// stemState is the key columns of a STeM and their indexes, one per column.
+// AddIndex publishes a new state with one atomic pointer store; the indexes
+// themselves are shared from state to state.
 type stemState struct {
 	keyCols []string
 	colIdx  map[string]int
-	chunks  atomic.Pointer[[]*chunk]
 	index   []*index
 }
 
@@ -270,17 +307,24 @@ type STeM struct {
 	qw       int // query-set words per entry
 
 	state atomic.Pointer[stemState]
+	stage atomic.Pointer[staging]
+	spare sync.Pool    // dropped chunks, for the next chunk the staging needs
+	gone  atomic.Int64 // entries compaction dropped
 
-	mu    sync.Mutex // chunk-list growth, recorded ranges, table builds, table sweeps, state swaps
-	count atomic.Int64
-	_     [56]byte // keep the hot insert counter off neighboring lines
-
-	compactGen atomic.Uint64 // CompactLive rebuilds so far; entry positions are stable within one generation
+	// mu guards the staging's growth and drops, the record log and every
+	// table build, sweep, compaction and AddIndex. log holds the records
+	// some index has not built yet, log[0] being record number logBase.
+	mu      sync.Mutex
+	log     []rec
+	logBase int64
+	logged  atomic.Int64 // records so far: logBase + len(log)
+	_       [56]byte
+	count   atomic.Int64 // positions reserved
+	_       [56]byte     // keep the hot insert counter off neighboring lines
 }
 
-// newState builds a state for the given key columns over a chunk list, with
-// the given indexes (one per key column).
-func newState(keyCols []string, chunks []*chunk, index []*index) *stemState {
+// newState builds a state for the given key columns and their indexes.
+func newState(keyCols []string, index []*index) *stemState {
 	st := &stemState{
 		keyCols: keyCols,
 		colIdx:  make(map[string]int, len(keyCols)),
@@ -289,7 +333,6 @@ func newState(keyCols []string, chunks []*chunk, index []*index) *stemState {
 	for i, c := range keyCols {
 		st.colIdx[c] = i
 	}
-	st.chunks.Store(&chunks)
 	return st
 }
 
@@ -304,11 +347,13 @@ func New(versions *Versions, keyCols []string, nQueries, capacityHint int) *STeM
 	if s.qw == 0 {
 		s.qw = 1
 	}
-	index := make([]*index, len(keyCols))
-	for i := range index {
-		index[i] = newIndex(0)
+	idx := make([]*index, len(keyCols))
+	for i := range idx {
+		idx[i] = &index{}
+		idx[i].tables.Store(&noTables)
 	}
-	s.state.Store(newState(keyCols, []*chunk{}, index))
+	s.state.Store(newState(keyCols, idx))
+	s.stage.Store(&staging{})
 	return s
 }
 
@@ -318,268 +363,277 @@ func (s *STeM) HasIndex(col string) bool {
 	return ok
 }
 
-// Len returns the number of inserted entries.
-func (s *STeM) Len() int { return int(s.count.Load()) }
+// Len returns the number of entries: those inserted, less those
+// compaction dropped.
+func (s *STeM) Len() int { return int(s.count.Load() - s.gone.Load()) }
 
-// chunkFor returns state st's chunk covering entry idx, growing st's chunk
-// list if needed. Growth appends only — existing chunk pointers never move
-// — so probes holding an older snapshot of the list stay valid.
-func (s *STeM) chunkFor(st *stemState, idx int64) *chunk {
-	ci := int(idx >> chunkBits)
-	chunks := *st.chunks.Load()
-	if ci < len(chunks) {
-		return chunks[ci]
+// at returns the chunk staging chunk number ci, nil if there is none.
+func (g *staging) at(ci int64) *chunk {
+	if ci < g.first || ci-g.first >= int64(len(g.chunks)) {
+		return nil
+	}
+	return g.chunks[ci-g.first]
+}
+
+// enter returns the chunk staging chunk number ci, entered for an insert
+// that reserved a position in it, making the chunk when the staging has
+// none: it was never needed, or trim dropped it while no insert held it.
+// The insert leaves it once it has recorded its range (record). A chunk
+// found without the mutex is checked to still stage ci once entered: a
+// dropped chunk may have been made spare and staged again for another
+// number meanwhile, and an entered one stays where it is.
+func (s *STeM) enter(ci int64) *chunk {
+	if c := s.stage.Load().at(ci); c != nil && c.enter() {
+		if s.stage.Load().at(ci) == c {
+			return c
+		}
+		c.users.Add(-1)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	chunks = *st.chunks.Load()
-	for ci >= len(chunks) {
-		c := newChunk(len(st.keyCols), s.qw)
-		next := make([]*chunk, len(chunks)+1)
-		copy(next, chunks)
-		next[len(chunks)] = c
-		st.chunks.Store(&next)
-		chunks = next
+	g := s.stage.Load()
+	if g.at(ci) == nil {
+		first, last := ci, ci+1
+		if len(g.chunks) > 0 {
+			first, last = min(g.first, ci), max(g.first+int64(len(g.chunks)), ci+1)
+		}
+		cs := make([]*chunk, last-first)
+		if len(g.chunks) > 0 {
+			copy(cs[g.first-first:], g.chunks)
+		}
+		cs[ci-first] = s.newChunk()
+		g = &staging{first: first, chunks: cs}
+		s.stage.Store(g)
 	}
-	return chunks[ci]
+	c := g.at(ci)
+	c.users.Add(1) // a chunk in the staging is not dropped while the mutex is held
+	return c
 }
 
-func newChunk(nkeys, qw int) *chunk {
-	c := &chunk{
-		keys:  make([][]int64, nkeys),
-		qsets: make([]uint64, chunkSize*qw),
+// record appends the finished insert r to the log and releases the chunks
+// its inserter entered. The STeM's mutex must be held.
+func (s *STeM) record(r rec) {
+	s.log = append(s.log, r)
+	s.logged.Add(1)
+	g := s.stage.Load()
+	for ci := r.lo >> chunkBits; ci <= (r.hi-1)>>chunkBits; ci++ {
+		g.at(ci).users.Add(-1)
 	}
-	for i := 0; i < nkeys; i++ {
+}
+
+// newChunk returns a chunk for the staging: a dropped one of the STeM's
+// shape when one is spare, else a new one. A spare chunk's positions hold
+// stale entries, which no build reads: every position is written before it
+// is recorded. The STeM's mutex must be held.
+func (s *STeM) newChunk() *chunk {
+	nkeys := len(s.state.Load().keyCols)
+	if c, _ := s.spare.Get().(*chunk); c != nil && len(c.keys) == nkeys {
+		c.users.Store(0)
+		return c
+	}
+	c := &chunk{keys: make([][]int64, nkeys), qsets: make([]uint64, chunkSize*s.qw)}
+	for i := range c.keys {
 		c.keys[i] = make([]int64, chunkSize)
 	}
 	return c
 }
 
-// EstBytes estimates the STeM's resident memory: allocated entry chunks
-// (vIDs, slots, key columns, query-set slab) plus every index's union
-// tables. Observability only; the estimate ignores Go object headers.
-func (s *STeM) EstBytes() int64 {
-	st := s.state.Load()
-	nChunks := int64(len(*st.chunks.Load()))
-	perChunk := int64(chunkSize) * (4 + 4 + // vids, slots
-		int64(len(st.keyCols))*8 + // keys
-		int64(s.qw)*8) // query-set slab
-	var index int64
-	for _, ix := range st.index {
-		for _, t := range *ix.tables.Load() {
-			index += t.bytes()
-		}
-	}
-	return nChunks*perChunk + index
+// bytes is the chunk's resident size for EstBytes.
+func (c *chunk) bytes() int64 {
+	return chunkSize*(4+4+int64(len(c.keys))*8) + int64(len(c.qsets))*8
 }
 
-// NumChunks returns the number of allocated entry chunks.
-func (s *STeM) NumChunks() int { return len(*s.state.Load().chunks.Load()) }
+// EstBytes estimates the STeM's resident memory: its staging chunks (vIDs,
+// slots, key columns, query-set slab) plus every index's union tables.
+// Observability only; the estimate ignores Go object headers.
+func (s *STeM) EstBytes() int64 {
+	var n int64
+	for _, c := range s.stage.Load().chunks {
+		if c != nil {
+			n += c.bytes()
+		}
+	}
+	for _, ix := range s.state.Load().index {
+		for _, t := range *ix.tables.Load() {
+			n += t.bytes()
+		}
+	}
+	return n
+}
 
-// SweepChunk clears the retired queries' bits from every entry of chunk ci
-// and returns how many of the chunk's entries now have an empty query set
-// (cumulatively, not just newly emptied). It is the amortized unit of STeM
-// garbage collection: the engine sweeps one chunk at a time between
-// episodes, so no sweep ever runs on the execution hot path. The union
-// tables hold copies of the words; SweepIndex clears those once every chunk
-// is swept.
-//
-// SweepChunk runs concurrently with probes and inserts: every query-set
-// word is cleared with a load/CAS pair, and a lost CAS is simply skipped —
-// the only concurrent writer is an insert publishing a fresh entry, and a
-// freshly inserted entry can never carry a retired query's bit (a query
-// only retires once its in-flight episodes have drained, so no episode
-// that could insert its bit is still running). Reserved-but-unwritten
-// entries (an in-flight InsertVec past count.Add but before its stores)
-// read as zero and are counted dead; that only skews the compaction
-// heuristic, never correctness.
-func (s *STeM) SweepChunk(ci int, retired bitset.Set) (dead int) {
+// trim drops from the log the records every index has built, and from the
+// staging every chunk that no record left in the log overlaps and no
+// insert has entered, keeping it spare for the next chunk. A STeM without
+// an index keeps them all: an AddIndex builds them. The STeM's mutex must
+// be held.
+func (s *STeM) trim() {
+	idx := s.state.Load().index
+	if len(idx) == 0 {
+		return
+	}
+	m := idx[0].built.Load()
+	for _, ix := range idx[1:] {
+		m = min(m, ix.built.Load())
+	}
+	n := int(m - s.logBase)
+	if n == 0 {
+		return // a chunk is dropped only once the records over it are built
+	}
+	s.log = append(s.log[:0], s.log[n:]...)
+	s.logBase = m
+	g := s.stage.Load()
+	pending := func(ci int64) bool {
+		for _, r := range s.log {
+			if r.lo>>chunkBits <= ci && ci <= (r.hi-1)>>chunkBits {
+				return true
+			}
+		}
+		return false
+	}
+	var cs []*chunk
+	for i, c := range g.chunks {
+		if c == nil || pending(g.first+int64(i)) || !c.users.CompareAndSwap(0, -1) {
+			continue
+		}
+		if cs == nil {
+			cs = slices.Clone(g.chunks)
+		}
+		cs[i] = nil
+		s.spare.Put(c)
+	}
+	if cs == nil {
+		return
+	}
+	lo, hi := 0, len(cs)
+	for lo < hi && cs[lo] == nil {
+		lo++
+	}
+	for hi > lo && cs[hi-1] == nil {
+		hi--
+	}
+	s.stage.Store(&staging{first: g.first + int64(lo), chunks: cs[lo:hi]})
+}
+
+// SweepIndex clears the retired queries' bits from the STeM: every index
+// first builds the ranges recorded since its last build, and each table
+// holding a retired bit is then replaced by a swept copy, so a table stays
+// immutable and its readers need no atomics. It returns how many entries
+// are left with an empty query set. The engine calls it in its GC pass,
+// before the retired IDs are reused; an insert that records later carries
+// no retired bit, since a query retires only once the episodes that could
+// insert its bit have finished. It holds the mutex that builds hold, so it
+// never interleaves with one; a probe that loaded the old list finishes on
+// it and may see a bit before its sweep.
+func (s *STeM) SweepIndex(retired bitset.Set) (dead int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	st := s.state.Load()
-	chunks := *st.chunks.Load()
-	if ci >= len(chunks) {
-		return 0
-	}
-	c := chunks[ci]
-	lo := ci << chunkBits
-	hi := int(s.count.Load()) - lo
-	if hi > chunkSize {
-		hi = chunkSize
-	}
-	for off := 0; off < hi; off++ {
-		qoff := off * s.qw
-		empty := true
-		for i := 0; i < s.qw; i++ {
-			w := atomic.LoadUint64(&c.qsets[qoff+i])
-			if i < len(retired) {
-				masked := w &^ retired[i]
-				if masked != w {
-					// Ignore a lost race: the only concurrent writer is an
-					// insert, whose value carries no retired bits.
-					atomic.CompareAndSwapUint64(&c.qsets[qoff+i], w, masked)
-					w = masked
-				}
-			}
-			if w != 0 {
-				empty = false
+	for ki, ix := range st.index {
+		ts := slices.Clone(s.catchUp(st, ki, false, false))
+		for i, t := range ts {
+			ts[i] = t.swept(retired)
+			if ki == 0 {
+				dead += ts[i].dead()
 			}
 		}
-		if empty {
-			dead++
-		}
+		ix.tables.Store(&ts)
 	}
 	return dead
 }
 
-// SweepIndex clears the retired queries' bits from every union table of
-// every index: each table holding one is replaced by a swept copy, so a
-// table stays immutable and its readers need no atomics. The engine calls
-// it once it has swept the STeM's chunks, in the same GC pass and so before
-// the retired IDs are reused: a table built before a chunk was swept may
-// still hold the bits, and one built after SweepIndex reads swept chunks
-// only. It holds the mutex that builds and merges hold, so it never
-// interleaves with one; a probe that loaded the old list finishes on it and
-// may see a bit before its sweep, as it may in the chunks.
-func (s *STeM) SweepIndex(retired bitset.Set) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, ix := range s.state.Load().index {
-		ts := slices.Clone(*ix.tables.Load())
-		for i, t := range ts {
-			ts[i] = t.swept(retired)
-		}
-		ix.tables.Store(&ts)
-	}
-}
-
-// CompactLive rebuilds the STeM keeping only entries whose query set is
-// non-empty, shrinking the entry slab to fit. Live entries keep their
-// version slots (already published, so they stay visible to later probes).
-// Returns the live entry count. The new state's indexes hold no table yet:
-// the first probe or prune builds one over all of them.
+// CompactLive merges every index's tables and recorded ranges into one
+// table that keeps only the entries whose query set is non-empty, and
+// returns the entries left. Live entries keep their version slots (already
+// published, so they stay visible to later probes), and the next probe
+// reads the merged table as it stands.
 //
-// The rebuild is copy-on-write: a fresh state is built and published with
-// one atomic store, so probes never block — a probe holding the old state
-// sees every live entry there (compaction only drops entries whose query
-// set is empty, which no probe output can use). Inserts must be fenced by
-// the caller (the engine's per-instance insert fence): an insert landing in
-// the old state after the live scan would be lost.
+// Compaction holds the mutex that builds hold and publishes each index's
+// table with one atomic store, so probes never block: a probe holding the
+// old list sees every live entry there (compaction only drops entries whose
+// query set is empty, which no probe output can use). An insert in flight
+// records its range after the compaction, which leaves it pending.
 func (s *STeM) CompactLive() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.state.Load()
-	old := *st.chunks.Load()
-	n := int(s.count.Load())
-
-	live := 0
-	for idx := 0; idx < n; idx++ {
-		if !entryEmpty(old, idx, s.qw) {
-			live++
-		}
+	if len(st.index) == 0 {
+		return s.Len()
 	}
-
-	chunks := make([]*chunk, 0, (live+chunkSize-1)>>chunkBits)
-	w := 0
-	for idx := 0; idx < n; idx++ {
-		if entryEmpty(old, idx, s.qw) {
-			continue
-		}
-		oc := old[idx>>chunkBits]
-		ooff := idx & chunkMask
-		if w>>chunkBits >= len(chunks) {
-			chunks = append(chunks, newChunk(len(st.keyCols), s.qw))
-		}
-		nc := chunks[w>>chunkBits]
-		noff := w & chunkMask
-		nc.vids[noff] = oc.vids[ooff]
-		nc.slots[noff] = oc.slots[ooff]
-		for i := 0; i < s.qw; i++ {
-			atomic.StoreUint64(&nc.qsets[noff*s.qw+i], atomic.LoadUint64(&oc.qsets[ooff*s.qw+i]))
-		}
-		for i := range st.keyCols {
-			nc.keys[i][noff] = oc.keys[i][ooff]
-		}
-		w++
+	before := s.builtEntries(st.index[0])
+	for ki := range st.index {
+		s.catchUp(st, ki, true, true)
 	}
-	index := make([]*index, len(st.keyCols))
-	for i := range index {
-		index[i] = newIndex(int64(w))
-	}
-
-	s.state.Store(newState(st.keyCols, chunks, index))
-	s.count.Store(int64(w))
-	s.compactGen.Add(1)
-	return w
+	s.gone.Add(before - s.builtEntries(st.index[0]))
+	return s.Len()
 }
 
-// CompactGen returns the number of CompactLive rebuilds this STeM has
-// undergone. CompactLive is the only operation that moves entries to new
-// positions (AddIndex shares the entry slabs in place), so a
-// position-addressed scan — the engine's GC sweep cursor — is valid only
-// within one generation: compare across pauses and restart from position
-// zero when it moved.
-func (s *STeM) CompactGen() uint64 { return s.compactGen.Load() }
-
-func entryEmpty(chunks []*chunk, idx, qw int) bool {
-	c := chunks[idx>>chunkBits]
-	qoff := (idx & chunkMask) * qw
-	for i := 0; i < qw; i++ {
-		if atomic.LoadUint64(&c.qsets[qoff+i]) != 0 {
-			return false
-		}
+// builtEntries counts the entries of ix's tables and of the records it has
+// not built. The STeM's mutex must be held.
+func (s *STeM) builtEntries(ix *index) int64 {
+	var n int64
+	for _, t := range *ix.tables.Load() {
+		n += int64(t.entries)
 	}
-	return true
+	for _, r := range s.log[ix.built.Load()-s.logBase:] {
+		n += r.hi - r.lo
+	}
+	return n
 }
 
-// AddIndex adds a new indexed join-key column, deriving each existing
-// entry's key with keyOf(vid) (typically a base-table column lookup). It
-// is how a live-admitted query can join an already-built STeM on a column
-// no earlier query joined on. No-op if col is already indexed.
+// AddIndex adds a new indexed join-key column, deriving each entry's key
+// with keyOf(vid) (typically a base-table column lookup). It is how a
+// live-admitted query can join an already-built STeM on a column no earlier
+// query joined on. No-op if col is already indexed.
 //
-// Copy-on-write: the new state clones the chunks (sharing the existing key
-// columns and query-set slabs, plus the new key column) and keeps the
-// existing indexes' tables and recorded ranges; the new index holds no table
-// until the first probe builds one over every entry. Probes on the old
-// state never see the new column and never block; inserts must be fenced by
-// the caller because entries inserted during the rebuild would miss the new
-// column's backfill.
+// The new index starts from the first index's tables, its entries re-keyed
+// with keyOf, and from the records that index has not built; it builds
+// every later record too. A record whose inserter wrote fewer key columns —
+// an episode on a view from before the column, still inserting — takes its
+// key from keyOf as well. Probes on the old state never see the new column
+// and never block.
 func (s *STeM) AddIndex(col string, keyOf func(vid int32) int64) {
-	if s.HasIndex(col) {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.state.Load()
-	keyCols := append(append([]string{}, st.keyCols...), col)
-
-	old := *st.chunks.Load()
-	chunks := make([]*chunk, len(old))
-	for ci, oc := range old {
-		nc := *oc
-		nc.keys = append(append([][]int64{}, oc.keys...), make([]int64, chunkSize))
-		chunks[ci] = &nc
+	if _, ok := st.colIdx[col]; ok {
+		return
 	}
-	n := s.count.Load()
-	for idx := int64(0); idx < n; idx++ {
-		c := chunks[idx>>chunkBits]
-		off := idx & chunkMask
-		c.keys[len(st.keyCols)][off] = keyOf(c.vids[off])
+	ix := &index{keyOf: keyOf}
+	ki := len(st.keyCols)
+	next := noTables
+	if len(st.index) == 0 {
+		ix.built.Store(s.logBase)
+	} else {
+		src := st.index[0]
+		ix.built.Store(src.built.Load())
+		if ts := *src.tables.Load(); len(ts) > 0 {
+			deltas := 0
+			for _, t := range ts {
+				deltas += t.deltas
+			}
+			next = []*unionTable{s.build(ix, ki, nil, ts, deltas, true, false)}
+		}
 	}
-	index := make([]*index, 0, len(keyCols))
-	for _, ix := range st.index {
-		index = append(index, ix.clone())
-	}
-	s.state.Store(newState(keyCols, chunks, append(index, newIndex(n))))
+	ix.tables.Store(&next)
+	keyCols := append(slices.Clip(st.keyCols), col)
+	s.state.Store(newState(keyCols, append(slices.Clip(st.index), ix)))
 }
 
-// Entry returns the vID and a copy of the query set of entry idx
-// (test/diagnostic use).
-func (s *STeM) Entry(idx int) (int32, bitset.Set) {
-	c := (*s.state.Load().chunks.Load())[idx>>chunkBits]
-	off := idx & chunkMask
-	qoff := off * s.qw
-	qs := make(bitset.Set, s.qw)
-	for i := 0; i < s.qw; i++ {
-		qs[i] = atomic.LoadUint64(&c.qsets[qoff+i])
+// Each calls f with the vID and a copy of the query set of every entry
+// whose insert has recorded its range, in no particular order (test and
+// diagnostic use).
+func (s *STeM) Each(f func(vid int32, qs bitset.Set)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	visit := func(_ int64, vid int32, _ Slot, ws []uint64) { f(vid, slices.Clone(bitset.Set(ws))) }
+	if st := s.state.Load(); len(st.index) > 0 {
+		for _, t := range s.catchUp(st, 0, false, false) {
+			t.each(visit)
+		}
+		return
 	}
-	return c.vids[off], qs
+	none := &index{keyOf: func(int32) int64 { return NullKey }}
+	for _, r := range s.log {
+		s.eachStaged(r, 0, none, visit)
+	}
 }

@@ -142,9 +142,9 @@ func TestChunkGrowth(t *testing.T) {
 	if total != n {
 		t.Errorf("probed %d entries across all keys, want %d", total, n)
 	}
-	vid, q := s.Entry(chunkSize + 5)
-	if vid != int32(chunkSize+5) || q.Count() != 2 {
-		t.Errorf("Entry = %d %v", vid, q)
+	sets := entrySets(s)
+	if q := sets[chunkSize+5]; len(sets) != n || q.Count() != 2 {
+		t.Errorf("Each visited %d entries, entry %d with %v; want %d, with 2 queries", len(sets), chunkSize+5, q, n)
 	}
 }
 
@@ -167,22 +167,21 @@ func TestConcurrentInsertProbePairsOnce(t *testing.T) {
 		var mu sync.Mutex
 		found := make(map[pair]int)
 
-		run := func(mine, other *STeM, slotBase Slot, flip bool, seed int64) {
+		var rKey, sKey [perSide]int64 // each side's keys by vID
+		run := func(mine, other *STeM, keyOf *[perSide]int64, slotBase Slot, flip bool, seed int64) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < perSide; i += 64 {
 				slot := slotBase + Slot(i/64)
 				for j := 0; j < 64; j++ {
 					vid := int32(i + j)
-					insert1(mine, vid, []int64{int64(rng.Intn(keys))}, qs, slot)
+					keyOf[vid] = int64(rng.Intn(keys))
+					insert1(mine, vid, []int64{keyOf[vid]}, qs, slot)
 				}
 				_, ts := v.Publish(slot)
 				// Probe the other side for each of my just-inserted keys.
-				rng2 := rand.New(rand.NewSource(seed))
-				_ = rng2
 				for j := 0; j < 64; j++ {
 					vid := int32(i + j)
-					key := mine.keyOf(vid)
-					ms := probe1(other, "k", key, ts)
+					ms := probe1(other, "k", keyOf[vid], ts)
 					if allSeen(other, 0, ts, 0) {
 						served.Add(1)
 					}
@@ -201,16 +200,16 @@ func TestConcurrentInsertProbePairsOnce(t *testing.T) {
 
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { defer wg.Done(); run(r, s, 0, false, int64(trial)*2+1) }()
-		go func() { defer wg.Done(); run(s, r, 1<<20, true, int64(trial)*2+2) }()
+		go func() { defer wg.Done(); run(r, s, &rKey, 0, false, int64(trial)*2+1) }()
+		go func() { defer wg.Done(); run(s, r, &sKey, 1<<20, true, int64(trial)*2+2) }()
 		wg.Wait()
 
 		// Verify against ground truth.
 		rKeys := map[int64][]int32{}
 		sKeys := map[int64][]int32{}
 		for vid := int32(0); vid < perSide; vid++ {
-			rKeys[r.keyOf(vid)] = append(rKeys[r.keyOf(vid)], vid)
-			sKeys[s.keyOf(vid)] = append(sKeys[s.keyOf(vid)], vid)
+			rKeys[rKey[vid]] = append(rKeys[rKey[vid]], vid)
+			sKeys[sKey[vid]] = append(sKeys[sKey[vid]], vid)
 		}
 		want := 0
 		for k, rs := range rKeys {
@@ -321,10 +320,11 @@ func TestVisibleAtPublishRaceInvariant(t *testing.T) {
 }
 
 // TestProbeDuringChunkGrowth races probes against an inserter crossing
-// chunk boundaries: a table build must never read an entry whose chunk is
-// missing from its slab snapshot (builds cover only recorded ranges, whose
-// chunks were appended before the record), and every match a probe emits
-// must be published and valid.
+// chunk boundaries while the probes' builds drop the chunks they have
+// built: a build must never read an entry whose chunk is missing from its
+// staging snapshot (builds cover only recorded ranges, whose chunks were
+// made before the record and dropped only after every index built them),
+// and every match a probe emits must be published and valid.
 func TestProbeDuringChunkGrowth(t *testing.T) {
 	const total = chunkSize*3 + 100
 	const hotKeys = 8
@@ -378,21 +378,6 @@ func TestProbeDuringChunkGrowth(t *testing.T) {
 	}
 }
 
-// keyOf recovers the key of entry vid (test helper; entries were inserted
-// with vid == index order per side, single key column).
-func (s *STeM) keyOf(vid int32) int64 {
-	chunks := *s.state.Load().chunks.Load()
-	n := int(s.count.Load())
-	for idx := 0; idx < n; idx++ {
-		c := chunks[idx>>chunkBits]
-		off := idx & chunkMask
-		if c.vids[off] == vid {
-			return c.keys[0][off]
-		}
-	}
-	return -1
-}
-
 // TestEstBytes checks the memory estimate starts at zero, grows with
 // inserted chunks and counts the union tables.
 func TestEstBytes(t *testing.T) {
@@ -415,21 +400,21 @@ func TestEstBytes(t *testing.T) {
 		t.Errorf("per-chunk estimate %d smaller than its columns", perChunk)
 	}
 
-	// A one-word union table adds its 24-byte slots and, for keys
-	// with several entries, a vID, a slot and a word per entry.
+	// Once built, a STeM's estimate is its tables': a one-word union table
+	// counts its 24-byte slots and, for keys with several entries, a vID, a
+	// slot and a word per entry. Its staging chunk is dropped.
 	s1 := New(v, []string{"k"}, 64, 0)
 	insert1(s1, 1, []int64{7}, bitset.Set{1}, 1)
 	insert1(s1, 2, []int64{7}, bitset.Set{2}, 1)
 	insert1(s1, 3, []int64{8}, bitset.Set{4}, 1)
 	v.Publish(1)
-	before := s1.EstBytes()
 	semiJoin1(s1, "k", 7) // builds the table
 	tb := tablesOf(s1, 0)[0]
 	if len(tb.vids) != 2 {
 		t.Fatalf("fixture: want a table with two side-array entries, got %+v", tb)
 	}
-	if got, want := s1.EstBytes()-before, int64(len(tb.slots))*24+2*(4+4+8); got != want {
-		t.Errorf("union table adds %d bytes to the estimate, want %d", got, want)
+	if got, want := s1.EstBytes(), int64(len(tb.slots))*24+2*(4+4+8); got != want {
+		t.Errorf("a built one-word STeM estimates %d bytes, want its table's %d", got, want)
 	}
 
 	// A two-word table adds, beside its slots, two union words for each of
@@ -440,13 +425,12 @@ func TestEstBytes(t *testing.T) {
 	insert1(s2, 2, []int64{7}, bitset.Set{0, 2}, 2)
 	insert1(s2, 3, []int64{8}, bitset.Set{4, 4}, 2)
 	v.Publish(2)
-	before = s2.EstBytes()
 	semiJoin1(s2, "k", 7)
 	tb = tablesOf(s2, 0)[0]
 	if len(tb.vids) != 2 {
 		t.Fatalf("fixture: want a two-word table with two side-array entries, got %+v", tb)
 	}
-	if got, want := s2.EstBytes()-before, int64(len(tb.slots))*24+3*2*8+2*(4+4+2*8); got != want {
-		t.Errorf("two-word union table adds %d bytes to the estimate, want %d", got, want)
+	if got, want := s2.EstBytes(), int64(len(tb.slots))*24+3*2*8+2*(4+4+2*8); got != want {
+		t.Errorf("a built two-word STeM estimates %d bytes, want its table's %d", got, want)
 	}
 }

@@ -13,10 +13,10 @@ import (
 // takes a whole episode vector, so synchronization is paid per vector rather
 // than per tuple (§5.2 "Scalable versioning"):
 //
-//   - InsertVec reserves the whole vector's index range with a single
+//   - InsertVec reserves the whole vector's staged positions with a single
 //     count.Add(n), bulk-writes the entry columns chunk segment by chunk
-//     segment, and then records the finished range on every index under the
-//     STeM's mutex. It links nothing: entries reach probes only through the
+//     segment, and then records the finished range in the STeM's log under
+//     its mutex. It links nothing: entries reach probes only through the
 //     union tables built over recorded ranges.
 //   - ProbeVecRange reads the probing vector where it lies (Probe): each
 //     tuple's key through its vID and its words from the caller's slab,
@@ -39,19 +39,17 @@ import (
 // Memory-ordering argument: every entry write — vIDs, slots, keys, query
 // sets — happens before InsertVec records the range under the mutex, and a
 // table is built over recorded ranges under the same mutex and published
-// with one atomic store, so a table only ever holds fully written entries.
+// with one atomic store, so a table only ever holds fully written entries,
+// and a staged position is written by its insert alone and read only after
+// the record, so the chunks need no atomics.
 // Entries stay invisible to result probes until their slot is published
 // regardless: a probe that finds the slot unpublished rejects it after
 // sealing it (Versions.visibleAt), which pins the slot's eventual timestamp
 // above the probe's, so the rejection cannot race with an in-flight
 // publish.
 //
-// Query-set words in the chunks are stored and loaded with sync/atomic
-// throughout: the GC sweeper clears retired bits in place while these
-// kernels run, and mixed plain/atomic access on the same words would both
-// race and tear under the race detector. A table's words are read plainly:
-// a table never changes once published, and a sweep replaces it with a
-// swept copy (SweepIndex).
+// A table's words are read plainly: a table never changes once published,
+// and a sweep replaces it with a swept copy (SweepIndex).
 
 // VecMatch is one probe result: tuple In of the probing vector (key In of
 // ProbeVec's key list) matched the entry with vID VID. Its query-set words
@@ -106,62 +104,53 @@ type InsertScratch struct{}
 // slot. keyCols holds one key column per indexed column (index order),
 // each of length len(vids); qsets is the tuples' query-set slab with qw
 // words per tuple. keyCols may carry extra trailing columns beyond the
-// STeM's current index count (a worker acting on a newer context view than
-// the STeM's pending AddIndex); the extras are ignored. The tuples become
-// visible to probes once the slot is published. The scratch is ignored.
+// STeM's index count, which are ignored, or lack the columns of indexes
+// added since the caller's context view was built: such an index derives
+// the key from the entry's vID (AddIndex). The tuples become visible to
+// probes once the slot is published. The scratch is ignored.
 func (s *STeM) InsertVec(vids []int32, keyCols [][]int64, qsets []uint64, qw int, slot Slot, _ *InsertScratch) {
 	if len(vids) == 0 {
 		return
 	}
-	st, base := s.reserve(len(vids))
-	s.fill(st, base, vids, keyCols, qsets, qw, slot)
+	s.fill(s.reserve(len(vids)), vids, keyCols, qsets, qw, slot)
 }
 
-// reserve is InsertVec's first half: it claims n entry positions of the
-// current state, returned with the state and the first position.
-func (s *STeM) reserve(n int) (*stemState, int64) {
-	st := s.state.Load()
-	return st, s.count.Add(int64(n)) - int64(n)
+// reserve is InsertVec's first half: it claims n staged positions and
+// returns the first.
+func (s *STeM) reserve(n int) int64 {
+	return s.count.Add(int64(n)) - int64(n)
 }
 
-// fill is InsertVec's second half: it writes the reserved entries
-// [base, base+len(vids)) of state st and records their range on every
-// index.
-func (s *STeM) fill(st *stemState, base int64, vids []int32, keyCols [][]int64, qsets []uint64, qw int, slot Slot) {
-	n := len(vids)
-	// Materialize every chunk the batch touches, then bulk-write the entry
-	// columns one chunk segment at a time.
-	s.chunkFor(st, base+int64(n)-1)
-	chunks := *st.chunks.Load()
+// fill is InsertVec's second half: it writes the entries at the reserved
+// positions [base, base+len(vids)) and records their range with the number
+// of key columns it wrote.
+func (s *STeM) fill(base int64, vids []int32, keyCols [][]int64, qsets []uint64, qw int, slot Slot) {
+	n, cols, sw := len(vids), len(keyCols), s.qw
 	for i0 := 0; i0 < n; {
 		idx := base + int64(i0)
-		c := chunks[idx>>chunkBits]
-		off := int(idx) & chunkMask
+		c := s.enter(idx >> chunkBits)
+		off := int(idx & chunkMask)
 		seg := min(chunkSize-off, n-i0)
 		copy(c.vids[off:off+seg], vids[i0:i0+seg])
-		for j := 0; j < seg; j++ {
-			c.slots[off+j] = slot
+		for j := off; j < off+seg; j++ {
+			c.slots[j] = slot
 		}
-		for j := 0; j < seg; j++ {
-			src := qsets[(i0+j)*qw : (i0+j+1)*qw]
-			dst := c.qsets[(off+j)*s.qw : (off+j+1)*s.qw]
-			for w := range dst {
-				var v uint64
-				if w < len(src) {
-					v = src[w]
-				}
-				atomic.StoreUint64(&dst[w], v)
+		if qw == sw {
+			copy(c.qsets[off*sw:(off+seg)*sw], qsets[i0*qw:])
+		} else { // a narrower slab is padded with zero words
+			for j := 0; j < seg; j++ {
+				row := c.qsets[(off+j)*sw:][:sw]
+				clear(row[copy(row, qsets[(i0+j)*qw:][:min(qw, sw)]):])
 			}
 		}
-		for k := range st.keyCols {
-			copy(c.keys[k][off:off+seg], keyCols[k][i0:i0+seg])
+		cols = min(cols, len(c.keys))
+		for k, col := range c.keys[:cols] {
+			copy(col[off:off+seg], keyCols[k][i0:i0+seg])
 		}
 		i0 += seg
 	}
 	s.mu.Lock()
-	for _, ix := range st.index {
-		ix.record(span{base, base + int64(n)})
-	}
+	s.record(rec{base, base + int64(n), cols})
 	s.mu.Unlock()
 }
 
@@ -217,12 +206,11 @@ func (s *STeM) ProbeVec(dst []VecMatch, qbuf []uint64, col string, keys []int64,
 // the next one lands, so the buffers may be written past the length they
 // are returned with.
 func (s *STeM) ProbeVecRange(dst []VecMatch, qout []uint64, col string, p Probe, probeTS int64, wm Slot, lo, hi int) ([]VecMatch, []uint64, int) {
-	// The state is loaded once per call: a structural swap mid-call leaves
-	// this probe on the frozen old state, which is safe — any insert the
-	// probe is required to see (timestamp older than probeTS) happened
-	// before this call's state load (the inserter inserted, then drew its
-	// timestamp from the counter before probeTS was drawn), so it is in the
-	// loaded state.
+	// The state and the table list are loaded once per call: a list
+	// replaced mid-call leaves this probe on the old one, which holds every
+	// entry the probe must see — such an entry's insert recorded its range
+	// before its timestamp, hence probeTS, was drawn, and the list is
+	// loaded once every recorded range is built (tables).
 	st := s.state.Load()
 	ki, ok := st.colIdx[col]
 	if !ok { // no table: the probe only counts its tuples
@@ -405,104 +393,88 @@ func pruneRow(dst, row, u, elig []uint64, lo, hi int) bool {
 	return has != 0 || !bitset.Set(dst[:lo]).Empty() || !bitset.Set(dst[hi:]).Empty()
 }
 
-// span is the entry positions [lo, hi).
-type span struct{ lo, hi int64 }
-
 // index is one key column's index: an immutable list of union tables,
-// oldest and largest first, that together hold every entry recorded before
-// the last build, and pend, the ranges InsertVec recorded since. Readers
-// load the list lock-free; recording, building and sweeping take the STeM's
-// mutex.
+// oldest and largest first, that together hold every entry of the first
+// built records of the STeM's log. Readers load the list lock-free;
+// building and sweeping take the STeM's mutex.
 type index struct {
-	tables  atomic.Pointer[[]*unionTable]
-	pending atomic.Bool // pend is not empty
-	pend    []span
+	tables atomic.Pointer[[]*unionTable]
+	built  atomic.Int64 // records of the STeM's log the tables hold
+
+	// keyOf derives an entry's key from its vID on an index AddIndex
+	// added, for the entries whose inserter did not write the column.
+	keyOf func(vid int32) int64
 }
 
 // noTables is the empty table list.
 var noTables []*unionTable
 
-// newIndex returns an index with no table whose first n entries are
-// recorded.
-func newIndex(n int64) *index {
-	ix := &index{}
-	ix.tables.Store(&noTables)
-	if n > 0 {
-		ix.record(span{0, n})
-	}
-	return ix
-}
-
-// clone returns a copy of ix for a new state: the same tables and recorded
-// ranges. The STeM's mutex must be held.
-func (ix *index) clone() *index {
-	c := &index{pend: slices.Clone(ix.pend)}
-	c.tables.Store(ix.tables.Load())
-	c.pending.Store(len(c.pend) > 0)
-	return c
-}
-
-// record adds the finished range r to ix's recorded ranges, extending the
-// last one when r follows it. The STeM's mutex must be held.
-func (ix *index) record(r span) {
-	if k := len(ix.pend) - 1; k >= 0 && ix.pend[k].hi == r.lo {
-		ix.pend[k].hi = r.hi
-	} else {
-		ix.pend = append(ix.pend, r)
-	}
-	ix.pending.Store(true)
-}
-
 // tables returns index ki's table list on state st once it holds every
-// recorded entry: when ranges are recorded it builds one table over them,
-// merged with the tail tables a Bentley–Saxe size tier gives it, and
-// publishes the new list. With all it merges the whole list into one table,
-// so the list it returns has exactly one. Builds hold the STeM's mutex, so
-// they neither race each other nor a sweep.
-//
-// Each table counts the deltas (builds over recorded ranges) it holds. A
-// new delta absorbs every tail table holding no more deltas than it holds so
-// far, so the counts fall strictly along the list, as a binary counter's
-// bits do, and a list holds at most ⌈log2 deltas⌉ + 1 tables; every entry is
-// read by O(log deltas) builds.
+// recorded entry: when records are pending it builds one table over them,
+// merged with the tail tables a Bentley–Saxe size tier gives it (catchUp).
+// With all it merges the whole list into one table, so the list it returns
+// has exactly one. Builds hold the STeM's mutex, so they neither race each
+// other nor a sweep. A list whose index has built every record is read
+// without the mutex: a build publishes its tables before its record count.
 func (s *STeM) tables(st *stemState, ki int, all bool) []*unionTable {
 	ix := st.index[ki]
-	if !ix.pending.Load() {
+	if ix.built.Load() == s.logged.Load() {
 		if ts := *ix.tables.Load(); !all || len(ts) == 1 {
 			return ts
 		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.catchUp(st, ki, all, false)
+}
+
+// catchUp is tables under the STeM's mutex. With drop (and all) it merges
+// the whole list even when it is one table, and leaves out the entries
+// whose words are all zero, leaving no table when none is left
+// (compaction).
+//
+// Each table counts the deltas (builds over pending records) it holds. A
+// new delta absorbs every tail table holding no more deltas than it holds so
+// far, so the counts fall strictly along the list, as a binary counter's
+// bits do, and a list holds at most ⌈log2 deltas⌉ + 1 tables; every entry is
+// read by O(log deltas) builds.
+func (s *STeM) catchUp(st *stemState, ki int, all, drop bool) []*unionTable {
+	ix := st.index[ki]
 	ts := *ix.tables.Load()
-	if !ix.pending.Load() && (!all || len(ts) == 1) {
+	pend := s.log[ix.built.Load()-s.logBase:]
+	if len(pend) == 0 && !drop && (!all || len(ts) == 1) {
 		return ts // built while this call waited
 	}
 	deltas, j := 0, len(ts)
-	if len(ix.pend) > 0 {
+	if len(pend) > 0 {
 		deltas = 1
 	}
 	for j > 0 && (all || ts[j-1].deltas <= deltas) {
 		j--
 		deltas += ts[j].deltas
 	}
-	next := append(ts[:j:j], s.build(st, ki, ix.pend, ts[j:], deltas))
+	next := ts[:j:j]
+	if t := s.build(ix, ki, pend, ts[j:], deltas, false, drop); !drop || t.entries > 0 {
+		next = append(next, t)
+	}
 	ix.tables.Store(&next)
-	ix.pend = ix.pend[:0]
-	ix.pending.Store(false)
+	ix.built.Store(s.logged.Load())
+	s.trim()
 	return next
 }
 
-// unionTable is an immutable snapshot of the entries of some ranges of one
-// index, answering a prune or a probe with one slot read per key: a map from
-// each distinct non-NULL key to the OR of its entries' query sets (its
-// union) and to the entries themselves. A key with one entry keeps its vID
-// and version slot in its slot; a key with more keeps its entries' vIDs,
-// slots and words (qw per entry) contiguous in vids, eslots and words. On a
-// one-word table the union word sits in the slot; on a wider one the slot
-// locates the key's qw union words in us, whose first qw words stay zero for
-// the empty slot. An empty slot (no entries) therefore reads the empty
-// union.
+// unionTable is an immutable snapshot of some entries of one index,
+// answering a prune or a probe with one slot read per key: a map from each
+// distinct non-NULL key to the OR of its entries' query sets (its union)
+// and to the entries themselves. A key with one entry keeps its vID and
+// version slot in its slot, and its words are its union; a key with more
+// keeps its entries' vIDs, slots and words (qw per entry) contiguous in
+// vids, eslots and words. The NULL-keyed entries, which no probe reaches,
+// follow them there (the last nulls), so that a merge or an AddIndex reads
+// every entry back from the table. On a one-word table the union word sits
+// in the slot; on a wider one the slot locates the key's qw union words in
+// us, whose first qw words stay zero for the empty slot. An empty slot (no
+// entries) therefore reads the empty union.
 //
 // The table has one of two layouts, picked per build. A direct table has
 // one slot per key of its keys' range, slot key − base; a key outside the
@@ -512,12 +484,12 @@ func (s *STeM) tables(st *stemState, ki int, all bool) []*unionTable {
 // most half full; a NULL key, which no slot holds, stops at the first empty
 // slot.
 //
-// A table holds every non-NULL entry of its spans, zero-word entries
-// included (a probe returns them), published or not: maxSlot is the
-// largest of their slots, maxTS the newest publication timestamp of those
-// published at the build, and late the (few: one per episode then in
-// flight) slots that were not. A table never changes once published: a
-// sweep replaces it with a swept copy (SweepIndex).
+// A table holds its entries published or not, zero-word entries included
+// (a probe returns them): maxSlot is the largest of their slots, maxTS the
+// newest publication timestamp of those published at the build, and late
+// the (few: one per episode then in flight) slots that were not. A table
+// never changes once published: a sweep replaces it with a swept copy
+// (SweepIndex).
 type unionTable struct {
 	slots   []unionSlot
 	direct  bool
@@ -528,13 +500,14 @@ type unionTable struct {
 	vids    []int32
 	eslots  []Slot
 	words   []uint64
+	nulls   int // NULL-keyed entries, at the end of vids, eslots and words
 	maxSlot Slot
 	maxTS   int64
 	late    []Slot
-	spans   []span // the entries the table holds, ascending
-	deltas  int    // builds over recorded ranges merged into the table
-	keys    int    // distinct keys
-	lo, hi  int64  // the keys' range
+	deltas  int   // builds over pending records merged into the table
+	keys    int   // distinct keys
+	entries int   // entries, NULL-keyed ones included
+	lo, hi  int64 // the keys' range
 }
 
 // unionSlot is one key of a unionTable, 24 bytes. u is the key's union
@@ -594,34 +567,146 @@ func hashedSlots(keys int) int {
 	return n
 }
 
-// build returns a table over the entries of the recorded ranges pend and
-// of the tables merged, holding deltas deltas. The entries of pend plus the
-// keys of merged bound its keys (room), and a pass over pend's keys and the
-// merged tables' ranges gives its keys' range. The table starts out direct
-// when that range is small enough for room keys (directSpan), else hashed
-// for room keys; one pass indexes every entry and reads its slot, and the
-// table then moves to the layout and size its exact key count calls for,
-// when that differs. A second pass lays out the entries of keys with more
-// than one. The STeM's mutex must be held.
-func (s *STeM) build(st *stemState, ki int, pend []span, merged []*unionTable, deltas int) *unionTable {
-	chunks := *st.chunks.Load()
-	qw := s.qw
-	spans := slices.Clone(pend)
-	room, lo, hi := 0, int64(math.MaxInt64), int64(math.MinInt64)
-	for _, r := range pend {
-		room += int(r.hi - r.lo)
-		for idx := r.lo; idx < r.hi; idx++ {
-			if k := chunks[idx>>chunkBits].keys[ki][idx&chunkMask]; k != NullKey {
-				lo, hi = min(lo, k), max(hi, k)
+// visitor receives one entry as a build reads it: its key, vID, version
+// slot and query-set words, valid during the call only.
+type visitor func(k int64, vid int32, slot Slot, ws []uint64)
+
+// eachStaged calls f for every entry of record r, read from the staging
+// chunks, with its key on index ki of ix: the column the inserter wrote or,
+// when it wrote fewer, ix.keyOf of its vID. The STeM's mutex must be held.
+func (s *STeM) eachStaged(r rec, ki int, ix *index, f visitor) {
+	g, qw := s.stage.Load(), s.qw
+	for idx := r.lo; idx < r.hi; {
+		c := g.at(idx >> chunkBits)
+		off := int(idx & chunkMask)
+		end := off + int(min(r.hi-idx, int64(chunkSize-off)))
+		for o := off; o < end; o++ {
+			var k int64
+			if ki < r.cols {
+				k = c.keys[ki][o]
+			} else {
+				k = ix.keyOf(c.vids[o])
+			}
+			f(k, c.vids[o], c.slots[o], c.qsets[o*qw:][:qw])
+		}
+		idx += int64(end - off)
+	}
+}
+
+// each calls f for every entry of t: each key's, oldest first, and then the
+// NULL-keyed ones.
+func (t *unionTable) each(f visitor) {
+	var one [1]uint64
+	for i := range t.slots {
+		switch e := &t.slots[i]; {
+		case e.n < 0:
+			ws := one[:]
+			if t.qw == 1 {
+				one[0] = e.u
+			} else {
+				ws = t.us[e.u:][:t.qw]
+			}
+			f(e.key, e.vid, Slot(-1-e.n), ws)
+		case e.n > 1:
+			for j := int(e.vid+e.n) - 1; j >= int(e.vid); j-- {
+				f(e.key, t.vids[j], t.eslots[j], t.words[j*t.qw:][:t.qw])
 			}
 		}
 	}
-	for _, m := range merged {
-		room += m.keys
-		lo, hi = min(lo, m.lo), max(hi, m.hi)
-		spans = append(spans, m.spans...)
+	for j := len(t.vids) - t.nulls; j < len(t.vids); j++ {
+		f(NullKey, t.vids[j], t.eslots[j], t.words[j*t.qw:][:t.qw])
 	}
-	t := &unionTable{qw: qw, spans: normalize(spans), deltas: deltas, maxSlot: -1, lo: lo, hi: hi}
+}
+
+// dead counts t's entries whose words are all zero.
+func (t *unionTable) dead() (n int) {
+	t.each(func(_ int64, _ int32, _ Slot, ws []uint64) {
+		if bitset.Set(ws).Empty() {
+			n++
+		}
+	})
+	return n
+}
+
+// note accounts for an entry stamped with slot in t's publication
+// summary: maxSlot, and maxTS when the slot is published, else late.
+func (t *unionTable) note(v *Versions, slot Slot) {
+	t.maxSlot = max(t.maxSlot, slot)
+	if ts := v.tryGet(slot); ts != 0 {
+		t.maxTS = max(t.maxTS, ts)
+	} else if !slices.Contains(t.late, slot) {
+		t.late = append(t.late, slot)
+	}
+}
+
+// build returns a table over the entries of the tables merged and of the
+// records pend, holding deltas deltas, with their keys on index ki of ix.
+// With rekey a merged entry's key is ix.keyOf of its vID (AddIndex), and
+// with drop an entry whose words are all zero is left out (compaction). The
+// merged tables' keys (or, rekeyed, their entries) plus the records'
+// entries bound its keys (room), and a pass over the records' keys, which
+// also reads their slots, and the merged tables' ranges gives its keys'
+// range. The table starts out direct when that range is small enough for
+// room keys (directSpan), else hashed for room keys; one pass indexes every
+// entry, and the table then moves to the layout and size its exact key
+// count calls for, when that differs. A second pass lays out the entries of
+// keys with more than one and the NULL-keyed ones. The STeM's mutex must be
+// held.
+func (s *STeM) build(ix *index, ki int, pend []rec, merged []*unionTable, deltas int, rekey, drop bool) *unionTable {
+	qw := s.qw
+	t := &unionTable{qw: qw, deltas: deltas, maxSlot: -1}
+	rekeyed := func(f visitor) visitor {
+		if !rekey {
+			return f
+		}
+		return func(_ int64, vid int32, slot Slot, ws []uint64) { f(ix.keyOf(vid), vid, slot, ws) }
+	}
+	// each visits the entries the table takes: the merged tables', then the
+	// records'.
+	each := func(f visitor) {
+		if drop {
+			keep := f
+			f = func(k int64, vid int32, slot Slot, ws []uint64) {
+				if !bitset.Set(ws).Empty() {
+					keep(k, vid, slot, ws)
+				}
+			}
+		}
+		for _, m := range merged {
+			m.each(rekeyed(f))
+		}
+		for _, r := range pend {
+			s.eachStaged(r, ki, ix, f)
+		}
+	}
+	room, lo, hi := 0, int64(math.MaxInt64), int64(math.MinInt64)
+	last := Slot(-1) // a batch's entries share a slot: look each up once
+	scan := func(k int64, _ int32, slot Slot, _ []uint64) {
+		room++
+		if k != NullKey {
+			lo, hi = min(lo, k), max(hi, k)
+		}
+		if slot != last {
+			last = slot
+			t.note(s.versions, slot)
+		}
+	}
+	for _, m := range merged {
+		t.maxSlot, t.maxTS = max(t.maxSlot, m.maxSlot), max(t.maxTS, m.maxTS)
+		for _, slot := range m.late {
+			t.note(s.versions, slot)
+		}
+		if rekey {
+			m.each(rekeyed(scan))
+		} else {
+			room += m.keys
+			lo, hi = min(lo, m.lo), max(hi, m.hi)
+		}
+	}
+	for _, r := range pend {
+		s.eachStaged(r, ki, ix, scan)
+	}
+	t.lo, t.hi = lo, hi
 	// The range is hi − lo + 1 keys. hi − lo is computed in uint64, where
 	// it is exact for any two int64s (lo <= hi), so keys spread across the
 	// int64 range cannot wrap it into a small one. No key at all leaves a
@@ -638,82 +723,55 @@ func (s *STeM) build(st *stemState, ki int, pend []span, merged []*unionTable, d
 	if qw > 1 {
 		t.us = make([]uint64, qw, (room+1)*qw)
 	}
-	keys, multi := 0, 0
-	last := Slot(-1) // a batch's entries share a slot: look each up once
-	for _, sp := range t.spans {
-		for idx := sp.lo; idx < sp.hi; idx++ {
-			ch := chunks[idx>>chunkBits]
-			off := int(idx & chunkMask)
-			k := ch.keys[ki][off]
-			if k == NullKey {
-				continue // unreachable by any probe, contributes to no union
+	multi, nulls := 0, 0
+	each(func(k int64, vid int32, slot Slot, ws []uint64) {
+		t.entries++
+		if k == NullKey {
+			nulls++ // unreachable by any probe, contributes to no union
+			return
+		}
+		e := t.slot(k)
+		switch {
+		case e.n == 0:
+			e.key, e.vid, e.n = k, vid, -1-int32(slot)
+			if qw > 1 {
+				e.u = uint64(len(t.us))
+				t.us = append(t.us, make([]uint64, qw)...)
 			}
-			slot := ch.slots[off]
-			if slot != last {
-				last, t.maxSlot = slot, max(t.maxSlot, slot)
-				if ts := s.versions.tryGet(slot); ts == 0 && !slices.Contains(t.late, slot) {
-					t.late = append(t.late, slot)
-				} else {
-					t.maxTS = max(t.maxTS, ts)
-				}
-			}
-			e := t.slot(k)
-			switch {
-			case e.n == 0:
-				e.key, e.vid, e.n = k, ch.vids[off], -1-int32(slot)
-				if qw > 1 {
-					e.u = uint64(len(t.us))
-					t.us = append(t.us, make([]uint64, qw)...)
-				}
-				keys++
-			case e.n < 0:
-				e.n = 2
-				multi += 2
-			default:
-				e.n++
-				multi++
-			}
-			if qw == 1 {
-				e.u |= atomic.LoadUint64(&ch.qsets[off])
-			} else {
-				u, qs := t.us[int(e.u):][:qw], ch.qsets[off*qw:][:qw]
-				for w := range u {
-					u[w] |= atomic.LoadUint64(&qs[w])
-				}
+			t.keys++
+		case e.n < 0:
+			e.n = 2
+			multi += 2
+		default:
+			e.n++
+			multi++
+		}
+		if qw == 1 {
+			e.u |= ws[0]
+		} else {
+			u := t.us[int(e.u):][:qw]
+			for w := range u {
+				u[w] |= ws[w]
 			}
 		}
-	}
-	t.keys = keys
-	if size := hashedSlots(keys); t.direct && lo <= hi && span >= directSpan*uint64(size) || !t.direct && size < len(t.slots) {
+	})
+	if size := hashedSlots(t.keys); t.direct && lo <= hi && span >= directSpan*uint64(size) || !t.direct && size < len(t.slots) {
 		t.relayout(size, false, 0)
 	}
-	if multi > 0 {
-		t.fillMulti(chunks, ki, multi)
+	if multi+nulls > 0 {
+		t.fillMulti(each, multi, nulls)
 	}
 	return t
 }
 
-// normalize sorts spans and joins the adjacent ones, in place.
-func normalize(spans []span) []span {
-	slices.SortFunc(spans, func(a, b span) int { return int(a.lo - b.lo) })
-	out := spans[:0]
-	for _, r := range spans {
-		if k := len(out) - 1; k >= 0 && out[k].hi == r.lo {
-			out[k].hi = r.hi
-		} else {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // fillMulti lays out the entries of every key with more than one entry,
-// multi of them in all, contiguously in t.vids, t.eslots and t.words: each
-// key's run is reserved by its end, filled backwards by an ascending scan
-// (so newest first) and left pointing at its start.
-func (t *unionTable) fillMulti(chunks []*chunk, ki, multi int) {
-	qw := t.qw
-	t.vids, t.eslots, t.words = make([]int32, multi), make([]Slot, multi), make([]uint64, multi*qw)
+// multi of them in all, contiguously in t.vids, t.eslots and t.words, and
+// the nulls NULL-keyed entries after them, reading the entries with each:
+// each key's run is reserved by its end, filled backwards (so newest
+// first) and left pointing at its start.
+func (t *unionTable) fillMulti(each func(visitor), multi, nulls int) {
+	qw, n := t.qw, multi+nulls
+	t.vids, t.eslots, t.words, t.nulls = make([]int32, n), make([]Slot, n), make([]uint64, n*qw), nulls
 	end := int32(0)
 	for i := range t.slots {
 		if e := &t.slots[i]; e.n > 1 {
@@ -721,24 +779,20 @@ func (t *unionTable) fillMulti(chunks []*chunk, ki, multi int) {
 			e.vid = end
 		}
 	}
-	for _, sp := range t.spans {
-		for idx := sp.lo; idx < sp.hi; idx++ {
-			ch := chunks[idx>>chunkBits]
-			off := int(idx & chunkMask)
-			k := ch.keys[ki][off]
-			if k == NullKey {
-				continue
-			}
-			if e := t.slot(k); e.n > 1 {
-				e.vid--
-				t.vids[e.vid], t.eslots[e.vid] = ch.vids[off], ch.slots[off]
-				ws, qs := t.words[int(e.vid)*qw:][:qw], ch.qsets[off*qw:][:qw]
-				for w := range ws {
-					ws[w] = atomic.LoadUint64(&qs[w])
-				}
-			}
+	null := multi
+	each(func(k int64, vid int32, slot Slot, ws []uint64) {
+		r := null
+		if k == NullKey {
+			null++
+		} else if e := t.slot(k); e.n > 1 {
+			e.vid--
+			r = int(e.vid)
+		} else {
+			return
 		}
-	}
+		t.vids[r], t.eslots[r] = vid, slot
+		copy(t.words[r*qw:][:qw], ws)
+	})
 }
 
 // relayout moves t's keys into n fresh slots, direct from base or hashed

@@ -248,7 +248,7 @@ func tablesOf(s *STeM, ki int) []*unionTable {
 // indexed reports whether index ki's tables hold every recorded entry, so
 // that the next probe or prune reads them as they stand.
 func indexed(s *STeM, ki int) bool {
-	return !s.state.Load().index[ki].pending.Load()
+	return s.state.Load().index[ki].built.Load() == s.logged.Load()
 }
 
 // allSeen reports whether a probe at (probeTS, wm) reads every table of
@@ -400,12 +400,9 @@ func checkProbe(t *testing.T, s *STeM, o *oracle, ki int, col string, keys []int
 	return true
 }
 
-// sweepAll clears the retired bits from every entry of s, chunks first and
-// then tables, as the engine's GC pass does, and from the oracle.
+// sweepAll clears the retired bits from every entry of s, as the engine's
+// GC pass does, and from the oracle.
 func sweepAll(s *STeM, o *oracle, retired bitset.Set) {
-	for ci := 0; ci < s.NumChunks(); ci++ {
-		s.SweepChunk(ci, retired)
-	}
 	s.SweepIndex(retired)
 	for _, m := range o.byKey {
 		for _, es := range m {
@@ -787,13 +784,12 @@ func TestWatermarkMonotonicUnderConcurrentPublish(t *testing.T) {
 }
 
 // TestProbeVecDuringGC races ProbeVec against the streaming GC operations:
-// the sweeps of the chunks and then of the tables (SweepChunk, SweepIndex)
-// run concurrently with the probes, as in the engine, and CompactLive
-// holds a gate the probes hold shared. Every probe must observe a
-// consistent state: matches are a subset of
-// the original entries and a superset of the post-GC survivors, and the
-// watermark is unchanged by the rebuild (compacted entries keep their slots,
-// so the under-watermark fast path stays correct).
+// the sweep (SweepIndex, which first builds the recorded ranges) and the
+// compaction (CompactLive) run concurrently with the probes, as in the
+// engine. Every probe must observe a consistent state: matches are a
+// subset of the original entries and a superset of the post-GC survivors,
+// and the watermark is unchanged by the rebuild (compacted entries keep
+// their slots, so the under-watermark fast path stays correct).
 func TestProbeVecDuringGC(t *testing.T) {
 	const n = 2 * chunkSize
 	const domain = 128
@@ -815,18 +811,11 @@ func TestProbeVecDuringGC(t *testing.T) {
 		probeKeys[i] = int64(i)
 	}
 
-	var gate sync.RWMutex // orders the compaction between probes
 	gcDone := make(chan struct{})
 	go func() {
 		defer close(gcDone)
-		retired := bitset.FromIDs(2, 0)
-		for ci := 0; ci < s.NumChunks(); ci++ {
-			s.SweepChunk(ci, retired)
-		}
-		s.SweepIndex(retired)
-		gate.Lock()
+		s.SweepIndex(bitset.FromIDs(2, 0))
 		s.CompactLive()
-		gate.Unlock()
 	}()
 
 	var wg sync.WaitGroup
@@ -840,7 +829,6 @@ func TestProbeVecDuringGC(t *testing.T) {
 					return
 				default:
 				}
-				gate.RLock()
 				wm := v.Watermark()
 				ts := v.Now()
 				ms := probeVec(s, "k", probeKeys, ts, wm)
@@ -856,7 +844,6 @@ func TestProbeVecDuringGC(t *testing.T) {
 						bad, badm = true, m
 					}
 				}
-				gate.RUnlock()
 				if bad {
 					t.Errorf("prober %d iter %d: inconsistent match %+v", g, iter, badm)
 					return
@@ -982,7 +969,7 @@ func TestPruneVecMatchesOracle(t *testing.T) {
 // the index's tables: InsertVec of up to maxBatch entries (some with NULL
 // keys, one in six with an empty query set, the others with one bit in a
 // random word, the slot often left unpublished for a while), Publish, a
-// sweep of the chunks and then the tables, CompactLive and AddIndex("b").
+// sweep (SweepIndex), CompactLive and AddIndex("b").
 // Keys on "a" are dense, drawn from 0..39, but one batch in six moves some
 // of its keys far apart (sparseKey), so a table holding one is built
 // hashed, and one without directly. After each step it calls check with
@@ -1587,9 +1574,9 @@ func TestUnionTableWaitsForCommit(t *testing.T) {
 			return out
 		}
 		insert := func(bits uint64, slot Slot) func() {
-			st, base := s.reserve(len(keys))
+			base := s.reserve(len(keys))
 			return func() {
-				s.fill(st, base, []int32{0, 1, 2, 3}, [][]int64{keys}, last(bits), qw, slot)
+				s.fill(base, []int32{0, 1, 2, 3}, [][]int64{keys}, last(bits), qw, slot)
 				v.Publish(slot)
 			}
 		}
@@ -2004,11 +1991,12 @@ func TestPruneVecUnionUnderConcurrentInserts(t *testing.T) {
 }
 
 // TestPruneVecDuringGC runs the prune kernel while the GC sweeper clears a
-// retired query set's bits from the same entries, in the chunks (SweepChunk
-// is lock-free, as in the engine) and then in the table (SweepIndex). A retired bit may be seen before or after its sweep, so
-// each result must lie between the oracle over the swept entries and the
-// oracle over the original ones, and equal both on every other bit. Run
-// under -race this also checks the kernel's atomic loads of entry words.
+// retired query set's bits from the same entries (SweepIndex, which builds
+// the recorded ranges and publishes swept copies of the tables). A retired
+// bit may be seen before or after its sweep, so each result must lie
+// between the oracle over the swept entries and the oracle over the
+// original ones, and equal both on every other bit. Run under -race this
+// also checks that a table is never written once published.
 func TestPruneVecDuringGC(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, tc := range []struct {
@@ -2046,9 +2034,6 @@ func pruneDuringGC(t *testing.T, rng *rand.Rand, qcap int, publish bool) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for ci := 0; ci < s.NumChunks(); ci++ {
-			s.SweepChunk(ci, retired)
-		}
 		s.SweepIndex(retired)
 	}()
 	acc := make([]uint64, qw)
@@ -2443,8 +2428,8 @@ func benchPrune(b *testing.B, d benchDim, deltas, probes, lo, hi int) {
 	d.checkLayout(b, s)
 }
 
-// BenchmarkProbeVec measures the probe kernel, serially, on fifteen shapes,
-// each a vector probing a published dimension STeM:
+// BenchmarkProbeVec measures the probe kernel, serially, on thirteen
+// shapes, each a vector probing a published dimension STeM:
 //
 //   - 1word-dim1800: 1000 keys against a one-word STeM holding 1 080 keys
 //     (60 %) of an 1 800-key dimension, as a stream's queries probe;
@@ -2455,10 +2440,6 @@ func benchPrune(b *testing.B, d benchDim, deltas, probes, lo, hi int) {
 //     (two-word query sets);
 //   - 2words-32k-unpublished: the same with one more entry whose slot is
 //     never published, so every probe checks each entry's slot;
-//   - 1word-dim1800-fresh and 1word-sparse1800-fresh: 1word-dim1800 and
-//     1word-sparse1800 probing the next of 64 key vectors each call, as a
-//     scan's fresh vectors do, where the other rows probe one vector every
-//     call, whose outcomes a branch predictor can learn;
 //   - 1word-dim1800-fanout4: 1word-dim1800 against every key of the
 //     dimension with four entries, so each key reads its entries one by
 //     one, the shape of the STeM kernel benchmark/trace.go times;
@@ -2475,42 +2456,39 @@ func benchPrune(b *testing.B, d benchDim, deltas, probes, lo, hi int) {
 //     (stream_closed's shape), and a two-word one over its second word and
 //     over both (batch_join's).
 //
-// An untimed probe builds the tables first: direct for dense keys, hashed
-// for the sparse ones, and a row fails when its first table has the other
-// layout. tables is the length of the list each probe reads.
+// Every call probes the next of pruneSets key vectors, as a scan's fresh
+// vectors do, so that no branch on which keys match repeats within the
+// predictor's reach. An untimed probe builds the tables first: direct for
+// dense keys, hashed for the sparse ones, and a row fails when its first
+// table has the other layout. tables is the length of the list each probe
+// reads.
 func BenchmarkProbeVec(b *testing.B) {
 	b.Run("1word-dim1800", func(b *testing.B) {
-		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1, 0}, 1, 1000, 1, false)
+		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1, 0}, 1, 1000, false)
 	})
 	b.Run("1word-dim1800-fill10", func(b *testing.B) {
-		benchProbe(b, benchDim{64, 1800, 180, 1, 0}, 1, 1000, 1, false)
+		benchProbe(b, benchDim{64, 1800, 180, 1, 0}, 1, 1000, false)
 	})
 	b.Run("1word-sparse1800", func(b *testing.B) {
-		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1 << 32, 0}, 1, 1000, 1, false)
+		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1 << 32, 0}, 1, 1000, false)
 	})
 	b.Run("2words-32k", func(b *testing.B) {
-		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1, 0}, 1, 1024, 1, false)
+		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1, 0}, 1, 1024, false)
 	})
 	b.Run("2words-32k-unpublished", func(b *testing.B) {
-		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1, 0}, 1, 1024, 1, true)
+		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1, 0}, 1, 1024, true)
 	})
 	b.Run("1word-dim1800-deltas7", func(b *testing.B) {
-		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1, 0}, 7, 1000, 1, false)
+		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1, 0}, 7, 1000, false)
 	})
 	b.Run("1word-dim1800-deltas63", func(b *testing.B) {
-		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1, 0}, 63, 1000, 1, false)
-	})
-	b.Run("1word-dim1800-fresh", func(b *testing.B) {
-		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1, 0}, 1, 1000, pruneSets, false)
-	})
-	b.Run("1word-sparse1800-fresh", func(b *testing.B) {
-		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1 << 32, 0}, 1, 1000, pruneSets, false)
+		benchProbe(b, benchDim{64, 1800, 1800 * 6 / 10, 1, 0}, 63, 1000, false)
 	})
 	b.Run("1word-dim1800-fanout4", func(b *testing.B) {
-		benchProbe(b, benchDim{64, 1800, 4 * 1800, 1, 0}, 1, 1000, 1, false)
+		benchProbe(b, benchDim{64, 1800, 4 * 1800, 1, 0}, 1, 1000, false)
 	})
 	b.Run("2words-32k-deltas63", func(b *testing.B) {
-		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1, 0}, 63, 1024, 1, false)
+		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1, 0}, 63, 1024, false)
 	})
 	b.Run("2words-32k-slab", func(b *testing.B) {
 		benchSlab(b, benchDim{128, 1 << 15, 1 << 15, 1, 0}, 1024, 0, 2, 3, 1)
@@ -2564,10 +2542,10 @@ func benchSlab(b *testing.B, d benchDim, probes, lo, hi, stride, off int) {
 
 // benchProbe times ProbeVec of vectors of probes keys against d's STeM,
 // built in deltas vectors, and with unpublished against it with one entry
-// more under a slot left unpublished. Each call takes the next of sets key
-// vectors: with one, every call probes the same keys.
-func benchProbe(b *testing.B, d benchDim, deltas, probes, sets int, unpublished bool) {
-	s, probeKeys := d.build(deltas, probes*sets)
+// more under a slot left unpublished. Each call takes the next of
+// pruneSets key vectors.
+func benchProbe(b *testing.B, d benchDim, deltas, probes int, unpublished bool) {
+	s, probeKeys := d.build(deltas, probes*pruneSets)
 	if unpublished {
 		s.InsertVec([]int32{0}, [][]int64{probeKeys[:1]}, make([]uint64, s.qw), s.qw, Slot(deltas), nil)
 	}
@@ -2576,7 +2554,7 @@ func benchProbe(b *testing.B, d benchDim, deltas, probes, sets int, unpublished 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys[i%sets*probes:][:probes], ts, wm)
+		dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys[i%pruneSets*probes:][:probes], ts, wm)
 	}
 	if len(dst) == 0 {
 		b.Fatal("the probes matched nothing")

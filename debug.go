@@ -18,9 +18,8 @@ import (
 type EngineSnapshot = engine.DebugSnapshot
 
 // DebugFinding is one stall diagnosis produced by Stream.Diagnose or the
-// stall watchdog: a long-running episode, epoch-reclamation lag, watermark
-// lag, or a starved tenant, with the blocking instance, worker and queries
-// named.
+// stall watchdog: a long-running episode, epoch-reclamation lag or a
+// starved tenant, with the blocking instance, worker and queries named.
 type DebugFinding = engine.Finding
 
 // DebugSnapshot captures the stream's live engine state without stopping

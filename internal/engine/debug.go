@@ -170,11 +170,6 @@ type DebugSnapshot struct {
 	LiveQueries    int   `json:"live_queries"`
 	FreeQuerySlots int   `json:"free_query_slots"`
 
-	// SlotsAllocated vs Watermark is the publication frontier: allocated
-	// minus watermark minus in-flight episodes ≈ 0 in a healthy session.
-	SlotsAllocated int64 `json:"slots_allocated"`
-	Watermark      int64 `json:"watermark"`
-
 	Epoch   EpochDebug    `json:"epoch"`
 	GC      GCDebug       `json:"gc"`
 	Insts   []InstDebug   `json:"instances"`
@@ -194,8 +189,6 @@ func (s *Session) DebugSnapshot() DebugSnapshot {
 		InFlight:       s.inFlight,
 		LiveQueries:    s.admitted.Count(),
 		FreeQuerySlots: s.b.Free(),
-		SlotsAllocated: s.episode,
-		Watermark:      int64(s.ctx.Versions.Watermark()),
 		GC: GCDebug{
 			Running: s.gc.running, Inst: s.gc.inst,
 			RetiredPending: s.retired.Count(),
@@ -248,9 +241,6 @@ type DiagnoseConfig struct {
 	// queued and the oldest pinned worker trails by at least this many
 	// generations.
 	EpochLagGens int64
-	// WatermarkLagSlots flags a publication leak: allocated slots minus
-	// the watermark exceeding in-flight episodes by more than this.
-	WatermarkLagSlots int64
 	// StarveEpisodes flags a tenant with live queries unserved for at
 	// least this many episodes.
 	StarveEpisodes int64
@@ -259,10 +249,9 @@ type DiagnoseConfig struct {
 // DefaultDiagnoseConfig returns the watchdog's default thresholds.
 func DefaultDiagnoseConfig() DiagnoseConfig {
 	return DiagnoseConfig{
-		EpisodeStall:      time.Second,
-		EpochLagGens:      1024,
-		WatermarkLagSlots: 4096,
-		StarveEpisodes:    4096,
+		EpisodeStall:   time.Second,
+		EpochLagGens:   1024,
+		StarveEpisodes: 4096,
 	}
 }
 
@@ -332,22 +321,6 @@ func (s *Session) Diagnose(cfg DiagnoseConfig) []Finding {
 				f.Queries = we.active.IDs()
 			}
 			out = append(out, f)
-		}
-	}
-
-	// Watermark lag: allocated version slots that are neither published
-	// nor accounted to an in-flight episode indicate a leaked slot, which
-	// disables the probe kernels' watermark fast path.
-	if cfg.WatermarkLagSlots > 0 {
-		gap := s.episode - int64(s.ctx.Versions.Watermark()) - int64(s.inFlight)
-		if gap > cfg.WatermarkLagSlots {
-			out = append(out, Finding{
-				Kind: "watermark_lag", Severity: "warning",
-				Inst: -1, Worker: -1, Slot: -1,
-				Detail: fmt.Sprintf(
-					"%d allocated slots unpublished beyond the %d in flight (watermark %d of %d); a slot may have leaked",
-					gap, s.inFlight, s.ctx.Versions.Watermark(), s.episode),
-			})
 		}
 	}
 

@@ -104,9 +104,9 @@ type Config struct {
 
 	// StallWatchdog is the period of the self-diagnosis watchdog: every
 	// period it snapshots the session, runs the stall heuristics
-	// (long-running episodes, unbounded epoch lag, watermark lag, starved
-	// tenants) and logs one structured report per finding through Logger.
-	// 0 disables the watchdog.
+	// (long-running episodes, unbounded epoch lag, starved tenants) and logs
+	// one structured report per finding through Logger. 0 disables the
+	// watchdog.
 	StallWatchdog time.Duration
 
 	// PolicySweep runs at the start of a GC finish pass, before retired
@@ -816,14 +816,11 @@ func (s *Session) runWorker(id int) {
 }
 
 // runEpisode executes one episode behind a panic barrier and the optional
-// watchdog timer. Every exit path — normal, insert fault, panic — publishes
-// the episode's version slot: entries the episode managed to insert were
-// stamped with it and must eventually become visible, and the publication
-// watermark only advances past published slots, so one abandoned slot would
-// disable the probe kernels' watermark fast path for the rest of the
-// session. An episode has one fault, its first, decided under s.mu: the
-// timer records a stall only while the episode is not done, and a stalled
-// episode returns the stall, which its worker does not record again.
+// watchdog timer. An episode leaves nothing to publish on any exit path: its
+// insert, if it made one, was visible from its record on. An episode has
+// one fault, its first, decided under s.mu: the timer records a stall only
+// while the episode is not done, and a stalled episode returns the stall,
+// which its worker does not record again.
 func (s *Session) runEpisode(w *exec.Worker, in exec.EpisodeInput) (rep exec.EpisodeReport, err *EpisodeError) {
 	if d := s.cfg.EpisodeWatchdog; d > 0 {
 		var done, stalled bool // guarded by s.mu
@@ -847,11 +844,6 @@ func (s *Session) runEpisode(w *exec.Worker, in exec.EpisodeInput) (rep exec.Epi
 		}()
 	}
 	defer func() {
-		// Publish unconditionally: idempotent on the paths that already
-		// published (normal return, hook faults), and the safety net for
-		// panics and any future early exit between slot allocation and
-		// execution.
-		s.ctx.Versions.Publish(in.Slot)
 		if r := recover(); r != nil {
 			err = s.newEpisodeError(in, FaultPanic)
 			err.Panic, err.Stack = r, string(debug.Stack())

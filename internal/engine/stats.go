@@ -239,11 +239,6 @@ func (s *Session) foldRegistryLocked(res *Results) {
 	for i := range res.Faults { // AddFault also counts EpisodeFaults
 		reg.AddFault(res.Faults[i].Kind.String(), 1)
 	}
-	// Watermark liveness check: every allocated slot must have been
-	// published by the time the pool drains (runEpisode guarantees it on
-	// all its exit paths). A non-zero lag means a slot leaked, which
-	// silently disables the probe kernels' watermark fast path.
-	reg.WatermarkLag.Store(int64(s.episode) - int64(s.ctx.Versions.Watermark()))
 	reg.EpochLag.Store(s.dom.Lag())
 
 	var probes int64

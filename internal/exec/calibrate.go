@@ -83,7 +83,7 @@ func calibrateSelection(rng *rand.Rand) []cost.Sample {
 // fan-outs: stem.ProbeVecRange reading its vector in place, as the probe
 // node passes it, each tuple's key through its vID and its word at offset 1
 // of a two-word slab (wider than the one-word range) under the node's mask,
-// the build side under the watermark, dst/qbuf warm in every run but the
+// the build side read as it stands, dst/qbuf warm in every run but the
 // first.
 func calibrateJoin(rng *rand.Rand) []cost.Sample {
 	const keys, all = 1024, 1<<16 - 1
@@ -103,9 +103,6 @@ func calibrateJoin(rng *rand.Rand) []cost.Sample {
 		for d := 0; d < fanout; d++ {
 			s.InsertVec(vids, [][]int64{buildKeys}, qsets, 1, 0, nil)
 		}
-		versions.Publish(0)
-		// Watermark before timestamp, as in RunEpisode.
-		wm := versions.Watermark()
 		ts := versions.Now()
 		for _, n := range calibrationSizes {
 			p := stem.Probe{Keys: buildKeys, VIDs: make([]int32, n), Qsets: make([]uint64, 2*n), Stride: 2, Off: 1, Mask: mask}
@@ -114,7 +111,7 @@ func calibrateJoin(rng *rand.Rand) []cost.Sample {
 				p.Qsets[2*i], p.Qsets[2*i+1] = rng.Uint64(), all
 			}
 			elapsed := minNanos(16384/n, func() {
-				dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", p, ts, wm, 0, 1)
+				dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", p, ts, 0, 1)
 			})
 			samples = append(samples, cost.Sample{NIn: float64(n), NOut: float64(len(dst)), Nanos: elapsed})
 		}

@@ -17,8 +17,8 @@ import (
 
 // EpisodeInput is the work item for one episode: one ingested vector, the
 // query set actively scanning its relation, the subset of it whose tuples
-// need no STeM entry, the version slot assigned to the episode, and the
-// currently available selection operators.
+// need no STeM entry, the episode's number, and the currently available
+// selection operators.
 type EpisodeInput struct {
 	Inst query.InstID
 	// First and N name the vector: the rows [First, First+N) of Inst's
@@ -31,7 +31,10 @@ type EpisodeInput struct {
 	// its scan and every in-flight episode carrying it is on Inst. The
 	// build leaves their bits out; selection and join still run on Active.
 	// Nil builds for every active query.
-	Final  bitset.Set
+	Final bitset.Set
+	// Slot numbers the episode for hooks, the flight recorder and
+	// EpisodeError. It is no longer a version slot: the episode's STeM
+	// insert draws its own stamp (stem.InsertVec).
 	Slot   stem.Slot
 	SelOps []plan.SelOpInfo
 }
@@ -363,9 +366,9 @@ func (w *Worker) rootVec(inst query.InstID, vids []int32, qsets []uint64, n int)
 
 // RunEpisode processes one episode: selection phase, STeM insert, join
 // phase, routing, and the policy update from the episode's execution log.
-// A non-nil error means the episode was aborted before completing its STeM
-// insertion (injected or real insertion failure); the episode's version
-// slot is published regardless so concurrent probes never spin on it.
+// A non-nil error means the episode was aborted before its STeM insertion
+// (injected or real insertion failure); it inserted nothing, so no probe
+// depends on it.
 func (w *Worker) RunEpisode(in EpisodeInput) (EpisodeReport, error) {
 	// Selection planning is the policy's ChooseSel; it is charged to the
 	// filter timer with the selection steps it plans.
@@ -376,9 +379,9 @@ func (w *Worker) RunEpisode(in EpisodeInput) (EpisodeReport, error) {
 }
 
 // runEpisode is the episode body RunEpisode and StepBench.Step share. It
-// runs the planned selection steps, the STeM build and the slot's publish,
-// then the join plan: join when non-nil, otherwise built here, and only once
-// the selection has left tuples, so an empty episode draws no join
+// runs the planned selection steps and the STeM build, then the join plan
+// at the build's stamp: join when non-nil, otherwise built here, and only
+// once the selection has left tuples, so an empty episode draws no join
 // decisions from the policy.
 //
 // Every query set the body touches — Active, a non-nil Final, plan-node
@@ -420,17 +423,16 @@ func (w *Worker) runEpisode(in EpisodeInput, steps []plan.SelStep, join *plan.No
 	// ---- STeM build (the insert side of the symmetric join) --------------
 	if h := c.Opt.Hooks.StemInsert; h != nil {
 		if err := h(in.Inst, in.Slot); err != nil {
-			c.Versions.Publish(in.Slot)
 			return EpisodeReport{}, err
 		}
 	}
 	t0 = time.Now()
-	built := w.build(in, vids, qsets)
-	// The slot is published whether or not anything was built. Publish
-	// reads the watermark before drawing ts: every slot under wm then has a
-	// timestamp strictly older than ts, letting the probe kernels skip
-	// per-entry version lookups (stem.ProbeVec).
-	wm, ts := c.Versions.Publish(in.Slot)
+	// The join probes at the build's stamp, or at a fresh tick when nothing
+	// was built: it sees every entry recorded before, none after.
+	built, ts := w.build(in, vids, qsets)
+	if built == 0 {
+		ts = c.Versions.Now()
+	}
 	w.ep.buildNs += time.Since(t0).Nanoseconds()
 	w.ep.inserted += int64(built)
 	w.instIns[in.Inst] += int64(built)
@@ -441,7 +443,7 @@ func (w *Worker) runEpisode(in EpisodeInput, steps []plan.SelStep, join *plan.No
 		if join == nil {
 			join = plan.BuildJoin(&w.cv.g, w.Pol, in.Inst, in.Active, c.ReqInsts)
 		}
-		w.execChildren(join, w.rootVec(in.Inst, vids, qsets, joinInput), ts, wm)
+		w.execChildren(join, w.rootVec(in.Inst, vids, qsets, joinInput), ts)
 	}
 
 	rep := EpisodeReport{JoinInput: joinInput, PlanSig: w.planSig}
@@ -452,21 +454,22 @@ func (w *Worker) runEpisode(in EpisodeInput, steps []plan.SelStep, join *plan.No
 
 // build inserts the episode's surviving tuples into in.Inst's STeM, so that
 // tuples of the queries' other relations scanned later can probe them (the
-// symmetric join, §3), and returns how many entries it inserted. Only what
-// can still be probed is built: each tuple enters with its query set minus
-// in.Final, tuples left empty are skipped, and a vector whose every active
-// query is final inserts nothing. An entry without a query's bit never
+// symmetric join, §3), and returns how many entries it inserted and their
+// stamp, 0 when it inserted none. Only what can still be probed is built:
+// each tuple enters with its query set minus in.Final, tuples left empty
+// are skipped, and a vector whose every active query is final inserts
+// nothing. An entry without a query's bit never
 // contributes to that query, since probes AND the tuple's set with the
 // entry's, so results are unchanged.
-func (w *Worker) build(in EpisodeInput, vids []int32, qsets []uint64) int {
+func (w *Worker) build(in EpisodeInput, vids []int32, qsets []uint64) (int, int64) {
 	if in.Final != nil {
 		if in.Active.IsSubset(in.Final) {
-			return 0
+			return 0, 0
 		}
 		vids, qsets = w.maskFinal(in.Final, vids, qsets)
 	}
 	if len(vids) == 0 {
-		return 0
+		return 0, 0
 	}
 	nk := len(w.cv.stemKeyCols[in.Inst])
 	for len(w.insKeys) < nk {
@@ -480,8 +483,7 @@ func (w *Worker) build(in EpisodeInput, vids []int32, qsets []uint64) int {
 		}
 		ik[k] = col
 	}
-	w.cv.stems[in.Inst].InsertVec(vids, ik, qsets, w.qw, in.Slot, nil)
-	return len(vids)
+	return len(vids), w.cv.stems[in.Inst].InsertVec(vids, ik, qsets, w.qw, 0, nil)
 }
 
 // maskFinal copies the tuples into the worker's build buffers with final's
@@ -571,7 +573,7 @@ func compact(vids []int32, qsets []uint64, qw int) ([]int32, []uint64) {
 // sub-plans before divergence sub-plans, bounding pending vectors (§3).
 // Intermediate vectors return to the worker pool as soon as their sub-plan
 // completes.
-func (w *Worker) execChildren(n *plan.Node, v *jvec, ts int64, wm stem.Slot) {
+func (w *Worker) execChildren(n *plan.Node, v *jvec, ts int64) {
 	for _, ch := range n.Children {
 		switch ch.Kind {
 		case plan.Router:
@@ -579,13 +581,13 @@ func (w *Worker) execChildren(n *plan.Node, v *jvec, ts int64, wm stem.Slot) {
 		case plan.RouteSel:
 			// Executed through the sibling probe's Div pointer.
 		case plan.Probe:
-			out, logIdx := w.probe(ch, v, ts, wm)
-			w.execChildren(ch, out, ts, wm)
+			out, logIdx := w.probe(ch, v, ts)
+			w.execChildren(ch, out, ts)
 			w.pool.put(out)
 			if ch.Div != nil {
 				divOut := w.routeSel(ch.Div, v)
 				w.log[logIdx].NDiv = divOut.n
-				w.execChildren(ch.Div, divOut, ts, wm)
+				w.execChildren(ch.Div, divOut, ts)
 				w.pool.put(divOut)
 			}
 		}
@@ -637,7 +639,7 @@ func gather(out *jvec, copyIdx []int, v *jvec, ks []stem.VecMatch, targetPos int
 // probe executes one STeM probe node, producing the expanded vector and the
 // index of its log entry (whose NDiv the caller may patch). The output
 // vector comes from the worker pool; the caller releases it.
-func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, int) {
+func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64) (*jvec, int) {
 	cv := w.cv
 	t0 := time.Now()
 	e := &cv.g.Edges[nd.EdgeID]
@@ -709,7 +711,7 @@ func (w *Worker) probe(nd *plan.Node, v *jvec, ts int64, wm stem.Slot) (*jvec, i
 		Keys: srcData, VIDs: v.vids[srcIdx][:v.n],
 		Qsets: v.qsets, Stride: v.width, Off: lo - v.lo, Mask: nd.Q[lo:hi],
 	}
-	ms, qout, probed := cv.stems[nd.Target].ProbeVecRange(w.vmatches[:0], out.qsets, targetCol, in, ts, wm, lo, hi)
+	ms, qout, probed := cv.stems[nd.Target].ProbeVecRange(w.vmatches[:0], out.qsets, targetCol, in, ts, lo, hi)
 	if len(residuals) > 0 {
 		// A residual may empty a match's set: the kept matches and their
 		// sets move down over the dropped ones.

@@ -114,6 +114,55 @@ func TestRunEpisodeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestEpisodeTakesOneTick runs four episodes over r⋈s and checks that each
+// advances the version clock by exactly one tick: an episode that builds
+// probes at its insert's stamp, and one that builds nothing (its queries
+// all final) probes at a fresh Now that sees every entry recorded before
+// it. The full join is counted once per query.
+func TestEpisodeTakesOneTick(t *testing.T) {
+	db := twoTableDB()
+	b := joinBatch(t, 2, false)
+	o := DefaultOptions()
+	o.CollectRows = false
+	ctx, err := NewContext(b, db, o, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(ctx, policy.NewRandom(1))
+	active := bitset.NewFull(b.N)
+	const r, s = query.InstID(0), query.InstID(1)
+	for i, ep := range []struct {
+		inst       query.InstID
+		first, n   int32
+		final      bitset.Set
+		count      int64 // per query after the episode
+		rLen, sLen int   // STeM entries after the episode
+	}{
+		{r, 0, 6, nil, 0, 6, 0},
+		{s, 0, 2, nil, 4, 6, 2},      // k 0 and 1 meet r rows 0, 1, 4, 5
+		{r, 6, 6, nil, 6, 12, 2},     // r rows 8 and 9 meet s rows 0 and 1
+		{s, 2, 2, active, 12, 12, 2}, // builds nothing; k 2 and 3 meet six r rows
+	} {
+		if _, err := w.RunEpisode(EpisodeInput{
+			Inst: ep.inst, First: ep.first, N: int(ep.n), Active: active, Final: ep.final,
+			Slot: stem.Slot(i), SelOps: ctx.SelOpsFor(ep.inst, nil),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := ctx.Versions.Frontier(); got != int64(i+1) {
+			t.Fatalf("episode %d left the clock at %d, want %d", i, got, i+1)
+		}
+		if rl, sl := ctx.Stems[r].Len(), ctx.Stems[s].Len(); rl != ep.rLen || sl != ep.sLen {
+			t.Fatalf("episode %d left %d r and %d s entries, want %d and %d", i, rl, sl, ep.rLen, ep.sLen)
+		}
+		for qid := 0; qid < b.N; qid++ {
+			if got := ctx.Sources[qid].Count(); got != ep.count {
+				t.Fatalf("episode %d: query %d count = %d, want %d", i, qid, got, ep.count)
+			}
+		}
+	}
+}
+
 func TestRunEpisodeMultiWordQuerySets(t *testing.T) {
 	// 70 queries forces two-word query sets (the generic slow path).
 	db := twoTableDB()

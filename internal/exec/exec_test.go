@@ -408,9 +408,9 @@ func TestSelOpsForIncludesEligiblePruneOps(t *testing.T) {
 
 // TestCalibrateModelProducesSaneConstants checks the fitted model, not the
 // paper's defaults: selection is fitted to GroupedFilter.Apply, routing to
-// compact, and join to stem.ProbeVec probing whole key vectors with warm
-// buffers under the publication watermark — the kernels episodes run. κ and
-// λ trade off against each other under timing noise (either may come out
+// compact, and join to stem.ProbeVecRange probing whole key vectors with
+// warm buffers over tables read as they stand — the kernels episodes run.
+// κ and λ trade off against each other under timing noise (either may come out
 // slightly negative), so the assertions are on their sum, the cost of a
 // tuple that goes in and comes out.
 func TestCalibrateModelProducesSaneConstants(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"github.com/roulette-db/roulette/internal/plan"
 	"github.com/roulette-db/roulette/internal/policy"
 	"github.com/roulette-db/roulette/internal/query"
-	"github.com/roulette-db/roulette/internal/stem"
 	"github.com/roulette-db/roulette/internal/storage"
 	"github.com/roulette-db/roulette/internal/value"
 )
@@ -166,10 +165,9 @@ func NewStepBench(cfg StepBenchConfig) (*StepBench, error) {
 		return nil, fmt.Errorf("exec: steady fixture lost its fact instance")
 	}
 
-	// Populate the probed side: every dimension row, stamped with the full
-	// query set, one InsertVec per table under one published slot.
+	// Populate the probed side: every dimension row, with the full query
+	// set, one InsertVec per table; the episodes' fresh ticks see them all.
 	active := bitset.NewFull(b.N)
-	const seedSlot = stem.Slot(0)
 	for inst := range b.Insts {
 		if query.InstID(inst) == factInst {
 			continue
@@ -181,9 +179,8 @@ func NewStepBench(cfg StepBenchConfig) (*StepBench, error) {
 			rowIDs[vid] = int32(vid)
 			qsets = append(qsets, active...)
 		}
-		ctx.Stems[inst].InsertVec(rowIDs, ctx.stemKeySlices[inst], qsets, len(active), seedSlot, nil)
+		ctx.Stems[inst].InsertVec(rowIDs, ctx.stemKeySlices[inst], qsets, len(active), 0, nil)
 	}
-	ctx.Versions.Publish(seedSlot)
 
 	final := active
 	if cfg.Final != nil {
@@ -195,7 +192,6 @@ func NewStepBench(cfg StepBenchConfig) (*StepBench, error) {
 		N:      cfg.VectorSize,
 		Active: active,
 		Final:  final,
-		Slot:   seedSlot,
 		SelOps: ctx.SelOpsFor(factInst, nil),
 	}
 
@@ -209,10 +205,6 @@ func NewStepBench(cfg StepBenchConfig) (*StepBench, error) {
 // and returns its report. After a handful of warm-up calls it performs zero
 // heap allocations.
 func (s *StepBench) Step() EpisodeReport {
-	// A fresh slot per step, as the engine gives every episode: publishing a
-	// slot twice returns its old timestamp, under which the dimension
-	// entries of the seed slot would be invisible to the probes.
-	s.in.Slot++
 	// The fixture sets no hooks, and only a hook can fail an episode.
 	rep, _ := s.W.runEpisode(s.in, s.selSteps, s.joinRoot)
 	return rep

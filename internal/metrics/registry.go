@@ -9,9 +9,8 @@ import (
 
 // Registry is a process-wide set of engine counters. Sessions fold their
 // totals in once per batch (never on the episode hot path), so the registry
-// is cheap enough to leave always on; fields that depend on opt-in stats
-// collection (sharing, policy counters) simply stay zero when collection is
-// disabled. The zero value is ready to use.
+// is cheap enough to leave always on, and every counter it folds is always
+// collected. The zero value is ready to use.
 type Registry struct {
 	Batches         atomic.Int64 // finished batch executions
 	QueriesComplete atomic.Int64 // queries that drained to completion
@@ -33,7 +32,6 @@ type Registry struct {
 	ExploreActions atomic.Int64
 	ExploitActions atomic.Int64
 	QStates        atomic.Int64 // Q-table size of the most recent session (gauge)
-	WatermarkLag   atomic.Int64 // slots allocated but unpublished at session end (gauge; non-zero = leak)
 
 	// Admission / overload protection (streaming).
 	SubmitAdmitted   atomic.Int64 // submissions admitted past the controller
@@ -194,7 +192,6 @@ type RegistrySnapshot struct {
 	ExploreActions int64 `json:"explore_actions"`
 	ExploitActions int64 `json:"exploit_actions"`
 	QStates        int64 `json:"qtable_states"`
-	WatermarkLag   int64 `json:"watermark_lag"`
 
 	SubmitAdmitted   int64 `json:"submit_admitted"`
 	SubmitOverloads  int64 `json:"submit_overload_rejected"`
@@ -241,7 +238,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		ExploreActions:  r.ExploreActions.Load(),
 		ExploitActions:  r.ExploitActions.Load(),
 		QStates:         r.QStates.Load(),
-		WatermarkLag:    r.WatermarkLag.Load(),
 
 		SubmitAdmitted:   r.SubmitAdmitted.Load(),
 		SubmitOverloads:  r.SubmitOverloads.Load(),
@@ -294,7 +290,6 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	p.Counter("roulette_policy_explore_actions_total", "Policy decisions taken by epsilon-exploration.", float64(s.ExploreActions))
 	p.Counter("roulette_policy_exploit_actions_total", "Policy decisions taken greedily from Q-values.", float64(s.ExploitActions))
 	p.Gauge("roulette_qtable_states", "Q-table (state, action) entries of the most recent session.", float64(s.QStates))
-	p.Gauge("roulette_watermark_lag", "Version slots allocated but never published by the most recent session (non-zero indicates a slot leak disabling the probe watermark fast path).", float64(s.WatermarkLag))
 	p.Counter("roulette_submit_admitted_total", "Stream submissions admitted past the admission controller.", float64(s.SubmitAdmitted))
 	p.Counter("roulette_submit_overload_rejected_total", "Stream submissions rejected with ErrOverloaded (budget or rate limit).", float64(s.SubmitOverloads))
 	p.Counter("roulette_deadline_shed_total", "Queries shed for unmeetable deadlines (at submit or mid-flight).", float64(s.DeadlineSheds))

@@ -8,15 +8,14 @@ import (
 )
 
 // gcFixture builds a STeM with n entries alternating between query sets
-// {0} and {1}: key i, vid i, all published in slot 0.
+// {0} and {1}: key i, vid i.
 func gcFixture(t *testing.T, n int) (*Versions, *STeM) {
 	t.Helper()
 	v := NewVersions()
 	s := New(v, []string{"k"}, 2, 0)
 	for i := 0; i < n; i++ {
-		insert1(s, int32(i), []int64{int64(i)}, bitset.FromIDs(2, i%2), 0)
+		insert1(s, int32(i), []int64{int64(i)}, bitset.FromIDs(2, i%2))
 	}
-	v.Publish(0)
 	return v, s
 }
 
@@ -119,8 +118,7 @@ func TestCompactLiveEmptiesToFloor(t *testing.T) {
 	if stagedChunks(s) != 0 || s.Len() != 0 || s.EstBytes() != 0 {
 		t.Errorf("chunks=%d len=%d bytes=%d after full retirement (was %d bytes), want 0,0,0", stagedChunks(s), s.Len(), s.EstBytes(), before)
 	}
-	insert1(s, 7, []int64{7}, bitset.FromIDs(2, 1), 1)
-	v.Publish(1)
+	insert1(s, 7, []int64{7}, bitset.FromIDs(2, 1))
 	if got := probe1(s, "k", 7, v.Now()); len(got) != 1 || got[0].VID != 7 || s.Len() != 1 {
 		t.Fatalf("Probe(7) after the floor = %v with Len %d, want the new entry", got, s.Len())
 	}
@@ -144,10 +142,8 @@ func TestAddIndexDerivesExistingEntries(t *testing.T) {
 	if got := probe1(s, "k2", 3, ts); len(got) != 2 {
 		t.Errorf("repeated AddIndex broke the index")
 	}
-	// New inserts supply both keys and land in both indexes (a fresh slot:
-	// slots are published at most once, after all their inserts).
-	insert1(s, 200, []int64{200, 100}, bitset.FromIDs(2, 1), 1)
-	v.Publish(1)
+	// New inserts supply both keys and land in both indexes.
+	insert1(s, 200, []int64{200, 100}, bitset.FromIDs(2, 1))
 	ts = v.Now()
 	if got := probe1(s, "k2", 100, ts); len(got) != 1 || got[0].VID != 200 {
 		t.Errorf("Probe(k2=100) = %v, want the new entry", got)
@@ -184,21 +180,20 @@ func TestSweepIndexCopiesOnlyTablesHoldingRetiredBits(t *testing.T) {
 		s := New(v, []string{"k"}, qcap, 0)
 		r, live := qcap-1, 0
 		vid := int32(0)
-		// insert adds keys lo..lo+9 and a second entry on key lo under slot,
-		// publishes it and probes, which builds its delta.
-		insert := func(lo int64, slot Slot, q bitset.Set) {
+		// insert adds keys lo..lo+9 and a second entry on key lo and probes,
+		// which builds their delta.
+		insert := func(lo int64, q bitset.Set) {
 			for k := lo; k < lo+10; k++ {
-				insert1(s, vid, []int64{k}, q, slot)
+				insert1(s, vid, []int64{k}, q)
 				vid++
 			}
-			insert1(s, vid, []int64{lo}, q, slot)
+			insert1(s, vid, []int64{lo}, q)
 			vid++
-			v.Publish(slot)
 			probe1(s, "k", lo, v.Now())
 		}
-		insert(0, 0, bitset.FromIDs(qcap, live, r))
-		insert(10, 1, bitset.FromIDs(qcap, live, r)) // merged with the first delta
-		insert(20, 2, bitset.FromIDs(qcap, live))
+		insert(0, bitset.FromIDs(qcap, live, r))
+		insert(10, bitset.FromIDs(qcap, live, r)) // merged with the first delta
+		insert(20, bitset.FromIDs(qcap, live))
 		before := slices.Clone(tablesOf(s, 0))
 		if len(before) != 2 || before[0].deltas != 2 || before[1].deltas != 1 || !carries(before[0], r) || carries(before[1], r) {
 			t.Fatalf("%d words, fixture: want a two-delta table holding query %d and a one-delta table without it", s.qw, r)
@@ -221,7 +216,7 @@ func TestSweepIndexCopiesOnlyTablesHoldingRetiredBits(t *testing.T) {
 		for k := int64(0); k < 30; k++ {
 			keys = append(keys, k)
 		}
-		got := probeVec(s, "k", keys, v.Now(), v.Watermark())
+		got := probeVec(s, "k", keys, v.Now())
 		if len(got) != 33 {
 			t.Fatalf("%d words: probe after the sweep found %d matches, want 33", s.qw, len(got))
 		}
@@ -245,11 +240,9 @@ func TestSweepIndexCopiesOnlyTablesHoldingRetiredBits(t *testing.T) {
 func TestCompactLiveIndexesLiveEntriesOnce(t *testing.T) {
 	v, s := gcFixture(t, 100)
 	probe1(s, "k", 0, v.Now())
-	insert1(s, 100, []int64{100}, bitset.FromIDs(2, 1), 1)
-	v.Publish(1)
+	insert1(s, 100, []int64{100}, bitset.FromIDs(2, 1))
 	probe1(s, "k", 0, v.Now())
-	insert1(s, 101, []int64{101}, bitset.FromIDs(2, 0), 2)
-	v.Publish(2)
+	insert1(s, 101, []int64{101}, bitset.FromIDs(2, 0))
 	probe1(s, "k", 0, v.Now())
 	if n := len(tablesOf(s, 0)); n != 2 {
 		t.Fatalf("fixture: %d tables, want 2", n)
@@ -264,7 +257,7 @@ func TestCompactLiveIndexesLiveEntriesOnce(t *testing.T) {
 		t.Fatalf("compacted index: indexed %t with %d tables, want one table over the 51 live entries", indexed(s, 0), len(tables))
 	}
 	ts := v.Now()
-	if !tableServes(s, 0, ts, v.Watermark()) {
+	if !tableServes(s, 0, ts) {
 		t.Fatal("a probe after the compaction does not read the merged table as it stands")
 	}
 	for k := int64(0); k < 102; k++ {
@@ -287,8 +280,7 @@ func TestAddIndexKeepsBuiltTables(t *testing.T) {
 	v, s := gcFixture(t, 64)
 	probe1(s, "k", 0, v.Now())
 	built := tablesOf(s, 0)
-	insert1(s, 64, []int64{64}, bitset.FromIDs(2, 1), 1)
-	v.Publish(1)
+	insert1(s, 64, []int64{64}, bitset.FromIDs(2, 1))
 
 	s.AddIndex("k2", func(vid int32) int64 { return int64(vid / 2) })
 	if got := tablesOf(s, 0); len(got) != 1 || got[0] != built[0] || indexed(s, 0) {

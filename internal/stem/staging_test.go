@@ -58,7 +58,7 @@ func TestMaintenanceUnderConcurrentInserts(t *testing.T) {
 		v := NewVersions()
 		s := New(v, []string{"a"}, qcap, 0)
 		qw := s.qw
-		var nextVID, nextSlot atomic.Int32
+		var nextVID atomic.Int32
 		var progress atomic.Int32
 		probeKeys := []int64{NullKey}
 		for k := int64(0); k <= raceDomain; k++ {
@@ -90,6 +90,7 @@ func TestMaintenanceUnderConcurrentInserts(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				var ms []VecMatch
 				var qbuf []uint64
+				all := keyProbe(probeKeys, nil, qw)
 				for b := 0; b < batches; b++ {
 					n := 1 + rng.Intn(maxBatch)
 					vid0 := nextVID.Add(int32(n)) - int32(n)
@@ -99,18 +100,16 @@ func TestMaintenanceUnderConcurrentInserts(t *testing.T) {
 						keys[j] = raceKeyA(vids[j])
 						qsets = append(qsets, raceWords(vids[j], qw)...)
 					}
-					slot := Slot(nextSlot.Add(1) - 1)
-					s.InsertVec(vids, [][]int64{keys}, qsets, qw, slot, nil)
-					v.Publish(slot)
+					s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, nil)
 					if progress.Add(1)%3 != 0 {
 						continue // leave ranges recorded for AddIndex and the sweeps to build
 					}
-					wm, ts := v.Watermark(), v.Now()
+					ts := v.Now()
 					for _, col := range []string{"a", "b"} {
 						if !s.HasIndex(col) {
 							continue
 						}
-						ms, qbuf = s.ProbeVec(ms[:0], qbuf[:0], col, probeKeys, ts, wm)
+						ms, qbuf, _ = s.ProbeVecRange(ms[:0], qbuf[:0], col, all, ts, 0, qw)
 						if !check(col, ms, qbuf) {
 							return
 						}
@@ -174,13 +173,12 @@ func TestMaintenanceUnderConcurrentInserts(t *testing.T) {
 		o := newOracle(2)
 		for vid := int32(0); vid < nextVID.Load(); vid++ {
 			if ws := raceWords(vid, qw); !bitset.Set(ws).Empty() {
-				o.insert([]int32{vid}, [][]int64{{raceKeyA(vid)}, {raceKeyB(vid)}}, ws, qw, 0)
+				o.insert([]int32{vid}, [][]int64{{raceKeyA(vid)}, {raceKeyB(vid)}}, ws, qw, 0) // stamped before any later probe
 			}
 		}
-		o.pubTS[0] = 1 // every slot is published: the oracle's entries are all visible
-		wm, ts := v.Watermark(), v.Now()
+		ts := v.Now()
 		for ki, col := range []string{"a", "b"} {
-			if !checkProbe(t, s, o, ki, col, probeKeys, ts, wm) {
+			if !checkProbe(t, s, o, ki, col, probeKeys, ts) {
 				t.Fatalf("%d words: after the inserters, a probe on %s diverged from the oracle", qw, col)
 			}
 			if !checkPrune(t, rand.New(rand.NewSource(int64(qcap))), s, o, ki, col, probeKeys) {
@@ -218,8 +216,7 @@ func TestBuiltStemHoldsNoChunk(t *testing.T) {
 	}
 	for lo := 0; lo < n; lo += 1000 {
 		hi := min(lo+1000, n)
-		s.InsertVec(vids[lo:hi], [][]int64{a[lo:hi], b[lo:hi]}, qs[lo:hi], 1, Slot(lo/1000), nil)
-		v.Publish(Slot(lo / 1000))
+		s.InsertVec(vids[lo:hi], [][]int64{a[lo:hi], b[lo:hi]}, qs[lo:hi], 1, 0, nil)
 	}
 	if c := stagedChunks(s); c != 4 {
 		t.Fatalf("staged chunks = %d before any build, want 4", c)
@@ -233,23 +230,20 @@ func TestBuiltStemHoldsNoChunk(t *testing.T) {
 	if c := stagedChunks(s); c != 0 || s.EstBytes() != tablesOf(s, 0)[0].bytes()+tablesOf(s, 1)[0].bytes() {
 		t.Fatalf("staged chunks = %d once every index has built every entry, want 0 and the tables' bytes alone", c)
 	}
-	s.InsertVec([]int32{int32(n)}, [][]int64{{7}, {0}}, []uint64{2}, 1, 9, nil)
-	v.Publish(9)
+	s.InsertVec([]int32{int32(n)}, [][]int64{{7}, {0}}, []uint64{2}, 1, 0, nil)
 	if c := stagedChunks(s); c != 1 {
 		t.Fatalf("staged chunks = %d after one more insert, want 1", c)
 	}
-	if got := probeVecCount(s, "b", []int64{0, 1, 2, 3, 4, 5, 6}, v.Now(), v.Watermark()); got != n+1 {
+	if got := probeVecCount(s, "b", []int64{0, 1, 2, 3, 4, 5, 6}, v.Now()); got != n+1 {
 		t.Fatalf("probe on b found %d entries, want %d", got, n+1)
 	}
 
 	// A chunk stays while a record over it is built by one index only: a
 	// builds the first of two records, b both, so the trim after b's build
 	// drops the first and must keep the chunk the second is staged in.
-	s.InsertVec([]int32{int32(n + 1)}, [][]int64{{1000}, {0}}, []uint64{2}, 1, 10, nil)
-	v.Publish(10)
+	s.InsertVec([]int32{int32(n + 1)}, [][]int64{{1000}, {0}}, []uint64{2}, 1, 0, nil)
 	probe1(s, "a", 1000, v.Now())
-	s.InsertVec([]int32{int32(n + 2)}, [][]int64{{1001}, {0}}, []uint64{2}, 1, 11, nil)
-	v.Publish(11)
+	s.InsertVec([]int32{int32(n + 2)}, [][]int64{{1001}, {0}}, []uint64{2}, 1, 0, nil)
 	probe1(s, "b", 0, v.Now())
 	if c := stagedChunks(s); c != 1 {
 		t.Fatalf("staged chunks = %d with a record only index b has built, want 1", c)
@@ -260,7 +254,7 @@ func TestBuiltStemHoldsNoChunk(t *testing.T) {
 }
 
 // TestChurnKeepsStagingBounded runs many rounds of a stream's life on one
-// STeM: inserts under fresh slots, probes, a sweep retiring the round's
+// STeM: inserts, probes, a sweep retiring the round's
 // queries and a compaction. Entry positions grow without bound across the
 // rounds, but the staging window and the STeM's bytes must not: after each
 // round the STeM is empty and holds no chunk, and no round's peak exceeds
@@ -270,7 +264,6 @@ func TestChurnKeepsStagingBounded(t *testing.T) {
 	v := NewVersions()
 	s := New(v, []string{"k"}, 128, 0)
 	qw := s.qw
-	slot := Slot(0)
 	var firstPeak int64
 	for r := 0; r < rounds; r++ {
 		q := r % (64 * qw)
@@ -280,10 +273,7 @@ func TestChurnKeepsStagingBounded(t *testing.T) {
 				vids[j], keys[j] = int32(lo+j), int64((lo+j)%500)
 				qsets[j*qw+q/64] = 1 << (q % 64)
 			}
-			s.InsertVec(vids, [][]int64{keys}, qsets, qw, slot, nil)
-			v.Publish(slot)
-			slot++
-			probe1(s, "k", int64(lo%500), v.Now())
+			probe1(s, "k", int64(lo%500), s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, nil))
 		}
 		peak := s.EstBytes()
 		if r == 0 {

@@ -2,21 +2,35 @@
 // that RouLette's history-independent multi-query n-ary symmetric hash join
 // is built on (Raman et al., ICDE 2003; Sioulas & Ailamaki §3, §5.1).
 //
-// A STeM stores unified entries (index-vector of join keys, vID, version
-// slot, query-set) and indexes each join-key column with a short list of
+// A STeM stores unified entries (index-vector of join keys, vID, stamp,
+// query-set) and indexes each join-key column with a short list of
 // immutable union tables (vec.go). The tables hold the entries themselves:
-// every table keeps each entry's vID, version slot and query-set words, so a
+// every table keeps each entry's vID, stamp and query-set words, so a
 // merge, a sweep, a compaction or a new index reads its entries back from
 // tables. Inserts are staged: InsertVec writes its entries into fixed-size
 // chunks without a lock and records their range, and the first probe or
 // prune that finds recorded ranges builds a table over them. A chunk is
 // dropped once every index has built all of its recorded positions and no
-// insert is writing it. Insert-probe
-// atomicity across concurrent episodes uses the paper's batch versioning:
-// every inserted vector takes one STeM-local version slot that is later
-// published to a global timestamp with a single atomic, and probes accept
-// only entries whose published timestamp is strictly older than the
-// probing episode's.
+// insert is writing it.
+//
+// Insert-probe atomicity across concurrent episodes stands in for the
+// paper's batch versioning, which gives each vector a local version and
+// publishes it to a global timestamp after the insert, because its entries
+// are visible in shared tables as soon as they are written. Here an entry
+// reaches a probe only through a table built over a recorded range, so the
+// record is the publication: InsertVec, under the STeM's mutex, appends its
+// record, counts it in logged, and only then draws its stamp from the
+// session clock (Versions). A probe at timestamp probeTS sees exactly the
+// entries whose stamp is older than probeTS, and a pair of tuples is joined
+// by the episode with the later stamp. The order is what makes this exact:
+// a probe whose timestamp was drawn after a stamp loads logged after the
+// record counted itself there. Either its index has built the record
+// already, under the mutex and so after the stamp was stored, or the probe
+// finds the index behind (built != logged) and builds under the mutex,
+// which it takes only once the recorder has stored the stamp. Either way
+// no table the probe reads misses the entry or its stamp.
+// An episode therefore probes at its own insert's stamp, or at a fresh
+// Versions.Now when it inserted nothing, and takes one tick either way.
 //
 // Maintenance (building, sweeping and compacting tables, adding an index)
 // runs under the STeM's mutex and publishes each index's new table list
@@ -49,202 +63,38 @@ const (
 // on the read side leaves the insert hot path untouched.
 const NullKey = value.NullCode
 
-// Versions is the session-wide version-slot table shared by all STeMs.
-// Each episode allocates one slot, stamps its inserted entries with the
-// slot index, and publishes the slot to a fresh global timestamp after the
-// insert completes (§5.2 "Scalable versioning"). One counter hands out
-// every timestamp, publications and probe timestamps (Now) alike.
-//
-// Slot protocol: slots are allocated densely (the engine uses the episode
-// counter), a slot's entries are all inserted before the slot is published,
-// and each slot is published at most once. The publication watermark — the
-// count of contiguously published slots from 0 — depends on that contract:
-// every slot below the watermark is published, and its timestamp was drawn
-// from the counter before the watermark moved past it, so it is strictly
-// older than any timestamp drawn after the watermark was read. Vector
-// probes use this to skip the per-entry timestamp load for the (large,
-// stable) prefix of old entries and pay it only in the small concurrent
-// tail.
-//
-// A slot's cell holds one of three states:
-//
-//	 0   unpublished, no probe has rejected it
-//	+ts  published at global timestamp ts (final)
-//	-X   sealed: a probe at timestamp X found the slot unpublished and
-//	     rejected its entries; Publish must take a timestamp newer than X
-//
-// The seal closes the draw-to-store race: Publish draws its timestamp and
-// stores it as two separate atomics, so a probe that drew a newer probeTS
-// in between would otherwise read 0 and skip entries whose timestamp is
-// about to become strictly older than probeTS (and the publishing episode's
-// own probes reject the probing episode's entries for being newer — the
-// matching pair would be emitted by neither side). Sealing makes the
-// rejection binding instead: the probe CASes the cell to -probeTS before
-// rejecting, and Publish's CAS loop redraws after losing to a seal, so a
-// sealed slot's eventual timestamp is provably newer than every rejecting
-// probe's. Neither side ever waits. The counter and the watermark are
-// padded apart so publishes and watermark reads do not false-share one
-// cache line.
+// Versions is the session-wide clock every STeM stamps its inserts with
+// (§5.2 "Scalable versioning", substituted as the package doc says). One
+// counter hands out every tick: an insert's stamp, drawn when it records its
+// range, and the timestamp of a probe that inserted nothing (Now).
 type Versions struct {
-	global    atomic.Int64 // global timestamp counter; 0 is reserved
-	_         [56]byte
-	watermark atomic.Int64 // slots [0, watermark) are all published
-	_         [56]byte
-
-	mu    sync.Mutex
-	slabs atomic.Pointer[[]*versionSlab]
+	clock atomic.Int64 // the last tick; 0 is never a stamp
 }
 
-type versionSlab struct {
-	ts [chunkSize]atomic.Int64
-}
+// NewVersions creates a clock at 0.
+func NewVersions() *Versions { return &Versions{} }
 
-// NewVersions creates an empty version table.
-func NewVersions() *Versions {
-	v := &Versions{}
-	empty := []*versionSlab{}
-	v.slabs.Store(&empty)
-	return v
-}
-
-// Slot indexes a version slot.
+// Slot numbers an episode (exec.EpisodeInput.Slot). It is no longer a
+// version slot: stamps replaced those, and InsertVec and Publish ignore it.
 type Slot int32
 
-// ensure returns the slab holding slot n's cell, appending slabs up to it
-// under the mutex when n lies past the last one.
-func (v *Versions) ensure(n Slot) *versionSlab {
-	si := int(n) >> chunkBits
-	slabs := *v.slabs.Load()
-	if si < len(slabs) {
-		return slabs[si]
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	slabs = *v.slabs.Load()
-	for si >= len(slabs) {
-		next := make([]*versionSlab, len(slabs)+1)
-		copy(next, slabs)
-		next[len(slabs)] = &versionSlab{}
-		v.slabs.Store(&next)
-		slabs = next
-	}
-	return slabs[si]
-}
+// Publish is inert. It stays because benchmark/trace.go calls it.
+func (v *Versions) Publish(Slot) {}
 
-// Publish maps slot n to a fresh global timestamp ts and returns it with
-// wm, the publication watermark read before ts was drawn. Entries stamped
-// with n become visible to probes with a newer timestamp. The pair is the
-// one an episode probes with: every slot under wm drew its timestamp
-// before the watermark moved past it, hence before wm was read and ts was
-// drawn, so ProbeVec at (ts, wm) may skip those slots' timestamp loads.
-// Publish also advances the watermark past every contiguously published
-// slot.
-//
-// Publishing an already-published slot is a no-op returning the existing
-// timestamp with wm 0, so defensive publishes on fault paths are safe; wm 0
-// disables the caller's fast path, since that timestamp was drawn before
-// this call read the watermark, not after.
-// If probes sealed the slot (rejected it while unpublished), the CAS loop
-// redraws until its timestamp beats every seal: the timestamp is drawn
-// after the seal was loaded, and the seal's magnitude was drawn before the
-// seal was stored, so a successful CAS guarantees ts > every overwritten
-// seal. Each retry means a probe with a newer timestamp sealed in between,
-// so the loop is bounded by the number of concurrent probes.
-func (v *Versions) Publish(n Slot) (wm Slot, ts int64) {
-	slab := v.ensure(n)
-	cell := &slab.ts[int(n)&chunkMask]
-	wm = Slot(v.watermark.Load())
-	for {
-		old := cell.Load()
-		if old > 0 {
-			return 0, old
-		}
-		ts = v.global.Add(1)
-		if cell.CompareAndSwap(old, ts) {
-			v.advanceWatermark()
-			return wm, ts
-		}
-	}
-}
+// Watermark is inert. It stays because benchmark/trace.go passes its value
+// to ProbeVec.
+func (v *Versions) Watermark() Slot { return 0 }
 
-// advanceWatermark pushes the watermark forward while the slot at the
-// frontier is published. Concurrent publishers race on the CAS; a lost race
-// just re-reads the frontier, so the loop is bounded by the number of slots
-// published since the caller started.
-func (v *Versions) advanceWatermark() {
-	for {
-		w := v.watermark.Load()
-		if v.tryGet(Slot(w)) == 0 {
-			return
-		}
-		v.watermark.CompareAndSwap(w, w+1)
-	}
-}
+// Now returns a fresh tick: a probe timestamp newer than the stamp of every
+// insert that has returned.
+func (v *Versions) Now() int64 { return v.clock.Add(1) }
 
-// Watermark returns the current publication watermark: every slot below it
-// is published with a timestamp strictly older than any timestamp drawn
-// *after* this call. Callers pairing a watermark with a probe timestamp
-// must therefore read the watermark first.
-func (v *Versions) Watermark() Slot { return Slot(v.watermark.Load()) }
-
-// Now returns a probe timestamp newer than every published slot.
-func (v *Versions) Now() int64 { return v.global.Add(1) }
-
-// Frontier returns the current value of the global version counter without
-// advancing it. It is a read-only causal stamp — suitable for tagging
-// observability events with "how far had the clock moved when this
-// happened" — and must never be used as a probe timestamp (those must be
-// drawn with Now so they exceed every published slot).
-func (v *Versions) Frontier() int64 { return v.global.Load() }
-
-// tryGet resolves slot n to its global timestamp; 0 means unpublished
-// (sealed slots are unpublished).
-func (v *Versions) tryGet(n Slot) int64 {
-	si := int(n) >> chunkBits
-	slabs := *v.slabs.Load()
-	if si >= len(slabs) {
-		return 0
-	}
-	if ts := slabs[si].ts[int(n)&chunkMask].Load(); ts > 0 {
-		return ts
-	}
-	return 0
-}
-
-// visibleAt reports whether slot n is visible to a probe at probeTS, i.e.
-// published with a timestamp strictly older than probeTS. An unpublished
-// slot is sealed at probeTS (one CAS) before visibleAt answers false: the
-// seal forces the slot's eventual Publish onto a timestamp newer than
-// probeTS, so a rejection can never lose to a publish that drew an older
-// timestamp but had not stored it yet. probeTS must come from this table's
-// counter (Publish or Now).
-func (v *Versions) visibleAt(n Slot, probeTS int64) bool {
-	si := int(n) >> chunkBits
-	slabs := *v.slabs.Load()
-	if si >= len(slabs) {
-		// No slab means Publish(n) has not finished ensure(n), which
-		// precedes its timestamp draw; with seq-cst atomics the slab-creating
-		// store ordered after our slabs load, so the eventual timestamp is
-		// ordered after probeTS and the entries are invisible.
-		return false
-	}
-	cell := &slabs[si].ts[int(n)&chunkMask]
-	for {
-		ts := cell.Load()
-		if ts > 0 {
-			return ts < probeTS
-		}
-		if -ts >= probeTS {
-			return false // a probe at or after probeTS already sealed it
-		}
-		if cell.CompareAndSwap(ts, -probeTS) {
-			return false
-		}
-		// Lost to a concurrent publish or a newer seal; re-read and decide
-		// again. Each retry strictly increases the cell's state, so the
-		// loop terminates.
-	}
-}
+// Frontier returns the current value of the clock without advancing it. It
+// is a read-only causal stamp — suitable for tagging observability events
+// with "how far had the clock moved when this happened" — and must never be
+// used as a probe timestamp (those must be drawn with Now, or be the
+// prober's own stamp, so they exceed every stamp recorded before them).
+func (v *Versions) Frontier() int64 { return v.clock.Load() }
 
 // chunk stages a fixed-size block of inserted entries in columnar form
 // until every index has built them into its tables. Each position is
@@ -252,7 +102,6 @@ func (v *Versions) visibleAt(n Slot, probeTS int64) bool {
 // builds read it under the STeM's mutex after the record.
 type chunk struct {
 	vids  [chunkSize]int32
-	slots [chunkSize]Slot
 	keys  [][]int64 // one column per index the STeM had when the chunk was made
 	qsets []uint64  // chunkSize * qw words
 
@@ -286,10 +135,11 @@ type staging struct {
 }
 
 // rec is one finished insert: the staged positions [lo, hi), whose first
-// cols key columns its inserter wrote.
+// cols key columns its inserter wrote, and the stamp it drew when recorded.
 type rec struct {
 	lo, hi int64
 	cols   int
+	stamp  int32
 }
 
 // stemState is the key columns of a STeM and their indexes, one per column.
@@ -410,15 +260,21 @@ func (s *STeM) enter(ci int64) *chunk {
 	return c
 }
 
-// record appends the finished insert r to the log and releases the chunks
-// its inserter entered. The STeM's mutex must be held.
-func (s *STeM) record(r rec) {
+// record appends the finished insert r to the log, stamps it and releases
+// the chunks its inserter entered, returning the stamp. The stamp is drawn
+// after logged counts the record, which is what makes it visible to every
+// probe at a later timestamp (see the package doc). The STeM's mutex must be
+// held.
+func (s *STeM) record(r rec) int64 {
 	s.log = append(s.log, r)
 	s.logged.Add(1)
+	stamp := s.versions.clock.Add(1)
+	s.log[len(s.log)-1].stamp = int32(stamp)
 	g := s.stage.Load()
 	for ci := r.lo >> chunkBits; ci <= (r.hi-1)>>chunkBits; ci++ {
 		g.at(ci).users.Add(-1)
 	}
+	return stamp
 }
 
 // newChunk returns a chunk for the staging: a dropped one of the STeM's
@@ -440,11 +296,11 @@ func (s *STeM) newChunk() *chunk {
 
 // bytes is the chunk's resident size for EstBytes.
 func (c *chunk) bytes() int64 {
-	return chunkSize*(4+4+int64(len(c.keys))*8) + int64(len(c.qsets))*8
+	return chunkSize*(4+int64(len(c.keys))*8) + int64(len(c.qsets))*8
 }
 
 // EstBytes estimates the STeM's resident memory: its staging chunks (vIDs,
-// slots, key columns, query-set slab) plus every index's union tables.
+// key columns, query-set slab) plus every index's union tables.
 // Observability only; the estimate ignores Go object headers.
 func (s *STeM) EstBytes() int64 {
 	var n int64
@@ -543,9 +399,9 @@ func (s *STeM) SweepIndex(retired bitset.Set) (dead int) {
 
 // CompactLive merges every index's tables and recorded ranges into one
 // table that keeps only the entries whose query set is non-empty, and
-// returns the entries left. Live entries keep their version slots (already
-// published, so they stay visible to later probes), and the next probe
-// reads the merged table as it stands.
+// returns the entries left. Live entries keep their stamps, so they stay
+// visible to the probes that saw them, and the next probe reads the merged
+// table as it stands.
 //
 // Compaction holds the mutex that builds hold and publishes each index's
 // table with one atomic store, so probes never block: a probe holding the
@@ -625,7 +481,7 @@ func (s *STeM) AddIndex(col string, keyOf func(vid int32) int64) {
 func (s *STeM) Each(f func(vid int32, qs bitset.Set)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	visit := func(_ int64, vid int32, _ Slot, ws []uint64) { f(vid, slices.Clone(bitset.Set(ws))) }
+	visit := func(_ int64, vid int32, _ int32, ws []uint64) { f(vid, slices.Clone(bitset.Set(ws))) }
 	if st := s.state.Load(); len(st.index) > 0 {
 		for _, t := range s.catchUp(st, 0, false, false) {
 			t.each(visit)

@@ -2,6 +2,7 @@ package stem
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,22 +11,21 @@ import (
 )
 
 // insert1 adds one tuple (one key per indexed column) as a one-element
-// InsertVec batch.
-func insert1(s *STeM, vid int32, keys []int64, qset bitset.Set, slot Slot) {
+// InsertVec batch and returns its stamp.
+func insert1(s *STeM, vid int32, keys []int64, qset bitset.Set) int64 {
 	cols := make([][]int64, len(keys))
 	for i := range keys {
 		cols[i] = keys[i : i+1]
 	}
-	s.InsertVec([]int32{vid}, cols, qset, len(qset), slot, nil)
+	return s.InsertVec([]int32{vid}, cols, qset, len(qset), 0, nil)
 }
 
-// probe1 probes one key as a one-element ProbeVec batch, every entry paying
-// the per-slot visibility check (wm 0).
+// probe1 probes one key as a one-element probeVec batch.
 func probe1(s *STeM, col string, key int64, probeTS int64) []match {
-	return probeVec(s, col, []int64{key}, probeTS, 0)
+	return probeVec(s, col, []int64{key}, probeTS)
 }
 
-// semiJoin1 returns the union of the published entries matching key, read
+// semiJoin1 returns the union of the entries matching key, read
 // through PruneVec: a tuple carrying every query, each eligible, keeps
 // exactly that union, and is dropped when it is empty.
 func semiJoin1(s *STeM, col string, key int64) bitset.Set {
@@ -41,10 +41,9 @@ func TestInsertProbeBasic(t *testing.T) {
 	s := New(v, []string{"k"}, 4, 16)
 
 	q01 := bitset.FromIDs(4, 0, 1)
-	insert1(s, 10, []int64{5}, q01, 0)
-	insert1(s, 11, []int64{5}, bitset.FromIDs(4, 2), 0)
-	insert1(s, 12, []int64{7}, q01, 0)
-	v.Publish(0)
+	insert1(s, 10, []int64{5}, q01)
+	insert1(s, 11, []int64{5}, bitset.FromIDs(4, 2))
+	insert1(s, 12, []int64{7}, q01)
 
 	ts := v.Now()
 	got := probe1(s, "k", 5, ts)
@@ -63,40 +62,106 @@ func TestInsertProbeBasic(t *testing.T) {
 	}
 }
 
+// TestProbeTimestampAtomicity checks that an entry stamped after a probe's
+// timestamp stays invisible to that probe, while the semi-join, which reads
+// the unions as they stand, sees it as soon as it is recorded.
 func TestProbeTimestampAtomicity(t *testing.T) {
 	v := NewVersions()
 	s := New(v, []string{"k"}, 2, 16)
-
-	insert1(s, 1, []int64{5}, bitset.NewFull(2), 0)
-	_, ts0 := v.Publish(0)
-
-	// A probe with a timestamp equal to or older than the publish time must
-	// not see the entry ("only matches with older timestamps").
-	if got := probe1(s, "k", 5, ts0); len(got) != 0 {
-		t.Errorf("probe at publish ts saw %d entries", len(got))
+	insert1(s, 1, []int64{5}, bitset.NewFull(2))
+	old := v.Now()
+	insert1(s, 2, []int64{6}, bitset.NewFull(2))
+	if got := probe1(s, "k", 5, old); len(got) != 1 {
+		t.Errorf("probe saw %d entries stamped before it, want 1", len(got))
 	}
-	if got := probe1(s, "k", 5, v.Now()); len(got) != 1 {
-		t.Errorf("probe with newer ts saw %d entries, want 1", len(got))
+	if got := probe1(s, "k", 6, old); len(got) != 0 {
+		t.Errorf("probe older than the insert saw %d entries", len(got))
 	}
-
-	// An unpublished vector must stay invisible to the semi-join, which
-	// skips unpublished slots without sealing them.
-	insert1(s, 2, []int64{6}, bitset.NewFull(2), 1)
-	if !semiJoin1(s, "k", 6).Empty() {
-		t.Error("semi-join saw unpublished entry")
-	}
-	v.Publish(1)
 	if semiJoin1(s, "k", 6).Count() != 2 {
-		t.Error("semi-join missed published entry")
+		t.Error("semi-join missed a recorded entry")
+	}
+}
+
+// TestStampVisibility pins the stamp rule at one, two and five words: an
+// insert's stamp is a fresh tick, drawn after every earlier insert's, and
+// its entry is invisible to probes at that stamp and below — its own
+// episode's probe included — and visible to a Now drawn after InsertVec
+// returns, which reads the table as it stands.
+func TestStampVisibility(t *testing.T) {
+	for _, qcap := range maintenanceWidths {
+		v := NewVersions()
+		s := New(v, []string{"k"}, qcap, 0)
+		q := bitset.NewFull(qcap)
+		before := v.Now()
+		a := insert1(s, 1, []int64{5}, q)
+		b := insert1(s, 2, []int64{5}, q)
+		if a <= before || b <= a || v.Frontier() != b {
+			t.Fatalf("%d words: stamps %d then %d after tick %d, clock at %d; want each a fresh tick", s.qw, a, b, before, v.Frontier())
+		}
+		for _, c := range []struct {
+			ts   int64
+			want []int32
+		}{{before, nil}, {a, nil}, {b, []int32{1}}, {v.Now(), []int32{1, 2}}} {
+			var got []int32
+			for _, m := range probe1(s, "k", 5, c.ts) {
+				got = append(got, m.VID)
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, c.want) {
+				t.Fatalf("%d words: a probe at %d (stamps %d and %d) saw %v, want %v", s.qw, c.ts, a, b, got, c.want)
+			}
+		}
+		if ts := v.Now(); !tableServes(s, 0, ts) {
+			t.Fatalf("%d words: a probe after both stamps does not read the table as it stands", s.qw)
+		}
+	}
+}
+
+// TestBenchmarkShimsInert pins the calls benchmark/trace.go's stem kernel
+// still makes as inert, so the kernel keeps timing the insert and the probe
+// alone: Publish moves no clock, Watermark is 0, InsertVec's Slot and
+// scratch change no stamp, and ProbeVec with any Slot answers as
+// ProbeVecRange over every word at the same timestamp.
+func TestBenchmarkShimsInert(t *testing.T) {
+	for _, qcap := range maintenanceWidths {
+		v := NewVersions()
+		s := New(v, []string{"k"}, qcap, 0)
+		keys := []int64{3, 5, 3, 9}
+		vids := []int32{0, 1, 2, 3}
+		qsets := make([]uint64, len(vids)*s.qw)
+		for i := range vids {
+			qsets[i*s.qw] = 1 << i
+		}
+		var sc InsertScratch
+		a := s.InsertVec(vids[:2], [][]int64{keys[:2]}, qsets[:2*s.qw], s.qw, 7, &sc)
+		v.Publish(7)
+		if v.Frontier() != a || v.Watermark() != 0 {
+			t.Fatalf("%d words: after Publish the clock is at %d (stamp %d) and Watermark is %d; want both inert", s.qw, v.Frontier(), a, v.Watermark())
+		}
+		if b := s.InsertVec(vids[2:], [][]int64{keys[2:]}, qsets[2*s.qw:], s.qw, 0, nil); b != a+1 {
+			t.Fatalf("%d words: the second insert's stamp is %d after %d; want the next tick", s.qw, b, a)
+		}
+		// Each timestamp sees none, the first two and all four entries.
+		for i, ts := range []int64{a, a + 1, v.Now()} {
+			want := canonVec(probeVec(s, "k", keys, ts))
+			if n := []int{0, 3, 6}[i]; len(want) != n {
+				t.Fatalf("%d words: ProbeVecRange at %d found %d matches, want %d", s.qw, ts, len(want), n)
+			}
+			for _, slot := range []Slot{0, 7, v.Watermark()} {
+				ms, qbuf := s.ProbeVec(nil, nil, "k", keys, ts, slot)
+				if got := canonVec(matches(ms, qbuf, s.qw)); !slices.Equal(got, want) {
+					t.Fatalf("%d words: ProbeVec at %d with slot %d = %v, ProbeVecRange = %v", s.qw, ts, slot, got, want)
+				}
+			}
+		}
 	}
 }
 
 func TestMultipleIndices(t *testing.T) {
 	v := NewVersions()
 	s := New(v, []string{"a", "b"}, 2, 16)
-	insert1(s, 1, []int64{10, 20}, bitset.NewFull(2), 0)
-	insert1(s, 2, []int64{10, 21}, bitset.NewFull(2), 0)
-	v.Publish(0)
+	insert1(s, 1, []int64{10, 20}, bitset.NewFull(2))
+	insert1(s, 2, []int64{10, 21}, bitset.NewFull(2))
 	ts := v.Now()
 
 	if got := probe1(s, "a", 10, ts); len(got) != 2 {
@@ -116,10 +181,9 @@ func TestMultipleIndices(t *testing.T) {
 func TestPruneVecUnions(t *testing.T) {
 	v := NewVersions()
 	s := New(v, []string{"k"}, 8, 16)
-	insert1(s, 1, []int64{3}, bitset.FromIDs(8, 0), 0)
-	insert1(s, 2, []int64{3}, bitset.FromIDs(8, 5), 0)
-	insert1(s, 3, []int64{4}, bitset.FromIDs(8, 7), 0)
-	v.Publish(0)
+	insert1(s, 1, []int64{3}, bitset.FromIDs(8, 0))
+	insert1(s, 2, []int64{3}, bitset.FromIDs(8, 5))
+	insert1(s, 3, []int64{4}, bitset.FromIDs(8, 7))
 
 	if got := semiJoin1(s, "k", 3).IDs(); len(got) != 2 || got[0] != 0 || got[1] != 5 {
 		t.Errorf("PruneVec kept %v, want [0 5]", got)
@@ -131,9 +195,8 @@ func TestChunkGrowth(t *testing.T) {
 	s := New(v, []string{"k"}, 2, 16)
 	n := chunkSize*2 + 57 // force three chunks
 	for i := 0; i < n; i++ {
-		insert1(s, int32(i), []int64{int64(i % 97)}, bitset.NewFull(2), 0)
+		insert1(s, int32(i), []int64{int64(i % 97)}, bitset.NewFull(2))
 	}
-	v.Publish(0)
 	ts := v.Now()
 	total := 0
 	for k := int64(0); k < 97; k++ {
@@ -148,60 +211,68 @@ func TestChunkGrowth(t *testing.T) {
 	}
 }
 
-// TestConcurrentInsertProbePairsOnce models two episodes symmetric-joining:
-// every (r, s) key match must be produced exactly once across the two sides.
-// The STeMs have one word; each probe indexes what the other side recorded
-// since the last one, often entries still unpublished, and the run must
-// also read tables as they stand while the other side inserts.
+// TestConcurrentInsertProbePairsOnce models episodes symmetric-joining two
+// relations, two goroutines per side: each episode inserts a vector of 64
+// tuples into its side's STeM and probes the other STeM with the vector's
+// keys at the stamp its insert returned. Every (r, s) key match must be
+// produced exactly once across all episodes: by whichever of the two
+// tuples' episodes has the later stamp. The STeMs have one word; each probe
+// indexes what the other side recorded since the last one, often entries
+// stamped after the probe's timestamp, and the run must also read tables as
+// they stand while the other side inserts.
 func TestConcurrentInsertProbePairsOnce(t *testing.T) {
-	const keys = 64
-	const perSide = 4096
+	const keys, perSide, vec, perSideG = 64, 4096, 64, 2
 	var served atomic.Int64
 	for trial := 0; trial < 4; trial++ {
 		v := NewVersions()
 		r := New(v, []string{"k"}, 2, perSide)
 		s := New(v, []string{"k"}, 2, perSide)
 		qs := bitset.NewFull(2)
+		var qslab []uint64 // a vector's query sets: qs for every tuple
+		for range vec {
+			qslab = append(qslab, qs...)
+		}
 
 		type pair struct{ a, b int32 }
 		var mu sync.Mutex
 		found := make(map[pair]int)
 
 		var rKey, sKey [perSide]int64 // each side's keys by vID
-		run := func(mine, other *STeM, keyOf *[perSide]int64, slotBase Slot, flip bool, seed int64) {
+		// run is one goroutine's episodes: the vectors [lo, hi) of its side.
+		run := func(mine, other *STeM, keyOf *[perSide]int64, lo, hi int, flip bool, seed int64) {
 			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < perSide; i += 64 {
-				slot := slotBase + Slot(i/64)
-				for j := 0; j < 64; j++ {
-					vid := int32(i + j)
-					keyOf[vid] = int64(rng.Intn(keys))
-					insert1(mine, vid, []int64{keyOf[vid]}, qs, slot)
+			for i := lo; i < hi; i += vec {
+				vids := make([]int32, vec)
+				ks := make([]int64, vec)
+				for j := range vids {
+					vids[j] = int32(i + j)
+					ks[j] = int64(rng.Intn(keys))
+					keyOf[i+j] = ks[j]
 				}
-				_, ts := v.Publish(slot)
-				// Probe the other side for each of my just-inserted keys.
-				for j := 0; j < 64; j++ {
-					vid := int32(i + j)
-					ms := probe1(other, "k", keyOf[vid], ts)
-					if allSeen(other, 0, ts, 0) {
-						served.Add(1)
-					}
-					for _, m := range ms {
-						p := pair{vid, m.VID}
-						if flip {
-							p = pair{m.VID, vid}
-						}
-						mu.Lock()
-						found[p]++
-						mu.Unlock()
-					}
+				ts := mine.InsertVec(vids, [][]int64{ks}, qslab, len(qs), 0, nil)
+				ms := probeVec(other, "k", ks, ts)
+				if allSeen(other, 0, ts) {
+					served.Add(1)
 				}
+				mu.Lock()
+				for _, m := range ms {
+					p := pair{vids[m.In], m.VID}
+					if flip {
+						p = pair{m.VID, vids[m.In]}
+					}
+					found[p]++
+				}
+				mu.Unlock()
 			}
 		}
 
 		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { defer wg.Done(); run(r, s, &rKey, 0, false, int64(trial)*2+1) }()
-		go func() { defer wg.Done(); run(s, r, &sKey, 1<<20, true, int64(trial)*2+2) }()
+		half := perSide / perSideG
+		for g := 0; g < perSideG; g++ {
+			wg.Add(2)
+			go func() { defer wg.Done(); run(r, s, &rKey, g*half, (g+1)*half, false, int64(trial)*8+int64(g)) }()
+			go func() { defer wg.Done(); run(s, r, &sKey, g*half, (g+1)*half, true, int64(trial)*8+4+int64(g)) }()
+		}
 		wg.Wait()
 
 		// Verify against ground truth.
@@ -224,98 +295,10 @@ func TestConcurrentInsertProbePairsOnce(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d of %d probes read every table as it stood", served.Load(), 4*2*perSide)
+	episodes := 4 * 2 * perSide / vec
+	t.Logf("%d of %d probes read every table as it stood", served.Load(), episodes)
 	if served.Load() == 0 {
 		t.Fatal("no probe read every table as it stood; the check did not reach the unchecked reads")
-	}
-}
-
-// TestProbeSealBindsRejection pins the probe-side seal protocol: a probe
-// that rejects an unpublished slot seals it, so the slot's later Publish
-// must draw a timestamp newer than the rejecting probe's — the rejection
-// can never turn out wrong after the fact (the draw-to-store window).
-func TestProbeSealBindsRejection(t *testing.T) {
-	v := NewVersions()
-	s := New(v, []string{"k"}, 2, 16)
-
-	insert1(s, 1, []int64{7}, bitset.NewFull(2), 0)
-	probeTS := v.Now()
-	if got := probe1(s, "k", 7, probeTS); len(got) != 0 {
-		t.Fatalf("probe saw unpublished entry: %v", got)
-	}
-	if v.Watermark() != 0 {
-		t.Fatalf("watermark advanced past sealed slot: %d", v.Watermark())
-	}
-	_, ts := v.Publish(0)
-	if ts <= probeTS {
-		t.Fatalf("publish after seal drew ts %d <= rejecting probeTS %d", ts, probeTS)
-	}
-	// A re-publish returns the existing timestamp paired with watermark 0:
-	// ts was drawn before the current watermark was read, so any other
-	// watermark would let a probe at ts skip its own slot's check.
-	if wm, again := v.Publish(0); again != ts || wm != 0 {
-		t.Fatalf("re-publish = (wm %d, ts %d), want (0, %d)", wm, again, ts)
-	}
-	if v.Watermark() != 1 {
-		t.Fatalf("watermark = %d after publish, want 1", v.Watermark())
-	}
-	if got := probe1(s, "k", 7, v.Now()); len(got) != 1 {
-		t.Fatalf("published entry invisible to newer probe")
-	}
-}
-
-// TestVisibleAtPublishRaceInvariant hammers visibleAt against concurrent
-// Publish calls and checks the binding-rejection invariant: whenever a
-// probe rejects a slot, the slot's final published timestamp must be newer
-// than the probe's; whenever it accepts, older.
-func TestVisibleAtPublishRaceInvariant(t *testing.T) {
-	const slots = 2048
-	const probers = 4
-	v := NewVersions()
-
-	type verdict struct {
-		slot    Slot
-		probeTS int64
-		visible bool
-	}
-	verdicts := make([][]verdict, probers)
-	var wg sync.WaitGroup
-	wg.Add(probers + 1)
-	go func() {
-		defer wg.Done()
-		for n := Slot(0); n < slots; n++ {
-			v.Publish(n)
-		}
-	}()
-	for p := 0; p < probers; p++ {
-		go func(p int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(p)))
-			for i := 0; i < slots*2; i++ {
-				n := Slot(rng.Intn(slots))
-				probeTS := v.Now()
-				verdicts[p] = append(verdicts[p], verdict{n, probeTS, v.visibleAt(n, probeTS)})
-			}
-		}(p)
-	}
-	wg.Wait()
-
-	for p, vs := range verdicts {
-		for _, vd := range vs {
-			ts := v.tryGet(vd.slot)
-			if ts == 0 {
-				t.Fatalf("slot %d never published", vd.slot)
-			}
-			if vd.visible && ts >= vd.probeTS {
-				t.Fatalf("prober %d: accepted slot %d with final ts %d >= probeTS %d", p, vd.slot, ts, vd.probeTS)
-			}
-			if !vd.visible && ts < vd.probeTS {
-				t.Fatalf("prober %d: rejected slot %d whose final ts %d < probeTS %d", p, vd.slot, ts, vd.probeTS)
-			}
-		}
-	}
-	if v.Watermark() != slots {
-		t.Fatalf("watermark = %d, want %d", v.Watermark(), slots)
 	}
 }
 
@@ -324,7 +307,7 @@ func TestVisibleAtPublishRaceInvariant(t *testing.T) {
 // built: a build must never read an entry whose chunk is missing from its
 // staging snapshot (builds cover only recorded ranges, whose chunks were
 // made before the record and dropped only after every index built them),
-// and every match a probe emits must be published and valid.
+// and every match a probe emits must be valid.
 func TestProbeDuringChunkGrowth(t *testing.T) {
 	const total = chunkSize*3 + 100
 	const hotKeys = 8
@@ -335,13 +318,8 @@ func TestProbeDuringChunkGrowth(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < total; i += 64 {
-			slot := Slot(i / 64)
-			for j := 0; j < 64 && i+j < total; j++ {
-				vid := int32(i + j)
-				insert1(s, vid, []int64{int64(vid) % hotKeys}, qs, slot)
-			}
-			v.Publish(slot)
+		for vid := int32(0); vid < total; vid++ {
+			insert1(s, vid, []int64{int64(vid) % hotKeys}, qs)
 		}
 	}()
 
@@ -351,13 +329,13 @@ func TestProbeDuringChunkGrowth(t *testing.T) {
 	for k := range keys {
 		keys[k] = int64(k)
 	}
+	all := keyProbe(keys, nil, s.qw)
 	for alive := true; alive; {
 		select {
 		case <-done:
 			alive = false
 		default:
 		}
-		wm := v.Watermark()
 		ts := v.Now()
 		for k := int64(0); k < hotKeys; k++ {
 			for _, m := range probe1(s, "k", k, ts) {
@@ -366,14 +344,14 @@ func TestProbeDuringChunkGrowth(t *testing.T) {
 				}
 			}
 		}
-		vecDst, vecQbuf = s.ProbeVec(vecDst[:0], vecQbuf[:0], "k", keys, ts, wm)
+		vecDst, vecQbuf, _ = s.ProbeVecRange(vecDst[:0], vecQbuf[:0], "k", all, ts, 0, s.qw)
 		for _, m := range vecDst {
 			if int64(m.VID)%hotKeys != keys[m.In] {
 				t.Fatalf("batched probe key %d matched vid %d", keys[m.In], m.VID)
 			}
 		}
 	}
-	if got := probeVecCount(s, "k", keys, v.Now(), v.Watermark()); got != total {
+	if got := probeVecCount(s, "k", keys, v.Now()); got != total {
 		t.Fatalf("final probe saw %d entries, want %d", got, total)
 	}
 }
@@ -389,25 +367,24 @@ func TestEstBytes(t *testing.T) {
 	}
 	q := bitset.NewFull(16)
 	for i := 0; i < chunkSize+1; i++ { // force a second chunk
-		insert1(s, int32(i), []int64{int64(i)}, q, 0)
+		insert1(s, int32(i), []int64{int64(i)}, q)
 	}
 	grown := s.EstBytes()
 	if grown <= base {
 		t.Fatalf("estimate did not grow: %d -> %d", base, grown)
 	}
 	perChunk := (grown - base) / 2
-	if perChunk < chunkSize*(4+4+8+8) {
+	if perChunk < chunkSize*(4+8+8) {
 		t.Errorf("per-chunk estimate %d smaller than its columns", perChunk)
 	}
 
 	// Once built, a STeM's estimate is its tables': a one-word union table
 	// counts its 24-byte slots and, for keys with several entries, a vID, a
-	// slot and a word per entry. Its staging chunk is dropped.
+	// stamp and a word per entry. Its staging chunk is dropped.
 	s1 := New(v, []string{"k"}, 64, 0)
-	insert1(s1, 1, []int64{7}, bitset.Set{1}, 1)
-	insert1(s1, 2, []int64{7}, bitset.Set{2}, 1)
-	insert1(s1, 3, []int64{8}, bitset.Set{4}, 1)
-	v.Publish(1)
+	insert1(s1, 1, []int64{7}, bitset.Set{1})
+	insert1(s1, 2, []int64{7}, bitset.Set{2})
+	insert1(s1, 3, []int64{8}, bitset.Set{4})
 	semiJoin1(s1, "k", 7) // builds the table
 	tb := tablesOf(s1, 0)[0]
 	if len(tb.vids) != 2 {
@@ -418,13 +395,12 @@ func TestEstBytes(t *testing.T) {
 	}
 
 	// A two-word table adds, beside its slots, two union words for each of
-	// its two keys and for the empty slot, and a vID, a slot and two words
+	// its two keys and for the empty slot, and a vID, a stamp and two words
 	// per side-array entry.
 	s2 := New(v, []string{"k"}, 128, 0)
-	insert1(s2, 1, []int64{7}, bitset.Set{1, 0}, 2)
-	insert1(s2, 2, []int64{7}, bitset.Set{0, 2}, 2)
-	insert1(s2, 3, []int64{8}, bitset.Set{4, 4}, 2)
-	v.Publish(2)
+	insert1(s2, 1, []int64{7}, bitset.Set{1, 0})
+	insert1(s2, 2, []int64{7}, bitset.Set{0, 2})
+	insert1(s2, 3, []int64{8}, bitset.Set{4, 4})
 	semiJoin1(s2, "k", 7)
 	tb = tablesOf(s2, 0)[0]
 	if len(tb.vids) != 2 {

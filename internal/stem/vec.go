@@ -16,37 +16,32 @@ import (
 //   - InsertVec reserves the whole vector's staged positions with a single
 //     count.Add(n), bulk-writes the entry columns chunk segment by chunk
 //     segment, and then records the finished range in the STeM's log under
-//     its mutex. It links nothing: entries reach probes only through the
-//     union tables built over recorded ranges.
+//     its mutex, where it draws the range's stamp. It links nothing: entries
+//     reach probes only through the union tables built over recorded
+//     ranges.
 //   - ProbeVecRange reads the probing vector where it lies (Probe): each
 //     tuple's key through its vID and its words from the caller's slab,
 //     masked to the probe's queries, and each key's entries from the
 //     index's union tables, one slot per key and table. It keeps only the
 //     entries that share a query with their tuple, writing the
 //     intersections out. An index of one table whose entries were all
-//     published before the probe is read as it stands, without a branch on
-//     the data for keys of one entry: every tuple reads its slot and writes
-//     its match where the next one lands, and only a match that keeps a bit
-//     advances. Any other index is read tuple by tuple, skipping those with
-//     no bit, and each entry of a table the probe does not see as a whole
-//     passes the versioning check on its slot. ProbeVec is its unmasked,
-//     full-width form over a plain key list.
+//     stamped before the probe's timestamp is read as it stands, without a
+//     branch on the data for keys of one entry: every tuple reads its slot
+//     and writes its match where the next one lands, and only a match that
+//     keeps a bit advances. Any other index is read tuple by tuple, skipping
+//     those with no bit, and each entry must be stamped before the probe's
+//     timestamp.
 //   - PruneVec is the symmetric-join-pruning kernel: it masks the probing
 //     tuples' query sets in place over one word range and compacts the
 //     survivors in the same pass, reading each key's union from the index
 //     merged into one table.
 //
-// Memory-ordering argument: every entry write — vIDs, slots, keys, query
-// sets — happens before InsertVec records the range under the mutex, and a
-// table is built over recorded ranges under the same mutex and published
-// with one atomic store, so a table only ever holds fully written entries,
+// Memory-ordering argument: every entry write — vIDs, keys, query sets —
+// happens before InsertVec records the range under the mutex, and a table
+// is built over recorded ranges under the same mutex and published with one
+// atomic store, so a table only ever holds fully written, stamped entries,
 // and a staged position is written by its insert alone and read only after
 // the record, so the chunks need no atomics.
-// Entries stay invisible to result probes until their slot is published
-// regardless: a probe that finds the slot unpublished rejects it after
-// sealing it (Versions.visibleAt), which pins the slot's eventual timestamp
-// above the probe's, so the rejection cannot race with an in-flight
-// publish.
 //
 // A table's words are read plainly: a table never changes once published,
 // and a sweep replaces it with a swept copy (SweepIndex).
@@ -100,19 +95,24 @@ func identity(n int) []int32 {
 // InsertVec's parameter stay because benchmark/trace.go passes one.
 type InsertScratch struct{}
 
-// InsertVec adds len(vids) tuples in bulk, all stamped with version slot
-// slot. keyCols holds one key column per indexed column (index order),
-// each of length len(vids); qsets is the tuples' query-set slab with qw
-// words per tuple. keyCols may carry extra trailing columns beyond the
-// STeM's index count, which are ignored, or lack the columns of indexes
-// added since the caller's context view was built: such an index derives
-// the key from the entry's vID (AddIndex). The tuples become visible to
-// probes once the slot is published. The scratch is ignored.
-func (s *STeM) InsertVec(vids []int32, keyCols [][]int64, qsets []uint64, qw int, slot Slot, _ *InsertScratch) {
+// InsertVec adds len(vids) tuples in bulk and returns the stamp they share,
+// or 0 for an empty vector, which it does not record. keyCols holds one key
+// column per indexed column (index order), each of length len(vids); qsets
+// is the tuples' query-set slab with qw words per tuple. keyCols may carry
+// extra trailing columns beyond the STeM's index count, which are ignored,
+// or lack the columns of indexes added since the caller's context view was
+// built: such an index derives the key from the entry's vID (AddIndex). The
+// tuples are visible to every probe at a timestamp newer than the stamp,
+// and to no other: the inserting episode probes at the stamp itself, so it
+// sees what was recorded before it and none of its own entries. A table
+// keeps a stamp in 32 bits, beside the vID in its slot, so a session takes
+// fewer than 2^31 ticks. The slot and the scratch are unused; they stay
+// because benchmark/trace.go passes them.
+func (s *STeM) InsertVec(vids []int32, keyCols [][]int64, qsets []uint64, qw int, _ Slot, _ *InsertScratch) int64 {
 	if len(vids) == 0 {
-		return
+		return 0
 	}
-	s.fill(s.reserve(len(vids)), vids, keyCols, qsets, qw, slot)
+	return s.fill(s.reserve(len(vids)), vids, keyCols, qsets, qw)
 }
 
 // reserve is InsertVec's first half: it claims n staged positions and
@@ -122,9 +122,9 @@ func (s *STeM) reserve(n int) int64 {
 }
 
 // fill is InsertVec's second half: it writes the entries at the reserved
-// positions [base, base+len(vids)) and records their range with the number
-// of key columns it wrote.
-func (s *STeM) fill(base int64, vids []int32, keyCols [][]int64, qsets []uint64, qw int, slot Slot) {
+// positions [base, base+len(vids)), records their range with the number of
+// key columns it wrote and returns the record's stamp.
+func (s *STeM) fill(base int64, vids []int32, keyCols [][]int64, qsets []uint64, qw int) int64 {
 	n, cols, sw := len(vids), len(keyCols), s.qw
 	for i0 := 0; i0 < n; {
 		idx := base + int64(i0)
@@ -132,9 +132,6 @@ func (s *STeM) fill(base int64, vids []int32, keyCols [][]int64, qsets []uint64,
 		off := int(idx & chunkMask)
 		seg := min(chunkSize-off, n-i0)
 		copy(c.vids[off:off+seg], vids[i0:i0+seg])
-		for j := off; j < off+seg; j++ {
-			c.slots[j] = slot
-		}
 		if qw == sw {
 			copy(c.qsets[off*sw:(off+seg)*sw], qsets[i0*qw:])
 		} else { // a narrower slab is padded with zero words
@@ -150,77 +147,61 @@ func (s *STeM) fill(base int64, vids []int32, keyCols [][]int64, qsets []uint64,
 		i0 += seg
 	}
 	s.mu.Lock()
-	s.record(rec{base, base + int64(n), cols})
+	stamp := s.record(rec{lo: base, hi: base + int64(n), cols: cols})
 	s.mu.Unlock()
+	return stamp
 }
 
-// ProbeVec probes every key of keys on column col, appending each match to
-// dst tagged with the key's input position, and the matched entry's s.qw
-// query-set words to qbuf in match order: the k-th
-// match this call appends has its words at qbuf[q0+k*s.qw:], q0 being
-// len(qbuf) on entry. Both grow with append and are returned; callers reuse
-// them across calls so the steady state does not allocate.
-//
-// An entry matches when its key equals the probe key and its slot's
-// published timestamp is strictly older than probeTS. probeTS must have
-// been drawn from the STeM's Versions table (Publish or Now) before the
-// probe began. Entries whose slot is still unpublished are rejected without
-// waiting: the reject seals the slot at probeTS (Versions.visibleAt), which
-// forces the slot's eventual publication onto a timestamp newer than
-// probeTS — so the rejection is correct even against a publish that drew
-// its timestamp before probeTS but had not stored it yet (the draw-to-store
-// window). A NullKey probe key matches nothing: SQL NULL never equals
-// anything, itself included, and no table holds a NULL-keyed entry.
-//
-// wm amortizes the visibility check: it must be a watermark value read
-// *before* probeTS was drawn (Versions.Watermark, or the pair returned by
-// Publish), which guarantees every slot under wm carries a timestamp older
-// than probeTS, so those entries (the stable majority in a long-lived
-// session) skip the per-entry timestamp load entirely, and a table whose
-// every slot is under wm is read without any check. Pass wm 0 to disable
-// the short-circuit.
-func (s *STeM) ProbeVec(dst []VecMatch, qbuf []uint64, col string, keys []int64, probeTS int64, wm Slot) ([]VecMatch, []uint64) {
-	dst, qbuf, _ = s.ProbeVecRange(dst, qbuf, col, Probe{Keys: keys, VIDs: identity(len(keys))}, probeTS, wm, 0, s.qw)
+// ProbeVec is ProbeVecRange unmasked over every word, for a key list. Its
+// last parameter is unused; ProbeVec stays because benchmark/trace.go calls
+// it.
+func (s *STeM) ProbeVec(dst []VecMatch, qbuf []uint64, col string, keys []int64, probeTS int64, _ Slot) ([]VecMatch, []uint64) {
+	dst, qbuf, _ = s.ProbeVecRange(dst, qbuf, col, Probe{Keys: keys, VIDs: identity(len(keys))}, probeTS, 0, s.qw)
 	return dst, qbuf
 }
 
-// ProbeVecRange is ProbeVec over the tuples of p and the query-set words
-// [lo, hi) only, with lo < hi <= the STeM's width, fused with the
+// ProbeVecRange probes the tuples of p on column col over the query-set
+// words [lo, hi) only, with lo < hi <= the STeM's width, fused with the
 // intersection a join applies to each match: a tuple with no bit under
-// p.Mask is not probed, an entry matches only if its words share a bit with
+// p.Mask is not probed, an entry matches only if its key equals the
+// tuple's, its stamp is older than probeTS and its words share a bit with
 // its tuple's masked words, and the hi-lo words appended to qout per match
 // are that intersection. An unmasked p (nil Qsets) keeps every match with
-// the entry's own words, as ProbeVec does. Matches come in tuple order, and
-// the call also returns how many tuples it probed. The executor passes its
-// plan node's word range, its input vector's slab and the node's queries as
-// the mask, so qout is its output vector's query-set slab.
+// the entry's own words. Matches come in tuple order, each tagged with its
+// tuple's position, and the call also returns how many tuples it probed.
+// The executor passes its plan node's word range, its input vector's slab
+// and the node's queries as the mask, so qout is its output vector's
+// query-set slab. probeTS is the prober's own stamp or a Versions.Now
+// drawn before the call. A NullKey probe key matches nothing: SQL NULL
+// never equals anything, itself included, and no table holds a NULL-keyed
+// entry.
 //
 // The index's tables hold every entry the probe must see: such an entry
-// was published before probeTS was drawn, so its InsertVec recorded its
-// range before this call, which first builds a table over whatever is
-// recorded (tables). A table whose every entry the probe sees (seen) is
-// read as it stands; an index of one such table takes the table's own
-// loops (probe), any other is read through every table (probeEach). The
-// table's loops reserve room for one match per tuple in dst and qout,
-// reusing the capacity they come with, and write every tuple's match where
-// the next one lands, so the buffers may be written past the length they
-// are returned with.
-func (s *STeM) ProbeVecRange(dst []VecMatch, qout []uint64, col string, p Probe, probeTS int64, wm Slot, lo, hi int) ([]VecMatch, []uint64, int) {
+// was stamped before probeTS was drawn, so its InsertVec recorded its range
+// before this call, which first builds a table over whatever is recorded
+// (tables). A table whose every entry is older than probeTS (seen) is read
+// as it stands; an index of one such table takes the table's own loops
+// (probe), any other is read through every table (probeEach). The table's
+// loops reserve room for one match per tuple in dst and qout, reusing the
+// capacity they come with, and write every tuple's match where the next one
+// lands, so the buffers may be written past the length they are returned
+// with.
+func (s *STeM) ProbeVecRange(dst []VecMatch, qout []uint64, col string, p Probe, probeTS int64, lo, hi int) ([]VecMatch, []uint64, int) {
 	// The state and the table list are loaded once per call: a list
 	// replaced mid-call leaves this probe on the old one, which holds every
 	// entry the probe must see — such an entry's insert recorded its range
-	// before its timestamp, hence probeTS, was drawn, and the list is
-	// loaded once every recorded range is built (tables).
+	// before its stamp, hence probeTS, was drawn, and the list is loaded
+	// once every recorded range is built (tables).
 	st := s.state.Load()
 	ki, ok := st.colIdx[col]
 	if !ok { // no table: the probe only counts its tuples
-		return s.probeEach(nil, dst, qout, &p, probeTS, wm, lo, hi)
+		return probeEach(nil, dst, qout, &p, probeTS, lo, hi)
 	}
 	ts := s.tables(st, ki, false)
-	if len(ts) == 1 && ts[0].seen(s.versions, probeTS, wm) {
+	if len(ts) == 1 && ts[0].seen(probeTS) {
 		return ts[0].probe(dst, qout, &p, lo, hi)
 	}
-	return s.probeEach(ts, dst, qout, &p, probeTS, wm, lo, hi)
+	return probeEach(ts, dst, qout, &p, probeTS, lo, hi)
 }
 
 // keepWords writes the words of a match to o: the entry's words ew, ANDed
@@ -241,11 +222,9 @@ func keepWords(o, ew, tw, mask []uint64) bool {
 }
 
 // probeEach is ProbeVecRange over the table list ts entry by entry: each
-// tuple looks its key up in every table, and in a table the probe does not
-// see as a whole (seen) each entry must be visible at (probeTS, wm) — under
-// the watermark, or published before probeTS (visibleAt, which seals the
-// slot when it is not).
-func (s *STeM) probeEach(ts []*unionTable, dst []VecMatch, qout []uint64, p *Probe, probeTS int64, wm Slot, lo, hi int) ([]VecMatch, []uint64, int) {
+// tuple looks its key up in every table and keeps the entries stamped
+// before probeTS.
+func probeEach(ts []*unionTable, dst []VecMatch, qout []uint64, p *Probe, probeTS int64, lo, hi int) ([]VecMatch, []uint64, int) {
 	nw := hi - lo
 	masked := p.Qsets != nil
 	probed := 0
@@ -263,10 +242,9 @@ func (s *STeM) probeEach(ts []*unionTable, dst []VecMatch, qout []uint64, p *Pro
 			if e.n == 0 {
 				continue
 			}
-			check := !t.seen(s.versions, probeTS, wm)
 			for j := range e.count() {
-				evid, slot := t.entry(e, j)
-				if check && slot >= wm && !s.versions.visibleAt(slot, probeTS) {
+				evid, stamp := t.entry(e, j)
+				if int64(stamp) >= probeTS {
 					continue
 				}
 				n := len(qout)
@@ -285,8 +263,8 @@ func (s *STeM) probeEach(ts []*unionTable, dst []VecMatch, qout []uint64, p *Pro
 }
 
 // PruneVec is the symmetric-join-pruning kernel (§5.2): a probing tuple
-// keeps an eligible query's bit only if some published entry matching its
-// key on col carries that bit too. The tuples are vids, with their words in
+// keeps an eligible query's bit only if some entry matching its key on col
+// carries that bit too. The tuples are vids, with their words in
 // the slab qsets (stride qw); tuple i's key is keys[vids[i]], keys being the
 // probing relation's join column. With t its words and u the union of its
 // matching entries' query sets, it sets, for each word w in [lo, hi),
@@ -303,13 +281,13 @@ func (s *STeM) probeEach(ts []*unionTable, dst []VecMatch, qout []uint64, p *Pro
 // tuple loses all its eligible bits. acc is caller-owned scratch of at
 // least hi-lo words.
 //
-// Publication needs no timestamp ordering here, and unpublished slots are
-// skipped, not sealed: the caller prunes only against a STeM whose every
-// vector has been inserted and published. The prune merges the index's
-// tables into one, built at once over whatever is recorded, and reads each
-// key's union from it, or, while the table holds an entry not known to be
-// published, ORs the published entries' words. A column the STeM does not
-// index yet prunes nothing.
+// The prune reads the unions as they stand, with no timestamp: the caller
+// prunes an eligible query only against a STeM whose every vector carrying
+// it has been inserted and recorded (the engine's prunableLocked), and an
+// entry recorded later belongs to a query admitted later, which carries no
+// eligible bit. The prune merges the index's tables into one, built at once
+// over whatever is recorded, and reads each key's union from it. A column
+// the STeM does not index yet prunes nothing.
 func (s *STeM) PruneVec(vids []int32, qsets []uint64, qw int, elig bitset.Set, lo, hi int, col string, keys []int64, acc []uint64) int {
 	st := s.state.Load()
 	ki, ok := st.colIdx[col]
@@ -317,9 +295,7 @@ func (s *STeM) PruneVec(vids []int32, qsets []uint64, qw int, elig bitset.Set, l
 		return len(vids)
 	}
 	t := s.tables(st, ki, true)[0]
-	wm := s.versions.Watermark()
-	published := t.seen(s.versions, math.MaxInt64, wm) // seen after every publication
-	if published && qw == 1 && hi-lo == 1 {
+	if qw == 1 && hi-lo == 1 {
 		e, n := elig[0], 0
 		for i, vid := range vids {
 			var u uint64 // a key no slot holds has the empty union
@@ -338,12 +314,13 @@ func (s *STeM) PruneVec(vids []int32, qsets []uint64, qw int, elig bitset.Set, l
 	}
 	nw, n := hi-lo, 0
 	elig, acc = elig[lo:hi], acc[:nw]
-	if !published || t.qw == 1 {
-		// An entry may be unpublished, or the range is empty on a one-word
-		// table, whose union words are not in t.us: each tuple ORs its
-		// key's published entries' words into acc.
+	if t.qw == 1 {
+		// A one-word table keeps its union words in the slots, not in t.us.
 		for i, vid := range vids {
-			t.gather(acc, t.slot(keys[vid]), lo, s.versions, wm, published)
+			e := t.slot(keys[vid])
+			for w := range acc {
+				acc[w] = t.unionWord(e, lo+w)
+			}
 			vids[n] = vid
 			if pruneRow(qsets[n*qw:][:qw], qsets[i*qw:][:qw], acc, elig, lo, hi) {
 				n++
@@ -467,9 +444,9 @@ func (s *STeM) catchUp(st *stemState, ki int, all, drop bool) []*unionTable {
 // answering a prune or a probe with one slot read per key: a map from each
 // distinct non-NULL key to the OR of its entries' query sets (its union)
 // and to the entries themselves. A key with one entry keeps its vID and
-// version slot in its slot, and its words are its union; a key with more
-// keeps its entries' vIDs, slots and words (qw per entry) contiguous in
-// vids, eslots and words. The NULL-keyed entries, which no probe reaches,
+// stamp in its slot, and its words are its union; a key with more keeps its
+// entries' vIDs, stamps and words (qw per entry) contiguous in vids, stamps
+// and words. The NULL-keyed entries, which no probe reaches,
 // follow them there (the last nulls), so that a merge or an AddIndex reads
 // every entry back from the table. On a one-word table the union word sits
 // in the slot; on a wider one the slot locates the key's qw union words in
@@ -484,12 +461,9 @@ func (s *STeM) catchUp(st *stemState, ki int, all, drop bool) []*unionTable {
 // most half full; a NULL key, which no slot holds, stops at the first empty
 // slot.
 //
-// A table holds its entries published or not, zero-word entries included
-// (a probe returns them): maxSlot is the largest of their slots, maxTS the
-// newest publication timestamp of those published at the build, and late
-// the (few: one per episode then in flight) slots that were not. A table
-// never changes once published: a sweep replaces it with a swept copy
-// (SweepIndex).
+// A table holds zero-word entries too (a probe returns them), and maxTS is
+// the newest of its entries' stamps. A table never changes once published:
+// a sweep replaces it with a swept copy (SweepIndex).
 type unionTable struct {
 	slots   []unionSlot
 	direct  bool
@@ -498,12 +472,10 @@ type unionTable struct {
 	qw      int
 	us      []uint64
 	vids    []int32
-	eslots  []Slot
+	stamps  []int32
 	words   []uint64
-	nulls   int // NULL-keyed entries, at the end of vids, eslots and words
-	maxSlot Slot
+	nulls   int // NULL-keyed entries, at the end of vids, stamps and words
 	maxTS   int64
-	late    []Slot
 	deltas  int   // builds over pending records merged into the table
 	keys    int   // distinct keys
 	entries int   // entries, NULL-keyed ones included
@@ -514,8 +486,8 @@ type unionTable struct {
 // word on a one-word table, else the offset of its union words in the
 // table's us. n is 0 for an empty slot, the entry count n > 1 for a key of
 // several entries, whose vid says where they start in the table's vids and
-// eslots (and, times qw, in its words), and −1 − the version slot of a key's
-// sole entry (n < 0), whose vID is vid: the slot fits beside the vID without
+// stamps (and, times qw, in its words), and −1 − the stamp of a key's sole
+// entry (n < 0), whose vID is vid: the stamp fits beside the vID without
 // growing every slot by a third.
 type unionSlot struct {
 	key int64
@@ -532,23 +504,8 @@ func (e *unionSlot) count() int {
 	return int(e.n)
 }
 
-// seen reports whether every entry of t is visible to a probe at probeTS
-// with watermark wm: all its slots are under the watermark, or every slot
-// is now published before probeTS.
-func (t *unionTable) seen(v *Versions, probeTS int64, wm Slot) bool {
-	if t.maxSlot < wm {
-		return true
-	}
-	if t.maxTS >= probeTS {
-		return false
-	}
-	for _, slot := range t.late {
-		if ts := v.tryGet(slot); ts == 0 || ts >= probeTS {
-			return false
-		}
-	}
-	return true
-}
+// seen reports whether every entry of t is visible to a probe at probeTS.
+func (t *unionTable) seen(probeTS int64) bool { return t.maxTS < probeTS }
 
 // directSpan bounds a direct table: a build takes the direct layout when
 // its keys' range is at most directSpan times the slots a hashed table of
@@ -567,9 +524,9 @@ func hashedSlots(keys int) int {
 	return n
 }
 
-// visitor receives one entry as a build reads it: its key, vID, version
-// slot and query-set words, valid during the call only.
-type visitor func(k int64, vid int32, slot Slot, ws []uint64)
+// visitor receives one entry as a build reads it: its key, vID, stamp and
+// query-set words, valid during the call only.
+type visitor func(k int64, vid int32, stamp int32, ws []uint64)
 
 // eachStaged calls f for every entry of record r, read from the staging
 // chunks, with its key on index ki of ix: the column the inserter wrote or,
@@ -587,7 +544,7 @@ func (s *STeM) eachStaged(r rec, ki int, ix *index, f visitor) {
 			} else {
 				k = ix.keyOf(c.vids[o])
 			}
-			f(k, c.vids[o], c.slots[o], c.qsets[o*qw:][:qw])
+			f(k, c.vids[o], r.stamp, c.qsets[o*qw:][:qw])
 		}
 		idx += int64(end - off)
 	}
@@ -606,21 +563,21 @@ func (t *unionTable) each(f visitor) {
 			} else {
 				ws = t.us[e.u:][:t.qw]
 			}
-			f(e.key, e.vid, Slot(-1-e.n), ws)
+			f(e.key, e.vid, -1-e.n, ws)
 		case e.n > 1:
 			for j := int(e.vid+e.n) - 1; j >= int(e.vid); j-- {
-				f(e.key, t.vids[j], t.eslots[j], t.words[j*t.qw:][:t.qw])
+				f(e.key, t.vids[j], t.stamps[j], t.words[j*t.qw:][:t.qw])
 			}
 		}
 	}
 	for j := len(t.vids) - t.nulls; j < len(t.vids); j++ {
-		f(NullKey, t.vids[j], t.eslots[j], t.words[j*t.qw:][:t.qw])
+		f(NullKey, t.vids[j], t.stamps[j], t.words[j*t.qw:][:t.qw])
 	}
 }
 
 // dead counts t's entries whose words are all zero.
 func (t *unionTable) dead() (n int) {
-	t.each(func(_ int64, _ int32, _ Slot, ws []uint64) {
+	t.each(func(_ int64, _ int32, _ int32, ws []uint64) {
 		if bitset.Set(ws).Empty() {
 			n++
 		}
@@ -628,25 +585,13 @@ func (t *unionTable) dead() (n int) {
 	return n
 }
 
-// note accounts for an entry stamped with slot in t's publication
-// summary: maxSlot, and maxTS when the slot is published, else late.
-func (t *unionTable) note(v *Versions, slot Slot) {
-	t.maxSlot = max(t.maxSlot, slot)
-	if ts := v.tryGet(slot); ts != 0 {
-		t.maxTS = max(t.maxTS, ts)
-	} else if !slices.Contains(t.late, slot) {
-		t.late = append(t.late, slot)
-	}
-}
-
 // build returns a table over the entries of the tables merged and of the
 // records pend, holding deltas deltas, with their keys on index ki of ix.
 // With rekey a merged entry's key is ix.keyOf of its vID (AddIndex), and
 // with drop an entry whose words are all zero is left out (compaction). The
 // merged tables' keys (or, rekeyed, their entries) plus the records'
-// entries bound its keys (room), and a pass over the records' keys, which
-// also reads their slots, and the merged tables' ranges gives its keys'
-// range. The table starts out direct when that range is small enough for
+// entries bound its keys (room), and a pass over the records' keys and the
+// merged tables' ranges gives its keys' range. The table starts out direct when that range is small enough for
 // room keys (directSpan), else hashed for room keys; one pass indexes every
 // entry, and the table then moves to the layout and size its exact key
 // count calls for, when that differs. A second pass lays out the entries of
@@ -654,21 +599,21 @@ func (t *unionTable) note(v *Versions, slot Slot) {
 // held.
 func (s *STeM) build(ix *index, ki int, pend []rec, merged []*unionTable, deltas int, rekey, drop bool) *unionTable {
 	qw := s.qw
-	t := &unionTable{qw: qw, deltas: deltas, maxSlot: -1}
+	t := &unionTable{qw: qw, deltas: deltas}
 	rekeyed := func(f visitor) visitor {
 		if !rekey {
 			return f
 		}
-		return func(_ int64, vid int32, slot Slot, ws []uint64) { f(ix.keyOf(vid), vid, slot, ws) }
+		return func(_ int64, vid int32, stamp int32, ws []uint64) { f(ix.keyOf(vid), vid, stamp, ws) }
 	}
 	// each visits the entries the table takes: the merged tables', then the
 	// records'.
 	each := func(f visitor) {
 		if drop {
 			keep := f
-			f = func(k int64, vid int32, slot Slot, ws []uint64) {
+			f = func(k int64, vid int32, stamp int32, ws []uint64) {
 				if !bitset.Set(ws).Empty() {
-					keep(k, vid, slot, ws)
+					keep(k, vid, stamp, ws)
 				}
 			}
 		}
@@ -680,22 +625,14 @@ func (s *STeM) build(ix *index, ki int, pend []rec, merged []*unionTable, deltas
 		}
 	}
 	room, lo, hi := 0, int64(math.MaxInt64), int64(math.MinInt64)
-	last := Slot(-1) // a batch's entries share a slot: look each up once
-	scan := func(k int64, _ int32, slot Slot, _ []uint64) {
+	scan := func(k int64, _ int32, _ int32, _ []uint64) {
 		room++
 		if k != NullKey {
 			lo, hi = min(lo, k), max(hi, k)
 		}
-		if slot != last {
-			last = slot
-			t.note(s.versions, slot)
-		}
 	}
 	for _, m := range merged {
-		t.maxSlot, t.maxTS = max(t.maxSlot, m.maxSlot), max(t.maxTS, m.maxTS)
-		for _, slot := range m.late {
-			t.note(s.versions, slot)
-		}
+		t.maxTS = max(t.maxTS, m.maxTS)
 		if rekey {
 			m.each(rekeyed(scan))
 		} else {
@@ -704,6 +641,7 @@ func (s *STeM) build(ix *index, ki int, pend []rec, merged []*unionTable, deltas
 		}
 	}
 	for _, r := range pend {
+		t.maxTS = max(t.maxTS, int64(r.stamp))
 		s.eachStaged(r, ki, ix, scan)
 	}
 	t.lo, t.hi = lo, hi
@@ -724,7 +662,7 @@ func (s *STeM) build(ix *index, ki int, pend []rec, merged []*unionTable, deltas
 		t.us = make([]uint64, qw, (room+1)*qw)
 	}
 	multi, nulls := 0, 0
-	each(func(k int64, vid int32, slot Slot, ws []uint64) {
+	each(func(k int64, vid int32, stamp int32, ws []uint64) {
 		t.entries++
 		if k == NullKey {
 			nulls++ // unreachable by any probe, contributes to no union
@@ -733,7 +671,7 @@ func (s *STeM) build(ix *index, ki int, pend []rec, merged []*unionTable, deltas
 		e := t.slot(k)
 		switch {
 		case e.n == 0:
-			e.key, e.vid, e.n = k, vid, -1-int32(slot)
+			e.key, e.vid, e.n = k, vid, -1-stamp
 			if qw > 1 {
 				e.u = uint64(len(t.us))
 				t.us = append(t.us, make([]uint64, qw)...)
@@ -765,13 +703,13 @@ func (s *STeM) build(ix *index, ki int, pend []rec, merged []*unionTable, deltas
 }
 
 // fillMulti lays out the entries of every key with more than one entry,
-// multi of them in all, contiguously in t.vids, t.eslots and t.words, and
+// multi of them in all, contiguously in t.vids, t.stamps and t.words, and
 // the nulls NULL-keyed entries after them, reading the entries with each:
 // each key's run is reserved by its end, filled backwards (so newest
 // first) and left pointing at its start.
 func (t *unionTable) fillMulti(each func(visitor), multi, nulls int) {
 	qw, n := t.qw, multi+nulls
-	t.vids, t.eslots, t.words, t.nulls = make([]int32, n), make([]Slot, n), make([]uint64, n*qw), nulls
+	t.vids, t.stamps, t.words, t.nulls = make([]int32, n), make([]int32, n), make([]uint64, n*qw), nulls
 	end := int32(0)
 	for i := range t.slots {
 		if e := &t.slots[i]; e.n > 1 {
@@ -780,7 +718,7 @@ func (t *unionTable) fillMulti(each func(visitor), multi, nulls int) {
 		}
 	}
 	null := multi
-	each(func(k int64, vid int32, slot Slot, ws []uint64) {
+	each(func(k int64, vid int32, stamp int32, ws []uint64) {
 		r := null
 		if k == NullKey {
 			null++
@@ -790,7 +728,7 @@ func (t *unionTable) fillMulti(each func(visitor), multi, nulls int) {
 		} else {
 			return
 		}
-		t.vids[r], t.eslots[r] = vid, slot
+		t.vids[r], t.stamps[r] = vid, stamp
 		copy(t.words[r*qw:][:qw], ws)
 	})
 }
@@ -830,14 +768,14 @@ func (t *unionTable) slot(key int64) *unionSlot {
 	}
 }
 
-// entry returns the vID and version slot of entry j of e (its sole entry
-// when e.n < 0).
-func (t *unionTable) entry(e *unionSlot, j int) (int32, Slot) {
+// entry returns the vID and stamp of entry j of e (its sole entry when
+// e.n < 0).
+func (t *unionTable) entry(e *unionSlot, j int) (int32, int32) {
 	if e.n < 0 {
-		return e.vid, Slot(-1 - e.n)
+		return e.vid, -1 - e.n
 	}
 	r := int(e.vid) + j
-	return t.vids[r], t.eslots[r]
+	return t.vids[r], t.stamps[r]
 }
 
 // word returns word w of entry j of e: a sole entry's words are its key's
@@ -855,21 +793,6 @@ func (t *unionTable) unionWord(e *unionSlot, w int) uint64 {
 		return e.u
 	}
 	return t.us[int(e.u)+w]
-}
-
-// gather sets acc to the OR of words [lo, lo+len(acc)) of e's entries that
-// are published: all of them when published is set, else those whose slot
-// is under wm or published now.
-func (t *unionTable) gather(acc []uint64, e *unionSlot, lo int, v *Versions, wm Slot, published bool) {
-	clear(acc)
-	for j := range e.count() {
-		if _, slot := t.entry(e, j); !published && slot >= wm && v.tryGet(slot) == 0 {
-			continue
-		}
-		for w := range acc {
-			acc[w] |= t.word(e, j, lo+w)
-		}
-	}
 }
 
 // swept returns t with the retired bits cleared from its union and entry
@@ -1059,8 +982,8 @@ func grown[T any](s []T, k int) []T {
 }
 
 // bytes is the table's resident size for EstBytes: 24-byte slots, the
-// union words of a wider table, and a vID, a slot and qw words per
+// union words of a wider table, and a vID, a stamp and qw words per
 // side-array entry.
 func (t *unionTable) bytes() int64 {
-	return int64(len(t.slots))*24 + int64(len(t.us)+len(t.words))*8 + int64(len(t.vids)+len(t.eslots))*4
+	return int64(len(t.slots))*24 + int64(len(t.us)+len(t.words))*8 + int64(len(t.vids)+len(t.stamps))*4
 }

@@ -18,38 +18,38 @@ import (
 
 // oracleEntry and oracle are the brute-force model the kernels are checked
 // against: every inserted entry listed under its key, once per key column,
-// plus the timestamp each slot was published at (absent = unpublished).
+// with the stamp its insert returned.
 type oracleEntry struct {
-	vid  int32
-	slot Slot
-	qset []uint64
+	vid   int32
+	stamp int64
+	qset  []uint64
 }
 
 type oracle struct {
 	byKey []map[int64][]oracleEntry
-	pubTS map[Slot]int64
 }
 
 func newOracle(nCols int) *oracle {
-	o := &oracle{byKey: make([]map[int64][]oracleEntry, nCols), pubTS: map[Slot]int64{}}
+	o := &oracle{byKey: make([]map[int64][]oracleEntry, nCols)}
 	for c := range o.byKey {
 		o.byKey[c] = map[int64][]oracleEntry{}
 	}
 	return o
 }
 
-// insert mirrors InsertVec's arguments (qw must be the STeM's width).
-func (o *oracle) insert(vids []int32, keyCols [][]int64, qsets []uint64, qw int, slot Slot) {
+// insert mirrors InsertVec's arguments and the stamp it returned (qw must
+// be the STeM's width).
+func (o *oracle) insert(vids []int32, keyCols [][]int64, qsets []uint64, qw int, stamp int64) {
 	for i, vid := range vids {
-		e := oracleEntry{vid, slot, qsets[i*qw : (i+1)*qw]}
+		e := oracleEntry{vid, stamp, qsets[i*qw : (i+1)*qw]}
 		for c, m := range o.byKey {
 			m[keyCols[c][i]] = append(m[keyCols[c][i]], e)
 		}
 	}
 }
 
-// probe is ProbeVec's contract, canonicalized like canonVec: entries with an
-// equal, non-NULL key whose slot was published strictly before probeTS.
+// probe is probeVec's contract, canonicalized like canonVec: entries with
+// an equal, non-NULL key stamped strictly before probeTS.
 func (o *oracle) probe(ki int, keys []int64, probeTS int64) []string {
 	var out []string
 	for in, k := range keys {
@@ -57,7 +57,7 @@ func (o *oracle) probe(ki int, keys []int64, probeTS int64) []string {
 			continue
 		}
 		for _, e := range o.byKey[ki][k] {
-			if ts, ok := o.pubTS[e.slot]; ok && ts < probeTS {
+			if e.stamp < probeTS {
 				out = append(out, fmt.Sprintf("%d|%d|%v", in, e.vid, e.qset))
 			}
 		}
@@ -95,8 +95,7 @@ func (o *oracle) probeMasked(ki int, p Probe, probeTS int64, lo, hi int) ([]stri
 			continue
 		}
 		for _, e := range o.byKey[ki][k] {
-			ts, ok := o.pubTS[e.slot]
-			if !ok || ts >= probeTS {
+			if e.stamp >= probeTS {
 				continue
 			}
 			q := append([]uint64(nil), e.qset[lo:hi]...)
@@ -118,15 +117,14 @@ func (o *oracle) probeMasked(ki int, p Probe, probeTS int64, lo, hi int) ([]stri
 
 // prune is PruneVec's contract for one tuple t probing key: over words
 // [lo, hi), t[w] & (u[w] | ^elig[w]), u the union of the query sets of the
-// key's published entries (empty for NULL); other words unchanged.
+// key's entries, whatever their stamps (empty for NULL); other words
+// unchanged.
 func (o *oracle) prune(ki int, key int64, t, elig []uint64, lo, hi int) []uint64 {
 	u := make([]uint64, len(t))
 	if key != NullKey {
 		for _, e := range o.byKey[ki][key] {
-			if _, ok := o.pubTS[e.slot]; ok {
-				for w := range u {
-					u[w] |= e.qset[w]
-				}
+			for w := range u {
+				u[w] |= e.qset[w]
 			}
 		}
 	}
@@ -251,11 +249,11 @@ func indexed(s *STeM, ki int) bool {
 	return s.state.Load().index[ki].built.Load() == s.logged.Load()
 }
 
-// allSeen reports whether a probe at (probeTS, wm) reads every table of
-// index ki as it stands, without checking an entry's slot.
-func allSeen(s *STeM, ki int, probeTS int64, wm Slot) bool {
+// allSeen reports whether a probe at probeTS reads every table of index ki
+// as it stands, without checking an entry's stamp.
+func allSeen(s *STeM, ki int, probeTS int64) bool {
 	for _, t := range tablesOf(s, ki) {
-		if !t.seen(s.versions, probeTS, wm) {
+		if !t.seen(probeTS) {
 			return false
 		}
 	}
@@ -263,12 +261,12 @@ func allSeen(s *STeM, ki int, probeTS int64, wm Slot) bool {
 }
 
 // tableServes reports whether index ki of s is one table, holding every
-// recorded entry, that a probe at (probeTS, wm) reads as it stands, without
-// checking an entry's slot. Checked right after a probe, it tells whether
+// recorded entry, that a probe at probeTS reads as it stands, without
+// checking an entry's stamp. Checked right after a probe, it tells whether
 // that probe took the one-table loops (unionTable.probe).
-func tableServes(s *STeM, ki int, probeTS int64, wm Slot) bool {
+func tableServes(s *STeM, ki int, probeTS int64) bool {
 	ts := tablesOf(s, ki)
-	return indexed(s, ki) && len(ts) == 1 && ts[0].seen(s.versions, probeTS, wm)
+	return indexed(s, ki) && len(ts) == 1 && ts[0].seen(probeTS)
 }
 
 // match is a probe match with its query-set words, as the tests compare
@@ -341,7 +339,7 @@ func slabProbe(rng *rand.Rand, keys []int64, nw, stride, off int) Probe {
 // matches come in tuple order. The kernel appends: it gets non-empty
 // buffers whose spare capacity holds junk, and the content they came with
 // must stay in place, the matches' words starting right after it.
-func checkSlab(t *testing.T, s *STeM, o *oracle, ki int, col string, p Probe, ts int64, wm Slot, lo, hi int) bool {
+func checkSlab(t *testing.T, s *STeM, o *oracle, ki int, col string, p Probe, ts int64, lo, hi int) bool {
 	want, wantN := o.probeMasked(ki, p, ts, lo, hi)
 	spare := int(ts % 5)
 	dst := make([]VecMatch, 3+spare)
@@ -353,15 +351,15 @@ func checkSlab(t *testing.T, s *STeM, o *oracle, ki int, col string, p Probe, ts
 		qout[k] = 0xdead0000 + uint64(k)
 	}
 	pre, qpre := slices.Clone(dst[:3]), slices.Clone(qout[:5])
-	out, qbuf, n := s.ProbeVecRange(dst[:3], qout[:5], col, p, ts, wm, lo, hi)
+	out, qbuf, n := s.ProbeVecRange(dst[:3], qout[:5], col, p, ts, lo, hi)
 	if !slices.Equal(out[:3], pre) || !slices.Equal(qbuf[:5], qpre) || len(qbuf)-5 != (len(out)-3)*(hi-lo) {
 		t.Logf("col %s: ProbeVecRange (words [%d,%d)) overwrote the matches or words it was passed, or returned %d words for %d matches", col, lo, hi, len(qbuf)-5, len(out)-3)
 		return false
 	}
 	ms := matches(out[3:], qbuf[5:], hi-lo)
 	if got := canonVec(ms); !reflect.DeepEqual(got, want) || n != wantN {
-		t.Logf("col %s: ProbeVecRange (ts=%d wm=%d words [%d,%d) masked %t stride %d off %d) found %d matches probing %d tuples, oracle %d probing %d",
-			col, ts, wm, lo, hi, p.Qsets != nil, p.Stride, p.Off, len(got), n, len(want), wantN)
+		t.Logf("col %s: ProbeVecRange (ts=%d words [%d,%d) masked %t stride %d off %d) found %d matches probing %d tuples, oracle %d probing %d",
+			col, ts, lo, hi, p.Qsets != nil, p.Stride, p.Off, len(got), n, len(want), wantN)
 		return false
 	}
 	for k := 1; k < len(ms); k++ {
@@ -373,18 +371,15 @@ func checkSlab(t *testing.T, s *STeM, o *oracle, ki int, col string, p Probe, ts
 	return true
 }
 
-// checkProbe runs ProbeVec and compares its matches with the oracle's, with
-// the watermark short-circuit and without: without it, every table not
-// built after every publication before ts checks each entry's slot. It
-// then does the same for ProbeVecRange over a random word range, unmasked
-// and over a slab of random words, stride and offset (checkSlab).
-func checkProbe(t *testing.T, s *STeM, o *oracle, ki int, col string, keys []int64, ts int64, wm Slot) bool {
+// checkProbe probes keys unmasked over every word (probeVec) and compares
+// the matches with the oracle's. It then does the same for ProbeVecRange
+// over a random word range, unmasked and over a slab of random words,
+// stride and offset (checkSlab).
+func checkProbe(t *testing.T, s *STeM, o *oracle, ki int, col string, keys []int64, ts int64) bool {
 	want := o.probe(ki, keys, ts)
-	for _, w := range []Slot{wm, 0} {
-		if got := canonVec(probeVec(s, col, keys, ts, w)); !reflect.DeepEqual(got, want) {
-			t.Logf("col %s: ProbeVec (ts=%d wm=%d) found %d matches, oracle %d", col, ts, w, len(got), len(want))
-			return false
-		}
+	if got := canonVec(probeVec(s, col, keys, ts)); !reflect.DeepEqual(got, want) {
+		t.Logf("col %s: probe at ts %d found %d matches, oracle %d", col, ts, len(got), len(want))
+		return false
 	}
 	rng := rand.New(rand.NewSource(ts))
 	lo := rng.Intn(s.qw)
@@ -393,7 +388,7 @@ func checkProbe(t *testing.T, s *STeM, o *oracle, ki int, col string, keys []int
 	stride := nw + rng.Intn(3)
 	slab := slabProbe(rng, keys, nw, stride, rng.Intn(stride-nw+1))
 	for _, p := range []Probe{keyProbe(keys, nil, nw), slab} {
-		if !checkSlab(t, s, o, ki, col, p, ts, wm, lo, hi) {
+		if !checkSlab(t, s, o, ki, col, p, ts, lo, hi) {
 			return false
 		}
 	}
@@ -413,30 +408,16 @@ func sweepAll(s *STeM, o *oracle, retired bitset.Set) {
 	}
 }
 
-// publishRest publishes every slot of the oracle's entries still
-// unpublished.
-func publishRest(v *Versions, o *oracle) {
-	for _, m := range o.byKey {
-		for _, es := range m {
-			for _, e := range es {
-				if _, ok := o.pubTS[e.slot]; !ok {
-					_, o.pubTS[e.slot] = v.Publish(e.slot)
-				}
-			}
-		}
-	}
-}
-
-// probeVec is the test-side one-shot ProbeVec wrapper (fresh buffers each
-// call; production callers reuse worker arenas).
-func probeVec(s *STeM, col string, keys []int64, ts int64, wm Slot) []match {
-	ms, qbuf := s.ProbeVec(nil, nil, col, keys, ts, wm)
+// probeVec probes keys at ts, unmasked over every word, with fresh buffers
+// (production callers reuse worker arenas).
+func probeVec(s *STeM, col string, keys []int64, ts int64) []match {
+	ms, qbuf, _ := s.ProbeVecRange(nil, nil, col, keyProbe(keys, nil, s.qw), ts, 0, s.qw)
 	return matches(ms, qbuf, s.qw)
 }
 
-// probeVecCount returns the number of ProbeVec matches.
-func probeVecCount(s *STeM, col string, keys []int64, ts int64, wm Slot) int {
-	return len(probeVec(s, col, keys, ts, wm))
+// probeVecCount returns the number of probeVec matches.
+func probeVecCount(s *STeM, col string, keys []int64, ts int64) int {
+	return len(probeVec(s, col, keys, ts))
 }
 
 // canonVec renders matches as a sorted multiset of "in|vid|qset" strings:
@@ -453,14 +434,14 @@ func canonVec(ms []match) []string {
 
 // TestQuickVecMatchesOracle is the randomized equivalence property: a STeM
 // built with InsertVec (random batch sizes, random key skew, query sets of
-// one, two or five words, NULL keys and empty query sets on the build side,
-// the last batch sometimes left unpublished) must agree with the
-// brute-force oracle on every probe — with and without the watermark
-// short-circuit, at the final timestamp and at one drawn mid-build, NULL
-// and missing probe keys included, and in ProbeVecRange's masked form — and
-// on every prune over a random word range, again once every slot is
-// published and once more after a sweep. The first probe builds one table
-// over every batch, so the probes drawn mid-build read it entry by entry.
+// one, two or five words, NULL keys and empty query sets on the build side)
+// must agree with the brute-force oracle on every probe — at a fresh
+// timestamp, at the last batch's own stamp, as its episode probes, and at
+// one drawn mid-build, NULL and missing probe keys included, and in
+// ProbeVecRange's masked form — and on every prune over a random word
+// range, again once more after a sweep. The first probe builds one table
+// over every batch, so the probes at older timestamps read it entry by
+// entry.
 func TestQuickVecMatchesOracle(t *testing.T) {
 	f := func(seed int64, skewRaw, qcapRaw uint8, nRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -493,41 +474,33 @@ func TestQuickVecMatchesOracle(t *testing.T) {
 			}
 		}
 
-		// Random batch split, one slot per batch, published in order. One
-		// (watermark, timestamp) pair is drawn mid-build and probed after the
-		// build: it must see exactly the slots published before it.
-		type snap struct {
-			wm Slot
-			ts int64
-		}
-		var snaps []snap
-		slot := Slot(0)
+		// Random batch split, one stamp per batch. One timestamp is drawn
+		// mid-build and probed after the build: it must see exactly the
+		// batches stamped before it.
+		var snaps []int64
+		var stamp int64
 		for i0 := 0; i0 < n; {
 			bn := 1 + rng.Intn(200)
 			if i0+bn > n {
 				bn = n - i0
 			}
 			batchKeys := [][]int64{ka[i0 : i0+bn], kb[i0 : i0+bn]}
-			s.InsertVec(vids[i0:i0+bn], batchKeys, qsets[i0*qw:(i0+bn)*qw], qw, slot, nil)
-			o.insert(vids[i0:i0+bn], batchKeys, qsets[i0*qw:(i0+bn)*qw], qw, slot)
-			if i0+bn < n || rng.Intn(2) == 0 {
-				_, o.pubTS[slot] = v.Publish(slot)
-			}
+			stamp = s.InsertVec(vids[i0:i0+bn], batchKeys, qsets[i0*qw:(i0+bn)*qw], qw, 0, nil)
+			o.insert(vids[i0:i0+bn], batchKeys, qsets[i0*qw:(i0+bn)*qw], qw, stamp)
 			if len(snaps) == 0 && rng.Intn(4) == 0 {
-				snaps = append(snaps, snap{v.Watermark(), v.Now()})
+				snaps = append(snaps, v.Now())
 			}
-			slot++
 			i0 += bn
 		}
-		snaps = append(snaps, snap{v.Watermark(), v.Now()})
+		snaps = append(snaps, stamp, v.Now())
 
 		probeKeys := []int64{NullKey}
 		for k := int64(0); k <= domain; k++ { // domain itself = guaranteed miss
 			probeKeys = append(probeKeys, k)
 		}
 		for ci, col := range cols {
-			for _, sn := range snaps {
-				if !checkProbe(t, s, o, ci, col, probeKeys, sn.ts, sn.wm) {
+			for _, ts := range snaps {
+				if !checkProbe(t, s, o, ci, col, probeKeys, ts) {
 					return false
 				}
 			}
@@ -535,11 +508,9 @@ func TestQuickVecMatchesOracle(t *testing.T) {
 				return false
 			}
 		}
-		// With every slot published the STeM's prunes and probes
-		// read its tables as they stand; a sweep must then take the swept
-		// bits out of the next answers. A probe at the last mid-build
-		// timestamp must still see only what was published before it.
-		publishRest(v, o)
+		// A sweep must take the swept bits out of the next answers. A probe
+		// at the first older timestamp must still see only what was stamped
+		// before it.
 		retired := make(bitset.Set, qw)
 		for w := range retired {
 			retired[w] = rng.Uint64() & rng.Uint64()
@@ -555,8 +526,8 @@ func TestQuickVecMatchesOracle(t *testing.T) {
 						return false
 					}
 				}
-				for _, sn := range []snap{snaps[0], {v.Watermark(), v.Now()}} {
-					if !checkProbe(t, s, o, ci, col, probeKeys, sn.ts, sn.wm) {
+				for _, ts := range []int64{snaps[0], v.Now()} {
+					if !checkProbe(t, s, o, ci, col, probeKeys, ts) {
 						t.Logf("round %d: probe diverged", round)
 						return false
 					}
@@ -577,16 +548,14 @@ func TestInsertVecWidthsAndChunks(t *testing.T) {
 	v := NewVersions()
 	s := New(v, []string{"k"}, 100, 16) // qw = 2
 
-	s.InsertVec(nil, [][]int64{nil}, nil, 2, 0, nil) // empty: no-op
-	if s.Len() != 0 {
-		t.Fatalf("empty InsertVec changed Len to %d", s.Len())
+	if stamp := s.InsertVec(nil, [][]int64{nil}, nil, 2, 0, nil); stamp != 0 || s.Len() != 0 || v.Frontier() != 0 {
+		t.Fatalf("empty InsertVec returned stamp %d, changed Len to %d or ticked the clock to %d", stamp, s.Len(), v.Frontier())
 	}
 
 	// Narrow slab (qw 1 into width 2): the missing high word zero-fills.
 	s.InsertVec([]int32{1}, [][]int64{{7}}, []uint64{1 << 3}, 1, 0, nil)
 	// Wide slab (qw 3 into width 2): the extra word is dropped.
 	s.InsertVec([]int32{2}, [][]int64{{8}}, []uint64{1 << 4, 1 << 5, ^uint64(0)}, 3, 0, nil)
-	v.Publish(0)
 	ts := v.Now()
 	if got := probe1(s, "k", 7, ts); len(got) != 1 || !reflect.DeepEqual([]uint64(got[0].QSet), []uint64{1 << 3, 0}) {
 		t.Fatalf("narrow-slab entry = %v", got)
@@ -605,8 +574,7 @@ func TestInsertVecWidthsAndChunks(t *testing.T) {
 		keys[i] = int64(i % 97)
 		qsets[i*2] = 1
 	}
-	s.InsertVec(vids, [][]int64{keys}, qsets, 2, 1, nil)
-	v.Publish(1)
+	s.InsertVec(vids, [][]int64{keys}, qsets, 2, 0, nil)
 	ts = v.Now()
 	total := 0
 	for k := int64(0); k < 97; k++ {
@@ -615,43 +583,36 @@ func TestInsertVecWidthsAndChunks(t *testing.T) {
 	if total != n+2 { // +2: the width-test entries on keys 7 and 8
 		t.Fatalf("probed %d entries after multi-chunk InsertVec, want %d", total, n+2)
 	}
-	if got := probeVec(s, "k", keys[:97], ts, v.Watermark()); len(got) != total {
-		t.Fatalf("ProbeVec found %d entries, want %d", len(got), total)
+	if got := probeVec(s, "k", keys[:97], ts); len(got) != total {
+		t.Fatalf("a vector probe found %d entries, want %d", len(got), total)
 	}
 }
 
-// TestProbeVecMatchesOracleUnderConcurrentPublication interleaves a
-// publisher continuously inserting and publishing batches with a prober
-// probing twice under one (watermark, timestamp) snapshot: with and
-// without the watermark short-circuit. The STeM has one word; each probe
-// builds a table over the batches recorded since the last one, some of them
-// still unpublished, and merges tables as their size tiers fill.
-// Visibility is a deterministic function of the probe timestamp, and the
-// watermark (read before the timestamp) may never admit more, so the two
-// must return the identical match set — and, once the publisher is done and
-// every slot's timestamp is known, that set must equal the oracle
-// restricted to slots published before the probe's timestamp. The prober
-// runs for as long as the publisher does. Run under -race this also checks
-// the kernels' lock-free memory discipline.
-func TestProbeVecMatchesOracleUnderConcurrentPublication(t *testing.T) {
+// TestProbeVecMatchesOracleUnderConcurrentInserts interleaves an inserter
+// continuously inserting batches with a prober probing at a fresh timestamp
+// and at the one it drew before, which is older than the stamps recorded
+// since. The STeM has one word; each probe builds a table over the batches
+// recorded since the last one and merges tables as their size tiers fill.
+// Visibility is a function of the probe timestamp alone, so once the
+// inserter is done and every stamp is known, each kept probe must equal the
+// oracle restricted to the entries stamped before it, and so must a probe
+// at each batch's own stamp, as its episode probes. The prober runs for as
+// long as the inserter does. Run under -race this also checks the kernels'
+// lock-free memory discipline.
+func TestProbeVecMatchesOracleUnderConcurrentInserts(t *testing.T) {
 	const domain = 32
 	const maxEntries = 1 << 12
 	const kept = 100 // probes kept for the oracle check
 	v := NewVersions()
 	s := New(v, []string{"k"}, 8, maxEntries)
-	o := newOracle(1) // written by the publisher only, read after it exits
-	type pair struct {
-		wm Slot
-		ts int64
-	}
-	var pairs []pair // the publisher's own Publish results, read after it exits
+	o := newOracle(1)  // written by the inserter only, read after it exits
+	var stamps []int64 // the inserter's stamps, read after it exits
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		rng := rand.New(rand.NewSource(42))
-		slot := Slot(0)
-		for vid := int32(0); int(vid) < maxEntries; slot++ {
+		for vid := int32(0); int(vid) < maxEntries; {
 			n := 1 + rng.Intn(64)
 			vids := make([]int32, n)
 			keys := [][]int64{make([]int64, n)}
@@ -662,11 +623,9 @@ func TestProbeVecMatchesOracleUnderConcurrentPublication(t *testing.T) {
 				keys[0][j] = rng.Int63n(domain)
 				qsets[j] = 1 << uint(rng.Intn(8))
 			}
-			s.InsertVec(vids, keys, qsets, 1, slot, nil)
-			o.insert(vids, keys, qsets, 1, slot)
-			wm, ts := v.Publish(slot)
-			o.pubTS[slot] = ts
-			pairs = append(pairs, pair{wm, ts})
+			stamp := s.InsertVec(vids, keys, qsets, 1, 0, nil)
+			o.insert(vids, keys, qsets, 1, stamp)
+			stamps = append(stamps, stamp)
 		}
 	}()
 
@@ -679,107 +638,46 @@ func TestProbeVecMatchesOracleUnderConcurrentPublication(t *testing.T) {
 		got []string
 	}
 	var seen []probed
-	iters, served := 0, 0
+	iters, served, older := 0, 0, 0
+	prevTS := v.Now()
 	for finished := false; !finished; iters++ {
 		select {
 		case <-done:
-			finished = true // one more probe after the last publication
+			finished = true // one more probe after the last insert
 		default:
 		}
-		wm := v.Watermark()
 		ts := v.Now()
-		got := canonVec(probeVec(s, "k", probeKeys, ts, wm))
-		if tableServes(s, 0, ts, wm) {
+		got := canonVec(probeVec(s, "k", probeKeys, ts))
+		if tableServes(s, 0, ts) {
 			served++
 		}
-		if slow := canonVec(probeVec(s, "k", probeKeys, ts, 0)); !reflect.DeepEqual(got, slow) {
-			<-done
-			t.Fatalf("iter %d: ProbeVec with (wm=%d) and without the watermark disagree under concurrent publication: %d vs %d matches",
-				iters, wm, len(got), len(slow))
+		prev := canonVec(probeVec(s, "k", probeKeys, prevTS))
+		if !allSeen(s, 0, prevTS) {
+			older++
 		}
 		if len(seen) < kept || finished {
-			seen = append(seen, probed{ts, got})
+			seen = append(seen, probed{ts, got}, probed{prevTS, prev})
 		}
+		prevTS = ts
 	}
-	t.Logf("%d probes during publication, %d read one table as it stood", iters, served)
+	t.Logf("%d probes during the inserts, %d read one table as it stood, %d at the older timestamp checked entries", iters, served, older)
 	for iter, p := range seen {
 		if want := o.probe(0, probeKeys, p.ts); !reflect.DeepEqual(p.got, want) {
-			t.Fatalf("probe %d: ProbeVec at ts %d saw %d matches, oracle %d", iter, p.ts, len(p.got), len(want))
+			t.Fatalf("probe %d: a probe at ts %d saw %d matches, oracle %d", iter, p.ts, len(p.got), len(want))
 		}
 	}
-	// The pair Publish returns is what an episode probes with: its
-	// watermark short-circuit must admit nothing the oracle rejects, the
-	// publishing slot itself included.
-	for i := 0; i < len(pairs); i += 1 + len(pairs)/64 {
-		p := pairs[i]
-		if !checkProbe(t, s, o, 0, "k", probeKeys, p.ts, p.wm) {
-			t.Fatalf("publish %d: ProbeVec at its pair (wm=%d, ts=%d) diverged", i, p.wm, p.ts)
+	// The stamp an insert returns is what its episode probes at: it must
+	// see every earlier batch and none of its own.
+	for i := 0; i < len(stamps); i += 1 + len(stamps)/64 {
+		if !checkProbe(t, s, o, 0, "k", probeKeys, stamps[i]) {
+			t.Fatalf("insert %d: a probe at its stamp %d diverged", i, stamps[i])
 		}
 	}
-	// Once the publisher is done every slot is under the watermark, so a
-	// probe reads every table as it stands.
-	wm, ts := v.Watermark(), v.Now()
-	if !checkProbe(t, s, o, 0, "k", probeKeys, ts, wm) || !allSeen(s, 0, ts, wm) {
-		t.Fatal("a probe after the last publication diverged or checked a table entry by entry")
-	}
-}
-
-// TestWatermarkMonotonicUnderConcurrentPublish hammers Publish from several
-// goroutines over densely allocated slots and checks the watermark never
-// regresses, never passes an unpublished slot, and converges to the full
-// slot count once every publisher is done. Each publisher also checks the
-// pair Publish returned: slots under its watermark hold older timestamps.
-func TestWatermarkMonotonicUnderConcurrentPublish(t *testing.T) {
-	const slots = 3000
-	v := NewVersions()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			reported := false
-			for {
-				n := next.Add(1) - 1
-				if n >= slots {
-					return
-				}
-				wm, ts := v.Publish(Slot(n))
-				if wm == 0 || reported {
-					continue
-				}
-				for _, old := range []Slot{0, wm / 2, wm - 1} {
-					if got := v.tryGet(old); got == 0 || got >= ts {
-						t.Errorf("Publish(%d) = (wm %d, ts %d), but slot %d has ts %d", n, wm, ts, old, got)
-						reported = true
-						break
-					}
-				}
-			}
-		}()
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	last := Slot(0)
-	for {
-		w := v.Watermark()
-		if w < last {
-			t.Fatalf("watermark regressed: %d -> %d", last, w)
-		}
-		for _, probe := range []Slot{0, w / 2, w - 1} {
-			if probe >= 0 && probe < w && v.tryGet(probe) == 0 {
-				t.Fatalf("watermark %d passed unpublished slot %d", w, probe)
-			}
-		}
-		last = w
-		select {
-		case <-done:
-			if final := v.Watermark(); final != slots {
-				t.Fatalf("final watermark = %d, want %d", final, slots)
-			}
-			return
-		default:
-		}
+	// Once the inserter is done a fresh probe reads every table as it
+	// stands.
+	ts := v.Now()
+	if !checkProbe(t, s, o, 0, "k", probeKeys, ts) || !allSeen(s, 0, ts) {
+		t.Fatal("a probe after the last insert diverged or checked a table entry by entry")
 	}
 }
 
@@ -788,8 +686,8 @@ func TestWatermarkMonotonicUnderConcurrentPublish(t *testing.T) {
 // compaction (CompactLive) run concurrently with the probes, as in the
 // engine. Every probe must observe a consistent state: matches are a
 // subset of the original entries and a superset of the post-GC survivors,
-// and the watermark is unchanged by the rebuild (compacted entries keep
-// their slots, so the under-watermark fast path stays correct).
+// and compacted entries keep their stamps, so a probe after the GC reads
+// the compacted table as it stands.
 func TestProbeVecDuringGC(t *testing.T) {
 	const n = 2 * chunkSize
 	const domain = 128
@@ -799,10 +697,8 @@ func TestProbeVecDuringGC(t *testing.T) {
 	// that parity would correlate with the key), so retiring query 0 kills
 	// exactly half of every key's entries.
 	for i := 0; i < n; i++ {
-		insert1(s, int32(i), []int64{int64(i % domain)}, bitset.FromIDs(2, (i/domain)%2), 0)
+		insert1(s, int32(i), []int64{int64(i % domain)}, bitset.FromIDs(2, (i/domain)%2))
 	}
-	v.Publish(0)
-	wmBefore := v.Watermark()
 
 	perKey := n / domain  // entries per key before GC
 	liveKey := perKey / 2 // odd cohorts survive query-0 retirement
@@ -829,9 +725,7 @@ func TestProbeVecDuringGC(t *testing.T) {
 					return
 				default:
 				}
-				wm := v.Watermark()
-				ts := v.Now()
-				ms := probeVec(s, "k", probeKeys, ts, wm)
+				ms := probeVec(s, "k", probeKeys, v.Now())
 				counts := make(map[int32]int, domain)
 				bad := false
 				var badm match
@@ -865,12 +759,13 @@ func TestProbeVecDuringGC(t *testing.T) {
 		return
 	}
 
-	if wmAfter := v.Watermark(); wmAfter != wmBefore {
-		t.Fatalf("GC moved the watermark: %d -> %d", wmBefore, wmAfter)
+	// Post-GC exact check: compacted survivors kept their stamps, so a
+	// probe reads the compacted table as it stands.
+	ts := v.Now()
+	ms := probeVec(s, "k", probeKeys, ts)
+	if !tableServes(s, 0, ts) {
+		t.Fatal("the probe after the GC did not read the compacted table as it stood")
 	}
-	// Post-GC exact check through the under-watermark fast path: compacted
-	// survivors kept their (published) slots.
-	ms := probeVec(s, "k", probeKeys, v.Now(), v.Watermark())
 	if len(ms) != domain*liveKey {
 		t.Fatalf("post-GC ProbeVec = %d matches, want %d", len(ms), domain*liveKey)
 	}
@@ -882,17 +777,16 @@ func TestProbeVecDuringGC(t *testing.T) {
 }
 
 // buildRandom fills a fresh STeM of query capacity qcap with n entries over
-// a small key domain (keys of many entries), NULL build keys, random query
-// sets in every word, and one batch in three left unpublished. It returns
-// the STeM, its oracle, and probe keys covering the domain, one miss and
-// NULL.
+// a small key domain (keys of many entries), NULL build keys and random
+// query sets in every word, inserted in batches of up to 64. It returns the
+// STeM, its oracle, and probe keys covering the domain, one miss and NULL.
 func buildRandom(rng *rand.Rand, qcap, n int) (*STeM, *oracle, []int64) {
 	const domain = 24
 	v := NewVersions()
 	s := New(v, []string{"k"}, qcap, n)
 	o := newOracle(1)
 	qw := s.qw
-	for i0, slot := 0, Slot(0); i0 < n; slot++ {
+	for i0 := 0; i0 < n; {
 		bn := min(1+rng.Intn(64), n-i0)
 		vids := make([]int32, bn)
 		keys := make([]int64, bn)
@@ -907,11 +801,8 @@ func buildRandom(rng *rand.Rand, qcap, n int) (*STeM, *oracle, []int64) {
 				qsets[j*qw+w] = rng.Uint64() & rng.Uint64() & rng.Uint64()
 			}
 		}
-		s.InsertVec(vids, [][]int64{keys}, qsets, qw, slot, nil)
-		o.insert(vids, [][]int64{keys}, qsets, qw, slot)
-		if rng.Intn(3) != 0 {
-			_, o.pubTS[slot] = v.Publish(slot)
-		}
+		stamp := s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, nil)
+		o.insert(vids, [][]int64{keys}, qsets, qw, stamp)
 		i0 += bn
 	}
 	probeKeys := []int64{NullKey}
@@ -923,13 +814,11 @@ func buildRandom(rng *rand.Rand, qcap, n int) (*STeM, *oracle, []int64) {
 
 // TestPruneVecMatchesOracle checks the prune kernel against the brute-force
 // model at query-set widths of 1, 2 and 5 words, each over random word
-// ranges — bits outside the range must come back untouched — with NULL
-// keys, unpublished slots and keys of many entries, then again once every
-// slot is published (where the prune reads its table's unions as they
-// stand, and must then see tuples that drop and tuples whose span empties
-// but whose other words keep them). It also checks the probe kernels on the
-// same STeMs, ProbeVecRange's word range and tuple mask included
-// (checkProbe).
+// ranges — bits outside the range must come back untouched — with NULL keys
+// and keys of many entries. The prunes read one table's unions as they
+// stand, and must see tuples that drop and tuples whose span empties but
+// whose other words keep them. It also checks the probe kernels on the same
+// STeMs, ProbeVecRange's word range and tuple mask included (checkProbe).
 func TestPruneVecMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, qcap := range []int{64, 128, 320} {
@@ -937,20 +826,15 @@ func TestPruneVecMatchesOracle(t *testing.T) {
 		qw := s.qw
 		var spanOnly, emptied int
 		for iter := 0; iter < 80; iter++ {
-			if iter == 40 {
-				publishRest(s.versions, o)
-			}
 			tuples, elig, lo, hi := randomPrune(rng, keys, qw)
-			if iter >= 40 {
-				a, b := pruneCases(o, 0, keys, tuples, elig, lo, hi, qw)
-				spanOnly, emptied = spanOnly+a, emptied+b
-			}
+			a, b := pruneCases(o, 0, keys, tuples, elig, lo, hi, qw)
+			spanOnly, emptied = spanOnly+a, emptied+b
 			if !checkPruneInput(t, s, o, 0, "k", keys, tuples, elig, lo, hi) {
 				t.Fatalf("qcap %d iter %d: PruneVec diverged from the oracle", qcap, iter)
 			}
 		}
-		if ts := tablesOf(s, 0); len(ts) != 1 || !ts[0].seen(s.versions, math.MaxInt64, s.versions.Watermark()) {
-			t.Fatalf("qcap %d: the prunes do not read one published table once every slot is published", qcap)
+		if ts := tablesOf(s, 0); len(ts) != 1 || !indexed(s, 0) {
+			t.Fatalf("qcap %d: the prunes do not read one table holding every entry", qcap)
 		}
 		// The table's loops must meet both ends of their compaction: a tuple
 		// that only the words outside its span keep, and one that drops.
@@ -958,7 +842,7 @@ func TestPruneVecMatchesOracle(t *testing.T) {
 			t.Fatalf("qcap %d: the table-served prunes emptied %d tuples and %d spans of surviving tuples; want both above 0", qcap, emptied, spanOnly)
 		}
 		t.Logf("qcap %d: %d tuples emptied, %d kept only outside their span", qcap, emptied, spanOnly)
-		if !checkProbe(t, s, o, 0, "k", keys, s.versions.Now(), s.versions.Watermark()) {
+		if !checkProbe(t, s, o, 0, "k", keys, s.versions.Now()) {
 			t.Fatalf("qcap %d: a probe diverged from the oracle", qcap)
 		}
 	}
@@ -968,25 +852,23 @@ func TestPruneVecMatchesOracle(t *testing.T) {
 // random operations, each of which changes a prune's or a probe's answer or
 // the index's tables: InsertVec of up to maxBatch entries (some with NULL
 // keys, one in six with an empty query set, the others with one bit in a
-// random word, the slot often left unpublished for a while), Publish, a
-// sweep (SweepIndex), CompactLive and AddIndex("b").
+// random word), a sweep (SweepIndex), CompactLive and AddIndex("b").
 // Keys on "a" are dense, drawn from 0..39, but one batch in six moves some
 // of its keys far apart (sparseKey), so a table holding one is built
 // hashed, and one without directly. After each step it calls check with
 // the indexed columns.
 func maintain(rng *rand.Rand, s *STeM, o *oracle, steps, maxBatch int, check func(step int, cols []string)) {
 	const domain = maintainDomain
-	v, qw := s.versions, s.qw
+	qw := s.qw
 	keyOfB := func(vid int32) int64 {
 		if vid%11 == 0 {
 			return NullKey
 		}
 		return int64(vid*7) % domain
 	}
-	var pending []Slot
-	nextSlot, nextVID := Slot(0), int32(0)
+	nextVID := int32(0)
 	for step := 0; step < steps; step++ {
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(8); {
 		case op < 4:
 			n := 1 + rng.Intn(maxBatch)
 			sparse := rng.Intn(6) == 0
@@ -1008,31 +890,15 @@ func maintain(rng *rand.Rand, s *STeM, o *oracle, steps, maxBatch int, check fun
 					qsets[j*qw+rng.Intn(qw)] = 1 << uint(rng.Intn(64))
 				}
 			}
-			s.InsertVec(vids, keys, qsets, qw, nextSlot, nil)
-			o.insert(vids, keys, qsets, qw, nextSlot)
-			pending = append(pending, nextSlot)
-			nextSlot++
-			if rng.Intn(2) == 0 {
-				_, o.pubTS[pending[0]] = v.Publish(pending[0])
-				pending = pending[1:]
-			}
+			stamp := s.InsertVec(vids, keys, qsets, qw, 0, nil)
+			o.insert(vids, keys, qsets, qw, stamp)
 		case op < 6:
-			// Publish one pending slot, or all of them.
-			for len(pending) > 0 {
-				i := rng.Intn(len(pending))
-				_, o.pubTS[pending[i]] = v.Publish(pending[i])
-				pending = append(pending[:i], pending[i+1:]...)
-				if rng.Intn(2) == 0 {
-					break
-				}
-			}
-		case op < 8:
 			retired := make(bitset.Set, qw)
 			for w := range retired {
 				retired[w] = rng.Uint64() & rng.Uint64() & rng.Uint64()
 			}
 			sweepAll(s, o, retired)
-		case op == 8:
+		case op == 6:
 			s.CompactLive()
 			dropEmpty(o)
 		default:
@@ -1081,11 +947,11 @@ func (l *layouts) add(t *unionTable) {
 	}
 }
 
-// count counts index ki's tables that a probe at (probeTS, wm) reads as
-// they stand.
-func (l *layouts) count(s *STeM, ki int, probeTS int64, wm Slot) {
+// count counts index ki's tables that a probe at probeTS reads as they
+// stand.
+func (l *layouts) count(s *STeM, ki int, probeTS int64) {
 	for _, t := range tablesOf(s, ki) {
-		if t.seen(s.versions, probeTS, wm) {
+		if t.seen(probeTS) {
 			l.add(t)
 		}
 	}
@@ -1113,11 +979,11 @@ var maintenanceWidths = []int{64, 128, 320}
 
 // TestPruneVecUnionAcrossMaintenance drives a STeM of one, two and five
 // words, whose prunes merge its index into one table, through maintain's
-// random interleaving of inserts, publishes, sweeps, compaction and
-// AddIndex. After each step a prune on every index, over NULL, hit and
-// missing keys and a random word range, must match the oracle, and enough
-// of them at each width must have read a table's unions as they stood,
-// direct and hashed, for the check to cover both layouts.
+// random interleaving of inserts, sweeps, compaction and AddIndex. After
+// each step a prune on every index, over NULL, hit and missing keys and a
+// random word range, must match the oracle, and enough of them at each
+// width must have read direct and hashed tables for the check to cover both
+// layouts.
 func TestPruneVecUnionAcrossMaintenance(t *testing.T) {
 	const steps = 400
 	rng := rand.New(rand.NewSource(17))
@@ -1135,24 +1001,22 @@ func TestPruneVecUnionAcrossMaintenance(t *testing.T) {
 				if !checkPruneInput(t, s, o, ki, col, probeKeys, tuples, elig, lo, hi) {
 					t.Fatalf("%d words, step %d: PruneVec on %s diverged", qw, step, col)
 				}
-				if tb := tablesOf(s, ki)[0]; tb.seen(s.versions, math.MaxInt64, s.versions.Watermark()) {
-					l.add(tb)
-				}
+				l.add(tablesOf(s, ki)[0])
 			}
 		})
-		t.Logf("%d words: published tables answered %d of the prunes directly, %d hashed", qw, l.direct, l.hashed)
-		if l.direct+l.hashed < steps/4 || min(l.direct, l.hashed) < steps/20 {
-			t.Fatalf("%d words: published tables answered %d prunes directly and %d hashed; the check barely covers the unions or one of their layouts", qw, l.direct, l.hashed)
+		t.Logf("%d words: tables answered %d of the prunes directly, %d hashed", qw, l.direct, l.hashed)
+		if min(l.direct, l.hashed) < steps/20 {
+			t.Fatalf("%d words: tables answered %d prunes directly and %d hashed; the check barely covers one of their layouts", qw, l.direct, l.hashed)
 		}
 	}
 }
 
 // TestProbeVecTableAcrossMaintenance drives a STeM of one, two and five
 // words through maintain's random interleaving of inserts (NULL keys and
-// empty query sets included), publishes, sweeps, compaction and AddIndex.
-// After each step a probe on every index, over NULL, hit and missing keys,
-// at a fresh timestamp and at the one drawn before the previous step, must
-// match the oracle, masked and unmasked (checkProbe), and at each width at
+// empty query sets included), sweeps, compaction and AddIndex. After each
+// step a probe on every index, over NULL, hit and missing keys, at a fresh
+// timestamp and at the one drawn before the previous step, older than the
+// stamp of an insert in that step, must match the oracle, masked and unmasked (checkProbe), and at each width at
 // least 100 of them must have read a table as it stood, direct and hashed.
 func TestProbeVecTableAcrossMaintenance(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -1165,16 +1029,16 @@ func TestProbeVecTableAcrossMaintenance(t *testing.T) {
 		served := 0
 		var l layouts
 		maintain(rng, s, o, 300, 24, func(step int, cols []string) {
-			wm, ts := v.Watermark(), v.Now()
+			ts := v.Now()
 			for ki, col := range cols {
-				if !checkProbe(t, s, o, ki, col, probeKeys, ts, wm) {
+				if !checkProbe(t, s, o, ki, col, probeKeys, ts) {
 					t.Fatalf("%d words, step %d: ProbeVec on %s diverged", s.qw, step, col)
 				}
 				before := l.direct + l.hashed
-				if l.count(s, ki, ts, wm); l.direct+l.hashed > before {
+				if l.count(s, ki, ts); l.direct+l.hashed > before {
 					served++
 				}
-				if !checkProbe(t, s, o, ki, col, probeKeys, prevTS, 0) {
+				if !checkProbe(t, s, o, ki, col, probeKeys, prevTS) {
 					t.Fatalf("%d words, step %d: ProbeVec on %s at the previous step's timestamp diverged", s.qw, step, col)
 				}
 			}
@@ -1193,16 +1057,16 @@ func TestProbeVecTableAcrossMaintenance(t *testing.T) {
 // non-zero ones, masked, with tuples that have no bit under the mask. It
 // runs on a one-word STeM and on a five-word one over ranges of one, two
 // and five words, with NULL keys on both sides and keys of several
-// entries, once read from a table as it stands and once, with an entry left
-// unpublished, entry by entry; checkSlab compares both with the oracle, the
-// probed count and the tuple order included.
+// entries, once read from a table as it stands and once, at a timestamp
+// older than one more entry's stamp, entry by entry; checkSlab compares
+// both with the oracle, the probed count and the tuple order included.
 func TestProbeSlabMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, tc := range []struct {
 		qcap   int
 		ranges [][2]int
 	}{{64, [][2]int{{0, 1}}}, {320, [][2]int{{0, 1}, {3, 4}, {1, 3}, {3, 5}, {0, 5}}}} {
-		for _, unpublished := range []bool{false, true} {
+		for _, newer := range []bool{false, true} {
 			const entries, domain = 600, 200
 			v := NewVersions()
 			s := New(v, []string{"k"}, tc.qcap, entries)
@@ -1222,12 +1086,10 @@ func TestProbeSlabMatchesOracle(t *testing.T) {
 					}
 				}
 			}
-			s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, nil)
-			o.insert(vids, [][]int64{keys}, qsets, qw, 0)
-			_, o.pubTS[0] = v.Publish(0)
-			if unpublished { // an unpublished entry has every probe check each entry
-				s.InsertVec(vids[:1], [][]int64{{1}}, qsets[qw:2*qw], qw, 1, nil)
-				o.insert(vids[:1], [][]int64{{1}}, qsets[qw:2*qw], qw, 1)
+			o.insert(vids, [][]int64{keys}, qsets, qw, s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, nil))
+			old := v.Now()
+			if newer { // an entry newer than the probes has them check each entry
+				o.insert(vids[:1], [][]int64{{1}}, qsets[qw:2*qw], qw, s.InsertVec(vids[:1], [][]int64{{1}}, qsets[qw:2*qw], qw, 0, nil))
 			}
 			probeKeys := []int64{NullKey}
 			for k := int64(0); k <= domain; k++ { // domain itself misses
@@ -1238,13 +1100,16 @@ func TestProbeSlabMatchesOracle(t *testing.T) {
 				nw := hi - lo
 				for _, so := range [][2]int{{nw, 0}, {nw + 1, 1}, {nw + 3, 2}, {qw + 2, 2}} {
 					stride, off := so[0], so[1]
-					wm, ts := v.Watermark(), v.Now()
-					p := slabProbe(rng, probeKeys, nw, stride, off)
-					if !checkSlab(t, s, o, 0, "k", p, ts, wm, lo, hi) {
-						t.Fatalf("%d words, unpublished %t: range [%d,%d) stride %d offset %d diverged", qw, unpublished, lo, hi, stride, off)
+					ts := old
+					if !newer {
+						ts = v.Now()
 					}
-					if served := tableServes(s, 0, ts, wm); served == unpublished {
-						t.Fatalf("%d words, unpublished %t: the probe read one table as it stood: %t", qw, unpublished, served)
+					p := slabProbe(rng, probeKeys, nw, stride, off)
+					if !checkSlab(t, s, o, 0, "k", p, ts, lo, hi) {
+						t.Fatalf("%d words, newer %t: range [%d,%d) stride %d offset %d diverged", qw, newer, lo, hi, stride, off)
+					}
+					if served := tableServes(s, 0, ts); served == newer {
+						t.Fatalf("%d words, newer %t: the probe read one table as it stood: %t", qw, newer, served)
 					}
 				}
 			}
@@ -1289,7 +1154,7 @@ func TestProbeKernelMatchesOracle(t *testing.T) {
 				}
 			}
 			rng.Shuffle(len(probeKeys), func(i, j int) { probeKeys[i], probeKeys[j] = probeKeys[j], probeKeys[i] })
-			wm, ts := s.versions.Watermark(), s.versions.Now()
+			ts := s.versions.Now()
 			for lo := 0; lo < qw; lo++ {
 				for hi := lo + 1; hi <= qw; hi++ {
 					nw := hi - lo
@@ -1298,13 +1163,13 @@ func TestProbeKernelMatchesOracle(t *testing.T) {
 						ps = append(ps, slabProbe(rng, probeKeys, nw, so[0], so[1]))
 					}
 					for _, p := range ps {
-						if !checkSlab(t, s, o, 0, "k", p, ts, wm, lo, hi) {
+						if !checkSlab(t, s, o, 0, "k", p, ts, lo, hi) {
 							t.Fatalf("%d words, spread %t: range [%d,%d) masked %t stride %d offset %d diverged", qw, spread, lo, hi, p.Qsets != nil, p.Stride, p.Off)
 						}
 					}
 				}
 			}
-			if tb := tablesOf(s, 0); !tableServes(s, 0, ts, wm) || tb[0].direct == spread {
+			if tb := tablesOf(s, 0); !tableServes(s, 0, ts) || tb[0].direct == spread {
 				t.Fatalf("%d words, spread %t: the probes did not read one table as it stood, or it was direct %t", qw, spread, tb[0].direct)
 			}
 		}
@@ -1312,13 +1177,13 @@ func TestProbeKernelMatchesOracle(t *testing.T) {
 }
 
 // TestProbeVecTableRespectsProbeTS pins the table's visibility bound at
-// one, two and five words: a table built after a publication newer than a
-// probe's timestamp must be read entry by entry by that probe, which sees
-// only the entries published before it, and a probe after every
-// publication reads the table as it stands, with every entry, the one with
-// an empty query set included (ProbeVec returns it). Reading without the
-// maxTS check or without the per-entry slot check, or building a table
-// without the empty entries, fails here.
+// one, two and five words: a table holding an entry stamped after a probe's
+// timestamp must be read entry by entry by that probe, which sees only the
+// entries stamped before it, and a probe after every stamp reads the table
+// as it stands, with every entry, the one with an empty query set included
+// (an unmasked probe returns it). Reading without the maxTS check or
+// without the per-entry stamp check, or building a table without the empty
+// entries, fails here.
 func TestProbeVecTableRespectsProbeTS(t *testing.T) {
 	for _, qcap := range maintenanceWidths {
 		v := NewVersions()
@@ -1332,18 +1197,16 @@ func TestProbeVecTableRespectsProbeTS(t *testing.T) {
 			}
 			return out
 		}
-		// Key 5 gets an entry with bits and one every query has left (slot
-		// 0), then, after the old probe timestamp is drawn, one more (slot 1).
+		// Key 5 gets an entry with bits and one every query has left, then,
+		// after the old probe timestamp is drawn, one more.
 		s.InsertVec([]int32{1, 2, 9}, [][]int64{{5, 5, 6}}, words(0x1, 0, 0x4), qw, 0, nil)
-		v.Publish(0)
 		old := v.Now()
-		s.InsertVec([]int32{3}, [][]int64{{5}}, words(0x2), qw, 1, nil)
-		v.Publish(1)
+		s.InsertVec([]int32{3}, [][]int64{{5}}, words(0x2), qw, 0, nil)
 		keys := []int64{5, 6, 7, NullKey}
 
-		// A prune builds the table now, with slot 1's entry in it.
+		// A prune builds the table now, with the newer entry in it.
 		pruneTuples(t, s, words(1, 1, 1, 1), qw, bitset.Set(words(1)), 0, qw, "k", keys, make([]uint64, qw))
-		if len(tablesOf(s, 0)) != 1 || tableServes(s, 0, old, 0) {
+		if len(tablesOf(s, 0)) != 1 || tableServes(s, 0, old) {
 			t.Fatalf("%d words, fixture: want one table that the old timestamp reads entry by entry", qw)
 		}
 		type m struct {
@@ -1353,7 +1216,7 @@ func TestProbeVecTableRespectsProbeTS(t *testing.T) {
 		}
 		collect := func(ts int64) []m {
 			var out []m
-			for _, x := range probeVec(s, "k", keys, ts, 0) {
+			for _, x := range probeVec(s, "k", keys, ts) {
 				out = append(out, m{x.In, x.VID, x.QSet[qw-1]})
 			}
 			sort.Slice(out, func(i, j int) bool { return out[i].vid < out[j].vid })
@@ -1364,25 +1227,23 @@ func TestProbeVecTableRespectsProbeTS(t *testing.T) {
 		}
 		now := v.Now()
 		if got, want := collect(now), []m{{0, 1, 0x1}, {0, 2, 0}, {0, 3, 0x2}, {1, 9, 0x4}}; !reflect.DeepEqual(got, want) {
-			t.Fatalf("%d words: probe after every publication = %v, want %v", qw, got, want)
+			t.Fatalf("%d words: probe after every stamp = %v, want %v", qw, got, want)
 		}
-		if !tableServes(s, 0, now, 0) {
-			t.Fatalf("%d words: the probe after every publication did not read the table as it stood", qw)
+		if !tableServes(s, 0, now) {
+			t.Fatalf("%d words: the probe after every stamp did not read the table as it stood", qw)
 		}
 	}
 }
 
 // TestSymmetricJoinAcrossDeltas runs a growing symmetric join on one
 // worker at one, two and five words: two STeMs take turns inserting a
-// vector of 20 to 38 tuples (Fig. 13's vectors hold about 29), publishing
-// it and probing the other STeM with the vector's keys, so each probe
-// indexes what the other side inserted since as a new delta. One vector in
-// eight stays unpublished until its STeM's next turn, holding the watermark
-// back. Every probe must match the oracle (checkProbe) at the pair its
-// publish returned and at the timestamp drawn before the other side's
-// newest publish, whose entries the probed STeM's newest table holds, so
-// that probe must check them entry by entry. Each index must hold at most
-// ⌈log2 deltas⌉ + 1 tables. Reading every table as it stands, or never
+// vector of 20 to 38 tuples (Fig. 13's vectors hold about 29) and probing
+// the other STeM with the vector's keys, so each probe indexes what the
+// other side inserted since as a new delta. Every probe must match the
+// oracle (checkProbe) at the stamp its insert returned and at the other
+// side's newest stamp, whose entries the probed STeM's newest table holds,
+// so that probe must check them entry by entry. Each index must hold at
+// most ⌈log2 deltas⌉ + 1 tables. Reading every table as it stands, or never
 // merging tables, fails here.
 func TestSymmetricJoinAcrossDeltas(t *testing.T) {
 	const domain, rounds = 150, 100
@@ -1392,17 +1253,12 @@ func TestSymmetricJoinAcrossDeltas(t *testing.T) {
 		oracles := [2]*oracle{newOracle(1), newOracle(1)}
 		qw := stems[0].qw
 		rng := rand.New(rand.NewSource(int64(qcap)))
-		held := [2]Slot{-1, -1} // each side's unpublished slot
-		slot, vid := Slot(0), int32(0)
+		vid := int32(0)
 		prevTS := v.Now()
 		most, checked := 0, 0
 		for round := 0; round < rounds; round++ {
 			for side := range 2 {
 				mine, other, o := stems[side], stems[1-side], oracles[side]
-				if held[side] >= 0 {
-					_, o.pubTS[held[side]] = v.Publish(held[side])
-					held[side] = -1
-				}
 				n := 20 + rng.Intn(19)
 				vids := make([]int32, n)
 				keys := make([]int64, n)
@@ -1417,28 +1273,17 @@ func TestSymmetricJoinAcrossDeltas(t *testing.T) {
 						qsets[j*qw+w] = rng.Uint64() & rng.Uint64()
 					}
 				}
-				mine.InsertVec(vids, [][]int64{keys}, qsets, qw, slot, nil)
-				o.insert(vids, [][]int64{keys}, qsets, qw, slot)
-				var wm Slot
-				var ts int64
-				if rng.Intn(8) == 0 {
-					held[side] = slot
-					wm = v.Watermark()
-					ts = v.Now()
-				} else {
-					wm, ts = v.Publish(slot)
-					o.pubTS[slot] = ts
-				}
-				slot++
+				ts := mine.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, nil)
+				o.insert(vids, [][]int64{keys}, qsets, qw, ts)
 				probeKeys := append(keys, domain) // and a miss
-				if !checkProbe(t, other, oracles[1-side], 0, "k", probeKeys, ts, wm) {
-					t.Fatalf("%d words, round %d side %d: a probe at its publish's pair diverged", qw, round, side)
+				if !checkProbe(t, other, oracles[1-side], 0, "k", probeKeys, ts) {
+					t.Fatalf("%d words, round %d side %d: a probe at its insert's stamp diverged", qw, round, side)
 				}
-				if !allSeen(other, 0, prevTS, 0) {
+				if !allSeen(other, 0, prevTS) {
 					checked++
 				}
-				if !checkProbe(t, other, oracles[1-side], 0, "k", probeKeys, prevTS, 0) {
-					t.Fatalf("%d words, round %d side %d: a probe at the timestamp drawn before the last publish diverged", qw, round, side)
+				if !checkProbe(t, other, oracles[1-side], 0, "k", probeKeys, prevTS) {
+					t.Fatalf("%d words, round %d side %d: a probe at the other side's newest stamp diverged", qw, round, side)
 				}
 				prevTS = ts
 				tables := tablesOf(other, 0)
@@ -1452,7 +1297,7 @@ func TestSymmetricJoinAcrossDeltas(t *testing.T) {
 				most = max(most, len(tables))
 			}
 		}
-		t.Logf("%d words: at most %d tables per STeM; %d probes at the older timestamp checked entries", qw, most, checked)
+		t.Logf("%d words: at most %d tables per STeM; %d probes at the other side's stamp checked entries", qw, most, checked)
 		if most < 4 || checked < rounds {
 			t.Fatalf("%d words: at most %d tables, %d probes checked entries; the check barely covers the table list", qw, most, checked)
 		}
@@ -1464,8 +1309,7 @@ func TestSymmetricJoinAcrossDeltas(t *testing.T) {
 // deltas merged by prunes into one table, and then the chunks and the table
 // are swept of x. A prune eligible on x alone, reading that table as it
 // stands, must keep no tuple. Fresh entries carrying x, as a query
-// recycling the ID would insert, then go in under a new slot, one of them
-// on an old key, and a probe masked to x, which reads the swept table
+// recycling the ID would insert, then go in, one of them on an old key, and a probe masked to x, which reads the swept table
 // beside a delta of the fresh entries, and a prune eligible on x, which
 // merges the two, must see only the fresh entries. Skipping the table sweep
 // fails here.
@@ -1477,7 +1321,6 @@ func TestQueryIDReuseAfterSweep(t *testing.T) {
 		qw := s.qw
 		x := 64*qw - 1
 		onlyX := bitset.FromIDs(qcap, x)
-		slot := Slot(0)
 		insert := func(keys []int64, vid0 int32, q bitset.Set) {
 			vids := make([]int32, len(keys))
 			qsets := make([]uint64, 0, len(keys)*qw)
@@ -1485,10 +1328,7 @@ func TestQueryIDReuseAfterSweep(t *testing.T) {
 				vids[j] = vid0 + int32(j)
 				qsets = append(qsets, q...)
 			}
-			s.InsertVec(vids, [][]int64{keys}, qsets, qw, slot, nil)
-			o.insert(vids, [][]int64{keys}, qsets, qw, slot)
-			_, o.pubTS[slot] = v.Publish(slot)
-			slot++
+			o.insert(vids, [][]int64{keys}, qsets, qw, s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, nil))
 		}
 		var probeKeys []int64
 		for k := int64(0); k < 120; k++ {
@@ -1528,16 +1368,16 @@ func TestQueryIDReuseAfterSweep(t *testing.T) {
 		}
 
 		insert(append(probeKeys[100:110:110], 5), 1000, onlyX)
-		wm, ts := v.Watermark(), v.Now()
+		ts := v.Now()
 		p := keyProbe(probeKeys, tq, qw)
 		p.Mask = onlyX
-		if !checkSlab(t, s, o, 0, "k", p, ts, wm, 0, qw) {
+		if !checkSlab(t, s, o, 0, "k", p, ts, 0, qw) {
 			t.Fatalf("%d words: a probe masked to the recycled query diverged", qw)
 		}
 		if n := len(tablesOf(s, 0)); n != 2 {
 			t.Fatalf("%d words, fixture: the probe left %d tables, want the swept one and a delta", qw, n)
 		}
-		ms, _, _ := s.ProbeVecRange(nil, nil, "k", p, ts, wm, 0, qw)
+		ms, _, _ := s.ProbeVecRange(nil, nil, "k", p, ts, 0, qw)
 		if len(ms) != 11 {
 			t.Fatalf("%d words: a probe masked to the recycled query found %d matches, want the 11 fresh entries", qw, len(ms))
 		}
@@ -1556,13 +1396,12 @@ func TestQueryIDReuseAfterSweep(t *testing.T) {
 // entries but not yet written or recorded them (InsertVec's two halves,
 // driven apart), at one, two and five words. Such a prune must not read the
 // unwritten entries, and each insert's bits must show in the first prune
-// after it records its range and publishes, also when a later reservation
-// records before an earlier one. A build over the reserved count instead of
+// after it records its range, also when a later reservation records before
+// an earlier one. A build over the reserved count instead of
 // the recorded ranges fails here.
 func TestUnionTableWaitsForCommit(t *testing.T) {
 	for _, qcap := range maintenanceWidths {
-		v := NewVersions()
-		s := New(v, []string{"k"}, qcap, 0)
+		s := New(NewVersions(), []string{"k"}, qcap, 0)
 		qw := s.qw
 		keys := []int64{0, 1, 2, 3}
 		// last is a slab of one set per key with x in its last word.
@@ -1573,12 +1412,9 @@ func TestUnionTableWaitsForCommit(t *testing.T) {
 			}
 			return out
 		}
-		insert := func(bits uint64, slot Slot) func() {
+		insert := func(bits uint64) func() {
 			base := s.reserve(len(keys))
-			return func() {
-				s.fill(base, []int32{0, 1, 2, 3}, [][]int64{keys}, last(bits), qw, slot)
-				v.Publish(slot)
-			}
+			return func() { s.fill(base, []int32{0, 1, 2, 3}, [][]int64{keys}, last(bits), qw) }
 		}
 		check := func(when string, want uint64) {
 			t.Helper()
@@ -1588,18 +1424,18 @@ func TestUnionTableWaitsForCommit(t *testing.T) {
 				t.Fatalf("%d words: prune %s = %x, want %x", qw, when, tuples, w)
 			}
 		}
-		insert(1, 0)()
+		insert(1)()
 		check("after the first insert", 1)
 		if !indexed(s, 0) {
 			t.Fatalf("%d words: the first insert is still unindexed after a prune", qw)
 		}
 
-		commit := insert(2, 1)
+		commit := insert(2)
 		check("during a reservation", 1)
 		commit()
 		check("after its commit", 3)
 
-		first, second := insert(4, 2), insert(8, 3)
+		first, second := insert(4), insert(8)
 		second()
 		check("after the later reservation commits first", 0xb)
 		first()
@@ -1610,13 +1446,14 @@ func TestUnionTableWaitsForCommit(t *testing.T) {
 	}
 }
 
-// TestUnpublishedSlotIndexedOnce leaves one slot unpublished behind many
-// published entries and probes and prunes many times, at one, two and five
-// words. The first prune indexes every entry, the unpublished ones
-// included, and no later call rebuilds: each reads that one table, checking
-// the unpublished entries' slots, and matches the oracle. Once the slot is
-// published, the next probe is served from the same table as it stands.
-func TestUnpublishedSlotIndexedOnce(t *testing.T) {
+// TestNewerEntriesIndexedOnce stamps a few entries after a probe timestamp
+// is drawn, behind many older ones, and probes at that timestamp and
+// prunes many times, at one, two and five words. The first prune indexes
+// every entry, the newer ones included, and no later call rebuilds: each
+// reads that one table, the probes checking every entry's stamp, and
+// matches the oracle. A probe at a fresh timestamp is then served from the
+// same table as it stands.
+func TestNewerEntriesIndexedOnce(t *testing.T) {
 	const entries, calls = 2000, 8
 	for _, qcap := range maintenanceWidths {
 		v := NewVersions()
@@ -1633,24 +1470,23 @@ func TestUnpublishedSlotIndexedOnce(t *testing.T) {
 				qsets[i*qw+w] = rng.Uint64() & rng.Uint64()
 			}
 		}
-		insert := func(lo, hi int, slot Slot) {
-			s.InsertVec(vids[lo:hi], [][]int64{keys[lo:hi]}, qsets[lo*qw:hi*qw], qw, slot, nil)
-			o.insert(vids[lo:hi], [][]int64{keys[lo:hi]}, qsets[lo*qw:hi*qw], qw, slot)
+		insert := func(lo, hi int) {
+			stamp := s.InsertVec(vids[lo:hi], [][]int64{keys[lo:hi]}, qsets[lo*qw:hi*qw], qw, 0, nil)
+			o.insert(vids[lo:hi], [][]int64{keys[lo:hi]}, qsets[lo*qw:hi*qw], qw, stamp)
 		}
 		cut := entries - 10
-		insert(0, cut, 0)
-		_, o.pubTS[0] = v.Publish(0)
-		insert(cut, entries, 1)
+		insert(0, cut)
+		old := v.Now()
+		insert(cut, entries)
 		probeKeys := append(keys[:500:500], 500, NullKey)
 
 		var tb *unionTable
 		for i := 0; i < calls; i++ {
 			if !checkPrune(t, rng, s, o, 0, "k", probeKeys) {
-				t.Fatalf("%d words, call %d: a prune with slot 1 unpublished diverged", qw, i)
+				t.Fatalf("%d words, call %d: a prune diverged", qw, i)
 			}
-			wm, ts := v.Watermark(), v.Now()
-			if !checkProbe(t, s, o, 0, "k", probeKeys, ts, wm) {
-				t.Fatalf("%d words, call %d: a probe with slot 1 unpublished diverged", qw, i)
+			if !checkProbe(t, s, o, 0, "k", probeKeys, old) {
+				t.Fatalf("%d words, call %d: a probe older than the newer entries diverged", qw, i)
 			}
 			tables := tablesOf(s, 0)
 			if i == 0 {
@@ -1659,17 +1495,16 @@ func TestUnpublishedSlotIndexedOnce(t *testing.T) {
 			if len(tables) != 1 || tables[0] != tb || !indexed(s, 0) {
 				t.Fatalf("%d words, call %d: the index holds %d tables (first kept %t), want the first call's table alone", qw, i, len(tables), tables[0] == tb)
 			}
-			if tableServes(s, 0, ts, wm) {
-				t.Fatalf("%d words, call %d: a table holding an unpublished entry is read without checking its slot", qw, i)
+			if tableServes(s, 0, old) {
+				t.Fatalf("%d words, call %d: a table holding a newer entry is read without checking its stamp", qw, i)
 			}
 		}
-		_, o.pubTS[1] = v.Publish(1)
-		wm, ts := v.Watermark(), v.Now()
-		if !checkProbe(t, s, o, 0, "k", probeKeys, ts, wm) {
-			t.Fatalf("%d words: a probe after the publication diverged", qw)
+		ts := v.Now()
+		if !checkProbe(t, s, o, 0, "k", probeKeys, ts) {
+			t.Fatalf("%d words: a probe at a fresh timestamp diverged", qw)
 		}
-		if tables := tablesOf(s, 0); len(tables) != 1 || tables[0] != tb || !tableServes(s, 0, ts, wm) {
-			t.Fatalf("%d words: the probe after the publication was not served from the table built before it", qw)
+		if tables := tablesOf(s, 0); len(tables) != 1 || tables[0] != tb || !tableServes(s, 0, ts) {
+			t.Fatalf("%d words: the probe at a fresh timestamp was not served from the table built before it", qw)
 		}
 	}
 }
@@ -1697,11 +1532,8 @@ func TestConcurrentProbesBuildEachDeltaOnce(t *testing.T) {
 				qsets[j*qw+w] = rng.Uint64() & rng.Uint64()
 			}
 		}
-		slot := Slot(round)
-		s.InsertVec(vids, [][]int64{keys}, qsets, qw, slot, nil)
-		o.insert(vids, [][]int64{keys}, qsets, qw, slot)
-		wm, ts := v.Publish(slot)
-		o.pubTS[slot] = ts
+		ts := s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, nil)
+		o.insert(vids, [][]int64{keys}, qsets, qw, ts)
 
 		start := make(chan struct{})
 		var wg sync.WaitGroup
@@ -1710,7 +1542,7 @@ func TestConcurrentProbesBuildEachDeltaOnce(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				s.ProbeVec(nil, nil, "k", keys, ts, wm)
+				probeVec(s, "k", keys, ts)
 			}()
 		}
 		close(start)
@@ -1735,14 +1567,14 @@ func TestConcurrentProbesBuildEachDeltaOnce(t *testing.T) {
 	for k := range probeKeys {
 		probeKeys[k] = int64(k)
 	}
-	if !checkProbe(t, s, o, 0, "k", probeKeys, v.Now(), v.Watermark()) {
+	if !checkProbe(t, s, o, 0, "k", probeKeys, v.Now()) {
 		t.Fatal("a probe after the concurrent rounds diverged")
 	}
 }
 
 // unionFixture inserts one entry per element of keys (a key listed twice
-// gets two) into a fresh STeM of query capacity qcap, all under one
-// published slot. Entry i has two bits in every word
+// gets two) into a fresh STeM of query capacity qcap, in one vector. Entry
+// i has two bits in every word
 // unless zeroEvery > 0 and i%zeroEvery == zeroEvery-1, which leaves it
 // none. It returns the STeM and its oracle.
 func unionFixture(t *testing.T, qcap int, keys []int64, zeroEvery int) (*STeM, *oracle) {
@@ -1761,9 +1593,7 @@ func unionFixture(t *testing.T, qcap int, keys []int64, zeroEvery int) (*STeM, *
 			qsets[i*qw+w] = 1<<uint((i+w)%64) | 1<<uint((5*i+w+3)%64)
 		}
 	}
-	s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, nil)
-	o.insert(vids, [][]int64{keys}, qsets, qw, 0)
-	_, o.pubTS[0] = v.Publish(0)
+	o.insert(vids, [][]int64{keys}, qsets, qw, s.InsertVec(vids, [][]int64{keys}, qsets, qw, 0, nil))
 	return s, o
 }
 
@@ -1782,7 +1612,7 @@ func checkUnionServes(t *testing.T, s *STeM, o *oracle, probeKeys []int64) *unio
 		t.Fatalf("%d words: a prune served by the table diverged", qw)
 	}
 	ts := s.versions.Now()
-	if !checkProbe(t, s, o, 0, "k", probeKeys, ts, 0) || !tableServes(s, 0, ts, 0) {
+	if !checkProbe(t, s, o, 0, "k", probeKeys, ts) || !tableServes(s, 0, ts) {
 		t.Fatalf("%d words: a probe diverged or did not read one table as it stood", qw)
 	}
 	return tablesOf(s, 0)[0]
@@ -1894,19 +1724,17 @@ func TestUnionTableDirectEdgeCases(t *testing.T) {
 }
 
 // TestPruneVecUnionUnderConcurrentInserts prunes from two goroutines
-// against a one-word STeM while two others insert and publish into it, so
+// against a one-word STeM while two others insert into it, so
 // the prunes build and merge tables while inserts reserve, write and record
 // their ranges around them. Every entry of key k carries the same bits f(k)
-// and a first published batch holds every key, so each prune must read
+// and a first batch holds every key, so each prune must read
 // exactly f(k) for a key of the domain and nothing for NULL or a missing
 // key, whatever the interleaving. Run under -race this also checks that a
 // build reads only entries whose insert has recorded its range.
 func TestPruneVecUnionUnderConcurrentInserts(t *testing.T) {
 	const domain, batches = 48, 150
 	f := func(k int64) uint64 { return 1<<uint(k%64) | 1<<uint(k*7%64) }
-	v := NewVersions()
-	s := New(v, []string{"k"}, 64, 0)
-	var slots atomic.Int32
+	s := New(NewVersions(), []string{"k"}, 64, 0)
 	insert := func(keys []int64) {
 		qsets := make([]uint64, len(keys))
 		for j, k := range keys {
@@ -1914,9 +1742,7 @@ func TestPruneVecUnionUnderConcurrentInserts(t *testing.T) {
 				qsets[j] = f(k)
 			}
 		}
-		slot := Slot(slots.Add(1) - 1)
-		s.InsertVec(make([]int32, len(keys)), [][]int64{keys}, qsets, 1, slot, nil)
-		v.Publish(slot)
+		s.InsertVec(make([]int32, len(keys)), [][]int64{keys}, qsets, 1, 0, nil)
 	}
 	seed := make([]int64, domain)
 	for k := range seed {
@@ -1999,35 +1825,25 @@ func TestPruneVecUnionUnderConcurrentInserts(t *testing.T) {
 // also checks that a table is never written once published.
 func TestPruneVecDuringGC(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, tc := range []struct {
-		qcap    int
-		publish bool
-	}{{320, false}, {320, true}, {64, true}} {
-		pruneDuringGC(t, rng, tc.qcap, tc.publish)
+	for _, qcap := range []int{320, 64} {
+		pruneDuringGC(t, rng, qcap)
 	}
 }
 
-// pruneDuringGC is TestPruneVecDuringGC at one query capacity. With
-// publish every slot is published first, so the prunes read the table's
-// unions as they stand; without it the unpublished slots have them OR the
-// published entries' words.
-func pruneDuringGC(t *testing.T, rng *rand.Rand, qcap int, publish bool) {
+// pruneDuringGC is TestPruneVecDuringGC at one query capacity.
+func pruneDuringGC(t *testing.T, rng *rand.Rand, qcap int) {
 	s, o, keys := buildRandom(rng, qcap, 2*chunkSize)
 	qw := s.qw
-	if publish {
-		publishRest(s.versions, o)
-	}
 	retired := make(bitset.Set, qw)
 	for w := range retired {
 		retired[w] = rng.Uint64()
 	}
 	swept := newOracle(1)
-	swept.pubTS = o.pubTS
 	for k, es := range o.byKey[0] {
 		for _, e := range es {
 			q := append([]uint64(nil), e.qset...)
 			bitset.Set(q).AndNotWith(retired)
-			swept.byKey[0][k] = append(swept.byKey[0][k], oracleEntry{e.vid, e.slot, q})
+			swept.byKey[0][k] = append(swept.byKey[0][k], oracleEntry{e.vid, e.stamp, q})
 		}
 	}
 
@@ -2064,18 +1880,17 @@ func pruneDuringGC(t *testing.T, rng *rand.Rand, qcap int, publish bool) {
 
 // TestProbeVecPruneVecZeroAlloc pins the kernels' allocation contract at
 // the package boundary, below the episode-step guards in internal/exec: with
-// warm caller-owned buffers ProbeVec, ProbeVecRange (with and without a
-// tuple mask, over key lists and over slabs laid out as a join node's, a
-// one-word range of the two-word table included) and PruneVec do not
-// allocate, on one- and two-word STeMs whose tables they read as they
-// stand and on a two-word STeM whose unpublished entry has them check each
-// entry, and neither does an InsertVec that stays inside an allocated
-// chunk.
+// warm caller-owned buffers ProbeVecRange (with and without a tuple mask,
+// over key lists and over slabs laid out as a join node's, a one-word range
+// of the two-word table included) and PruneVec do not allocate, on one- and
+// two-word STeMs whose tables they read as they stand and on a two-word
+// STeM whose entry newer than the probes has them check each entry, and
+// neither does an InsertVec that stays inside an allocated chunk.
 func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 	const entries, fanout, batch, runs = 1024, 4, 8, 50
 	v := NewVersions()
 	s := New(v, []string{"k"}, 80, chunkSize)  // two query-set words: the wide table
-	sw := New(v, []string{"k"}, 80, chunkSize) // two words, one entry unpublished: checked entries
+	sw := New(v, []string{"k"}, 80, chunkSize) // two words, one entry newer than the probes: checked entries
 	qw := s.qw
 	vids := make([]int32, entries)
 	keys := [][]int64{make([]int64, entries)}
@@ -2087,14 +1902,12 @@ func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 	}
 	s.InsertVec(vids, keys, qsets, qw, 0, nil)
 	sw.InsertVec(vids, keys, qsets, qw, 0, nil)
-	sw.InsertVec(vids[:1], [][]int64{keys[0][:1]}, qsets[:qw], qw, 1, nil)
 	s1 := New(v, []string{"k"}, 64, chunkSize) // one word: the one-word table
 	q1 := make([]uint64, entries)
 	for i := range q1 {
 		q1[i] = 1 << uint(i%64)
 	}
 	s1.InsertVec(vids, keys, q1, 1, 0, nil)
-	v.Publish(0)
 	if entries+(runs+1)*batch > chunkSize {
 		t.Fatal("insert case would grow the slab; the assertion would be vacuous")
 	}
@@ -2108,11 +1921,12 @@ func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 		}
 		tq[i*qw+i%qw] = 0x5555555555555555
 	}
-	wm, ts := v.Watermark(), v.Now()
+	ts := v.Now()
+	sw.InsertVec(vids[:1], [][]int64{keys[0][:1]}, qsets[:qw], qw, 0, nil)
 	unmasked, masked := keyProbe(probeKeys, nil, 0), keyProbe(probeKeys, tq, qw)
 	rng := rand.New(rand.NewSource(1))
 	slab, wordSlab, slab1 := slabProbe(rng, probeKeys, qw, qw+1, 1), slabProbe(rng, probeKeys, 1, qw, 1), slabProbe(rng, probeKeys, 1, 1, 0)
-	dst, qbuf := s.ProbeVec(nil, nil, "k", probeKeys, ts, wm)
+	dst, qbuf, _ := s.ProbeVecRange(nil, nil, "k", unmasked, ts, 0, qw)
 	if len(dst) == 0 {
 		t.Fatal("fixture probes match nothing; the assertion would be vacuous")
 	}
@@ -2122,7 +1936,7 @@ func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 	tuples1 := make([]uint64, len(probeKeys))
 	masked1 := keyProbe(probeKeys, tuples1, 1)
 	elig1 := bitset.NewFull(64)
-	dst1, qbuf1 := s1.ProbeVec(nil, nil, "k", probeKeys, ts, wm)
+	dst1, qbuf1, _ := s1.ProbeVecRange(nil, nil, "k", unmasked, ts, 0, 1)
 	insKeys := [][]int64{keys[0][:batch]}
 	pvids := make([]int32, len(probeKeys))
 	prune := func(s *STeM, tuples []uint64, qw int, elig bitset.Set) func() {
@@ -2143,22 +1957,20 @@ func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 		fn   func()
 	}{
 		{"PruneVec/table", prune(s, tuples, qw, elig)},
-		{"PruneVec/unpublished", prune(sw, tuples, qw, elig)},
 		{"PruneVec/one-word-table", prune(s1, tuples1, 1, elig1)},
-		{"ProbeVec/table", func() { dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm) }},
-		{"ProbeVecRange/table", func() { dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", unmasked, ts, wm, 1, 2) }},
-		{"ProbeVecRange/table-masked", func() { dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", masked, ts, wm, 0, qw) }},
-		{"ProbeVecRange/table-slab", func() { dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", slab, ts, wm, 0, qw) }},
-		{"ProbeVecRange/table-word-slab", func() { dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", wordSlab, ts, wm, 1, 2) }},
-		{"ProbeVec/unpublished-watermark", func() { dst, qbuf = sw.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm) }},
-		{"ProbeVec/unpublished-per-slot", func() { dst, qbuf = sw.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, 0) }},
-		{"ProbeVecRange/unpublished-masked", func() { dst, qbuf, _ = sw.ProbeVecRange(dst[:0], qbuf[:0], "k", masked, ts, wm, 0, qw) }},
-		{"ProbeVec/one-word-table", func() { dst1, qbuf1 = s1.ProbeVec(dst1[:0], qbuf1[:0], "k", probeKeys, ts, wm) }},
+		{"ProbeVecRange/table", func() { dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", unmasked, ts, 0, qw) }},
+		{"ProbeVecRange/table-word", func() { dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", unmasked, ts, 1, 2) }},
+		{"ProbeVecRange/table-masked", func() { dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", masked, ts, 0, qw) }},
+		{"ProbeVecRange/table-slab", func() { dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", slab, ts, 0, qw) }},
+		{"ProbeVecRange/table-word-slab", func() { dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", wordSlab, ts, 1, 2) }},
+		{"ProbeVecRange/newer-entry", func() { dst, qbuf, _ = sw.ProbeVecRange(dst[:0], qbuf[:0], "k", unmasked, ts, 0, qw) }},
+		{"ProbeVecRange/newer-entry-masked", func() { dst, qbuf, _ = sw.ProbeVecRange(dst[:0], qbuf[:0], "k", masked, ts, 0, qw) }},
+		{"ProbeVecRange/one-word-table", func() { dst1, qbuf1, _ = s1.ProbeVecRange(dst1[:0], qbuf1[:0], "k", unmasked, ts, 0, 1) }},
 		{"ProbeVecRange/one-word-table-masked", func() {
-			dst1, qbuf1, _ = s1.ProbeVecRange(dst1[:0], qbuf1[:0], "k", masked1, ts, wm, 0, 1)
+			dst1, qbuf1, _ = s1.ProbeVecRange(dst1[:0], qbuf1[:0], "k", masked1, ts, 0, 1)
 		}},
-		{"ProbeVecRange/one-word-table-slab", func() { dst1, qbuf1, _ = s1.ProbeVecRange(dst1[:0], qbuf1[:0], "k", slab1, ts, wm, 0, 1) }},
-		{"InsertVec/in-chunk", func() { s.InsertVec(vids[:batch], insKeys, qsets[:batch*qw], qw, 1, nil) }},
+		{"ProbeVecRange/one-word-table-slab", func() { dst1, qbuf1, _ = s1.ProbeVecRange(dst1[:0], qbuf1[:0], "k", slab1, ts, 0, 1) }},
+		{"InsertVec/in-chunk", func() { s.InsertVec(vids[:batch], insKeys, qsets[:batch*qw], qw, 0, nil) }},
 	} {
 		if allocs := testing.AllocsPerRun(runs, tc.fn); allocs != 0 {
 			t.Errorf("%s allocates %.1f allocs/op with warm buffers, want 0", tc.name, allocs)
@@ -2173,16 +1985,16 @@ func TestProbeVecPruneVecZeroAlloc(t *testing.T) {
 				t.Errorf("%s matched nothing; the case is vacuous", tc.name)
 			}
 		case "ProbeVecRange/table-masked":
-			if len(dst) == 0 || !tableServes(s, 0, ts, wm) {
+			if len(dst) == 0 || !tableServes(s, 0, ts) {
 				t.Error("the masked table probe matched nothing or did not read the table as it stood; the table cases are vacuous")
 			}
-		case "ProbeVecRange/unpublished-masked":
-			if len(dst) == 0 || tableServes(sw, 0, ts, wm) {
-				t.Error("the masked probe of the unpublished entry's STeM matched nothing or read its table as it stood; the unpublished cases are vacuous")
+		case "ProbeVecRange/newer-entry-masked":
+			if len(dst) == 0 || tableServes(sw, 0, ts) {
+				t.Error("the masked probe of the STeM with a newer entry matched nothing or read its table as it stood; the newer-entry cases are vacuous")
 			}
 		}
 	}
-	if !tableServes(s1, 0, ts, wm) {
+	if !tableServes(s1, 0, ts) {
 		t.Error("the one-word STeM's probes did not read one table as it stood; its table cases did not cover it")
 	}
 }
@@ -2222,17 +2034,17 @@ func BenchmarkSTeMInsertParallel(b *testing.B) {
 			if n%resetEvery == 0 {
 				cur.Store(fresh())
 			}
-			cur.Load().InsertVec(vids, keys, qsets, 1, Slot(n&1023), nil)
+			cur.Load().InsertVec(vids, keys, qsets, 1, 0, nil)
 		}
 	})
 }
 
-// BenchmarkSTeMProbeParallel measures ProbeVec on a fully published STeM:
-// each op probes a 1024-key batch against a unique-key (dimension-table)
-// STeM — the engine's dominant probe shape, where the per-key slot lookup
-// dominates. The entries span one slot per 64-tuple episode and the
-// watermark covers them all, so the probe reads its one table without a
-// version check, as in a long-lived session's steady state.
+// BenchmarkSTeMProbeParallel measures an unmasked probe of a 1024-key batch
+// against a unique-key (dimension-table) STeM — the engine's dominant probe
+// shape, where the per-key slot lookup dominates. The entries were inserted
+// one 64-tuple vector at a time, all stamped before the probes' timestamp,
+// so the probe reads its one table without a stamp check, as in a
+// long-lived session's steady state.
 func BenchmarkSTeMProbeParallel(b *testing.B) {
 	const entries = 1 << 16
 	v := NewVersions()
@@ -2244,10 +2056,8 @@ func BenchmarkSTeMProbeParallel(b *testing.B) {
 		vids[i], keys[i], qsets[i] = int32(i), int64(i), ^uint64(0)
 	}
 	for i := 0; i < entries; i += 64 {
-		s.InsertVec(vids[i:i+64], [][]int64{keys[i : i+64]}, qsets[i:i+64], 1, Slot(i>>6), nil)
-		v.Publish(Slot(i >> 6))
+		s.InsertVec(vids[i:i+64], [][]int64{keys[i : i+64]}, qsets[i:i+64], 1, 0, nil)
 	}
-	wm := v.Watermark()
 	ts := v.Now()
 	probeKeys := make([]int64, 1024)
 	rng := rand.New(rand.NewSource(1))
@@ -2260,14 +2070,13 @@ func BenchmarkSTeMProbeParallel(b *testing.B) {
 		var dst []VecMatch
 		var qbuf []uint64
 		for pb.Next() {
-			dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys, ts, wm)
+			dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", keyProbe(probeKeys, nil, 1), ts, 0, 1)
 		}
 	})
 }
 
-// BenchmarkPruneVec measures the prune kernel on six shapes, each a
-// vector probing a published dimension STeM, all answered from the union
-// table:
+// BenchmarkPruneVec measures the prune kernel on seven shapes, each a
+// vector probing a dimension STeM, all answered from the union table:
 //
 //   - 32words-span5: 1024 tuples against a 65 536-key STeM of a 2048-query
 //     batch (32-word query sets) whose eligible queries span five words, as
@@ -2346,8 +2155,8 @@ func (d benchDim) draw(rng *rand.Rand, qs []uint64, dense func() uint64) {
 }
 
 // build returns the STeM, its entries inserted in deltas vectors of about
-// equal size, each under its own published slot and indexed by a one-key
-// probe before the next, and probes keys drawn from the whole domain.
+// equal size, each indexed by a one-key probe at its stamp before the next,
+// and probes keys drawn from the whole domain.
 func (d benchDim) build(deltas, probes int) (*STeM, []int64) {
 	v := NewVersions()
 	s := New(v, []string{"k"}, d.qcap, 0)
@@ -2363,9 +2172,7 @@ func (d benchDim) build(deltas, probes int) (*STeM, []int64) {
 	}
 	for j := range deltas {
 		lo, hi := j*d.entries/deltas, (j+1)*d.entries/deltas
-		s.InsertVec(vids[lo:hi], [][]int64{keys[lo:hi]}, qsets[lo*qw:hi*qw], qw, Slot(j), nil)
-		wm, ts := v.Publish(Slot(j))
-		s.ProbeVec(nil, nil, "k", keys[:1], ts, wm)
+		probeVec(s, "k", keys[:1], s.InsertVec(vids[lo:hi], [][]int64{keys[lo:hi]}, qsets[lo*qw:hi*qw], qw, 0, nil))
 	}
 	probeKeys := make([]int64, probes)
 	for i := range probeKeys {
@@ -2429,7 +2236,7 @@ func benchPrune(b *testing.B, d benchDim, deltas, probes, lo, hi int) {
 }
 
 // BenchmarkProbeVec measures the probe kernel, serially, on thirteen
-// shapes, each a vector probing a published dimension STeM:
+// shapes, each a vector probing a dimension STeM:
 //
 //   - 1word-dim1800: 1000 keys against a one-word STeM holding 1 080 keys
 //     (60 %) of an 1 800-key dimension, as a stream's queries probe;
@@ -2438,8 +2245,8 @@ func benchPrune(b *testing.B, d benchDim, deltas, probes, lo, hi int) {
 //   - 1word-sparse1800: 1word-dim1800 with the keys spread 2³² apart;
 //   - 2words-32k: 1024 keys against a 32 768-key STeM of a 128-query batch
 //     (two-word query sets);
-//   - 2words-32k-unpublished: the same with one more entry whose slot is
-//     never published, so every probe checks each entry's slot;
+//   - 2words-32k-newer: the same with one more entry stamped after the
+//     probes' timestamp, so every probe checks each entry's stamp;
 //   - 1word-dim1800-fanout4: 1word-dim1800 against every key of the
 //     dimension with four entries, so each key reads its entries one by
 //     one, the shape of the STeM kernel benchmark/trace.go times;
@@ -2475,7 +2282,7 @@ func BenchmarkProbeVec(b *testing.B) {
 	b.Run("2words-32k", func(b *testing.B) {
 		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1, 0}, 1, 1024, false)
 	})
-	b.Run("2words-32k-unpublished", func(b *testing.B) {
+	b.Run("2words-32k-newer", func(b *testing.B) {
 		benchProbe(b, benchDim{128, 1 << 15, 1 << 15, 1, 0}, 1, 1024, true)
 	})
 	b.Run("1word-dim1800-deltas7", func(b *testing.B) {
@@ -2520,14 +2327,14 @@ func benchSlab(b *testing.B, d benchDim, probes, lo, hi, stride, off int) {
 		ps[j].VIDs = all.VIDs[j*probes:][:probes]
 		ps[j].Qsets = all.Qsets[j*probes*stride:][:probes*stride]
 	}
-	wm, ts := s.versions.Watermark(), s.versions.Now()
-	dst, qbuf, _ := s.ProbeVecRange(nil, nil, "k", all, ts, wm, lo, hi) // sizes the buffers
+	ts := s.versions.Now()
+	dst, qbuf, _ := s.ProbeVecRange(nil, nil, "k", all, ts, lo, hi) // sizes the buffers
 	matched, probed := 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var n int
-		dst, qbuf, n = s.ProbeVecRange(dst[:0], qbuf[:0], "k", ps[i%pruneSets], ts, wm, lo, hi)
+		dst, qbuf, n = s.ProbeVecRange(dst[:0], qbuf[:0], "k", ps[i%pruneSets], ts, lo, hi)
 		matched += len(dst)
 		probed += n
 	}
@@ -2540,29 +2347,33 @@ func benchSlab(b *testing.B, d benchDim, probes, lo, hi, stride, off int) {
 	d.checkLayout(b, s)
 }
 
-// benchProbe times ProbeVec of vectors of probes keys against d's STeM,
-// built in deltas vectors, and with unpublished against it with one entry
-// more under a slot left unpublished. Each call takes the next of
-// pruneSets key vectors.
-func benchProbe(b *testing.B, d benchDim, deltas, probes int, unpublished bool) {
+// benchProbe times unmasked probes over every word of vectors of probes
+// keys against d's STeM, built in deltas vectors, and with newer against it
+// with one entry more, stamped after the probes' timestamp. Each call takes
+// the next of pruneSets key vectors.
+func benchProbe(b *testing.B, d benchDim, deltas, probes int, newer bool) {
 	s, probeKeys := d.build(deltas, probes*pruneSets)
-	if unpublished {
-		s.InsertVec([]int32{0}, [][]int64{probeKeys[:1]}, make([]uint64, s.qw), s.qw, Slot(deltas), nil)
+	ts := s.versions.Now()
+	if newer {
+		s.InsertVec([]int32{0}, [][]int64{probeKeys[:1]}, make([]uint64, s.qw), s.qw, 0, nil)
 	}
-	wm, ts := s.versions.Watermark(), s.versions.Now()
-	dst, qbuf := s.ProbeVec(nil, nil, "k", probeKeys, ts, wm) // builds any table still missing
+	ps := make([]Probe, pruneSets)
+	for j := range ps {
+		ps[j] = keyProbe(probeKeys[j*probes:][:probes], nil, s.qw)
+	}
+	dst, qbuf, _ := s.ProbeVecRange(nil, nil, "k", keyProbe(probeKeys, nil, s.qw), ts, 0, s.qw) // builds any table still missing
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst, qbuf = s.ProbeVec(dst[:0], qbuf[:0], "k", probeKeys[i%pruneSets*probes:][:probes], ts, wm)
+		dst, qbuf, _ = s.ProbeVecRange(dst[:0], qbuf[:0], "k", ps[i%pruneSets], ts, 0, s.qw)
 	}
 	if len(dst) == 0 {
 		b.Fatal("the probes matched nothing")
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes), "ns/key")
 	for _, t := range tablesOf(s, 0) {
-		if t.seen(s.versions, ts, wm) == unpublished {
-			b.Fatalf("a probe reads a table as it stands: %t; want %t", unpublished, !unpublished)
+		if t.seen(ts) == newer {
+			b.Fatalf("a probe reads a table as it stands: %t; want %t", newer, !newer)
 		}
 	}
 	d.checkLayout(b, s)

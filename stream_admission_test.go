@@ -306,8 +306,8 @@ func TestStreamDeadlineShedMidFlight(t *testing.T) {
 // TestStreamTenantFairnessNoStarvation saturates a stream with a heavy
 // tenant class while a rate-limited light tenant submits alongside: every
 // light-tenant query must still retire (weighted-fair scheduling plus the
-// starvation watchdog forbid starvation), both tenants must report finite
-// retire-latency percentiles, and the version watermark must stay intact.
+// starvation watchdog forbid starvation), and both tenants must report
+// finite retire-latency percentiles.
 func TestStreamTenantFairnessNoStarvation(t *testing.T) {
 	e := streamFixture(t, 3000)
 	st, err := e.OpenStream(context.Background(), &StreamOptions{
@@ -395,9 +395,6 @@ func TestStreamTenantFairnessNoStarvation(t *testing.T) {
 	}
 	if !seen["fgold"] || !seen["fbronze"] {
 		t.Errorf("per-tenant SLO metrics missing a class: %v", seen)
-	}
-	if lag := snap.WatermarkLag; lag != 0 {
-		t.Errorf("watermark lag = %d after drain, want 0", lag)
 	}
 }
 

@@ -13,13 +13,13 @@ import (
 
 // EngineSnapshot is a point-in-time view of a stream's engine internals:
 // per-instance scan state and in-flight episodes, the open episode of each
-// worker, per-tenant scheduler state, epoch-reclamation lag and the GC
-// cursor, and STeM occupancy. See Stream.DebugSnapshot.
+// worker, per-tenant scheduler state, the GC cursor, and STeM occupancy.
+// See Stream.DebugSnapshot.
 type EngineSnapshot = engine.DebugSnapshot
 
 // DebugFinding is one stall diagnosis produced by Stream.Diagnose or the
-// stall watchdog: a long-running episode, epoch-reclamation lag or a
-// starved tenant, with the blocking instance, worker and queries named.
+// stall watchdog: a long-running episode or a starved tenant, with the
+// blocking instance, worker and queries named.
 type DebugFinding = engine.Finding
 
 // DebugSnapshot captures the stream's live engine state without stopping

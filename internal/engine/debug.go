@@ -13,9 +13,9 @@ import (
 
 // This file is the session's live introspection surface: the flight-
 // recorder plumbing shared by engine.go/stream.go/sched.go, a consistent
-// point-in-time DebugSnapshot of the concurrent control plane (scans,
-// epochs, GC, tenants, workers), and the stall self-diagnosis
-// heuristics behind the watchdog goroutine.
+// point-in-time DebugSnapshot of the concurrent control plane (scans, GC,
+// tenants, workers), and the stall self-diagnosis heuristics behind the
+// watchdog goroutine.
 
 // discardHandler is a no-op slog handler (the stdlib gained
 // slog.DiscardHandler after this module's language version).
@@ -140,16 +140,6 @@ type TenantDebug struct {
 	EpisodesUnserved int64   `json:"episodes_unserved"`
 }
 
-// EpochDebug is the epoch domain's state in a DebugSnapshot.
-type EpochDebug struct {
-	Current      uint64 `json:"current"`
-	Lag          int64  `json:"lag"`
-	Pending      int    `json:"pending"`
-	OldestWorker int    `json:"oldest_worker"`
-	OldestGen    uint64 `json:"oldest_gen"`
-	AnyPinned    bool   `json:"any_pinned"`
-}
-
 // GCDebug is the concurrent garbage collector's cursor in a DebugSnapshot.
 type GCDebug struct {
 	Running        bool  `json:"running"`
@@ -170,7 +160,6 @@ type DebugSnapshot struct {
 	LiveQueries    int   `json:"live_queries"`
 	FreeQuerySlots int   `json:"free_query_slots"`
 
-	Epoch   EpochDebug    `json:"epoch"`
 	GC      GCDebug       `json:"gc"`
 	Insts   []InstDebug   `json:"instances"`
 	Workers []WorkerDebug `json:"workers"`
@@ -194,11 +183,6 @@ func (s *Session) DebugSnapshot() DebugSnapshot {
 			RetiredPending: s.retired.Count(),
 			Sheds:          s.shedCount, StarveBoosts: s.starveBoosts,
 		},
-	}
-	w, g, ok := s.dom.OldestPinned()
-	snap.Epoch = EpochDebug{
-		Current: s.dom.Current(), Lag: s.dom.Lag(),
-		Pending: s.dom.Pending(), OldestWorker: w, OldestGen: g, AnyPinned: ok,
 	}
 	snap.Insts = make([]InstDebug, len(s.scans))
 	for i, st := range s.scans {
@@ -237,10 +221,6 @@ func (s *Session) DebugSnapshot() DebugSnapshot {
 type DiagnoseConfig struct {
 	// EpisodeStall flags a worker whose open episode is older than this.
 	EpisodeStall time.Duration
-	// EpochLagGens flags the epoch domain when deferred reclamations are
-	// queued and the oldest pinned worker trails by at least this many
-	// generations.
-	EpochLagGens int64
 	// StarveEpisodes flags a tenant with live queries unserved for at
 	// least this many episodes.
 	StarveEpisodes int64
@@ -250,7 +230,6 @@ type DiagnoseConfig struct {
 func DefaultDiagnoseConfig() DiagnoseConfig {
 	return DiagnoseConfig{
 		EpisodeStall:   time.Second,
-		EpochLagGens:   1024,
 		StarveEpisodes: 4096,
 	}
 }
@@ -301,27 +280,6 @@ func (s *Session) Diagnose(cfg DiagnoseConfig) []Finding {
 				"worker %d episode slot %d on instance %d (%s) running %.1fms over queries %v",
 				id, we.slot, we.inst, s.b.Insts[we.inst].Table, float64(age)/1e6, qs),
 		})
-	}
-
-	// Epoch lag: deferred reclamations cannot release while the oldest
-	// pinned worker trails far behind the current generation.
-	if s.dom.Pending() > 0 {
-		if lag := s.dom.Lag(); lag >= cfg.EpochLagGens && cfg.EpochLagGens > 0 {
-			w, g, _ := s.dom.OldestPinned()
-			f := Finding{
-				Kind: "epoch_lag", Severity: "warning",
-				Inst: -1, Worker: w, Slot: -1,
-				Detail: fmt.Sprintf(
-					"%d deferred reclamation(s) held back: worker %d pinned at generation %d, %d generations behind",
-					s.dom.Pending(), w, g, lag),
-			}
-			if w >= 0 && w < len(s.workerEp) && s.workerEp[w].open {
-				we := &s.workerEp[w]
-				f.Inst, f.Slot = int(we.inst), we.slot
-				f.Queries = we.active.IDs()
-			}
-			out = append(out, f)
-		}
 	}
 
 	// Starved tenants: live queries but no service for a long time.

@@ -238,7 +238,7 @@ func TestStalledEpisodeDiagnosisAndTrace(t *testing.T) {
 		seen[e.Kind] = true
 	}
 	for _, k := range []obs.Kind{
-		obs.KSubmit, obs.KAdmit, obs.KEpochAdvance, obs.KEpisodeStart, obs.KEpisodeEnd, obs.KRetire,
+		obs.KSubmit, obs.KAdmit, obs.KEpisodeStart, obs.KEpisodeEnd, obs.KRetire,
 	} {
 		if !seen[k] {
 			t.Errorf("timeline missing %v event", k)

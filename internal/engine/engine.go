@@ -19,7 +19,6 @@ import (
 
 	"github.com/roulette-db/roulette/internal/bitset"
 	"github.com/roulette-db/roulette/internal/cost"
-	"github.com/roulette-db/roulette/internal/epoch"
 	"github.com/roulette-db/roulette/internal/exec"
 	"github.com/roulette-db/roulette/internal/metrics"
 	"github.com/roulette-db/roulette/internal/obs"
@@ -104,9 +103,8 @@ type Config struct {
 
 	// StallWatchdog is the period of the self-diagnosis watchdog: every
 	// period it snapshots the session, runs the stall heuristics
-	// (long-running episodes, unbounded epoch lag, starved tenants) and logs
-	// one structured report per finding through Logger. 0 disables the
-	// watchdog.
+	// (long-running episodes, starved tenants) and logs one structured
+	// report per finding through Logger. 0 disables the watchdog.
 	StallWatchdog time.Duration
 
 	// PolicySweep runs at the start of a GC finish pass, before retired
@@ -290,12 +288,6 @@ type Session struct {
 	cbsActive   int        // callbacks taken but not finished executing
 	cbPending   bitset.Set // queries whose OnRetire callback has not finished
 
-	// Epoch-based coordination (replaces the stop-the-world quiesce gate):
-	// dom tracks which batch generation each worker's in-flight episode
-	// pinned, so retired-state frees wait out a grace period instead of a
-	// barrier.
-	dom *epoch.Domain
-
 	// Admission-latency accounting of live submissions: submit time per
 	// query and the set still awaiting their first scheduled episode.
 	qSubmitNs  []int64
@@ -395,7 +387,6 @@ func NewSession(b *query.Batch, db *storage.Database, cfg Config) (*Session, err
 		s.pending = append(s.pending, ev)
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.dom = epoch.NewDomain(cfg.workers())
 	s.workerEp = make([]workerEpisode, cfg.workers())
 	s.gc.active = bitset.New(qcap)
 	s.cbPending = bitset.New(qcap)
@@ -718,10 +709,8 @@ func (s *Session) RunContext(ctx context.Context) (*Results, error) {
 // this implies the query's result is complete.
 func (s *Session) queryDrainedLocked(qid int) bool { return s.scansLeft[qid] == 0 }
 
-// runWorker is one worker's episode loop. id is the worker's slot in the
-// session's epoch domain: each episode pins the current generation while it
-// runs, which is what defers retired-state reclamation past episodes that
-// could still observe it.
+// runWorker is one worker's episode loop. id is the worker's index: its
+// flight-recorder ring and its workerEp slot.
 func (s *Session) runWorker(id int) {
 	// Worker construction reads batch shape (query capacity, instance
 	// count); a SubmitLiveMeta may be extending the batch concurrently with pool
@@ -734,7 +723,6 @@ func (s *Session) runWorker(id int) {
 		if !ok {
 			return
 		}
-		s.dom.Pin(id)
 		// The estimate is read before the episode runs (the policy's
 		// current belief about the best join-phase plan, per input
 		// tuple) and scaled afterwards by the actual join input size,
@@ -807,11 +795,7 @@ func (s *Session) runWorker(id int) {
 		cbs := s.takeCallbacksLocked()
 		s.cond.Broadcast()
 		s.mu.Unlock()
-		ready := s.dom.Unpin(id)
 		s.runCallbacks(cbs)
-		for _, f := range ready {
-			f()
-		}
 	}
 }
 

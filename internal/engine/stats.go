@@ -239,7 +239,6 @@ func (s *Session) foldRegistryLocked(res *Results) {
 	for i := range res.Faults { // AddFault also counts EpisodeFaults
 		reg.AddFault(res.Faults[i].Kind.String(), 1)
 	}
-	reg.EpochLag.Store(s.dom.Lag())
 
 	var probes int64
 	for i := range s.b.Insts {

@@ -17,18 +17,30 @@ import (
 // retired queries out of STeM entries, grouped filters, the Q-table and the
 // query-ID space.
 //
-// Synchronization model (epoch-based; DESIGN.md §12): there is no
-// stop-the-world gate. Mutations happen under the session mutex and become
-// visible to episodes through a published context view (exec.PublishView,
-// one atomic pointer store); episodes load the view once at their start,
-// so they always run against an immutable snapshot. STeM maintenance
-// (AddIndex, sweeps, compaction) runs inline under the session mutex,
-// concurrently with episodes inserting into and probing the same STeM:
-// inserts stage their entries lock-free and tables are replaced, never
-// changed (package stem). Frees of retired per-query state (sources,
-// query-ID slots) are deferred through the session's epoch domain: they run
-// only after every worker has passed the retiring generation, so no episode
-// can dereference reclaimed state.
+// Synchronization model (DESIGN.md §12): there is no stop-the-world gate.
+// Mutations happen under the session mutex and become visible to episodes
+// through a published context view (exec.PublishView, one atomic pointer
+// store); episodes load the view once at their start, so they always run
+// against an immutable snapshot. STeM maintenance runs concurrently with
+// episodes inserting into and probing the same STeM: AddIndex inside
+// ApplyExtend under the session mutex, the GC's sweeps and compactions
+// with it released (gc.sweeping keeps a second quantum out); inserts stage
+// their entries and tables are replaced, never changed (package stem).
+//
+// A query's drain is its grace period. Every per-query access an episode
+// makes is keyed by a bit of its own Active set, which takeVectorLocked
+// clones under the session mutex: tuple words start as Active and are only
+// ANDed after that; routers index Sources by tuple bits, and a plan node's
+// query set (and so ReqInsts' read of Sources) is a subset of Active; prune
+// eligibility sets may name other queries, but only clear bits. A query
+// retires only when no in-flight episode carries its bit
+// (outstanding[qid] == 0); its source and ID are released at the end of the
+// GC pass that swept it, after every STeM's sweep and after it left the
+// batch, the filters and the policy; and a reused ID is activated only after
+// ApplyExtend has published the view that holds its new query, which every
+// later episode loads. So at release no in-flight episode can reach the ID,
+// and Go's garbage collector keeps alive whatever an older view still
+// points to.
 
 // retirePruner is the optional policy interface for reclaiming learned
 // state of retired queries (qlearn.Learned implements it).
@@ -37,16 +49,16 @@ type retirePruner interface{ PruneRetired(retired bitset.Set) int }
 // SubmitLiveMeta merges one query into the session, before or during its
 // run, without blocking on a worker barrier: the batch and execution
 // context are extended under the session mutex alone, the extended view is
-// published (one atomic store) and the epoch domain advanced, and the query
-// is activated on its instances' scans (rescanning each relation from the
-// current circular-scan position, so it reuses every STeM entry built so
-// far and re-ingests only what it has not seen). The one structural STeM op
-// an admission can need — indexing a new key column on an existing STeM —
-// runs inside ApplyExtend, before the view is published, without waiting
-// for the instance's in-flight episodes. Admission sizes nothing in the STeMs: their chunks and tables follow the
-// entries built into them. The meta carries the query's tenant, fairness weight,
-// priority lane and deadline for the tenant-aware scheduler (see sched.go).
-// It returns the assigned query ID.
+// published (one atomic store), and the query is activated on its
+// instances' scans (rescanning each relation from the current circular-scan
+// position, so it reuses every STeM entry built so far and re-ingests only
+// what it has not seen). The one structural STeM op an admission can need —
+// indexing a new key column on an existing STeM — runs inside ApplyExtend,
+// before the view is published, without waiting for the instance's
+// in-flight episodes. Admission sizes nothing in the STeMs: their chunks and
+// tables follow the entries built into them. The meta carries the query's
+// tenant, fairness weight, priority lane and deadline for the tenant-aware
+// scheduler (see sched.go). It returns the assigned query ID.
 //
 // Admission control (budget, rate limits) still belongs in front of this
 // call: admission does O(batch) setup work under the mutex, so overload
@@ -67,9 +79,6 @@ func (s *Session) SubmitLiveMeta(q *query.Query, m SubmitMeta) (int, error) {
 		return 0, err
 	}
 	s.addScansLocked()
-	// Publish-then-advance: ApplyExtend published the extended view; advance
-	// the epoch so workers pinning from here on are known to see it.
-	s.recCtl(obs.KEpochAdvance, int64(s.dom.Advance()), 0, 0, 0)
 	s.recCtl(obs.KSubmit, int64(qid), 0, tenantHash(m.Tenant), 0)
 	s.activateLocked(qid, m, time.Now().UnixNano())
 	cbs := s.takeCallbacksLocked()
@@ -200,14 +209,13 @@ func (s *Session) gcPendingLocked() bool {
 }
 
 // nextEpisode is a worker's scheduling loop: run pending retirement
-// callbacks and grace-period-expired reclamation, hand out a vector when a
-// scan has work (running a paced GC quantum first when reclamation is
-// pending — GC is concurrent, not stop-the-world), make GC progress ungated
-// when idle, and wait for submissions or peers' episodes otherwise. id is
-// the calling worker, so the handed-out episode can be stamped as its open
-// episode for introspection. Returns ok=false when the run is cancelled
-// (the cooperative cancellation point) or the session is closed and fully
-// drained.
+// callbacks, hand out a vector when a scan has work (running a paced GC
+// quantum first when reclamation is pending — GC is concurrent, not
+// stop-the-world), make GC progress ungated when idle, and wait for
+// submissions or peers' episodes otherwise. id is the calling worker, so the
+// handed-out episode can be stamped as its open episode for introspection.
+// Returns ok=false when the run is cancelled (the cooperative cancellation
+// point) or the session is closed and fully drained.
 func (s *Session) nextEpisode(id int) (exec.EpisodeInput, bool) {
 	s.mu.Lock()
 	for {
@@ -215,16 +223,6 @@ func (s *Session) nextEpisode(id int) (exec.EpisodeInput, bool) {
 			cbs := s.takeCallbacksLocked()
 			s.mu.Unlock()
 			s.runCallbacks(cbs)
-			s.mu.Lock()
-			continue
-		}
-		if ready := s.dom.Ready(); len(ready) > 0 {
-			// Deferred frees whose grace period elapsed (every worker passed
-			// the retiring generation); they take s.mu themselves.
-			s.mu.Unlock()
-			for _, f := range ready {
-				f()
-			}
 			s.mu.Lock()
 			continue
 		}
@@ -242,7 +240,6 @@ func (s *Session) nextEpisode(id int) (exec.EpisodeInput, bool) {
 				if s.inFlight > 0 {
 					metrics.Default().GCConcurrentQuanta.Add(1)
 				}
-				metrics.Default().EpochLag.Store(s.dom.Lag())
 				s.gcQuantumLocked()
 				if s.scans[best].done() {
 					continue // drained while the quantum ran
@@ -271,7 +268,7 @@ func (s *Session) nextEpisode(id int) (exec.EpisodeInput, bool) {
 			s.fireAdmissionsLocked(true)
 			continue
 		}
-		if s.closed && s.inFlight == 0 && s.cbsActive == 0 && !s.dom.HasDeferred() {
+		if s.closed && s.inFlight == 0 && s.cbsActive == 0 {
 			s.cond.Broadcast() // wake peers so they observe the exit state
 			s.mu.Unlock()
 			return exec.EpisodeInput{}, false
@@ -323,17 +320,14 @@ func (s *Session) gcQuantumLocked() {
 	s.cond.Broadcast()
 }
 
-// gcFinishLocked completes a GC pass in two stages. Stage one, under the
-// session mutex, unpublishes the swept queries: they leave the batch's
-// shared operator sets (grouped-filter predicates dropped, affected
-// filters rebuilt, the shrunk view republished), the policy prunes
-// Q-states referencing them, and the session's per-query bookkeeping is
-// cleared. Stage two — releasing the sources and returning the query IDs
-// to the free pool for reuse — is deferred through the session's epoch
-// domain until every worker has passed the retiring generation, so no
-// in-flight episode can dereference a reclaimed source or meet a recycled
-// query ID. A worker runs the free from nextEpisode or after its episode
-// (Domain.Ready, Domain.Unpin), never under the session mutex.
+// gcFinishLocked completes a GC pass under the session mutex: the swept
+// queries leave the batch's shared operator sets (grouped-filter predicates
+// dropped, affected filters rebuilt, the shrunk view republished), the
+// policy prunes Q-states referencing them, the session's per-query
+// bookkeeping is cleared, and their sources and IDs are released for reuse.
+// No in-flight episode can reach a released ID: none carried its bit when
+// the query retired, and an episode reaches a query only through its own
+// Active set (the drain rule in this file's header).
 func (s *Session) gcFinishLocked() {
 	g := &s.gc
 	if cb := s.cfg.PolicySweep; cb != nil {
@@ -348,8 +342,7 @@ func (s *Session) gcFinishLocked() {
 	if pr, ok := s.pol.(retirePruner); ok {
 		pr.PruneRetired(g.active)
 	}
-	freed := g.active.IDs()
-	for _, qid := range freed {
+	g.active.ForEach(func(qid int) {
 		s.admitted.Remove(qid)
 		s.failed.Remove(qid)
 		s.failErr[qid] = nil
@@ -362,31 +355,13 @@ func (s *Session) gcFinishLocked() {
 		}
 		s.qEpisodes[qid], s.qElapsed[qid] = 0, 0
 		s.qTenant[qid] = 0
-	}
+		s.ctx.Sources[qid] = nil
+		s.b.ReleaseQID(qid)
+	})
 	for i := range g.active {
 		g.active[i] = 0
 	}
 	g.running = false
-	if len(freed) > 0 {
-		reclaim := func() {
-			s.mu.Lock()
-			for _, qid := range freed {
-				s.ctx.Sources[qid] = nil
-				s.b.ReleaseQID(qid)
-			}
-			s.recCtl(obs.KEpochRelease, int64(len(freed)), 0, 0, 0)
-			s.cond.Broadcast()
-			s.mu.Unlock()
-		}
-		s.recCtl(obs.KEpochDefer, int64(s.dom.Current()), int64(len(freed)), 0, 0)
-		// Defer records the current generation and advances the domain
-		// itself: the free releases once every worker pinned before this
-		// point — the set that could still hold the pre-retirement view —
-		// has drained, even under a saturated pool that is never fully
-		// unpinned. (RebuildFilters republished the shrunk view above, so
-		// the publish-before-defer contract holds.)
-		s.dom.Defer(reclaim)
-	}
 	s.cond.Broadcast()
 }
 

@@ -39,9 +39,8 @@ type Registry struct {
 	DeadlineSheds    atomic.Int64 // queries shed for unmeetable deadlines (submit-time + mid-flight)
 	StarvationBoosts atomic.Int64 // starvation-watchdog activations
 
-	// Epoch-based concurrent admission & GC (streaming).
+	// Concurrent GC (streaming).
 	GCConcurrentQuanta atomic.Int64 // GC quanta executed while episodes were in flight
-	EpochLag           atomic.Int64 // generations the oldest pinned worker trails the domain (gauge)
 
 	// Cross-batch policy persistence (template-keyed warm starts).
 	PolicyCacheHits    atomic.Int64 // snapshot lookups that found a cached template
@@ -199,7 +198,6 @@ type RegistrySnapshot struct {
 	StarvationBoosts int64 `json:"starvation_boosts"`
 
 	GCConcurrentQuanta int64   `json:"gc_concurrent_quanta"`
-	EpochLag           int64   `json:"epoch_lag"`
 	PolicyCacheHits    int64   `json:"policy_cache_hits"`
 	PolicyCacheMisses  int64   `json:"policy_cache_misses"`
 	PolicyCacheStores  int64   `json:"policy_cache_stores"`
@@ -245,7 +243,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		StarvationBoosts: r.StarvationBoosts.Load(),
 
 		GCConcurrentQuanta: r.GCConcurrentQuanta.Load(),
-		EpochLag:           r.EpochLag.Load(),
 		PolicyCacheHits:    r.PolicyCacheHits.Load(),
 		PolicyCacheMisses:  r.PolicyCacheMisses.Load(),
 		PolicyCacheStores:  r.PolicyCacheStores.Load(),
@@ -295,7 +292,6 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	p.Counter("roulette_deadline_shed_total", "Queries shed for unmeetable deadlines (at submit or mid-flight).", float64(s.DeadlineSheds))
 	p.Counter("roulette_starvation_boosts_total", "Starvation-watchdog activations boosting an unserved tenant.", float64(s.StarvationBoosts))
 	p.Counter("roulette_gc_concurrent_quanta", "GC quanta executed while episodes were in flight (concurrent, not stop-the-world).", float64(s.GCConcurrentQuanta))
-	p.Gauge("roulette_epoch_lag", "Generations the oldest pinned worker trails the epoch domain.", float64(s.EpochLag))
 	p.Counter("roulette_policy_cache_hits_total", "Policy-snapshot lookups that found a cached template.", float64(s.PolicyCacheHits))
 	p.Counter("roulette_policy_cache_misses_total", "Policy-snapshot lookups that came up cold.", float64(s.PolicyCacheMisses))
 	p.Counter("roulette_policy_cache_stores_total", "Q-table snapshots exported into the policy cache.", float64(s.PolicyCacheStores))

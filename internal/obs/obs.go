@@ -1,6 +1,6 @@
 // Package obs implements the engine's flight recorder: fixed-size,
 // lock-free per-worker rings of typed events (episode lifecycle, admission,
-// epochs, GC, retirement and, under episode tracing, each episode's
+// GC, retirement and, under episode tracing, each episode's
 // execution log) that are cheap enough to leave on in production. It is the
 // engine's only event transport: the rings are merged on demand into a single
 // causal timeline (Snapshot, exported by WriteTrace) or decoded back into
@@ -54,12 +54,6 @@ const (
 	// KLanePromote: the scheduler promoted a query's scans into the
 	// deadline-urgency lane.
 	KLanePromote
-	// KEpochAdvance: the epoch domain advanced.
-	KEpochAdvance
-	// KEpochDefer: reclamations were deferred pending a grace period.
-	KEpochDefer
-	// KEpochRelease: deferred reclamations ran after their grace period.
-	KEpochRelease
 	// KGCQuantum: a concurrent GC quantum swept one instance's STeM.
 	KGCQuantum
 	// KGCCompact: the quantum compacted the STeM it swept.
@@ -91,9 +85,6 @@ var kindNames = [...]string{
 	KReject:       "reject",
 	KShed:         "shed",
 	KLanePromote:  "lane_promote",
-	KEpochAdvance: "epoch_advance",
-	KEpochDefer:   "epoch_defer",
-	KEpochRelease: "epoch_release",
 	KGCQuantum:    "gc_quantum",
 	KGCCompact:    "gc_compact",
 	KRetire:       "retire",
@@ -113,9 +104,6 @@ var kindArgs = [...][4]string{
 	KReject:       {"qid", "", "tenant"},
 	KShed:         {"qid", "midflight", "tenant"},
 	KLanePromote:  {"qid", "deadline_unix_ns", "tenant"},
-	KEpochAdvance: {"gen"},
-	KEpochDefer:   {"gen", "fns"},
-	KEpochRelease: {"fns"},
 	KGCQuantum:    {"inst", "dead"},
 	KGCCompact:    {"inst", "live"},
 	KRetire:       {"qid", "completed"},

@@ -588,17 +588,18 @@ func TestInsertVecWidthsAndChunks(t *testing.T) {
 	}
 }
 
-// TestProbeVecMatchesOracleUnderConcurrentInserts interleaves an inserter
-// continuously inserting batches with a prober probing at a fresh timestamp
-// and at the one it drew before, which is older than the stamps recorded
-// since. The STeM has one word; each probe builds a table over the batches
-// recorded since the last one and merges tables as their size tiers fill.
-// Visibility is a function of the probe timestamp alone, so once the
-// inserter is done and every stamp is known, each kept probe must equal the
-// oracle restricted to the entries stamped before it, and so must a probe
-// at each batch's own stamp, as its episode probes. The prober runs for as
-// long as the inserter does. Run under -race this also checks the kernels'
-// lock-free memory discipline.
+// TestProbeVecMatchesOracleUnderConcurrentInserts paces an inserter
+// goroutine and a prober in lock step: each round the prober draws a
+// timestamp, the inserter records one batch, whose stamp is newer, and the
+// prober then probes at the timestamp it drew and at a fresh one. The STeM
+// has one word; each probe at the older timestamp builds a table over the
+// new batch, merged with the tail tables its size tier gives it, and must
+// read that newer stamp entry by entry; the fresh probe reads one table as
+// it stands whenever the round's build merged the list into one (at every
+// power of two of builds). Visibility is a function of the probe timestamp
+// alone, so once the inserter is done and every stamp is known, each kept
+// probe must equal the oracle restricted to the entries stamped before it,
+// and so must a probe at each batch's own stamp, as its episode probes.
 func TestProbeVecMatchesOracleUnderConcurrentInserts(t *testing.T) {
 	const domain = 32
 	const maxEntries = 1 << 12
@@ -608,11 +609,13 @@ func TestProbeVecMatchesOracleUnderConcurrentInserts(t *testing.T) {
 	o := newOracle(1)  // written by the inserter only, read after it exits
 	var stamps []int64 // the inserter's stamps, read after it exits
 
-	done := make(chan struct{})
+	next := make(chan struct{}) // the prober asks for one batch
+	recorded := make(chan bool) // the inserter recorded it; false once done
 	go func() {
-		defer close(done)
+		defer close(recorded)
 		rng := rand.New(rand.NewSource(42))
 		for vid := int32(0); int(vid) < maxEntries; {
+			<-next
 			n := 1 + rng.Intn(64)
 			vids := make([]int32, n)
 			keys := [][]int64{make([]int64, n)}
@@ -626,7 +629,9 @@ func TestProbeVecMatchesOracleUnderConcurrentInserts(t *testing.T) {
 			stamp := s.InsertVec(vids, keys, qsets, 1, 0, nil)
 			o.insert(vids, keys, qsets, 1, stamp)
 			stamps = append(stamps, stamp)
+			recorded <- true
 		}
+		<-next
 	}()
 
 	probeKeys := make([]int64, domain)
@@ -638,29 +643,34 @@ func TestProbeVecMatchesOracleUnderConcurrentInserts(t *testing.T) {
 		got []string
 	}
 	var seen []probed
-	iters, served, older := 0, 0, 0
-	prevTS := v.Now()
-	for finished := false; !finished; iters++ {
-		select {
-		case <-done:
-			finished = true // one more probe after the last insert
-		default:
-		}
+	rounds, served, older := 0, 0, 0
+	for {
 		ts := v.Now()
-		got := canonVec(probeVec(s, "k", probeKeys, ts))
-		if tableServes(s, 0, ts) {
-			served++
+		next <- struct{}{}
+		if !<-recorded {
+			break
 		}
-		prev := canonVec(probeVec(s, "k", probeKeys, prevTS))
-		if !allSeen(s, 0, prevTS) {
+		rounds++
+		prev := canonVec(probeVec(s, "k", probeKeys, ts))
+		if !allSeen(s, 0, ts) {
 			older++
 		}
-		if len(seen) < kept || finished {
-			seen = append(seen, probed{ts, got}, probed{prevTS, prev})
+		fresh := v.Now()
+		got := canonVec(probeVec(s, "k", probeKeys, fresh))
+		if tableServes(s, 0, fresh) {
+			served++
 		}
-		prevTS = ts
+		if len(seen) < kept {
+			seen = append(seen, probed{ts, prev}, probed{fresh, got})
+		}
 	}
-	t.Logf("%d probes during the inserts, %d read one table as it stood, %d at the older timestamp checked entries", iters, served, older)
+	t.Logf("%d rounds: %d probes at the older timestamp checked entries, %d fresh probes read one table as it stood", rounds, older, served)
+	if older != rounds {
+		t.Errorf("%d of %d probes at the older timestamp checked entry by entry, want all", older, rounds)
+	}
+	if want := bits.Len(uint(rounds)); served < want {
+		t.Errorf("%d fresh probes read one table as it stood, want at least %d (one per power of two of %d builds)", served, want, rounds)
+	}
 	for iter, p := range seen {
 		if want := o.probe(0, probeKeys, p.ts); !reflect.DeepEqual(p.got, want) {
 			t.Fatalf("probe %d: a probe at ts %d saw %d matches, oracle %d", iter, p.ts, len(p.got), len(want))

@@ -39,8 +39,7 @@ type StreamOptions struct {
 	Admission *AdmissionOptions
 
 	// StallWatchdog enables background self-diagnosis: every period the
-	// engine checks for stalled episodes, epoch-reclamation lag and starved
-	// tenants, and logs each
+	// engine checks for stalled episodes and starved tenants, and logs each
 	// finding — naming the blocking instance, worker, and queries — through
 	// Options.Logger. The same checks run on demand via Stream.Diagnose.
 	// 0 disables the background check.

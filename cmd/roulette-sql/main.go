@@ -59,7 +59,7 @@ func main() {
 	serve := flag.Bool("serve", false, "streaming mode: keep one live session open; each ';'-terminated statement executes on arrival and reports its own latency")
 	listen := flag.String("listen", "", "with -serve: also accept statements from TCP clients on this address, e.g. :5433")
 	debugAddr := flag.String("debug-addr", "", "with -serve: serve the live introspection surface (/debug/roulette/snapshot, /debug/roulette/trace, /debug/pprof) on this address, e.g. :6060")
-	stallWatch := flag.Duration("stall-watchdog", 2*time.Second, "with -serve: period of the engine's stall self-diagnosis (stalled episodes, starved tenants); 0 disables")
+	stallWatch := flag.Duration("stall-watchdog", 2*time.Second, "with -serve: period of the engine's stall self-diagnosis (stalled episodes); 0 disables")
 	policyPath := flag.String("policy", "", "policy store file: learned Q-table snapshots load from it at startup and save back on clean shutdown, so recurring workloads warm-start across invocations")
 	logLevel := flag.String("log-level", "warn", "minimum level of engine diagnostics on stderr: debug, info, warn, error")
 	flag.Parse()

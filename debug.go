@@ -18,8 +18,8 @@ import (
 type EngineSnapshot = engine.DebugSnapshot
 
 // DebugFinding is one stall diagnosis produced by Stream.Diagnose or the
-// stall watchdog: a long-running episode or a starved tenant, with the
-// blocking instance, worker and queries named.
+// stall watchdog: a long-running episode, with the blocking instance,
+// worker and queries named.
 type DebugFinding = engine.Finding
 
 // DebugSnapshot captures the stream's live engine state without stopping
@@ -29,11 +29,12 @@ func (s *Stream) DebugSnapshot() EngineSnapshot {
 	return s.sess.DebugSnapshot()
 }
 
-// Diagnose runs the stall heuristics over the current engine state and
-// returns any findings, most severe first. It is the on-demand form of the
-// StallWatchdog background check, with default thresholds.
+// Diagnose reports every episode that has been running for at least a
+// second. It is the on-demand form of the StallWatchdog background check.
+// Starved tenants are not findings: the scheduler boosts them itself, and
+// DebugSnapshot shows each tenant's starved flag.
 func (s *Stream) Diagnose() []DebugFinding {
-	return s.sess.Diagnose(engine.DefaultDiagnoseConfig())
+	return s.sess.Diagnose(engine.DiagnoseStall)
 }
 
 // WriteTrace writes the flight recorder's current contents — the most

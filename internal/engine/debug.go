@@ -217,26 +217,12 @@ func (s *Session) DebugSnapshot() DebugSnapshot {
 	return snap
 }
 
-// DiagnoseConfig holds the stall-detection thresholds.
-type DiagnoseConfig struct {
-	// EpisodeStall flags a worker whose open episode is older than this.
-	EpisodeStall time.Duration
-	// StarveEpisodes flags a tenant with live queries unserved for at
-	// least this many episodes.
-	StarveEpisodes int64
-}
+// DiagnoseStall is the age at which an open episode is reported as stalled
+// by Stream.Diagnose; the watchdog raises it to its period.
+const DiagnoseStall = time.Second
 
-// DefaultDiagnoseConfig returns the watchdog's default thresholds.
-func DefaultDiagnoseConfig() DiagnoseConfig {
-	return DiagnoseConfig{
-		EpisodeStall:   time.Second,
-		StarveEpisodes: 4096,
-	}
-}
-
-// Finding is one stall diagnosis: what is stuck, for how long, and which
-// query/instance/worker is responsible. Inst, Worker and Slot are -1 when
-// not applicable.
+// Finding is one stall diagnosis: which worker's episode is stuck, for how
+// long, and which instance and queries it holds.
 type Finding struct {
 	Kind     string  `json:"kind"`
 	Severity string  `json:"severity"`
@@ -245,16 +231,17 @@ type Finding struct {
 	Worker   int     `json:"worker"`
 	Slot     int64   `json:"slot"`
 	Queries  []int   `json:"queries,omitempty"`
-	Tenant   string  `json:"tenant,omitempty"`
 	AgeMs    float64 `json:"age_ms,omitempty"`
 	Detail   string  `json:"detail"`
 }
 
-// Diagnose runs the stall heuristics against the session's current state
-// and returns one finding per detected condition. It is cheap (array
-// scans under the mutex) and safe to call at any time; the watchdog calls
-// it periodically, and tests call it directly with tight thresholds.
-func (s *Session) Diagnose(cfg DiagnoseConfig) []Finding {
+// Diagnose reports every worker whose open episode is older than stall, one
+// finding each. It is cheap (an array scan under the mutex) and safe to call
+// at any time; the watchdog calls it periodically, and tests call it
+// directly with tight thresholds. Starvation is not diagnosed here: the
+// scheduler's starvation boost acts on it (starvationSweepLocked), and
+// DebugSnapshot shows each tenant's starved flag.
+func (s *Session) Diagnose(stall time.Duration) []Finding {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := time.Now().UnixNano()
@@ -267,7 +254,7 @@ func (s *Session) Diagnose(cfg DiagnoseConfig) []Finding {
 			continue
 		}
 		age := now - we.startNs
-		if age < int64(cfg.EpisodeStall) {
+		if age < int64(stall) {
 			continue
 		}
 		qs := we.active.IDs()
@@ -281,36 +268,14 @@ func (s *Session) Diagnose(cfg DiagnoseConfig) []Finding {
 				id, we.slot, we.inst, s.b.Insts[we.inst].Table, float64(age)/1e6, qs),
 		})
 	}
-
-	// Starved tenants: live queries but no service for a long time.
-	if cfg.StarveEpisodes > 0 {
-		for i := range s.tenants {
-			ts := &s.tenants[i]
-			if ts.live == 0 {
-				continue
-			}
-			if un := s.episode - ts.lastService; un >= cfg.StarveEpisodes {
-				out = append(out, Finding{
-					Kind: "starved_tenant", Severity: "warning",
-					Inst: -1, Worker: -1, Slot: -1, Tenant: ts.name,
-					Detail: fmt.Sprintf(
-						"tenant %q has %d live quer(ies) unserved for %d episodes",
-						ts.name, ts.live, un),
-				})
-			}
-		}
-	}
 	return out
 }
 
-// watchdog periodically self-diagnoses the streaming session and logs one
-// structured report per finding. Thresholds under one period are raised
-// to it so a slow tick cannot flag healthy state.
+// watchdog periodically self-diagnoses the session and logs one structured
+// report per finding. Its stall threshold is max(DiagnoseStall, period), so
+// a slow tick cannot flag healthy state.
 func (s *Session) watchdog(ctx context.Context, period time.Duration) {
-	cfg := DefaultDiagnoseConfig()
-	if cfg.EpisodeStall < period {
-		cfg.EpisodeStall = period
-	}
+	stall := max(DiagnoseStall, period)
 	t := time.NewTicker(period)
 	defer t.Stop()
 	for {
@@ -319,7 +284,7 @@ func (s *Session) watchdog(ctx context.Context, period time.Duration) {
 			return
 		case <-t.C:
 		}
-		for _, f := range s.Diagnose(cfg) {
+		for _, f := range s.Diagnose(stall) {
 			s.logger.LogAttrs(ctx, slog.LevelWarn, "roulette stall diagnosis",
 				slog.String("kind", f.Kind),
 				slog.String("severity", f.Severity),
@@ -328,7 +293,6 @@ func (s *Session) watchdog(ctx context.Context, period time.Duration) {
 				slog.Int("worker", f.Worker),
 				slog.Int64("slot", f.Slot),
 				slog.Any("queries", f.Queries),
-				slog.String("tenant", f.Tenant),
 				slog.Float64("age_ms", f.AgeMs),
 				slog.String("detail", f.Detail),
 			)

@@ -197,7 +197,7 @@ func TestStalledEpisodeDiagnosisAndTrace(t *testing.T) {
 	}
 	time.Sleep(20 * time.Millisecond) // age the episode past the threshold
 	var stall *Finding
-	findings := s.Diagnose(DiagnoseConfig{EpisodeStall: time.Millisecond})
+	findings := s.Diagnose(time.Millisecond)
 	for i := range findings {
 		if findings[i].Kind == "stalled_episode" {
 			stall = &findings[i]
@@ -324,7 +324,7 @@ func TestDiagnoseNamesQueriesBeyondFirstWord(t *testing.T) {
 	names("DebugSnapshot", snap.Workers[0].ActiveQueries)
 	time.Sleep(2 * time.Millisecond) // age the episode past the threshold
 	var stalled *Finding
-	findings := s.Diagnose(DiagnoseConfig{EpisodeStall: time.Millisecond})
+	findings := s.Diagnose(time.Millisecond)
 	for i := range findings {
 		if findings[i].Kind == "stalled_episode" {
 			stalled = &findings[i]
@@ -442,7 +442,8 @@ func TestTimelineInvariants(t *testing.T) {
 func TestRingEventsOnShedAndPromotion(t *testing.T) {
 	// A wide urgency window keeps the promotion deterministic: the deadline
 	// is comfortably in the future (no shed race) yet inside the window.
-	s, _ := schedSession(t, 8, Config{DeadlineUrgency: time.Minute})
+	s, _ := schedSession(t, 8, Config{})
+	s.deadlineUrgency = time.Minute
 
 	urgent, err := s.SubmitLiveMeta(singleRel("d1"), SubmitMeta{
 		Tenant: "fast", Deadline: time.Now().Add(30 * time.Second),

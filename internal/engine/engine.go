@@ -39,7 +39,9 @@ type AdmitEvent struct {
 	QIDs         []int
 }
 
-// Config parameterizes a session.
+// Config parameterizes a session. A run is bounded only by the context
+// passed to RunContext: episodes are not preemptible, and the scheduler's
+// deadline-urgency and starvation thresholds are constants (sched.go).
 type Config struct {
 	Exec    exec.Options
 	Workers int
@@ -65,12 +67,6 @@ type Config struct {
 	// it through roulette.Options.TraceEpisodes.
 	TraceEpisodes int
 
-	// EpisodeWatchdog bounds a single episode; 0 disables the watchdog.
-	// Episodes are not preemptible, so an episode exceeding the bound keeps
-	// running to its end, but it is recorded as a stall fault, its queries
-	// are marked failed, and the rest of the session is cancelled.
-	EpisodeWatchdog time.Duration
-
 	// Streaming says whether the session is born open or born closed, and
 	// nothing else. A streaming session accepts SubmitLiveMeta until
 	// CloseSubmit: its idle workers wait for submissions, a between-episodes
@@ -88,23 +84,14 @@ type Config struct {
 	// holds its routed rows at that point. Nil is allowed.
 	OnRetire func(qid int, st QueryStatus)
 
-	// DeadlineUrgency is how far ahead of a query's deadline the scheduler
-	// starts boosting its episodes into the urgent lane; 0 means 1ms.
-	DeadlineUrgency time.Duration
-
-	// StarveEpisodes is how many episodes a tenant with live queries may go
-	// unserved before the starvation watchdog boosts it above every priority
-	// lane; 0 means 512.
-	StarveEpisodes int
-
 	// Logger receives structured diagnostics (stall watchdog reports,
 	// degraded-mode warnings). Nil discards.
 	Logger *slog.Logger
 
 	// StallWatchdog is the period of the self-diagnosis watchdog: every
-	// period it snapshots the session, runs the stall heuristics
-	// (long-running episodes, starved tenants) and logs one structured
-	// report per finding through Logger. 0 disables the watchdog.
+	// period it runs Diagnose — which flags open episodes older than
+	// max(1s, period) — and logs one structured report per finding through
+	// Logger. It only reports; 0 disables the watchdog.
 	StallWatchdog time.Duration
 
 	// PolicySweep runs at the start of a GC finish pass, before retired
@@ -137,8 +124,6 @@ const (
 	FaultPanic FaultKind = iota
 	// FaultInsert is a STeM insertion failure reported by the executor.
 	FaultInsert
-	// FaultStall is an episode that exceeded Config.EpisodeWatchdog.
-	FaultStall
 )
 
 // String names the fault class.
@@ -148,8 +133,6 @@ func (k FaultKind) String() string {
 		return "panic"
 	case FaultInsert:
 		return "insert"
-	case FaultStall:
-		return "stall"
 	}
 	return "unknown"
 }
@@ -182,8 +165,6 @@ func (e *EpisodeError) Error() string {
 		return fmt.Sprintf("engine: episode panic on instance %d (slot %d, queries %v): %v", e.Inst, e.Slot, e.Queries, e.Panic)
 	case FaultInsert:
 		return fmt.Sprintf("engine: episode insert fault on instance %d (slot %d, queries %v): %v", e.Inst, e.Slot, e.Queries, e.Err)
-	case FaultStall:
-		return fmt.Sprintf("engine: episode stall on instance %d (slot %d, queries %v): exceeded watchdog", e.Inst, e.Slot, e.Queries)
 	}
 	return "engine: unknown episode fault"
 }
@@ -260,7 +241,6 @@ type Session struct {
 	pol policy.Policy
 
 	started atomic.Bool
-	cancel  context.CancelFunc // cancels the active run
 
 	mu       sync.Mutex
 	runCtx   context.Context
@@ -304,6 +284,11 @@ type Session struct {
 	nextDeadline int64   // earliest live deadline (unixnano; 0 = none)
 	shedCount    int64   // queries shed mid-flight by deadline expiry
 	starveBoosts int64   // starvation-watchdog activations
+
+	// The scheduler's thresholds (defaultDeadlineUrgency,
+	// defaultStarveEpisodes); only the package's tests overwrite them.
+	deadlineUrgency time.Duration
+	starveEpisodes  int64
 
 	// Stats accounting, under mu.
 	startAt      time.Time
@@ -614,10 +599,12 @@ func (s *Session) RunContext(ctx context.Context) (*Results, error) {
 	if !s.started.CompareAndSwap(false, true) {
 		return nil, errors.New("engine: session already run (sessions are single-use)")
 	}
+	// The run's own cancel stops the stall watchdog once the pool drains.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	start := time.Now()
 	s.mu.Lock()
-	s.runCtx, s.cancel = ctx, cancel
+	s.runCtx, s.startAt = ctx, start
 	s.mu.Unlock()
 	// Workers wait on the condvar when no scan is runnable; wake them when
 	// the run's context is cancelled so they observe it and exit.
@@ -628,10 +615,6 @@ func (s *Session) RunContext(ctx context.Context) (*Results, error) {
 	})
 	defer stop()
 
-	start := time.Now()
-	s.mu.Lock()
-	s.startAt = start
-	s.mu.Unlock()
 	if s.cfg.StallWatchdog > 0 {
 		go s.watchdog(ctx, s.cfg.StallWatchdog)
 	}
@@ -771,9 +754,7 @@ func (s *Session) runWorker(id int) {
 			s.lastSig[in.Inst] = rep.PlanSig
 		}
 		if err != nil {
-			if err.Kind != FaultStall { // the watchdog recorded its stall itself
-				s.recordFaultLocked(in, err)
-			}
+			s.recordFaultLocked(in, err)
 		} else {
 			s.scans[in.Inst].inserted++
 			if s.cfg.TrackConvergence {
@@ -799,34 +780,11 @@ func (s *Session) runWorker(id int) {
 	}
 }
 
-// runEpisode executes one episode behind a panic barrier and the optional
-// watchdog timer. An episode leaves nothing to publish on any exit path: its
-// insert, if it made one, was visible from its record on. An episode has
-// one fault, its first, decided under s.mu: the timer records a stall only
-// while the episode is not done, and a stalled episode returns the stall,
-// which its worker does not record again.
+// runEpisode executes one episode behind a panic barrier. An episode leaves
+// nothing to publish on any exit path: its insert, if it made one, was
+// visible from its record on. An episode has at most one fault — a panic
+// or its insert error — which its worker records.
 func (s *Session) runEpisode(w *exec.Worker, in exec.EpisodeInput) (rep exec.EpisodeReport, err *EpisodeError) {
-	if d := s.cfg.EpisodeWatchdog; d > 0 {
-		var done, stalled bool // guarded by s.mu
-		timer := time.AfterFunc(d, func() {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			if !done {
-				stalled = true
-				s.recordFaultLocked(in, s.newEpisodeError(in, FaultStall))
-				s.cancel()
-			}
-		})
-		defer func() {
-			timer.Stop()
-			s.mu.Lock()
-			done = true
-			if stalled {
-				err = s.newEpisodeError(in, FaultStall)
-			}
-			s.mu.Unlock()
-		}()
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			err = s.newEpisodeError(in, FaultPanic)

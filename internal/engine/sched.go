@@ -61,7 +61,11 @@ const (
 	laneStarved = 1 << 20
 )
 
-// Scheduler defaults.
+// Scheduler thresholds: a query within defaultDeadlineUrgency of its
+// deadline schedules in the urgent lane, and a tenant with live queries
+// unserved for more than defaultStarveEpisodes episodes is boosted above
+// every lane. Sessions copy them into deadlineUrgency and starveEpisodes,
+// which only the package's tests overwrite.
 const (
 	defaultDeadlineUrgency = time.Millisecond
 	defaultStarveEpisodes  = 512
@@ -75,12 +79,7 @@ func (s *Session) initSchedLocked(qcap int) {
 	s.qPriority = make([]int32, qcap)
 	s.qDeadline = make([]int64, qcap)
 	s.qUrgent = bitset.New(qcap)
-	if s.cfg.DeadlineUrgency <= 0 {
-		s.cfg.DeadlineUrgency = defaultDeadlineUrgency
-	}
-	if s.cfg.StarveEpisodes <= 0 {
-		s.cfg.StarveEpisodes = defaultStarveEpisodes
-	}
+	s.deadlineUrgency, s.starveEpisodes = defaultDeadlineUrgency, defaultStarveEpisodes
 }
 
 // registerMetaLocked records a query's scheduling metadata; activateLocked
@@ -197,7 +196,7 @@ func (s *Session) pickScanLocked() int {
 	var bestRank int
 	urgentBefore := int64(0)
 	if nowNs != 0 {
-		urgentBefore = nowNs + int64(s.cfg.DeadlineUrgency)
+		urgentBefore = nowNs + int64(s.deadlineUrgency)
 	}
 	for off := 0; off < n; off++ {
 		// Starting at the round-robin cursor makes equal keys rotate.
@@ -290,12 +289,12 @@ func (s *Session) shedExpiredLocked(nowNs int64) {
 }
 
 // starvationSweepLocked boosts tenants that hold live queries but have not
-// been scheduled for cfg.StarveEpisodes episodes. A starved tenant's scans
+// been scheduled for starveEpisodes episodes. A starved tenant's scans
 // jump every lane until the tenant is next served (priority inversion
 // guard: sustained high-priority load cannot freeze a low-priority tenant
 // out forever).
 func (s *Session) starvationSweepLocked() {
-	thresh := int64(s.cfg.StarveEpisodes)
+	thresh := s.starveEpisodes
 	for i := range s.tenants {
 		ts := &s.tenants[i]
 		if ts.live > 0 && !ts.starved && s.episode-ts.lastService > thresh {

@@ -112,7 +112,8 @@ func TestSchedDeadlineUrgencyBoost(t *testing.T) {
 	// The test asserts lane order, not timing: the deadline is far enough
 	// out never to expire (and shed the query) before the pick, and the
 	// urgency window wide enough to cover it.
-	s, _ := schedSession(t, 8, Config{DeadlineUrgency: 24 * time.Hour})
+	s, _ := schedSession(t, 8, Config{})
+	s.deadlineUrgency = 24 * time.Hour
 	if _, err := s.SubmitLiveMeta(singleRel("d1"), SubmitMeta{Tenant: "hi", Priority: 9}); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,8 @@ func TestSchedExpiredDeadlineShed(t *testing.T) {
 }
 
 func TestSchedStarvationWatchdog(t *testing.T) {
-	s, _ := schedSession(t, 8, Config{StarveEpisodes: 16})
+	s, _ := schedSession(t, 8, Config{})
+	s.starveEpisodes = 16
 	if _, err := s.SubmitLiveMeta(singleRel("d1"), SubmitMeta{Tenant: "hog", Priority: 7}); err != nil {
 		t.Fatal(err)
 	}

@@ -237,9 +237,6 @@ func (s *Session) nextEpisode(id int) (exec.EpisodeInput, bool) {
 				// gcEvery episodes so reclamation keeps pace with execution
 				// while other workers' episodes stay in flight.
 				s.gcLastEp = s.episode
-				if s.inFlight > 0 {
-					metrics.Default().GCConcurrentQuanta.Add(1)
-				}
 				s.gcQuantumLocked()
 				if s.scans[best].done() {
 					continue // drained while the quantum ran
@@ -256,9 +253,6 @@ func (s *Session) nextEpisode(id int) (exec.EpisodeInput, bool) {
 			continue
 		}
 		if s.gcPendingLocked() {
-			if s.inFlight > 0 {
-				metrics.Default().GCConcurrentQuanta.Add(1)
-			}
 			s.gcQuantumLocked()
 			continue
 		}
@@ -287,8 +281,13 @@ func (s *Session) nextEpisode(id int) (exec.EpisodeInput, bool) {
 // mutex beside that instance's inserts and probes, and the session mutex
 // is released meanwhile: gc.sweeping keeps other workers from starting a
 // quantum, and the end of the sweep wakes them. The quantum after the last
-// instance runs the terminal reclamation step.
+// instance runs the terminal reclamation step. Every call made while
+// episodes are in flight counts one concurrent quantum, even one that finds
+// nothing eligible.
 func (s *Session) gcQuantumLocked() {
+	if s.inFlight > 0 {
+		metrics.Default().GCConcurrentQuanta.Add(1)
+	}
 	g := &s.gc
 	if !g.running {
 		g.active = s.retired.CopyInto(g.active)

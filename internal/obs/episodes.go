@@ -25,7 +25,7 @@ type EpisodeTrace struct {
 	SelActions  []int32 `json:"sel_actions,omitempty"`
 	JoinActions []int32 `json:"join_actions,omitempty"`
 	// FaultKind is KEpisodeWork's fault argument (0 for a completed episode);
-	// Fault is its class name ("panic", "insert", "stall"), filled in by the
+	// Fault is its class name ("panic" or "insert"), filled in by the
 	// engine.
 	FaultKind int    `json:"-"`
 	Fault     string `json:"fault,omitempty"`

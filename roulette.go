@@ -33,7 +33,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/roulette-db/roulette/internal/bitset"
 	"github.com/roulette-db/roulette/internal/catalog"
@@ -321,10 +320,6 @@ type Options struct {
 	// Engine and takes a few tens of milliseconds.
 	CalibrateCostModel bool
 
-	// EpisodeWatchdog flags any single episode running longer than this as
-	// a stall fault and cancels the rest of the batch; 0 disables it.
-	EpisodeWatchdog time.Duration
-
 	// TraceEpisodes makes every episode record its execution log on the
 	// engine's flight recorder — one event per operator the policy chose,
 	// with its input and output sizes — and keeps about the last N episodes
@@ -381,7 +376,6 @@ func (e *Engine) sessionConfig(b *query.Batch, o *Options) (engine.Config, *warm
 		Exec:             o.execOptions(),
 		Workers:          o.Workers,
 		TrackConvergence: o.TrackConvergence,
-		EpisodeWatchdog:  o.EpisodeWatchdog,
 		TraceEpisodes:    o.TraceEpisodes,
 		Logger:           o.Logger,
 	}

@@ -39,10 +39,12 @@ type StreamOptions struct {
 	Admission *AdmissionOptions
 
 	// StallWatchdog enables background self-diagnosis: every period the
-	// engine checks for stalled episodes and starved tenants, and logs each
-	// finding — naming the blocking instance, worker, and queries — through
-	// Options.Logger. The same checks run on demand via Stream.Diagnose.
-	// 0 disables the background check.
+	// engine looks for episodes running longer than max(1s, period) and
+	// logs each finding — naming the blocking instance, worker, and
+	// queries — through Options.Logger. It only reports: episodes are not
+	// preemptible, and a context deadline on Run is the one way to bound a
+	// stream. The same check runs on demand via Stream.Diagnose. 0
+	// disables the background check.
 	StallWatchdog time.Duration
 }
 
@@ -52,7 +54,10 @@ type TenantLimit = admission.TenantLimit
 // AdmissionOptions configure a stream's overload protection. Tenants are
 // derived from query tags: the prefix before the first '/' (see
 // Query.WithTag). The zero value admits everything but still enables
-// weighted-fair scheduling and per-tenant SLO metrics.
+// weighted-fair scheduling and per-tenant SLO metrics. The scheduler's own
+// thresholds are fixed: a query within 1ms of its deadline runs in the
+// urgent lane, and a tenant with live queries unserved for 512 episodes
+// jumps every lane until it is next scheduled.
 type AdmissionOptions struct {
 	// MaxInFlightCost bounds the summed estimated cost — in estimated
 	// execution nanoseconds, from the engine's cost model over each query's
@@ -70,15 +75,6 @@ type AdmissionOptions struct {
 
 	// Tenants overrides rate limits and fairness weights per tenant key.
 	Tenants map[string]TenantLimit
-
-	// DeadlineUrgency is how far ahead of a query's deadline the scheduler
-	// starts boosting its episodes into the urgent lane; 0 means 1ms.
-	DeadlineUrgency time.Duration
-
-	// StarveEpisodes is the starvation watchdog threshold: a tenant with
-	// live queries unserved for this many episodes jumps every priority
-	// lane until it is next scheduled; 0 means 512.
-	StarveEpisodes int
 
 	// hooks are the chaos-injection points (internal/faults wires them in
 	// white-box tests).
@@ -231,10 +227,6 @@ func (e *Engine) OpenStream(ctx context.Context, o *StreamOptions) (*Stream, err
 	}
 	cfg.Streaming = true
 	cfg.StallWatchdog = opt.StallWatchdog
-	if a := opt.Admission; a != nil {
-		cfg.DeadlineUrgency = a.DeadlineUrgency
-		cfg.StarveEpisodes = a.StarveEpisodes
-	}
 	s := &Stream{
 		e:       e,
 		b:       b,

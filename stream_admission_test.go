@@ -244,12 +244,8 @@ func shedFixture(t *testing.T, heavyRows int) *Engine {
 func TestStreamDeadlineShedMidFlight(t *testing.T) {
 	e := shedFixture(t, 400_000)
 	st, err := e.OpenStream(context.Background(), &StreamOptions{
-		Options: Options{Workers: 1, VectorSize: 256, Seed: 11},
-		Admission: &AdmissionOptions{
-			// Keep the watchdog out of the way: this test wants the victim
-			// to starve past its deadline, not get rescued.
-			StarveEpisodes: 1 << 30,
-		},
+		Options:   Options{Workers: 1, VectorSize: 256, Seed: 11},
+		Admission: &AdmissionOptions{},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -532,13 +532,24 @@ func TestStreamStemStatsAgreeWithRegistry(t *testing.T) {
 
 // TestStreamTicketCancel cancels one query mid-flight: only that query
 // aborts (with a partial, lower-bound count); the others complete exactly.
+// Each worker's first episode (slots 0 and 1 of two workers) parks until the
+// cancel has returned, so the victim cannot finish before it is cancelled.
 func TestStreamTicketCancel(t *testing.T) {
 	e := streamFixture(t, 6000)
 	want := oracleCounts(t, e, streamWorkload())
 
-	st, err := e.OpenStream(context.Background(), &StreamOptions{
-		Options: Options{Workers: 2, VectorSize: 64, Seed: 11},
-	})
+	const workers = 2
+	release := make(chan struct{})
+	opt := &StreamOptions{Options: Options{Workers: workers, VectorSize: 64, Seed: 11}}
+	opt.hooks.EpisodeStart = func(_ query.InstID, slot stem.Slot) {
+		if slot < workers {
+			select {
+			case <-release:
+			case <-time.After(30 * time.Second):
+			}
+		}
+	}
+	st, err := e.OpenStream(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +563,8 @@ func TestStreamTicketCancel(t *testing.T) {
 	}
 	victim := tickets[3]
 	victim.Cancel(nil)
-	for i, tk := range tickets {
+	close(release)
+	for _, tk := range tickets {
 		qr, err := tk.Wait(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -566,7 +578,6 @@ func TestStreamTicketCancel(t *testing.T) {
 			}
 			continue
 		}
-		_ = i
 		checkAgainstOracle(t, qr, want)
 	}
 	if err := st.Close(); err != nil {

@@ -13,7 +13,7 @@ import (
 
 // EngineSnapshot is a point-in-time view of a stream's engine internals:
 // per-instance scan state and in-flight episodes, the open episode of each
-// worker, per-tenant scheduler state, the GC cursor, and STeM occupancy.
+// worker, the GC cursor, and STeM occupancy.
 // See Stream.DebugSnapshot.
 type EngineSnapshot = engine.DebugSnapshot
 
@@ -31,8 +31,6 @@ func (s *Stream) DebugSnapshot() EngineSnapshot {
 
 // Diagnose reports every episode that has been running for at least a
 // second. It is the on-demand form of the StallWatchdog background check.
-// Starved tenants are not findings: the scheduler boosts them itself, and
-// DebugSnapshot shows each tenant's starved flag.
 func (s *Stream) Diagnose() []DebugFinding {
 	return s.sess.Diagnose(engine.DiagnoseStall)
 }

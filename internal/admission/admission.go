@@ -2,10 +2,11 @@
 // a bounded in-flight cost budget, per-tenant token-bucket rate limits, and
 // the typed errors the public API surfaces when work is rejected or shed.
 //
-// The controller sits in front of the engine's quiesce gate: Submit asks it
-// for admission *before* pausing the worker pool, so a saturated stream
-// rejects cheaply (one mutex, no barrier) instead of collapsing every
-// worker onto the gate for a query that cannot run anyway. Costs are the
+// The controller sits in front of the engine's live admission: Submit asks
+// it *before* the engine extends the batch, which does O(batch) set-up work
+// under the session mutex the workers take between episodes, so a saturated
+// stream rejects cheaply (one controller mutex) instead of making the
+// workers wait on set-up for a query that cannot run anyway. Costs are the
 // engine's estimated execution nanoseconds (cost.Model over the query's
 // relation cardinalities); releases happen at retirement, so the budget
 // bounds estimated in-flight work, not just query count.
@@ -113,7 +114,7 @@ func TenantOf(tag string) string {
 	return tag
 }
 
-// TenantLimit overrides one tenant's rate limit and fairness weight.
+// TenantLimit overrides one tenant's rate limit.
 type TenantLimit struct {
 	// Rate is the sustained admission rate in cost units per second
 	// (0 inherits the default; negative disables rate limiting for the
@@ -121,9 +122,6 @@ type TenantLimit struct {
 	Rate float64
 	// Burst is the bucket capacity in cost units (0 inherits).
 	Burst float64
-	// Weight is the tenant's weighted-fair scheduling share (0 inherits;
-	// the scheduler serves tenants proportionally to weight).
-	Weight float64
 }
 
 // Hooks are the fault-injection points the chaos harness uses. All fields
@@ -188,7 +186,6 @@ type tenantStats struct {
 	CostInUse  float64
 	bucketOnce bool
 	bucket     bucket
-	weight     float64
 }
 
 // Controller tracks the stream's in-flight cost and per-tenant buckets.
@@ -222,11 +219,8 @@ func NewController(cfg Config) *Controller {
 func (c *Controller) tenant(name string) *tenantStats {
 	ts := c.tenants[name]
 	if ts == nil {
-		ts = &tenantStats{weight: 1}
+		ts = &tenantStats{}
 		lim := c.cfg.Tenants[name]
-		if lim.Weight > 0 {
-			ts.weight = lim.Weight
-		}
 		ts.bucket = bucket{rate: c.cfg.DefaultRate, burst: c.cfg.DefaultBurst}
 		if lim.Rate != 0 {
 			ts.bucket.rate = lim.Rate
@@ -244,12 +238,9 @@ func (c *Controller) tenant(name string) *tenantStats {
 	return ts
 }
 
-// Weight returns the tenant's fairness weight (>= 1 tenant created).
-func (c *Controller) Weight(name string) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tenant(name).weight
-}
+// Weight is inert and returns 1. It stays because benchmark/layers.go
+// calls it.
+func (c *Controller) Weight(string) float64 { return 1 }
 
 // Admit charges cost against the budget and the tenant's bucket. On
 // success the cost stays charged until Release. On rejection it returns an
@@ -389,7 +380,6 @@ type TenantSnapshot struct {
 	Shed      int64 // queries shed with ErrDeadlineShed
 	InFlight  int64 // admitted, not yet retired
 	CostInUse float64
-	Weight    float64
 }
 
 // Snapshot copies the controller's aggregate and per-tenant counters.
@@ -401,7 +391,6 @@ func (c *Controller) Snapshot() (inUse float64, admitted, rejected int64, tenant
 		tenants = append(tenants, TenantSnapshot{
 			Tenant: name, Admitted: ts.Admitted, Rejected: ts.Rejected,
 			Shed: ts.Shed, InFlight: ts.InFlight, CostInUse: ts.CostInUse,
-			Weight: ts.weight,
 		})
 	}
 	return c.inUse, c.totalAdmit, c.totalRej, tenants

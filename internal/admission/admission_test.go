@@ -132,18 +132,6 @@ func TestForceRejectHook(t *testing.T) {
 	}
 }
 
-func TestWeights(t *testing.T) {
-	c := NewController(Config{
-		Tenants: map[string]TenantLimit{"gold": {Weight: 4}},
-	})
-	if w := c.Weight("gold"); w != 4 {
-		t.Fatalf("gold weight = %v, want 4", w)
-	}
-	if w := c.Weight("anon"); w != 1 {
-		t.Fatalf("default weight = %v, want 1", w)
-	}
-}
-
 func TestShedErrorMatchesSentinel(t *testing.T) {
 	err := error(&ShedError{Tenant: "t", AtSubmit: true, Estimate: time.Second})
 	if !errors.Is(err, ErrDeadlineShed) {
@@ -209,5 +197,19 @@ func TestConcurrentAdmitRelease(t *testing.T) {
 	wg.Wait()
 	if got := c.InFlightCost(); got != 0 {
 		t.Fatalf("in-flight cost after drain = %v, want 0", got)
+	}
+}
+
+// TestWeightIsInert pins the Weight shim: it returns 1 for every tenant,
+// configured or not, and leaves no per-tenant state behind.
+func TestWeightIsInert(t *testing.T) {
+	c := NewController(Config{Tenants: map[string]TenantLimit{"gold": {Rate: 5}}})
+	for _, tenant := range []string{"gold", "other", ""} {
+		if w := c.Weight(tenant); w != 1 {
+			t.Errorf("Weight(%q) = %v, want 1", tenant, w)
+		}
+	}
+	if _, _, _, tenants := c.Snapshot(); len(tenants) != 0 {
+		t.Errorf("Weight created tenant state: %+v", tenants)
 	}
 }

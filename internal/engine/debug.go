@@ -14,7 +14,7 @@ import (
 // This file is the session's live introspection surface: the flight-
 // recorder plumbing shared by engine.go/stream.go/sched.go, a consistent
 // point-in-time DebugSnapshot of the concurrent control plane (scans, GC,
-// tenants, workers), and the stall self-diagnosis heuristics behind the
+// workers), and the stall self-diagnosis heuristics behind the
 // watchdog goroutine.
 
 // discardHandler is a no-op slog handler (the stdlib gained
@@ -130,23 +130,12 @@ type WorkerDebug struct {
 	ActiveQueries []int   `json:"active_queries,omitempty"`
 }
 
-// TenantDebug is one tenant's scheduler state in a DebugSnapshot.
-type TenantDebug struct {
-	Tenant           string  `json:"tenant"`
-	Weight           float64 `json:"weight"`
-	VirtualTime      float64 `json:"virtual_time"`
-	Live             int     `json:"live"`
-	Starved          bool    `json:"starved"`
-	EpisodesUnserved int64   `json:"episodes_unserved"`
-}
-
 // GCDebug is the concurrent garbage collector's cursor in a DebugSnapshot.
 type GCDebug struct {
 	Running        bool  `json:"running"`
 	Inst           int   `json:"inst"`
 	RetiredPending int   `json:"retired_pending"`
 	Sheds          int64 `json:"sheds"`
-	StarveBoosts   int64 `json:"starve_boosts"`
 }
 
 // DebugSnapshot is a consistent point-in-time view of the streaming
@@ -163,7 +152,6 @@ type DebugSnapshot struct {
 	GC      GCDebug       `json:"gc"`
 	Insts   []InstDebug   `json:"instances"`
 	Workers []WorkerDebug `json:"workers"`
-	Tenants []TenantDebug `json:"tenants,omitempty"`
 }
 
 // DebugSnapshot captures the session's control-plane state.
@@ -181,7 +169,7 @@ func (s *Session) DebugSnapshot() DebugSnapshot {
 		GC: GCDebug{
 			Running: s.gc.running, Inst: s.gc.inst,
 			RetiredPending: s.retired.Count(),
-			Sheds:          s.shedCount, StarveBoosts: s.starveBoosts,
+			Sheds:          s.shedCount,
 		},
 	}
 	snap.Insts = make([]InstDebug, len(s.scans))
@@ -204,14 +192,6 @@ func (s *Session) DebugSnapshot() DebugSnapshot {
 			Worker: id, Inst: we.inst, Slot: we.slot,
 			AgeMs:         float64(now-we.startNs) / 1e6,
 			ActiveQueries: we.active.IDs(),
-		})
-	}
-	for i := range s.tenants {
-		ts := &s.tenants[i]
-		snap.Tenants = append(snap.Tenants, TenantDebug{
-			Tenant: ts.name, Weight: ts.weight, VirtualTime: ts.vtime,
-			Live: ts.live, Starved: ts.starved,
-			EpisodesUnserved: s.episode - ts.lastService,
 		})
 	}
 	return snap
@@ -238,9 +218,7 @@ type Finding struct {
 // Diagnose reports every worker whose open episode is older than stall, one
 // finding each. It is cheap (an array scan under the mutex) and safe to call
 // at any time; the watchdog calls it periodically, and tests call it
-// directly with tight thresholds. Starvation is not diagnosed here: the
-// scheduler's starvation boost acts on it (starvationSweepLocked), and
-// DebugSnapshot shows each tenant's starved flag.
+// directly with tight thresholds.
 func (s *Session) Diagnose(stall time.Duration) []Finding {
 	s.mu.Lock()
 	defer s.mu.Unlock()

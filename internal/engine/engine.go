@@ -40,8 +40,7 @@ type AdmitEvent struct {
 }
 
 // Config parameterizes a session. A run is bounded only by the context
-// passed to RunContext: episodes are not preemptible, and the scheduler's
-// deadline-urgency and starvation thresholds are constants (sched.go).
+// passed to RunContext: episodes are not preemptible.
 type Config struct {
 	Exec    exec.Options
 	Workers int
@@ -273,22 +272,12 @@ type Session struct {
 	qSubmitNs  []int64
 	qFirstWait bitset.Set
 
-	// Tenant-aware scheduler (see sched.go).
-	tenantIDs    map[string]int
-	tenants      []tenantState
-	qTenant      []int32 // per query: tenant slot
-	qPriority    []int32 // per query: scheduling lane
-	qDeadline    []int64 // per query: absolute deadline (unixnano; 0 = none)
-	laneLive     int     // live queries in a non-default priority lane
-	deadlineLive int     // live queries carrying a deadline
-	nextDeadline int64   // earliest live deadline (unixnano; 0 = none)
-	shedCount    int64   // queries shed mid-flight by deadline expiry
-	starveBoosts int64   // starvation-watchdog activations
-
-	// The scheduler's thresholds (defaultDeadlineUrgency,
-	// defaultStarveEpisodes); only the package's tests overwrite them.
-	deadlineUrgency time.Duration
-	starveEpisodes  int64
+	// Deadline shedding (see sched.go).
+	qTenant      []string // per query: tenant name, for its shed error and trace events
+	qDeadline    []int64  // per query: absolute deadline (unixnano; 0 = none)
+	deadlineLive int      // live queries carrying a deadline
+	nextDeadline int64    // earliest live deadline (unixnano; 0 = none)
+	shedCount    int64    // queries shed mid-flight by deadline expiry
 
 	// Stats accounting, under mu.
 	startAt      time.Time
@@ -301,12 +290,10 @@ type Session struct {
 	// own recorder (newRecorder), nil on an untraced batch, with one ring per
 	// worker (index = worker id) and the control plane's ring last. workerEp
 	// tracks each worker's currently open episode, which feeds DebugSnapshot
-	// and the stall watchdog. qUrgent marks queries already promoted into the
-	// urgency lane so the promotion is recorded once.
+	// and the stall watchdog.
 	rec      *obs.Recorder
 	logger   *slog.Logger
 	workerEp []workerEpisode
-	qUrgent  bitset.Set
 }
 
 // workerEpisode is one worker's in-flight episode, stamped under the
@@ -380,7 +367,8 @@ func NewSession(b *query.Batch, db *storage.Database, cfg Config) (*Session, err
 	if s.logger == nil {
 		s.logger = slog.New(discardHandler{})
 	}
-	s.initSchedLocked(qcap)
+	s.qTenant = make([]string, qcap)
+	s.qDeadline = make([]int64, qcap)
 	s.qSubmitNs = make([]int64, qcap)
 	s.qFirstWait = bitset.New(qcap)
 	s.qEpisodes = make([]int64, qcap)
@@ -443,8 +431,8 @@ func (s *Session) WithCompiled(fn func(b *query.Batch, ctx *exec.Context, admitt
 
 // activateLocked is the one way a query starts scanning, whether it was
 // compiled into the batch (activated at construction or staged by an
-// AdmitEvent) or submitted live. It registers the query's scheduler
-// metadata, admits it on every one of its instances' scans and retires it
+// AdmitEvent) or submitted live. It registers the query's tenant and
+// deadline, admits it on every one of its instances' scans and retires it
 // at once if all of them are empty. submitNs, non-zero for live
 // submissions only, starts the submit-to-first-episode latency timer. A
 // live query's context view was published before this runs, so no episode
@@ -531,7 +519,6 @@ func (s *Session) takeVectorLocked(inst query.InstID) exec.EpisodeInput {
 		}
 		s.outstanding[qid]++
 		st.flight[qid]++
-		s.chargeServiceLocked(qid, n)
 		if s.qFirstWait.Contains(qid) {
 			// First episode carrying a live-admitted query's bit: record the
 			// submit-to-first-episode latency (admission responsiveness).

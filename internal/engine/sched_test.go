@@ -45,95 +45,6 @@ func scanOf(s *Session, qid int) int {
 	return int(insts[0])
 }
 
-// drive picks a scan and charges one vector of service to every query
-// active on it, mimicking takeVectorLocked's accounting without executing.
-func drive(s *Session, n int) int {
-	best := s.pickScanLocked()
-	if best < 0 {
-		return best
-	}
-	s.scans[best].active.ForEach(func(qid int) { s.chargeServiceLocked(qid, n) })
-	s.episode++
-	return best
-}
-
-func TestSchedWeightedFairShare(t *testing.T) {
-	s, _ := schedSession(t, 8, Config{})
-	qa, err := s.SubmitLiveMeta(singleRel("d1"), SubmitMeta{Tenant: "a", Weight: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qb, err := s.SubmitLiveMeta(singleRel("d2"), SubmitMeta{Tenant: "b", Weight: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa, sb := scanOf(s, qa), scanOf(s, qb)
-
-	s.mu.Lock()
-	served := map[int]int{}
-	for i := 0; i < 400; i++ {
-		best := drive(s, 64)
-		if best != sa && best != sb {
-			t.Fatalf("picked unexpected scan %d", best)
-		}
-		served[best]++
-	}
-	s.mu.Unlock()
-	// Weight 3 vs 1: tenant b should get ~3x the service of tenant a.
-	ratio := float64(served[sb]) / float64(served[sa])
-	if ratio < 2.0 || ratio > 4.5 {
-		t.Errorf("service ratio = %.2f (a=%d, b=%d), want ~3", ratio, served[sa], served[sb])
-	}
-}
-
-func TestSchedPriorityLane(t *testing.T) {
-	s, _ := schedSession(t, 8, Config{})
-	lo, err := s.SubmitLiveMeta(singleRel("d1"), SubmitMeta{Tenant: "lo"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hi, err := s.SubmitLiveMeta(singleRel("d2"), SubmitMeta{Tenant: "hi", Priority: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sHi := scanOf(s, hi)
-	_ = lo
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := 0; i < 20; i++ {
-		if best := drive(s, 64); best != sHi {
-			t.Fatalf("pick %d chose scan %d, want high-priority scan %d", i, best, sHi)
-		}
-	}
-}
-
-func TestSchedDeadlineUrgencyBoost(t *testing.T) {
-	// The test asserts lane order, not timing: the deadline is far enough
-	// out never to expire (and shed the query) before the pick, and the
-	// urgency window wide enough to cover it.
-	s, _ := schedSession(t, 8, Config{})
-	s.deadlineUrgency = 24 * time.Hour
-	if _, err := s.SubmitLiveMeta(singleRel("d1"), SubmitMeta{Tenant: "hi", Priority: 9}); err != nil {
-		t.Fatal(err)
-	}
-	// Low priority, but its deadline is inside the urgency window: the
-	// urgent-lane boost must outrank any user priority.
-	urgent, err := s.SubmitLiveMeta(singleRel("d2"), SubmitMeta{
-		Tenant: "urgent", Deadline: time.Now().Add(time.Hour),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sUrgent := scanOf(s, urgent)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if best := drive(s, 64); best != sUrgent {
-		t.Fatalf("picked scan %d, want deadline-urgent scan %d", best, sUrgent)
-	}
-}
-
 func TestSchedExpiredDeadlineShed(t *testing.T) {
 	var retiredQ []int
 	var retiredErr []error
@@ -184,48 +95,159 @@ func TestSchedExpiredDeadlineShed(t *testing.T) {
 	}
 }
 
-func TestSchedStarvationWatchdog(t *testing.T) {
+// TestSchedShedKeepsLaterDeadlines sheds only the query whose deadline has
+// passed: a later deadline survives the pass, and the next-deadline cursor
+// moves to it, so the following pick sheds nothing.
+func TestSchedShedKeepsLaterDeadlines(t *testing.T) {
 	s, _ := schedSession(t, 8, Config{})
-	s.starveEpisodes = 16
-	if _, err := s.SubmitLiveMeta(singleRel("d1"), SubmitMeta{Tenant: "hog", Priority: 7}); err != nil {
-		t.Fatal(err)
-	}
-	starvedQ, err := s.SubmitLiveMeta(singleRel("d2"), SubmitMeta{Tenant: "meek"})
+	later := time.Now().Add(time.Hour)
+	live, err := s.SubmitLiveMeta(singleRel("d1"), SubmitMeta{Tenant: "live", Deadline: later})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sMeek := scanOf(s, starvedQ)
+	dead, err := s.SubmitLiveMeta(singleRel("d2"), SubmitMeta{
+		Tenant: "late", Deadline: time.Now().Add(-time.Millisecond),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// The hog's priority lane wins every pick until the watchdog fires.
-	for i := 0; i < 100; i++ {
-		if best := drive(s, 64); best == sMeek {
-			if s.starveBoosts == 0 {
-				t.Fatalf("meek tenant served at pick %d without a starvation boost", i)
-			}
-			if i < 16 {
-				t.Fatalf("watchdog fired after only %d episodes (threshold 16)", i)
-			}
-			// Service clears the boost; the hog resumes until the next sweep.
-			tid := s.tenantIDs["meek"]
-			if s.tenants[tid].starved {
-				t.Error("starved flag not cleared by service")
-			}
-			return
-		}
+	if best := s.pickScanLocked(); best != scanOf(s, live) {
+		t.Errorf("picked scan %d, want the live query's scan %d", best, scanOf(s, live))
 	}
-	t.Fatal("meek tenant never served: starvation watchdog did not fire")
+	if !s.failed.Contains(dead) || s.failed.Contains(live) {
+		t.Errorf("failed set wrong: dead %d failed=%v, live %d failed=%v",
+			dead, s.failed.Contains(dead), live, s.failed.Contains(live))
+	}
+	if s.shedCount != 1 || s.deadlineLive != 1 || s.nextDeadline != later.UnixNano() {
+		t.Errorf("after shed: shedCount=%d deadlineLive=%d nextDeadline=%d, want 1, 1, %d",
+			s.shedCount, s.deadlineLive, s.nextDeadline, later.UnixNano())
+	}
+	s.pickScanLocked()
+	if s.shedCount != 1 {
+		t.Errorf("shedCount = %d after a second pick, want 1: the live deadline is an hour out", s.shedCount)
+	}
 }
 
-// TestSchedStepNoAlloc guards the acceptance criterion that admission
-// accounting adds no allocation to the steady-state episode step: scan
-// selection (including the deadline check path) and service charging are
-// array reads/writes only.
+// TestSchedShedErrorNamesItsTenant checks that each query shed in one pass
+// carries its own tenant in its ShedError: the per-query tenant slice is
+// the only place the engine keeps a tenant name.
+func TestSchedShedErrorNamesItsTenant(t *testing.T) {
+	errs := map[int]error{}
+	s, _ := schedSession(t, 8, Config{
+		OnRetire: func(qid int, st QueryStatus) { errs[qid] = st.Err },
+	})
+	past := time.Now().Add(-time.Millisecond)
+	want := map[int]string{}
+	for i, tenant := range []string{"a", "b", ""} {
+		qid, err := s.SubmitLiveMeta(singleRel([]string{"d1", "d2", "fact"}[i]), SubmitMeta{
+			Tenant: tenant, Deadline: past,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[qid] = tenant
+	}
+
+	s.mu.Lock()
+	if best := s.pickScanLocked(); best != -1 {
+		t.Errorf("picked scan %d, want -1: every query was shed", best)
+	}
+	cbs := s.takeCallbacksLocked()
+	s.mu.Unlock()
+	s.runCallbacks(cbs)
+
+	if len(errs) != len(want) {
+		t.Fatalf("retired %d queries, want %d", len(errs), len(want))
+	}
+	for qid, tenant := range want {
+		var se *admission.ShedError
+		if !errors.As(errs[qid], &se) || se.AtSubmit {
+			t.Errorf("query %d: error %v, want mid-flight *ShedError", qid, errs[qid])
+			continue
+		}
+		if se.Tenant != tenant {
+			t.Errorf("query %d: ShedError tenant %q, want %q", qid, se.Tenant, tenant)
+		}
+	}
+}
+
+// TestSchedNoRunnableScan checks the selector's -1: on a session with no
+// query, and once every scan of the only query has been handed out.
+func TestSchedNoRunnableScan(t *testing.T) {
+	opt := exec.DefaultOptions()
+	opt.VectorSize = 16 // four vectors per 64-row dimension scan
+	s, _ := schedSession(t, 8, Config{Exec: opt})
+	s.mu.Lock()
+	if best := s.pickScanLocked(); best != -1 {
+		t.Errorf("empty session picked scan %d, want -1", best)
+	}
+	s.mu.Unlock()
+
+	q, err := s.SubmitLiveMeta(singleRel("d1"), SubmitMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d1 := scanOf(s, q)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := 0; i < 4; i++ {
+		best := s.pickScanLocked()
+		if best != d1 {
+			t.Fatalf("pick %d chose scan %d, want d1's scan %d", i, best, d1)
+		}
+		s.takeVectorLocked(query.InstID(best))
+	}
+	if best := s.pickScanLocked(); best != -1 {
+		t.Errorf("picked scan %d after d1's four vectors were handed out, want -1", best)
+	}
+}
+
+// TestSchedWeightIsInert pins the SubmitMeta.Weight shim: two sessions given
+// the same queries under very different weights pick the same scans in the
+// same order, vector by vector.
+func TestSchedWeightIsInert(t *testing.T) {
+	picks := func(weights []float64) []int {
+		opt := exec.DefaultOptions()
+		opt.VectorSize = 16
+		s, _ := schedSession(t, 8, Config{Exec: opt})
+		for i, table := range []string{"d1", "d2", "fact"} {
+			if _, err := s.SubmitLiveMeta(singleRel(table), SubmitMeta{
+				Tenant: table, Weight: weights[i],
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		var seq []int
+		for best := s.pickScanLocked(); best >= 0; best = s.pickScanLocked() {
+			seq = append(seq, best)
+			s.takeVectorLocked(query.InstID(best))
+		}
+		return seq
+	}
+	even := picks([]float64{1, 1, 1})
+	skewed := picks([]float64{0, 1000, 0.001})
+	if len(even) == 0 || len(even) != len(skewed) {
+		t.Fatalf("pick counts differ: %d under equal weights, %d under skewed ones", len(even), len(skewed))
+	}
+	for i := range even {
+		if even[i] != skewed[i] {
+			t.Fatalf("pick %d: scan %d under equal weights, %d under skewed ones", i, even[i], skewed[i])
+		}
+	}
+}
+
+// TestSchedStepNoAlloc guards that scan selection adds no allocation to the
+// steady-state episode step. A stale next-deadline cursor, as a retirement
+// leaves it, makes every pick run the deadline scan too; with nothing
+// expired, both are array reads and writes only.
 func TestSchedStepNoAlloc(t *testing.T) {
 	s, _ := schedSession(t, 8, Config{})
-	qa, err := s.SubmitLiveMeta(singleRel("d1"), SubmitMeta{Tenant: "a", Weight: 2})
-	if err != nil {
+	if _, err := s.SubmitLiveMeta(singleRel("d1"), SubmitMeta{Tenant: "a"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.SubmitLiveMeta(singleRel("d2"), SubmitMeta{
@@ -237,14 +259,77 @@ func TestSchedStepNoAlloc(t *testing.T) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	allocs := testing.AllocsPerRun(200, func() {
+		s.nextDeadline = 1
 		if s.pickScanLocked() < 0 {
 			t.Fatal("no scan to pick")
 		}
-		s.chargeServiceLocked(qa, 1024)
-		s.episode++
 	})
 	if allocs != 0 {
 		t.Errorf("scheduler step allocates %.1f objects/op, want 0", allocs)
+	}
+	if s.shedCount != 0 {
+		t.Errorf("shedCount = %d, want 0: no deadline has passed", s.shedCount)
+	}
+}
+
+// TestSchedRankOrderAcrossTenants pins the one selector: whatever service
+// each tenant has had and whatever deadlines are live, the pick is the
+// lowest-rank incomplete scan, rotating among equal ranks (§5.2). Tenant
+// heavy joins fact with both dimension tables (d1 and d2 rank first, fact
+// after them); tenant light scans fact alone under a live deadline. Every
+// vector dispatched from a dimension scan is service heavy received and
+// light did not, yet light's fact scan waits until both dimension scans
+// are done.
+func TestSchedRankOrderAcrossTenants(t *testing.T) {
+	opt := exec.DefaultOptions()
+	opt.VectorSize = 16 // four vectors per 64-row dimension scan
+	s, _ := schedSession(t, 8, Config{Exec: opt})
+	heavy, err := s.SubmitLiveMeta(&query.Query{
+		Rels: []query.RelRef{{Table: "fact"}, {Table: "d1"}, {Table: "d2"}},
+		Joins: []query.Join{
+			{LeftAlias: "fact", LeftCol: "fk1", RightAlias: "d1", RightCol: "k"},
+			{LeftAlias: "fact", LeftCol: "fk2", RightAlias: "d2", RightCol: "k"},
+		},
+	}, SubmitMeta{Tenant: "heavy"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	light, err := s.SubmitLiveMeta(singleRel("fact"), SubmitMeta{
+		Tenant: "light", Deadline: time.Now().Add(time.Hour),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fact := scanOf(s, light)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var dims []int
+	for _, inst := range s.b.QueryInsts(heavy) {
+		if int(inst) != fact {
+			dims = append(dims, int(inst))
+		}
+	}
+	if len(dims) != 2 || s.scans[dims[0]].rank != s.scans[dims[1]].rank || s.scans[dims[0]].rank >= s.scans[fact].rank {
+		t.Fatalf("want two dimension scans of one rank below fact's; dims %v, fact %d", dims, fact)
+	}
+	prev := -1
+	for i := 0; i < 8; i++ {
+		best := s.pickScanLocked()
+		if best != dims[0] && best != dims[1] {
+			t.Fatalf("pick %d chose scan %d, want a dimension scan %v before fact %d", i, best, dims, fact)
+		}
+		if best == prev {
+			t.Fatalf("pick %d chose scan %d again, want equal ranks to rotate", i, best)
+		}
+		prev = best
+		s.takeVectorLocked(query.InstID(best))
+	}
+	if best := s.pickScanLocked(); best != fact {
+		t.Fatalf("picked scan %d once the dimension scans were done, want fact %d", best, fact)
+	}
+	if s.shedCount != 0 {
+		t.Errorf("shedCount = %d, want 0: the deadline is an hour out", s.shedCount)
 	}
 }
 
@@ -274,46 +359,5 @@ func TestDispatchAllocations(t *testing.T) {
 	}
 	if allocs != 2 {
 		t.Errorf("dispatch allocates %.1f objects/op, want 2 (active and final sets)", allocs)
-	}
-}
-
-func TestSchedVtimeFloorOnRejoin(t *testing.T) {
-	s, _ := schedSession(t, 8, Config{})
-	qa, err := s.SubmitLiveMeta(singleRel("d1"), SubmitMeta{Tenant: "a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s.mu.Lock()
-	// Tenant a accumulates service, then drains.
-	s.chargeServiceLocked(qa, 1<<20)
-	va := s.tenants[s.tenantIDs["a"]].vtime
-	s.releaseMetaLocked(qa)
-	s.mu.Unlock()
-
-	// A late joiner must start at the floor (a's vtime, the only tenant),
-	// not at 0 — otherwise it would cash in service it never requested.
-	qb, err := s.SubmitLiveMeta(singleRel("d2"), SubmitMeta{Tenant: "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = qb
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	vb := s.tenants[s.tenantIDs["b"]].vtime
-	if vb != 0 {
-		t.Errorf("sole-active joiner vtime = %v, want 0 (no active tenants)", vb)
-	}
-	// And when a rejoins while b is active, a is floored to b's vtime.
-	s.chargeServiceLocked(qb, 4096)
-	qa2, _, err2 := s.b.Extend(singleRel("d1"))
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	s.registerMetaLocked(qa2, SubmitMeta{Tenant: "a"})
-	floored := s.tenants[s.tenantIDs["a"]].vtime
-	want := s.tenants[s.tenantIDs["b"]].vtime
-	if floored < want || floored < va {
-		t.Errorf("rejoining tenant vtime = %v, want >= max(floor %v)", floored, want)
 	}
 }

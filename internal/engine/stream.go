@@ -57,8 +57,7 @@ type retirePruner interface{ PruneRetired(retired bitset.Set) int }
 // before the view is published, without waiting for the instance's
 // in-flight episodes. Admission sizes nothing in the STeMs: their chunks and
 // tables follow the entries built into them. The meta carries the query's
-// tenant, fairness weight, priority lane and deadline for the tenant-aware
-// scheduler (see sched.go). It returns the assigned query ID.
+// tenant and deadline (see sched.go). It returns the assigned query ID.
 //
 // Admission control (budget, rate limits) still belongs in front of this
 // call: admission does O(batch) setup work under the mutex, so overload
@@ -353,7 +352,7 @@ func (s *Session) gcFinishLocked() {
 			sc.flight[qid] = 0
 		}
 		s.qEpisodes[qid], s.qElapsed[qid] = 0, 0
-		s.qTenant[qid] = 0
+		s.qTenant[qid] = ""
 		s.ctx.Sources[qid] = nil
 		s.b.ReleaseQID(qid)
 	})

@@ -146,12 +146,10 @@ func streamRun(t *testing.T, s *Session) func() *Results {
 	}
 }
 
-// TestSubmitLiveNonBlockingDuringEpisode is the tentpole acceptance test:
-// admission must not wait on a global worker barrier. A hook parks the
-// first episode mid-flight; under the old quiesce gate SubmitLiveMeta would
-// block until every in-flight episode finished (i.e. forever here, since
-// the episode is released only after the submission returns), so the test
-// is a deadlock detector for any reintroduced stop-the-world admission.
+// TestSubmitLiveNonBlockingDuringEpisode checks that admission waits on no
+// in-flight episode. A hook parks the first episode mid-flight and releases
+// it only after SubmitLiveMeta returns, so an admission that waited for
+// in-flight episodes to finish would deadlock here.
 func TestSubmitLiveNonBlockingDuringEpisode(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	db := starDB(rng, 2048, 64)
@@ -351,7 +349,7 @@ func TestStreamChurnRandomizedInterleavings(t *testing.T) {
 		var qid int
 		deadline := time.Now().Add(60 * time.Second)
 		for {
-			qid, err = s.SubmitLiveMeta(q, SubmitMeta{Tenant: tenants[i%len(tenants)], Weight: float64(1 + i%2)})
+			qid, err = s.SubmitLiveMeta(q, SubmitMeta{Tenant: tenants[i%len(tenants)]})
 			if err == nil {
 				break
 			}

@@ -31,10 +31,10 @@ type StepBenchConfig struct {
 
 // StepBench drives the steady-state episode step in isolation: a prebuilt
 // star batch (fact ⋈ dim1, fact ⋈ dim2, per-query range filters on the
-// fact table) with the dimension STeMs fully populated and published. Every
-// Step runs RunEpisode's own body on a fresh version slot — hook checks,
-// ingest, grouped filters, compact, STeM build, publish, probes, routing
-// selections, routers, cost measurement, policy update and the stats fold —
+// fact table) with the dimension STeMs fully populated. Every Step runs
+// RunEpisode's own body over the same fact vector — hook checks, ingest,
+// grouped filters, compact, STeM build, probes, routing selections,
+// routers, cost measurement, policy update and the stats fold —
 // over selection and join plans built once by NewStepBench.
 //
 // Plan construction is the one part of an episode left out: it allocates

@@ -1,9 +1,10 @@
 // Package faults provides deterministic, seed-driven fault injection for
 // chaos-testing the engine's episode fault boundary: injected episode
 // panics, slow episodes, and STeM insertion failures. Decisions are keyed
-// off the episode's version slot (not call order), so a given (seed,
-// workload) pair injects the same faults regardless of worker count or
-// goroutine interleaving within a pass.
+// off the episode's number (EpisodeInput.Slot, which the engine draws as it
+// hands out the vector), not call order, so a given (seed, workload) pair
+// injects the same faults regardless of goroutine interleaving within a
+// pass.
 //
 // Wire an injector into a run through exec.Options:
 //

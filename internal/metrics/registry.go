@@ -34,10 +34,9 @@ type Registry struct {
 	QStates        atomic.Int64 // Q-table size of the most recent session (gauge)
 
 	// Admission / overload protection (streaming).
-	SubmitAdmitted   atomic.Int64 // submissions admitted past the controller
-	SubmitOverloads  atomic.Int64 // submissions rejected with ErrOverloaded
-	DeadlineSheds    atomic.Int64 // queries shed for unmeetable deadlines (submit-time + mid-flight)
-	StarvationBoosts atomic.Int64 // starvation-watchdog activations
+	SubmitAdmitted  atomic.Int64 // submissions admitted past the controller
+	SubmitOverloads atomic.Int64 // submissions rejected with ErrOverloaded
+	DeadlineSheds   atomic.Int64 // queries shed for unmeetable deadlines (submit-time + mid-flight)
 
 	// Concurrent GC (streaming).
 	GCConcurrentQuanta atomic.Int64 // GC quanta executed while episodes were in flight
@@ -192,10 +191,9 @@ type RegistrySnapshot struct {
 	ExploitActions int64 `json:"exploit_actions"`
 	QStates        int64 `json:"qtable_states"`
 
-	SubmitAdmitted   int64 `json:"submit_admitted"`
-	SubmitOverloads  int64 `json:"submit_overload_rejected"`
-	DeadlineSheds    int64 `json:"deadline_shed"`
-	StarvationBoosts int64 `json:"starvation_boosts"`
+	SubmitAdmitted  int64 `json:"submit_admitted"`
+	SubmitOverloads int64 `json:"submit_overload_rejected"`
+	DeadlineSheds   int64 `json:"deadline_shed"`
 
 	GCConcurrentQuanta int64   `json:"gc_concurrent_quanta"`
 	PolicyCacheHits    int64   `json:"policy_cache_hits"`
@@ -237,10 +235,9 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		ExploitActions:  r.ExploitActions.Load(),
 		QStates:         r.QStates.Load(),
 
-		SubmitAdmitted:   r.SubmitAdmitted.Load(),
-		SubmitOverloads:  r.SubmitOverloads.Load(),
-		DeadlineSheds:    r.DeadlineSheds.Load(),
-		StarvationBoosts: r.StarvationBoosts.Load(),
+		SubmitAdmitted:  r.SubmitAdmitted.Load(),
+		SubmitOverloads: r.SubmitOverloads.Load(),
+		DeadlineSheds:   r.DeadlineSheds.Load(),
 
 		GCConcurrentQuanta: r.GCConcurrentQuanta.Load(),
 		PolicyCacheHits:    r.PolicyCacheHits.Load(),
@@ -290,7 +287,6 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	p.Counter("roulette_submit_admitted_total", "Stream submissions admitted past the admission controller.", float64(s.SubmitAdmitted))
 	p.Counter("roulette_submit_overload_rejected_total", "Stream submissions rejected with ErrOverloaded (budget or rate limit).", float64(s.SubmitOverloads))
 	p.Counter("roulette_deadline_shed_total", "Queries shed for unmeetable deadlines (at submit or mid-flight).", float64(s.DeadlineSheds))
-	p.Counter("roulette_starvation_boosts_total", "Starvation-watchdog activations boosting an unserved tenant.", float64(s.StarvationBoosts))
 	p.Counter("roulette_gc_concurrent_quanta", "GC quanta executed while episodes were in flight (concurrent, not stop-the-world).", float64(s.GCConcurrentQuanta))
 	p.Counter("roulette_policy_cache_hits_total", "Policy-snapshot lookups that found a cached template.", float64(s.PolicyCacheHits))
 	p.Counter("roulette_policy_cache_misses_total", "Policy-snapshot lookups that came up cold.", float64(s.PolicyCacheMisses))

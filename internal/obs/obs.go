@@ -51,9 +51,6 @@ const (
 	// KShed: a query was shed — at submit time (hopeless deadline, query id
 	// -1) or mid-flight (expired deadline).
 	KShed
-	// KLanePromote: the scheduler promoted a query's scans into the
-	// deadline-urgency lane.
-	KLanePromote
 	// KGCQuantum: a concurrent GC quantum swept one instance's STeM.
 	KGCQuantum
 	// KGCCompact: the quantum compacted the STeM it swept.
@@ -84,7 +81,6 @@ var kindNames = [...]string{
 	KAdmit:        "admit",
 	KReject:       "reject",
 	KShed:         "shed",
-	KLanePromote:  "lane_promote",
 	KGCQuantum:    "gc_quantum",
 	KGCCompact:    "gc_compact",
 	KRetire:       "retire",
@@ -103,7 +99,6 @@ var kindArgs = [...][4]string{
 	KAdmit:        {"qid"},
 	KReject:       {"qid", "", "tenant"},
 	KShed:         {"qid", "midflight", "tenant"},
-	KLanePromote:  {"qid", "deadline_unix_ns", "tenant"},
 	KGCQuantum:    {"inst", "dead"},
 	KGCCompact:    {"inst", "live"},
 	KRetire:       {"qid", "completed"},

@@ -217,9 +217,9 @@ func entryIntersects(e *tableEntry, q bitset.Set) bool {
 // streaming policy does not accumulate Q-states for queries that have left
 // the system. Intersection (rather than subset-of-retired) is deliberate:
 // after a query's ID is recycled, a stale prior containing its bit would
-// otherwise seed a new, unrelated query's Q-value. Runs off the hot path
-// (streaming GC under the engine's quiesce gate); Learned's mutex guards
-// concurrency. Returns the number of removed entries.
+// otherwise seed a new, unrelated query's Q-value. Runs off the hot path,
+// at the end of a streaming GC pass under the engine's session mutex, while
+// episodes may still be in flight; Learned's mutex guards concurrency. Returns the number of removed entries.
 func (t *Table) PruneRetired(retired bitset.Set) int {
 	kept := make([]tableEntry, 0, t.n)
 	for i := range t.entries {

@@ -16,7 +16,6 @@ type Query struct {
 
 	// Streaming admission metadata (see Stream.Submit); ignored in batch
 	// mode, where the whole batch runs to completion together.
-	priority int
 	deadline time.Duration
 }
 
@@ -160,27 +159,17 @@ func (q *Query) Tag() string { return q.q.Tag }
 //
 // In streams with admission control, the tag also keys the query's tenant:
 // the prefix before the first '/' ("gold/q17" belongs to tenant "gold", a
-// bare "q17" to tenant "q17"). Tenants get weighted-fair scheduling, rate
-// limits, and per-tenant SLO metrics.
+// bare "q17" to tenant "q17"). Tenants get rate limits and per-tenant SLO
+// metrics; they do not change the order in which scans run.
 func (q *Query) WithTag(tag string) *Query {
 	q.q.Tag = tag
-	return q
-}
-
-// WithPriority sets the query's scheduling lane for streams: among runnable
-// work, higher lanes are always served first (subject to the starvation
-// watchdog, which keeps lower lanes from starving forever). The default
-// lane is 0; negative lanes yield to the default. Batch execution ignores
-// priorities.
-func (q *Query) WithPriority(p int) *Query {
-	q.priority = p
 	return q
 }
 
 // WithDeadline gives the query a completion deadline, measured from the
 // moment it is submitted to a stream. A query whose estimated cost already
 // exceeds the deadline is shed at Submit with ErrDeadlineShed; one that is
-// admitted gets an urgency boost as the deadline nears, and is shed
+// admitted runs in the stream's scan order like any other, and is shed
 // mid-flight (retiring with a partial count and ErrDeadlineShed) if the
 // deadline passes first. 0 means no deadline. Batch execution ignores
 // per-query deadlines; bound a whole batch with a context deadline on

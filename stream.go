@@ -31,11 +31,10 @@ type StreamOptions struct {
 	MaxQueries int
 
 	// Admission enables overload protection: an in-flight cost budget,
-	// per-tenant rate limits and weighted-fair scheduling, and deadline
-	// shedding. Nil disables admission control entirely — Submit never
-	// returns ErrOverloaded and queries schedule by scan rank alone, as
-	// before. Per-query deadlines (Query.WithDeadline) and priorities work
-	// either way.
+	// per-tenant rate limits and deadline shedding at Submit. Nil disables
+	// admission control entirely: Submit never returns ErrOverloaded.
+	// Either way scans run in rank order, and per-query deadlines
+	// (Query.WithDeadline) shed their query once they pass.
 	Admission *AdmissionOptions
 
 	// StallWatchdog enables background self-diagnosis: every period the
@@ -48,16 +47,13 @@ type StreamOptions struct {
 	StallWatchdog time.Duration
 }
 
-// TenantLimit overrides one tenant's rate limit and fairness weight.
+// TenantLimit overrides one tenant's rate limit.
 type TenantLimit = admission.TenantLimit
 
 // AdmissionOptions configure a stream's overload protection. Tenants are
 // derived from query tags: the prefix before the first '/' (see
-// Query.WithTag). The zero value admits everything but still enables
-// weighted-fair scheduling and per-tenant SLO metrics. The scheduler's own
-// thresholds are fixed: a query within 1ms of its deadline runs in the
-// urgent lane, and a tenant with live queries unserved for 512 episodes
-// jumps every lane until it is next scheduled.
+// Query.WithTag). The zero value admits everything but still keeps
+// per-tenant admission counters and SLO metrics.
 type AdmissionOptions struct {
 	// MaxInFlightCost bounds the summed estimated cost — in estimated
 	// execution nanoseconds, from the engine's cost model over each query's
@@ -73,7 +69,7 @@ type AdmissionOptions struct {
 	DefaultRate  float64
 	DefaultBurst float64
 
-	// Tenants overrides rate limits and fairness weights per tenant key.
+	// Tenants overrides rate limits per tenant key.
 	Tenants map[string]TenantLimit
 
 	// hooks are the chaos-injection points (internal/faults wires them in
@@ -358,14 +354,7 @@ func (s *Stream) Submit(q *Query) (*Ticket, error) {
 		return nil, ErrStreamFull
 	}
 
-	meta := engine.SubmitMeta{
-		Tenant:   tenant,
-		Priority: q.priority,
-		Deadline: deadline,
-	}
-	if s.adm != nil {
-		meta.Weight = s.adm.Weight(tenant)
-	}
+	meta := engine.SubmitMeta{Tenant: tenant, Deadline: deadline}
 	start := time.Now()
 	qid, err := s.sess.SubmitLiveMeta(cp, meta)
 	if err != nil {

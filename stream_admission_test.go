@@ -236,24 +236,37 @@ func shedFixture(t *testing.T, heavyRows int) *Engine {
 	return e
 }
 
-// TestStreamDeadlineShedMidFlight pins graceful degradation under priority
-// pressure: a low-priority query whose deadline expires while high-priority
-// work monopolizes the worker is shed mid-flight with ErrDeadlineShed and a
-// partial result — it does not hang, and the high-priority queries finish
-// unharmed.
+// TestStreamDeadlineShedMidFlight pins graceful degradation: a query whose
+// deadline expires while another tenant's work holds the only worker is
+// shed mid-flight with ErrDeadlineShed and a partial result — it does not
+// hang, and the other tenant's queries finish unharmed. The hogs' first
+// episode stays parked until the victim's deadline has passed, so the
+// victim runs no episode before the shed, whatever the timing.
 func TestStreamDeadlineShedMidFlight(t *testing.T) {
 	e := shedFixture(t, 400_000)
-	st, err := e.OpenStream(context.Background(), &StreamOptions{
+	var armed atomic.Bool
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	opt := &StreamOptions{
 		Options:   Options{Workers: 1, VectorSize: 256, Seed: 11},
 		Admission: &AdmissionOptions{},
-	})
+	}
+	opt.hooks.EpisodeStart = func(query.InstID, stem.Slot) {
+		if armed.CompareAndSwap(false, true) {
+			close(parked)
+			select {
+			case <-release:
+			case <-time.After(30 * time.Second):
+			}
+		}
+	}
+	st, err := e.OpenStream(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	heavy := func(i int) *Query {
 		return NewQuery(fmt.Sprintf("hog/q%d", i)).
-			From("heavy").From("hdim").Join("heavy", "fk", "hdim", "k").
-			WithPriority(1 << 17) // above the urgency boost: deadlines cannot preempt
+			From("heavy").From("hdim").Join("heavy", "fk", "hdim", "k")
 	}
 	var hogs []*Ticket
 	for i := 0; i < 4; i++ {
@@ -262,11 +275,22 @@ func TestStreamDeadlineShedMidFlight(t *testing.T) {
 			t.Fatal(err)
 		}
 		hogs = append(hogs, tk)
+		if i == 0 {
+			select {
+			case <-parked:
+			case <-time.After(30 * time.Second):
+				t.Fatal("the first hog's first episode never started")
+			}
+		}
 	}
 	victim, err := st.Submit(NewQuery("meek/q0").From("vict").WithDeadline(2 * time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Submit stamped the deadline before it returned: once 2 ms more have
+	// passed it has expired, and the worker's next pick sheds the victim.
+	time.Sleep(3 * time.Millisecond)
+	close(release)
 
 	qr, err := victim.Wait(context.Background())
 	if err != nil {
@@ -285,7 +309,7 @@ func TestStreamDeadlineShedMidFlight(t *testing.T) {
 			t.Fatal(err)
 		}
 		if hr.Aborted {
-			t.Errorf("high-priority query %s aborted: %v", hr.Tag, hr.Err)
+			t.Errorf("hog query %s aborted: %v", hr.Tag, hr.Err)
 		}
 	}
 	_, _, _, tenants := st.AdmissionStats()
@@ -299,20 +323,18 @@ func TestStreamDeadlineShedMidFlight(t *testing.T) {
 	}
 }
 
-// TestStreamTenantFairnessNoStarvation saturates a stream with a heavy
-// tenant class while a rate-limited light tenant submits alongside: every
-// light-tenant query must still retire (weighted-fair scheduling plus the
-// starvation watchdog forbid starvation), and both tenants must report
-// finite retire-latency percentiles.
-func TestStreamTenantFairnessNoStarvation(t *testing.T) {
+// TestStreamRateLimitedTenantRetiresWithSLOs saturates a stream with a
+// heavy tenant class while a rate-limited light tenant submits alongside:
+// every query of both tenants must retire, and both tenants must report
+// finite, ordered retire-latency percentiles.
+func TestStreamRateLimitedTenantRetiresWithSLOs(t *testing.T) {
 	e := streamFixture(t, 3000)
 	st, err := e.OpenStream(context.Background(), &StreamOptions{
 		Options:    Options{Workers: 2, VectorSize: 128, Seed: 11},
 		MaxQueries: 8,
 		Admission: &AdmissionOptions{
 			Tenants: map[string]TenantLimit{
-				"fgold":   {Weight: 8},
-				"fbronze": {Weight: 1, Rate: 5e8, Burst: 1e9},
+				"fbronze": {Rate: 5e8, Burst: 1e9},
 			},
 		},
 	})

@@ -144,7 +144,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 // arrive in random order with random delays (so they land mid-scan of
 // whatever is already running), across several reuse rounds so query IDs
 // are recycled through GC. Results must always match the oracle. Run with
-// -race to exercise the quiesce gate.
+// -race to exercise admission beside running episodes and GC.
 func TestStreamRandomizedArrival(t *testing.T) {
 	e := streamFixture(t, 3000)
 	want := oracleCounts(t, e, streamWorkload())
